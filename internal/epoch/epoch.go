@@ -226,8 +226,9 @@ func (c *Controller) Prepare(seed uint64, refit bool) (*Staged, error) {
 	}
 	c.mu.Unlock()
 
-	// Tree construction happens outside the lock: it is the slow part, and
-	// the serving epoch must not stall behind it.
+	// Tree construction happens outside the lock: it is milliseconds of
+	// work (hst.Build is near-linear), but the serving epoch must not
+	// stall behind even that.
 	if seed == 0 {
 		seed = rng.New(c.seed).DeriveN("epoch-tree", int(next)).Seed()
 	}

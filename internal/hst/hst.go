@@ -19,6 +19,10 @@
 // mechanism and the matcher need (LCA levels, tree distances, sibling-set
 // sizes) are functions of codes alone, so the two representations are
 // interchangeable and the virtual one is exact, not an approximation.
+//
+// Construction (build.go, planar.go) is near-linear for planar input and
+// O(N²) distance calls for an arbitrary metric, and yields bit for bit the
+// tree of the literal cluster-by-cluster carve of Alg. 1; see Build.
 package hst
 
 import (
@@ -63,11 +67,12 @@ type Tree struct {
 
 // Validation errors returned by Build.
 var (
-	ErrNoPoints        = errors.New("hst: need at least one point")
-	ErrDuplicatePoints = errors.New("hst: predefined points must be distinct")
-	ErrDegreeOverflow  = errors.New("hst: branching factor exceeds 255")
-	ErrBadBeta         = errors.New("hst: beta must lie in [1/2, 1]")
-	ErrBadPerm         = errors.New("hst: perm must be a permutation of the point indexes")
+	ErrNoPoints         = errors.New("hst: need at least one point")
+	ErrDuplicatePoints  = errors.New("hst: predefined points must be distinct")
+	ErrDegreeOverflow   = errors.New("hst: branching factor exceeds 255")
+	ErrBadBeta          = errors.New("hst: beta must lie in [1/2, 1]")
+	ErrBadPerm          = errors.New("hst: perm must be a permutation of the point indexes")
+	ErrAsymmetricMetric = errors.New("hst: metric is not symmetric")
 )
 
 // Depth returns D, the level of the root. Leaf codes have length D.

@@ -3,6 +3,7 @@ package hst
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"github.com/pombm/pombm/internal/geo"
 )
@@ -47,11 +48,22 @@ func (p *Published) Tree() (*Tree, error) {
 	if p.Degree < 1 || p.Degree > 255 {
 		return nil, fmt.Errorf("hst: published degree %d invalid", p.Degree)
 	}
+	if !(p.Beta >= 0.5 && p.Beta <= 1) {
+		return nil, fmt.Errorf("%w (published %v)", ErrBadBeta, p.Beta)
+	}
+	if !(p.Scale > 0) || math.IsInf(p.Scale, 1) {
+		return nil, fmt.Errorf("hst: published scale %v invalid", p.Scale)
+	}
 	if len(p.Points) == 0 {
 		return nil, ErrNoPoints
 	}
 	if len(p.Codes) != len(p.Points) {
 		return nil, fmt.Errorf("hst: %d codes for %d points", len(p.Codes), len(p.Points))
+	}
+	for i, pt := range p.Points {
+		if !pt.IsFinite() {
+			return nil, fmt.Errorf("hst: published point %d is not finite", i)
+		}
 	}
 	t := &Tree{
 		pts:    p.Points,

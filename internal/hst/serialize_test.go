@@ -2,6 +2,7 @@ package hst
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"github.com/pombm/pombm/internal/geo"
@@ -52,7 +53,7 @@ func TestPublishRoundTrip(t *testing.T) {
 
 func TestPublishedValidation(t *testing.T) {
 	good := &Published{
-		Depth: 2, Degree: 2, Scale: 1,
+		Depth: 2, Degree: 2, Beta: 0.75, Scale: 1,
 		Points: []geo.Point{geo.Pt(0, 0), geo.Pt(5, 5)},
 		Codes:  [][]byte{{0, 0}, {1, 0}},
 	}
@@ -71,11 +72,21 @@ func TestPublishedValidation(t *testing.T) {
 		{"short code", func(p *Published) { p.Codes[0] = []byte{0} }},
 		{"digit overflow", func(p *Published) { p.Codes[0] = []byte{9, 0} }},
 		{"duplicate codes", func(p *Published) { p.Codes[1] = []byte{0, 0} }},
+		{"beta missing", func(p *Published) { p.Beta = 0 }},
+		{"beta below half", func(p *Published) { p.Beta = 0.49 }},
+		{"beta above one", func(p *Published) { p.Beta = 1.01 }},
+		{"beta NaN", func(p *Published) { p.Beta = math.NaN() }},
+		{"scale zero", func(p *Published) { p.Scale = 0 }},
+		{"scale negative", func(p *Published) { p.Scale = -2 }},
+		{"scale infinite", func(p *Published) { p.Scale = math.Inf(1) }},
+		{"scale NaN", func(p *Published) { p.Scale = math.NaN() }},
+		{"point NaN", func(p *Published) { p.Points[1].X = math.NaN() }},
+		{"point infinite", func(p *Published) { p.Points[0].Y = math.Inf(-1) }},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
 			p := &Published{
-				Depth: good.Depth, Degree: good.Degree, Scale: good.Scale,
+				Depth: good.Depth, Degree: good.Degree, Beta: good.Beta, Scale: good.Scale,
 				Points: append([]geo.Point(nil), good.Points...),
 				Codes:  [][]byte{append([]byte(nil), good.Codes[0]...), append([]byte(nil), good.Codes[1]...)},
 			}
