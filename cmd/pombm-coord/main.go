@@ -39,7 +39,6 @@ func main() {
 		capacity = flag.Int("capacity", 0, "default per-worker task capacity (0 = 1); above 1 needs a capacity-aware -policy")
 		opTO     = flag.Duration("op-timeout", 0, "per-backend deadline for routed operations (0 = default 30s)")
 		prepTO   = flag.Duration("prepare-timeout", 0, "per-backend deadline for rotation prepare; scale with population (0 = default 10m)")
-		noCoal   = flag.Bool("no-coalesce", false, "disable op coalescing: ship every routed op on its own single-op endpoint")
 	)
 	flag.Parse()
 
@@ -62,7 +61,7 @@ func main() {
 		Epsilon: *eps, Seed: *seed,
 		Nodes: nodes, Shards: *shards,
 		Policy: *policy, DefaultCapacity: *capacity,
-		Lifetime: *lifetime, NoCoalesce: *noCoal,
+		Lifetime: *lifetime,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pombm-coord:", err)

@@ -30,7 +30,7 @@ func main() {
 	defer ts.Close()
 	fmt.Printf("server listening at %s\n", ts.URL)
 
-	client, err := pombm.NewServerClient(ts.URL)
+	client, err := pombm.Dial(ts.URL)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,12 +48,6 @@ type Config struct {
 	// Tree, when non-nil, is published instead of deriving one from the
 	// grid and seed (the simulator injects its own).
 	Tree *hst.Tree
-
-	// NoCoalesce disables the coordinator's op coalescer: every routed
-	// operation ships on its own single-op endpoint, exactly the pre-ops
-	// wire behaviour. The answers are identical either way — this is a
-	// diagnostic/differential knob, not a semantic one.
-	NoCoalesce bool
 }
 
 // Coordinator is the cluster's serving tier: one platform.Server (the
@@ -91,7 +85,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	core, err := newFanCore(cfg.Nodes, tree, cfg.Shards, pol, cfg.Policy, cfg.DefaultCapacity, cfg.NoCoalesce)
+	core, err := newFanCore(cfg.Nodes, tree, cfg.Shards, pol, cfg.Policy, cfg.DefaultCapacity)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,13 @@
 package cluster
 
 import (
-	"bytes"
+	"encoding/base64"
 	"errors"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 var testRegion = geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100))
 
 // buildTree derives a test tree the same way the server does.
-func buildTree(t *testing.T, seed uint64) *hst.Tree {
+func buildTree(t testing.TB, seed uint64) *hst.Tree {
 	t.Helper()
 	grid, err := geo.NewGrid(testRegion, 8, 8)
 	if err != nil {
@@ -43,6 +44,18 @@ func httpNodes(t *testing.T, n int) []NodeConn {
 		nodes[i] = DialNode(ts.URL)
 	}
 	return nodes
+}
+
+// nextOf adapts a slice to the pull iterator NodeConn.Prepare takes.
+func nextOf(inserts []engine.EpochInsert) func() (engine.EpochInsert, bool, error) {
+	i := 0
+	return func() (engine.EpochInsert, bool, error) {
+		if i == len(inserts) {
+			return engine.EpochInsert{}, false, nil
+		}
+		i++
+		return inserts[i-1], true, nil
+	}
 }
 
 func localNodes(n int) []NodeConn {
@@ -146,7 +159,7 @@ func TestScatterGatherBatchOptimalIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(tc.nodes, tree, 0, pol, "batch-optimal:k=4", 1, false)
+			core, err := newFanCore(tc.nodes, tree, 0, pol, "batch-optimal:k=4", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +181,7 @@ func TestGreedyFanoutIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := newFanCore(localNodes(3), tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(localNodes(3), tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +221,7 @@ func TestDistributedSwapIdentity(t *testing.T) {
 	next := buildTree(t, 8)
 	pol, _ := engine.PolicyByName("greedy")
 	nodes := httpNodes(t, 3)
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +234,7 @@ func TestDistributedSwapIdentity(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		inserts = append(inserts, engine.EpochInsert{Code: next.CodeOf((i * 7) % next.NumPoints()), ID: i, Cap: 1})
 	}
-	if err := core.SwapEpoch(2, next, 0, inserts); err != nil {
+	if err := core.SwapEpochSeq(2, next, 0, slices.Values(inserts)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.SwapEpoch(2, next, 0, inserts); err != nil {
@@ -249,7 +262,7 @@ func TestDistributedSwapIdentity(t *testing.T) {
 		}
 	}
 	// A swap to a non-advancing epoch is refused without touching nodes.
-	if err := core.SwapEpoch(2, next, 0, nil); err == nil {
+	if err := core.SwapEpochSeq(2, next, 0, slices.Values([]engine.EpochInsert(nil))); err == nil {
 		t.Fatal("re-swap to the serving epoch accepted")
 	}
 }
@@ -261,7 +274,7 @@ type failPrepareNode struct {
 	prepares int
 }
 
-func (f *failPrepareNode) Prepare(int64, *hst.Tree, int, []engine.EpochInsert, string) error {
+func (f *failPrepareNode) Prepare(int64, *hst.Tree, int, func() (engine.EpochInsert, bool, error), string) error {
 	f.prepares++
 	return errors.New("rigged: prepare refused")
 }
@@ -275,7 +288,7 @@ func TestPrepareFailureAbortsClusterWide(t *testing.T) {
 	pol, _ := engine.PolicyByName("greedy")
 	bad := &failPrepareNode{NodeConn: LocalNode(NewNode())}
 	nodes := []NodeConn{LocalNode(NewNode()), bad, LocalNode(NewNode())}
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +296,7 @@ func TestPrepareFailureAbortsClusterWide(t *testing.T) {
 	if err := core.InsertEpoch(code, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	err = core.SwapEpoch(2, next, 0, []engine.EpochInsert{{Code: next.CodeOf(0), ID: 9, Cap: 1}})
+	err = core.SwapEpochSeq(2, next, 0, slices.Values([]engine.EpochInsert{{Code: next.CodeOf(0), ID: 9, Cap: 1}}))
 	if err == nil {
 		t.Fatal("swap committed past a failed prepare")
 	}
@@ -385,7 +398,8 @@ func TestSubmitWithBackendDown(t *testing.T) {
 	}
 }
 
-// TestIdempotentReplay pins the /v2 idempotency contract: re-POSTing a
+// TestIdempotentReplay pins the /v2 idempotency contract on singleton
+// envelopes, the form a sequential caller's mutations take: re-POSTing a
 // mutation with the same key returns byte-identical bytes and applies the
 // mutation once; error responses are never cached.
 func TestIdempotentReplay(t *testing.T) {
@@ -398,9 +412,9 @@ func TestIdempotentReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	post := func(path, body string) (int, string) {
+	post := func(body string) (int, string) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+PathNodeOps, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,13 +423,13 @@ func TestIdempotentReplay(t *testing.T) {
 		return resp.StatusCode, string(raw)
 	}
 	code := tree.CodeOf(0)
-	body := `{"code":` + jsonBytes(code) + `,"id":5,"epoch":1,"idem":"k1"}`
-	_, first := post(PathNodeInsert, body)
-	_, second := post(PathNodeInsert, body)
+	body := `{"ops":[{"kind":"insert","idem":"k1","code":"` + base64.StdEncoding.EncodeToString([]byte(code)) + `","id":5,"epoch":1}]}`
+	_, first := post(body)
+	_, second := post(body)
 	if first != second {
 		t.Fatalf("replay differs:\n%s\n---\n%s", first, second)
 	}
-	if !strings.Contains(first, `"ok":true`) {
+	if !strings.Contains(first, `"results":[{"ok":true}]`) {
 		t.Fatalf("insert refused: %s", first)
 	}
 	eng, _ := node.engine()
@@ -425,32 +439,18 @@ func TestIdempotentReplay(t *testing.T) {
 
 	// A refused mutation (stale epoch pin) is never cached: the keyed retry
 	// re-executes and is refused again, not replayed as a success.
-	bad := `{"code":` + jsonBytes(code) + `,"id":6,"epoch":99,"idem":"k2"}`
-	status, dup := post(PathNodeInsert, bad)
+	bad := `{"ops":[{"kind":"insert","idem":"k2","code":"` + base64.StdEncoding.EncodeToString([]byte(code)) + `","id":6,"epoch":99}]}`
+	status, dup := post(bad)
 	if status != http.StatusOK || !strings.Contains(dup, "stale_epoch") {
 		t.Fatalf("stale insert did not surface a stale_epoch error: %d %s", status, dup)
 	}
-	_, dup2 := post(PathNodeInsert, bad)
+	_, dup2 := post(bad)
 	if !strings.Contains(dup2, "stale_epoch") {
 		t.Fatal("failed mutation was replayed from cache as a success")
 	}
 	if got := eng.Len(); got != 1 {
 		t.Fatalf("refused inserts mutated the pool: len %d", got)
 	}
-}
-
-// jsonBytes renders a code as a JSON byte-array literal.
-func jsonBytes(code hst.Code) string {
-	var b bytes.Buffer
-	b.WriteByte('[')
-	for i, d := range []byte(code) {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(string('0' + d))
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 // TestCoordinatorEndToEndHTTP drives the full stack over two real HTTP

@@ -2,21 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"runtime"
 	"sync"
-
-	"github.com/pombm/pombm/internal/engine"
-	"github.com/pombm/pombm/internal/hst"
 )
-
-// opsConn is the optional NodeConn extension the coordinator's coalescer
-// rides on: a connection that can carry N single-worker operations in one
-// round trip. httpNode implements it; LocalNode does not (an in-process
-// call has no round trip to amortize).
-type opsConn interface {
-	Ops(ops []OpRequest) ([]json.RawMessage, error)
-}
 
 // maxOpsPerEnvelope bounds one flush so a burst cannot build an
 // arbitrarily large request body (and a lost envelope retries a bounded
@@ -32,13 +20,14 @@ type batchedOp struct {
 }
 
 // batcher coalesces concurrent single-worker operations bound for one node
-// into /v2/node/ops envelopes. Callers enqueue their op and block;
-// whichever enqueue finds no flusher running starts one, and the flusher
-// drains the queue in envelope-sized batches until it is empty, then
-// exits. A sequential caller stream degenerates to singleton envelopes —
-// one op per round trip, the same wire cost as the single-op endpoints —
-// so coalescing only ever removes round trips, never adds latency waiting
-// for company.
+// into /v2/node/ops envelopes; every httpNode owns one, so coalescing is a
+// property of the HTTP transport and nothing above NodeConn knows of it.
+// Callers enqueue their op and block; whichever enqueue finds no flusher
+// running starts one, and the flusher drains the queue in envelope-sized
+// batches until it is empty, then exits. A sequential caller stream
+// degenerates to singleton envelopes — one op per round trip — so
+// coalescing only ever removes round trips, never adds latency waiting for
+// company.
 //
 // Coalescing is a legal serialization: the ops in one envelope are
 // concurrent with each other (each caller is blocked in its own request),
@@ -46,7 +35,7 @@ type batchedOp struct {
 // in sequence. Order between non-concurrent ops is preserved — an op
 // enqueued after another completed necessarily lands in a later envelope.
 type batcher struct {
-	conn opsConn
+	conn *httpNode // ships the envelopes
 
 	mu      sync.Mutex
 	pending []*batchedOp
@@ -100,7 +89,7 @@ func (b *batcher) flush() {
 		for i, bo := range batch {
 			ops[i] = bo.op
 		}
-		results, err := b.conn.Ops(ops)
+		results, err := b.conn.sendOps(ops)
 		for i, bo := range batch {
 			if err != nil {
 				// The caller retries with the same idem; any sub-op the node
@@ -113,104 +102,4 @@ func (b *batcher) flush() {
 			close(bo.done)
 		}
 	}
-}
-
-// decodeOpResult decodes one raw sub-result into the op's response shape.
-// An undecodable result is a transport failure (the retry taxonomy the
-// call sites already handle), never an application refusal.
-func decodeOpResult(raw json.RawMessage, kind string, out any) error {
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("%w: decode %s result: %v", errTransport, kind, err)
-	}
-	return nil
-}
-
-// The op* dispatchers below are the coalescing-aware twins of the NodeConn
-// methods: through the node's batcher when it has one, directly otherwise
-// (in-process conns, coalescing disabled). Each mirrors the corresponding
-// httpNode wrapper exactly — same response shape, same envErr taxonomy —
-// which is what keeps the coalesced and per-op paths byte-identical on the
-// wire and value-identical here.
-
-func (c *fanCore) opInsert(nd int, code hst.Code, id, capacity int, epoch int64, idem string) error {
-	b := c.batchers[nd]
-	if b == nil {
-		return c.nodes[nd].Insert(code, id, capacity, epoch, idem)
-	}
-	raw, err := b.do(OpRequest{Kind: OpInsert, Idem: idem, Code: []byte(code), ID: id, Capacity: capacity, Epoch: epoch})
-	if err != nil {
-		return err
-	}
-	var resp nodeAck
-	if err := decodeOpResult(raw, OpInsert, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
-}
-
-func (c *fanCore) opAddCapacity(nd int, code hst.Code, id int, epoch int64, idem string) error {
-	b := c.batchers[nd]
-	if b == nil {
-		return c.nodes[nd].AddCapacity(code, id, epoch, idem)
-	}
-	raw, err := b.do(OpRequest{Kind: OpAddCapacity, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
-	if err != nil {
-		return err
-	}
-	var resp nodeAck
-	if err := decodeOpResult(raw, OpAddCapacity, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
-}
-
-func (c *fanCore) opRemove(nd int, code hst.Code, id int, idem string) (int, bool, error) {
-	b := c.batchers[nd]
-	if b == nil {
-		return c.nodes[nd].Remove(code, id, idem)
-	}
-	raw, err := b.do(OpRequest{Kind: OpRemove, Idem: idem, Code: []byte(code), ID: id})
-	if err != nil {
-		return 0, false, err
-	}
-	var resp RemoveResponse
-	if err := decodeOpResult(raw, OpRemove, &resp); err != nil {
-		return 0, false, err
-	}
-	return resp.Units, resp.Found, envErr(resp.Err)
-}
-
-func (c *fanCore) opAssignSubtree(nd int, code hst.Code, epoch int64, idem string) (int, int, bool, error) {
-	b := c.batchers[nd]
-	if b == nil {
-		return c.nodes[nd].AssignSubtree(code, epoch, idem)
-	}
-	raw, err := b.do(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: []byte(code), Epoch: epoch})
-	if err != nil {
-		return engine.None, 0, false, err
-	}
-	var resp AssignResponse
-	if err := decodeOpResult(raw, OpAssignSubtree, &resp); err != nil {
-		return engine.None, 0, false, err
-	}
-	if err := envErr(resp.Err); err != nil {
-		return engine.None, 0, false, err
-	}
-	return resp.ID, resp.Level, resp.Found, nil
-}
-
-func (c *fanCore) opConsume(nd int, code hst.Code, id int, epoch int64, idem string) error {
-	b := c.batchers[nd]
-	if b == nil {
-		return c.nodes[nd].Consume(code, id, epoch, idem)
-	}
-	raw, err := b.do(OpRequest{Kind: OpConsume, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
-	if err != nil {
-		return err
-	}
-	var resp nodeAck
-	if err := decodeOpResult(raw, OpConsume, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
 }

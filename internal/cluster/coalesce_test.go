@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -65,19 +66,6 @@ func TestOpsEnvelopeReplayByteExact(t *testing.T) {
 	}
 	if got := eng.Len(); got != wantLen {
 		t.Fatalf("replay re-applied mutations: pool %d, want %d", got, wantLen)
-	}
-
-	// A sub-op re-sent on its own single-op endpoint replays the same
-	// recorded result: the cache is shared, the sub-op is the replay unit.
-	var envResp OpsResponse
-	if err := json.Unmarshal(first, &envResp); err != nil {
-		t.Fatal(err)
-	}
-	single := `{"code":` + jsonBytes(tree.CodeOf(0)) + `,"id":1,"epoch":1,"idem":"e-1"}`
-	_, solo := postRaw(t, ts.URL+PathNodeInsert, []byte(single))
-	if !bytes.Equal(bytes.TrimSpace(solo), bytes.TrimSpace(envResp.Results[0])) {
-		t.Fatalf("single-op replay differs from envelope result:\n%s\n---\n%s",
-			solo, envResp.Results[0])
 	}
 
 	// Rotate the replay cache one generation (replayCapPerGen further
@@ -158,10 +146,10 @@ func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	// two successes replay (pool unchanged by them), the refused op
 	// re-executes — a cached error would replay the refusal — and now
 	// lands.
-	if err := conn.Prepare(2, tree, 0, []engine.EpochInsert{
+	if err := conn.Prepare(2, tree, 0, nextOf([]engine.EpochInsert{
 		{Code: tree.CodeOf(0), ID: 1, Cap: 1},
 		{Code: tree.CodeOf(2), ID: 3, Cap: 1},
-	}, "prep-2"); err != nil {
+	}), "prep-2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Commit(2, "commit-2"); err != nil {
@@ -179,47 +167,30 @@ func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	}
 }
 
-// TestCoalescedMatchesPerOpTape is the differential gate for the
-// coalescer: the same randomised operation tape — inserts, removals,
+// TestCoalescedMatchesPerOpTape is the differential gate for the wire
+// path: the same randomised operation tape — inserts, removals,
 // multi-window batch assignments, with an epoch rotation mid-tape — driven
-// through a coalescing coordinator and a per-op (NoCoalesce) coordinator
-// over real HTTP backends produces identical answers, both pinned to the
-// single-process engine.
+// through a coordinator over real HTTP backends (every routed op an
+// envelope sub-op) and one over the in-process reference connections
+// produces identical answers, both pinned to the single-process engine.
 func TestCoalescedMatchesPerOpTape(t *testing.T) {
 	tree := buildTree(t, 7)
 	next := buildTree(t, 8)
 	for _, tc := range []struct {
-		name       string
-		noCoalesce bool
+		name  string
+		nodes []NodeConn
 	}{
-		{"coalesced", false},
-		{"per-op", true},
+		{"http-3", httpNodes(t, 3)},
+		{"local-3", localNodes(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pol, err := engine.PolicyByName("batch-optimal:k=4")
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(httpNodes(t, 3), tree, 0, pol, "batch-optimal:k=4", 1, tc.noCoalesce)
+			core, err := newFanCore(tc.nodes, tree, 0, pol, "batch-optimal:k=4", 1)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if tc.noCoalesce {
-				for _, b := range core.batchers {
-					if b != nil {
-						t.Fatal("NoCoalesce left a batcher attached")
-					}
-				}
-			} else {
-				active := 0
-				for _, b := range core.batchers {
-					if b != nil {
-						active++
-					}
-				}
-				if active != len(core.nodes) {
-					t.Fatalf("coalescing attached %d/%d batchers", active, len(core.nodes))
-				}
 			}
 			refPol, _ := engine.PolicyByName("batch-optimal:k=4")
 			eng, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(refPol))
@@ -228,15 +199,15 @@ func TestCoalescedMatchesPerOpTape(t *testing.T) {
 			}
 			runTape(t, core, eng, tree, 99)
 
-			// Mid-tape rotation, then more tape: the coalesced wire path
-			// must hand over epochs exactly like the per-op one.
+			// Mid-tape rotation, then more tape: the wire path must hand
+			// over epochs exactly like the in-process one.
 			var inserts []engine.EpochInsert
 			for i := 0; i < 160; i++ {
 				inserts = append(inserts, engine.EpochInsert{
 					Code: next.CodeOf((i * 7) % next.NumPoints()), ID: i, Cap: 1,
 				})
 			}
-			if err := core.SwapEpoch(2, next, 0, inserts); err != nil {
+			if err := core.SwapEpochSeq(2, next, 0, slices.Values(inserts)); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.SwapEpoch(2, next, 0, inserts); err != nil {
@@ -263,7 +234,7 @@ func TestCoalescedMatchesPerOpTape(t *testing.T) {
 func TestCoalescerConcurrentOps(t *testing.T) {
 	tree := buildTree(t, 11)
 	pol, _ := engine.PolicyByName("greedy")
-	core, err := newFanCore(httpNodes(t, 2), tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(httpNodes(t, 2), tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

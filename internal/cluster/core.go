@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -34,11 +35,6 @@ type fanCore struct {
 	defaultCap int
 	shardsCfg  int // requested shard count, passed to every node
 
-	// batchers[i] coalesces concurrent routed ops bound for nodes[i] into
-	// /v2/node/ops envelopes; nil when the conn cannot carry envelopes
-	// (in-process) or coalescing is disabled.
-	batchers []*batcher
-
 	state atomic.Pointer[coreState]
 	opMu  sync.RWMutex
 
@@ -63,15 +59,13 @@ type coreState struct {
 	epoch  int64
 }
 
-// errNodeDown is wrapped into transport failures by httpNode (and the
-// retry helpers below) so the core can tell a dead backend from an
-// application refusal.
+// errTransport is wrapped into transport failures by httpNode so the core
+// can tell a dead backend from an application refusal.
 var errTransport = errors.New("cluster: node transport failed")
 
 // newFanCore builds the core and initialises every node with the shared
-// configuration. Unless noCoalesce is set, every connection that can carry
-// op envelopes gets a coalescing batcher.
-func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Policy, policySpec string, defaultCap int, noCoalesce bool) (*fanCore, error) {
+// configuration.
+func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Policy, policySpec string, defaultCap int) (*fanCore, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: no nodes")
 	}
@@ -84,17 +78,9 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Poli
 		policySpec: policySpec,
 		defaultCap: defaultCap,
 		shardsCfg:  shards,
-		batchers:   make([]*batcher, len(nodes)),
 		solver:     flow.NewBipartite(),
 		warm:       map[int]float64{},
 		warmEpoch:  engine.FirstEpoch,
-	}
-	if !noCoalesce {
-		for i, n := range nodes {
-			if oc, ok := n.(opsConn); ok {
-				c.batchers[i] = &batcher{conn: oc}
-			}
-		}
 	}
 	c.state.Store(&coreState{tree: tree, layout: engine.LayoutFor(tree, shards), epoch: engine.FirstEpoch})
 	for i, n := range nodes {
@@ -137,6 +123,33 @@ func unavailable(nd int, err error) error {
 		Message:   fmt.Sprintf("cluster: node %d unavailable: %v", nd, err),
 		Retryable: true,
 	}
+}
+
+// callNode is the transport-retry rule, stated once. It runs call against
+// node nd; on a transport failure (the request or its response was lost)
+// it runs call once more — call resends the same idempotency key, so a
+// mutation that did land replays from the node's cache instead of applying
+// twice. What a second transport failure becomes is the caller's choice:
+//
+//   - escalate: the typed retryable unavailable refusal naming the node,
+//     for calls whose failure is reported onward — insert, add-capacity,
+//     assign-subtree, min-id, pop-min, prepare.
+//   - otherwise the raw failure, for calls whose every error the caller
+//     folds into its own outcome — remove (answers not-found), mine (the
+//     window answers unmatched), consume (the window rolls back), undo (a
+//     lost unit panics), abort (best effort).
+//
+// Application refusals are never retried. Commit is the one call outside
+// the rule: past the point of no return it gets three attempts.
+func (c *fanCore) callNode(nd int, escalate bool, call func(NodeConn) error) error {
+	err := call(c.nodes[nd])
+	if isTransport(err) {
+		err = call(c.nodes[nd])
+		if escalate && isTransport(err) {
+			return unavailable(nd, err)
+		}
+	}
+	return err
 }
 
 // Identity and configuration (platform.Core).
@@ -190,9 +203,7 @@ func (c *fanCore) CapacityUnits() int {
 }
 
 // Routed mutations (platform.Core). Each routes by the code's shard group
-// and retries a transport failure once with the same idempotency key — a
-// lost response must not double-apply — before reporting the backend
-// unavailable.
+// and runs under callNode's retry rule.
 
 func (c *fanCore) InsertEpoch(code hst.Code, id int, epoch int64) error {
 	return c.InsertCapEpoch(code, id, 0, epoch)
@@ -205,16 +216,10 @@ func (c *fanCore) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) e
 	if err := st.tree.CheckCode(code); err != nil {
 		return err
 	}
-	nd := c.routeIdx(st, code)
 	idem := c.nextIdem("ins")
-	err := c.opInsert(nd, code, id, capacity, epoch, idem)
-	if isTransport(err) {
-		err = c.opInsert(nd, code, id, capacity, epoch, idem)
-		if isTransport(err) {
-			return unavailable(nd, err)
-		}
-	}
-	return err
+	return c.callNode(c.routeIdx(st, code), true, func(n NodeConn) error {
+		return n.Insert(code, id, capacity, epoch, idem)
+	})
 }
 
 func (c *fanCore) AddCapacityEpoch(code hst.Code, id int, epoch int64) error {
@@ -224,16 +229,10 @@ func (c *fanCore) AddCapacityEpoch(code hst.Code, id int, epoch int64) error {
 	if err := st.tree.CheckCode(code); err != nil {
 		return err
 	}
-	nd := c.routeIdx(st, code)
 	idem := c.nextIdem("addcap")
-	err := c.opAddCapacity(nd, code, id, epoch, idem)
-	if isTransport(err) {
-		err = c.opAddCapacity(nd, code, id, epoch, idem)
-		if isTransport(err) {
-			return unavailable(nd, err)
-		}
-	}
-	return err
+	return c.callNode(c.routeIdx(st, code), true, func(n NodeConn) error {
+		return n.AddCapacity(code, id, epoch, idem)
+	})
 }
 
 func (c *fanCore) Remove(code hst.Code, id int) bool {
@@ -241,19 +240,18 @@ func (c *fanCore) Remove(code hst.Code, id int) bool {
 	return ok
 }
 
-func (c *fanCore) RemoveUnits(code hst.Code, id int) (int, bool) {
+func (c *fanCore) RemoveUnits(code hst.Code, id int) (units int, found bool) {
 	c.opMu.RLock()
 	defer c.opMu.RUnlock()
 	st := c.state.Load()
 	if st.tree.CheckCode(code) != nil {
 		return 0, false
 	}
-	nd := c.routeIdx(st, code)
 	idem := c.nextIdem("rm")
-	units, found, err := c.opRemove(nd, code, id, idem)
-	if isTransport(err) {
-		units, found, err = c.opRemove(nd, code, id, idem)
-	}
+	err := c.callNode(c.routeIdx(st, code), false, func(n NodeConn) (err error) {
+		units, found, err = n.Remove(code, id, idem)
+		return err
+	})
 	if err != nil {
 		return 0, false
 	}
@@ -298,21 +296,16 @@ func (c *fanCore) AssignErr(code hst.Code) (int, int, bool, error) {
 	return c.assignRoot(st)
 }
 
-// assignRouted runs the node-local tiers at the routed node, retrying one
-// transport failure with the same idempotency key.
-func (c *fanCore) assignRouted(st *coreState, code hst.Code) (int, int, bool, error) {
+// assignRouted runs the node-local tiers at the routed node.
+func (c *fanCore) assignRouted(st *coreState, code hst.Code) (id, lvl int, found bool, err error) {
 	if st.tree.CheckCode(code) != nil {
 		return engine.None, 0, false, nil
 	}
-	nd := c.routeIdx(st, code)
 	idem := c.nextIdem("as")
-	id, lvl, found, err := c.opAssignSubtree(nd, code, st.epoch, idem)
-	if isTransport(err) {
-		id, lvl, found, err = c.opAssignSubtree(nd, code, st.epoch, idem)
-		if isTransport(err) {
-			return engine.None, 0, false, unavailable(nd, err)
-		}
-	}
+	err = c.callNode(c.routeIdx(st, code), true, func(n NodeConn) (err error) {
+		id, lvl, found, err = n.AssignSubtree(code, st.epoch, idem)
+		return err
+	})
 	return id, lvl, found, err
 }
 
@@ -321,7 +314,7 @@ func (c *fanCore) assignRouted(st *coreState, code hst.Code) (int, int, bool, er
 // min-of-mins across nodes, then a pop at the elected node. Caller holds
 // opMu exclusively, so no coordinator-driven mutation can slip between
 // the election and the pop.
-func (c *fanCore) assignRoot(st *coreState) (int, int, bool, error) {
+func (c *fanCore) assignRoot(st *coreState) (id, lvl int, found bool, err error) {
 	// Poll all nodes concurrently: the election needs every answer anyway,
 	// so the round's latency is the slowest node's, not the sum.
 	type minPoll struct {
@@ -335,22 +328,20 @@ func (c *fanCore) assignRoot(st *coreState) (int, int, bool, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id, found, err := c.nodes[nd].MinID(st.epoch)
-			if isTransport(err) {
-				id, found, err = c.nodes[nd].MinID(st.epoch)
-			}
-			polls[nd] = minPoll{id: id, found: found, err: err}
+			p := &polls[nd]
+			p.err = c.callNode(nd, true, func(n NodeConn) (err error) {
+				p.id, p.found, err = n.MinID(st.epoch)
+				return err
+			})
 		}()
 	}
 	wg.Wait()
 	best, bestID := -1, int(^uint(0)>>1)
 	for nd, p := range polls {
-		if isTransport(p.err) {
-			// A dead node may hold the true minimum; electing around it
-			// would silently change the answer.
-			return engine.None, 0, false, unavailable(nd, p.err)
-		}
 		if p.err != nil {
+			// That includes an unreachable node: it may hold the true
+			// minimum, and electing around it would silently change the
+			// answer.
 			return engine.None, 0, false, p.err
 		}
 		if p.found && p.id < bestID {
@@ -361,13 +352,10 @@ func (c *fanCore) assignRoot(st *coreState) (int, int, bool, error) {
 		return engine.None, 0, false, nil
 	}
 	idem := c.nextIdem("popmin")
-	id, lvl, found, err := c.nodes[best].PopMin(st.epoch, idem)
-	if isTransport(err) {
-		id, lvl, found, err = c.nodes[best].PopMin(st.epoch, idem)
-		if isTransport(err) {
-			return engine.None, 0, false, unavailable(best, err)
-		}
-	}
+	err = c.callNode(best, true, func(n NodeConn) (err error) {
+		id, lvl, found, err = n.PopMin(st.epoch, idem)
+		return err
+	})
 	return id, lvl, found, err
 }
 
@@ -472,11 +460,10 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wm, err := c.nodes[nd].Mine(nodeCodes[nd], k, st.epoch)
-			if isTransport(err) {
-				wm, err = c.nodes[nd].Mine(nodeCodes[nd], k, st.epoch)
-			}
-			mines[nd], mineErrs[nd] = wm, err
+			mineErrs[nd] = c.callNode(nd, false, func(n NodeConn) (err error) {
+				mines[nd], err = n.Mine(nodeCodes[nd], k, st.epoch)
+				return err
+			})
 		}()
 	}
 	wg.Wait()
@@ -603,8 +590,8 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 
 	// Commit matched units at their owning nodes. The commits of one
 	// window are independent decrements (each targets the matched worker at
-	// its mined leaf), so they run concurrently — the coalescer folds the
-	// ones sharing a node into /v2/node/ops envelopes, collapsing a
+	// its mined leaf), so they run concurrently — an HTTP connection folds
+	// the ones sharing a node into /v2/node/ops envelopes, collapsing a
 	// window's commit phase to one round trip per involved node. Any
 	// conflict (worker no longer at its mined leaf) rolls back every
 	// commit that landed and re-mines.
@@ -636,11 +623,9 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 			defer cwg.Done()
 			u := &commits[j]
 			idem := c.nextIdem("consume")
-			err := c.opConsume(u.nd, u.code, u.id, st.epoch, idem)
-			if isTransport(err) {
-				err = c.opConsume(u.nd, u.code, u.id, st.epoch, idem)
-			}
-			u.err = err
+			u.err = c.callNode(u.nd, false, func(n NodeConn) error {
+				return n.Consume(u.code, u.id, st.epoch, idem)
+			})
 		}()
 	}
 	cwg.Wait()
@@ -660,11 +645,9 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 				continue
 			}
 			idem := c.nextIdem("undo")
-			err := c.opAddCapacity(u.nd, u.code, u.id, st.epoch, idem)
-			if isTransport(err) {
-				err = c.opAddCapacity(u.nd, u.code, u.id, st.epoch, idem)
-			}
-			if err != nil {
+			if err := c.callNode(u.nd, false, func(n NodeConn) error {
+				return n.AddCapacity(u.code, u.id, st.epoch, idem)
+			}); err != nil {
 				panic(fmt.Sprintf("cluster: window rollback lost unit (worker %d): %v", u.id, err))
 			}
 		}
@@ -686,13 +669,19 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 	return true
 }
 
-// SwapEpoch rotates the cluster (platform.Core): a distributed two-phase
-// commit. Phase one stages every node's partition of the new population
-// under the new tree's layout; any failure aborts all prepared nodes and
-// the old epoch keeps serving everywhere. Phase two commits each node —
-// past the point of no return, a node that cannot commit after preparing
-// is a panic, exactly as a failed single-process swap commit would be.
-func (c *fanCore) SwapEpoch(epoch int64, tree *hst.Tree, shards int, inserts []engine.EpochInsert) error {
+// SwapEpochSeq rotates the cluster (platform.Core): a distributed
+// two-phase commit. Phase one stages every node's partition of the new
+// population under the new tree's layout; any failure aborts all prepared
+// nodes and the old epoch keeps serving everywhere. Phase two commits each
+// node — past the point of no return, a node that cannot commit after
+// preparing is a panic, exactly as a failed single-process swap commit
+// would be.
+//
+// seq is run once here to validate and then once per node, concurrently,
+// each node's prepare pulling its own filtered iteration — the coordinator
+// never holds a copy of the population, whole or partitioned. A transport
+// retry runs a node's iteration again, so seq must be replayable.
+func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
 	if tree == nil {
@@ -707,47 +696,16 @@ func (c *fanCore) SwapEpoch(epoch int64, tree *hst.Tree, shards int, inserts []e
 	}
 	newLayout := engine.LayoutFor(tree, shards)
 	N := len(c.nodes)
-	for i := range inserts {
-		if err := tree.CheckCode(inserts[i].Code); err != nil {
-			return fmt.Errorf("cluster: swap insert %d: %w", inserts[i].ID, err)
+	var verr error
+	seq(func(in engine.EpochInsert) bool {
+		if err := tree.CheckCode(in.Code); err != nil {
+			verr = fmt.Errorf("cluster: swap insert %d: %w", in.ID, err)
 		}
+		return verr == nil
+	})
+	if verr != nil {
+		return verr
 	}
-	// Partition lazily: a streaming connection (seqPreparer) pulls its
-	// partition straight off the inserts slice, so the coordinator never
-	// holds a second copy of the population. Only a legacy NodeConn forces
-	// the materialized partitions. Prepares run concurrently, so the lazy
-	// build is guarded by a Once.
-	var parts [][]engine.EpochInsert
-	var partsOnce sync.Once
-	partsFor := func(nd int) []engine.EpochInsert {
-		partsOnce.Do(func() {
-			parts = make([][]engine.EpochInsert, N)
-			for _, in := range inserts {
-				d := newLayout.GroupOf(in.Code) % N
-				parts[d] = append(parts[d], in)
-			}
-		})
-		return parts[nd]
-	}
-	// prepareNode runs one node's phase-one call; replayable, so a
-	// transport retry re-streams the same partition under the same idem.
-	prepareNode := func(nd int, idem string) error {
-		if sp, ok := c.nodes[nd].(seqPreparer); ok {
-			i := 0
-			return sp.PrepareSeq(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
-				for i < len(inserts) {
-					in := inserts[i]
-					i++
-					if newLayout.GroupOf(in.Code)%N == nd {
-						return in, true, nil
-					}
-				}
-				return engine.EpochInsert{}, false, nil
-			}, idem)
-		}
-		return c.nodes[nd].Prepare(epoch, tree, shards, partsFor(nd), idem)
-	}
-
 	// Phase one: prepare everywhere. The staged states are built and
 	// validated off to the side; the old epoch keeps serving.
 	prepared := make([]bool, N)
@@ -756,13 +714,10 @@ func (c *fanCore) SwapEpoch(epoch int64, tree *hst.Tree, shards int, inserts []e
 			if !prepared[nd] {
 				continue
 			}
+			// Best effort: an unreachable node's staged state is inert (it
+			// is never committed) and is dropped by its next prepare.
 			idem := c.nextIdem("abort")
-			if err := c.nodes[nd].Abort(epoch, idem); isTransport(err) {
-				// Best effort: an unreachable node's staged state is inert
-				// (it is never committed) and is dropped by its next
-				// prepare.
-				c.nodes[nd].Abort(epoch, idem)
-			}
+			_ = c.callNode(nd, false, func(n NodeConn) error { return n.Abort(epoch, idem) })
 		}
 	}
 	// Prepares run concurrently: each node stages an independent partition,
@@ -775,15 +730,21 @@ func (c *fanCore) SwapEpoch(epoch int64, tree *hst.Tree, shards int, inserts []e
 		go func() {
 			defer pwg.Done()
 			idem := c.nextIdem("prepare")
-			err := prepareNode(nd, idem)
-			if isTransport(err) {
-				err = prepareNode(nd, idem)
-				if isTransport(err) {
-					err = unavailable(nd, err)
-				}
-			}
-			prepErrs[nd] = err
-			prepared[nd] = err == nil
+			prepErrs[nd] = c.callNode(nd, true, func(n NodeConn) error {
+				// One iteration per attempt, over the inserts that route
+				// here under the new layout.
+				next, stop := iter.Pull(func(yield func(engine.EpochInsert) bool) {
+					seq(func(in engine.EpochInsert) bool {
+						return newLayout.GroupOf(in.Code)%N != nd || yield(in)
+					})
+				})
+				defer stop()
+				return n.Prepare(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
+					in, ok := next()
+					return in, ok, nil
+				}, idem)
+			})
+			prepared[nd] = prepErrs[nd] == nil
 		}()
 	}
 	pwg.Wait()
@@ -824,6 +785,4 @@ func (c *fanCore) SwapEpoch(epoch int64, tree *hst.Tree, shards int, inserts []e
 	return nil
 }
 
-var (
-	_ platform.Core = (*fanCore)(nil)
-)
+var _ platform.Core = (*fanCore)(nil)

@@ -1,0 +1,128 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+)
+
+// FuzzNodeWire throws arbitrary bytes at the two decoders that make up a
+// node's whole mutation surface — the /v2/node/ops envelope and the
+// hand-rolled streaming prepare (prepareHandler, skipJSONValue). Whatever
+// arrives, the node must not panic, must answer a JSON object carrying ok
+// or error, must leave its serving state alone when it refuses, and must
+// not keep a refused prepare's population staged for a later commit.
+func FuzzNodeWire(f *testing.F) {
+	tree := buildTree(f, 7)
+	next := buildTree(f, 8)
+	treeJSON, err := json.Marshal(next)
+	if err != nil {
+		f.Fatal(err)
+	}
+	code := func(i int) string {
+		return `"` + base64.StdEncoding.EncodeToString([]byte(tree.CodeOf(i))) + `"`
+	}
+	nextCode := `"` + base64.StdEncoding.EncodeToString([]byte(next.CodeOf(0))) + `"`
+	prepBody := func(fields string) string { return `{"idem":"p",` + fields + `}` }
+	staged := `"epoch":2,"tree":` + string(treeJSON) + `,"inserts":[{"code":` + nextCode + `,"id":1}]`
+
+	const ops, prep = false, true
+	for _, seed := range []struct {
+		prepare, inited bool
+		body            string
+	}{
+		{ops, false, `{"ops":[{"kind":"insert","idem":"a","code":` + code(0) + `,"id":1}]}`}, // ops before init
+		{ops, true, `{"ops":null}`},
+		{ops, true, `{"ops":[null]}`},
+		{ops, true, `[{"kind":"insert"}]`}, // a top-level array
+		{ops, true, `{"ops":[{"kind":"teleport","idem":"a","code":` + code(0) + `}]}`},
+		{ops, true, `{"ops":[{"kind":"insert","code":` + code(0) + `,"id":-1}]}`},
+		{ops, true, `{"ops":[{"kind":"insert","code":` + code(0) + `,"id":4294967296}]}`},
+		{ops, true, `{"ops":[{"kind":"insert","code":` + code(1) + `,"id":7,"capacity":-5}]}`},
+		{ops, true, `{"ops":[{"kind":"insert","code":` + code(1) + `,"id":7,"capacity":4294967296}]}`},
+		{ops, true, `{"ops":[{"kind":"assign-subtree","code":""},{"kind":"remove","code":"","id":100}]}`}, // empty code
+		{ops, true, `{"ops":[{"kind":"consume","idem":"c","code":` + code(0) + `,"id":100,"epoch":1},` +
+			`{"kind":"add-capacity","code":` + code(0) + `,"id":100,"epoch":9}]}`},
+		{prep, false, prepBody(staged)},
+		{prep, true, prepBody(staged)},
+		{prep, true, `{"inserts":[{"code":` + nextCode + `,"id":1}],"epoch":2,"tree":` + string(treeJSON) + `}`}, // inserts before epoch
+		{prep, true, prepBody(staged + `,"inserts":[{"code":` + nextCode + `,"id":2}]`)},                         // duplicate inserts
+		{prep, true, prepBody(staged + `,"epoch":3`)},
+		{prep, true, prepBody(staged + `,"extra":{"a":[1,{"b":null}]}`)},
+		{prep, true, prepBody(`"epoch":2,"tree":null,"inserts":[]`)},
+		{prep, true, prepBody(`"epoch":2,"tree":` + string(treeJSON) + `,"inserts":null`)},
+		{prep, true, prepBody(`"epoch":2,"skipped":[[{"x":1}],2],"tree":` + string(treeJSON) + `,"inserts":[{"code":` + nextCode + `,"id":1},`)},
+		{prep, true, `[]`},
+	} {
+		f.Add(seed.prepare, seed.inited, []byte(seed.body))
+	}
+
+	f.Fuzz(func(t *testing.T, prepare, inited bool, body []byte) {
+		node := NewNode()
+		if inited {
+			if err := node.Init(InitRequest{Tree: tree, Policy: "capacity-greedy"}); err != nil {
+				t.Fatal(err)
+			}
+			for id := 100; id < 104; id++ {
+				if err := node.Insert(tree.CodeOf(id%tree.NumPoints()), id, 2, 0, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		state := func() string {
+			st, err := node.Status(0)
+			return fmt.Sprint(st.Epoch, st.Len, st.Units, err)
+		}
+		before := state()
+
+		path := PathNodeOps
+		if prepare {
+			path = PathNodePrepare
+		}
+		rec := httptest.NewRecorder()
+		NodeHandler(node).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+
+		var resp struct {
+			OK      *bool             `json:"ok"`
+			Err     json.RawMessage   `json:"error"`
+			Results []json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s answered %d with a non-object body %q: %v", path, rec.Code, rec.Body.Bytes(), err)
+		}
+		if resp.OK == nil && resp.Err == nil {
+			t.Fatalf("%s answer carries neither ok nor error: %s", path, rec.Body.Bytes())
+		}
+		accepted := resp.OK != nil && *resp.OK
+
+		if prepare {
+			// A prepare only ever stages; the serving state moves at commit.
+			if after := state(); after != before {
+				t.Fatalf("prepare moved the serving state: %s -> %s", before, after)
+			}
+			node.mu.Lock()
+			kept := node.staged != nil
+			node.mu.Unlock()
+			if kept != accepted {
+				t.Fatalf("prepare accepted=%v but staged=%v: %s", accepted, kept, rec.Body.Bytes())
+			}
+			return
+		}
+		applied := false
+		for _, r := range resp.Results {
+			applied = applied || bytes.Contains(r, []byte(`"ok":true`))
+		}
+		if !accepted && len(resp.Results) > 0 {
+			t.Fatalf("refused envelope carries results: %s", rec.Body.Bytes())
+		}
+		if !applied {
+			if after := state(); after != before {
+				t.Fatalf("an envelope with no accepted op moved the state: %s -> %s", before, after)
+			}
+		}
+	})
+}

@@ -28,6 +28,13 @@ import (
 // that retries after a lost response sends the same key, and the node
 // replays the recorded answer instead of applying the mutation twice.
 // In-process connections ignore it (calls cannot be duplicated).
+//
+// Prepare takes the node's partition of the next epoch as a pull iterator:
+// next returns one insert at a time and (zero, false, nil) at end; an error
+// aborts the prepare. A 10M-worker rotation would otherwise hold the whole
+// partition in memory three times over (the inserts, the wire structs, and
+// the encoded body). A connection calls next from one goroutine at a time
+// and never again once Prepare has returned.
 type NodeConn interface {
 	Init(req InitRequest) error
 	Status(epoch int64) (StatusResponse, error)
@@ -39,21 +46,9 @@ type NodeConn interface {
 	PopMin(epoch int64, idem string) (id, level int, found bool, err error)
 	Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMine, error)
 	Consume(code hst.Code, id int, epoch int64, idem string) error
-	Prepare(epoch int64, tree *hst.Tree, shards int, inserts []engine.EpochInsert, idem string) error
+	Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error
 	Commit(epoch int64, idem string) error
 	Abort(epoch int64, idem string) error
-}
-
-// seqPreparer is an optional NodeConn extension: a connection that ships
-// the prepare-phase population as a stream instead of a materialized
-// slice. The coordinator prefers it — a 10M-worker rotation otherwise
-// holds the whole partition in memory three times over (the inserts, the
-// wire structs, and the encoded body). next returns one insert at a time
-// and (zero, false, nil) at end; an error aborts the prepare. The
-// coordinator may retry a transport failure with the same idem, so the
-// sequence behind next must be replayable.
-type seqPreparer interface {
-	PrepareSeq(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error
 }
 
 // Node is the backend half of a cluster member: a bare assignment engine
@@ -197,29 +192,12 @@ func (n *Node) Consume(code hst.Code, id int, epoch int64, _ string) error {
 	return eng.ConsumeUnit(code, id, epoch)
 }
 
-// Prepare stages this node's partition of the next epoch (phase one). A
-// later Prepare for a different epoch replaces the staged state (staging
-// holds no locks, so dropping it is a free abort).
-func (n *Node) Prepare(epoch int64, tree *hst.Tree, shards int, inserts []engine.EpochInsert, _ string) error {
-	eng, err := n.engine()
-	if err != nil {
-		return err
-	}
-	staged, err := eng.PrepareSwap(epoch, tree, shards, inserts)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.staged = staged
-	n.mu.Unlock()
-	return nil
-}
-
-// PrepareSeq stages this node's partition pulled one insert at a time —
-// the staged arenas are the only copy of the population this node ever
-// holds. Semantics are Prepare's: a later prepare for a different epoch
-// replaces the staged state.
-func (n *Node) PrepareSeq(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), _ string) error {
+// Prepare stages this node's partition of the next epoch (phase one),
+// pulled one insert at a time — the staged arenas are the only copy of the
+// population this node ever holds. A later Prepare for a different epoch
+// replaces the staged state (staging holds no locks, so dropping it is a
+// free abort).
+func (n *Node) Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), _ string) error {
 	eng, err := n.engine()
 	if err != nil {
 		return err
@@ -282,7 +260,8 @@ var _ NodeConn = (*Node)(nil)
 // LocalNode returns an in-process NodeConn over a Node: the connection the
 // simulator's cluster driver and single-binary deployments use. It is the
 // Node itself — in-process calls cannot be duplicated, so the idempotency
-// layer (which guards HTTP retries) is not in the path.
+// layer (which guards HTTP retries) is not in the path — and the reference
+// the wire path is tested against.
 func LocalNode(n *Node) NodeConn { return n }
 
 // replayCache remembers the response bytes of recently applied mutations
@@ -337,6 +316,22 @@ func nodeError(err error, epoch int64) *platform.Error {
 	return platform.AsError(err, epoch)
 }
 
+// endpointKind says where a POST endpoint's idempotency keys live, which
+// decides whether the handler probes the replay cache before decoding.
+type endpointKind int
+
+const (
+	// keyedMutation bodies carry a top-level idem (init, pop-min, commit,
+	// abort): a replayed request is answered from the cache whole.
+	keyedMutation endpointKind = iota
+	// readOnly bodies carry no idem (status, min-id, mine) and are never
+	// cached.
+	readOnly
+	// envelope bodies carry one idem per sub-op (ops); replay is per sub-op,
+	// inside the endpoint's own function.
+	envelope
+)
+
 // NodeHandler exposes a Node over the /v2 wire protocol. Mutating
 // endpoints honour idempotency keys: a request whose key was already
 // applied is answered from the replay cache byte-for-byte.
@@ -347,11 +342,11 @@ func NodeHandler(n *Node) http.Handler {
 	// handlePost wires one POST endpoint: decode, optionally replay,
 	// execute, record. fn returns the response value to encode; responses
 	// are recorded under the request's idempotency key only when the
-	// mutation was actually applied (fn ran). peekIdem gates the
-	// whole-request replay probe — endpoints whose body carries no
-	// top-level idem (the ops envelope: replay is per sub-op) skip it,
-	// saving a full parse of the largest bodies on the hot path.
-	handlePost := func(path string, peekIdem bool, fn func(body []byte) (any, string)) {
+	// mutation was actually applied (fn ran). Only a keyedMutation is
+	// probed for a whole-request replay: the probe is a full parse of the
+	// body, wasted on reads (the root-tier poll, a whole mined window) and
+	// on the envelope, the largest body on the hot path.
+	handlePost := func(path string, kind endpointKind, fn func(body []byte) (any, string)) {
 		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost {
 				w.Header().Set("Allow", http.MethodPost)
@@ -370,7 +365,7 @@ func NodeHandler(n *Node) http.Handler {
 				return
 			}
 			body := cb.Bytes()
-			if peekIdem {
+			if kind == keyedMutation {
 				// Peek the idempotency key before decoding the full request
 				// so replays skip the work entirely.
 				var keyed struct {
@@ -406,7 +401,7 @@ func NodeHandler(n *Node) http.Handler {
 		})
 	}
 
-	handlePost(PathNodeInit, true, func(body []byte) (any, string) {
+	handlePost(PathNodeInit, keyedMutation, func(body []byte) (any, string) {
 		var req InitRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nodeAck{Err: badBody(err)}, ""
@@ -416,7 +411,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return nodeAck{OK: true}, req.Idem
 	})
-	handlePost(PathNodeStatus, true, func(body []byte) (any, string) {
+	handlePost(PathNodeStatus, readOnly, func(body []byte) (any, string) {
 		var req StatusRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return StatusResponse{Err: badBody(err)}, ""
@@ -427,49 +422,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return resp, ""
 	})
-	handlePost(PathNodeInsert, true, func(body []byte) (any, string) {
-		var req InsertRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.Insert(hst.Code(req.Code), req.ID, req.Capacity, req.Epoch, req.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
-	handlePost(PathNodeAddCapacity, true, func(body []byte) (any, string) {
-		var req AddCapacityRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.AddCapacity(hst.Code(req.Code), req.ID, req.Epoch, req.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
-	handlePost(PathNodeRemove, true, func(body []byte) (any, string) {
-		var req RemoveRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return RemoveResponse{Err: badBody(err)}, ""
-		}
-		units, found, err := n.Remove(hst.Code(req.Code), req.ID, req.Idem)
-		if err != nil {
-			return RemoveResponse{Err: nodeError(err, 0)}, ""
-		}
-		return RemoveResponse{OK: true, Units: units, Found: found}, req.Idem
-	})
-	handlePost(PathNodeAssignSubtree, true, func(body []byte) (any, string) {
-		var req AssignSubtreeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return AssignResponse{Err: badBody(err)}, ""
-		}
-		id, lvl, found, err := n.AssignSubtree(hst.Code(req.Code), req.Epoch, req.Idem)
-		if err != nil {
-			return AssignResponse{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return AssignResponse{OK: true, ID: id, Level: lvl, Found: found}, req.Idem
-	})
-	handlePost(PathNodeMinID, true, func(body []byte) (any, string) {
+	handlePost(PathNodeMinID, readOnly, func(body []byte) (any, string) {
 		var req MinIDRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return MinIDResponse{Err: badBody(err)}, ""
@@ -480,7 +433,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return MinIDResponse{OK: true, ID: id, Found: found}, ""
 	})
-	handlePost(PathNodePopMin, true, func(body []byte) (any, string) {
+	handlePost(PathNodePopMin, keyedMutation, func(body []byte) (any, string) {
 		var req PopMinRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return AssignResponse{Err: badBody(err)}, ""
@@ -491,7 +444,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return AssignResponse{OK: true, ID: id, Level: lvl, Found: found}, req.Idem
 	})
-	handlePost(PathNodeMine, true, func(body []byte) (any, string) {
+	handlePost(PathNodeMine, readOnly, func(body []byte) (any, string) {
 		var req MineRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return MineResponse{Err: badBody(err)}, ""
@@ -509,17 +462,7 @@ func NodeHandler(n *Node) http.Handler {
 			Own: toWireCands(wm.Own), Pads: toWireCands(wm.Pads),
 		}, ""
 	})
-	handlePost(PathNodeConsume, true, func(body []byte) (any, string) {
-		var req ConsumeRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.Consume(hst.Code(req.Code), req.ID, req.Epoch, req.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
-	handlePost(PathNodeOps, false, func(body []byte) (any, string) {
+	handlePost(PathNodeOps, envelope, func(body []byte) (any, string) {
 		var req OpsRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return OpsResponse{Err: badBody(err)}, ""
@@ -536,9 +479,9 @@ func NodeHandler(n *Node) http.Handler {
 			if i > 0 {
 				env = append(env, ',')
 			}
-			// Sub-ops share the replay cache with the single-op endpoints:
-			// a duplicated envelope (or the same op re-sent individually)
-			// replays the recorded bytes instead of re-applying.
+			// The sub-op is the replay unit: a duplicated envelope, or the
+			// same op regrouped into another one by a retry, replays the
+			// recorded bytes instead of re-applying.
 			if cached, ok := cache.get(op.Idem); ok {
 				env = append(env, cached...)
 				continue
@@ -563,7 +506,7 @@ func NodeHandler(n *Node) http.Handler {
 	// hold the whole partition in memory beside the staged arenas (and the
 	// generic 64MB body cap would refuse large rotations outright).
 	mux.HandleFunc(PathNodePrepare, prepareHandler(n, cache))
-	handlePost(PathNodeCommit, true, func(body []byte) (any, string) {
+	handlePost(PathNodeCommit, keyedMutation, func(body []byte) (any, string) {
 		var req CommitRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nodeAck{Err: badBody(err)}, ""
@@ -573,7 +516,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return nodeAck{OK: true}, req.Idem
 	})
-	handlePost(PathNodeAbort, true, func(body []byte) (any, string) {
+	handlePost(PathNodeAbort, keyedMutation, func(body []byte) (any, string) {
 		var req AbortRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nodeAck{Err: badBody(err)}, ""
@@ -586,9 +529,11 @@ func NodeHandler(n *Node) http.Handler {
 	return mux
 }
 
-// execOp runs one envelope sub-operation, mirroring the matching single-op
-// handler exactly: same response shape, same error taxonomy, and the same
-// convention that an error returns idem "" so failures are never cached.
+// execOp runs one envelope sub-operation. It is the only place a routed
+// op's response shape and error taxonomy are written down: insert,
+// add-capacity and consume answer a nodeAck, remove a RemoveResponse,
+// assign-subtree an AssignResponse, and a refusal returns idem "" so
+// failures are never cached.
 func execOp(n *Node, op OpRequest) (any, string) {
 	switch op.Kind {
 	case OpInsert:
@@ -629,11 +574,11 @@ func execOp(n *Node, op OpRequest) (any, string) {
 // prepareHandler decodes a prepare body incrementally and feeds the
 // inserts straight into the node's staging pass, so the node's transient
 // memory during a rotation is one staged engine — never the JSON document.
-// It accepts the exact wire form the materialized client sends (the
-// PrepareRequest field order keeps "inserts" last, which is what lets the
-// scalar fields land before the array streams). The idempotency key is
-// honoured when it precedes the inserts — both clients emit it first; a
-// replayed prepare is answered from the cache without re-staging.
+// It accepts any encoding of a PrepareRequest whose "inserts" come last
+// (which is what lets the scalar fields land before the array streams).
+// The idempotency key is honoured when it precedes the inserts — the
+// client emits it first; a replayed prepare is answered from the cache
+// without re-staging.
 func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -662,7 +607,14 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(out)
 		}
-		fail := func(err error) { respond(nodeAck{Err: badBody(err)}, "") }
+		fail := func(err error) {
+			if staged {
+				// The body broke after its inserts were staged: drop them, a
+				// refused prepare must not be left committable.
+				n.Abort(req.Epoch, "")
+			}
+			respond(nodeAck{Err: badBody(err)}, "")
+		}
 
 		tok, err := dec.Token()
 		if err != nil {
@@ -680,13 +632,19 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 				return
 			}
 			key, _ := keyTok.(string)
+			if staged {
+				// Inserts come last (see PrepareRequest): nothing that
+				// follows may re-key, re-pin or re-stage what they built.
+				fail(fmt.Errorf("field %q after inserts", key))
+				return
+			}
 			switch key {
 			case "idem":
 				if err := dec.Decode(&req.Idem); err != nil {
 					fail(err)
 					return
 				}
-				if cached, ok := cache.get(req.Idem); ok && !staged {
+				if cached, ok := cache.get(req.Idem); ok {
 					// Replay: the mutation already applied; drain the body so
 					// the streaming client's write completes cleanly.
 					io.Copy(io.Discard, r.Body)
@@ -710,10 +668,6 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 					return
 				}
 			case "inserts":
-				if staged {
-					fail(fmt.Errorf("duplicate inserts field"))
-					return
-				}
 				tok, err := dec.Token()
 				if err != nil {
 					fail(err)
@@ -722,9 +676,7 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 				var next func() (engine.EpochInsert, bool, error)
 				switch {
 				case tok == nil: // "inserts":null — an empty partition
-					next = func() (engine.EpochInsert, bool, error) {
-						return engine.EpochInsert{}, false, nil
-					}
+					next = noInserts
 				default:
 					if d, ok := tok.(json.Delim); !ok || d != '[' {
 						fail(fmt.Errorf("inserts field: expected array, got %v", tok))
@@ -744,7 +696,7 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 						return engine.EpochInsert{Code: hst.Code(wi.Code), ID: wi.ID, Cap: wi.Cap}, true, nil
 					}
 				}
-				stageErr = n.PrepareSeq(req.Epoch, req.Tree, req.Shards, next, req.Idem)
+				stageErr = n.Prepare(req.Epoch, req.Tree, req.Shards, next, req.Idem)
 				staged = true
 				if stageErr != nil {
 					// The staging pass may have stopped mid-array, leaving
@@ -765,9 +717,7 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 		}
 		if !staged {
 			// No inserts field at all: a legal empty prepare.
-			stageErr = n.PrepareSeq(req.Epoch, req.Tree, req.Shards, func() (engine.EpochInsert, bool, error) {
-				return engine.EpochInsert{}, false, nil
-			}, req.Idem)
+			stageErr = n.Prepare(req.Epoch, req.Tree, req.Shards, noInserts, req.Idem)
 		}
 		if stageErr != nil {
 			respond(nodeAck{Err: nodeError(stageErr, req.Epoch)}, "")
@@ -776,6 +726,9 @@ func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
 		respond(nodeAck{OK: true}, req.Idem)
 	}
 }
+
+// noInserts is the pull iterator over an empty partition.
+func noInserts() (engine.EpochInsert, bool, error) { return engine.EpochInsert{}, false, nil }
 
 // skipJSONValue consumes one JSON value of any shape off a decoder.
 func skipJSONValue(dec *json.Decoder) error {
@@ -824,11 +777,21 @@ func writeNodeJSON(w http.ResponseWriter, status int, e *platform.Error) {
 	w.Write(cb.Bytes())
 }
 
-// httpNode is a NodeConn over the /v2 wire protocol.
+// httpNode is a NodeConn over the /v2 wire protocol. The five
+// single-worker mutations (insert, add-capacity, remove, assign-subtree,
+// consume) go through ops, which folds concurrent callers into shared
+// /v2/node/ops envelopes; everything else is one request per call.
 type httpNode struct {
 	baseURL  string
 	client   *http.Client
 	timeouts NodeTimeouts
+	ops      batcher
+}
+
+func newHTTPNode(baseURL string, hc *http.Client, to NodeTimeouts) *httpNode {
+	h := &httpNode{baseURL: baseURL, client: hc, timeouts: to}
+	h.ops.conn = h
+	return h
 }
 
 // NodeTimeouts bounds each /v2 round trip by operation class. A single
@@ -885,7 +848,7 @@ var nodeClient = &http.Client{Transport: platform.NewTransport()}
 // DialNodeTimeouts is DialNode with explicit per-operation deadlines
 // (zero fields take the defaults).
 func DialNodeTimeouts(baseURL string, to NodeTimeouts) NodeConn {
-	return &httpNode{baseURL: baseURL, client: nodeClient, timeouts: to}
+	return newHTTPNode(baseURL, nodeClient, to)
 }
 
 // DialNodeClient is DialNode with a caller-supplied HTTP client (tests pin
@@ -894,7 +857,7 @@ func DialNodeTimeouts(baseURL string, to NodeTimeouts) NodeConn {
 // rotation prepare — so deployments should leave it zero and use
 // DialNodeTimeouts instead.
 func DialNodeClient(baseURL string, hc *http.Client) NodeConn {
-	return &httpNode{baseURL: baseURL, client: hc}
+	return newHTTPNode(baseURL, hc, NodeTimeouts{})
 }
 
 // deadlineErr is the typed refusal for an expired per-operation deadline:
@@ -1001,29 +964,45 @@ func (h *httpNode) Status(epoch int64) (StatusResponse, error) {
 	return resp, envErr(resp.Err)
 }
 
-func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem string) error {
+// routed ships one single-worker op through the coalescer and decodes its
+// sub-result into the kind's response shape (see execOp). An undecodable
+// result is a transport failure — the retry taxonomy callers already
+// handle — never an application refusal.
+func (h *httpNode) routed(op OpRequest, out any) error {
+	raw, err := h.ops.do(op)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("%w: decode %s result: %v", errTransport, op.Kind, err)
+	}
+	return nil
+}
+
+// acked ships a routed op whose whole answer is a nodeAck.
+func (h *httpNode) acked(op OpRequest) error {
 	var resp nodeAck
-	if err := h.post(PathNodeInsert, InsertRequest{
-		Code: []byte(code), ID: id, Capacity: capacity, Epoch: epoch, Idem: idem,
-	}, &resp); err != nil {
+	if err := h.routed(op, &resp); err != nil {
 		return err
 	}
 	return envErr(resp.Err)
 }
 
+func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem string) error {
+	return h.acked(OpRequest{Kind: OpInsert, Idem: idem, Code: []byte(code), ID: id, Capacity: capacity, Epoch: epoch})
+}
+
 func (h *httpNode) AddCapacity(code hst.Code, id int, epoch int64, idem string) error {
-	var resp nodeAck
-	if err := h.post(PathNodeAddCapacity, AddCapacityRequest{
-		Code: []byte(code), ID: id, Epoch: epoch, Idem: idem,
-	}, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
+	return h.acked(OpRequest{Kind: OpAddCapacity, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
+}
+
+func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) error {
+	return h.acked(OpRequest{Kind: OpConsume, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
 }
 
 func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error) {
 	var resp RemoveResponse
-	if err := h.post(PathNodeRemove, RemoveRequest{Code: []byte(code), ID: id, Idem: idem}, &resp); err != nil {
+	if err := h.routed(OpRequest{Kind: OpRemove, Idem: idem, Code: []byte(code), ID: id}, &resp); err != nil {
 		return 0, false, err
 	}
 	return resp.Units, resp.Found, envErr(resp.Err)
@@ -1031,9 +1010,7 @@ func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error)
 
 func (h *httpNode) AssignSubtree(code hst.Code, epoch int64, idem string) (int, int, bool, error) {
 	var resp AssignResponse
-	if err := h.post(PathNodeAssignSubtree, AssignSubtreeRequest{
-		Code: []byte(code), Epoch: epoch, Idem: idem,
-	}, &resp); err != nil {
+	if err := h.routed(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: []byte(code), Epoch: epoch}, &resp); err != nil {
 		return engine.None, 0, false, err
 	}
 	if err := envErr(resp.Err); err != nil {
@@ -1090,21 +1067,11 @@ func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMin
 	return wm, nil
 }
 
-func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) error {
-	var resp nodeAck
-	if err := h.post(PathNodeConsume, ConsumeRequest{
-		Code: []byte(code), ID: id, Epoch: epoch, Idem: idem,
-	}, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
-}
-
-// Ops ships one coalesced envelope and returns the raw per-op results in
-// order. Envelope-level failures (transport, refused envelope, a result
+// sendOps ships one coalesced envelope and returns the raw per-op results
+// in order. Envelope-level failures (transport, refused envelope, a result
 // count that does not match) surface as errors; per-op outcomes stay raw
 // for the caller to decode against the op's own response shape.
-func (h *httpNode) Ops(ops []OpRequest) ([]json.RawMessage, error) {
+func (h *httpNode) sendOps(ops []OpRequest) ([]json.RawMessage, error) {
 	var resp OpsResponse
 	if err := h.post(PathNodeOps, OpsRequest{Ops: ops}, &resp); err != nil {
 		return nil, err
@@ -1119,24 +1086,12 @@ func (h *httpNode) Ops(ops []OpRequest) ([]json.RawMessage, error) {
 	return resp.Results, nil
 }
 
-func (h *httpNode) Prepare(epoch int64, tree *hst.Tree, shards int, inserts []engine.EpochInsert, idem string) error {
-	i := 0
-	return h.PrepareSeq(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
-		if i >= len(inserts) {
-			return engine.EpochInsert{}, false, nil
-		}
-		in := inserts[i]
-		i++
-		return in, true, nil
-	}, idem)
-}
-
-// PrepareSeq streams the prepare body: the idem and scalar fields first
-// (so the node can replay-check before any work), the tree, then the
-// inserts encoded one at a time through an io.Pipe — the partition is
-// never materialized as wire structs or an encoded document on this side.
-// Runs under the prepare deadline, not the op deadline.
-func (h *httpNode) PrepareSeq(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error {
+// Prepare streams the prepare body: the idem and scalar fields first (so
+// the node can replay-check before any work), the tree, then the inserts
+// encoded one at a time through an io.Pipe — the partition is never
+// materialized as wire structs or an encoded document on this side. Runs
+// under the prepare deadline, not the op deadline.
+func (h *httpNode) Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error {
 	treeJSON, err := json.Marshal(tree)
 	if err != nil {
 		return fmt.Errorf("cluster: encode %s tree: %w", PathNodePrepare, err)
@@ -1146,7 +1101,9 @@ func (h *httpNode) PrepareSeq(epoch int64, tree *hst.Tree, shards int, next func
 		return fmt.Errorf("cluster: encode %s idem: %w", PathNodePrepare, err)
 	}
 	pr, pw := io.Pipe()
+	encoded := make(chan struct{})
 	go func() {
+		defer close(encoded)
 		bw := bufio.NewWriterSize(pw, 1<<16)
 		fmt.Fprintf(bw, `{"idem":%s,"epoch":%d,"shards":%d,"tree":%s,"inserts":[`,
 			idemJSON, epoch, shards, treeJSON)
@@ -1178,8 +1135,13 @@ func (h *httpNode) PrepareSeq(epoch int64, tree *hst.Tree, shards int, next func
 		pw.CloseWithError(bw.Flush())
 	}()
 	var resp nodeAck
-	if err := h.postBody(PathNodePrepare, pr, &resp, h.timeouts.prepare()); err != nil {
-		pr.Close() // stop the encoder goroutine if it is still writing
+	err = h.postBody(PathNodePrepare, pr, &resp, h.timeouts.prepare())
+	// Stop the encoder if it is still writing (the node may answer before
+	// reading the whole body) and wait it out: next belongs to the caller
+	// again once Prepare returns.
+	pr.Close()
+	<-encoded
+	if err != nil {
 		return err
 	}
 	return envErr(resp.Err)
@@ -1201,8 +1163,4 @@ func (h *httpNode) Abort(epoch int64, idem string) error {
 	return envErr(resp.Err)
 }
 
-var (
-	_ NodeConn    = (*httpNode)(nil)
-	_ seqPreparer = (*httpNode)(nil)
-	_ seqPreparer = (*Node)(nil)
-)
+var _ NodeConn = (*httpNode)(nil)

@@ -11,15 +11,20 @@
 // matching over per-node candidate mines) need more than one node, and
 // both recompose the single-process decision exactly. Epoch rotation is a
 // distributed two-phase commit: every node stages the new epoch's
-// partition (engine.PrepareSwap), and only when all prepares succeed does
-// the coordinator commit each — any failure aborts cluster-wide and the
-// old epoch keeps serving everywhere.
+// partition, pulled one insert at a time off a streamed prepare body
+// (engine.PrepareSwapSeq — neither side ever holds the partition as a
+// slice), and only when all prepares succeed does the coordinator commit
+// each — any failure aborts cluster-wide and the old epoch keeps serving
+// everywhere.
 //
-// The node side speaks the /v2 wire protocol below: versioned endpoints,
-// explicit node epochs on every operation, idempotency keys on every
-// mutating call (a coordinator retry after a lost response replays the
-// recorded answer instead of double-applying), and the structured
-// platform.Error taxonomy instead of ad-hoc status strings.
+// The node side speaks the /v2 wire protocol below: nine versioned
+// endpoints, explicit node epochs on every operation, idempotency keys on
+// every mutating call (a coordinator retry after a lost response replays
+// the recorded answer instead of double-applying), and the structured
+// platform.Error taxonomy instead of ad-hoc status strings. Each operation
+// has exactly one wire path: the five single-worker mutations travel only
+// as sub-ops of the /v2/node/ops envelope (a sequential caller ships
+// singleton envelopes), everything else on its own endpoint.
 package cluster
 
 import (
@@ -33,25 +38,20 @@ import (
 // pombm-server: /v1 is what workers and tasks talk to a single-node
 // deployment; /v2/node is what a coordinator drives a backend with.
 const (
-	PathNodeInit          = "/v2/node/init"
-	PathNodeStatus        = "/v2/node/status"
-	PathNodeInsert        = "/v2/node/insert"
-	PathNodeAddCapacity   = "/v2/node/add-capacity"
-	PathNodeRemove        = "/v2/node/remove"
-	PathNodeAssignSubtree = "/v2/node/assign-subtree"
-	PathNodeMinID         = "/v2/node/min-id"
-	PathNodePopMin        = "/v2/node/pop-min"
-	PathNodeMine          = "/v2/node/mine"
-	PathNodeConsume       = "/v2/node/consume"
-	PathNodePrepare       = "/v2/node/rotate/prepare"
-	PathNodeCommit        = "/v2/node/rotate/commit"
-	PathNodeAbort         = "/v2/node/rotate/abort"
-	PathNodeOps           = "/v2/node/ops"
+	PathNodeInit    = "/v2/node/init"
+	PathNodeStatus  = "/v2/node/status"
+	PathNodeOps     = "/v2/node/ops"
+	PathNodeMinID   = "/v2/node/min-id"
+	PathNodePopMin  = "/v2/node/pop-min"
+	PathNodeMine    = "/v2/node/mine"
+	PathNodePrepare = "/v2/node/rotate/prepare"
+	PathNodeCommit  = "/v2/node/rotate/commit"
+	PathNodeAbort   = "/v2/node/rotate/abort"
 )
 
-// Op kinds carried by the /v2/node/ops envelope. Each is one of the
-// single-worker routed operations; anything whose answer spans nodes
-// (min-id, mine, the rotation verbs) stays on its own endpoint.
+// Op kinds carried by the /v2/node/ops envelope — the only wire form of
+// the single-worker routed operations; anything whose answer spans nodes
+// (min-id, mine, the rotation verbs) has its own endpoint.
 const (
 	OpInsert        = "insert"
 	OpAddCapacity   = "add-capacity"
@@ -60,12 +60,13 @@ const (
 	OpConsume       = "consume"
 )
 
-// OpRequest is one sub-operation of an ops envelope: the union of the
-// single-op request shapes, discriminated by Kind, with its own
-// idempotency key. Replay semantics are per-op and shared with the
-// single-op endpoints — the node caches each sub-result under its own key,
-// so a duplicated envelope (or the same op re-sent individually) replays
-// byte-for-byte.
+// OpRequest is one sub-operation of an ops envelope: the union of what the
+// five kinds need (insert: code, id, capacity, epoch — capacity ≤ 0
+// selects the node engine's default; add-capacity and consume: code, id,
+// epoch; remove: code, id; assign-subtree: code, epoch), discriminated by
+// Kind, with its own idempotency key. Replay semantics are per-op — the
+// node caches each sub-result under its own key, so a duplicated envelope,
+// or the same op regrouped into a different one, replays byte-for-byte.
 type OpRequest struct {
 	Kind     string `json:"kind"`
 	Idem     string `json:"idem,omitempty"`
@@ -86,8 +87,8 @@ type OpsRequest struct {
 
 // OpsResponse answers an envelope with one raw sub-response per op, in
 // order. Results stay raw JSON end to end so a replayed sub-op is
-// byte-identical to its first answer regardless of which envelope (or
-// single-op request) carries it.
+// byte-identical to its first answer regardless of which envelope carries
+// it.
 type OpsResponse struct {
 	OK      bool              `json:"ok"`
 	Err     *platform.Error   `json:"error,omitempty"`
@@ -106,7 +107,8 @@ type InitRequest struct {
 	Idem            string    `json:"idem,omitempty"`
 }
 
-// nodeAck is the plain OK/error envelope shared by mutating endpoints.
+// nodeAck is the plain OK/error envelope shared by mutating endpoints and
+// by the insert, add-capacity and consume sub-ops.
 type nodeAck struct {
 	OK  bool            `json:"ok"`
 	Err *platform.Error `json:"error,omitempty"`
@@ -126,31 +128,6 @@ type StatusResponse struct {
 	Units int             `json:"units"`
 }
 
-// InsertRequest lands a worker on its routed node. Capacity ≤ 0 selects
-// the node engine's default (all nodes share it).
-type InsertRequest struct {
-	Code     []byte `json:"code"`
-	ID       int    `json:"id"`
-	Capacity int    `json:"capacity,omitempty"`
-	Epoch    int64  `json:"epoch,omitempty"`
-	Idem     string `json:"idem,omitempty"`
-}
-
-// AddCapacityRequest returns one unit to a worker on its routed node.
-type AddCapacityRequest struct {
-	Code  []byte `json:"code"`
-	ID    int    `json:"id"`
-	Epoch int64  `json:"epoch,omitempty"`
-	Idem  string `json:"idem,omitempty"`
-}
-
-// RemoveRequest withdraws a worker's pooled units from its routed node.
-type RemoveRequest struct {
-	Code []byte `json:"code"`
-	ID   int    `json:"id"`
-	Idem string `json:"idem,omitempty"`
-}
-
 // RemoveResponse reports how many units were pooled (Found false when the
 // worker was not available).
 type RemoveResponse struct {
@@ -158,13 +135,6 @@ type RemoveResponse struct {
 	Err   *platform.Error `json:"error,omitempty"`
 	Units int             `json:"units,omitempty"`
 	Found bool            `json:"found"`
-}
-
-// AssignSubtreeRequest runs the greedy rule's node-local tiers for a task.
-type AssignSubtreeRequest struct {
-	Code  []byte `json:"code"`
-	Epoch int64  `json:"epoch,omitempty"`
-	Idem  string `json:"idem,omitempty"`
 }
 
 // AssignResponse carries a pop outcome: Found false means no worker on
@@ -221,15 +191,6 @@ type MineResponse struct {
 	Pool  int               `json:"pool"`
 	Own   [][]WireCandidate `json:"own,omitempty"`
 	Pads  [][]WireCandidate `json:"pads,omitempty"`
-}
-
-// ConsumeRequest commits one matched unit of a window on the node that
-// mined the candidate.
-type ConsumeRequest struct {
-	Code  []byte `json:"code"`
-	ID    int    `json:"id"`
-	Epoch int64  `json:"epoch,omitempty"`
-	Idem  string `json:"idem,omitempty"`
 }
 
 // WireInsert is engine.EpochInsert on the wire.

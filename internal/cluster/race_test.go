@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestSubmitsDuringDistributedRotation(t *testing.T) {
 	next := buildTree(t, 8)
 	pol, _ := engine.PolicyByName("greedy")
 	nodes := localNodes(3)
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1, false)
+	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestSubmitsDuringDistributedRotation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		if err := core.SwapEpoch(2, next, 0, inserts); err != nil {
+		if err := core.SwapEpochSeq(2, next, 0, slices.Values(inserts)); err != nil {
 			t.Errorf("swap under load: %v", err)
 		}
 	}()

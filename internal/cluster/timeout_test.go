@@ -66,7 +66,7 @@ func TestPrepareDeadlineIndependent(t *testing.T) {
 	tree := buildTree(t, 7)
 	next := buildTree(t, 8)
 	node := NewNode()
-	ts := httptest.NewServer(slowPaths(NodeHandler(node), 150*time.Millisecond, PathNodePrepare, PathNodeInsert))
+	ts := httptest.NewServer(slowPaths(NodeHandler(node), 150*time.Millisecond, PathNodePrepare, PathNodeOps))
 	defer ts.Close()
 	conn := DialNodeTimeouts(ts.URL, NodeTimeouts{Op: 50 * time.Millisecond, Prepare: 5 * time.Second})
 
@@ -81,7 +81,7 @@ func TestPrepareDeadlineIndependent(t *testing.T) {
 	}
 	// The equally slow prepare fits comfortably in the prepare budget.
 	inserts := []engine.EpochInsert{{Code: next.CodeOf(0), ID: 3, Cap: 1}}
-	if err := conn.Prepare(2, next, 0, inserts, "idem-prep"); err != nil {
+	if err := conn.Prepare(2, next, 0, nextOf(inserts), "idem-prep"); err != nil {
 		t.Fatalf("prepare under its own deadline: %v", err)
 	}
 	if err := conn.Commit(2, "idem-commit"); err != nil {

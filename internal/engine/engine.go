@@ -360,17 +360,27 @@ type EpochInsert struct {
 // Workers of the old epoch that are not in inserts are dropped: their old
 // codes are meaningless under the new tree, and it is the rotation
 // controller's job to have re-obfuscated (or parked) them.
+//
+// Of the two swap entries this is the one that builds beside: it is
+// PrepareSwapSeq over the slice followed by CommitSwap, so peak memory is
+// two populations and serving never pauses. SwapEpochSeq (swapseq.go) is
+// the one that freezes and rebuilds in place.
 func (e *Engine) SwapEpoch(epoch int64, tree *hst.Tree, shards int, inserts []EpochInsert) error {
-	e.swapMu.Lock()
-	defer e.swapMu.Unlock()
-	p, err := e.prepareSwapLocked(epoch, tree, shards, inserts)
+	i := 0
+	p, err := e.PrepareSwapSeq(epoch, tree, shards, func() (EpochInsert, bool, error) {
+		if i == len(inserts) {
+			return EpochInsert{}, false, nil
+		}
+		i++
+		return inserts[i-1], true, nil
+	})
 	if err != nil {
 		return err
 	}
-	return e.commitSwapLocked(p)
+	return e.CommitSwap(p)
 }
 
-// PreparedSwap is a fully built next-epoch state staged by PrepareSwap,
+// PreparedSwap is a fully built next-epoch state staged by PrepareSwapSeq,
 // waiting for CommitSwap (or to be dropped, which aborts it — it holds no
 // locks and the serving state does not reference it).
 type PreparedSwap struct {
@@ -380,29 +390,23 @@ type PreparedSwap struct {
 // Epoch returns the staged state's epoch id.
 func (p *PreparedSwap) Epoch() int64 { return p.st.epoch }
 
-// PrepareSwap is the build half of SwapEpoch, split out so a cluster
-// coordinator can drive rotation as a distributed two-phase commit: every
-// node prepares its partition of the new population while the old epoch
-// keeps serving, and only when all prepares succeed does the coordinator
-// commit each. A prepare that fails (or is abandoned) leaves the serving
-// state untouched. The epoch check here is advisory — CommitSwap re-checks
-// under the swap lock — so a prepare staged before a competing swap simply
-// fails at commit.
-func (e *Engine) PrepareSwap(epoch int64, tree *hst.Tree, shards int, inserts []EpochInsert) (*PreparedSwap, error) {
+// PrepareSwapSeq is the build half of SwapEpoch — the one build-beside
+// loop — split out so a cluster coordinator can drive rotation as a
+// distributed two-phase commit: every node prepares its partition of the
+// new population while the old epoch keeps serving, and only when all
+// prepares succeed does the coordinator commit each. The population
+// arrives through a pull iterator: next returns the next insert, ok=false
+// at the end of the stream, or an error (a node handler decoding inserts
+// straight off the wire propagates its decode error here), so a
+// multi-gigabyte prepare body is indexed entry by entry and never
+// materialized. A prepare must remain abortable, so unlike SwapEpochSeq
+// it cannot cannibalize the serving arenas. Any failure discards the
+// partial state and leaves the serving epoch untouched. The epoch check
+// here is advisory — CommitSwap re-checks under the swap lock — so a
+// prepare staged before a competing swap simply fails at commit.
+func (e *Engine) PrepareSwapSeq(epoch int64, tree *hst.Tree, shards int, next func() (EpochInsert, bool, error)) (*PreparedSwap, error) {
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
-	return e.prepareSwapLocked(epoch, tree, shards, inserts)
-}
-
-// CommitSwap publishes a prepared state, atomically replacing the serving
-// epoch exactly as SwapEpoch does.
-func (e *Engine) CommitSwap(p *PreparedSwap) error {
-	e.swapMu.Lock()
-	defer e.swapMu.Unlock()
-	return e.commitSwapLocked(p)
-}
-
-func (e *Engine) prepareSwapLocked(epoch int64, tree *hst.Tree, shards int, inserts []EpochInsert) (*PreparedSwap, error) {
 	if tree == nil {
 		return nil, errors.New("engine: nil tree")
 	}
@@ -414,7 +418,14 @@ func (e *Engine) prepareSwapLocked(epoch int64, tree *hst.Tree, shards int, inse
 		shards = len(old.shards)
 	}
 	st := newEpochState(epoch, tree, shards)
-	for _, in := range inserts {
+	for {
+		in, ok, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return &PreparedSwap{st: st}, nil
+		}
 		if err := tree.CheckCode(in.Code); err != nil {
 			return nil, fmt.Errorf("engine: swap insert %d: %w", in.ID, err)
 		}
@@ -422,10 +433,13 @@ func (e *Engine) prepareSwapLocked(epoch int64, tree *hst.Tree, shards int, inse
 			return nil, fmt.Errorf("engine: swap insert %d: %w", in.ID, err)
 		}
 	}
-	return &PreparedSwap{st: st}, nil
 }
 
-func (e *Engine) commitSwapLocked(p *PreparedSwap) error {
+// CommitSwap publishes a prepared state, atomically replacing the serving
+// epoch.
+func (e *Engine) CommitSwap(p *PreparedSwap) error {
+	e.swapMu.Lock()
+	defer e.swapMu.Unlock()
 	old := e.state.Load()
 	if p.st.epoch <= old.epoch {
 		return fmt.Errorf("engine: swap to epoch %d, already serving %d", p.st.epoch, old.epoch)

@@ -10,21 +10,26 @@ import (
 )
 
 // SwapEpochSeq is SwapEpoch fed by a re-iterable insert sequence instead of
-// a materialized slice, for populations too large to hold twice. seq must
-// yield the same inserts every time it is invoked (the platform's rotation
-// path derives them deterministically from the rotation plan; a snapshot
-// restore replays its worker list).
+// a materialized slice, for populations too large to hold twice. It is
+// invoked twice here, one pass after the other, so seq must be replayable:
+// the same inserts every time (the platform's rotation path derives them
+// deterministically from the rotation plan; a snapshot restore replays its
+// worker list). A seq handed to a platform.Core must additionally be safe
+// to invoke from several goroutines at once — the cluster core runs one
+// filtered iteration per node concurrently; platform.Rotate's populate
+// qualifies because it only reads tables frozen under the server's mu.
 //
-// The memory contract is the point: SwapEpoch builds the full next-epoch
-// population beside the live one, doubling peak memory exactly when a
-// deployment is largest. SwapEpochSeq instead validates every insert in a
-// first pass while the old epoch keeps serving, then freezes serving under
-// every old shard lock, releases the old epoch's trie arenas, and builds
-// the new population in their place — peak extra memory is one shard's
-// build-in-progress, not a second copy of the population (the soak lane
-// reports the measured ratio). The trade is a serving pause for the length
-// of the build; callers that need the old epoch serving throughout (the
-// cluster's two-phase prepare) keep using SwapEpoch/PrepareSwap.
+// Of the two swap entries this is the one that freezes and rebuilds:
+// SwapEpoch builds the full next-epoch population beside the live one,
+// doubling peak memory exactly when a deployment is largest. SwapEpochSeq
+// instead validates every insert in a first pass while the old epoch keeps
+// serving, then freezes serving under every old shard lock, releases the
+// old epoch's trie arenas, and builds the new population in their place —
+// peak extra memory is one shard's build-in-progress, not a second copy of
+// the population (the soak lane reports the measured ratio). The trade is
+// a serving pause for the length of the build; callers that need the old
+// epoch serving throughout (the cluster's two-phase prepare) use
+// PrepareSwapSeq + CommitSwap.
 //
 // Failures every materialized swap can report — stale epoch, nil tree,
 // malformed codes, out-of-range ids or capacities — are caught in the
@@ -130,47 +135,6 @@ func checkEpochInsert(tree *hst.Tree, in EpochInsert, capacity int) error {
 		return fmt.Errorf("engine: swap insert %d: capacity %d outside int32 range", in.ID, capacity)
 	}
 	return nil
-}
-
-// PrepareSwapSeq is PrepareSwap fed by a pull iterator instead of a
-// materialized slice: next returns the next insert, ok=false at the end of
-// the stream, or an error (a node handler decoding inserts straight off the
-// wire propagates its decode error here). The staged state is built
-// incrementally while the old epoch keeps serving — a prepare must remain
-// abortable, so unlike SwapEpochSeq it cannot cannibalize the serving
-// arenas, but it never needs the inserts materialized either: the
-// coordinator streams a multi-gigabyte prepare body and the node indexes it
-// entry by entry. Any failure discards the partial state and leaves the
-// serving epoch untouched.
-func (e *Engine) PrepareSwapSeq(epoch int64, tree *hst.Tree, shards int, next func() (EpochInsert, bool, error)) (*PreparedSwap, error) {
-	e.swapMu.Lock()
-	defer e.swapMu.Unlock()
-	if tree == nil {
-		return nil, errors.New("engine: nil tree")
-	}
-	old := e.state.Load()
-	if epoch <= old.epoch {
-		return nil, fmt.Errorf("engine: swap to epoch %d, already serving %d", epoch, old.epoch)
-	}
-	if shards <= 0 {
-		shards = len(old.shards)
-	}
-	st := newEpochState(epoch, tree, shards)
-	for {
-		in, ok, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return &PreparedSwap{st: st}, nil
-		}
-		if err := tree.CheckCode(in.Code); err != nil {
-			return nil, fmt.Errorf("engine: swap insert %d: %w", in.ID, err)
-		}
-		if err := st.shardOf(in.Code).index.InsertCap(in.Code, in.ID, e.effCap(in.Cap)); err != nil {
-			return nil, fmt.Errorf("engine: swap insert %d: %w", in.ID, err)
-		}
-	}
 }
 
 // ArenaBytes returns the bytes the serving epoch's trie arenas currently

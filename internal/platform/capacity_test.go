@@ -248,7 +248,7 @@ func TestReleaseMoveDoesNotResurrectInFlightPop(t *testing.T) {
 	}
 	// Simulate a Submit mid-flight: the pop has happened engine-side, the
 	// bookkeeping under mu has not.
-	if _, _, ok := s.Engine().Assign(hst.Code(leaf(s, 0))); !ok {
+	if _, _, ok := s.Core().Assign(hst.Code(leaf(s, 0))); !ok {
 		t.Fatal("in-flight pop failed")
 	}
 	// The worker completes its first task and re-reports a fresh leaf.
@@ -258,7 +258,7 @@ func TestReleaseMoveDoesNotResurrectInFlightPop(t *testing.T) {
 	// Units now pooled: capacity 3 − 1 recorded active... the release
 	// returned one unit and moved the single genuinely pooled unit; the
 	// in-flight unit must stay consumed.
-	if got := s.Engine().CapacityUnits(); got != 2 {
+	if got := s.Core().CapacityUnits(); got != 2 {
 		t.Fatalf("engine pools %d units after the racy move, want 2 (in-flight pop resurrected)", got)
 	}
 }

@@ -90,14 +90,12 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// carries its remaining units (capacity − active) into the new epoch;
 	// its outstanding tasks keep running and release against the new slot.
 	//
-	// A core that can take the population as a replayable sequence gets it
-	// that way: the inserts derive deterministically from the plan and the
-	// slot tables (both frozen under mu here), so handing the engine a
-	// generator instead of a []EpochInsert lets it rotate a 10M-worker
-	// population without materializing a second copy beside the live one.
-	// Cores without the seam (a cluster coordinator, whose two-phase
-	// prepare must partition the inserts across nodes anyway) keep the
-	// materialized path.
+	// The core takes the population as a replayable sequence: the inserts
+	// derive deterministically from the plan and the slot tables (both
+	// frozen under mu here, so concurrent iterations only read), and a
+	// generator instead of a []EpochInsert lets an engine rotate a
+	// 10M-worker population — or a cluster core partition it across nodes —
+	// without materializing a second copy beside the live one.
 	base := len(s.workerIDs)
 	populate := func(yield func(engine.EpochInsert) bool) {
 		n := 0
@@ -117,21 +115,10 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			}
 		}
 	}
-	var swapErr error
-	if sw, ok := s.eng.(seqSwapper); ok {
-		swapErr = sw.SwapEpochSeq(plan.Epoch, plan.Tree, 0, populate)
-	} else {
-		inserts := make([]engine.EpochInsert, 0, len(plan.Outcomes))
-		populate(func(in engine.EpochInsert) bool {
-			inserts = append(inserts, in)
-			return true
-		})
-		swapErr = s.eng.SwapEpoch(plan.Epoch, plan.Tree, 0, inserts)
-	}
-	if swapErr != nil {
+	if err := s.eng.SwapEpochSeq(plan.Epoch, plan.Tree, 0, populate); err != nil {
 		// A cluster core aborts the distributed prepare on every node before
 		// reporting failure, so the old epoch keeps serving intact.
-		return RotateResponse{OK: false, Reason: swapErr.Error(), Err: AsError(swapErr, s.epoch)}
+		return RotateResponse{OK: false, Reason: err.Error(), Err: AsError(err, s.epoch)}
 	}
 
 	// The swap is live: record the new slots and close out the old epoch's

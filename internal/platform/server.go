@@ -50,23 +50,24 @@ type Core interface {
 	AddCapacityEpoch(code hst.Code, id int, epoch int64) error
 	Remove(code hst.Code, id int) bool
 	RemoveUnits(code hst.Code, id int) (units int, ok bool)
-	SwapEpoch(epoch int64, tree *hst.Tree, shards int, inserts []engine.EpochInsert) error
+	// SwapEpochSeq rotates to the next epoch's population, handed over as
+	// a sequence instead of a slice so a 10M-worker rotation never holds a
+	// second copy of it. seq must be replayable and safe to invoke from
+	// several goroutines at once (the cluster core runs one filtered
+	// iteration per node). The unnamed func type, not iter.Seq, is what
+	// lets a struct embedding *engine.Engine satisfy Core.
+	SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error
 }
 
-// assignErrer is an optional Core extension: a core whose Assign can fail
-// for reasons beyond "no worker" (a cluster core with an unreachable
+// assignErrer is the one optional Core extension: a core whose Assign can
+// fail for reasons beyond "no worker" (a cluster core with an unreachable
 // backend) reports the failure so Submit can answer with a typed error
-// instead of a misleading no-workers refusal.
+// instead of a misleading no-workers refusal. It stays optional, not a
+// Core method, because decorators that embed *engine.Engine and override
+// Assign (the benchmark's tracing core) must keep being called: a Server
+// that always went through AssignErr would walk past them.
 type assignErrer interface {
 	AssignErr(code hst.Code) (id, lcaLevel int, ok bool, err error)
-}
-
-// seqSwapper is an optional Core extension: a core that can consume the
-// next epoch's population as a replayable sequence instead of a
-// materialized slice. engine.Engine implements it; Rotate prefers it so a
-// large rotation peaks at ~1× the population's memory instead of 2×.
-type seqSwapper interface {
-	SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error
 }
 
 // coreAssign runs an assignment through AssignErr when the core offers it.
@@ -289,15 +290,6 @@ func (s *Server) Publication() Publication {
 
 // Core returns the assignment core the server fronts.
 func (s *Server) Core() Core { return s.eng }
-
-// Engine returns the underlying in-process assignment engine, or nil when
-// the server fronts an injected core (a cluster coordinator) instead.
-//
-// Deprecated: use Core; Engine exists for single-node monitoring callers.
-func (s *Server) Engine() *engine.Engine {
-	e, _ := s.eng.(*engine.Engine)
-	return e
-}
 
 // staleEpochReason formats the refusal for a report or task obfuscated
 // under a rotated-away publication.

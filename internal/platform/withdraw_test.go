@@ -171,8 +171,8 @@ func TestConcurrentWithdrawSubmit(t *testing.T) {
 	if st.WithdrawnWorkers != withdrawnOK {
 		t.Errorf("server counted %d withdrawals, clients saw %d", st.WithdrawnWorkers, withdrawnOK)
 	}
-	if st.AvailableWorkers != s.Engine().Len() {
-		t.Errorf("stats available %d != engine %d", st.AvailableWorkers, s.Engine().Len())
+	if st.AvailableWorkers != s.Core().Len() {
+		t.Errorf("stats available %d != engine %d", st.AvailableWorkers, s.Core().Len())
 	}
 
 	// Release everyone who was assigned: rejections are exactly the
@@ -193,8 +193,8 @@ func TestConcurrentWithdrawSubmit(t *testing.T) {
 	if want := n - withdrawnOK; st.AvailableWorkers != want {
 		t.Errorf("available %d after releases, want %d - %d = %d", st.AvailableWorkers, n, withdrawnOK, want)
 	}
-	if st.AvailableWorkers != s.Engine().Len() {
-		t.Errorf("stats available %d != engine %d after releases", st.AvailableWorkers, s.Engine().Len())
+	if st.AvailableWorkers != s.Core().Len() {
+		t.Errorf("stats available %d != engine %d after releases", st.AvailableWorkers, s.Core().Len())
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 type (
 	// Server is the untrusted crowdsourcing platform.
 	Server = platform.Server
-	// ServerClient talks to a Server over JSON/HTTP.
+	// ServerClient talks to a Server over JSON/HTTP; it is the concrete
+	// type behind the API that Dial returns.
 	ServerClient = platform.Client
 	// Backend abstracts in-process and HTTP access to a Server.
 	Backend = platform.Backend
@@ -165,15 +166,6 @@ func DialNode(baseURL string) NodeConn { return cluster.DialNode(baseURL) }
 // NodeHandler serves a fresh cluster backend over the /v2 node API — what
 // pombm-server mounts beside /v1 so a coordinator can enlist it.
 func NodeHandler() http.Handler { return cluster.NodeHandler(cluster.NewNode()) }
-
-// NewServerClient connects to a platform server's HTTP API.
-//
-// Deprecated: use Dial, which returns the deployment-shape-agnostic API
-// surface. NewServerClient keeps working for callers that need the
-// concrete *ServerClient type.
-func NewServerClient(baseURL string) (*ServerClient, error) {
-	return platform.NewClient(baseURL)
-}
 
 // NewObfuscator builds an agent's client-side privacy stack from a
 // publication.
