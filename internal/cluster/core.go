@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"github.com/pombm/pombm/internal/engine"
-	"github.com/pombm/pombm/internal/flow"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
 )
@@ -40,19 +40,12 @@ type fanCore struct {
 
 	windows atomic.Int64
 	idemSeq atomic.Int64
-
-	// Batch-window scratch, all touched only under opMu held exclusively:
-	// the solver and the warm worker potentials it carries from window to
-	// window (cleared when the epoch moves, like the single-process
-	// policy's state-pinned warm map).
-	solver    *flow.Bipartite
-	warm      map[int]float64
-	warmEpoch int64
 }
 
 // coreState is the epoch-scoped identity of the cluster: published tree,
 // shard layout (shared by every node), and epoch id. Swapped with one
-// pointer store at rotation commit.
+// pointer store at rotation commit, which also makes it the token the
+// window kernel's warm potentials are pinned to.
 type coreState struct {
 	tree   *hst.Tree
 	layout engine.Layout
@@ -78,9 +71,6 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Poli
 		policySpec: policySpec,
 		defaultCap: defaultCap,
 		shardsCfg:  shards,
-		solver:     flow.NewBipartite(),
-		warm:       map[int]float64{},
-		warmEpoch:  engine.FirstEpoch,
 	}
 	c.state.Store(&coreState{tree: tree, layout: engine.LayoutFor(tree, shards), epoch: engine.FirstEpoch})
 	for i, n := range nodes {
@@ -369,7 +359,7 @@ func (c *fanCore) AssignBatch(codes []hst.Code) ([]int, []int) {
 	for i := range ids {
 		ids[i] = engine.None
 	}
-	tk, windowed := c.policy.(engine.TopKer)
+	solver, windowed := c.policy.(windowSolver)
 	if !windowed {
 		for i, code := range codes {
 			id, lvl, ok, _ := c.AssignErr(code)
@@ -382,32 +372,32 @@ func (c *fanCore) AssignBatch(codes []hst.Code) ([]int, []int) {
 	// Chunk exactly as the single-process policy does; an empty batch is
 	// still one (empty) window — the counter must agree with the engine's.
 	if len(codes) == 0 {
-		c.solveWindow(codes, ids, lvls, tk.TopK())
+		c.solveWindow(solver, codes, ids, lvls)
 		return ids, lvls
 	}
 	for start := 0; start < len(codes); start += engine.BatchWindowSize {
 		end := min(start+engine.BatchWindowSize, len(codes))
-		c.solveWindow(codes[start:end], ids[start:end], lvls[start:end], tk.TopK())
+		c.solveWindow(solver, codes[start:end], ids[start:end], lvls[start:end])
 	}
 	return ids, lvls
 }
 
-// clusterCand is one merged window candidate: what the single-process
-// policy holds as an arena ref, code-addressed for the cross-node commit.
-type clusterCand struct {
-	id    int
-	code  hst.Code
-	level int
-	cap   int
+// windowSolver is what the coordinator needs of a window-solving policy
+// (engine.BatchOptimal): the per-task pool every node mines with, and the
+// policy's own pad-and-solve kernel to hand the mined lists to.
+type windowSolver interface {
+	TopK() int
+	SolveMined(state any, l engine.Layout, codes []hst.Code, own, pads [][]hst.Candidate) []hst.Candidate
 }
 
-// solveWindow replicates the single-process batch-optimal window over the
-// cluster: scatter the mining, merge own-shard regions and cross-shard
-// pads by the exact single-process merge rule, solve one restricted
-// matching, commit the matched units at their owning nodes. It holds opMu
-// exclusively, which is what the single-process all-shard-locks hold is to
-// one engine: the window is atomic against every other mutation.
-func (c *fanCore) solveWindow(codes []hst.Code, ids, lvls []int, k int) {
+// solveWindow serves one batch-optimal window over the cluster. The window
+// rule lives in the engine (the policy's pad-and-solve kernel); what is
+// here is what is distributed: scatter the mining, gather and check what
+// the nodes report, commit the kernel's matches at their owning nodes. It
+// holds opMu exclusively, which is what the single-process all-shard-locks
+// hold is to one engine: the window is atomic against every other
+// mutation.
+func (c *fanCore) solveWindow(solver windowSolver, codes []hst.Code, ids, lvls []int) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
 	defer c.windows.Add(1)
@@ -417,9 +407,11 @@ func (c *fanCore) solveWindow(codes []hst.Code, ids, lvls []int, k int) {
 		ids[i], lvls[i] = engine.None, 0
 	}
 	valid := make([]int, 0, len(codes))
+	tasks := make([]hst.Code, 0, len(codes))
 	for i, code := range codes {
 		if st.tree.CheckCode(code) == nil {
 			valid = append(valid, i)
+			tasks = append(tasks, code)
 		}
 	}
 	if len(valid) == 0 {
@@ -427,7 +419,13 @@ func (c *fanCore) solveWindow(codes []hst.Code, ids, lvls []int, k int) {
 	}
 
 	for attempt := 0; attempt < 3; attempt++ {
-		if done := c.solveWindowOnce(st, codes, valid, ids, lvls, k); done {
+		matched, done := c.solveWindowOnce(solver, st, tasks)
+		if done {
+			for ti, m := range matched {
+				if m.ID != engine.None {
+					ids[valid[ti]], lvls[valid[ti]] = m.ID, m.Level
+				}
+			}
 			return
 		}
 		// A commit conflict undid the window; re-mine against the live
@@ -437,20 +435,21 @@ func (c *fanCore) solveWindow(codes []hst.Code, ids, lvls []int, k int) {
 	}
 }
 
-// solveWindowOnce runs one mine→solve→commit pass; false means a commit
-// conflict rolled the pass back and the window should re-mine.
-func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, ids, lvls []int, k int) bool {
-	N := len(c.nodes)
-	S := st.layout.Shards
+// solveWindowOnce runs one mine→solve→commit pass over the window's
+// well-formed tasks and returns each task's committed match (nil: the
+// window answers unmatched). done false means a commit conflict rolled the
+// pass back and the window should re-mine.
+func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hst.Code) (matched []hst.Candidate, done bool) {
+	N, k := len(c.nodes), solver.TopK()
 
 	// Scatter: each node mines the window tasks routed to it, and every
 	// node contributes its per-shard pad lists (its pool may serve tasks
 	// routed elsewhere).
 	nodeCodes := make([][]hst.Code, N)
 	nodeTis := make([][]int, N)
-	for ti, i := range valid {
-		nd := c.routeIdx(st, codes[i])
-		nodeCodes[nd] = append(nodeCodes[nd], codes[i])
+	for ti, code := range tasks {
+		nd := c.routeIdx(st, code)
+		nodeCodes[nd] = append(nodeCodes[nd], code)
 		nodeTis[nd] = append(nodeTis[nd], ti)
 	}
 	mines := make([]*engine.WindowMine, N)
@@ -467,126 +466,35 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 		}()
 	}
 	wg.Wait()
+
+	// Gather: per-task own-shard regions from the routed node, global
+	// per-shard pad lists from each shard's owner.
+	own := make([][]hst.Candidate, len(tasks))
+	pads := make([][]hst.Candidate, st.layout.Shards)
 	pool := 0
 	for nd := 0; nd < N; nd++ {
-		if mineErrs[nd] != nil {
-			// A window cannot be solved around a missing node: its pool
+		if mineErrs[nd] != nil || !c.validMine(st, nd, mines[nd], nodeCodes[nd], k) {
+			// A window cannot be solved around a missing node — its pool
 			// (and its tasks' own regions) would silently vanish from the
-			// matching. Answer the whole window unmatched instead.
-			return true
+			// matching — nor over a report that breaks the protocol.
+			// Answer the whole window unmatched instead.
+			return nil, true
 		}
 		pool += mines[nd].Pool
+		for j, ti := range nodeTis[nd] {
+			own[ti] = mines[nd].Own[j]
+		}
+		for s, list := range mines[nd].Pads {
+			if c.ownerIdx(st, s) == nd {
+				pads[s] = list
+			}
+		}
 	}
 	if pool == 0 {
-		return true
+		return nil, true
 	}
 
-	// Merge: per-task own-shard regions from the routed node, global
-	// per-shard pad lists from each shard's owner.
-	regions := make([][]hst.Candidate, len(valid))
-	for nd := 0; nd < N; nd++ {
-		for j, ti := range nodeTis[nd] {
-			if j < len(mines[nd].Own) {
-				regions[ti] = mines[nd].Own[j]
-			}
-		}
-	}
-	pads := make([][]hst.Candidate, S)
-	for s := 0; s < S; s++ {
-		nd := c.ownerIdx(st, s)
-		if mines[nd] != nil && s < len(mines[nd].Pads) {
-			pads[s] = mines[nd].Pads[s]
-		}
-	}
-
-	// Pad tasks whose own shard ran short, by the single-process merge
-	// rule: rank foreign shards by (pad level, head id) — sibling
-	// sub-shards of the task's top branch sit one level closer — and
-	// restamp the level on append.
-	depth, degree, sub := st.layout.Depth, st.layout.Degree, st.layout.Sub
-	if S > 1 {
-		padHeads := make([]int, S)
-		for ti, i := range valid {
-			need := k - len(regions[ti])
-			if need <= 0 {
-				continue
-			}
-			code := codes[i]
-			own := st.layout.ShardIdx(code)
-			q0 := -1
-			if sub > 1 {
-				q0 = int(code[0])
-			}
-			padLvl := func(s int) int {
-				if q0 >= 0 && s%degree == q0 {
-					return depth - 1
-				}
-				return depth
-			}
-			for s := range padHeads {
-				padHeads[s] = 0
-			}
-			region := regions[ti]
-			for ; need > 0; need-- {
-				best := -1
-				for s := 0; s < S; s++ {
-					if s == own || padHeads[s] >= len(pads[s]) {
-						continue
-					}
-					if best < 0 {
-						best = s
-						continue
-					}
-					ls, lb := padLvl(s), padLvl(best)
-					if ls < lb || (ls == lb && pads[s][padHeads[s]].ID < pads[best][padHeads[best]].ID) {
-						best = s
-					}
-				}
-				if best < 0 {
-					break
-				}
-				cc := pads[best][padHeads[best]]
-				cc.Level = padLvl(best)
-				region = append(region, cc)
-				padHeads[best]++
-			}
-			regions[ti] = region
-		}
-	}
-
-	// Build and solve: deduplicate candidates into solver columns in
-	// task-major first-seen order (worker ids are unique pool-wide, so id
-	// dedup is the single-process (shard, arena-node, id) dedup), seed the
-	// warm potentials, arcs in mined order.
-	dedup := make(map[int]int)
-	var workers []clusterCand
-	var arcLvl []int
-	for ti := range valid {
-		for _, cand := range regions[ti] {
-			if _, seen := dedup[cand.ID]; !seen {
-				dedup[cand.ID] = len(workers)
-				workers = append(workers, clusterCand{id: cand.ID, code: cand.Code, level: cand.Level, cap: cand.Cap})
-			}
-		}
-	}
-	sol := c.solver
-	sol.Reset(len(valid), len(workers))
-	if c.warmEpoch != st.epoch {
-		clear(c.warm)
-		c.warmEpoch = st.epoch
-	}
-	for w, cw := range workers {
-		sol.SetWorker(w, cw.cap, c.warm[cw.id])
-	}
-	for ti := range valid {
-		for _, cand := range regions[ti] {
-			if err := sol.AddArc(ti, dedup[cand.ID], hst.LevelDist(cand.Level)); err != nil {
-				panic(fmt.Sprintf("cluster: window arc build: %v", err))
-			}
-			arcLvl = append(arcLvl, cand.Level)
-		}
-	}
-	sol.Run()
+	matched = solver.SolveMined(st, st.layout, tasks, own, pads)
 
 	// Commit matched units at their owning nodes. The commits of one
 	// window are independent decrements (each targets the matched worker at
@@ -599,22 +507,13 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 		code hst.Code
 		id   int
 		nd   int
-		ti   int // index into valid
-		arc  int
 		err  error
 	}
 	var commits []commitRec
-	for ti := range valid {
-		a := sol.MatchedArc(ti)
-		if a < 0 {
-			continue
+	for _, m := range matched {
+		if m.ID != engine.None {
+			commits = append(commits, commitRec{code: m.Code, id: m.ID, nd: c.routeIdx(st, m.Code)})
 		}
-		cw := workers[sol.MatchedWorker(ti)]
-		commits = append(commits, commitRec{
-			code: cw.code, id: cw.id,
-			nd: c.ownerIdx(st, st.layout.ShardIdx(cw.code)),
-			ti: ti, arc: a,
-		})
 	}
 	var cwg sync.WaitGroup
 	for j := range commits {
@@ -636,35 +535,58 @@ func (c *fanCore) solveWindowOnce(st *coreState, codes []hst.Code, valid []int, 
 			break
 		}
 	}
-	if failed {
-		// Roll back the commits that did land; a lost unit here is
-		// unrecoverable, exactly as a failed single-process window commit.
-		for j := len(commits) - 1; j >= 0; j-- {
-			u := &commits[j]
-			if u.err != nil {
-				continue
-			}
-			idem := c.nextIdem("undo")
-			if err := c.callNode(u.nd, false, func(n NodeConn) error {
-				return n.AddCapacity(u.code, u.id, st.epoch, idem)
-			}); err != nil {
-				panic(fmt.Sprintf("cluster: window rollback lost unit (worker %d): %v", u.id, err))
+	if !failed {
+		return matched, true
+	}
+	// Roll back the commits that did land; a lost unit here is
+	// unrecoverable, exactly as a failed single-process window commit.
+	for j := len(commits) - 1; j >= 0; j-- {
+		u := &commits[j]
+		if u.err != nil {
+			continue
+		}
+		idem := c.nextIdem("undo")
+		if err := c.callNode(u.nd, false, func(n NodeConn) error {
+			return n.AddCapacity(u.code, u.id, st.epoch, idem)
+		}); err != nil {
+			panic(fmt.Sprintf("cluster: window rollback lost unit (worker %d): %v", u.id, err))
+		}
+	}
+	return nil, false
+}
+
+// validMine checks node nd's answer to a Mine of codes at pool size k — the
+// one place a peer's report becomes window candidates. Everything the
+// kernel and the commit phase rely on is checked here: list shapes and
+// lengths, every id and capacity within the int32 the kernel narrows to,
+// every level one the tree has (so its distance is finite), every code a
+// leaf of the published tree in the shard whose list carries it — the
+// task's own shard, or the pad list's — which also makes a matched
+// worker's commit route back to the node that reported it.
+func (c *fanCore) validMine(st *coreState, nd int, wm *engine.WindowMine, codes []hst.Code, k int) bool {
+	validList := func(list []hst.Candidate, shard int) bool {
+		for _, cand := range list {
+			if cand.ID < 0 || cand.ID > math.MaxInt32 || cand.Cap < 1 || cand.Cap > math.MaxInt32 ||
+				cand.Level < 0 || cand.Level > st.layout.Depth ||
+				st.tree.CheckCode(cand.Code) != nil || st.layout.ShardIdx(cand.Code) != shard {
+				return false
 			}
 		}
-		for _, v := range valid {
-			ids[v], lvls[v] = engine.None, 0
-		}
+		return len(list) <= k
+	}
+	if wm == nil || wm.Pool < 0 || len(wm.Own) != len(codes) || len(wm.Pads) > st.layout.Shards {
 		return false
 	}
-	for j := range commits {
-		u := &commits[j]
-		ids[valid[u.ti]], lvls[valid[u.ti]] = u.id, arcLvl[u.arc]
+	for j, list := range wm.Own {
+		if !validList(list, st.layout.ShardIdx(codes[j])) {
+			return false
+		}
 	}
-
-	// Bank the closing potentials for every column — matched or not — so
-	// the next window warm-starts exactly as the single-process policy.
-	for w, cw := range workers {
-		c.warm[cw.id] = sol.WorkerPot(w)
+	for s, list := range wm.Pads {
+		// Lists for shards another node owns are never gathered.
+		if c.ownerIdx(st, s) == nd && !validList(list, s) {
+			return false
+		}
 	}
 	return true
 }

@@ -5,17 +5,22 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // FuzzNodeWire throws arbitrary bytes at the two decoders that make up a
 // node's whole mutation surface — the /v2/node/ops envelope and the
-// hand-rolled streaming prepare (prepareHandler, skipJSONValue). Whatever
-// arrives, the node must not panic, must answer a JSON object carrying ok
-// or error, must leave its serving state alone when it refuses, and must
-// not keep a refused prepare's population staged for a later commit.
+// hand-rolled streaming prepare (prepareHandler, skipJSONValue) — and at
+// /v2/node/mine, the one endpoint whose request sizes its own answer (k).
+// Whatever arrives, the node must not panic, must answer a JSON object
+// carrying ok or error, must leave its serving state alone when it refuses
+// (and always on a mine, which only reads), and must not keep a refused
+// prepare's population staged for a later commit.
 func FuzzNodeWire(f *testing.F) {
 	tree := buildTree(f, 7)
 	next := buildTree(f, 8)
@@ -30,10 +35,15 @@ func FuzzNodeWire(f *testing.F) {
 	prepBody := func(fields string) string { return `{"idem":"p",` + fields + `}` }
 	staged := `"epoch":2,"tree":` + string(treeJSON) + `,"inserts":[{"code":` + nextCode + `,"id":1}]`
 
-	const ops, prep = false, true
+	mineBody := func(codes, rest string) string { return `{"codes":[` + codes + `]` + rest + `}` }
+	maxInt := strconv.Itoa(math.MaxInt)
+
+	const ops, prep, mine = uint8(0), uint8(1), uint8(2)
+	paths := []string{PathNodeOps, PathNodePrepare, PathNodeMine}
 	for _, seed := range []struct {
-		prepare, inited bool
-		body            string
+		endpoint uint8
+		inited   bool
+		body     string
 	}{
 		{ops, false, `{"ops":[{"kind":"insert","idem":"a","code":` + code(0) + `,"id":1}]}`}, // ops before init
 		{ops, true, `{"ops":null}`},
@@ -57,11 +67,21 @@ func FuzzNodeWire(f *testing.F) {
 		{prep, true, prepBody(`"epoch":2,"tree":` + string(treeJSON) + `,"inserts":null`)},
 		{prep, true, prepBody(`"epoch":2,"skipped":[[{"x":1}],2],"tree":` + string(treeJSON) + `,"inserts":[{"code":` + nextCode + `,"id":1},`)},
 		{prep, true, `[]`},
+		{mine, false, mineBody(code(0), `,"k":4`)}, // mine before init
+		{mine, true, mineBody(code(0)+`,`+code(1), `,"k":4,"epoch":1`)},
+		{mine, true, mineBody(code(0), `,"k":0`)},
+		{mine, true, mineBody(code(0), `,"k":-7`)},
+		{mine, true, mineBody(code(0), `,"k":`+maxInt)},
+		{mine, true, mineBody(code(0), `,"k":1e30`)},
+		{mine, true, mineBody(`"","AA==",`+nextCode+`,"`+strings.Repeat("A", 400)+`","/w=="`, `,"k":4`)}, // empty, short, other-tree, over-long, digit 255
+		{mine, true, mineBody(code(0), `,"k":4,"epoch":9`)},                                              // stale epoch pin
+		{mine, true, `{"codes":null,"k":4}`},
+		{mine, true, `{"codes":[` + code(0)}, // truncated
 	} {
-		f.Add(seed.prepare, seed.inited, []byte(seed.body))
+		f.Add(seed.endpoint, seed.inited, []byte(seed.body))
 	}
 
-	f.Fuzz(func(t *testing.T, prepare, inited bool, body []byte) {
+	f.Fuzz(func(t *testing.T, endpoint uint8, inited bool, body []byte) {
 		node := NewNode()
 		if inited {
 			if err := node.Init(InitRequest{Tree: tree, Policy: "capacity-greedy"}); err != nil {
@@ -79,10 +99,7 @@ func FuzzNodeWire(f *testing.F) {
 		}
 		before := state()
 
-		path := PathNodeOps
-		if prepare {
-			path = PathNodePrepare
-		}
+		path := paths[int(endpoint)%len(paths)]
 		rec := httptest.NewRecorder()
 		NodeHandler(node).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 
@@ -99,7 +116,13 @@ func FuzzNodeWire(f *testing.F) {
 		}
 		accepted := resp.OK != nil && *resp.OK
 
-		if prepare {
+		if path == PathNodeMine {
+			if after := state(); after != before {
+				t.Fatalf("mine moved the serving state: %s -> %s", before, after)
+			}
+			return
+		}
+		if path == PathNodePrepare {
 			// A prepare only ever stages; the serving state moves at commit.
 			if after := state(); after != before {
 				t.Fatalf("prepare moved the serving state: %s -> %s", before, after)

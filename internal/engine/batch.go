@@ -97,7 +97,7 @@ func (e *Engine) routedAssignWindow(codes []hst.Code) (ids, lcaLevels []int) {
 	nxt := bs.nxt[:0]
 	for len(cur) > 0 {
 		st := e.state.Load()
-		if st.depth == 0 || len(st.shards) == 1 {
+		if st.layout.Depth == 0 || len(st.shards) == 1 {
 			// A swap shrank the engine under the batch (or the gate raced a
 			// shrink): no routing structure to exploit; serve the remainder
 			// through the one-task path, which handles further swaps itself.
@@ -121,7 +121,7 @@ func (e *Engine) routedAssignWindow(codes []hst.Code) (ids, lcaLevels []int) {
 // serveBatchRound runs one speculative pass plus (if needed) one
 // resolution pass against st, appending any swap-refused positions to nxt.
 func (e *Engine) serveBatchRound(bs *batchScratch, st *epochState, codes []hst.Code, cur []int32, ids, lvls []int, nxt []int32) []int32 {
-	depth, S := st.depth, len(st.shards)
+	depth, S := st.layout.Depth, len(st.shards)
 
 	// Admit well-formed tasks as entries; malformed codes answer None
 	// without touching state, exactly like the sequential path.
@@ -146,7 +146,7 @@ func (e *Engine) serveBatchRound(bs *batchScratch, st *epochState, codes []hst.C
 		bs.shardOff[i] = 0
 	}
 	for j, p := range bs.entryPos {
-		s := int32(st.shardIdx(codes[p]))
+		s := int32(st.layout.ShardIdx(codes[p]))
 		bs.taskShard[j] = s
 		bs.status[j] = batchPending
 		bs.shardOff[s+1]++
@@ -245,14 +245,8 @@ func (e *Engine) serveBatchRound(bs *batchScratch, st *epochState, codes []hst.C
 // not-yet-taken: counted as candidates, rolled back and replayed when the
 // fallback claims a worker buried under them).
 func (e *Engine) resolveBatchFallbacks(bs *batchScratch, st *epochState, codes []hst.Code, ids, lvls []int) {
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-	}()
+	st.lockAll()
+	defer st.unlockAll()
 	if e.state.Load() != st {
 		// A swap landed between the speculative pass and these locks. The
 		// speculative pops stand (old-epoch answers, same as a sequential
@@ -264,7 +258,7 @@ func (e *Engine) resolveBatchFallbacks(bs *batchScratch, st *epochState, codes [
 		}
 		return
 	}
-	depth, limit, S := st.depth, st.ownLimit(), len(st.shards)
+	depth, limit, S := st.layout.Depth, st.ownLimit(), len(st.shards)
 	ne := len(bs.entryPos)
 	maxInt := int(^uint(0) >> 1)
 
@@ -355,20 +349,20 @@ func (e *Engine) resolveBatchFallbacks(bs *batchScratch, st *epochState, codes [
 			bs.status[j] = batchResolved
 			continue
 		}
-		if st.sub > 1 {
+		if st.layout.Sub > 1 {
 			// Top-digit tier: the sibling sub-shards of the task's top branch
 			// hold exactly the workers sharing its first digit, every one at
-			// level depth−1 from this task (see assignAcross).
+			// level depth−1 from this task (see popSubtree).
 			d0 := int(code[0])
 			bestS, bestID := -1, maxInt
-			for t := 0; t < st.sub; t++ {
-				si := d0 + st.degree*t
+			for t := 0; t < st.layout.Sub; t++ {
+				si := d0 + st.layout.Degree*t
 				if m := shardBest(si, j); m < bestID {
 					bestS, bestID = si, m
 				}
 			}
 			if bestS >= 0 {
-				steal(j, bestS, bestID, st.depth-1)
+				steal(j, bestS, bestID, depth-1)
 				continue
 			}
 		}
@@ -389,6 +383,6 @@ func (e *Engine) resolveBatchFallbacks(bs *batchScratch, st *epochState, codes [
 			}
 			return
 		}
-		steal(j, bestS, bestID, st.depth)
+		steal(j, bestS, bestID, depth)
 	}
 }

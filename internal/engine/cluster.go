@@ -7,22 +7,25 @@ import (
 )
 
 // This file is the engine's export surface for a cluster coordinator
-// (internal/cluster): the pieces of the single-process decision rules that
-// must be recomposed across nodes without changing a single answer.
+// (internal/cluster): the single-process decision rules, cut where a node
+// boundary can fall without changing a single answer.
 //
-// The cross-node decomposition leans on the same property the in-process
-// sharding does: every worker sharing a task's top branch lives in one
-// shard, and a shard (plus, under sub-sharding, its whole sibling group)
-// can be pinned to one node. A node can therefore resolve everything up to
-// the root tier of the greedy rule locally (AssignSubtree), while the root
-// tier — where every remaining worker is equidistant and only the global
-// minimum id matters — reduces to a min-of-mins across nodes
-// (MinAvailableID + PopMinID). The batch-optimal window decomposes the
-// same way: each node mines its tasks' own-branch candidates and its
-// shards' smallest-k pad lists (MineWindowCandidates), the coordinator
-// merges and solves exactly the single-process matching, and commits are
-// code-addressed unit consumptions (ConsumeUnit) because an arena ref
-// means nothing across a process boundary.
+// The cut leans on the same property the in-process sharding does: every
+// worker sharing a task's top branch lives in one shard, and a shard (plus,
+// under sub-sharding, its whole sibling group) can be pinned to one node.
+// For the greedy rule a node therefore resolves everything below the root
+// tier locally (AssignSubtreeEpoch — the same popSubtree the in-process
+// slow path runs), and the root tier, where every remaining worker is
+// equidistant and only the global minimum id matters, is the same
+// min-of-shards scan taken one level up: a min-of-mins across nodes
+// (MinAvailableID, then PopMinID at the elected node). For the
+// batch-optimal window the coordinator keeps only what is distributed:
+// each node mines its tasks' own-branch candidates and its shards'
+// smallest-k pad lists by arena ref and resolves them to leaf codes
+// (MineWindowCandidates), the coordinator hands the gathered lists to the
+// policy's one pad-and-solve kernel (SolveMined, policy.go),
+// and commits are code-addressed unit consumptions (ConsumeUnit) because
+// an arena ref means nothing across a process boundary.
 
 // BatchWindowSize is the batch-optimal window length: batches longer than
 // this split into consecutive windows, each solved as its own restricted
@@ -30,71 +33,15 @@ import (
 // single-process policy does.
 const BatchWindowSize = batchWindowSize
 
-// TopKer is implemented by window-solving policies that mine a bounded
-// per-task candidate pool; a coordinator replicating the window solve
-// needs the same k.
-type TopKer interface {
-	TopK() int
-}
-
-// Layout is the engine's shard geometry for a (tree, shard count) pair:
-// how codes map to shards, and how shards group into routable top-branch
-// units. A coordinator uses it to place whole shard groups on nodes so
-// that every decision below the root tier stays node-local.
-type Layout struct {
-	// Shards is the effective shard count after rounding (see New).
-	Shards int
-	// Degree and Depth echo the tree.
-	Degree int
-	Depth  int
-	// Sub is the second-digit split factor (1 = plain top-branch sharding).
-	Sub int
-}
-
-// LayoutFor returns the layout an engine built over tree with the given
-// requested shard count would use.
-func LayoutFor(tree *hst.Tree, shards int) Layout {
-	S, d, sub, depth := layoutFor(tree, shards)
-	return Layout{Shards: S, Degree: d, Depth: depth, Sub: sub}
-}
-
-// ShardIdx returns the shard owning a code, exactly as the engine routes.
-func (l Layout) ShardIdx(code hst.Code) int {
-	if l.Depth == 0 || l.Shards == 1 {
-		return 0
-	}
-	if l.Sub > 1 {
-		return int(code[0]) + l.Degree*(int(code[1])%l.Sub)
-	}
-	return int(code[0]) % l.Shards
-}
-
-// Groups returns the number of routable shard groups: the units that must
-// stay whole on one node for AssignSubtree to be exact. Under sub-sharding
-// a group is a top branch (the own shard plus its sibling sub-shards);
-// under plain sharding each shard is its own group.
-func (l Layout) Groups() int {
-	if l.Depth == 0 || l.Shards == 1 {
-		return 1
-	}
-	if l.Sub > 1 {
-		return l.Degree
-	}
-	return l.Shards
-}
-
-// GroupOf returns the routable group a code belongs to.
+// GroupOf returns the routable shard group a code belongs to: the unit
+// that must stay whole on one node for AssignSubtreeEpoch to be exact.
 func (l Layout) GroupOf(code hst.Code) int {
-	if l.Depth == 0 || l.Shards == 1 {
-		return 0
-	}
-	if l.Sub > 1 {
-		return int(code[0])
-	}
-	return int(code[0]) % l.Shards
+	return l.GroupOfShard(l.ShardIdx(code))
 }
 
-// GroupOfShard returns the routable group a shard index belongs to.
+// GroupOfShard returns the routable group of a shard index. Under
+// sub-sharding a group is a top branch (the own shard plus its sibling
+// sub-shards); under plain sharding each shard is its own group.
 func (l Layout) GroupOfShard(s int) int {
 	if l.Sub > 1 {
 		return s % l.Degree
@@ -102,10 +49,25 @@ func (l Layout) GroupOfShard(s int) int {
 	return s
 }
 
-// Layout returns the serving epoch's shard geometry.
-func (e *Engine) Layout() Layout {
-	st := e.state.Load()
-	return Layout{Shards: len(st.shards), Degree: st.degree, Depth: st.depth, Sub: st.sub}
+// lockedEpoch runs fn under every shard lock of the serving state — the
+// hold that makes a node's answer to a cross-node question internally
+// consistent. A non-zero epoch pins the call: ErrStaleEpoch, naming op,
+// reports the engine has rotated past it.
+func (e *Engine) lockedEpoch(op string, epoch int64, fn func(st *epochState)) error {
+	for {
+		st := e.state.Load()
+		if epoch != 0 && st.epoch != epoch {
+			return fmt.Errorf("%w (%s for epoch %d, serving %d)", ErrStaleEpoch, op, epoch, st.epoch)
+		}
+		st.lockAll()
+		if e.state.Load() != st {
+			st.unlockAll()
+			continue
+		}
+		fn(st)
+		st.unlockAll()
+		return nil
+	}
 }
 
 // AssignSubtreeEpoch runs the greedy rule's node-local tiers for a task
@@ -125,7 +87,7 @@ func (e *Engine) AssignSubtreeEpoch(code hst.Code, epoch int64) (id, lcaLevel in
 		if st.tree.CheckCode(code) != nil {
 			return None, 0, false, nil
 		}
-		if st.depth == 0 {
+		if st.layout.Depth == 0 {
 			// A depth-0 tree has no branches to own: everything is the root
 			// tier.
 			return None, 0, false, nil
@@ -154,79 +116,27 @@ func (e *Engine) AssignSubtreeEpoch(code hst.Code, epoch int64) (id, lcaLevel in
 	}
 }
 
-// assignSubtreeAcross is assignAcross without the root tier: the locked
-// own-shard re-check plus the sibling sub-shard tier. It follows the same
-// all-shards-ascending lock order.
+// assignSubtreeAcross is assignAcross without the root tier.
 func (e *Engine) assignSubtreeAcross(st *epochState, code hst.Code) (id, lcaLevel int, ok, swapped bool) {
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-	}()
+	st.lockAll()
+	defer st.unlockAll()
 	if e.state.Load() != st {
 		return None, 0, false, true
 	}
-	own := &st.shards[st.shardIdx(code)]
-	if id, lvl, ok := own.index.PopNearestWithin(code, st.ownLimit()); ok {
-		own.assigns++
-		return id, lvl, true, false
-	}
-	if st.sub > 1 {
-		maxInt := int(^uint(0) >> 1)
-		d0 := int(code[0])
-		best, bestID := -1, maxInt
-		for t := 0; t < st.sub; t++ {
-			si := d0 + st.degree*t
-			if m, ok := st.shards[si].index.MinID(); ok && m < bestID {
-				best, bestID = si, m
-			}
-		}
-		if best >= 0 {
-			id, _ := st.shards[best].index.PopMin()
-			st.shards[best].assigns++
-			return id, st.depth - 1, true, false
-		}
-	}
-	return None, 0, false, false
+	id, lcaLevel, ok = st.popSubtree(code)
+	return id, lcaLevel, ok, false
 }
 
 // MinAvailableID returns the smallest available worker id on this engine,
-// for the coordinator's root-tier min-of-mins. It reads under every shard
-// lock so the answer is consistent with the epoch check.
+// for the coordinator's root-tier min-of-mins.
 func (e *Engine) MinAvailableID(epoch int64) (id int, ok bool, err error) {
-	for {
-		st := e.state.Load()
-		if epoch != 0 && st.epoch != epoch {
-			return None, false, fmt.Errorf("%w (min-id for epoch %d, serving %d)", ErrStaleEpoch, epoch, st.epoch)
-		}
-		for i := range st.shards {
-			st.shards[i].mu.Lock()
-		}
-		if e.state.Load() != st {
-			for i := range st.shards {
-				st.shards[i].mu.Unlock()
-			}
-			continue
-		}
-		maxInt := int(^uint(0) >> 1)
-		id, ok = None, false
-		bestID := maxInt
-		for i := range st.shards {
-			if m, has := st.shards[i].index.MinID(); has && m < bestID {
-				bestID, ok = m, true
-			}
-		}
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-		if ok {
-			id = bestID
-		}
-		return id, ok, nil
-	}
+	id = None
+	err = e.lockedEpoch("min-id", epoch, func(st *epochState) {
+		var si int
+		si, id = st.minShardOf(0, 1, len(st.shards))
+		ok = si >= 0
+	})
+	return id, ok, err
 }
 
 // PopMinID pops the smallest available worker id on this engine — the
@@ -234,39 +144,12 @@ func (e *Engine) MinAvailableID(epoch int64) (id int, ok bool, err error) {
 // level is the tree depth: every worker reachable only through the root
 // tier is at the maximal LCA level.
 func (e *Engine) PopMinID(epoch int64) (id, lcaLevel int, ok bool, err error) {
-	for {
-		st := e.state.Load()
-		if epoch != 0 && st.epoch != epoch {
-			return None, 0, false, fmt.Errorf("%w (pop-min for epoch %d, serving %d)", ErrStaleEpoch, epoch, st.epoch)
-		}
-		for i := range st.shards {
-			st.shards[i].mu.Lock()
-		}
-		if e.state.Load() != st {
-			for i := range st.shards {
-				st.shards[i].mu.Unlock()
-			}
-			continue
-		}
-		maxInt := int(^uint(0) >> 1)
-		best, bestID := -1, maxInt
-		for i := range st.shards {
-			if m, has := st.shards[i].index.MinID(); has && m < bestID {
-				best, bestID = i, m
-			}
-		}
-		if best >= 0 {
-			id, _ = st.shards[best].index.PopMin()
-			st.shards[best].assigns++
-			ok = true
-		} else {
-			id, ok = None, false
-		}
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-		return id, st.depth, ok, nil
-	}
+	id = None
+	err = e.lockedEpoch("pop-min", epoch, func(st *epochState) {
+		id, ok = st.popMinOf(0, 1, len(st.shards))
+		lcaLevel = st.layout.Depth
+	})
+	return id, lcaLevel, ok, err
 }
 
 // ConsumeUnit takes one capacity unit from the worker id at the given leaf
@@ -312,7 +195,7 @@ type WindowMine struct {
 	Epoch int64
 	// Pool is the number of available workers on this engine.
 	Pool int
-	// Own[i] holds the own-shard NearestK candidates for the i-th requested
+	// Own[i] holds the own-shard nearest-k candidates for the i-th requested
 	// code, exactly the region the single-process mineWindow would mine.
 	Own [][]hst.Candidate
 	// Pads[s] holds shard s's smallest-k list stamped at level depth (the
@@ -323,45 +206,42 @@ type WindowMine struct {
 }
 
 // MineWindowCandidates mines this engine's share of a batch window for the
-// coordinator's scatter-gather solve. codes are the window tasks routed to
-// this node (their own shards live here); k is the policy's per-task pool.
+// coordinator's scatter-gather solve, with the enumerators the in-process
+// window uses (NearestKRef, SmallestKRef), each ref resolved to its leaf
+// code before the locks drop. codes are the window tasks routed to this
+// node (their own shards live here); k is the policy's per-task pool.
 func (e *Engine) MineWindowCandidates(codes []hst.Code, k int, epoch int64) (*WindowMine, error) {
-	for {
-		st := e.state.Load()
-		if epoch != 0 && st.epoch != epoch {
-			return nil, fmt.Errorf("%w (mine for epoch %d, serving %d)", ErrStaleEpoch, epoch, st.epoch)
-		}
-		for i := range st.shards {
-			st.shards[i].mu.Lock()
-		}
-		if e.state.Load() != st {
-			for i := range st.shards {
-				st.shards[i].mu.Unlock()
+	var wm *WindowMine
+	err := e.lockedEpoch("mine", epoch, func(st *epochState) {
+		var refs []hst.CandidateRef // mining scratch, reused list to list
+		resolved := func(idx *hst.LeafIndex) []hst.Candidate {
+			if len(refs) == 0 {
+				return nil
 			}
-			continue
+			out := make([]hst.Candidate, len(refs))
+			for i, r := range refs {
+				out[i], _ = idx.ResolveRef(r) // mined under the locks still held
+			}
+			return out
 		}
-		wm := &WindowMine{
+		wm = &WindowMine{
 			Epoch: st.epoch,
 			Own:   make([][]hst.Candidate, len(codes)),
 			Pads:  make([][]hst.Candidate, len(st.shards)),
 		}
-		for i := range st.shards {
-			wm.Pool += st.shards[i].index.Len()
-		}
 		for i, code := range codes {
-			if st.tree.CheckCode(code) != nil {
-				continue
+			if st.tree.CheckCode(code) == nil {
+				idx := st.shardOf(code).index
+				refs = idx.NearestKRef(code, k, refs[:0])
+				wm.Own[i] = resolved(idx)
 			}
-			wm.Own[i] = st.shardOf(code).index.NearestK(code, k, nil)
 		}
 		for s := range st.shards {
-			if st.shards[s].index.Len() > 0 {
-				wm.Pads[s] = st.shards[s].index.SmallestK(k, st.depth, nil)
-			}
+			idx := st.shards[s].index
+			wm.Pool += idx.Len()
+			refs = idx.SmallestKRef(k, st.layout.Depth, refs[:0])
+			wm.Pads[s] = resolved(idx)
 		}
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-		return wm, nil
-	}
+	})
+	return wm, err
 }

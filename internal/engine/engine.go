@@ -110,17 +110,12 @@ type paddedCounter struct {
 	_ [cacheLine - 8]byte
 }
 
-// epochState is one epoch's immutable identity (id, tree) plus its mutable
-// shard set. It is never mutated after being swapped out.
+// epochState is one epoch's immutable identity (id, tree, shard geometry)
+// plus its mutable shard set. It is never mutated after being swapped out.
 type epochState struct {
 	epoch  int64
 	tree   *hst.Tree
-	depth  int
-	degree int
-	// sub is the second-digit split factor: shard (d0, t) holds the workers
-	// whose codes start with digit d0 and whose second digit is ≡ t mod sub,
-	// at index d0 + degree·t. sub == 1 is plain top-branch sharding.
-	sub    int
+	layout Layout
 	shards []engineShard
 }
 
@@ -150,51 +145,67 @@ type engineShard struct {
 	_ [(cacheLine - unsafe.Sizeof(shardData{})%cacheLine) % cacheLine]byte
 }
 
-// layoutFor rounds a requested shard count to the sharding grid the tree
-// supports, exactly as New documents. It is the single source of the
-// scheme's geometry, shared by newEpochState and the exported Layout so a
-// cluster coordinator can mirror shard placement without building a state.
-func layoutFor(tree *hst.Tree, shards int) (S, degree, sub, depth int) {
+// Layout is the engine's shard geometry for a (tree, shard count) pair:
+// how many shards there are and how codes map to them. It is the single
+// statement of the sharding scheme — an epoch's state carries one, and a
+// cluster coordinator mirrors shard placement from the same value without
+// building a state (its routing view, how shards group onto nodes, is in
+// cluster.go).
+type Layout struct {
+	// Shards is the effective shard count after rounding (see New).
+	Shards int
+	// Degree and Depth echo the tree.
+	Degree int
+	Depth  int
+	// Sub is the second-digit split factor: shard (d0, t) holds the workers
+	// whose codes start with digit d0 and whose second digit is ≡ t mod Sub,
+	// at index d0 + Degree·t. Sub == 1 is plain top-branch sharding.
+	Sub int
+}
+
+// LayoutFor rounds a requested shard count to the sharding grid the tree
+// supports, exactly as New documents.
+func LayoutFor(tree *hst.Tree, shards int) Layout {
 	if shards <= 0 {
 		shards = DefaultShards
 	}
-	d := tree.Degree()
-	depth = tree.Depth()
-	if depth == 0 || d == 0 {
+	l := Layout{Degree: tree.Degree(), Depth: tree.Depth(), Sub: 1}
+	if l.Depth == 0 || l.Degree == 0 {
 		shards = 1
 	}
-	sub = 1
-	if d > 0 && depth > 0 && shards > d {
+	if l.Degree > 0 && l.Depth > 0 && shards > l.Degree {
 		// More shards requested than top branches: split every top branch
-		// into sub second-digit groups (needs two digits to exist). sub is
+		// into Sub second-digit groups (needs two digits to exist). Sub is
 		// capped at the degree — beyond that a third digit would be needed —
-		// and the count rounds down to the full degree×sub grid so every
+		// and the count rounds down to the full degree×Sub grid so every
 		// (first digit, second-digit group) pair owns exactly one shard.
-		if depth >= 2 {
-			sub = shards / d
-			if sub > d {
-				sub = d
-			}
+		if l.Depth >= 2 {
+			l.Sub = min(shards/l.Degree, l.Degree)
 		}
-		shards = d * sub
+		shards = l.Degree * l.Sub
 	}
-	return shards, d, sub, depth
+	l.Shards = shards
+	return l
+}
+
+// ShardIdx returns the shard owning a code.
+func (l Layout) ShardIdx(code hst.Code) int {
+	if l.Depth == 0 || l.Shards == 1 {
+		return 0
+	}
+	if l.Sub > 1 {
+		return int(code[0]) + l.Degree*(int(code[1])%l.Sub)
+	}
+	return int(code[0]) % l.Shards
 }
 
 // newEpochState builds a shard set for the tree, rounding the shard count
 // exactly as New documents.
 func newEpochState(epoch int64, tree *hst.Tree, shards int) *epochState {
-	shards, d, sub, depth := layoutFor(tree, shards)
-	st := &epochState{
-		epoch:  epoch,
-		tree:   tree,
-		depth:  depth,
-		degree: d,
-		sub:    sub,
-		shards: make([]engineShard, shards),
-	}
+	l := LayoutFor(tree, shards)
+	st := &epochState{epoch: epoch, tree: tree, layout: l, shards: make([]engineShard, l.Shards)}
 	for i := range st.shards {
-		st.shards[i].index = hst.NewLeafIndexDegree(st.depth, tree.Degree())
+		st.shards[i].index = hst.NewLeafIndexDegree(l.Depth, l.Degree)
 	}
 	return st
 }
@@ -205,10 +216,27 @@ func newEpochState(epoch int64, tree *hst.Tree, shards int) *epochState {
 // state owns everything below the second level, because workers sharing
 // only the first digit may sit in a sibling sub-shard.
 func (st *epochState) ownLimit() int {
-	if st.sub > 1 {
-		return st.depth - 2
+	if st.layout.Sub > 1 {
+		return st.layout.Depth - 2
 	}
-	return st.depth - 1
+	return st.layout.Depth - 1
+}
+
+// lockAll takes every shard lock in index order — the single lock order in
+// the package, so a one-shard hold and an all-shards hold cannot deadlock.
+// A caller that loaded st before locking re-checks e.state afterwards: an
+// epoch swap publishes under these same locks, so a changed pointer means
+// the swap won and the operation retries on the new state.
+func (st *epochState) lockAll() {
+	for i := range st.shards {
+		st.shards[i].mu.Lock()
+	}
+}
+
+func (st *epochState) unlockAll() {
+	for i := range st.shards {
+		st.shards[i].mu.Unlock()
+	}
 }
 
 // Option customises engine construction beyond the tree and shard count.
@@ -324,18 +352,8 @@ func (e *Engine) effCap(capacity int) int {
 	return capacity
 }
 
-func (st *epochState) shardIdx(code hst.Code) int {
-	if st.depth == 0 || len(st.shards) == 1 {
-		return 0
-	}
-	if st.sub > 1 {
-		return int(code[0]) + st.degree*(int(code[1])%st.sub)
-	}
-	return int(code[0]) % len(st.shards)
-}
-
 func (st *epochState) shardOf(code hst.Code) *engineShard {
-	return &st.shards[st.shardIdx(code)]
+	return &st.shards[st.layout.ShardIdx(code)]
 }
 
 // EpochInsert seeds one worker of a new epoch's population for SwapEpoch.
@@ -448,13 +466,9 @@ func (e *Engine) CommitSwap(p *PreparedSwap) error {
 	// that each in-flight mutator either completed on the old state before
 	// the swap or will observe the new pointer when it re-checks under its
 	// shard lock and retry there.
-	for i := range old.shards {
-		old.shards[i].mu.Lock()
-	}
+	old.lockAll()
 	e.state.Store(p.st)
-	for i := range old.shards {
-		old.shards[i].mu.Unlock()
-	}
+	old.unlockAll()
 	return nil
 }
 
@@ -648,7 +662,7 @@ func (e *Engine) greedyAssignOne(code hst.Code) (id, lcaLevel int, epoch int64, 
 		if st.tree.CheckCode(code) != nil {
 			return None, 0, st.epoch, false
 		}
-		if st.depth > 0 {
+		if st.layout.Depth > 0 {
 			s := st.shardOf(code)
 			s.mu.Lock()
 			if e.state.Load() != st {
@@ -676,11 +690,9 @@ func (e *Engine) greedyAssignOne(code hst.Code) (id, lcaLevel int, epoch int64, 
 
 // assignAcross is the slow path: the query's own shard holds no worker
 // within its ownLimit, so the nearest worker sits at a level the shard
-// cannot resolve alone. All shard locks are taken in index order — the
-// single lock order in the package, so the fast path (one shard) and slow
-// path (all shards, ascending) cannot deadlock. swapped reports that an
-// epoch swap beat the lock acquisition and the caller must retry against
-// the new state.
+// cannot resolve alone. It runs under every shard lock; swapped reports
+// that an epoch swap beat the lock acquisition and the caller must retry
+// against the new state.
 //
 // Under plain sharding there is one escalation tier: every worker outside
 // the own shard's reach is at the maximal level and the globally smallest
@@ -690,58 +702,68 @@ func (e *Engine) greedyAssignOne(code hst.Code) (id, lcaLevel int, epoch int64, 
 // only when that whole group is empty does the root tier (level depth,
 // global minimum id) decide.
 func (e *Engine) assignAcross(st *epochState, code hst.Code) (id, lcaLevel int, ok, swapped bool) {
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-	}()
+	st.lockAll()
+	defer st.unlockAll()
 	if e.state.Load() != st {
 		return None, 0, false, true
 	}
+	if id, lvl, ok := st.popSubtree(code); ok {
+		return id, lvl, true, false
+	}
+	if id, ok := st.popMinOf(0, 1, len(st.shards)); ok {
+		return id, st.layout.Depth, true, false
+	}
+	return None, 0, false, false
+}
+
+// popSubtree runs the slow path's tiers below the root, the ones that never
+// look past the query's top branch. Caller holds every shard lock.
+func (st *epochState) popSubtree(code hst.Code) (id, lcaLevel int, ok bool) {
+	if st.layout.Depth == 0 {
+		return None, 0, false // no branches to own: everything is the root tier
+	}
 	// The own shard may have gained a closer worker since the fast path
 	// gave up; re-check it now that the state is frozen.
-	if st.depth > 0 {
-		own := &st.shards[st.shardIdx(code)]
-		if id, lvl, ok := own.index.PopNearestWithin(code, st.ownLimit()); ok {
-			own.assigns++
-			return id, lvl, true, false
-		}
+	own := st.shardOf(code)
+	if id, lvl, ok := own.index.PopNearestWithin(code, st.ownLimit()); ok {
+		own.assigns++
+		return id, lvl, true
 	}
-	maxInt := int(^uint(0) >> 1)
-	if st.sub > 1 {
+	if st.layout.Sub > 1 {
 		// Top-digit tier: the sibling sub-shards of the query's top branch
 		// hold exactly the workers whose codes start with the query's first
 		// digit, every one of them at level depth−1 (a deeper match would
 		// have been popped by the own-shard re-check above).
-		d0 := int(code[0])
-		best, bestID := -1, maxInt
-		for t := 0; t < st.sub; t++ {
-			si := d0 + st.degree*t
-			if m, ok := st.shards[si].index.MinID(); ok && m < bestID {
-				best, bestID = si, m
-			}
-		}
-		if best >= 0 {
-			id, _ := st.shards[best].index.PopMin()
-			st.shards[best].assigns++
-			return id, st.depth - 1, true, false
+		if id, ok := st.popMinOf(int(code[0]), st.layout.Degree, st.layout.Sub); ok {
+			return id, st.layout.Depth - 1, true
 		}
 	}
-	best, bestID := -1, maxInt
-	for i := range st.shards {
-		if m, ok := st.shards[i].index.MinID(); ok && m < bestID {
-			best, bestID = i, m
+	return None, 0, false
+}
+
+// minShardOf scans the n shards first, first+stride, … for the smallest
+// available worker id: every worker a tier reaches is equidistant from the
+// task, so only the minimum id matters. shard is -1 when they are all
+// empty. Caller holds the scanned shards' locks.
+func (st *epochState) minShardOf(first, stride, n int) (shard, id int) {
+	shard, id = -1, None
+	for t := 0; t < n; t++ {
+		si := first + stride*t
+		if m, ok := st.shards[si].index.MinID(); ok && (shard < 0 || m < id) {
+			shard, id = si, m
 		}
 	}
-	if best < 0 {
-		return None, 0, false, false
+	return shard, id
+}
+
+// popMinOf pops the worker minShardOf elects.
+func (st *epochState) popMinOf(first, stride, n int) (id int, ok bool) {
+	si, _ := st.minShardOf(first, stride, n)
+	if si < 0 {
+		return None, false
 	}
-	id, _ = st.shards[best].index.PopMin()
-	st.shards[best].assigns++
-	return id, st.depth, true, false
+	st.shards[si].assigns++
+	return st.shards[si].index.PopMin()
 }
 
 // AssignBatch assigns a batch of task codes through the engine's policy.
@@ -766,7 +788,7 @@ func (e *Engine) AssignBatch(codes []hst.Code) (ids, lcaLevels []int) {
 // results when writers are quiesced.
 func (e *Engine) greedyAssignWindow(codes []hst.Code) (ids, lcaLevels []int) {
 	if len(codes) >= batchRouteThreshold {
-		if st := e.state.Load(); len(st.shards) > 1 && st.depth > 0 {
+		if st := e.state.Load(); len(st.shards) > 1 && st.layout.Depth > 0 {
 			return e.routedAssignWindow(codes)
 		}
 	}
@@ -787,7 +809,7 @@ func (e *Engine) greedyAssignWindow(codes []hst.Code) (ids, lcaLevels []int) {
 			ids[i] = None
 			continue
 		}
-		if st.depth > 0 {
+		if st.layout.Depth > 0 {
 			s := st.shardOf(code)
 			if s != held {
 				release()

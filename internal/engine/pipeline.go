@@ -43,23 +43,17 @@ const batchWindowSize = 256
 // all-shards lock session. It reports false when an epoch swap won the
 // lock race, in which case the caller retries against the new state.
 func (p *batchOptimalPolicy) solvePipelined(e *Engine, st *epochState, codes []hst.Code, ids, lvls []int) bool {
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-	}()
+	st.lockAll()
+	defer st.unlockAll()
 	if e.state.Load() != st {
 		return false
 	}
 
 	// Two scratches alternate: cur is solving while nxt is mining. The
 	// warm potentials live on the policy — every read and write of them is
-	// ordered (a window's solve starts only after the previous window's
-	// commit banked its duals), so the pipeline warm-starts exactly like
-	// the sequential window loop.
+	// ordered (a window's solve, which banks its duals as it finishes, is
+	// waited for before the next window's starts), so the pipeline
+	// warm-starts exactly like the sequential window loop.
 	cur := p.pool.Get().(*windowScratch)
 	nxt := p.pool.Get().(*windowScratch)
 	defer p.pool.Put(cur)
@@ -96,7 +90,7 @@ func (p *batchOptimalPolicy) solvePipelined(e *Engine, st *epochState, codes []h
 			}
 		}
 		if ntCur > 0 {
-			p.padWindow(cur, st, codes[lo:hi])
+			p.padWindow(cur, st.layout, codes[lo:hi], st.smallestK)
 			solveWG.Add(1)
 			go func(ws *windowScratch) {
 				defer solveWG.Done()

@@ -102,8 +102,15 @@ const parallelMineMin = 16
 // potentials (the solver's dual prices) carry from window to window keyed
 // by worker id, so a typical task's augmenting search pops its final
 // worker immediately; an epoch swap invalidates the warm state wholesale —
-// the check is pointer identity on the epoch's state, so a scratch that
-// last served another epoch (or another engine) always starts cold.
+// the check is identity of the state token the caller solves under, so a
+// window for another epoch (or another engine) always starts cold.
+//
+// The window rule itself — how short tasks are padded, which candidates
+// share a solver column, what an arc costs, what warm state carries over —
+// is stated once, in padWindow and buildAndSolve. The in-process path mines
+// into the scratch by arena ref and commits by ref; a cluster coordinator
+// loads lists its nodes mined through SolveMined and commits remotely.
+// Neither restates the rule.
 type batchOptimalPolicy struct {
 	k    int
 	pool sync.Pool // *windowScratch
@@ -117,11 +124,13 @@ type batchOptimalPolicy struct {
 	// long-batch results depend on pool checkout order. warmMu guards the
 	// map for the shared-policy case (one policy serving several engines);
 	// within one engine every access is already ordered by the all-shards
-	// lock session. warmState pins the potentials to the epoch state they
-	// were learned under — any other state starts cold.
+	// lock session. warmState pins the potentials to the state they were
+	// learned under — an opaque token compared by identity (the engine
+	// passes its *epochState, a coordinator its own per-epoch state) — and
+	// any other state starts cold.
 	warmMu    sync.Mutex
 	warm      map[int32]float64
-	warmState *epochState
+	warmState any
 }
 
 // BatchOptimal returns the window-solving policy with a per-task candidate
@@ -146,8 +155,6 @@ func (p *batchOptimalPolicy) Name() string {
 
 func (p *batchOptimalPolicy) CapacityAware() bool { return true }
 
-// TopK returns the per-task candidate pool, satisfying TopKer so a cluster
-// coordinator mines with exactly this policy's k.
 func (p *batchOptimalPolicy) TopK() int { return p.k }
 
 func (p *batchOptimalPolicy) assignOne(e *Engine, code hst.Code) (int, int, int64, bool) {
@@ -220,6 +227,18 @@ type windowScratch struct {
 	wg         sync.WaitGroup
 }
 
+// sizeFor grows the slabs the window kernel reads — per-task candidate
+// regions and per-shard pad lists — to a window of nt tasks over S shards
+// at pool k. Whoever loads the window (mineWindow, SolveMined) fills them.
+func (ws *windowScratch) sizeFor(nt, S, k int) {
+	ws.taskShard = growI32(ws.taskShard, nt)
+	ws.cands = growRef(ws.cands, nt*k)
+	ws.candSh = growI32(ws.candSh, nt*k)
+	ws.candCnt = growI32(ws.candCnt, nt)
+	ws.padBuf = growRef(ws.padBuf, S*k)
+	ws.padLen = growI32(ws.padLen, S)
+}
+
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
@@ -248,14 +267,8 @@ func growU64(s []uint64, n int) []uint64 {
 // stage methods below; the pipelined long-batch path (pipeline.go)
 // interleaves the same stages across two windows.
 func (p *batchOptimalPolicy) solveWindow(e *Engine, st *epochState, codes []hst.Code, ids, lvls []int) bool {
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range st.shards {
-			st.shards[i].mu.Unlock()
-		}
-	}()
+	st.lockAll()
+	defer st.unlockAll()
 	if e.state.Load() != st {
 		return false
 	}
@@ -265,7 +278,7 @@ func (p *batchOptimalPolicy) solveWindow(e *Engine, st *epochState, codes []hst.
 	if p.mineWindow(ws, st, codes, ids, lvls) == 0 {
 		return true
 	}
-	p.padWindow(ws, st, codes)
+	p.padWindow(ws, st.layout, codes, st.smallestK)
 	p.buildAndSolve(ws, st)
 	p.commitWindow(ws, st, ids, lvls, nil)
 	return true
@@ -296,6 +309,10 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 		return 0
 	}
 	k := p.k
+	ws.sizeFor(nt, S, k)
+	for s := range ws.padLen {
+		ws.padLen[s] = -1 // unbuilt: padWindow fills lists on first need
+	}
 	ws.genSnap = growU64(ws.genSnap, S)
 	for s := 0; s < S; s++ {
 		ws.genSnap[s] = st.shards[s].index.InsertGen()
@@ -303,14 +320,13 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 
 	// Group tasks by their own shard (every worker sharing the task's top
 	// branch lives there), so each shard's probes run as one batch.
-	ws.taskShard = growI32(ws.taskShard, nt)
 	ws.shardOff = growI32(ws.shardOff, S+1)
 	ws.shardTasks = growI32(ws.shardTasks, nt)
 	for i := range ws.shardOff {
 		ws.shardOff[i] = 0
 	}
 	for ti, i := range ws.valid {
-		s := int32(st.shardIdx(codes[i]))
+		s := int32(st.layout.ShardIdx(codes[i]))
 		ws.taskShard[ti] = s
 		ws.shardOff[s+1]++
 	}
@@ -333,9 +349,6 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 	// (whose scratch buffers make NearestKRef exclusive per shard), and
 	// every shard lock is already held — so large windows fan out across
 	// goroutines.
-	ws.cands = growRef(ws.cands, nt*k)
-	ws.candSh = growI32(ws.candSh, nt*k)
-	ws.candCnt = growI32(ws.candCnt, nt)
 	mineShard := func(s int) {
 		for _, ti := range ws.shardTasks[ws.shardOff[s]:ws.shardOff[s+1]] {
 			code := codes[ws.valid[ti]]
@@ -367,11 +380,22 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 	return nt
 }
 
+// smallestK is the in-process pad source: shard s's smallest-k list, stamped
+// at the root level, read off the live trie.
+func (st *epochState) smallestK(s, k int, out []hst.CandidateRef) []hst.CandidateRef {
+	return st.shards[s].index.SmallestKRef(k, st.layout.Depth, out)
+}
+
 // padWindow tops up tasks whose own shard mined fewer than k candidates
-// with cross-shard pads. Caller holds every shard lock; run it after any
-// repair, never before — pads are built against the live pool.
-func (p *batchOptimalPolicy) padWindow(ws *windowScratch, st *epochState, codes []hst.Code) {
-	nt, S, k := len(ws.valid), len(st.shards), p.k
+// with cross-shard pads. It is the first stage of the window kernel and
+// reads only the scratch and the shard geometry: pad lists still unbuilt
+// (padLen < 0) are pulled from lazyPad on first need, which the in-process
+// path points at the live tries — so it runs under every shard lock, after
+// any repair, never before — and a coordinator never needs, having loaded
+// every list its nodes mined.
+func (p *batchOptimalPolicy) padWindow(ws *windowScratch, l Layout, codes []hst.Code,
+	lazyPad func(s, k int, out []hst.CandidateRef) []hst.CandidateRef) {
+	nt, S, k := len(ws.valid), l.Shards, p.k
 
 	// Pad tasks whose own shard ran short with the smallest-id workers
 	// from the other shards. Under plain sharding every foreign worker sits
@@ -381,16 +405,11 @@ func (p *batchOptimalPolicy) padWindow(ws *windowScratch, st *epochState, codes 
 	// task's first digit), so the merge ranks pads by (level, id), sibling
 	// groups first, and restamps their level. Instead of snapshotting whole
 	// shards, each foreign shard contributes a keep-k list (a task needs at
-	// most k pads even if one shard supplies them all), built lazily once
+	// most k pads even if one shard supplies them all), built at most once
 	// per window and merge-scanned per task — no padded rows ever
 	// materialise.
 	if S > 1 {
-		ws.padLen = growI32(ws.padLen, S)
 		ws.padHeads = growI32(ws.padHeads, S)
-		for s := range ws.padLen {
-			ws.padLen[s] = -1 // unbuilt
-		}
-		ws.padBuf = growRef(ws.padBuf, S*k)
 		for ti := 0; ti < nt; ti++ {
 			need := k - int(ws.candCnt[ti])
 			if need <= 0 {
@@ -398,21 +417,20 @@ func (p *batchOptimalPolicy) padWindow(ws *windowScratch, st *epochState, codes 
 			}
 			own := ws.taskShard[ti]
 			q0 := -1
-			if st.sub > 1 {
+			if l.Sub > 1 {
 				q0 = int(codes[ws.valid[ti]][0])
 			}
 			padLvl := func(s int) int32 {
-				if q0 >= 0 && s%st.degree == q0 {
-					return int32(st.depth - 1)
+				if q0 >= 0 && s%l.Degree == q0 {
+					return int32(l.Depth - 1)
 				}
-				return int32(st.depth)
+				return int32(l.Depth)
 			}
 			for s := 0; s < S; s++ {
 				ws.padHeads[s] = 0
 				if ws.padLen[s] < 0 && int32(s) != own {
 					region := ws.padBuf[s*k : s*k : (s+1)*k]
-					got := st.shards[s].index.SmallestKRef(k, st.depth, region)
-					ws.padLen[s] = int32(len(got))
+					ws.padLen[s] = int32(len(lazyPad(s, k, region)))
 				}
 			}
 			region := ws.cands[int(ti)*k : int(ti)*k+int(ws.candCnt[ti]) : (int(ti)+1)*k]
@@ -446,14 +464,16 @@ func (p *batchOptimalPolicy) padWindow(ws *windowScratch, st *epochState, codes 
 	}
 }
 
-// buildAndSolve deduplicates candidates into solver columns (first-seen
-// order), builds the restricted bipartite problem — one arc per mined
-// pairing at cost = tree distance of its LCA level, one column per worker
-// bounded by its remaining capacity, potentials seeded from the policy's
-// warm map — and runs the solver. It reads only the scratch's mined refs
-// and the warm map (learned under st, else cleared), never the tries, so
-// the pipeline runs it concurrently with the next window's mining.
-func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, st *epochState) {
+// buildAndSolve is the rest of the window kernel: it deduplicates
+// candidates into solver columns (first-seen order), builds the restricted
+// bipartite problem — one arc per mined pairing at cost = tree distance of
+// its LCA level, one column per worker bounded by its remaining capacity,
+// potentials seeded from the policy's warm map (learned under state, else
+// cleared) — runs the solver, and banks the closing potentials of every
+// column, matched or not, for the next window's warm start. It reads only
+// the scratch's mined refs and the warm map, never the tries, so the
+// pipeline runs it concurrently with the next window's mining.
+func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, state any) {
 	nt, k := len(ws.valid), p.k
 	clear(ws.dedup)
 	ws.workers = ws.workers[:0]
@@ -471,9 +491,9 @@ func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, st *epochState) {
 	sol := ws.solver
 	sol.Reset(nt, len(ws.workers))
 	p.warmMu.Lock()
-	if p.warmState != st {
+	if p.warmState != state {
 		clear(p.warm)
-		p.warmState = st
+		p.warmState = state
 	}
 	for w, sw := range ws.workers {
 		sol.SetWorker(w, int(sw.ref.Cap), p.warm[sw.ref.ID])
@@ -486,19 +506,89 @@ func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, st *epochState) {
 			w := ws.dedup[key]
 			if err := sol.AddArc(ti, int(w), hst.LevelDist(int(c.Level))); err != nil {
 				// Unreachable: arcs are built from mined refs in task order
-				// with finite level distances. Surfacing beats a silently
-				// wrong matching.
+				// with finite level distances (a coordinator validates what
+				// its nodes report before loading it). Surfacing beats a
+				// silently wrong matching.
 				panic(fmt.Sprintf("engine: batch-optimal arc build: %v", err))
 			}
 			ws.arcLvl = append(ws.arcLvl, c.Level)
 		}
 	}
 	sol.Run()
+	p.warmMu.Lock()
+	if p.warmState == state {
+		for w, sw := range ws.workers {
+			p.warm[sw.ref.ID] = sol.WorkerPot(w)
+		}
+	}
+	p.warmMu.Unlock()
 }
 
-// commitWindow consumes one capacity unit per matched arc, stamps the
-// window's answers, and banks the closing potentials for the next
-// window's warm start. dirty, when non-nil, collects the shards the
+// SolveMined is the window kernel's entry for a cluster coordinator, whose
+// candidates were mined on other processes: it runs pad, dedup, build,
+// solve and bank-potentials over code-addressed lists and returns each
+// task's matched worker — its id and leaf code for the remote commit and
+// the LCA level of the match, ID None for an unmatched task. codes are the
+// window's well-formed tasks in order, own[i] task i's own-shard nearest-k
+// list, pads[s] shard s's smallest-k list (len(pads) == l.Shards). Lists
+// must already be validated: at most TopK entries each, ids and capacities
+// within int32, levels within [0, l.Depth]. state is the warm-start token
+// (see warmState). Together with TopK — the pool every node mines with —
+// it is all a coordinator needs of the policy.
+func (p *batchOptimalPolicy) SolveMined(state any, l Layout, codes []hst.Code, own, pads [][]hst.Candidate) []hst.Candidate {
+	ws := p.pool.Get().(*windowScratch)
+	defer p.pool.Put(ws)
+	nt, S, k := len(codes), l.Shards, p.k
+
+	// A worker is one (leaf, id) pair however many lists carry it; its
+	// position in the table of distinct workers stands in for the arena
+	// node of a locally mined ref, so the kernel's column dedup is exactly
+	// the in-process one.
+	var table []hst.Candidate
+	seen := map[hst.Candidate]int32{}
+	ref := func(c hst.Candidate) hst.CandidateRef {
+		key := hst.Candidate{ID: c.ID, Code: c.Code}
+		n, ok := seen[key]
+		if !ok {
+			n = int32(len(table))
+			seen[key] = n
+			table = append(table, c)
+		}
+		return hst.CandidateRef{ID: int32(c.ID), Node: n, Level: int32(c.Level), Cap: int32(c.Cap)}
+	}
+	ws.valid = ws.valid[:0]
+	ws.sizeFor(nt, S, k)
+	for ti, code := range codes {
+		s := int32(l.ShardIdx(code))
+		ws.valid = append(ws.valid, int32(ti))
+		ws.taskShard[ti] = s
+		ws.candCnt[ti] = int32(len(own[ti]))
+		for j, c := range own[ti] {
+			ws.cands[ti*k+j], ws.candSh[ti*k+j] = ref(c), s
+		}
+	}
+	for s := range ws.padLen {
+		ws.padLen[s] = int32(len(pads[s]))
+		for h, c := range pads[s] {
+			ws.padBuf[s*k+h] = ref(c)
+		}
+	}
+	p.padWindow(ws, l, codes, nil)
+	p.buildAndSolve(ws, state)
+
+	matched := make([]hst.Candidate, nt)
+	for ti := range matched {
+		matched[ti].ID = None
+		if a := ws.solver.MatchedArc(ti); a >= 0 {
+			matched[ti] = table[ws.workers[ws.solver.MatchedWorker(ti)].ref.Node]
+			matched[ti].Level = int(ws.arcLvl[a])
+		}
+	}
+	return matched
+}
+
+// commitWindow consumes one capacity unit per matched arc and stamps the
+// window's answers. dirty, when non-nil, collects the shards the
 // commit consumed from, so the pipeline's repair pass knows which mined
 // speculation to re-verify. Caller holds every shard lock; between the
 // mine that produced these refs and this commit nothing may have mutated
@@ -523,13 +613,6 @@ func (p *batchOptimalPolicy) commitWindow(ws *windowScratch, st *epochState, ids
 		}
 		ids[i], lvls[i] = int(sw.ref.ID), int(ws.arcLvl[a])
 	}
-	p.warmMu.Lock()
-	if p.warmState == st {
-		for w, sw := range ws.workers {
-			p.warm[sw.ref.ID] = sol.WorkerPot(w)
-		}
-	}
-	p.warmMu.Unlock()
 }
 
 // PolicyNames lists the selectable policy specs for flag help.

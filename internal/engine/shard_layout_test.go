@@ -44,11 +44,11 @@ func TestSubShardRouting(t *testing.T) {
 	}
 	d := tree.Degree()
 	st := newEpochState(1, tree, 3*d)
-	if st.sub != 3 || len(st.shards) != 3*d {
-		t.Fatalf("sub=%d shards=%d, want 3 and %d", st.sub, len(st.shards), 3*d)
+	if st.layout.Sub != 3 || len(st.shards) != 3*d {
+		t.Fatalf("sub=%d shards=%d, want 3 and %d", st.layout.Sub, len(st.shards), 3*d)
 	}
-	if st.ownLimit() != st.depth-2 {
-		t.Fatalf("ownLimit = %d under sub-sharding, want %d", st.ownLimit(), st.depth-2)
+	if st.ownLimit() != st.layout.Depth-2 {
+		t.Fatalf("ownLimit = %d under sub-sharding, want %d", st.ownLimit(), st.layout.Depth-2)
 	}
 	src := rng.New(17)
 	for i := 0; i < 500; i++ {
@@ -56,14 +56,14 @@ func TestSubShardRouting(t *testing.T) {
 		for j := range code {
 			code[j] = byte(src.Intn(d))
 		}
-		si := st.shardIdx(hst.Code(code))
+		si := st.layout.ShardIdx(hst.Code(code))
 		if si%d != int(code[0]) {
 			t.Fatalf("code %v routed to shard %d: first digit %d ≠ shard group %d",
 				code, si, code[0], si%d)
 		}
-		if si/d != int(code[1])%st.sub {
+		if si/d != int(code[1])%st.layout.Sub {
 			t.Fatalf("code %v routed to shard %d: second digit group %d ≠ %d",
-				code, si, int(code[1])%st.sub, si/d)
+				code, si, int(code[1])%st.layout.Sub, si/d)
 		}
 	}
 }

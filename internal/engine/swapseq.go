@@ -68,9 +68,7 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 	// the new population grows: each old shard keeps a well-formed (empty)
 	// index so a stale monitoring read stays safe, while the slabs behind
 	// it become garbage.
-	for i := range old.shards {
-		old.shards[i].mu.Lock()
-	}
+	old.lockAll()
 	// The old arenas' entry counts size the new ones: across a rotation
 	// the population is the same workers re-obfuscated, so per-shard sizes
 	// are stationary and the old shard's counts (plus slack for drift) let
@@ -90,7 +88,7 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 		total.items += it
 	}
 	for i := range old.shards {
-		old.shards[i].index = hst.NewLeafIndexDegree(old.depth, old.degree)
+		old.shards[i].index = hst.NewLeafIndexDegree(old.layout.Depth, old.layout.Degree)
 	}
 	// Collect the released arenas before the build starts. Without this the
 	// pacer is free to let the old population sit as garbage while the new
@@ -115,9 +113,7 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 		return true
 	})
 	e.state.Store(st)
-	for i := range old.shards {
-		old.shards[i].mu.Unlock()
-	}
+	old.unlockAll()
 	return nil
 }
 

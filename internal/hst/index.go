@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 )
 
@@ -74,7 +73,7 @@ type LeafIndex struct {
 	freeItems int     // length of the freed-item list
 
 	path []int32 // reusable root-to-leaf descent scratch
-	cbuf []byte  // reusable candidate-code scratch (cap depth, so collect never grows it)
+	cbuf []byte  // reusable leaf-code scratch for ResolveRef (len depth)
 
 	// insertGen counts inserts. Inserts are the only mutation that can grow
 	// the arena or reuse freed slots, i.e. the only way a CandidateRef held
@@ -170,7 +169,7 @@ func NewLeafIndexDegree(depth, degree int) *LeafIndex {
 		nodes:  make([]flatNode, 1, 64),
 		digits: make([]uint8, 1, 64),
 		path:   make([]int32, 0, depth+1),
-		cbuf:   make([]byte, 0, depth),
+		cbuf:   make([]byte, depth),
 
 		freeNode: nilIdx,
 		freeItem: nilIdx,
@@ -584,8 +583,9 @@ func (x *LeafIndex) AddCap(code Code, id, delta int) bool {
 
 // Consume takes one capacity unit from the item id at the given leaf code,
 // removing the item when its last unit goes. It reports whether the item
-// was present. Policies that enumerate candidates non-destructively
-// (NearestK, CollectWithin) commit their chosen assignments through it.
+// was present. It is the code-addressed commit for a candidate enumerated
+// non-destructively and resolved with ResolveRef; same-index callers commit
+// through ConsumeRef instead.
 func (x *LeafIndex) Consume(code Code, id int) bool {
 	if len(code) != x.depth || id < 0 || id > math.MaxInt32 {
 		return false
@@ -884,217 +884,14 @@ func (x *LeafIndex) walk(ni int32, prefix []byte, fn func(code Code, id, capacit
 	}
 }
 
-// Candidate is one live item surfaced by the non-destructive enumeration
-// queries (NearestK, CollectWithin): everything an assignment policy needs
-// to rank candidates and later commit a decision through Consume.
+// Candidate is one live item in code-addressed form: everything an
+// assignment decision taken away from this index (a cluster coordinator
+// solving a window over several nodes' tries) needs to rank the item and
+// later commit through Consume. The enumeration queries surface arena refs
+// (NearestKRef, SmallestKRef in ref.go); ResolveRef turns one into this.
 type Candidate struct {
 	ID    int  // item id
 	Code  Code // the item's leaf code (for the Consume commit)
 	Level int  // LCA level with the query code
 	Cap   int  // remaining capacity units
-}
-
-// NearestK appends to out the (up to) k nearest items to the query code in
-// tree distance — ordered by ascending LCA level, smallest id first within
-// a level — without removing anything. Policies inspect the candidates and
-// commit chosen assignments with Consume. The returned slice is out
-// extended in place; each level segment is scanned through a bounded
-// selection buffer, so only candidates that make the top k materialise a
-// Code string — a huge segment (the whole shard, at the root level) costs
-// comparisons, not allocations.
-func (x *LeafIndex) NearestK(code Code, k int, out []Candidate) []Candidate {
-	return x.enumerate(code, x.depth, k, true, out)
-}
-
-// CollectWithin appends to out every item whose LCA with the query code
-// sits at level ≤ maxLevel, ordered by ascending level and then id, without
-// removing anything.
-func (x *LeafIndex) CollectWithin(code Code, maxLevel int, out []Candidate) []Candidate {
-	return x.enumerate(code, maxLevel, x.size, false, out)
-}
-
-// SmallestK appends to out the (up to) k smallest-id items of the whole
-// index, stamped with the given LCA level and carrying their leaf codes —
-// the code-addressed analogue of SmallestKRef, for callers (a cluster
-// coordinator gathering cross-shard pads) that commit through Consume on
-// another process where an arena ref is meaningless. Ties between equal
-// ids break by code; engine populations key workers by unique id, where
-// the order agrees with SmallestKRef's.
-func (x *LeafIndex) SmallestK(k, level int, out []Candidate) []Candidate {
-	if x.size == 0 || k <= 0 {
-		return out
-	}
-	return x.collectK(0, nilIdx, x.cbuf[:0], level, k, len(out), out)
-}
-
-// enumerate is the shared engine of NearestK and CollectWithin: it descends
-// the query's exact branch as deep as it goes, then climbs back towards the
-// root, emitting at each step the items that sit under the current ancestor
-// but not under the already-emitted child branch — exactly the items whose
-// LCA with the query is at that ancestor's level. Level segments come out
-// sorted by id, so truncating at k keeps the smallest ids; in bounded mode
-// each segment is gathered through a keep-k-smallest buffer instead of a
-// collect-then-sort.
-func (x *LeafIndex) enumerate(code Code, maxLevel, k int, bounded bool, out []Candidate) []Candidate {
-	if x.size == 0 || len(code) != x.depth || k <= 0 {
-		return out
-	}
-	path := x.path[:0]
-	ni := int32(0)
-	path = append(path, ni)
-	j := 0
-	for j < x.depth {
-		ci := x.child(ni, code[j])
-		if ci == nilIdx {
-			break
-		}
-		ni = ci
-		path = append(path, ni)
-		j++
-	}
-	base := len(out)
-	for i := j; i >= 0; i-- {
-		lvl := x.depth - i
-		if lvl > maxLevel {
-			break
-		}
-		except := nilIdx
-		if i < j {
-			except = path[i+1]
-		}
-		start := len(out)
-		buf := append(x.cbuf[:0], code[:i]...)
-		if bounded {
-			out = x.collectK(path[i], except, buf, lvl, k-(len(out)-base), start, out)
-		} else {
-			out = x.collect(path[i], except, buf, lvl, out)
-			sortCandidates(out[start:])
-		}
-		if len(out)-base >= k {
-			out = out[:base+k]
-			break
-		}
-	}
-	return out
-}
-
-// collectK walks the subtree under ni — except the except branch — keeping
-// in out[start:] only the need smallest items by (id, code), in sorted
-// order. Codes are materialised when an item enters the buffer; losers are
-// rejected on a comparison against the buffer's current maximum, so a
-// segment of m items costs O(m·need) in the worst case and allocates
-// nothing for the discarded ones.
-func (x *LeafIndex) collectK(ni, except int32, buf []byte, lvl, need, start int, out []Candidate) []Candidate {
-	if ni == except || need <= 0 {
-		return out
-	}
-	n := x.nodes[ni]
-	for si := n.items; si != nilIdx; si = x.items[si].next {
-		out = x.offerK(out, start, need, x.items[si].id, x.itemCap(si), buf, lvl)
-	}
-	if x.degree > 0 {
-		if n.kids == nilIdx {
-			return out
-		}
-		for d := 0; d < x.degree; d++ {
-			if ci := x.kids[n.kids+int32(d)]; ci != nilIdx {
-				out = x.collectK(ci, except, append(buf, byte(d)), lvl, need, start, out)
-			}
-		}
-	} else {
-		for ci := n.kids; ci != nilIdx; ci = x.sibs[ci] {
-			out = x.collectK(ci, except, append(buf, x.digits[ci]), lvl, need, start, out)
-		}
-	}
-	return out
-}
-
-// offerK inserts one item into the bounded sorted buffer out[start:] if it
-// ranks among the need smallest seen so far.
-func (x *LeafIndex) offerK(out []Candidate, start, need int, id, capacity int32, buf []byte, lvl int) []Candidate {
-	seg := out[start:]
-	full := len(seg) >= need
-	if full && !beforeCandidate(id, buf, seg[len(seg)-1]) {
-		return out
-	}
-	pos := len(seg)
-	for pos > 0 && beforeCandidate(id, buf, seg[pos-1]) {
-		pos--
-	}
-	c := Candidate{ID: int(id), Code: Code(buf), Level: lvl, Cap: int(capacity)}
-	if full {
-		copy(seg[pos+1:], seg[pos:len(seg)-1])
-		seg[pos] = c
-		return out
-	}
-	out = append(out, Candidate{})
-	seg = out[start:]
-	copy(seg[pos+1:], seg[pos:len(seg)-1])
-	seg[pos] = c
-	return out
-}
-
-// beforeCandidate reports whether (id, buf) orders strictly before c by
-// (id, code), comparing the raw digit buffer so no string materialises for
-// the comparison.
-func beforeCandidate(id int32, buf []byte, c Candidate) bool {
-	if int(id) != c.ID {
-		return int(id) < c.ID
-	}
-	n := len(buf)
-	if len(c.Code) < n {
-		n = len(c.Code)
-	}
-	for i := 0; i < n; i++ {
-		if buf[i] != c.Code[i] {
-			return buf[i] < c.Code[i]
-		}
-	}
-	return len(buf) < len(c.Code)
-}
-
-// collect appends every item under ni — except the except subtree — as a
-// candidate at the given level, extending buf with the digits walked so the
-// leaf code can be materialised once per leaf.
-func (x *LeafIndex) collect(ni, except int32, buf []byte, lvl int, out []Candidate) []Candidate {
-	if ni == except {
-		return out
-	}
-	n := x.nodes[ni]
-	if n.items != nilIdx {
-		leaf := Code(buf) // one string per candidate leaf
-		for si := n.items; si != nilIdx; si = x.items[si].next {
-			out = append(out, Candidate{
-				ID:    int(x.items[si].id),
-				Code:  leaf,
-				Level: lvl,
-				Cap:   int(x.itemCap(si)),
-			})
-		}
-	}
-	if x.degree > 0 {
-		if n.kids == nilIdx {
-			return out
-		}
-		for d := 0; d < x.degree; d++ {
-			if ci := x.kids[n.kids+int32(d)]; ci != nilIdx {
-				out = x.collect(ci, except, append(buf, byte(d)), lvl, out)
-			}
-		}
-	} else {
-		for ci := n.kids; ci != nilIdx; ci = x.sibs[ci] {
-			out = x.collect(ci, except, append(buf, x.digits[ci]), lvl, out)
-		}
-	}
-	return out
-}
-
-// sortCandidates orders one level segment by (id, code).
-func sortCandidates(seg []Candidate) {
-	sort.Slice(seg, func(a, b int) bool {
-		if seg[a].ID != seg[b].ID {
-			return seg[a].ID < seg[b].ID
-		}
-		return seg[a].Code < seg[b].Code
-	})
 }

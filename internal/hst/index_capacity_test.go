@@ -111,6 +111,21 @@ func TestWalkCapReportsCapacity(t *testing.T) {
 	}
 }
 
+// nearestK mines through the surviving entry points: NearestKRef, each ref
+// resolved to its code-addressed candidate.
+func nearestK(t *testing.T, x *LeafIndex, q Code, k int) []Candidate {
+	t.Helper()
+	var out []Candidate
+	for _, r := range x.NearestKRef(q, k, nil) {
+		c, ok := x.ResolveRef(r)
+		if !ok {
+			t.Fatalf("ResolveRef(%+v) failed on a freshly mined ref", r)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 func TestNearestKOrderAndTruncation(t *testing.T) {
 	x := NewLeafIndexDegree(3, 3)
 	// Query 0,0,0. Levels: id 5 at level 0 (exact leaf), ids 2 and 7 at
@@ -130,7 +145,7 @@ func TestNearestKOrderAndTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := x.NearestK(mk(0, 0, 0), 10, nil)
+	all := nearestK(t, x, mk(0, 0, 0), 10)
 	want := []Candidate{
 		{ID: 5, Code: mk(0, 0, 0), Level: 0, Cap: 1},
 		{ID: 2, Code: mk(0, 0, 2), Level: 1, Cap: 1},
@@ -146,7 +161,7 @@ func TestNearestKOrderAndTruncation(t *testing.T) {
 		}
 	}
 	// Truncation keeps the nearest k, smallest ids first within a level.
-	top2 := x.NearestK(mk(0, 0, 0), 2, nil)
+	top2 := nearestK(t, x, mk(0, 0, 0), 2)
 	if len(top2) != 2 || top2[0].ID != 5 || top2[1].ID != 2 {
 		t.Fatalf("NearestK(2) = %+v", top2)
 	}
@@ -155,83 +170,11 @@ func TestNearestKOrderAndTruncation(t *testing.T) {
 		t.Fatalf("Len = %d after NearestK, want 4", x.Len())
 	}
 	// Appends to the caller's slice.
-	out := make([]Candidate, 1, 8)
-	out[0] = Candidate{ID: -1}
-	got := x.NearestK(mk(0, 0, 0), 1, out)
+	out := make([]CandidateRef, 1, 8)
+	out[0] = CandidateRef{ID: -1}
+	got := x.NearestKRef(mk(0, 0, 0), 1, out)
 	if len(got) != 2 || got[0].ID != -1 || got[1].ID != 5 {
-		t.Fatalf("NearestK(append) = %+v", got)
-	}
-}
-
-func TestCollectWithinLevelBound(t *testing.T) {
-	x := NewLeafIndexDegree(3, 3)
-	for _, in := range []struct {
-		code Code
-		id   int
-	}{
-		{mk(0, 0, 1), 4},
-		{mk(0, 1, 0), 6},
-		{mk(2, 0, 0), 8},
-	} {
-		if err := x.Insert(in.code, in.id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Level ≤ 2 excludes the cross-root worker 8.
-	got := x.CollectWithin(mk(0, 0, 0), 2, nil)
-	if len(got) != 2 || got[0].ID != 4 || got[0].Level != 1 || got[1].ID != 6 || got[1].Level != 2 {
-		t.Fatalf("CollectWithin = %+v", got)
-	}
-	// The full depth includes everything, still sorted (level, id).
-	all := x.CollectWithin(mk(0, 0, 0), 3, nil)
-	if len(all) != 3 || all[2].ID != 8 || all[2].Level != 3 {
-		t.Fatalf("CollectWithin(full) = %+v", all)
-	}
-	if x.Len() != 3 {
-		t.Fatalf("Len = %d after CollectWithin, want 3", x.Len())
-	}
-}
-
-// TestNearestKMatchesCollectWithinPrefix pins that the bounded selection
-// path of NearestK and the collect-then-sort path of CollectWithin agree:
-// NearestK(k) is exactly the first k entries of the full enumeration.
-func TestNearestKMatchesCollectWithinPrefix(t *testing.T) {
-	const depth, degree = 4, 4
-	x := NewLeafIndexDegree(depth, degree)
-	seed := uint64(99)
-	next := func(n int) int {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return int((seed >> 33) % uint64(n))
-	}
-	randCode := func() Code {
-		b := make([]byte, depth)
-		for i := range b {
-			b[i] = byte(next(degree))
-		}
-		return Code(b)
-	}
-	for id := 0; id < 300; id++ {
-		if err := x.InsertCap(randCode(), id, 1+next(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for trial := 0; trial < 40; trial++ {
-		q := randCode()
-		k := 1 + next(12)
-		all := x.CollectWithin(q, depth, nil)
-		topK := x.NearestK(q, k, nil)
-		want := k
-		if len(all) < k {
-			want = len(all)
-		}
-		if len(topK) != want {
-			t.Fatalf("trial %d: NearestK(%d) returned %d of %d", trial, k, len(topK), len(all))
-		}
-		for i := range topK {
-			if topK[i] != all[i] {
-				t.Fatalf("trial %d: NearestK[%d] = %+v, CollectWithin[%d] = %+v", trial, i, topK[i], i, all[i])
-			}
-		}
+		t.Fatalf("NearestKRef(append) = %+v", got)
 	}
 }
 
@@ -279,7 +222,7 @@ func TestNearestKMatchesSequentialPops(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := randCode()
 		k := 1 + next(8)
-		cands := x.NearestK(q, k, nil)
+		cands := nearestK(t, x, q, k)
 		// The pops drain each candidate's capacity before moving on (minID
 		// keeps returning the same id until its item is exhausted), so the
 		// pop sequence is the candidate list with each entry repeated Cap

@@ -1,11 +1,12 @@
 package hst
 
-// CandidateRef is a Candidate addressed by arena position instead of leaf
+// CandidateRef is a live item addressed by arena position instead of leaf
 // code: no string ever materialises, which keeps high-rate candidate
 // mining allocation-free. A ref is only meaningful against the index that
 // produced it, and only until that index is next mutated — the engine
 // mines and commits a batch window under one lock hold, which is exactly
-// that envelope.
+// that envelope. ResolveRef turns a ref into a code-addressed Candidate
+// for a decision that leaves the process.
 type CandidateRef struct {
 	ID    int32 // item id
 	Node  int32 // leaf node in the index arena (for the ConsumeRef commit)
@@ -13,14 +14,18 @@ type CandidateRef struct {
 	Cap   int32 // remaining capacity units
 }
 
-// NearestKRef is NearestK over refs: it appends to out the (up to) k
-// nearest items to the query code in tree distance — ascending LCA level,
-// smallest id first within a level — without removing anything and without
-// materialising a single code string. Ties between equal ids (the same id
+// NearestKRef appends to out the (up to) k nearest items to the query code
+// in tree distance — ascending LCA level, smallest id first within a level
+// — without removing anything and without materialising a single code
+// string. Policies inspect the candidates and commit chosen assignments
+// with ConsumeRef. It descends the query's exact branch as deep as it goes,
+// then climbs back towards the root, gathering at each step the items under
+// the current ancestor but not under the already-visited child branch —
+// exactly the items whose LCA with the query is at that ancestor's level —
+// through a keep-k-smallest buffer. Ties between equal ids (the same id
 // inserted at several leaves) break by arena position, which is
-// deterministic for a frozen index but not necessarily the code order
-// NearestK uses; engine populations key workers by unique id, where the
-// two orders agree.
+// deterministic for a frozen index; engine populations key workers by
+// unique id.
 func (x *LeafIndex) NearestKRef(code Code, k int, out []CandidateRef) []CandidateRef {
 	if x.size == 0 || len(code) != x.depth || k <= 0 {
 		return out
@@ -98,6 +103,25 @@ func (x *LeafIndex) ConsumeRef(ref CandidateRef) bool {
 	return true
 }
 
+// ResolveRef turns a ref mined from this index into its code-addressed
+// Candidate, reading the leaf code off the parent links in O(depth). Like
+// every ref consumer it expects no mutation since the mine; ok is false
+// when the ref does not address a leaf-depth node of this arena.
+func (x *LeafIndex) ResolveRef(ref CandidateRef) (c Candidate, ok bool) {
+	ni := ref.Node
+	for j := x.depth - 1; j >= 0; j-- {
+		if ni <= 0 || int(ni) >= len(x.nodes) {
+			return Candidate{}, false
+		}
+		x.cbuf[j] = x.digits[ni]
+		ni = x.nodes[ni].parent
+	}
+	if ni != 0 {
+		return Candidate{}, false
+	}
+	return Candidate{ID: int(ref.ID), Code: Code(x.cbuf), Level: int(ref.Level), Cap: int(ref.Cap)}, true
+}
+
 // RefUnits probes a previously mined ref without consuming anything: it
 // returns the capacity units the ref's item currently has at the ref's
 // node, ok false when the item is no longer there (consumed away, or the
@@ -121,9 +145,8 @@ func (x *LeafIndex) RefUnits(ref CandidateRef) (units int, ok bool) {
 
 // collectKRef walks the subtree under ni — except the except branch —
 // keeping in out[start:] only the need smallest items by (id, node), in
-// sorted order. The ref analogue of collectK, with one structural upgrade:
-// the per-node subtree minima turn the walk into a branch-and-bound
-// search. Children are visited in ascending (minID, index) order and a
+// sorted order. The per-node subtree minima turn the walk into a
+// branch-and-bound search: children are visited in ascending (minID, index) order and a
 // subtree is entered only while its minimum can still beat the buffer's
 // current worst id, so the buffer fills with the true smallest ids first
 // and then prunes the remaining siblings wholesale — a root-level segment

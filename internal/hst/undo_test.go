@@ -248,3 +248,56 @@ func TestInsertGenBumpsOnInsertOnly(t *testing.T) {
 		t.Fatalf("generation after reinsert = %d, want %d", x.InsertGen(), g+1)
 	}
 }
+
+// TestResolveRefRoundTrip pins the ref → code resolver: every mined ref
+// resolves to the candidate the reference holds (leaf code included), and
+// committing through the resolved code on a mirror index leaves it in
+// exactly the state ConsumeRef leaves the original.
+func TestResolveRefRoundTrip(t *testing.T) {
+	for li, l := range refLayouts {
+		src := rng.New(uint64(77 + li))
+		a := NewLeafIndexDegree(l.depth, l.degree)
+		b := NewLeafIndexDegree(l.depth, l.degree)
+		randCode := func() Code {
+			buf := make([]byte, l.depth)
+			for i := range buf {
+				buf[i] = byte(src.Intn(l.digits))
+			}
+			return Code(buf)
+		}
+		for id := 0; id < 150; id++ {
+			c, capacity := randCode(), 1+src.Intn(3)
+			if err := a.InsertCap(c, id, capacity); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.InsertCap(c, id, capacity); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; a.Len() > 0; step++ {
+			q, k := randCode(), 1+src.Intn(8)
+			refs := a.NearestKRef(q, k, nil)
+			want := bruteItems(a, func(c Code) int { return lcaLevel(q, c, l.depth) })
+			for i, r := range refs {
+				c, ok := a.ResolveRef(r)
+				if !ok || c.ID != want[i].id || c.Code != want[i].code || c.Level != want[i].level || c.Cap != want[i].cap {
+					t.Fatalf("%s step %d: ResolveRef(%+v) = (%+v,%v), reference %+v", l.name, step, r, c, ok, want[i])
+				}
+			}
+			pick := refs[src.Intn(len(refs))]
+			c, _ := a.ResolveRef(pick)
+			if !a.ConsumeRef(pick) || !b.Consume(c.Code, c.ID) {
+				t.Fatalf("%s step %d: commit of %+v failed", l.name, step, c)
+			}
+			sameSnapshot(t, step, a, b)
+		}
+		if _, ok := a.ResolveRef(CandidateRef{Node: int32(len(a.nodes))}); ok {
+			t.Errorf("%s: ResolveRef accepted a node outside the arena", l.name)
+		}
+		if l.depth > 0 {
+			if _, ok := a.ResolveRef(CandidateRef{Node: 0}); ok {
+				t.Errorf("%s: ResolveRef accepted the root as a leaf", l.name)
+			}
+		}
+	}
+}
