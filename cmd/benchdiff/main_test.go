@@ -85,7 +85,7 @@ func TestGateEndToEnd(t *testing.T) {
 
 	// The full gate list CI runs: the greedy engine, the extended-schema
 	// policy rows, and the single-client serving rows.
-	gated := "engine/goroutines=1,policy-capacity/goroutines=1,policy-batchopt/goroutines=1,serve-submit/clients=1,cluster-submit/clients=1"
+	gated := "engine/goroutines=1,policy-capacity/goroutines=1,policy-batchopt/goroutines=1,policy-batchopt-cap4/goroutines=1,serve-submit/clients=1,cluster-submit/clients=1"
 	clean := exec.Command(bin, "-base", baseline, "-new", baseline,
 		"-bench", gated, "-normalize", "scan/goroutines=1")
 	if out, err := clean.CombinedOutput(); err != nil {
@@ -123,7 +123,7 @@ func TestGateEndToEnd(t *testing.T) {
 		}
 		return path
 	}
-	for _, bench := range []string{"engine/goroutines=1", "policy-batchopt/goroutines=1", "serve-submit/clients=1", "cluster-submit/clients=1"} {
+	for _, bench := range []string{"engine/goroutines=1", "policy-batchopt/goroutines=1", "policy-batchopt-cap4/goroutines=1", "serve-submit/clients=1", "cluster-submit/clients=1"} {
 		bad := doctor(t, bench)
 		gate := exec.Command(bin, "-base", baseline, "-new", bad,
 			"-bench", gated, "-normalize", "scan/goroutines=1")

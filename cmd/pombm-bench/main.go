@@ -16,6 +16,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -334,7 +335,7 @@ func runEngineBench(gridCols, workers, tasks, shards, repeat int, goroutines str
 	baseProcs := runtime.GOMAXPROCS(0)
 	fmt.Printf("enginebench: N=%d D=%d c=%d, %d workers, %d tasks, GOMAXPROCS=%d, NumCPU=%d, best of %d\n\n",
 		tree.NumPoints(), tree.Depth(), tree.Degree(), workers, tasks, baseProcs, runtime.NumCPU(), repeat)
-	fmt.Printf("%-16s %11s %9s %6s %12s %12s %14s\n", "impl", "goroutines", "shards", "procs", "ns/op", "allocs/op", "tasks/sec")
+	fmt.Printf("%-20s %11s %9s %6s %12s %12s %14s\n", "impl", "goroutines", "shards", "procs", "ns/op", "allocs/op", "tasks/sec")
 
 	out := benchfmt.Report{
 		GitSHA:     gitSHA(),
@@ -398,7 +399,7 @@ func runEngineBench(gridCols, workers, tasks, shards, repeat int, goroutines str
 		if capped {
 			note = "  (capped)"
 		}
-		fmt.Printf("%-16s %11d %9s %6d %12.0f %12.2f %14.0f%s\n",
+		fmt.Printf("%-20s %11d %9s %6d %12.0f %12.2f %14.0f%s\n",
 			impl, g, shCol, rowProcs, nsPerOp, allocs, tasksPerSec, note)
 		out.Results = append(out.Results, benchfmt.Record{
 			Benchmark:   fmt.Sprintf("%s/goroutines=%d", impl, g),
@@ -534,40 +535,63 @@ func runEngineBench(gridCols, workers, tasks, shards, repeat int, goroutines str
 			return err
 		}
 	}
-	for _, g := range gors {
-		if err := report("policy-batchopt", g, shardCount, "batch-optimal:k=8", func() (func() error, error) {
-			e, err := engine.NewWithOptions(tree, shards, engine.WithPolicy(engine.BatchOptimal(0)))
-			if err != nil {
-				return nil, err
-			}
-			for i, c := range workerCodes {
-				if err := e.Insert(c, i); err != nil {
+	// policy-batchopt-cap4 is the same window loop over the population a
+	// capacity-aware deployment actually has — every worker carrying four
+	// units — and with the lifecycle closed: each window's matched units are
+	// handed back before the next, so every window mines, dedups and solves
+	// over multi-unit candidates.
+	for _, row := range []struct {
+		impl     string
+		capacity int
+	}{{"policy-batchopt", 1}, {"policy-batchopt-cap4", 4}} {
+		for _, g := range gors {
+			if err := report(row.impl, g, shardCount, "batch-optimal:k=8", func() (func() error, error) {
+				e, err := engine.NewWithOptions(tree, shards, engine.WithPolicy(engine.BatchOptimal(0)))
+				if err != nil {
 					return nil, err
 				}
-			}
-			return func() error {
-				const window = 256
-				var wg sync.WaitGroup
-				chunk := (len(taskCodes) + g - 1) / g
-				for k := 0; k < g; k++ {
-					lo := k * chunk
-					hi := min(lo+chunk, len(taskCodes))
-					if lo >= hi {
-						break
+				for i, c := range workerCodes {
+					if err := e.InsertCapEpoch(c, i, row.capacity, 0); err != nil {
+						return nil, err
 					}
-					wg.Add(1)
-					go func(batch []hst.Code) {
-						defer wg.Done()
-						for lo := 0; lo < len(batch); lo += window {
-							e.AssignBatch(batch[lo:min(lo+window, len(batch))])
-						}
-					}(taskCodes[lo:hi])
 				}
-				wg.Wait()
-				return nil
-			}, nil
-		}); err != nil {
-			return err
+				return func() error {
+					const window = 256
+					var wg sync.WaitGroup
+					errs := make([]error, g)
+					chunk := (len(taskCodes) + g - 1) / g
+					for k := 0; k < g; k++ {
+						lo := k * chunk
+						hi := min(lo+chunk, len(taskCodes))
+						if lo >= hi {
+							break
+						}
+						wg.Add(1)
+						go func(k int, batch []hst.Code) {
+							defer wg.Done()
+							for lo := 0; lo < len(batch); lo += window {
+								ids, _ := e.AssignBatch(batch[lo:min(lo+window, len(batch))])
+								if row.capacity == 1 {
+									continue // the historical row: no hand-back in its timed region
+								}
+								for _, id := range ids {
+									if id < 0 {
+										continue
+									}
+									if err := e.AddCapacityEpoch(workerCodes[id], id, 0); err != nil {
+										errs[k] = err
+										return
+									}
+								}
+							}
+						}(k, taskCodes[lo:hi])
+					}
+					wg.Wait()
+					return errors.Join(errs...)
+				}, nil
+			}); err != nil {
+				return err
+			}
 		}
 	}
 	if jsonPath != "" {

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
@@ -46,7 +47,7 @@ func TestBatchOptimalAllocsSteadyState(t *testing.T) {
 			}
 		}
 	}
-	// Warm the scratch pool, solver slabs, warm-potential map, and shard
+	// Warm the scratch pool, solver slabs, warm-potential pages, and shard
 	// freelists to their steady-state high-water marks.
 	for i := 0; i < 40; i++ {
 		fill()
@@ -62,5 +63,77 @@ func TestBatchOptimalAllocsSteadyState(t *testing.T) {
 	// hundreds per window.
 	if perWindow > 64 {
 		t.Errorf("batch-optimal window allocates %.1f/window, want ≤ 64", perWindow)
+	}
+}
+
+// TestSingleHomeWindowMinesInline pins the fan-out rule: a window whose
+// tasks are all homed on one shard has no mining to overlap, so it must
+// mine on the caller's goroutine however many cores there are — spawning
+// the one goroutine and parking behind it is pure overhead. Goroutines
+// cost allocations (at least one per spawn), so the window must allocate
+// what it does at GOMAXPROCS=1, where fan-out is off by rule; a window
+// spread over the shards is the control that the probe sees a fan-out when
+// there is one. Half an allocation per window absorbs the runtime's own
+// background mallocs.
+func TestSingleHomeWindowMinesInline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratches at random, which swamps the count")
+	}
+	tree := buildTree(t, 16, 9)
+	e, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(engine.BatchOptimal(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Shards() < 2 {
+		t.Skip("needs a tree whose top level splits")
+	}
+	src := rng.New(41)
+	const n = 1024
+	codes := make([]hst.Code, n)
+	for i := range codes {
+		codes[i] = randCode(tree, src)
+		if err := e.Insert(codes[i], i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var oneHome, spread []hst.Code
+	for _, c := range codes {
+		if len(spread) < 64 {
+			spread = append(spread, c)
+		}
+		if len(oneHome) < 64 && c[0] == codes[0][0] {
+			oneHome = append(oneHome, c)
+		}
+	}
+	allocs := func(procs int, batch []hst.Code) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		run := func() {
+			ids, _ := e.AssignBatch(batch)
+			for _, id := range ids {
+				if id >= 0 {
+					if err := e.Insert(codes[id], id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for i := 0; i < 20; i++ {
+			run()
+		}
+		// Counted by hand: testing.AllocsPerRun pins GOMAXPROCS to 1.
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs
+	}
+	if one, two := allocs(1, oneHome), allocs(2, oneHome); two > one+0.5 {
+		t.Errorf("single-home window allocates %.2f at GOMAXPROCS=2, %.2f at 1: it fanned out", two, one)
+	}
+	if one, two := allocs(1, spread), allocs(2, spread); two < one+0.5 {
+		t.Errorf("spread window allocates %.2f at GOMAXPROCS=2, %.2f at 1: the probe cannot see a fan-out", two, one)
 	}
 }

@@ -98,12 +98,15 @@ const parallelMineMin = 16
 // The hot path is arena-backed end to end: all window scratch — candidate
 // regions, pad lists, the dedup table, the solver — lives in a pooled
 // windowScratch that reaches its high-water mark after a few windows and
-// then serves steady state at single-digit allocations per window. Worker
-// potentials (the solver's dual prices) carry from window to window keyed
-// by worker id, so a typical task's augmenting search pops its final
-// worker immediately; an epoch swap invalidates the warm state wholesale —
-// the check is identity of the state token the caller solves under, so a
-// window for another epoch (or another engine) always starts cold.
+// then serves steady state at single-digit allocations per window, and no
+// per-candidate or per-worker lookup on it goes through a hash map (the
+// index's capacities, the dedup table and the warm potentials are all
+// index-addressed slabs). Worker potentials (the solver's dual prices)
+// carry from window to window addressed by worker id, so a typical task's
+// augmenting search pops its final worker immediately; an epoch swap
+// invalidates the warm state wholesale — the check is identity of the
+// state token the caller solves under, so a window for another epoch (or
+// another engine) always starts cold.
 //
 // The window rule itself — how short tasks are padded, which candidates
 // share a solver column, what an arc costs, what warm state carries over —
@@ -115,21 +118,22 @@ type batchOptimalPolicy struct {
 	k    int
 	pool sync.Pool // *windowScratch
 
-	// Warm solver potentials, keyed by worker id, shared by every window
-	// this policy serves. They live on the policy — not in the pooled
-	// scratch — so the warm history a window sees does not depend on which
-	// scratch the pool happened to hand out (the pipeline checks out two at
-	// once); the matching a window picks among cost-equal alternatives can
-	// depend on its seed potentials, and scratch-resident warmth would make
-	// long-batch results depend on pool checkout order. warmMu guards the
-	// map for the shared-policy case (one policy serving several engines);
-	// within one engine every access is already ordered by the all-shards
-	// lock session. warmState pins the potentials to the state they were
-	// learned under — an opaque token compared by identity (the engine
-	// passes its *epochState, a coordinator its own per-epoch state) — and
-	// any other state starts cold.
+	// Warm solver potentials, one per worker id (a paged slab addressed by
+	// the id, see warmSlab), shared by every window this policy serves. They
+	// live on the policy — not in the pooled scratch — so the warm history a
+	// window sees does not depend on which scratch the pool happened to hand
+	// out (the pipeline checks out two at once); the matching a window picks
+	// among cost-equal alternatives can depend on its seed potentials, and
+	// scratch-resident warmth would make long-batch results depend on pool
+	// checkout order. warmMu guards the slab for the shared-policy case (one
+	// policy serving several engines); within one engine every access is
+	// already ordered by the all-shards lock session. warmState pins the
+	// potentials to the state they were learned under — an opaque token
+	// compared by identity (the engine passes its *epochState, a coordinator
+	// its own per-epoch state) — and any other state drops every page and
+	// starts cold.
 	warmMu    sync.Mutex
-	warm      map[int32]float64
+	warm      warmSlab
 	warmState any
 }
 
@@ -139,12 +143,9 @@ func BatchOptimal(k int) Policy {
 	if k <= 0 {
 		k = DefaultBatchTopK
 	}
-	p := &batchOptimalPolicy{k: k, warm: map[int32]float64{}}
+	p := &batchOptimalPolicy{k: k}
 	p.pool.New = func() any {
-		return &windowScratch{
-			dedup:  map[refKey]int32{},
-			solver: flow.NewBipartite(),
-		}
+		return &windowScratch{solver: flow.NewBipartite()}
 	}
 	return p
 }
@@ -204,10 +205,10 @@ type shardWorker struct {
 }
 
 // windowScratch is the reusable arena behind one window solve. It lives in
-// the policy's sync.Pool; every slice grows to the policy's (window × k)
-// envelope once and is then reused, and the two maps are cleared, not
-// reallocated. warm and lastState survive between windows — they are the
-// warm-start seam.
+// the policy's sync.Pool; every slice — the dedup table's slot slab
+// included — grows to the policy's (window × k) envelope once and is then
+// reused without being cleared. Nothing in it carries meaning from one
+// window to the next: the warm-start seam is the policy's warm slab.
 type windowScratch struct {
 	valid      []int32            // positions of well-formed tasks in the window
 	taskShard  []int32            // own shard per valid task
@@ -215,11 +216,12 @@ type windowScratch struct {
 	shardTasks []int32            // valid-task positions grouped by own shard
 	cands      []hst.CandidateRef // per-task candidate regions, k slots each
 	candSh     []int32            // source shard per candidate slot
+	candCol    []int32            // solver column per candidate slot (set by buildAndSolve)
 	candCnt    []int32            // live candidates per task
 	padBuf     []hst.CandidateRef // per-shard smallest-k pad lists, k slots each
 	padLen     []int32            // live pads per shard (-1 = not yet built)
 	padHeads   []int32            // per-task pad merge cursors
-	dedup      map[refKey]int32   // candidate → solver worker column
+	dedup      dedupTable         // candidate → solver worker column
 	workers    []shardWorker      // unique candidates, first-seen order
 	arcLvl     []int32            // LCA level per solver arc
 	genSnap    []uint64           // per-shard InsertGen at mine time (repair proof)
@@ -234,6 +236,7 @@ func (ws *windowScratch) sizeFor(nt, S, k int) {
 	ws.taskShard = growI32(ws.taskShard, nt)
 	ws.cands = growRef(ws.cands, nt*k)
 	ws.candSh = growI32(ws.candSh, nt*k)
+	ws.candCol = growI32(ws.candCol, nt*k)
 	ws.candCnt = growI32(ws.candCnt, nt)
 	ws.padBuf = growRef(ws.padBuf, S*k)
 	ws.padLen = growI32(ws.padLen, S)
@@ -330,7 +333,11 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 		ws.taskShard[ti] = s
 		ws.shardOff[s+1]++
 	}
+	homes := 0 // shards at least one task is homed on
 	for s := 0; s < S; s++ {
+		if ws.shardOff[s+1] > 0 {
+			homes++
+		}
 		ws.shardOff[s+1] += ws.shardOff[s]
 	}
 	fill := ws.shardOff // reuse as cursors; restore below
@@ -348,7 +355,10 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 	// are independent across shards — each touches only its shard's index
 	// (whose scratch buffers make NearestKRef exclusive per shard), and
 	// every shard lock is already held — so large windows fan out across
-	// goroutines.
+	// goroutines, one per shard with tasks. A window homed on a single
+	// shard (a tree whose top level never splits homes every task on shard
+	// 0) has nothing to overlap: it mines inline instead of parking the
+	// caller behind one goroutine doing all the work.
 	mineShard := func(s int) {
 		for _, ti := range ws.shardTasks[ws.shardOff[s]:ws.shardOff[s+1]] {
 			code := codes[ws.valid[ti]]
@@ -360,7 +370,7 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 			}
 		}
 	}
-	if nt >= parallelMineMin && S > 1 && runtime.GOMAXPROCS(0) > 1 {
+	if nt >= parallelMineMin && homes > 1 && runtime.GOMAXPROCS(0) > 1 {
 		for s := 0; s < S; s++ {
 			if ws.shardOff[s] == ws.shardOff[s+1] {
 				continue
@@ -468,57 +478,56 @@ func (p *batchOptimalPolicy) padWindow(ws *windowScratch, l Layout, codes []hst.
 // candidates into solver columns (first-seen order), builds the restricted
 // bipartite problem — one arc per mined pairing at cost = tree distance of
 // its LCA level, one column per worker bounded by its remaining capacity,
-// potentials seeded from the policy's warm map (learned under state, else
-// cleared) — runs the solver, and banks the closing potentials of every
+// potentials seeded from the policy's warm slab (learned under state, else
+// dropped) — runs the solver, and banks the closing potentials of every
 // column, matched or not, for the next window's warm start. It reads only
-// the scratch's mined refs and the warm map, never the tries, so the
+// the scratch's mined refs and the warm slab, never the tries, so the
 // pipeline runs it concurrently with the next window's mining.
 func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, state any) {
 	nt, k := len(ws.valid), p.k
-	clear(ws.dedup)
+	ws.dedup.reset(nt * k)
 	ws.workers = ws.workers[:0]
 	ws.arcLvl = ws.arcLvl[:0]
 	for ti := 0; ti < nt; ti++ {
 		for j := 0; j < int(ws.candCnt[ti]); j++ {
 			c := ws.cands[ti*k+j]
 			key := refKey{shard: ws.candSh[ti*k+j], node: c.Node, id: c.ID}
-			if _, seen := ws.dedup[key]; !seen {
-				ws.dedup[key] = int32(len(ws.workers))
+			col, fresh := ws.dedup.column(key, int32(len(ws.workers)))
+			if fresh {
 				ws.workers = append(ws.workers, shardWorker{shard: key.shard, ref: c})
 			}
+			ws.candCol[ti*k+j] = col // the arc pass below reads it back
 		}
 	}
 	sol := ws.solver
 	sol.Reset(nt, len(ws.workers))
 	p.warmMu.Lock()
 	if p.warmState != state {
-		clear(p.warm)
+		p.warm.drop()
 		p.warmState = state
 	}
 	for w, sw := range ws.workers {
-		sol.SetWorker(w, int(sw.ref.Cap), p.warm[sw.ref.ID])
+		sol.SetWorker(w, int(sw.ref.Cap), p.warm.get(sw.ref.ID))
 	}
 	p.warmMu.Unlock()
 	for ti := 0; ti < nt; ti++ {
 		for j := 0; j < int(ws.candCnt[ti]); j++ {
-			c := ws.cands[ti*k+j]
-			key := refKey{shard: ws.candSh[ti*k+j], node: c.Node, id: c.ID}
-			w := ws.dedup[key]
-			if err := sol.AddArc(ti, int(w), hst.LevelDist(int(c.Level))); err != nil {
+			lvl := ws.cands[ti*k+j].Level
+			if err := sol.AddArc(ti, int(ws.candCol[ti*k+j]), hst.LevelDist(int(lvl))); err != nil {
 				// Unreachable: arcs are built from mined refs in task order
 				// with finite level distances (a coordinator validates what
 				// its nodes report before loading it). Surfacing beats a
 				// silently wrong matching.
 				panic(fmt.Sprintf("engine: batch-optimal arc build: %v", err))
 			}
-			ws.arcLvl = append(ws.arcLvl, c.Level)
+			ws.arcLvl = append(ws.arcLvl, lvl)
 		}
 	}
 	sol.Run()
 	p.warmMu.Lock()
 	if p.warmState == state {
 		for w, sw := range ws.workers {
-			p.warm[sw.ref.ID] = sol.WorkerPot(w)
+			p.warm.set(sw.ref.ID, sol.WorkerPot(w))
 		}
 	}
 	p.warmMu.Unlock()

@@ -35,7 +35,11 @@ import (
 // unit goes, so a multi-capacity worker keeps answering nearest-queries
 // until exhausted. Remove always takes the whole item (a withdrawal), and
 // AddCap/Consume adjust a live item's units in place. Len counts items;
-// Units counts remaining capacity.
+// Units counts remaining capacity. Capacities live in a side slab parallel
+// to the item arena (caps), allocated when the index sees its first
+// multi-unit item: a capacitated population — under a capacity-aware policy
+// that is every item — reads a unit count with one indexed load, and a
+// capacity-1 deployment (every greedy one) pays zero bytes and one nil check.
 //
 // Like its map-based predecessor, LeafIndex is not safe for concurrent use;
 // callers serialise access (the sharded engine drives one index per shard
@@ -60,11 +64,14 @@ type LeafIndex struct {
 	digits []uint8
 	sibs   []int32
 
-	// capExtra pools the capacity metadata for the rare multi-unit items:
-	// slot → remaining units, present only while the item holds > 1. The
-	// common capacity-1 population (every greedy deployment) pays zero
-	// bytes and a nil-map check per pop instead of 4 bytes per item slot.
-	capExtra map[int32]int32
+	// caps is the capacity side slab: caps[si] is the remaining units of
+	// item slot si. It stays nil — every item reads as one unit — until the
+	// first multi-unit item arrives; from then on it is grown in lockstep
+	// with items (same length, sharing its Reserve'd capacity), 4 bytes per
+	// slot. Capacities are all-or-nothing per deployment (a capacity-aware
+	// policy capacitates the whole population, any other clamps every
+	// insert to 1), which is why they are a slab and not a pooled map.
+	caps []int32
 
 	freeNode  int32   // head of the freed-node list (linked through flatNode.kids)
 	freeItem  int32   // head of the freed-item list (linked through itemSlot.next)
@@ -96,9 +103,10 @@ type flatNode struct {
 	parent int32 // parent node (nilIdx for the root), for ref-based commits
 }
 
-// itemSlot is one leaf item. 8 bytes: the remaining-capacity counter for the
-// rare multi-unit item is pooled in LeafIndex.capExtra instead of burning a
-// third of every slot on a field that is 1 almost everywhere.
+// itemSlot is one leaf item. 8 bytes (pinned by test): the remaining-capacity
+// counter lives in the lazily allocated LeafIndex.caps side slab instead of
+// burning a third of every slot on a field that is 1 in every capacity-1
+// deployment.
 type itemSlot struct {
 	id   int32
 	next int32
@@ -183,9 +191,10 @@ func NewLeafIndexDegree(depth, degree int) *LeafIndex {
 }
 
 // ArenaBytes returns the bytes the index's arena slabs currently reserve
-// (capacities, not lengths, since grown capacity stays resident), plus an
-// estimate for the pooled capacity map. It is the index's contribution to
-// a bytes-per-worker accounting; per-operation scratch is excluded.
+// (capacities, not lengths, since grown capacity stays resident), the
+// capacity side slab included once it exists. It is the index's
+// contribution to a bytes-per-worker accounting; per-operation scratch is
+// excluded.
 func (x *LeafIndex) ArenaBytes() int64 {
 	b := int64(cap(x.nodes)) * int64(unsafe.Sizeof(flatNode{}))
 	b += int64(cap(x.digits))
@@ -193,7 +202,7 @@ func (x *LeafIndex) ArenaBytes() int64 {
 	b += int64(cap(x.kids)) * 4
 	b += int64(cap(x.items)) * int64(unsafe.Sizeof(itemSlot{}))
 	b += int64(cap(x.freeBlock)) * 4
-	b += int64(len(x.capExtra)) * 12 // ≈ key+value+bucket overhead per pooled entry
+	b += int64(cap(x.caps)) * 4
 	return b
 }
 
@@ -211,7 +220,8 @@ func (x *LeafIndex) ArenaLens() (nodes, kids, items int) {
 // slabs are themselves a population's worth of transient garbage. Counts
 // at or below current capacity do nothing; counts above the int32 arena
 // ceiling are clamped to it (inserts past the ceiling still refuse with
-// ErrIndexFull). Reserve never shrinks and cannot fail.
+// ErrIndexFull). The capacity side slab, once it exists, is reserved along
+// with items. Reserve never shrinks and cannot fail.
 func (x *LeafIndex) Reserve(nodes, kids, items int) {
 	clamp := func(n int) int {
 		if int64(n) > maxArenaLen {
@@ -233,6 +243,9 @@ func (x *LeafIndex) Reserve(nodes, kids, items int) {
 	}
 	if n := clamp(items); n > cap(x.items) {
 		x.items = append(make([]itemSlot, 0, n), x.items...)
+		if x.caps != nil {
+			x.caps = append(make([]int32, 0, n), x.caps...)
+		}
 	}
 }
 
@@ -407,39 +420,44 @@ func (x *LeafIndex) allocItem(id, capacity int32) int32 {
 	} else {
 		si = int32(len(x.items))
 		x.items = append(x.items, itemSlot{})
+		if x.caps != nil {
+			if cap(x.caps) < len(x.items) {
+				x.caps = append(make([]int32, 0, cap(x.items)), x.caps...)
+			}
+			x.caps = append(x.caps, 1)
+		}
 	}
 	x.items[si] = itemSlot{id: id, next: nilIdx}
+	// Always written, so a slot off the freelist can never leak its previous
+	// tenant's units.
 	x.setItemCap(si, capacity)
 	return si
 }
 
-// itemCap resolves an item slot's remaining capacity: 1 unless the slot has
-// a pooled multi-unit entry. The nil-map fast path keeps capacity-1
-// populations — every greedy deployment — free of map traffic on pops.
+// itemCap resolves an item slot's remaining capacity: 1 while the side slab
+// is unallocated, which keeps capacity-1 populations — every greedy
+// deployment — at a nil check per pop.
 func (x *LeafIndex) itemCap(si int32) int32 {
-	if x.capExtra == nil {
+	if x.caps == nil {
 		return 1
 	}
-	if c, ok := x.capExtra[si]; ok {
-		return c
-	}
-	return 1
+	return x.caps[si]
 }
 
-// setItemCap records an item slot's remaining capacity in the pooled map,
-// keeping the map minimal: entries exist only while capacity exceeds 1, so
-// a slot returned to the freelist can never leak units to its next tenant.
+// setItemCap records an item slot's remaining capacity, allocating the side
+// slab (every existing slot at one unit, capacity shared with items) the
+// first time any item holds more than one.
 func (x *LeafIndex) setItemCap(si, c int32) {
-	if c <= 1 {
-		if x.capExtra != nil {
-			delete(x.capExtra, si)
+	if x.caps == nil {
+		if c <= 1 {
+			return
 		}
-		return
+		x.caps = make([]int32, len(x.items), cap(x.items))
+		for i := range x.caps {
+			x.caps[i] = 1
+		}
 	}
-	if x.capExtra == nil {
-		x.capExtra = make(map[int32]int32)
-	}
-	x.capExtra[si] = c
+	x.caps[si] = c
 }
 
 // freeNodeAt returns an empty node (count 0, no items, no live children) to
@@ -527,7 +545,6 @@ func (x *LeafIndex) removeItem(ni, id int32) (capacity int32, ok bool) {
 				x.items[prev].next = x.items[si].next
 			}
 			capacity = x.itemCap(si)
-			x.setItemCap(si, 1) // drop any pooled entry before the slot is reused
 			x.items[si].next = x.freeItem
 			x.freeItem = si
 			x.freeItems++
@@ -558,10 +575,12 @@ func (x *LeafIndex) consumeItem(ni, id int32) (removed, ok bool) {
 }
 
 // AddCap returns delta (≥ 1) capacity units to the live item id at the
-// given leaf code, reporting whether the item was found. Callers restoring
-// a fully consumed (hence removed) item use InsertCap instead.
+// given leaf code, reporting whether the units were added: false when the
+// item is not there, or when the sum would pass the int32 range InsertCap
+// enforces (nothing is mutated either way). Callers restoring a fully
+// consumed (hence removed) item use InsertCap instead.
 func (x *LeafIndex) AddCap(code Code, id, delta int) bool {
-	if len(code) != x.depth || id < 0 || id > math.MaxInt32 || delta < 1 {
+	if len(code) != x.depth || id < 0 || id > math.MaxInt32 || delta < 1 || delta > math.MaxInt32 {
 		return false
 	}
 	ni := int32(0)
@@ -573,7 +592,11 @@ func (x *LeafIndex) AddCap(code Code, id, delta int) bool {
 	}
 	for si := x.nodes[ni].items; si != nilIdx; si = x.items[si].next {
 		if x.items[si].id == int32(id) {
-			x.setItemCap(si, x.itemCap(si)+int32(delta))
+			sum := int64(x.itemCap(si)) + int64(delta)
+			if sum > math.MaxInt32 {
+				return false
+			}
+			x.setItemCap(si, int32(sum))
 			x.units += delta
 			return true
 		}

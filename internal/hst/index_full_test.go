@@ -10,8 +10,8 @@ import (
 // The arena structs are the per-worker memory bill at 10M-worker scale:
 // any field added back (or padding reintroduced) is a deliberate decision,
 // not an accident. flatNode packs five int32s (digit and sparse sibling
-// links live in side slabs); itemSlot packs two (capacity is pooled in
-// capExtra).
+// links live in side slabs); itemSlot packs two (capacities live in the
+// lazily allocated caps side slab).
 func TestArenaStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(flatNode{}); got != 20 {
 		t.Errorf("flatNode is %d bytes, want 20", got)
@@ -113,53 +113,129 @@ func TestArenaCapDefaultIsInt32Range(t *testing.T) {
 	}
 }
 
-// Capacity metadata is pooled: capacity-1 populations allocate no map, a
-// multi-unit item's entry is dropped the moment it decays to one unit, and
-// a freed slot can never leak units to the slot's next tenant.
+// Capacities live in a side slab parallel to the item arena: capacity-1
+// populations never allocate it (and report the ArenaBytes they always
+// did), it appears with the first multi-unit item at exactly 4 bytes per
+// reserved item slot, a 3 → 1 decay keeps serving the last unit, and a
+// freed slot can never leak units to the slot's next tenant.
 func TestCapacityPooling(t *testing.T) {
 	x := NewLeafIndexDegree(3, 2)
 	leaf := Code([]byte{1, 0, 1})
 	if err := x.Insert(leaf, 7); err != nil {
 		t.Fatal(err)
 	}
-	if x.capExtra != nil {
-		t.Fatalf("capacity-1 insert allocated the capacity pool: %v", x.capExtra)
+	if x.caps != nil {
+		t.Fatalf("capacity-1 insert allocated the capacity slab: %v", x.caps)
 	}
-	if err := x.InsertCap(Code([]byte{0, 1, 0}), 8, 3); err != nil {
+	multi := Code([]byte{0, 1, 0})
+	if err := x.InsertCap(multi, 8, 3); err != nil {
 		t.Fatal(err)
 	}
-	if len(x.capExtra) != 1 {
-		t.Fatalf("multi-unit item pooled %d entries, want 1", len(x.capExtra))
+	if len(x.caps) != len(x.items) || cap(x.caps) != cap(x.items) {
+		t.Fatalf("caps is %d/%d, items %d/%d: the slab must shadow the item arena",
+			len(x.caps), cap(x.caps), len(x.items), cap(x.items))
 	}
-	// Two pops decay 3 → 1: the pooled entry must be gone while the item
-	// still serves its last unit.
+	slab := x.caps
+	x.caps = nil
+	without := x.ArenaBytes()
+	x.caps = slab
+	if got, want := x.ArenaBytes(), without+int64(cap(slab))*4; got != want {
+		t.Fatalf("ArenaBytes = %d with the slab, want %d (4 B per reserved slot, counted exactly)", got, want)
+	}
+	// Two pops decay 3 → 1: the item must still serve its last unit, then go.
 	for i := 0; i < 2; i++ {
-		if !x.Consume(Code([]byte{0, 1, 0}), 8) {
+		if !x.Consume(multi, 8) {
 			t.Fatalf("consume %d failed", i)
 		}
 	}
-	if len(x.capExtra) != 0 {
-		t.Fatalf("decayed item still pooled: %v", x.capExtra)
-	}
 	if x.Units() != 2 || x.Len() != 2 {
-		t.Fatalf("Units=%d Len=%d, want 2/2", x.Units(), x.Len())
+		t.Fatalf("Units=%d Len=%d after the decay, want 2/2", x.Units(), x.Len())
+	}
+	if refs := x.NearestKRef(multi, 1, nil); len(refs) != 1 || refs[0].ID != 8 || refs[0].Cap != 1 {
+		t.Fatalf("decayed item mines as %+v, want id 8 with one unit", refs)
 	}
 	// Withdraw a multi-unit item and reuse its slot: the tenant must not
-	// inherit units.
-	if !x.AddCap(Code([]byte{0, 1, 0}), 8, 4) {
+	// inherit units, whether it arrives with one unit or several.
+	if !x.AddCap(multi, 8, 4) {
 		t.Fatal("addcap failed")
 	}
-	if units, ok := x.RemoveUnits(Code([]byte{0, 1, 0}), 8); !ok || units != 5 {
+	if units, ok := x.RemoveUnits(multi, 8); !ok || units != 5 {
 		t.Fatalf("removed units=%d ok=%v, want 5/true", units, ok)
-	}
-	if len(x.capExtra) != 0 {
-		t.Fatalf("withdrawn item still pooled: %v", x.capExtra)
 	}
 	if err := x.Insert(Code([]byte{0, 1, 1}), 9); err != nil { // reuses the freed slot
 		t.Fatal(err)
 	}
 	if x.Units() != 2 {
 		t.Fatalf("slot reuse leaked capacity: Units=%d, want 2", x.Units())
+	}
+	if units, ok := x.RemoveUnits(Code([]byte{0, 1, 1}), 9); !ok || units != 1 {
+		t.Fatalf("tenant of a freed 5-unit slot carries %d units (ok=%v), want 1", units, ok)
+	}
+	// Growth keeps the slab in lockstep, through append doubling and Reserve.
+	for id := 10; id < 200; id++ {
+		if err := x.InsertCap(Code([]byte{byte(id & 1), byte(id >> 1 & 1), byte(id >> 2 & 1)}), id, 1+id%5); err != nil {
+			t.Fatal(err)
+		}
+		if id == 100 {
+			x.Reserve(0, 0, 4096)
+		}
+		if len(x.caps) != len(x.items) || cap(x.caps) != cap(x.items) {
+			t.Fatalf("id %d: caps %d/%d, items %d/%d", id, len(x.caps), cap(x.caps), len(x.items), cap(x.items))
+		}
+	}
+	x.WalkCap(func(_ Code, id, capacity int) {
+		if id >= 10 && capacity != 1+id%5 {
+			t.Fatalf("item %d walks with %d units, want %d", id, capacity, 1+id%5)
+		}
+	})
+
+	// A capacity-1 index pre-sized by Reserve allocates the slab on demand
+	// with the reserved capacity, not a second doubling ladder.
+	y := NewLeafIndexDegree(3, 2)
+	y.Reserve(0, 0, 512)
+	if y.caps != nil {
+		t.Fatal("Reserve allocated the capacity slab on a capacity-1 index")
+	}
+	if err := y.InsertCap(leaf, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if cap(y.caps) != cap(y.items) {
+		t.Fatalf("first multi-unit item sized caps to %d, items reserve %d", cap(y.caps), cap(y.items))
+	}
+}
+
+// AddCap must hold the int32 ceiling InsertCap enforces: a delta or a sum
+// past MaxInt32 is refused with nothing mutated, instead of wrapping the
+// item's counter negative while Units keeps growing.
+func TestAddCapRefusesOverflow(t *testing.T) {
+	x := NewLeafIndexDegree(2, 3)
+	leaf := mk(1, 2)
+	if err := x.InsertCap(leaf, 4, math.MaxInt32-1); err != nil {
+		t.Fatal(err)
+	}
+	if !x.AddCap(leaf, 4, 1) {
+		t.Fatal("AddCap up to MaxInt32 refused")
+	}
+	for _, delta := range []int{1, 2, math.MaxInt32, math.MaxInt32 + 1, 1 << 40} {
+		if x.AddCap(leaf, 4, delta) {
+			t.Fatalf("AddCap(%d) on a MaxInt32-unit item succeeded", delta)
+		}
+		if x.Units() != math.MaxInt32 {
+			t.Fatalf("refused AddCap(%d) moved Units to %d", delta, x.Units())
+		}
+	}
+	if units, ok := x.RefUnits(x.NearestKRef(leaf, 1, nil)[0]); !ok || units != math.MaxInt32 {
+		t.Fatalf("item reads %d units (ok=%v), want MaxInt32", units, ok)
+	}
+	// The item still serves: one pop takes one unit and AddCap fits again.
+	if id, _, ok := x.PopNearest(leaf); !ok || id != 4 {
+		t.Fatalf("pop = (%d,%v)", id, ok)
+	}
+	if !x.AddCap(leaf, 4, 1) || x.Units() != math.MaxInt32 {
+		t.Fatalf("AddCap after a pop failed or miscounted: Units=%d", x.Units())
+	}
+	if units, ok := x.RemoveUnits(leaf, 4); !ok || units != math.MaxInt32 {
+		t.Fatalf("RemoveUnits = (%d,%v), want MaxInt32", units, ok)
 	}
 }
 
