@@ -88,7 +88,7 @@ func main() {
 
 		// Scale soak lane (see soak.go): million-worker populations, churn,
 		// snapshot round trips, and rotation peak-memory accounting.
-		soakName = flag.String("soak", "", "run the scale soak lane with this suite (smoke-100k, soak-1m, soak-2m, soak-5m, soak-10m) and exit")
+		soakName = flag.String("soak", "", "run the scale soak lane with this suite (smoke-100k, soak-1m … soak-10m on the engine; platform-20k, platform-1m on platform.Server) and exit")
 		soakJSON = flag.String("soakjson", "", "soak: write the machine-readable soak report to this file ('' = SOAK_<suite>.json)")
 	)
 	flag.Parse()

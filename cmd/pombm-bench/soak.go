@@ -34,8 +34,13 @@ import (
 // soakSuite is the workload half of the suite/config split: how many
 // workers, how much churn, how many rotations. Everything here is virtual —
 // no field is a duration — so a suite means the same work everywhere.
+//
+// An engine suite churns for Ticks and then rotates Rotations times. A
+// Platform suite (soak_platform.go) drives platform.Server through
+// Rotations epochs of Ticks each, and a move is a departure plus an arrival.
 type soakSuite struct {
 	Name           string `json:"name"`
+	Platform       bool   `json:"platform,omitempty"`
 	Workers        int    `json:"workers"`
 	Ticks          int    `json:"ticks"`
 	AssignsPerTick int    `json:"assigns_per_tick"`
@@ -49,6 +54,8 @@ var soakSuites = []soakSuite{
 	{Name: "soak-2m", Workers: 2_000_000, Ticks: 120, AssignsPerTick: 512, MovesPerTick: 128, Rotations: 2},
 	{Name: "soak-5m", Workers: 5_000_000, Ticks: 120, AssignsPerTick: 512, MovesPerTick: 128, Rotations: 2},
 	{Name: "soak-10m", Workers: 10_000_000, Ticks: 120, AssignsPerTick: 512, MovesPerTick: 128, Rotations: 2},
+	{Name: "platform-20k", Platform: true, Workers: 20_000, Ticks: 4, AssignsPerTick: 256, MovesPerTick: 64, Rotations: 50},
+	{Name: "platform-1m", Platform: true, Workers: 1_000_000, Ticks: 8, AssignsPerTick: 512, MovesPerTick: 4096, Rotations: 50},
 }
 
 // soakConfig is the environment half: everything that can legitimately
@@ -60,6 +67,17 @@ type soakConfig struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	GitSHA     string `json:"git_sha"`
+}
+
+func newSoakConfig(seed uint64, gridCols, shards int) soakConfig {
+	return soakConfig{
+		Seed:       seed,
+		GridCols:   gridCols,
+		Shards:     shards,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GitSHA:     gitSHA(),
+	}
 }
 
 // gcPauseStats summarises the runtime's GC pause histogram over the load
@@ -158,6 +176,9 @@ func runSoak(suiteName string, gridCols, shards int, seed uint64, jsonPath strin
 	if err != nil {
 		return err
 	}
+	if suite.Platform {
+		return runPlatformSoak(suite, gridCols, shards, seed, jsonPath)
+	}
 	grid, err := geo.NewGrid(workload.SyntheticRegion, gridCols, gridCols)
 	if err != nil {
 		return err
@@ -171,15 +192,8 @@ func runSoak(suiteName string, gridCols, shards int, seed uint64, jsonPath strin
 		return err
 	}
 	rep := soakReport{
-		Suite: suite,
-		Config: soakConfig{
-			Seed:       seed,
-			GridCols:   gridCols,
-			Shards:     eng.Shards(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			NumCPU:     runtime.NumCPU(),
-			GitSHA:     gitSHA(),
-		},
+		Suite:  suite,
+		Config: newSoakConfig(seed, gridCols, eng.Shards()),
 	}
 	fmt.Printf("soak %s: %d workers over N=%d D=%d c=%d, %d shards, GOMAXPROCS=%d\n",
 		suite.Name, suite.Workers, tree.NumPoints(), tree.Depth(), tree.Degree(), eng.Shards(), rep.Config.GOMAXPROCS)
@@ -321,10 +335,16 @@ func runSoak(suiteName string, gridCols, shards int, seed uint64, jsonPath strin
 		}
 	}
 
+	return writeSoakReport(jsonPath, suite.Name, &rep)
+}
+
+// writeSoakReport writes a suite's machine-readable report to jsonPath
+// ("" = SOAK_<suite>.json).
+func writeSoakReport(jsonPath, suite string, rep any) error {
 	if jsonPath == "" {
-		jsonPath = fmt.Sprintf("SOAK_%s.json", suite.Name)
+		jsonPath = fmt.Sprintf("SOAK_%s.json", suite)
 	}
-	blob, err := json.MarshalIndent(&rep, "", "  ")
+	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}

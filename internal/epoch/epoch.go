@@ -13,20 +13,24 @@
 //     the serving epoch) while the current epoch keeps serving.
 //  2. Plan: collect a fresh obfuscated report from every available worker
 //     under the staged tree — reports are drawn client-side; the
-//     controller only sees the resulting codes — and record each spend
-//     against the worker's lifetime budget. Workers whose budget cannot
+//     controller only sees the resulting codes — and check each against
+//     the worker's lifetime budget (Afford). Workers whose budget cannot
 //     afford another report are parked: permanently retired from serving
 //     rather than silently re-noised past their guarantee.
 //  3. Commit: the serving layer swaps its engine to the planned population
-//     (engine.SwapEpoch) and the controller advances its epoch counter.
+//     (engine.SwapEpoch), charges every rotated worker's report (Charge)
+//     and the controller advances its epoch counter.
 //
 // The controller is deliberately engine-agnostic: the sharded engine and
 // the platform server both drive it, applying the plan's outcomes to their
-// own id spaces (engine ids, platform slots). What the controller owns is
-// the invariant pair the tests assert — epoch consistency (no assignment
-// pairs codes from different epochs; the engine swap plus the serving
-// layer's stale-pop retry enforce it) and budget conservation (the
-// accountant's total equals the sum of recorded spends, and no worker ever
+// own id spaces (engine ids, platform slots). The same split holds for the
+// lifetime-ε ledger: each worker's running spend is a cell in its owner's
+// worker table (a platform slot record, the simulator's dense array), and
+// the controller keeps the one charge rule and the totals. What the
+// controller owns is the invariant pair the tests assert — epoch
+// consistency (no assignment pairs codes from different epochs; the engine
+// swap plus the serving layer's rotation gate enforce it) and budget
+// conservation (the total equals the sum of the cells, and no worker ever
 // exceeds its lifetime ε).
 package epoch
 
@@ -77,9 +81,9 @@ type Config struct {
 type Controller struct {
 	seed uint64
 	eps  float64
-	acct *privacy.Accountant // nil when accounting is disabled
 
 	mu        sync.Mutex
+	budget    *privacy.Budget // nil when accounting is disabled
 	epoch     int64
 	tree      *hst.Tree
 	staged    *Staged
@@ -117,7 +121,7 @@ func NewController(cfg Config) (*Controller, error) {
 		hist:   map[int]int{},
 	}
 	if cfg.Lifetime > 0 {
-		acct, err := privacy.NewAccountant(cfg.Lifetime)
+		budget, err := privacy.NewBudget(cfg.Lifetime)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +129,7 @@ func NewController(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("epoch: lifetime budget %v below per-report ε %v; every report would be refused",
 				cfg.Lifetime, cfg.Epsilon)
 		}
-		c.acct = acct
+		c.budget = budget
 	}
 	return c, nil
 }
@@ -148,39 +152,38 @@ func (c *Controller) Tree() *hst.Tree {
 func (c *Controller) Epsilon() float64 { return c.eps }
 
 // Accounting reports whether lifetime budgets are being enforced.
-func (c *Controller) Accounting() bool { return c.acct != nil }
+func (c *Controller) Accounting() bool { return c.budget != nil }
 
-// Spend records one fresh report for the worker against its lifetime
-// budget. On exhaustion the worker is parked and the returned error wraps
+// Afford checks one fresh report for the worker against its lifetime
+// budget, given what the worker has spent so far (the caller owns that
+// cell). On exhaustion the worker is parked and the returned error wraps
 // ErrBudgetExhausted; an already-parked worker is refused the same way.
-// With accounting disabled it always succeeds.
-func (c *Controller) Spend(worker string) error {
+// Nothing is charged: the caller runs whatever can still refuse the report
+// (an engine insert, a swap) and calls Charge once it was accepted, so a
+// refused report never burns budget. With accounting disabled only the
+// parked check applies.
+func (c *Controller) Afford(worker string, spent float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.spendLocked(worker)
-}
-
-func (c *Controller) spendLocked(worker string) error {
 	if _, gone := c.parked[worker]; gone {
 		return fmt.Errorf("%w: worker %q is parked", ErrBudgetExhausted, worker)
 	}
-	if c.acct == nil {
+	if c.budget == nil || c.budget.Affords(spent, c.eps) {
 		return nil
 	}
-	err := c.acct.Spend(worker, c.eps)
-	if errors.Is(err, privacy.ErrBudgetExhausted) {
-		c.parked[worker] = struct{}{}
-	}
-	return err
+	c.parked[worker] = struct{}{}
+	return fmt.Errorf("%w: worker %q spent %.4g of %.4g, requested %.4g",
+		ErrBudgetExhausted, worker, spent, c.budget.Limit(), c.eps)
 }
 
-// Spent returns the budget the worker has consumed (0 when accounting is
-// disabled).
-func (c *Controller) Spent(worker string) float64 {
-	if c.acct == nil {
-		return 0
+// Charge records one accepted fresh report on the worker's cell (a no-op
+// with accounting disabled). The caller's lock must cover the cell.
+func (c *Controller) Charge(cell *float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.budget != nil {
+		c.budget.Charge(cell, c.eps)
 	}
-	return c.acct.Spent(worker)
 }
 
 // Parked reports whether the worker has been parked (lifetime budget
@@ -288,18 +291,16 @@ type ReportFunc func(worker string, tree *hst.Tree) (hst.Code, error)
 // Outcome is one worker's fate in a rotation plan, in input order.
 type Outcome struct {
 	Worker string
-	// Code is the fresh report (valid for the plan's tree); empty when the
-	// worker was parked.
+	// Code is the fresh report (valid for the plan's tree).
 	Code hst.Code
-	// Parked is true when the worker's lifetime budget could not afford
-	// the fresh report (or it was already parked): it must leave the
-	// serving pool instead of being re-noised past its guarantee.
+	// Parked is set by the owner of the worker's budget cell when Afford
+	// refused the fresh report: the worker must leave the serving pool
+	// instead of being re-noised past its guarantee.
 	Parked bool
 }
 
-// Plan is a fully budgeted rotation awaiting commit: the staged epoch and
-// tree plus the per-worker outcomes, aligned with the workers given to
-// PlanRotation.
+// Plan is a rotation awaiting commit: the staged epoch and tree plus the
+// per-worker outcomes, aligned with the workers given to PlanRotation.
 type Plan struct {
 	Epoch    int64
 	Tree     *hst.Tree
@@ -308,18 +309,20 @@ type Plan struct {
 
 // PlanRotation collects fresh reports for the listed workers (in the given
 // order — the order is the deterministic contract the serving layer's id
-// allocation relies on) under the staged tree, spending each worker's
-// budget and parking the exhausted. staged must be the staging the caller
-// observed (nil selects whatever is currently staged); if a concurrent
-// re-Prepare replaced it, the plan is refused before any budget is spent —
-// reports drawn against one tree are never committed under another. A
-// report error from the client aborts the plan; budget refusals do not.
+// allocation relies on) under the staged tree. staged must be the staging
+// the caller observed (nil selects whatever is currently staged); if a
+// concurrent re-Prepare replaced it, the plan is refused — reports drawn
+// against one tree are never committed under another. A report error from
+// the client aborts the plan.
+//
+// Budgets are the caller's next step, because the caller owns the cells:
+// Afford for each outcome (marking the refused ones Parked), the engine
+// swap, then Charge for each survivor and Commit.
 //
 // Reports are collected without holding the controller's lock — ReportFunc
 // is arbitrary client-side code and must be free to call back into the
-// controller, and serving-path spends must not stall behind a population's
-// re-obfuscation. The spends are then recorded under the lock, after
-// re-verifying the staging.
+// controller, and serving-path budget checks must not stall behind a
+// population's re-obfuscation.
 func (c *Controller) PlanRotation(staged *Staged, workers []string, report ReportFunc) (*Plan, error) {
 	c.mu.Lock()
 	if staged == nil {
@@ -335,9 +338,8 @@ func (c *Controller) PlanRotation(staged *Staged, workers []string, report Repor
 	p := &Plan{
 		Epoch:    staged.Epoch,
 		Tree:     staged.Tree,
-		Outcomes: make([]Outcome, 0, len(workers)),
+		Outcomes: make([]Outcome, len(workers)),
 	}
-	codes := make([]hst.Code, len(workers))
 	for i, w := range workers {
 		code, err := report(w, p.Tree)
 		if err != nil {
@@ -346,22 +348,10 @@ func (c *Controller) PlanRotation(staged *Staged, workers []string, report Repor
 		if err := p.Tree.CheckCode(code); err != nil {
 			return nil, fmt.Errorf("epoch: report for %q: %w", w, err)
 		}
-		codes[i] = code
+		p.Outcomes[i] = Outcome{Worker: w, Code: code}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.staged != staged {
+	if c.StagedRotation() != staged {
 		return nil, fmt.Errorf("epoch: rotation restaged while planning %d", staged.Epoch)
-	}
-	for i, w := range workers {
-		if err := c.spendLocked(w); err != nil {
-			if !errors.Is(err, ErrBudgetExhausted) {
-				return nil, err
-			}
-			p.Outcomes = append(p.Outcomes, Outcome{Worker: w, Parked: true})
-			continue
-		}
-		p.Outcomes = append(p.Outcomes, Outcome{Worker: w, Code: codes[i]})
 	}
 	return p, nil
 }
@@ -416,10 +406,10 @@ func (c *Controller) Stats() Stats {
 		Rotated:   c.rotated,
 		Parked:    len(c.parked),
 	}
-	if c.acct != nil {
-		st.Limit = c.acct.Limit()
-		st.SpentTotal = c.acct.TotalSpent()
-		st.Agents = c.acct.Agents()
+	if c.budget != nil {
+		st.Limit = c.budget.Limit()
+		st.SpentTotal = c.budget.Total()
+		st.Agents = c.budget.Agents()
 	}
 	return st
 }

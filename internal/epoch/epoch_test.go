@@ -98,16 +98,30 @@ func TestControllerLifecycle(t *testing.T) {
 	}
 
 	// Two spends per worker fit in the lifetime budget; the third parks.
+	// The cells are the caller's: budget walks a plan the way a serving
+	// layer does (Afford, swap, Charge).
 	workers := []string{"a", "b"}
-	if err := c.Spend("a"); err != nil {
+	cells := make([]float64, len(workers))
+	budget := func(p *Plan) {
+		for i := range p.Outcomes {
+			if c.Afford(workers[i], cells[i]) != nil {
+				p.Outcomes[i].Parked = true
+				continue
+			}
+			c.Charge(&cells[i])
+		}
+	}
+	if err := c.Afford("a", cells[0]); err != nil {
 		t.Fatal(err)
 	}
+	c.Charge(&cells[0])
 	plan, err := c.PlanRotation(nil, workers, func(w string, tr *hst.Tree) (hst.Code, error) {
 		return echoReporter(tr, w), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	budget(plan)
 	if len(plan.Outcomes) != 2 || plan.Outcomes[0].Parked || plan.Outcomes[1].Parked {
 		t.Fatalf("outcomes = %+v", plan.Outcomes)
 	}
@@ -132,6 +146,7 @@ func TestControllerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	budget(plan)
 	if !plan.Outcomes[0].Parked || plan.Outcomes[1].Parked {
 		t.Fatalf("outcomes = %+v", plan.Outcomes)
 	}
@@ -139,7 +154,7 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatal("parked bookkeeping wrong")
 	}
 	// Parked is terminal: even a spend that would otherwise fit is refused.
-	if err := c.Spend("a"); !errors.Is(err, ErrBudgetExhausted) {
+	if err := c.Afford("a", 0); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("spend on parked worker: %v", err)
 	}
 	if err := c.Commit(plan); err != nil {
@@ -189,10 +204,15 @@ func TestSpendWithoutAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cell float64
 	for i := 0; i < 100; i++ {
-		if err := c.Spend("w"); err != nil {
+		if err := c.Afford("w", cell); err != nil {
 			t.Fatalf("unbudgeted spend %d refused: %v", i, err)
 		}
+		c.Charge(&cell)
+	}
+	if cell != 0 {
+		t.Fatalf("unbudgeted charge moved the cell to %v", cell)
 	}
 	if st := c.Stats(); st.SpentTotal != 0 || st.Limit != 0 {
 		t.Fatalf("accounting stats leak without accountant: %+v", st)

@@ -118,6 +118,11 @@ type WithdrawRequest struct {
 
 // StatsResponse summarises server state for monitoring.
 type StatsResponse struct {
+	// RegisteredWorkers counts the distinct worker ids ever registered: an
+	// id counts when it registers while unknown to the server. With a
+	// lifetime budget the server remembers every id it has charged, so the
+	// count is exact; without one, an id that withdrew and was compacted
+	// away by a rotation is forgotten and counts again when it returns.
 	RegisteredWorkers int `json:"registered_workers"`
 	AvailableWorkers  int `json:"available_workers"`
 	AssignedTasks     int `json:"assigned_tasks"`
@@ -163,6 +168,15 @@ type StatsResponse struct {
 	DefaultCapacity int            `json:"default_capacity,omitempty"`
 	CapacityUnits   int            `json:"capacity_units,omitempty"`
 	BatchWindows    int64          `json:"batch_windows,omitempty"`
+	// The registry's footprint. SlotTableLen is the number of slots in the
+	// serving epoch's table: live workers plus the stints closed since the
+	// last rotation, which compacts them away. RegistryBytes is the table's
+	// own allocation (record pages plus id index; the id and code bytes the
+	// records point at are not counted), and DepartedLedgerIDs the ids
+	// whose lifetime spend is remembered although they are offline.
+	SlotTableLen      int `json:"slot_table_len"`
+	RegistryBytes     int `json:"registry_bytes"`
+	DepartedLedgerIDs int `json:"departed_ledger_ids"`
 }
 
 // PrepareRotateRequest stages the next epoch: a fresh HST built in the

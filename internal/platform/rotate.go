@@ -15,18 +15,30 @@ import (
 //  1. PrepareRotate builds and stages the next epoch's tree in the
 //     background and hands it to the operator, who distributes it to
 //     workers for client-side re-obfuscation.
-//  2. Rotate commits: each listed fresh report spends its worker's
-//     lifetime budget (exhausted workers are parked), every rotated worker
-//     gets a fresh slot, and the engine's shard set is swapped atomically.
-//     Available workers without a fresh report are dropped (their old
-//     codes are meaningless under the new tree; they may register back
-//     later). Busy workers keep their assignment and re-report under the
-//     new tree at Release.
+//  2. Rotate commits: each listed fresh report is checked against its
+//     worker's lifetime budget (exhausted workers are parked), the next
+//     epoch's slot table is built from 0, the engine's shard set is
+//     swapped atomically, and table and epoch flip together. Available
+//     workers without a fresh report are dropped (their old codes are
+//     meaningless under the new tree; they may register back later). Busy
+//     workers keep their assignment and re-report under the new tree at
+//     Release.
 //
-// In-flight Submit pops against the old epoch observe their popped slot
-// superseded (retired, parked, or dropped) and retry against the new shard
-// set — the same staleness rule that governs withdraw races — so no task
-// is ever paired with a worker from a different epoch.
+// A rotation is also the one moment every engine id is reissued anyway, so
+// it is where the slot space is compacted: the next table holds the carried
+// stints (busy, or withdrawn with tasks still running) first, in old slot
+// order, then the rotated workers in report order — the same relative order
+// the ids had before, so every "lowest registration id wins" tie-break is
+// unchanged — and nothing else. Stints closed during the epoch (withdrawn,
+// superseded, parked, dropped) are gone with the old table; an id's
+// lifetime spend survives in the departed ledger. The slot space is thereby
+// bounded by live workers plus one epoch's churn, however long the server
+// runs.
+//
+// Submit holds the rotation gate across its pop and bookkeeping and the
+// commit holds it exclusively, so a popped slot number is never read
+// against the renumbered table and no task is ever paired with a worker
+// from a different epoch.
 
 // PrepareRotate stages epoch N+1 while N keeps serving. The staged tree is
 // returned for clients to re-obfuscate under; re-preparing replaces a
@@ -46,6 +58,8 @@ func (s *Server) PrepareRotate(req PrepareRotateRequest) PrepareRotateResponse {
 // operation: after it returns, the server publishes the new tree and no
 // assignment can pair codes from different epochs.
 func (s *Server) Rotate(req RotateRequest) RotateResponse {
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	staged := s.rot.StagedRotation()
@@ -58,119 +72,130 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 		return RotateResponse{OK: false, Reason: reason, Err: conflictError(reason)}
 	}
 
-	// Filter to currently-available workers, first report per worker wins.
+	// Resolve each report to its slot once; everything after is indexed by
+	// slot. Only currently-available workers rotate, first report per
+	// worker wins (reported marks the slots already taken).
+	old := s.tab
 	resp := RotateResponse{Epoch: staged.Epoch}
+	reported := make([]bool, old.len())
+	slots := make([]int, 0, len(req.Reports))
 	names := make([]string, 0, len(req.Reports))
-	codeOf := make(map[string]hst.Code, len(req.Reports))
+	codes := make([]hst.Code, 0, len(req.Reports))
 	for _, r := range req.Reports {
-		slot, known := s.byID[r.WorkerID]
-		if _, dup := codeOf[r.WorkerID]; dup || !known || s.states[slot] != stateAvailable ||
-			staged.Tree.CheckCode(hst.Code(r.Code)) != nil {
+		slot, known := old.lookup(r.WorkerID)
+		code := hst.Code(r.Code)
+		if !known || reported[slot] || old.at(slot).state != stateAvailable ||
+			staged.Tree.CheckCode(code) != nil {
 			resp.Skipped++
 			continue
 		}
+		reported[slot] = true
+		slots = append(slots, slot)
 		names = append(names, r.WorkerID)
-		codeOf[r.WorkerID] = hst.Code(r.Code)
+		codes = append(codes, code)
 	}
 
 	// Planning against the staging read above: if a concurrent
-	// PrepareRotate replaced it, the plan is refused (before any budget is
-	// spent) rather than committing reports validated against one tree
-	// under another.
-	plan, err := s.rot.PlanRotation(staged, names, func(w string, _ *hst.Tree) (hst.Code, error) {
-		return codeOf[w], nil
+	// PrepareRotate replaced it, the plan is refused rather than committing
+	// reports validated against one tree under another.
+	k := 0
+	plan, err := s.rot.PlanRotation(staged, names, func(string, *hst.Tree) (hst.Code, error) {
+		k++
+		return codes[k-1], nil
 	})
 	if err != nil {
 		return RotateResponse{OK: false, Reason: err.Error(), Err: conflictError(err.Error())}
 	}
 
-	// Stage the new population with slot numbers pre-allocated in report
-	// order, swap the engine, and only then mutate the tables — a failed
-	// swap must leave the old epoch fully intact. A capacitated worker
-	// carries its remaining units (capacity − active) into the new epoch;
-	// its outstanding tasks keep running and release against the new slot.
-	//
-	// The core takes the population as a replayable sequence: the inserts
-	// derive deterministically from the plan and the slot tables (both
-	// frozen under mu here, so concurrent iterations only read), and a
-	// generator instead of a []EpochInsert lets an engine rotate a
-	// 10M-worker population — or a cluster core partition it across nodes —
-	// without materializing a second copy beside the live one.
-	base := len(s.workerIDs)
+	// Build the next epoch's table beside the serving one, which stays
+	// untouched until the swap succeeded — a failed swap must leave the old
+	// epoch fully intact. Carried stints first: their outstanding tasks
+	// keep running and release against the new slot. leaving collects the
+	// slots whose id drops out of the table with a ledger cell to keep.
+	next := newSlotTable(len(slots))
+	var leaving []int
+	for slot := 0; slot < old.len(); slot++ {
+		rec := old.at(slot)
+		switch rec.state {
+		case stateAssigned, stateAssignedGone:
+			next.add(*rec)
+		case stateAvailable:
+			if reported[slot] {
+				continue // rotates or parks below, in report order
+			}
+			// No usable report: dropped. Its engine entry vanishes with the
+			// old shard set and the stint closes like a withdrawal, so the
+			// worker may register back later with a fresh spend. A
+			// capacitated one still owes completions: it finishes them
+			// offline and goes fully gone at its last Release.
+			resp.Dropped = append(resp.Dropped, rec.id)
+			if rec.active > 0 {
+				carried := *rec
+				carried.state = stateAssignedGone
+				next.add(carried)
+			} else {
+				leaving = append(leaving, slot)
+			}
+		case stateGone, stateParked:
+			leaving = append(leaving, slot)
+		}
+	}
+	// Then the rotated workers, in report order. A capacitated worker
+	// carries its remaining units (capacity − active) into the new epoch.
+	carried := next.len()
+	for i := range plan.Outcomes {
+		o := &plan.Outcomes[i]
+		rec := old.at(slots[i])
+		if s.rot.Afford(o.Worker, rec.spent) != nil {
+			o.Parked = true
+			resp.Parked = append(resp.Parked, o.Worker)
+			leaving = append(leaving, slots[i])
+			continue
+		}
+		rotated := *rec
+		rotated.code, rotated.epoch = o.Code, plan.Epoch
+		next.add(rotated)
+	}
+	resp.Rotated = next.len() - carried
+
+	// The core takes the population as a replayable sequence: the rotated
+	// slots of the finished next table, which nothing mutates until the
+	// swap returned, so concurrent iterations only read. A generator
+	// instead of a []EpochInsert lets an engine rotate a 10M-worker
+	// population — or a cluster core partition it across nodes — without
+	// materializing a second copy beside the table.
 	populate := func(yield func(engine.EpochInsert) bool) {
-		n := 0
-		for i := range plan.Outcomes {
-			if plan.Outcomes[i].Parked {
-				continue
-			}
-			old := s.byID[plan.Outcomes[i].Worker]
-			in := engine.EpochInsert{
-				Code: plan.Outcomes[i].Code,
-				ID:   base + n,
-				Cap:  s.capacity[old] - s.active[old],
-			}
-			n++
-			if !yield(in) {
+		for slot := carried; slot < next.len(); slot++ {
+			rec := next.at(slot)
+			if !yield(engine.EpochInsert{Code: rec.code, ID: slot, Cap: int(rec.capacity - rec.active)}) {
 				return
 			}
 		}
 	}
 	if err := s.eng.SwapEpochSeq(plan.Epoch, plan.Tree, 0, populate); err != nil {
 		// A cluster core aborts the distributed prepare on every node before
-		// reporting failure, so the old epoch keeps serving intact.
+		// reporting failure, so the old epoch keeps serving intact — and no
+		// report has been charged.
 		return RotateResponse{OK: false, Reason: err.Error(), Err: AsError(err, s.epoch)}
 	}
 
-	// The swap is live: record the new slots and close out the old epoch's
-	// available population. An in-flight pop of an old slot now reads a
-	// superseded state under mu and retries against the new shard set.
-	for i := range plan.Outcomes {
-		o := &plan.Outcomes[i]
-		old := s.byID[o.Worker]
-		if o.Parked {
-			s.states[old] = stateParked
-			resp.Parked = append(resp.Parked, o.Worker)
-			continue
-		}
-		slot := len(s.workerIDs)
-		s.workerIDs = append(s.workerIDs, o.Worker)
-		s.codes = append(s.codes, o.Code)
-		s.states = append(s.states, stateAvailable)
-		s.slotEpoch = append(s.slotEpoch, plan.Epoch)
-		// The new slot inherits the stint's capacity accounting: tasks
-		// assigned before the rotation release against it.
-		s.capacity = append(s.capacity, s.capacity[old])
-		s.active = append(s.active, s.active[old])
-		s.active[old] = 0
-		s.byID[o.Worker] = slot
-		s.states[old] = stateRetired
-		resp.Rotated++
+	// The swap is live: charge the accepted reports, keep the ledger cells
+	// of the ids that left, and flip table and epoch together.
+	for slot := carried; slot < next.len(); slot++ {
+		s.rot.Charge(&next.at(slot).spent)
 	}
-	// Available workers with no fresh report: dropped. (Every rotated or
-	// parked slot was just moved off stateAvailable above, so whatever is
-	// still available below base had no usable report.) Their engine
-	// entries vanished with the old shard set; the slot is closed like a
-	// withdrawal, so the worker may register back later with a fresh spend.
-	for slot := 0; slot < base; slot++ {
-		if s.states[slot] == stateAvailable {
-			if s.active[slot] > 0 {
-				// A capacitated dropped worker still owes completions: it
-				// finishes them offline and goes fully gone at its last
-				// Release, exactly like a withdrawal.
-				s.states[slot] = stateAssignedGone
-			} else {
-				s.states[slot] = stateGone
-			}
-			s.dropped++
-			resp.Dropped = append(resp.Dropped, s.workerIDs[slot])
+	for _, slot := range leaving {
+		if rec := old.at(slot); rec.spent > 0 {
+			s.departed[rec.id] = rec.spent
 		}
 	}
-
 	if err := s.rot.Commit(plan); err != nil {
 		// Unreachable: the staged rotation is checked above and mu
 		// serialises commits. Surface it rather than serving half-rotated.
 		panic(fmt.Sprintf("platform: rotation commit: %v", err))
 	}
+	s.dropped += len(resp.Dropped)
+	s.tab = next
 	s.epoch = plan.Epoch
 	s.pub.Tree = plan.Tree
 	s.pub.Epoch = plan.Epoch
@@ -192,9 +217,9 @@ func (s *Server) RotateNow(req PrepareRotateRequest, workers []string, report fu
 	}
 	if workers == nil {
 		s.mu.Lock()
-		for slot, st := range s.states {
-			if st == stateAvailable {
-				workers = append(workers, s.workerIDs[slot])
+		for slot := 0; slot < s.tab.len(); slot++ {
+			if rec := s.tab.at(slot); rec.state == stateAvailable {
+				workers = append(workers, rec.id)
 			}
 		}
 		s.mu.Unlock()

@@ -252,7 +252,7 @@ func TestConcurrentRotateEpochConsistency(t *testing.T) {
 	}
 	// ...and no worker ever exceeds its lifetime limit.
 	for w := 0; w < nWorkers; w++ {
-		if spent := s.rot.Spent(name(w)); spent > st.BudgetLimit+1e-9 {
+		if spent := s.Spent(name(w)); spent > st.BudgetLimit+1e-9 {
 			t.Errorf("worker %d spent %v over limit %v", w, spent, st.BudgetLimit)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/epoch"
@@ -42,7 +43,8 @@ type Core interface {
 	Len() int
 	CapacityUnits() int
 	// Serving operations. Semantics (staleness, retries, tie-breaks) are
-	// engine.Engine's; see its method docs.
+	// engine.Engine's; see its method docs. Assign must not retain the task
+	// code past its return: Submit passes a view of the request's bytes.
 	Assign(code hst.Code) (id, lcaLevel int, ok bool)
 	AssignBatch(codes []hst.Code) (ids, lcaLevels []int)
 	InsertEpoch(code hst.Code, id int, epoch int64) error
@@ -81,36 +83,42 @@ func coreAssign(c Core, code hst.Code) (id, lcaLevel int, ok bool, err error) {
 
 type Server struct {
 	eng Core
-	// rot owns epoch rotation and per-worker budget accounting. It has its
-	// own lock; the server calls into it under mu where slot-table
+	// rot owns epoch rotation and the lifetime-budget charge rule. It has
+	// its own lock; the server calls into it under mu where slot-table
 	// consistency matters.
 	rot *epoch.Controller
 
-	// mu guards the slot tables, counters, and the publication (whose tree
+	// gate is the rotation gate. A rotation renumbers every slot, and the
+	// core's Assign returns a bare slot number with no epoch, so a pop must
+	// never be interpreted against another epoch's table: Submit and
+	// SubmitBatch hold the gate for reading across pop + bookkeeping,
+	// Rotate holds it for writing across the engine swap + table flip.
+	// Lock order: gate, then mu. Fields written only by Rotate (epoch, pub,
+	// tab) may be read under either.
+	gate sync.RWMutex
+
+	// mu guards the slot table, counters, and the publication (whose tree
 	// and epoch change at rotation). The engine is the source of truth for
 	// availability: a slot is registered in the engine exactly when the
 	// worker is available. Every engine mutation except Submit's atomic pop
 	// happens under mu, so slot-table reads after a pop are always
 	// consistent.
-	mu        sync.Mutex
-	pub       Publication
-	epoch     int64      // serving epoch; mirrors rot under mu
-	workerIDs []string   // slot → external id
-	codes     []hst.Code // slot → reported leaf
-	states    []workerState
-	slotEpoch []int64 // slot → epoch the slot's code was obfuscated under
-	// capacity is the slot's declared task capacity and active its
-	// outstanding assignments. The engine holds the slot exactly while
-	// active < capacity (with capacity−active remaining units), so a pop
-	// maps to active++ and a completed task hands one unit back.
-	capacity  []int
-	active    []int
-	byID      map[string]int
-	assigned  int
-	rejected  int
-	released  int
-	withdrawn int
-	dropped   int // available workers dropped at a rotation for lack of a fresh report
+	mu    sync.Mutex
+	pub   Publication
+	epoch int64 // serving epoch; mirrors rot
+	tab   *slotTable
+	// departed holds the lifetime spend of ids a rotation compacted out of
+	// the table (withdrawn, dropped or parked workers), reclaimed when the
+	// id registers back. It is empty without a lifetime budget.
+	departed map[string]float64
+	// registered counts ids that were unknown — neither in the table nor in
+	// the departed ledger — when they registered.
+	registered int
+	assigned   int
+	rejected   int
+	released   int
+	withdrawn  int
+	dropped    int // available workers dropped at a rotation for lack of a fresh report
 	// levelCounts[l] counts assignments whose match LCA sat at level l;
 	// levelSum is Σ levels for the running mean. Both are fed by Submit and
 	// SubmitBatch alike. The histogram grows if a rotated tree is deeper.
@@ -120,10 +128,10 @@ type Server struct {
 
 // workerState tracks a slot's lifecycle. A worker is in the engine exactly
 // when its state is stateAvailable (with capacity−active remaining units).
-// Slots are registration epochs: a worker that withdraws and registers back
-// gets a fresh slot, and the old one is retired for good — so a Submit
-// holding a popped slot can always tell whether the stint that slot belongs
-// to is still the live one.
+// Slots are registration stints: a worker that withdraws and registers back
+// gets a fresh slot, and the old one is retired until the next rotation
+// compacts it away — so a Submit holding a popped slot can always tell
+// whether the stint that slot belongs to is still the live one.
 type workerState uint8
 
 const (
@@ -136,10 +144,10 @@ const (
 )
 
 // stintOver reports whether a popped slot's stint was closed (by a
-// Withdraw, a rotation, or a parking, possibly followed by a
-// re-registration) while the pop was in flight: the pop is stale and must
-// be retried — the worker was told it is offline (or got a fresh slot in
-// the new epoch), and acting on the pop could double-assign it.
+// Withdraw or a parking, possibly followed by a re-registration) while the
+// pop was in flight: the pop is stale and must be retried — the worker was
+// told it is offline, and acting on the pop could double-assign it. (A
+// rotation cannot close a stint under a pop: the gate keeps them apart.)
 // stateAssignedGone closes the stint too: a capacitated worker's spare
 // units were withdrawn from the pool while its assignments run out, so a
 // pop that raced the withdrawal must not hand it new work.
@@ -274,7 +282,8 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		eng:         core,
 		rot:         rot,
 		epoch:       first,
-		byID:        map[string]int{},
+		tab:         newSlotTable(0),
+		departed:    map[string]float64{},
 		levelCounts: make([]int, tree.Depth()+1),
 	}, nil
 }
@@ -303,51 +312,67 @@ func parkedReason(workerID string) string {
 	return fmt.Sprintf("platform: worker %q lifetime budget exhausted; parked", workerID)
 }
 
+// refusal wraps a structured error as a worker-operation response.
+func refusal(e *Error) RegisterResponse {
+	return RegisterResponse{Reason: e.Message, Err: e, Parked: e.Code == CodeParked}
+}
+
+// unknownWorker answers an operation on an id the table does not hold. A
+// parked id that a rotation has since compacted away is still parked (the
+// controller remembers); anything else is not registered.
+func (s *Server) unknownWorker(workerID string) RegisterResponse {
+	if s.rot.Parked(workerID) {
+		return refusal(parkedError(workerID))
+	}
+	return refusal(badRequestError(fmt.Sprintf("platform: worker %q not registered", workerID)))
+}
+
 // Register adds a worker with its obfuscated leaf. Worker ids must be
 // unique among active workers; use Reregister for location updates. A
 // worker that previously withdrew while available may register again under
 // the same id with a freshly obfuscated code. Every registration is a
 // fresh report: with a lifetime budget configured it spends the
 // publication's ε, and an exhausted worker is refused with Parked set.
-// Validation and the engine insert happen before any slot-table mutation,
-// so a failed registration leaves no half-registered state behind and the
-// id stays free for retry.
+// Validation and the engine insert happen before any slot-table mutation
+// or budget charge, so a failed registration leaves no half-registered
+// state behind, burns no budget, and the id stays free for retry.
 func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	if req.WorkerID == "" {
-		return RegisterResponse{OK: false, Reason: "platform: empty worker id", Err: badRequestError("platform: empty worker id")}
+		return refusal(badRequestError("platform: empty worker id"))
 	}
 	code := hst.Code(req.Code)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if req.Epoch != 0 && req.Epoch != s.epoch {
-		e := staleEpochError(req.Epoch, s.epoch)
-		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
+		return refusal(staleEpochError(req.Epoch, s.epoch))
 	}
 	if err := s.pub.Tree.CheckCode(code); err != nil {
-		return RegisterResponse{OK: false, Reason: err.Error(), Err: badRequestError(err.Error())}
+		return refusal(badRequestError(err.Error()))
 	}
 	// A withdrawn worker coming back online starts a fresh stint in a
 	// fresh slot; the old slot is retired below, once the insert succeeded,
 	// so a stale pop of the old stint still in flight sees stateRetired.
-	revive := -1
-	if old, dup := s.byID[req.WorkerID]; dup {
-		switch s.states[old] {
+	// Its ledger cell moves along — from the old slot, or from the departed
+	// ledger when a rotation compacted the old slot away.
+	var prev *record
+	spent, returning := 0.0, false
+	if old, dup := s.tab.lookup(req.WorkerID); dup {
+		prev = s.tab.at(old)
+		switch prev.state {
 		case stateGone:
-			revive = old
+			spent = prev.spent
 		case stateParked:
-			return RegisterResponse{OK: false, Parked: true, Reason: parkedReason(req.WorkerID), Err: parkedError(req.WorkerID)}
+			return refusal(parkedError(req.WorkerID))
 		default:
-			reason := fmt.Sprintf("platform: worker %q already registered", req.WorkerID)
-			return RegisterResponse{OK: false, Reason: reason, Err: conflictError(reason)}
+			return refusal(conflictError(fmt.Sprintf("platform: worker %q already registered", req.WorkerID)))
 		}
+	} else {
+		spent, returning = s.departed[req.WorkerID]
 	}
 	// Resolve the slot's capacity exactly as the engine will: the server's
 	// accounting (active vs capacity) must agree with the engine's units.
-	// Range validation happens before the budget spend below — a refused
-	// registration must not burn lifetime ε.
 	if req.Capacity < 0 || req.Capacity > math.MaxInt32 {
-		reason := fmt.Sprintf("platform: capacity %d out of range", req.Capacity)
-		return RegisterResponse{OK: false, Reason: reason, Err: badRequestError(reason)}
+		return refusal(badRequestError(fmt.Sprintf("platform: capacity %d out of range", req.Capacity)))
 	}
 	capacity := req.Capacity
 	if capacity == 0 {
@@ -356,25 +381,26 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	if !s.eng.Policy().CapacityAware() {
 		capacity = 1
 	}
-	if err := s.rot.Spend(req.WorkerID); err != nil {
-		return RegisterResponse{OK: false, Parked: true, Reason: parkedReason(req.WorkerID), Err: parkedError(req.WorkerID)}
+	if s.rot.Afford(req.WorkerID, spent) != nil {
+		return refusal(parkedError(req.WorkerID))
 	}
-	slot := len(s.workerIDs)
+	slot := s.tab.len()
 	if err := s.eng.InsertCapEpoch(code, slot, capacity, s.epoch); err != nil {
-		return RegisterResponse{OK: false, Reason: err.Error(), Err: AsError(err, s.epoch)}
+		return refusal(AsError(err, s.epoch))
 	}
 	// A concurrent Submit can pop the new slot as soon as Insert returns,
-	// but it reads the tables under mu, which we still hold.
-	s.workerIDs = append(s.workerIDs, req.WorkerID)
-	s.codes = append(s.codes, code)
-	s.states = append(s.states, stateAvailable)
-	s.slotEpoch = append(s.slotEpoch, s.epoch)
-	s.capacity = append(s.capacity, capacity)
-	s.active = append(s.active, 0)
-	s.byID[req.WorkerID] = slot
-	if revive >= 0 {
-		s.states[revive] = stateRetired
+	// but it reads the table under mu, which we still hold.
+	s.tab.add(record{id: req.WorkerID, code: code, spent: spent, epoch: s.epoch,
+		capacity: int32(capacity), state: stateAvailable})
+	switch {
+	case prev != nil:
+		prev.state, prev.spent = stateRetired, 0
+	case returning:
+		delete(s.departed, req.WorkerID)
+	default:
+		s.registered++
 	}
+	s.rot.Charge(&s.tab.at(slot).spent)
 	s.rot.Observe(code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }
@@ -385,34 +411,29 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 // be paired with an epoch-N+1 worker, since their codes live in different
 // trees.
 func (s *Server) Submit(req TaskRequest) TaskResponse {
-	code := hst.Code(req.Code)
-	// Validate against the engine's current tree (an atomic read — the
-	// locked publication may be mid-rotation); the engine re-validates
-	// internally, so a swap between here and the pop cannot corrupt it.
-	if err := s.eng.Tree().CheckCode(code); err != nil {
+	// The task code is only read until the assignment returns (Core.Assign
+	// does not retain it), so it is viewed in place rather than copied.
+	code := hst.Code(unsafe.String(unsafe.SliceData(req.Code), len(req.Code)))
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if err := s.pub.Tree.CheckCode(code); err != nil {
 		return TaskResponse{Assigned: false, Reason: err.Error(), Err: badRequestError(err.Error())}
+	}
+	if req.Epoch != 0 && req.Epoch != s.epoch {
+		s.mu.Lock()
+		s.rejected++
+		s.mu.Unlock()
+		e := staleEpochError(req.Epoch, s.epoch)
+		return TaskResponse{Assigned: false, Reason: e.Message, Err: e}
 	}
 	slot, lvl, ok, aerr := coreAssign(s.eng, code)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.Epoch != 0 && req.Epoch != s.epoch {
-		// The pop (if any) came from the fresh epoch; the task's code is
-		// from a rotated-away one. Undo the pop — unless the slot's stint
-		// closed in flight, in which case there is nothing to restore.
-		if ok && !stintOver(s.states[slot]) {
-			// The slot was popped live, so its code is valid for the
-			// serving epoch; returning the unit cannot fail.
-			s.eng.AddCapacityEpoch(s.codes[slot], slot, s.epoch)
-		}
-		s.rejected++
-		e := staleEpochError(req.Epoch, s.epoch)
-		return TaskResponse{Assigned: false, Reason: e.Message, Err: e}
-	}
 	// A pop whose stint was closed while in flight (the worker withdrew or
-	// was rotated/parked, its slot superseded) is stale: that assignment
-	// was never confirmed to anyone, so retry. Pops under mu cannot go
-	// stale again — stint transitions all happen under mu.
-	for ok && stintOver(s.states[slot]) {
+	// was parked, its slot superseded) is stale: that assignment was never
+	// confirmed to anyone, so retry. Pops under mu cannot go stale again —
+	// stint transitions all happen under mu.
+	for ok && stintOver(s.tab.at(slot).state) {
 		slot, lvl, ok, aerr = coreAssign(s.eng, code)
 	}
 	if aerr != nil {
@@ -427,26 +448,26 @@ func (s *Server) Submit(req TaskRequest) TaskResponse {
 		e := noWorkersError()
 		return TaskResponse{Assigned: false, Reason: e.Message, Err: e}
 	}
-	// The retry loop above guarantees the stint is live; a popped slot is
-	// stateAvailable and leaves the pool only when this pop consumed its
-	// last capacity unit.
-	s.active[slot]++
-	if s.active[slot] >= s.capacity[slot] {
-		s.states[slot] = stateAssigned
-	}
-	s.assigned++
-	s.bumpLevel(lvl)
-	return TaskResponse{Assigned: true, WorkerID: s.workerIDs[slot], Epoch: s.slotEpoch[slot]}
+	return s.recordAssignment(slot, lvl)
 }
 
-// bumpLevel records one assignment's LCA level, growing the histogram when
-// a rotated tree is deeper than any before it.
-func (s *Server) bumpLevel(lvl int) {
+// recordAssignment books one confirmed pop. The caller's retry loop
+// guarantees the stint is live; a popped slot is stateAvailable and leaves
+// the pool only when this pop consumed its last capacity unit.
+func (s *Server) recordAssignment(slot, lvl int) TaskResponse {
+	rec := s.tab.at(slot)
+	rec.active++
+	if rec.active >= rec.capacity {
+		rec.state = stateAssigned
+	}
+	s.assigned++
 	for lvl >= len(s.levelCounts) {
+		// A rotated tree is deeper than any before it.
 		s.levelCounts = append(s.levelCounts, 0)
 	}
 	s.levelCounts[lvl]++
 	s.levelSum += lvl
+	return TaskResponse{Assigned: true, WorkerID: rec.id, Epoch: rec.epoch}
 }
 
 // SubmitBatch assigns a batch of tasks in arrival order through the
@@ -454,26 +475,24 @@ func (s *Server) bumpLevel(lvl int) {
 // is exactly that of submitting the tasks one by one.
 func (s *Server) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 	out := TaskBatchResponse{Results: make([]TaskResponse, len(req.Tasks))}
-	// Malformed tasks are answered without touching the engine (mirroring
-	// Submit); only the valid ones, in order, form the assignment batch.
-	tree, engEpoch := s.eng.Tree(), s.eng.Epoch()
-	staleEarly := 0
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	// Malformed and epoch-stale tasks are answered without touching the
+	// engine (mirroring Submit); only the valid ones, in order, form the
+	// assignment batch.
+	stale := 0
 	valid := make([]int, 0, len(req.Tasks))
 	codes := make([]hst.Code, 0, len(req.Tasks))
 	for i, t := range req.Tasks {
 		code := hst.Code(t.Code)
-		if err := tree.CheckCode(code); err != nil {
+		if err := s.pub.Tree.CheckCode(code); err != nil {
 			out.Results[i] = TaskResponse{Assigned: false, Reason: err.Error(), Err: badRequestError(err.Error())}
 			continue
 		}
-		// Epoch-stale tasks are refused up front, before the batch pops
-		// anything: letting them pop-and-undo would hand later tasks in
-		// the batch different workers than sequential Submit calls would.
-		// (A rotation racing the batch is re-checked under mu below.)
-		if t.Epoch != 0 && t.Epoch != engEpoch {
-			e := staleEpochError(t.Epoch, engEpoch)
+		if t.Epoch != 0 && t.Epoch != s.epoch {
+			e := staleEpochError(t.Epoch, s.epoch)
 			out.Results[i] = TaskResponse{Assigned: false, Reason: e.Message, Err: e}
-			staleEarly++
+			stale++
 			continue
 		}
 		valid = append(valid, i)
@@ -482,25 +501,14 @@ func (s *Server) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 	slots, lvls := s.eng.AssignBatch(codes)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rejected += staleEarly
+	s.rejected += stale
 	for k, slot := range slots {
 		i := valid[k]
 		lvl := lvls[k]
-		// Epoch-tagged tasks whose publication has been rotated away are
-		// refused and their pop undone, exactly as in Submit.
-		if e := req.Tasks[i].Epoch; e != 0 && e != s.epoch {
-			if slot != engine.None && !stintOver(s.states[slot]) {
-				s.eng.AddCapacityEpoch(s.codes[slot], slot, s.epoch)
-			}
-			s.rejected++
-			se := staleEpochError(e, s.epoch)
-			out.Results[i] = TaskResponse{Assigned: false, Reason: se.Message, Err: se}
-			continue
-		}
 		// Stale pops (see Submit) are retried; under mu no retry can go
 		// stale again.
 		var aerr error
-		for slot != engine.None && stintOver(s.states[slot]) {
+		for slot != engine.None && stintOver(s.tab.at(slot).state) {
 			var ok bool
 			if slot, lvl, ok, aerr = coreAssign(s.eng, codes[k]); !ok {
 				slot = engine.None
@@ -518,13 +526,7 @@ func (s *Server) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 			out.Results[i] = TaskResponse{Assigned: false, Reason: e.Message, Err: e}
 			continue
 		}
-		s.active[slot]++
-		if s.active[slot] >= s.capacity[slot] {
-			s.states[slot] = stateAssigned
-		}
-		s.assigned++
-		s.bumpLevel(lvl)
-		out.Results[i] = TaskResponse{Assigned: true, WorkerID: s.workerIDs[slot], Epoch: s.slotEpoch[slot]}
+		out.Results[i] = s.recordAssignment(slot, lvl)
 	}
 	return out
 }
@@ -545,70 +547,65 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(req.Code) > 0 {
-		newCode = hst.Code(req.Code)
 		if req.Epoch != 0 && req.Epoch != s.epoch {
-			e := staleEpochError(req.Epoch, s.epoch)
-			return RegisterResponse{OK: false, Reason: e.Message, Err: e}
+			return refusal(staleEpochError(req.Epoch, s.epoch))
 		}
+		newCode = hst.Code(req.Code)
 		if err := s.pub.Tree.CheckCode(newCode); err != nil {
-			return RegisterResponse{OK: false, Reason: err.Error(), Err: badRequestError(err.Error())}
+			return refusal(badRequestError(err.Error()))
 		}
 	}
-	slot, ok := s.byID[req.WorkerID]
+	slot, ok := s.tab.lookup(req.WorkerID)
 	if !ok {
-		reason := fmt.Sprintf("platform: worker %q not registered", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: badRequestError(reason)}
+		return s.unknownWorker(req.WorkerID)
 	}
-	switch s.states[slot] {
+	rec := s.tab.at(slot)
+	switch rec.state {
 	case stateAvailable:
-		if s.active[slot] == 0 {
-			reason := fmt.Sprintf("platform: worker %q is not assigned", req.WorkerID)
-			return RegisterResponse{OK: false, Reason: reason, Err: conflictError(reason)}
+		if rec.active == 0 {
+			return refusal(conflictError(fmt.Sprintf("platform: worker %q is not assigned", req.WorkerID)))
 		}
 		// A capacitated worker with spare units completing one of its tasks:
 		// fall through to the completion path below.
 	case stateGone:
-		reason := fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: conflictError(reason)}
+		return refusal(conflictError(fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)))
 	case stateParked:
-		return RegisterResponse{OK: false, Parked: true, Reason: parkedReason(req.WorkerID), Err: parkedError(req.WorkerID)}
+		return refusal(parkedError(req.WorkerID))
 	case stateAssignedGone:
 		// The task is done but the worker had withdrawn mid-assignment: the
 		// unit does not return to the pool, and once the last outstanding
 		// task completes the worker is simply offline — free to Register
 		// back later.
-		if s.active[slot] > 0 {
-			s.active[slot]--
+		if rec.active > 0 {
+			rec.active--
 		}
-		if s.active[slot] == 0 {
-			s.states[slot] = stateGone
+		if rec.active == 0 {
+			rec.state = stateGone
 		}
-		reason := fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: conflictError(reason)}
+		return refusal(conflictError(fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)))
 	}
-	code := s.codes[slot]
-	inPool := s.states[slot] == stateAvailable // spare units live in the engine
+	code := rec.code
+	inPool := rec.state == stateAvailable // spare units live in the engine
 	if newCode != "" {
 		code = newCode
-		if err := s.rot.Spend(req.WorkerID); err != nil {
+		if s.rot.Afford(req.WorkerID, rec.spent) != nil {
 			// The worker finished its task but cannot afford the fresh
 			// report: park it rather than re-noise past its guarantee,
 			// pulling any spare units out of the pool.
 			if inPool {
-				s.eng.Remove(s.codes[slot], slot)
+				s.eng.Remove(rec.code, slot)
 			}
-			if s.active[slot] > 0 {
-				s.active[slot]--
+			if rec.active > 0 {
+				rec.active--
 			}
-			s.states[slot] = stateParked
-			return RegisterResponse{OK: false, Parked: true, Reason: parkedReason(req.WorkerID), Err: parkedError(req.WorkerID)}
+			rec.state = stateParked
+			return refusal(parkedError(req.WorkerID))
 		}
-	} else if s.slotEpoch[slot] != s.epoch {
+	} else if rec.epoch != s.epoch {
 		reason := fmt.Sprintf(
 			"platform: worker %q report is from epoch %d (serving %d); a fresh report is required",
-			req.WorkerID, s.slotEpoch[slot], s.epoch)
-		return RegisterResponse{OK: false, Reason: reason,
-			Err: &Error{Code: CodeStaleEpoch, Message: reason, Epoch: s.epoch, Retryable: true}}
+			req.WorkerID, rec.epoch, s.epoch)
+		return refusal(&Error{Code: CodeStaleEpoch, Message: reason, Epoch: s.epoch, Retryable: true})
 	}
 	// Hand the completed unit back. Same code: one unit rejoins in place
 	// (re-inserting the slot when this was its last active task). New code:
@@ -616,26 +613,33 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	// engine actually still pooled, not by capacity−active: a concurrent
 	// Submit may have popped a unit it has not recorded under mu yet, and
 	// re-deriving the count here would resurrect that unit and let the
-	// worker serve beyond its capacity.
-	if inPool && code == s.codes[slot] {
+	// worker serve beyond its capacity. A refused engine call leaves the
+	// worker as it was and the budget uncharged, so the client can retry.
+	if inPool && code == rec.code {
 		if err := s.eng.AddCapacityEpoch(code, slot, s.epoch); err != nil {
-			return RegisterResponse{OK: false, Reason: err.Error(), Err: AsError(err, s.epoch)}
+			return refusal(AsError(err, s.epoch))
 		}
 	} else {
 		pooled := 0
 		if inPool {
-			pooled, _ = s.eng.RemoveUnits(s.codes[slot], slot)
+			pooled, _ = s.eng.RemoveUnits(rec.code, slot)
 		}
 		if err := s.eng.InsertCapEpoch(code, slot, pooled+1, s.epoch); err != nil {
-			return RegisterResponse{OK: false, Reason: err.Error(), Err: AsError(err, s.epoch)}
+			if pooled > 0 {
+				// Put the spare units back where they were; if the engine
+				// refuses this too there is nothing left to try.
+				_ = s.eng.InsertCapEpoch(rec.code, slot, pooled, s.epoch)
+			}
+			return refusal(AsError(err, s.epoch))
 		}
 	}
-	s.active[slot]--
-	s.codes[slot] = code
-	s.slotEpoch[slot] = s.epoch
-	s.states[slot] = stateAvailable
+	rec.active--
+	rec.code = code
+	rec.epoch = s.epoch
+	rec.state = stateAvailable
 	s.released++
 	if newCode != "" {
+		s.rot.Charge(&rec.spent)
 		s.rot.Observe(newCode)
 	}
 	return RegisterResponse{OK: true, Epoch: s.epoch}
@@ -650,19 +654,18 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot, ok := s.byID[req.WorkerID]
+	slot, ok := s.tab.lookup(req.WorkerID)
 	if !ok {
-		reason := fmt.Sprintf("platform: worker %q not registered", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: badRequestError(reason)}
+		return s.unknownWorker(req.WorkerID)
 	}
-	switch s.states[slot] {
+	rec := s.tab.at(slot)
+	switch rec.state {
 	case stateGone, stateAssignedGone:
-		reason := fmt.Sprintf("platform: worker %q has already withdrawn", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: conflictError(reason)}
+		return refusal(conflictError(fmt.Sprintf("platform: worker %q has already withdrawn", req.WorkerID)))
 	case stateParked:
-		return RegisterResponse{OK: false, Parked: true, Reason: parkedReason(req.WorkerID), Err: parkedError(req.WorkerID)}
+		return refusal(parkedError(req.WorkerID))
 	case stateAssigned:
-		s.states[slot] = stateAssignedGone
+		rec.state = stateAssignedGone
 	default: // stateAvailable
 		// The worker observed itself available and is told it is offline,
 		// so the withdrawal must win every race: when a concurrent Submit
@@ -671,15 +674,27 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 		// and the Submit retries another worker. A capacitated worker with
 		// outstanding tasks keeps serving them (its spare units leave the
 		// pool now) and goes fully offline at its last Release.
-		s.eng.Remove(s.codes[slot], slot)
-		if s.active[slot] > 0 {
-			s.states[slot] = stateAssignedGone
+		s.eng.Remove(rec.code, slot)
+		if rec.active > 0 {
+			rec.state = stateAssignedGone
 		} else {
-			s.states[slot] = stateGone
+			rec.state = stateGone
 		}
 	}
 	s.withdrawn++
 	return RegisterResponse{OK: true}
+}
+
+// Spent returns the lifetime ε the worker has consumed so far: its ledger
+// cell, or its departed-ledger entry when a rotation compacted it out of
+// the table (0 without a lifetime budget, or for an unknown id).
+func (s *Server) Spent(workerID string) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if slot, ok := s.tab.lookup(workerID); ok {
+		return s.tab.at(slot).spent
+	}
+	return s.departed[workerID]
 }
 
 // Stats reports the server's counters.
@@ -693,9 +708,7 @@ func (s *Server) Stats() StatsResponse {
 	rs := s.rot.Stats()
 	policy := s.eng.Policy().Name()
 	return StatsResponse{
-		// Distinct worker ids, not slots: re-registrations after a
-		// withdrawal retire the old slot rather than reuse it.
-		RegisteredWorkers: len(s.byID),
+		RegisteredWorkers: s.registered,
 		AvailableWorkers:  s.eng.Len(),
 		Policy:            policy,
 		PolicyCounters:    map[string]int{policy: s.assigned},
@@ -716,5 +729,8 @@ func (s *Server) Stats() StatsResponse {
 		BudgetLimit:       rs.Limit,
 		BudgetSpentTotal:  rs.SpentTotal,
 		BudgetedAgents:    rs.Agents,
+		SlotTableLen:      s.tab.len(),
+		RegistryBytes:     s.tab.bytes(),
+		DepartedLedgerIDs: len(s.departed),
 	}
 }

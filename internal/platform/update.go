@@ -35,49 +35,47 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if req.Epoch != 0 && req.Epoch != s.epoch {
-		e := staleEpochError(req.Epoch, s.epoch)
-		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
+		return refusal(staleEpochError(req.Epoch, s.epoch))
 	}
 	if err := s.pub.Tree.CheckCode(code); err != nil {
-		return RegisterResponse{OK: false, Reason: err.Error(), Err: badRequestError(err.Error())}
+		return refusal(badRequestError(err.Error()))
 	}
-	slot, ok := s.byID[req.WorkerID]
+	slot, ok := s.tab.lookup(req.WorkerID)
 	if !ok {
-		reason := fmt.Sprintf("platform: worker %q not registered", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: badRequestError(reason)}
+		return s.unknownWorker(req.WorkerID)
 	}
-	switch s.states[slot] {
+	rec := s.tab.at(slot)
+	switch rec.state {
 	case stateGone, stateAssignedGone:
-		reason := fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: conflictError(reason)}
+		return refusal(conflictError(fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)))
 	case stateParked:
-		return RegisterResponse{OK: false, Parked: true, Reason: parkedReason(req.WorkerID), Err: parkedError(req.WorkerID)}
+		return refusal(parkedError(req.WorkerID))
 	case stateAssigned:
-		reason := fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: conflictError(reason)}
+		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)))
 	}
-	if !s.eng.Remove(s.codes[slot], slot) {
+	if !s.eng.Remove(rec.code, slot) {
 		// A concurrent Submit popped the worker between its engine pop and
 		// its table update (which waits on mu): the assignment wins.
-		reason := fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)
-		return RegisterResponse{OK: false, Reason: reason, Err: conflictError(reason)}
+		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)))
 	}
-	if err := s.rot.Spend(req.WorkerID); err != nil {
+	if s.rot.Afford(req.WorkerID, rec.spent) != nil {
 		// The fresh report is unaffordable. The old report was already
 		// withdrawn from the engine above, and it is not restored: the
 		// worker is parked — out of the pool for good — instead of being
 		// re-noised past its guarantee.
-		s.states[slot] = stateParked
-		return RegisterResponse{OK: false, Parked: true, Reason: parkedReason(req.WorkerID), Err: parkedError(req.WorkerID)}
+		rec.state = stateParked
+		return refusal(parkedError(req.WorkerID))
 	}
 	if err := s.eng.InsertEpoch(code, slot, s.epoch); err != nil {
-		// Unreachable given CheckCode above; restore the old report so the
-		// worker is not lost from the pool.
-		s.eng.InsertEpoch(s.codes[slot], slot, s.epoch)
-		return RegisterResponse{OK: false, Reason: err.Error(), Err: AsError(err, s.epoch)}
+		// The engine refused the fresh report: restore the old one so the
+		// worker is not lost from the pool. Nothing was charged, so the
+		// client can retry.
+		_ = s.eng.InsertEpoch(rec.code, slot, s.epoch)
+		return refusal(AsError(err, s.epoch))
 	}
-	s.codes[slot] = code
-	s.slotEpoch[slot] = s.epoch
+	rec.code = code
+	rec.epoch = s.epoch
+	s.rot.Charge(&rec.spent)
 	s.rot.Observe(code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }

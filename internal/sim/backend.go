@@ -41,8 +41,10 @@ const (
 // towards the smallest id, regIDs and platform slots are allocated in the
 // same (registration-event) order — including rotation order — and the
 // platform's revival and rotation paths also allocate a fresh slot per
-// stint. Budget decisions coincide as well: both drivers spend the same ε
-// for the same worker names in the same operation order, so the same
+// stint. (The platform renumbers its slots from 0 at a rotation while
+// regIDs keep counting up; only the relative order matters, and that is
+// the same.) Budget decisions coincide as well: both drivers charge the
+// same ε for the same workers in the same operation order, so the same
 // workers park at the same instants.
 //
 // register and release return an error wrapping epoch.ErrBudgetExhausted
@@ -87,24 +89,36 @@ type rotateResult struct {
 }
 
 // engineBackend drives the sharded engine directly, with an epoch
-// controller owning rotation bookkeeping and budget accounting — the same
-// controller the platform server embeds, so both drivers park the same
-// workers at the same spends.
+// controller owning rotation bookkeeping and the budget charge rule — the
+// same controller the platform server embeds, so both drivers park the same
+// workers at the same spends. The ledger cells live here, indexed by the
+// stable sim-worker number.
 type engineBackend struct {
 	eng   *engine.Engine
 	ctrl  *epoch.Controller
 	refit bool
+	spent []float64 // sim worker → lifetime ε consumed
 }
 
 func workerName(worker int) string { return "w" + strconv.Itoa(worker) }
 
+// cell returns the worker's ledger cell.
+func (b *engineBackend) cell(worker int) *float64 {
+	for worker >= len(b.spent) {
+		b.spent = append(b.spent, 0)
+	}
+	return &b.spent[worker]
+}
+
 func (b *engineBackend) register(id, worker int, code hst.Code, capacity int) error {
-	if err := b.ctrl.Spend(workerName(worker)); err != nil {
+	cell := b.cell(worker)
+	if err := b.ctrl.Afford(workerName(worker), *cell); err != nil {
 		return err
 	}
 	if err := b.eng.InsertCapEpoch(code, id, capacity, 0); err != nil {
 		return err
 	}
+	b.ctrl.Charge(cell)
 	b.ctrl.Observe(code)
 	return nil
 }
@@ -115,19 +129,19 @@ func (b *engineBackend) register(id, worker int, code hst.Code, capacity int) er
 // path. A refused spend pulls the spare units out of the pool: the worker
 // is being parked, exactly as the platform does server-side.
 func (b *engineBackend) release(id, worker int, oldCode, newCode hst.Code, capLeft int) error {
-	if err := b.ctrl.Spend(workerName(worker)); err != nil {
-		if capLeft > 1 {
-			b.eng.Remove(oldCode, id)
-		}
-		return err
-	}
+	cell := b.cell(worker)
+	err := b.ctrl.Afford(workerName(worker), *cell)
 	if capLeft > 1 {
 		// The stint still had capLeft−1 units pooled at the old code.
 		b.eng.Remove(oldCode, id)
 	}
+	if err != nil {
+		return err
+	}
 	if err := b.eng.InsertCapEpoch(newCode, id, capLeft, 0); err != nil {
 		return err
 	}
+	b.ctrl.Charge(cell)
 	b.ctrl.Observe(newCode)
 	return nil
 }
@@ -176,7 +190,8 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 	inserts := make([]engine.EpochInsert, 0, len(workers))
 	for i := range plan.Outcomes {
 		o := &plan.Outcomes[i]
-		if o.Parked {
+		if b.ctrl.Afford(o.Worker, *b.cell(workers[i])) != nil {
+			o.Parked = true
 			res.parked[i], res.newID[i] = true, -1
 			continue
 		}
@@ -186,6 +201,11 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 	}
 	if err := b.eng.SwapEpoch(plan.Epoch, plan.Tree, 0, inserts); err != nil {
 		return nil, err
+	}
+	for i := range plan.Outcomes {
+		if !plan.Outcomes[i].Parked {
+			b.ctrl.Charge(b.cell(workers[i]))
+		}
 	}
 	if err := b.ctrl.Commit(plan); err != nil {
 		return nil, err
