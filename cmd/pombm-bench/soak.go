@@ -38,19 +38,24 @@ import (
 // An engine suite churns for Ticks and then rotates Rotations times. A
 // Platform suite (soak_platform.go) drives platform.Server through
 // Rotations epochs of Ticks each, and a move is a departure plus an arrival.
+//
+// ArenaCeiling, where set, is the most index bytes per worker an engine
+// suite may hold after churn, ~10 % above what ships on the default config
+// (-grid 64, -seed 2020); the suite fails itself past it.
 type soakSuite struct {
-	Name           string `json:"name"`
-	Platform       bool   `json:"platform,omitempty"`
-	Workers        int    `json:"workers"`
-	Ticks          int    `json:"ticks"`
-	AssignsPerTick int    `json:"assigns_per_tick"`
-	MovesPerTick   int    `json:"moves_per_tick"`
-	Rotations      int    `json:"rotations"`
+	Name           string  `json:"name"`
+	Platform       bool    `json:"platform,omitempty"`
+	Workers        int     `json:"workers"`
+	Ticks          int     `json:"ticks"`
+	AssignsPerTick int     `json:"assigns_per_tick"`
+	MovesPerTick   int     `json:"moves_per_tick"`
+	Rotations      int     `json:"rotations"`
+	ArenaCeiling   float64 `json:"arena_ceiling_bytes_per_worker,omitempty"`
 }
 
 var soakSuites = []soakSuite{
-	{Name: "smoke-100k", Workers: 100_000, Ticks: 60, AssignsPerTick: 256, MovesPerTick: 64, Rotations: 1},
-	{Name: "soak-1m", Workers: 1_000_000, Ticks: 120, AssignsPerTick: 512, MovesPerTick: 128, Rotations: 2},
+	{Name: "smoke-100k", Workers: 100_000, Ticks: 60, AssignsPerTick: 256, MovesPerTick: 64, Rotations: 1, ArenaCeiling: 16},
+	{Name: "soak-1m", Workers: 1_000_000, Ticks: 120, AssignsPerTick: 512, MovesPerTick: 128, Rotations: 2, ArenaCeiling: 9.9},
 	{Name: "soak-2m", Workers: 2_000_000, Ticks: 120, AssignsPerTick: 512, MovesPerTick: 128, Rotations: 2},
 	{Name: "soak-5m", Workers: 5_000_000, Ticks: 120, AssignsPerTick: 512, MovesPerTick: 128, Rotations: 2},
 	{Name: "soak-10m", Workers: 10_000_000, Ticks: 120, AssignsPerTick: 512, MovesPerTick: 128, Rotations: 2},
@@ -105,6 +110,10 @@ type soakReport struct {
 	// Steady state, measured after the churn phase with writers quiesced:
 	// arena_bytes is the engine's structural cost (trie slabs across all
 	// shards), steady_heap_bytes the whole process's live heap.
+	// load_arena_bytes is the same structural cost straight after the load:
+	// churn keeps the population's size and shape, so an index whose
+	// footprint follows its live set reads the two alike.
+	LoadArenaBytes      int64   `json:"load_arena_bytes"`
 	SteadyHeapBytes     int64   `json:"steady_heap_bytes"`
 	ArenaBytes          int64   `json:"arena_bytes"`
 	HeapBytesPerWorker  float64 `json:"heap_bytes_per_worker"`
@@ -211,8 +220,9 @@ func runSoak(suiteName string, gridCols, shards int, seed uint64, jsonPath strin
 	}
 	rep.LoadSeconds = time.Since(t0).Seconds()
 	rep.LoadWorkersPerSec = float64(suite.Workers) / rep.LoadSeconds
-	fmt.Printf("  load: %d workers in %.2fs (%.0f workers/sec)\n",
-		suite.Workers, rep.LoadSeconds, rep.LoadWorkersPerSec)
+	rep.LoadArenaBytes = eng.ArenaBytes()
+	fmt.Printf("  load: %d workers in %.2fs (%.0f workers/sec), arenas %s\n",
+		suite.Workers, rep.LoadSeconds, rep.LoadWorkersPerSec, mb(rep.LoadArenaBytes))
 
 	// Phase 2: churn on the virtual tick counter. Assignments pop the
 	// nearest worker to a random task point; the popped worker immediately
@@ -275,6 +285,17 @@ func runSoak(suiteName string, gridCols, shards int, seed uint64, jsonPath strin
 	fmt.Printf("  steady: heap %s (%.1f B/worker), arenas %s (%.1f B/worker), RSS %s, peak RSS %s\n",
 		mb(rep.SteadyHeapBytes), rep.HeapBytesPerWorker, mb(rep.ArenaBytes), rep.ArenaBytesPerWorker,
 		mb(rep.VmRSSBytes), mb(rep.VmHWMBytes))
+	// The footprint gate. Churn that only ever promotes nodes to wider
+	// child forms (or leaks freed slots) shows as arenas growing under a
+	// population that did not; a representation that got fatter shows
+	// against the suite's ceiling.
+	if limit := rep.LoadArenaBytes + rep.LoadArenaBytes/10; rep.ArenaBytes > limit {
+		return fmt.Errorf("arenas grew from %d B after load to %d B after churn under a constant population; 10%% allows %d",
+			rep.LoadArenaBytes, rep.ArenaBytes, limit)
+	}
+	if suite.ArenaCeiling > 0 && rep.ArenaBytesPerWorker > suite.ArenaCeiling {
+		return fmt.Errorf("arenas hold %.1f B/worker after churn, the suite's ceiling is %.1f", rep.ArenaBytesPerWorker, suite.ArenaCeiling)
+	}
 
 	// Phase 4: snapshot round trip through a real file. The write streams
 	// (epoch.WriteSnapshot never materialises the worker list); the read

@@ -176,3 +176,26 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 		})
 	}
 }
+
+// A peer's add-capacity for a worker already at the 2³¹−1 unit ceiling must
+// come back as a refusal, uncached, with the node's pool untouched: the
+// engine once read the index's overflow refusal as "item gone" and inserted
+// a second item under the same id.
+func TestAddCapacityOnSaturatedWorkerRefuses(t *testing.T) {
+	tree := buildTree(t, 5)
+	n := NewNode()
+	if err := n.Init(InitRequest{Tree: tree, Policy: "capacity-greedy"}); err != nil {
+		t.Fatal(err)
+	}
+	code := []byte(tree.CodeOf(3))
+	if resp, idem := execOp(n, OpRequest{Kind: OpInsert, Code: code, ID: 7, Capacity: math.MaxInt32, Idem: "i-1"}); idem != "i-1" {
+		t.Fatalf("insert refused: %+v", resp)
+	}
+	resp, idem := execOp(n, OpRequest{Kind: OpAddCapacity, Code: code, ID: 7, Idem: "a-1"})
+	if ack := resp.(nodeAck); ack.OK || ack.Err == nil || idem != "" {
+		t.Fatalf("add-capacity on a saturated worker answered %+v (cache key %q), want an uncached refusal", ack, idem)
+	}
+	if st, err := n.Status(0); err != nil || st.Len != 1 || st.Units != math.MaxInt32 {
+		t.Fatalf("status after the refusal: %+v, %v; want one worker holding MaxInt32 units", st, err)
+	}
+}

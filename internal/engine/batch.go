@@ -296,11 +296,10 @@ func (e *Engine) resolveBatchFallbacks(bs *batchScratch, st *epochState, codes [
 			}
 			c := hst.Code(bs.slab[int(j2)*depth : (int(j2)+1)*depth])
 			id2 := int(bs.undoID[j2])
-			if !sh.index.AddCap(c, id2, 1) {
-				if err := sh.index.InsertCap(c, id2, 1); err != nil {
-					// Unreachable: the code was read off this shard's own pop.
-					panic(fmt.Sprintf("engine: batch rollback of worker %d: %v", id2, err))
-				}
+			if err := returnUnit(sh.index, c, id2); err != nil {
+				// Unreachable: the code and the unit were read off this
+				// shard's own pop.
+				panic(fmt.Sprintf("engine: batch rollback of worker %d: %v", id2, err))
 			}
 			sh.assigns--
 		}

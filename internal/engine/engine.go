@@ -139,10 +139,12 @@ type shardData struct {
 // locks per 64-byte line and "independent" shards false-share: every lock
 // acquisition bounces its neighbours' line. The pad is computed, not
 // hand-counted, so a field added to shardData cannot silently misalign the
-// array.
+// array — and it leads, because it is [0]byte exactly when the payload is
+// already a line multiple, and Go rounds a struct that *ends* in a
+// zero-size field up by a word (576 bytes came out 584).
 type engineShard struct {
-	shardData
 	_ [(cacheLine - unsafe.Sizeof(shardData{})%cacheLine) % cacheLine]byte
+	shardData
 }
 
 // Layout is the engine's shard geometry for a (tree, shard count) pair:
@@ -513,8 +515,10 @@ func (e *Engine) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) er
 // AddCapacity returns one capacity unit to the worker id at the given code
 // in the current epoch: the inverse of a single pop. A slot still in the
 // pool gains a unit in place; a fully consumed (hence removed) slot is
-// re-inserted with one unit. The serving layer uses it to undo stale pops
-// and to return a capacitated worker's unit when a task completes.
+// re-inserted with one unit; a slot already at the index's 2³¹−1 unit
+// ceiling refuses with hst.ErrUnitsOverflow and nothing changes. The serving
+// layer uses it to undo stale pops and to return a capacitated worker's unit
+// when a task completes.
 func (e *Engine) AddCapacity(code hst.Code, id int) error {
 	return e.AddCapacityEpoch(code, id, 0)
 }
@@ -536,13 +540,23 @@ func (e *Engine) AddCapacityEpoch(code hst.Code, id int, epoch int64) error {
 			s.mu.Unlock()
 			continue
 		}
-		var err error
-		if !s.index.AddCap(code, id, 1) {
-			err = s.index.InsertCap(code, id, 1)
-		}
+		err := returnUnit(s.index, code, id)
 		s.mu.Unlock()
 		return err
 	}
+}
+
+// returnUnit hands one capacity unit back to worker id at code: in place
+// while the item is live, by re-insert once its last unit was consumed. It is
+// the one place that says which of the index's refusals means "re-insert" —
+// an item saturated at 2³¹−1 units (hst.ErrUnitsOverflow) is live, and
+// inserting would put a second item under its id.
+func returnUnit(x *hst.LeafIndex, code hst.Code, id int) error {
+	err := x.AddCap(code, id, 1)
+	if err == hst.ErrNoItem {
+		err = x.InsertCap(code, id, 1)
+	}
+	return err
 }
 
 // Remove withdraws a worker previously inserted at the given code. It

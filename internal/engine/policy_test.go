@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
@@ -223,6 +225,38 @@ func TestAddCapacityRoundTrip(t *testing.T) {
 	}
 	if id, _, ok := e.Assign(c); !ok || id != 2 {
 		t.Fatalf("assign after returns = (%d,%v)", id, ok)
+	}
+}
+
+// A worker already at the index's 2³¹−1 unit ceiling is saturated, not
+// gone: returning a unit to it must refuse and change nothing. Reading the
+// index's refusal as "item consumed away" re-inserted the id beside itself
+// (Len 1 → 2, CapacityUnits 2³¹).
+func TestAddCapacitySaturatedSlotRefuses(t *testing.T) {
+	tree := buildTree(t, 8, 14)
+	e, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(engine.CapacityGreedy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tree.CodeOf(9)
+	if err := e.InsertCapEpoch(c, 2, math.MaxInt32, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddCapacityEpoch(c, 2, 0); !errors.Is(err, hst.ErrUnitsOverflow) {
+		t.Fatalf("return to a saturated slot: %v, want ErrUnitsOverflow", err)
+	}
+	if e.Len() != 1 || e.CapacityUnits() != math.MaxInt32 {
+		t.Fatalf("Len=%d Units=%d after the refusal, want 1 and MaxInt32", e.Len(), e.CapacityUnits())
+	}
+	// One pop makes room, and the return then lands on the same item.
+	if id, _, ok := e.Assign(c); !ok || id != 2 {
+		t.Fatalf("assign = (%d,%v)", id, ok)
+	}
+	if err := e.AddCapacityEpoch(c, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if e.Len() != 1 || e.CapacityUnits() != math.MaxInt32 {
+		t.Fatalf("Len=%d Units=%d after pop and return, want 1 and MaxInt32", e.Len(), e.CapacityUnits())
 	}
 }
 

@@ -16,13 +16,29 @@ import (
 // its neighbours.
 func TestEngineShardCacheLinePadding(t *testing.T) {
 	if s := unsafe.Sizeof(engineShard{}); s%cacheLine != 0 {
-		t.Fatalf("engineShard is %d bytes, not a multiple of the %d-byte line", s, cacheLine)
+		t.Fatalf("engineShard is %d bytes around a %d-byte shardData, not a multiple of the %d-byte line: check the computed pad in engine.go",
+			s, unsafe.Sizeof(shardData{}), cacheLine)
 	}
 	var shards [2]engineShard
 	a := uintptr(unsafe.Pointer(&shards[0].mu))
 	b := uintptr(unsafe.Pointer(&shards[1].mu))
 	if (b-a)%cacheLine != 0 {
 		t.Fatalf("adjacent shard locks are %d bytes apart", b-a)
+	}
+	// The size the pad aims for is the one where it is [0]byte: a payload
+	// that is already a line multiple must come out unpadded under
+	// engineShard's leading-pad shape. (With the pad trailing, go1.24 makes
+	// this 136 bytes — a struct ending in a zero-size field gains a word.)
+	type payload struct {
+		p *int
+		_ [2*cacheLine - 8]byte
+	}
+	type padded struct {
+		_ [(cacheLine - unsafe.Sizeof(payload{})%cacheLine) % cacheLine]byte
+		payload
+	}
+	if s := unsafe.Sizeof(padded{}); s != 2*cacheLine {
+		t.Fatalf("the leading pad around an already-aligned %d-byte payload gives %d bytes", unsafe.Sizeof(payload{}), s)
 	}
 }
 

@@ -11,6 +11,12 @@ func FuzzLeafIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{255, 254, 0, 0, 0, 1, 1, 1})
 	f.Add([]byte{})
+	// Three children under the root and under node 0, then drained: an index
+	// of unknown degree keeps lists at any width.
+	f.Add([]byte{
+		0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0,
+		2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0,
+	})
 	const depth = 4
 	const degree = 3
 	f.Fuzz(func(t *testing.T, tape []byte) {
@@ -53,6 +59,7 @@ func FuzzLeafIndex(f *testing.F) {
 			if x.Len() != len(model) {
 				t.Fatalf("Len = %d, model %d", x.Len(), len(model))
 			}
+			checkShape(t, x)
 			// Probe Nearest with the last code seen.
 			id, lvl, ok := x.Nearest(code)
 			if ok != (len(model) > 0) {

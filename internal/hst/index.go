@@ -20,15 +20,26 @@ import (
 //
 // Layout: the index is arena-backed. All trie nodes live in one contiguous
 // []flatNode slab and refer to each other by int32 index, so descent walks
-// the slab instead of chasing heap pointers. Children are resolved through
-// dense per-node blocks of the child arena (one int32 slot per digit,
-// available when the tree degree is known and ≤ denseDegreeLimit) or, for
-// larger or unknown degrees, through digit-tagged sibling lists carried in
-// per-node side slabs (digits, sibs). Leaf items sit in a third slab as
-// singly-linked slots. Nodes, child blocks, and item slots freed when a
-// subtree empties go on freelists and are reused by later inserts, and the
-// root-to-leaf path scratch is owned by the index, so in steady state
-// (inserts balancing removals) no operation allocates.
+// the slab instead of chasing heap pointers. How a node finds its children is
+// a property of the node, read off flatNode.kids: nilIdx is no children, a
+// value ≥ 0 is the first child of a digit-tagged sibling list threaded
+// through the per-node side slabs (digits, sibs), and a value ≤ blkTag is a
+// tagged offset of a dense block in the child arena (one int32 slot per
+// digit, degree wide). A node keeps the list while it has at most narrowKids
+// children; the insert that would add one more promotes it to a block and the
+// removal that brings it back to narrowKids demotes it again, so the child
+// arena follows the live set instead of ratcheting up under churn. The padded
+// complete tree the mechanism reports over is thin everywhere but its last
+// levels — at 16k workers on 4,096 leaves three internal nodes in four have
+// one or two children — so paying degree slots only from the third child is
+// most of the index's bytes at low density. An index of unknown degree, or
+// one above denseDegreeLimit, is the same code that never promotes, which is
+// why sibs is allocated for every index (4 B per node) rather than per
+// layout. Leaf items sit in a third slab as singly-linked slots. Nodes, child
+// blocks, and item slots freed when a subtree empties go on freelists and are
+// reused by later inserts, and the root-to-leaf path scratch is owned by the
+// index, so in steady state (inserts balancing removals) no operation
+// allocates.
 //
 // Items carry a remaining capacity (Insert seeds 1, InsertCap more): the
 // pop operations consume one unit and remove the item only when its last
@@ -46,7 +57,7 @@ import (
 // under that shard's lock, which also makes the shared path scratch safe).
 type LeafIndex struct {
 	depth  int
-	degree int // dense child-block width; 0 = sparse sibling lists
+	degree int // dense child-block width; 0 = nodes never promote off their sibling lists
 	size   int // live items
 	units  int // Σ remaining capacity over live items
 
@@ -55,12 +66,11 @@ type LeafIndex struct {
 	items []itemSlot // leaf item arena
 
 	// digits and sibs are per-node side slabs grown in lockstep with nodes:
-	// packing a one-byte digit (or a link only sparse layouts use) into
+	// packing a one-byte digit (or a link only list-form children use) into
 	// flatNode itself would pad every node back up, so at million-worker
 	// scale they live outside. digits[ni] is ni's child digit under its
-	// parent; sibs[ni] is ni's next sibling, allocated only for sparse
-	// (degree-0) indexes — dense indexes resolve children through kids
-	// blocks and never link siblings.
+	// parent; sibs[ni] is ni's next sibling while its parent is in list form
+	// (nilIdx at the tail, and on every child of a block-form parent).
 	digits []uint8
 	sibs   []int32
 
@@ -92,13 +102,19 @@ type LeafIndex struct {
 }
 
 // flatNode is one trie position in the arena. 20 bytes (pinned by test):
-// the child digit lives in the digits side slab and sparse sibling links in
-// sibs, so a 10M-worker shard stays within the int32 arena range with room
-// to spare and a realistic shard fits in L2.
+// the child digit lives in the digits side slab and sibling links in sibs,
+// so a 10M-worker shard stays within the int32 arena range with room to
+// spare and a realistic shard fits in L2.
 type flatNode struct {
-	count  int32 // live items in this subtree (≥ 1 for every allocated non-root node)
-	minID  int32 // smallest live item id in this subtree (noItem32 when none)
-	kids   int32 // dense: child-block offset into LeafIndex.kids; sparse: first child node; freed: freelist link
+	count int32 // live items in this subtree (≥ 1 for every allocated non-root node)
+	minID int32 // smallest live item id in this subtree (noItem32 when none)
+
+	// kids says where the children are, per node: nilIdx none; ≥ 0 the first
+	// child of a sibling list (sibs/digits), at most narrowKids long wherever
+	// the index has a degree to promote to; ≤ blkTag the dense block at
+	// LeafIndex.kids[blkTag−kids:], held only while the node has more than
+	// narrowKids children. On a freed node it is the freelist link.
+	kids   int32
 	items  int32 // head of this leaf's item-slot list (nilIdx on freed nodes, so stale refs probe empty)
 	parent int32 // parent node (nilIdx for the root), for ref-based commits
 }
@@ -116,8 +132,20 @@ const (
 	nilIdx   = int32(-1)
 	noItem32 = int32(math.MaxInt32)
 
-	// denseDegreeLimit bounds the child-block width: degrees above it fall
-	// back to sparse sibling lists (a dense block per node would waste
+	// blkTag tags a dense child block in flatNode.kids: block offset off is
+	// stored as blkTag−off, which keeps every tagged value clear of nilIdx
+	// and of the non-negative list heads.
+	blkTag = int32(-2)
+
+	// narrowKids is how many children a node holds as a sibling list before
+	// the next one promotes it to a dense block. 2 covers three quarters of
+	// the internal nodes at the benchmark's density; 3 and 4 read 11 and 16
+	// B/worker less there in one run each with no timing outside noise —
+	// raise it only with paired engine-churn and batch-window runs behind it.
+	narrowKids = 2
+
+	// denseDegreeLimit bounds the child-block width: nodes of an index
+	// declared wider never promote (a dense block per node would waste
 	// arena space on mostly-absent digits).
 	denseDegreeLimit = 32
 )
@@ -138,17 +166,16 @@ var maxArenaLen = int64(math.MaxInt32)
 
 // roomFor errs when inserting a full root-to-leaf path plus one item could
 // grow any arena past maxArenaLen. Worst case an insert allocates depth
-// fresh nodes, depth dense child blocks (degree slots each), and one item
-// slot; freelisted entries are reused before the slabs grow, so they count
-// against the demand.
+// fresh nodes, one dense child block (the existing node the new branch hangs
+// off may promote; every node below it is fresh and holds one child) and one
+// item slot; freelisted entries are reused before the slabs grow, so they
+// count against the demand.
 func (x *LeafIndex) roomFor() error {
 	if need := int64(x.depth - x.freeNodes); need > 0 && int64(len(x.nodes))+need > maxArenaLen {
 		return fmt.Errorf("%w: %d nodes + %d would exceed %d", ErrIndexFull, len(x.nodes), need, maxArenaLen)
 	}
-	if x.degree > 0 {
-		if blocks := int64(x.depth - len(x.freeBlock)); blocks > 0 && int64(len(x.kids))+blocks*int64(x.degree) > maxArenaLen {
-			return fmt.Errorf("%w: %d child slots + %d would exceed %d", ErrIndexFull, len(x.kids), blocks*int64(x.degree), maxArenaLen)
-		}
+	if x.degree > 0 && len(x.freeBlock) == 0 && int64(len(x.kids))+int64(x.degree) > maxArenaLen {
+		return fmt.Errorf("%w: %d child slots + %d would exceed %d", ErrIndexFull, len(x.kids), x.degree, maxArenaLen)
 	}
 	if x.freeItems == 0 && int64(len(x.items))+1 > maxArenaLen {
 		return fmt.Errorf("%w: %d item slots + 1 would exceed %d", ErrIndexFull, len(x.items), maxArenaLen)
@@ -157,16 +184,17 @@ func (x *LeafIndex) roomFor() error {
 }
 
 // NewLeafIndex returns an empty index for codes of the given depth. The
-// tree degree is unknown, so children use the sparse representation; when
-// the degree is available, prefer NewLeafIndexDegree.
+// tree degree is unknown, so every node keeps its sibling list however wide
+// it grows; when the degree is available, prefer NewLeafIndexDegree.
 func NewLeafIndex(depth int) *LeafIndex {
 	return NewLeafIndexDegree(depth, 0)
 }
 
 // NewLeafIndexDegree returns an empty index for codes of the given depth
 // over a tree with the given branching factor. Degrees in [1,
-// denseDegreeLimit] select dense per-node child blocks with O(1) digit
-// lookup; 0 (unknown) or larger degrees select sparse sibling lists.
+// denseDegreeLimit] let a node with more than narrowKids children promote to
+// a dense block with O(1) digit lookup; under 0 (unknown) or a larger degree
+// every node stays a sibling list.
 func NewLeafIndexDegree(depth, degree int) *LeafIndex {
 	if degree < 0 || degree > denseDegreeLimit {
 		degree = 0
@@ -176,15 +204,12 @@ func NewLeafIndexDegree(depth, degree int) *LeafIndex {
 		degree: degree,
 		nodes:  make([]flatNode, 1, 64),
 		digits: make([]uint8, 1, 64),
+		sibs:   append(make([]int32, 0, 64), nilIdx),
 		path:   make([]int32, 0, depth+1),
 		cbuf:   make([]byte, depth),
 
 		freeNode: nilIdx,
 		freeItem: nilIdx,
-	}
-	if degree == 0 {
-		x.sibs = make([]int32, 1, 64)
-		x.sibs[0] = nilIdx
 	}
 	x.nodes[0] = flatNode{minID: noItem32, kids: nilIdx, items: nilIdx, parent: nilIdx}
 	return x
@@ -232,9 +257,7 @@ func (x *LeafIndex) Reserve(nodes, kids, items int) {
 	if n := clamp(nodes); n > cap(x.nodes) {
 		x.nodes = append(make([]flatNode, 0, n), x.nodes...)
 		x.digits = append(make([]uint8, 0, n), x.digits...)
-		if x.degree == 0 {
-			x.sibs = append(make([]int32, 0, n), x.sibs...)
-		}
+		x.sibs = append(make([]int32, 0, n), x.sibs...)
 	}
 	if x.degree > 0 {
 		if n := clamp(kids); n > cap(x.kids) {
@@ -334,17 +357,14 @@ func (x *LeafIndex) bump(ni, id int32) {
 
 // child resolves the child of node ni holding the given digit, or nilIdx.
 func (x *LeafIndex) child(ni int32, digit byte) int32 {
-	n := &x.nodes[ni]
-	if x.degree > 0 {
-		if n.kids == nilIdx {
-			return nilIdx
-		}
+	k := x.nodes[ni].kids
+	if k <= blkTag {
 		if int(digit) >= x.degree {
 			return nilIdx
 		}
-		return x.kids[n.kids+int32(digit)]
+		return x.kids[blkTag-k+int32(digit)]
 	}
-	for ci := n.kids; ci != nilIdx; ci = x.sibs[ci] {
+	for ci := k; ci != nilIdx; ci = x.sibs[ci] {
 		if x.digits[ci] == digit {
 			return ci
 		}
@@ -352,19 +372,38 @@ func (x *LeafIndex) child(ni int32, digit byte) int32 {
 	return nilIdx
 }
 
-// addChild allocates a child of ni for the given digit and links it in.
+// block returns the dense child block a tagged (≤ blkTag) kids value names.
+func (x *LeafIndex) block(k int32) []int32 {
+	return x.kids[blkTag-k : blkTag-k+int32(x.degree)]
+}
+
+// addChild allocates a child of ni for the given digit and links it in,
+// first promoting ni to a dense block when its sibling list is already
+// narrowKids long (and the index has a block width to promote to).
 func (x *LeafIndex) addChild(ni int32, digit byte) int32 {
 	ci := x.allocNode(digit)
 	x.nodes[ci].parent = ni
-	if x.degree > 0 {
-		blk := x.nodes[ni].kids
-		if blk == nilIdx {
-			blk = x.allocBlock()
-			x.nodes[ni].kids = blk
+	k := x.nodes[ni].kids
+	if k > blkTag && x.degree > 0 {
+		n := 0
+		for c := k; c != nilIdx && n < narrowKids; c = x.sibs[c] {
+			n++
 		}
-		x.kids[blk+int32(digit)] = ci
+		if n == narrowKids {
+			blk := x.allocBlock()
+			for c := k; c != nilIdx; {
+				next := x.sibs[c]
+				x.kids[blk+int32(x.digits[c])], x.sibs[c] = c, nilIdx
+				c = next
+			}
+			k = blkTag - blk
+			x.nodes[ni].kids = k
+		}
+	}
+	if k <= blkTag {
+		x.kids[blkTag-k+int32(digit)] = ci
 	} else {
-		x.sibs[ci] = x.nodes[ni].kids
+		x.sibs[ci] = k
 		x.nodes[ni].kids = ci
 	}
 	return ci
@@ -383,21 +422,17 @@ func (x *LeafIndex) allocNode(digit byte) int32 {
 		ni = int32(len(x.nodes))
 		x.nodes = append(x.nodes, flatNode{})
 		x.digits = append(x.digits, 0)
-		if x.degree == 0 {
-			x.sibs = append(x.sibs, 0)
-		}
+		x.sibs = append(x.sibs, 0)
 	}
 	x.nodes[ni] = flatNode{minID: noItem32, kids: nilIdx, items: nilIdx}
 	x.digits[ni] = digit
-	if x.degree == 0 {
-		x.sibs[ni] = nilIdx
-	}
+	x.sibs[ni] = nilIdx
 	return ni
 }
 
 // allocBlock takes a dense child block off the freelist or grows the child
-// arena. Freed blocks are all-nilIdx by the count invariant (a node is
-// freed only after all of its children were), so reuse needs no clearing.
+// arena. Freed blocks are all-nilIdx (a demotion clears the survivors' slots
+// before it frees the block), so reuse needs no clearing.
 func (x *LeafIndex) allocBlock() int32 {
 	if n := len(x.freeBlock); n > 0 {
 		off := x.freeBlock[n-1]
@@ -461,12 +496,10 @@ func (x *LeafIndex) setItemCap(si, c int32) {
 }
 
 // freeNodeAt returns an empty node (count 0, no items, no live children) to
-// the freelist, releasing its dense child block if it ever grew one.
+// the freelist. Its kids is already nilIdx: unlinkChild demoted any block it
+// had on the way down to narrowKids children and emptied the list after.
 func (x *LeafIndex) freeNodeAt(ni int32) {
 	n := &x.nodes[ni]
-	if x.degree > 0 && n.kids != nilIdx {
-		x.freeBlock = append(x.freeBlock, n.kids)
-	}
 	// The freelist threads through kids, never items: a stale CandidateRef
 	// may still probe a freed node (RefUnits, ConsumeRef), and walking items
 	// there must read an empty list, not a freelist link.
@@ -476,14 +509,38 @@ func (x *LeafIndex) freeNodeAt(ni int32) {
 	x.freeNodes++
 }
 
-// unlinkChild detaches child ci from parent pi.
+// unlinkChild detaches child ci from parent pi, demoting pi's dense block
+// back to a sibling list (and freeing the block, left all-nilIdx) when the
+// removal brings it down to narrowKids children.
 func (x *LeafIndex) unlinkChild(pi, ci int32) {
-	if x.degree > 0 {
-		x.kids[x.nodes[pi].kids+int32(x.digits[ci])] = nilIdx
+	k := x.nodes[pi].kids
+	if k <= blkTag {
+		blk := x.block(k)
+		blk[x.digits[ci]] = nilIdx
+		var keep [narrowKids]int32
+		n := 0
+		for _, c := range blk {
+			if c == nilIdx {
+				continue
+			}
+			if n == narrowKids {
+				return // still wider than a list holds
+			}
+			keep[n] = c
+			n++
+		}
+		head := nilIdx
+		for n--; n >= 0; n-- {
+			c := keep[n]
+			blk[x.digits[c]] = nilIdx
+			x.sibs[c], head = head, c
+		}
+		x.nodes[pi].kids = head
+		x.freeBlock = append(x.freeBlock, blkTag-k)
 		return
 	}
 	prev := nilIdx
-	for cur := x.nodes[pi].kids; cur != nilIdx; cur = x.sibs[cur] {
+	for cur := k; cur != nilIdx; cur = x.sibs[cur] {
 		if cur == ci {
 			if prev == nilIdx {
 				x.nodes[pi].kids = x.sibs[ci]
@@ -574,34 +631,45 @@ func (x *LeafIndex) consumeItem(ni, id int32) (removed, ok bool) {
 	return false, false
 }
 
+// ErrNoItem is AddCap's refusal when the (code, id) item is not live —
+// consumed away, withdrawn or never inserted. A caller restoring a fully
+// consumed (hence removed) item answers it with InsertCap.
+var ErrNoItem = errors.New("hst: no such item")
+
+// ErrUnitsOverflow is AddCap's refusal when the item is live but the sum
+// would pass the int32 range InsertCap enforces: the item keeps what it has,
+// and inserting instead would put a second item under the same id.
+var ErrUnitsOverflow = errors.New("hst: item capacity would exceed the index's int32 range")
+
 // AddCap returns delta (≥ 1) capacity units to the live item id at the
-// given leaf code, reporting whether the units were added: false when the
-// item is not there, or when the sum would pass the int32 range InsertCap
-// enforces (nothing is mutated either way). Callers restoring a fully
-// consumed (hence removed) item use InsertCap instead.
-func (x *LeafIndex) AddCap(code Code, id, delta int) bool {
-	if len(code) != x.depth || id < 0 || id > math.MaxInt32 || delta < 1 || delta > math.MaxInt32 {
-		return false
+// given leaf code. A refusal says which kind it was — ErrNoItem or
+// ErrUnitsOverflow — and mutates nothing.
+func (x *LeafIndex) AddCap(code Code, id, delta int) error {
+	if delta < 1 {
+		return fmt.Errorf("hst: capacity delta must be positive, got %d", delta)
+	}
+	if len(code) != x.depth || id < 0 || id > math.MaxInt32 {
+		return ErrNoItem
 	}
 	ni := int32(0)
 	for j := 0; j < x.depth; j++ {
 		ni = x.child(ni, code[j])
 		if ni == nilIdx {
-			return false
+			return ErrNoItem
 		}
 	}
 	for si := x.nodes[ni].items; si != nilIdx; si = x.items[si].next {
 		if x.items[si].id == int32(id) {
 			sum := int64(x.itemCap(si)) + int64(delta)
 			if sum > math.MaxInt32 {
-				return false
+				return ErrUnitsOverflow
 			}
 			x.setItemCap(si, int32(sum))
 			x.units += delta
-			return true
+			return nil
 		}
 	}
-	return false
+	return ErrNoItem
 }
 
 // Consume takes one capacity unit from the item id at the given leaf code,
@@ -667,13 +735,10 @@ func (x *LeafIndex) recomputeMin(ni int32) int32 {
 			min = x.items[si].id
 		}
 	}
-	if x.degree > 0 {
-		if n.kids != nilIdx {
-			blk := x.kids[n.kids : n.kids+int32(x.degree)]
-			for _, ci := range blk {
-				if ci != nilIdx && x.nodes[ci].minID < min {
-					min = x.nodes[ci].minID
-				}
+	if n.kids <= blkTag {
+		for _, ci := range x.block(n.kids) {
+			if ci != nilIdx && x.nodes[ci].minID < min {
+				min = x.nodes[ci].minID
 			}
 		}
 	} else {
@@ -854,9 +919,8 @@ func (x *LeafIndex) popMinFrom(path []int32) int {
 // childWithMin returns the child of ni whose subtree minimum is target.
 func (x *LeafIndex) childWithMin(ni, target int32) int32 {
 	n := &x.nodes[ni]
-	if x.degree > 0 {
-		blk := x.kids[n.kids : n.kids+int32(x.degree)]
-		for _, ci := range blk {
+	if n.kids <= blkTag {
+		for _, ci := range x.block(n.kids) {
 			if ci != nilIdx && x.nodes[ci].minID == target {
 				return ci
 			}
@@ -891,12 +955,9 @@ func (x *LeafIndex) walk(ni int32, prefix []byte, fn func(code Code, id, capacit
 	for si := n.items; si != nilIdx; si = x.items[si].next {
 		fn(Code(prefix), int(x.items[si].id), int(x.itemCap(si)))
 	}
-	if x.degree > 0 {
-		if n.kids == nilIdx {
-			return
-		}
-		for d := 0; d < x.degree; d++ {
-			if ci := x.kids[n.kids+int32(d)]; ci != nilIdx {
+	if n.kids <= blkTag {
+		for d, ci := range x.block(n.kids) {
+			if ci != nilIdx {
 				x.walk(ci, append(prefix, byte(d)), fn)
 			}
 		}

@@ -68,20 +68,20 @@ func TestAddCapAndConsume(t *testing.T) {
 	if err := x.InsertCap(mk(2, 0), 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !x.AddCap(mk(2, 0), 3, 2) {
-		t.Fatal("AddCap on a live item failed")
+	if err := x.AddCap(mk(2, 0), 3, 2); err != nil {
+		t.Fatalf("AddCap on a live item: %v", err)
 	}
 	if x.Units() != 3 || x.Len() != 1 {
 		t.Fatalf("Units=%d Len=%d after AddCap, want 3/1", x.Units(), x.Len())
 	}
-	if x.AddCap(mk(2, 1), 3, 1) {
-		t.Error("AddCap at the wrong leaf succeeded")
+	if err := x.AddCap(mk(2, 1), 3, 1); err != ErrNoItem {
+		t.Errorf("AddCap at the wrong leaf: %v, want ErrNoItem", err)
 	}
-	if x.AddCap(mk(2, 0), 8, 1) {
-		t.Error("AddCap on an absent id succeeded")
+	if err := x.AddCap(mk(2, 0), 8, 1); err != ErrNoItem {
+		t.Errorf("AddCap on an absent id: %v, want ErrNoItem", err)
 	}
-	if x.AddCap(mk(2, 0), 3, 0) {
-		t.Error("AddCap with zero delta succeeded")
+	if err := x.AddCap(mk(2, 0), 3, 0); err == nil || err == ErrNoItem {
+		t.Errorf("AddCap with zero delta: %v, want a refusal that does not read as a missing item", err)
 	}
 	for i := 0; i < 3; i++ {
 		if !x.Consume(mk(2, 0), 3) {

@@ -128,6 +128,7 @@ func (p *diffPair) check(t *testing.T, step int) {
 	if fok != rok || (fok && fm != rm) {
 		t.Fatalf("step %d: MinID (%d,%v) ≠ (%d,%v)", step, fm, fok, rm, rok)
 	}
+	checkShape(t, p.flat)
 }
 
 // driveDifferential runs a randomized Insert/Remove/PopNearest/PopMin/
@@ -217,7 +218,7 @@ func driveDifferential(t *testing.T, depth, degree int, steps int, seed uint64, 
 		case op == 10: // hand units back to a live (or missing) item
 			c, id := anyLive()
 			delta := 1 + src.Intn(maxCap)
-			if gf, gr := p.flat.AddCap(c, id, delta), p.ref.AddCap(c, id, delta); gf != gr {
+			if gf, gr := p.flat.AddCap(c, id, delta) == nil, p.ref.AddCap(c, id, delta); gf != gr {
 				t.Fatalf("step %d: AddCap(%d,+%d) %v ≠ %v", step, id, delta, gf, gr)
 			}
 		case op == 11 || op == 12: // code-addressed single-unit commit
@@ -324,6 +325,7 @@ func TestLeafIndexDifferentialUnknownDegree(t *testing.T) {
 				t.Fatalf("step %d: PopNearest (%d,%d,%v) ≠ (%d,%d,%v)", step, fid, flvl, fok, rid, rlvl, rok)
 			}
 		}
+		checkShape(t, flat)
 	}
 }
 
@@ -434,6 +436,25 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 		24, 2, 1, 0, 2, 5, 2, 1, 0, 2, 5, 2, 1, 0, 2, 5, 2, 1, 0, 2,
 		5, 2, 1, 0, 2, 5, 2, 1, 0, 2, 0, 2, 1, 0, 2, 3, 2, 1, 0, 2,
 	})
+	// The promote/demote boundary (degree 3: a block means all three
+	// children). The root oscillates 2 ↔ 3 children through withdrawal,
+	// consume and pop, each promotion after the first taking the freelisted
+	// block; then node 0 promotes, demotes and is drained to a free.
+	f.Add([]byte{
+		0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, // root promotes
+		2, 0, 0, 0, 0, 0, 0, 0, 0, 0, // withdraw → demote, re-insert → promote
+		5, 1, 0, 0, 0, 0, 1, 1, 0, 0, // consume → demote, promote again
+		3, 2, 0, 0, 0, 0, 2, 2, 2, 2, // pop → demote, promote again
+		0, 0, 1, 0, 0, 0, 0, 2, 0, 0, // node 0 promotes (second block)
+		5, 0, 0, 0, 0, 5, 0, 1, 0, 0, 5, 0, 2, 0, 0, // node 0 demotes, empties, frees; root demotes
+		0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 6, 0, 0, 0, 0, 6, 0, 0, 0, 0,
+	})
+	// The same boundary under multi-unit items and a mid-tape Reserve.
+	f.Add([]byte{
+		16, 0, 0, 0, 0, 8, 1, 0, 0, 0, 24, 2, 0, 0, 0, 63, 9, 9, 9, 9,
+		3, 2, 0, 0, 0, 3, 2, 0, 0, 0, 3, 2, 0, 0, 0, 3, 2, 0, 0, 0,
+		0, 2, 1, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 1, 0,
+	})
 	const depth = 4
 	const degree = 3
 	f.Fuzz(func(t *testing.T, tape []byte) {
@@ -495,7 +516,7 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 			case 4: // hand units back to the oldest live item
 				if id, ok := oldest(); ok {
 					delta := 1 + int(op>>3)%5
-					if gf, gr := flat.AddCap(ref.codes[id], id, delta), ref.AddCap(ref.codes[id], id, delta); gf != gr || !gf {
+					if gf, gr := flat.AddCap(ref.codes[id], id, delta) == nil, ref.AddCap(ref.codes[id], id, delta); gf != gr || !gf {
 						t.Fatalf("AddCap(%d,+%d) %v ≠ %v", id, delta, gf, gr)
 					}
 				}
@@ -523,6 +544,7 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 			if flat.Len() != ref.Len() || flat.Units() != ref.total {
 				t.Fatalf("Len/Units %d/%d ≠ %d/%d", flat.Len(), flat.Units(), ref.Len(), ref.total)
 			}
+			checkShape(t, flat)
 			fid, flvl, fok := flat.Nearest(code)
 			rid, rlvl, rok := ref.Nearest(code)
 			if fid != rid || flvl != rlvl || fok != rok {

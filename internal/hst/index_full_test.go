@@ -29,42 +29,54 @@ func withArenaCap(t *testing.T, n int64) {
 	t.Cleanup(func() { maxArenaLen = old })
 }
 
-// A dense index hits the child-slot arena first (every fresh path burns
-// depth×degree kid slots). The refusal must be typed, must not corrupt the
-// population already indexed, and freed slots must make room again.
+// A dense index whose nodes promote hits the child-slot arena first (a block
+// is degree slots wide and a node needs only narrowKids+1 children to take
+// one). The refusal must be typed, must not corrupt the population already
+// indexed, and a demotion's freed block must make room again.
 func TestInsertFullDenseKidsArena(t *testing.T) {
-	withArenaCap(t, 20)
-	x := NewLeafIndexDegree(4, 4)
-	a := Code([]byte{0, 0, 0, 0})
-	if err := x.Insert(a, 1); err != nil {
-		t.Fatalf("first insert: %v", err)
+	withArenaCap(t, 16) // two 8-wide blocks
+	x := NewLeafIndexDegree(2, 8)
+	// Root and node 0 take three children each — both blocks — and node 1
+	// sits at narrowKids, one child short of needing a third.
+	for id, c := range []Code{mk(0, 0), mk(0, 1), mk(0, 2), mk(1, 0), mk(1, 1), mk(2, 0)} {
+		if err := x.Insert(c, id); err != nil {
+			t.Fatalf("insert %d: %v", id, err)
+		}
 	}
-	b := Code([]byte{1, 1, 1, 1})
-	err := x.Insert(b, 2)
+	if _, kids, _ := x.ArenaLens(); kids != 16 || len(x.freeBlock) != 0 {
+		t.Fatalf("setup holds %d child slots (%d blocks free), want the arena's 16 in use", kids, len(x.freeBlock))
+	}
+	c := mk(1, 2)
+	err := x.Insert(c, 6)
 	if !errors.Is(err, ErrIndexFull) {
-		t.Fatalf("insert at ceiling: got %v, want ErrIndexFull", err)
+		t.Fatalf("promoting insert at ceiling: got %v, want ErrIndexFull", err)
 	}
 	// The refused insert must have mutated nothing.
-	if x.Len() != 1 || x.Units() != 1 {
-		t.Fatalf("after refusal: Len=%d Units=%d, want 1/1", x.Len(), x.Units())
+	if x.Len() != 6 || x.Units() != 6 {
+		t.Fatalf("after refusal: Len=%d Units=%d, want 6/6", x.Len(), x.Units())
 	}
-	if id, lvl, ok := x.Nearest(a); !ok || id != 1 || lvl != 0 {
-		t.Fatalf("worker 1 damaged by refused insert: id=%d lvl=%d ok=%v", id, lvl, ok)
+	if got := x.CountPrefix(mk(1)); got != 2 {
+		t.Fatalf("refused branch counts %d items, want 2", got)
 	}
-	if got := x.CountPrefix(Code([]byte{1})); got != 0 {
-		t.Fatalf("refused branch counts %d items, want 0", got)
+	if id, lvl, ok := x.Nearest(c); !ok || id != 3 || lvl != 1 {
+		t.Fatalf("node 1 damaged by refused insert: id=%d lvl=%d ok=%v", id, lvl, ok)
 	}
-	// Removal at the ceiling still works and its freed nodes/blocks make
-	// the next insert fit without growing any slab.
-	if !x.Remove(a, 1) {
+	checkShape(t, x)
+	// Removal at the ceiling still works; it demotes node 0, and the freed
+	// block lets the refused insert promote node 1 without growing any slab.
+	if !x.Remove(mk(0, 2), 2) {
 		t.Fatal("remove at ceiling failed")
 	}
-	if err := x.Insert(b, 2); err != nil {
-		t.Fatalf("insert after freeing: %v", err)
+	if err := x.Insert(c, 6); err != nil {
+		t.Fatalf("insert after a demotion freed a block: %v", err)
 	}
-	if id, _, ok := x.Nearest(b); !ok || id != 2 {
-		t.Fatalf("worker 2 not indexed after freelist reuse: id=%d ok=%v", id, ok)
+	if _, kids, _ := x.ArenaLens(); kids != 16 {
+		t.Fatalf("child arena grew to %d slots past the ceiling", kids)
 	}
+	if id, lvl, ok := x.Nearest(c); !ok || id != 6 || lvl != 0 {
+		t.Fatalf("worker 6 not indexed after block reuse: id=%d lvl=%d ok=%v", id, lvl, ok)
+	}
+	checkShape(t, x)
 }
 
 // A sparse (unknown-degree) index hits the node arena first.
@@ -156,8 +168,8 @@ func TestCapacityPooling(t *testing.T) {
 	}
 	// Withdraw a multi-unit item and reuse its slot: the tenant must not
 	// inherit units, whether it arrives with one unit or several.
-	if !x.AddCap(multi, 8, 4) {
-		t.Fatal("addcap failed")
+	if err := x.AddCap(multi, 8, 4); err != nil {
+		t.Fatalf("addcap: %v", err)
 	}
 	if units, ok := x.RemoveUnits(multi, 8); !ok || units != 5 {
 		t.Fatalf("removed units=%d ok=%v, want 5/true", units, ok)
@@ -213,12 +225,14 @@ func TestAddCapRefusesOverflow(t *testing.T) {
 	if err := x.InsertCap(leaf, 4, math.MaxInt32-1); err != nil {
 		t.Fatal(err)
 	}
-	if !x.AddCap(leaf, 4, 1) {
-		t.Fatal("AddCap up to MaxInt32 refused")
+	if err := x.AddCap(leaf, 4, 1); err != nil {
+		t.Fatalf("AddCap up to MaxInt32: %v", err)
 	}
 	for _, delta := range []int{1, 2, math.MaxInt32, math.MaxInt32 + 1, 1 << 40} {
-		if x.AddCap(leaf, 4, delta) {
-			t.Fatalf("AddCap(%d) on a MaxInt32-unit item succeeded", delta)
+		// Saturated, not gone: a caller that read this as a missing item
+		// would insert a second item under the same id.
+		if err := x.AddCap(leaf, 4, delta); err != ErrUnitsOverflow {
+			t.Fatalf("AddCap(%d) on a MaxInt32-unit item: %v, want ErrUnitsOverflow", delta, err)
 		}
 		if x.Units() != math.MaxInt32 {
 			t.Fatalf("refused AddCap(%d) moved Units to %d", delta, x.Units())
@@ -231,7 +245,7 @@ func TestAddCapRefusesOverflow(t *testing.T) {
 	if id, _, ok := x.PopNearest(leaf); !ok || id != 4 {
 		t.Fatalf("pop = (%d,%v)", id, ok)
 	}
-	if !x.AddCap(leaf, 4, 1) || x.Units() != math.MaxInt32 {
+	if x.AddCap(leaf, 4, 1) != nil || x.Units() != math.MaxInt32 {
 		t.Fatalf("AddCap after a pop failed or miscounted: Units=%d", x.Units())
 	}
 	if units, ok := x.RemoveUnits(leaf, 4); !ok || units != math.MaxInt32 {
@@ -281,8 +295,8 @@ func TestReservePreventsRegrowth(t *testing.T) {
 		}
 	}
 	nodes, kids, items := a.ArenaLens()
-	if nodes <= 1 || kids == 0 || items != 1000 {
-		t.Fatalf("ArenaLens = %d/%d/%d, want populated slabs and 1000 items", nodes, kids, items)
+	if nodes <= 1 || kids < 4*256 || items != 1000 {
+		t.Fatalf("ArenaLens = %d/%d/%d, want populated slabs, a promoted block per inner node and 1000 items", nodes, kids, items)
 	}
 	b := NewLeafIndexDegree(6, 4)
 	b.Reserve(nodes, kids, items)
@@ -308,7 +322,7 @@ func TestReservePreventsRegrowth(t *testing.T) {
 	withArenaCap(t, 64)
 	c := NewLeafIndexDegree(2, 2)
 	c.Reserve(1<<20, 1<<20, 1<<20)
-	if got := c.ArenaBytes(); got > 64*(20+1+4+8)+64 {
+	if got := c.ArenaBytes(); got > 64*(20+1+4+4+8)+64 { // nodes, digits, sibs, kids, items
 		t.Fatalf("clamped Reserve still allocated %d bytes", got)
 	}
 	before := b.ArenaBytes()

@@ -172,16 +172,12 @@ func (x *LeafIndex) collectKRef(ni, except int32, lvl, need, start int, out []Ca
 		out = offerKRef(out, start, need, x.items[si].id, ni, x.itemCap(si), lvl)
 	}
 	// Gather the live children once into stack buffers sorted by
-	// (minID, index); denseDegreeLimit bounds the dense fan-out, and the
-	// sparse fallback reuses the same buffers chunk by chunk.
+	// (minID, index); denseDegreeLimit bounds a block's fan-out, and the
+	// list form reuses the same buffers chunk by chunk.
 	var cbuf, mbuf [denseDegreeLimit]int32
-	if x.degree > 0 {
-		if n.kids == nilIdx {
-			return out
-		}
+	if n.kids <= blkTag {
 		m := 0
-		blk := x.kids[n.kids : n.kids+int32(x.degree)]
-		for _, ci := range blk {
+		for _, ci := range x.block(n.kids) {
 			if ci != nilIdx && ci != except {
 				cbuf[m], mbuf[m] = ci, x.nodes[ci].minID
 				m++
@@ -196,11 +192,11 @@ func (x *LeafIndex) collectKRef(ni, except int32, lvl, need, start int, out []Ca
 		}
 		return out
 	}
-	// Sparse sibling lists have no degree bound: process the children in
-	// chunks, each chunk sorted and bound-checked like a dense block. A
-	// chunk boundary only weakens the visit order, never the selection —
-	// the offer buffer keeps the exact k smallest whatever order items
-	// arrive in.
+	// A sibling list of an index that never promotes has no degree bound:
+	// process the children in chunks, each chunk sorted and bound-checked
+	// like a dense block. A chunk boundary only weakens the visit order,
+	// never the selection — the offer buffer keeps the exact k smallest
+	// whatever order items arrive in.
 	for ci := n.kids; ci != nilIdx; {
 		m := 0
 		for ; ci != nilIdx && m < denseDegreeLimit; ci = x.sibs[ci] {
@@ -245,11 +241,8 @@ func (x *LeafIndex) collectAllRef(ni, except int32, lvl, need, start int, out []
 	for si := n.items; si != nilIdx; si = x.items[si].next {
 		out = offerKRef(out, start, need, x.items[si].id, ni, x.itemCap(si), lvl)
 	}
-	if x.degree > 0 {
-		if n.kids == nilIdx {
-			return out
-		}
-		for _, ci := range x.kids[n.kids : n.kids+int32(x.degree)] {
+	if n.kids <= blkTag {
+		for _, ci := range x.block(n.kids) {
 			if ci != nilIdx {
 				out = x.collectAllRef(ci, except, lvl, need, start, out)
 			}

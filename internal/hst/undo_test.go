@@ -94,12 +94,12 @@ func TestPopNearestWithinCodeMatchesPop(t *testing.T) {
 				}
 				// The recorded code must address the popped item exactly:
 				// returning the unit through it must round-trip the state.
-				if !a.AddCap(Code(dst), id, 1) {
+				if a.AddCap(Code(dst), id, 1) != nil {
 					if err := a.InsertCap(Code(dst), id, 1); err != nil {
 						t.Fatalf("step %d: undo insert: %v", step, err)
 					}
 				}
-				if !b.AddCap(Code(dst), id, 1) {
+				if b.AddCap(Code(dst), id, 1) != nil {
 					if err := b.InsertCap(Code(dst), id, 1); err != nil {
 						t.Fatalf("step %d: reference undo: %v", step, err)
 					}
@@ -121,6 +121,8 @@ func TestPopNearestWithinCodeMatchesPop(t *testing.T) {
 				a.Remove(code, id)
 				b.Remove(code, id)
 			}
+			checkShape(t, a)
+			checkShape(t, b)
 			if step%50 == 0 {
 				sameSnapshot(t, step, a, b)
 			}
@@ -164,17 +166,19 @@ func TestPopNearestWithinCodeUndoRestoresState(t *testing.T) {
 		if id, _, ok := x.PopNearestWithinCode(Code(q), depth, dst); ok {
 			log = append(log, undo{code: append([]byte(nil), dst...), id: id})
 		}
+		checkShape(t, x)
 	}
 	if len(log) == 0 {
 		t.Fatal("no pops recorded")
 	}
 	for i := len(log) - 1; i >= 0; i-- {
 		u := log[i]
-		if !x.AddCap(Code(u.code), u.id, 1) {
+		if x.AddCap(Code(u.code), u.id, 1) != nil {
 			if err := x.InsertCap(Code(u.code), u.id, 1); err != nil {
 				t.Fatalf("undo %d: %v", i, err)
 			}
 		}
+		checkShape(t, x)
 	}
 	sameSnapshot(t, -1, x, ref)
 }
@@ -289,6 +293,8 @@ func TestResolveRefRoundTrip(t *testing.T) {
 			if !a.ConsumeRef(pick) || !b.Consume(c.Code, c.ID) {
 				t.Fatalf("%s step %d: commit of %+v failed", l.name, step, c)
 			}
+			checkShape(t, a)
+			checkShape(t, b)
 			sameSnapshot(t, step, a, b)
 		}
 		if _, ok := a.ResolveRef(CandidateRef{Node: int32(len(a.nodes))}); ok {
