@@ -1,0 +1,108 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+
+	"github.com/pombm/pombm/internal/engine"
+	"github.com/pombm/pombm/internal/platform"
+)
+
+// BenchmarkNodeOp prices one sequential routed op. The two rows subtract to
+// the cost of this package's routed-op path (coalescer, envelope codec,
+// replay cache, engine call, per-op deadline) above what net/http charges
+// for the same bytes:
+//
+//   - http: Insert and AssignSubtree alternating through DialNodeClient
+//     against a NodeHandler over loopback — every op a singleton envelope;
+//     the pair keeps the pool at steady state.
+//   - floor: plain POSTs of the same two request sizes, through the same
+//     transport, to a handler that discards the body and answers the same
+//     two response sizes.
+func BenchmarkNodeOp(b *testing.B) {
+	tree := buildTree(b, 7)
+	code := tree.CodeOf(3)
+	// Same-size stand-ins for the two envelopes and their answers; the
+	// floor ships bytes, not meaning.
+	var reqs, resps [2][]byte
+	for i, op := range []OpRequest{
+		{Kind: OpInsert, Idem: "AbCdEf1a2b", Code: []byte(code), ID: 12345, Capacity: 1, Epoch: engine.FirstEpoch},
+		{Kind: OpAssignSubtree, Idem: "AbCdEf1a2b", Code: []byte(code), Epoch: engine.FirstEpoch},
+	} {
+		body, err := json.Marshal(struct {
+			Ops []OpRequest `json:"ops"`
+		}{[]OpRequest{op}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs[i] = append(body, '\n')
+	}
+	resps[0] = []byte(`{"ok":true,"results":[{"ok":true}]}` + "\n")
+	resps[1] = []byte(`{"ok":true,"results":[{"ok":true,"id":12345,"found":true}]}` + "\n")
+
+	b.Run("http", func(b *testing.B) {
+		ts := httptest.NewServer(NodeHandler(NewNode()))
+		defer ts.Close()
+		tr := platform.NewTransport()
+		defer tr.CloseIdleConnections()
+		conn := DialNodeClient(ts.URL, &http.Client{Transport: tr})
+		if err := conn.Init(InitRequest{Tree: tree}); err != nil {
+			b.Fatal(err)
+		}
+		idems := make([]string, b.N)
+		for i := range idems {
+			idems[i] = "AbCdEf" + strconv.FormatInt(int64(i), 36)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				if err := conn.Insert(code, 12345, 1, engine.FirstEpoch, idems[i]); err != nil {
+					b.Fatal(err)
+				}
+			} else if _, _, found, err := conn.AssignSubtree(code, engine.FirstEpoch, idems[i]); err != nil || !found {
+				b.Fatal(found, err)
+			}
+		}
+	})
+
+	b.Run("floor", func(b *testing.B) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n, _ := io.Copy(io.Discard, r.Body)
+			resp := resps[0]
+			if int(n) == len(reqs[1]) {
+				resp = resps[1]
+			}
+			h := w.Header()
+			h.Set("Content-Type", "application/json")
+			h.Set("Content-Length", strconv.Itoa(len(resp)))
+			w.Write(resp)
+		}))
+		defer ts.Close()
+		tr := platform.NewTransport()
+		defer tr.CloseIdleConnections()
+		hc := &http.Client{Transport: tr}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+PathNodeOps, bytes.NewReader(reqs[i%2]))
+			if err != nil {
+				b.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := hc.Do(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				b.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+	})
+}

@@ -453,6 +453,56 @@ func TestIdempotentReplay(t *testing.T) {
 	}
 }
 
+// TestRestartedCoordinatorIsNotReplayed: a second coordinator incarnation
+// over the same live nodes starts its key sequence over while the nodes'
+// replay caches still hold its predecessor's answers. Its keys must not
+// collide with them — a replayed init leaves the old pool in place, a
+// replayed insert is acked and never lands.
+func TestRestartedCoordinatorIsNotReplayed(t *testing.T) {
+	tree := buildTree(t, 7)
+	nodes := httpNodes(t, 3)
+	pol, _ := engine.PolicyByName("greedy")
+	first, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 3; id++ {
+		if err := first.InsertEpoch(tree.CodeOf(id), id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := first.Len(); got != 3 {
+		t.Fatalf("first incarnation's pool %d, want 3", got)
+	}
+
+	second, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.nextIdem()[:len(first.idemNonce)] == second.nextIdem()[:len(second.idemNonce)] {
+		t.Fatal("two incarnations drew the same key nonce")
+	}
+	if got := second.Len(); got != 0 {
+		t.Fatalf("pool %d after the second incarnation's init, want the fresh engines' 0 (init replayed, not applied?)", got)
+	}
+	for id := 10; id < 13; id++ {
+		if err := second.InsertEpoch(tree.CodeOf(id-10), id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := second.Len(); got != 3 {
+		t.Fatalf("pool %d after three inserts, want 3 (inserts acked from the cache, never landed?)", got)
+	}
+	if id, _, ok := second.Assign(tree.CodeOf(0)); !ok || id != 10 {
+		t.Fatalf("assign at worker 10's leaf answered %d, %v", id, ok)
+	}
+	// A key is memory on every node that retains it: it stays inside the
+	// 16-byte size class.
+	if key := second.nextIdem(); len(key) > 16 {
+		t.Fatalf("idempotency key %q is %d bytes, want ≤ 16", key, len(key))
+	}
+}
+
 // TestCoordinatorEndToEndHTTP drives the full stack over two real HTTP
 // hops — agent → coordinator → node — through the public Dial surface.
 func TestCoordinatorEndToEndHTTP(t *testing.T) {

@@ -1,78 +1,93 @@
 package cluster
 
-import (
-	"encoding/json"
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // maxOpsPerEnvelope bounds one flush so a burst cannot build an
 // arbitrarily large request body (and a lost envelope retries a bounded
 // amount of work).
 const maxOpsPerEnvelope = 128
 
-// batchedOp is one caller's slot in a pending envelope.
+// batchedOp is one op's place in an envelope: what is sent and where its
+// sub-result lands. done and err serve an op that queued; one shipped by
+// its caller lives on that caller's stack and has neither.
 type batchedOp struct {
 	op   OpRequest
-	done chan struct{}
-	raw  json.RawMessage
+	res  opResult
 	err  error
+	done chan struct{}
 }
 
-// batcher coalesces concurrent single-worker operations bound for one node
-// into /v2/node/ops envelopes; every httpNode owns one, so coalescing is a
+// batcher ships the single-worker operations bound for one node as
+// /v2/node/ops envelopes; every httpNode owns one, so coalescing is a
 // property of the HTTP transport and nothing above NodeConn knows of it.
-// Callers enqueue their op and block; whichever enqueue finds no flusher
-// running starts one, and the flusher drains the queue in envelope-sized
-// batches until it is empty, then exits. A sequential caller stream
-// degenerates to singleton envelopes — one op per round trip — so
-// coalescing only ever removes round trips, never adds latency waiting for
-// company.
+//
+// An op waits only when every slot is busy. The node has slots envelopes in
+// flight at most — GOMAXPROCS, read at dial: an envelope is CPU work on the
+// coordinator (encode, net/http, scan), more of them than processors only
+// adds scheduling, and past that point queueing is free coalescing. An op
+// that finds a slot free ships at once, alone, on its caller's goroutine:
+// no queue entry, no channel, no goroutine, so a sequential caller stream
+// is singleton envelopes at the cost of the HTTP transaction. An op that
+// finds none queues, and whoever frees a slot while ops are queued hands
+// the slot to a flusher goroutine, which drains the queue in envelope-sized
+// batches until it is empty — a window's 64 concurrent commits leave as
+// slots singletons plus an envelope or two per node.
 //
 // Coalescing is a legal serialization: the ops in one envelope are
 // concurrent with each other (each caller is blocked in its own request),
 // so they have no defined order, and the node applies the envelope's ops
 // in sequence. Order between non-concurrent ops is preserved — an op
-// enqueued after another completed necessarily lands in a later envelope.
+// issued after another completed necessarily lands in a later envelope.
 type batcher struct {
-	conn *httpNode // ships the envelopes
+	conn  *httpNode // ships the envelopes
+	slots int
 
-	mu      sync.Mutex
-	pending []*batchedOp
-	active  bool
+	mu       sync.Mutex
+	pending  []*batchedOp // non-empty only while every slot is taken
+	inflight int          // slots taken
 }
 
-// do ships one op through the coalescer and blocks until its envelope
-// lands. An envelope-level failure (transport, refused envelope) is
-// returned to every op it carried; per-op refusals come back as the op's
-// own raw result.
-func (b *batcher) do(op OpRequest) (json.RawMessage, error) {
-	bo := &batchedOp{op: op, done: make(chan struct{})}
+// do ships one op and blocks until its sub-result is back. An
+// envelope-level failure (transport, refused envelope) is returned to every
+// op the envelope carried; a per-op refusal is the result's own Err.
+func (b *batcher) do(op OpRequest) (opResult, error) {
 	b.mu.Lock()
-	b.pending = append(b.pending, bo)
-	spawn := !b.active
-	b.active = true
-	b.mu.Unlock()
-	if spawn {
-		go b.flush()
+	if b.inflight == b.slots {
+		bo := &batchedOp{op: op, done: make(chan struct{})}
+		b.pending = append(b.pending, bo)
+		b.mu.Unlock()
+		<-bo.done
+		return bo.res, bo.err
 	}
-	<-bo.done
-	return bo.raw, bo.err
+	b.inflight++
+	b.mu.Unlock()
+	bo := batchedOp{op: op}
+	err := b.conn.sendOps([]*batchedOp{&bo})
+	b.release()
+	return bo.res, err
 }
 
+// release gives up the caller's slot: to a flusher if ops queued behind
+// it, back to the node otherwise.
+func (b *batcher) release() {
+	b.mu.Lock()
+	if len(b.pending) > 0 {
+		b.mu.Unlock()
+		go b.flush()
+		return
+	}
+	b.inflight--
+	b.mu.Unlock()
+}
+
+// flush owns one slot and drains the queue through it, then returns the
+// slot.
 func (b *batcher) flush() {
-	// Yield once before the first drain: the op that spawned this flusher
-	// is rarely alone — its sibling request handlers are runnable right
-	// now, and letting them enqueue first turns a singleton envelope into a
-	// full one. Steady state needs no such nudge (the previous envelope's
-	// round trip is the accumulation window); for a sequential caller the
-	// cost is one scheduler pass.
-	runtime.Gosched()
 	for {
 		b.mu.Lock()
 		batch := b.pending
 		if len(batch) == 0 {
-			b.active = false
+			b.inflight--
 			b.mu.Unlock()
 			return
 		}
@@ -85,20 +100,12 @@ func (b *batcher) flush() {
 		}
 		b.mu.Unlock()
 
-		ops := make([]OpRequest, len(batch))
-		for i, bo := range batch {
-			ops[i] = bo.op
-		}
-		results, err := b.conn.sendOps(ops)
-		for i, bo := range batch {
-			if err != nil {
-				// The caller retries with the same idem; any sub-op the node
-				// did apply before the envelope was lost replays from its
-				// cache instead of double-applying.
-				bo.err = err
-			} else {
-				bo.raw = results[i]
-			}
+		// On failure the callers retry with the same idems; any sub-op the
+		// node did apply before the envelope was lost replays from its cache
+		// instead of double-applying.
+		err := b.conn.sendOps(batch)
+		for _, bo := range batch {
+			bo.err = err
 			close(bo.done)
 		}
 	}

@@ -3,16 +3,22 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/pombm/pombm/internal/engine"
+	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/platform"
 )
 
 // postRaw POSTs a prebuilt body and returns the status and response bytes.
@@ -292,5 +298,361 @@ func TestCoalescerConcurrentOps(t *testing.T) {
 	if got := core.Len(); got != workers*perG-total {
 		t.Fatalf("pool %d after %d assignments of %d, want %d",
 			got, total, workers*perG, workers*perG-total)
+	}
+}
+
+// parkedEnvelope is one /v2/node/ops request held by a parkingTransport:
+// how many ops it carries, and the channel the test decides its fate on —
+// nil forwards it to the node, an error fails the round trip with it.
+type parkedEnvelope struct {
+	ops  int
+	fate chan error
+}
+
+// parkingTransport holds every ops envelope it is handed until the test
+// says what becomes of it, so a test sees exactly what is in flight.
+type parkingTransport struct {
+	rt      http.RoundTripper
+	arrived chan *parkedEnvelope
+}
+
+func (p *parkingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != PathNodeOps {
+		return p.rt.RoundTrip(req)
+	}
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	pe := &parkedEnvelope{ops: bytes.Count(body, []byte(`"kind":`)), fate: make(chan error, 1)}
+	p.arrived <- pe
+	if err := <-pe.fate; err != nil {
+		return nil, err
+	}
+	r2 := req.Clone(req.Context())
+	r2.Body = io.NopCloser(bytes.NewReader(body))
+	return p.rt.RoundTrip(r2)
+}
+
+// waitFor polls a condition on state no event announces (the batcher's
+// queue, its slot count), failing the test if it does not come true.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+type removed struct {
+	id, units int
+	found     bool
+	err       error
+}
+
+// slotRig is a node holding workers 0..n-1 — worker i with i+1 units, so a
+// Remove's answer names its caller — behind a parking transport, with every
+// slot of the connection taken by a parked singleton and queued further
+// Removes waiting behind them.
+type slotRig struct {
+	t       *testing.T
+	conn    *httpNode
+	pt      *parkingTransport
+	slots   int
+	results chan removed
+	parked  []*parkedEnvelope // the singletons holding the slots
+	remove  func(id int)      // starts a Remove of worker id on its own goroutine
+}
+
+func newSlotRig(t *testing.T, queued int) *slotRig {
+	tree := buildTree(t, 7)
+	node := NewNode()
+	if err := node.Init(InitRequest{Tree: tree, Policy: "capacity-greedy"}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NodeHandler(node))
+	t.Cleanup(ts.Close)
+	r := &slotRig{
+		t:       t,
+		pt:      &parkingTransport{rt: ts.Client().Transport, arrived: make(chan *parkedEnvelope, 256)},
+		results: make(chan removed, 256),
+	}
+	r.conn = newHTTPNode(ts.URL, &http.Client{Transport: r.pt}, NodeTimeouts{})
+	r.slots = r.conn.ops.slots
+	if r.slots != runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d slots at GOMAXPROCS %d", r.slots, runtime.GOMAXPROCS(0))
+	}
+	codeOf := func(id int) hst.Code { return tree.CodeOf(id % tree.NumPoints()) }
+	for id := 0; id < r.slots+queued+1; id++ {
+		if err := node.Insert(codeOf(id), id, id+1, 0, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.remove = func(id int) {
+		go func() {
+			units, found, err := r.conn.Remove(codeOf(id), id, fmt.Sprintf("rm-%d", id))
+			r.results <- removed{id, units, found, err}
+		}()
+	}
+	for id := 0; id < r.slots; id++ {
+		r.remove(id)
+	}
+	for range r.slots {
+		pe := <-r.pt.arrived
+		if pe.ops != 1 {
+			t.Fatalf("an op that found a free slot left in an envelope of %d", pe.ops)
+		}
+		r.parked = append(r.parked, pe)
+	}
+	for id := r.slots; id < r.slots+queued; id++ {
+		r.remove(id)
+	}
+	waitFor(t, "the ops behind full slots to queue", func() bool {
+		r.conn.ops.mu.Lock()
+		defer r.conn.ops.mu.Unlock()
+		return len(r.conn.ops.pending) == queued
+	})
+	r.idleTransport("with every slot taken")
+	return r
+}
+
+// idleTransport fails the test if an envelope reached the transport that
+// the slots have no room for.
+func (r *slotRig) idleTransport(when string) {
+	r.t.Helper()
+	select {
+	case pe := <-r.pt.arrived:
+		r.t.Fatalf("%s, an envelope of %d ops is in flight past the %d slots", when, pe.ops, r.slots)
+	default:
+	}
+}
+
+// drained waits for every slot to come back.
+func (r *slotRig) drained() {
+	r.t.Helper()
+	waitFor(r.t, "every slot to be returned", func() bool {
+		r.conn.ops.mu.Lock()
+		defer r.conn.ops.mu.Unlock()
+		return r.conn.ops.inflight == 0 && len(r.conn.ops.pending) == 0
+	})
+}
+
+// TestSlotsBoundEnvelopesInFlight: never more than GOMAXPROCS envelopes in
+// flight to one node; the ops that queued behind full slots leave in one
+// envelope the moment a slot frees; every caller gets its own answer.
+func TestSlotsBoundEnvelopesInFlight(t *testing.T) {
+	const queued = 5
+	r := newSlotRig(t, queued)
+
+	r.parked[0].fate <- nil // one slot frees …
+	coalesced := <-r.pt.arrived
+	if coalesced.ops != queued { // … and takes the whole queue with it
+		t.Fatalf("the freed slot shipped %d ops, want the %d that queued in one envelope", coalesced.ops, queued)
+	}
+	r.idleTransport("with the freed slot re-taken by the queue's envelope")
+	coalesced.fate <- nil
+	for _, pe := range r.parked[1:] {
+		pe.fate <- nil
+	}
+	for range r.slots + queued {
+		if got := <-r.results; got.err != nil || !got.found || got.units != got.id+1 {
+			t.Errorf("remove of worker %d answered units %d, found %v, err %v; want its own %d units",
+				got.id, got.units, got.found, got.err, got.id+1)
+		}
+	}
+	r.drained()
+}
+
+// TestEnvelopeFailureReachesEveryOpAndFreesItsSlot: an envelope-level
+// failure comes back to every op the envelope carried, as the transport
+// failure callers retry on, and its slot returns — the next op ships.
+func TestEnvelopeFailureReachesEveryOpAndFreesItsSlot(t *testing.T) {
+	const queued = 4
+	r := newSlotRig(t, queued)
+
+	r.parked[0].fate <- errors.New("wire cut") // a singleton's failure is its caller's
+	coalesced := <-r.pt.arrived
+	if coalesced.ops != queued {
+		t.Fatalf("the freed slot shipped %d ops, want %d", coalesced.ops, queued)
+	}
+	coalesced.fate <- errors.New("wire cut")
+	for _, pe := range r.parked[1:] {
+		pe.fate <- nil
+	}
+	failedSingletons := 0
+	for range r.slots + queued {
+		got := <-r.results
+		switch {
+		case got.err != nil && !isTransport(got.err):
+			t.Errorf("worker %d: %v, want a transport failure", got.id, got.err)
+		case got.id >= r.slots && got.err == nil:
+			t.Errorf("worker %d rode the failed envelope and was answered %d units", got.id, got.units)
+		case got.id < r.slots && got.err != nil:
+			failedSingletons++
+		case got.err == nil && got.units != got.id+1:
+			t.Errorf("worker %d was answered %d units", got.id, got.units)
+		}
+	}
+	if failedSingletons != 1 {
+		t.Errorf("%d of the %d singletons failed, want the one whose round trip did", failedSingletons, r.slots)
+	}
+	r.drained()
+
+	// Both failed envelopes gave their slots back: the next op ships at once.
+	next := r.slots + queued
+	r.remove(next)
+	pe := <-r.pt.arrived
+	if pe.ops != 1 {
+		t.Fatalf("the op after the failures left in an envelope of %d", pe.ops)
+	}
+	pe.fate <- nil
+	if got := <-r.results; got.err != nil || got.units != next+1 {
+		t.Fatalf("the op after the failures answered units %d, err %v", got.units, got.err)
+	}
+	r.drained()
+}
+
+// opsMeter counts the ops envelopes each node is sent — and how many ops
+// they carry — while on, and can give each a network's latency.
+type opsMeter struct {
+	rt    http.RoundTripper
+	delay time.Duration
+
+	mu        sync.Mutex
+	on        bool
+	envelopes map[string]int // by node host
+	ops       int
+}
+
+func (m *opsMeter) RoundTrip(req *http.Request) (*http.Response, error) {
+	m.mu.Lock()
+	on := m.on && req.URL.Path == PathNodeOps
+	m.mu.Unlock()
+	if on {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		m.mu.Lock()
+		m.envelopes[req.URL.Host]++
+		m.ops += bytes.Count(body, []byte(`"kind":`))
+		m.mu.Unlock()
+		time.Sleep(m.delay)
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return m.rt.RoundTrip(req)
+}
+
+func (m *opsMeter) measure(fn func()) (envelopes map[string]int, ops int) {
+	m.mu.Lock()
+	m.on, m.envelopes, m.ops = true, map[string]int{}, 0
+	m.mu.Unlock()
+	fn()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.on = false
+	return m.envelopes, m.ops
+}
+
+func meteredNodes(t *testing.T, n int, delay time.Duration) ([]NodeConn, *opsMeter) {
+	m := &opsMeter{rt: platform.NewTransport(), delay: delay}
+	t.Cleanup(m.rt.(*http.Transport).CloseIdleConnections)
+	nodes := make([]NodeConn, n)
+	for i := range nodes {
+		ts := httptest.NewServer(NodeHandler(NewNode()))
+		t.Cleanup(ts.Close)
+		nodes[i] = DialNodeClient(ts.URL, &http.Client{Transport: m})
+	}
+	return nodes, m
+}
+
+// TestSequentialCallerShipsSingletons: with nobody to share a slot with, an
+// op is one envelope of one op, sent from the caller's own goroutine — the
+// coalescer starts none and keeps no slot.
+func TestSequentialCallerShipsSingletons(t *testing.T) {
+	tree := buildTree(t, 7)
+	nodes, meter := meteredNodes(t, 1, 0)
+	conn := nodes[0].(*httpNode)
+	if err := conn.Init(InitRequest{Tree: tree}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	cycle := func(i int) {
+		code := tree.CodeOf(i % tree.NumPoints())
+		if err := conn.Insert(code, i, 1, 0, fmt.Sprintf("i-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if id, _, found, err := conn.AssignSubtree(code, 0, fmt.Sprintf("a-%d", i)); err != nil || !found || id != i {
+			t.Fatalf("assign %d: id %d, found %v, err %v", i, id, found, err)
+		}
+	}
+	cycle(n) // the connection's own goroutines exist from here on
+	before := runtime.NumGoroutine()
+	envelopes, ops := meter.measure(func() {
+		for i := range n {
+			cycle(i)
+		}
+	})
+	// net/http's own per-request goroutines (the server's background read)
+	// come and go; one the coalescer started and kept would stay.
+	waitFor(t, "the goroutine count to settle where it was", func() bool { return runtime.NumGoroutine() <= before })
+	sent := 0
+	for _, c := range envelopes {
+		sent += c
+	}
+	if sent != 2*n || ops != 2*n {
+		t.Errorf("%d sequential ops left as %d envelopes carrying %d ops, want one each", 2*n, sent, ops)
+	}
+	if conn.ops.inflight != 0 || len(conn.ops.pending) != 0 {
+		t.Errorf("idle connection holds %d slots and %d queued ops", conn.ops.inflight, len(conn.ops.pending))
+	}
+}
+
+// TestWindowCommitsInFewEnvelopes: the 64 concurrent consumes of a full
+// batch-optimal window still coalesce — per node, the slots' singletons
+// plus the queue's envelope, with one to spare for a straggler — instead of
+// costing a request each.
+func TestWindowCommitsInFewEnvelopes(t *testing.T) {
+	tree := buildTree(t, 7)
+	// A round trip long enough that every consume of the window is issued
+	// before the first answer is back, as on a real network.
+	nodes, meter := meteredNodes(t, 3, 10*time.Millisecond)
+	pol, err := engine.PolicyByName("batch-optimal:k=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := newFanCore(nodes, tree, 0, pol, "batch-optimal:k=4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := tree.NumPoints()
+	for id := 0; id < 2*leaves; id++ {
+		if err := core.InsertEpoch(tree.CodeOf(id%leaves), id, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	codes := make([]hst.Code, 64) // one window (engine.BatchWindowSize holds 256)
+	for i := range codes {
+		codes[i] = tree.CodeOf(i % leaves)
+	}
+	var ids []int
+	envelopes, ops := meter.measure(func() { ids, _ = core.AssignBatch(codes) })
+	for i, id := range ids {
+		if id == engine.None {
+			t.Fatalf("task %d unmatched with two workers a leaf", i)
+		}
+	}
+	if ops != len(codes) {
+		t.Fatalf("the window committed %d units for %d matches", ops, len(codes))
+	}
+	limit := runtime.GOMAXPROCS(0) + 2
+	for host, n := range envelopes {
+		if n > limit {
+			t.Errorf("node %s was sent %d ops envelopes for one window, want ≤ GOMAXPROCS + 2 = %d (all: %v)", host, n, limit, envelopes)
+		}
 	}
 }

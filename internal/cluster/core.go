@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"crypto/rand"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"iter"
@@ -39,7 +41,10 @@ type fanCore struct {
 	opMu  sync.RWMutex
 
 	windows atomic.Int64
-	idemSeq atomic.Int64
+
+	// Idempotency keys are idemNonce + a sequence number: see nextIdem.
+	idemNonce [6]byte
+	idemSeq   atomic.Int64
 }
 
 // coreState is the epoch-scoped identity of the cluster: published tree,
@@ -72,11 +77,18 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Poli
 		defaultCap: defaultCap,
 		shardsCfg:  shards,
 	}
+	// Six base64url characters of the system's randomness (crypto/rand.Read
+	// does not fail).
+	var raw [6]byte
+	var text [8]byte
+	rand.Read(raw[:])
+	base64.RawURLEncoding.Encode(text[:], raw[:])
+	copy(c.idemNonce[:], text[:])
 	c.state.Store(&coreState{tree: tree, layout: engine.LayoutFor(tree, shards), epoch: engine.FirstEpoch})
 	for i, n := range nodes {
 		if err := n.Init(InitRequest{
 			Tree: tree, Shards: shards, Policy: policySpec, DefaultCapacity: defaultCap,
-			Idem: c.nextIdem("init-" + strconv.Itoa(i)),
+			Idem: c.nextIdem(),
 		}); err != nil {
 			return nil, fmt.Errorf("cluster: init node %d: %w", i, err)
 		}
@@ -84,8 +96,16 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Poli
 	return c, nil
 }
 
-func (c *fanCore) nextIdem(op string) string {
-	return "op-" + op + "-" + strconv.FormatInt(c.idemSeq.Add(1), 10)
+// nextIdem returns a fresh idempotency key: this incarnation's nonce, then
+// the call's sequence number in base 36. The nonce is what keeps a
+// coordinator that restarts over live nodes from being answered out of its
+// predecessor's replay cache — the sequence starts over, the nodes' caches
+// do not. A node retains the last 4,096–8,192 keys, so a key's size is
+// memory: this one stays inside a 16-byte allocation for the first 36¹⁰
+// calls.
+func (c *fanCore) nextIdem() string {
+	var buf [len(c.idemNonce) + 13]byte // 13 digits hold any int64 in base 36
+	return string(strconv.AppendInt(append(buf[:0], c.idemNonce[:]...), c.idemSeq.Add(1), 36))
 }
 
 // routeIdx returns the node owning a code's shard group.
@@ -206,7 +226,7 @@ func (c *fanCore) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) e
 	if err := st.tree.CheckCode(code); err != nil {
 		return err
 	}
-	idem := c.nextIdem("ins")
+	idem := c.nextIdem()
 	return c.callNode(c.routeIdx(st, code), true, func(n NodeConn) error {
 		return n.Insert(code, id, capacity, epoch, idem)
 	})
@@ -219,7 +239,7 @@ func (c *fanCore) AddCapacityEpoch(code hst.Code, id int, epoch int64) error {
 	if err := st.tree.CheckCode(code); err != nil {
 		return err
 	}
-	idem := c.nextIdem("addcap")
+	idem := c.nextIdem()
 	return c.callNode(c.routeIdx(st, code), true, func(n NodeConn) error {
 		return n.AddCapacity(code, id, epoch, idem)
 	})
@@ -237,7 +257,7 @@ func (c *fanCore) RemoveUnits(code hst.Code, id int) (units int, found bool) {
 	if st.tree.CheckCode(code) != nil {
 		return 0, false
 	}
-	idem := c.nextIdem("rm")
+	idem := c.nextIdem()
 	err := c.callNode(c.routeIdx(st, code), false, func(n NodeConn) (err error) {
 		units, found, err = n.Remove(code, id, idem)
 		return err
@@ -291,7 +311,7 @@ func (c *fanCore) assignRouted(st *coreState, code hst.Code) (id, lvl int, found
 	if st.tree.CheckCode(code) != nil {
 		return engine.None, 0, false, nil
 	}
-	idem := c.nextIdem("as")
+	idem := c.nextIdem()
 	err = c.callNode(c.routeIdx(st, code), true, func(n NodeConn) (err error) {
 		id, lvl, found, err = n.AssignSubtree(code, st.epoch, idem)
 		return err
@@ -341,7 +361,7 @@ func (c *fanCore) assignRoot(st *coreState) (id, lvl int, found bool, err error)
 	if best < 0 {
 		return engine.None, 0, false, nil
 	}
-	idem := c.nextIdem("popmin")
+	idem := c.nextIdem()
 	err = c.callNode(best, true, func(n NodeConn) (err error) {
 		id, lvl, found, err = n.PopMin(st.epoch, idem)
 		return err
@@ -498,11 +518,12 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 
 	// Commit matched units at their owning nodes. The commits of one
 	// window are independent decrements (each targets the matched worker at
-	// its mined leaf), so they run concurrently — an HTTP connection folds
-	// the ones sharing a node into /v2/node/ops envelopes, collapsing a
-	// window's commit phase to one round trip per involved node. Any
-	// conflict (worker no longer at its mined leaf) rolls back every
-	// commit that landed and re-mines.
+	// its mined leaf), so they run concurrently — an HTTP connection ships
+	// the first few sharing a node at once, one per free slot, and folds
+	// the rest into a /v2/node/ops envelope or two behind them (see
+	// batcher), so a window's commit phase is a few envelopes per involved
+	// node however many units it matched. Any conflict (worker no longer at
+	// its mined leaf) rolls back every commit that landed and re-mines.
 	type commitRec struct {
 		code hst.Code
 		id   int
@@ -521,7 +542,7 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 		go func() {
 			defer cwg.Done()
 			u := &commits[j]
-			idem := c.nextIdem("consume")
+			idem := c.nextIdem()
 			u.err = c.callNode(u.nd, false, func(n NodeConn) error {
 				return n.Consume(u.code, u.id, st.epoch, idem)
 			})
@@ -545,7 +566,7 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 		if u.err != nil {
 			continue
 		}
-		idem := c.nextIdem("undo")
+		idem := c.nextIdem()
 		if err := c.callNode(u.nd, false, func(n NodeConn) error {
 			return n.AddCapacity(u.code, u.id, st.epoch, idem)
 		}); err != nil {
@@ -638,7 +659,7 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 			}
 			// Best effort: an unreachable node's staged state is inert (it
 			// is never committed) and is dropped by its next prepare.
-			idem := c.nextIdem("abort")
+			idem := c.nextIdem()
 			_ = c.callNode(nd, false, func(n NodeConn) error { return n.Abort(epoch, idem) })
 		}
 	}
@@ -651,7 +672,7 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 		pwg.Add(1)
 		go func() {
 			defer pwg.Done()
-			idem := c.nextIdem("prepare")
+			idem := c.nextIdem()
 			prepErrs[nd] = c.callNode(nd, true, func(n NodeConn) error {
 				// One iteration per attempt, over the inserts that route
 				// here under the new layout.
@@ -685,7 +706,7 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
-			idem := c.nextIdem("commit")
+			idem := c.nextIdem()
 			var err error
 			for try := 0; try < 3; try++ {
 				if err = c.nodes[nd].Commit(epoch, idem); !isTransport(err) {

@@ -77,6 +77,19 @@ func FuzzNodeWire(f *testing.F) {
 		{mine, true, mineBody(code(0), `,"k":4,"epoch":9`)},                                              // stale epoch pin
 		{mine, true, `{"codes":null,"k":4}`},
 		{mine, true, `{"codes":[` + code(0)}, // truncated
+		// Where the envelope scanner is stricter than the encoding/json
+		// decoder it replaced (protocol.go lists them): unknown members, a
+		// known one in another case, duplicates, null (seeds 1 and 2 are
+		// the other nulls) — after an op that would have applied.
+		{ops, true, `{"ops":[{"kind":"insert","idem":"u","code":` + code(0) + `,"id":5}],"trace":"x"}`},
+		{ops, true, `{"ops":[{"kind":"insert","idem":"u","code":` + code(0) + `,"id":5},{"kind":"insert","code":` + code(1) + `,"id":6,"note":{"a":[1]}}]}`},
+		{ops, true, `{"ops":[{"Kind":"insert","Code":` + code(0) + `,"ID":5}]}`},
+		{ops, true, `{"ops":[{"kind":"insert","code":` + code(0) + `,"id":5,"id":6}]}`},
+		{ops, true, `{"ops":[{"kind":"insert","code":` + code(0) + `,"id":5,"capacity":null}]}`},
+		// What it takes as before: whitespace, any member order, escapes
+		// in keys and strings; and refuses as before: non-integer numbers.
+		{ops, true, " {\n\t\"ops\" : [ { \"id\" : 5 , \"\\u0063ode\" : " + code(0) + " , \"kind\" : \"ins\\u0065rt\" } ] }\r\n"},
+		{ops, true, `{"ops":[{"kind":"insert","code":` + code(0) + `,"id":5.0},{"kind":"remove","code":` + code(0) + `,"id":1e2}]}`},
 	} {
 		f.Add(seed.endpoint, seed.inited, []byte(seed.body))
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -188,12 +189,12 @@ func TestAddCapacityOnSaturatedWorkerRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	code := []byte(tree.CodeOf(3))
-	if resp, idem := execOp(n, OpRequest{Kind: OpInsert, Code: code, ID: 7, Capacity: math.MaxInt32, Idem: "i-1"}); idem != "i-1" {
-		t.Fatalf("insert refused: %+v", resp)
+	if out, applied := execOp(n, &OpRequest{Kind: OpInsert, Code: code, ID: 7, Capacity: math.MaxInt32, Idem: "i-1"}, nil); !applied {
+		t.Fatalf("insert refused: %s", out)
 	}
-	resp, idem := execOp(n, OpRequest{Kind: OpAddCapacity, Code: code, ID: 7, Idem: "a-1"})
-	if ack := resp.(nodeAck); ack.OK || ack.Err == nil || idem != "" {
-		t.Fatalf("add-capacity on a saturated worker answered %+v (cache key %q), want an uncached refusal", ack, idem)
+	out, applied := execOp(n, &OpRequest{Kind: OpAddCapacity, Code: code, ID: 7, Idem: "a-1"}, nil)
+	if applied || !bytes.HasPrefix(out, []byte(`{"ok":false,"error":{`)) {
+		t.Fatalf("add-capacity on a saturated worker answered %s (cacheable %v), want an uncached refusal", out, applied)
 	}
 	if st, err := n.Status(0); err != nil || st.Len != 1 || st.Units != math.MaxInt32 {
 		t.Fatalf("status after the refusal: %+v, %v; want one worker holding MaxInt32 units", st, err)

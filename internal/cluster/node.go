@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -293,9 +294,17 @@ func (c *replayCache) get(key string) ([]byte, bool) {
 	return b, ok
 }
 
+// put records body under key. body is the caller's scratch: the cache keeps
+// its own copy, except of the one answer most entries hold — the bare ack
+// of an insert, add-capacity or consume — which every such entry shares.
 func (c *replayCache) put(key string, body []byte) {
 	if key == "" {
 		return
+	}
+	if bytes.Equal(body, ackOK) {
+		body = ackOK
+	} else {
+		body = bytes.Clone(body)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -316,21 +325,36 @@ func nodeError(err error, epoch int64) *platform.Error {
 	return platform.AsError(err, epoch)
 }
 
-// endpointKind says where a POST endpoint's idempotency keys live, which
-// decides whether the handler probes the replay cache before decoding.
-type endpointKind int
+// readPost is how every buffered POST endpoint starts: it refuses another
+// method and reads the body into pooled scratch, which the caller returns
+// with wire.Put. It answers nil after writing the refusal itself.
+func readPost(w http.ResponseWriter, r *http.Request, path string) *wire.Buf {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeNodeJSON(w, http.StatusMethodNotAllowed, &platform.Error{
+			Code:    platform.CodeMethodNotAllowed,
+			Message: fmt.Sprintf("cluster: %s requires POST, got %s", path, r.Method),
+		})
+		return nil
+	}
+	cb := wire.Get()
+	if err := cb.ReadAll(r.Body, 64<<20); err != nil {
+		wire.Put(cb)
+		writeNodeJSON(w, http.StatusBadRequest, &platform.Error{
+			Code: platform.CodeBadRequest, Message: "cluster: read body: " + err.Error(),
+		})
+		return nil
+	}
+	return cb
+}
 
-const (
-	// keyedMutation bodies carry a top-level idem (init, pop-min, commit,
-	// abort): a replayed request is answered from the cache whole.
-	keyedMutation endpointKind = iota
-	// readOnly bodies carry no idem (status, min-id, mine) and are never
-	// cached.
-	readOnly
-	// envelope bodies carry one idem per sub-op (ops); replay is per sub-op,
-	// inside the endpoint's own function.
-	envelope
-)
+// writeBody answers 200 with body as JSON.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
 
 // NodeHandler exposes a Node over the /v2 wire protocol. Mutating
 // endpoints honour idempotency keys: a request whose key was already
@@ -339,51 +363,37 @@ func NodeHandler(n *Node) http.Handler {
 	cache := newReplayCache()
 	mux := http.NewServeMux()
 
-	// handlePost wires one POST endpoint: decode, optionally replay,
-	// execute, record. fn returns the response value to encode; responses
-	// are recorded under the request's idempotency key only when the
-	// mutation was actually applied (fn ran). Only a keyedMutation is
-	// probed for a whole-request replay: the probe is a full parse of the
-	// body, wasted on reads (the root-tier poll, a whole mined window) and
-	// on the envelope, the largest body on the hot path.
-	handlePost := func(path string, kind endpointKind, fn func(body []byte) (any, string)) {
+	// handlePost wires one POST endpoint whose body is one encoding/json
+	// value: decode, optionally replay, execute, record. fn returns the
+	// response value to encode; responses are recorded under the request's
+	// idempotency key only when the mutation was actually applied (fn ran).
+	// Only a keyed endpoint — one whose body carries a top-level idem (init,
+	// pop-min, commit, abort) — is probed for a whole-request replay: the
+	// probe is a full parse of the body, wasted on reads (the root-tier
+	// poll, a whole mined window).
+	handlePost := func(path string, keyed bool, fn func(body []byte) (any, string)) {
 		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				w.Header().Set("Allow", http.MethodPost)
-				writeNodeJSON(w, http.StatusMethodNotAllowed, &platform.Error{
-					Code:    platform.CodeMethodNotAllowed,
-					Message: fmt.Sprintf("cluster: %s requires POST, got %s", path, r.Method),
-				})
+			cb := readPost(w, r, path)
+			if cb == nil {
 				return
 			}
-			cb := wire.Get()
 			defer wire.Put(cb)
-			if err := cb.ReadAll(r.Body, 64<<20); err != nil {
-				writeNodeJSON(w, http.StatusBadRequest, &platform.Error{
-					Code: platform.CodeBadRequest, Message: "cluster: read body: " + err.Error(),
-				})
-				return
-			}
 			body := cb.Bytes()
-			if kind == keyedMutation {
+			if keyed {
 				// Peek the idempotency key before decoding the full request
 				// so replays skip the work entirely.
-				var keyed struct {
+				var peek struct {
 					Idem string `json:"idem"`
 				}
-				_ = json.Unmarshal(body, &keyed)
-				if cached, ok := cache.get(keyed.Idem); ok {
-					h := w.Header()
-					h.Set("Content-Type", "application/json")
-					h.Set("Content-Length", strconv.Itoa(len(cached)))
-					w.Write(cached)
+				_ = json.Unmarshal(body, &peek)
+				if cached, ok := cache.get(peek.Idem); ok {
+					writeBody(w, cached)
 					return
 				}
 			}
 			resp, idem := fn(body)
 			// The request bytes are decoded into owned structs by now;
-			// reuse the pooled scratch for the response. The replay cache
-			// must outlive it, so it gets a copy.
+			// reuse the pooled scratch for the response.
 			cb.Reset()
 			if err := cb.Encode(resp); err != nil {
 				writeNodeJSON(w, http.StatusInternalServerError, &platform.Error{
@@ -391,17 +401,12 @@ func NodeHandler(n *Node) http.Handler {
 				})
 				return
 			}
-			if idem != "" {
-				cache.put(idem, cb.Clone())
-			}
-			h := w.Header()
-			h.Set("Content-Type", "application/json")
-			h.Set("Content-Length", strconv.Itoa(cb.Len()))
-			w.Write(cb.Bytes())
+			cache.put(idem, cb.Bytes())
+			writeBody(w, cb.Bytes())
 		})
 	}
 
-	handlePost(PathNodeInit, keyedMutation, func(body []byte) (any, string) {
+	handlePost(PathNodeInit, true, func(body []byte) (any, string) {
 		var req InitRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nodeAck{Err: badBody(err)}, ""
@@ -411,7 +416,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return nodeAck{OK: true}, req.Idem
 	})
-	handlePost(PathNodeStatus, readOnly, func(body []byte) (any, string) {
+	handlePost(PathNodeStatus, false, func(body []byte) (any, string) {
 		var req StatusRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return StatusResponse{Err: badBody(err)}, ""
@@ -422,7 +427,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return resp, ""
 	})
-	handlePost(PathNodeMinID, readOnly, func(body []byte) (any, string) {
+	handlePost(PathNodeMinID, false, func(body []byte) (any, string) {
 		var req MinIDRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return MinIDResponse{Err: badBody(err)}, ""
@@ -433,7 +438,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return MinIDResponse{OK: true, ID: id, Found: found}, ""
 	})
-	handlePost(PathNodePopMin, keyedMutation, func(body []byte) (any, string) {
+	handlePost(PathNodePopMin, true, func(body []byte) (any, string) {
 		var req PopMinRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return AssignResponse{Err: badBody(err)}, ""
@@ -444,7 +449,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return AssignResponse{OK: true, ID: id, Level: lvl, Found: found}, req.Idem
 	})
-	handlePost(PathNodeMine, readOnly, func(body []byte) (any, string) {
+	handlePost(PathNodeMine, false, func(body []byte) (any, string) {
 		var req MineRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return MineResponse{Err: badBody(err)}, ""
@@ -462,51 +467,15 @@ func NodeHandler(n *Node) http.Handler {
 			Own: toWireCands(wm.Own), Pads: toWireCands(wm.Pads),
 		}, ""
 	})
-	handlePost(PathNodeOps, envelope, func(body []byte) (any, string) {
-		var req OpsRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return OpsResponse{Err: badBody(err)}, ""
-		}
-		// The success envelope is assembled by hand: every sub-result is
-		// already compact JSON (json.Marshal output, cached verbatim), so
-		// splicing them between literal framing produces exactly the bytes
-		// OpsResponse would encode to — without reflecting over the struct
-		// or re-compacting each result. Envelope-level refusals still go
-		// through the normal encoder.
-		env := make([]byte, 0, 32+len(body))
-		env = append(env, `{"ok":true,"results":[`...)
-		for i, op := range req.Ops {
-			if i > 0 {
-				env = append(env, ',')
-			}
-			// The sub-op is the replay unit: a duplicated envelope, or the
-			// same op regrouped into another one by a retry, replays the
-			// recorded bytes instead of re-applying.
-			if cached, ok := cache.get(op.Idem); ok {
-				env = append(env, cached...)
-				continue
-			}
-			resp, idem := execOp(n, op)
-			out, err := json.Marshal(resp)
-			if err != nil {
-				return OpsResponse{Err: &platform.Error{
-					Code: platform.CodeInternal, Message: err.Error(),
-				}}, ""
-			}
-			cache.put(idem, out)
-			env = append(env, out...)
-		}
-		env = append(env, `]}`...)
-		// The envelope itself carries no idem — the sub-ops are the replay
-		// unit — so it is never cached as a whole.
-		return json.RawMessage(env), ""
-	})
+	// The envelope has its own handler: its bodies are the hot path and go
+	// through the ops codec, and replay is per sub-op, not per request.
+	mux.HandleFunc(PathNodeOps, opsHandler(n, cache))
 	// Prepare gets a dedicated streaming handler: its body scales with the
 	// population partition, so buffering it through the generic path would
 	// hold the whole partition in memory beside the staged arenas (and the
 	// generic 64MB body cap would refuse large rotations outright).
 	mux.HandleFunc(PathNodePrepare, prepareHandler(n, cache))
-	handlePost(PathNodeCommit, keyedMutation, func(body []byte) (any, string) {
+	handlePost(PathNodeCommit, true, func(body []byte) (any, string) {
 		var req CommitRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nodeAck{Err: badBody(err)}, ""
@@ -516,7 +485,7 @@ func NodeHandler(n *Node) http.Handler {
 		}
 		return nodeAck{OK: true}, req.Idem
 	})
-	handlePost(PathNodeAbort, keyedMutation, func(body []byte) (any, string) {
+	handlePost(PathNodeAbort, true, func(body []byte) (any, string) {
 		var req AbortRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return nodeAck{Err: badBody(err)}, ""
@@ -529,45 +498,82 @@ func NodeHandler(n *Node) http.Handler {
 	return mux
 }
 
-// execOp runs one envelope sub-operation. It is the only place a routed
-// op's response shape and error taxonomy are written down: insert,
-// add-capacity and consume answer a nodeAck, remove a RemoveResponse,
-// assign-subtree an AssignResponse, and a refusal returns idem "" so
-// failures are never cached.
-func execOp(n *Node, op OpRequest) (any, string) {
+// opsHandler serves /v2/node/ops: scan the whole envelope, then run its ops
+// in order, each answered from the replay cache if its key was already
+// applied — the sub-op is the replay unit, so a duplicated envelope, or the
+// same op regrouped into another one by a retry, replays the recorded bytes
+// instead of re-applying. The envelope itself carries no idem and is never
+// cached as a whole.
+func opsHandler(n *Node, cache *replayCache) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		cb := readPost(w, r, PathNodeOps)
+		if cb == nil {
+			return
+		}
+		defer wire.Put(cb)
+		// Most envelopes carry one op; a window's commits spill to the heap.
+		var few [4]OpRequest
+		ops, err := scanOps(cb.Bytes(), few[:0])
+		// The ops own their strings and codes: the scratch is free for the
+		// answer.
+		cb.Reset()
+		cb.Append(func(env []byte) []byte {
+			if err != nil {
+				return append(appendRefusal(env, badBody(err)), `,"results":null}`+"\n"...)
+			}
+			env = append(env, `{"ok":true,"results":[`...)
+			for i := range ops {
+				if i > 0 {
+					env = append(env, ',')
+				}
+				op := &ops[i]
+				if cached, ok := cache.get(op.Idem); ok {
+					env = append(env, cached...)
+					continue
+				}
+				start, applied := len(env), false
+				if env, applied = execOp(n, op, env); applied {
+					cache.put(op.Idem, env[start:])
+				}
+			}
+			return append(env, "]}\n"...)
+		})
+		writeBody(w, cb.Bytes())
+	}
+}
+
+// execOp runs one envelope sub-operation and appends its sub-result to dst.
+// It is the only place a routed op's response shape and error taxonomy are
+// written down (the grammar is in protocol.go): insert, add-capacity and
+// consume answer a bare ack, remove its units and found, assign-subtree its
+// id, level and found. applied false marks a refusal, which is never
+// cached.
+func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
+	code := hst.Code(op.Code)
 	switch op.Kind {
 	case OpInsert:
-		if err := n.Insert(hst.Code(op.Code), op.ID, op.Capacity, op.Epoch, op.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, op.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, op.Idem
+		return appendAck(dst, n.Insert(code, op.ID, op.Capacity, op.Epoch, op.Idem), op.Epoch)
 	case OpAddCapacity:
-		if err := n.AddCapacity(hst.Code(op.Code), op.ID, op.Epoch, op.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, op.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, op.Idem
-	case OpRemove:
-		units, found, err := n.Remove(hst.Code(op.Code), op.ID, op.Idem)
-		if err != nil {
-			return RemoveResponse{Err: nodeError(err, 0)}, ""
-		}
-		return RemoveResponse{OK: true, Units: units, Found: found}, op.Idem
-	case OpAssignSubtree:
-		id, lvl, found, err := n.AssignSubtree(hst.Code(op.Code), op.Epoch, op.Idem)
-		if err != nil {
-			return AssignResponse{Err: nodeError(err, op.Epoch)}, ""
-		}
-		return AssignResponse{OK: true, ID: id, Level: lvl, Found: found}, op.Idem
+		return appendAck(dst, n.AddCapacity(code, op.ID, op.Epoch, op.Idem), op.Epoch)
 	case OpConsume:
-		if err := n.Consume(hst.Code(op.Code), op.ID, op.Epoch, op.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, op.Epoch)}, ""
+		return appendAck(dst, n.Consume(code, op.ID, op.Epoch, op.Idem), op.Epoch)
+	case OpRemove:
+		units, found, err := n.Remove(code, op.ID, op.Idem)
+		if err != nil {
+			return appendFound(appendRefusal(dst, nodeError(err, 0)), false), false
 		}
-		return nodeAck{OK: true}, op.Idem
+		return appendRemoved(dst, units, found), true
+	case OpAssignSubtree:
+		id, lvl, found, err := n.AssignSubtree(code, op.Epoch, op.Idem)
+		if err != nil {
+			return appendFound(appendRefusal(dst, nodeError(err, op.Epoch)), false), false
+		}
+		return appendAssigned(dst, id, lvl, found), true
 	default:
-		return nodeAck{Err: &platform.Error{
+		return appendAck(dst, &platform.Error{
 			Code:    platform.CodeBadRequest,
 			Message: fmt.Sprintf("cluster: unknown op kind %q", op.Kind),
-		}}, ""
+		}, 0)
 	}
 }
 
@@ -779,18 +785,36 @@ func writeNodeJSON(w http.ResponseWriter, status int, e *platform.Error) {
 
 // httpNode is a NodeConn over the /v2 wire protocol. The five
 // single-worker mutations (insert, add-capacity, remove, assign-subtree,
-// consume) go through ops, which folds concurrent callers into shared
-// /v2/node/ops envelopes; everything else is one request per call.
+// consume) go through ops, which ships them as /v2/node/ops envelopes;
+// everything else is one request per call.
 type httpNode struct {
-	baseURL  string
+	// reqs holds one request template per /v2 path — URL parsed, headers
+	// set — built once at dial; every call sends a shallow copy carrying
+	// its own context and body, and nothing on the way writes through the
+	// shared URL or header map. dialErr is why there are none.
+	reqs     map[string]*http.Request
+	dialErr  error
 	client   *http.Client
 	timeouts NodeTimeouts
 	ops      batcher
 }
 
 func newHTTPNode(baseURL string, hc *http.Client, to NodeTimeouts) *httpNode {
-	h := &httpNode{baseURL: baseURL, client: hc, timeouts: to}
+	h := &httpNode{reqs: map[string]*http.Request{}, client: hc, timeouts: to}
+	for _, path := range []string{
+		PathNodeInit, PathNodeStatus, PathNodeOps, PathNodeMinID, PathNodePopMin,
+		PathNodeMine, PathNodePrepare, PathNodeCommit, PathNodeAbort,
+	} {
+		req, err := http.NewRequest(http.MethodPost, baseURL+path, nil)
+		if err != nil {
+			h.dialErr = fmt.Errorf("cluster: node address %q: %w", baseURL, err)
+			break
+		}
+		req.Header.Set("Content-Type", "application/json")
+		h.reqs[path] = req
+	}
 	h.ops.conn = h
+	h.ops.slots = runtime.GOMAXPROCS(0)
 	return h
 }
 
@@ -872,38 +896,40 @@ func deadlineErr(path string, d time.Duration) error {
 	}
 }
 
-// post sends one /v2 request and decodes the response envelope. An error
-// status or an envelope Err decodes into a typed error: stale_epoch
-// refusals surface as engine.ErrStaleEpoch so the coordinator's staleness
-// handling does not depend on the transport. Failures of the transport
-// itself — connection refused, truncated reads, undecodable responses —
-// wrap errTransport: the coordinator retries those (with the same
-// idempotency key), never application refusals. An expired deadline is
-// NOT a transport failure: it surfaces as a typed retryable-unavailable
-// error immediately, because blindly re-running a call that just consumed
-// its full time budget doubles the stall without changing the outcome.
+// post sends one /v2 request and decodes the response envelope with
+// encoding/json. See postBody for how failures are classified.
 func (h *httpNode) post(path string, in, out any) error {
 	cb := wire.Get()
 	defer wire.Put(cb)
 	if err := cb.Encode(in); err != nil {
 		return fmt.Errorf("cluster: encode %s: %w", path, err)
 	}
-	return h.postBody(path, cb.Reader(), out, h.timeouts.op())
+	return h.postBody(path, cb.Reader(), int64(cb.Len()), h.timeouts.op(), func(rb *wire.Buf) error {
+		return rb.Unmarshal(out)
+	})
 }
 
-// postBody is post with a caller-supplied body stream and deadline — the
-// rotation prepare streams its body and runs under the prepare deadline.
-func (h *httpNode) postBody(path string, body io.Reader, out any, d time.Duration) error {
+// postBody sends one /v2 request — body of size bytes (0: a stream of
+// unknown length, the rotation prepare) under deadline d — and hands the
+// body of a 200 answer to decode. An error status decodes into a typed
+// error. Failures of the transport itself — connection refused, truncated
+// reads, an answer decode refuses — wrap errTransport: the coordinator
+// retries those (with the same idempotency key), never application
+// refusals. An expired deadline is NOT a transport failure: it surfaces as
+// a typed retryable-unavailable error immediately, because blindly
+// re-running a call that just consumed its full time budget doubles the
+// stall without changing the outcome.
+func (h *httpNode) postBody(path string, body io.Reader, size int64, d time.Duration, decode func(rb *wire.Buf) error) error {
+	if h.dialErr != nil {
+		return h.dialErr
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.baseURL+path, body)
-	if err != nil {
-		return fmt.Errorf("cluster: build %s request: %w", path, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// The body may be pooled codec scratch; it must not be re-read after
-	// this call returns.
-	req.GetBody = nil
+	// The body may be pooled codec scratch, which must not be re-read after
+	// this call returns: the template has no GetBody, so net/http never
+	// rewinds it for a retry of its own.
+	req := h.reqs[path].WithContext(ctx)
+	req.Body, req.ContentLength = io.NopCloser(body), size
 	resp, err := h.client.Do(req)
 	if err != nil {
 		if ctx.Err() == context.DeadlineExceeded {
@@ -930,7 +956,7 @@ func (h *httpNode) postBody(path string, body io.Reader, out any, d time.Duratio
 		}
 		return fmt.Errorf("%w: %s returned %s: %s", errTransport, path, resp.Status, raw)
 	}
-	if err := rb.Unmarshal(out); err != nil {
+	if err := decode(rb); err != nil {
 		return fmt.Errorf("%w: decode %s: %v", errTransport, path, err)
 	}
 	return nil
@@ -964,28 +990,13 @@ func (h *httpNode) Status(epoch int64) (StatusResponse, error) {
 	return resp, envErr(resp.Err)
 }
 
-// routed ships one single-worker op through the coalescer and decodes its
-// sub-result into the kind's response shape (see execOp). An undecodable
-// result is a transport failure — the retry taxonomy callers already
-// handle — never an application refusal.
-func (h *httpNode) routed(op OpRequest, out any) error {
-	raw, err := h.ops.do(op)
+// acked ships a routed op whose whole answer is an ack.
+func (h *httpNode) acked(op OpRequest) error {
+	res, err := h.ops.do(op)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("%w: decode %s result: %v", errTransport, op.Kind, err)
-	}
-	return nil
-}
-
-// acked ships a routed op whose whole answer is a nodeAck.
-func (h *httpNode) acked(op OpRequest) error {
-	var resp nodeAck
-	if err := h.routed(op, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
+	return envErr(res.Err)
 }
 
 func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem string) error {
@@ -1001,22 +1012,22 @@ func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) erro
 }
 
 func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error) {
-	var resp RemoveResponse
-	if err := h.routed(OpRequest{Kind: OpRemove, Idem: idem, Code: []byte(code), ID: id}, &resp); err != nil {
+	res, err := h.ops.do(OpRequest{Kind: OpRemove, Idem: idem, Code: []byte(code), ID: id})
+	if err != nil {
 		return 0, false, err
 	}
-	return resp.Units, resp.Found, envErr(resp.Err)
+	return res.Units, res.Found, envErr(res.Err)
 }
 
 func (h *httpNode) AssignSubtree(code hst.Code, epoch int64, idem string) (int, int, bool, error) {
-	var resp AssignResponse
-	if err := h.routed(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: []byte(code), Epoch: epoch}, &resp); err != nil {
+	res, err := h.ops.do(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: []byte(code), Epoch: epoch})
+	if err == nil {
+		err = envErr(res.Err)
+	}
+	if err != nil {
 		return engine.None, 0, false, err
 	}
-	if err := envErr(resp.Err); err != nil {
-		return engine.None, 0, false, err
-	}
-	return resp.ID, resp.Level, resp.Found, nil
+	return res.ID, res.Level, res.Found, nil
 }
 
 func (h *httpNode) MinID(epoch int64) (int, bool, error) {
@@ -1067,23 +1078,24 @@ func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMin
 	return wm, nil
 }
 
-// sendOps ships one coalesced envelope and returns the raw per-op results
-// in order. Envelope-level failures (transport, refused envelope, a result
-// count that does not match) surface as errors; per-op outcomes stay raw
-// for the caller to decode against the op's own response shape.
-func (h *httpNode) sendOps(ops []OpRequest) ([]json.RawMessage, error) {
-	var resp OpsResponse
-	if err := h.post(PathNodeOps, OpsRequest{Ops: ops}, &resp); err != nil {
-		return nil, err
+// sendOps ships one envelope and lands each op's sub-result in its slot.
+// Envelope-level failures — transport, a refused envelope, an answer that
+// does not scan or does not hold one result per op (a transport failure:
+// the retry taxonomy callers already handle, never an application refusal)
+// — are the error; per-op outcomes are the slots' own.
+func (h *httpNode) sendOps(batch []*batchedOp) error {
+	cb := wire.Get()
+	defer wire.Put(cb)
+	cb.Append(func(dst []byte) []byte { return appendOpsRequest(dst, batch) })
+	var refusal *platform.Error
+	err := h.postBody(PathNodeOps, cb.Reader(), int64(cb.Len()), h.timeouts.op(), func(rb *wire.Buf) (err error) {
+		refusal, err = scanOpsResponse(rb.Bytes(), batch)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	if err := envErr(resp.Err); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(ops) {
-		return nil, fmt.Errorf("%w: %s answered %d results for %d ops",
-			errTransport, PathNodeOps, len(resp.Results), len(ops))
-	}
-	return resp.Results, nil
+	return envErr(refusal)
 }
 
 // Prepare streams the prepare body: the idem and scalar fields first (so
@@ -1135,7 +1147,7 @@ func (h *httpNode) Prepare(epoch int64, tree *hst.Tree, shards int, next func() 
 		pw.CloseWithError(bw.Flush())
 	}()
 	var resp nodeAck
-	err = h.postBody(PathNodePrepare, pr, &resp, h.timeouts.prepare())
+	err = h.postBody(PathNodePrepare, pr, 0, h.timeouts.prepare(), func(rb *wire.Buf) error { return rb.Unmarshal(&resp) })
 	// Stop the encoder if it is still writing (the node may answer before
 	// reading the whole body) and wait it out: next belongs to the caller
 	// again once Prepare returns.

@@ -28,8 +28,6 @@
 package cluster
 
 import (
-	"encoding/json"
-
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
 )
@@ -67,6 +65,42 @@ const (
 // Kind, with its own idempotency key. Replay semantics are per-op — the
 // node caches each sub-result under its own key, so a duplicated envelope,
 // or the same op regrouped into a different one, replays byte-for-byte.
+//
+// The envelope has no idempotency key of its own (the sub-ops are the
+// replay unit, and a retried envelope regroups however the retry timing
+// falls) and no Go type: both directions are written and read by the codec
+// in codec.go, never by encoding/json, against this grammar —
+//
+//	request   {"ops":[op,…]}
+//	op        {"kind":string,"idem":string,"code":base64,"id":int,"capacity":int,"epoch":int}
+//	response  {"ok":true,"results":[result,…]}              one per op, in order
+//	          {"ok":false,"error":error,"results":null}     refused whole, nothing applied
+//	result    {"ok":true}                                   insert, add-capacity, consume
+//	          {"ok":true,"units":int,"found":bool}          remove
+//	          {"ok":true,"id":int,"level":int,"found":bool} assign-subtree
+//	          {"ok":false,"error":error}                    a refused op; remove and
+//	                                                        assign-subtree add "found":false
+//	error     {"code":string,"message":string,"epoch":int,"retryable":bool}
+//
+// — with every zero-valued member but kind, ok and found left out, which
+// is byte-for-byte what encoding/json wrote for the structs this replaced.
+// A reader takes whitespace between tokens, members in any order and
+// escaped strings. It refuses, as bad_request for the whole envelope before
+// any op runs (a malformed answer is a transport failure on the other
+// side):
+//
+//   - a member it does not know, at any level, a known name in another
+//     letter case included;
+//   - a member that appears twice;
+//   - null for any value — "ops":null and a null op included; only the
+//     "results":null of a refused envelope is read;
+//   - a number that is not an integer literal in range (a fraction, an
+//     exponent, past int64), and bytes after the envelope.
+//
+// The first three are where it is stricter than the encoding/json decoder
+// it replaced, which skipped unknown members, matched names
+// case-insensitively, kept the last duplicate and read null as the zero
+// value; FuzzNodeWire carries a seed for each.
 type OpRequest struct {
 	Kind     string `json:"kind"`
 	Idem     string `json:"idem,omitempty"`
@@ -76,23 +110,16 @@ type OpRequest struct {
 	Epoch    int64  `json:"epoch,omitempty"`
 }
 
-// OpsRequest carries N independent single-worker operations in one round
-// trip — the coordinator's coalescer batches concurrent ops routed to the
-// same node into one envelope. The envelope itself has no idempotency key:
-// the sub-ops are the replay unit, and a retried envelope regroups however
-// the retry timing falls.
-type OpsRequest struct {
-	Ops []OpRequest `json:"ops"`
-}
-
-// OpsResponse answers an envelope with one raw sub-response per op, in
-// order. Results stay raw JSON end to end so a replayed sub-op is
-// byte-identical to its first answer regardless of which envelope carries
-// it.
-type OpsResponse struct {
-	OK      bool              `json:"ok"`
-	Err     *platform.Error   `json:"error,omitempty"`
-	Results []json.RawMessage `json:"results"`
+// opResult is a sub-result as the coordinator reads it: the union of the
+// three result shapes in the grammar above, so that one scanner fills it
+// and one value carries any routed op's answer back to its caller.
+type opResult struct {
+	OK    bool            `json:"ok"`
+	Err   *platform.Error `json:"error,omitempty"`
+	ID    int             `json:"id,omitempty"`
+	Level int             `json:"level,omitempty"`
+	Units int             `json:"units,omitempty"`
+	Found bool            `json:"found"`
 }
 
 // InitRequest (re)builds a node's engine: the shared tree, the shared
@@ -107,8 +134,7 @@ type InitRequest struct {
 	Idem            string    `json:"idem,omitempty"`
 }
 
-// nodeAck is the plain OK/error envelope shared by mutating endpoints and
-// by the insert, add-capacity and consume sub-ops.
+// nodeAck is the plain OK/error answer of init, prepare, commit and abort.
 type nodeAck struct {
 	OK  bool            `json:"ok"`
 	Err *platform.Error `json:"error,omitempty"`
@@ -128,17 +154,8 @@ type StatusResponse struct {
 	Units int             `json:"units"`
 }
 
-// RemoveResponse reports how many units were pooled (Found false when the
-// worker was not available).
-type RemoveResponse struct {
-	OK    bool            `json:"ok"`
-	Err   *platform.Error `json:"error,omitempty"`
-	Units int             `json:"units,omitempty"`
-	Found bool            `json:"found"`
-}
-
-// AssignResponse carries a pop outcome: Found false means no worker on
-// this node can serve the tier(s) asked of it.
+// AssignResponse carries pop-min's outcome: Found false means the node's
+// pool is empty.
 type AssignResponse struct {
 	OK    bool            `json:"ok"`
 	Err   *platform.Error `json:"error,omitempty"`

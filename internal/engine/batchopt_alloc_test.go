@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -74,7 +75,8 @@ func TestBatchOptimalAllocsSteadyState(t *testing.T) {
 // what it does at GOMAXPROCS=1, where fan-out is off by rule; a window
 // spread over the shards is the control that the probe sees a fan-out when
 // there is one. Half an allocation per window absorbs the runtime's own
-// background mallocs.
+// background mallocs; comparing minima over rounds absorbs the rest (see
+// allocs).
 func TestSingleHomeWindowMinesInline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random, which swamps the count")
@@ -120,15 +122,25 @@ func TestSingleHomeWindowMinesInline(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			run()
 		}
-		// Counted by hand: testing.AllocsPerRun pins GOMAXPROCS to 1.
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			run()
+		// Counted by hand: testing.AllocsPerRun pins GOMAXPROCS to 1. And
+		// counted as the least of several rounds: at GOMAXPROCS=2 the test's
+		// goroutine can migrate to the other P, whose sync.Pool local is
+		// empty, and the fresh window scratch it then builds (some 90
+		// mallocs, once) reads as 1.8 a window over one round of 50. Noise
+		// of that kind only ever adds, so the minimum is the window's own
+		// count.
+		const rounds, runs = 5, 20
+		least := math.Inf(1)
+		for r := 0; r < rounds; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.Mallocs-before.Mallocs)/runs)
 		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs
+		return least
 	}
 	if one, two := allocs(1, oneHome), allocs(2, oneHome); two > one+0.5 {
 		t.Errorf("single-home window allocates %.2f at GOMAXPROCS=2, %.2f at 1: it fanned out", two, one)

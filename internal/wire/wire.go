@@ -67,6 +67,14 @@ func (b *Buf) Reset() { b.buf.Reset() }
 // to the buffer.
 func (b *Buf) Encode(v any) error { return b.enc.Encode(v) }
 
+// Append hands enc the buffer's spare capacity as an empty slice and keeps
+// what enc returns: the way in for append-style encoders (strconv.AppendInt
+// and its kind), which then write straight into the pooled scratch. enc
+// must only append.
+func (b *Buf) Append(enc func(dst []byte) []byte) {
+	b.buf.Write(enc(b.buf.AvailableBuffer()))
+}
+
 // Bytes returns the buffered bytes; valid until the next Reset/Put.
 func (b *Buf) Bytes() []byte { return b.buf.Bytes() }
 
@@ -123,10 +131,4 @@ func (b *Buf) DecodeAll(r io.Reader, limit int64, v any) error {
 		return err
 	}
 	return b.Unmarshal(v)
-}
-
-// Clone returns a fresh copy of the buffered bytes, for callers that must
-// retain them past the Buf's lifetime (replay caches).
-func (b *Buf) Clone() []byte {
-	return append([]byte(nil), b.buf.Bytes()...)
 }

@@ -90,15 +90,23 @@ func TestWhitespaceTailStaysClean(t *testing.T) {
 	}
 }
 
-func TestCloneOutlivesReset(t *testing.T) {
+// TestAppendKeepsWhatTheEncoderReturns: Append hands out spare capacity
+// behind the buffered bytes and keeps the encoder's result whether it fitted
+// that capacity or outgrew it into a slice of its own.
+func TestAppendKeepsWhatTheEncoderReturns(t *testing.T) {
 	b := Get()
 	defer Put(b)
-	b.buf.WriteString("original")
-	c := b.Clone()
-	b.Reset()
-	b.buf.WriteString("overwritten")
-	if string(c) != "original" {
-		t.Fatalf("clone mutated to %q", c)
+	b.buf.WriteString("head:")
+	b.Append(func(dst []byte) []byte {
+		if len(dst) != 0 {
+			t.Errorf("encoder handed %d bytes, want an empty slice", len(dst))
+		}
+		return append(dst, "fits"...)
+	})
+	big := strings.Repeat("x", b.buf.Cap()+1)
+	b.Append(func(dst []byte) []byte { return append(dst, big...) })
+	if got, want := string(b.Bytes()), "head:fits"+big; got != want {
+		t.Fatalf("buffered %d bytes %.20q…, want %d bytes %.20q…", len(got), got, len(want), want)
 	}
 }
 
