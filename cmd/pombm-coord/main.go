@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"github.com/pombm/pombm/internal/cluster"
 	"github.com/pombm/pombm/internal/geo"
@@ -76,5 +77,9 @@ func main() {
 	log.Printf("coordinating %d backends on %s (grid %dx%d, ε=%g, tree depth %d, %d engine shards, policy %s)",
 		len(nodes), ln.Addr(), *grid, *grid, *eps,
 		srv.Publication().Tree.Depth(), srv.Core().Shards(), srv.Core().Policy().Name())
-	log.Fatal(http.Serve(ln, coord.Handler()))
+	// A peer that trickles its header or sits on a keep-alive connection
+	// cannot pin it; the idle limit stays above the 90 s an agent's transport
+	// keeps an idle connection, so the client closes first.
+	hs := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+	log.Fatal(hs.Serve(ln))
 }

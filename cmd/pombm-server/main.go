@@ -80,7 +80,13 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", platform.Handler(srv))
 	mux.Handle("/v2/", cluster.NodeHandler(cluster.NewNode()))
-	log.Fatal(http.Serve(ln, mux))
+	// A peer that trickles its header or sits on a keep-alive connection
+	// cannot pin it. Neither limit reaches a /v2/node/ops stream: a hijacked
+	// connection is out of the server's hands, and the node reaps an idle one
+	// itself. The idle limit stays above the 90 s a coordinator's transport
+	// keeps an idle connection, so the client closes first.
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+	log.Fatal(hs.Serve(ln))
 }
 
 // runDemo exercises the server with simulated agents over real HTTP.

@@ -13,22 +13,27 @@ import (
 	"github.com/pombm/pombm/internal/platform"
 )
 
-// BenchmarkNodeOp prices one sequential routed op. The two rows subtract to
-// the cost of this package's routed-op path (coalescer, envelope codec,
-// replay cache, engine call, per-op deadline) above what net/http charges
-// for the same bytes:
+// BenchmarkNodeOp prices one sequential routed op. Adjacent rows subtract to
+// a layer's cost:
 //
-//   - http: Insert and AssignSubtree alternating through DialNodeClient
-//     against a NodeHandler over loopback — every op a singleton envelope;
-//     the pair keeps the pool at steady state.
-//   - floor: plain POSTs of the same two request sizes, through the same
-//     transport, to a handler that discards the body and answers the same
-//     two response sizes.
+//   - stream: Insert and AssignSubtree alternating through DialNodeClient
+//     against a NodeHandler over loopback — the routed path, every op a
+//     singleton envelope in a frame on the one stream a sequential caller
+//     needs; the pair keeps the pool at steady state.
+//   - stream-floor: the same two request sizes as frames over an upgraded
+//     connection to a loop that discards each and answers the same two
+//     response sizes. stream − stream-floor is this package's routed-op path
+//     (coalescer, envelope codec, replay cache, engine call, watchdog) above
+//     the connection.
+//   - post-floor: the same bytes as plain POSTs through the same transport to
+//     a handler that discards the body — what an HTTP transaction charges,
+//     which every op paid before the stream. post-floor − stream-floor is
+//     what the stream saves.
 func BenchmarkNodeOp(b *testing.B) {
 	tree := buildTree(b, 7)
 	code := tree.CodeOf(3)
 	// Same-size stand-ins for the two envelopes and their answers; the
-	// floor ships bytes, not meaning.
+	// floors ship bytes, not meaning.
 	var reqs, resps [2][]byte
 	for i, op := range []OpRequest{
 		{Kind: OpInsert, Idem: "AbCdEf1a2b", Code: []byte(code), ID: 12345, Capacity: 1, Epoch: engine.FirstEpoch},
@@ -45,7 +50,7 @@ func BenchmarkNodeOp(b *testing.B) {
 	resps[0] = []byte(`{"ok":true,"results":[{"ok":true}]}` + "\n")
 	resps[1] = []byte(`{"ok":true,"results":[{"ok":true,"id":12345,"found":true}]}` + "\n")
 
-	b.Run("http", func(b *testing.B) {
+	b.Run("stream", func(b *testing.B) {
 		ts := httptest.NewServer(NodeHandler(NewNode()))
 		defer ts.Close()
 		tr := platform.NewTransport()
@@ -71,7 +76,54 @@ func BenchmarkNodeOp(b *testing.B) {
 		}
 	})
 
-	b.Run("floor", func(b *testing.B) {
+	b.Run("stream-floor", func(b *testing.B) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, brw, err := http.NewResponseController(w).Hijack()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer conn.Close()
+			io.WriteString(conn, switchingProtocols)
+			var in, out []byte
+			for {
+				if in, err = readFrame(brw.Reader, in); err != nil {
+					return
+				}
+				resp := resps[0]
+				if len(in) == len(reqs[1]) {
+					resp = resps[1]
+				}
+				out = appendFrame(out[:0], func(dst []byte) []byte { return append(dst, resp...) })
+				if _, err := conn.Write(out); err != nil {
+					return
+				}
+			}
+		}))
+		defer ts.Close()
+		tr := platform.NewTransport()
+		defer tr.CloseIdleConnections()
+		// The connection's own dial; from there on bare frames, no watchdog.
+		s, err := newHTTPNode(ts.URL, &http.Client{Transport: tr}, NodeTimeouts{}).dialOps(DefaultOpTimeout)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.close()
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = appendFrame(buf[:0], func(dst []byte) []byte { return append(dst, reqs[i%2]...) })
+			if _, err := s.rwc.Write(buf); err != nil {
+				b.Fatal(err)
+			}
+			if buf, err = readFrame(s.br, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("post-floor", func(b *testing.B) {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			n, _ := io.Copy(io.Discard, r.Body)
 			resp := resps[0]

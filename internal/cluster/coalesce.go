@@ -21,23 +21,32 @@ type batchedOp struct {
 // /v2/node/ops envelopes; every httpNode owns one, so coalescing is a
 // property of the HTTP transport and nothing above NodeConn knows of it.
 //
-// An op waits only when every slot is busy. The node has slots envelopes in
-// flight at most — GOMAXPROCS, read at dial: an envelope is CPU work on the
-// coordinator (encode, net/http, scan), more of them than processors only
-// adds scheduling, and past that point queueing is free coalescing. An op
-// that finds a slot free ships at once, alone, on its caller's goroutine:
-// no queue entry, no channel, no goroutine, so a sequential caller stream
-// is singleton envelopes at the cost of the HTTP transaction. An op that
-// finds none queues, and whoever frees a slot while ops are queued hands
-// the slot to a flusher goroutine, which drains the queue in envelope-sized
-// batches until it is empty — a window's 64 concurrent commits leave as
-// slots singletons plus an envelope or two per node.
+// A slot is a stream: whoever holds one of the node's slots owns one
+// upgraded /v2/node/ops connection (see opsStream) for one frame out and one
+// back, taken off the idle list with the slot and put back with it. A slot
+// that finds the list empty dials — so streams are dialed lazily, there are
+// never more than slots of them, and a failure that the idle ones share (a
+// restarted node, an idle reap) closes them all at once.
+//
+// An op still waits only when every slot is busy. The node has slots
+// envelopes in flight at most — GOMAXPROCS, read at dial: an envelope is CPU
+// work on the coordinator (encode, write, read, scan), more of them than
+// processors only adds scheduling, and past that point queueing is free
+// coalescing. An op that finds a slot free ships at once, alone, on its
+// caller's goroutine: no queue entry, no channel, no goroutine, so a
+// sequential caller stream is singleton envelopes at the cost of a frame
+// each. An op that finds none queues, and whoever frees a slot while ops are
+// queued hands the slot — stream and all — to a flusher goroutine, which
+// drains the queue in envelope-sized batches until it is empty: a window's
+// 64 concurrent commits leave as slots singletons plus an envelope or two
+// per node.
 //
 // Coalescing is a legal serialization: the ops in one envelope are
 // concurrent with each other (each caller is blocked in its own request),
 // so they have no defined order, and the node applies the envelope's ops
 // in sequence. Order between non-concurrent ops is preserved — an op
 // issued after another completed necessarily lands in a later envelope.
+// The same argument covers a stream: the node answers its frames in order.
 type batcher struct {
 	conn  *httpNode // ships the envelopes
 	slots int
@@ -45,6 +54,7 @@ type batcher struct {
 	mu       sync.Mutex
 	pending  []*batchedOp // non-empty only while every slot is taken
 	inflight int          // slots taken
+	idle     []*opsStream // streams no slot holds; len(idle) + inflight ≤ slots
 }
 
 // do ships one op and blocks until its sub-result is back. An
@@ -60,34 +70,60 @@ func (b *batcher) do(op OpRequest) (opResult, error) {
 		return bo.res, bo.err
 	}
 	b.inflight++
+	var s *opsStream
+	if last := len(b.idle) - 1; last >= 0 {
+		s, b.idle = b.idle[last], b.idle[:last]
+	}
 	b.mu.Unlock()
 	bo := batchedOp{op: op}
-	err := b.conn.sendOps([]*batchedOp{&bo})
-	b.release()
+	s, err := b.conn.sendOps(s, []*batchedOp{&bo})
+	b.release(s)
 	return bo.res, err
 }
 
-// release gives up the caller's slot: to a flusher if ops queued behind
-// it, back to the node otherwise.
-func (b *batcher) release() {
+// release gives up the caller's slot and its stream (nil: the exchange cost
+// the slot its stream): to a flusher if ops queued behind it, back to the
+// node otherwise.
+func (b *batcher) release(s *opsStream) {
 	b.mu.Lock()
 	if len(b.pending) > 0 {
 		b.mu.Unlock()
-		go b.flush()
+		go b.flush(s)
 		return
 	}
-	b.inflight--
+	b.park(s)
 	b.mu.Unlock()
+}
+
+// park returns a slot and its stream. Caller holds mu.
+func (b *batcher) park(s *opsStream) {
+	b.inflight--
+	if s != nil {
+		b.idle = append(b.idle, s)
+	}
+}
+
+// dropIdle closes every idle stream: an exchange on one of the node's
+// streams failed for a reason the idle ones share, and the retry must dial
+// rather than meet it again on each of them in turn.
+func (b *batcher) dropIdle() {
+	b.mu.Lock()
+	idle := b.idle
+	b.idle = nil
+	b.mu.Unlock()
+	for _, s := range idle {
+		s.close()
+	}
 }
 
 // flush owns one slot and drains the queue through it, then returns the
 // slot.
-func (b *batcher) flush() {
+func (b *batcher) flush(s *opsStream) {
 	for {
 		b.mu.Lock()
 		batch := b.pending
 		if len(batch) == 0 {
-			b.inflight--
+			b.park(s)
 			b.mu.Unlock()
 			return
 		}
@@ -103,7 +139,8 @@ func (b *batcher) flush() {
 		// On failure the callers retry with the same idems; any sub-op the
 		// node did apply before the envelope was lost replays from its cache
 		// instead of double-applying.
-		err := b.conn.sendOps(batch)
+		var err error
+		s, err = b.conn.sendOps(s, batch)
 		for _, bo := range batch {
 			bo.err = err
 			close(bo.done)

@@ -3,9 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +16,6 @@ import (
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
-	"github.com/pombm/pombm/internal/platform"
 )
 
 // postRaw POSTs a prebuilt body and returns the status and response bytes.
@@ -301,40 +298,6 @@ func TestCoalescerConcurrentOps(t *testing.T) {
 	}
 }
 
-// parkedEnvelope is one /v2/node/ops request held by a parkingTransport:
-// how many ops it carries, and the channel the test decides its fate on —
-// nil forwards it to the node, an error fails the round trip with it.
-type parkedEnvelope struct {
-	ops  int
-	fate chan error
-}
-
-// parkingTransport holds every ops envelope it is handed until the test
-// says what becomes of it, so a test sees exactly what is in flight.
-type parkingTransport struct {
-	rt      http.RoundTripper
-	arrived chan *parkedEnvelope
-}
-
-func (p *parkingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != PathNodeOps {
-		return p.rt.RoundTrip(req)
-	}
-	body, err := io.ReadAll(req.Body)
-	req.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	pe := &parkedEnvelope{ops: bytes.Count(body, []byte(`"kind":`)), fate: make(chan error, 1)}
-	p.arrived <- pe
-	if err := <-pe.fate; err != nil {
-		return nil, err
-	}
-	r2 := req.Clone(req.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	return p.rt.RoundTrip(r2)
-}
-
 // waitFor polls a condition on state no event announces (the batcher's
 // queue, its slot count), failing the test if it does not come true.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -353,17 +316,18 @@ type removed struct {
 }
 
 // slotRig is a node holding workers 0..n-1 — worker i with i+1 units, so a
-// Remove's answer names its caller — behind a parking transport, with every
-// slot of the connection taken by a parked singleton and queued further
-// Removes waiting behind them.
+// Remove's answer names its caller — behind a parking wiretap, with every
+// slot of the connection taken by a parked singleton frame and queued
+// further Removes waiting behind them.
 type slotRig struct {
 	t       *testing.T
 	conn    *httpNode
-	pt      *parkingTransport
+	tap     *wiretap
+	arrived <-chan *tappedFrame
 	slots   int
 	results chan removed
-	parked  []*parkedEnvelope // the singletons holding the slots
-	remove  func(id int)      // starts a Remove of worker id on its own goroutine
+	parked  []*tappedFrame // the singletons holding the slots
+	remove  func(id int)   // starts a Remove of worker id on its own goroutine
 }
 
 func newSlotRig(t *testing.T, queued int) *slotRig {
@@ -374,12 +338,9 @@ func newSlotRig(t *testing.T, queued int) *slotRig {
 	}
 	ts := httptest.NewServer(NodeHandler(node))
 	t.Cleanup(ts.Close)
-	r := &slotRig{
-		t:       t,
-		pt:      &parkingTransport{rt: ts.Client().Transport, arrived: make(chan *parkedEnvelope, 256)},
-		results: make(chan removed, 256),
-	}
-	r.conn = newHTTPNode(ts.URL, &http.Client{Transport: r.pt}, NodeTimeouts{})
+	tap, hc := newWiretap(t)
+	r := &slotRig{t: t, tap: tap, arrived: tap.park(), results: make(chan removed, 256)}
+	r.conn = newHTTPNode(ts.URL, hc, NodeTimeouts{})
 	r.slots = r.conn.ops.slots
 	if r.slots != runtime.GOMAXPROCS(0) {
 		t.Fatalf("%d slots at GOMAXPROCS %d", r.slots, runtime.GOMAXPROCS(0))
@@ -400,11 +361,11 @@ func newSlotRig(t *testing.T, queued int) *slotRig {
 		r.remove(id)
 	}
 	for range r.slots {
-		pe := <-r.pt.arrived
-		if pe.ops != 1 {
-			t.Fatalf("an op that found a free slot left in an envelope of %d", pe.ops)
+		f := <-r.arrived
+		if f.ops != 1 {
+			t.Fatalf("an op that found a free slot left in a frame of %d", f.ops)
 		}
-		r.parked = append(r.parked, pe)
+		r.parked = append(r.parked, f)
 	}
 	for id := r.slots; id < r.slots+queued; id++ {
 		r.remove(id)
@@ -414,22 +375,22 @@ func newSlotRig(t *testing.T, queued int) *slotRig {
 		defer r.conn.ops.mu.Unlock()
 		return len(r.conn.ops.pending) == queued
 	})
-	r.idleTransport("with every slot taken")
+	r.quietWire("with every slot taken")
 	return r
 }
 
-// idleTransport fails the test if an envelope reached the transport that
-// the slots have no room for.
-func (r *slotRig) idleTransport(when string) {
+// quietWire fails the test if a frame left that the slots have no room for.
+func (r *slotRig) quietWire(when string) {
 	r.t.Helper()
 	select {
-	case pe := <-r.pt.arrived:
-		r.t.Fatalf("%s, an envelope of %d ops is in flight past the %d slots", when, pe.ops, r.slots)
+	case f := <-r.arrived:
+		r.t.Fatalf("%s, a frame of %d ops is in flight past the %d slots", when, f.ops, r.slots)
 	default:
 	}
 }
 
-// drained waits for every slot to come back.
+// drained waits for every slot to come back, and checks what came back with
+// them: a stream per slot at most.
 func (r *slotRig) drained() {
 	r.t.Helper()
 	waitFor(r.t, "every slot to be returned", func() bool {
@@ -437,24 +398,30 @@ func (r *slotRig) drained() {
 		defer r.conn.ops.mu.Unlock()
 		return r.conn.ops.inflight == 0 && len(r.conn.ops.pending) == 0
 	})
+	r.conn.ops.mu.Lock()
+	defer r.conn.ops.mu.Unlock()
+	if n := len(r.conn.ops.idle); n > r.slots {
+		r.t.Errorf("%d idle streams for %d slots", n, r.slots)
+	}
 }
 
-// TestSlotsBoundEnvelopesInFlight: never more than GOMAXPROCS envelopes in
-// flight to one node; the ops that queued behind full slots leave in one
-// envelope the moment a slot frees; every caller gets its own answer.
+// TestSlotsBoundEnvelopesInFlight: never more than GOMAXPROCS frames in
+// flight to one node, each on a stream of its own; the ops that queued
+// behind full slots leave in one frame the moment a slot frees, on that
+// slot's stream; every caller gets its own answer.
 func TestSlotsBoundEnvelopesInFlight(t *testing.T) {
 	const queued = 5
 	r := newSlotRig(t, queued)
 
-	r.parked[0].fate <- nil // one slot frees …
-	coalesced := <-r.pt.arrived
+	r.parked[0].fate <- forward // one slot frees …
+	coalesced := <-r.arrived
 	if coalesced.ops != queued { // … and takes the whole queue with it
-		t.Fatalf("the freed slot shipped %d ops, want the %d that queued in one envelope", coalesced.ops, queued)
+		t.Fatalf("the freed slot shipped %d ops, want the %d that queued in one frame", coalesced.ops, queued)
 	}
-	r.idleTransport("with the freed slot re-taken by the queue's envelope")
-	coalesced.fate <- nil
-	for _, pe := range r.parked[1:] {
-		pe.fate <- nil
+	r.quietWire("with the freed slot re-taken by the queue's frame")
+	coalesced.fate <- forward
+	for _, f := range r.parked[1:] {
+		f.fate <- forward
 	}
 	for range r.slots + queued {
 		if got := <-r.results; got.err != nil || !got.found || got.units != got.id+1 {
@@ -463,6 +430,11 @@ func TestSlotsBoundEnvelopesInFlight(t *testing.T) {
 		}
 	}
 	r.drained()
+	// The flusher shipped on the stream its slot came with: nothing was
+	// dialed past one stream a slot.
+	if got := r.tap.upgrades(); got != r.slots {
+		t.Errorf("%d streams dialed for %d slots", got, r.slots)
+	}
 }
 
 // TestEnvelopeFailureReachesEveryOpAndFreesItsSlot: an envelope-level
@@ -472,14 +444,14 @@ func TestEnvelopeFailureReachesEveryOpAndFreesItsSlot(t *testing.T) {
 	const queued = 4
 	r := newSlotRig(t, queued)
 
-	r.parked[0].fate <- errors.New("wire cut") // a singleton's failure is its caller's
-	coalesced := <-r.pt.arrived
+	r.parked[0].fate <- fail // a singleton's failure is its caller's
+	coalesced := <-r.arrived
 	if coalesced.ops != queued {
 		t.Fatalf("the freed slot shipped %d ops, want %d", coalesced.ops, queued)
 	}
-	coalesced.fate <- errors.New("wire cut")
-	for _, pe := range r.parked[1:] {
-		pe.fate <- nil
+	coalesced.fate <- fail
+	for _, f := range r.parked[1:] {
+		f.fate <- forward
 	}
 	failedSingletons := 0
 	for range r.slots + queued {
@@ -488,7 +460,7 @@ func TestEnvelopeFailureReachesEveryOpAndFreesItsSlot(t *testing.T) {
 		case got.err != nil && !isTransport(got.err):
 			t.Errorf("worker %d: %v, want a transport failure", got.id, got.err)
 		case got.id >= r.slots && got.err == nil:
-			t.Errorf("worker %d rode the failed envelope and was answered %d units", got.id, got.units)
+			t.Errorf("worker %d rode the failed frame and was answered %d units", got.id, got.units)
 		case got.id < r.slots && got.err != nil:
 			failedSingletons++
 		case got.err == nil && got.units != got.id+1:
@@ -496,86 +468,43 @@ func TestEnvelopeFailureReachesEveryOpAndFreesItsSlot(t *testing.T) {
 		}
 	}
 	if failedSingletons != 1 {
-		t.Errorf("%d of the %d singletons failed, want the one whose round trip did", failedSingletons, r.slots)
+		t.Errorf("%d of the %d singletons failed, want the one whose frame did", failedSingletons, r.slots)
 	}
 	r.drained()
 
-	// Both failed envelopes gave their slots back: the next op ships at once.
+	// Both failed frames gave their slots back: the next op ships at once.
 	next := r.slots + queued
 	r.remove(next)
-	pe := <-r.pt.arrived
-	if pe.ops != 1 {
-		t.Fatalf("the op after the failures left in an envelope of %d", pe.ops)
+	f := <-r.arrived
+	if f.ops != 1 {
+		t.Fatalf("the op after the failures left in a frame of %d", f.ops)
 	}
-	pe.fate <- nil
+	f.fate <- forward
 	if got := <-r.results; got.err != nil || got.units != next+1 {
 		t.Fatalf("the op after the failures answered units %d, err %v", got.units, got.err)
 	}
 	r.drained()
 }
 
-// opsMeter counts the ops envelopes each node is sent — and how many ops
-// they carry — while on, and can give each a network's latency.
-type opsMeter struct {
-	rt    http.RoundTripper
-	delay time.Duration
-
-	mu        sync.Mutex
-	on        bool
-	envelopes map[string]int // by node host
-	ops       int
-}
-
-func (m *opsMeter) RoundTrip(req *http.Request) (*http.Response, error) {
-	m.mu.Lock()
-	on := m.on && req.URL.Path == PathNodeOps
-	m.mu.Unlock()
-	if on {
-		body, err := io.ReadAll(req.Body)
-		req.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		m.mu.Lock()
-		m.envelopes[req.URL.Host]++
-		m.ops += bytes.Count(body, []byte(`"kind":`))
-		m.mu.Unlock()
-		time.Sleep(m.delay)
-		req = req.Clone(req.Context())
-		req.Body = io.NopCloser(bytes.NewReader(body))
-	}
-	return m.rt.RoundTrip(req)
-}
-
-func (m *opsMeter) measure(fn func()) (envelopes map[string]int, ops int) {
-	m.mu.Lock()
-	m.on, m.envelopes, m.ops = true, map[string]int{}, 0
-	m.mu.Unlock()
-	fn()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.on = false
-	return m.envelopes, m.ops
-}
-
-func meteredNodes(t *testing.T, n int, delay time.Duration) ([]NodeConn, *opsMeter) {
-	m := &opsMeter{rt: platform.NewTransport(), delay: delay}
-	t.Cleanup(m.rt.(*http.Transport).CloseIdleConnections)
+// tappedNodes stands up n nodes behind one wiretap.
+func tappedNodes(t *testing.T, n int) ([]NodeConn, *wiretap) {
+	tap, hc := newWiretap(t)
 	nodes := make([]NodeConn, n)
 	for i := range nodes {
 		ts := httptest.NewServer(NodeHandler(NewNode()))
 		t.Cleanup(ts.Close)
-		nodes[i] = DialNodeClient(ts.URL, &http.Client{Transport: m})
+		nodes[i] = DialNodeClient(ts.URL, hc)
 	}
-	return nodes, m
+	return nodes, tap
 }
 
 // TestSequentialCallerShipsSingletons: with nobody to share a slot with, an
-// op is one envelope of one op, sent from the caller's own goroutine — the
-// coalescer starts none and keeps no slot.
+// op is one frame of one op on the one stream the connection needs, sent
+// from the caller's own goroutine — the coalescer starts none and keeps no
+// slot.
 func TestSequentialCallerShipsSingletons(t *testing.T) {
 	tree := buildTree(t, 7)
-	nodes, meter := meteredNodes(t, 1, 0)
+	nodes, tap := tappedNodes(t, 1)
 	conn := nodes[0].(*httpNode)
 	if err := conn.Init(InitRequest{Tree: tree}); err != nil {
 		t.Fatal(err)
@@ -590,37 +519,35 @@ func TestSequentialCallerShipsSingletons(t *testing.T) {
 			t.Fatalf("assign %d: id %d, found %v, err %v", i, id, found, err)
 		}
 	}
-	cycle(n) // the connection's own goroutines exist from here on
+	cycle(n) // the stream and its node-side goroutine exist from here on
 	before := runtime.NumGoroutine()
-	envelopes, ops := meter.measure(func() {
-		for i := range n {
-			cycle(i)
-		}
-	})
-	// net/http's own per-request goroutines (the server's background read)
-	// come and go; one the coalescer started and kept would stay.
+	warm, _ := tap.sent()
+	for i := range n {
+		cycle(i)
+	}
+	// net/http's own goroutines for the dial are gone or going; one the
+	// coalescer or a stream started and kept would stay.
 	waitFor(t, "the goroutine count to settle where it was", func() bool { return runtime.NumGoroutine() <= before })
-	sent := 0
-	for _, c := range envelopes {
-		sent += c
+	frames, _ := tap.sent()
+	if _, ops := countByNode(frames[len(warm):]); len(frames)-len(warm) != 2*n || ops != 2*n {
+		t.Errorf("%d sequential ops left as %d frames carrying %d ops, want one each", 2*n, len(frames)-len(warm), ops)
 	}
-	if sent != 2*n || ops != 2*n {
-		t.Errorf("%d sequential ops left as %d envelopes carrying %d ops, want one each", 2*n, sent, ops)
+	if got := tap.upgrades(); got != 1 {
+		t.Errorf("a sequential caller dialed %d streams, want the one it uses", got)
 	}
-	if conn.ops.inflight != 0 || len(conn.ops.pending) != 0 {
-		t.Errorf("idle connection holds %d slots and %d queued ops", conn.ops.inflight, len(conn.ops.pending))
+	if conn.ops.inflight != 0 || len(conn.ops.pending) != 0 || len(conn.ops.idle) != 1 {
+		t.Errorf("idle connection holds %d slots, %d queued ops and %d idle streams",
+			conn.ops.inflight, len(conn.ops.pending), len(conn.ops.idle))
 	}
 }
 
 // TestWindowCommitsInFewEnvelopes: the 64 concurrent consumes of a full
 // batch-optimal window still coalesce — per node, the slots' singletons
-// plus the queue's envelope, with one to spare for a straggler — instead of
-// costing a request each.
+// plus the queue's frame, with one to spare for a straggler — instead of
+// costing a frame each.
 func TestWindowCommitsInFewEnvelopes(t *testing.T) {
 	tree := buildTree(t, 7)
-	// A round trip long enough that every consume of the window is issued
-	// before the first answer is back, as on a real network.
-	nodes, meter := meteredNodes(t, 3, 10*time.Millisecond)
+	nodes, tap := tappedNodes(t, 3)
 	pol, err := engine.PolicyByName("batch-optimal:k=4")
 	if err != nil {
 		t.Fatal(err)
@@ -639,20 +566,25 @@ func TestWindowCommitsInFewEnvelopes(t *testing.T) {
 	for i := range codes {
 		codes[i] = tree.CodeOf(i % leaves)
 	}
-	var ids []int
-	envelopes, ops := meter.measure(func() { ids, _ = core.AssignBatch(codes) })
+	// A frame in flight long enough that every consume of the window is
+	// issued before the first answer is back, as on a real network.
+	tap.setDelay(10 * time.Millisecond)
+	loaded, _ := tap.sent()
+	ids, _ := core.AssignBatch(codes)
 	for i, id := range ids {
 		if id == engine.None {
 			t.Fatalf("task %d unmatched with two workers a leaf", i)
 		}
 	}
+	frames, _ := tap.sent()
+	byNode, ops := countByNode(frames[len(loaded):])
 	if ops != len(codes) {
 		t.Fatalf("the window committed %d units for %d matches", ops, len(codes))
 	}
 	limit := runtime.GOMAXPROCS(0) + 2
-	for host, n := range envelopes {
+	for node, n := range byNode {
 		if n > limit {
-			t.Errorf("node %s was sent %d ops envelopes for one window, want ≤ GOMAXPROCS + 2 = %d (all: %v)", host, n, limit, envelopes)
+			t.Errorf("node %s was sent %d ops frames for one window, want ≤ GOMAXPROCS + 2 = %d (all: %v)", node, n, limit, byNode)
 		}
 	}
 }

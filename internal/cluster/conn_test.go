@@ -6,47 +6,25 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/platform"
 )
 
-// countingTransport records the path of every request it carries.
-type countingTransport struct {
-	rt http.RoundTripper
-
-	mu    sync.Mutex
-	paths []string
-}
-
-func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	c.mu.Lock()
-	c.paths = append(c.paths, req.URL.Path)
-	c.mu.Unlock()
-	return c.rt.RoundTrip(req)
-}
-
-func (c *countingTransport) seen() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.paths...)
-}
-
 // TestNodeConnParity drives one tape of routed operations through the two
 // NodeConn implementations — LocalNode, the in-process reference, and the
 // HTTP connection, whose five routed ops exist only as /v2/node/ops sub-ops
-// — over nodes in the same state. Every step must return the same values
-// and, for a refusal, the same typed error: the same wire code and
-// retryability once folded by nodeError, and the engine staleness sentinel
-// on both sides of the wire.
+// in a stream's frames — over nodes in the same state. Every step must
+// return the same values and, for a refusal, the same typed error: the same
+// wire code and retryability once folded by nodeError, and the engine
+// staleness sentinel on both sides of the wire.
 func TestNodeConnParity(t *testing.T) {
 	tree := buildTree(t, 7)
 	ts := httptest.NewServer(NodeHandler(NewNode()))
 	defer ts.Close()
-	ct := &countingTransport{rt: ts.Client().Transport}
-	local, remote := LocalNode(NewNode()), DialNodeClient(ts.URL, &http.Client{Transport: ct})
+	tap, hc := newWiretap(t)
+	local, remote := LocalNode(NewNode()), DialNodeClient(ts.URL, hc)
 
 	short := tree.CodeOf(0)[:1]
 	// wantErr is the wire code a step must be refused with ("" = success).
@@ -121,7 +99,7 @@ func TestNodeConnParity(t *testing.T) {
 		}},
 	}
 	for _, step := range steps {
-		before := len(ct.seen())
+		framesBefore, postsBefore := tap.sent()
 		wantVal, wantErr := step.run(local)
 		gotVal, gotErr := step.run(remote)
 		if gotVal != wantVal {
@@ -147,10 +125,24 @@ func TestNodeConnParity(t *testing.T) {
 			}
 		}
 		// The singleton-envelope contract: a sequential caller's routed op
-		// is exactly one request, and it goes to the envelope endpoint.
-		if sent := ct.seen()[before:]; step.routed && (len(sent) != 1 || sent[0] != PathNodeOps) {
-			t.Errorf("%s: sent %v, want exactly one request to %s", step.name, sent, PathNodeOps)
+		// is exactly one frame of one op — and no HTTP request, but for the
+		// upgrade that opens the stream the first of them meets none of —
+		// and nothing else travels in frames.
+		frames, posts := tap.sent()
+		frames, posts = frames[len(framesBefore):], posts[len(postsBefore):]
+		if step.routed {
+			if len(frames) != 1 || frames[0].ops != 1 {
+				t.Errorf("%s: sent %d frames, want exactly one of one op", step.name, len(frames))
+			}
+			if len(posts) != 0 && !(len(framesBefore) == 0 && len(posts) == 1 && posts[0] == PathNodeOps) {
+				t.Errorf("%s: sent HTTP requests %v beside its frame", step.name, posts)
+			}
+		} else if len(frames) != 0 || len(posts) != 1 {
+			t.Errorf("%s: sent %d frames and requests %v, want one POST", step.name, len(frames), posts)
 		}
+	}
+	if got := tap.upgrades(); got != 1 {
+		t.Errorf("the tape dialed %d streams, want 1", got)
 	}
 }
 

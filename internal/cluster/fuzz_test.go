@@ -1,16 +1,23 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzNodeWire throws arbitrary bytes at the two decoders that make up a
@@ -159,6 +166,136 @@ func FuzzNodeWire(f *testing.F) {
 			if after := state(); after != before {
 				t.Fatalf("an envelope with no accepted op moved the state: %s -> %s", before, after)
 			}
+		}
+	})
+}
+
+// scriptedConn is a connection whose peer is a script: reads hand out the
+// script at most chunk bytes at a time (0: all there is) and end in io.EOF,
+// writes are kept. Deadlines mean nothing to it.
+type scriptedConn struct {
+	script *bytes.Reader
+	chunk  int
+	wrote  bytes.Buffer
+}
+
+func (c *scriptedConn) Read(p []byte) (int, error) {
+	if c.chunk > 0 && len(p) > c.chunk {
+		p = p[:c.chunk]
+	}
+	return c.script.Read(p)
+}
+func (c *scriptedConn) Write(p []byte) (int, error)      { return c.wrote.Write(p) }
+func (c *scriptedConn) Close() error                     { return nil }
+func (c *scriptedConn) LocalAddr() net.Addr              { return nil }
+func (c *scriptedConn) RemoteAddr() net.Addr             { return nil }
+func (c *scriptedConn) SetDeadline(time.Time) error      { return nil }
+func (c *scriptedConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
+
+// hijackable is a ResponseWriter whose connection is a scriptedConn.
+type hijackable struct {
+	http.ResponseWriter
+	conn *scriptedConn
+}
+
+func (h hijackable) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	return h.conn, bufio.NewReadWriter(bufio.NewReader(h.conn), bufio.NewWriter(h.conn)), nil
+}
+
+// FuzzOpsStream sends arbitrary bytes after the 101, in reads of arbitrary
+// size. The node must not panic; must not allocate past what the frame cap
+// and its input allow; must answer exactly the frames that arrived whole
+// before the first that broke the framing, each with byte-for-byte the body
+// a twin node answers the same envelope POSTed — the framing differential,
+// which is what keeping the one-shot POST buys — and must end in the twin's
+// state: nothing but a well-framed, well-formed envelope moves it.
+func FuzzOpsStream(f *testing.F) {
+	tree := buildTree(f, 7)
+	code := func(i int) string {
+		return `"` + base64.StdEncoding.EncodeToString([]byte(tree.CodeOf(i))) + `"`
+	}
+	frame := func(envelope string) []byte {
+		return appendFrame(nil, func(dst []byte) []byte { return append(dst, envelope...) })
+	}
+	insert := frame(`{"ops":[{"kind":"insert","idem":"s-1","code":` + code(0) + `,"id":5,"capacity":2}]}` + "\n")
+	mixed := frame(`{"ops":[{"kind":"assign-subtree","idem":"s-2","code":` + code(0) + `},` +
+		`{"kind":"remove","idem":"s-3","code":` + code(1) + `,"id":101},{"kind":"consume","code":` + code(0) + `,"id":9,"epoch":7}]}`)
+	for _, seed := range []struct {
+		wire  []byte
+		chunk uint16
+	}{
+		{frame(""), 0},                                                          // a zero-length frame
+		{[]byte{0, 0x10, 0, 1, '{', '}'}, 0},                                    // length = cap + 1
+		{insert[:frameHeader-1], 0},                                             // a header cut short
+		{insert[:len(insert)-5], 0},                                             // a payload cut short
+		{slices.Concat(insert, mixed), 0},                                       // two frames in one write
+		{insert, uint16(len(insert)/3 + 1)},                                     // one frame split across three writes
+		{slices.Concat(insert, []byte("garbage")), 0},                           // a valid frame followed by garbage
+		{slices.Concat(insert, insert, mixed, frame(`{"ops":null}`), mixed), 7}, // replays, a refused envelope
+		{slices.Concat(mixed, []byte{0xff, 0xff, 0xff, 0xff}, insert), 1},
+	} {
+		f.Add(seed.wire, seed.chunk)
+	}
+
+	f.Fuzz(func(t *testing.T, wire []byte, chunk uint16) {
+		newNode := func() (*Node, http.Handler) {
+			node := NewNode()
+			if err := node.Init(InitRequest{Tree: tree, Policy: "capacity-greedy"}); err != nil {
+				t.Fatal(err)
+			}
+			for id := 100; id < 104; id++ {
+				if err := node.Insert(tree.CodeOf(id%tree.NumPoints()), id, 2, 0, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return node, NodeHandler(node)
+		}
+		state := func(node *Node) string {
+			st, err := node.Status(0)
+			return fmt.Sprint(st.Epoch, st.Len, st.Units, err)
+		}
+		node, handler := newNode()
+		twin, twinHandler := newNode()
+
+		conn := &scriptedConn{script: bytes.NewReader(wire), chunk: int(chunk)}
+		upgrade := httptest.NewRequest(http.MethodPost, PathNodeOps, nil)
+		upgrade.Header.Set("Connection", "Upgrade")
+		upgrade.Header.Set("Upgrade", opsProtocol)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		handler.ServeHTTP(hijackable{httptest.NewRecorder(), conn}, upgrade)
+		runtime.ReadMemStats(&after)
+		// One frame's buffer and its growth, and what decoding and answering
+		// the input's own ops costs.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*maxFrame+64*len(wire)+1<<16); grew > limit {
+			t.Fatalf("%d bytes of input made the node allocate %d, limit %d", len(wire), grew, limit)
+		}
+
+		answers, ok := bytes.CutPrefix(conn.wrote.Bytes(), []byte(switchingProtocols))
+		if !ok {
+			t.Fatalf("the node's answer does not open with the 101: %q", conn.wrote.Bytes())
+		}
+		got := bufio.NewReader(bytes.NewReader(answers))
+		for rest := wire; len(rest) >= frameHeader; {
+			size := int(binary.BigEndian.Uint32(rest))
+			if size > maxFrame || len(rest) < frameHeader+size {
+				break // the stream ends at the first frame that is too long or cut short
+			}
+			envelope := rest[frameHeader : frameHeader+size]
+			rest = rest[frameHeader+size:]
+			posted := httptest.NewRecorder()
+			twinHandler.ServeHTTP(posted, httptest.NewRequest(http.MethodPost, PathNodeOps, bytes.NewReader(envelope)))
+			answer, err := readFrame(got, nil)
+			if err != nil || !bytes.Equal(answer, posted.Body.Bytes()) {
+				t.Fatalf("envelope %q answered over a frame (err %v):\n%s\nPOSTed to the twin:\n%s", envelope, err, answer, posted.Body.Bytes())
+			}
+		}
+		if extra, err := readFrame(got, nil); err != io.EOF {
+			t.Fatalf("the node answered a frame that never arrived whole: %q (err %v)", extra, err)
+		}
+		if a, b := state(node), state(twin); a != b {
+			t.Fatalf("the stream left the node at %s, the same envelopes POSTed leave the twin at %s", a, b)
 		}
 	})
 }

@@ -498,14 +498,18 @@ func NodeHandler(n *Node) http.Handler {
 	return mux
 }
 
-// opsHandler serves /v2/node/ops: scan the whole envelope, then run its ops
-// in order, each answered from the replay cache if its key was already
-// applied — the sub-op is the replay unit, so a duplicated envelope, or the
-// same op regrouped into another one by a retry, replays the recorded bytes
-// instead of re-applying. The envelope itself carries no idem and is never
-// cached as a whole.
+// opsHandler serves /v2/node/ops in its two framings. A POST that asks to
+// upgrade to opsProtocol becomes a frame stream (serveOps): the path every
+// coordinator takes. Any other POST is one envelope in a Content-Length body
+// answered in one — the reference the stream's answers are tested against
+// byte for byte, and the form a recorder can drive. Both are answerOps under
+// a different framing.
 func opsHandler(n *Node, cache *replayCache) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.Header.Get("Upgrade") == opsProtocol {
+			serveOps(w, n, cache)
+			return
+		}
 		cb := readPost(w, r, PathNodeOps)
 		if cb == nil {
 			return
@@ -517,29 +521,38 @@ func opsHandler(n *Node, cache *replayCache) http.HandlerFunc {
 		// The ops own their strings and codes: the scratch is free for the
 		// answer.
 		cb.Reset()
-		cb.Append(func(env []byte) []byte {
-			if err != nil {
-				return append(appendRefusal(env, badBody(err)), `,"results":null}`+"\n"...)
-			}
-			env = append(env, `{"ok":true,"results":[`...)
-			for i := range ops {
-				if i > 0 {
-					env = append(env, ',')
-				}
-				op := &ops[i]
-				if cached, ok := cache.get(op.Idem); ok {
-					env = append(env, cached...)
-					continue
-				}
-				start, applied := len(env), false
-				if env, applied = execOp(n, op, env); applied {
-					cache.put(op.Idem, env[start:])
-				}
-			}
-			return append(env, "]}\n"...)
-		})
+		cb.Append(func(env []byte) []byte { return answerOps(n, cache, ops, err, env) })
 		writeBody(w, cb.Bytes())
 	}
+}
+
+// answerOps appends the answer to one scanned envelope to dst: the refusal
+// of the whole envelope when it did not scan (err), otherwise its ops run in
+// order, each answered from the replay cache if its key was already applied
+// — the sub-op is the replay unit, so a duplicated envelope, or the same op
+// regrouped into another one by a retry, replays the recorded bytes instead
+// of re-applying. The envelope itself carries no idem and is never cached as
+// a whole.
+func answerOps(n *Node, cache *replayCache, ops []OpRequest, err error, dst []byte) []byte {
+	if err != nil {
+		return append(appendRefusal(dst, badBody(err)), `,"results":null}`+"\n"...)
+	}
+	dst = append(dst, `{"ok":true,"results":[`...)
+	for i := range ops {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		op := &ops[i]
+		if cached, ok := cache.get(op.Idem); ok {
+			dst = append(dst, cached...)
+			continue
+		}
+		start, applied := len(dst), false
+		if dst, applied = execOp(n, op, dst); applied {
+			cache.put(op.Idem, dst[start:])
+		}
+	}
+	return append(dst, "]}\n"...)
 }
 
 // execOp runs one envelope sub-operation and appends its sub-result to dst.
@@ -785,13 +798,14 @@ func writeNodeJSON(w http.ResponseWriter, status int, e *platform.Error) {
 
 // httpNode is a NodeConn over the /v2 wire protocol. The five
 // single-worker mutations (insert, add-capacity, remove, assign-subtree,
-// consume) go through ops, which ships them as /v2/node/ops envelopes;
-// everything else is one request per call.
+// consume) go through ops, which ships them as /v2/node/ops envelopes, one
+// frame each on a stream a slot owns; everything else is one POST per call.
 type httpNode struct {
 	// reqs holds one request template per /v2 path — URL parsed, headers
 	// set — built once at dial; every call sends a shallow copy carrying
 	// its own context and body, and nothing on the way writes through the
-	// shared URL or header map. dialErr is why there are none.
+	// shared URL or header map. PathNodeOps' is the upgrade request that
+	// opens a stream and has no body. dialErr is why there are none.
 	reqs     map[string]*http.Request
 	dialErr  error
 	client   *http.Client
@@ -810,7 +824,12 @@ func newHTTPNode(baseURL string, hc *http.Client, to NodeTimeouts) *httpNode {
 			h.dialErr = fmt.Errorf("cluster: node address %q: %w", baseURL, err)
 			break
 		}
-		req.Header.Set("Content-Type", "application/json")
+		if path == PathNodeOps {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", opsProtocol)
+		} else {
+			req.Header.Set("Content-Type", "application/json")
+		}
 		h.reqs[path] = req
 	}
 	h.ops.conn = h
@@ -856,17 +875,22 @@ func (t NodeTimeouts) prepare() time.Duration {
 }
 
 // DialNode returns a NodeConn for a backend base URL (e.g.
-// "http://node0:8080") with default per-operation deadlines. The
-// connection is stateless; no eager handshake happens — the coordinator's
-// Init is the first contact.
+// "http://node0:8080") with default per-operation deadlines. No eager
+// handshake happens — the coordinator's Init is the first contact — and the
+// routed ops' streams are dialed lazily too: the first op that finds a slot
+// without one sends the /v2/node/ops upgrade, so a connection holds at most
+// GOMAXPROCS long-lived connections to its node and redials by itself after
+// the node restarts or reaps them. The hop to the node must therefore be an
+// HTTP/1.1 path that passes Upgrade, as a WebSocket needs.
 func DialNode(baseURL string) NodeConn {
 	return DialNodeTimeouts(baseURL, NodeTimeouts{})
 }
 
 // nodeClient is the process-wide client for coordinator→node traffic: one
 // tuned connection pool (keep-alives, generous per-host idle conns) shared
-// by every dialed node, so a coordinator fanning out to N backends reuses
-// warm connections instead of re-dialing under load.
+// by every dialed node, so the control-plane POSTs of a coordinator fanning
+// out to N backends reuse warm connections instead of re-dialing under load
+// (a stream leaves the pool when it is upgraded).
 var nodeClient = &http.Client{Transport: platform.NewTransport()}
 
 // DialNodeTimeouts is DialNode with explicit per-operation deadlines
@@ -876,10 +900,14 @@ func DialNodeTimeouts(baseURL string, to NodeTimeouts) NodeConn {
 }
 
 // DialNodeClient is DialNode with a caller-supplied HTTP client (tests pin
-// transports; deployments pin proxies). Per-operation deadlines still
-// apply on top; a non-zero hc.Timeout caps every call — including the
-// rotation prepare — so deployments should leave it zero and use
-// DialNodeTimeouts instead.
+// transports; deployments pin proxies): it carries the control-plane POSTs
+// and the upgrade request that opens each stream, so its transport, TLS
+// configuration and RoundTrippers apply to both. Per-operation deadlines
+// still apply on top. hc.Timeout must be zero — with one, net/http wraps
+// every response body, the upgraded connection's included, and no stream
+// can be opened (a routed op then fails naming that cause) — and so must a
+// RoundTripper leave the 101's body as it finds it; use DialNodeTimeouts for
+// deadlines.
 func DialNodeClient(baseURL string, hc *http.Client) NodeConn {
 	return newHTTPNode(baseURL, hc, NodeTimeouts{})
 }
@@ -1078,24 +1106,40 @@ func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMin
 	return wm, nil
 }
 
-// sendOps ships one envelope and lands each op's sub-result in its slot.
-// Envelope-level failures — transport, a refused envelope, an answer that
-// does not scan or does not hold one result per op (a transport failure:
-// the retry taxonomy callers already handle, never an application refusal)
-// — are the error; per-op outcomes are the slots' own.
-func (h *httpNode) sendOps(batch []*batchedOp) error {
-	cb := wire.Get()
-	defer wire.Put(cb)
-	cb.Append(func(dst []byte) []byte { return appendOpsRequest(dst, batch) })
-	var refusal *platform.Error
-	err := h.postBody(PathNodeOps, cb.Reader(), int64(cb.Len()), h.timeouts.op(), func(rb *wire.Buf) (err error) {
-		refusal, err = scanOpsResponse(rb.Bytes(), batch)
-		return err
-	})
-	if err != nil {
-		return err
+// sendOps ships one envelope as a frame on s — the stream of the slot its
+// caller holds, dialed here when the slot came without one — and lands each
+// op's sub-result in its slot. It returns the stream for the slot to keep:
+// nil when the exchange cost it. Envelope-level failures — the dial, the
+// stream, a refused envelope, an answer that does not scan or does not hold
+// one result per op (a transport failure: the retry taxonomy callers already
+// handle, never an application refusal) — are the error; per-op outcomes are
+// the slots' own. A failed exchange closes its stream, and a transport
+// failure the node's idle streams with it, so callNode's retry dials afresh
+// and the replay cache answers whatever did land; there is no other way to
+// ship a routed op to fall back to.
+func (h *httpNode) sendOps(s *opsStream, batch []*batchedOp) (*opsStream, error) {
+	d := h.timeouts.op()
+	if s == nil {
+		var err error
+		if s, err = h.dialOps(d); err != nil {
+			return nil, err
+		}
 	}
-	return envErr(refusal)
+	var refusal *platform.Error
+	answer, err := s.exchange(d, func(dst []byte) []byte { return appendOpsRequest(dst, batch) })
+	if err == nil {
+		if refusal, err = scanOpsResponse(answer, batch); err != nil {
+			err = fmt.Errorf("%w: decode %s: %v", errTransport, PathNodeOps, err)
+		}
+	}
+	if err != nil {
+		s.close()
+		if isTransport(err) {
+			h.ops.dropIdle()
+		}
+		return nil, err
+	}
+	return s, envErr(refusal)
 }
 
 // Prepare streams the prepare body: the idem and scalar fields first (so

@@ -24,7 +24,33 @@
 // platform.Error taxonomy instead of ad-hoc status strings. Each operation
 // has exactly one wire path: the five single-worker mutations travel only
 // as sub-ops of the /v2/node/ops envelope (a sequential caller ships
-// singleton envelopes), everything else on its own endpoint.
+// singleton envelopes), everything else as one POST to its own endpoint.
+//
+// /v2/node/ops answers two framings of one executor (answerOps). The one a
+// coordinator uses is a stream: POST /v2/node/ops with "Connection: Upgrade"
+// and "Upgrade: pombm-ops/1" is answered 101 Switching Protocols, and from
+// then on the connection carries frames in both directions (stream.go owns
+// both ends) —
+//
+//	frame     length envelope      length: 4 bytes, big-endian, the envelope's size
+//
+// — where a request frame's envelope is a request of the grammar at
+// OpRequest and the node answers each with one frame holding the response,
+// in the order the requests arrived, so a peer may treat the connection as
+// a sequence of exchanges (the coordinator keeps one frame in flight on
+// each: a stream belongs to a coalescer slot, see batcher). A frame longer
+// than 1 MiB — about sixty full envelopes — is refused by closing the
+// stream before any of it is buffered. The node closes a stream that
+// carries nothing for 90 s (the lifetime of an idle keep-alive connection)
+// and on any frame that is cut short; the coordinator closes one when an
+// exchange fails or outlives the op deadline, a transport failure taking
+// the node's idle streams with it, and dials again on the next op. A torn
+// stream is safe to resume for the reason a lost response is: the retry
+// carries the same idempotency keys. The other framing is the one-shot
+// POST: one envelope in a Content-Length body, answered in one, byte for
+// byte what the same envelope is answered in a frame — the reference the
+// stream is fuzzed against (FuzzOpsStream) and the form a recorder drives.
+// No coordinator sends it: there is no fallback from a refused upgrade.
 package cluster
 
 import (
@@ -69,7 +95,8 @@ const (
 // The envelope has no idempotency key of its own (the sub-ops are the
 // replay unit, and a retried envelope regroups however the retry timing
 // falls) and no Go type: both directions are written and read by the codec
-// in codec.go, never by encoding/json, against this grammar —
+// in codec.go, never by encoding/json, against this grammar, the same in a
+// frame and in a POST body —
 //
 //	request   {"ops":[op,…]}
 //	op        {"kind":string,"idem":string,"code":base64,"id":int,"capacity":int,"epoch":int}

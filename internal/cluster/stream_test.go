@@ -1,0 +1,408 @@
+package cluster
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/pombm/pombm/internal/engine"
+	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/platform"
+)
+
+// TestFrameRoundTrip pins the framing itself: what appendFrame writes,
+// readFrame reads back, frame after frame off one reader; a stream that ends
+// between frames is io.EOF, inside one io.ErrUnexpectedEOF; and a frame past
+// the cap is refused on its header alone.
+func TestFrameRoundTrip(t *testing.T) {
+	payloads := [][]byte{[]byte(`{"ops":[]}` + "\n"), {}, bytes.Repeat([]byte("x"), 10000)}
+	var wire []byte
+	for _, p := range payloads {
+		wire = appendFrame(wire, func(dst []byte) []byte { return append(dst, p...) })
+	}
+	r := bufio.NewReader(bytes.NewReader(wire))
+	var got []byte
+	for i, want := range payloads {
+		var err error
+		if got, err = readFrame(r, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: read %d bytes, err %v; want the %d written", i, len(got), err, len(want))
+		}
+	}
+	if _, err := readFrame(r, got); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	for _, cut := range []int{1, frameHeader - 1, frameHeader, frameHeader + 3} {
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(wire[:cut])), nil); err != io.ErrUnexpectedEOF {
+			t.Errorf("a stream cut %d bytes into a frame: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+	over := []byte{0, 0x10, 0, 1} // maxFrame + 1, and not a byte of it behind
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(over)), nil); err == nil || err == io.ErrUnexpectedEOF {
+		t.Errorf("a frame of maxFrame + 1: %v, want the cap's refusal before any of it is read", err)
+	}
+}
+
+// tappedCore is a coordinator core over one node behind a parking wiretap:
+// the rig of the torn-stream tests, which decide the fate of every frame.
+type tappedCore struct {
+	t       *testing.T
+	tree    *hst.Tree
+	srv     *mortalServer
+	conn    *httpNode
+	core    *fanCore
+	tap     *wiretap
+	arrived <-chan *tappedFrame
+}
+
+func newTappedCore(t *testing.T, to NodeTimeouts) *tappedCore {
+	r := &tappedCore{t: t, tree: buildTree(t, 7)}
+	r.srv = newMortalServer(t, NodeHandler(NewNode()))
+	var hc *http.Client
+	r.tap, hc = newWiretap(t)
+	r.conn = newHTTPNode(r.srv.URL, hc, to)
+	pol, err := engine.PolicyByName("capacity-greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.core, err = newFanCore([]NodeConn{r.conn}, r.tree, 0, pol, "capacity-greedy", 1); err != nil {
+		t.Fatal(err)
+	}
+	r.arrived = r.tap.park()
+	return r
+}
+
+// start runs op on its own goroutine — its frames park — and returns where
+// its outcome lands.
+func (r *tappedCore) start(op func() error) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	return done
+}
+
+// next returns the next frame to leave, failing the test if none does.
+func (r *tappedCore) next(what string) *tappedFrame {
+	r.t.Helper()
+	select {
+	case f := <-r.arrived:
+		return f
+	case <-time.After(10 * time.Second):
+		r.t.Fatalf("timed out waiting for %s", what)
+		return nil
+	}
+}
+
+// status reads the node's pool.
+func (r *tappedCore) status() (workers, units int) {
+	r.t.Helper()
+	var st StatusResponse
+	// Under the retry rule: a kill may have taken the keep-alive connection
+	// the POST would reuse.
+	if err := r.core.callNode(0, true, func(n NodeConn) (err error) {
+		st, err = n.Status(0)
+		return err
+	}); err != nil {
+		r.t.Fatal(err)
+	}
+	return st.Len, st.Units
+}
+
+// TestTornStreamAppliesOnce cuts the connection under each of the five routed
+// ops after the node applied the request frame and before the coordinator
+// read the answer. callNode's one retry must dial a fresh stream, resend the
+// same bytes — the same idempotency key — and be answered out of the replay
+// cache with the very bytes the cut swallowed, and the node's pool must show
+// the op applied once.
+func TestTornStreamAppliesOnce(t *testing.T) {
+	r := newTappedCore(t, NodeTimeouts{})
+	code := r.tree.CodeOf(0)
+	for i, step := range []struct {
+		kind           string
+		run            func(n NodeConn, idem string) error
+		workers, units int // the pool once the op has applied exactly once
+	}{
+		{OpInsert, func(n NodeConn, idem string) error { return n.Insert(code, 1, 3, 0, idem) }, 1, 3},
+		{OpConsume, func(n NodeConn, idem string) error { return n.Consume(code, 1, 0, idem) }, 1, 2},
+		{OpAddCapacity, func(n NodeConn, idem string) error { return n.AddCapacity(code, 1, 0, idem) }, 1, 3},
+		{OpAssignSubtree, func(n NodeConn, idem string) error {
+			id, _, found, err := n.AssignSubtree(code, 0, idem)
+			if err == nil && (!found || id != 1) {
+				err = fmt.Errorf("assigned %d, found %v", id, found)
+			}
+			return err
+		}, 1, 2},
+		{OpRemove, func(n NodeConn, idem string) error {
+			units, found, err := n.Remove(code, 1, idem)
+			if err == nil && (!found || units != 2) {
+				err = fmt.Errorf("removed %d units, found %v", units, found)
+			}
+			return err
+		}, 0, 0},
+	} {
+		idem := r.core.nextIdem()
+		done := r.start(func() error {
+			return r.core.callNode(0, true, func(n NodeConn) error { return step.run(n, idem) })
+		})
+		torn := r.next(step.kind + "'s frame")
+		torn.fate <- cut
+		again := r.next(step.kind + "'s retry")
+		again.fate <- forward
+		if err := <-done; err != nil {
+			t.Fatalf("%s over a torn stream: %v", step.kind, err)
+		}
+		if !bytes.Contains(torn.payload, []byte(`"kind":"`+step.kind+`"`)) || !bytes.Equal(torn.payload, again.payload) {
+			t.Errorf("%s: the retry sent\n%s\nafter\n%s", step.kind, again.payload, torn.payload)
+		}
+		swallowed, replayed := r.tap.answerOf(torn), r.tap.answerOf(again)
+		if !bytes.Contains(swallowed, []byte(`"ok":true`)) || !bytes.Equal(swallowed, replayed) {
+			t.Errorf("%s: the retry was answered\n%s\nwant the bytes the cut swallowed:\n%s", step.kind, replayed, swallowed)
+		}
+		if workers, units := r.status(); workers != step.workers || units != step.units {
+			t.Errorf("after %s the node holds %d workers and %d units, want %d and %d: applied other than once",
+				step.kind, workers, units, step.workers, step.units)
+		}
+		// The first op dialed the first stream; every cut cost one more.
+		if got := r.tap.upgrades(); got != i+2 {
+			t.Errorf("after %s: %d streams dialed, want %d", step.kind, got, i+2)
+		}
+	}
+}
+
+// TestRestartedNodeCostsOneRetry: every connection of a node dies while all
+// of the coordinator's streams to it sit idle. The next op meets the failure
+// once — the first dead stream takes the other idle ones with it — so its
+// one retry dials afresh and succeeds, and the caller sees no error.
+func TestRestartedNodeCostsOneRetry(t *testing.T) {
+	r := newTappedCore(t, NodeTimeouts{})
+	slots := r.conn.ops.slots
+	insert := func(id int) func() error {
+		return func() error { return r.core.InsertCapEpoch(r.tree.CodeOf(id), id, 1, 0) }
+	}
+	// One op a slot, all in flight at once: a stream a slot, then all idle.
+	var dones []<-chan error
+	for id := range slots {
+		dones = append(dones, r.start(insert(id)))
+	}
+	var held []*tappedFrame
+	for range slots {
+		held = append(held, r.next("a frame a slot"))
+	}
+	for _, f := range held {
+		f.fate <- forward
+	}
+	for _, done := range dones {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if idle := len(r.conn.ops.idle); idle != slots || r.tap.upgrades() != slots {
+		t.Fatalf("%d idle streams of %d dialed, want %d", idle, r.tap.upgrades(), slots)
+	}
+
+	r.srv.killConns()
+	done := r.start(insert(slots))
+	r.next("the frame that meets a dead stream").fate <- forward
+	r.next("its retry").fate <- forward
+	if err := <-done; err != nil {
+		t.Fatalf("the op after the restart: %v", err)
+	}
+	if got := r.tap.upgrades(); got != slots+1 {
+		t.Errorf("%d streams dialed, want the %d that died and one for the retry", got, slots)
+	}
+	if idle := len(r.conn.ops.idle); idle != 1 {
+		t.Errorf("%d idle streams after the retry, want the fresh one alone", idle)
+	}
+	if workers, _ := r.status(); workers != slots+1 {
+		t.Errorf("node holds %d workers, want %d", workers, slots+1)
+	}
+}
+
+// TestStalledStreamIsTheTypedDeadline: a node that takes a frame and answers
+// nothing costs the op its deadline and no more — the typed retryable
+// unavailable refusal, not a transport failure, so nothing is resent — and
+// costs the connection that one stream: the next op dials.
+func TestStalledStreamIsTheTypedDeadline(t *testing.T) {
+	const opDeadline = 100 * time.Millisecond
+	r := newTappedCore(t, NodeTimeouts{Op: opDeadline})
+	code := r.tree.CodeOf(0)
+	warm := r.start(func() error { return r.core.InsertCapEpoch(code, 1, 1, 0) })
+	r.next("the warming frame").fate <- forward
+	if err := <-warm; err != nil {
+		t.Fatal(err)
+	}
+
+	began := time.Now()
+	done := r.start(func() error { return r.core.InsertCapEpoch(code, 2, 1, 0) })
+	r.next("the frame to stall").fate <- stall
+	err := <-done
+	if took := time.Since(began); took < opDeadline || took > 50*opDeadline {
+		t.Errorf("the stalled op returned after %v under a %v deadline", took, opDeadline)
+	}
+	var pe *platform.Error
+	if !errors.As(err, &pe) || pe.Code != platform.CodeUnavailable || !pe.Retryable {
+		t.Fatalf("stalled op: %v, want the typed retryable %s", err, platform.CodeUnavailable)
+	}
+	if isTransport(err) {
+		t.Fatalf("the deadline was classified a transport failure: %v", err)
+	}
+	select {
+	case f := <-r.arrived:
+		t.Fatalf("the stalled op was resent: %s", f.payload)
+	default:
+	}
+	if idle := len(r.conn.ops.idle); idle != 0 {
+		t.Errorf("the stalled stream went back on the idle list (%d idle)", idle)
+	}
+
+	after := r.start(func() error { return r.core.InsertCapEpoch(code, 3, 1, 0) })
+	r.next("the op after the stall").fate <- forward
+	if err := <-after; err != nil {
+		t.Fatalf("the op after the stall: %v", err)
+	}
+	if got := r.tap.upgrades(); got != 2 {
+		t.Errorf("%d streams dialed, want the stalled one and a fresh one", got)
+	}
+	if workers, _ := r.status(); workers != 2 {
+		t.Errorf("node holds %d workers, want the 2 whose frames reached it", workers)
+	}
+}
+
+// TestStreamOutlivesServerTimeouts: the deadlines an http.Server's
+// ReadTimeout and WriteTimeout put on a connection are gone once it is a
+// stream — a frame sent after four timeouts of silence is answered on the
+// same connection.
+func TestStreamOutlivesServerTimeouts(t *testing.T) {
+	tree := buildTree(t, 7)
+	ts := httptest.NewUnstartedServer(NodeHandler(NewNode()))
+	ts.Config.ReadTimeout, ts.Config.WriteTimeout = 50*time.Millisecond, 50*time.Millisecond
+	ts.Start()
+	defer ts.Close()
+	tap, hc := newWiretap(t)
+	conn := DialNodeClient(ts.URL, hc)
+	if err := conn.Init(InitRequest{Tree: tree}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Insert(tree.CodeOf(0), 1, 1, 0, "s-1"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if id, _, found, err := conn.AssignSubtree(tree.CodeOf(0), 0, "s-2"); err != nil || !found || id != 1 {
+		t.Fatalf("the frame after the silence: id %d, found %v, err %v", id, found, err)
+	}
+	if frames, _ := tap.sent(); len(frames) != 2 || tap.upgrades() != 1 {
+		t.Errorf("%d frames on %d streams, want both ops on the one stream", len(frames), tap.upgrades())
+	}
+}
+
+// TestIdleStreamIsReaped: a stream that carries nothing for opsIdleLimit is
+// closed by the node — no http.Server timeout or Close ever would — and its
+// goroutine ends; the coordinator finds out on its next op, whose retry
+// dials afresh, and the caller is told nothing.
+func TestIdleStreamIsReaped(t *testing.T) {
+	defer func(d time.Duration) { opsIdleLimit = d }(opsIdleLimit)
+	opsIdleLimit = 50 * time.Millisecond
+
+	tree := buildTree(t, 7)
+	node := NodeHandler(NewNode())
+	ended := make(chan struct{}, 4) // a stream's handler returned; room for every stream the test dials
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		node.ServeHTTP(w, r)
+		if r.Header.Get("Upgrade") != "" {
+			ended <- struct{}{}
+		}
+	}))
+	defer ts.Close()
+	tap, hc := newWiretap(t)
+	pol, _ := engine.PolicyByName("greedy")
+	core, err := newFanCore([]NodeConn{DialNodeClient(ts.URL, hc)}, tree, 0, pol, "greedy", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.InsertEpoch(tree.CodeOf(0), 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the node kept an idle stream past its limit")
+	}
+	if id, _, ok, err := core.AssignErr(tree.CodeOf(0)); err != nil || !ok || id != 1 {
+		t.Fatalf("the op after the reap: id %d, ok %v, err %v", id, ok, err)
+	}
+	if frames, _ := tap.sent(); len(frames) != 3 || tap.upgrades() != 2 {
+		t.Errorf("%d frames on %d streams, want the insert, the assign that met the reaped stream and its retry on a second",
+			len(frames), tap.upgrades())
+	}
+}
+
+// TestDialRefusalNamesItsCause: a client or a hop that cannot carry a stream
+// fails the routed op as a transport failure that says what to fix.
+func TestDialRefusalNamesItsCause(t *testing.T) {
+	tree := buildTree(t, 7)
+	node := NodeHandler(NewNode())
+	direct := httptest.NewServer(node)
+	defer direct.Close()
+	// What a proxy that drops hop-by-hop headers leaves of the upgrade.
+	stripped := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Upgrade")
+		r.Header.Del("Connection")
+		node.ServeHTTP(w, r)
+	}))
+	defer stripped.Close()
+	for _, tc := range []struct {
+		name string
+		conn NodeConn
+		want string
+	}{
+		{"a client timeout", DialNodeClient(direct.URL, &http.Client{Transport: direct.Client().Transport, Timeout: time.Minute}), "http.Client.Timeout"},
+		{"a hop that drops Upgrade", DialNodeClient(stripped.URL, stripped.Client()), "answered 200 OK"},
+	} {
+		err := tc.conn.Insert(tree.CodeOf(0), 1, 1, 0, "d-1")
+		if err == nil || !isTransport(err) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a transport failure naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRoutedOpAllocs pins what a warm routed op allocates end to end — the
+// coordinator's side and the node's, which the test's one process both is:
+// the idem and code the node keeps of the decoded op, the replay cache's
+// entry, the cache map's growth. A POST per envelope cost 91.
+func TestRoutedOpAllocs(t *testing.T) {
+	tree := buildTree(t, 7)
+	ts := httptest.NewServer(NodeHandler(NewNode()))
+	defer ts.Close()
+	tr := platform.NewTransport()
+	defer tr.CloseIdleConnections()
+	conn := DialNodeClient(ts.URL, &http.Client{Transport: tr})
+	if err := conn.Init(InitRequest{Tree: tree}); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	idems := make([]string, 2*(runs+2)) // AllocsPerRun warms up with one run of its own
+	for i := range idems {
+		idems[i] = fmt.Sprintf("AbCdEf%04d", i)
+	}
+	code, next := tree.CodeOf(3), 0
+	cycle := func() {
+		if err := conn.Insert(code, 12345, 1, 0, idems[next]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, found, err := conn.AssignSubtree(code, 0, idems[next+1]); err != nil || !found {
+			t.Fatal(found, err)
+		}
+		next += 2
+	}
+	cycle() // dials the stream, grows both sides' buffers
+	if perOp := testing.AllocsPerRun(runs, cycle) / 2; perOp > 6 {
+		t.Errorf("a warm routed op allocates %.1f, want ≤ 6", perOp)
+	} else {
+		t.Logf("a warm routed op allocates %.1f", perOp)
+	}
+}
