@@ -184,14 +184,20 @@ func runServeBench(gridCols, workers, tasks, shards, repeat int, clientsCSV stri
 
 	// submitRun splits the task stream across c clients, each driving its
 	// chunk through its own platform.Client against baseURL.
-	submitRun := func(baseURL string, c int) (func() error, error) {
-		cls := make([]*platform.Client, c)
-		for i := range cls {
+	submitRun := func(baseURL string, c int) (run func() error, done func(), err error) {
+		cls := make([]*platform.Client, 0, c)
+		done = func() {
+			for _, cl := range cls {
+				cl.Close()
+			}
+		}
+		for len(cls) < c {
 			cl, err := platform.NewClient(baseURL)
 			if err != nil {
-				return nil, err
+				done()
+				return nil, nil, err
 			}
-			cls[i] = cl
+			cls = append(cls, cl)
 		}
 		return func() error {
 			errc := make(chan error, c)
@@ -221,7 +227,7 @@ func runServeBench(gridCols, workers, tasks, shards, repeat int, clientsCSV stri
 				}
 			}
 			return nil
-		}, nil
+		}, done, nil
 	}
 
 	registerAll := func(srv *platform.Server) error {
@@ -250,12 +256,12 @@ func runServeBench(gridCols, workers, tasks, shards, repeat int, clientsCSV stri
 		if err != nil {
 			return nil, nil, err
 		}
-		run, err := submitRun(baseURL, c)
+		run, done, err := submitRun(baseURL, c)
 		if err != nil {
 			stop()
 			return nil, nil, err
 		}
-		return run, stop, nil
+		return run, func() { done(); stop() }, nil
 	}
 	for _, c := range clientCounts {
 		if err := report("serve-submit", c, serveSetup); err != nil {
@@ -302,11 +308,12 @@ func runServeBench(gridCols, workers, tasks, shards, repeat int, clientsCSV stri
 			return nil, nil, err
 		}
 		stops = append(stops, stop)
-		run, err := submitRun(baseURL, c)
+		run, done, err := submitRun(baseURL, c)
 		if err != nil {
 			teardown()
 			return nil, nil, err
 		}
+		stops = append(stops, done)
 		return run, teardown, nil
 	}
 	for _, c := range clientCounts {

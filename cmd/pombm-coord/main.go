@@ -24,6 +24,7 @@ import (
 
 	"github.com/pombm/pombm/internal/cluster"
 	"github.com/pombm/pombm/internal/geo"
+	"github.com/pombm/pombm/internal/platform"
 )
 
 func main() {
@@ -81,5 +82,7 @@ func main() {
 	// cannot pin it; the idle limit stays above the 90 s an agent's transport
 	// keeps an idle connection, so the client closes first.
 	hs := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
-	log.Fatal(hs.Serve(ln))
+	if err := platform.Serve(hs, ln, srv.CloseStreams); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -77,16 +77,20 @@ func main() {
 	// enlist this process as a cluster backend. The node's engine is
 	// separate from the standalone /v1 server's and is built by the
 	// coordinator's Init.
+	node := cluster.NewNode()
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", platform.Handler(srv))
-	mux.Handle("/v2/", cluster.NodeHandler(cluster.NewNode()))
+	mux.Handle("/v2/", cluster.NodeHandler(node))
 	// A peer that trickles its header or sits on a keep-alive connection
-	// cannot pin it. Neither limit reaches a /v2/node/ops stream: a hijacked
-	// connection is out of the server's hands, and the node reaps an idle one
-	// itself. The idle limit stays above the 90 s a coordinator's transport
-	// keeps an idle connection, so the client closes first.
+	// cannot pin it. Neither limit reaches a /v1/stream or /v2/node/ops
+	// stream: a hijacked connection is out of the server's hands, and each
+	// tier reaps an idle one itself. The idle limit stays above the 90 s a
+	// client's transport keeps an idle connection, so the client closes
+	// first.
 	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
-	log.Fatal(hs.Serve(ln))
+	if err := platform.Serve(hs, ln, srv.CloseStreams, node.CloseStreams); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // runDemo exercises the server with simulated agents over real HTTP.
@@ -98,6 +102,7 @@ func runDemo(addr string, workers int, seed uint64) {
 		log.Printf("demo: %v", err)
 		return
 	}
+	defer client.Close()
 	obf, err := platform.NewObfuscator(client.Publication(), seed+1)
 	if err != nil {
 		log.Printf("demo: %v", err)

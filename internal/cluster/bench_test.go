@@ -11,6 +11,7 @@ import (
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/platform"
+	"github.com/pombm/pombm/internal/wire"
 )
 
 // BenchmarkNodeOp prices one sequential routed op. Adjacent rows subtract to
@@ -84,17 +85,17 @@ func BenchmarkNodeOp(b *testing.B) {
 				return
 			}
 			defer conn.Close()
-			io.WriteString(conn, switchingProtocols)
+			io.WriteString(conn, wire.SwitchingProtocols(opsProtocol))
 			var in, out []byte
 			for {
-				if in, err = readFrame(brw.Reader, in); err != nil {
+				if in, err = wire.ReadFrame(brw.Reader, in, maxFrame); err != nil {
 					return
 				}
 				resp := resps[0]
 				if len(in) == len(reqs[1]) {
 					resp = resps[1]
 				}
-				out = appendFrame(out[:0], func(dst []byte) []byte { return append(dst, resp...) })
+				out = wire.AppendFrame(out[:0], func(dst []byte) []byte { return append(dst, resp...) })
 				if _, err := conn.Write(out); err != nil {
 					return
 				}
@@ -103,21 +104,16 @@ func BenchmarkNodeOp(b *testing.B) {
 		defer ts.Close()
 		tr := platform.NewTransport()
 		defer tr.CloseIdleConnections()
-		// The connection's own dial; from there on bare frames, no watchdog.
+		// The connection's own dial; from there on bare frames.
 		s, err := newHTTPNode(ts.URL, &http.Client{Transport: tr}, NodeTimeouts{}).dialOps(DefaultOpTimeout)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer s.close()
-		var buf []byte
+		defer s.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf = appendFrame(buf[:0], func(dst []byte) []byte { return append(dst, reqs[i%2]...) })
-			if _, err := s.rwc.Write(buf); err != nil {
-				b.Fatal(err)
-			}
-			if buf, err = readFrame(s.br, buf); err != nil {
+			if _, err := s.Exchange(DefaultOpTimeout, maxFrame, func(dst []byte) []byte { return append(dst, reqs[i%2]...) }); err != nil {
 				b.Fatal(err)
 			}
 		}

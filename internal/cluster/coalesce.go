@@ -1,6 +1,10 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
+
+	"github.com/pombm/pombm/internal/wire"
+)
 
 // maxOpsPerEnvelope bounds one flush so a burst cannot build an
 // arbitrarily large request body (and a lost envelope retries a bounded
@@ -22,7 +26,7 @@ type batchedOp struct {
 // property of the HTTP transport and nothing above NodeConn knows of it.
 //
 // A slot is a stream: whoever holds one of the node's slots owns one
-// upgraded /v2/node/ops connection (see opsStream) for one frame out and one
+// upgraded /v2/node/ops connection (see wire.Stream) for one frame out and one
 // back, taken off the idle list with the slot and put back with it. A slot
 // that finds the list empty dials — so streams are dialed lazily, there are
 // never more than slots of them, and a failure that the idle ones share (a
@@ -52,9 +56,9 @@ type batcher struct {
 	slots int
 
 	mu       sync.Mutex
-	pending  []*batchedOp // non-empty only while every slot is taken
-	inflight int          // slots taken
-	idle     []*opsStream // streams no slot holds; len(idle) + inflight ≤ slots
+	pending  []*batchedOp   // non-empty only while every slot is taken
+	inflight int            // slots taken
+	idle     []*wire.Stream // streams no slot holds; len(idle) + inflight ≤ slots
 }
 
 // do ships one op and blocks until its sub-result is back. An
@@ -70,7 +74,7 @@ func (b *batcher) do(op OpRequest) (opResult, error) {
 		return bo.res, bo.err
 	}
 	b.inflight++
-	var s *opsStream
+	var s *wire.Stream
 	if last := len(b.idle) - 1; last >= 0 {
 		s, b.idle = b.idle[last], b.idle[:last]
 	}
@@ -84,7 +88,7 @@ func (b *batcher) do(op OpRequest) (opResult, error) {
 // release gives up the caller's slot and its stream (nil: the exchange cost
 // the slot its stream): to a flusher if ops queued behind it, back to the
 // node otherwise.
-func (b *batcher) release(s *opsStream) {
+func (b *batcher) release(s *wire.Stream) {
 	b.mu.Lock()
 	if len(b.pending) > 0 {
 		b.mu.Unlock()
@@ -96,7 +100,7 @@ func (b *batcher) release(s *opsStream) {
 }
 
 // park returns a slot and its stream. Caller holds mu.
-func (b *batcher) park(s *opsStream) {
+func (b *batcher) park(s *wire.Stream) {
 	b.inflight--
 	if s != nil {
 		b.idle = append(b.idle, s)
@@ -112,13 +116,13 @@ func (b *batcher) dropIdle() {
 	b.idle = nil
 	b.mu.Unlock()
 	for _, s := range idle {
-		s.close()
+		s.Close()
 	}
 }
 
 // flush owns one slot and drains the queue through it, then returns the
 // slot.
-func (b *batcher) flush(s *opsStream) {
+func (b *batcher) flush(s *wire.Stream) {
 	for {
 		b.mu.Lock()
 		batch := b.pending

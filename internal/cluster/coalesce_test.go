@@ -16,6 +16,8 @@ import (
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/platform"
+	"github.com/pombm/pombm/internal/wiretap"
 )
 
 // postRaw POSTs a prebuilt body and returns the status and response bytes.
@@ -322,12 +324,12 @@ type removed struct {
 type slotRig struct {
 	t       *testing.T
 	conn    *httpNode
-	tap     *wiretap
-	arrived <-chan *tappedFrame
+	tap     *wiretap.Tap
+	arrived <-chan *wiretap.Frame
 	slots   int
 	results chan removed
-	parked  []*tappedFrame // the singletons holding the slots
-	remove  func(id int)   // starts a Remove of worker id on its own goroutine
+	parked  []*wiretap.Frame // the singletons holding the slots
+	remove  func(id int)     // starts a Remove of worker id on its own goroutine
 }
 
 func newSlotRig(t *testing.T, queued int) *slotRig {
@@ -338,8 +340,8 @@ func newSlotRig(t *testing.T, queued int) *slotRig {
 	}
 	ts := httptest.NewServer(NodeHandler(node))
 	t.Cleanup(ts.Close)
-	tap, hc := newWiretap(t)
-	r := &slotRig{t: t, tap: tap, arrived: tap.park(), results: make(chan removed, 256)}
+	tap, hc := wiretap.New(t, platform.NewTransport())
+	r := &slotRig{t: t, tap: tap, arrived: tap.Park(), results: make(chan removed, 256)}
 	r.conn = newHTTPNode(ts.URL, hc, NodeTimeouts{})
 	r.slots = r.conn.ops.slots
 	if r.slots != runtime.GOMAXPROCS(0) {
@@ -362,8 +364,8 @@ func newSlotRig(t *testing.T, queued int) *slotRig {
 	}
 	for range r.slots {
 		f := <-r.arrived
-		if f.ops != 1 {
-			t.Fatalf("an op that found a free slot left in a frame of %d", f.ops)
+		if opsIn(f) != 1 {
+			t.Fatalf("an op that found a free slot left in a frame of %d", opsIn(f))
 		}
 		r.parked = append(r.parked, f)
 	}
@@ -384,7 +386,7 @@ func (r *slotRig) quietWire(when string) {
 	r.t.Helper()
 	select {
 	case f := <-r.arrived:
-		r.t.Fatalf("%s, a frame of %d ops is in flight past the %d slots", when, f.ops, r.slots)
+		r.t.Fatalf("%s, a frame of %d ops is in flight past the %d slots", when, opsIn(f), r.slots)
 	default:
 	}
 }
@@ -413,15 +415,15 @@ func TestSlotsBoundEnvelopesInFlight(t *testing.T) {
 	const queued = 5
 	r := newSlotRig(t, queued)
 
-	r.parked[0].fate <- forward // one slot frees …
+	r.parked[0].Fate <- wiretap.Forward // one slot frees …
 	coalesced := <-r.arrived
-	if coalesced.ops != queued { // … and takes the whole queue with it
-		t.Fatalf("the freed slot shipped %d ops, want the %d that queued in one frame", coalesced.ops, queued)
+	if opsIn(coalesced) != queued { // … and takes the whole queue with it
+		t.Fatalf("the freed slot shipped %d ops, want the %d that queued in one frame", opsIn(coalesced), queued)
 	}
 	r.quietWire("with the freed slot re-taken by the queue's frame")
-	coalesced.fate <- forward
+	coalesced.Fate <- wiretap.Forward
 	for _, f := range r.parked[1:] {
-		f.fate <- forward
+		f.Fate <- wiretap.Forward
 	}
 	for range r.slots + queued {
 		if got := <-r.results; got.err != nil || !got.found || got.units != got.id+1 {
@@ -432,7 +434,7 @@ func TestSlotsBoundEnvelopesInFlight(t *testing.T) {
 	r.drained()
 	// The flusher shipped on the stream its slot came with: nothing was
 	// dialed past one stream a slot.
-	if got := r.tap.upgrades(); got != r.slots {
+	if got := r.tap.Upgrades(); got != r.slots {
 		t.Errorf("%d streams dialed for %d slots", got, r.slots)
 	}
 }
@@ -444,14 +446,14 @@ func TestEnvelopeFailureReachesEveryOpAndFreesItsSlot(t *testing.T) {
 	const queued = 4
 	r := newSlotRig(t, queued)
 
-	r.parked[0].fate <- fail // a singleton's failure is its caller's
+	r.parked[0].Fate <- wiretap.Fail // a singleton's failure is its caller's
 	coalesced := <-r.arrived
-	if coalesced.ops != queued {
-		t.Fatalf("the freed slot shipped %d ops, want %d", coalesced.ops, queued)
+	if opsIn(coalesced) != queued {
+		t.Fatalf("the freed slot shipped %d ops, want %d", opsIn(coalesced), queued)
 	}
-	coalesced.fate <- fail
+	coalesced.Fate <- wiretap.Fail
 	for _, f := range r.parked[1:] {
-		f.fate <- forward
+		f.Fate <- wiretap.Forward
 	}
 	failedSingletons := 0
 	for range r.slots + queued {
@@ -476,10 +478,10 @@ func TestEnvelopeFailureReachesEveryOpAndFreesItsSlot(t *testing.T) {
 	next := r.slots + queued
 	r.remove(next)
 	f := <-r.arrived
-	if f.ops != 1 {
-		t.Fatalf("the op after the failures left in a frame of %d", f.ops)
+	if opsIn(f) != 1 {
+		t.Fatalf("the op after the failures left in a frame of %d", opsIn(f))
 	}
-	f.fate <- forward
+	f.Fate <- wiretap.Forward
 	if got := <-r.results; got.err != nil || got.units != next+1 {
 		t.Fatalf("the op after the failures answered units %d, err %v", got.units, got.err)
 	}
@@ -487,8 +489,8 @@ func TestEnvelopeFailureReachesEveryOpAndFreesItsSlot(t *testing.T) {
 }
 
 // tappedNodes stands up n nodes behind one wiretap.
-func tappedNodes(t *testing.T, n int) ([]NodeConn, *wiretap) {
-	tap, hc := newWiretap(t)
+func tappedNodes(t *testing.T, n int) ([]NodeConn, *wiretap.Tap) {
+	tap, hc := wiretap.New(t, platform.NewTransport())
 	nodes := make([]NodeConn, n)
 	for i := range nodes {
 		ts := httptest.NewServer(NodeHandler(NewNode()))
@@ -521,18 +523,18 @@ func TestSequentialCallerShipsSingletons(t *testing.T) {
 	}
 	cycle(n) // the stream and its node-side goroutine exist from here on
 	before := runtime.NumGoroutine()
-	warm, _ := tap.sent()
+	warm, _ := tap.Sent()
 	for i := range n {
 		cycle(i)
 	}
 	// net/http's own goroutines for the dial are gone or going; one the
 	// coalescer or a stream started and kept would stay.
 	waitFor(t, "the goroutine count to settle where it was", func() bool { return runtime.NumGoroutine() <= before })
-	frames, _ := tap.sent()
+	frames, _ := tap.Sent()
 	if _, ops := countByNode(frames[len(warm):]); len(frames)-len(warm) != 2*n || ops != 2*n {
 		t.Errorf("%d sequential ops left as %d frames carrying %d ops, want one each", 2*n, len(frames)-len(warm), ops)
 	}
-	if got := tap.upgrades(); got != 1 {
+	if got := tap.Upgrades(); got != 1 {
 		t.Errorf("a sequential caller dialed %d streams, want the one it uses", got)
 	}
 	if conn.ops.inflight != 0 || len(conn.ops.pending) != 0 || len(conn.ops.idle) != 1 {
@@ -568,15 +570,15 @@ func TestWindowCommitsInFewEnvelopes(t *testing.T) {
 	}
 	// A frame in flight long enough that every consume of the window is
 	// issued before the first answer is back, as on a real network.
-	tap.setDelay(10 * time.Millisecond)
-	loaded, _ := tap.sent()
+	tap.SetDelay(10 * time.Millisecond)
+	loaded, _ := tap.Sent()
 	ids, _ := core.AssignBatch(codes)
 	for i, id := range ids {
 		if id == engine.None {
 			t.Fatalf("task %d unmatched with two workers a leaf", i)
 		}
 	}
-	frames, _ := tap.sent()
+	frames, _ := tap.Sent()
 	byNode, ops := countByNode(frames[len(loaded):])
 	if ops != len(codes) {
 		t.Fatalf("the window committed %d units for %d matches", ops, len(codes))

@@ -10,6 +10,7 @@ import (
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/platform"
+	"github.com/pombm/pombm/internal/wiretap"
 )
 
 // TestNodeConnParity drives one tape of routed operations through the two
@@ -23,7 +24,7 @@ func TestNodeConnParity(t *testing.T) {
 	tree := buildTree(t, 7)
 	ts := httptest.NewServer(NodeHandler(NewNode()))
 	defer ts.Close()
-	tap, hc := newWiretap(t)
+	tap, hc := wiretap.New(t, platform.NewTransport())
 	local, remote := LocalNode(NewNode()), DialNodeClient(ts.URL, hc)
 
 	short := tree.CodeOf(0)[:1]
@@ -99,7 +100,7 @@ func TestNodeConnParity(t *testing.T) {
 		}},
 	}
 	for _, step := range steps {
-		framesBefore, postsBefore := tap.sent()
+		framesBefore, postsBefore := tap.Sent()
 		wantVal, wantErr := step.run(local)
 		gotVal, gotErr := step.run(remote)
 		if gotVal != wantVal {
@@ -128,10 +129,10 @@ func TestNodeConnParity(t *testing.T) {
 		// is exactly one frame of one op — and no HTTP request, but for the
 		// upgrade that opens the stream the first of them meets none of —
 		// and nothing else travels in frames.
-		frames, posts := tap.sent()
+		frames, posts := tap.Sent()
 		frames, posts = frames[len(framesBefore):], posts[len(postsBefore):]
 		if step.routed {
-			if len(frames) != 1 || frames[0].ops != 1 {
+			if len(frames) != 1 || opsIn(frames[0]) != 1 {
 				t.Errorf("%s: sent %d frames, want exactly one of one op", step.name, len(frames))
 			}
 			if len(posts) != 0 && !(len(framesBefore) == 0 && len(posts) == 1 && posts[0] == PathNodeOps) {
@@ -141,7 +142,7 @@ func TestNodeConnParity(t *testing.T) {
 			t.Errorf("%s: sent %d frames and requests %v, want one POST", step.name, len(frames), posts)
 		}
 	}
-	if got := tap.upgrades(); got != 1 {
+	if got := tap.Upgrades(); got != 1 {
 		t.Errorf("the tape dialed %d streams, want 1", got)
 	}
 }

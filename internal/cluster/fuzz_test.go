@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,7 +16,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
+
+	"github.com/pombm/pombm/internal/wire"
+	"github.com/pombm/pombm/internal/wiretap"
 )
 
 // FuzzNodeWire throws arbitrary bytes at the two decoders that make up a
@@ -170,39 +171,6 @@ func FuzzNodeWire(f *testing.F) {
 	})
 }
 
-// scriptedConn is a connection whose peer is a script: reads hand out the
-// script at most chunk bytes at a time (0: all there is) and end in io.EOF,
-// writes are kept. Deadlines mean nothing to it.
-type scriptedConn struct {
-	script *bytes.Reader
-	chunk  int
-	wrote  bytes.Buffer
-}
-
-func (c *scriptedConn) Read(p []byte) (int, error) {
-	if c.chunk > 0 && len(p) > c.chunk {
-		p = p[:c.chunk]
-	}
-	return c.script.Read(p)
-}
-func (c *scriptedConn) Write(p []byte) (int, error)      { return c.wrote.Write(p) }
-func (c *scriptedConn) Close() error                     { return nil }
-func (c *scriptedConn) LocalAddr() net.Addr              { return nil }
-func (c *scriptedConn) RemoteAddr() net.Addr             { return nil }
-func (c *scriptedConn) SetDeadline(time.Time) error      { return nil }
-func (c *scriptedConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
-
-// hijackable is a ResponseWriter whose connection is a scriptedConn.
-type hijackable struct {
-	http.ResponseWriter
-	conn *scriptedConn
-}
-
-func (h hijackable) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	return h.conn, bufio.NewReadWriter(bufio.NewReader(h.conn), bufio.NewWriter(h.conn)), nil
-}
-
 // FuzzOpsStream sends arbitrary bytes after the 101, in reads of arbitrary
 // size. The node must not panic; must not allocate past what the frame cap
 // and its input allow; must answer exactly the frames that arrived whole
@@ -216,18 +184,18 @@ func FuzzOpsStream(f *testing.F) {
 		return `"` + base64.StdEncoding.EncodeToString([]byte(tree.CodeOf(i))) + `"`
 	}
 	frame := func(envelope string) []byte {
-		return appendFrame(nil, func(dst []byte) []byte { return append(dst, envelope...) })
+		return wire.AppendFrame(nil, func(dst []byte) []byte { return append(dst, envelope...) })
 	}
 	insert := frame(`{"ops":[{"kind":"insert","idem":"s-1","code":` + code(0) + `,"id":5,"capacity":2}]}` + "\n")
 	mixed := frame(`{"ops":[{"kind":"assign-subtree","idem":"s-2","code":` + code(0) + `},` +
 		`{"kind":"remove","idem":"s-3","code":` + code(1) + `,"id":101},{"kind":"consume","code":` + code(0) + `,"id":9,"epoch":7}]}`)
 	for _, seed := range []struct {
-		wire  []byte
-		chunk uint16
+		stream []byte
+		chunk  uint16
 	}{
 		{frame(""), 0},                                                          // a zero-length frame
 		{[]byte{0, 0x10, 0, 1, '{', '}'}, 0},                                    // length = cap + 1
-		{insert[:frameHeader-1], 0},                                             // a header cut short
+		{insert[:wire.FrameHeader-1], 0},                                        // a header cut short
 		{insert[:len(insert)-5], 0},                                             // a payload cut short
 		{slices.Concat(insert, mixed), 0},                                       // two frames in one write
 		{insert, uint16(len(insert)/3 + 1)},                                     // one frame split across three writes
@@ -235,10 +203,10 @@ func FuzzOpsStream(f *testing.F) {
 		{slices.Concat(insert, insert, mixed, frame(`{"ops":null}`), mixed), 7}, // replays, a refused envelope
 		{slices.Concat(mixed, []byte{0xff, 0xff, 0xff, 0xff}, insert), 1},
 	} {
-		f.Add(seed.wire, seed.chunk)
+		f.Add(seed.stream, seed.chunk)
 	}
 
-	f.Fuzz(func(t *testing.T, wire []byte, chunk uint16) {
+	f.Fuzz(func(t *testing.T, stream []byte, chunk uint16) {
 		newNode := func() (*Node, http.Handler) {
 			node := NewNode()
 			if err := node.Init(InitRequest{Tree: tree, Policy: "capacity-greedy"}); err != nil {
@@ -258,40 +226,40 @@ func FuzzOpsStream(f *testing.F) {
 		node, handler := newNode()
 		twin, twinHandler := newNode()
 
-		conn := &scriptedConn{script: bytes.NewReader(wire), chunk: int(chunk)}
+		conn := &wiretap.ScriptedConn{Script: bytes.NewReader(stream), Chunk: int(chunk)}
 		upgrade := httptest.NewRequest(http.MethodPost, PathNodeOps, nil)
 		upgrade.Header.Set("Connection", "Upgrade")
 		upgrade.Header.Set("Upgrade", opsProtocol)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		handler.ServeHTTP(hijackable{httptest.NewRecorder(), conn}, upgrade)
+		handler.ServeHTTP(wiretap.Hijackable{ResponseWriter: httptest.NewRecorder(), Conn: conn}, upgrade)
 		runtime.ReadMemStats(&after)
 		// One frame's buffer and its growth, and what decoding and answering
 		// the input's own ops costs.
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*maxFrame+64*len(wire)+1<<16); grew > limit {
-			t.Fatalf("%d bytes of input made the node allocate %d, limit %d", len(wire), grew, limit)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*maxFrame+64*len(stream)+1<<16); grew > limit {
+			t.Fatalf("%d bytes of input made the node allocate %d, limit %d", len(stream), grew, limit)
 		}
 
-		answers, ok := bytes.CutPrefix(conn.wrote.Bytes(), []byte(switchingProtocols))
+		answers, ok := bytes.CutPrefix(conn.Wrote.Bytes(), []byte(wire.SwitchingProtocols(opsProtocol)))
 		if !ok {
-			t.Fatalf("the node's answer does not open with the 101: %q", conn.wrote.Bytes())
+			t.Fatalf("the node's answer does not open with the 101: %q", conn.Wrote.Bytes())
 		}
 		got := bufio.NewReader(bytes.NewReader(answers))
-		for rest := wire; len(rest) >= frameHeader; {
+		for rest := stream; len(rest) >= wire.FrameHeader; {
 			size := int(binary.BigEndian.Uint32(rest))
-			if size > maxFrame || len(rest) < frameHeader+size {
+			if size > maxFrame || len(rest) < wire.FrameHeader+size {
 				break // the stream ends at the first frame that is too long or cut short
 			}
-			envelope := rest[frameHeader : frameHeader+size]
-			rest = rest[frameHeader+size:]
+			envelope := rest[wire.FrameHeader : wire.FrameHeader+size]
+			rest = rest[wire.FrameHeader+size:]
 			posted := httptest.NewRecorder()
 			twinHandler.ServeHTTP(posted, httptest.NewRequest(http.MethodPost, PathNodeOps, bytes.NewReader(envelope)))
-			answer, err := readFrame(got, nil)
+			answer, err := wire.ReadFrame(got, nil, maxFrame)
 			if err != nil || !bytes.Equal(answer, posted.Body.Bytes()) {
 				t.Fatalf("envelope %q answered over a frame (err %v):\n%s\nPOSTed to the twin:\n%s", envelope, err, answer, posted.Body.Bytes())
 			}
 		}
-		if extra, err := readFrame(got, nil); err != io.EOF {
+		if extra, err := wire.ReadFrame(got, nil, maxFrame); err != io.EOF {
 			t.Fatalf("the node answered a frame that never arrived whole: %q (err %v)", extra, err)
 		}
 		if a, b := state(node), state(twin); a != b {

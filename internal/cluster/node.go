@@ -61,6 +61,8 @@ type Node struct {
 	mu     sync.Mutex
 	eng    *engine.Engine
 	staged *engine.PreparedSwap
+	// streams holds the /v2/node/ops connections being answered on.
+	streams wire.Streams
 }
 
 // NewNode returns an uninitialised node; the coordinator's Init call (or a
@@ -338,7 +340,7 @@ func readPost(w http.ResponseWriter, r *http.Request, path string) *wire.Buf {
 		return nil
 	}
 	cb := wire.Get()
-	if err := cb.ReadAll(r.Body, 64<<20); err != nil {
+	if err := cb.ReadRequest(w, r, 64<<20); err != nil {
 		wire.Put(cb)
 		writeNodeJSON(w, http.StatusBadRequest, &platform.Error{
 			Code: platform.CodeBadRequest, Message: "cluster: read body: " + err.Error(),
@@ -819,16 +821,18 @@ func newHTTPNode(baseURL string, hc *http.Client, to NodeTimeouts) *httpNode {
 		PathNodeInit, PathNodeStatus, PathNodeOps, PathNodeMinID, PathNodePopMin,
 		PathNodeMine, PathNodePrepare, PathNodeCommit, PathNodeAbort,
 	} {
-		req, err := http.NewRequest(http.MethodPost, baseURL+path, nil)
+		var (
+			req *http.Request
+			err error
+		)
+		if path == PathNodeOps {
+			req, err = wire.UpgradeRequest(http.MethodPost, baseURL+path, opsProtocol)
+		} else if req, err = http.NewRequest(http.MethodPost, baseURL+path, nil); err == nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
 		if err != nil {
 			h.dialErr = fmt.Errorf("cluster: node address %q: %w", baseURL, err)
 			break
-		}
-		if path == PathNodeOps {
-			req.Header.Set("Connection", "Upgrade")
-			req.Header.Set("Upgrade", opsProtocol)
-		} else {
-			req.Header.Set("Content-Type", "application/json")
 		}
 		h.reqs[path] = req
 	}
@@ -1117,7 +1121,7 @@ func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMin
 // failure the node's idle streams with it, so callNode's retry dials afresh
 // and the replay cache answers whatever did land; there is no other way to
 // ship a routed op to fall back to.
-func (h *httpNode) sendOps(s *opsStream, batch []*batchedOp) (*opsStream, error) {
+func (h *httpNode) sendOps(s *wire.Stream, batch []*batchedOp) (*wire.Stream, error) {
 	d := h.timeouts.op()
 	if s == nil {
 		var err error
@@ -1126,14 +1130,14 @@ func (h *httpNode) sendOps(s *opsStream, batch []*batchedOp) (*opsStream, error)
 		}
 	}
 	var refusal *platform.Error
-	answer, err := s.exchange(d, func(dst []byte) []byte { return appendOpsRequest(dst, batch) })
-	if err == nil {
-		if refusal, err = scanOpsResponse(answer, batch); err != nil {
-			err = fmt.Errorf("%w: decode %s: %v", errTransport, PathNodeOps, err)
-		}
+	answer, err := s.Exchange(d, maxFrame, func(dst []byte) []byte { return appendOpsRequest(dst, batch) })
+	if err != nil {
+		err = streamErr(PathNodeOps+" stream", d, err)
+	} else if refusal, err = scanOpsResponse(answer, batch); err != nil {
+		err = fmt.Errorf("%w: decode %s: %v", errTransport, PathNodeOps, err)
 	}
 	if err != nil {
-		s.close()
+		s.Close()
 		if isTransport(err) {
 			h.ops.dropIdle()
 		}

@@ -29,8 +29,8 @@
 // /v2/node/ops answers two framings of one executor (answerOps). The one a
 // coordinator uses is a stream: POST /v2/node/ops with "Connection: Upgrade"
 // and "Upgrade: pombm-ops/1" is answered 101 Switching Protocols, and from
-// then on the connection carries frames in both directions (stream.go owns
-// both ends) —
+// then on the connection carries frames in both directions (internal/wire
+// owns the framing and both ends, shared with the agents' /v1/stream) —
 //
 //	frame     length envelope      length: 4 bytes, big-endian, the envelope's size
 //

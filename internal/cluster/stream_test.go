@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,57 +13,26 @@ import (
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
+	"github.com/pombm/pombm/internal/wiretap"
 )
-
-// TestFrameRoundTrip pins the framing itself: what appendFrame writes,
-// readFrame reads back, frame after frame off one reader; a stream that ends
-// between frames is io.EOF, inside one io.ErrUnexpectedEOF; and a frame past
-// the cap is refused on its header alone.
-func TestFrameRoundTrip(t *testing.T) {
-	payloads := [][]byte{[]byte(`{"ops":[]}` + "\n"), {}, bytes.Repeat([]byte("x"), 10000)}
-	var wire []byte
-	for _, p := range payloads {
-		wire = appendFrame(wire, func(dst []byte) []byte { return append(dst, p...) })
-	}
-	r := bufio.NewReader(bytes.NewReader(wire))
-	var got []byte
-	for i, want := range payloads {
-		var err error
-		if got, err = readFrame(r, got); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: read %d bytes, err %v; want the %d written", i, len(got), err, len(want))
-		}
-	}
-	if _, err := readFrame(r, got); err != io.EOF {
-		t.Fatalf("after the last frame: %v, want io.EOF", err)
-	}
-	for _, cut := range []int{1, frameHeader - 1, frameHeader, frameHeader + 3} {
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(wire[:cut])), nil); err != io.ErrUnexpectedEOF {
-			t.Errorf("a stream cut %d bytes into a frame: %v, want io.ErrUnexpectedEOF", cut, err)
-		}
-	}
-	over := []byte{0, 0x10, 0, 1} // maxFrame + 1, and not a byte of it behind
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(over)), nil); err == nil || err == io.ErrUnexpectedEOF {
-		t.Errorf("a frame of maxFrame + 1: %v, want the cap's refusal before any of it is read", err)
-	}
-}
 
 // tappedCore is a coordinator core over one node behind a parking wiretap:
 // the rig of the torn-stream tests, which decide the fate of every frame.
 type tappedCore struct {
 	t       *testing.T
 	tree    *hst.Tree
-	srv     *mortalServer
+	srv     *wiretap.MortalServer
 	conn    *httpNode
 	core    *fanCore
-	tap     *wiretap
-	arrived <-chan *tappedFrame
+	tap     *wiretap.Tap
+	arrived <-chan *wiretap.Frame
 }
 
 func newTappedCore(t *testing.T, to NodeTimeouts) *tappedCore {
 	r := &tappedCore{t: t, tree: buildTree(t, 7)}
-	r.srv = newMortalServer(t, NodeHandler(NewNode()))
+	r.srv = wiretap.NewMortalServer(t, NodeHandler(NewNode()))
 	var hc *http.Client
-	r.tap, hc = newWiretap(t)
+	r.tap, hc = wiretap.New(t, platform.NewTransport())
 	r.conn = newHTTPNode(r.srv.URL, hc, to)
 	pol, err := engine.PolicyByName("capacity-greedy")
 	if err != nil {
@@ -74,7 +41,7 @@ func newTappedCore(t *testing.T, to NodeTimeouts) *tappedCore {
 	if r.core, err = newFanCore([]NodeConn{r.conn}, r.tree, 0, pol, "capacity-greedy", 1); err != nil {
 		t.Fatal(err)
 	}
-	r.arrived = r.tap.park()
+	r.arrived = r.tap.Park()
 	return r
 }
 
@@ -87,7 +54,7 @@ func (r *tappedCore) start(op func() error) <-chan error {
 }
 
 // next returns the next frame to leave, failing the test if none does.
-func (r *tappedCore) next(what string) *tappedFrame {
+func (r *tappedCore) next(what string) *wiretap.Frame {
 	r.t.Helper()
 	select {
 	case f := <-r.arrived:
@@ -150,16 +117,16 @@ func TestTornStreamAppliesOnce(t *testing.T) {
 			return r.core.callNode(0, true, func(n NodeConn) error { return step.run(n, idem) })
 		})
 		torn := r.next(step.kind + "'s frame")
-		torn.fate <- cut
+		torn.Fate <- wiretap.Cut
 		again := r.next(step.kind + "'s retry")
-		again.fate <- forward
+		again.Fate <- wiretap.Forward
 		if err := <-done; err != nil {
 			t.Fatalf("%s over a torn stream: %v", step.kind, err)
 		}
-		if !bytes.Contains(torn.payload, []byte(`"kind":"`+step.kind+`"`)) || !bytes.Equal(torn.payload, again.payload) {
-			t.Errorf("%s: the retry sent\n%s\nafter\n%s", step.kind, again.payload, torn.payload)
+		if !bytes.Contains(torn.Payload, []byte(`"kind":"`+step.kind+`"`)) || !bytes.Equal(torn.Payload, again.Payload) {
+			t.Errorf("%s: the retry sent\n%s\nafter\n%s", step.kind, again.Payload, torn.Payload)
 		}
-		swallowed, replayed := r.tap.answerOf(torn), r.tap.answerOf(again)
+		swallowed, replayed := r.tap.AnswerOf(torn), r.tap.AnswerOf(again)
 		if !bytes.Contains(swallowed, []byte(`"ok":true`)) || !bytes.Equal(swallowed, replayed) {
 			t.Errorf("%s: the retry was answered\n%s\nwant the bytes the cut swallowed:\n%s", step.kind, replayed, swallowed)
 		}
@@ -168,7 +135,7 @@ func TestTornStreamAppliesOnce(t *testing.T) {
 				step.kind, workers, units, step.workers, step.units)
 		}
 		// The first op dialed the first stream; every cut cost one more.
-		if got := r.tap.upgrades(); got != i+2 {
+		if got := r.tap.Upgrades(); got != i+2 {
 			t.Errorf("after %s: %d streams dialed, want %d", step.kind, got, i+2)
 		}
 	}
@@ -189,30 +156,30 @@ func TestRestartedNodeCostsOneRetry(t *testing.T) {
 	for id := range slots {
 		dones = append(dones, r.start(insert(id)))
 	}
-	var held []*tappedFrame
+	var held []*wiretap.Frame
 	for range slots {
 		held = append(held, r.next("a frame a slot"))
 	}
 	for _, f := range held {
-		f.fate <- forward
+		f.Fate <- wiretap.Forward
 	}
 	for _, done := range dones {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}
-	if idle := len(r.conn.ops.idle); idle != slots || r.tap.upgrades() != slots {
-		t.Fatalf("%d idle streams of %d dialed, want %d", idle, r.tap.upgrades(), slots)
+	if idle := len(r.conn.ops.idle); idle != slots || r.tap.Upgrades() != slots {
+		t.Fatalf("%d idle streams of %d dialed, want %d", idle, r.tap.Upgrades(), slots)
 	}
 
-	r.srv.killConns()
+	r.srv.KillConns()
 	done := r.start(insert(slots))
-	r.next("the frame that meets a dead stream").fate <- forward
-	r.next("its retry").fate <- forward
+	r.next("the frame that meets a dead stream").Fate <- wiretap.Forward
+	r.next("its retry").Fate <- wiretap.Forward
 	if err := <-done; err != nil {
 		t.Fatalf("the op after the restart: %v", err)
 	}
-	if got := r.tap.upgrades(); got != slots+1 {
+	if got := r.tap.Upgrades(); got != slots+1 {
 		t.Errorf("%d streams dialed, want the %d that died and one for the retry", got, slots)
 	}
 	if idle := len(r.conn.ops.idle); idle != 1 {
@@ -232,14 +199,14 @@ func TestStalledStreamIsTheTypedDeadline(t *testing.T) {
 	r := newTappedCore(t, NodeTimeouts{Op: opDeadline})
 	code := r.tree.CodeOf(0)
 	warm := r.start(func() error { return r.core.InsertCapEpoch(code, 1, 1, 0) })
-	r.next("the warming frame").fate <- forward
+	r.next("the warming frame").Fate <- wiretap.Forward
 	if err := <-warm; err != nil {
 		t.Fatal(err)
 	}
 
 	began := time.Now()
 	done := r.start(func() error { return r.core.InsertCapEpoch(code, 2, 1, 0) })
-	r.next("the frame to stall").fate <- stall
+	r.next("the frame to stall").Fate <- wiretap.Stall
 	err := <-done
 	if took := time.Since(began); took < opDeadline || took > 50*opDeadline {
 		t.Errorf("the stalled op returned after %v under a %v deadline", took, opDeadline)
@@ -253,7 +220,7 @@ func TestStalledStreamIsTheTypedDeadline(t *testing.T) {
 	}
 	select {
 	case f := <-r.arrived:
-		t.Fatalf("the stalled op was resent: %s", f.payload)
+		t.Fatalf("the stalled op was resent: %s", f.Payload)
 	default:
 	}
 	if idle := len(r.conn.ops.idle); idle != 0 {
@@ -261,11 +228,11 @@ func TestStalledStreamIsTheTypedDeadline(t *testing.T) {
 	}
 
 	after := r.start(func() error { return r.core.InsertCapEpoch(code, 3, 1, 0) })
-	r.next("the op after the stall").fate <- forward
+	r.next("the op after the stall").Fate <- wiretap.Forward
 	if err := <-after; err != nil {
 		t.Fatalf("the op after the stall: %v", err)
 	}
-	if got := r.tap.upgrades(); got != 2 {
+	if got := r.tap.Upgrades(); got != 2 {
 		t.Errorf("%d streams dialed, want the stalled one and a fresh one", got)
 	}
 	if workers, _ := r.status(); workers != 2 {
@@ -283,7 +250,7 @@ func TestStreamOutlivesServerTimeouts(t *testing.T) {
 	ts.Config.ReadTimeout, ts.Config.WriteTimeout = 50*time.Millisecond, 50*time.Millisecond
 	ts.Start()
 	defer ts.Close()
-	tap, hc := newWiretap(t)
+	tap, hc := wiretap.New(t, platform.NewTransport())
 	conn := DialNodeClient(ts.URL, hc)
 	if err := conn.Init(InitRequest{Tree: tree}); err != nil {
 		t.Fatal(err)
@@ -295,8 +262,8 @@ func TestStreamOutlivesServerTimeouts(t *testing.T) {
 	if id, _, found, err := conn.AssignSubtree(tree.CodeOf(0), 0, "s-2"); err != nil || !found || id != 1 {
 		t.Fatalf("the frame after the silence: id %d, found %v, err %v", id, found, err)
 	}
-	if frames, _ := tap.sent(); len(frames) != 2 || tap.upgrades() != 1 {
-		t.Errorf("%d frames on %d streams, want both ops on the one stream", len(frames), tap.upgrades())
+	if frames, _ := tap.Sent(); len(frames) != 2 || tap.Upgrades() != 1 {
+		t.Errorf("%d frames on %d streams, want both ops on the one stream", len(frames), tap.Upgrades())
 	}
 }
 
@@ -318,7 +285,7 @@ func TestIdleStreamIsReaped(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	tap, hc := newWiretap(t)
+	tap, hc := wiretap.New(t, platform.NewTransport())
 	pol, _ := engine.PolicyByName("greedy")
 	core, err := newFanCore([]NodeConn{DialNodeClient(ts.URL, hc)}, tree, 0, pol, "greedy", 1)
 	if err != nil {
@@ -335,9 +302,9 @@ func TestIdleStreamIsReaped(t *testing.T) {
 	if id, _, ok, err := core.AssignErr(tree.CodeOf(0)); err != nil || !ok || id != 1 {
 		t.Fatalf("the op after the reap: id %d, ok %v, err %v", id, ok, err)
 	}
-	if frames, _ := tap.sent(); len(frames) != 3 || tap.upgrades() != 2 {
+	if frames, _ := tap.Sent(); len(frames) != 3 || tap.Upgrades() != 2 {
 		t.Errorf("%d frames on %d streams, want the insert, the assign that met the reaped stream and its retry on a second",
-			len(frames), tap.upgrades())
+			len(frames), tap.Upgrades())
 	}
 }
 

@@ -2,12 +2,14 @@ package platform
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"mime"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/obs"
 	"github.com/pombm/pombm/internal/wire"
 )
 
@@ -34,6 +37,7 @@ const (
 	PathWithdraw      = "/v1/withdraw"
 	PathTask          = "/v1/task"
 	PathTaskBatch     = "/v1/tasks"
+	PathStream        = "/v1/stream"
 	PathStats         = "/v1/stats"
 	PathRotatePrepare = "/v1/rotate/prepare"
 	PathRotate        = "/v1/rotate"
@@ -59,67 +63,17 @@ func Handler(s *Server) http.Handler {
 			Epoch:   pub.Epoch,
 		})
 	})
-	mux.HandleFunc(PathRegister, func(w http.ResponseWriter, r *http.Request) {
-		var req RegisterRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, s.Register(req))
-	})
-	mux.HandleFunc(PathReregister, func(w http.ResponseWriter, r *http.Request) {
-		var req ReregisterRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, s.Reregister(req))
-	})
-	mux.HandleFunc(PathRelease, func(w http.ResponseWriter, r *http.Request) {
-		var req ReleaseRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, s.Release(req))
-	})
-	mux.HandleFunc(PathWithdraw, func(w http.ResponseWriter, r *http.Request) {
-		var req WithdrawRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, s.Withdraw(req))
-	})
-	mux.HandleFunc(PathTask, func(w http.ResponseWriter, r *http.Request) {
-		var req TaskRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, s.Submit(req))
-	})
-	mux.HandleFunc(PathTaskBatch, func(w http.ResponseWriter, r *http.Request) {
-		var req TaskBatchRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, s.SubmitBatch(req))
-	})
-	mux.HandleFunc(PathRotatePrepare, func(w http.ResponseWriter, r *http.Request) {
-		var req PrepareRotateRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, s.PrepareRotate(req))
-	})
-	mux.HandleFunc(PathRotate, func(w http.ResponseWriter, r *http.Request) {
-		var req RotateRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		writeJSON(w, s.Rotate(req))
-	})
+	for k := KindRegister; k < numKinds; k++ {
+		mux.HandleFunc(kindPaths[k], postHandler(s, k))
+	}
+	mux.HandleFunc(PathStream, streamHandler(s))
 	mux.HandleFunc(PathStats, func(w http.ResponseWriter, r *http.Request) {
 		if !requireGet(w, r) {
 			return
 		}
-		writeJSON(w, s.Stats())
+		st := s.Stats()
+		st.Agent = s.AgentSnapshot().stats()
+		writeJSON(w, st)
 	})
 	return mux
 }
@@ -139,15 +93,68 @@ type wirePublication struct {
 }
 
 // Client is an HTTP Backend: agents on other machines talk to the server
-// through it. It is safe for concurrent use: the cached publication is
-// re-fetched by Rotate, so reads and that refresh synchronise on a lock.
+// through it. The six agent calls — Register, Reregister, Release, Withdraw,
+// Submit, SubmitBatch — travel as frames on upgraded /v1/stream connections
+// the Client owns (protocol.go has the contract): a call takes a parked
+// stream or dials one through HTTP, does one frame out and one back on its
+// caller's goroutine, and parks the stream again. Publication, Stats and the
+// two rotation calls are plain requests on HTTP's keep-alive pool.
+//
+// A stream is dialed when a call finds none parked, so a Client holds as
+// many as it has had calls in flight at once, at most maxParkedStreams of
+// them parked. One parked longer than parkLimit is closed, not used: the
+// server reaps a silent stream soon after, and a call must never be written
+// into a reaped one. A call whose exchange fails — the server went away, the
+// stream was cut — closes that stream and every parked one and answers the
+// typed retryable unavailable, exactly as a POST whose connection died
+// does. It is never sent again: /v1 calls carry no idempotency key, and the
+// server may have applied it. Retrying is the caller's decision.
+//
+// A Client whose upgrade request is answered with anything but a 101 it can
+// write to — a proxy on the way dropped the hop-by-hop Upgrade header, HTTP
+// has a Timeout (which wraps every response body), the server predates
+// /v1/stream — makes every call a POST from then on: the POST endpoints
+// answer the same bytes, and are the only path that works there.
+//
+// Set BaseURL and HTTP before the first call; the zero value of everything
+// else is ready. A Client is safe for concurrent use. Close it when done
+// with it, or its parked streams stay open until the server reaps them.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
 
+	// The cached publication is re-fetched by Rotate, so reads and that
+	// refresh synchronise on a lock.
 	pubMu sync.RWMutex
 	pub   *Publication
+
+	mu      sync.Mutex
+	upgrade *http.Request // the /v1/stream upgrade, built by the first call
+	onPOST  bool          // the upgrade was refused: POST from now on
+	parked  []parkedStream
+	// exchange times the framed calls by kind, write → read; allocated with
+	// the first stream.
+	exchange *[numKinds]obs.Hist
 }
+
+// parkedStream is a stream no call holds, and since when.
+type parkedStream struct {
+	s  *wire.Stream
+	at time.Time
+}
+
+const (
+	// maxParkedStreams is NewTransport's MaxIdleConnsPerHost: what a Client
+	// kept idle per server when every call was a POST.
+	maxParkedStreams = 64
+	// parkLimit stays strictly under the server's streamIdleLimit, so a
+	// quiet agent never writes into a stream the server has reaped.
+	parkLimit = 60 * time.Second
+	// exchangeLimit bounds a dial and a framed call. It is longer than the
+	// two 30 s attempts a coordinator gives an unreachable node before it
+	// answers unavailable itself.
+	exchangeLimit = 2 * time.Minute
+)
 
 // NewTransport returns an http.Transport tuned for the serving path:
 // keep-alives on, enough idle connections per host that a fan-in of
@@ -210,6 +217,32 @@ func (c *Client) Publication() Publication {
 	return *c.pub
 }
 
+// Close closes the streams the Client has parked. A call made afterwards
+// dials again.
+func (c *Client) Close() {
+	c.mu.Lock()
+	parked := c.parked
+	c.parked = nil
+	c.mu.Unlock()
+	for _, p := range parked {
+		p.s.Close()
+	}
+}
+
+// ExchangeSnapshot returns how long this Client's framed calls of one kind
+// took, from the frame's write to the answer's last byte. Beside the
+// server's frame service time for the kind (Server.AgentSnapshot) the
+// difference is the transport.
+func (c *Client) ExchangeSnapshot(k Kind) obs.Snapshot {
+	c.mu.Lock()
+	hists := c.exchange
+	c.mu.Unlock()
+	if hists == nil || k >= numKinds {
+		return obs.Snapshot{}
+	}
+	return hists[k].Snapshot()
+}
+
 // clientError folds a transport or server failure into the structured
 // taxonomy: a decoded wire *Error passes through typed, anything else
 // (connection refused, timeout, undecodable body) becomes unavailable.
@@ -224,7 +257,7 @@ func clientError(err error) *Error {
 // Register implements Backend over HTTP.
 func (c *Client) Register(req RegisterRequest) RegisterResponse {
 	var resp RegisterResponse
-	if err := c.post(PathRegister, req, &resp); err != nil {
+	if err := c.call(KindRegister, req, &resp); err != nil {
 		e := clientError(err)
 		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -234,7 +267,7 @@ func (c *Client) Register(req RegisterRequest) RegisterResponse {
 // Reregister updates a worker's reported leaf over HTTP.
 func (c *Client) Reregister(req ReregisterRequest) RegisterResponse {
 	var resp RegisterResponse
-	if err := c.post(PathReregister, req, &resp); err != nil {
+	if err := c.call(KindReregister, req, &resp); err != nil {
 		e := clientError(err)
 		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -244,7 +277,7 @@ func (c *Client) Reregister(req ReregisterRequest) RegisterResponse {
 // Release returns an assigned worker to the pool over HTTP.
 func (c *Client) Release(req ReleaseRequest) RegisterResponse {
 	var resp RegisterResponse
-	if err := c.post(PathRelease, req, &resp); err != nil {
+	if err := c.call(KindRelease, req, &resp); err != nil {
 		e := clientError(err)
 		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -254,7 +287,7 @@ func (c *Client) Release(req ReleaseRequest) RegisterResponse {
 // Withdraw takes a worker offline over HTTP.
 func (c *Client) Withdraw(req WithdrawRequest) RegisterResponse {
 	var resp RegisterResponse
-	if err := c.post(PathWithdraw, req, &resp); err != nil {
+	if err := c.call(KindWithdraw, req, &resp); err != nil {
 		e := clientError(err)
 		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -264,7 +297,7 @@ func (c *Client) Withdraw(req WithdrawRequest) RegisterResponse {
 // Submit implements Backend over HTTP.
 func (c *Client) Submit(req TaskRequest) TaskResponse {
 	var resp TaskResponse
-	if err := c.post(PathTask, req, &resp); err != nil {
+	if err := c.call(KindTask, req, &resp); err != nil {
 		e := clientError(err)
 		return TaskResponse{Assigned: false, Reason: e.Message, Err: e}
 	}
@@ -274,7 +307,7 @@ func (c *Client) Submit(req TaskRequest) TaskResponse {
 // SubmitBatch submits a task batch over HTTP.
 func (c *Client) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 	var resp TaskBatchResponse
-	if err := c.post(PathTaskBatch, req, &resp); err != nil {
+	if err := c.call(KindTasks, req, &resp); err != nil {
 		e := clientError(err)
 		out := TaskBatchResponse{Results: make([]TaskResponse, len(req.Tasks))}
 		for i := range out.Results {
@@ -290,7 +323,7 @@ func (c *Client) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 // would protect the rotation endpoints behind its admin plane.
 func (c *Client) PrepareRotate(req PrepareRotateRequest) PrepareRotateResponse {
 	var resp PrepareRotateResponse
-	if err := c.post(PathRotatePrepare, req, &resp); err != nil {
+	if err := c.call(kindRotatePrepare, req, &resp); err != nil {
 		e := clientError(err)
 		return PrepareRotateResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -305,7 +338,7 @@ func (c *Client) PrepareRotate(req PrepareRotateRequest) PrepareRotateResponse {
 // agents, or they will be refused as stale.
 func (c *Client) Rotate(req RotateRequest) RotateResponse {
 	var resp RotateResponse
-	if err := c.post(PathRotate, req, &resp); err != nil {
+	if err := c.call(kindRotate, req, &resp); err != nil {
 		e := clientError(err)
 		return RotateResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -344,18 +377,127 @@ func (c *Client) get(path string, out any) error {
 	return decodeResponse(path, resp, out)
 }
 
-func (c *Client) post(path string, in, out any) error {
+// call makes one call of kind k: as a frame on a stream when k is an agent
+// call and this Client has streams, as a POST otherwise. Either way in is
+// encoded once and sent once.
+func (c *Client) call(k Kind, in, out any) error {
+	path := kindPaths[k]
 	cb := wire.Get()
 	defer wire.Put(cb)
 	if err := cb.Encode(in); err != nil {
 		return fmt.Errorf("platform: encode %s: %w", path, err)
 	}
+	var s *wire.Stream
+	if k <= KindTasks {
+		var err error
+		if s, err = c.stream(); err != nil {
+			return fmt.Errorf("platform: dial %s for %s: %w", PathStream, path, err)
+		}
+	}
+	if s == nil {
+		return c.post(path, cb, out)
+	}
+	began := time.Now()
+	answer, err := s.Exchange(exchangeLimit, maxResponseBytes, func(dst []byte) []byte {
+		return append(append(dst, byte(k)), cb.Bytes()...)
+	})
+	if err == nil && len(answer) < answerHeader {
+		err = fmt.Errorf("an answer of %d bytes", len(answer))
+	}
+	if err != nil {
+		// The stream is dead, and whatever killed it — a restarted server, a
+		// reaped connection — the parked ones share: the next call dials
+		// rather than meet it again on each of them in turn.
+		s.Close()
+		c.Close()
+		return fmt.Errorf("platform: %s on a stream: %w; the call may have been applied and is not sent again", path, err)
+	}
+	ended := time.Now()
+	c.exchange[k].Record(int64(ended.Sub(began)))
+	// The answer lives in the stream's buffer: decoded before the stream is
+	// anyone else's.
+	err = decodeAnswer(path, int(binary.BigEndian.Uint16(answer)), answer[answerHeader:], cb, out)
+	c.park(s, ended)
+	return err
+}
+
+// stream returns the stream the next call goes out on — the most recently
+// parked, else a new one — or nil when this Client calls by POST.
+func (c *Client) stream() (*wire.Stream, error) {
+	now := time.Now()
+	c.mu.Lock()
+	if c.onPOST {
+		c.mu.Unlock()
+		return nil, nil
+	}
+	var stale []parkedStream
+	if last := len(c.parked) - 1; last >= 0 {
+		if p := c.parked[last]; now.Sub(p.at) < parkLimit {
+			c.parked[last] = parkedStream{}
+			c.parked = c.parked[:last]
+			c.mu.Unlock()
+			return p.s, nil
+		}
+		// The one parked last is past the limit, so every one is.
+		stale, c.parked = c.parked, nil
+	}
+	upgrade, err := c.upgrade, error(nil)
+	if upgrade == nil {
+		if upgrade, err = wire.UpgradeRequest(http.MethodGet, c.BaseURL+PathStream, agentProtocol); err == nil {
+			c.upgrade = upgrade
+		}
+	}
+	c.mu.Unlock()
+	for _, p := range stale {
+		p.s.Close()
+	}
+	if err != nil {
+		return nil, err
+	}
+	s, err := wire.Dial(c.HTTP, upgrade, exchangeLimit)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if errors.Is(err, wire.ErrRefused) {
+		c.onPOST = true
+		return nil, nil
+	}
+	if err == nil && c.exchange == nil {
+		c.exchange = new([numKinds]obs.Hist)
+	}
+	return s, err
+}
+
+// park puts s back, at the time its last exchange ended, after closing the
+// streams parked past the limit: the oldest sit first, and a Client that
+// once needed many streams and now needs few would otherwise keep the rest
+// open, reaped by the server, for as long as it lives.
+func (c *Client) park(s *wire.Stream, at time.Time) {
+	c.mu.Lock()
+	stale := 0
+	for stale < len(c.parked) && at.Sub(c.parked[stale].at) >= parkLimit {
+		stale++
+	}
+	drop := slices.Clone(c.parked[:stale])
+	c.parked = slices.Delete(c.parked, 0, stale)
+	if len(c.parked) < maxParkedStreams {
+		c.parked = append(c.parked, parkedStream{s, at})
+	} else {
+		drop = append(drop, parkedStream{s: s})
+	}
+	c.mu.Unlock()
+	for _, p := range drop {
+		p.s.Close()
+	}
+}
+
+// post sends the request encoded in cb as one POST.
+func (c *Client) post(path string, cb *wire.Buf, out any) error {
 	req, err := http.NewRequest(http.MethodPost, c.BaseURL+path, cb.Reader())
 	if err != nil {
 		return fmt.Errorf("platform: POST %s: %w", path, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	// The request bytes are pooled scratch that is reclaimed when this call
+	// The request bytes are pooled scratch that is reclaimed when the call
 	// returns; nothing (redirect replay, transparent retry) may re-read them
 	// later.
 	req.GetBody = nil
@@ -376,8 +518,14 @@ func decodeResponse(path string, resp *http.Response, out any) error {
 	if err := cb.ReadAll(resp.Body, maxResponseBytes); err != nil {
 		return fmt.Errorf("platform: read %s: %w", path, err)
 	}
-	body := bytes.TrimSpace(cb.Bytes())
-	if resp.StatusCode != http.StatusOK {
+	return decodeAnswer(path, resp.StatusCode, cb.Bytes(), cb, out)
+}
+
+// decodeAnswer decodes what path answered — a response's status and body, or
+// an answer frame's — into out, through cb's decoder.
+func decodeAnswer(path string, status int, body []byte, cb *wire.Buf, out any) error {
+	if status != http.StatusOK {
+		body = bytes.TrimSpace(body)
 		if len(body) > 4<<10 {
 			body = body[:4<<10]
 		}
@@ -388,28 +536,36 @@ func decodeResponse(path string, resp *http.Response, out any) error {
 		if json.Unmarshal(body, &we) == nil && we.Code != "" {
 			return &we
 		}
-		return fmt.Errorf("platform: %s returned %s: %s", path, resp.Status, body)
+		return fmt.Errorf("platform: %s returned %d %s: %s", path, status, http.StatusText(status), body)
 	}
-	if err := cb.Unmarshal(out); err != nil {
+	if err := cb.UnmarshalFrom(body, out); err != nil {
 		return fmt.Errorf("platform: decode %s: %w", path, err)
 	}
 	return nil
+}
+
+// writeBody answers status with body as JSON. The explicit Content-Length
+// lets the client see the body end without a chunked trailer.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	if status != http.StatusOK {
+		w.WriteHeader(status)
+	}
+	w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	cb := wire.Get()
 	defer wire.Put(cb)
 	// Encode into pooled scratch first: a failure surfaces as a clean 500
-	// instead of a half-written 200, and the explicit Content-Length lets
-	// the client see the body end without a chunked trailer.
+	// instead of a half-written 200.
 	if err := cb.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(cb.Len()))
-	w.Write(cb.Bytes())
+	writeBody(w, http.StatusOK, cb.Bytes())
 }
 
 // writeError answers with an HTTP error status whose body is the structured
@@ -418,17 +574,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 func writeError(w http.ResponseWriter, status int, e *Error) {
 	cb := wire.Get()
 	defer wire.Put(cb)
-	// Same encode-first discipline as writeJSON: an Error that will not
-	// encode degrades to a plain-text 500 rather than a silently empty body.
-	if err := cb.Encode(e); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(cb.Len()))
-	w.WriteHeader(status)
-	w.Write(cb.Bytes())
+	writeBody(w, refuse(cb, status, e), cb.Bytes())
 }
 
 // requireGet guards a read-only endpoint: non-GET methods are answered with
@@ -465,26 +611,32 @@ func checkContentType(r *http.Request) *Error {
 	return nil
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// readBody is the HTTP half of a POSTed call: method, media type and size
+// are checked and the body read into pooled scratch the caller Puts back.
+// nil means the request was refused, and answered.
+func readBody(w http.ResponseWriter, r *http.Request) *wire.Buf {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, &Error{
 			Code:    CodeMethodNotAllowed,
 			Message: fmt.Sprintf("platform: %s requires POST, got %s", r.URL.Path, r.Method),
 		})
-		return false
+		return nil
 	}
 	if e := checkContentType(r); e != nil {
 		writeError(w, http.StatusUnsupportedMediaType, e)
-		return false
+		return nil
 	}
 	cb := wire.Get()
-	defer wire.Put(cb)
-	// DecodeAll drains the body even past the size cap, so a keep-alive
-	// connection is left clean for the next request on it.
-	if err := cb.DecodeAll(r.Body, maxRequestBytes, v); err != nil {
-		writeError(w, http.StatusBadRequest, badRequestError("platform: bad request: "+err.Error()))
-		return false
+	if err := cb.ReadRequest(w, r, maxRequestBytes); err != nil {
+		wire.Put(cb)
+		if errors.Is(err, wire.ErrTooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				badRequestError(fmt.Sprintf("platform: bad request: the body is longer than %d bytes", maxRequestBytes)))
+		} else {
+			writeError(w, http.StatusBadRequest, badRequestError("platform: bad request: "+err.Error()))
+		}
+		return nil
 	}
-	return true
+	return cb
 }

@@ -7,6 +7,66 @@
 //
 // Two transports are provided: direct in-process calls and JSON over HTTP
 // (net/http), sharing the wire types below.
+//
+// # The agent plane on the wire
+//
+// Every call is a JSON request answered by a JSON response, and has a path
+// it can be POSTed to: /v1/register, /v1/reregister, /v1/release,
+// /v1/withdraw, /v1/task, /v1/tasks, and for operators /v1/rotate/prepare
+// and /v1/rotate. A well-formed request is answered 200, refusals included
+// (they ride inside the response, typed as Error); a request that is not —
+// wrong method or media type, a body that does not decode, one longer than
+// 1 MiB — is answered an error status whose body is an Error, and past the
+// size cap the connection is closed with the answer rather than drained.
+// /v1/publication and /v1/stats are GETs. That is the public, curl-able API
+// and the reference for what follows.
+//
+// The six agent calls — not the rotations — also travel as frames, which is
+// how Client makes them. A GET /v1/stream carrying "Connection: Upgrade" and
+// "Upgrade: pombm-agent/1" is answered 101 Switching Protocols, and the
+// connection then carries frames in both directions, one answer frame per
+// request frame, in order, one in flight:
+//
+//	frame   = length payload          length: 4 bytes, big-endian, of payload
+//	request = kind body               kind: 1 byte; body: the JSON a POST carries
+//	answer  = status body             status: 2 bytes, big-endian; body: the JSON a POST answers
+//
+// kind is 1 register, 2 reregister, 3 release, 4 withdraw, 5 task, 6 tasks
+// (the Kind constants). status and body are byte for byte the status and body
+// the same JSON POSTed to the call's path is answered with — one function,
+// answer, makes both, and FuzzAgentStream holds the two framings to it — so
+// an undecodable body is answered 400 in a frame too, as is a payload with
+// no kind byte or a kind that is not one of the six; the stream stays usable.
+//
+// Caps and what closes a stream. A request frame's payload is at most 1 MiB
+// (what a POSTed body may be); the server closes a stream whose header
+// announces more, before reading or allocating any of it, and one that ends
+// inside a frame. A Client reads answers of up to 64 MiB, the bound on any
+// response. The server closes a stream that carries nothing for 90 s — an
+// idle keep-alive connection's lifetime, and what ends the streams of an
+// agent that vanished — and all of them at Server.CloseStreams, which a
+// stopping process calls after http.Server.Shutdown (Serve does both):
+// Shutdown never sees an upgraded connection. A Client closes a stream
+// instead of using it once it has been parked for 60 s, strictly inside the
+// server's 90, and bounds a call at two minutes, after which the stream is
+// closed under it.
+//
+// Nothing is sent twice. A call whose stream fails — before, while or after
+// the server applied it; the Client cannot tell which — is answered the typed
+// retryable unavailable, and the Client closes that stream and every parked
+// one. The routed /v2 node operations replay safely because each carries an
+// idempotency key; /v1 calls carry none, so a resent register could be
+// refused as a duplicate of itself and a resent task assigned twice. Whether
+// to ask again is the caller's decision, exactly as after a POST whose
+// connection died.
+//
+// When a Client stays on POST. The upgrade is a hop-by-hop request: a
+// forward proxy (NewTransport honours HTTP_PROXY) strips it, an http.Client
+// with a Timeout wraps the 101's body so it cannot be written to, an older
+// server answers 404. A Client whose upgrade is answered with anything but a
+// 101 it can write to makes every later call a POST for as long as it lives;
+// one whose upgrade is not answered at all reports unavailable and asks
+// again on the next call. There is no setting for any of this.
 package platform
 
 import (
@@ -177,6 +237,11 @@ type StatsResponse struct {
 	SlotTableLen      int `json:"slot_table_len"`
 	RegistryBytes     int `json:"registry_bytes"`
 	DepartedLedgerIDs int `json:"departed_ledger_ids"`
+	// Agent is the account of the agent hop — open streams, calls answered
+	// as frames and as POSTs, and the latency of each stage — that the
+	// /v1/stats endpoint adds; Server.Stats leaves it nil (AgentSnapshot is
+	// the in-process read).
+	Agent *AgentStats `json:"agent,omitempty"`
 }
 
 // PrepareRotateRequest stages the next epoch: a fresh HST built in the

@@ -12,6 +12,7 @@ import (
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/rng"
+	"github.com/pombm/pombm/internal/wire"
 )
 
 // Server is the untrusted crowdsourcing platform. It sees only obfuscated
@@ -124,6 +125,11 @@ type Server struct {
 	// SubmitBatch alike. The histogram grows if a rotated tree is deeper.
 	levelCounts []int
 	levelSum    int
+
+	// The agent plane's upgraded connections and what the hop costs; both
+	// synchronise on their own.
+	streams wire.Streams
+	hop     hopAccount
 }
 
 // workerState tracks a slot's lifecycle. A worker is in the engine exactly

@@ -1,4 +1,9 @@
-// Package wire pools the JSON codec scratch of the serving hot path. Every
+// Package wire is what the serving tiers share of the wire: the pooled JSON
+// codec scratch below, and (frame.go, stream.go) the framing and both ends
+// of the upgraded connections that carry an agent's and a coordinator's
+// calls.
+//
+// The codec scratch pools what the serving hot path would allocate. Every
 // HTTP operation used to pay a fresh json.Marshal buffer on the way out and
 // an io.ReadAll (or an undrained json.Decoder) on the way in; at serving
 // rates that is the dominant steady-state allocation source of the wire
@@ -15,7 +20,9 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net/http"
 	"sync"
 )
 
@@ -27,7 +34,8 @@ type Buf struct {
 	rd  bytes.Reader
 	lr  io.LimitedReader
 	dec *json.Decoder
-	bad bool // decoder state contaminated: never returns to the pool
+	fed int64 // bytes dec has read over its lifetime
+	bad bool  // decoder state contaminated: never returns to the pool
 }
 
 // maxPooledCap bounds what returns to the pool: one oversized exchange (a
@@ -88,18 +96,43 @@ func (b *Buf) Reader() *bytes.Reader {
 	return &b.rd
 }
 
-// ReadAll appends r's content to the buffer, keeping at most limit bytes,
-// and always consumes r to EOF — the tail past the limit is discarded, not
-// left unread. Draining matters as much as reading: trailing unread bytes
-// on an HTTP body defeat net/http connection reuse, turning every request
-// into a fresh TCP handshake. An over-limit body surfaces downstream as a
-// parse error on the truncated bytes.
+// ErrTooLarge is ReadAll's refusal of a body longer than its limit.
+var ErrTooLarge = errors.New("body exceeds the size limit")
+
+// ReadAll appends r's content to the buffer, reading r to EOF — trailing
+// unread bytes on an HTTP body defeat net/http connection reuse, turning
+// every request into a fresh TCP handshake. A body longer than limit is
+// ErrTooLarge, and nothing past the limit is read: whoever sent it can keep
+// sending for ever, so the caller closes the connection instead of draining
+// it.
 func (b *Buf) ReadAll(r io.Reader, limit int64) error {
-	b.lr = io.LimitedReader{R: r, N: limit}
+	b.lr = io.LimitedReader{R: r, N: limit + 1}
 	if _, err := b.buf.ReadFrom(&b.lr); err != nil {
 		return err
 	}
-	_, err := io.Copy(io.Discard, r)
+	if b.lr.N == 0 {
+		return ErrTooLarge
+	}
+	return nil
+}
+
+// ReadRequest reads a request body of at most limit bytes (see ReadAll). A
+// longer one is ErrTooLarge with the connection marked to close after the
+// answer, so net/http does not drain it either: on its declared length
+// alone when it has one, otherwise once the limit has been read.
+func (b *Buf) ReadRequest(w http.ResponseWriter, r *http.Request, limit int64) error {
+	body := r.Body
+	switch {
+	case r.ContentLength > limit:
+		w.Header().Set("Connection", "close")
+		return ErrTooLarge
+	case r.ContentLength < 0:
+		body = http.MaxBytesReader(w, body, limit)
+	}
+	err := b.ReadAll(body, limit)
+	if err != nil && errors.As(err, new(*http.MaxBytesError)) {
+		err = ErrTooLarge
+	}
 	return err
 }
 
@@ -109,26 +142,34 @@ func (b *Buf) ReadAll(r io.Reader, limit int64) error {
 // semantics apply (trailing non-JSON bytes after the value are tolerated),
 // but such a tail — like any decode error — marks the Buf contaminated so
 // leftover decoder state cannot bleed into a later exchange's decode.
-func (b *Buf) Unmarshal(v any) error {
+func (b *Buf) Unmarshal(v any) error { return b.UnmarshalFrom(b.buf.Bytes(), v) }
+
+// UnmarshalFrom is Unmarshal over p instead of the buffered bytes: the way
+// in for a payload that already sits in someone else's memory (a frame's).
+// p is only read, and not past the call.
+func (b *Buf) UnmarshalFrom(p []byte, v any) error {
 	if b.dec == nil {
 		b.dec = json.NewDecoder(&b.rd)
 	}
-	b.rd.Reset(b.buf.Bytes())
+	b.rd.Reset(p)
 	if err := b.dec.Decode(v); err != nil {
 		b.bad = true
 		return err
 	}
-	if b.dec.More() {
-		b.bad = true
+	// The decoder refills in chunks and stopped right after the value: of p
+	// it took all but what rd still holds, and of what it took it has not
+	// consumed the last fed − InputOffset bytes (a clean Buf's earlier tails
+	// were whitespace, skipped on the way to this value). Anything but
+	// whitespace there would open the next exchange's decode; what rd holds
+	// is dropped by the next Reset and held to the same rule. Decoder.More
+	// cannot be asked: it reads a stray '}' or ']' as the end of input.
+	taken := int64(len(p) - b.rd.Len())
+	b.fed += taken
+	for _, c := range p[taken-(b.fed-b.dec.InputOffset()):] {
+		if c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			b.bad = true
+			break
+		}
 	}
 	return nil
-}
-
-// DecodeAll reads r fully (see ReadAll) and unmarshals the kept bytes
-// into v.
-func (b *Buf) DecodeAll(r io.Reader, limit int64, v any) error {
-	if err := b.ReadAll(r, limit); err != nil {
-		return err
-	}
-	return b.Unmarshal(v)
 }

@@ -80,6 +80,21 @@ type (
 	RotateResponse = platform.RotateResponse
 )
 
+// AgentKind names one of the six agent calls: the index of its stages in
+// Server.AgentSnapshot and the argument of ServerClient.ExchangeSnapshot —
+// the in-process account of what the agent hop costs.
+type AgentKind = platform.Kind
+
+// The agent calls.
+const (
+	KindRegister   = platform.KindRegister
+	KindReregister = platform.KindReregister
+	KindRelease    = platform.KindRelease
+	KindWithdraw   = platform.KindWithdraw
+	KindTask       = platform.KindTask
+	KindTasks      = platform.KindTasks
+)
+
 // ServerOption customises server construction (e.g. WithShards).
 type ServerOption = platform.ServerOption
 
