@@ -61,10 +61,12 @@ type platformSoakReport struct {
 	FinalHeapBytesPerWorker float64 `json:"final_heap_bytes_per_worker"`
 }
 
-// registryBytesBound is the most a table of n slots may allocate: the 64 B
-// record, up to 16 B of id index (4 B entries at load ¼–½), one page of
-// slack and the smallest index.
-func registryBytesBound(n int) int { return 80*n + 16<<10 + 64 }
+// registryBytesBound is the most a table of n slots may allocate here: 64 B
+// a slot — the 40 B record, the 10 B code of the lane's depth-10 tree, and
+// the id index, whose 4 B entries at load ¼–½ cost 8–16 B and under 14 B
+// at both suites' populations — plus one 1,024-slot page of slack and the
+// smallest index.
+func registryBytesBound(n int) int { return 64*n + 64<<10 + 64 }
 
 // platformSoak is the driver's book of who is where.
 type platformSoak struct {

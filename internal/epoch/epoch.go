@@ -89,9 +89,11 @@ type Controller struct {
 	staged    *Staged
 	parked    map[string]struct{}
 	rotations int
-	rotated   int         // workers successfully re-obfuscated across all rotations
-	hist      map[int]int // observed reports per predefined point, for refit
-	histN     int
+	rotated   int // workers successfully re-obfuscated across all rotations
+	// hist counts the serving epoch's observed reports per predefined point
+	// (indexed by Tree.PointOf), for refit. It is as long as the tree has
+	// points, so observing allocates nothing however many workers report.
+	hist []int
 }
 
 // Staged is a prepared (not yet committed) rotation: the next epoch id and
@@ -118,7 +120,7 @@ func NewController(cfg Config) (*Controller, error) {
 		epoch:  FirstEpoch,
 		tree:   cfg.Tree,
 		parked: map[string]struct{}{},
-		hist:   map[int]int{},
+		hist:   make([]int, cfg.Tree.NumPoints()),
 	}
 	if cfg.Lifetime > 0 {
 		budget, err := privacy.NewBudget(cfg.Lifetime)
@@ -204,7 +206,6 @@ func (c *Controller) Observe(code hst.Code) {
 	defer c.mu.Unlock()
 	if p, ok := c.tree.PointOf(code); ok {
 		c.hist[p]++
-		c.histN++
 	}
 }
 
@@ -220,12 +221,9 @@ func (c *Controller) Prepare(seed uint64, refit bool) (*Staged, error) {
 	c.mu.Lock()
 	next := c.epoch + 1
 	points := c.tree.Points()
-	var histCopy map[int]int
+	var histCopy []int
 	if refit {
-		histCopy = make(map[int]int, len(c.hist))
-		for p, n := range c.hist {
-			histCopy[p] = n
-		}
+		histCopy = append(histCopy, c.hist...)
 	}
 	c.mu.Unlock()
 
@@ -260,7 +258,7 @@ func (c *Controller) Prepare(seed uint64, refit bool) (*Staged, error) {
 // observed report counts (descending, ties towards the lower point index —
 // deterministic), so historically hot points become early pivots. β is
 // still drawn from the construction randomness.
-func buildRefit(points []geo.Point, hist map[int]int, src *rng.Source) (*hst.Tree, error) {
+func buildRefit(points []geo.Point, hist []int, src *rng.Source) (*hst.Tree, error) {
 	perm := make([]int, len(points))
 	for i := range perm {
 		perm[i] = i
@@ -379,8 +377,7 @@ func (c *Controller) Commit(p *Plan) error {
 			c.rotated++
 		}
 	}
-	c.hist = map[int]int{}
-	c.histN = 0
+	c.hist = make([]int, p.Tree.NumPoints())
 	return nil
 }
 

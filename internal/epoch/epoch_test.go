@@ -304,6 +304,32 @@ func TestRefitUsesObservedHistory(t *testing.T) {
 	}
 }
 
+// TestRefitOrdersTiesByPointIndex pins the whole carving order under refit,
+// ties included: counts descending, equal counts — the unobserved points
+// among them — by ascending point index. A later Observe does not reach a
+// tree already staged: Prepare works on a copy of the histogram.
+func TestRefitOrdersTiesByPointIndex(t *testing.T) {
+	tree := buildTree(t, 5, 4)
+	c, err := NewController(Config{Tree: tree, Seed: 1, Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for point, reports := range map[int]int{9: 3, 2: 3, 14: 5, 6: 1, 11: 1, 0: 1} {
+		for i := 0; i < reports; i++ {
+			c.Observe(tree.CodeOf(point))
+		}
+	}
+	staged, err := c.Prepare(0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Observe(tree.CodeOf(15))
+	want := []int{14, 2, 9, 0, 6, 11, 1, 3, 4, 5, 7, 8, 10, 12, 13, 15}
+	if got := staged.Tree.Perm(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("refit carving order %v, want %v", got, want)
+	}
+}
+
 func TestPrepareReplacesStaged(t *testing.T) {
 	tree := buildTree(t, 6, 4)
 	c, err := NewController(Config{Tree: tree, Seed: 1, Epsilon: 0.5})

@@ -27,38 +27,10 @@ import (
 // State.JSON would produce — without materializing it. It implements
 // io.WriterTo.
 func (s *State) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if err := writeStateHead(bw, s.Epoch, s.Tree); err != nil {
-		return cw.n, err
-	}
-	if s.Workers == nil {
-		if _, err := bw.WriteString("null}"); err != nil {
-			return cw.n, err
-		}
-		if err := bw.Flush(); err != nil {
-			return cw.n, err
-		}
-		return cw.n, nil
-	}
-	var scratch []byte
-	if err := bw.WriteByte('['); err != nil {
-		return cw.n, err
-	}
-	for i := range s.Workers {
-		w := &s.Workers[i]
-		scratch = appendWorker(scratch[:0], i > 0, w.ID, w.Code, w.Cap)
-		if _, err := bw.Write(scratch); err != nil {
-			return cw.n, err
-		}
-	}
-	if _, err := bw.WriteString("]}"); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return writeState(w, s.Epoch, s.Tree, s.Workers != nil, len(s.Workers), func(i int) (int, []byte, int) {
+		e := &s.Workers[i]
+		return e.ID, e.Code, e.Cap
+	})
 }
 
 // WriteSnapshot captures the engine's current epoch straight onto w,
@@ -69,86 +41,51 @@ func (s *State) WriteTo(w io.Writer) (int64, error) {
 // codes, not a JSON document plus per-entry allocations. The caller must
 // have quiesced writers, exactly as for Snapshot.
 func WriteSnapshot(w io.Writer, eng *engine.Engine) (int64, error) {
-	type entry struct {
-		id   int32
-		cap  int32
-		off  int32 // code start in the slab; end is the next entry's off
-		klen int32
-	}
-	var (
-		entries []entry
-		slab    []byte
-	)
+	type entry struct{ id, cap, off int32 } // off: the code's start in the slab
+	var entries []entry
+	var slab []byte
 	eng.WalkCap(func(code hst.Code, id, capacity int) {
-		off := len(slab)
+		entries = append(entries, entry{id: int32(id), cap: int32(capacity), off: int32(len(slab))})
 		slab = append(slab, code...)
-		entries = append(entries, entry{id: int32(id), cap: int32(capacity), off: int32(off), klen: int32(len(code))})
 	})
 	sort.Slice(entries, func(a, b int) bool { return entries[a].id < entries[b].id })
-
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if err := writeStateHead(bw, eng.Epoch(), eng.Tree()); err != nil {
-		return cw.n, err
-	}
-	if entries == nil {
-		// Snapshot leaves Workers nil for an empty population, which
-		// marshals as null; the streamed form must match byte for byte.
-		if _, err := bw.WriteString("null}"); err != nil {
-			return cw.n, err
-		}
-		if err := bw.Flush(); err != nil {
-			return cw.n, err
-		}
-		return cw.n, nil
-	}
-	if err := bw.WriteByte('['); err != nil {
-		return cw.n, err
-	}
-	var scratch []byte
-	for i, e := range entries {
-		cap := 0
-		if e.cap > 1 {
-			cap = int(e.cap)
-		}
-		scratch = appendWorker(scratch[:0], i > 0, int(e.id), slab[e.off:e.off+e.klen], cap)
-		if _, err := bw.Write(scratch); err != nil {
-			return cw.n, err
-		}
-	}
-	if _, err := bw.WriteString("]}"); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	depth := eng.Tree().Depth()
+	return writeState(w, eng.Epoch(), eng.Tree(), entries != nil, len(entries), func(i int) (int, []byte, int) {
+		e := entries[i]
+		return int(e.id), slab[e.off:][:depth], int(e.cap)
+	})
 }
 
-// writeStateHead emits `{"epoch":N,"tree":<tree>,"workers":` — everything
-// before the worker array. The tree is small (its published form is the
-// leaf permutation and parameters, not the population), so delegating it to
-// json.Marshal costs O(tree), not O(workers).
-func writeStateHead(bw *bufio.Writer, epoch int64, tree *hst.Tree) error {
-	if _, err := bw.WriteString(`{"epoch":`); err != nil {
-		return err
-	}
-	var num [20]byte
-	if _, err := bw.Write(strconv.AppendInt(num[:0], epoch, 10)); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(`,"tree":`); err != nil {
-		return err
-	}
+// writeState emits the document for both writers: the head, then the n
+// workers the callback yields — or null for a nil list, which is what
+// Snapshot leaves for an empty population and how json.Marshal writes it.
+// A bufio.Writer's error is sticky, so Flush reports whatever went wrong.
+func writeState(w io.Writer, epoch int64, tree *hst.Tree, list bool, n int, worker func(i int) (id int, code []byte, cap int)) (int64, error) {
+	// The tree's published form is the leaf permutation and parameters, not
+	// the population: marshalling it costs O(tree), not O(workers).
 	tb, err := json.Marshal(tree)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := bw.Write(tb); err != nil {
-		return err
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, 1<<16)
+	fmt.Fprintf(bw, `{"epoch":%d,"tree":%s,"workers":`, epoch, tb)
+	if list {
+		bw.WriteByte('[')
+		var scratch []byte
+		for i := 0; i < n; i++ {
+			id, code, cap := worker(i)
+			scratch = appendWorker(scratch[:0], i > 0, id, code, cap)
+			if _, err := bw.Write(scratch); err != nil {
+				return cw.n, err // no point encoding the rest
+			}
+		}
+		bw.WriteString("]}")
+	} else {
+		bw.WriteString("null}")
 	}
-	_, err = bw.WriteString(`,"workers":`)
-	return err
+	err = bw.Flush()
+	return cw.n, err
 }
 
 // appendWorker appends one worker entry's JSON. Base64's standard alphabet

@@ -262,3 +262,67 @@ func TestReleaseMoveDoesNotResurrectInFlightPop(t *testing.T) {
 		t.Fatalf("engine pools %d units after the racy move, want 2 (in-flight pop resurrected)", got)
 	}
 }
+
+// TestReregisterMovesPooledUnits is the regression test for Reregister
+// re-inserting a capacitated worker at the engine's default capacity: a
+// move carries exactly the units still pooled — none minted for a worker
+// with a task out, none lost by one registered below the default — and the
+// restore after a refused insert puts the same number back.
+func TestReregisterMovesPooledUnits(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity int // 0: the server default of 4
+		units    int // what the pool must hold while one task is out
+	}{
+		{"default capacity", 0, 3},
+		{"explicit capacity below the default", 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := newTestServer(t).Publication().Tree
+			eng, err := engine.NewWithOptions(tree, 2, engine.WithPolicy(engine.CapacityGreedy()), engine.WithDefaultCapacity(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			core := &flakyCore{Engine: eng}
+			s := newCapServer(t, WithCore(core))
+			units := func(when string, want int) {
+				t.Helper()
+				if st := s.Stats(); st.CapacityUnits != want || st.AvailableWorkers != 1 {
+					t.Fatalf("%s: %d units over %d workers, want %d over 1", when, st.CapacityUnits, st.AvailableWorkers, want)
+				}
+			}
+			if r := s.Register(RegisterRequest{WorkerID: "w", Code: leaf(s, 0), Capacity: tc.capacity}); !r.OK {
+				t.Fatal(r.Reason)
+			}
+			if resp := s.Submit(TaskRequest{Code: leaf(s, 0)}); !resp.Assigned {
+				t.Fatal(resp.Reason)
+			}
+			units("one task out", tc.units)
+			core.failNext = true
+			if r := s.Reregister(ReregisterRequest{WorkerID: "w", Code: leaf(s, 9)}); r.OK {
+				t.Fatal("reregister accepted although the engine refused the insert")
+			}
+			units("after the restore", tc.units)
+			if r := s.Reregister(ReregisterRequest{WorkerID: "w", Code: leaf(s, 9)}); !r.OK {
+				t.Fatal(r.Reason)
+			}
+			units("after the move", tc.units)
+			// The worker serves what it has left, at the new leaf, and not one
+			// task more; completing them all brings the declared capacity back.
+			for i := 0; i < tc.units; i++ {
+				if resp := s.Submit(TaskRequest{Code: leaf(s, 9)}); !resp.Assigned || resp.WorkerID != "w" {
+					t.Fatalf("task %d at the new leaf: %+v", i, resp)
+				}
+			}
+			if resp := s.Submit(TaskRequest{Code: leaf(s, 9)}); resp.Assigned {
+				t.Fatalf("served %d tasks on capacity %d", tc.units+2, tc.units+1)
+			}
+			for i := 0; i < tc.units+1; i++ {
+				if r := s.Release(ReleaseRequest{WorkerID: "w"}); !r.OK {
+					t.Fatal(r.Reason)
+				}
+			}
+			units("after every completion", tc.units+1)
+		})
+	}
+}

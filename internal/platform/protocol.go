@@ -231,8 +231,8 @@ type StatsResponse struct {
 	// The registry's footprint. SlotTableLen is the number of slots in the
 	// serving epoch's table: live workers plus the stints closed since the
 	// last rotation, which compacts them away. RegistryBytes is the table's
-	// own allocation (record pages plus id index; the id and code bytes the
-	// records point at are not counted), and DepartedLedgerIDs the ids
+	// own allocation (record pages, code slabs and id index; the id bytes
+	// the records point at are not counted), and DepartedLedgerIDs the ids
 	// whose lifetime spend is remembered although they are offline.
 	SlotTableLen      int `json:"slot_table_len"`
 	RegistryBytes     int `json:"registry_bytes"`

@@ -83,7 +83,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	codes := make([]hst.Code, 0, len(req.Reports))
 	for _, r := range req.Reports {
 		slot, known := old.lookup(r.WorkerID)
-		code := hst.Code(r.Code)
+		code := codeView(r.Code) // copied into the next table below
 		if !known || reported[slot] || old.at(slot).state != stateAvailable ||
 			staged.Tree.CheckCode(code) != nil {
 			resp.Skipped++
@@ -110,15 +110,21 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// Build the next epoch's table beside the serving one, which stays
 	// untouched until the swap succeeded — a failed swap must leave the old
 	// epoch fully intact. Carried stints first: their outstanding tasks
-	// keep running and release against the new slot. leaving collects the
-	// slots whose id drops out of the table with a ledger cell to keep.
-	next := newSlotTable(len(slots))
+	// keep running and release against the new slot, their reports an epoch
+	// further behind and their old-tree codes left with the old table.
+	// leaving collects the slots whose id drops out of the table with a
+	// ledger cell to keep.
+	next := newSlotTable(len(slots), plan.Tree.Depth(), plan.Epoch)
+	carry := func(rec record) {
+		rec.lag += uint32(plan.Epoch - old.epoch)
+		next.add(rec, "")
+	}
 	var leaving []int
 	for slot := 0; slot < old.len(); slot++ {
 		rec := old.at(slot)
 		switch rec.state {
 		case stateAssigned, stateAssignedGone:
-			next.add(*rec)
+			carry(*rec)
 		case stateAvailable:
 			if reported[slot] {
 				continue // rotates or parks below, in report order
@@ -130,9 +136,9 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			// offline and goes fully gone at its last Release.
 			resp.Dropped = append(resp.Dropped, rec.id)
 			if rec.active > 0 {
-				carried := *rec
-				carried.state = stateAssignedGone
-				next.add(carried)
+				gone := *rec
+				gone.state = stateAssignedGone
+				carry(gone)
 			} else {
 				leaving = append(leaving, slot)
 			}
@@ -152,9 +158,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			leaving = append(leaving, slots[i])
 			continue
 		}
-		rotated := *rec
-		rotated.code, rotated.epoch = o.Code, plan.Epoch
-		next.add(rotated)
+		next.add(*rec, o.Code)
 	}
 	resp.Rotated = next.len() - carried
 
@@ -167,7 +171,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	populate := func(yield func(engine.EpochInsert) bool) {
 		for slot := carried; slot < next.len(); slot++ {
 			rec := next.at(slot)
-			if !yield(engine.EpochInsert{Code: rec.code, ID: slot, Cap: int(rec.capacity - rec.active)}) {
+			if !yield(engine.EpochInsert{Code: next.code(slot), ID: slot, Cap: int(rec.capacity - rec.active)}) {
 				return
 			}
 		}

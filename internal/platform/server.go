@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"unsafe"
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/epoch"
@@ -44,8 +43,10 @@ type Core interface {
 	Len() int
 	CapacityUnits() int
 	// Serving operations. Semantics (staleness, retries, tie-breaks) are
-	// engine.Engine's; see its method docs. Assign must not retain the task
-	// code past its return: Submit passes a view of the request's bytes.
+	// engine.Engine's; see its method docs. No method may retain a code —
+	// its own argument or one seq yields — past its return: the server
+	// passes views of request bytes and of its slot table, which are
+	// overwritten later.
 	Assign(code hst.Code) (id, lcaLevel int, ok bool)
 	AssignBatch(codes []hst.Code) (ids, lcaLevels []int)
 	InsertEpoch(code hst.Code, id int, epoch int64) error
@@ -288,7 +289,7 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		eng:         core,
 		rot:         rot,
 		epoch:       first,
-		tab:         newSlotTable(0),
+		tab:         newSlotTable(0, tree.Depth(), first),
 		departed:    map[string]float64{},
 		levelCounts: make([]int, tree.Depth()+1),
 	}, nil
@@ -346,7 +347,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	if req.WorkerID == "" {
 		return refusal(badRequestError("platform: empty worker id"))
 	}
-	code := hst.Code(req.Code)
+	code := codeView(req.Code) // the table copies it once everything accepted it
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if req.Epoch != 0 && req.Epoch != s.epoch {
@@ -396,8 +397,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	}
 	// A concurrent Submit can pop the new slot as soon as Insert returns,
 	// but it reads the table under mu, which we still hold.
-	s.tab.add(record{id: req.WorkerID, code: code, spent: spent, epoch: s.epoch,
-		capacity: int32(capacity), state: stateAvailable})
+	s.tab.add(record{id: req.WorkerID, spent: spent, capacity: int32(capacity), state: stateAvailable}, code)
 	switch {
 	case prev != nil:
 		prev.state, prev.spent = stateRetired, 0
@@ -417,9 +417,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 // be paired with an epoch-N+1 worker, since their codes live in different
 // trees.
 func (s *Server) Submit(req TaskRequest) TaskResponse {
-	// The task code is only read until the assignment returns (Core.Assign
-	// does not retain it), so it is viewed in place rather than copied.
-	code := hst.Code(unsafe.String(unsafe.SliceData(req.Code), len(req.Code)))
+	code := codeView(req.Code)
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if err := s.pub.Tree.CheckCode(code); err != nil {
@@ -473,7 +471,7 @@ func (s *Server) recordAssignment(slot, lvl int) TaskResponse {
 	}
 	s.levelCounts[lvl]++
 	s.levelSum += lvl
-	return TaskResponse{Assigned: true, WorkerID: rec.id, Epoch: rec.epoch}
+	return TaskResponse{Assigned: true, WorkerID: rec.id, Epoch: s.tab.reportEpoch(slot)}
 }
 
 // SubmitBatch assigns a batch of tasks in arrival order through the
@@ -556,7 +554,7 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 		if req.Epoch != 0 && req.Epoch != s.epoch {
 			return refusal(staleEpochError(req.Epoch, s.epoch))
 		}
-		newCode = hst.Code(req.Code)
+		newCode = codeView(req.Code)
 		if err := s.pub.Tree.CheckCode(newCode); err != nil {
 			return refusal(badRequestError(err.Error()))
 		}
@@ -590,16 +588,17 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 		}
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)))
 	}
-	code := rec.code
-	inPool := rec.state == stateAvailable // spare units live in the engine
+	// Spare units live in the engine, under a report of this epoch: a slot
+	// in the pool always has a code to read.
+	inPool := rec.state == stateAvailable
+	code := newCode
 	if newCode != "" {
-		code = newCode
 		if s.rot.Afford(req.WorkerID, rec.spent) != nil {
 			// The worker finished its task but cannot afford the fresh
 			// report: park it rather than re-noise past its guarantee,
 			// pulling any spare units out of the pool.
 			if inPool {
-				s.eng.Remove(rec.code, slot)
+				s.eng.Remove(s.tab.code(slot), slot)
 			}
 			if rec.active > 0 {
 				rec.active--
@@ -607,11 +606,13 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 			rec.state = stateParked
 			return refusal(parkedError(req.WorkerID))
 		}
-	} else if rec.epoch != s.epoch {
+	} else if rec.lag != 0 {
 		reason := fmt.Sprintf(
 			"platform: worker %q report is from epoch %d (serving %d); a fresh report is required",
-			req.WorkerID, rec.epoch, s.epoch)
+			req.WorkerID, s.tab.reportEpoch(slot), s.epoch)
 		return refusal(&Error{Code: CodeStaleEpoch, Message: reason, Epoch: s.epoch, Retryable: true})
+	} else {
+		code = s.tab.code(slot)
 	}
 	// Hand the completed unit back. Same code: one unit rejoins in place
 	// (re-inserting the slot when this was its last active task). New code:
@@ -621,30 +622,29 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	// re-deriving the count here would resurrect that unit and let the
 	// worker serve beyond its capacity. A refused engine call leaves the
 	// worker as it was and the budget uncharged, so the client can retry.
-	if inPool && code == rec.code {
+	if inPool && code == s.tab.code(slot) {
 		if err := s.eng.AddCapacityEpoch(code, slot, s.epoch); err != nil {
 			return refusal(AsError(err, s.epoch))
 		}
 	} else {
 		pooled := 0
 		if inPool {
-			pooled, _ = s.eng.RemoveUnits(rec.code, slot)
+			pooled, _ = s.eng.RemoveUnits(s.tab.code(slot), slot)
 		}
 		if err := s.eng.InsertCapEpoch(code, slot, pooled+1, s.epoch); err != nil {
 			if pooled > 0 {
 				// Put the spare units back where they were; if the engine
 				// refuses this too there is nothing left to try.
-				_ = s.eng.InsertCapEpoch(rec.code, slot, pooled, s.epoch)
+				_ = s.eng.InsertCapEpoch(s.tab.code(slot), slot, pooled, s.epoch)
 			}
 			return refusal(AsError(err, s.epoch))
 		}
 	}
 	rec.active--
-	rec.code = code
-	rec.epoch = s.epoch
 	rec.state = stateAvailable
 	s.released++
 	if newCode != "" {
+		s.tab.setCode(slot, newCode)
 		s.rot.Charge(&rec.spent)
 		s.rot.Observe(newCode)
 	}
@@ -680,7 +680,7 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 		// and the Submit retries another worker. A capacitated worker with
 		// outstanding tasks keeps serving them (its spare units leave the
 		// pool now) and goes fully offline at its last Release.
-		s.eng.Remove(rec.code, slot)
+		s.eng.Remove(s.tab.code(slot), slot)
 		if rec.active > 0 {
 			rec.state = stateAssignedGone
 		} else {

@@ -2,21 +2,53 @@ package platform
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
+	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/rng"
 )
 
-// TestRecordIsOneCacheLine pins the slot record at 64 bytes: Submit,
-// Release and Withdraw touch one line per worker, and the registry's
-// bytes-per-worker arithmetic in README rests on it.
-func TestRecordIsOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(record{}); got != 64 {
-		t.Fatalf("record is %d bytes, want 64", got)
+// TestSlotPageSizeClasses pins what a slot costs: a 40-byte record in a
+// 1,024-record page that the allocator serves as exactly 40 KiB (five heap
+// pages, no type header), and a code slab of 1,024 × depth bytes that is a
+// size class of its own at the benchmark's depth 10 and at 8, 12 and 16.
+// README's bytes-per-worker arithmetic rests on these.
+func TestSlotPageSizeClasses(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 40 {
+		t.Fatalf("record is %d bytes, want 40", got)
 	}
-	if pageLen*recordBytes != 16<<10 {
-		t.Fatalf("a page is %d bytes, want 16 KiB", pageLen*recordBytes)
+	if raceEnabled {
+		t.Skip("the race detector pads allocations")
+	}
+	const recordPage = 40 << 10
+	for depth, slab := range map[int]uint64{8: 8 << 10, 10: 10 << 10, 12: 12 << 10, 16: 16 << 10} {
+		// Room for the page pointers and an index that will not grow: the
+		// first add of a page then allocates the page and nothing else.
+		tab := newSlotTable(4*pageLen, depth, 1)
+		tab.pages = make([]*[pageLen]record, 0, 4)
+		tab.codes = make([][]byte, 0, 4)
+		code := hst.Code(make([]byte, depth))
+		best := ^uint64(0)
+		for page := 0; page < 4; page++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tab.add(record{id: "first"}, code)
+			runtime.ReadMemStats(&after)
+			// Another goroutine's allocation can only add to a reading.
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+			for tab.len()%pageLen != 0 {
+				tab.add(record{id: "fill"}, code)
+			}
+		}
+		if best != recordPage+slab {
+			t.Errorf("depth %d: a page allocates %d bytes, want %d of records + %d of codes",
+				depth, best, recordPage, slab)
+		}
+		if got := tab.bytes(); got != 4*pageLen*(40+depth)+4*len(tab.index) {
+			t.Errorf("depth %d: bytes() = %d", depth, got)
+		}
 	}
 }
 
@@ -29,11 +61,11 @@ type indexModel struct {
 }
 
 func newIndexModel(t *testing.T, sizeFor int) *indexModel {
-	return &indexModel{t: t, tab: newSlotTable(sizeFor), model: map[string]int{}}
+	return &indexModel{t: t, tab: newSlotTable(sizeFor, 0, 1), model: map[string]int{}}
 }
 
 func (m *indexModel) add(id string) {
-	slot := m.tab.add(record{id: id})
+	slot := m.tab.add(record{id: id}, "")
 	if slot != m.tab.len()-1 {
 		m.t.Fatalf("add(%q) returned slot %d with %d slots in use", id, slot, m.tab.len())
 	}
@@ -104,7 +136,7 @@ func TestIDIndexMatchesMap(t *testing.T) {
 			m.checkAll()
 		}
 	}
-	if m.tab.len() < 4*pageLen {
+	if m.tab.len() < 3*pageLen {
 		t.Fatalf("the tape filled only %d slots; it must cross several pages", m.tab.len())
 	}
 }

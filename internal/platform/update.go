@@ -26,12 +26,14 @@ type ReregisterRequest struct {
 
 // Reregister updates an available worker's reported location. Workers that
 // are already assigned cannot move their report (the assignment already
-// happened); unknown workers are rejected. An update is a fresh report:
-// with a lifetime budget configured it spends the publication's ε, and a
-// worker that cannot afford it is parked — removed from the pool — rather
-// than silently re-noised.
+// happened); unknown workers are rejected. A capacitated worker moves
+// wholesale, as at a Release with a fresh code: the units it still has
+// pooled follow the fresh leaf, no more and no fewer. An update is a fresh
+// report: with a lifetime budget configured it spends the publication's ε,
+// and a worker that cannot afford it is parked — removed from the pool —
+// rather than silently re-noised.
 func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
-	code := hst.Code(req.Code)
+	code := codeView(req.Code)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if req.Epoch != 0 && req.Epoch != s.epoch {
@@ -53,7 +55,9 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 	case stateAssigned:
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)))
 	}
-	if !s.eng.Remove(rec.code, slot) {
+	old := s.tab.code(slot)
+	pooled, ok := s.eng.RemoveUnits(old, slot)
+	if !ok {
 		// A concurrent Submit popped the worker between its engine pop and
 		// its table update (which waits on mu): the assignment wins.
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)))
@@ -66,15 +70,14 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 		rec.state = stateParked
 		return refusal(parkedError(req.WorkerID))
 	}
-	if err := s.eng.InsertEpoch(code, slot, s.epoch); err != nil {
+	if err := s.eng.InsertCapEpoch(code, slot, pooled, s.epoch); err != nil {
 		// The engine refused the fresh report: restore the old one so the
 		// worker is not lost from the pool. Nothing was charged, so the
 		// client can retry.
-		_ = s.eng.InsertEpoch(rec.code, slot, s.epoch)
+		_ = s.eng.InsertCapEpoch(old, slot, pooled, s.epoch)
 		return refusal(AsError(err, s.epoch))
 	}
-	rec.code = code
-	rec.epoch = s.epoch
+	s.tab.setCode(slot, code)
 	s.rot.Charge(&rec.spent)
 	s.rot.Observe(code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
