@@ -89,20 +89,21 @@ func describeFile(path string) {
 	fmt.Printf("workers: %d\n", len(inst.Workers))
 	fmt.Printf("tasks:   %d\n", len(inst.Tasks))
 	fmt.Printf("region:  %v\n", inst.Region)
-	// Density snapshot through the quadtree substrate.
-	q := geo.NewQuadtree(inst.Region, 64, 8)
-	for _, p := range inst.Tasks {
-		q.Insert(p)
-	}
-	var maxCount int
-	var hot geo.Rect
-	q.Leaves(func(b geo.Rect, c int) {
-		if c > maxCount {
-			maxCount, hot = c, b
+	// Density snapshot: tasks per cell of an 8 × 8 grid over the region.
+	const cells = 8
+	if g, err := geo.NewGrid(inst.Region, cells, cells); err == nil && len(inst.Tasks) > 0 {
+		counts := make([]int, g.Len())
+		hot := 0
+		for _, p := range inst.Tasks {
+			c := g.Snap(p)
+			counts[c]++
+			if counts[c] > counts[hot] {
+				hot = c
+			}
 		}
-	})
-	if maxCount > 0 {
-		fmt.Printf("hottest task cell: %v (%d tasks)\n", hot, maxCount)
+		half := geo.Pt(inst.Region.Width()/(2*cells), inst.Region.Height()/(2*cells))
+		fmt.Printf("hottest task cell: %v (%d tasks)\n",
+			geo.NewRect(g.Point(hot).Sub(half), g.Point(hot).Add(half)), counts[hot])
 	}
 	cw := geo.Centroid(inst.Workers)
 	ct := geo.Centroid(inst.Tasks)

@@ -118,10 +118,6 @@ func (c *fanCore) ownerIdx(st *coreState, shard int) int {
 	return st.layout.GroupOfShard(shard) % len(c.nodes)
 }
 
-func isStale(err error) bool {
-	return errors.Is(err, engine.ErrStaleEpoch)
-}
-
 func isTransport(err error) bool {
 	return errors.Is(err, errTransport)
 }

@@ -39,12 +39,6 @@ type Env struct {
 // leaf index.
 func (e *Env) RetainedBytes() uint64 { return e.retainedBytes }
 
-// DefaultGridCols is the default resolution of the predefined point set
-// (N = 64 × 64 = 4096 points). The abl-grid ablation motivates the choice:
-// coarser grids floor TBF's total distance at the snapping error, finer
-// ones deepen the tree without improving the matching.
-const DefaultGridCols = 64
-
 // NewEnv builds the grid and HST for a region. src drives the random
 // permutation and β of the HST construction.
 func NewEnv(region geo.Rect, cols, rows int, src *rng.Source) (*Env, error) {
@@ -63,15 +57,6 @@ func NewEnv(region geo.Rect, cols, rows int, src *rng.Source) (*Env, error) {
 	}
 	env.retainedBytes = retainedSince(before, env)
 	return env, nil
-}
-
-// NewEnvFromTree wraps an existing grid and tree (e.g. received from a
-// server over the wire) into an Env.
-func NewEnvFromTree(grid *geo.Grid, tree *hst.Tree) (*Env, error) {
-	if grid.Len() != tree.NumPoints() {
-		return nil, fmt.Errorf("core: grid has %d points, tree %d", grid.Len(), tree.NumPoints())
-	}
-	return newEnvFrom(grid, tree)
 }
 
 func newEnvFrom(grid *geo.Grid, tree *hst.Tree) (*Env, error) {

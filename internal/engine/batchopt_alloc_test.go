@@ -16,54 +16,57 @@ import (
 // costs single-digit heap allocations per task (the budget the enginebench
 // gate enforces is ≤ 9/task; steady state runs far below it — the result
 // slices plus the per-shard mining goroutines, amortised over the window).
+// A long batch is windows back to back, so its 700 tasks are held to the
+// per-task budget of one window's 256.
 func TestBatchOptimalAllocsSteadyState(t *testing.T) {
-	tree := buildTree(t, 16, 9)
-	e, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(engine.BatchOptimal(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(33)
-	const n = 1024
-	codes := make([]hst.Code, n)
-	for i := range codes {
-		codes[i] = randCode(tree, src)
-		if err := e.Insert(codes[i], i); err != nil {
+	for _, batchLen := range []int{256, 700} {
+		tree := buildTree(t, 16, 9)
+		e, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(engine.BatchOptimal(8)))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	const window = 256
-	batch := make([]hst.Code, window)
-	fill := func() {
-		for i := range batch {
-			batch[i] = codes[src.Intn(n)]
+		src := rng.New(33)
+		const n = 1024
+		codes := make([]hst.Code, n)
+		for i := range codes {
+			codes[i] = randCode(tree, src)
+			if err := e.Insert(codes[i], i); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	runWindow := func() {
-		ids, _ := e.AssignBatch(batch)
-		for _, id := range ids {
-			if id >= 0 {
-				if err := e.Insert(codes[id], id); err != nil {
-					t.Fatal(err)
+		batch := make([]hst.Code, batchLen)
+		fill := func() {
+			for i := range batch {
+				batch[i] = codes[src.Intn(n)]
+			}
+		}
+		runBatch := func() {
+			ids, _ := e.AssignBatch(batch)
+			for _, id := range ids {
+				if id >= 0 {
+					if err := e.Insert(codes[id], id); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
-	}
-	// Warm the scratch pool, solver slabs, warm-potential pages, and shard
-	// freelists to their steady-state high-water marks.
-	for i := 0; i < 40; i++ {
+		// Warm the scratch pool, solver slabs, warm-potential pages, and shard
+		// freelists to their steady-state high-water marks.
+		for i := 0; i < 40; i++ {
+			fill()
+			runBatch()
+		}
 		fill()
-		runWindow()
-	}
-	fill()
-	perWindow := testing.AllocsPerRun(200, runWindow)
-	if perTask := perWindow / window; perTask > 9 {
-		t.Errorf("batch-optimal window allocates %.1f/window = %.2f/task, want ≤ 9/task", perWindow, perTask)
-	}
-	// The steady-state figure should in fact be far below the gate: a
-	// regression to per-candidate or per-worker allocation shows up as
-	// hundreds per window.
-	if perWindow > 64 {
-		t.Errorf("batch-optimal window allocates %.1f/window, want ≤ 64", perWindow)
+		perTask := testing.AllocsPerRun(200, runBatch) / float64(batchLen)
+		if perTask > 9 {
+			t.Errorf("batch-optimal batch of %d allocates %.2f/task, want ≤ 9/task", batchLen, perTask)
+		}
+		// The steady-state figure should in fact be far below the gate: a
+		// regression to per-candidate or per-worker allocation shows up as
+		// hundreds per window.
+		if perTask > 64.0/256 {
+			t.Errorf("batch-optimal batch of %d allocates %.3f/task, want ≤ 64 per 256 tasks", batchLen, perTask)
+		}
 	}
 }
 

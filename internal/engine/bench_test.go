@@ -12,55 +12,58 @@ import (
 )
 
 // BenchmarkBatchOptimalWindow measures one steady-state batch-optimal
-// window end to end (mine, pad, solve, commit, hand the units back), per
-// task, over a capacity-1 and a capacity-4 population. It is the in-repo
-// twin of the enginebench policy-batchopt and policy-batchopt-cap4 rows:
-// profile this to see where a window's time goes. The capacitated case is
-// the one deployments under this policy run (a capacity-aware policy
-// capacitates the whole population), and the one whose per-candidate
-// capacity reads went unmeasured while capacities sat in a map.
+// batch end to end (mine, pad, solve, commit, hand the units back), per
+// task, over a capacity-1 and a capacity-4 population, as one window (256
+// tasks) and as a long batch (700: three windows back to back). It is the
+// in-repo twin of the enginebench policy-batchopt and policy-batchopt-cap4
+// rows: profile this to see where a window's time goes. The capacitated
+// case is the one deployments under this policy run (a capacity-aware
+// policy capacitates the whole population), and the one whose
+// per-candidate capacity reads went unmeasured while capacities sat in a
+// map.
 func BenchmarkBatchOptimalWindow(b *testing.B) {
 	tree := buildTree(b, 64, 9)
 	for _, capacity := range []int{1, 4} {
-		b.Run(fmt.Sprintf("capacity=%d", capacity), func(b *testing.B) {
-			e, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(engine.BatchOptimal(8)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := rng.New(33)
-			const n = 16384
-			codes := make([]hst.Code, n)
-			for i := range codes {
-				codes[i] = randCode(tree, src)
-				if err := e.InsertCapEpoch(codes[i], i, capacity, 0); err != nil {
+		for _, batchLen := range []int{256, 700} {
+			b.Run(fmt.Sprintf("capacity=%d/batch=%d", capacity, batchLen), func(b *testing.B) {
+				e, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(engine.BatchOptimal(8)))
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			const window = 256
-			batch := make([]hst.Code, window)
-			runWindow := func() {
-				for i := range batch {
-					batch[i] = codes[src.Intn(n)]
+				src := rng.New(33)
+				const n = 16384
+				codes := make([]hst.Code, n)
+				for i := range codes {
+					codes[i] = randCode(tree, src)
+					if err := e.InsertCapEpoch(codes[i], i, capacity, 0); err != nil {
+						b.Fatal(err)
+					}
 				}
-				ids, _ := e.AssignBatch(batch)
-				for _, id := range ids {
-					if id >= 0 {
-						if err := e.AddCapacityEpoch(codes[id], id, 0); err != nil {
-							b.Fatal(err)
+				batch := make([]hst.Code, batchLen)
+				runBatch := func() {
+					for i := range batch {
+						batch[i] = codes[src.Intn(n)]
+					}
+					ids, _ := e.AssignBatch(batch)
+					for _, id := range ids {
+						if id >= 0 {
+							if err := e.AddCapacityEpoch(codes[id], id, 0); err != nil {
+								b.Fatal(err)
+							}
 						}
 					}
 				}
-			}
-			for i := 0; i < 20; i++ {
-				runWindow() // reach the scratch pool's high-water mark
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runWindow()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*window), "ns/task")
-		})
+				for i := 0; i < 20; i++ {
+					runBatch() // reach the scratch pool's high-water mark
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					runBatch()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchLen), "ns/task")
+			})
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,5 +298,237 @@ func TestConcurrentChurnAcrossShardCounts(t *testing.T) {
 				t.Errorf("Σ Occupancy %d != Len %d", occ, eng.Len())
 			}
 		})
+	}
+}
+
+// TestLongBatchYieldsBetweenWindows races long batch-optimal batches with
+// every writer the engine has. A 700-task batch is three windows back to
+// back, each under its own all-shards lock session, so InsertCapEpoch,
+// AddCapacityEpoch, RemoveUnits and an epoch swap all land between the
+// windows of a batch in flight. Against a per-worker ledger it asserts, under
+// -race, that no unit of capacity is handed out twice, that no answer names
+// a worker whose removal had returned before the batch began, that the
+// quiesced engine holds exactly the units the ledger says, and that the
+// yield is real: some mutation held its shard lock while a batch had its
+// first window behind it and its last still ahead.
+//
+// Worker ids are renumbered by the swap (id = w + nWorkers in the second
+// epoch), as a platform rotation renumbers slots: an answer then says which
+// epoch's stint it consumed, which is what lets a batch that straddles the
+// swap be accounted exactly.
+func TestLongBatchYieldsBetweenWindows(t *testing.T) {
+	grid, err := geo.NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(200, 200)), 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := hst.Build(grid.Points(), rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewWithOptions(tree, 4, WithPolicy(BatchOptimal(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const (
+		nWorkers    = 1024
+		capacity    = 3
+		batchLen    = 700 // three windows; the yield evidence below counts on it
+		nSubmitters = 3
+		nMutators   = 4
+	)
+	batchesPerSubmitter := stressN(8)
+	// One P runs a mutator only when a submitter is descheduled, which need
+	// not happen inside a batch: the gap between two windows is there, but
+	// it takes a second P to be running something that can use it.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+
+	// worker is one id's ledger row. granted counts the units ever put into
+	// the engine under the id, taken the units answers and RemoveUnits took
+	// out of it; out is the answered units a mutator may still hand back.
+	// The stamps are readings of a logical clock: lastIns is taken before the
+	// insert is called, lastRem after the removal has returned.
+	type worker struct {
+		mu               sync.Mutex
+		code             hst.Code
+		live             bool
+		granted, taken   int
+		out              int
+		lastIns, lastRem int64
+	}
+	led := make([]worker, 2*nWorkers)
+	var clock atomic.Int64
+
+	var violations atomic.Int64
+	fail := func(format string, args ...any) {
+		if violations.Add(1) <= 10 {
+			t.Errorf(format, args...)
+		}
+	}
+
+	seedSrc := rng.New(1).Derive("seed-pool")
+	for id := 0; id < nWorkers; id++ {
+		w := &led[id]
+		w.code, w.live, w.granted, w.lastIns = randCode(tree, seedSrc), true, capacity, clock.Add(1)
+		if err := eng.InsertCapEpoch(w.code, id, capacity, FirstEpoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// gate excludes the mutators (readers) from the swap (writer), which
+	// rewrites the ledger; submitters never take it, so batches race the
+	// swap itself. base and epoch are the serving epoch's id offset and id.
+	var gate sync.RWMutex
+	base, epoch := 0, int64(FirstEpoch)
+
+	var done atomic.Bool
+	var yields, assigned atomic.Int64
+	halfway := make(chan struct{})
+
+	var mutators, submitters sync.WaitGroup
+	for g := 0; g < nMutators; g++ {
+		mutators.Add(1)
+		go func(g int) {
+			defer mutators.Done()
+			src := rng.New(7).DeriveN("mutator", g)
+			for !done.Load() {
+				gate.RLock()
+				id := base + src.Intn(nWorkers)
+				w := &led[id]
+				w.mu.Lock()
+				before, locked := eng.Windows(), true
+				switch {
+				case !w.live:
+					w.code, w.lastIns = randCode(tree, src), clock.Add(1)
+					if err := eng.InsertCapEpoch(w.code, id, capacity, epoch); err != nil {
+						fail("insert worker %d: %v", id, err)
+					} else {
+						w.live, w.granted, w.out = true, w.granted+capacity, 0
+					}
+				case src.Intn(4) == 0:
+					// A worker with every unit out is not in the pool: it stays
+					// live and its units come back through AddCapacityEpoch.
+					if units, ok := eng.RemoveUnits(w.code, id); ok {
+						w.live, w.taken, w.lastRem = false, w.taken+units, clock.Add(1)
+					}
+				case w.out > 0:
+					if err := eng.AddCapacityEpoch(w.code, id, epoch); err != nil {
+						fail("return a unit of worker %d: %v", id, err)
+					} else {
+						w.granted, w.out = w.granted+1, w.out-1
+					}
+				default:
+					locked = false
+				}
+				// A window is counted under every shard lock, so at the moment
+				// this mutation held its shard lock the count was exact — no
+				// window in progress — and lay between the two readings. Every
+				// batch is three windows: if no multiple of three lies between
+				// the readings, some batch then had its first window behind it
+				// and its last still ahead.
+				if after := eng.Windows(); locked && before%3 != 0 && after/3 == before/3 {
+					yields.Add(1)
+				}
+				w.mu.Unlock()
+				gate.RUnlock()
+			}
+		}(g)
+	}
+	for g := 0; g < nSubmitters; g++ {
+		submitters.Add(1)
+		go func(g int) {
+			defer submitters.Done()
+			src := rng.New(13).DeriveN("submitter", g)
+			tasks := make([]hst.Code, batchLen)
+			for b := 0; b < batchesPerSubmitter; b++ {
+				if g == 0 && b == batchesPerSubmitter/2 {
+					close(halfway)
+				}
+				for i := range tasks {
+					tasks[i] = randCode(tree, src)
+				}
+				begin := clock.Load()
+				ids, _ := eng.AssignBatch(tasks)
+				end := clock.Load()
+				for _, id := range ids {
+					if id == None {
+						continue
+					}
+					assigned.Add(1)
+					w := &led[id]
+					w.mu.Lock()
+					w.taken++
+					w.out++
+					if w.taken > w.granted {
+						fail("worker %d: %d units taken of %d granted", id, w.taken, w.granted)
+					}
+					if w.lastRem != 0 && w.lastRem <= begin && !(w.live && w.lastIns <= end) {
+						fail("a batch begun at %d names worker %d, removed at %d", begin, id, w.lastRem)
+					}
+					w.mu.Unlock()
+				}
+			}
+		}(g)
+	}
+
+	// The one swap: every worker live in the ledger moves to a fresh code
+	// under its second-epoch id with a full complement of units, whatever the
+	// first epoch still owed it.
+	<-halfway
+	gate.Lock()
+	var next []EpochInsert
+	for id := 0; id < nWorkers; id++ {
+		if old := &led[id]; old.live {
+			w := &led[nWorkers+id]
+			w.code, w.live, w.granted, w.lastIns = randCode(tree, seedSrc), true, capacity, clock.Add(1)
+			next = append(next, EpochInsert{Code: w.code, ID: nWorkers + id, Cap: capacity})
+		}
+	}
+	err = eng.SwapEpochSeq(FirstEpoch+1, tree, 0, func(yield func(EpochInsert) bool) {
+		for _, in := range next {
+			if !yield(in) {
+				return
+			}
+		}
+	})
+	for id := 0; id < nWorkers; id++ {
+		w := &led[id]
+		w.mu.Lock()
+		w.live, w.lastRem = false, clock.Add(1)
+		w.mu.Unlock()
+	}
+	base, epoch = nWorkers, FirstEpoch+1
+	gate.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	submitters.Wait()
+	done.Store(true)
+	mutators.Wait()
+
+	if assigned.Load() == 0 {
+		t.Fatal("no assignments happened; the race exercised nothing")
+	}
+	t.Logf("%d assignments, %d mutations between the windows of a batch", assigned.Load(), yields.Load())
+	if yields.Load() == 0 {
+		t.Error("no mutation completed between the first and last window of a batch")
+	}
+	// Quiesced: the serving epoch holds exactly what the ledger granted and
+	// nobody took.
+	wantLen, wantUnits := 0, 0
+	for id := nWorkers; id < 2*nWorkers; id++ {
+		if pooled := led[id].granted - led[id].taken; pooled > 0 {
+			wantLen++
+			wantUnits += pooled
+		}
+	}
+	if n, u := eng.Len(), eng.CapacityUnits(); n != wantLen || u != wantUnits {
+		t.Errorf("engine holds %d workers / %d units, ledger %d / %d", n, u, wantLen, wantUnits)
+	}
+	if v := violations.Load(); v > 0 {
+		t.Fatalf("%d violations", v)
 	}
 }

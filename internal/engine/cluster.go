@@ -27,11 +27,13 @@ import (
 // and commits are code-addressed unit consumptions (ConsumeUnit) because
 // an arena ref means nothing across a process boundary.
 
-// BatchWindowSize is the batch-optimal window length: batches longer than
-// this split into consecutive windows, each solved as its own restricted
-// matching. Exported so a cluster coordinator chunks exactly as the
+// BatchWindowSize is the batch-optimal window length: a batch up to this
+// size solves as a single matching, a longer one as consecutive windows of
+// this size, each its own restricted matching under its own lock session.
+// Larger windows buy a wider matching scope at quadratically growing solve
+// cost. Exported so a cluster coordinator chunks exactly as the
 // single-process policy does.
-const BatchWindowSize = batchWindowSize
+const BatchWindowSize = 256
 
 // GroupOf returns the routable shard group a code belongs to: the unit
 // that must stay whole on one node for AssignSubtreeEpoch to be exact.

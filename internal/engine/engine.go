@@ -787,7 +787,15 @@ func (st *epochState) popMinOf(first, stride, n int) (id int, ok bool) {
 // greedy policies the outcome is exactly the outcome of calling Assign
 // sequentially on each code, with shard locking amortised across runs of
 // tasks that hit the same shard; a window-solving policy (batch-optimal)
-// instead serves the whole batch as one restricted min-cost matching.
+// instead serves each BatchWindowSize tasks as one restricted min-cost
+// matching, window after window.
+//
+// Under no policy is a batch atomic against other writers or a rotation:
+// inserts, removals and an epoch swap can land between two of its shard
+// lock sessions (between two windows of a long batch-optimal batch), and
+// the ids answered after a swap are the new epoch's. A caller that reads
+// the ids against one epoch must exclude rotation itself for the length
+// of the call, as platform.Server's gate does.
 func (e *Engine) AssignBatch(codes []hst.Code) (ids, lcaLevels []int) {
 	return e.policy.assignWindow(e, codes)
 }

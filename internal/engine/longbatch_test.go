@@ -8,19 +8,13 @@ import (
 	"github.com/pombm/pombm/internal/rng"
 )
 
-// pipelineWindow mirrors the engine's internal batchWindowSize. The tests
-// below build batches long enough to span several windows; if the window
-// size ever changes, the chunked twin must chunk at the new boundary too.
-const pipelineWindow = 256
-
-// TestPipelinedMatchesChunkedWindows is the pipeline's acceptance test: a
-// long batch served through one AssignBatch call (the pipelined path) must
-// produce exactly the answers of the same codes submitted window by window
-// as separate AssignBatch calls (the unpipelined path), on a twin engine
-// with its own policy instance. The batch drains the pool partway through
-// the last window so the empty-pool guard and the trailing Nones are
-// exercised too.
-func TestPipelinedMatchesChunkedWindows(t *testing.T) {
+// TestLongBatchMatchesChunkedWindows is the definition of a long batch:
+// one AssignBatch call over several windows' worth of tasks must produce
+// exactly the answers of the same codes submitted window by window as
+// separate AssignBatch calls, on a twin engine with its own policy
+// instance. The batch drains the pool partway through the last window so
+// the empty-pool guard and the trailing Nones are exercised too.
+func TestLongBatchMatchesChunkedWindows(t *testing.T) {
 	for _, shards := range []int{1, 8, 33} {
 		tree := buildTree(t, 16, 70)
 		src := rng.New(71)
@@ -56,8 +50,8 @@ func TestPipelinedMatchesChunkedWindows(t *testing.T) {
 
 		gotIDs, gotLvls := eb.AssignBatch(tasks)
 		var wantIDs, wantLvls []int
-		for lo := 0; lo < nTasks; lo += pipelineWindow {
-			hi := lo + pipelineWindow
+		for lo := 0; lo < nTasks; lo += engine.BatchWindowSize {
+			hi := lo + engine.BatchWindowSize
 			if hi > nTasks {
 				hi = nTasks
 			}
@@ -68,12 +62,12 @@ func TestPipelinedMatchesChunkedWindows(t *testing.T) {
 
 		for i := range tasks {
 			if gotIDs[i] != wantIDs[i] || gotLvls[i] != wantLvls[i] {
-				t.Fatalf("shards=%d task %d: pipelined (%d,%d) != chunked (%d,%d)",
+				t.Fatalf("shards=%d task %d: long (%d,%d) != chunked (%d,%d)",
 					shards, i, gotIDs[i], gotLvls[i], wantIDs[i], wantLvls[i])
 			}
 		}
 		if eb.Len() != es.Len() {
-			t.Fatalf("shards=%d: pipelined Len=%d, chunked Len=%d", shards, eb.Len(), es.Len())
+			t.Fatalf("shards=%d: long Len=%d, chunked Len=%d", shards, eb.Len(), es.Len())
 		}
 		// The restricted top-k matching need not drain the pool fully, but an
 		// over-subscribed batch must consume most of it.
@@ -81,19 +75,19 @@ func TestPipelinedMatchesChunkedWindows(t *testing.T) {
 			t.Fatalf("shards=%d: %d tasks left %d of %d workers unassigned",
 				shards, nTasks, eb.Len(), nWorkers)
 		}
-		wantWindows := int64((nTasks + pipelineWindow - 1) / pipelineWindow)
+		wantWindows := int64((nTasks + engine.BatchWindowSize - 1) / engine.BatchWindowSize)
 		if eb.Windows() != wantWindows || es.Windows() != wantWindows {
-			t.Fatalf("shards=%d: Windows pipelined=%d chunked=%d, want %d",
+			t.Fatalf("shards=%d: Windows long=%d chunked=%d, want %d",
 				shards, eb.Windows(), es.Windows(), wantWindows)
 		}
 	}
 }
 
-// TestPipelinedMatchesChunkedCapacity repeats the pipelined-vs-chunked
-// differential with capacitated workers, so the repair pass sees refs whose
-// units shrink without vanishing (a worker consumed by window i stays a
-// valid, re-capped candidate for window i+1).
-func TestPipelinedMatchesChunkedCapacity(t *testing.T) {
+// TestLongBatchMatchesChunkedCapacity repeats the long-vs-chunked
+// differential with capacitated workers, whose units shrink without
+// vanishing (a worker consumed by window i stays a candidate, with fewer
+// units, for window i+1).
+func TestLongBatchMatchesChunkedCapacity(t *testing.T) {
 	for _, shards := range []int{8, 33} {
 		tree := buildTree(t, 16, 80)
 		src := rng.New(81)
@@ -122,7 +116,7 @@ func TestPipelinedMatchesChunkedCapacity(t *testing.T) {
 		eb, es := build(), build()
 		units := eb.CapacityUnits()
 
-		nTasks := units + 100 // over-subscribe so the pool drains mid-pipeline
+		nTasks := units + 100 // over-subscribe so the pool drains mid-batch
 		tasks := make([]hst.Code, nTasks)
 		for i := range tasks {
 			tasks[i] = randCode(tree, src)
@@ -130,8 +124,8 @@ func TestPipelinedMatchesChunkedCapacity(t *testing.T) {
 
 		gotIDs, gotLvls := eb.AssignBatch(tasks)
 		var wantIDs, wantLvls []int
-		for lo := 0; lo < nTasks; lo += pipelineWindow {
-			hi := lo + pipelineWindow
+		for lo := 0; lo < nTasks; lo += engine.BatchWindowSize {
+			hi := lo + engine.BatchWindowSize
 			if hi > nTasks {
 				hi = nTasks
 			}
@@ -142,12 +136,12 @@ func TestPipelinedMatchesChunkedCapacity(t *testing.T) {
 
 		for i := range tasks {
 			if gotIDs[i] != wantIDs[i] || gotLvls[i] != wantLvls[i] {
-				t.Fatalf("shards=%d task %d: pipelined (%d,%d) != chunked (%d,%d)",
+				t.Fatalf("shards=%d task %d: long (%d,%d) != chunked (%d,%d)",
 					shards, i, gotIDs[i], gotLvls[i], wantIDs[i], wantLvls[i])
 			}
 		}
 		if eb.CapacityUnits() != es.CapacityUnits() || eb.Len() != es.Len() {
-			t.Fatalf("shards=%d: pipelined (units=%d,len=%d) != chunked (units=%d,len=%d)",
+			t.Fatalf("shards=%d: long (units=%d,len=%d) != chunked (units=%d,len=%d)",
 				shards, eb.CapacityUnits(), eb.Len(), es.CapacityUnits(), es.Len())
 		}
 		if eb.CapacityUnits() > units/2 {

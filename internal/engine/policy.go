@@ -122,16 +122,15 @@ type batchOptimalPolicy struct {
 	// the id, see warmSlab), shared by every window this policy serves. They
 	// live on the policy — not in the pooled scratch — so the warm history a
 	// window sees does not depend on which scratch the pool happened to hand
-	// out (the pipeline checks out two at once); the matching a window picks
-	// among cost-equal alternatives can depend on its seed potentials, and
-	// scratch-resident warmth would make long-batch results depend on pool
-	// checkout order. warmMu guards the slab for the shared-policy case (one
-	// policy serving several engines); within one engine every access is
-	// already ordered by the all-shards lock session. warmState pins the
-	// potentials to the state they were learned under — an opaque token
-	// compared by identity (the engine passes its *epochState, a coordinator
-	// its own per-epoch state) — and any other state drops every page and
-	// starts cold.
+	// out; the matching a window picks among cost-equal alternatives can
+	// depend on its seed potentials, and scratch-resident warmth would make
+	// results depend on pool checkout order. warmMu guards the slab for the
+	// shared-policy case (one policy serving several engines); within one
+	// engine every access is already ordered by the windows' all-shards lock
+	// sessions. warmState pins the potentials to the state they were learned
+	// under — an opaque token compared by identity (the engine passes its
+	// *epochState, a coordinator its own per-epoch state) — and any other
+	// state drops every page and starts cold.
 	warmMu    sync.Mutex
 	warm      warmSlab
 	warmState any
@@ -168,24 +167,17 @@ func (p *batchOptimalPolicy) assignWindow(e *Engine, codes []hst.Code) ([]int, [
 	for i := range ids {
 		ids[i] = None
 	}
-	if len(codes) > batchWindowSize {
-		// Long batches split into windows served through the mine/solve
-		// pipeline (pipeline.go): window i's solve overlaps window i+1's
-		// mining.
-		for {
-			st := e.state.Load()
-			if p.solvePipelined(e, st, codes, ids, lvls) {
-				return ids, lvls
-			}
+	// A batch longer than BatchWindowSize is its windows back to back, each
+	// under its own all-shards lock session — exactly the outcome of
+	// submitting the chunks as separate batches, and what a cluster
+	// coordinator does with the same batch. An empty batch is one (empty)
+	// window.
+	for lo := 0; lo == 0 || lo < len(codes); lo += BatchWindowSize {
+		hi := min(lo+BatchWindowSize, len(codes))
+		for !p.solveWindow(e, e.state.Load(), codes[lo:hi], ids[lo:hi], lvls[lo:hi]) {
 		}
 	}
-	for {
-		st := e.state.Load()
-		if p.solveWindow(e, st, codes, ids, lvls) {
-			e.windows.n.Add(1)
-			return ids, lvls
-		}
-	}
+	return ids, lvls
 }
 
 // refKey identifies one candidate across a window: the same worker mined
@@ -224,7 +216,6 @@ type windowScratch struct {
 	dedup      dedupTable         // candidate → solver worker column
 	workers    []shardWorker      // unique candidates, first-seen order
 	arcLvl     []int32            // LCA level per solver arc
-	genSnap    []uint64           // per-shard InsertGen at mine time (repair proof)
 	solver     *flow.Bipartite
 	wg         sync.WaitGroup
 }
@@ -256,25 +247,20 @@ func growRef(s []hst.CandidateRef, n int) []hst.CandidateRef {
 	return s[:n]
 }
 
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
 // solveWindow serves one window under every shard lock (a window is a
 // global decision; per-shard locking cannot express it). It reports false
 // when an epoch swap won the lock race, in which case the caller retries
 // against the new state. The body is a straight-line composition of the
-// stage methods below; the pipelined long-batch path (pipeline.go)
-// interleaves the same stages across two windows.
+// stage methods below.
 func (p *batchOptimalPolicy) solveWindow(e *Engine, st *epochState, codes []hst.Code, ids, lvls []int) bool {
 	st.lockAll()
 	defer st.unlockAll()
 	if e.state.Load() != st {
 		return false
 	}
+	// Counted inside the lock session: whoever holds a shard lock reads a
+	// count of whole windows, none in progress.
+	e.windows.n.Add(1)
 
 	ws := p.pool.Get().(*windowScratch)
 	defer p.pool.Put(ws)
@@ -283,7 +269,7 @@ func (p *batchOptimalPolicy) solveWindow(e *Engine, st *epochState, codes []hst.
 	}
 	p.padWindow(ws, st.layout, codes, st.smallestK)
 	p.buildAndSolve(ws, st)
-	p.commitWindow(ws, st, ids, lvls, nil)
+	p.commitWindow(ws, st, ids, lvls)
 	return true
 }
 
@@ -291,9 +277,7 @@ func (p *batchOptimalPolicy) solveWindow(e *Engine, st *epochState, codes []hst.
 // own shard, and mines each task's own-shard top-k candidates (one batch
 // per shard, fanned across goroutines for large windows). It returns the
 // number of tasks needing a solve — 0 when the window or the pool is
-// empty. Per-shard insert generations are snapshotted so a later repair
-// (pipeline speculation) can prove the mined refs were never redirected.
-// Caller holds every shard lock.
+// empty. Caller holds every shard lock.
 func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes []hst.Code, ids, lvls []int) int {
 	// Valid tasks only; malformed codes answer None without touching state.
 	ws.valid = ws.valid[:0]
@@ -315,10 +299,6 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 	ws.sizeFor(nt, S, k)
 	for s := range ws.padLen {
 		ws.padLen[s] = -1 // unbuilt: padWindow fills lists on first need
-	}
-	ws.genSnap = growU64(ws.genSnap, S)
-	for s := 0; s < S; s++ {
-		ws.genSnap[s] = st.shards[s].index.InsertGen()
 	}
 
 	// Group tasks by their own shard (every worker sharing the task's top
@@ -400,9 +380,8 @@ func (st *epochState) smallestK(s, k int, out []hst.CandidateRef) []hst.Candidat
 // with cross-shard pads. It is the first stage of the window kernel and
 // reads only the scratch and the shard geometry: pad lists still unbuilt
 // (padLen < 0) are pulled from lazyPad on first need, which the in-process
-// path points at the live tries — so it runs under every shard lock, after
-// any repair, never before — and a coordinator never needs, having loaded
-// every list its nodes mined.
+// path points at the live tries — so it runs under every shard lock — and
+// a coordinator never needs, having loaded every list its nodes mined.
 func (p *batchOptimalPolicy) padWindow(ws *windowScratch, l Layout, codes []hst.Code,
 	lazyPad func(s, k int, out []hst.CandidateRef) []hst.CandidateRef) {
 	nt, S, k := len(ws.valid), l.Shards, p.k
@@ -481,8 +460,7 @@ func (p *batchOptimalPolicy) padWindow(ws *windowScratch, l Layout, codes []hst.
 // potentials seeded from the policy's warm slab (learned under state, else
 // dropped) — runs the solver, and banks the closing potentials of every
 // column, matched or not, for the next window's warm start. It reads only
-// the scratch's mined refs and the warm slab, never the tries, so the
-// pipeline runs it concurrently with the next window's mining.
+// the scratch's mined refs and the warm slab, never the tries.
 func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, state any) {
 	nt, k := len(ws.valid), p.k
 	ws.dedup.reset(nt * k)
@@ -597,13 +575,10 @@ func (p *batchOptimalPolicy) SolveMined(state any, l Layout, codes []hst.Code, o
 }
 
 // commitWindow consumes one capacity unit per matched arc and stamps the
-// window's answers. dirty, when non-nil, collects the shards the
-// commit consumed from, so the pipeline's repair pass knows which mined
-// speculation to re-verify. Caller holds every shard lock; between the
-// mine that produced these refs and this commit nothing may have mutated
-// the tries except earlier commits (which repair accounts for), so a
-// missing candidate is a bug, not a race.
-func (p *batchOptimalPolicy) commitWindow(ws *windowScratch, st *epochState, ids, lvls []int, dirty []bool) {
+// window's answers. Caller holds every shard lock and has held them since
+// the mine that produced these refs, so a missing candidate is a bug, not
+// a race.
+func (p *batchOptimalPolicy) commitWindow(ws *windowScratch, st *epochState, ids, lvls []int) {
 	sol := ws.solver
 	for ti, i := range ws.valid {
 		a := sol.MatchedArc(ti)
@@ -617,9 +592,6 @@ func (p *batchOptimalPolicy) commitWindow(ws *windowScratch, st *epochState, ids
 			panic(fmt.Sprintf("engine: batch-optimal commit lost candidate %d", sw.ref.ID))
 		}
 		st.shards[sw.shard].assigns++
-		if dirty != nil {
-			dirty[sw.shard] = true
-		}
 		ids[i], lvls[i] = int(sw.ref.ID), int(ws.arcLvl[a])
 	}
 }

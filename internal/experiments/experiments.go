@@ -45,6 +45,9 @@ type Config struct {
 	// smaller values produce CI-friendly runs with the same shapes.
 	Scale float64
 	// GridCols is the resolution of the predefined point grid (N = cols²).
+	// The default is 64 (N = 4096), which the abl-grid ablation motivates:
+	// coarser grids floor TBF's total distance at the snapping error, finer
+	// ones deepen the tree without improving the matching.
 	GridCols int
 	// UseTrie switches TBF/Lap-HG to the O(D) trie matcher. The default
 	// (false) follows the paper's complexity analysis.

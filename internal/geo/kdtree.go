@@ -1,6 +1,9 @@
 package geo
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // KDTree is a static 2-d tree over a fixed point set, supporting
 // nearest-neighbour queries. It is used to snap locations to arbitrary
@@ -69,12 +72,12 @@ func (t *KDTree) Len() int { return len(t.pts) }
 // For an empty tree it returns (-1, +Inf).
 func (t *KDTree) Nearest(q Point) (int, float64) {
 	best := -1
-	bestD2 := inf()
+	bestD2 := math.Inf(1)
 	t.search(t.root, q, &best, &bestD2)
 	if best < 0 {
-		return -1, inf()
+		return -1, math.Inf(1)
 	}
-	return best, sqrt(bestD2)
+	return best, math.Sqrt(bestD2)
 }
 
 func (t *KDTree) search(node int, q Point, best *int, bestD2 *float64) {

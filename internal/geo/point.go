@@ -1,6 +1,6 @@
 // Package geo provides the planar geometry substrate for pombm: points,
-// rectangles, uniform grids of predefined points, and spatial indexes
-// (kd-tree, quadtree) for nearest-neighbour snapping.
+// rectangles, uniform grids of predefined points, and a kd-tree for
+// nearest-neighbour snapping.
 //
 // All coordinates are float64 in an arbitrary Euclidean plane; the paper's
 // synthetic space is [0,200]² and its real space is a 10 km × 10 km region.

@@ -91,14 +91,6 @@ type LeafIndex struct {
 
 	path []int32 // reusable root-to-leaf descent scratch
 	cbuf []byte  // reusable leaf-code scratch for ResolveRef (len depth)
-
-	// insertGen counts inserts. Inserts are the only mutation that can grow
-	// the arena or reuse freed slots, i.e. the only way a CandidateRef held
-	// across an unlock can come to point at a *different* live item, so a
-	// caller that recorded the generation at mining time can tell "my refs
-	// are at worst consumed" (generation unchanged) from "my refs may be
-	// lies" (generation moved). Removals and pops never bump it.
-	insertGen uint64
 }
 
 // flatNode is one trie position in the arena. 20 bytes (pinned by test):
@@ -335,16 +327,8 @@ func (x *LeafIndex) InsertCap(code Code, id, capacity int) error {
 	x.nodes[ni].items = si
 	x.size++
 	x.units += capacity
-	x.insertGen++
 	return nil
 }
-
-// InsertGen returns the index's insert generation: a counter bumped by
-// every successful insert and by nothing else. Refs mined at generation g
-// are structurally trustworthy while the generation stays g — intervening
-// removals can only have consumed them (RefUnits reports that), never
-// redirected them at another item.
-func (x *LeafIndex) InsertGen() uint64 { return x.insertGen }
 
 // bump increments a node's count and folds id into its subtree minimum.
 func (x *LeafIndex) bump(ni, id int32) {
@@ -501,8 +485,8 @@ func (x *LeafIndex) setItemCap(si, c int32) {
 func (x *LeafIndex) freeNodeAt(ni int32) {
 	n := &x.nodes[ni]
 	// The freelist threads through kids, never items: a stale CandidateRef
-	// may still probe a freed node (RefUnits, ConsumeRef), and walking items
-	// there must read an empty list, not a freelist link.
+	// may still probe a freed node (ConsumeRef), and walking items there
+	// must read an empty list, not a freelist link.
 	n.kids = x.freeNode
 	n.items = nilIdx
 	x.freeNode = ni

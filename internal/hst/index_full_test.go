@@ -238,8 +238,8 @@ func TestAddCapRefusesOverflow(t *testing.T) {
 			t.Fatalf("refused AddCap(%d) moved Units to %d", delta, x.Units())
 		}
 	}
-	if units, ok := x.RefUnits(x.NearestKRef(leaf, 1, nil)[0]); !ok || units != math.MaxInt32 {
-		t.Fatalf("item reads %d units (ok=%v), want MaxInt32", units, ok)
+	if refs := x.NearestKRef(leaf, 1, nil); len(refs) != 1 || refs[0].Cap != math.MaxInt32 {
+		t.Fatalf("item mines as %+v, want one ref of MaxInt32 units", refs)
 	}
 	// The item still serves: one pop takes one unit and AddCap fits again.
 	if id, _, ok := x.PopNearest(leaf); !ok || id != 4 {

@@ -122,27 +122,6 @@ func (x *LeafIndex) ResolveRef(ref CandidateRef) (c Candidate, ok bool) {
 	return Candidate{ID: int(ref.ID), Code: Code(x.cbuf), Level: int(ref.Level), Cap: int(ref.Cap)}, true
 }
 
-// RefUnits probes a previously mined ref without consuming anything: it
-// returns the capacity units the ref's item currently has at the ref's
-// node, ok false when the item is no longer there (consumed away, or the
-// node emptied and was freed). The pipelined batch policy uses it to
-// revalidate a window mined speculatively before the previous window's
-// commits: with the index's InsertGen unchanged since mining, a ref that
-// still answers here is exactly the item that was mined — intervening
-// removals can consume refs but never redirect them.
-func (x *LeafIndex) RefUnits(ref CandidateRef) (units int, ok bool) {
-	ni := ref.Node
-	if ni < 0 || int(ni) >= len(x.nodes) || ref.ID < 0 {
-		return 0, false
-	}
-	for si := x.nodes[ni].items; si != nilIdx; si = x.items[si].next {
-		if x.items[si].id == ref.ID {
-			return int(x.itemCap(si)), true
-		}
-	}
-	return 0, false
-}
-
 // collectKRef walks the subtree under ni — except the except branch —
 // keeping in out[start:] only the need smallest items by (id, node), in
 // sorted order. The per-node subtree minima turn the walk into a

@@ -183,76 +183,6 @@ func TestPopNearestWithinCodeUndoRestoresState(t *testing.T) {
 	sameSnapshot(t, -1, x, ref)
 }
 
-// TestRefUnitsProbesMinedRefs: RefUnits must agree with a mined ref's
-// capacity, track ConsumeRef unit by unit, and answer false once the item
-// is gone — without ever mutating anything.
-func TestRefUnitsProbesMinedRefs(t *testing.T) {
-	const depth, degree = 3, 4
-	x := NewLeafIndexDegree(depth, degree)
-	c := Code([]byte{1, 2, 3})
-	if err := x.InsertCap(c, 7, 2); err != nil {
-		t.Fatal(err)
-	}
-	refs := x.NearestKRef(c, 1, nil)
-	if len(refs) != 1 {
-		t.Fatalf("mined %d refs", len(refs))
-	}
-	if units, ok := x.RefUnits(refs[0]); !ok || units != 2 {
-		t.Fatalf("RefUnits = (%d,%v), want (2,true)", units, ok)
-	}
-	if !x.ConsumeRef(refs[0]) {
-		t.Fatal("ConsumeRef failed")
-	}
-	if units, ok := x.RefUnits(refs[0]); !ok || units != 1 {
-		t.Fatalf("RefUnits after one consume = (%d,%v), want (1,true)", units, ok)
-	}
-	if !x.ConsumeRef(refs[0]) {
-		t.Fatal("second ConsumeRef failed")
-	}
-	if _, ok := x.RefUnits(refs[0]); ok {
-		t.Fatal("RefUnits found a fully consumed item")
-	}
-	if _, ok := x.RefUnits(CandidateRef{ID: 7, Node: 1 << 20}); ok {
-		t.Fatal("RefUnits accepted an out-of-range node")
-	}
-}
-
-// TestInsertGenBumpsOnInsertOnly pins the generation contract: inserts
-// (and only inserts) move it. The pipelined batch policy distinguishes
-// "refs possibly consumed" from "refs possibly redirected" with it.
-func TestInsertGenBumpsOnInsertOnly(t *testing.T) {
-	const depth, degree = 3, 4
-	x := NewLeafIndexDegree(depth, degree)
-	if x.InsertGen() != 0 {
-		t.Fatalf("fresh index generation = %d", x.InsertGen())
-	}
-	c := Code([]byte{0, 1, 2})
-	if err := x.InsertCap(c, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Insert(c, 2); err != nil {
-		t.Fatal(err)
-	}
-	g := x.InsertGen()
-	if g != 2 {
-		t.Fatalf("generation after two inserts = %d", g)
-	}
-	x.PopNearest(c)      // consumes a unit of id 1
-	x.AddCap(c, 1, 1)    // and puts it back
-	x.Remove(c, 2)       // structural removal
-	x.CountPrefix(c[:1]) // reads
-	x.NearestKRef(c, 2, nil)
-	if x.InsertGen() != g {
-		t.Fatalf("generation moved to %d on non-inserts", x.InsertGen())
-	}
-	if err := x.Insert(c, 3); err != nil {
-		t.Fatal(err)
-	}
-	if x.InsertGen() != g+1 {
-		t.Fatalf("generation after reinsert = %d, want %d", x.InsertGen(), g+1)
-	}
-}
-
 // TestResolveRefRoundTrip pins the ref → code resolver: every mined ref
 // resolves to the candidate the reference holds (leaf code included), and
 // committing through the resolved code on a mirror index leaves it in

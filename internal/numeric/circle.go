@@ -33,35 +33,3 @@ func ArcFraction(rho, d, r float64) float64 {
 	}
 	return math.Acos(cos) / math.Pi
 }
-
-// DiscOverlapArea returns the area of intersection of two discs with radii
-// r1, r2 whose centres are distance d apart (the standard lens formula).
-// Used to sanity-check ArcFraction by differentiation in tests and offered
-// for density analyses.
-func DiscOverlapArea(r1, r2, d float64) float64 {
-	if r1 < 0 || r2 < 0 || d < 0 {
-		return 0
-	}
-	if d >= r1+r2 {
-		return 0
-	}
-	small, big := r1, r2
-	if small > big {
-		small, big = big, small
-	}
-	if d+small <= big {
-		return math.Pi * small * small // smaller disc fully contained
-	}
-	d1 := (d*d + r1*r1 - r2*r2) / (2 * d)
-	d2 := d - d1
-	seg := func(r, x float64) float64 {
-		c := x / r
-		if c > 1 {
-			c = 1
-		} else if c < -1 {
-			c = -1
-		}
-		return r*r*math.Acos(c) - x*math.Sqrt(math.Max(0, r*r-x*x))
-	}
-	return seg(r1, d1) + seg(r2, d2)
-}

@@ -82,39 +82,3 @@ func TestArcFractionMatchesMonteCarlo(t *testing.T) {
 		}
 	}
 }
-
-func TestDiscOverlapArea(t *testing.T) {
-	// Disjoint.
-	if a := DiscOverlapArea(1, 1, 5); a != 0 {
-		t.Errorf("disjoint = %v", a)
-	}
-	// Contained.
-	if a := DiscOverlapArea(1, 5, 1); math.Abs(a-math.Pi) > 1e-12 {
-		t.Errorf("contained = %v, want π", a)
-	}
-	// Identical discs.
-	if a := DiscOverlapArea(2, 2, 0); math.Abs(a-4*math.Pi) > 1e-12 {
-		t.Errorf("identical = %v, want 4π", a)
-	}
-	// Symmetric half-overlap sanity via Monte Carlo.
-	rng := rand.New(rand.NewSource(4))
-	const n = 400000
-	in := 0
-	r1, r2, d := 2.0, 3.0, 2.5
-	for i := 0; i < n; i++ {
-		// Sample in disc 1.
-		x, y := rng.Float64()*4-2, rng.Float64()*4-2
-		if x*x+y*y > r1*r1 {
-			i--
-			continue
-		}
-		if math.Hypot(x-d, y) <= r2 {
-			in++
-		}
-	}
-	mc := float64(in) / n * math.Pi * r1 * r1
-	got := DiscOverlapArea(r1, r2, d)
-	if math.Abs(got-mc) > 0.05 {
-		t.Errorf("overlap = %v, Monte Carlo = %v", got, mc)
-	}
-}

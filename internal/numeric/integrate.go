@@ -48,25 +48,3 @@ func adaptAux(f func(float64) float64, a, b, fa, fb, fc, whole, tol float64, dep
 	return adaptAux(f, a, c, fa, fc, fd, left, tol/2, depth-1) +
 		adaptAux(f, c, b, fc, fb, fe, right, tol/2, depth-1)
 }
-
-// LogSumExp returns log(Σ exp(xs[i])) computed stably. It returns -Inf for
-// an empty slice.
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	max := xs[0]
-	for _, x := range xs[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	if math.IsInf(max, -1) {
-		return max
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - max)
-	}
-	return max + math.Log(sum)
-}

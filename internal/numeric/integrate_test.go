@@ -52,23 +52,3 @@ func TestLaplaceRadialDensityIntegratesToOne(t *testing.T) {
 		}
 	}
 }
-
-func TestLogSumExp(t *testing.T) {
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Errorf("empty = %v", got)
-	}
-	if got := LogSumExp([]float64{0, 0}); math.Abs(got-math.Log(2)) > 1e-12 {
-		t.Errorf("log(2) case = %v", got)
-	}
-	// Stability: huge magnitudes that would overflow naive exp.
-	got := LogSumExp([]float64{1000, 1000, 1000})
-	want := 1000 + math.Log(3)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("large inputs = %v, want %v", got, want)
-	}
-	got = LogSumExp([]float64{-5000, -5001})
-	want = -5000 + math.Log(1+math.Exp(-1))
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("small inputs = %v, want %v", got, want)
-	}
-}

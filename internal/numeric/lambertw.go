@@ -1,7 +1,7 @@
 // Package numeric provides the numerical routines pombm needs beyond the
 // standard library: Lambert W (for planar-Laplace inverse-CDF sampling),
-// adaptive Simpson quadrature, circle-intersection arc fractions (for the
-// Prob baseline's reachability probabilities), and stable log-sum-exp.
+// adaptive Simpson quadrature, and circle-intersection arc fractions (for
+// the Prob baseline's reachability probabilities).
 package numeric
 
 import (
@@ -13,35 +13,6 @@ import (
 var ErrDomain = errors.New("numeric: argument outside domain")
 
 const invE = 1.0 / math.E
-
-// LambertW0 computes the principal branch W₀(x), defined for x ≥ -1/e,
-// satisfying W e^W = x with W ≥ -1.
-func LambertW0(x float64) (float64, error) {
-	if math.IsNaN(x) || x < -invE-1e-15 {
-		return 0, ErrDomain
-	}
-	if x <= -invE {
-		return -1, nil
-	}
-	if x == 0 {
-		return 0, nil
-	}
-	// Initial guess.
-	var w float64
-	switch {
-	case x < -0.25:
-		// Series around the branch point x = -1/e.
-		p := math.Sqrt(2 * (math.E*x + 1))
-		w = -1 + p - p*p/3 + 11.0/72.0*p*p*p
-	case x < 1:
-		w = x * (1 - x + 1.5*x*x) // Taylor at 0
-	default:
-		l1 := math.Log(x)
-		l2 := math.Log(l1)
-		w = l1 - l2 + l2/l1
-	}
-	return halley(w, x), nil
-}
 
 // LambertWm1 computes the lower branch W₋₁(x), defined for -1/e ≤ x < 0,
 // satisfying W e^W = x with W ≤ -1. This branch inverts the planar-Laplace

@@ -6,23 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLambertW0Identity(t *testing.T) {
-	// W₀(x)·e^{W₀(x)} = x across the domain.
-	for _, x := range []float64{-invE + 1e-12, -0.3, -0.1, -1e-6, 0, 1e-6, 0.1, 0.5, 1, math.E, 10, 1e3, 1e8} {
-		w, err := LambertW0(x)
-		if err != nil {
-			t.Fatalf("W0(%v): %v", x, err)
-		}
-		got := w * math.Exp(w)
-		if math.Abs(got-x) > 1e-9*math.Max(1, math.Abs(x)) {
-			t.Errorf("W0(%v)=%v, w·e^w=%v", x, w, got)
-		}
-		if w < -1-1e-9 {
-			t.Errorf("W0(%v)=%v below -1", x, w)
-		}
-	}
-}
-
 func TestLambertWm1Identity(t *testing.T) {
 	for _, x := range []float64{-invE + 1e-12, -0.36, -0.3, -0.2, -0.1, -0.01, -1e-4, -1e-8, -1e-15} {
 		w, err := LambertWm1(x)
@@ -40,33 +23,18 @@ func TestLambertWm1Identity(t *testing.T) {
 }
 
 func TestLambertWKnownValues(t *testing.T) {
-	// W₀(1) is the omega constant.
-	w, _ := LambertW0(1)
-	if math.Abs(w-0.5671432904097838) > 1e-12 {
-		t.Errorf("W0(1) = %v", w)
-	}
-	// W₀(e) = 1.
-	w, _ = LambertW0(math.E)
-	if math.Abs(w-1) > 1e-12 {
-		t.Errorf("W0(e) = %v", w)
-	}
 	// W₋₁(-2e⁻²) = -2 (since -2·e^{-2} = x).
-	w, _ = LambertWm1(-2 * math.Exp(-2))
+	w, _ := LambertWm1(-2 * math.Exp(-2))
 	if math.Abs(w+2) > 1e-9 {
 		t.Errorf("Wm1(-2e^-2) = %v, want -2", w)
 	}
-	// Branch point: both branches meet at -1.
-	w0, _ := LambertW0(-invE)
-	wm, _ := LambertWm1(-invE)
-	if w0 != -1 || wm != -1 {
-		t.Errorf("branch point: W0=%v Wm1=%v", w0, wm)
+	// The branch point is -1.
+	if wm, _ := LambertWm1(-invE); wm != -1 {
+		t.Errorf("branch point: Wm1=%v", wm)
 	}
 }
 
 func TestLambertWDomainErrors(t *testing.T) {
-	if _, err := LambertW0(-1); err == nil {
-		t.Error("W0(-1) should fail")
-	}
 	if _, err := LambertWm1(0); err == nil {
 		t.Error("Wm1(0) should fail")
 	}
@@ -91,21 +59,6 @@ func TestLambertWm1RoundTripQuick(t *testing.T) {
 			return false
 		}
 		return math.Abs(got-w) <= 1e-8*math.Abs(w)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLambertW0RoundTripQuick(t *testing.T) {
-	f := func(raw float64) bool {
-		w := math.Mod(math.Abs(raw), 50) - 1 // w in [-1, 49]
-		x := w * math.Exp(w)
-		got, err := LambertW0(x)
-		if err != nil {
-			return false
-		}
-		return math.Abs(got-w) <= 1e-8*math.Max(1, math.Abs(w))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

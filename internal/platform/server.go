@@ -475,8 +475,10 @@ func (s *Server) recordAssignment(slot, lvl int) TaskResponse {
 }
 
 // SubmitBatch assigns a batch of tasks in arrival order through the
-// engine's batched API, amortising locking across the batch. The outcome
-// is exactly that of submitting the tasks one by one.
+// engine's batched API, amortising locking across the batch. Under the
+// greedy policies the outcome is exactly that of submitting the tasks one
+// by one; under batch-optimal each window of up to engine.BatchWindowSize
+// tasks is one matching, solved over the window as a whole.
 func (s *Server) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 	out := TaskBatchResponse{Results: make([]TaskResponse, len(req.Tasks))}
 	s.gate.RLock()

@@ -1,12 +1,9 @@
 // Package stats provides the summary statistics the experiment harness
-// reports: numerically stable mean/variance accumulation (Welford),
-// percentiles, and normal-approximation confidence intervals.
+// reports: numerically stable mean/variance accumulation (Welford) and
+// percentiles.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Accumulator accumulates a stream of observations with Welford's
 // algorithm; the zero value is ready to use.
@@ -41,47 +38,6 @@ func (a *Accumulator) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }
-
-// CI95 returns the half-width of a 95% normal-approximation confidence
-// interval on the mean.
-func (a *Accumulator) CI95() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return 1.96 * a.Std() / math.Sqrt(float64(a.n))
-}
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Median, Max float64
-	P90, P99         float64
-}
-
-// Summarize computes a Summary. It returns the zero Summary for an empty
-// sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var acc Accumulator
-	for _, x := range sorted {
-		acc.Add(x)
-	}
-	return Summary{
-		N:      len(sorted),
-		Mean:   acc.Mean(),
-		Std:    acc.Std(),
-		Min:    sorted[0],
-		Median: Percentile(sorted, 0.5),
-		Max:    sorted[len(sorted)-1],
-		P90:    Percentile(sorted, 0.9),
-		P99:    Percentile(sorted, 0.99),
-	}
-}
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of a sorted sample using
 // linear interpolation. It panics on an empty sample.

@@ -8,7 +8,7 @@ import (
 
 func TestAccumulatorKnownValues(t *testing.T) {
 	var a Accumulator
-	if a.Mean() != 0 || a.Std() != 0 || a.CI95() != 0 {
+	if a.Mean() != 0 || a.Std() != 0 {
 		t.Error("zero value not neutral")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -74,35 +74,4 @@ func TestPercentile(t *testing.T) {
 		}
 	}()
 	Percentile(nil, 0.5)
-}
-
-func TestSummarize(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Errorf("empty summary: %+v", s)
-	}
-	xs := []float64{9, 1, 5, 3, 7}
-	s := Summarize(xs)
-	if s.N != 5 || s.Min != 1 || s.Max != 9 || s.Median != 5 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Mean-5) > 1e-12 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	// Input must not be reordered.
-	if xs[0] != 9 || xs[4] != 7 {
-		t.Error("Summarize mutated its input")
-	}
-}
-
-func TestCI95ShrinksWithN(t *testing.T) {
-	var small, big Accumulator
-	for i := 0; i < 10; i++ {
-		small.Add(float64(i % 5))
-	}
-	for i := 0; i < 1000; i++ {
-		big.Add(float64(i % 5))
-	}
-	if big.CI95() >= small.CI95() {
-		t.Errorf("CI did not shrink: %v vs %v", big.CI95(), small.CI95())
-	}
 }

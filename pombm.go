@@ -53,8 +53,6 @@ type (
 	Grid = geo.Grid
 	// KDTree is a nearest-neighbour index over arbitrary point sets.
 	KDTree = geo.KDTree
-	// Quadtree is a point-region quadtree with range counting.
-	Quadtree = geo.Quadtree
 )
 
 // Pt is shorthand for Point{x, y}.
