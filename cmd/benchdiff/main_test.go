@@ -83,11 +83,11 @@ func TestGateEndToEnd(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 
-	// The full gate list CI runs: the greedy engine, the extended-schema
-	// policy rows, and the single-client serving rows.
-	gated := "engine/goroutines=1,policy-capacity/goroutines=1,policy-batchopt/goroutines=1,policy-batchopt-cap4/goroutines=1,serve-submit/clients=1,cluster-submit/clients=1"
+	// The gate list CI runs (ci.yml, bench-gate), with its -allow-capped:
+	// the greedy engine and the extended-schema policy rows.
+	gated := "engine/goroutines=1,policy-capacity/goroutines=1,policy-batchopt/goroutines=1,policy-batchopt/goroutines=4,policy-batchopt/goroutines=8,policy-batchopt-cap4/goroutines=1"
 	clean := exec.Command(bin, "-base", baseline, "-new", baseline,
-		"-bench", gated, "-normalize", "scan/goroutines=1")
+		"-bench", gated, "-normalize", "scan/goroutines=1", "-allow-capped")
 	if out, err := clean.CombinedOutput(); err != nil {
 		t.Fatalf("self-comparison failed: %v\n%s", err, out)
 	}
@@ -123,10 +123,17 @@ func TestGateEndToEnd(t *testing.T) {
 		}
 		return path
 	}
-	for _, bench := range []string{"engine/goroutines=1", "policy-batchopt/goroutines=1", "policy-batchopt-cap4/goroutines=1", "serve-submit/clients=1", "cluster-submit/clients=1"} {
+	var base benchfmt.Report
+	if err := json.Unmarshal(blob, &base); err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range strings.Split(gated, ",") {
+		if rec, _ := base.Find(bench); rec.Capped {
+			continue // skipped by -allow-capped, loudly: nothing to regress
+		}
 		bad := doctor(t, bench)
 		gate := exec.Command(bin, "-base", baseline, "-new", bad,
-			"-bench", gated, "-normalize", "scan/goroutines=1")
+			"-bench", gated, "-normalize", "scan/goroutines=1", "-allow-capped")
 		out, err := gate.CombinedOutput()
 		if err == nil {
 			t.Fatalf("10× regression of %s passed the gate:\n%s", bench, out)

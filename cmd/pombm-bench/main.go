@@ -56,7 +56,6 @@ func main() {
 		file   = flag.String("instance", "", "run the distance pipelines on a workload CSV file instead of a registered experiment")
 		eps    = flag.Float64("eps", 0.6, "privacy budget for -instance runs")
 		par    = flag.Int("parallel", 0, "client-side obfuscation parallelism for -instance runs (0/1 = sequential)")
-		useEng = flag.Bool("engine", false, "use the sharded concurrent engine matcher for -instance runs")
 		svg    = flag.Bool("svg", false, "also write an SVG chart per experiment into -out")
 
 		// Benchmark hygiene: pin the scheduler and repeat runs so numbers
@@ -75,16 +74,10 @@ func main() {
 		engBench   = flag.Bool("enginebench", false, "run the assignment-engine throughput benchmark and exit")
 		engWorkers = flag.Int("workers", 16384, "enginebench: available workers per run")
 		engTasks   = flag.Int("tasks", 8192, "enginebench: tasks assigned per run")
-		engShards  = flag.Int("shards", 0, "engine shard count for -enginebench and -instance -engine runs (0 = engine default)")
+		engShards  = flag.Int("shards", 0, "engine shard count for -enginebench and -soak runs (0 = engine default)")
 		engGors    = flag.String("goroutines", "1,4,8", "enginebench: comma-separated goroutine counts")
-		engJSON    = flag.String("json", "BENCH_engine.json", "enginebench/servebench: write machine-readable results to this file ('' disables; servebench merges into an existing snapshot)")
-
-		// Serving benchmark lane (see serve.go): loopback HTTP throughput of
-		// the single-server and coordinator request paths.
-		srvBench   = flag.Bool("servebench", false, "run the loopback HTTP serving benchmark and exit")
-		srvClients = flag.String("clients", "1,4,8", "servebench: comma-separated concurrent client counts")
-		srvNodes   = flag.Int("nodes", 3, "servebench: backend node count for the cluster-submit rows")
-		history    = flag.String("history", "", "append the -json snapshot (with git SHA + timestamp) to this append-only history file after the run")
+		engJSON    = flag.String("json", "BENCH_engine.json", "enginebench: write machine-readable results to this file ('' disables)")
+		history    = flag.String("history", "", "enginebench: append the -json snapshot (with git SHA + timestamp) to this append-only history file after the run")
 
 		// Scale soak lane (see soak.go): million-worker populations, churn,
 		// snapshot round trips, and rotation peak-memory accounting.
@@ -124,15 +117,8 @@ func main() {
 		return
 	}
 
-	if *srvBench {
-		if err := runServeBench(*grid, *engWorkers, *engTasks, *engShards, *repeat, *srvClients, *seed, *srvNodes, *engJSON, *history); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if *file != "" {
-		opt := core.Options{Epsilon: *eps, Parallelism: *par, UseEngine: *useEng, Shards: *engShards}
+		opt := core.Options{Epsilon: *eps, Parallelism: *par}
 		if err := runOnFile(*file, *grid, *seed, *repeat, opt); err != nil {
 			fatal(err)
 		}
@@ -295,6 +281,32 @@ func gitSHA() string {
 		return strings.TrimSpace(string(out))
 	}
 	return "unknown"
+}
+
+// appendBenchHistory stamps the snapshot at jsonPath with the current
+// revision and time and appends it as one line of the append-only bench
+// trajectory (see benchfmt.AppendHistory).
+func appendBenchHistory(historyPath, jsonPath string) error {
+	if jsonPath == "" {
+		return fmt.Errorf("-history needs -json (the snapshot is what gets appended)")
+	}
+	blob, err := os.ReadFile(jsonPath)
+	if err != nil {
+		return err
+	}
+	var rep benchfmt.Report
+	if err := json.Unmarshal(blob, &rep); err != nil {
+		return fmt.Errorf("%s: %w", jsonPath, err)
+	}
+	if err := benchfmt.AppendHistory(historyPath, benchfmt.HistoryEntry{
+		GitSHA:   gitSHA(),
+		UnixTime: time.Now().Unix(),
+		Report:   &rep,
+	}); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "# appended %s snapshot to %s\n", jsonPath, historyPath)
+	return nil
 }
 
 // runEngineBench measures online assignment throughput of the three

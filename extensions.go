@@ -12,8 +12,7 @@ import (
 )
 
 // Extensions beyond the paper's evaluation: road-network metrics, the
-// Bansal et al. chain matcher, differentially private density analytics,
-// budget accounting, and workload file I/O.
+// Bansal et al. chain matcher, budget accounting, and workload file I/O.
 
 // Road networks.
 type (
@@ -72,18 +71,6 @@ type EuclideanGreedyIndexed = match.EuclideanGreedyIndexed
 // NewEuclideanGreedyIndexed builds the indexed Euclidean matcher.
 func NewEuclideanGreedyIndexed(region Rect, workers []Point) (*EuclideanGreedyIndexed, error) {
 	return match.NewEuclideanGreedyIndexed(region, workers)
-}
-
-// NoisyQuadtree is an ε-differentially-private spatial decomposition
-// (Cormode et al. ICDE'12 / To et al. PVLDB'14): Laplace-noised counts
-// over a fixed-depth quadtree, for aggregate density analytics that
-// complement the per-location protection of the HST mechanism.
-type NoisyQuadtree = privacy.NoisyQuadtree
-
-// NewNoisyQuadtree builds the decomposition over the points with total
-// budget eps split geometrically across depth+1 levels.
-func NewNoisyQuadtree(region Rect, points []Point, eps float64, depth int, seed uint64) (*NoisyQuadtree, error) {
-	return privacy.NewNoisyQuadtree(region, points, eps, depth, rng.New(seed))
 }
 
 // Accountant tracks per-agent Geo-I budget under sequential composition.

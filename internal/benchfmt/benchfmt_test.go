@@ -11,7 +11,7 @@ func TestHistoryAppendIsAppendOnly(t *testing.T) {
 	first := HistoryEntry{
 		GitSHA: "aaaa", UnixTime: 100,
 		Report: &Report{GitSHA: "aaaa", Workers: 7, Results: []Record{
-			{Benchmark: "serve-submit/clients=1", Goroutines: 1, NsPerOp: 123, TasksPerSec: 8130},
+			{Benchmark: "engine/goroutines=1", Goroutines: 1, NsPerOp: 123, TasksPerSec: 8130},
 		}},
 	}
 	if err := AppendHistory(path, first); err != nil {
@@ -35,7 +35,7 @@ func TestHistoryAppendIsAppendOnly(t *testing.T) {
 	if got[0].UnixTime != 100 || got[1].UnixTime != 200 {
 		t.Fatalf("timestamps lost: %d, %d", got[0].UnixTime, got[1].UnixTime)
 	}
-	rec, ok := got[0].Report.Find("serve-submit/clients=1")
+	rec, ok := got[0].Report.Find("engine/goroutines=1")
 	if !ok {
 		t.Fatal("snapshot row lost through the history round trip")
 	}

@@ -83,7 +83,7 @@ func runTape(t *testing.T, core platform.Core, eng *engine.Engine, tree *hst.Tre
 			code := tree.CodeOf(rnd.Intn(leaves))
 			id := nextID
 			nextID++
-			if err := core.InsertEpoch(code, id, 0); err != nil {
+			if err := core.InsertCapEpoch(code, id, 0, 0); err != nil {
 				t.Fatalf("round %d: cluster insert %d: %v", round, id, err)
 			}
 			if err := eng.InsertEpoch(code, id, 0); err != nil {
@@ -193,7 +193,7 @@ func TestGreedyFanoutIdentity(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	leaves := tree.NumPoints()
 	for i := 0; i < 200; i++ {
-		if err := core.InsertEpoch(tree.CodeOf(rnd.Intn(leaves)), i, 0); err != nil {
+		if err := core.InsertCapEpoch(tree.CodeOf(rnd.Intn(leaves)), i, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestPrepareFailureAbortsClusterWide(t *testing.T) {
 		t.Fatal(err)
 	}
 	code := tree.CodeOf(0)
-	if err := core.InsertEpoch(code, 1, 0); err != nil {
+	if err := core.InsertCapEpoch(code, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	err = core.SwapEpochSeq(2, next, 0, slices.Values([]engine.EpochInsert{{Code: next.CodeOf(0), ID: 9, Cap: 1}}))
@@ -467,7 +467,7 @@ func TestRestartedCoordinatorIsNotReplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < 3; id++ {
-		if err := first.InsertEpoch(tree.CodeOf(id), id, 0); err != nil {
+		if err := first.InsertCapEpoch(tree.CodeOf(id), id, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,7 +486,7 @@ func TestRestartedCoordinatorIsNotReplayed(t *testing.T) {
 		t.Fatalf("pool %d after the second incarnation's init, want the fresh engines' 0 (init replayed, not applied?)", got)
 	}
 	for id := 10; id < 13; id++ {
-		if err := second.InsertEpoch(tree.CodeOf(id-10), id, 0); err != nil {
+		if err := second.InsertCapEpoch(tree.CodeOf(id-10), id, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -255,7 +255,7 @@ func TestCoalescerConcurrentOps(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				id := g*perG + i
-				if err := core.InsertEpoch(tree.CodeOf(id%leaves), id, 0); err != nil {
+				if err := core.InsertCapEpoch(tree.CodeOf(id%leaves), id, 0, 0); err != nil {
 					t.Errorf("insert %d: %v", id, err)
 					return
 				}
@@ -560,7 +560,7 @@ func TestWindowCommitsInFewEnvelopes(t *testing.T) {
 	}
 	leaves := tree.NumPoints()
 	for id := 0; id < 2*leaves; id++ {
-		if err := core.InsertEpoch(tree.CodeOf(id%leaves), id, 0); err != nil {
+		if err := core.InsertCapEpoch(tree.CodeOf(id%leaves), id, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

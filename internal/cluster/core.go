@@ -211,10 +211,6 @@ func (c *fanCore) CapacityUnits() int {
 // Routed mutations (platform.Core). Each routes by the code's shard group
 // and runs under callNode's retry rule.
 
-func (c *fanCore) InsertEpoch(code hst.Code, id int, epoch int64) error {
-	return c.InsertCapEpoch(code, id, 0, epoch)
-}
-
 func (c *fanCore) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) error {
 	c.opMu.RLock()
 	defer c.opMu.RUnlock()

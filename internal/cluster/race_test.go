@@ -24,7 +24,7 @@ func TestSubmitsDuringDistributedRotation(t *testing.T) {
 	}
 	const oldPop, newBase, newPop = 60, 1000, 40
 	for i := 0; i < oldPop; i++ {
-		if err := core.InsertEpoch(tree.CodeOf((i*3)%tree.NumPoints()), i, 0); err != nil {
+		if err := core.InsertCapEpoch(tree.CodeOf((i*3)%tree.NumPoints()), i, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

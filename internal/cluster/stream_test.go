@@ -291,7 +291,7 @@ func TestIdleStreamIsReaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.InsertEpoch(tree.CodeOf(0), 1, 0); err != nil {
+	if err := core.InsertCapEpoch(tree.CodeOf(0), 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -31,15 +31,6 @@ type Options struct {
 	// paper's O(n) scan. Off by default: the evaluation reproduces the
 	// paper's complexity behaviour; the trie is the ablation.
 	UseTrie bool
-	// UseEngine selects the sharded concurrent assignment engine
-	// (internal/engine) as the HST-Greedy implementation. Takes precedence
-	// over UseTrie. Sequentially driven it reproduces the scan assignment
-	// for assignment; its value is concurrency safety and shard-local
-	// locking when tasks arrive on many goroutines.
-	UseEngine bool
-	// Shards is the engine shard count when UseEngine is set; 0 selects
-	// the engine default.
-	Shards int
 	// Parallelism bounds the worker pool for the client-side obfuscation
 	// fan-out in RunTBF and RunLapHG. 0 or 1 keeps the sequential draw
 	// order the harness has always used (bit-for-bit reproducible against
@@ -176,23 +167,15 @@ func RunLapHG(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (
 // newHSTAssigner returns the configured HST-Greedy implementation as a
 // plain assign function.
 func newHSTAssigner(tree *hst.Tree, workers []hst.Code, opt Options) (func(hst.Code) int, error) {
-	switch {
-	case opt.UseEngine:
-		g, err := match.NewHSTGreedyEngine(tree, workers, opt.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return g.Assign, nil
-	case opt.UseTrie:
+	if opt.UseTrie {
 		g, err := match.NewHSTGreedyTrie(tree, workers)
 		if err != nil {
 			return nil, err
 		}
 		return g.Assign, nil
-	default:
-		g := match.NewHSTGreedyScan(tree, workers)
-		return g.Assign, nil
 	}
+	g := match.NewHSTGreedyScan(tree, workers)
+	return g.Assign, nil
 }
 
 // obfuscateHST maps every true location through snap + the HST mechanism.

@@ -153,9 +153,6 @@ func (c *Controller) Tree() *hst.Tree {
 // Epsilon returns the per-report spend.
 func (c *Controller) Epsilon() float64 { return c.eps }
 
-// Accounting reports whether lifetime budgets are being enforced.
-func (c *Controller) Accounting() bool { return c.budget != nil }
-
 // Afford checks one fresh report for the worker against its lifetime
 // budget, given what the worker has spent so far (the caller owns that
 // cell). On exhaustion the worker is parked and the returned error wraps

@@ -70,8 +70,8 @@ func TestControllerLifecycle(t *testing.T) {
 	if c.Epoch() != FirstEpoch || c.Tree() != tree {
 		t.Fatalf("fresh controller: epoch %d", c.Epoch())
 	}
-	if !c.Accounting() || c.Epsilon() != 0.5 {
-		t.Fatal("accounting/epsilon not wired")
+	if c.Epsilon() != 0.5 {
+		t.Fatal("epsilon not wired")
 	}
 
 	// Plan and commit require a staged rotation.
@@ -275,7 +275,8 @@ func TestRefitUsesObservedHistory(t *testing.T) {
 	// Fake-leaf observations must not count.
 	src := rng.New(8)
 	for i := 0; i < 50; i++ {
-		if code := randCode(tree, src); !tree.IsReal(code) {
+		code := randCode(tree, src)
+		if _, ok := tree.PointOf(code); !ok {
 			c.Observe(code)
 		}
 	}

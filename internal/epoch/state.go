@@ -1,8 +1,6 @@
 package epoch
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -97,17 +95,4 @@ func (s *State) Engine(shards int, opts ...engine.Option) (*engine.Engine, error
 		return nil, fmt.Errorf("epoch: restore: %w", err)
 	}
 	return eng, nil
-}
-
-// JSON emits the canonical snapshot document. Large deployments prefer
-// WriteTo, which produces the identical bytes without materializing them.
-func (s *State) JSON() ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// ParseState reconstructs a snapshot from its JSON form. It is ReadState
-// over an in-memory blob: entries decode one at a time, so the only full
-// copy of the document is the caller's.
-func ParseState(blob []byte) (*State, error) {
-	return ReadState(bytes.NewReader(blob))
 }

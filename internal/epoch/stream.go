@@ -24,8 +24,8 @@ import (
 // written by either path restores through either parser.
 
 // WriteTo streams the canonical snapshot document — the exact bytes
-// State.JSON would produce — without materializing it. It implements
-// io.WriterTo.
+// json.Marshal of the State would produce — without materializing it. It
+// implements io.WriterTo.
 func (s *State) WriteTo(w io.Writer) (int64, error) {
 	return writeState(w, s.Epoch, s.Tree, s.Workers != nil, len(s.Workers), func(i int) (int, []byte, int) {
 		e := &s.Workers[i]
@@ -34,7 +34,7 @@ func (s *State) WriteTo(w io.Writer) (int64, error) {
 }
 
 // WriteSnapshot captures the engine's current epoch straight onto w,
-// producing the exact bytes Snapshot(eng).JSON() would — without ever
+// producing the exact bytes json.Marshal(Snapshot(eng)) would — without ever
 // holding the worker list as a []WorkerEntry. The population is gathered
 // into one contiguous code slab plus fixed-width entry records (sorted by
 // id for determinism), so the transient cost is one compact copy of the
@@ -124,8 +124,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // ReadState reconstructs a snapshot from its JSON form, decoding worker
 // entries one at a time instead of buffering the whole document. It
 // accepts any key order and skips unknown keys (the same liberality
-// json.Unmarshal gave the materialized parser) and, like ParseState,
-// rejects trailing data after the document.
+// json.Unmarshal gives) and rejects trailing data after the document.
 func ReadState(r io.Reader) (*State, error) {
 	dec := json.NewDecoder(r)
 	s, err := decodeState(dec)

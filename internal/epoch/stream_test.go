@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -35,14 +36,14 @@ func assertStreamIdentity(t *testing.T, eng *engine.Engine, s *State, want []byt
 			t.Fatalf("WriteSnapshot: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("WriteSnapshot diverges from Snapshot().JSON():\n%s\n---\n%s", buf.Bytes(), want)
+			t.Fatalf("WriteSnapshot diverges from json.Marshal(Snapshot()):\n%s\n---\n%s", buf.Bytes(), want)
 		}
 	}
 	parsed, err := ReadState(bytes.NewReader(want))
 	if err != nil {
 		t.Fatalf("ReadState: %v", err)
 	}
-	back, err := parsed.JSON()
+	back, err := json.Marshal(parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestStreamedSnapshotByteIdentity(t *testing.T) {
 				// only after the swap settles.
 			}
 			snap := Snapshot(eng)
-			want, err := snap.JSON()
+			want, err := json.Marshal(snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +132,8 @@ func TestStreamedSnapshotByteIdentity(t *testing.T) {
 }
 
 // ReadState must accept the liberties json.Unmarshal allowed: any key
-// order, unknown keys, null workers — and reject what ParseState rejected.
+// order, unknown keys, null workers — and reject a treeless document,
+// trailing data and a worker code outside the tree.
 func TestReadStateCompatibility(t *testing.T) {
 	grid, err := geo.NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100)), 4, 4)
 	if err != nil {
@@ -149,7 +151,7 @@ func TestReadStateCompatibility(t *testing.T) {
 	if err := eng.Insert(hst.Code(code), 3); err != nil {
 		t.Fatal(err)
 	}
-	canonical, err := Snapshot(eng).JSON()
+	canonical, err := json.Marshal(Snapshot(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +160,11 @@ func TestReadStateCompatibility(t *testing.T) {
 	workersJSON := doc[strings.Index(doc, `"workers":`)+len(`"workers":`) : len(doc)-1]
 
 	reordered := `{"workers":` + workersJSON + `,"unknown":{"a":[1,2]},"tree":` + treeJSON + `,"epoch":1}`
-	s, err := ParseState([]byte(reordered))
+	s, err := ReadState(strings.NewReader(reordered))
 	if err != nil {
 		t.Fatalf("reordered document refused: %v", err)
 	}
-	back, err := s.JSON()
+	back, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +172,16 @@ func TestReadStateCompatibility(t *testing.T) {
 		t.Fatalf("reordered parse lost data:\n%s\n---\n%s", back, canonical)
 	}
 
-	if s, err := ParseState([]byte(`{"epoch":1,"tree":` + treeJSON + `,"workers":null}`)); err != nil || s.Workers != nil {
+	if s, err := ReadState(strings.NewReader(`{"epoch":1,"tree":` + treeJSON + `,"workers":null}`)); err != nil || s.Workers != nil {
 		t.Fatalf("null workers: s=%+v err=%v", s, err)
 	}
-	if _, err := ParseState([]byte(`{"epoch":1,"workers":null}`)); err == nil {
+	if _, err := ReadState(strings.NewReader(`{"epoch":1,"workers":null}`)); err == nil {
 		t.Fatal("treeless document accepted")
 	}
-	if _, err := ParseState(append(append([]byte{}, canonical...), []byte("garbage")...)); err == nil {
+	if _, err := ReadState(strings.NewReader(doc + "garbage")); err == nil {
 		t.Fatal("trailing data accepted")
 	}
-	if _, err := ParseState([]byte(`{"epoch":1,"tree":` + treeJSON +
+	if _, err := ReadState(strings.NewReader(`{"epoch":1,"tree":` + treeJSON +
 		`,"workers":[{"id":9,"code":"/////w=="}]}`)); err == nil {
 		t.Fatal("out-of-tree worker code accepted")
 	}

@@ -54,17 +54,6 @@ type Config struct {
 	UseTrie bool
 }
 
-// DefaultConfig is paper-faithful except for repetitions (5 instead of 10)
-// and keeps full workload sizes.
-func DefaultConfig() Config {
-	return Config{Seed: 2020, Reps: 5, Scale: 1.0, GridCols: 64}
-}
-
-// QuickConfig runs every experiment at roughly 1/10 scale for smoke tests.
-func QuickConfig() Config {
-	return Config{Seed: 2020, Reps: 2, Scale: 0.1, GridCols: 16}
-}
-
 func (c Config) validate() error {
 	if c.Reps < 1 {
 		return fmt.Errorf("experiments: Reps must be ≥ 1 (got %d)", c.Reps)

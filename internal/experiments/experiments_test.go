@@ -4,15 +4,16 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/pombm/pombm/internal/geo"
+	"github.com/pombm/pombm/internal/rng"
+	"github.com/pombm/pombm/internal/roadnet"
+	"github.com/pombm/pombm/internal/workload"
 )
 
 func quickRunner(t testing.TB) *Runner {
 	t.Helper()
-	cfg := QuickConfig()
-	cfg.Reps = 1
-	cfg.Scale = 0.02
-	cfg.GridCols = 8
-	r, err := NewRunner(cfg)
+	r, err := NewRunner(Config{Seed: 2020, Reps: 1, Scale: 0.02, GridCols: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +272,45 @@ func TestEveryExperimentRuns(t *testing.T) {
 		}
 		if _, ok := Title(id); !ok {
 			t.Errorf("%s: missing title", id)
+		}
+	}
+}
+
+// TestRoadSnapIsNearestIntersection pins the property abl-road's snapping
+// rests on: roadnet.Manhattan puts node i at the grid's point i, so for any
+// location — a tenth of them outside the region — the cell Grid.Snap names
+// is the brute-force nearest intersection.
+func TestRoadSnapIsNearestIntersection(t *testing.T) {
+	const cols, rows = 24, 17
+	region := workload.SyntheticRegion
+	src := rng.New(5)
+	network, err := roadnet.Manhattan(region, cols, rows, 0.6, 0.12, src.Derive("net"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := geo.MustGrid(region, cols, rows)
+	nodes := network.Positions()
+	if len(nodes) != grid.Len() {
+		t.Fatalf("%d intersections over a %d-point grid", len(nodes), grid.Len())
+	}
+	for i := 0; i < 10000; i++ {
+		p := geo.Pt(region.MinX+src.Float64()*region.Width(), region.MinY+src.Float64()*region.Height())
+		if i%10 == 0 { // push it past one of the four edges or four corners
+			k := src.Intn(8)
+			if k >= 4 {
+				k++ // 4 is the region itself
+			}
+			p.X += region.Width() * float64(k%3-1)
+			p.Y += region.Height() * float64(k/3-1)
+		}
+		nearest, best := -1, math.Inf(1)
+		for j, q := range nodes {
+			if d := p.Dist(q); d < best {
+				nearest, best = j, d
+			}
+		}
+		if got := grid.Snap(p); got != nearest {
+			t.Fatalf("Snap(%v) = node %d at %v, the nearest is node %d at %v", p, got, p.Dist(nodes[got]), nearest, best)
 		}
 	}
 }

@@ -46,7 +46,12 @@ func runAblRoad(r *Runner) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := geo.NewKDTree(network.Positions())
+	// Manhattan puts node i at the grid's point i, so the nearest
+	// intersection of a location is the cell it falls in.
+	snap, err := geo.NewGrid(workload.SyntheticRegion, gridCols, gridCols)
+	if err != nil {
+		return nil, err
+	}
 
 	fig := &Figure{
 		ID: "abl-road", Title: "Task assignment on a road network",
@@ -71,11 +76,11 @@ func runAblRoad(r *Runner) (*Figure, error) {
 			// True node of every agent: nearest intersection.
 			taskNode := make([]int, len(inst.Tasks))
 			for i, p := range inst.Tasks {
-				taskNode[i], _ = snap.Nearest(p)
+				taskNode[i] = snap.Snap(p)
 			}
 			workerNode := make([]int, len(inst.Workers))
 			for i, p := range inst.Workers {
-				workerNode[i], _ = snap.Nearest(p)
+				workerNode[i] = snap.Snap(p)
 			}
 			repSrc := r.root.DeriveN(fmt.Sprintf("abl-road-%g", eps), rep)
 
@@ -89,7 +94,7 @@ func runAblRoad(r *Runner) (*Figure, error) {
 				return nil, err
 			}
 			sumEuc += d
-			sumLap += runRoadLapGR(network, metric, snap, inst, taskNode, workerNode, eps, repSrc.Derive("lap"))
+			sumLap += runRoadLapGR(metric, inst, taskNode, workerNode, eps, repSrc.Derive("lap"))
 		}
 		n := float64(r.cfg.Reps)
 		road.Values = append(road.Values, sumRoad/n)
@@ -124,8 +129,7 @@ func runRoadTBF(tree *hst.Tree, metric *roadnet.Metric, taskNode, workerNode []i
 
 // runRoadLapGR runs the planar Laplace + Euclidean greedy baseline but
 // scores matched pairs by road distance between their true intersections.
-func runRoadLapGR(network *roadnet.Graph, metric *roadnet.Metric, snap *geo.KDTree,
-	inst *workload.Instance, taskNode, workerNode []int, eps float64, src *rng.Source) float64 {
+func runRoadLapGR(metric *roadnet.Metric, inst *workload.Instance, taskNode, workerNode []int, eps float64, src *rng.Source) float64 {
 	lap, err := privacy.NewPlanarLaplace(eps)
 	if err != nil {
 		return 0

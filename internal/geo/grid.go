@@ -90,12 +90,3 @@ func (g *Grid) Snap(p Point) int {
 	}
 	return r*g.Cols + c
 }
-
-// SnapPoint returns the nearest predefined point itself.
-func (g *Grid) SnapPoint(p Point) Point { return g.points[g.Snap(p)] }
-
-// CellDiagonal returns the diagonal of one grid cell: an upper bound on
-// twice the snapping error.
-func (g *Grid) CellDiagonal() float64 {
-	return math.Hypot(g.cellW, g.cellH)
-}

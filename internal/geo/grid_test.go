@@ -88,13 +88,13 @@ func TestGridSnapErrorBound(t *testing.T) {
 	// Any in-region point must be within half the cell diagonal of its
 	// snapped predefined point.
 	g := MustGrid(Rect{0, 0, 200, 200}, 32, 32)
-	bound := g.CellDiagonal()/2 + 1e-9
+	bound := math.Hypot(g.Region.Width()/float64(g.Cols), g.Region.Height()/float64(g.Rows))/2 + 1e-9
 	f := func(x, y float64) bool {
 		p := Pt(math.Mod(math.Abs(x), 200), math.Mod(math.Abs(y), 200))
 		if !p.IsFinite() {
 			return true
 		}
-		return p.Dist(g.SnapPoint(p)) <= bound
+		return p.Dist(g.Point(g.Snap(p))) <= bound
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,6 +1,6 @@
 // Package geo provides the planar geometry substrate for pombm: points,
-// rectangles, uniform grids of predefined points, and a kd-tree for
-// nearest-neighbour snapping.
+// rectangles, uniform grids of predefined points (which snap a location
+// to its nearest point in O(1)), and a dynamic nearest-neighbour grid.
 //
 // All coordinates are float64 in an arbitrary Euclidean plane; the paper's
 // synthetic space is [0,200]² and its real space is a 10 km × 10 km region.
@@ -48,23 +48,6 @@ func (p Point) IsFinite() bool {
 
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
-
-// MaxPairwiseDist returns the diameter of the point set: the maximum
-// pairwise Euclidean distance. It returns 0 for sets of size < 2.
-// The HST construction (Alg. 1) needs this to size the top level.
-func MaxPairwiseDist(pts []Point) float64 {
-	// O(n²) is acceptable for predefined point sets (N ≤ a few thousand);
-	// Alg. 1 itself is O(N²·D) so this does not dominate.
-	var max float64
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if d := pts[i].Dist(pts[j]); d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
 
 // Centroid returns the arithmetic mean of the points, or the origin for an
 // empty slice.

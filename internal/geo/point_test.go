@@ -99,19 +99,6 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
-func TestMaxPairwiseDist(t *testing.T) {
-	if got := MaxPairwiseDist(nil); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-	if got := MaxPairwiseDist([]Point{Pt(1, 1)}); got != 0 {
-		t.Errorf("singleton = %v", got)
-	}
-	pts := []Point{Pt(0, 0), Pt(1, 0), Pt(0, 1), Pt(3, 4)}
-	if got := MaxPairwiseDist(pts); math.Abs(got-5) > 1e-12 {
-		t.Errorf("diameter = %v, want 5", got)
-	}
-}
-
 func TestCentroid(t *testing.T) {
 	if got := Centroid(nil); got != (Point{}) {
 		t.Errorf("empty centroid = %v", got)

@@ -20,12 +20,6 @@ func NewRect(a, b Point) Rect {
 	return r
 }
 
-// Square returns the axis-aligned square with the given lower-left corner
-// and side length.
-func Square(origin Point, side float64) Rect {
-	return Rect{MinX: origin.X, MinY: origin.Y, MaxX: origin.X + side, MaxY: origin.Y + side}
-}
-
 // Width returns the horizontal extent.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 
@@ -55,17 +49,6 @@ func (r Rect) Clamp(p Point) Point {
 		p.Y = r.MaxY
 	}
 	return p
-}
-
-// DistTo returns the Euclidean distance from p to the rectangle, 0 when p
-// is inside. Used by spatial-index pruning.
-func (r Rect) DistTo(p Point) float64 {
-	return p.Dist(r.Clamp(p))
-}
-
-// Diameter returns the length of the rectangle's diagonal.
-func (r Rect) Diameter() float64 {
-	return Point{r.MinX, r.MinY}.Dist(Point{r.MaxX, r.MaxY})
 }
 
 // Intersects reports whether the two rectangles overlap (boundary inclusive).

@@ -54,19 +54,6 @@ func TestClampIsIdempotentAndInside(t *testing.T) {
 	}
 }
 
-func TestRectDistTo(t *testing.T) {
-	r := Rect{0, 0, 10, 10}
-	if d := r.DistTo(Pt(5, 5)); d != 0 {
-		t.Errorf("inside dist = %v", d)
-	}
-	if d := r.DistTo(Pt(13, 14)); math.Abs(d-5) > 1e-12 {
-		t.Errorf("corner dist = %v, want 5", d)
-	}
-	if d := r.DistTo(Pt(-2, 5)); math.Abs(d-2) > 1e-12 {
-		t.Errorf("edge dist = %v, want 2", d)
-	}
-}
-
 func TestRectQuadrants(t *testing.T) {
 	r := Rect{0, 0, 10, 10}
 	qs := r.Quadrants()
@@ -105,11 +92,8 @@ func TestRectIntersects(t *testing.T) {
 	}
 }
 
-func TestRectDiameterAndCenter(t *testing.T) {
+func TestRectCenter(t *testing.T) {
 	r := Rect{0, 0, 3, 4}
-	if d := r.Diameter(); math.Abs(d-5) > 1e-12 {
-		t.Errorf("Diameter = %v, want 5", d)
-	}
 	if c := r.Center(); c != Pt(1.5, 2) {
 		t.Errorf("Center = %v", c)
 	}

@@ -38,9 +38,6 @@ import (
 // Codes are comparable and usable as map keys.
 type Code string
 
-// Digit returns the child index at depth j.
-func (c Code) Digit(j int) int { return int(c[j]) }
-
 // Node is a cluster node of the real (pre-completion) HST. It is retained
 // for inspection, DOT export, and tests; the mechanism and matcher work on
 // codes instead.
@@ -115,12 +112,6 @@ func (t *Tree) PointOf(c Code) (int, bool) {
 	return i, ok
 }
 
-// IsReal reports whether the code denotes a real (non-fake) leaf.
-func (t *Tree) IsReal(c Code) bool {
-	_, ok := t.byCode[c]
-	return ok
-}
-
 // LCALevel returns the level of the least common ancestor of two leaves of
 // the complete tree: D minus the length of their longest common digit
 // prefix, and 0 when the codes are equal.
@@ -162,13 +153,6 @@ func (t *Tree) SiblingSetSize(i int) float64 {
 // float64 (it routinely exceeds uint64 range).
 func (t *Tree) TotalLeaves() float64 {
 	return math.Pow(float64(t.degree), float64(t.depth))
-}
-
-// Ancestor returns the code prefix identifying the ancestor of leaf c at
-// the given level (depth D−level from the root). Level 0 returns the full
-// code; level D returns the empty prefix (the root).
-func (t *Tree) Ancestor(c Code, level int) Code {
-	return c[:t.depth-level]
 }
 
 // validCode reports whether c is a well-formed leaf code for this tree.

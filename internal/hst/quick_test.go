@@ -79,15 +79,17 @@ func TestQuickLCALevelConsistentWithAncestors(t *testing.T) {
 	f := func(x, y uint64) bool {
 		a, b := randomLeaf(tr, x), randomLeaf(tr, y)
 		lvl := tr.LCALevel(a, b)
-		// The ancestors at the LCA level must coincide; one level below
-		// (if distinct leaves) they must differ.
-		if tr.Ancestor(a, lvl) != tr.Ancestor(b, lvl) {
+		// The ancestor of a leaf at a level is its code prefix of length
+		// D−level. The ancestors at the LCA level must coincide; one level
+		// below (if distinct leaves) they must differ.
+		cut := tr.Depth() - lvl
+		if a[:cut] != b[:cut] {
 			return false
 		}
 		if lvl == 0 {
 			return a == b
 		}
-		return tr.Ancestor(a, lvl-1) != tr.Ancestor(b, lvl-1)
+		return a[:cut+1] != b[:cut+1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -307,14 +307,6 @@ type flakyCore struct {
 
 var errFlaky = fmt.Errorf("flaky core: %w", hst.ErrIndexFull)
 
-func (c *flakyCore) InsertEpoch(code hst.Code, id int, epoch int64) error {
-	if c.failNext {
-		c.failNext = false
-		return errFlaky
-	}
-	return c.Engine.InsertEpoch(code, id, epoch)
-}
-
 func (c *flakyCore) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) error {
 	if c.failNext {
 		c.failNext = false

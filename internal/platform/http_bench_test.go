@@ -15,8 +15,8 @@ import (
 )
 
 // BenchmarkLoopbackSubmit measures one full client->server Submit round
-// trip over loopback HTTP — the per-op serving cost the servebench lane
-// reports as serve-submit.
+// trip over loopback HTTP — the per-op cost under the repository
+// benchmark's serve-lifecycle task_p50_us.
 func BenchmarkLoopbackSubmit(b *testing.B) {
 	s := newTestServer(b)
 	ts := httptest.NewServer(Handler(s))

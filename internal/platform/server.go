@@ -49,7 +49,6 @@ type Core interface {
 	// overwritten later.
 	Assign(code hst.Code) (id, lcaLevel int, ok bool)
 	AssignBatch(codes []hst.Code) (ids, lcaLevels []int)
-	InsertEpoch(code hst.Code, id int, epoch int64) error
 	InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) error
 	AddCapacityEpoch(code hst.Code, id int, epoch int64) error
 	Remove(code hst.Code, id int) bool

@@ -1,19 +1,12 @@
 package platform
 
-import (
-	"fmt"
-
-	"github.com/pombm/pombm/internal/geo"
-	"github.com/pombm/pombm/internal/hst"
-	"github.com/pombm/pombm/internal/privacy"
-)
+import "fmt"
 
 // Location updates. The paper's model is one-shot: every agent reports one
 // obfuscated location. A deployed platform has workers that move and
 // re-report, and each re-report of a (correlated) location spends privacy
-// budget under sequential composition. This file adds both halves:
-// server-side re-registration and a client-side obfuscator that refuses to
-// exceed a lifetime budget.
+// budget under sequential composition. This file is the server side:
+// re-registration, charged against the worker's lifetime budget.
 
 // ReregisterRequest replaces a worker's reported leaf.
 type ReregisterRequest struct {
@@ -81,65 +74,4 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 	s.rot.Charge(&rec.spent)
 	s.rot.Observe(code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
-}
-
-// BudgetedObfuscator is a client-side privacy stack with lifetime budget
-// accounting: every obfuscation of the agent's location spends the
-// publication's ε, and calls beyond the lifetime budget fail instead of
-// silently degrading the guarantee.
-type BudgetedObfuscator struct {
-	agentID string
-	inner   *Obfuscator
-	eps     float64
-	acct    *privacy.Accountant
-}
-
-// NewBudgetedObfuscator wraps the client-side stack for one agent with a
-// lifetime ε budget.
-func NewBudgetedObfuscator(agentID string, pub Publication, lifetime float64, seed uint64) (*BudgetedObfuscator, error) {
-	inner, err := NewObfuscator(pub, seed)
-	if err != nil {
-		return nil, err
-	}
-	acct, err := privacy.NewAccountant(lifetime)
-	if err != nil {
-		return nil, err
-	}
-	return &BudgetedObfuscator{
-		agentID: agentID,
-		inner:   inner,
-		eps:     pub.Epsilon,
-		acct:    acct,
-	}, nil
-}
-
-// Obfuscate spends ε from the lifetime budget and reports the obfuscated
-// leaf, or fails when the budget is exhausted.
-func (b *BudgetedObfuscator) Obfuscate(p geo.Point) (hst.Code, error) {
-	if err := b.acct.Spend(b.agentID, b.eps); err != nil {
-		return "", err
-	}
-	return b.inner.Obfuscate(p), nil
-}
-
-// Remaining returns the unspent lifetime budget.
-func (b *BudgetedObfuscator) Remaining() float64 {
-	return b.acct.Remaining(b.agentID)
-}
-
-// MoveTo re-reports a worker's location through a budgeted obfuscator: it
-// obfuscates the new true location (spending budget) and re-registers the
-// result with the server.
-func (w Worker) MoveTo(backend interface {
-	Reregister(ReregisterRequest) RegisterResponse
-}, b *BudgetedObfuscator, newLoc geo.Point) error {
-	code, err := b.Obfuscate(newLoc)
-	if err != nil {
-		return fmt.Errorf("platform: %w", err)
-	}
-	resp := backend.Reregister(ReregisterRequest{WorkerID: w.ID, Code: []byte(code)})
-	if !resp.OK {
-		return fmt.Errorf("platform: reregistration of %q failed: %s", w.ID, resp.Reason)
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"net/http/httptest"
 	"testing"
 
 	"github.com/pombm/pombm/internal/geo"
@@ -75,60 +74,5 @@ func TestReregisterAffectsMatching(t *testing.T) {
 	}
 	if wid != "a" {
 		t.Errorf("task matched %s, want the moved worker a", wid)
-	}
-}
-
-func TestBudgetedObfuscator(t *testing.T) {
-	s := newTestServer(t) // ε = 0.6 per report
-	pub := s.Publication()
-	b, err := NewBudgetedObfuscator("w1", pub, 1.5, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two reports fit (1.2 ≤ 1.5); the third (1.8) must fail.
-	if _, err := b.Obfuscate(geo.Pt(10, 10)); err != nil {
-		t.Fatalf("first report: %v", err)
-	}
-	if _, err := b.Obfuscate(geo.Pt(12, 10)); err != nil {
-		t.Fatalf("second report: %v", err)
-	}
-	if rem := b.Remaining(); rem < 0.29 || rem > 0.31 {
-		t.Errorf("remaining = %v, want 0.3", rem)
-	}
-	if _, err := b.Obfuscate(geo.Pt(14, 10)); err == nil {
-		t.Error("third report exceeded budget but succeeded")
-	}
-	// Invalid lifetime.
-	if _, err := NewBudgetedObfuscator("x", pub, 0, 1); err == nil {
-		t.Error("zero lifetime accepted")
-	}
-}
-
-func TestWorkerMoveToOverHTTP(t *testing.T) {
-	s := newTestServer(t)
-	ts := httptest.NewServer(Handler(s))
-	defer ts.Close()
-	client, err := NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBudgetedObfuscator("w1", client.Publication(), 10, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := Worker{ID: "w1", Loc: geo.Pt(30, 30)}
-	code, err := b.Obfuscate(w.Loc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := client.Register(RegisterRequest{WorkerID: w.ID, Code: []byte(code)}); !resp.OK {
-		t.Fatalf("register: %s", resp.Reason)
-	}
-	if err := w.MoveTo(client, b, geo.Pt(100, 100)); err != nil {
-		t.Fatalf("MoveTo: %v", err)
-	}
-	// Budget: 2 × 0.6 spent.
-	if rem := b.Remaining(); rem < 8.79 || rem > 8.81 {
-		t.Errorf("remaining = %v, want 8.8", rem)
 	}
 }

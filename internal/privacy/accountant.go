@@ -61,7 +61,7 @@ func (b *Budget) Agents() int { return b.agents }
 // location adds its ε to the agent's total, and the accountant refuses
 // reports that would exceed the agent's lifetime budget. It is Budget with
 // the cells kept in a map keyed by agent id, for callers with no worker
-// table of their own (the client-side BudgetedObfuscator).
+// table of their own (a client keeping its own lifetime books).
 //
 // The paper's model is one-shot (every worker and task reports once), so
 // the evaluation never composes; a deployed platform, where workers
@@ -110,15 +110,6 @@ func (a *Accountant) Spent(agentID string) float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.spent[agentID]
-}
-
-// TotalSpent returns the sum of every recorded spend across all agents.
-// Budget conservation — TotalSpent equals the sum the caller's own ledger
-// of successful Spend calls — is the invariant the rotation tests assert.
-func (a *Accountant) TotalSpent() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.budget.total
 }
 
 // Agents returns the number of agents with recorded spend.

@@ -88,8 +88,8 @@ func TestAccountantTotalConservation(t *testing.T) {
 			t.Fatalf("spend %d: unexpected error %v", i, err)
 		}
 	}
-	if got := a.TotalSpent(); got != ledger {
-		t.Errorf("TotalSpent = %v, ledger says %v", got, ledger)
+	if got := a.budget.Total(); got != ledger {
+		t.Errorf("budget total = %v, ledger says %v", got, ledger)
 	}
 	if got := a.Agents(); got != 3 {
 		t.Errorf("Agents = %d, want 3", got)

@@ -150,9 +150,6 @@ func (g *Graph) MetricAmong(nodes []int) (*Metric, error) {
 // Len returns the number of points in the metric.
 func (m *Metric) Len() int { return len(m.ids) }
 
-// NodeID maps a metric index back to the underlying graph node.
-func (m *Metric) NodeID(i int) int { return m.ids[i] }
-
 // Dist returns the network distance between metric indexes i and j.
 func (m *Metric) Dist(i, j int) float64 { return m.d[i][j] }
 

@@ -126,11 +126,17 @@ func TestCloseEndsServing(t *testing.T) {
 	}
 }
 
-// servingGoroutines counts the goroutines inside Streams.Serve.
+// servingGoroutines counts the goroutines inside Streams.Serve. A dump
+// that fills the buffer was cut short and would under-count, so the buffer
+// doubles until runtime.Stack returns less than its length.
 func servingGoroutines() int {
 	stacks := make([]byte, 1<<20)
-	stacks = stacks[:runtime.Stack(stacks, true)]
-	return bytes.Count(stacks, []byte("(*Streams).Serve("))
+	for {
+		if n := runtime.Stack(stacks, true); n < len(stacks) {
+			return bytes.Count(stacks[:n], []byte("(*Streams).Serve("))
+		}
+		stacks = make([]byte, 2*len(stacks))
+	}
 }
 
 // TestDialRefusal tells the two ways an upgrade fails apart: answered with

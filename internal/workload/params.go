@@ -35,13 +35,3 @@ var (
 	SyntheticReach = [2]float64{10, 20}
 	RealReach      = [2]float64{10, 20}
 )
-
-// DefaultSynthetic returns the default Table II parameter point.
-func DefaultSynthetic() SyntheticParams {
-	return SyntheticParams{
-		NumTasks:   DefaultNumTasks,
-		NumWorkers: DefaultNumWorkers,
-		Mu:         DefaultMu,
-		Sigma:      DefaultSigma,
-	}
-}

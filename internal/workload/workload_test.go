@@ -46,8 +46,7 @@ func TestSyntheticShapeAndBounds(t *testing.T) {
 }
 
 func TestSyntheticDeterministicPerSeed(t *testing.T) {
-	p := DefaultSynthetic()
-	p.NumTasks, p.NumWorkers = 50, 60
+	p := SyntheticParams{NumTasks: 50, NumWorkers: 60, Mu: DefaultMu, Sigma: DefaultSigma}
 	a, err := Synthetic(p, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +228,7 @@ func TestParamTablesMatchPaper(t *testing.T) {
 	if len(RealWorkerCounts) != 5 || RealWorkerCounts[0] != 6000 {
 		t.Error("Table III worker counts wrong")
 	}
-	d := DefaultSynthetic()
-	if d.NumTasks != 3000 || d.NumWorkers != 5000 || d.Mu != 100 || d.Sigma != 20 {
+	if DefaultNumTasks != 3000 || DefaultNumWorkers != 5000 || DefaultMu != 100 || DefaultSigma != 20 {
 		t.Error("defaults drifted from DESIGN.md")
 	}
 }

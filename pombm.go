@@ -51,8 +51,6 @@ type (
 	Rect = geo.Rect
 	// Grid is a uniform lattice of predefined points.
 	Grid = geo.Grid
-	// KDTree is a nearest-neighbour index over arbitrary point sets.
-	KDTree = geo.KDTree
 )
 
 // Pt is shorthand for Point{x, y}.
@@ -65,9 +63,6 @@ func NewRect(a, b Point) Rect { return geo.NewRect(a, b) }
 func NewGrid(region Rect, cols, rows int) (*Grid, error) {
 	return geo.NewGrid(region, cols, rows)
 }
-
-// NewKDTree builds a nearest-neighbour index over the points.
-func NewKDTree(points []Point) *KDTree { return geo.NewKDTree(points) }
 
 // HST types.
 type (
@@ -139,8 +134,6 @@ type (
 	HSTGreedyScan = match.HSTGreedyScan
 	// HSTGreedyTrie is Alg. 4 answered in O(D) per task.
 	HSTGreedyTrie = match.HSTGreedyTrie
-	// HSTGreedyEngine is Alg. 4 answered by the sharded concurrent engine.
-	HSTGreedyEngine = match.HSTGreedyEngine
 	// AssignmentEngine is the sharded, concurrency-safe assignment engine
 	// itself: per-branch shard locking, atomic Assign, and a batched API.
 	AssignmentEngine = engine.Engine
@@ -151,12 +144,6 @@ type (
 // Assign or AssignBatch tasks from any number of goroutines.
 func NewAssignmentEngine(tree *HST, shards int) (*AssignmentEngine, error) {
 	return engine.New(tree, shards)
-}
-
-// NewHSTGreedyEngine returns the engine-backed matcher over reported
-// worker leaf codes, safe for concurrent Assign calls.
-func NewHSTGreedyEngine(tree *HST, workers []Code, shards int) (*HSTGreedyEngine, error) {
-	return match.NewHSTGreedyEngine(tree, workers, shards)
 }
 
 // NoWorker is returned by matchers when no worker can be assigned.

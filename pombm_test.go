@@ -112,12 +112,6 @@ func TestFacadeChengdu(t *testing.T) {
 }
 
 func TestFacadeSpatialIndexes(t *testing.T) {
-	pts := []pombm.Point{pombm.Pt(0, 0), pombm.Pt(10, 10), pombm.Pt(20, 0)}
-	kd := pombm.NewKDTree(pts)
-	i, d := kd.Nearest(pombm.Pt(9, 9))
-	if i != 1 || d > 2 {
-		t.Errorf("Nearest = (%d, %v)", i, d)
-	}
 	g, err := pombm.NewGrid(pombm.NewRect(pombm.Pt(0, 0), pombm.Pt(10, 10)), 2, 2)
 	if err != nil {
 		t.Fatal(err)
