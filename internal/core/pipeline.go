@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/pombm/pombm/internal/geo"
@@ -31,14 +30,6 @@ type Options struct {
 	// paper's O(n) scan. Off by default: the evaluation reproduces the
 	// paper's complexity behaviour; the trie is the ablation.
 	UseTrie bool
-	// Parallelism bounds the worker pool for the client-side obfuscation
-	// fan-out in RunTBF and RunLapHG. 0 or 1 keeps the sequential draw
-	// order the harness has always used (bit-for-bit reproducible against
-	// earlier results); larger values obfuscate concurrently with
-	// per-agent derived randomness, deterministic for a given seed
-	// regardless of scheduling. Obfuscation is client-side work, so this
-	// does not touch the server-side assignment timing the paper measures.
-	Parallelism int
 }
 
 // Result summarises one distance-objective run.
@@ -87,8 +78,8 @@ func RunTBF(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (*R
 		return nil, err
 	}
 	// Client side: every worker and task obfuscates its own snapped leaf.
-	workerCodes := obfuscateHST(env, mech, inst.Workers, src.Derive("workers"), opt.Parallelism)
-	taskCodes := obfuscateHST(env, mech, inst.Tasks, src.Derive("tasks"), opt.Parallelism)
+	workerCodes := obfuscateHST(env, mech, inst.Workers, src.Derive("workers"))
+	taskCodes := obfuscateHST(env, mech, inst.Tasks, src.Derive("tasks"))
 
 	res := &Result{Algorithm: AlgTBF}
 	assign, err := newHSTAssigner(env.Tree, workerCodes, opt)
@@ -146,8 +137,8 @@ func RunLapHG(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (
 	obf := func(p geo.Point, s *rng.Source) hst.Code {
 		return env.SnapCode(lap.ObfuscatePoint(p, s))
 	}
-	workerCodes := obfuscateAll(inst.Workers, src.Derive("workers"), opt.Parallelism, obf)
-	taskCodes := obfuscateAll(inst.Tasks, src.Derive("tasks"), opt.Parallelism, obf)
+	workerCodes := obfuscateAll(inst.Workers, src.Derive("workers"), obf)
+	taskCodes := obfuscateAll(inst.Tasks, src.Derive("tasks"), obf)
 
 	res := &Result{Algorithm: AlgLapHG}
 	assign, err := newHSTAssigner(env.Tree, workerCodes, opt)
@@ -179,78 +170,27 @@ func newHSTAssigner(tree *hst.Tree, workers []hst.Code, opt Options) (func(hst.C
 }
 
 // obfuscateHST maps every true location through snap + the HST mechanism.
-// With parallelism ≤ 1 the whole wave goes through the mechanism's batch
-// sampler, drawing from src in item order — exactly the random stream the
-// per-item loop drew, so results are bit-for-bit unchanged while the
-// per-item buffer and string allocations are amortised away. With
-// parallelism > 1 the wave is split into contiguous chunks, each item
-// drawing from its own index-derived child source — deterministic for a
-// given seed no matter how the goroutines are scheduled or how wide the
-// pool is — with one reusable digit scratch per goroutine.
-func obfuscateHST(env *Env, mech *privacy.HSTMechanism, pts []geo.Point, src *rng.Source, parallelism int) []hst.Code {
-	codes := make([]hst.Code, len(pts))
-	if parallelism <= 1 || len(pts) < 2 {
-		snapped := make([]hst.Code, len(pts))
-		for i, p := range pts {
-			snapped[i] = env.SnapCode(p)
-		}
-		return mech.ObfuscateInto(codes, snapped, src)
+// The whole wave goes through the mechanism's batch sampler, drawing from
+// src in item order — exactly the random stream the per-item loop drew, so
+// results are bit-for-bit unchanged while the per-item buffer and string
+// allocations are amortised away.
+func obfuscateHST(env *Env, mech *privacy.HSTMechanism, pts []geo.Point, src *rng.Source) []hst.Code {
+	snapped := make([]hst.Code, len(pts))
+	for i, p := range pts {
+		snapped[i] = env.SnapCode(p)
 	}
-	if parallelism > len(pts) {
-		parallelism = len(pts)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(pts) + parallelism - 1) / parallelism
-	for g := 0; g < parallelism; g++ {
-		lo, hi := g*chunk, (g+1)*chunk
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			scratch := make([]byte, env.Tree.Depth())
-			for i := lo; i < hi; i++ {
-				codes[i] = mech.ObfuscateWalkInto(env.SnapCode(pts[i]), src.DeriveN("item", i), scratch)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return codes
+	return mech.ObfuscateInto(nil, snapped, src)
 }
 
 // obfuscateAll maps every point through obf into a leaf code; the
-// non-tree pipelines (planar Laplace + snap) use it. With parallelism ≤ 1
-// items draw sequentially from src, preserving the exact random stream the
-// harness has always produced. With parallelism > 1 a worker pool fans the
-// items out, each item drawing from its own index-derived child source —
-// deterministic for a given seed no matter how the goroutines are
-// scheduled or how wide the pool is.
-func obfuscateAll(pts []geo.Point, src *rng.Source, parallelism int, obf func(geo.Point, *rng.Source) hst.Code) []hst.Code {
+// non-tree pipelines (planar Laplace + snap) use it. Items draw
+// sequentially from src, preserving the exact random stream the harness
+// has always produced.
+func obfuscateAll(pts []geo.Point, src *rng.Source, obf func(geo.Point, *rng.Source) hst.Code) []hst.Code {
 	codes := make([]hst.Code, len(pts))
-	if parallelism <= 1 || len(pts) < 2 {
-		for i, p := range pts {
-			codes[i] = obf(p, src)
-		}
-		return codes
+	for i, p := range pts {
+		codes[i] = obf(p, src)
 	}
-	if parallelism > len(pts) {
-		parallelism = len(pts)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < parallelism; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(pts); i += parallelism {
-				codes[i] = obf(pts[i], src.DeriveN("item", i))
-			}
-		}(g)
-	}
-	wg.Wait()
 	return codes
 }
 

@@ -149,33 +149,6 @@ func TestTrieAndScanPipelineEquivalent(t *testing.T) {
 	}
 }
 
-// TestParallelObfuscationDeterministic: with Parallelism > 1 the result
-// must depend only on the seed, not on the pool width or scheduling.
-func TestParallelObfuscationDeterministic(t *testing.T) {
-	env := testEnv(t, 16)
-	inst := testInstance(t, 120, 160, 9)
-	for _, alg := range []Algorithm{AlgTBF, AlgLapHG} {
-		var ref *Result
-		for _, par := range []int{2, 4, 8} {
-			res, err := Run(alg, env, inst, Options{Epsilon: 0.6, Parallelism: par}, rng.New(12))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Matched != len(inst.Tasks) {
-				t.Errorf("%s par=%d: matched %d of %d", alg, par, res.Matched, len(inst.Tasks))
-			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if res.TotalDistance != ref.TotalDistance || res.Matched != ref.Matched {
-				t.Errorf("%s: par=%d total %v diverged from par=2 total %v",
-					alg, par, res.TotalDistance, ref.TotalDistance)
-			}
-		}
-	}
-}
-
 // TestShapeTBFBeatsBaselinesAtSmallEpsilon is the paper's headline claim in
 // miniature: averaged over repetitions at strict privacy (ε = 0.2), TBF's
 // total true distance is clearly below Lap-GR's and Lap-HG's (Fig. 7a).

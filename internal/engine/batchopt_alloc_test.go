@@ -13,9 +13,9 @@ import (
 // TestBatchOptimalAllocsSteadyState pins the batch-optimal window path's
 // allocation contract: once the pooled window scratch, the solver arena,
 // and the shard freelists have reached their high-water marks, a window
-// costs single-digit heap allocations per task (the budget the enginebench
-// gate enforces is ≤ 9/task; steady state runs far below it — the result
-// slices plus the per-shard mining goroutines, amortised over the window).
+// costs single-digit heap allocations per task (the budget is ≤ 9/task;
+// steady state runs far below it — the result slices plus the per-shard
+// mining goroutines, amortised over the window).
 // A long batch is windows back to back, so its 700 tasks are held to the
 // per-task budget of one window's 256.
 func TestBatchOptimalAllocsSteadyState(t *testing.T) {

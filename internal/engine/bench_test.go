@@ -15,8 +15,9 @@ import (
 // batch end to end (mine, pad, solve, commit, hand the units back), per
 // task, over a capacity-1 and a capacity-4 population, as one window (256
 // tasks) and as a long batch (700: three windows back to back). It is the
-// in-repo twin of the enginebench policy-batchopt and policy-batchopt-cap4
-// rows: profile this to see where a window's time goes. The capacitated
+// layer row under the repository benchmark's batch-window workload, which
+// is what CI gates: profile this to see where a window's time goes. The
+// capacitated
 // case is the one deployments under this policy run (a capacity-aware
 // policy capacitates the whole population), and the one whose
 // per-candidate capacity reads went unmeasured while capacities sat in a
@@ -72,8 +73,7 @@ func BenchmarkBatchOptimalWindow(b *testing.B) {
 // over the 1-goroutine run of the same invocation. The gomaxprocs metric
 // records how many cores the row actually had: when it is below the
 // goroutine count the row is an interleaving measurement, not a scaling
-// one, and no speedup is reported (the honest counterpart of the capped
-// rows in BENCH_engine.json).
+// one, and no speedup is reported.
 func BenchmarkAssignBatchParallel(b *testing.B) {
 	tree := buildTree(b, 64, 10)
 	src := rng.New(55)

@@ -51,22 +51,6 @@ func (r Rect) Clamp(p Point) Point {
 	return p
 }
 
-// Intersects reports whether the two rectangles overlap (boundary inclusive).
-func (r Rect) Intersects(o Rect) bool {
-	return r.MinX <= o.MaxX && o.MinX <= r.MaxX && r.MinY <= o.MaxY && o.MinY <= r.MaxY
-}
-
-// Quadrants splits r into its four quadrants in the order NW, NE, SW, SE.
-func (r Rect) Quadrants() [4]Rect {
-	c := r.Center()
-	return [4]Rect{
-		{r.MinX, c.Y, c.X, r.MaxY}, // NW
-		{c.X, c.Y, r.MaxX, r.MaxY}, // NE
-		{r.MinX, r.MinY, c.X, c.Y}, // SW
-		{c.X, r.MinY, r.MaxX, c.Y}, // SE
-	}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.4g,%.4g]x[%.4g,%.4g]", r.MinX, r.MaxX, r.MinY, r.MaxY)

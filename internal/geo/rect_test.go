@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -51,44 +50,6 @@ func TestClampIsIdempotentAndInside(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRectQuadrants(t *testing.T) {
-	r := Rect{0, 0, 10, 10}
-	qs := r.Quadrants()
-	// Every quadrant has a quarter of the area and they tile the rect.
-	var area float64
-	for _, q := range qs {
-		area += q.Width() * q.Height()
-	}
-	if math.Abs(area-100) > 1e-9 {
-		t.Errorf("quadrant total area = %v, want 100", area)
-	}
-	if qs[0].Center() != Pt(2.5, 7.5) || qs[3].Center() != Pt(7.5, 2.5) {
-		t.Errorf("quadrant layout wrong: NW=%v SE=%v", qs[0], qs[3])
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := Rect{0, 0, 5, 5}
-	tests := []struct {
-		b    Rect
-		want bool
-	}{
-		{Rect{1, 1, 2, 2}, true},  // contained
-		{Rect{4, 4, 9, 9}, true},  // overlap
-		{Rect{5, 0, 9, 5}, true},  // shared edge
-		{Rect{6, 6, 9, 9}, false}, // disjoint
-		{Rect{-5, -5, -1, -1}, false},
-	}
-	for _, tt := range tests {
-		if got := a.Intersects(tt.b); got != tt.want {
-			t.Errorf("Intersects(%v) = %v, want %v", tt.b, got, tt.want)
-		}
-		if got := tt.b.Intersects(a); got != tt.want {
-			t.Errorf("Intersects not symmetric for %v", tt.b)
-		}
 	}
 }
 
