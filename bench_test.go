@@ -22,6 +22,7 @@ import (
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/match"
+	"github.com/pombm/pombm/internal/platform"
 	"github.com/pombm/pombm/internal/privacy"
 	"github.com/pombm/pombm/internal/rng"
 	"github.com/pombm/pombm/internal/workload"
@@ -399,6 +400,124 @@ func BenchmarkPolicyBatchOptimal(b *testing.B) {
 			}
 		}
 	})
+}
+
+// The index rows: hst.LeafIndex alone, over the repository benchmark's
+// population shape — the 64×64 published tree, ε = 0.6, workers uniform and
+// tasks half from its hotspot, every code obfuscated the way an agent does it
+// (internal/hst cannot import the mechanism, so the rows live here). They use
+// only calls the index has had since PR 6, so the same file times a parent
+// commit's index for a base-against-head pair.
+var indexBench struct {
+	once    sync.Once
+	tree    *hst.Tree
+	workers []hst.Code // 262,144 uniform; a smaller row takes a prefix
+	tasks   []hst.Code // 65,536, half hotspot
+	moves   []hst.Code // 4,096 uniform relocation targets
+}
+
+func indexBenchSetup(b *testing.B) {
+	b.Helper()
+	indexBench.once.Do(func() {
+		const side = 64
+		grid, err := geo.NewGrid(workload.SyntheticRegion, side, side)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tree, err := hst.Build(grid.Points(), rng.New(7).Derive("server-hst"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ob, err := platform.NewObfuscator(platform.Publication{Tree: tree, Region: workload.SyntheticRegion,
+			Cols: side, Rows: side, Epsilon: workload.DefaultEpsilon, Epoch: engine.FirstEpoch}, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		uniform := workload.UniformSampler(workload.SyntheticRegion)
+		hotspot := workload.NormalSampler(60, 12, workload.SyntheticRegion)
+		codes := func(label string, n int, sample workload.PointSampler) []hst.Code {
+			src, pts := rng.New(13).Derive(label), make([]geo.Point, n)
+			for i := range pts {
+				pts[i] = sample(src)
+			}
+			return ob.ObfuscateBatch(pts)
+		}
+		indexBench.tree = tree
+		indexBench.workers = codes("workers", 262144, uniform)
+		indexBench.moves = codes("moves", 4096, uniform)
+		indexBench.tasks = codes("tasks", 65536, func(src *rng.Source) geo.Point {
+			if src.Float64() < 0.5 {
+				return hotspot(src)
+			}
+			return uniform(src)
+		})
+	})
+}
+
+// loadedIndex returns an index over the first n workers and the (mutable)
+// code each one sits at.
+func loadedIndex(b *testing.B, n int) (*hst.LeafIndex, []hst.Code) {
+	b.Helper()
+	indexBenchSetup(b)
+	at := append([]hst.Code(nil), indexBench.workers[:n]...)
+	idx := hst.NewLeafIndexDegree(indexBench.tree.Depth(), indexBench.tree.Degree())
+	for id, c := range at {
+		if err := idx.Insert(c, id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return idx, at
+}
+
+// BenchmarkIndexChurn is the engine's steady state seen from one index: a
+// task pops its nearest worker, the worker comes back where it was, and
+// every sixteenth cycle a worker is withdrawn and reports from a new leaf.
+func BenchmarkIndexChurn(b *testing.B) {
+	for _, n := range []int{16384, 262144} {
+		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
+			idx, at := loadedIndex(b, n)
+			tasks, moves := indexBench.tasks, indexBench.moves
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, _, ok := idx.PopNearest(tasks[i%len(tasks)])
+				if !ok {
+					b.Fatal("pop on a stocked index failed")
+				}
+				if err := idx.Insert(at[id], id); err != nil {
+					b.Fatal(err)
+				}
+				if i%16 == 0 {
+					w := (i / 16 * 7919) % n
+					if !idx.Remove(at[w], w) {
+						b.Fatal("remove of a live worker failed")
+					}
+					at[w] = moves[i/16%len(moves)]
+					if err := idx.Insert(at[w], w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIndexMineK8 is batch-optimal's candidate mine: the eight nearest
+// workers of a task, nothing consumed.
+func BenchmarkIndexMineK8(b *testing.B) {
+	for _, n := range []int{16384, 65536, 262144} {
+		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
+			idx, _ := loadedIndex(b, n)
+			tasks := indexBench.tasks
+			refs := make([]hst.CandidateRef, 0, engine.DefaultBatchTopK)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				refs = idx.NearestKRef(tasks[i%len(tasks)], engine.DefaultBatchTopK, refs[:0])
+			}
+			if len(refs) != engine.DefaultBatchTopK {
+				b.Fatalf("mined %d candidates, want %d", len(refs), engine.DefaultBatchTopK)
+			}
+		})
+	}
 }
 
 func BenchmarkTBFPipeline(b *testing.B) {

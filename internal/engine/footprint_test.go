@@ -15,13 +15,16 @@ import (
 // the repository benchmark's population shape — 64×64 grid over
 // SyntheticRegion, ε = 0.6, uniform workers obfuscated the way an agent
 // does it (fake leaves included), plain inserts with no Reserve — so a
-// regression in the child representation fails go test and not only
+// regression in the layout fails go test and not only
 // hst.arena_bytes_per_worker. The mechanism spreads reports over the padded
-// complete tree, which makes the trie thin above its last levels: at these
-// densities most inner nodes hold one or two children, and what a node pays
-// for them is most of the figure. Ceilings sit ~10 % above what ships
-// (76.4 B and 26.4 B; the form that gave every node a degree-wide block
-// read 132.3 B and 33.5 B).
+// complete tree, which a node-per-prefix trie pays for in one- and two-item
+// subtrees (176.8, 76.4, 47.7, 26.4 and 17.0 B/worker at these five sizes
+// before the index kept a subtree of up to 96 workers as one bucket). 1,000
+// workers is the sparse end, where the inner nodes above the reach of a
+// suffix word are most of the figure; a million is the dense one, 75 workers
+// to a real leaf, where every fake sibling of such a leaf is a bucket of its
+// own with a chunk mostly empty. Ceilings sit ~10 % above what ships (22.9,
+// 13.6, 11.9, 10.5 and 16.1 B).
 func TestIndexFootprintAtBenchmarkDensity(t *testing.T) {
 	const side = 64
 	grid, err := geo.NewGrid(workload.SyntheticRegion, side, side)
@@ -36,7 +39,7 @@ func TestIndexFootprintAtBenchmarkDensity(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		ceiling float64 // bytes per worker
-	}{{16384, 84}, {262144, 29}} {
+	}{{1000, 25}, {16384, 15}, {65536, 13}, {262144, 11.6}, {1048576, 17.7}} {
 		ob, err := platform.NewObfuscator(pub, 11)
 		if err != nil {
 			t.Fatal(err)

@@ -33,10 +33,11 @@ import (
 //
 // Failures every materialized swap can report — stale epoch, nil tree,
 // malformed codes, out-of-range ids or capacities — are caught in the
-// validation pass and returned with the old epoch untouched. A second-pass
-// insert failure is only reachable through arena exhaustion
-// (hst.ErrIndexFull) after the old population is already torn down, so it
-// panics rather than serving a half-built epoch.
+// validation pass and returned with the old epoch untouched, and so is a
+// population no shard's index could hold (hst.ErrIndexFull): the pass counts
+// the run shard by shard and asks the index whether that many items fit
+// whatever their codes. A second-pass insert failure is therefore a bug with
+// the old population torn down: it panics rather than serve half an epoch.
 //
 // Readers racing the swap (Len, Occupancy, Walk — monitoring surfaces
 // documented as needing quiesced writers) that loaded the old state before
@@ -57,12 +58,22 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 		shards = len(old.shards)
 	}
 	var verr error
+	layout := LayoutFor(tree, shards)
+	run := make([]int, layout.Shards)
 	seq(func(in EpochInsert) bool {
-		verr = checkEpochInsert(tree, in, e.effCap(in.Cap))
+		if verr = checkEpochInsert(tree, in, e.effCap(in.Cap)); verr == nil {
+			run[layout.ShardIdx(in.Code)]++
+		}
 		return verr == nil
 	})
 	if verr != nil {
 		return verr
+	}
+	probe := hst.NewLeafIndexDegree(layout.Depth, layout.Degree)
+	for i, n := range run {
+		if err := probe.Fits(n); err != nil {
+			return fmt.Errorf("engine: swap to epoch %d, shard %d: %w", epoch, i, err)
+		}
 	}
 	// Freeze the old epoch and return its arenas to the allocator before
 	// the new population grows: each old shard keeps a well-formed (empty)
@@ -77,17 +88,15 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 	// themselves peak at a population's worth of garbage. A changed shard
 	// count redistributes the population, so only the per-shard average
 	// remains as a hint.
-	type arenaHint struct{ nodes, kids, items int }
+	type arenaHint struct{ nodes, buckets, chunks int }
 	hints := make([]arenaHint, len(old.shards))
 	var total arenaHint
 	for i := range old.shards {
-		n, k, it := old.shards[i].index.ArenaLens()
-		hints[i] = arenaHint{n, k, it}
+		n, b, c := old.shards[i].index.ArenaLens()
+		hints[i] = arenaHint{n, b, c}
 		total.nodes += n
-		total.kids += k
-		total.items += it
-	}
-	for i := range old.shards {
+		total.buckets += b
+		total.chunks += c
 		old.shards[i].index = hst.NewLeafIndexDegree(old.layout.Depth, old.layout.Degree)
 	}
 	// Collect the released arenas before the build starts. Without this the
@@ -100,11 +109,11 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 	st := newEpochState(epoch, tree, shards)
 	slack := func(n int) int { return n + n/8 }
 	for i := range st.shards {
-		h := arenaHint{total.nodes / len(st.shards), total.kids / len(st.shards), total.items / len(st.shards)}
+		h := arenaHint{total.nodes / len(st.shards), total.buckets / len(st.shards), total.chunks / len(st.shards)}
 		if len(st.shards) == len(old.shards) {
 			h = hints[i]
 		}
-		st.shards[i].index.Reserve(slack(h.nodes), slack(h.kids), slack(h.items))
+		st.shards[i].index.Reserve(slack(h.nodes), slack(h.buckets), slack(h.chunks))
 	}
 	seq(func(in EpochInsert) bool {
 		if err := st.shardOf(in.Code).index.InsertCap(in.Code, in.ID, e.effCap(in.Cap)); err != nil {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -129,6 +131,59 @@ func TestSwapEpochSeqValidationKeepsServing(t *testing.T) {
 	}
 	if err := eng.SwapEpochSeq(2, nil, 0, func(func(EpochInsert) bool) {}); err == nil {
 		t.Fatal("nil tree accepted")
+	}
+}
+
+// A population no shard's index could hold is a typed refusal from the
+// validation pass, not a panic half way through the rebuild: the old epoch
+// keeps its population and goes on serving, and the same run under the real
+// ceiling swaps.
+func TestSwapEpochSeqRefusesAFullArenaBeforeTeardown(t *testing.T) {
+	tree1 := buildTestTree(t, 3, 8)
+	tree2 := buildTestTree(t, 4, 8)
+	eng, err := New(tree1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(5)
+	for id := 0; id < 32; id++ {
+		if err := eng.Insert(randCode(tree1, src), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := populationOf(eng)
+	const n = 4096
+	codes := make([]hst.Code, n)
+	for i := range codes {
+		codes[i] = randCode(tree2, src)
+	}
+	calls := 0
+	seq := func(yield func(EpochInsert) bool) {
+		calls++
+		for id, c := range codes {
+			if !yield(EpochInsert{Code: c, ID: id}) {
+				return
+			}
+		}
+	}
+	ceiling := hst.MaxArenaLen
+	hst.MaxArenaLen = n // under one item slot a worker: the rebuild itself would run out
+	err = eng.SwapEpochSeq(2, tree2, 1, seq)
+	hst.MaxArenaLen = ceiling
+	if !errors.Is(err, hst.ErrIndexFull) {
+		t.Fatalf("swap of %d workers under a %d-slot ceiling: %v, want ErrIndexFull", n, n, err)
+	}
+	if calls != 1 {
+		t.Fatalf("the refused swap ran the sequence %d times, want the validation pass alone", calls)
+	}
+	if got := populationOf(eng); eng.Epoch() != FirstEpoch || !slices.Equal(got, before) {
+		t.Fatalf("refused swap damaged the old epoch: epoch=%d, %d of %d workers left", eng.Epoch(), len(got), len(before))
+	}
+	if id, _, ok := eng.Assign(randCode(tree1, src)); !ok || id < 0 {
+		t.Fatalf("old epoch stopped serving after the refusal: (%d,%v)", id, ok)
+	}
+	if err := eng.SwapEpochSeq(2, tree2, 1, seq); err != nil || eng.Len() != n {
+		t.Fatalf("the same run under the real ceiling: %v, Len %d", err, eng.Len())
 	}
 }
 

@@ -17,6 +17,10 @@ func FuzzLeafIndex(f *testing.F) {
 		0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0,
 		2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0,
 	})
+	// Past burstMax and back under foldMin, twice over, and then past burstMax
+	// on one leaf, which no burst can split.
+	f.Add(thresholdTape(3, 0, 2))
+	f.Add(thresholdTape(3, 0, 2)[:5*(burstMax+40)]) // the same climb left standing
 	const depth = 4
 	const degree = 3
 	f.Fuzz(func(t *testing.T, tape []byte) {
@@ -89,4 +93,28 @@ func lcaLevel(a, b Code, depth int) int {
 		}
 	}
 	return 0
+}
+
+// thresholdTape writes an op tape of (op, four digits) records that crosses
+// both thresholds: burstMax+40 inserts spread over every leaf, withdrawals
+// of the oldest down to under foldMin, the same again, and then burstMax+40
+// inserts on one leaf. insert and remove are the op bytes a fuzz target reads
+// as those operations.
+func thresholdTape(degree int, insert, remove byte) []byte {
+	var tape []byte
+	rec := func(op byte, i int) {
+		tape = append(tape, op, byte(i%degree), byte(i/degree%degree), byte(i/degree/degree%degree), byte(i/degree/degree/degree%degree))
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < burstMax+40; i++ {
+			rec(insert, i)
+		}
+		for i := 0; i < burstMax+40-foldMin/2; i++ {
+			rec(remove, 0)
+		}
+	}
+	for i := 0; i < burstMax+40; i++ {
+		rec(insert, 0)
+	}
+	return tape
 }

@@ -6,10 +6,10 @@ import (
 	"github.com/pombm/pombm/internal/rng"
 )
 
-// The flat arena trie must be answer-for-answer identical to the original
-// map trie on every operation. These tests drive both with the same
-// randomized operation tapes — in dense and sparse child layouts — and
-// compare every return value.
+// The burst trie must be answer-for-answer identical to the original map
+// trie on every operation. These tests drive both with the same randomized
+// operation tapes — narrow and wide degrees, populations that cross burstMax
+// and foldMin both ways — and compare every return value.
 
 // capRef lifts the capacity-1 map reference to capacitated items: the map
 // trie holds one entry per live item, a side table its remaining units, and
@@ -283,20 +283,25 @@ func TestLeafIndexDifferentialDense(t *testing.T) {
 }
 
 func TestLeafIndexDifferentialSparse(t *testing.T) {
-	// Degree above denseDegreeLimit forces the sibling-list fallback.
+	// A wide degree: six bits a digit, 40-slot child blocks, and a population
+	// thin enough that most buckets hold one leaf's items.
 	for trial := 0; trial < 4; trial++ {
-		driveDifferential(t, 4, denseDegreeLimit+8, 3000, uint64(2000+trial), 1)
+		driveDifferential(t, 4, wideDegree, 3000, uint64(2000+trial), 1)
 	}
 }
 
+// wideDegree is a degree past a power of two, so a suffix field has values
+// no digit takes.
+const wideDegree = 40
+
 // The capacitated tapes: units 1–5 per item, AddCap, Consume, RemoveUnits
-// and slot reuse across Reserve, in both child layouts.
+// and slot reuse across Reserve, at both degrees.
 func TestLeafIndexDifferentialCapacities(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		driveDifferential(t, 6, 4, 4000, uint64(3000+trial), 5)
 	}
 	for trial := 0; trial < 3; trial++ {
-		driveDifferential(t, 4, denseDegreeLimit+8, 3000, uint64(4000+trial), 5)
+		driveDifferential(t, 4, wideDegree, 3000, uint64(4000+trial), 5)
 	}
 }
 
@@ -396,7 +401,7 @@ func TestLeafIndexArenaReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm := len(x.nodes)
+	warm := len(x.next)
 	for round := 0; round < 2000; round++ {
 		i := src.Intn(len(codes))
 		if !x.Remove(codes[i], i) {
@@ -407,11 +412,11 @@ func TestLeafIndexArenaReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Each (remove, insert) pair may touch at most one fresh path of nodes
-	// before reuse kicks in; the arena must stay near its high-water mark,
-	// not grow linearly with churn.
-	if len(x.nodes) > warm+depth*len(codes) {
-		t.Fatalf("node arena grew from %d to %d over steady-state churn", warm, len(x.nodes))
+	// A freed chunk serves the next insert wherever it lands: the arena must
+	// stay at its high-water mark — here at most a chunk an item — not grow
+	// with churn.
+	if len(x.next) > len(codes) || len(x.nodes) > 1 {
+		t.Fatalf("item arena grew from %d to %d chunks (%d inner nodes) over steady-state churn", warm, len(x.next), len(x.nodes))
 	}
 }
 
@@ -455,6 +460,10 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 		3, 2, 0, 0, 0, 3, 2, 0, 0, 0, 3, 2, 0, 0, 0, 3, 2, 0, 0, 0,
 		0, 2, 1, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 1, 0,
 	})
+	// Both thresholds crossed both ways, then one leaf past burstMax: at one
+	// unit an item, and at five.
+	f.Add(thresholdTape(3, 0, 2))
+	f.Add(thresholdTape(3, 32, 2))
 	const depth = 4
 	const degree = 3
 	f.Fuzz(func(t *testing.T, tape []byte) {

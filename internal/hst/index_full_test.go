@@ -9,119 +9,160 @@ import (
 
 // The arena structs are the per-worker memory bill at 10M-worker scale:
 // any field added back (or padding reintroduced) is a deliberate decision,
-// not an accident. flatNode packs five int32s (digit and sparse sibling
-// links live in side slabs); itemSlot packs two (capacities live in the
-// lazily allocated caps side slab).
+// not an accident. An item is its id and packed suffix (capacities live in
+// the lazily allocated caps side slab), an inner node two counters and the
+// slot naming it (its child block is found by its own index), a bucket the
+// same and the head of its chunk chain.
 func TestArenaStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(flatNode{}); got != 20 {
-		t.Errorf("flatNode is %d bytes, want 20", got)
+	if got := unsafe.Sizeof(item{}); got != 8 {
+		t.Errorf("item is %d bytes, want 8", got)
 	}
-	if got := unsafe.Sizeof(itemSlot{}); got != 8 {
-		t.Errorf("itemSlot is %d bytes, want 8", got)
+	if got := unsafe.Sizeof(inner{}); got != 12 {
+		t.Errorf("inner is %d bytes, want 12", got)
+	}
+	if got := unsafe.Sizeof(bucket{}); got != 16 {
+		t.Errorf("bucket is %d bytes, want 16", got)
 	}
 }
 
 // withArenaCap lowers the arena ceiling so overflow is reachable in a test.
 func withArenaCap(t *testing.T, n int64) {
 	t.Helper()
-	old := maxArenaLen
-	maxArenaLen = n
-	t.Cleanup(func() { maxArenaLen = old })
+	old := MaxArenaLen
+	MaxArenaLen = n
+	t.Cleanup(func() { MaxArenaLen = old })
 }
 
-// A dense index whose nodes promote hits the child-slot arena first (a block
-// is degree slots wide and a node needs only narrowKids+1 children to take
-// one). The refusal must be typed, must not corrupt the population already
-// indexed, and a demotion's freed block must make room again.
+// deepCode is a depth-40 code: a byte-wide suffix word reaches four digits
+// up, so the 36 above are inner nodes however thin the population.
+func deepCode(first byte) Code {
+	b := make([]byte, 40)
+	b[0] = first
+	return Code(b)
+}
+
+// An index whose codes run deeper than a suffix word hits the child-slot
+// arena first (every prefix above bdepth is an inner node with a degree-wide
+// block). The refusal must be typed, must not corrupt the population already
+// indexed, and the nodes a removal frees must make room again.
 func TestInsertFullDenseKidsArena(t *testing.T) {
-	withArenaCap(t, 16) // two 8-wide blocks
-	x := NewLeafIndexDegree(2, 8)
-	// Root and node 0 take three children each — both blocks — and node 1
-	// sits at narrowKids, one child short of needing a third.
-	for id, c := range []Code{mk(0, 0), mk(0, 1), mk(0, 2), mk(1, 0), mk(1, 1), mk(2, 0)} {
-		if err := x.Insert(c, id); err != nil {
+	const degree = 200
+	withArenaCap(t, (1+2*35+40)*degree) // the root, two 35-node paths, and one node short of the preflight's 41
+	x := NewLeafIndexDegree(40, degree)
+	for id := 0; id < 2; id++ {
+		if err := x.Insert(deepCode(byte(id)), id); err != nil {
 			t.Fatalf("insert %d: %v", id, err)
 		}
 	}
-	if _, kids, _ := x.ArenaLens(); kids != 16 || len(x.freeBlock) != 0 {
-		t.Fatalf("setup holds %d child slots (%d blocks free), want the arena's 16 in use", kids, len(x.freeBlock))
+	if nodes, _, _ := x.ArenaLens(); nodes != 1+2*35 {
+		t.Fatalf("setup holds %d inner nodes, want the root and two 35-node paths", nodes)
 	}
-	c := mk(1, 2)
-	err := x.Insert(c, 6)
+	c := deepCode(2)
+	err := x.Insert(c, 2)
 	if !errors.Is(err, ErrIndexFull) {
-		t.Fatalf("promoting insert at ceiling: got %v, want ErrIndexFull", err)
+		t.Fatalf("insert of a third path at the ceiling: got %v, want ErrIndexFull", err)
 	}
 	// The refused insert must have mutated nothing.
-	if x.Len() != 6 || x.Units() != 6 {
-		t.Fatalf("after refusal: Len=%d Units=%d, want 6/6", x.Len(), x.Units())
+	if x.Len() != 2 || x.Units() != 2 || x.CountPrefix(c[:1]) != 0 {
+		t.Fatalf("after refusal: Len=%d Units=%d, %d items under the refused branch", x.Len(), x.Units(), x.CountPrefix(c[:1]))
 	}
-	if got := x.CountPrefix(mk(1)); got != 2 {
-		t.Fatalf("refused branch counts %d items, want 2", got)
-	}
-	if id, lvl, ok := x.Nearest(c); !ok || id != 3 || lvl != 1 {
-		t.Fatalf("node 1 damaged by refused insert: id=%d lvl=%d ok=%v", id, lvl, ok)
+	if id, lvl, ok := x.Nearest(c); !ok || id != 0 || lvl != 40 {
+		t.Fatalf("index damaged by refused insert: id=%d lvl=%d ok=%v", id, lvl, ok)
 	}
 	checkShape(t, x)
-	// Removal at the ceiling still works; it demotes node 0, and the freed
-	// block lets the refused insert promote node 1 without growing any slab.
-	if !x.Remove(mk(0, 2), 2) {
+	// Removal at the ceiling still works; it frees a path of nodes, and the
+	// refused insert takes them without growing any slab.
+	if !x.Remove(deepCode(1), 1) {
 		t.Fatal("remove at ceiling failed")
 	}
-	if err := x.Insert(c, 6); err != nil {
-		t.Fatalf("insert after a demotion freed a block: %v", err)
+	if err := x.Insert(c, 2); err != nil {
+		t.Fatalf("insert after a removal freed a path: %v", err)
 	}
-	if _, kids, _ := x.ArenaLens(); kids != 16 {
-		t.Fatalf("child arena grew to %d slots past the ceiling", kids)
+	if nodes, _, _ := x.ArenaLens(); nodes != 1+2*35 {
+		t.Fatalf("node arena grew to %d past the ceiling", nodes)
 	}
-	if id, lvl, ok := x.Nearest(c); !ok || id != 6 || lvl != 0 {
-		t.Fatalf("worker 6 not indexed after block reuse: id=%d lvl=%d ok=%v", id, lvl, ok)
+	if id, lvl, ok := x.Nearest(c); !ok || id != 2 || lvl != 0 {
+		t.Fatalf("worker 2 not indexed after node reuse: id=%d lvl=%d ok=%v", id, lvl, ok)
 	}
 	checkShape(t, x)
 }
 
-// A sparse (unknown-degree) index hits the node arena first.
+// An index of unknown degree pays 256 child slots a node, so it hits the
+// same arena sooner.
 func TestInsertFullSparseNodeArena(t *testing.T) {
-	withArenaCap(t, 5)
-	x := NewLeafIndex(4)
-	if err := x.Insert(Code([]byte{0, 0, 0, 0}), 1); err != nil {
+	withArenaCap(t, (36+40)*256) // one path, and one node short of the preflight's 41
+	x := NewLeafIndex(40)
+	if err := x.Insert(deepCode(0), 1); err != nil {
 		t.Fatalf("first insert: %v", err)
 	}
-	err := x.Insert(Code([]byte{1, 1, 1, 1}), 2)
+	err := x.Insert(deepCode(1), 2)
 	if !errors.Is(err, ErrIndexFull) {
 		t.Fatalf("insert at ceiling: got %v, want ErrIndexFull", err)
 	}
 	if x.Len() != 1 {
 		t.Fatalf("after refusal: Len=%d, want 1", x.Len())
 	}
+	checkShape(t, x)
 }
 
-// A depth-0 index allocates no path nodes, so the item-slot arena is the
-// binding ceiling.
+// A depth-0 index allocates no inner nodes, so the item arena is the binding
+// ceiling: the preflight keeps two chunks in hand, and the chunk a drained
+// head gives back is room again.
 func TestInsertFullItemArena(t *testing.T) {
-	withArenaCap(t, 2)
-	x := NewLeafIndex(0)
-	for id := 0; id < 2; id++ {
-		if err := x.Insert(Code(""), id); err != nil {
-			t.Fatalf("insert %d: %v", id, err)
+	withArenaCap(t, 4*chunkLen)
+	x := NewLeafIndexDegree(0, 1)
+	n := 0
+	for ; n < 5*chunkLen; n++ {
+		if err := x.Insert(Code(""), n); err != nil {
+			if !errors.Is(err, ErrIndexFull) {
+				t.Fatalf("insert %d at ceiling: got %v, want ErrIndexFull", n, err)
+			}
+			break
 		}
 	}
-	err := x.Insert(Code(""), 2)
-	if !errors.Is(err, ErrIndexFull) {
-		t.Fatalf("insert at ceiling: got %v, want ErrIndexFull", err)
+	if _, _, chunks := x.ArenaLens(); n != 2*chunkLen+1 || chunks != 3 || x.Len() != n {
+		t.Fatalf("refused at %d items in %d chunks (Len %d), want %d in 3", n, chunks, x.Len(), 2*chunkLen+1)
 	}
-	if !x.Remove(Code(""), 0) {
-		t.Fatal("remove at ceiling failed")
+	for id := 0; id < chunkLen; id++ {
+		if !x.Remove(Code(""), id) {
+			t.Fatal("remove at ceiling failed")
+		}
 	}
-	if err := x.Insert(Code(""), 2); err != nil {
-		t.Fatalf("insert after freeing a slot: %v", err)
+	if err := x.Insert(Code(""), n); err != nil {
+		t.Fatalf("insert after freeing a chunk: %v", err)
 	}
+	if _, _, chunks := x.ArenaLens(); chunks != 3 {
+		t.Fatalf("item arena grew to %d chunks past the ceiling", chunks)
+	}
+	checkShape(t, x)
+}
+
+// Fits is the bulk loader's question before it tears anything down: if n
+// items fit whatever their codes, loading n items never meets ErrIndexFull —
+// here on the population that takes the most chunks, one bucket an item.
+func TestFitsBoundsTheLoad(t *testing.T) {
+	const depth, degree, n = 3, 40, 600
+	withArenaCap(t, 12000)
+	x := NewLeafIndexDegree(depth, degree)
+	if err := x.Fits(n); err != nil {
+		t.Fatalf("Fits(%d): %v", n, err)
+	}
+	if err := x.Fits(2 * n); !errors.Is(err, ErrIndexFull) {
+		t.Fatalf("Fits(%d): got %v, want ErrIndexFull", 2*n, err)
+	}
+	for id := 0; id < n; id++ {
+		if err := x.Insert(mk(byte(id%degree), byte(id/degree), 0), id); err != nil {
+			t.Fatalf("insert %d of a load Fits accepted: %v", id, err)
+		}
+	}
+	checkShape(t, x)
 }
 
 // The default ceiling is the full int32 range: normal populations must
 // never see a refusal.
 func TestArenaCapDefaultIsInt32Range(t *testing.T) {
-	if maxArenaLen != int64(math.MaxInt32) {
-		t.Fatalf("maxArenaLen = %d, want MaxInt32", maxArenaLen)
+	if MaxArenaLen != int64(math.MaxInt32) {
+		t.Fatalf("MaxArenaLen = %d, want MaxInt32", MaxArenaLen)
 	}
 }
 
@@ -294,12 +335,12 @@ func TestReservePreventsRegrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nodes, kids, items := a.ArenaLens()
-	if nodes <= 1 || kids < 4*256 || items != 1000 {
-		t.Fatalf("ArenaLens = %d/%d/%d, want populated slabs, a promoted block per inner node and 1000 items", nodes, kids, items)
+	nodes, buckets, chunks := a.ArenaLens()
+	if nodes <= 1 || buckets <= nodes || chunks < 1000/chunkLen {
+		t.Fatalf("ArenaLens = %d/%d/%d, want a burst population: inner nodes, more buckets than nodes, chunks for 1000 items", nodes, buckets, chunks)
 	}
 	b := NewLeafIndexDegree(6, 4)
-	b.Reserve(nodes, kids, items)
+	b.Reserve(nodes, buckets, chunks)
 	reserved := b.ArenaBytes()
 	for id := 0; id < 1000; id++ {
 		if err := b.Insert(codeAt(id), id); err != nil {
@@ -322,7 +363,7 @@ func TestReservePreventsRegrowth(t *testing.T) {
 	withArenaCap(t, 64)
 	c := NewLeafIndexDegree(2, 2)
 	c.Reserve(1<<20, 1<<20, 1<<20)
-	if got := c.ArenaBytes(); got > 64*(20+1+4+4+8)+64 { // nodes, digits, sibs, kids, items
+	if got := c.ArenaBytes(); got > 64*(12/2+4+16+8+4/chunkLen)+64 { // nodes (32 of them), kids, buckets, items, next
 		t.Fatalf("clamped Reserve still allocated %d bytes", got)
 	}
 	before := b.ArenaBytes()

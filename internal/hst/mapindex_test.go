@@ -11,7 +11,9 @@ import (
 // arena-backed LeafIndex — the differential tests drive both with identical
 // operation sequences and require identical answers — and as the baseline
 // the flat layout is benchmarked against. It is not used on any serving
-// path.
+// path. Where one id sits on several leaves — no engine population holds it
+// — a pop takes the one with the smallest leaf code, the order the index
+// mines such twins in.
 type mapLeafIndex struct {
 	depth int
 	size  int
@@ -224,13 +226,12 @@ func (x *mapLeafIndex) popMinFrom(path []*trieNode) int {
 	target := n.minID
 	for depthAt := len(path) - 1; depthAt < x.depth; depthAt++ {
 		var next *trieNode
-		for _, ch := range n.children {
-			if ch.count > 0 && ch.minID == target {
+		for digit := 0; digit < 256 && next == nil; digit++ {
+			if ch := n.children[byte(digit)]; ch != nil && ch.count > 0 && ch.minID == target {
 				next = ch
-				break
 			}
 		}
-		n = next // a live subtree always contains its own minID
+		n = next // a live subtree always contains its own minID: the first child, in digit order, that carries it
 		path = append(path, n)
 	}
 	for i, item := range n.items {

@@ -11,13 +11,14 @@ import (
 // candidate miner and the only enumerators the index has, so they are
 // refereed directly: against a brute-force reference rebuilt from WalkCap
 // on every query — each live item's LCA level with the query, sorted by
-// (level, id), truncated to k. Ids are unique on these tapes, as in every
-// engine population, so the order is total.
+// (level, id, leaf code), truncated to k. Ids are unique on these tapes, as
+// in every engine population; TestDuplicateIDsMineInLeafOrder holds the
+// third key.
 
-// refLayouts are the index shapes the differential covers: dense child
-// blocks, sparse sibling lists (digits range past denseDegreeLimit so the
-// chunked sibling walk crosses a chunk boundary), and a depth-0 tree whose
-// root is its only leaf.
+// refLayouts are the index shapes the differential covers: a narrow degree
+// (two bits a digit, the root a bucket until it bursts), an unknown one
+// (256-slot blocks, digits up to 40) and a depth-0 tree whose root is its
+// only leaf.
 var refLayouts = []struct {
 	name                  string
 	depth, degree, digits int
@@ -43,7 +44,10 @@ func bruteItems(x *LeafIndex, level func(Code) int) []refItem {
 		if all[a].level != all[b].level {
 			return all[a].level < all[b].level
 		}
-		return all[a].id < all[b].id
+		if all[a].id != all[b].id {
+			return all[a].id < all[b].id
+		}
+		return all[a].code < all[b].code
 	})
 	return all
 }
@@ -121,5 +125,15 @@ func FuzzRefEnumeration(f *testing.F) {
 		f.Add(uint8(layout), tape)
 	}
 	f.Add(uint8(0), []byte{})
+	// Both thresholds crossed both ways, then one leaf past burstMax, with a
+	// mine after every tenth record (refTape reads six bytes a record).
+	var tape []byte
+	for i, rec := 0, thresholdTape(3, 0, 3); i+5 <= len(rec); i += 5 {
+		tape = append(tape, rec[i], byte(i), rec[i+1], rec[i+2], rec[i+3], rec[i+4])
+		if i%50 == 0 {
+			tape = append(tape, 5, byte(i/5), rec[i+1], rec[i+2], rec[i+3], rec[i+4])
+		}
+	}
+	f.Add(uint8(0), tape)
 	f.Fuzz(refTape)
 }

@@ -6,210 +6,271 @@ import (
 	"github.com/pombm/pombm/internal/rng"
 )
 
-// checkShape audits the whole arena against the per-node child form: a node
-// with at most narrowKids live children (any number, where the index cannot
-// promote) is a sibling list exactly that long, one with more is a dense
-// block whose occupied slots match the children's digits, every freelisted
-// block is all-nilIdx, and every count and minID agrees with a
-// recomputation from the items up. The differential and fuzz tapes run it
-// after every operation, so a promote or demote that leaves the arena in a
-// state a later operation merely happens not to trip over still fails.
+// checkShape audits the whole arena against the two node shapes. Every inner
+// node and bucket is named by the slot its up link says, every count and
+// minID agrees with a recomputation from the items up, no inner node a
+// bucket could replace sits at or under foldMin, no bucket is past burstMax
+// unless its items share their next digit (or have none left), every item's
+// suffix is the code its path and WalkCap report, and every node, bucket and
+// chunk of the slabs is owned exactly once or on exactly one freelist. The
+// differential and fuzz tapes run it after every operation, so a burst or
+// fold that leaves the arena in a state a later operation merely happens not
+// to trip over still fails.
 func checkShape(t testing.TB, x *LeafIndex) {
 	t.Helper()
-	if len(x.digits) != len(x.nodes) || len(x.sibs) != len(x.nodes) {
-		t.Fatalf("side slabs out of step: %d nodes, %d digits, %d sibs", len(x.nodes), len(x.digits), len(x.sibs))
+	if len(x.kids) != len(x.nodes)*x.width || len(x.items) != len(x.next)*chunkLen {
+		t.Fatalf("slabs out of step: %d nodes × %d, %d child slots; %d chunks × %d, %d item slots",
+			len(x.nodes), x.width, len(x.kids), len(x.next), chunkLen, len(x.items))
 	}
-	if x.degree == 0 && (len(x.kids) != 0 || len(x.freeBlock) != 0) {
-		t.Fatalf("an index that cannot promote holds %d child slots, %d free blocks", len(x.kids), len(x.freeBlock))
+	if x.caps != nil && (len(x.caps) != len(x.items) || cap(x.caps) != cap(x.items)) {
+		t.Fatalf("caps is %d/%d, items %d/%d", len(x.caps), cap(x.caps), len(x.items), cap(x.items))
 	}
-	blockOwner := map[int32]int32{} // block offset → owning node, -1 for freelisted
-	for _, off := range x.freeBlock {
-		if _, dup := blockOwner[off]; dup {
-			t.Fatalf("block %d is on the freelist twice", off)
+	const free = -1
+	nodeOwner := map[int32]int32{} // node → the slot naming it, free for the freelist
+	bucketOwner := map[int32]int32{}
+	chunkOwner := map[int32]int32{} // chunk → owning bucket
+	for ni := x.freeNode; ni != nilIdx; ni = x.nodes[ni].up {
+		if _, dup := nodeOwner[ni]; dup {
+			t.Fatalf("node %d is on the freelist twice", ni)
 		}
-		blockOwner[off] = -1
-		for d, c := range x.kids[off : off+int32(x.degree)] {
+		nodeOwner[ni] = free
+		for d, c := range x.block(ni) {
 			if c != nilIdx {
-				t.Fatalf("freelisted block %d holds node %d at digit %d", off, c, d)
+				t.Fatalf("freed node %d still holds ref %d at digit %d", ni, c, d)
 			}
 		}
 	}
-	live, units := 0, 0
-	var visit func(ni int32, level int) (count, min int32)
-	visit = func(ni int32, level int) (count, min int32) {
-		live++
-		n := x.nodes[ni]
+	for bi := x.freeBucket; bi != nilIdx; bi = x.buckets[bi].head {
+		if _, dup := bucketOwner[bi]; dup || x.buckets[bi].count != 0 {
+			t.Fatalf("bucket %d is on the freelist twice, or there with count %d", bi, x.buckets[bi].count)
+		}
+		bucketOwner[bi] = free
+	}
+	for c := x.freeChunk; c != nilIdx; c = x.next[c] {
+		if _, dup := chunkOwner[c]; dup {
+			t.Fatalf("chunk %d is on the freelist twice", c)
+		}
+		chunkOwner[c] = free
+	}
+	if len(nodeOwner) != x.freeNodes || len(chunkOwner) != x.freeChunks {
+		t.Fatalf("freelists hold %d/%d nodes/chunks, counters say %d/%d", len(nodeOwner), len(chunkOwner), x.freeNodes, x.freeChunks)
+	}
+
+	type held struct {
+		code Code
+		id   int32
+	}
+	items := map[held]int{}
+	units := 0
+	path, code := make([]byte, x.depth), make([]byte, x.depth)
+	var visit func(r, up int32, d int) (count, min int32)
+	visit = func(r, up int32, d int) (count, min int32) {
 		min = noItem32
-		for si := n.items; si != nilIdx; si = x.items[si].next {
-			if level != x.depth {
-				t.Fatalf("node %d at level %d of %d holds items", ni, level, x.depth)
+		if r >= 0 {
+			n := x.nodes[r]
+			if _, taken := nodeOwner[r]; taken || n.up != up || d >= x.depth {
+				t.Fatalf("node %d at depth %d: taken %v, up %d, named by slot %d", r, d, taken, n.up, up)
 			}
-			count++
-			units += int(x.itemCap(si))
-			if x.items[si].id < min {
-				min = x.items[si].id
-			}
-		}
-		var kids []int32
-		if n.kids <= blkTag {
-			off := blkTag - n.kids
-			if x.degree == 0 || off%int32(x.degree) != 0 || int(off)+x.degree > len(x.kids) {
-				t.Fatalf("node %d names block %d in a %d-slot arena of degree %d", ni, off, len(x.kids), x.degree)
-			}
-			if owner, taken := blockOwner[off]; taken {
-				t.Fatalf("node %d's block %d already belongs to %d (-1 = freelist)", ni, off, owner)
-			}
-			blockOwner[off] = ni
-			for d, c := range x.block(n.kids) {
-				if c == nilIdx {
-					continue
+			nodeOwner[r] = up
+			for digit := 0; digit < x.width; digit++ {
+				slot := r*int32(x.width) + int32(digit)
+				if c := x.kids[slot]; c != nilIdx {
+					path[d] = byte(digit)
+					cc, cm := visit(c, slot, d+1)
+					count += cc
+					if cm < min {
+						min = cm
+					}
 				}
-				if int(x.digits[c]) != d || x.sibs[c] != nilIdx {
-					t.Fatalf("node %d slot %d holds child %d with digit %d, sibling %d", ni, d, c, x.digits[c], x.sibs[c])
+			}
+			if n.count != count || n.minID != min || (up >= 0 && count == 0) {
+				t.Fatalf("node %d holds count %d minID %d, recomputed %d / %d", r, n.count, n.minID, count, min)
+			}
+			if d >= x.bdepth && count <= foldMin {
+				t.Fatalf("node %d at depth %d (bdepth %d) holds %d items, foldMin is %d", r, d, x.bdepth, count, foldMin)
+			}
+			return count, min
+		}
+		bi := bucketRef(r)
+		b := x.buckets[bi]
+		if _, taken := bucketOwner[bi]; taken || b.up != up || d < x.bdepth || (up >= 0 && b.count == 0) {
+			t.Fatalf("bucket %d at depth %d (bdepth %d): taken %v, up %d, named by slot %d, count %d", bi, d, x.bdepth, taken, b.up, up, b.count)
+		}
+		bucketOwner[bi] = up
+		fill, sharesNext := b.fill(), true
+		for c := b.head; c >= 0; c, fill = x.next[c], chunkLen {
+			if owner, taken := chunkOwner[c]; taken {
+				t.Fatalf("bucket %d chains chunk %d, already with %d (-1 = freelist)", bi, c, owner)
+			}
+			chunkOwner[c] = bi
+			for s := c * chunkLen; s < c*chunkLen+fill; s++ {
+				it := x.items[s]
+				copy(code, path[:d])
+				x.unpack(it.sfx, code)
+				if sfx, force := x.pack(Code(code)); sfx != it.sfx || force != 0 || string(code[:d]) != string(path[:d]) {
+					t.Fatalf("bucket %d slot %d: suffix %#x does not carry the path %v", bi, s, it.sfx, path[:d])
 				}
-				kids = append(kids, c)
-			}
-			if len(kids) <= narrowKids {
-				t.Fatalf("node %d keeps a block for %d children (narrowKids %d)", ni, len(kids), narrowKids)
-			}
-		} else {
-			var seen [256]bool
-			for c := n.kids; c != nilIdx; c = x.sibs[c] {
-				if seen[x.digits[c]] {
-					t.Fatalf("node %d lists digit %d twice", ni, x.digits[c])
+				if d < x.depth && x.digit(it.sfx, d) != x.digit(x.items[b.head*chunkLen].sfx, d) {
+					sharesNext = false
 				}
-				seen[x.digits[c]] = true
-				kids = append(kids, c)
-			}
-			if x.degree > 0 && len(kids) > narrowKids {
-				t.Fatalf("node %d lists %d children, past narrowKids %d", ni, len(kids), narrowKids)
-			}
-		}
-		if len(kids) > 0 && level == x.depth {
-			t.Fatalf("leaf node %d has children", ni)
-		}
-		for _, c := range kids {
-			if x.nodes[c].parent != ni {
-				t.Fatalf("child %d of %d records parent %d", c, ni, x.nodes[c].parent)
-			}
-			cc, cm := visit(c, level+1)
-			count += cc
-			if cm < min {
-				min = cm
+				items[held{Code(code), it.id}]++
+				count++
+				units += int(x.itemCap(s))
+				if it.id < min {
+					min = it.id
+				}
 			}
 		}
-		if n.count != count || n.minID != min || (ni != 0 && count == 0) {
-			t.Fatalf("node %d holds count %d minID %d, recomputed %d / %d", ni, n.count, n.minID, count, min)
+		if b.count != count || b.minID != min {
+			t.Fatalf("bucket %d holds count %d minID %d, its chain %d / %d", bi, b.count, b.minID, count, min)
+		}
+		if count > burstMax && !sharesNext {
+			t.Fatalf("bucket %d at depth %d holds %d items a burst would split", bi, d, count)
 		}
 		return count, min
 	}
-	if count, _ := visit(0, 0); int(count) != x.size || units != x.units {
+	if count, _ := visit(x.root, nilIdx, 0); int(count) != x.size || units != x.units {
 		t.Fatalf("Len %d Units %d, arena holds %d items with %d units", x.size, x.units, count, units)
 	}
-	free := 0
-	for ni := x.freeNode; ni != nilIdx; ni = x.nodes[ni].kids {
-		if x.nodes[ni].items != nilIdx {
-			t.Fatalf("freed node %d still lists items", ni)
+	if len(nodeOwner) != len(x.nodes) || len(bucketOwner) != len(x.buckets) || len(chunkOwner) != len(x.next) {
+		t.Fatalf("%d/%d/%d nodes/buckets/chunks owned or freelisted, the slabs hold %d/%d/%d",
+			len(nodeOwner), len(bucketOwner), len(chunkOwner), len(x.nodes), len(x.buckets), len(x.next))
+	}
+	x.WalkCap(func(c Code, id, _ int) { items[held{c, int32(id)}]-- })
+	for h, n := range items {
+		if n != 0 {
+			t.Fatalf("item %d at %v: the arena and WalkCap disagree by %d", h.id, []byte(h.code), n)
 		}
-		free++
-	}
-	if free != x.freeNodes || live+free != len(x.nodes) {
-		t.Fatalf("%d live + %d freed nodes (freeNodes %d) in a %d-node arena", live, free, x.freeNodes, len(x.nodes))
-	}
-	if x.degree > 0 && len(blockOwner)*x.degree != len(x.kids) {
-		t.Fatalf("%d blocks owned or freelisted, child arena holds %d slots of degree %d", len(blockOwner), len(x.kids), x.degree)
 	}
 }
 
-// liveBlocks is the number of dense child blocks nodes currently hold.
-func liveBlocks(x *LeafIndex) int {
-	if x.degree == 0 {
-		return 0
+// liveShape is the inner nodes, buckets and chunks an index has in use.
+func liveShape(x *LeafIndex) [3]int {
+	freeBuckets := 0
+	for bi := x.freeBucket; bi != nilIdx; bi = x.buckets[bi].head {
+		freeBuckets++
 	}
-	return len(x.kids)/x.degree - len(x.freeBlock)
+	return [3]int{len(x.nodes) - x.freeNodes, len(x.buckets) - freeBuckets, len(x.next) - x.freeChunks}
 }
 
-// The promote/demote boundary, step by step: the third child takes a block,
-// the removal back to two hands it over all-nilIdx, the next promotion (at
-// another node) reuses it, and a demoted node that then empties frees
-// without a block to return.
-func TestPromoteDemoteBoundary(t *testing.T) {
-	x := NewLeafIndexDegree(2, 5)
-	step := func(want int, what string) {
+// fan returns n distinct depth-4 codes over degree 6 that spread over their
+// first digit, so a root bucket of them splits six ways.
+func fan(n int) []Code {
+	codes := make([]Code, n)
+	for i := range codes {
+		codes[i] = mk(byte(i%6), byte(i/6%6), byte(i/36%6), 0)
+	}
+	return codes
+}
+
+// The burst/fold boundary, step by step: a bucket holds burstMax items, the
+// next one bursts it, removals leave the inner node alone all the way down
+// the hysteresis gap, the removal to foldMin folds it, and what the fold
+// freed serves the next burst without growing a slab.
+func TestBurstFoldBoundary(t *testing.T) {
+	x := NewLeafIndexDegree(4, 6)
+	codes := fan(burstMax + 1)
+	step := func(want [3]int, what string) {
 		t.Helper()
 		checkShape(t, x)
-		if got := liveBlocks(x); got != want {
-			t.Fatalf("%s: %d live blocks, want %d", what, got, want)
+		if got := liveShape(x); got != want {
+			t.Fatalf("%s: %v live nodes/buckets/chunks, want %v", what, got, want)
 		}
 	}
-	ins := func(id int, digits ...byte) {
-		t.Helper()
-		if err := x.Insert(mk(digits...), id); err != nil {
+	for id, c := range codes[:burstMax] {
+		if err := x.Insert(c, id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ins(0, 1, 0)
-	ins(1, 1, 1)
-	step(0, "two leaves under node 1")
-	ins(2, 1, 2)
-	step(1, "third leaf promotes node 1")
-	for round := 0; round < 3; round++ { // oscillate 3 → 2 → 3 on one node
-		if !x.Remove(mk(1, 2), 2) {
-			t.Fatal("remove failed")
-		}
-		step(0, "back to two leaves demotes")
-		ins(2, 1, 2)
-		step(1, "promotion off the freelist")
-		if len(x.kids) != 5 {
-			t.Fatalf("round %d: child arena grew to %d slots", round, len(x.kids))
-		}
+	step([3]int{0, 1, (burstMax + chunkLen - 1) / chunkLen}, "burstMax items are one bucket")
+	if err := x.Insert(codes[burstMax], burstMax); err != nil {
+		t.Fatal(err)
 	}
-	if id, _, ok := x.PopNearest(mk(1, 1)); !ok || id != 1 {
-		t.Fatalf("pop = (%d,%v)", id, ok)
+	burst := [3]int{1, 6, 0}
+	for digit := 0; digit < 6; digit++ { // fan deals the first digits round robin
+		burst[2] += ((burstMax+1-digit+5)/6 + chunkLen - 1) / chunkLen
 	}
-	step(0, "a pop demotes like a removal")
-	ins(3, 2, 0)
-	ins(4, 3, 0)
-	step(1, "third child promotes the root onto node 1's old block")
-	if len(x.kids) != 5 {
-		t.Fatalf("root's promotion grew the child arena to %d slots", len(x.kids))
-	}
-	// Demote then free: node 1 is a two-leaf list again; emptying it unlinks
-	// it from the root, which demotes in turn.
-	x.Remove(mk(1, 0), 0)
-	x.Remove(mk(1, 2), 2)
-	step(0, "node 1 freed, root back to two children")
-	if x.CountPrefix(mk(1)) != 0 || x.Len() != 2 {
-		t.Fatalf("CountPrefix(1) = %d, Len = %d after draining node 1", x.CountPrefix(mk(1)), x.Len())
-	}
-}
-
-// An index that cannot promote — unknown degree, or one past
-// denseDegreeLimit — never allocates a child slot however wide its nodes get.
-func TestNeverPromotingIndexAllocatesNoKids(t *testing.T) {
-	for _, degree := range []int{0, denseDegreeLimit + 1} {
-		x := NewLeafIndexDegree(2, degree)
-		for id := 0; id < 40; id++ {
-			if err := x.Insert(mk(byte(id%8), byte(id%5)), id); err != nil {
-				t.Fatal(err)
+	step(burst, "the item past burstMax bursts the bucket six ways")
+	slabs := [2]int{len(x.nodes), len(x.buckets)}
+	for round := 0; round < 3; round++ {
+		for id := burstMax; id > foldMin; id-- { // down to foldMin+1 items: still the node
+			if !x.Remove(codes[id], id) {
+				t.Fatalf("remove %d failed", id)
+			}
+			if got := liveShape(x); got[0] != 1 {
+				t.Fatalf("round %d: node folded at %d items, foldMin is %d", round, x.Len(), foldMin)
 			}
 		}
 		checkShape(t, x)
-		if _, kids, _ := x.ArenaLens(); kids != 0 || cap(x.kids) != 0 {
-			t.Fatalf("degree %d: %d child slots (cap %d) on an index that never promotes", degree, kids, cap(x.kids))
+		if id, _, ok := x.PopNearest(codes[foldMin]); !ok || id != foldMin {
+			t.Fatalf("pop = (%d,%v)", id, ok)
 		}
-		x.Reserve(64, 64, 64)
-		if cap(x.kids) != 0 {
-			t.Fatalf("degree %d: Reserve gave %d child slots to an index that never promotes", degree, cap(x.kids))
+		step([3]int{0, 1, (foldMin + chunkLen - 1) / chunkLen}, "a pop to foldMin folds like a removal")
+		for id := foldMin; id <= burstMax; id++ {
+			if err := x.Insert(codes[id], id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step(burst, "the same items burst into the same shape")
+		// A burst hands chunks over as it reads them out, so it peaks at most
+		// a partly filled chunk per child over what the bucket held.
+		if got := [2]int{len(x.nodes), len(x.buckets)}; got != slabs || len(x.next) > (burstMax+chunkLen)/chunkLen+6 {
+			t.Fatalf("round %d: slabs grew from %v to %v nodes/buckets, %d chunks", round, slabs, got, len(x.next))
 		}
 	}
 }
 
-// The arena an index holds live is a function of the live set, not of its
-// history: load, drain half, reload the same items, and the nodes and blocks
-// in use equal a fresh load's — and in between, the half-drained index
-// equals a fresh load of the surviving half. A promote-only index would
-// pass neither.
+// One leaf can hold any number of items: its bucket cannot split, stays a
+// bucket at whatever depth it hangs, and bursts the moment an item that
+// differs arrives — into the big one-leaf bucket and a bucket for the
+// newcomer, not a chain of one-child nodes.
+func TestOneLeafBucketGrowsPastBurstMax(t *testing.T) {
+	x := NewLeafIndexDegree(4, 6)
+	leaf := mk(1, 2, 3, 4)
+	const n = 3*burstMax + 5
+	for id := 0; id < n; id++ {
+		if err := x.Insert(leaf, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkShape(t, x)
+	if got := liveShape(x); got[0] != 0 || got[1] != 1 {
+		t.Fatalf("%d items on one leaf take %v nodes/buckets/chunks, want one bucket", n, got)
+	}
+	if err := x.Insert(mk(1, 2, 5, 0), n); err != nil { // shares the bucket's next digit: nothing to split
+		t.Fatal(err)
+	}
+	if got := liveShape(x); got[0] != 0 || got[1] != 1 {
+		t.Fatalf("a leaf sharing the next digit left %v nodes/buckets/chunks, want one bucket still", got)
+	}
+	if err := x.Insert(mk(0, 2, 3, 4), n+1); err != nil {
+		t.Fatal(err)
+	}
+	checkShape(t, x)
+	if got := liveShape(x); got[0] != 1 || got[1] != 2 {
+		t.Fatalf("a leaf under another first digit left %v nodes/buckets/chunks, want one node over two buckets", got)
+	}
+	for q, want := range map[Code][2]int{leaf: {0, 0}, mk(1, 2, 5, 1): {n, 1}, mk(1, 2, 3, 0): {0, 1}, mk(0, 2, 3, 5): {n + 1, 1}, mk(2, 0, 0, 0): {0, 4}} {
+		if id, lvl, ok := x.Nearest(q); !ok || id != want[0] || lvl != want[1] {
+			t.Fatalf("Nearest(%v) = (%d,%d,%v), want %v", []byte(q), id, lvl, ok, want)
+		}
+	}
+	for id := 0; id < n; id++ { // drain the big leaf: ids come out in order
+		if got, lvl, ok := x.PopNearest(leaf); !ok || got != id || lvl != 0 {
+			t.Fatalf("pop %d = (%d,%d,%v)", id, got, lvl, ok)
+		}
+	}
+	checkShape(t, x)
+	if got := liveShape(x); got != [3]int{0, 1, 1} {
+		t.Fatalf("after the drain %v nodes/buckets/chunks are live, want the two newcomers folded into one bucket", got)
+	}
+}
+
+// What an index holds live follows the live set up to the burst/fold
+// hysteresis: load, drain half, reload the same items, and the nodes, buckets
+// and chunks in use equal a fresh load's with no slab grown — and in
+// between, the half-drained index holds no more than the full one did
+// (checkShape holds every surviving inner node to more than foldMin items).
 func TestFootprintFollowsLiveSet(t *testing.T) {
 	for _, l := range []struct {
 		name          string
@@ -239,18 +300,19 @@ func TestFootprintFollowsLiveSet(t *testing.T) {
 			}
 			return x
 		}
-		footprint := func(x *LeafIndex) [2]int {
+		footprint := func(x *LeafIndex) [3]int {
 			checkShape(t, x)
-			return [2]int{len(x.nodes) - x.freeNodes, liveBlocks(x)}
+			return liveShape(x)
 		}
 		all := func(int) bool { return true }
 		drained := func(id int) bool { return id%2 == 1 }
 		fresh := footprint(load(NewLeafIndexDegree(depth, l.degree), all))
-		if l.degree > 0 && fresh[1] == 0 {
-			t.Fatalf("%s: the population promotes nothing", l.name)
+		if fresh[0] == 0 {
+			t.Fatalf("%s: the population bursts nothing", l.name)
 		}
 
 		x := load(NewLeafIndexDegree(depth, l.degree), all)
+		slabs := [3]int{len(x.nodes), len(x.buckets), len(x.next)}
 		for id, it := range items {
 			if !drained(id) {
 				continue
@@ -265,47 +327,172 @@ func TestFootprintFollowsLiveSet(t *testing.T) {
 				t.Fatalf("%s: remove %d failed", l.name, id)
 			}
 		}
-		half := footprint(load(NewLeafIndexDegree(depth, l.degree), func(id int) bool { return !drained(id) }))
-		if got := footprint(x); got != half {
-			t.Fatalf("%s: half-drained index holds %v live nodes/blocks, a fresh load of the survivors %v", l.name, got, half)
+		if got := footprint(x); got[0] > fresh[0] || got[1] > fresh[1] || got[2] > fresh[2] {
+			t.Fatalf("%s: half-drained index holds %v live nodes/buckets/chunks, the full one %v", l.name, got, fresh)
 		}
 		if got := footprint(load(x, drained)); got != fresh {
-			t.Fatalf("%s: reloaded index holds %v live nodes/blocks, a fresh load %v", l.name, got, fresh)
+			t.Fatalf("%s: reloaded index holds %v live nodes/buckets/chunks, a fresh load %v", l.name, got, fresh)
 		}
-		if got, want := len(x.kids), fresh[1]*l.degree; got != want {
-			t.Fatalf("%s: child arena is %d slots after drain and reload, a fresh load's %d", l.name, got, want)
+		if got := [3]int{len(x.nodes), len(x.buckets), len(x.next)}; got != slabs {
+			t.Fatalf("%s: slabs are %v nodes/buckets/chunks after drain and reload, %v before", l.name, got, slabs)
 		}
 	}
 }
 
-// A steady-state insert/remove pair that promotes a node and demotes it
-// again moves one block between the node and the freelist: no allocation.
-func TestPromoteDemoteZeroAllocSteadyState(t *testing.T) {
-	x := NewLeafIndexDegree(2, 6)
-	for id, c := range []Code{mk(0, 0), mk(0, 1), mk(1, 0), mk(2, 0), mk(3, 0)} {
+// A steady-state insert/remove pair that bursts a bucket and folds the node
+// again moves nodes, buckets and chunks between the trie and the freelists:
+// no allocation.
+func TestBurstFoldZeroAllocSteadyState(t *testing.T) {
+	x := NewLeafIndexDegree(4, 6)
+	x.Reserve(2, 16, 64) // a burst's chunk peak depends on the order it reads the items in
+	codes := fan(burstMax + 1)
+	for id, c := range codes[:foldMin] {
 		if err := x.Insert(c, id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	third := mk(0, 2) // node 0 sits at narrowKids children
 	cycle := func() {
-		before := liveBlocks(x)
-		if err := x.Insert(third, 9); err != nil {
-			t.Fatal(err)
+		for id := foldMin; id <= burstMax; id++ {
+			if err := x.Insert(codes[id], id); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if liveBlocks(x) != before+1 {
-			t.Fatal("insert did not promote")
+		if liveShape(x)[0] != 1 {
+			t.Fatal("insert past burstMax did not burst")
 		}
-		if !x.Remove(third, 9) {
-			t.Fatal("remove failed")
+		for id := burstMax; id >= foldMin; id-- {
+			if !x.Remove(codes[id], id) {
+				t.Fatal("remove failed")
+			}
 		}
-		if liveBlocks(x) != before {
-			t.Fatal("remove did not demote")
+		if liveShape(x)[0] != 0 {
+			t.Fatal("removal to foldMin did not fold")
 		}
 	}
 	cycle() // warm the freelists
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("promote+demote steady state allocates %.1f/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("burst+fold steady state allocates %.1f/cycle, want 0", allocs)
 	}
 	checkShape(t, x)
+}
+
+// One population walked up past burstMax and down past foldMin ten times,
+// held against the map reference after every operation: inserts on the way
+// up, withdrawals, pops and consumes on the way down, a nearest probe and a
+// full audit of the arena each step. Half the codes share a first digit, so
+// the bursts cascade and the folds meet buckets at two depths.
+func TestBurstFoldModel(t *testing.T) {
+	const depth, degree = 4, 6
+	src := rng.New(97)
+	p := newDiffPair(depth, degree)
+	randCode := func() Code {
+		b := make([]byte, depth)
+		for i := range b {
+			b[i] = byte(src.Intn(degree))
+		}
+		if src.Intn(2) == 0 {
+			b[0] = 3
+		}
+		return Code(b)
+	}
+	var live []int
+	codes := map[int]Code{}
+	step, nextID := 0, 0
+	probe := func() {
+		t.Helper()
+		q := randCode()
+		fid, flvl, fok := p.flat.Nearest(q)
+		rid, rlvl, rok := p.ref.Nearest(q)
+		if fid != rid || flvl != rlvl || fok != rok {
+			t.Fatalf("step %d: Nearest(%v) = (%d,%d,%v), reference (%d,%d,%v)", step, []byte(q), fid, flvl, fok, rid, rlvl, rok)
+		}
+		p.check(t, step)
+		step++
+	}
+	for round := 0; round < 10; round++ {
+		for len(live) < 2*burstMax+burstMax/2 {
+			c := randCode()
+			if p.flat.Insert(c, nextID) != nil || p.ref.InsertCap(c, nextID, 1) != nil {
+				t.Fatalf("step %d: insert %d failed", step, nextID)
+			}
+			live, codes[nextID] = append(live, nextID), c
+			nextID++
+			probe()
+		}
+		for len(live) > foldMin/2 {
+			switch at := src.Intn(len(live)); src.Intn(3) {
+			case 0: // withdraw
+				id := live[at]
+				if gf, gr := p.flat.Remove(codes[id], id), p.ref.Remove(codes[id], id); !gf || !gr {
+					t.Fatalf("step %d: Remove(%d) %v / %v", step, id, gf, gr)
+				}
+				live[at] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case 1: // consume by code
+				id := live[at]
+				if gf, gr := p.flat.Consume(codes[id], id), p.ref.Consume(codes[id], id); !gf || !gr {
+					t.Fatalf("step %d: Consume(%d) %v / %v", step, id, gf, gr)
+				}
+				live[at] = live[len(live)-1]
+				live = live[:len(live)-1]
+			default: // pop
+				q := randCode()
+				fid, flvl, fok := p.flat.PopNearest(q)
+				rid, rlvl, rok := p.ref.PopNearest(q)
+				if fid != rid || flvl != rlvl || !fok || !rok {
+					t.Fatalf("step %d: PopNearest(%v) = (%d,%d,%v), reference (%d,%d,%v)", step, []byte(q), fid, flvl, fok, rid, rlvl, rok)
+				}
+				for i, id := range live {
+					if id == fid {
+						live[i] = live[len(live)-1]
+						live = live[:len(live)-1]
+						break
+					}
+				}
+			}
+			probe()
+		}
+	}
+	if nodes, _, _ := p.flat.ArenaLens(); nodes < 2 {
+		t.Fatalf("the walk never held two inner nodes at once (%d in the arena): no cascade", nodes)
+	}
+}
+
+// One id on several leaves — no engine population holds it — mines in leaf-
+// code order whichever buckets the leaves fall into, whole or cut off at k.
+func TestDuplicateIDsMineInLeafOrder(t *testing.T) {
+	x := NewLeafIndexDegree(4, 6)
+	for id, c := range fan(burstMax + 1) { // enough to burst: the twins land in different buckets
+		if err := x.Insert(c, id+10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twins := []Code{mk(5, 5, 5, 5), mk(0, 5, 5, 5), mk(5, 5, 5, 1), mk(0, 5, 5, 4), mk(5, 5, 5, 1)}
+	for _, c := range twins {
+		if err := x.InsertCap(c, 7, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkShape(t, x)
+	want := []Code{mk(0, 5, 5, 4), mk(0, 5, 5, 5), mk(5, 5, 5, 1), mk(5, 5, 5, 1), mk(5, 5, 5, 5)}
+	for k := 1; k <= len(want)+1; k++ {
+		refs := x.SmallestKRef(k, 4, nil)
+		for i, r := range refs[:min(k, len(want))] {
+			c, ok := x.ResolveRef(r)
+			if !ok || r.ID != 7 || c.Code != want[i] || r.Cap != 2 {
+				t.Fatalf("k=%d: ref %d = %+v at %v (%v), want id 7 at %v", k, i, r, []byte(c.Code), ok, []byte(want[i]))
+			}
+		}
+	}
+	// Nearest to a twin's leaf: the twin there first, then the rest of its
+	// bucket's twins by level, then leaf code.
+	refs := x.NearestKRef(mk(5, 5, 5, 1), 4, nil)
+	for i, w := range []struct {
+		code Code
+		lvl  int32
+	}{{mk(5, 5, 5, 1), 0}, {mk(5, 5, 5, 1), 0}, {mk(5, 5, 5, 5), 1}} {
+		if c, _ := x.ResolveRef(refs[i]); refs[i].ID != 7 || c.Code != w.code || refs[i].Level != w.lvl {
+			t.Fatalf("NearestKRef[%d] = %+v at %v, want id 7 at %v level %d", i, refs[i], []byte(c.Code), []byte(w.code), w.lvl)
+		}
+	}
 }

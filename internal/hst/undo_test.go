@@ -227,13 +227,11 @@ func TestResolveRefRoundTrip(t *testing.T) {
 			checkShape(t, b)
 			sameSnapshot(t, step, a, b)
 		}
-		if _, ok := a.ResolveRef(CandidateRef{Node: int32(len(a.nodes))}); ok {
-			t.Errorf("%s: ResolveRef accepted a node outside the arena", l.name)
+		if _, ok := a.ResolveRef(CandidateRef{Node: int32(len(a.buckets))}); ok {
+			t.Errorf("%s: ResolveRef accepted a bucket outside the arena", l.name)
 		}
-		if l.depth > 0 {
-			if _, ok := a.ResolveRef(CandidateRef{Node: 0}); ok {
-				t.Errorf("%s: ResolveRef accepted the root as a leaf", l.name)
-			}
+		if _, ok := a.ResolveRef(CandidateRef{Node: 0}); ok {
+			t.Errorf("%s: ResolveRef found an item in a drained index", l.name)
 		}
 	}
 }

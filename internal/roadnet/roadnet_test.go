@@ -232,3 +232,50 @@ func TestHSTOverRoadMetric(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafIndexOverRoadTreeIsSmall pins the worker index's footprint on a
+// tree built from a road metric — deeper and narrower than the planar one
+// the repository benchmark publishes — at a sparse population: 1,000
+// workers, half on real intersections and half on fake leaves anywhere in
+// the padded tree, which is where an index pays for the prefixes above its
+// buckets. The ceiling sits ~10 % over what ships (44.1 B/worker; the
+// node-per-prefix trie read 197.4).
+func TestLeafIndexOverRoadTreeIsSmall(t *testing.T) {
+	src := rng.New(33)
+	g, err := Manhattan(geo.NewRect(geo.Pt(0, 0), geo.Pt(200, 200)), 16, 16, 0.4, 0.1, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]int, g.NumNodes())
+	for i := range nodes {
+		nodes[i] = i
+	}
+	m, err := g.MetricAmong(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := hst.BuildMetric(m.Len(), m.Dist, src.Derive("tree"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 1000
+	idx := hst.NewLeafIndexDegree(tr.Depth(), tr.Degree())
+	for id := 0; id < workers; id++ {
+		code := tr.CodeOf(src.Intn(m.Len()))
+		if id%2 == 1 {
+			fake := make([]byte, tr.Depth())
+			for j := range fake {
+				fake[j] = byte(src.Intn(tr.Degree()))
+			}
+			code = hst.Code(fake)
+		}
+		if err := idx.Insert(code, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := float64(idx.ArenaBytes()) / workers
+	t.Logf("depth %d, degree %d: %.1f index bytes per worker", tr.Depth(), tr.Degree(), got)
+	if got > 49 {
+		t.Errorf("index holds %.1f B/worker at %d workers, ceiling 49", got, workers)
+	}
+}
