@@ -82,7 +82,7 @@ func main() {
 	// cannot pin it; the idle limit stays above the 90 s an agent's transport
 	// keeps an idle connection, so the client closes first.
 	hs := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
-	if err := platform.Serve(hs, ln, srv.CloseStreams); err != nil {
+	if err := platform.Serve(hs, ln, srv.CloseStreams, coord.Close); err != nil {
 		log.Fatal(err)
 	}
 }

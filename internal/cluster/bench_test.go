@@ -30,6 +30,12 @@ import (
 //     a handler that discards the body — what an HTTP transaction charges,
 //     which every op paid before the stream. post-floor − stream-floor is
 //     what the stream saves.
+//   - min-id, status: the root tier's poll and the pool read, each a
+//     singleton envelope on the same stream, over a node of 2,000 workers;
+//     pop-min: the root tier's pop, alternating with the Insert that puts
+//     the popped worker back into a pool otherwise empty, as stream's is —
+//     the pair to hold against stream's, the op kind the only difference.
+//     Each was a POST of its own (CHANGES.md, PR 27, has them side by side).
 func BenchmarkNodeOp(b *testing.B) {
 	tree := buildTree(b, 7)
 	code := tree.CodeOf(3)
@@ -51,15 +57,26 @@ func BenchmarkNodeOp(b *testing.B) {
 	resps[0] = []byte(`{"ok":true,"results":[{"ok":true}]}` + "\n")
 	resps[1] = []byte(`{"ok":true,"results":[{"ok":true,"id":12345,"found":true}]}` + "\n")
 
-	b.Run("stream", func(b *testing.B) {
+	// dial is a connection to a fresh node holding so many workers.
+	dial := func(b *testing.B, workers int) NodeConn {
 		ts := httptest.NewServer(NodeHandler(NewNode()))
-		defer ts.Close()
+		b.Cleanup(ts.Close)
 		tr := platform.NewTransport()
-		defer tr.CloseIdleConnections()
+		b.Cleanup(tr.CloseIdleConnections)
 		conn := DialNodeClient(ts.URL, &http.Client{Transport: tr})
 		if err := conn.Init(InitRequest{Tree: tree}); err != nil {
 			b.Fatal(err)
 		}
+		for id := 0; id < workers; id++ {
+			if err := conn.Insert(tree.CodeOf(id%tree.NumPoints()), id, 1, 0, ""); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return conn
+	}
+
+	b.Run("stream", func(b *testing.B) {
+		conn := dial(b, 0)
 		idems := make([]string, b.N)
 		for i := range idems {
 			idems[i] = "AbCdEf" + strconv.FormatInt(int64(i), 36)
@@ -73,6 +90,45 @@ func BenchmarkNodeOp(b *testing.B) {
 				}
 			} else if _, _, found, err := conn.AssignSubtree(code, engine.FirstEpoch, idems[i]); err != nil || !found {
 				b.Fatal(found, err)
+			}
+		}
+	})
+
+	b.Run("min-id", func(b *testing.B) {
+		conn := dial(b, 2000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if id, found, err := conn.MinID(engine.FirstEpoch); err != nil || !found || id != 0 {
+				b.Fatal(id, found, err)
+			}
+		}
+	})
+	b.Run("status", func(b *testing.B) {
+		conn := dial(b, 2000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if st, err := conn.Status(engine.FirstEpoch); err != nil || st.Len != 2000 {
+				b.Fatal(st, err)
+			}
+		}
+	})
+	b.Run("pop-min", func(b *testing.B) {
+		conn := dial(b, 0)
+		idems := make([]string, b.N)
+		for i := range idems {
+			idems[i] = "AbCdEf" + strconv.FormatInt(int64(i), 36)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				if err := conn.Insert(code, 12345, 1, engine.FirstEpoch, idems[i]); err != nil {
+					b.Fatal(err)
+				}
+			} else if id, _, found, err := conn.PopMin(engine.FirstEpoch, idems[i]); err != nil || !found || id != 12345 {
+				b.Fatal(id, found, err)
 			}
 		}
 	})

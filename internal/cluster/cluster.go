@@ -108,6 +108,15 @@ func (c *Coordinator) Server() *platform.Server { return c.srv }
 // surface a pombm-server exposes.
 func (c *Coordinator) Handler() http.Handler { return platform.Handler(c.srv) }
 
+// Close closes the connection to every backend (NodeConn.Close), so that a
+// coordinator that stops leaves its nodes no stream to hold until they reap
+// it. The coordinator serves nothing that reaches a node afterwards.
+func (c *Coordinator) Close() {
+	for _, n := range c.core.nodes {
+		n.Close()
+	}
+}
+
 // Client is an HTTP client against a coordinator. The coordinator speaks
 // the same agent protocol as a single pombm-server, so Client is the
 // platform client under a deployment-shape-honest name; it satisfies

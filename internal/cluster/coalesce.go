@@ -3,6 +3,7 @@ package cluster
 import (
 	"sync"
 
+	"github.com/pombm/pombm/internal/platform"
 	"github.com/pombm/pombm/internal/wire"
 )
 
@@ -21,9 +22,9 @@ type batchedOp struct {
 	done chan struct{}
 }
 
-// batcher ships the single-worker operations bound for one node as
-// /v2/node/ops envelopes; every httpNode owns one, so coalescing is a
-// property of the HTTP transport and nothing above NodeConn knows of it.
+// batcher ships the ops bound for one node as /v2/node/ops envelopes; every
+// httpNode owns one, so coalescing is a property of the HTTP transport and
+// nothing above NodeConn knows of it.
 //
 // A slot is a stream: whoever holds one of the node's slots owns one
 // upgraded /v2/node/ops connection (see wire.Stream) for one frame out and one
@@ -59,13 +60,21 @@ type batcher struct {
 	pending  []*batchedOp   // non-empty only while every slot is taken
 	inflight int            // slots taken
 	idle     []*wire.Stream // streams no slot holds; len(idle) + inflight ≤ slots
+	closed   bool           // no op ships and no stream is kept any more
 }
+
+// errClosed refuses an op on a connection that was closed.
+var errClosed = &platform.Error{Code: platform.CodeUnavailable, Message: "cluster: the node connection is closed"}
 
 // do ships one op and blocks until its sub-result is back. An
 // envelope-level failure (transport, refused envelope) is returned to every
 // op the envelope carried; a per-op refusal is the result's own Err.
 func (b *batcher) do(op OpRequest) (opResult, error) {
 	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return opResult{}, errClosed
+	}
 	if b.inflight == b.slots {
 		bo := &batchedOp{op: op, done: make(chan struct{})}
 		b.pending = append(b.pending, bo)
@@ -102,9 +111,23 @@ func (b *batcher) release(s *wire.Stream) {
 // park returns a slot and its stream. Caller holds mu.
 func (b *batcher) park(s *wire.Stream) {
 	b.inflight--
-	if s != nil {
+	switch {
+	case s == nil:
+	case b.closed:
+		s.Close()
+	default:
 		b.idle = append(b.idle, s)
 	}
+}
+
+// close closes the idle streams — the node's ends with them, at once, not
+// when it reaps them — and from here on refuses every op and closes a
+// stream in flight when its slot comes back.
+func (b *batcher) close() {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.dropIdle()
 }
 
 // dropIdle closes every idle stream: an exchange on one of the node's

@@ -531,7 +531,7 @@ func TestSequentialCallerShipsSingletons(t *testing.T) {
 	// coalescer or a stream started and kept would stay.
 	waitFor(t, "the goroutine count to settle where it was", func() bool { return runtime.NumGoroutine() <= before })
 	frames, _ := tap.Sent()
-	if _, ops := countByNode(frames[len(warm):]); len(frames)-len(warm) != 2*n || ops != 2*n {
+	if _, ops := countByNode(frames[len(warm):], opKindKey); len(frames)-len(warm) != 2*n || ops != 2*n {
 		t.Errorf("%d sequential ops left as %d frames carrying %d ops, want one each", 2*n, len(frames)-len(warm), ops)
 	}
 	if got := tap.Upgrades(); got != 1 {
@@ -579,7 +579,8 @@ func TestWindowCommitsInFewEnvelopes(t *testing.T) {
 		}
 	}
 	frames, _ := tap.Sent()
-	byNode, ops := countByNode(frames[len(loaded):])
+	// The window's mines are frames too, one a node: count the commits.
+	byNode, ops := countByNode(frames[len(loaded):], []byte(`"kind":"consume"`))
 	if ops != len(codes) {
 		t.Fatalf("the window committed %d units for %d matches", ops, len(codes))
 	}

@@ -7,15 +7,17 @@ import (
 	"strconv"
 	"unicode/utf8"
 
+	"github.com/pombm/pombm/internal/engine"
+	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
 )
 
 // The /v2/node/ops codec: one append encoder and one scanner per direction,
 // written against the envelope grammar in protocol.go. The encoders are
-// byte-identical to what encoding/json made of the same values (that is
+// byte-identical to what encoding/json makes of the same values (that is
 // what keeps a replayed sub-result byte-exact across versions, and it is
 // fuzzed: FuzzOpsCodec); the scanners accept a subset of what encoding/json
-// accepted and decode it to the same values. encoding/json is used for one
+// accepts and decode it to the same values. encoding/json is used for one
 // thing only: unquoting a string token that is not plain ASCII.
 
 // ---- encoders ----
@@ -96,7 +98,15 @@ func appendOp(dst []byte, op *OpRequest) []byte {
 	dst = appendIntField(dst, `,"id":`, int64(op.ID))
 	dst = appendIntField(dst, `,"capacity":`, int64(op.Capacity))
 	dst = appendIntField(dst, `,"epoch":`, op.Epoch)
-	return append(dst, '}')
+	if len(op.Codes) > 0 {
+		sep := `,"codes":["`
+		for _, code := range op.Codes {
+			dst = append(base64.StdEncoding.AppendEncode(append(dst, sep...), code), '"')
+			sep = `,"`
+		}
+		dst = append(dst, ']')
+	}
+	return append(appendIntField(dst, `,"k":`, int64(op.K)), '}')
 }
 
 // appendOpsRequest appends the request envelope carrying batch's ops, in
@@ -112,14 +122,21 @@ func appendOpsRequest(dst []byte, batch []*batchedOp) []byte {
 	return append(dst, "]}\n"...)
 }
 
-// ackOK is the whole sub-result of an applied insert, add-capacity or
-// consume. The replay cache holds this one slice for every such entry.
+// ackOK is the whole sub-result of an applied insert, add-capacity, consume,
+// commit or abort. The replay cache holds this one slice for every such
+// entry.
 var ackOK = []byte(`{"ok":true}`)
 
 // appendRefusal appends `{"ok":false,"error":{…}` — a refused sub-result or
 // envelope up to, not including, its closing fields.
 func appendRefusal(dst []byte, e *platform.Error) []byte {
-	dst = appendString(append(dst, `{"ok":false,"error":{"code":`...), e.Code)
+	return appendError(append(dst, `{"ok":false,"error":`...), e)
+}
+
+// appendError appends the grammar's error object: also the whole body of an
+// answer whose HTTP status is not 200.
+func appendError(dst []byte, e *platform.Error) []byte {
+	dst = appendString(append(dst, `{"code":`...), e.Code)
 	if e.Message != "" {
 		dst = appendString(append(dst, `,"message":`...), e.Message)
 	}
@@ -131,7 +148,8 @@ func appendRefusal(dst []byte, e *platform.Error) []byte {
 }
 
 // appendAck appends a nodeAck sub-result: the answer of insert,
-// add-capacity and consume. applied false marks a refusal.
+// add-capacity, consume, commit and abort, and any kind's plain refusal.
+// applied false marks a refusal.
 func appendAck(dst []byte, err error, epoch int64) (out []byte, applied bool) {
 	if err != nil {
 		return append(appendRefusal(dst, nodeError(err, epoch)), '}'), false
@@ -139,8 +157,8 @@ func appendAck(dst []byte, err error, epoch int64) (out []byte, applied bool) {
 	return append(dst, ackOK...), true
 }
 
-// appendFound appends the `,"found":b}` that closes a remove or
-// assign-subtree sub-result, refused ones included.
+// appendFound appends the `,"found":b}` that closes a remove,
+// assign-subtree, min-id or pop-min sub-result, refused ones included.
 func appendFound(dst []byte, found bool) []byte {
 	return append(strconv.AppendBool(append(dst, `,"found":`...), found), '}')
 }
@@ -150,10 +168,53 @@ func appendRemoved(dst []byte, units int, found bool) []byte {
 	return appendFound(appendIntField(append(dst, `{"ok":true`...), `,"units":`, int64(units)), found)
 }
 
-// appendAssigned appends assign-subtree's sub-result.
-func appendAssigned(dst []byte, id, level int, found bool) []byte {
+// appendAssigned appends the sub-result of a kind that answers a worker —
+// assign-subtree, pop-min, and min-id, which has no level — or err's
+// refusal. applied false marks the refusal.
+func appendAssigned(dst []byte, id, level int, found bool, err error, epoch int64) (out []byte, applied bool) {
+	if err != nil {
+		return appendFound(appendRefusal(dst, nodeError(err, epoch)), false), false
+	}
 	dst = appendIntField(append(dst, `{"ok":true`...), `,"id":`, int64(id))
-	return appendFound(appendIntField(dst, `,"level":`, int64(level)), found)
+	return appendFound(appendIntField(dst, `,"level":`, int64(level)), found), true
+}
+
+// appendStatus appends status's sub-result.
+func appendStatus(dst []byte, st StatusResponse) []byte {
+	dst = appendIntField(append(dst, `{"ok":true`...), `,"epoch":`, st.Epoch)
+	dst = appendIntField(dst, `,"len":`, int64(st.Len))
+	return append(appendIntField(dst, `,"units":`, int64(st.Units)), '}')
+}
+
+// appendMined appends mine's sub-result.
+func appendMined(dst []byte, wm *engine.WindowMine) []byte {
+	dst = appendIntField(append(dst, `{"ok":true`...), `,"epoch":`, wm.Epoch)
+	dst = appendIntField(dst, `,"pool":`, int64(wm.Pool))
+	dst = appendCandidates(dst, `,"own":[`, wm.Own)
+	return append(appendCandidates(dst, `,"pads":[`, wm.Pads), '}')
+}
+
+// appendCandidates appends key — `,"name":[` — and lists, each an array of
+// [id,code,level,cap] arrays, unless there are none.
+func appendCandidates(dst []byte, key string, lists [][]hst.Candidate) []byte {
+	if len(lists) == 0 {
+		return dst
+	}
+	for _, list := range lists {
+		dst = append(append(dst, key...), '[')
+		key = ","
+		for i, c := range list {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, '['), int64(c.ID), 10)
+			dst = base64.StdEncoding.AppendEncode(append(dst, `,"`...), []byte(c.Code))
+			dst = strconv.AppendInt(append(dst, `",`...), int64(c.Level), 10)
+			dst = append(strconv.AppendInt(append(dst, ','), int64(c.Cap), 10), ']')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, ']')
 }
 
 // ---- scanners ----
@@ -209,11 +270,26 @@ func (s *scanner) more(first bool, closer byte) (bool, error) {
 	return true, nil
 }
 
+// array consumes an array, calling elem with the cursor at each element.
+func (s *scanner) array(elem func() error) error {
+	if err := s.expect('['); err != nil {
+		return err
+	}
+	for first := true; ; first = false {
+		if ok, err := s.more(first, ']'); !ok {
+			return err
+		}
+		if err := elem(); err != nil {
+			return err
+		}
+	}
+}
+
 // field is more for an object of known fields: it also consumes the next
 // member's key and colon, leaving the cursor at the value, and returns the
 // key as it is spelled in names — refusing one that is not there, and one
 // this object (whose seen it is handed) has shown before.
-func (s *scanner) field(first bool, names []string, seen *uint8) (name string, ok bool, err error) {
+func (s *scanner) field(first bool, names []string, seen *uint16) (name string, ok bool, err error) {
 	if ok, err = s.more(first, '}'); !ok {
 		return "", false, err
 	}
@@ -324,33 +400,46 @@ func (s *scanner) bool() (bool, error) {
 	return false, s.errf("expected true or false")
 }
 
+// opKinds lists the kinds execOp answers.
+var opKinds = [...]string{
+	OpInsert, OpAddCapacity, OpRemove, OpAssignSubtree, OpConsume,
+	OpStatus, OpMinID, OpPopMin, OpMine, OpCommit, OpAbort,
+}
+
 // internKind returns the package's constant for a known op kind, so that a
 // decoded op's Kind costs no allocation; an unknown kind is copied for
 // execOp to refuse by name.
 func internKind(text []byte) string {
-	switch string(text) {
-	case OpInsert:
-		return OpInsert
-	case OpAddCapacity:
-		return OpAddCapacity
-	case OpRemove:
-		return OpRemove
-	case OpAssignSubtree:
-		return OpAssignSubtree
-	case OpConsume:
-		return OpConsume
+	for _, kind := range opKinds {
+		if string(text) == kind {
+			return kind
+		}
 	}
 	return string(text)
 }
 
-var opFields = []string{"kind", "idem", "code", "id", "capacity", "epoch"}
+var opFields = []string{"kind", "idem", "code", "id", "capacity", "epoch", "codes", "k"}
+
+// code consumes a string token of standard base64 and appends what it
+// decodes to onto dst, as encoding/json fills a []byte: strictly, "" an
+// empty code.
+func (s *scanner) code(dst []byte) ([]byte, error) {
+	text, err := s.str()
+	if err != nil {
+		return nil, err
+	}
+	if dst, err = base64.StdEncoding.AppendDecode(dst, text); err != nil {
+		return nil, s.errf("code: %v", err)
+	}
+	return dst, nil
+}
 
 // op consumes one sub-op object into op.
 func (s *scanner) op(op *OpRequest) error {
 	if err := s.expect('{'); err != nil {
 		return err
 	}
-	var seen uint8
+	var seen uint16
 	for first := true; ; first = false {
 		name, ok, err := s.field(first, opFields, &seen)
 		if !ok {
@@ -365,22 +454,21 @@ func (s *scanner) op(op *OpRequest) error {
 			text, err = s.str()
 			op.Idem = string(text)
 		case "code":
-			if text, err = s.str(); err == nil {
-				// As encoding/json fills a []byte: strict standard base64,
-				// "" decoding to an empty code.
-				op.Code = make([]byte, base64.StdEncoding.DecodedLen(len(text)))
-				var n int
-				if n, err = base64.StdEncoding.Decode(op.Code, text); err != nil {
-					err = s.errf("code: %v", err)
-				}
-				op.Code = op.Code[:n]
-			}
+			op.Code, err = s.code(nil)
 		case "id":
 			op.ID, err = s.int()
 		case "capacity":
 			op.Capacity, err = s.int()
 		case "epoch":
 			op.Epoch, err = s.integer()
+		case "codes":
+			err = s.array(func() error {
+				code, err := s.code(nil)
+				op.Codes = append(op.Codes, code)
+				return err
+			})
+		case "k":
+			op.K, err = s.int()
 		}
 		if err != nil {
 			return err
@@ -396,7 +484,7 @@ func scanOps(body []byte, ops []OpRequest) ([]OpRequest, error) {
 	if err := s.expect('{'); err != nil {
 		return nil, err
 	}
-	var seen uint8
+	var seen uint16
 	for first := true; ; first = false {
 		_, ok, err := s.field(first, []string{"ops"}, &seen)
 		if err != nil {
@@ -405,21 +493,11 @@ func scanOps(body []byte, ops []OpRequest) ([]OpRequest, error) {
 		if !ok {
 			break
 		}
-		if err := s.expect('['); err != nil {
-			return nil, err
-		}
-		for first := true; ; first = false {
-			ok, err := s.more(first, ']')
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+		if err := s.array(func() error {
 			ops = append(ops, OpRequest{})
-			if err := s.op(&ops[len(ops)-1]); err != nil {
-				return nil, err
-			}
+			return s.op(&ops[len(ops)-1])
+		}); err != nil {
+			return nil, err
 		}
 	}
 	return ops, s.end()
@@ -427,7 +505,7 @@ func scanOps(body []byte, ops []OpRequest) ([]OpRequest, error) {
 
 var (
 	errorFields    = []string{"code", "message", "epoch", "retryable"}
-	resultFields   = []string{"ok", "error", "id", "level", "units", "found"}
+	resultFields   = []string{"ok", "error", "id", "level", "units", "found", "epoch", "len", "pool", "own", "pads"}
 	responseFields = []string{"ok", "error", "results"}
 )
 
@@ -436,7 +514,7 @@ func (s *scanner) refusal(e *platform.Error) error {
 	if err := s.expect('{'); err != nil {
 		return err
 	}
-	var seen uint8
+	var seen uint16
 	for first := true; ; first = false {
 		name, ok, err := s.field(first, errorFields, &seen)
 		if !ok {
@@ -466,7 +544,7 @@ func (s *scanner) result(r *opResult) error {
 	if err := s.expect('{'); err != nil {
 		return err
 	}
-	var seen uint8
+	var seen uint16
 	for first := true; ; first = false {
 		name, ok, err := s.field(first, resultFields, &seen)
 		if !ok {
@@ -486,11 +564,56 @@ func (s *scanner) result(r *opResult) error {
 			r.Units, err = s.int()
 		case "found":
 			r.Found, err = s.bool()
+		case "epoch":
+			r.Epoch, err = s.integer()
+		case "len":
+			r.Len, err = s.int()
+		case "pool":
+			r.Pool, err = s.int()
+		case "own":
+			r.Own, err = s.candidates()
+		case "pads":
+			r.Pads, err = s.candidates()
 		}
 		if err != nil {
 			return err
 		}
 	}
+}
+
+// candidates consumes the lists of a mine answer's own or pads: an array of
+// arrays of [id,code,level,cap] arrays. An empty list is left nil.
+func (s *scanner) candidates() (lists [][]hst.Candidate, err error) {
+	var code []byte // decoding scratch: a candidate keeps a copy
+	err = s.array(func() error {
+		var list []hst.Candidate
+		err := s.array(func() error {
+			var c hst.Candidate
+			at := 0
+			err := s.array(func() (err error) {
+				switch at++; at {
+				case 1:
+					c.ID, err = s.int()
+				case 2:
+					code, err = s.code(code[:0])
+					c.Code = hst.Code(code)
+				case 3:
+					c.Level, err = s.int()
+				case 4:
+					c.Cap, err = s.int()
+				}
+				return err
+			})
+			if err == nil && at != 4 {
+				err = s.errf("a candidate of %d elements, want 4", at)
+			}
+			list = append(list, c)
+			return err
+		})
+		lists = append(lists, list)
+		return err
+	})
+	return lists, err
 }
 
 // scanOpsResponse decodes a node's answer to the envelope that carried
@@ -502,7 +625,7 @@ func scanOpsResponse(body []byte, batch []*batchedOp) (refusal *platform.Error, 
 	if err := s.expect('{'); err != nil {
 		return nil, err
 	}
-	var seen uint8
+	var seen uint16
 	results := 0
 	for first := true; ; first = false {
 		name, ok, err := s.field(first, responseFields, &seen)
@@ -524,21 +647,13 @@ func scanOpsResponse(body []byte, batch []*batchedOp) (refusal *platform.Error, 
 				s.i += 4
 				break
 			}
-			if err = s.expect('['); err != nil {
-				break
-			}
-			for first := true; ; first = false {
-				if ok, err = s.more(first, ']'); !ok {
-					break
-				}
+			err = s.array(func() error {
 				if results == len(batch) {
-					return nil, s.errf("more than %d results", len(batch))
-				}
-				if err = s.result(&batch[results].res); err != nil {
-					break
+					return s.errf("more than %d results", len(batch))
 				}
 				results++
-			}
+				return s.result(&batch[results-1].res)
+			})
 		}
 		if err != nil {
 			return nil, err

@@ -3,20 +3,23 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/pombm/pombm/internal/engine"
+	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
 )
 
-// OpsRequest, OpsResponse and RemoveResponse are the envelope as
-// encoding/json sees it — the structs the ops codec replaced, kept here as
-// the reference its bytes and its reading are tested against (with nodeAck
-// and AssignResponse, which other endpoints still use).
+// OpsRequest, OpsResponse and refResult are the envelope as encoding/json
+// sees it — for the five routed kinds the structs the ops codec replaced —
+// kept here as the reference its bytes and its reading are tested against.
 type OpsRequest struct {
 	Ops []OpRequest `json:"ops"`
 }
@@ -27,11 +30,70 @@ type OpsResponse struct {
 	Results []json.RawMessage `json:"results"`
 }
 
-type RemoveResponse struct {
-	OK    bool            `json:"ok"`
-	Err   *platform.Error `json:"error,omitempty"`
-	Units int             `json:"units,omitempty"`
-	Found bool            `json:"found"`
+// refResult is every sub-result shape in one struct: a shape is the members
+// it sets, and found is written by the kinds that have one.
+type refResult struct {
+	OK    bool             `json:"ok"`
+	Err   *platform.Error  `json:"error,omitempty"`
+	ID    int              `json:"id,omitempty"`
+	Level int              `json:"level,omitempty"`
+	Epoch int64            `json:"epoch,omitempty"`
+	Len   int              `json:"len,omitempty"`
+	Units int              `json:"units,omitempty"`
+	Found *bool            `json:"found,omitempty"`
+	Pool  int              `json:"pool,omitempty"`
+	Own   [][]refCandidate `json:"own,omitempty"`
+	Pads  [][]refCandidate `json:"pads,omitempty"`
+}
+
+// refCandidate is hst.Candidate as the array [id,code,level,cap].
+type refCandidate hst.Candidate
+
+func (c refCandidate) MarshalJSON() ([]byte, error) {
+	return json.Marshal([]any{c.ID, []byte(c.Code), c.Level, c.Cap})
+}
+
+func (c *refCandidate) UnmarshalJSON(b []byte) error {
+	var code []byte
+	parts := []any{&c.ID, &code, &c.Level, &c.Cap}
+	if err := json.Unmarshal(b, &parts); err != nil {
+		return err
+	}
+	if len(parts) != 4 {
+		return fmt.Errorf("a candidate of %d elements", len(parts))
+	}
+	c.Code = hst.Code(code)
+	return nil
+}
+
+func refLists(lists [][]hst.Candidate) [][]refCandidate {
+	out := make([][]refCandidate, len(lists))
+	for i, list := range lists {
+		out[i] = make([]refCandidate, len(list)) // an empty list is [], never null
+		for j, c := range list {
+			out[i][j] = refCandidate(c)
+		}
+	}
+	return out
+}
+
+// result is r as the scanner leaves an opResult: no found is false, an
+// empty list — of lists, of candidates — is nil.
+func (r refResult) result() opResult {
+	lists := func(ref [][]refCandidate) (out [][]hst.Candidate) {
+		for _, list := range ref {
+			var cs []hst.Candidate
+			for _, c := range list {
+				cs = append(cs, hst.Candidate(c))
+			}
+			out = append(out, cs)
+		}
+		return out
+	}
+	return opResult{
+		OK: r.OK, Err: r.Err, ID: r.ID, Level: r.Level, Units: r.Units, Found: r.Found != nil && *r.Found,
+		Epoch: r.Epoch, Len: r.Len, Pool: r.Pool, Own: lists(r.Own), Pads: lists(r.Pads),
+	}
 }
 
 func batchOf(ops ...OpRequest) []*batchedOp {
@@ -69,11 +131,11 @@ func checkRequestScan(t *testing.T, body []byte) (accepted bool) {
 	for i, op := range ops {
 		want := ref.Ops[i]
 		// json leaves an absent code nil and an empty one empty; to the node
-		// both are the empty code.
-		if !bytes.Equal(op.Code, want.Code) {
-			t.Fatalf("op %d of %q: code %x, encoding/json %x", i, body, op.Code, want.Code)
+		// both are the empty code, and no codes no codes.
+		if !bytes.Equal(op.Code, want.Code) || !slices.EqualFunc(op.Codes, want.Codes, bytes.Equal) {
+			t.Fatalf("op %d of %q: code %x and codes %x, encoding/json %x and %x", i, body, op.Code, op.Codes, want.Code, want.Codes)
 		}
-		op.Code, want.Code = nil, nil
+		op.Code, want.Code, op.Codes, want.Codes = nil, nil, nil, nil
 		if !reflect.DeepEqual(op, want) {
 			t.Fatalf("op %d of %q: scanned %+v, encoding/json %+v", i, body, op, want)
 		}
@@ -103,12 +165,12 @@ func checkResponseScan(t *testing.T, body []byte) (accepted bool) {
 		t.Fatalf("refusal of %q: scanned %+v, encoding/json %+v", body, refusal, ref.Err)
 	}
 	for i, bo := range batch {
-		var want opResult
+		var want refResult
 		if err := json.Unmarshal(ref.Results[i], &want); err != nil {
 			t.Fatalf("scanOpsResponse accepted result %d of %q, encoding/json refuses it: %v", i, body, err)
 		}
-		if !reflect.DeepEqual(bo.res, want) {
-			t.Fatalf("result %d of %q: scanned %+v, encoding/json %+v", i, body, bo.res, want)
+		if !reflect.DeepEqual(bo.res, want.result()) {
+			t.Fatalf("result %d of %q: scanned %+v, encoding/json %+v", i, body, bo.res, want.result())
 		}
 	}
 	return true
@@ -148,6 +210,31 @@ func FuzzOpsCodec(f *testing.F) {
 		`{"ok":true,"results":[{"ok":true,"extra":1}]}`,
 		`{"ok":true,"results":[{"ok":true}],"results":[]}`,
 		`{"ok":true,"results":[{"ok":true,"id":` + maxInt64 + `0}]}`,
+		// A seed a new kind, both directions, then what the scanner refuses
+		// of their members as of the five's.
+		`{"ops":[{"kind":"status"},{"kind":"status","epoch":3},{"kind":"min-id","epoch":1},{"kind":"pop-min","idem":"k","epoch":1}]}`,
+		`{"ops":[{"kind":"commit","idem":"k","epoch":2},{"kind":"abort","idem":"k","epoch":2}]}`,
+		`{"ops":[{"kind":"mine","codes":["AAEC","","AQ=="],"k":8,"epoch":1},{"kind":"mine","codes":[],"k":1},{"kind":"mine","k":-3}]}`,
+		` { "ops" : [ { "k" : 2 , "codes" : [ "AAEC" , "AQ==" ] , "kind" : "mine" } ] } `,
+		`{"ops":[{"kind":"mine","codes":null}]}`,
+		`{"ops":[{"kind":"mine","codes":[null]}]}`,
+		`{"ops":[{"kind":"mine","codes":["AAEC"],"codes":[]}]}`,
+		`{"ops":[{"kind":"mine","codes":["AAE"]}]}`,
+		`{"ops":[{"kind":"mine","codes":["AAEC",]}]}`,
+		`{"ops":[{"kind":"mine","k":1.5},{"kind":"mine","K":1}]}`,
+		`{"ok":true,"results":[{"ok":true,"epoch":2,"len":7,"units":9},{"ok":true,"epoch":1},{"ok":true,"id":3,"found":true},{"ok":true,"found":false}]}`,
+		`{"ok":true,"results":[{"ok":true,"epoch":1,"pool":5,"own":[[[7,"AAEC",2,1],[9,"AAED",0,3]],[]],"pads":[[],[[7,"AAEC",5,1]]]}]}`,
+		` { "results" : [ { "pads" : [ [ [ 7 , "AAEC" , 5 , 1 ] ] ] , "own" : [ ] , "ok" : true } ] } `,
+		`{"ok":true,"results":[{"ok":true,"own":null}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[null]}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[[null]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[[[7,"AAEC",2]]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[[[7,"AAEC",2,1,0]]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[[[7,"AAE",2,1]]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[[["7","AAEC",2,1]]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[[[7,"AAEC",2.0,1]]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"pads":[],"pads":[]}]}`,
+		`{"ok":true,"results":[{"ok":true,"Pool":1}]}`,
 	} {
 		f.Add([]byte(body), "insert", "idem", []byte{0, 1, 2}, 5, 2, int64(1), true)
 	}
@@ -160,10 +247,15 @@ func FuzzOpsCodec(f *testing.F) {
 		checkResponseScan(t, body)
 
 		// Request encoder ≡ json.Encoder, and what it writes scans back.
+		// encoding/json writes a nil code inside codes as null; the codec has
+		// no null, and no caller a nil code.
+		some := append([]byte{}, code...)
 		ops := []OpRequest{
 			{Kind: kind, Idem: idem, Code: code, ID: id, Capacity: level, Epoch: epoch},
 			{Kind: idem, Code: code, Epoch: int64(id)},
 			{Kind: kind, Idem: kind, ID: level},
+			{Kind: OpMine, Codes: [][]byte{some, {}, some}, K: level, Epoch: epoch},
+			{Kind: kind, Idem: idem, Codes: [][]byte{some}, K: id},
 		}
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(OpsRequest{Ops: ops}); err != nil {
@@ -182,15 +274,24 @@ func FuzzOpsCodec(f *testing.F) {
 		refused := &platform.Error{Code: kind, Message: idem, Epoch: epoch, Retryable: found}
 		ack, _ := appendAck(nil, nil, 0)
 		nack, _ := appendAck(nil, refused, 0)
+		assigned, _ := appendAssigned(nil, id, level, found, nil, 0)
+		unassigned, _ := appendAssigned(nil, id, level, found, refused, 0)
+		no := false
+		cands := []hst.Candidate{{ID: id, Code: hst.Code(code), Level: level, Cap: id}, {ID: level, Code: hst.Code(idem)}}
+		mined := &engine.WindowMine{Epoch: epoch, Pool: level, Own: [][]hst.Candidate{cands, nil, cands[:1]}, Pads: [][]hst.Candidate{nil}}
 		results := []struct {
 			got  []byte
-			want any
+			want refResult
 		}{
-			{ack, nodeAck{OK: true}},
-			{nack, nodeAck{Err: refused}},
-			{appendRemoved(nil, level, found), RemoveResponse{OK: true, Units: level, Found: found}},
-			{appendFound(appendRefusal(nil, refused), false), RemoveResponse{Err: refused}},
-			{appendAssigned(nil, id, level, found), AssignResponse{OK: true, ID: id, Level: level, Found: found}},
+			{ack, refResult{OK: true}},
+			{nack, refResult{Err: refused}},
+			{appendRemoved(nil, level, found), refResult{OK: true, Units: level, Found: &found}},
+			{appendFound(appendRefusal(nil, refused), false), refResult{Err: refused, Found: &no}},
+			{assigned, refResult{OK: true, ID: id, Level: level, Found: &found}},
+			{unassigned, refResult{Err: refused, Found: &no}},
+			{appendStatus(nil, StatusResponse{Epoch: epoch, Len: id, Units: level}), refResult{OK: true, Epoch: epoch, Len: id, Units: level}},
+			{appendMined(nil, mined), refResult{OK: true, Epoch: epoch, Pool: level, Own: refLists(mined.Own), Pads: refLists(mined.Pads)}},
+			{appendMined(nil, &engine.WindowMine{Own: [][]hst.Candidate{}}), refResult{OK: true}},
 		}
 		env := []byte(`{"ok":true,"results":[`)
 		for i, r := range results {
@@ -251,6 +352,23 @@ func TestOpsEnvelopeGrammar(t *testing.T) {
 		{`{"ops" []}`, `expected ':'`},
 		{`{"ops":[{"id":0 "kind":"remove"}]}`, `expected ','`},
 		{`{"ops":[{"kind":"remove"}]} {}`, "data after the envelope"},
+		// The six kinds that were POSTs of their own, and what they added to
+		// an op: codes and k.
+		{`{"ops":[{"kind":"status"},{"kind":"status","epoch":2},{"kind":"min-id","epoch":1}]}`, ""},
+		{`{"ops":[{"kind":"pop-min","idem":"p","epoch":1},{"kind":"commit","idem":"c","epoch":2},{"kind":"abort","idem":"a","epoch":2}]}`, ""},
+		{`{"ops":[{"kind":"mine","codes":["AAEC","","AQ=="],"k":8,"epoch":1}]}`, ""},
+		{" {\"ops\":[ { \"k\" : 8 , \"codes\" : [ \"AAEC\" , \"AQ==\" ] , \"kind\" : \"mine\" } ] }", ""},
+		{`{"ops":[{"kind":"mine","codes":[]},{"kind":"mine"}]}`, ""},
+		{`{"ops":[{"kind":"mine","codes":null}]}`, `expected '['`},
+		{`{"ops":[{"kind":"mine","codes":[null]}]}`, "expected a string"},
+		{`{"ops":[{"kind":"mine","codes":["AAEC",]}]}`, "expected a string"},
+		{`{"ops":[{"kind":"mine","codes":["AAE"]}]}`, "code: illegal base64"},
+		{`{"ops":[{"kind":"mine","codes":[],"codes":[]}]}`, `duplicate field "codes"`},
+		{`{"ops":[{"kind":"mine","k":null}]}`, "expected an integer"},
+		{`{"ops":[{"kind":"mine","k":1.5}]}`, "not an integer literal"},
+		{`{"ops":[{"kind":"mine","k":1,"k":2}]}`, `duplicate field "k"`},
+		{`{"ops":[{"kind":"mine","K":1}]}`, `unknown field "K"`},
+		{`{"ops":[{"kind":"status","len":1}]}`, `unknown field "len"`},
 		{`[{"kind":"remove"}]`, `expected '{'`},
 		{``, `expected '{'`},
 	} {
@@ -305,6 +423,10 @@ func TestOpsCodecAllocs(t *testing.T) {
 		OpRequest{Kind: OpInsert, Idem: "AbCdEf1", Code: code, ID: 12345, Capacity: 2, Epoch: 1},
 		OpRequest{Kind: OpRemove, Idem: "AbCdEf2", Code: code, ID: 12345},
 		OpRequest{Kind: OpAssignSubtree, Idem: "AbCdEf3", Code: code, Epoch: 1},
+		OpRequest{Kind: OpMinID, Epoch: 1},
+		OpRequest{Kind: OpPopMin, Idem: "AbCdEf4", Epoch: 1},
+		OpRequest{Kind: OpStatus},
+		OpRequest{Kind: OpCommit, Idem: "AbCdEf5", Epoch: 2},
 	)
 	req := appendOpsRequest(nil, batch)
 	if n := testing.AllocsPerRun(100, func() { req = appendOpsRequest(req[:0], batch) }); n != 0 {
@@ -321,7 +443,8 @@ func TestOpsCodecAllocs(t *testing.T) {
 		t.Errorf("request decode: %v allocs for %d ops, want ≤ 2 per op", n, len(batch))
 	}
 
-	resp := []byte(`{"ok":true,"results":[{"ok":true},{"ok":true,"units":2,"found":true},{"ok":true,"id":12345,"level":3,"found":true}]}` + "\n")
+	resp := []byte(`{"ok":true,"results":[{"ok":true},{"ok":true,"units":2,"found":true},{"ok":true,"id":12345,"level":3,"found":true},` +
+		`{"ok":true,"id":7,"found":true},{"ok":true,"id":7,"level":4,"found":true},{"ok":true,"epoch":1,"len":9,"units":11},{"ok":true}]}` + "\n")
 	if n := testing.AllocsPerRun(100, func() {
 		if refusal, err := scanOpsResponse(resp, batch); refusal != nil || err != nil {
 			t.Fatal(refusal, err)
@@ -329,8 +452,14 @@ func TestOpsCodecAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("result scan: %v allocs, want 0", n)
 	}
-	if got := batch[2].res; got != (opResult{OK: true, ID: 12345, Level: 3, Found: true}) {
-		t.Errorf("scanned %+v", got)
+	for i, want := range []opResult{
+		{OK: true}, {OK: true, Units: 2, Found: true}, {OK: true, ID: 12345, Level: 3, Found: true},
+		{OK: true, ID: 7, Found: true}, {OK: true, ID: 7, Level: 4, Found: true},
+		{OK: true, Epoch: 1, Len: 9, Units: 11}, {OK: true},
+	} {
+		if got := batch[i].res; !reflect.DeepEqual(got, want) {
+			t.Errorf("result %d scanned %+v, want %+v", i, got, want)
+		}
 	}
 
 	// Overwriting live keys, so the map itself does not grow.

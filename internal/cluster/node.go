@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -24,6 +25,9 @@ import (
 // a node exposes over /v2, plus the two-phase rotation verbs. LocalNode
 // implements it in-process (tests, the simulator, single-binary
 // deployments); DialNode implements it over HTTP against a pombm-server.
+// Close gives up what the connection holds of its node — DialNode's idle
+// streams at once, one in flight when its exchange ends — and every op
+// after it is refused, typed unavailable, without a dial.
 //
 // The idem argument on mutating calls is the idempotency key: a transport
 // that retries after a lost response sends the same key, and the node
@@ -50,6 +54,7 @@ type NodeConn interface {
 	Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error
 	Commit(epoch int64, idem string) error
 	Abort(epoch int64, idem string) error
+	Close()
 }
 
 // Node is the backend half of a cluster member: a bare assignment engine
@@ -117,7 +122,7 @@ func (n *Node) Status(epoch int64) (StatusResponse, error) {
 	if epoch != 0 && cur != epoch {
 		return StatusResponse{}, fmt.Errorf("%w (status for epoch %d, serving %d)", engine.ErrStaleEpoch, epoch, cur)
 	}
-	return StatusResponse{OK: true, Epoch: cur, Len: eng.Len(), Units: eng.CapacityUnits()}, nil
+	return StatusResponse{Epoch: cur, Len: eng.Len(), Units: eng.CapacityUnits()}, nil
 }
 
 // Insert lands a worker (see engine.InsertCapEpoch).
@@ -258,6 +263,9 @@ func (n *Node) Abort(epoch int64, _ string) error {
 	return nil
 }
 
+// Close is a no-op: an in-process connection holds nothing of its node.
+func (n *Node) Close() {}
+
 var _ NodeConn = (*Node)(nil)
 
 // LocalNode returns an in-process NodeConn over a Node: the connection the
@@ -327,27 +335,18 @@ func nodeError(err error, epoch int64) *platform.Error {
 	return platform.AsError(err, epoch)
 }
 
-// readPost is how every buffered POST endpoint starts: it refuses another
-// method and reads the body into pooled scratch, which the caller returns
-// with wire.Put. It answers nil after writing the refusal itself.
-func readPost(w http.ResponseWriter, r *http.Request, path string) *wire.Buf {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeNodeJSON(w, http.StatusMethodNotAllowed, &platform.Error{
-			Code:    platform.CodeMethodNotAllowed,
-			Message: fmt.Sprintf("cluster: %s requires POST, got %s", path, r.Method),
-		})
-		return nil
+// postOnly reports whether r is a POST, having answered the refusal when it
+// is not.
+func postOnly(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodPost {
+		return true
 	}
-	cb := wire.Get()
-	if err := cb.ReadRequest(w, r, 64<<20); err != nil {
-		wire.Put(cb)
-		writeNodeJSON(w, http.StatusBadRequest, &platform.Error{
-			Code: platform.CodeBadRequest, Message: "cluster: read body: " + err.Error(),
-		})
-		return nil
-	}
-	return cb
+	w.Header().Set("Allow", http.MethodPost)
+	writeNodeJSON(w, http.StatusMethodNotAllowed, &platform.Error{
+		Code:    platform.CodeMethodNotAllowed,
+		Message: fmt.Sprintf("cluster: %s requires POST, got %s", r.URL.Path, r.Method),
+	})
+	return false
 }
 
 // writeBody answers 200 with body as JSON.
@@ -358,165 +357,41 @@ func writeBody(w http.ResponseWriter, body []byte) {
 	w.Write(body)
 }
 
-// NodeHandler exposes a Node over the /v2 wire protocol. Mutating
-// endpoints honour idempotency keys: a request whose key was already
-// applied is answered from the replay cache byte-for-byte.
+// NodeHandler exposes a Node over the /v2 wire protocol: the ops envelope
+// and the two documents. Mutating calls honour idempotency keys: one whose
+// key was already applied is answered from the replay cache byte-for-byte.
 func NodeHandler(n *Node) http.Handler {
 	cache := newReplayCache()
 	mux := http.NewServeMux()
-
-	// handlePost wires one POST endpoint whose body is one encoding/json
-	// value: decode, optionally replay, execute, record. fn returns the
-	// response value to encode; responses are recorded under the request's
-	// idempotency key only when the mutation was actually applied (fn ran).
-	// Only a keyed endpoint — one whose body carries a top-level idem (init,
-	// pop-min, commit, abort) — is probed for a whole-request replay: the
-	// probe is a full parse of the body, wasted on reads (the root-tier
-	// poll, a whole mined window).
-	handlePost := func(path string, keyed bool, fn func(body []byte) (any, string)) {
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			cb := readPost(w, r, path)
-			if cb == nil {
-				return
-			}
-			defer wire.Put(cb)
-			body := cb.Bytes()
-			if keyed {
-				// Peek the idempotency key before decoding the full request
-				// so replays skip the work entirely.
-				var peek struct {
-					Idem string `json:"idem"`
-				}
-				_ = json.Unmarshal(body, &peek)
-				if cached, ok := cache.get(peek.Idem); ok {
-					writeBody(w, cached)
-					return
-				}
-			}
-			resp, idem := fn(body)
-			// The request bytes are decoded into owned structs by now;
-			// reuse the pooled scratch for the response.
-			cb.Reset()
-			if err := cb.Encode(resp); err != nil {
-				writeNodeJSON(w, http.StatusInternalServerError, &platform.Error{
-					Code: platform.CodeInternal, Message: err.Error(),
-				})
-				return
-			}
-			cache.put(idem, cb.Bytes())
-			writeBody(w, cb.Bytes())
-		})
-	}
-
-	handlePost(PathNodeInit, true, func(body []byte) (any, string) {
-		var req InitRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.Init(req); err != nil {
-			return nodeAck{Err: nodeError(err, 0)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
-	handlePost(PathNodeStatus, false, func(body []byte) (any, string) {
-		var req StatusRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return StatusResponse{Err: badBody(err)}, ""
-		}
-		resp, err := n.Status(req.Epoch)
-		if err != nil {
-			return StatusResponse{Err: nodeError(err, 0)}, ""
-		}
-		return resp, ""
-	})
-	handlePost(PathNodeMinID, false, func(body []byte) (any, string) {
-		var req MinIDRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return MinIDResponse{Err: badBody(err)}, ""
-		}
-		id, found, err := n.MinID(req.Epoch)
-		if err != nil {
-			return MinIDResponse{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return MinIDResponse{OK: true, ID: id, Found: found}, ""
-	})
-	handlePost(PathNodePopMin, true, func(body []byte) (any, string) {
-		var req PopMinRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return AssignResponse{Err: badBody(err)}, ""
-		}
-		id, lvl, found, err := n.PopMin(req.Epoch, req.Idem)
-		if err != nil {
-			return AssignResponse{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return AssignResponse{OK: true, ID: id, Level: lvl, Found: found}, req.Idem
-	})
-	handlePost(PathNodeMine, false, func(body []byte) (any, string) {
-		var req MineRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return MineResponse{Err: badBody(err)}, ""
-		}
-		codes := make([]hst.Code, len(req.Codes))
-		for i, c := range req.Codes {
-			codes[i] = hst.Code(c)
-		}
-		wm, err := n.Mine(codes, req.K, req.Epoch)
-		if err != nil {
-			return MineResponse{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return MineResponse{
-			OK: true, Epoch: wm.Epoch, Pool: wm.Pool,
-			Own: toWireCands(wm.Own), Pads: toWireCands(wm.Pads),
-		}, ""
-	})
-	// The envelope has its own handler: its bodies are the hot path and go
-	// through the ops codec, and replay is per sub-op, not per request.
 	mux.HandleFunc(PathNodeOps, opsHandler(n, cache))
-	// Prepare gets a dedicated streaming handler: its body scales with the
-	// population partition, so buffering it through the generic path would
-	// hold the whole partition in memory beside the staged arenas (and the
-	// generic 64MB body cap would refuse large rotations outright).
-	mux.HandleFunc(PathNodePrepare, prepareHandler(n, cache))
-	handlePost(PathNodeCommit, true, func(body []byte) (any, string) {
-		var req CommitRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.Commit(req.Epoch, req.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
-	handlePost(PathNodeAbort, true, func(body []byte) (any, string) {
-		var req AbortRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nodeAck{Err: badBody(err)}, ""
-		}
-		if err := n.Abort(req.Epoch, req.Idem); err != nil {
-			return nodeAck{Err: nodeError(err, req.Epoch)}, ""
-		}
-		return nodeAck{OK: true}, req.Idem
-	})
+	mux.HandleFunc(PathNodeInit, documentHandler(n, cache, func() document { return new(InitRequest) }))
+	mux.HandleFunc(PathNodePrepare, documentHandler(n, cache, func() document { return new(PrepareRequest) }))
 	return mux
 }
 
 // opsHandler serves /v2/node/ops in its two framings. A POST that asks to
 // upgrade to opsProtocol becomes a frame stream (serveOps): the path every
-// coordinator takes. Any other POST is one envelope in a Content-Length body
-// answered in one — the reference the stream's answers are tested against
-// byte for byte, and the form a recorder can drive. Both are answerOps under
-// a different framing.
+// coordinator takes. Any other POST is one envelope — no longer than a frame
+// may be — in a Content-Length body answered in one: the reference the
+// stream's answers are tested against byte for byte, and the form a recorder
+// can drive. Both are answerOps under a different framing.
 func opsHandler(n *Node, cache *replayCache) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.Header.Get("Upgrade") == opsProtocol {
 			serveOps(w, n, cache)
 			return
 		}
-		cb := readPost(w, r, PathNodeOps)
-		if cb == nil {
+		if !postOnly(w, r) {
 			return
 		}
+		cb := wire.Get()
 		defer wire.Put(cb)
+		if err := cb.ReadRequest(w, r, maxFrame); err != nil {
+			writeNodeJSON(w, http.StatusBadRequest, &platform.Error{
+				Code: platform.CodeBadRequest, Message: "cluster: read body: " + err.Error(),
+			})
+			return
+		}
 		// Most envelopes carry one op; a window's commits spill to the heap.
 		var few [4]OpRequest
 		ops, err := scanOps(cb.Bytes(), few[:0])
@@ -558,11 +433,12 @@ func answerOps(n *Node, cache *replayCache, ops []OpRequest, err error, dst []by
 }
 
 // execOp runs one envelope sub-operation and appends its sub-result to dst.
-// It is the only place a routed op's response shape and error taxonomy are
-// written down (the grammar is in protocol.go): insert, add-capacity and
-// consume answer a bare ack, remove its units and found, assign-subtree its
-// id, level and found. applied false marks a refusal, which is never
-// cached.
+// It is the only place an op's response shape and error taxonomy are written
+// down (the grammar is in protocol.go): insert, add-capacity, consume, commit
+// and abort answer a bare ack, remove its units and found, assign-subtree,
+// min-id and pop-min a worker's id, level and found, status and mine what
+// they read. applied marks a mutation that landed — what the replay cache
+// keeps; a refusal and a read are answered afresh each time.
 func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
 	code := hst.Code(op.Code)
 	switch op.Kind {
@@ -572,6 +448,10 @@ func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
 		return appendAck(dst, n.AddCapacity(code, op.ID, op.Epoch, op.Idem), op.Epoch)
 	case OpConsume:
 		return appendAck(dst, n.Consume(code, op.ID, op.Epoch, op.Idem), op.Epoch)
+	case OpCommit:
+		return appendAck(dst, n.Commit(op.Epoch, op.Idem), op.Epoch)
+	case OpAbort:
+		return appendAck(dst, n.Abort(op.Epoch, op.Idem), op.Epoch)
 	case OpRemove:
 		units, found, err := n.Remove(code, op.ID, op.Idem)
 		if err != nil {
@@ -580,10 +460,30 @@ func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
 		return appendRemoved(dst, units, found), true
 	case OpAssignSubtree:
 		id, lvl, found, err := n.AssignSubtree(code, op.Epoch, op.Idem)
+		return appendAssigned(dst, id, lvl, found, err, op.Epoch)
+	case OpPopMin:
+		id, lvl, found, err := n.PopMin(op.Epoch, op.Idem)
+		return appendAssigned(dst, id, lvl, found, err, op.Epoch)
+	case OpMinID:
+		id, found, err := n.MinID(op.Epoch)
+		out, _ = appendAssigned(dst, id, 0, found, err, op.Epoch)
+		return out, false
+	case OpStatus:
+		st, err := n.Status(op.Epoch)
 		if err != nil {
-			return appendFound(appendRefusal(dst, nodeError(err, op.Epoch)), false), false
+			return appendAck(dst, err, 0)
 		}
-		return appendAssigned(dst, id, lvl, found), true
+		return appendStatus(dst, st), false
+	case OpMine:
+		codes := make([]hst.Code, len(op.Codes))
+		for i, c := range op.Codes {
+			codes[i] = hst.Code(c)
+		}
+		wm, err := n.Mine(codes, op.K, op.Epoch)
+		if err != nil {
+			return appendAck(dst, err, op.Epoch)
+		}
+		return appendMined(dst, wm), false
 	default:
 		return appendAck(dst, &platform.Error{
 			Code:    platform.CodeBadRequest,
@@ -592,191 +492,109 @@ func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
 	}
 }
 
-// prepareHandler decodes a prepare body incrementally and feeds the
-// inserts straight into the node's staging pass, so the node's transient
-// memory during a rotation is one staged engine — never the JSON document.
-// It accepts any encoding of a PrepareRequest whose "inserts" come last
-// (which is what lets the scalar fields land before the array streams).
-// The idempotency key is honoured when it precedes the inserts — the
-// client emits it first; a replayed prepare is answered from the cache
-// without re-staging.
-func prepareHandler(n *Node, cache *replayCache) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeNodeJSON(w, http.StatusMethodNotAllowed, &platform.Error{
-				Code:    platform.CodeMethodNotAllowed,
-				Message: fmt.Sprintf("cluster: %s requires POST, got %s", PathNodePrepare, r.Method),
-			})
-			return
-		}
-		var (
-			req      PrepareRequest // scalar fields only; Inserts stays nil
-			dec      = json.NewDecoder(r.Body)
-			staged   bool
-			stageErr error
-		)
-		respond := func(resp nodeAck, idem string) {
-			out, err := json.Marshal(resp)
-			if err != nil {
-				writeNodeJSON(w, http.StatusInternalServerError, &platform.Error{
-					Code: platform.CodeInternal, Message: err.Error(),
-				})
-				return
-			}
-			cache.put(idem, out)
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(out)
-		}
-		fail := func(err error) {
-			if staged {
-				// The body broke after its inserts were staged: drop them, a
-				// refused prepare must not be left committable.
-				n.Abort(req.Epoch, "")
-			}
-			respond(nodeAck{Err: badBody(err)}, "")
-		}
+// document is the header of a call that stays a POST — InitRequest,
+// PrepareRequest: the first JSON value of the body, which names the call's
+// idempotency key and runs it over whatever follows.
+type document interface {
+	key() string
+	apply(n *Node, rest *json.Decoder) *platform.Error
+}
 
-		tok, err := dec.Token()
-		if err != nil {
-			fail(err)
+// maxHeader bounds a document's header, whose size is the published tree's.
+const maxHeader = 64 << 20
+
+// documentHandler serves a document endpoint: it decodes the header — a
+// member it does not know is refused, as in an envelope — answers a replayed
+// key from the cache without running anything, and otherwise applies the
+// document and answers its nodeAck, recorded under the key when it applied.
+func documentHandler(n *Node, cache *replayCache, header func() document) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !postOnly(w, r) {
 			return
 		}
-		if d, ok := tok.(json.Delim); !ok || d != '{' {
-			fail(fmt.Errorf("expected object, got %v", tok))
+		body := &io.LimitedReader{R: r.Body, N: maxHeader}
+		dec := json.NewDecoder(body)
+		dec.DisallowUnknownFields()
+		doc, ack, key := header(), nodeAck{}, ""
+		if err := dec.Decode(doc); err != nil {
+			ack.Err = badBody(err)
+		} else if cached, ok := cache.get(doc.key()); ok {
+			// The call already applied. Read the body out, so that a client
+			// still streaming it completes its write.
+			io.Copy(io.Discard, r.Body)
+			writeBody(w, cached)
 			return
-		}
-		for dec.More() {
-			keyTok, err := dec.Token()
-			if err != nil {
-				fail(err)
-				return
-			}
-			key, _ := keyTok.(string)
-			if staged {
-				// Inserts come last (see PrepareRequest): nothing that
-				// follows may re-key, re-pin or re-stage what they built.
-				fail(fmt.Errorf("field %q after inserts", key))
-				return
-			}
-			switch key {
-			case "idem":
-				if err := dec.Decode(&req.Idem); err != nil {
-					fail(err)
-					return
-				}
-				if cached, ok := cache.get(req.Idem); ok {
-					// Replay: the mutation already applied; drain the body so
-					// the streaming client's write completes cleanly.
-					io.Copy(io.Discard, r.Body)
-					w.Header().Set("Content-Type", "application/json")
-					w.Write(cached)
-					return
-				}
-			case "epoch":
-				if err := dec.Decode(&req.Epoch); err != nil {
-					fail(err)
-					return
-				}
-			case "shards":
-				if err := dec.Decode(&req.Shards); err != nil {
-					fail(err)
-					return
-				}
-			case "tree":
-				if err := dec.Decode(&req.Tree); err != nil {
-					fail(err)
-					return
-				}
-			case "inserts":
-				tok, err := dec.Token()
-				if err != nil {
-					fail(err)
-					return
-				}
-				var next func() (engine.EpochInsert, bool, error)
-				switch {
-				case tok == nil: // "inserts":null — an empty partition
-					next = noInserts
-				default:
-					if d, ok := tok.(json.Delim); !ok || d != '[' {
-						fail(fmt.Errorf("inserts field: expected array, got %v", tok))
-						return
-					}
-					next = func() (engine.EpochInsert, bool, error) {
-						if !dec.More() {
-							if _, err := dec.Token(); err != nil { // consume ']'
-								return engine.EpochInsert{}, false, err
-							}
-							return engine.EpochInsert{}, false, nil
-						}
-						var wi WireInsert
-						if err := dec.Decode(&wi); err != nil {
-							return engine.EpochInsert{}, false, err
-						}
-						return engine.EpochInsert{Code: hst.Code(wi.Code), ID: wi.ID, Cap: wi.Cap}, true, nil
-					}
-				}
-				stageErr = n.Prepare(req.Epoch, req.Tree, req.Shards, next, req.Idem)
-				staged = true
-				if stageErr != nil {
-					// The staging pass may have stopped mid-array, leaving
-					// the decoder unusable; answer now rather than parse on.
-					respond(nodeAck{Err: nodeError(stageErr, req.Epoch)}, "")
-					return
-				}
-			default:
-				if err := skipJSONValue(dec); err != nil {
-					fail(err)
-					return
-				}
+		} else {
+			// What follows a header is a population, which has no bound: its
+			// staging pass takes it a value at a time.
+			body.N = math.MaxInt64
+			if ack.Err = doc.apply(n, dec); ack.Err == nil {
+				ack.OK, key = true, doc.key()
 			}
 		}
-		if _, err := dec.Token(); err != nil { // consume '}'
-			fail(err)
-			return
-		}
-		if !staged {
-			// No inserts field at all: a legal empty prepare.
-			stageErr = n.Prepare(req.Epoch, req.Tree, req.Shards, noInserts, req.Idem)
-		}
-		if stageErr != nil {
-			respond(nodeAck{Err: nodeError(stageErr, req.Epoch)}, "")
-			return
-		}
-		respond(nodeAck{OK: true}, req.Idem)
+		cb := wire.Get()
+		defer wire.Put(cb)
+		_ = cb.Encode(ack) // two booleans and strings: there is nothing encoding/json refuses
+		cache.put(key, cb.Bytes())
+		writeBody(w, cb.Bytes())
 	}
 }
 
-// noInserts is the pull iterator over an empty partition.
-func noInserts() (engine.EpochInsert, bool, error) { return engine.EpochInsert{}, false, nil }
-
-// skipJSONValue consumes one JSON value of any shape off a decoder.
-func skipJSONValue(dec *json.Decoder) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	d, ok := tok.(json.Delim)
-	if !ok || (d != '{' && d != '[') {
-		return nil
-	}
-	depth := 1
-	for depth > 0 {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		if d, ok := tok.(json.Delim); ok {
-			switch d {
-			case '{', '[':
-				depth++
-			case '}', ']':
-				depth--
-			}
-		}
+// atEnd refuses a document that goes on past its last value.
+func atEnd(rest *json.Decoder) error {
+	if _, err := rest.Token(); err != io.EOF {
+		return errors.New("data after the document's last value")
 	}
 	return nil
+}
+
+func (r *InitRequest) key() string { return r.Idem }
+
+// apply builds the node's engine. An init document is its header alone.
+func (r *InitRequest) apply(n *Node, rest *json.Decoder) *platform.Error {
+	if err := atEnd(rest); err != nil {
+		return badBody(err)
+	}
+	return nodeError(n.Init(*r), 0)
+}
+
+func (r *PrepareRequest) key() string { return r.Idem }
+
+// apply stages the partition that follows the header — one WireInsert a
+// worker, then the {"end":N} that counts them — feeding each insert straight
+// off the decoder into the node's staging pass, so the node's transient
+// memory during a rotation is one staged engine, never the document. A body
+// that ends without its count, counts wrong or goes on past the count was
+// cut or spliced on the way: it is refused and nothing stays staged.
+func (r *PrepareRequest) apply(n *Node, rest *json.Decoder) *platform.Error {
+	// One value, reused: a fresh one a Decode is an allocation a worker.
+	var v WireInsert
+	count := 0
+	err := n.Prepare(r.Epoch, r.Tree, r.Shards, func() (engine.EpochInsert, bool, error) {
+		v = WireInsert{}
+		err := rest.Decode(&v)
+		if err == io.EOF {
+			err = fmt.Errorf("the body ends after %d inserts, before their count", count)
+		}
+		switch {
+		case err != nil:
+			return engine.EpochInsert{}, false, badBody(err)
+		case v.End == nil:
+			count++
+			return engine.EpochInsert{Code: hst.Code(v.Code), ID: v.ID, Cap: v.Cap}, true, nil
+		case *v.End != count || v.Code != nil || v.ID != 0 || v.Cap != 0:
+			return engine.EpochInsert{}, false, badBody(fmt.Errorf("end %d after %d inserts", *v.End, count))
+		}
+		return engine.EpochInsert{}, false, nil
+	}, r.Idem)
+	if err == nil {
+		if err = atEnd(rest); err != nil {
+			// A refused prepare must not be left committable.
+			n.Abort(r.Epoch, "")
+			err = badBody(err)
+		}
+	}
+	return nodeError(err, r.Epoch)
 }
 
 func badBody(err error) *platform.Error {
@@ -786,11 +604,7 @@ func badBody(err error) *platform.Error {
 func writeNodeJSON(w http.ResponseWriter, status int, e *platform.Error) {
 	cb := wire.Get()
 	defer wire.Put(cb)
-	if err := cb.Encode(e); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
+	cb.Append(func(dst []byte) []byte { return append(appendError(dst, e), '\n') })
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(cb.Len()))
@@ -798,10 +612,10 @@ func writeNodeJSON(w http.ResponseWriter, status int, e *platform.Error) {
 	w.Write(cb.Bytes())
 }
 
-// httpNode is a NodeConn over the /v2 wire protocol. The five
-// single-worker mutations (insert, add-capacity, remove, assign-subtree,
-// consume) go through ops, which ships them as /v2/node/ops envelopes, one
-// frame each on a stream a slot owns; everything else is one POST per call.
+// httpNode is a NodeConn over the /v2 wire protocol. Every call but Init and
+// Prepare goes through ops, which ships it as an op of a /v2/node/ops
+// envelope, one frame each on a stream a slot owns; those two are one POST
+// per call.
 type httpNode struct {
 	// reqs holds one request template per /v2 path — URL parsed, headers
 	// set — built once at dial; every call sends a shallow copy carrying
@@ -817,10 +631,7 @@ type httpNode struct {
 
 func newHTTPNode(baseURL string, hc *http.Client, to NodeTimeouts) *httpNode {
 	h := &httpNode{reqs: map[string]*http.Request{}, client: hc, timeouts: to}
-	for _, path := range []string{
-		PathNodeInit, PathNodeStatus, PathNodeOps, PathNodeMinID, PathNodePopMin,
-		PathNodeMine, PathNodePrepare, PathNodeCommit, PathNodeAbort,
-	} {
+	for _, path := range []string{PathNodeInit, PathNodeOps, PathNodePrepare} {
 		var (
 			req *http.Request
 			err error
@@ -881,7 +692,7 @@ func (t NodeTimeouts) prepare() time.Duration {
 // DialNode returns a NodeConn for a backend base URL (e.g.
 // "http://node0:8080") with default per-operation deadlines. No eager
 // handshake happens — the coordinator's Init is the first contact — and the
-// routed ops' streams are dialed lazily too: the first op that finds a slot
+// ops' streams are dialed lazily too: the first op that finds a slot
 // without one sends the /v2/node/ops upgrade, so a connection holds at most
 // GOMAXPROCS long-lived connections to its node and redials by itself after
 // the node restarts or reaps them. The hop to the node must therefore be an
@@ -892,9 +703,9 @@ func DialNode(baseURL string) NodeConn {
 
 // nodeClient is the process-wide client for coordinator→node traffic: one
 // tuned connection pool (keep-alives, generous per-host idle conns) shared
-// by every dialed node, so the control-plane POSTs of a coordinator fanning
-// out to N backends reuse warm connections instead of re-dialing under load
-// (a stream leaves the pool when it is upgraded).
+// by every dialed node, so the document POSTs of a coordinator fanning out
+// to N backends reuse warm connections instead of re-dialing under load (a
+// stream leaves the pool when it is upgraded).
 var nodeClient = &http.Client{Transport: platform.NewTransport()}
 
 // DialNodeTimeouts is DialNode with explicit per-operation deadlines
@@ -904,12 +715,12 @@ func DialNodeTimeouts(baseURL string, to NodeTimeouts) NodeConn {
 }
 
 // DialNodeClient is DialNode with a caller-supplied HTTP client (tests pin
-// transports; deployments pin proxies): it carries the control-plane POSTs
-// and the upgrade request that opens each stream, so its transport, TLS
+// transports; deployments pin proxies): it carries the document POSTs and
+// the upgrade request that opens each stream, so its transport, TLS
 // configuration and RoundTrippers apply to both. Per-operation deadlines
 // still apply on top. hc.Timeout must be zero — with one, net/http wraps
 // every response body, the upgraded connection's included, and no stream
-// can be opened (a routed op then fails naming that cause) — and so must a
+// can be opened (an op then fails naming that cause) — and so must a
 // RoundTripper leave the 101's body as it finds it; use DialNodeTimeouts for
 // deadlines.
 func DialNodeClient(baseURL string, hc *http.Client) NodeConn {
@@ -928,30 +739,17 @@ func deadlineErr(path string, d time.Duration) error {
 	}
 }
 
-// post sends one /v2 request and decodes the response envelope with
-// encoding/json. See postBody for how failures are classified.
-func (h *httpNode) post(path string, in, out any) error {
-	cb := wire.Get()
-	defer wire.Put(cb)
-	if err := cb.Encode(in); err != nil {
-		return fmt.Errorf("cluster: encode %s: %w", path, err)
-	}
-	return h.postBody(path, cb.Reader(), int64(cb.Len()), h.timeouts.op(), func(rb *wire.Buf) error {
-		return rb.Unmarshal(out)
-	})
-}
-
-// postBody sends one /v2 request — body of size bytes (0: a stream of
-// unknown length, the rotation prepare) under deadline d — and hands the
-// body of a 200 answer to decode. An error status decodes into a typed
-// error. Failures of the transport itself — connection refused, truncated
-// reads, an answer decode refuses — wrap errTransport: the coordinator
-// retries those (with the same idempotency key), never application
-// refusals. An expired deadline is NOT a transport failure: it surfaces as
-// a typed retryable-unavailable error immediately, because blindly
-// re-running a call that just consumed its full time budget doubles the
-// stall without changing the outcome.
-func (h *httpNode) postBody(path string, body io.Reader, size int64, d time.Duration, decode func(rb *wire.Buf) error) error {
+// post sends one document — body of size bytes (0: a stream of unknown
+// length, the rotation prepare) under deadline d — and returns what its
+// nodeAck says; an error status decodes into a typed error. Failures of the
+// transport itself — connection refused, truncated reads, an answer that
+// does not decode — wrap errTransport: the coordinator retries those (with
+// the same idempotency key), never application refusals. An expired
+// deadline is NOT a transport failure: it surfaces as a typed
+// retryable-unavailable error immediately, because blindly re-running a
+// call that just consumed its full time budget doubles the stall without
+// changing the outcome.
+func (h *httpNode) post(path string, body io.Reader, size int64, d time.Duration) error {
 	if h.dialErr != nil {
 		return h.dialErr
 	}
@@ -974,7 +772,7 @@ func (h *httpNode) postBody(path string, body io.Reader, size int64, d time.Dura
 	defer wire.Put(rb)
 	// ReadAll drains the body past the cap, so the keep-alive connection
 	// returns to the pool clean.
-	if err := rb.ReadAll(resp.Body, 64<<20); err != nil {
+	if err := rb.ReadAll(resp.Body, maxFrame); err != nil {
 		if ctx.Err() == context.DeadlineExceeded {
 			return deadlineErr(path, d)
 		}
@@ -988,14 +786,15 @@ func (h *httpNode) postBody(path string, body io.Reader, size int64, d time.Dura
 		}
 		return fmt.Errorf("%w: %s returned %s: %s", errTransport, path, resp.Status, raw)
 	}
-	if err := decode(rb); err != nil {
+	var ack nodeAck
+	if err := rb.Unmarshal(&ack); err != nil {
 		return fmt.Errorf("%w: decode %s: %v", errTransport, path, err)
 	}
-	return nil
+	return envErr(ack.Err)
 }
 
-// envErr converts a response envelope's Err into a Go error, restoring the
-// engine staleness sentinel for stale_epoch codes.
+// envErr converts a response's Err into a Go error, restoring the engine
+// staleness sentinel for stale_epoch codes.
 func envErr(e *platform.Error) error {
 	if e == nil {
 		return nil
@@ -1007,108 +806,101 @@ func envErr(e *platform.Error) error {
 }
 
 func (h *httpNode) Init(req InitRequest) error {
-	var resp nodeAck
-	if err := h.post(PathNodeInit, req, &resp); err != nil {
-		return err
+	cb := wire.Get()
+	defer wire.Put(cb)
+	if err := cb.Encode(req); err != nil {
+		return fmt.Errorf("cluster: encode %s: %w", PathNodeInit, err)
 	}
-	return envErr(resp.Err)
+	return h.post(PathNodeInit, cb.Reader(), int64(cb.Len()), h.timeouts.op())
 }
 
-func (h *httpNode) Status(epoch int64) (StatusResponse, error) {
-	var resp StatusResponse
-	if err := h.post(PathNodeStatus, StatusRequest{Epoch: epoch}, &resp); err != nil {
-		return StatusResponse{}, err
-	}
-	return resp, envErr(resp.Err)
-}
-
-// acked ships a routed op whose whole answer is an ack.
-func (h *httpNode) acked(op OpRequest) error {
+// op ships one op and returns its sub-result, a refusal folded into err.
+func (h *httpNode) op(op OpRequest) (opResult, error) {
 	res, err := h.ops.do(op)
-	if err != nil {
-		return err
-	}
-	return envErr(res.Err)
-}
-
-func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem string) error {
-	return h.acked(OpRequest{Kind: OpInsert, Idem: idem, Code: []byte(code), ID: id, Capacity: capacity, Epoch: epoch})
-}
-
-func (h *httpNode) AddCapacity(code hst.Code, id int, epoch int64, idem string) error {
-	return h.acked(OpRequest{Kind: OpAddCapacity, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
-}
-
-func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) error {
-	return h.acked(OpRequest{Kind: OpConsume, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
-}
-
-func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error) {
-	res, err := h.ops.do(OpRequest{Kind: OpRemove, Idem: idem, Code: []byte(code), ID: id})
-	if err != nil {
-		return 0, false, err
-	}
-	return res.Units, res.Found, envErr(res.Err)
-}
-
-func (h *httpNode) AssignSubtree(code hst.Code, epoch int64, idem string) (int, int, bool, error) {
-	res, err := h.ops.do(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: []byte(code), Epoch: epoch})
 	if err == nil {
 		err = envErr(res.Err)
 	}
+	return res, err
+}
+
+// assigned ships an op whose answer is a worker: assign-subtree, min-id,
+// pop-min.
+func (h *httpNode) assigned(op OpRequest) (id, level int, found bool, err error) {
+	res, err := h.op(op)
 	if err != nil {
 		return engine.None, 0, false, err
 	}
 	return res.ID, res.Level, res.Found, nil
 }
 
+func (h *httpNode) Status(epoch int64) (StatusResponse, error) {
+	res, err := h.op(OpRequest{Kind: OpStatus, Epoch: epoch})
+	return StatusResponse{Epoch: res.Epoch, Len: res.Len, Units: res.Units}, err
+}
+
+func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem string) error {
+	_, err := h.op(OpRequest{Kind: OpInsert, Idem: idem, Code: []byte(code), ID: id, Capacity: capacity, Epoch: epoch})
+	return err
+}
+
+func (h *httpNode) AddCapacity(code hst.Code, id int, epoch int64, idem string) error {
+	_, err := h.op(OpRequest{Kind: OpAddCapacity, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
+	return err
+}
+
+func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) error {
+	_, err := h.op(OpRequest{Kind: OpConsume, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
+	return err
+}
+
+func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error) {
+	res, err := h.op(OpRequest{Kind: OpRemove, Idem: idem, Code: []byte(code), ID: id})
+	return res.Units, res.Found, err
+}
+
+func (h *httpNode) AssignSubtree(code hst.Code, epoch int64, idem string) (int, int, bool, error) {
+	return h.assigned(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: []byte(code), Epoch: epoch})
+}
+
 func (h *httpNode) MinID(epoch int64) (int, bool, error) {
-	var resp MinIDResponse
-	if err := h.post(PathNodeMinID, MinIDRequest{Epoch: epoch}, &resp); err != nil {
-		return engine.None, false, err
-	}
-	if err := envErr(resp.Err); err != nil {
-		return engine.None, false, err
-	}
-	return resp.ID, resp.Found, nil
+	id, _, found, err := h.assigned(OpRequest{Kind: OpMinID, Epoch: epoch})
+	return id, found, err
 }
 
 func (h *httpNode) PopMin(epoch int64, idem string) (int, int, bool, error) {
-	var resp AssignResponse
-	if err := h.post(PathNodePopMin, PopMinRequest{Epoch: epoch, Idem: idem}, &resp); err != nil {
-		return engine.None, 0, false, err
-	}
-	if err := envErr(resp.Err); err != nil {
-		return engine.None, 0, false, err
-	}
-	return resp.ID, resp.Level, resp.Found, nil
+	return h.assigned(OpRequest{Kind: OpPopMin, Idem: idem, Epoch: epoch})
 }
 
 func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMine, error) {
-	wire := make([][]byte, len(codes))
+	op := OpRequest{Kind: OpMine, Codes: make([][]byte, len(codes)), K: k, Epoch: epoch}
 	for i, c := range codes {
-		wire[i] = []byte(c)
+		op.Codes[i] = []byte(c)
 	}
-	var resp MineResponse
-	if err := h.post(PathNodeMine, MineRequest{Codes: wire, K: k, Epoch: epoch}, &resp); err != nil {
+	res, err := h.op(op)
+	if err != nil {
 		return nil, err
 	}
-	if err := envErr(resp.Err); err != nil {
-		return nil, err
-	}
-	wm := &engine.WindowMine{
-		Epoch: resp.Epoch,
-		Pool:  resp.Pool,
-		Own:   fromWireCands(resp.Own),
-		Pads:  fromWireCands(resp.Pads),
-	}
-	// JSON drops empty inner slices to null; re-shape so indexing by task
-	// and shard stays valid.
+	wm := &engine.WindowMine{Epoch: res.Epoch, Pool: res.Pool, Own: res.Own, Pads: res.Pads}
+	// A node sent no codes leaves own out of its answer.
 	if wm.Own == nil {
 		wm.Own = make([][]hst.Candidate, len(codes))
 	}
 	return wm, nil
 }
+
+func (h *httpNode) Commit(epoch int64, idem string) error {
+	_, err := h.op(OpRequest{Kind: OpCommit, Idem: idem, Epoch: epoch})
+	return err
+}
+
+func (h *httpNode) Abort(epoch int64, idem string) error {
+	_, err := h.op(OpRequest{Kind: OpAbort, Idem: idem, Epoch: epoch})
+	return err
+}
+
+// Close closes the idle streams and has every later op refused (see
+// batcher.close).
+func (h *httpNode) Close() { h.ops.close() }
 
 // sendOps ships one envelope as a frame on s — the stream of the slot its
 // caller holds, dialed here when the slot came without one — and lands each
@@ -1120,7 +912,7 @@ func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMin
 // the slots' own. A failed exchange closes its stream, and a transport
 // failure the node's idle streams with it, so callNode's retry dials afresh
 // and the replay cache answers whatever did land; there is no other way to
-// ship a routed op to fall back to.
+// ship an op to fall back to.
 func (h *httpNode) sendOps(s *wire.Stream, batch []*batchedOp) (*wire.Stream, error) {
 	d := h.timeouts.op()
 	if s == nil {
@@ -1129,8 +921,14 @@ func (h *httpNode) sendOps(s *wire.Stream, batch []*batchedOp) (*wire.Stream, er
 			return nil, err
 		}
 	}
+	limit := maxFrame
+	for _, bo := range batch {
+		if bo.op.Kind == OpMine {
+			limit = maxMineAnswer
+		}
+	}
 	var refusal *platform.Error
-	answer, err := s.Exchange(d, maxFrame, func(dst []byte) []byte { return appendOpsRequest(dst, batch) })
+	answer, err := s.Exchange(d, limit, func(dst []byte) []byte { return appendOpsRequest(dst, batch) })
 	if err != nil {
 		err = streamErr(PathNodeOps+" stream", d, err)
 	} else if refusal, err = scanOpsResponse(answer, batch); err != nil {
@@ -1146,81 +944,45 @@ func (h *httpNode) sendOps(s *wire.Stream, batch []*batchedOp) (*wire.Stream, er
 	return s, envErr(refusal)
 }
 
-// Prepare streams the prepare body: the idem and scalar fields first (so
-// the node can replay-check before any work), the tree, then the inserts
-// encoded one at a time through an io.Pipe — the partition is never
-// materialized as wire structs or an encoded document on this side. Runs
-// under the prepare deadline, not the op deadline.
+// Prepare streams the prepare document through an io.Pipe: the header (so
+// the node can replay-check before any work), the inserts encoded one at a
+// time, and their count — the partition is never materialized as wire
+// structs or an encoded document on this side. Runs under the prepare
+// deadline, not the op deadline.
 func (h *httpNode) Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error {
-	treeJSON, err := json.Marshal(tree)
-	if err != nil {
-		return fmt.Errorf("cluster: encode %s tree: %w", PathNodePrepare, err)
-	}
-	idemJSON, err := json.Marshal(idem)
-	if err != nil {
-		return fmt.Errorf("cluster: encode %s idem: %w", PathNodePrepare, err)
-	}
 	pr, pw := io.Pipe()
 	encoded := make(chan struct{})
 	go func() {
 		defer close(encoded)
 		bw := bufio.NewWriterSize(pw, 1<<16)
-		fmt.Fprintf(bw, `{"idem":%s,"epoch":%d,"shards":%d,"tree":%s,"inserts":[`,
-			idemJSON, epoch, shards, treeJSON)
-		comma := false
-		for {
-			in, ok, err := next()
-			if err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-			if !ok {
+		enc := json.NewEncoder(bw)
+		err := enc.Encode(PrepareRequest{Idem: idem, Epoch: epoch, Shards: shards, Tree: tree})
+		var v WireInsert // one value behind one pointer: Encode boxes a fresh one a worker
+		count := 0
+		for err == nil {
+			in, ok, nextErr := next()
+			if nextErr != nil || !ok {
+				err = nextErr
 				break
 			}
-			if comma {
-				bw.WriteByte(',')
-			}
-			comma = true
-			b, err := json.Marshal(WireInsert{Code: []byte(in.Code), ID: in.ID, Cap: in.Cap})
-			if err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-			if _, err := bw.Write(b); err != nil {
-				pw.CloseWithError(err)
-				return
+			v = WireInsert{Code: []byte(in.Code), ID: in.ID, Cap: in.Cap}
+			err = enc.Encode(&v)
+			count++
+		}
+		if err == nil {
+			if err = enc.Encode(WireInsert{End: &count}); err == nil {
+				err = bw.Flush()
 			}
 		}
-		bw.WriteString("]}")
-		pw.CloseWithError(bw.Flush())
+		pw.CloseWithError(err)
 	}()
-	var resp nodeAck
-	err = h.postBody(PathNodePrepare, pr, 0, h.timeouts.prepare(), func(rb *wire.Buf) error { return rb.Unmarshal(&resp) })
+	err := h.post(PathNodePrepare, pr, 0, h.timeouts.prepare())
 	// Stop the encoder if it is still writing (the node may answer before
 	// reading the whole body) and wait it out: next belongs to the caller
 	// again once Prepare returns.
 	pr.Close()
 	<-encoded
-	if err != nil {
-		return err
-	}
-	return envErr(resp.Err)
-}
-
-func (h *httpNode) Commit(epoch int64, idem string) error {
-	var resp nodeAck
-	if err := h.post(PathNodeCommit, CommitRequest{Epoch: epoch, Idem: idem}, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
-}
-
-func (h *httpNode) Abort(epoch int64, idem string) error {
-	var resp nodeAck
-	if err := h.post(PathNodeAbort, AbortRequest{Epoch: epoch, Idem: idem}, &resp); err != nil {
-		return err
-	}
-	return envErr(resp.Err)
+	return err
 }
 
 var _ NodeConn = (*httpNode)(nil)

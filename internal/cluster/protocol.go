@@ -17,14 +17,30 @@
 // each — any failure aborts cluster-wide and the old epoch keeps serving
 // everywhere.
 //
-// The node side speaks the /v2 wire protocol below: nine versioned
-// endpoints, explicit node epochs on every operation, idempotency keys on
-// every mutating call (a coordinator retry after a lost response replays
-// the recorded answer instead of double-applying), and the structured
-// platform.Error taxonomy instead of ad-hoc status strings. Each operation
-// has exactly one wire path: the five single-worker mutations travel only
-// as sub-ops of the /v2/node/ops envelope (a sequential caller ships
-// singleton envelopes), everything else as one POST to its own endpoint.
+// The node side speaks the /v2 wire protocol below: explicit node epochs
+// on every operation, idempotency keys on every mutating call (a
+// coordinator retry after a lost response replays the recorded answer
+// instead of double-applying), and the structured platform.Error taxonomy
+// instead of ad-hoc status strings. A node mounts three endpoints, and each
+// call has exactly one wire path.
+//
+// Every bounded call is an op: one of eleven kinds, a sub-op of the
+// /v2/node/ops envelope (a sequential caller ships singleton envelopes) —
+// the five routed mutations (insert, add-capacity, remove, assign-subtree,
+// consume), the root tier's min-id and pop-min, a window's mine, status,
+// and the rotation's commit and abort.
+//
+// What cannot be an op is a document, and there are two: /v2/node/init and
+// /v2/node/rotate/prepare stay POSTs. Both carry the published tree, which
+// is about 55 B a point — 225 KB on the default 64×64 grid, 3.6 MB at
+// 256×256, past the frame cap below — and prepare's body is a population
+// that engine.PrepareSwapSeq pulls under its swap lock in one call, which
+// a frame-at-a-time answer callback cannot feed. A document's body is a
+// run of top-level JSON values that encoding/json reads as it stands: a
+// header first (InitRequest, alone; PrepareRequest), and after a prepare's
+// header one WireInsert a worker and the closing {"end":N} that counts
+// them — so a body cut between two values is refused by its count. The
+// header carries the call's idempotency key; both answer a nodeAck.
 //
 // /v2/node/ops answers two framings of one executor (answerOps). The one a
 // coordinator uses is a stream: POST /v2/node/ops with "Connection: Upgrade"
@@ -38,9 +54,11 @@
 // OpRequest and the node answers each with one frame holding the response,
 // in the order the requests arrived, so a peer may treat the connection as
 // a sequence of exchanges (the coordinator keeps one frame in flight on
-// each: a stream belongs to a coalescer slot, see batcher). A frame longer
-// than 1 MiB — about sixty full envelopes — is refused by closing the
-// stream before any of it is buffered. The node closes a stream that
+// each: a stream belongs to a coalescer slot, see batcher). A request frame
+// longer than 1 MiB — about sixty full envelopes — is refused by closing
+// the stream before any of it is buffered; so is an answer, but for the
+// answer to an envelope that carries a mine, the one whose size the
+// deployment sets (see maxMineAnswer). The node closes a stream that
 // carries nothing for 90 s (the lifetime of an idle keep-alive connection)
 // and on any frame that is cut short; the coordinator closes one when an
 // exchange fails or outlives the op deadline, a transport failure taking
@@ -58,39 +76,51 @@ import (
 	"github.com/pombm/pombm/internal/platform"
 )
 
-// /v2 node endpoint paths. They live beside the /v1 agent API on a
-// pombm-server: /v1 is what workers and tasks talk to a single-node
-// deployment; /v2/node is what a coordinator drives a backend with.
+// The /v2 node endpoints a pombm-server mounts beside the /v1 agent API:
+// /v1 is what workers and tasks talk to a single-node deployment; /v2/node
+// is what a coordinator drives a backend with.
 const (
 	PathNodeInit    = "/v2/node/init"
-	PathNodeStatus  = "/v2/node/status"
 	PathNodeOps     = "/v2/node/ops"
-	PathNodeMinID   = "/v2/node/min-id"
-	PathNodePopMin  = "/v2/node/pop-min"
-	PathNodeMine    = "/v2/node/mine"
 	PathNodePrepare = "/v2/node/rotate/prepare"
-	PathNodeCommit  = "/v2/node/rotate/commit"
-	PathNodeAbort   = "/v2/node/rotate/abort"
 )
 
-// Op kinds carried by the /v2/node/ops envelope — the only wire form of
-// the single-worker routed operations; anything whose answer spans nodes
-// (min-id, mine, the rotation verbs) has its own endpoint.
+// Paths three of the op kinds had while each call was a POST of its own.
+// Nothing is mounted on them; the repository benchmark names them as span
+// labels.
+const (
+	PathNodeMinID  = "/v2/node/min-id"
+	PathNodePopMin = "/v2/node/pop-min"
+	PathNodeCommit = "/v2/node/rotate/commit"
+)
+
+// Op kinds carried by the /v2/node/ops envelope: the only wire form of
+// every coordinator → node call but the two documents.
 const (
 	OpInsert        = "insert"
 	OpAddCapacity   = "add-capacity"
 	OpRemove        = "remove"
 	OpAssignSubtree = "assign-subtree"
 	OpConsume       = "consume"
+	OpStatus        = "status"
+	OpMinID         = "min-id"
+	OpPopMin        = "pop-min"
+	OpMine          = "mine"
+	OpCommit        = "commit"
+	OpAbort         = "abort"
 )
 
 // OpRequest is one sub-operation of an ops envelope: the union of what the
-// five kinds need (insert: code, id, capacity, epoch — capacity ≤ 0
+// eleven kinds need (insert: code, id, capacity, epoch — capacity ≤ 0
 // selects the node engine's default; add-capacity and consume: code, id,
-// epoch; remove: code, id; assign-subtree: code, epoch), discriminated by
-// Kind, with its own idempotency key. Replay semantics are per-op — the
-// node caches each sub-result under its own key, so a duplicated envelope,
-// or the same op regrouped into a different one, replays byte-for-byte.
+// epoch; remove: code, id; assign-subtree: code, epoch; status, min-id,
+// pop-min, commit and abort: epoch — a pin for the first three, zero for
+// none; mine: the window tasks routed to the node as codes, the pool size
+// k, epoch), discriminated by Kind, with its own idempotency key on the
+// kinds that mutate. Replay semantics are per-op — the node caches each
+// mutation's sub-result under its own key, so a duplicated envelope, or the
+// same op regrouped into a different one, replays byte-for-byte; status,
+// min-id and mine only read and are answered afresh.
 //
 // The envelope has no idempotency key of its own (the sub-ops are the
 // replay unit, and a retried envelope regroups however the retry timing
@@ -99,22 +129,29 @@ const (
 // frame and in a POST body —
 //
 //	request   {"ops":[op,…]}
-//	op        {"kind":string,"idem":string,"code":base64,"id":int,"capacity":int,"epoch":int}
+//	op        {"kind":string,"idem":string,"code":base64,"id":int,"capacity":int,"epoch":int,
+//	           "codes":[base64,…],"k":int}
 //	response  {"ok":true,"results":[result,…]}              one per op, in order
 //	          {"ok":false,"error":error,"results":null}     refused whole, nothing applied
-//	result    {"ok":true}                                   insert, add-capacity, consume
+//	result    {"ok":true}                                   insert, add-capacity, consume,
+//	                                                        commit, abort
 //	          {"ok":true,"units":int,"found":bool}          remove
-//	          {"ok":true,"id":int,"level":int,"found":bool} assign-subtree
-//	          {"ok":false,"error":error}                    a refused op; remove and
-//	                                                        assign-subtree add "found":false
+//	          {"ok":true,"id":int,"level":int,"found":bool} assign-subtree, pop-min; min-id
+//	                                                        has no level
+//	          {"ok":true,"epoch":int,"len":int,"units":int} status
+//	          {"ok":true,"epoch":int,"pool":int,"own":[[candidate,…],…],"pads":[[candidate,…],…]}
+//	                                                        mine: a list a code, a list a shard
+//	          {"ok":false,"error":error}                    a refused op; remove, assign-subtree,
+//	                                                        min-id and pop-min add "found":false
+//	candidate [id,base64,level,cap]                         hst.Candidate: four elements, in order
 //	error     {"code":string,"message":string,"epoch":int,"retryable":bool}
 //
-// — with every zero-valued member but kind, ok and found left out, which
-// is byte-for-byte what encoding/json wrote for the structs this replaced.
-// A reader takes whitespace between tokens, members in any order and
-// escaped strings. It refuses, as bad_request for the whole envelope before
-// any op runs (a malformed answer is a transport failure on the other
-// side):
+// — with every zero-valued or empty member but kind, ok and found left out,
+// which for the five routed kinds is byte-for-byte what encoding/json wrote
+// for the structs this replaced. A reader takes whitespace between tokens,
+// members in any order and escaped strings. It refuses, as bad_request for
+// the whole envelope before any op runs (a malformed answer is a transport
+// failure on the other side):
 //
 //   - a member it does not know, at any level, a known name in another
 //     letter case included;
@@ -127,32 +164,42 @@ const (
 // The first three are where it is stricter than the encoding/json decoder
 // it replaced, which skipped unknown members, matched names
 // case-insensitively, kept the last duplicate and read null as the zero
-// value; FuzzNodeWire carries a seed for each.
+// value; FuzzNodeWire carries a seed for each. A kind the node does not
+// know is that op's own bad_request, which is how a node older than its
+// coordinator answers: the two are one version.
 type OpRequest struct {
-	Kind     string `json:"kind"`
-	Idem     string `json:"idem,omitempty"`
-	Code     []byte `json:"code,omitempty"`
-	ID       int    `json:"id,omitempty"`
-	Capacity int    `json:"capacity,omitempty"`
-	Epoch    int64  `json:"epoch,omitempty"`
+	Kind     string   `json:"kind"`
+	Idem     string   `json:"idem,omitempty"`
+	Code     []byte   `json:"code,omitempty"`
+	ID       int      `json:"id,omitempty"`
+	Capacity int      `json:"capacity,omitempty"`
+	Epoch    int64    `json:"epoch,omitempty"`
+	Codes    [][]byte `json:"codes,omitempty"`
+	K        int      `json:"k,omitempty"`
 }
 
 // opResult is a sub-result as the coordinator reads it: the union of the
-// three result shapes in the grammar above, so that one scanner fills it
-// and one value carries any routed op's answer back to its caller.
+// result shapes in the grammar above, so that one scanner fills it and one
+// value carries any op's answer back to its caller.
 type opResult struct {
-	OK    bool            `json:"ok"`
-	Err   *platform.Error `json:"error,omitempty"`
-	ID    int             `json:"id,omitempty"`
-	Level int             `json:"level,omitempty"`
-	Units int             `json:"units,omitempty"`
-	Found bool            `json:"found"`
+	OK    bool
+	Err   *platform.Error
+	ID    int
+	Level int
+	Units int
+	Found bool
+	Epoch int64
+	Len   int
+	Pool  int
+	Own   [][]hst.Candidate
+	Pads  [][]hst.Candidate
 }
 
 // InitRequest (re)builds a node's engine: the shared tree, the shared
 // shard count, and the shared policy spec and default capacity. Every node
 // of a cluster is initialised identically — same layout, same capacity
 // clamping — which is what makes shard indices global and routing exact.
+// It is the whole of an init document.
 type InitRequest struct {
 	Tree            *hst.Tree `json:"tree"`
 	Shards          int       `json:"shards,omitempty"`
@@ -161,151 +208,36 @@ type InitRequest struct {
 	Idem            string    `json:"idem,omitempty"`
 }
 
-// nodeAck is the plain OK/error answer of init, prepare, commit and abort.
+// nodeAck is the plain OK/error answer of the two documents.
 type nodeAck struct {
 	OK  bool            `json:"ok"`
 	Err *platform.Error `json:"error,omitempty"`
 }
 
-// StatusRequest polls a node; a non-zero Epoch pins the read.
-type StatusRequest struct {
-	Epoch int64 `json:"epoch,omitempty"`
-}
-
 // StatusResponse reports a node's serving epoch and pool.
 type StatusResponse struct {
-	OK    bool            `json:"ok"`
-	Err   *platform.Error `json:"error,omitempty"`
-	Epoch int64           `json:"epoch"`
-	Len   int             `json:"len"`
-	Units int             `json:"units"`
+	Epoch int64
+	Len   int
+	Units int
 }
 
-// AssignResponse carries pop-min's outcome: Found false means the node's
-// pool is empty.
-type AssignResponse struct {
-	OK    bool            `json:"ok"`
-	Err   *platform.Error `json:"error,omitempty"`
-	ID    int             `json:"id,omitempty"`
-	Level int             `json:"level,omitempty"`
-	Found bool            `json:"found"`
-}
-
-// MinIDRequest asks for the node's smallest available worker id.
-type MinIDRequest struct {
-	Epoch int64 `json:"epoch,omitempty"`
-}
-
-// MinIDResponse answers the root-tier min-of-mins poll.
-type MinIDResponse struct {
-	OK    bool            `json:"ok"`
-	Err   *platform.Error `json:"error,omitempty"`
-	ID    int             `json:"id,omitempty"`
-	Found bool            `json:"found"`
-}
-
-// PopMinRequest pops the node's smallest available worker id (the root
-// tier commit, after MinID elected this node).
-type PopMinRequest struct {
-	Epoch int64  `json:"epoch,omitempty"`
-	Idem  string `json:"idem,omitempty"`
-}
-
-// WireCandidate is hst.Candidate on the wire (codes as raw digit bytes).
-type WireCandidate struct {
-	ID    int    `json:"id"`
-	Code  []byte `json:"code"`
-	Level int    `json:"level"`
-	Cap   int    `json:"cap"`
-}
-
-// MineRequest scatters a batch window's mining to one node: the window
-// tasks routed here plus the per-shard pad lists every node contributes.
-type MineRequest struct {
-	Codes [][]byte `json:"codes"`
-	K     int      `json:"k"`
-	Epoch int64    `json:"epoch,omitempty"`
-}
-
-// MineResponse is the node's engine.WindowMine on the wire.
-type MineResponse struct {
-	OK    bool              `json:"ok"`
-	Err   *platform.Error   `json:"error,omitempty"`
-	Epoch int64             `json:"epoch"`
-	Pool  int               `json:"pool"`
-	Own   [][]WireCandidate `json:"own,omitempty"`
-	Pads  [][]WireCandidate `json:"pads,omitempty"`
-}
-
-// WireInsert is engine.EpochInsert on the wire.
-type WireInsert struct {
-	Code []byte `json:"code"`
-	ID   int    `json:"id"`
-	Cap  int    `json:"cap,omitempty"`
-}
-
-// PrepareRequest stages this node's partition of the next epoch: phase one
-// of the distributed rotation. The node builds and validates the staged
-// state off to the side while the old epoch keeps serving.
-//
-// Field order is part of the wire contract: the node decodes prepare
-// bodies incrementally, so Idem must come first (replay check before any
-// work) and Inserts must stay last (the scalar fields and the tree land
-// before the population streams).
+// PrepareRequest heads a prepare document, which stages this node's
+// partition of the next epoch: phase one of the distributed rotation. The
+// node builds and validates the staged state off to the side while the old
+// epoch keeps serving. The partition follows the header value by value.
 type PrepareRequest struct {
-	Idem    string       `json:"idem,omitempty"`
-	Epoch   int64        `json:"epoch"`
-	Shards  int          `json:"shards,omitempty"`
-	Tree    *hst.Tree    `json:"tree"`
-	Inserts []WireInsert `json:"inserts"`
+	Idem   string    `json:"idem,omitempty"`
+	Epoch  int64     `json:"epoch"`
+	Shards int       `json:"shards,omitempty"`
+	Tree   *hst.Tree `json:"tree"`
 }
 
-// CommitRequest publishes the staged epoch: phase two. A commit for an
-// epoch the node already serves acks idempotently (the earlier commit's
-// response was lost, not its effect).
-type CommitRequest struct {
-	Epoch int64  `json:"epoch"`
-	Idem  string `json:"idem,omitempty"`
-}
-
-// AbortRequest drops a staged epoch after a sibling node's prepare failed.
-type AbortRequest struct {
-	Epoch int64  `json:"epoch"`
-	Idem  string `json:"idem,omitempty"`
-}
-
-func toWireCands(in [][]hst.Candidate) [][]WireCandidate {
-	if in == nil {
-		return nil
-	}
-	out := make([][]WireCandidate, len(in))
-	for i, cs := range in {
-		if cs == nil {
-			continue
-		}
-		ws := make([]WireCandidate, len(cs))
-		for j, c := range cs {
-			ws[j] = WireCandidate{ID: c.ID, Code: []byte(c.Code), Level: c.Level, Cap: c.Cap}
-		}
-		out[i] = ws
-	}
-	return out
-}
-
-func fromWireCands(in [][]WireCandidate) [][]hst.Candidate {
-	if in == nil {
-		return nil
-	}
-	out := make([][]hst.Candidate, len(in))
-	for i, ws := range in {
-		if ws == nil {
-			continue
-		}
-		cs := make([]hst.Candidate, len(ws))
-		for j, w := range ws {
-			cs[j] = hst.Candidate{ID: w.ID, Code: hst.Code(w.Code), Level: w.Level, Cap: w.Cap}
-		}
-		out[i] = cs
-	}
-	return out
+// WireInsert is a value of a prepare document after its header:
+// engine.EpochInsert on the wire, or — End alone — the last value, the
+// count of the inserts before it.
+type WireInsert struct {
+	Code []byte `json:"code,omitempty"`
+	ID   int    `json:"id,omitempty"`
+	Cap  int    `json:"cap,omitempty"`
+	End  *int   `json:"end,omitempty"`
 }

@@ -25,6 +25,13 @@ const (
 	// a full maxOpsPerEnvelope envelope. A longer one is refused by closing
 	// the stream before any of it is buffered.
 	maxFrame = 1 << 20
+	// maxMineAnswer bounds instead the answer to an envelope that carries a
+	// mine, the one frame whose size a deployment sets: about 70 B ×
+	// (codes + shards) × k — 148 KB for a full window at the default k = 8,
+	// past maxFrame near k = 56, and -policy batch-optimal:k=<n> has no
+	// ceiling. A longer answer is a transport failure, and the window answers
+	// unmatched.
+	maxMineAnswer = 64 << 20
 )
 
 // opsIdleLimit is how long a node keeps a stream that carries nothing —

@@ -21,6 +21,7 @@ import (
 type tappedCore struct {
 	t       *testing.T
 	tree    *hst.Tree
+	node    *Node
 	srv     *wiretap.MortalServer
 	conn    *httpNode
 	core    *fanCore
@@ -29,8 +30,8 @@ type tappedCore struct {
 }
 
 func newTappedCore(t *testing.T, to NodeTimeouts) *tappedCore {
-	r := &tappedCore{t: t, tree: buildTree(t, 7)}
-	r.srv = wiretap.NewMortalServer(t, NodeHandler(NewNode()))
+	r := &tappedCore{t: t, tree: buildTree(t, 7), node: NewNode()}
+	r.srv = wiretap.NewMortalServer(t, NodeHandler(r.node))
 	var hc *http.Client
 	r.tap, hc = wiretap.New(t, platform.NewTransport())
 	r.conn = newHTTPNode(r.srv.URL, hc, to)
@@ -65,53 +66,67 @@ func (r *tappedCore) next(what string) *wiretap.Frame {
 	}
 }
 
-// status reads the node's pool.
+// status reads the node's pool, in-process: over the wire it would be one
+// more frame waiting for a fate.
 func (r *tappedCore) status() (workers, units int) {
 	r.t.Helper()
-	var st StatusResponse
-	// Under the retry rule: a kill may have taken the keep-alive connection
-	// the POST would reuse.
-	if err := r.core.callNode(0, true, func(n NodeConn) (err error) {
-		st, err = n.Status(0)
-		return err
-	}); err != nil {
+	st, err := r.node.Status(0)
+	if err != nil {
 		r.t.Fatal(err)
 	}
 	return st.Len, st.Units
 }
 
-// TestTornStreamAppliesOnce cuts the connection under each of the five routed
-// ops after the node applied the request frame and before the coordinator
-// read the answer. callNode's one retry must dial a fresh stream, resend the
-// same bytes — the same idempotency key — and be answered out of the replay
-// cache with the very bytes the cut swallowed, and the node's pool must show
-// the op applied once.
+// TestTornStreamAppliesOnce cuts the connection under each kind of op that
+// mutates — the five routed ones, the root tier's pop, and the rotation's
+// commit and abort — after the node applied the request frame and before the
+// coordinator read the answer. callNode's one retry must dial a fresh
+// stream, resend the same bytes — the same idempotency key — and be answered
+// out of the replay cache with the very bytes the cut swallowed, and the
+// node's pool must show the op applied once.
 func TestTornStreamAppliesOnce(t *testing.T) {
 	r := newTappedCore(t, NodeTimeouts{})
 	code := r.tree.CodeOf(0)
+	next := buildTree(t, 8)
+	// prepare stages an epoch of two workers: a document, which no tap parks.
+	prepare := func(epoch int64) func() {
+		return func() {
+			inserts := []engine.EpochInsert{{Code: next.CodeOf(0), ID: 7, Cap: 1}, {Code: next.CodeOf(1), ID: 8, Cap: 1}}
+			if err := r.conn.Prepare(epoch, next, 0, nextOf(inserts), r.core.nextIdem()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assigned := func(id, _ int, found bool, err error) error {
+		if err == nil && (!found || id != 1) {
+			err = fmt.Errorf("assigned %d, found %v", id, found)
+		}
+		return err
+	}
 	for i, step := range []struct {
 		kind           string
+		before         func() // what the op needs in place, untapped
 		run            func(n NodeConn, idem string) error
 		workers, units int // the pool once the op has applied exactly once
 	}{
-		{OpInsert, func(n NodeConn, idem string) error { return n.Insert(code, 1, 3, 0, idem) }, 1, 3},
-		{OpConsume, func(n NodeConn, idem string) error { return n.Consume(code, 1, 0, idem) }, 1, 2},
-		{OpAddCapacity, func(n NodeConn, idem string) error { return n.AddCapacity(code, 1, 0, idem) }, 1, 3},
-		{OpAssignSubtree, func(n NodeConn, idem string) error {
-			id, _, found, err := n.AssignSubtree(code, 0, idem)
-			if err == nil && (!found || id != 1) {
-				err = fmt.Errorf("assigned %d, found %v", id, found)
-			}
-			return err
-		}, 1, 2},
-		{OpRemove, func(n NodeConn, idem string) error {
+		{OpInsert, nil, func(n NodeConn, idem string) error { return n.Insert(code, 1, 4, 0, idem) }, 1, 4},
+		{OpConsume, nil, func(n NodeConn, idem string) error { return n.Consume(code, 1, 0, idem) }, 1, 3},
+		{OpAddCapacity, nil, func(n NodeConn, idem string) error { return n.AddCapacity(code, 1, 0, idem) }, 1, 4},
+		{OpAssignSubtree, nil, func(n NodeConn, idem string) error { return assigned(n.AssignSubtree(code, 0, idem)) }, 1, 3},
+		{OpPopMin, nil, func(n NodeConn, idem string) error { return assigned(n.PopMin(0, idem)) }, 1, 2},
+		{OpRemove, nil, func(n NodeConn, idem string) error {
 			units, found, err := n.Remove(code, 1, idem)
 			if err == nil && (!found || units != 2) {
 				err = fmt.Errorf("removed %d units, found %v", units, found)
 			}
 			return err
 		}, 0, 0},
+		{OpCommit, prepare(2), func(n NodeConn, idem string) error { return n.Commit(2, idem) }, 2, 2},
+		{OpAbort, prepare(3), func(n NodeConn, idem string) error { return n.Abort(3, idem) }, 2, 2},
 	} {
+		if step.before != nil {
+			step.before()
+		}
 		idem := r.core.nextIdem()
 		done := r.start(func() error {
 			return r.core.callNode(0, true, func(n NodeConn) error { return step.run(n, idem) })
@@ -134,10 +149,20 @@ func TestTornStreamAppliesOnce(t *testing.T) {
 			t.Errorf("after %s the node holds %d workers and %d units, want %d and %d: applied other than once",
 				step.kind, workers, units, step.workers, step.units)
 		}
+		// A commit publishes what was staged and an abort drops it.
+		r.node.mu.Lock()
+		staged := r.node.staged
+		r.node.mu.Unlock()
+		if staged != nil {
+			t.Errorf("after %s the node still has epoch %d staged", step.kind, staged.Epoch())
+		}
 		// The first op dialed the first stream; every cut cost one more.
 		if got := r.tap.Upgrades(); got != i+2 {
 			t.Errorf("after %s: %d streams dialed, want %d", step.kind, got, i+2)
 		}
+	}
+	if st, err := r.node.Status(0); err != nil || st.Epoch != 2 {
+		t.Errorf("the node serves epoch %d (err %v), want the 2 the torn commit published, not the 3 the torn abort dropped", st.Epoch, err)
 	}
 }
 
@@ -371,5 +396,65 @@ func TestRoutedOpAllocs(t *testing.T) {
 		t.Errorf("a warm routed op allocates %.1f, want ≤ 6", perOp)
 	} else {
 		t.Logf("a warm routed op allocates %.1f", perOp)
+	}
+}
+
+// TestCloseEndsTheStreams: a coordinator that stops closes its end of every
+// stream — the idle ones at once, one in flight when its exchange is over —
+// so the node's ends go with them instead of waiting out opsIdleLimit, and an
+// op after Close is refused, typed unavailable, without a dial. An in-process
+// connection has nothing to close.
+func TestCloseEndsTheStreams(t *testing.T) {
+	r := newTappedCore(t, NodeTimeouts{})
+	insert := func(r *tappedCore, id int) func() error {
+		return func() error { return r.core.InsertCapEpoch(r.tree.CodeOf(id), id, 1, 0) }
+	}
+	first := r.start(insert(r, 1))
+	r.next("the frame that dials a stream").Fate <- wiretap.Forward
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if open, idle := r.node.streams.Open(), len(r.conn.ops.idle); open != 1 || idle != 1 {
+		t.Fatalf("the node answers on %d streams and %d are idle, want the one", open, idle)
+	}
+	(&Coordinator{core: r.core}).Close()
+	waitFor(t, "the node's end of the idle stream to close", func() bool { return r.node.streams.Open() == 0 })
+
+	_, before := r.tap.Sent()
+	err := insert(r, 2)()
+	var pe *platform.Error
+	if !errors.As(err, &pe) || pe.Code != platform.CodeUnavailable || isTransport(err) {
+		t.Errorf("an op after Close: %v, want the typed %s", err, platform.CodeUnavailable)
+	}
+	select {
+	case f := <-r.arrived:
+		t.Errorf("an op after Close left in a frame: %s", f.Payload)
+	default:
+	}
+	if _, after := r.tap.Sent(); len(after) != len(before) {
+		t.Errorf("an op after Close sent %v", after[len(before):])
+	}
+
+	// Closed over an exchange: the op is answered, its stream is not kept.
+	r = newTappedCore(t, NodeTimeouts{})
+	inFlight := r.start(insert(r, 1))
+	held := r.next("the frame in flight over the close")
+	r.conn.Close()
+	held.Fate <- wiretap.Forward
+	if err := <-inFlight; err != nil {
+		t.Fatalf("the op in flight over the close: %v", err)
+	}
+	waitFor(t, "the node's end of the stream that was in flight to close", func() bool { return r.node.streams.Open() == 0 })
+	if idle := len(r.conn.ops.idle); idle != 0 {
+		t.Errorf("%d streams parked on a closed connection", idle)
+	}
+	if workers, _ := r.status(); workers != 1 {
+		t.Errorf("node holds %d workers, want the one inserted over the close", workers)
+	}
+
+	local := LocalNode(r.node)
+	local.Close()
+	if _, err := local.Status(0); err != nil {
+		t.Errorf("an in-process connection after Close: %v", err)
 	}
 }

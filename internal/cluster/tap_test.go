@@ -11,12 +11,16 @@ var opKindKey = []byte(`"kind":`)
 // opsIn counts the ops in the envelope a tapped frame carries.
 func opsIn(f *wiretap.Frame) int { return bytes.Count(f.Payload, opKindKey) }
 
-// countByNode tallies frames per node address and the ops they carry.
-func countByNode(frames []*wiretap.Frame) (byNode map[string]int, ops int) {
+// countByNode tallies, of the frames that carry key — opKindKey for any op,
+// `"kind":"consume"` for one kind — how many went to each node address, and
+// the ops of that kind they carry in all.
+func countByNode(frames []*wiretap.Frame, key []byte) (byNode map[string]int, ops int) {
 	byNode = map[string]int{}
 	for _, f := range frames {
-		byNode[f.Node]++
-		ops += opsIn(f)
+		if n := bytes.Count(f.Payload, key); n > 0 {
+			byNode[f.Node]++
+			ops += n
+		}
 	}
 	return byNode, ops
 }

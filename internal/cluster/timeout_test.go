@@ -28,11 +28,12 @@ func slowPaths(h http.Handler, delay time.Duration, paths ...string) http.Handle
 }
 
 // TestOpDeadlineTypedError pins the deadline contract: an operation that
-// outlives its per-op deadline comes back as a typed retryable
-// unavailable error — not a transport failure (which would trigger a
-// blind retry and double the stall), not a raw context error.
+// outlives its per-op deadline — here in the dial of the stream it would
+// travel on — comes back as a typed retryable unavailable error — not a
+// transport failure (which would trigger a blind retry and double the
+// stall), not a raw context error.
 func TestOpDeadlineTypedError(t *testing.T) {
-	ts := httptest.NewServer(slowPaths(NodeHandler(NewNode()), 300*time.Millisecond, PathNodeStatus))
+	ts := httptest.NewServer(slowPaths(NodeHandler(NewNode()), 300*time.Millisecond, PathNodeOps))
 	defer ts.Close()
 	conn := DialNodeTimeouts(ts.URL, NodeTimeouts{Op: 20 * time.Millisecond})
 
@@ -51,7 +52,7 @@ func TestOpDeadlineTypedError(t *testing.T) {
 		t.Fatalf("deadline expiry classified as transport failure: %v", err)
 	}
 	// A fast call on the same connection still works: the deadline is
-	// per-request, not a poisoned client.
+	// per-call, not a poisoned client.
 	if err := conn.Init(InitRequest{Tree: buildTree(t, 7)}); err != nil {
 		t.Fatalf("fast init after a timed-out status: %v", err)
 	}
@@ -84,10 +85,13 @@ func TestPrepareDeadlineIndependent(t *testing.T) {
 	if err := conn.Prepare(2, next, 0, nextOf(inserts), "idem-prep"); err != nil {
 		t.Fatalf("prepare under its own deadline: %v", err)
 	}
-	if err := conn.Commit(2, "idem-commit"); err != nil {
+	// Commit and status are ops: they go over a connection whose op
+	// deadline the slow upgrade fits.
+	patient := DialNodeTimeouts(ts.URL, NodeTimeouts{Op: 5 * time.Second})
+	if err := patient.Commit(2, "idem-commit"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := conn.Status(0)
+	st, err := patient.Status(0)
 	if err != nil {
 		t.Fatal(err)
 	}
