@@ -7,9 +7,9 @@ package pombm_test
 // Full-scale series for EXPERIMENTS.md come from cmd/pombm-bench.
 //
 // Micro-benchmarks for the performance-critical primitives (HST build,
-// mechanism samplers, matcher implementations, Hungarian) follow at the
-// bottom; the scan-vs-trie and walk-vs-enumerate ablations live next to
-// their packages (internal/match, experiment abl-walk).
+// mechanism samplers, matcher implementations, the offline optimum) follow
+// at the bottom; the scan-vs-trie and walk-vs-enumerate ablations live next
+// to their packages (internal/match, experiment abl-walk).
 
 import (
 	"fmt"
@@ -155,7 +155,7 @@ func BenchmarkPlanarLaplaceSample(b *testing.B) {
 	}
 }
 
-func BenchmarkHungarian64(b *testing.B) {
+func BenchmarkOptimal64(b *testing.B) {
 	src := rng.New(4)
 	const n, m = 64, 96
 	cost := make([][]float64, n)
@@ -165,9 +165,10 @@ func BenchmarkHungarian64(b *testing.B) {
 			cost[i][j] = src.Uniform(0, 100)
 		}
 	}
+	dist := func(t, w int) float64 { return cost[t][w] }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := match.Hungarian(cost); err != nil {
+		if _, _, err := match.Optimal(n, m, dist); err != nil {
 			b.Fatal(err)
 		}
 	}

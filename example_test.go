@@ -50,14 +50,16 @@ func ExampleNewHSTMechanism() {
 	// level 4: 0.001
 }
 
-// ExampleHungarian solves a small assignment instance.
-func ExampleHungarian() {
+// ExampleOptimalMatching solves a small assignment instance.
+func ExampleOptimalMatching() {
 	cost := [][]float64{
 		{4, 1, 3},
 		{2, 0, 5},
 		{3, 2, 2},
 	}
-	assign, total, err := pombm.Hungarian(cost)
+	assign, total, err := pombm.OptimalMatching(3, 3, func(task, worker int) float64 {
+		return cost[task][worker]
+	})
 	if err != nil {
 		panic(err)
 	}

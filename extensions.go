@@ -58,7 +58,7 @@ func NewHSTGreedyCapacitated(tree *HST, workers []Code, capacity []int) (*HSTGre
 }
 
 // OptimalCapacitated computes the offline minimum-cost assignment under
-// per-worker capacities via min-cost max-flow.
+// per-worker capacities, on the same solver as OptimalMatching.
 func OptimalCapacitated(nTasks int, capacity []int, dist func(task, worker int) float64) ([]int, float64, error) {
 	return match.OptimalCapacitated(nTasks, capacity, dist)
 }

@@ -261,7 +261,7 @@ func runAblGrid(r *Runner) (*Figure, error) {
 }
 
 // runAblCR measures empirical competitive ratios against the offline
-// optimal matching on true locations (Hungarian), for TBF and for a
+// optimal matching on true locations (match.Optimal), for TBF and for a
 // non-private Euclidean greedy (the privacy-free reference).
 func runAblCR(r *Runner) (*Figure, error) {
 	env, err := r.environment()

@@ -1,3 +1,9 @@
+// Package flow implements the repository's one optimal-assignment solver:
+// Bipartite, a warm-startable min-cost maximum-cardinality assignment of
+// tasks to capacitated workers over a candidate arc list. The engine's
+// batch-optimal policy solves each window with it over a few mined
+// candidates per task; internal/match builds the offline optimum (Optimal,
+// OptimalCapacitated) on it over the complete task × worker arc set.
 package flow
 
 import (
@@ -5,15 +11,18 @@ import (
 	"math"
 )
 
+// nilEdge terminates the per-worker matched-task lists and marks a task
+// that was never matched.
+const nilEdge = int32(-1)
+
 // Bipartite solves the engine's per-window restricted assignment problem:
 // nTasks tasks, each carrying a small candidate arc list, against nWorkers
 // capacitated workers. It computes a maximum-cardinality matching of
-// minimum total cost within the candidate graph — the same optimum
-// MinCostFlow finds on the equivalent source/sink network — but via
-// successive shortest augmenting paths over reduced costs (Dijkstra with
-// Johnson potentials), which visits O(arcs near the path) nodes per task
-// in the steady state instead of relaxing the whole graph per
-// augmentation.
+// minimum total cost within the candidate graph — the min-cost flow optimum
+// of the equivalent source/sink network — via successive shortest
+// augmenting paths over reduced costs (Dijkstra with Johnson potentials),
+// which visits O(arcs near the path) nodes per task in the steady state
+// instead of relaxing the whole graph per augmentation.
 //
 // Internally the graph is completed with two implicit nodes that make
 // per-task augmentation globally optimal:
@@ -263,8 +272,10 @@ func (b *Bipartite) arcCostOf(a int32) float64 {
 // when the super-sink is finalized, then updates the duals and flips the
 // augmenting path. The virtual worker guarantees a path exists. Reduced
 // costs stay non-negative by the standard successive-shortest-path
-// invariant; every cost in an engine window is an exact small integer, so
-// the arithmetic is exact.
+// invariant. Every cost in an engine window is an exact small integer, so
+// there the arithmetic is exact; internal/match feeds it float distances,
+// where rounding in the potentials can only reorder near-equal paths — its
+// brute-force tests hold the total to within 1e-9 of the optimum.
 func (b *Bipartite) augment(t0 int32) {
 	nT := int32(b.nTasks)
 	virt := int32(b.nWorkers)

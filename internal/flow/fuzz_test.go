@@ -5,78 +5,59 @@ import (
 	"testing"
 )
 
-// FuzzFlowReset drives one reused solver through a multi-problem tape
-// decoded from the fuzz input and cross-checks every problem against a
-// fresh solver: identical flow, cost, and forward-edge residuals, no
-// matter how the previous problem shaped the arena. Wired into the
+// FuzzBipartite drives one reused solver through a multi-window tape
+// decoded from the fuzz input and checks every window three ways: the
+// reused arena and a fresh solver must agree bit for bit (matching, cost,
+// closing potentials), and both must reach the brute-force optimum's
+// cardinality and cost, whatever the seeded potentials. Wired into the
 // nightly fuzz lane alongside the trie and obfuscation fuzzers.
-func FuzzFlowReset(f *testing.F) {
+func FuzzBipartite(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 3, 0, 1, 5, 3, 1, 2, 4, 9, 2, 3, 1})
 	f.Add([]byte{2, 1, 0, 1, 200, 7, 6, 2, 0, 1, 3, 2, 1, 2, 9, 5})
+	f.Add([]byte{11, 7, 3, 3, 3, 3, 3, 3, 3, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reused := NewMinCostFlow(0)
+		reused := NewBipartite()
 		pos := 0
-		next := func() (byte, bool) {
+		next := func() byte {
 			if pos >= len(data) {
-				return 0, false
+				return 0
 			}
-			b := data[pos]
 			pos++
-			return b, true
+			return data[pos-1]
 		}
-		for cycle := 0; cycle < 8; cycle++ {
-			nb, ok := next()
-			if !ok {
-				return
+		for cycle := 0; cycle < 8 && pos < len(data); cycle++ {
+			in := bipInstance{nTasks: 1 + int(next()%12)}
+			nW := 1 + int(next()%10)
+			in.caps = make([]int, nW)
+			warm := make([]float64, nW)
+			for w := range in.caps {
+				b := next()
+				in.caps[w] = int(b % 4)
+				warm[w] = float64(int(b/4) - 32)
 			}
-			n := 2 + int(nb%14)
-			mb, _ := next()
-			m := int(mb % 24)
-			reused.Reset(n)
-			fresh := NewMinCostFlow(n)
-			type edge struct{ a, b int }
-			var fwd []edge // forward ids in (reused, fresh); identical by contract
-			for i := 0; i < m; i++ {
-				ub, ok1 := next()
-				vb, ok2 := next()
-				cb, ok3 := next()
-				wb, ok4 := next()
-				if !ok1 || !ok2 || !ok3 || !ok4 {
-					break
+			in.arcs = make([][]int, in.nTasks)
+			in.costs = make([][]float64, in.nTasks)
+			for task := range in.arcs {
+				k := int(next() % 5)
+				seen := make([]bool, nW)
+				for j := 0; j < k; j++ {
+					w, c := int(next())%nW, next()%25
+					if seen[w] {
+						continue
+					}
+					seen[w] = true
+					in.arcs[task] = append(in.arcs[task], w)
+					in.costs[task] = append(in.costs[task], float64(c))
 				}
-				// Forward-only (u < v) keeps the graph a DAG, so negative
-				// costs can't form a negative cycle (which successive
-				// shortest paths does not handle and the engine never
-				// produces).
-				u := int(ub) % (n - 1)
-				v := u + 1 + int(vb)%(n-1-u)
-				capa := int(cb % 6)
-				cost := float64(int(wb%16) - 4)
-				ra, errA := reused.AddEdge(u, v, capa, cost)
-				rb, errB := fresh.AddEdge(u, v, capa, cost)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("cycle %d: AddEdge error divergence: %v vs %v", cycle, errA, errB)
-				}
-				if errA != nil {
-					continue
-				}
-				if ra != rb {
-					t.Fatalf("cycle %d: edge id %d (reused) vs %d (fresh)", cycle, ra, rb)
-				}
-				fwd = append(fwd, edge{ra, rb})
 			}
-			fb, _ := next()
-			maxFlow := 1 + int(fb%9)
-			gf, gc := reused.Run(0, n-1, maxFlow)
-			wf, wc := fresh.Run(0, n-1, maxFlow)
-			if gf != wf || math.Abs(gc-wc) > 1e-9 {
-				t.Fatalf("cycle %d: reused (flow %d, cost %v), fresh (flow %d, cost %v)", cycle, gf, gc, wf, wc)
+			got := outcome(t, reused, in, warm)
+			want := outcome(t, NewBipartite(), in, warm)
+			if !sameOutcome(got, want) {
+				t.Fatalf("cycle %d: reused %+v, fresh %+v", cycle, got, want)
 			}
-			for _, e := range fwd {
-				if reused.Residual(e.a) != fresh.Residual(e.b) {
-					t.Fatalf("cycle %d: residual %d vs %d on edge %d", cycle, reused.Residual(e.a), fresh.Residual(e.b), e.a)
-				}
+			if n, c := bruteBip(in); got.matched != n || math.Abs(got.cost-c) > 1e-9 {
+				t.Fatalf("cycle %d: solver (%d, %v), brute force (%d, %v); %+v", cycle, got.matched, got.cost, n, c, in)
 			}
 		}
 	})

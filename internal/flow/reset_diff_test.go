@@ -1,82 +1,70 @@
 package flow
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// tapeEdge is one AddEdge op of a differential tape.
-type tapeEdge struct {
-	u, v, cap int
-	cost      float64
+// bipOutcome is everything a solve leaves readable: per-task arcs, the
+// closing worker potentials, cardinality and cost.
+type bipOutcome struct {
+	matched int
+	cost    float64
+	arcs    []int
+	pots    []float64
 }
 
-// randTape draws a random graph: node count, edge list, and a flow demand.
-// Edges always point forward (u < v) so the graph is a DAG: negative costs
-// stay exercised without ever forming a negative cycle, which successive
-// shortest paths does not handle (and the engine never produces — negative
-// costs only appear on residual arcs under the potential invariant).
-func randTape(r *rand.Rand) (n int, edges []tapeEdge, maxFlow int) {
-	n = 2 + r.Intn(14)
-	m := r.Intn(40)
-	edges = make([]tapeEdge, m)
-	for i := range edges {
-		u := r.Intn(n - 1)
-		edges[i] = tapeEdge{
-			u:   u,
-			v:   u + 1 + r.Intn(n-1-u),
-			cap: r.Intn(6),
-			// Integer costs, negative included: exact arithmetic, no
-			// epsilon ambiguity between the two solvers.
-			cost: float64(r.Intn(13) - 3),
-		}
-	}
-	return n, edges, 1 + r.Intn(10)
-}
-
-// runTape replays a tape on f (already Reset/fresh for n nodes).
-func runTape(t *testing.T, f *MinCostFlow, edges []tapeEdge, maxFlow int) (flow int, cost float64, residuals []int) {
+func outcome(t *testing.T, b *Bipartite, in bipInstance, warm []float64) bipOutcome {
 	t.Helper()
-	fwd := make([]int, 0, len(edges))
-	for _, e := range edges {
-		id, err := f.AddEdge(e.u, e.v, e.cap, e.cost)
-		if err != nil {
-			t.Fatalf("AddEdge(%+v): %v", e, err)
+	var o bipOutcome
+	o.matched, o.cost = solveBip(t, b, in, warm)
+	for task := 0; task < in.nTasks; task++ {
+		o.arcs = append(o.arcs, b.MatchedArc(task))
+	}
+	for w := range in.caps {
+		o.pots = append(o.pots, b.WorkerPot(w))
+	}
+	return o
+}
+
+// sameOutcome compares two solves bit for bit.
+func sameOutcome(a, b bipOutcome) bool {
+	if a.matched != b.matched || a.cost != b.cost || len(a.arcs) != len(b.arcs) || len(a.pots) != len(b.pots) {
+		return false
+	}
+	for i := range a.arcs {
+		if a.arcs[i] != b.arcs[i] {
+			return false
 		}
-		fwd = append(fwd, id)
 	}
-	flow, cost = f.Run(0, f.n-1, maxFlow)
-	residuals = make([]int, len(fwd))
-	for i, id := range fwd {
-		residuals[i] = f.Residual(id)
+	for i := range a.pots {
+		if a.pots[i] != b.pots[i] {
+			return false
+		}
 	}
-	return flow, cost, residuals
+	return true
 }
 
 // TestResetDifferential pins the arena life-cycle: one solver Reset across
-// many random problems must report exactly the flow, cost, and per-edge
-// residuals of a fresh NewMinCostFlow per problem. Any slab state leaking
-// across Reset shows up as a divergence.
+// many random windows, warm-started or cold, must report exactly the
+// matching, cost and closing potentials of a fresh NewBipartite per window.
+// Any slab state leaking across Reset shows up as a divergence.
 func TestResetDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 21, 99} {
 		r := rand.New(rand.NewSource(seed))
-		reused := NewMinCostFlow(0)
+		reused := NewBipartite()
 		for cycle := 0; cycle < 60; cycle++ {
-			n, edges, maxFlow := randTape(r)
-			reused.Reset(n)
-			gotFlow, gotCost, gotRes := runTape(t, reused, edges, maxFlow)
-			fresh := NewMinCostFlow(n)
-			wantFlow, wantCost, wantRes := runTape(t, fresh, edges, maxFlow)
-			if gotFlow != wantFlow || math.Abs(gotCost-wantCost) > 1e-9 {
-				t.Fatalf("seed %d cycle %d: reused (flow %d, cost %v), fresh (flow %d, cost %v)",
-					seed, cycle, gotFlow, gotCost, wantFlow, wantCost)
-			}
-			for i := range gotRes {
-				if gotRes[i] != wantRes[i] {
-					t.Fatalf("seed %d cycle %d: edge %d residual %d (reused) vs %d (fresh)",
-						seed, cycle, i, gotRes[i], wantRes[i])
+			in := randBip(r)
+			var warm []float64
+			if cycle%2 == 1 {
+				for range in.caps {
+					warm = append(warm, float64(r.Intn(41)-20))
 				}
+			}
+			got := outcome(t, reused, in, warm)
+			want := outcome(t, NewBipartite(), in, warm)
+			if !sameOutcome(got, want) {
+				t.Fatalf("seed %d cycle %d: reused %+v, fresh %+v", seed, cycle, got, want)
 			}
 		}
 	}

@@ -1,49 +1,141 @@
 package match
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/pombm/pombm/internal/rng"
 )
 
-// bruteForceAssign enumerates every injective row→column assignment of an
-// n×m cost matrix (n ≤ m) and returns the minimum total cost — the oracle
-// both solvers must agree with on small instances.
-func bruteForceAssign(cost [][]float64) float64 {
-	n := len(cost)
-	if n == 0 {
-		return 0
-	}
-	m := len(cost[0])
-	used := make([]bool, m)
-	best := math.Inf(1)
-	var rec func(row int, total float64)
-	rec = func(row int, total float64) {
-		if total >= best {
+// bruteAssign is the independent reference for Optimal and
+// OptimalCapacitated: a branch-and-bound enumeration that gives each row
+// one column with capacity left, or none, and keeps the best result by
+// cardinality first, then total cost. Costs must be non-negative.
+func bruteAssign(cost [][]float64, caps []int) (int, float64) {
+	left := append([]int(nil), caps...)
+	bestN, bestC := -1, 0.0
+	var rec func(row, n int, c float64)
+	rec = func(row, n int, c float64) {
+		// The rows still to place can add at most one match each.
+		if most := n + len(cost) - row; most < bestN || (most == bestN && c >= bestC) {
 			return
 		}
-		if row == n {
-			best = total
+		if row == len(cost) {
+			bestN, bestC = n, c
 			return
 		}
-		for j := 0; j < m; j++ {
-			if used[j] {
-				continue
+		for j := range left {
+			if left[j] > 0 {
+				left[j]--
+				rec(row+1, n+1, c+cost[row][j])
+				left[j]++
 			}
-			used[j] = true
-			rec(row+1, total+cost[row][j])
-			used[j] = false
 		}
+		rec(row+1, n, c)
 	}
-	rec(0, 0)
-	return best
+	rec(0, 0, 0)
+	return bestN, bestC
 }
 
-// TestAssignmentSolversAgree is the differential test: Hungarian, the flow
-// solver, and brute-force enumeration must report the same minimum total
-// cost on random small instances. Seeded and table-driven so a failure
-// reproduces exactly.
+// checkAssign validates a solver's assignment against the matrix and the
+// capacities and returns how many rows it matched and what that costs.
+func checkAssign(t *testing.T, name string, assign []int, cost [][]float64, caps []int) (int, float64) {
+	t.Helper()
+	if len(assign) != len(cost) {
+		t.Fatalf("%s: %d entries for %d rows", name, len(assign), len(cost))
+	}
+	used := make([]int, len(caps))
+	n, total := 0, 0.0
+	for i, j := range assign {
+		if j == NoWorker {
+			continue
+		}
+		if j < 0 || j >= len(caps) {
+			t.Fatalf("%s: row %d → column %d out of range: %v", name, i, j, assign)
+		}
+		if used[j]++; used[j] > caps[j] {
+			t.Fatalf("%s: column %d over its capacity %d: %v", name, j, caps[j], assign)
+		}
+		n++
+		total += cost[i][j]
+	}
+	return n, total
+}
+
+func matrixDist(cost [][]float64) func(int, int) float64 {
+	return func(i, j int) float64 { return cost[i][j] }
+}
+
+func transpose(cost [][]float64, m int) [][]float64 {
+	out := make([][]float64, m)
+	for j := range out {
+		out[j] = make([]float64, len(cost))
+		for i := range cost {
+			out[j][i] = cost[i][j]
+		}
+	}
+	return out
+}
+
+// agreeWithBrute runs Optimal on an n × m matrix and on its transpose, and
+// OptimalCapacitated under unit and under the given capacities, and holds
+// each to the brute-force optimum: the same cardinality, the same total
+// within 1e-9, and an assignment that costs what it claims.
+func agreeWithBrute(t *testing.T, label string, cost [][]float64, m int, caps []int) {
+	t.Helper()
+	n := len(cost)
+	type run struct {
+		name string
+		cost [][]float64
+		caps []int
+		call func() ([]int, float64, error)
+	}
+	tr := transpose(cost, m)
+	runs := []run{
+		{"Optimal", cost, unitCaps(m), func() ([]int, float64, error) { return Optimal(n, m, matrixDist(cost)) }},
+		{"Optimal transposed", tr, unitCaps(n), func() ([]int, float64, error) { return Optimal(m, n, matrixDist(tr)) }},
+	}
+	if m >= n {
+		runs = append(runs, run{"OptimalCapacitated unit", cost, unitCaps(m), func() ([]int, float64, error) {
+			return OptimalCapacitated(n, unitCaps(m), matrixDist(cost))
+		}})
+	}
+	runs = append(runs, run{"OptimalCapacitated", cost, caps, func() ([]int, float64, error) {
+		return OptimalCapacitated(n, caps, matrixDist(cost))
+	}})
+	for _, r := range runs {
+		assign, total, err := r.call()
+		if err != nil {
+			t.Fatalf("%s: %s: %v", label, r.name, err)
+		}
+		wantN, wantC := bruteAssign(r.cost, r.caps)
+		gotN, gotC := checkAssign(t, label+": "+r.name, assign, r.cost, r.caps)
+		if gotN != wantN || math.Abs(total-wantC) > 1e-9 || math.Abs(gotC-total) > 1e-9 {
+			t.Fatalf("%s: %s matched %d for %v (assignment sums to %v), brute force %d for %v; caps %v, cost %v",
+				label, r.name, gotN, total, gotC, wantN, wantC, r.caps, r.cost)
+		}
+	}
+}
+
+// randCaps draws capacities in 0..2 and tops them up until they cover n.
+func randCaps(src *rng.Source, n, m int) []int {
+	caps := make([]int, m)
+	total := 0
+	for j := range caps {
+		caps[j] = src.Intn(3)
+		total += caps[j]
+	}
+	for ; total < n; total++ {
+		caps[src.Intn(m)]++
+	}
+	return caps
+}
+
+// TestAssignmentSolversAgree is the differential test: Optimal in both
+// orientations and OptimalCapacitated under unit and random capacities
+// must reach the brute-force optimum on random small instances. Seeded and
+// table-driven so a failure reproduces exactly.
 func TestAssignmentSolversAgree(t *testing.T) {
 	cases := []struct {
 		name string
@@ -74,37 +166,7 @@ func TestAssignmentSolversAgree(t *testing.T) {
 						cost[i][j] = float64(src.Intn(8)) + 0.25*float64(src.Intn(4))
 					}
 				}
-				hAssign, hTotal, err := Hungarian(cost)
-				if err != nil {
-					t.Fatalf("rep %d: Hungarian: %v", rep, err)
-				}
-				fAssign, fTotal, err := AssignViaFlow(cost)
-				if err != nil {
-					t.Fatalf("rep %d: AssignViaFlow: %v", rep, err)
-				}
-				bTotal := bruteForceAssign(cost)
-				if math.Abs(hTotal-bTotal) > 1e-9 {
-					t.Fatalf("rep %d: Hungarian total %v, brute force %v (cost %v)", rep, hTotal, bTotal, cost)
-				}
-				if math.Abs(fTotal-bTotal) > 1e-9 {
-					t.Fatalf("rep %d: flow total %v, brute force %v (cost %v)", rep, fTotal, bTotal, cost)
-				}
-				// Each solver's own assignment must be injective and cost
-				// what it claims.
-				for name, assign := range map[string][]int{"hungarian": hAssign, "flow": fAssign} {
-					seen := make(map[int]bool, tc.n)
-					total := 0.0
-					for i, j := range assign {
-						if j < 0 || j >= tc.m || seen[j] {
-							t.Fatalf("rep %d: %s assignment invalid: %v", rep, name, assign)
-						}
-						seen[j] = true
-						total += cost[i][j]
-					}
-					if math.Abs(total-bTotal) > 1e-9 {
-						t.Fatalf("rep %d: %s assignment costs %v, claims optimal %v", rep, name, total, bTotal)
-					}
-				}
+				agreeWithBrute(t, fmt.Sprintf("rep %d", rep), cost, tc.m, randCaps(src, tc.n, tc.m))
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package match
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/pombm/pombm/internal/hst"
 )
@@ -68,65 +67,4 @@ func (g *HSTGreedyCapacitated) Assign(t hst.Code) int {
 		g.index.Remove(g.codes[id], id)
 	}
 	return id
-}
-
-// OptimalCapacitated computes the offline minimum-cost assignment of all
-// tasks to workers subject to capacities, via min-cost max-flow. It errors
-// when total capacity cannot cover the tasks.
-func OptimalCapacitated(nTasks int, capacity []int, dist func(task, worker int) float64) ([]int, float64, error) {
-	nWorkers := len(capacity)
-	total := 0
-	for _, c := range capacity {
-		if c < 0 {
-			return nil, 0, errors.New("match: negative capacity")
-		}
-		total += c
-	}
-	if total < nTasks {
-		return nil, 0, fmt.Errorf("match: capacity %d cannot cover %d tasks", total, nTasks)
-	}
-	if nTasks == 0 {
-		return nil, 0, nil
-	}
-	// Nodes: 0 source, 1..nTasks tasks, nTasks+1..nTasks+nWorkers workers, sink.
-	src, sink := 0, nTasks+nWorkers+1
-	f := NewMinCostFlow(nTasks + nWorkers + 2)
-	for i := 0; i < nTasks; i++ {
-		if _, err := f.AddEdge(src, 1+i, 1, 0); err != nil {
-			return nil, 0, err
-		}
-	}
-	base := f.NumEdges()
-	for i := 0; i < nTasks; i++ {
-		for j := 0; j < nWorkers; j++ {
-			d := dist(i, j)
-			if math.IsNaN(d) || math.IsInf(d, 0) {
-				return nil, 0, fmt.Errorf("match: non-finite cost %v for task %d, worker %d", d, i, j)
-			}
-			if _, err := f.AddEdge(1+i, 1+nTasks+j, 1, d); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	for j := 0; j < nWorkers; j++ {
-		if _, err := f.AddEdge(1+nTasks+j, sink, capacity[j], 0); err != nil {
-			return nil, 0, err
-		}
-	}
-	flow, cost := f.Run(src, sink, nTasks)
-	if flow < nTasks {
-		return nil, 0, errors.New("match: flow could not cover all tasks")
-	}
-	assign := make([]int, nTasks)
-	for i := 0; i < nTasks; i++ {
-		assign[i] = NoWorker
-		for j := 0; j < nWorkers; j++ {
-			e := base + 2*(i*nWorkers+j)
-			if f.Residual(e) == 0 {
-				assign[i] = j
-				break
-			}
-		}
-	}
-	return assign, cost, nil
 }

@@ -121,11 +121,14 @@ func TestOptimalCapacitatedErrors(t *testing.T) {
 	}
 }
 
-func TestOptimalCapacitatedMatchesHungarianOnUnitCaps(t *testing.T) {
+// TestOptimalCapacitatedMatchesBruteForce holds OptimalCapacitated to the
+// capacitated brute force under unit and random capacities, including more
+// tasks than workers.
+func TestOptimalCapacitatedMatchesBruteForce(t *testing.T) {
 	src := rng.New(15)
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		n := 1 + src.Intn(6)
-		m := n + src.Intn(4)
+		m := 1 + src.Intn(5)
 		cost := make([][]float64, n)
 		for i := range cost {
 			cost[i] = make([]float64, m)
@@ -133,20 +136,19 @@ func TestOptimalCapacitatedMatchesHungarianOnUnitCaps(t *testing.T) {
 				cost[i][j] = src.Uniform(0, 50)
 			}
 		}
-		caps := make([]int, m)
-		for j := range caps {
-			caps[j] = 1
+		caps := randCaps(src, n, m)
+		if trial%2 == 0 && m >= n {
+			caps = unitCaps(m)
 		}
-		_, want, err := Hungarian(cost)
+		assign, got, err := OptimalCapacitated(n, caps, matrixDist(cost))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := OptimalCapacitated(n, caps, func(i, j int) float64 { return cost[i][j] })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("trial %d: capacitated %v ≠ Hungarian %v", trial, got, want)
+		wantN, want := bruteAssign(cost, caps)
+		gotN, sum := checkAssign(t, "trial", assign, cost, caps)
+		if gotN != n || wantN != n || math.Abs(got-want) > 1e-9 || math.Abs(sum-got) > 1e-9 {
+			t.Fatalf("trial %d: capacitated %d tasks for %v (sums to %v), brute force %d for %v; caps %v",
+				trial, gotN, got, sum, wantN, want, caps)
 		}
 	}
 }

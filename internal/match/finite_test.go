@@ -5,22 +5,16 @@ import (
 	"testing"
 )
 
-// TestNonFiniteCostsRejected pins the hardening contract: NaN and ±Inf
-// entries anywhere in the cost matrix make Hungarian, AssignViaFlow,
-// Optimal, and OptimalCapacitated return an explicit error instead of a
-// silent bad assignment.
+// TestNonFiniteCostsRejected pins the hardening contract: a NaN, ±Inf or
+// negative entry anywhere in the cost matrix makes Optimal and
+// OptimalCapacitated return an explicit error instead of a silent bad
+// assignment.
 func TestNonFiniteCostsRejected(t *testing.T) {
-	bads := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	bads := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
 	for _, bad := range bads {
 		cost := [][]float64{
 			{1, 2, 3},
 			{4, bad, 6},
-		}
-		if _, _, err := Hungarian(cost); err == nil {
-			t.Errorf("Hungarian accepted cost %v", bad)
-		}
-		if _, _, err := AssignViaFlow(cost); err == nil {
-			t.Errorf("AssignViaFlow accepted cost %v", bad)
 		}
 		dist := func(i, j int) float64 { return cost[i][j] }
 		if _, _, err := Optimal(2, 3, dist); err == nil {
@@ -46,23 +40,23 @@ func TestOptimalTransposedNonFinite(t *testing.T) {
 }
 
 // TestFiniteCostsStillSolve guards against over-eager rejection: ordinary
-// finite matrices keep solving exactly as before.
+// finite matrices keep solving exactly as before, zero costs included.
 func TestFiniteCostsStillSolve(t *testing.T) {
 	cost := [][]float64{
 		{4, 1, 3},
 		{2, 0, 5},
 	}
-	assign, total, err := Hungarian(cost)
+	assign, total, err := Optimal(2, 3, matrixDist(cost))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total != 3 { // rows take columns 1 and 0 (1 + 2)
-		t.Errorf("Hungarian total = %v, want 3", total)
+		t.Errorf("Optimal total = %v, want 3", total)
 	}
 	if assign[0] == assign[1] {
-		t.Errorf("Hungarian reused a column: %v", assign)
+		t.Errorf("Optimal reused a column: %v", assign)
 	}
-	if _, ftotal, err := AssignViaFlow(cost); err != nil || ftotal != total {
-		t.Errorf("AssignViaFlow = (%v, %v), want total %v", ftotal, err, total)
+	if _, ctotal, err := OptimalCapacitated(2, []int{1, 1, 1}, matrixDist(cost)); err != nil || ctotal != total {
+		t.Errorf("OptimalCapacitated = (%v, %v), want total %v", ctotal, err, total)
 	}
 }

@@ -1,24 +1,22 @@
 package match
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-// FuzzHungarian decodes small cost matrices from fuzz bytes and checks the
-// Hungarian result against the flow solver and against validity bounds.
-func FuzzHungarian(f *testing.F) {
+// FuzzOptimal decodes small cost matrices and capacities from fuzz bytes
+// and holds Optimal, in both orientations, and OptimalCapacitated to the
+// brute-force optimum (agreeWithBrute).
+func FuzzOptimal(f *testing.F) {
 	f.Add([]byte{2, 3, 10, 20, 30, 40, 50, 60})
 	f.Add([]byte{1, 1, 7})
 	f.Add([]byte{3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{4, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		n := int(data[0]%4) + 1
 		m := n + int(data[1]%3)
-		need := n * m
-		if len(data)-2 < need {
+		if len(data)-2 < n*m {
 			return
 		}
 		cost := make([][]float64, n)
@@ -28,47 +26,20 @@ func FuzzHungarian(f *testing.F) {
 				cost[i][j] = float64(data[2+i*m+j]) / 4
 			}
 		}
-		assign, total, err := Hungarian(cost)
-		if err != nil {
-			t.Fatalf("Hungarian: %v", err)
-		}
-		// Valid injective assignment consistent with the total.
-		seen := map[int]bool{}
-		var check float64
-		for i, j := range assign {
-			if j < 0 || j >= m || seen[j] {
-				t.Fatalf("invalid assignment %v", assign)
+		// Capacities in 0..2 from the bytes after the matrix (0 when they
+		// run out), topped up until they cover the tasks.
+		caps := make([]int, m)
+		total := 0
+		for j := range caps {
+			if k := 2 + n*m + j; k < len(data) {
+				caps[j] = int(data[k] % 3)
 			}
-			seen[j] = true
-			check += cost[i][j]
+			total += caps[j]
 		}
-		if math.Abs(check-total) > 1e-9 {
-			t.Fatalf("total %v vs recomputed %v", total, check)
+		for j := 0; total < n; j = (j + 1) % m {
+			caps[j]++
+			total++
 		}
-		// Agreement with the independent flow solver.
-		_, flowTotal, err := AssignViaFlow(cost)
-		if err != nil {
-			t.Fatalf("flow: %v", err)
-		}
-		if math.Abs(total-flowTotal) > 1e-6 {
-			t.Fatalf("Hungarian %v ≠ flow %v", total, flowTotal)
-		}
-		// No better greedy row-by-row assignment (optimality lower bound
-		// check: optimal ≤ greedy).
-		used := make([]bool, m)
-		var greedy float64
-		for i := 0; i < n; i++ {
-			best, bestC := -1, math.Inf(1)
-			for j := 0; j < m; j++ {
-				if !used[j] && cost[i][j] < bestC {
-					best, bestC = j, cost[i][j]
-				}
-			}
-			used[best] = true
-			greedy += bestC
-		}
-		if total > greedy+1e-9 {
-			t.Fatalf("optimal %v exceeds greedy %v", total, greedy)
-		}
+		agreeWithBrute(t, "fuzz", cost, m, caps)
 	})
 }

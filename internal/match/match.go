@@ -1,9 +1,9 @@
 // Package match implements the task-assignment algorithms of the POMBM
 // evaluation: the Euclidean greedy of Lap-GR, the HST-Greedy of Alg. 4 (in
 // the paper's O(n)-scan form and an O(D) trie-indexed form), offline optimal
-// matching (Hungarian algorithm and min-cost max-flow) for competitive-ratio
-// measurements, and the matching-size maximisation matchers of the Sec. IV-C
-// case study (TBF-size and the Prob baseline).
+// matching (on flow.Bipartite, with or without capacities) for
+// competitive-ratio measurements, and the matching-size maximisation
+// matchers of the Sec. IV-C case study (TBF-size and the Prob baseline).
 //
 // Matchers are online: they are constructed over the worker set and fed
 // tasks one at a time, mirroring the interaction model where tasks appear

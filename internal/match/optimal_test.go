@@ -7,7 +7,7 @@ import (
 	"github.com/pombm/pombm/internal/rng"
 )
 
-func TestHungarianKnownInstances(t *testing.T) {
+func TestOptimalKnownInstances(t *testing.T) {
 	tests := []struct {
 		name string
 		cost [][]float64
@@ -28,7 +28,8 @@ func TestHungarianKnownInstances(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			assign, total, err := Hungarian(tt.cost)
+			m := len(tt.cost[0])
+			assign, total, err := Optimal(len(tt.cost), m, matrixDist(tt.cost))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,37 +38,18 @@ func TestHungarianKnownInstances(t *testing.T) {
 			}
 			// Assignment must be a valid injective mapping consistent with
 			// the reported total.
-			seen := map[int]bool{}
-			var check float64
-			for i, j := range assign {
-				if j < 0 || j >= len(tt.cost[0]) || seen[j] {
-					t.Fatalf("invalid assignment %v", assign)
-				}
-				seen[j] = true
-				check += tt.cost[i][j]
-			}
-			if math.Abs(check-total) > 1e-9 {
-				t.Errorf("assignment cost %v ≠ reported %v", check, total)
+			n, check := checkAssign(t, tt.name, assign, tt.cost, unitCaps(m))
+			if n != len(tt.cost) || math.Abs(check-total) > 1e-9 {
+				t.Errorf("assignment %v matches %d rows for %v, reported %v", assign, n, check, total)
 			}
 		})
 	}
 }
 
-func TestHungarianErrors(t *testing.T) {
-	if _, _, err := Hungarian([][]float64{{1, 2}, {3, 4}, {5, 6}}); err == nil {
-		t.Error("rows > cols accepted")
-	}
-	if _, _, err := Hungarian([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged matrix accepted")
-	}
-	if assign, total, err := Hungarian(nil); err != nil || assign != nil || total != 0 {
-		t.Error("empty matrix mishandled")
-	}
-}
-
-// TestHungarianMatchesBruteForce enumerates all assignments on small random
-// instances.
-func TestHungarianMatchesBruteForce(t *testing.T) {
+// TestOptimalMatchesBruteForce enumerates all assignments on small random
+// instances with real-valued costs, in both orientations and under random
+// capacities.
+func TestOptimalMatchesBruteForce(t *testing.T) {
 	src := rng.New(99)
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + src.Intn(5)
@@ -76,69 +58,10 @@ func TestHungarianMatchesBruteForce(t *testing.T) {
 		for i := range cost {
 			cost[i] = make([]float64, m)
 			for j := range cost[i] {
-				cost[i][j] = math.Floor(src.Uniform(0, 100)) / 4
+				cost[i][j] = src.Uniform(0, 100)
 			}
 		}
-		_, got, err := Hungarian(cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteAssignment(cost)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: Hungarian %v, brute %v (cost %v)", trial, got, want, cost)
-		}
-	}
-}
-
-// bruteAssignment exhaustively minimises over injective row→column maps.
-func bruteAssignment(cost [][]float64) float64 {
-	n, m := len(cost), len(cost[0])
-	usedCols := make([]bool, m)
-	best := math.Inf(1)
-	var rec func(row int, acc float64)
-	rec = func(row int, acc float64) {
-		if acc >= best {
-			return
-		}
-		if row == n {
-			best = acc
-			return
-		}
-		for j := 0; j < m; j++ {
-			if !usedCols[j] {
-				usedCols[j] = true
-				rec(row+1, acc+cost[row][j])
-				usedCols[j] = false
-			}
-		}
-	}
-	rec(0, 0)
-	return best
-}
-
-func TestHungarianAgreesWithFlow(t *testing.T) {
-	src := rng.New(1234)
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + src.Intn(18)
-		m := n + src.Intn(10)
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, m)
-			for j := range cost[i] {
-				cost[i][j] = src.Uniform(0, 50)
-			}
-		}
-		_, hTotal, err := Hungarian(cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, fTotal, err := AssignViaFlow(cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(hTotal-fTotal) > 1e-6 {
-			t.Fatalf("trial %d: Hungarian %v ≠ flow %v", trial, hTotal, fTotal)
-		}
+		agreeWithBrute(t, "trial", cost, m, randCaps(src, n, m))
 	}
 }
 

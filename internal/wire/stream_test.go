@@ -14,7 +14,8 @@ import (
 const testProtocol = "wire-test/1"
 
 // echoServer upgrades every request and answers each frame with its own
-// payload, counting the answers written.
+// payload, counting the answers written. Its cleanup ends every stream and
+// waits out every Serve, so no test leaves one behind for the next to count.
 func echoServer(t *testing.T, streams *Streams, wrote *atomic.Int64) *httptest.Server {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		err := streams.Serve(w, testProtocol, 1<<10, time.Minute,
@@ -24,8 +25,24 @@ func echoServer(t *testing.T, streams *Streams, wrote *atomic.Int64) *httptest.S
 			t.Error(err)
 		}
 	}))
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		streams.Close()
+		waitServeReturned(t)
+	})
 	return ts
+}
+
+// waitServeReturned waits until no goroutine is inside Serve. Streams.Close
+// waits for every Serve to let go of its connection; the return from Serve
+// is a few instructions behind that.
+func waitServeReturned(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); servingGoroutines() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still in Serve after Close", servingGoroutines())
+		}
+	}
 }
 
 func dialEcho(t *testing.T, ts *httptest.Server) (*Stream, error) {
@@ -108,13 +125,7 @@ func TestCloseEndsServing(t *testing.T) {
 	if got := streams.Open(); got != 0 {
 		t.Errorf("%d streams open after Close", got)
 	}
-	// Close waited for every Serve to let go of its connection; the return
-	// from Serve is a few instructions behind that.
-	for deadline := time.Now().Add(10 * time.Second); servingGoroutines() != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still in Serve after Close", servingGoroutines())
-		}
-	}
+	waitServeReturned(t)
 	for _, s := range open {
 		if _, err := s.Exchange(time.Second, 1<<10, func(dst []byte) []byte { return append(dst, 'x') }); err == nil {
 			t.Error("a closed stream answered")

@@ -12,7 +12,7 @@ import (
 // lineBudget is the number of lines of non-test Go outside benchmark/, and
 // it only ratchets down (ROADMAP aim 2): a change that deletes lowers it in
 // the same commit, and one that must raise it says why in CHANGES.md.
-const lineBudget = 22064
+const lineBudget = 21671
 
 func TestLineBudget(t *testing.T) {
 	lines := 0

@@ -10,7 +10,7 @@
 //   - The paper's ε-Geo-Indistinguishable privacy mechanism on HST leaves,
 //     with the O(D) random-walk sampler (Algs. 2–3).
 //   - Online matchers: HST-Greedy (Alg. 4, scan and trie-indexed forms),
-//     Euclidean greedy, offline-optimal solvers (Hungarian, min-cost flow),
+//     Euclidean greedy, the offline optimum (with or without capacities),
 //     and the matching-size matchers of the paper's case study.
 //   - Baseline mechanisms (planar Laplace of Andrés et al., grid
 //     exponential), ready-made pipelines (TBF, Lap-GR, Lap-HG, Prob),
@@ -148,9 +148,6 @@ func NewAssignmentEngine(tree *HST, shards int) (*AssignmentEngine, error) {
 
 // NoWorker is returned by matchers when no worker can be assigned.
 const NoWorker = match.NoWorker
-
-// Hungarian solves the rectangular assignment problem (rows ≤ columns).
-func Hungarian(cost [][]float64) ([]int, float64, error) { return match.Hungarian(cost) }
 
 // OptimalMatching computes the offline optimal matching cost with a
 // caller-supplied distance, saturating the smaller side.

@@ -74,12 +74,12 @@ func TestFacadeHSTAndMechanism(t *testing.T) {
 
 func TestFacadeMatching(t *testing.T) {
 	cost := [][]float64{{4, 1, 3}, {2, 0, 5}, {3, 2, 2}}
-	_, total, err := pombm.Hungarian(cost)
+	_, total, err := pombm.OptimalMatching(3, 3, func(t_, w int) float64 { return cost[t_][w] })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(total-5) > 1e-9 {
-		t.Errorf("Hungarian total = %v", total)
+		t.Errorf("matrix optimum = %v", total)
 	}
 	_, opt, err := pombm.OptimalMatching(2, 3, func(t_, w int) float64 {
 		return math.Abs(float64(t_*10) - float64(w*9))
