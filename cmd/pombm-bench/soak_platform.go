@@ -61,12 +61,14 @@ type platformSoakReport struct {
 	FinalHeapBytesPerWorker float64 `json:"final_heap_bytes_per_worker"`
 }
 
-// registryBytesBound is the most a table of n slots may allocate here: 64 B
-// a slot — the 40 B record, the 10 B code of the lane's depth-10 tree, and
-// the id index, whose 4 B entries at load ¼–½ cost 8–16 B and under 14 B
-// at both suites' populations — plus one 1,024-slot page of slack and the
-// smallest index.
-func registryBytesBound(n int) int { return 64*n + 64<<10 + 64 }
+// registryBytesBound is the most a table of n slots may allocate here: 44 B
+// a slot — the 16 B record, the 10 B code of the lane's depth-10 tree, an
+// id ("w" and at most seven digits) behind its length byte in the id slab,
+// and the id index, whose 4 B entries cost 5–7.5 B (a rotation sizes it at
+// 53–80 % load, and an epoch's churn is too small to double it) — plus one
+// 1,024-slot page of records and codes, one 16 KiB id chunk of slack and
+// the smallest index.
+func registryBytesBound(n int) int { return 44*n + 1024*(16+10) + 16<<10 + 4*24 }
 
 // platformSoak is the driver's book of who is where.
 type platformSoak struct {

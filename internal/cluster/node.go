@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net/http"
@@ -276,53 +278,78 @@ var _ NodeConn = (*Node)(nil)
 func LocalNode(n *Node) NodeConn { return n }
 
 // replayCache remembers the response bytes of recently applied mutations
-// keyed by idempotency key, with two-generation rotation bounding memory:
-// a key survives at least capPerGen further distinct mutations, far longer
+// by idempotency key, with two-generation rotation bounding memory: a key
+// survives at least replayCapPerGen further distinct mutations, far longer
 // than any transport retry window.
+//
+// A key is kept as a 128-bit digest, two maphash values under independent
+// seeds, so a lookup takes one key for another with probability 2⁻¹²⁸ a
+// pair of distinct keys. An answer is a uint32 handle: 0 is the one answer
+// most entries hold, the bare ack of an insert, add-capacity or consume
+// (ackOK, shared); any other value is one past the offset of the answer,
+// behind its length, in its generation's slab.
 type replayCache struct {
-	mu   sync.Mutex
-	cur  map[string][]byte
-	prev map[string][]byte
+	mu        sync.Mutex
+	seeds     [2]maphash.Seed
+	cur, prev replayGen
+}
+
+type replayGen struct {
+	keys    map[[2]uint64]uint32
+	answers []byte
 }
 
 const replayCapPerGen = 4096
 
 func newReplayCache() *replayCache {
-	return &replayCache{cur: map[string][]byte{}}
+	return &replayCache{seeds: [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
+		cur: replayGen{keys: map[[2]uint64]uint32{}}}
 }
 
+func (c *replayCache) digest(key string) [2]uint64 {
+	return [2]uint64{maphash.String(c.seeds[0], key), maphash.String(c.seeds[1], key)}
+}
+
+// get returns the answer recorded under key. The bytes are never written
+// again, so the caller may read them after the cache moved on.
 func (c *replayCache) get(key string) ([]byte, bool) {
 	if key == "" {
 		return nil, false
 	}
+	d := c.digest(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b, ok := c.cur[key]; ok {
-		return b, true
+	for _, g := range [...]*replayGen{&c.cur, &c.prev} {
+		if h, ok := g.keys[d]; ok {
+			if h == 0 {
+				return ackOK, true
+			}
+			n, k := binary.Uvarint(g.answers[h-1:])
+			start := int(h-1) + k
+			return g.answers[start : start+int(n) : start+int(n)], true
+		}
 	}
-	b, ok := c.prev[key]
-	return b, ok
+	return nil, false
 }
 
-// put records body under key. body is the caller's scratch: the cache keeps
-// its own copy, except of the one answer most entries hold — the bare ack
-// of an insert, add-capacity or consume — which every such entry shares.
+// put records body, the caller's scratch, under key: as the shared ack's
+// handle or appended to the generation's slab.
 func (c *replayCache) put(key string, body []byte) {
 	if key == "" {
 		return
 	}
-	if bytes.Equal(body, ackOK) {
-		body = ackOK
-	} else {
-		body = bytes.Clone(body)
-	}
+	d := c.digest(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.cur) >= replayCapPerGen {
-		c.prev = c.cur
-		c.cur = map[string][]byte{}
+	if len(c.cur.keys) >= replayCapPerGen || uint64(len(c.cur.answers)+len(body)) >= math.MaxUint32-binary.MaxVarintLen64 {
+		c.prev, c.cur = c.cur, replayGen{keys: map[[2]uint64]uint32{}}
 	}
-	c.cur[key] = body
+	h := uint32(0)
+	if !bytes.Equal(body, ackOK) {
+		h = uint32(len(c.cur.answers)) + 1
+		c.cur.answers = append(binary.AppendUvarint(c.cur.answers, uint64(len(body))), body...)
+	}
+	c.cur.keys[d] = h
 }
 
 // nodeError folds a node-side error into the structured taxonomy for the

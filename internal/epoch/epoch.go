@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/pombm/pombm/internal/engine"
@@ -156,7 +157,9 @@ func (c *Controller) Epsilon() float64 { return c.eps }
 // Afford checks one fresh report for the worker against its lifetime
 // budget, given what the worker has spent so far (the caller owns that
 // cell). On exhaustion the worker is parked and the returned error wraps
-// ErrBudgetExhausted; an already-parked worker is refused the same way.
+// ErrBudgetExhausted; an already-parked worker is refused the same way. The
+// parked set keeps its own copy of the id: a caller's may be a view of
+// storage it later drops.
 // Nothing is charged: the caller runs whatever can still refuse the report
 // (an engine insert, a swap) and calls Charge once it was accepted, so a
 // refused report never burns budget. With accounting disabled only the
@@ -170,7 +173,7 @@ func (c *Controller) Afford(worker string, spent float64) error {
 	if c.budget == nil || c.budget.Affords(spent, c.eps) {
 		return nil
 	}
-	c.parked[worker] = struct{}{}
+	c.parked[strings.Clone(worker)] = struct{}{}
 	return fmt.Errorf("%w: worker %q spent %.4g of %.4g, requested %.4g",
 		ErrBudgetExhausted, worker, spent, c.budget.Limit(), c.eps)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
@@ -174,6 +175,24 @@ func TestControllerLifecycle(t *testing.T) {
 	}
 	if st.Rotated != 3 { // 2 in plan1 + 1 in plan2
 		t.Fatalf("Rotated = %d, want 3", st.Rotated)
+	}
+}
+
+// TestParkedKeepsItsOwnID pins that the parked set copies the id it parks:
+// a caller may pass a view of storage it later overwrites or drops (the
+// platform's id slab).
+func TestParkedKeepsItsOwnID(t *testing.T) {
+	c, err := NewController(Config{Tree: buildTree(t, 1, 4), Epsilon: 0.5, Lifetime: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("worker-7")
+	if err := c.Afford(unsafe.String(&buf[0], len(buf)), 0.5); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("over-budget afford: %v", err)
+	}
+	copy(buf, "xxxxxxxx")
+	if !c.Parked("worker-7") || c.Parked("xxxxxxxx") {
+		t.Fatal("the parked set reads the caller's bytes, not its own copy")
 	}
 }
 

@@ -3,9 +3,12 @@ package platform
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/epoch"
@@ -24,6 +27,10 @@ type modelWorker struct {
 	active    int
 	withdrawn bool // spare units gone; offline at its last completion
 	gone      bool // offline: no live stint
+	// spent is the ledger cell the server must report for the id, online or
+	// compacted into the departed ledger: ε added per accepted fresh report,
+	// in the order the server adds it.
+	spent float64
 }
 
 func (w *modelWorker) pooled() bool { return !w.gone && !w.withdrawn && w.active < w.capacity }
@@ -39,6 +46,22 @@ type registryModel struct {
 	workers map[string]*modelWorker
 	names   []string       // every id ever registered, in order
 	codes   map[int]string // slot → code, for every slot holding a report of the serving epoch
+	// straddled is set once a check has read an id that crosses a chunk end
+	// of the id slab.
+	straddled bool
+}
+
+// modelEps is the ε every fresh report spends.
+const modelEps = 0.6
+
+// modelID names the n-th id: lengths cycle through 2–66 bytes, so chunk
+// ends of the id slab fall inside ids, and the hundredth is 4 KiB.
+func modelID(n int) string {
+	pad := n % 61
+	if n == 100 {
+		pad = 4 << 10
+	}
+	return fmt.Sprintf("w%d", n) + strings.Repeat("x", pad)
 }
 
 // randCode draws a request's code bytes: any leaf of the tree, fake ones
@@ -65,17 +88,20 @@ func (m *registryModel) pick(keep func(*modelWorker) bool) string {
 func (m *registryModel) register() {
 	id := m.pick(func(w *modelWorker) bool { return w.gone })
 	if id == "" || m.src.Intn(2) == 0 {
-		id = fmt.Sprintf("w%d", len(m.names))
+		id = modelID(len(m.names))
 	}
 	code := m.randCode(m.s.pub.Tree)
 	if r := m.s.Register(RegisterRequest{WorkerID: id, Code: code}); !r.OK {
 		m.t.Fatalf("register %s: %s", id, r.Reason)
 	}
 	slot, _ := m.s.tab.lookup(id)
-	if _, known := m.workers[id]; !known {
+	spent := 0.0
+	if w, known := m.workers[id]; known {
+		spent = w.spent
+	} else {
 		m.names = append(m.names, id)
 	}
-	m.workers[id] = &modelWorker{slot: slot, epoch: m.s.epoch, capacity: 2}
+	m.workers[id] = &modelWorker{slot: slot, epoch: m.s.epoch, capacity: 2, spent: spent + modelEps}
 	m.codes[slot] = string(code)
 	clear(code) // the request's bytes are the caller's again
 }
@@ -128,6 +154,7 @@ func (m *registryModel) release(fresh bool) {
 		}
 		w.active--
 		if fresh {
+			w.spent += modelEps
 			w.epoch = m.s.epoch
 			m.codes[w.slot] = string(req.Code)
 			clear(req.Code)
@@ -144,6 +171,7 @@ func (m *registryModel) reregister() {
 	if r := m.s.Reregister(ReregisterRequest{WorkerID: id, Code: code}); !r.OK {
 		m.t.Fatalf("reregister %s: %s", id, r.Reason)
 	}
+	m.workers[id].spent += modelEps
 	m.codes[m.workers[id].slot] = string(code)
 	clear(code)
 }
@@ -176,9 +204,22 @@ func (m *registryModel) rotate() {
 			reports = append(reports, WorkerReport{WorkerID: id, Code: m.randCode(prep.Tree)})
 		}
 	}
+	old := m.s.tab
 	resp := m.s.Rotate(RotateRequest{Epoch: prep.Epoch, Reports: reports})
 	if !resp.OK || resp.Rotated != len(reports) || resp.Skipped != 0 {
 		m.t.Fatalf("rotate with %d reports: %+v", len(reports), resp)
+	}
+	// The departed ledger holds ids of its own: none is a view of a slab
+	// the rotation dropped, or of the new one.
+	for id := range m.s.departed {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(id)))
+		for _, tab := range []*slotTable{old, m.s.tab} {
+			for _, c := range tab.slab {
+				if base := uintptr(unsafe.Pointer(c)); p >= base && p < base+idChunkLen {
+					m.t.Fatalf("departed id %.12q… is a view of a table's id slab", id)
+				}
+			}
+		}
 	}
 	fresh := map[string]string{}
 	for _, r := range reports {
@@ -196,6 +237,7 @@ func (m *registryModel) rotate() {
 		switch {
 		case reported:
 			w.epoch = prep.Epoch
+			w.spent += modelEps
 		case w.pooled():
 			dropped++
 			if w.withdrawn = true; w.active == 0 {
@@ -239,10 +281,18 @@ func (m *registryModel) check(step int, op string) {
 	for _, id := range m.names {
 		w := m.workers[id]
 		slot, ok := tab.lookup(id)
-		if !ok && w.gone {
-			continue // compacted away
+		// Server.Spent's reading, without its lock and second lookup.
+		if spent := m.s.departed[id]; ok && tab.at(slot).spent != w.spent || !ok && spent != w.spent {
+			m.t.Fatalf("step %d (%s): %.12q… has spent %v (table) or %v (departed), the model %v",
+				step, op, id, tab.at(slot).spent, spent, w.spent)
 		}
-		if !ok || tab.at(slot).id != id {
+		if !ok && w.gone {
+			continue // compacted away, its spend in the departed ledger
+		}
+		if off, n := tab.idSpan(tab.at(slot).id); off&(idChunkLen-1)+n > idChunkLen {
+			m.straddled = true
+		}
+		if !ok || tab.id(slot) != id {
 			m.t.Fatalf("step %d (%s): %s resolves to slot %d, %v", step, op, id, slot, ok)
 		}
 		if w.gone {
@@ -329,7 +379,7 @@ func TestRegistryMatchesCodeModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.rot, err = epoch.NewController(epoch.Config{Tree: tc.next, Seed: 42, Epsilon: 0.6}); err != nil {
+			if s.rot, err = epoch.NewController(epoch.Config{Tree: tc.next, Seed: 42, Epsilon: modelEps, Lifetime: 1e9}); err != nil {
 				t.Fatal(err)
 			}
 			m := &registryModel{t: t, s: s, eng: eng, src: rng.New(17),
@@ -376,9 +426,10 @@ func TestRegistryMatchesCodeModel(t *testing.T) {
 			if got := s.pub.Tree.Depth(); got != tc.next.Depth() || s.epoch != 4 {
 				t.Fatalf("serving depth %d at epoch %d, want %d at 4", got, s.epoch, tc.next.Depth())
 			}
-			if !carriedTwice || rotatedPages < 2 {
-				t.Fatalf("the tape carried no stint across two rotations (%v) or no rotation built a second page (%d)",
-					carriedTwice, rotatedPages)
+			if !carriedTwice || rotatedPages < 2 || !m.straddled || len(s.departed) == 0 {
+				t.Fatalf("the tape carried no stint across two rotations (%v), no rotation built a second page (%d), "+
+					"no id crossed an id-slab chunk end (%v) or none left a departed-ledger entry (%d)",
+					carriedTwice, rotatedPages, m.straddled, len(s.departed))
 			}
 			keys := make([]string, 0, len(ops))
 			for op := range ops {
@@ -388,6 +439,55 @@ func TestRegistryMatchesCodeModel(t *testing.T) {
 			t.Log(strings.Join(keys, " "))
 		})
 	}
+}
+
+// TestSubmittedIDOutlivesItsTable pins the id slab's one escaping view: the
+// WorkerID a Submit answers reads the table's slab in place, and it must
+// still read the same bytes once two rotations dropped that table, the
+// collector took it and its memory may have been handed out again.
+func TestSubmittedIDOutlivesItsTable(t *testing.T) {
+	s := newTestServer(t)
+	registerN(t, s, 40)
+	resp := s.Submit(TaskRequest{Code: leaf(s, 0)})
+	if !resp.Assigned {
+		t.Fatal(resp.Reason)
+	}
+	want, view := strings.Clone(resp.WorkerID), false
+	p := uintptr(unsafe.Pointer(unsafe.StringData(resp.WorkerID)))
+	for _, c := range s.tab.slab {
+		base := uintptr(unsafe.Pointer(c))
+		view = view || (p >= base && p < base+idChunkLen)
+	}
+	if !view {
+		t.Fatal("Submit answered a copy of the id; this test needs a view of the slab")
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(s.tab, func(*slotTable) { close(collected) })
+	for i := uint64(0); i < 2; i++ {
+		if r := s.RotateNow(PrepareRotateRequest{}, nil, rotReporter(rng.New(i))); !r.OK {
+			t.Fatal(r.Reason)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().Before(deadline) {
+				continue
+			}
+			t.Fatal("the rotated-away table was never collected")
+		}
+		break
+	}
+	garbage := make([][]byte, 64)
+	for i := range garbage {
+		garbage[i] = bytes.Repeat([]byte{0xff}, idChunkLen)
+	}
+	if resp.WorkerID != want {
+		t.Fatalf("the answered WorkerID reads %q after its table was collected, want %q", resp.WorkerID, want)
+	}
+	runtime.KeepAlive(garbage)
 }
 
 // TestCodeViewsDoNotEscape pins where the slab's zero-copy views end. The

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
@@ -84,7 +85,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	for _, r := range req.Reports {
 		slot, known := old.lookup(r.WorkerID)
 		code := codeView(r.Code) // copied into the next table below
-		if !known || reported[slot] || old.at(slot).state != stateAvailable ||
+		if !known || reported[slot] || old.at(slot).state() != stateAvailable ||
 			staged.Tree.CheckCode(code) != nil {
 			resp.Skipped++
 			continue
@@ -114,17 +115,11 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// further behind and their old-tree codes left with the old table.
 	// leaving collects the slots whose id drops out of the table with a
 	// ledger cell to keep.
-	next := newSlotTable(len(slots), plan.Tree.Depth(), plan.Epoch)
-	carry := func(rec record) {
-		rec.lag += uint32(plan.Epoch - old.epoch)
-		next.add(rec, "")
-	}
-	var leaving []int
+	var carry, leaving []int
 	for slot := 0; slot < old.len(); slot++ {
-		rec := old.at(slot)
-		switch rec.state {
+		switch old.at(slot).state() {
 		case stateAssigned, stateAssignedGone:
-			carry(*rec)
+			carry = append(carry, slot)
 		case stateAvailable:
 			if reported[slot] {
 				continue // rotates or parks below, in report order
@@ -134,11 +129,9 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			// worker may register back later with a fresh spend. A
 			// capacitated one still owes completions: it finishes them
 			// offline and goes fully gone at its last Release.
-			resp.Dropped = append(resp.Dropped, rec.id)
-			if rec.active > 0 {
-				gone := *rec
-				gone.state = stateAssignedGone
-				carry(gone)
+			resp.Dropped = append(resp.Dropped, old.id(slot))
+			if old.units(slot).active > 0 {
+				carry = append(carry, slot)
 			} else {
 				leaving = append(leaving, slot)
 			}
@@ -146,19 +139,26 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			leaving = append(leaving, slot)
 		}
 	}
+	next := newSlotTable(len(carry)+len(slots), plan.Tree.Depth(), plan.Epoch)
+	for _, slot := range carry {
+		st := old.at(slot).state()
+		if st == stateAvailable {
+			st = stateAssignedGone // dropped with completions owed
+		}
+		next.adopt(old, slot, st, old.at(slot).lag()+plan.Epoch-old.epoch, "")
+	}
 	// Then the rotated workers, in report order. A capacitated worker
 	// carries its remaining units (capacity − active) into the new epoch.
 	carried := next.len()
 	for i := range plan.Outcomes {
 		o := &plan.Outcomes[i]
-		rec := old.at(slots[i])
-		if s.rot.Afford(o.Worker, rec.spent) != nil {
+		if s.rot.Afford(o.Worker, old.at(slots[i]).spent) != nil {
 			o.Parked = true
 			resp.Parked = append(resp.Parked, o.Worker)
 			leaving = append(leaving, slots[i])
 			continue
 		}
-		next.add(*rec, o.Code)
+		next.adopt(old, slots[i], stateAvailable, 0, o.Code)
 	}
 	resp.Rotated = next.len() - carried
 
@@ -170,8 +170,8 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// materializing a second copy beside the table.
 	populate := func(yield func(engine.EpochInsert) bool) {
 		for slot := carried; slot < next.len(); slot++ {
-			rec := next.at(slot)
-			if !yield(engine.EpochInsert{Code: next.code(slot), ID: slot, Cap: int(rec.capacity - rec.active)}) {
+			u := next.units(slot)
+			if !yield(engine.EpochInsert{Code: next.code(slot), ID: slot, Cap: int(u.capacity - u.active)}) {
 				return
 			}
 		}
@@ -184,13 +184,14 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	}
 
 	// The swap is live: charge the accepted reports, keep the ledger cells
-	// of the ids that left, and flip table and epoch together.
+	// of the ids that left — under ids of their own, not views that would
+	// keep the old table's slab alive — and flip table and epoch together.
 	for slot := carried; slot < next.len(); slot++ {
 		s.rot.Charge(&next.at(slot).spent)
 	}
 	for _, slot := range leaving {
-		if rec := old.at(slot); rec.spent > 0 {
-			s.departed[rec.id] = rec.spent
+		if spent := old.at(slot).spent; spent > 0 {
+			s.departed[strings.Clone(old.id(slot))] = spent
 		}
 	}
 	if err := s.rot.Commit(plan); err != nil {
@@ -222,8 +223,8 @@ func (s *Server) RotateNow(req PrepareRotateRequest, workers []string, report fu
 	if workers == nil {
 		s.mu.Lock()
 		for slot := 0; slot < s.tab.len(); slot++ {
-			if rec := s.tab.at(slot); rec.state == stateAvailable {
-				workers = append(workers, rec.id)
+			if s.tab.at(slot).state() == stateAvailable {
+				workers = append(workers, s.tab.id(slot))
 			}
 		}
 		s.mu.Unlock()

@@ -364,7 +364,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	spent, returning := 0.0, false
 	if old, dup := s.tab.lookup(req.WorkerID); dup {
 		prev = s.tab.at(old)
-		switch prev.state {
+		switch prev.state() {
 		case stateGone:
 			spent = prev.spent
 		case stateParked:
@@ -374,6 +374,10 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 		}
 	} else {
 		spent, returning = s.departed[req.WorkerID]
+	}
+	if !s.tab.fits(len(req.WorkerID)) {
+		// 2^25−1 slots or 4 GiB of ids since the last rotation, which compacts them.
+		return refusal(unavailableError(errors.New("platform: the registry is full until the next rotation")))
 	}
 	// Resolve the slot's capacity exactly as the engine will: the server's
 	// accounting (active vs capacity) must agree with the engine's units.
@@ -396,10 +400,11 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	}
 	// A concurrent Submit can pop the new slot as soon as Insert returns,
 	// but it reads the table under mu, which we still hold.
-	s.tab.add(record{id: req.WorkerID, spent: spent, capacity: int32(capacity), state: stateAvailable}, code)
+	s.tab.add(req.WorkerID, spent, int32(capacity), code)
 	switch {
 	case prev != nil:
-		prev.state, prev.spent = stateRetired, 0
+		prev.setState(stateRetired)
+		prev.spent = 0
 	case returning:
 		delete(s.departed, req.WorkerID)
 	default:
@@ -436,7 +441,7 @@ func (s *Server) Submit(req TaskRequest) TaskResponse {
 	// was parked, its slot superseded) is stale: that assignment was never
 	// confirmed to anyone, so retry. Pops under mu cannot go stale again —
 	// stint transitions all happen under mu.
-	for ok && stintOver(s.tab.at(slot).state) {
+	for ok && stintOver(s.tab.at(slot).state()) {
 		slot, lvl, ok, aerr = coreAssign(s.eng, code)
 	}
 	if aerr != nil {
@@ -458,10 +463,8 @@ func (s *Server) Submit(req TaskRequest) TaskResponse {
 // guarantees the stint is live; a popped slot is stateAvailable and leaves
 // the pool only when this pop consumed its last capacity unit.
 func (s *Server) recordAssignment(slot, lvl int) TaskResponse {
-	rec := s.tab.at(slot)
-	rec.active++
-	if rec.active >= rec.capacity {
-		rec.state = stateAssigned
+	if s.tab.addActive(slot, 1) >= s.tab.units(slot).capacity {
+		s.tab.at(slot).setState(stateAssigned)
 	}
 	s.assigned++
 	for lvl >= len(s.levelCounts) {
@@ -470,7 +473,7 @@ func (s *Server) recordAssignment(slot, lvl int) TaskResponse {
 	}
 	s.levelCounts[lvl]++
 	s.levelSum += lvl
-	return TaskResponse{Assigned: true, WorkerID: rec.id, Epoch: s.tab.reportEpoch(slot)}
+	return TaskResponse{Assigned: true, WorkerID: s.tab.id(slot), Epoch: s.tab.reportEpoch(slot)}
 }
 
 // SubmitBatch assigns a batch of tasks in arrival order through the
@@ -513,7 +516,7 @@ func (s *Server) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 		// Stale pops (see Submit) are retried; under mu no retry can go
 		// stale again.
 		var aerr error
-		for slot != engine.None && stintOver(s.tab.at(slot).state) {
+		for slot != engine.None && stintOver(s.tab.at(slot).state()) {
 			var ok bool
 			if slot, lvl, ok, aerr = coreAssign(s.eng, codes[k]); !ok {
 				slot = engine.None
@@ -565,9 +568,9 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 		return s.unknownWorker(req.WorkerID)
 	}
 	rec := s.tab.at(slot)
-	switch rec.state {
+	switch rec.state() {
 	case stateAvailable:
-		if rec.active == 0 {
+		if s.tab.units(slot).active == 0 {
 			return refusal(conflictError(fmt.Sprintf("platform: worker %q is not assigned", req.WorkerID)))
 		}
 		// A capacitated worker with spare units completing one of its tasks:
@@ -581,17 +584,18 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 		// unit does not return to the pool, and once the last outstanding
 		// task completes the worker is simply offline — free to Register
 		// back later.
-		if rec.active > 0 {
-			rec.active--
+		active := s.tab.units(slot).active
+		if active > 0 {
+			active = s.tab.addActive(slot, -1)
 		}
-		if rec.active == 0 {
-			rec.state = stateGone
+		if active == 0 {
+			rec.setState(stateGone)
 		}
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)))
 	}
 	// Spare units live in the engine, under a report of this epoch: a slot
 	// in the pool always has a code to read.
-	inPool := rec.state == stateAvailable
+	inPool := rec.state() == stateAvailable
 	code := newCode
 	if newCode != "" {
 		if s.rot.Afford(req.WorkerID, rec.spent) != nil {
@@ -601,13 +605,13 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 			if inPool {
 				s.eng.Remove(s.tab.code(slot), slot)
 			}
-			if rec.active > 0 {
-				rec.active--
+			if s.tab.units(slot).active > 0 {
+				s.tab.addActive(slot, -1)
 			}
-			rec.state = stateParked
+			rec.setState(stateParked)
 			return refusal(parkedError(req.WorkerID))
 		}
-	} else if rec.lag != 0 {
+	} else if rec.lag() != 0 {
 		reason := fmt.Sprintf(
 			"platform: worker %q report is from epoch %d (serving %d); a fresh report is required",
 			req.WorkerID, s.tab.reportEpoch(slot), s.epoch)
@@ -641,8 +645,8 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 			return refusal(AsError(err, s.epoch))
 		}
 	}
-	rec.active--
-	rec.state = stateAvailable
+	s.tab.addActive(slot, -1)
+	rec.setState(stateAvailable)
 	s.released++
 	if newCode != "" {
 		s.tab.setCode(slot, newCode)
@@ -666,13 +670,13 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 		return s.unknownWorker(req.WorkerID)
 	}
 	rec := s.tab.at(slot)
-	switch rec.state {
+	switch rec.state() {
 	case stateGone, stateAssignedGone:
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q has already withdrawn", req.WorkerID)))
 	case stateParked:
 		return refusal(parkedError(req.WorkerID))
 	case stateAssigned:
-		rec.state = stateAssignedGone
+		rec.setState(stateAssignedGone)
 	default: // stateAvailable
 		// The worker observed itself available and is told it is offline,
 		// so the withdrawal must win every race: when a concurrent Submit
@@ -682,10 +686,10 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 		// outstanding tasks keeps serving them (its spare units leave the
 		// pool now) and goes fully offline at its last Release.
 		s.eng.Remove(s.tab.code(slot), slot)
-		if rec.active > 0 {
-			rec.state = stateAssignedGone
+		if s.tab.units(slot).active > 0 {
+			rec.setState(stateAssignedGone)
 		} else {
-			rec.state = stateGone
+			rec.setState(stateGone)
 		}
 	}
 	s.withdrawn++

@@ -40,7 +40,7 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 		return s.unknownWorker(req.WorkerID)
 	}
 	rec := s.tab.at(slot)
-	switch rec.state {
+	switch rec.state() {
 	case stateGone, stateAssignedGone:
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)))
 	case stateParked:
@@ -60,7 +60,7 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 		// withdrawn from the engine above, and it is not restored: the
 		// worker is parked — out of the pool for good — instead of being
 		// re-noised past its guarantee.
-		rec.state = stateParked
+		rec.setState(stateParked)
 		return refusal(parkedError(req.WorkerID))
 	}
 	if err := s.eng.InsertCapEpoch(code, slot, pooled, s.epoch); err != nil {
