@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
@@ -209,4 +210,62 @@ func BenchmarkNodeOp(b *testing.B) {
 			resp.Body.Close()
 		}
 	})
+}
+
+// BenchmarkCoordinatorCycle prices one Submit → Release cycle through a
+// coordinator (New) over three NodeHandler backends on loopback, called
+// in-process on its platform.Server by so many concurrent clients — the
+// coordinator half of the benchmark's cluster-lifecycle workload without
+// its agent-facing HTTP. Each client holds at most one worker busy, so the
+// 1,024-worker pool never runs dry. Run it with -mutexprofile or
+// -blockprofile to see what one client's node round trip makes another wait
+// for: the server holds its lock across the core call in Release.
+func BenchmarkCoordinatorCycle(b *testing.B) {
+	const workers = 1024
+	for _, clients := range []int{1, 2} {
+		b.Run("clients="+strconv.Itoa(clients), func(b *testing.B) {
+			nodes := make([]NodeConn, 3)
+			for i := range nodes {
+				ts := httptest.NewServer(NodeHandler(NewNode()))
+				b.Cleanup(ts.Close)
+				tr := platform.NewTransport()
+				b.Cleanup(tr.CloseIdleConnections)
+				nodes[i] = DialNodeClient(ts.URL, &http.Client{Transport: tr})
+			}
+			coord, err := New(Config{Region: testRegion, Cols: 8, Rows: 8, Epsilon: 0.6, Seed: 7, Nodes: nodes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(coord.Close)
+			srv := coord.Server()
+			tree := srv.Publication().Tree
+			for id := 0; id < workers; id++ {
+				code := []byte(tree.CodeOf(id % tree.NumPoints()))
+				if r := srv.Register(platform.RegisterRequest{WorkerID: "w" + strconv.Itoa(id), Code: code}); !r.OK {
+					b.Fatal(r.Reason)
+				}
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := c; i < b.N; i += clients {
+						code := []byte(tree.CodeOf(i % tree.NumPoints()))
+						got := srv.Submit(platform.TaskRequest{Code: code})
+						if !got.Assigned {
+							b.Error(got.Reason)
+							return
+						}
+						if r := srv.Release(platform.ReleaseRequest{WorkerID: got.WorkerID}); !r.OK {
+							b.Error(r.Reason)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -264,6 +265,51 @@ func TestDistributedSwapIdentity(t *testing.T) {
 	// A swap to a non-advancing epoch is refused without touching nodes.
 	if err := core.SwapEpochSeq(2, next, 0, slices.Values([]engine.EpochInsert(nil))); err == nil {
 		t.Fatal("re-swap to the serving epoch accepted")
+	}
+
+	// The served rotation: a coordinator's Server hands the core its
+	// populate generator, which the three prepares iterate at once, each
+	// decoding the packed codes into a buffer of its own. It must answer as
+	// a single-process Server does.
+	coord, err := New(Config{Region: testRegion, Cols: 8, Rows: 8, Epsilon: 0.6, Seed: 7, Nodes: httpNodes(t, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := platform.NewServer(testRegion, 8, 8, 0.6, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 300
+	report := func(id string, tree *hst.Tree) (hst.Code, error) {
+		i, err := strconv.Atoi(strings.TrimPrefix(id, "w"))
+		return tree.CodeOf((3*i + 1) % tree.NumPoints()), err
+	}
+	servers := []*platform.Server{coord.Server(), single}
+	for _, srv := range servers {
+		for i := 0; i < workers; i++ {
+			id := "w" + strconv.Itoa(i)
+			code, _ := report(id, srv.Publication().Tree)
+			if r := srv.Register(platform.RegisterRequest{WorkerID: id, Code: []byte(code)}); !r.OK {
+				t.Fatal(r.Reason)
+			}
+		}
+		if r := srv.RotateNow(platform.PrepareRotateRequest{Seed: 9}, nil, report); !r.OK || r.Rotated != workers {
+			t.Fatalf("served rotation: %+v", r)
+		}
+	}
+	served, assigned := servers[0].Publication().Tree, 0
+	for i := 0; i < workers+20; i++ {
+		code := []byte(served.CodeOf(rnd.Intn(served.NumPoints())))
+		got, want := servers[0].Submit(platform.TaskRequest{Code: code}), servers[1].Submit(platform.TaskRequest{Code: code})
+		if got.Assigned != want.Assigned || got.WorkerID != want.WorkerID || got.Epoch != want.Epoch {
+			t.Fatalf("post-rotation submit %d: coordinator %+v, single server %+v", i, got, want)
+		}
+		if got.Assigned {
+			assigned++
+		}
+	}
+	if assigned != workers {
+		t.Fatalf("the rotated servers assigned %d tasks, want %d", assigned, workers)
 	}
 }
 

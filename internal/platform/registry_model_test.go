@@ -31,6 +31,8 @@ type modelWorker struct {
 	// compacted into the departed ledger: ε added per accepted fresh report,
 	// in the order the server adds it.
 	spent float64
+	// adopted counts the rotations in a row that re-reported it.
+	adopted int
 }
 
 func (w *modelWorker) pooled() bool { return !w.gone && !w.withdrawn && w.active < w.capacity }
@@ -49,6 +51,12 @@ type registryModel struct {
 	// straddled is set once a check has read an id that crosses a chunk end
 	// of the id slab.
 	straddled bool
+	// What the tape did to packed codes: a worker re-reported by two
+	// rotations running, a release whose "fresh" code was the stored one
+	// with spare units pooled (the packed compare's match), and a release
+	// with a new code that moved spare units wholesale.
+	adoptedTwice        bool
+	samePacked, movedUp int
 }
 
 // modelEps is the ε every fresh report spends.
@@ -129,9 +137,14 @@ func (m *registryModel) release(fresh bool) {
 	}
 	w := m.workers[id]
 	req := ReleaseRequest{WorkerID: id}
+	same := false
 	if fresh {
 		req.Code = m.randCode(m.s.pub.Tree)
+		if code, has := m.codes[w.slot]; has && m.src.Intn(4) == 0 {
+			req.Code, same = []byte(code), true // a fresh report of the same leaf
+		}
 	}
+	spare := w.pooled()
 	r := m.s.Release(req)
 	switch {
 	case w.withdrawn:
@@ -153,6 +166,12 @@ func (m *registryModel) release(fresh bool) {
 			m.t.Fatalf("release %s (fresh %v): %s", id, fresh, r.Reason)
 		}
 		w.active--
+		switch {
+		case spare && same:
+			m.samePacked++
+		case spare && fresh:
+			m.movedUp++
+		}
 		if fresh {
 			w.spent += modelEps
 			w.epoch = m.s.epoch
@@ -234,6 +253,10 @@ func (m *registryModel) rotate() {
 			continue
 		}
 		code, reported := fresh[id]
+		if w.adopted++; !reported {
+			w.adopted = 0
+		}
+		m.adoptedTwice = m.adoptedTwice || w.adopted >= 2
 		switch {
 		case reported:
 			w.epoch = prep.Epoch
@@ -278,6 +301,7 @@ func (m *registryModel) check(step int, op string) {
 			step, op, tab.depth, tab.epoch, m.s.pub.Tree.Depth(), m.s.epoch)
 	}
 	bySlot := map[int]*modelWorker{}
+	var buf []byte
 	for _, id := range m.names {
 		w := m.workers[id]
 		slot, ok := tab.lookup(id)
@@ -308,10 +332,10 @@ func (m *registryModel) check(step int, op string) {
 			if has {
 				m.t.Fatalf("step %d (%s): the model kept a code for carried slot %d", step, op, slot)
 			}
-			mustPanic(m.t, "reading a carried stint's code", func() { tab.code(slot) })
+			mustPanic(m.t, "reading a carried stint's code", func() { tab.code(slot, &buf) })
 			continue
 		}
-		if got := string(tab.code(slot)); !has || got != want {
+		if got := string(tab.code(slot, &buf)); !has || got != want {
 			m.t.Fatalf("step %d (%s): slot %d (%s) holds code %q, the model %q", step, op, slot, id, got, want)
 		}
 	}
@@ -431,6 +455,11 @@ func TestRegistryMatchesCodeModel(t *testing.T) {
 					"no id crossed an id-slab chunk end (%v) or none left a departed-ledger entry (%d)",
 					carriedTwice, rotatedPages, m.straddled, len(s.departed))
 			}
+			if !m.adoptedTwice || m.samePacked == 0 || m.movedUp == 0 {
+				t.Fatalf("no code was adopted by two rotations (%v), or no release matched the packed code (%d) "+
+					"or moved spare units to a new one (%d)", m.adoptedTwice, m.samePacked, m.movedUp)
+			}
+			t.Logf("same-code fresh releases %d, wholesale moves %d", m.samePacked, m.movedUp)
 			keys := make([]string, 0, len(ops))
 			for op := range ops {
 				keys = append(keys, fmt.Sprint(op, "=", ops[op]))
@@ -490,13 +519,13 @@ func TestSubmittedIDOutlivesItsTable(t *testing.T) {
 	runtime.KeepAlive(garbage)
 }
 
-// TestCodeViewsDoNotEscape pins where the slab's zero-copy views end. The
-// server reads request bytes and its own slots in place and hands both to
-// the core, which keeps neither (Core's contract; the engine's trie stores
-// positions and rebuilds codes when walked). So nothing that outlives a
-// call — a TaskResponse, a RotateResponse, a snapshot taken either way —
-// may move when the slots behind it are overwritten and the request
-// buffers reused.
+// TestCodeViewsDoNotEscape pins where the zero-copy code views end. The
+// server reads request bytes in place, decodes its own slots into a buffer
+// it reuses, and hands both to the core, which keeps neither (Core's
+// contract; the engine's trie stores positions and rebuilds codes when
+// walked). So nothing that outlives a call — a TaskResponse, a
+// RotateResponse, a snapshot taken either way — may move when the slots
+// behind it are overwritten and the request buffers reused.
 func TestCodeViewsDoNotEscape(t *testing.T) {
 	s := newCapServer(t, WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(2))
 	eng := s.Core().(*engine.Engine)

@@ -139,7 +139,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			leaving = append(leaving, slot)
 		}
 	}
-	next := newSlotTable(len(carry)+len(slots), plan.Tree.Depth(), plan.Epoch)
+	next := newSlotTable(len(carry)+len(slots), plan.Tree.Depth(), plan.Tree.Degree(), plan.Epoch)
 	for _, slot := range carry {
 		st := old.at(slot).state()
 		if st == stateAvailable {
@@ -167,11 +167,14 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// swap returned, so concurrent iterations only read. A generator
 	// instead of a []EpochInsert lets an engine rotate a 10M-worker
 	// population — or a cluster core partition it across nodes — without
-	// materializing a second copy beside the table.
+	// materializing a second copy beside the table. Each iteration decodes
+	// into a buffer of its own, and a code it yields holds until the yield
+	// returns (Core's contract).
 	populate := func(yield func(engine.EpochInsert) bool) {
+		var buf []byte
 		for slot := carried; slot < next.len(); slot++ {
 			u := next.units(slot)
-			if !yield(engine.EpochInsert{Code: next.code(slot), ID: slot, Cap: int(u.capacity - u.active)}) {
+			if !yield(engine.EpochInsert{Code: next.code(slot, &buf), ID: slot, Cap: int(u.capacity - u.active)}) {
 				return
 			}
 		}

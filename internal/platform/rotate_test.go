@@ -338,12 +338,14 @@ func TestRotateOverHTTP(t *testing.T) {
 
 // materializedCore answers SwapEpochSeq by collecting the sequence into a
 // slice and building beside through the engine's SwapEpoch, instead of the
-// engine's own freeze-and-rebuild.
+// engine's own freeze-and-rebuild. A yielded code holds only until its
+// yield returns, so the slice keeps copies.
 type materializedCore struct{ *engine.Engine }
 
 func (c materializedCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error {
 	var inserts []engine.EpochInsert
 	seq(func(in engine.EpochInsert) bool {
+		in.Code = hst.Code(strings.Clone(string(in.Code)))
 		inserts = append(inserts, in)
 		return true
 	})

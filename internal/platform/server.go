@@ -43,10 +43,10 @@ type Core interface {
 	Len() int
 	CapacityUnits() int
 	// Serving operations. Semantics (staleness, retries, tie-breaks) are
-	// engine.Engine's; see its method docs. No method may retain a code —
-	// its own argument or one seq yields — past its return: the server
-	// passes views of request bytes and of its slot table, which are
-	// overwritten later.
+	// engine.Engine's; see its method docs. No method may retain a code
+	// past its return, nor one seq yields past that yield's return: the
+	// server passes views of request bytes and of the buffers it decodes
+	// its slots' codes into, which are overwritten later.
 	Assign(code hst.Code) (id, lcaLevel int, ok bool)
 	AssignBatch(codes []hst.Code) (ids, lcaLevels []int)
 	InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) error
@@ -108,6 +108,9 @@ type Server struct {
 	pub   Publication
 	epoch int64 // serving epoch; mirrors rot
 	tab   *slotTable
+	// codeBuf is what the table decodes a slot's code into for the core,
+	// under mu: a code read from it is valid until the next decode.
+	codeBuf []byte
 	// departed holds the lifetime spend of ids a rotation compacted out of
 	// the table (withdrawn, dropped or parked workers), reclaimed when the
 	// id registers back. It is empty without a lifetime budget.
@@ -288,7 +291,7 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		eng:         core,
 		rot:         rot,
 		epoch:       first,
-		tab:         newSlotTable(0, tree.Depth(), first),
+		tab:         newSlotTable(0, tree.Depth(), tree.Degree(), first),
 		departed:    map[string]float64{},
 		levelCounts: make([]int, tree.Depth()+1),
 	}, nil
@@ -603,7 +606,7 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 			// report: park it rather than re-noise past its guarantee,
 			// pulling any spare units out of the pool.
 			if inPool {
-				s.eng.Remove(s.tab.code(slot), slot)
+				s.eng.Remove(s.tab.code(slot, &s.codeBuf), slot)
 			}
 			if s.tab.units(slot).active > 0 {
 				s.tab.addActive(slot, -1)
@@ -617,7 +620,7 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 			req.WorkerID, s.tab.reportEpoch(slot), s.epoch)
 		return refusal(&Error{Code: CodeStaleEpoch, Message: reason, Epoch: s.epoch, Retryable: true})
 	} else {
-		code = s.tab.code(slot)
+		code = s.tab.code(slot, &s.codeBuf)
 	}
 	// Hand the completed unit back. Same code: one unit rejoins in place
 	// (re-inserting the slot when this was its last active task). New code:
@@ -627,20 +630,20 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	// re-deriving the count here would resurrect that unit and let the
 	// worker serve beyond its capacity. A refused engine call leaves the
 	// worker as it was and the budget uncharged, so the client can retry.
-	if inPool && code == s.tab.code(slot) {
+	if inPool && (newCode == "" || s.tab.codeIs(slot, newCode)) {
 		if err := s.eng.AddCapacityEpoch(code, slot, s.epoch); err != nil {
 			return refusal(AsError(err, s.epoch))
 		}
 	} else {
 		pooled := 0
 		if inPool {
-			pooled, _ = s.eng.RemoveUnits(s.tab.code(slot), slot)
+			pooled, _ = s.eng.RemoveUnits(s.tab.code(slot, &s.codeBuf), slot)
 		}
 		if err := s.eng.InsertCapEpoch(code, slot, pooled+1, s.epoch); err != nil {
 			if pooled > 0 {
 				// Put the spare units back where they were; if the engine
 				// refuses this too there is nothing left to try.
-				_ = s.eng.InsertCapEpoch(s.tab.code(slot), slot, pooled, s.epoch)
+				_ = s.eng.InsertCapEpoch(s.tab.code(slot, &s.codeBuf), slot, pooled, s.epoch)
 			}
 			return refusal(AsError(err, s.epoch))
 		}
@@ -685,7 +688,7 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 		// and the Submit retries another worker. A capacitated worker with
 		// outstanding tasks keeps serving them (its spare units leave the
 		// pool now) and goes fully offline at its last Release.
-		s.eng.Remove(s.tab.code(slot), slot)
+		s.eng.Remove(s.tab.code(slot, &s.codeBuf), slot)
 		if s.tab.units(slot).active > 0 {
 			rec.setState(stateAssignedGone)
 		} else {

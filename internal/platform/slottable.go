@@ -60,12 +60,13 @@ type units struct{ capacity, active int32 }
 const (
 	recordBytes = int(unsafe.Sizeof(record{}))
 	unitsBytes  = int(unsafe.Sizeof(units{}))
-	// A page is 1,024 slots: 16 KiB of records, a slab of 1,024 codes and,
-	// on a capacity-aware table, 8 KiB of capacity cells. A table grows a
+	// A page is 1,024 slots: 16 KiB of records, a slab of 1,024 packed codes
+	// and, on a capacity-aware table, 8 KiB of capacity cells. A table grows a
 	// page at a time, never by copying, and holds at most one page of slack.
 	// Pages without pointers carry no allocator header at any length, so the
 	// length is chosen for the slabs: 16 KiB and 8 KiB are size classes, and
-	// so is the code slab at depths 8, 10, 12, 14 and 16.
+	// so is a code slab of 1,024 × 6, 8, 10, 12, 14 or 16 bytes (one of 5, 7
+	// or 9 bytes is rounded up, to 5,376, 8,192 and 9,472 bytes).
 	pageBits = 10
 	pageLen  = 1 << pageBits
 	// The id slab is 16 KiB chunks, a size class too, filled back to back:
@@ -91,9 +92,21 @@ const (
 // only ever appended; a rotation builds the next epoch's table from 0 and
 // drops this one, which is what keeps the slot space bounded by live workers
 // plus one epoch's churn. A table therefore serves one epoch and one tree:
-// codes are all depth bytes long and sit back to back in a per-page byte
-// slab, and a record stores its report's epoch as the lag behind the
-// table's.
+// codes all have the tree's depth and degree, sit packed back to back in a
+// per-page byte slab, and a record stores its report's epoch as the lag
+// behind the table's.
+//
+// A code is D digits in base c, and the slab stores it as a bit string, not
+// a byte a digit. Digits go in pairs: a pair d₁·c + d₂ is below c², so it
+// takes bits.Len(c²−1) bits, and an odd last digit bits.Len(c−1). Pairs,
+// not single digits, because c² wastes less of its power of two than c
+// does: on the benchmark's tree (D = 10, c = 22) a digit alone takes 5 bits
+// and a pair 9, since 22² = 484 < 512, so a code is 45 bits — 6 bytes, not
+// the 7 of single digits or the 10 of raw ones. Every degree and depth takes
+// the same path. Decoding divides nothing: a per-table table of the c² pairs
+// maps a pair's value to its two digits (968 B at c = 22). Packing is
+// injective and zeroes the last byte's spare bits, so two codes are equal
+// exactly when their packed bytes are.
 //
 // The capacity column is all or nothing, as the engine index's capacity
 // slab is: a table has none — capacity 1, the one assignment a bit of the
@@ -112,13 +125,19 @@ const (
 // rehash about four entries a registration, not one, for ~1 B an id.
 type slotTable struct {
 	pages []*[pageLen]record
-	codes [][]byte            // per page: pageLen codes of depth bytes each
+	codes [][]byte            // per page: pageLen packed codes of codeLen bytes each
 	caps  []*[pageLen]units   // per page, on a capacity-aware table; else nil
 	n     int                 // slots in use
-	depth int                 // code length: the depth of the epoch's tree
+	depth int                 // digits in a code: the depth of the epoch's tree
 	epoch int64               // the epoch the table serves
 	slab  []*[idChunkLen]byte // the id slab's chunks
 	used  int                 // id slab bytes written
+
+	degree    int       // c, the base of a code's digits
+	pairBits  int       // bits of a packed digit pair
+	digitBits int       // bits of an odd last digit
+	codeLen   int       // bytes of a packed code
+	pairs     [][2]byte // a packed pair's value → its two digits
 
 	seed  maphash.Seed
 	index []uint32
@@ -126,8 +145,8 @@ type slotTable struct {
 }
 
 // newSlotTable returns an empty table for the given epoch, holding codes of
-// the given depth, whose index is sized for n ids.
-func newSlotTable(n, depth int, epoch int64) *slotTable {
+// the given depth and degree, whose index is sized for n ids.
+func newSlotTable(n, depth, degree int, epoch int64) *slotTable {
 	size := 24
 	for 4*size < 5*n {
 		if size&(size-1) == 0 {
@@ -136,7 +155,21 @@ func newSlotTable(n, depth int, epoch int64) *slotTable {
 			size += size / 3
 		}
 	}
-	return &slotTable{depth: depth, epoch: epoch, seed: maphash.MakeSeed(), index: make([]uint32, size)}
+	t := &slotTable{
+		depth:     depth,
+		epoch:     epoch,
+		degree:    degree,
+		pairBits:  bits.Len(uint(degree*degree - 1)),
+		digitBits: bits.Len(uint(degree - 1)),
+		pairs:     make([][2]byte, degree*degree),
+		seed:      maphash.MakeSeed(),
+		index:     make([]uint32, size),
+	}
+	t.codeLen = (depth/2*t.pairBits + depth%2*t.digitBits + 7) / 8
+	for v := range t.pairs {
+		t.pairs[v] = [2]byte{byte(v / degree), byte(v % degree)}
+	}
+	return t
 }
 
 func (t *slotTable) len() int { return t.n }
@@ -267,18 +300,92 @@ func codeView(b []byte) hst.Code {
 	return hst.Code(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
-func (t *slotTable) codeBytes(slot int) []byte {
-	off := (slot & (pageLen - 1)) * t.depth
-	return t.codes[slot>>pageBits][off : off+t.depth]
+// packed is the slot's packed code in its page's slab.
+func (t *slotTable) packed(slot int) []byte {
+	off := (slot & (pageLen - 1)) * t.codeLen
+	return t.codes[slot>>pageBits][off : off+t.codeLen]
 }
 
-// code returns a view of the slot's leaf code, valid until setCode
-// overwrites it. A carried stint has none; nothing may ask for it.
-func (t *slotTable) code(slot int) hst.Code {
+// report is the packed code of a slot whose report is of the table's epoch.
+// A carried stint has none; nothing may ask for it.
+func (t *slotTable) report(slot int) []byte {
 	if t.at(slot).lag() != 0 {
 		panic("platform: code of a stint carried from another epoch read")
 	}
-	return codeView(t.codeBytes(slot))
+	return t.packed(slot)
+}
+
+// pack writes code, whose digits are below the degree, to dst as codeLen
+// bytes.
+func (t *slotTable) pack(dst []byte, code hst.Code) {
+	var acc uint32
+	n, k := 0, 0
+	put := func(v uint32, w int) {
+		acc |= v << n
+		for n += w; n >= 8; n -= 8 {
+			dst[k] = byte(acc)
+			acc >>= 8
+			k++
+		}
+	}
+	j := 0
+	for ; j+1 < len(code); j += 2 {
+		put(uint32(code[j])*uint32(t.degree)+uint32(code[j+1]), t.pairBits)
+	}
+	if j < len(code) {
+		put(uint32(code[j]), t.digitBits)
+	}
+	if n > 0 {
+		dst[k] = byte(acc)
+	}
+}
+
+// code decodes the slot's leaf code into *buf, grown to the depth when it
+// is shorter, and returns a view of it, valid until *buf is written again:
+// goroutines decoding at once each need a buffer of their own.
+func (t *slotTable) code(slot int, buf *[]byte) hst.Code {
+	src := t.report(slot)
+	if cap(*buf) < t.depth {
+		*buf = make([]byte, t.depth)
+	}
+	dst := (*buf)[:t.depth]
+	var acc uint32
+	n, k := 0, 0
+	take := func(w int) uint32 {
+		for ; n < w; n += 8 {
+			acc |= uint32(src[k]) << n
+			k++
+		}
+		v := acc & (1<<w - 1)
+		acc >>= w
+		n -= w
+		return v
+	}
+	j := 0
+	for ; j+1 < len(dst); j += 2 {
+		p := t.pairs[take(t.pairBits)]
+		dst[j], dst[j+1] = p[0], p[1]
+	}
+	if j < len(dst) {
+		dst[j] = byte(take(t.digitBits))
+	}
+	return codeView(dst)
+}
+
+// codeIs reports whether the slot holds code. It packs code beside the
+// slot's packed bytes and compares the two; nothing is decoded.
+func (t *slotTable) codeIs(slot int, code hst.Code) bool {
+	if len(code) != t.depth {
+		return false
+	}
+	var buf [32]byte
+	b := buf[:]
+	if t.codeLen > len(b) {
+		b = make([]byte, t.codeLen)
+	}
+	b = b[:t.codeLen]
+	t.pack(b, code)
+	return string(b) == string(t.report(slot))
 }
 
 // setCode stores a report made under the table's epoch in the slot.
@@ -286,7 +393,7 @@ func (t *slotTable) setCode(slot int, code hst.Code) {
 	if len(code) != t.depth {
 		panic("platform: code length differs from the table's depth")
 	}
-	copy(t.codeBytes(slot), code)
+	t.pack(t.packed(slot), code)
 	t.at(slot).word &^= maxLag << lagShift
 }
 
@@ -295,14 +402,14 @@ func (t *slotTable) reportEpoch(slot int) int64 {
 	return t.epoch - t.at(slot).lag()
 }
 
-// bytes is the table's own allocation: record pages, code slabs, capacity
-// column, id slab and id index.
+// bytes is the table's own allocation: record pages, packed code slabs,
+// capacity column, id slab, id index and pair table.
 func (t *slotTable) bytes() int {
-	slot := recordBytes + t.depth
+	slot := recordBytes + t.codeLen
 	if t.caps != nil {
 		slot += unitsBytes
 	}
-	return len(t.pages)*pageLen*slot + len(t.slab)*idChunkLen + 4*len(t.index)
+	return len(t.pages)*pageLen*slot + len(t.slab)*idChunkLen + 4*len(t.index) + 2*len(t.pairs)
 }
 
 // hash returns the id's first probe position and its entries' tag.
@@ -371,7 +478,7 @@ func (t *slotTable) push(id string, st workerState, lag int64, spent float64, u 
 	slot = t.n
 	if slot>>pageBits == len(t.pages) {
 		t.pages = append(t.pages, new([pageLen]record))
-		t.codes = append(t.codes, make([]byte, pageLen*t.depth))
+		t.codes = append(t.codes, make([]byte, pageLen*t.codeLen))
 		if t.caps != nil {
 			t.caps = append(t.caps, new([pageLen]units))
 		}

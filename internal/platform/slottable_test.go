@@ -1,7 +1,9 @@
 package platform
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -14,10 +16,10 @@ import (
 
 // TestSlotPageSizeClasses pins what a slot costs: a 16-byte record in a
 // 1,024-record page that the allocator serves as exactly 16 KiB (a size
-// class; no pointers, so no type header), a code slab of 1,024 × depth
-// bytes that is a size class of its own at the benchmark's depth 10 and at
-// 8, 12 and 16, and on a capacity-aware table an 8 KiB page of capacity
-// cells. README's bytes-per-worker arithmetic rests on these.
+// class; no pointers, so no type header), a slab of 1,024 packed codes that
+// is a size class of its own at the code lengths the cases name — 6 B on
+// the benchmark's tree — and on a capacity-aware table an 8 KiB page of
+// capacity cells. README's bytes-per-worker arithmetic rests on these.
 func TestSlotPageSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(record{}); got != 16 {
 		t.Fatalf("record is %d bytes, want 16", got)
@@ -25,24 +27,35 @@ func TestSlotPageSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(units{}); got != 8 {
 		t.Fatalf("a capacity cell is %d bytes, want 8", got)
 	}
+	for _, tc := range []struct{ depth, degree, codeLen int }{
+		{10, 22, 6}, // the benchmark's tree: five 9-bit pairs
+		{13, 22, 8}, // six pairs and a 5-bit digit: 59 bits
+		{16, 16, 8}, // 8-bit pairs: a byte a pair
+		{10, 255, 10},
+		{20, 22, 12},
+	} {
+		if got := newSlotTable(0, tc.depth, tc.degree, 1).codeLen; got != tc.codeLen {
+			t.Errorf("depth %d, degree %d: a code packs into %d bytes, want %d", tc.depth, tc.degree, got, tc.codeLen)
+		}
+	}
 	if raceEnabled {
 		t.Skip("the race detector pads allocations")
 	}
 	const recordPage, capsPage = 16 << 10, 8 << 10
 	for _, capacity := range []int32{1, 4} {
-		for depth, slab := range map[int]uint64{8: 8 << 10, 10: 10 << 10, 12: 12 << 10, 16: 16 << 10} {
+		for _, tc := range []struct{ depth, degree int }{{10, 22}, {16, 16}, {10, 255}, {20, 22}} {
 			// Room for the page pointers and an index that will not grow, and
 			// two ids added over and over: the first add of a page after the
 			// first (which also takes the id chunk) then allocates the page
 			// and nothing else.
-			tab := newSlotTable(4*pageLen, depth, 1)
+			tab := newSlotTable(4*pageLen, tc.depth, tc.degree, 1)
 			tab.pages = make([]*[pageLen]record, 0, 4)
 			tab.codes = make([][]byte, 0, 4)
 			if capacity != 1 {
 				tab.caps = make([]*[pageLen]units, 0, 4) // the column from the first slot on
 			}
-			code := hst.Code(make([]byte, depth))
-			want := uint64(recordPage) + slab
+			code := hst.Code(make([]byte, tc.depth))
+			want := uint64(recordPage + pageLen*tab.codeLen)
 			if capacity != 1 {
 				want += capsPage
 			}
@@ -61,14 +74,15 @@ func TestSlotPageSizeClasses(t *testing.T) {
 				}
 			}
 			if best != want {
-				t.Errorf("capacity %d, depth %d: a page allocates %d bytes, want %d", capacity, depth, best, want)
+				t.Errorf("capacity %d, depth %d, degree %d: a page allocates %d bytes, want %d",
+					capacity, tc.depth, tc.degree, best, want)
 			}
-			perSlot := 16 + depth
+			perSlot := 16 + tab.codeLen
 			if capacity != 1 {
 				perSlot += 8
 			}
-			if got := tab.bytes(); got != 4*pageLen*perSlot+idChunkLen+4*len(tab.index) {
-				t.Errorf("capacity %d, depth %d: bytes() = %d", capacity, depth, got)
+			if got := tab.bytes(); got != 4*pageLen*perSlot+idChunkLen+4*len(tab.index)+2*tc.degree*tc.degree {
+				t.Errorf("capacity %d, depth %d, degree %d: bytes() = %d", capacity, tc.depth, tc.degree, got)
 			}
 		}
 	}
@@ -76,12 +90,13 @@ func TestSlotPageSizeClasses(t *testing.T) {
 
 // TestRegistryFootprint is the registry's twin of
 // engine.TestIndexFootprintAtBenchmarkDensity: Stats().RegistryBytes per
-// worker on the benchmark's tree (64×64 grid, depth 10) after in-process
-// registrations whose ids the caller owns and names as the benchmark does,
-// "w0" to "w65535". A slot is a 16 B record and a 10 B code; an id is
-// its bytes and a length byte in the slab (7 B with the last chunk's slack
-// at both sizes) and 4 B index entries at 67 % load (6 B); a capacity-aware
-// table adds an 8 B cell. So 39 and 47 B, under ceilings of 40 and 48.
+// worker on the benchmark's tree (64×64 grid, depth 10, degree 22) after
+// in-process registrations whose ids the caller owns and names as the
+// benchmark does, "w0" to "w65535". A slot is a 16 B record and a 6 B
+// packed code; an id is its bytes and a length byte in the slab (7 B with
+// the last chunk's slack at both sizes) and 4 B index entries at 67 % load
+// (6 B); a capacity-aware table adds an 8 B cell. So 35 and 43 B, under
+// ceilings of 36 and 44.
 func TestRegistryFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(record{}); got != 16 {
 		t.Fatalf("record is %d bytes, want 16", got)
@@ -91,8 +106,8 @@ func TestRegistryFootprint(t *testing.T) {
 		opts    []ServerOption
 		ceiling float64 // bytes per worker
 	}{
-		{"greedy with a lifetime budget", []ServerOption{WithLifetimeBudget(1e12)}, 40},
-		{"capacity-greedy, capacity 4", []ServerOption{WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(4)}, 48},
+		{"greedy with a lifetime budget", []ServerOption{WithLifetimeBudget(1e12)}, 36},
+		{"capacity-greedy, capacity 4", []ServerOption{WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(4)}, 44},
 	} {
 		for _, n := range []int{16384, 65536} {
 			s, err := NewServer(workload.SyntheticRegion, 64, 64, 0.6, 7, tc.opts...)
@@ -100,6 +115,10 @@ func TestRegistryFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			tree := s.Publication().Tree
+			if tree.Depth() != 10 || tree.Degree() != 22 || s.tab.codeLen != 6 {
+				t.Fatalf("the benchmark's tree has depth %d, degree %d and %d B codes; want 10, 22 and 6",
+					tree.Depth(), tree.Degree(), s.tab.codeLen)
+			}
 			ids := make([]string, n)
 			for i := range ids {
 				ids[i] = fmt.Sprint("w", i)
@@ -118,22 +137,72 @@ func TestRegistryFootprint(t *testing.T) {
 	}
 }
 
+// FuzzCodePack checks the packed code slab at any degree from 2 to 255 and
+// any depth from 1 to 24, over arbitrary digit strings — the leaves of the
+// complete tree, fake ones included: a stored code decodes to itself, a
+// neighbour's store leaves it alone, and two codes' packed bytes are equal
+// exactly when the codes are.
+func FuzzCodePack(f *testing.F) {
+	f.Add(uint8(20), uint8(9), []byte{21, 0, 3, 7, 21, 21, 0, 1, 2, 3}, uint8(0), uint8(0))
+	f.Add(uint8(20), uint8(9), []byte{21, 0, 3, 7, 21, 21, 0, 1, 2, 3}, uint8(9), uint8(1))
+	f.Add(uint8(253), uint8(23), bytes.Repeat([]byte{254}, 24), uint8(23), uint8(200))
+	f.Add(uint8(0), uint8(0), []byte{1}, uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, degreeSeed, depthSeed uint8, digits []byte, at, delta uint8) {
+		degree, depth := 2+int(degreeSeed)%254, 1+int(depthSeed)%24
+		a := make([]byte, depth)
+		for j := range a {
+			if j < len(digits) {
+				a[j] = byte(int(digits[j]) % degree)
+			}
+		}
+		// b is a, or a with one digit moved to another value.
+		b := bytes.Clone(a)
+		if d := int(delta) % degree; d != 0 {
+			j := int(at) % depth
+			b[j] = byte((int(b[j]) + d) % degree)
+		}
+		tab := newSlotTable(0, depth, degree, 1)
+		if n := depth/2*bits.Len(uint(degree*degree-1)) + depth%2*bits.Len(uint(degree-1)); tab.codeLen != (n+7)/8 {
+			t.Fatalf("degree %d, depth %d: %d B codes for %d bits", degree, depth, tab.codeLen, n)
+		}
+		sa := tab.add("a", 0, 1, hst.Code(a))
+		sb := tab.add("b", 0, 1, hst.Code(b))
+		var buf []byte
+		for _, c := range []struct {
+			slot int
+			want []byte
+		}{{sa, a}, {sb, b}} {
+			if got := tab.code(c.slot, &buf); string(got) != string(c.want) {
+				t.Fatalf("degree %d: stored %v, decoded %v", degree, c.want, []byte(got))
+			}
+		}
+		same := bytes.Equal(a, b)
+		if got := bytes.Equal(tab.packed(sa), tab.packed(sb)); got != same {
+			t.Fatalf("degree %d: codes %v and %v, packed equal %v", degree, a, b, got)
+		}
+		if tab.codeIs(sa, hst.Code(b)) != same || !tab.codeIs(sb, hst.Code(b)) {
+			t.Fatalf("degree %d: codeIs disagrees with the codes %v and %v", degree, a, b)
+		}
+	})
+}
+
 // TestCapacityColumnArrivesLate pins the column's all-or-nothing rule: a
 // table of capacity-1 slots keeps each one's assignment in its record, and
 // the first slot of another capacity moves every earlier slot into a column
 // cell, assignments included.
 func TestCapacityColumnArrivesLate(t *testing.T) {
-	tab := newSlotTable(0, 2, 1)
+	tab := newSlotTable(0, 2, 3, 1)
 	for i := 0; i < pageLen+2; i++ {
-		tab.add(fmt.Sprint("w", i), 0, 1, "ab")
+		tab.add(fmt.Sprint("w", i), 0, 1, "\x01\x02")
 	}
 	tab.addActive(pageLen, 1)
 	mustPanic(t, "a second assignment of a capacity-1 slot without a column", func() { tab.addActive(pageLen, 1) })
-	if tab.caps != nil || tab.bytes() != 2*pageLen*(16+2)+idChunkLen+4*len(tab.index) {
+	// A pair of base-3 digits packs into 4 bits: a 1-byte code.
+	if tab.caps != nil || tab.bytes() != 2*pageLen*(16+1)+idChunkLen+4*len(tab.index)+2*9 {
 		t.Fatalf("a capacity-1 table has a column (%v) or reads %d bytes", tab.caps != nil, tab.bytes())
 	}
-	late := tab.add("late", 0, 3, "ab")
-	if tab.caps == nil || tab.bytes() != 2*pageLen*(16+2+8)+idChunkLen+4*len(tab.index) {
+	late := tab.add("late", 0, 3, "\x01\x02")
+	if tab.caps == nil || tab.bytes() != 2*pageLen*(16+1+8)+idChunkLen+4*len(tab.index)+2*9 {
 		t.Fatalf("no column after a capacity-3 slot (%v), or %d bytes", tab.caps == nil, tab.bytes())
 	}
 	for slot, want := range map[int]units{0: {1, 0}, pageLen: {1, 1}, pageLen + 1: {1, 0}, late: {3, 0}} {
@@ -178,7 +247,7 @@ type indexModel struct {
 }
 
 func newIndexModel(t *testing.T, sizeFor int) *indexModel {
-	return &indexModel{t: t, tab: newSlotTable(sizeFor, 0, 1), model: map[string]int{}}
+	return &indexModel{t: t, tab: newSlotTable(sizeFor, 0, 1, 1), model: map[string]int{}}
 }
 
 func (m *indexModel) add(id string) {

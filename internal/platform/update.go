@@ -48,7 +48,7 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 	case stateAssigned:
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)))
 	}
-	old := s.tab.code(slot)
+	old := s.tab.code(slot, &s.codeBuf)
 	pooled, ok := s.eng.RemoveUnits(old, slot)
 	if !ok {
 		// A concurrent Submit popped the worker between its engine pop and
