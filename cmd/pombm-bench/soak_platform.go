@@ -61,16 +61,17 @@ type platformSoakReport struct {
 	FinalHeapBytesPerWorker float64 `json:"final_heap_bytes_per_worker"`
 }
 
-// registryBytesBound is the most a table of n slots may allocate here: 40 B
-// a slot — the 16 B record, the packed code (the lane's rotated trees all
+// registryBytesBound is the most a table of n slots may allocate here: 32 B
+// a slot — the 8 B record, the packed code (the lane's rotated trees all
 // have depth 10 and degree 14–29, so 5, 6 or 7 B: a digit pair takes 8 bits
 // up to degree 16, 9 up to 22, 10 up to 32), an id ("w" and at most seven
 // digits) behind its length byte in the id slab, and the id index, whose
 // 4 B entries cost 5–7.5 B (a rotation sizes it at 53–80 % load, and an
 // epoch's churn is too small to double it) — plus one 1,024-slot page of
-// records and 7 B codes, one 16 KiB id chunk of slack, the smallest index
-// and a degree-32 pair table.
-func registryBytesBound(n int) int { return 40*n + 1024*(16+7) + 16<<10 + 4*24 + 2*32*32 }
+// records and 7 B codes, one 16 KiB id chunk of slack, the smallest index,
+// a degree-32 pair table and the carried-lag slice: 8 B for each of the at
+// most 8 stints the lane holds busy across a rotation.
+func registryBytesBound(n int) int { return 32*n + 1024*(8+7) + 16<<10 + 4*24 + 2*32*32 + 8*8 }
 
 // platformSoak is the driver's book of who is where.
 type platformSoak struct {

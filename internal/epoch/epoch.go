@@ -25,13 +25,13 @@
 // the platform server both drive it, applying the plan's outcomes to their
 // own id spaces (engine ids, platform slots). The same split holds for the
 // lifetime-ε ledger: each worker's running spend is a cell in its owner's
-// worker table (a platform slot record, the simulator's dense array), and
-// the controller keeps the one charge rule and the totals. What the
-// controller owns is the invariant pair the tests assert — epoch
-// consistency (no assignment pairs codes from different epochs; the engine
-// swap plus the serving layer's rotation gate enforce it) and budget
-// conservation (the total equals the sum of the cells, and no worker ever
-// exceeds its lifetime ε).
+// worker table (a platform slot record, the simulator's dense array) that
+// counts its charged reports, and the controller keeps the one charge rule
+// and the totals. What the controller owns is the invariant pair the tests
+// assert — epoch consistency (no assignment pairs codes from different
+// epochs; the engine swap plus the serving layer's rotation gate enforce
+// it) and budget conservation (the total equals ε times the sum of the
+// cells, and no worker ever exceeds its lifetime ε).
 package epoch
 
 import (
@@ -154,38 +154,56 @@ func (c *Controller) Tree() *hst.Tree {
 // Epsilon returns the per-report spend.
 func (c *Controller) Epsilon() float64 { return c.eps }
 
+// MaxReports is the most reports a worker's ledger cell counts: 2^28−1,
+// 8.5 years at one a second, so an owner may pack a cell into 28 bits. A
+// worker whose cell is there is parked as if its budget had run out; a cell
+// never wraps.
+const MaxReports = 1<<28 - 1
+
 // Afford checks one fresh report for the worker against its lifetime
-// budget, given what the worker has spent so far (the caller owns that
-// cell). On exhaustion the worker is parked and the returned error wraps
+// budget, given how many reports the worker has had charged so far (the
+// caller owns that cell). Every report spends the one ε, so a count is the
+// exact ledger: the worker has spent reports·ε. On exhaustion, or at
+// MaxReports, the worker is parked and the returned error wraps
 // ErrBudgetExhausted; an already-parked worker is refused the same way. The
 // parked set keeps its own copy of the id: a caller's may be a view of
 // storage it later drops.
 // Nothing is charged: the caller runs whatever can still refuse the report
 // (an engine insert, a swap) and calls Charge once it was accepted, so a
 // refused report never burns budget. With accounting disabled only the
-// parked check applies.
-func (c *Controller) Afford(worker string, spent float64) error {
+// parked check and the cap apply.
+func (c *Controller) Afford(worker string, reports uint32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, gone := c.parked[worker]; gone {
 		return fmt.Errorf("%w: worker %q is parked", ErrBudgetExhausted, worker)
 	}
-	if c.budget == nil || c.budget.Affords(spent, c.eps) {
+	var err error
+	switch spent := float64(reports) * c.eps; {
+	case reports >= MaxReports:
+		err = fmt.Errorf("%w: worker %q made %d reports, the most a ledger cell counts",
+			ErrBudgetExhausted, worker, reports)
+	case c.budget != nil && !c.budget.Affords(spent, c.eps):
+		err = fmt.Errorf("%w: worker %q spent %.4g of %.4g, requested %.4g",
+			ErrBudgetExhausted, worker, spent, c.budget.Limit(), c.eps)
+	default:
 		return nil
 	}
 	c.parked[strings.Clone(worker)] = struct{}{}
-	return fmt.Errorf("%w: worker %q spent %.4g of %.4g, requested %.4g",
-		ErrBudgetExhausted, worker, spent, c.budget.Limit(), c.eps)
+	return err
 }
 
-// Charge records one accepted fresh report on the worker's cell (a no-op
-// with accounting disabled). The caller's lock must cover the cell.
-func (c *Controller) Charge(cell *float64) {
+// Charge counts one accepted fresh report on a worker that had made
+// reports, returning the cell's new count (reports itself with accounting
+// disabled). The caller's lock must cover the cell.
+func (c *Controller) Charge(reports uint32) uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.budget != nil {
-		c.budget.Charge(cell, c.eps)
+	if c.budget == nil {
+		return reports
 	}
+	c.budget.Charge(reports == 0, c.eps)
+	return reports + 1
 }
 
 // Parked reports whether the worker has been parked (lifetime budget

@@ -102,20 +102,20 @@ func TestControllerLifecycle(t *testing.T) {
 	// The cells are the caller's: budget walks a plan the way a serving
 	// layer does (Afford, swap, Charge).
 	workers := []string{"a", "b"}
-	cells := make([]float64, len(workers))
+	cells := make([]uint32, len(workers))
 	budget := func(p *Plan) {
 		for i := range p.Outcomes {
 			if c.Afford(workers[i], cells[i]) != nil {
 				p.Outcomes[i].Parked = true
 				continue
 			}
-			c.Charge(&cells[i])
+			cells[i] = c.Charge(cells[i])
 		}
 	}
 	if err := c.Afford("a", cells[0]); err != nil {
 		t.Fatal(err)
 	}
-	c.Charge(&cells[0])
+	cells[0] = c.Charge(cells[0])
 	plan, err := c.PlanRotation(nil, workers, func(w string, tr *hst.Tree) (hst.Code, error) {
 		return echoReporter(tr, w), nil
 	})
@@ -136,8 +136,8 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatal("staged rotation survives commit")
 	}
 
-	// "a" has spent 1.0 of 1.0: the next rotation parks it; "b" (0.5) still
-	// affords one more report.
+	// "a" has spent 1.0 of 1.0 (two reports): the next rotation parks it;
+	// "b" (0.5, one report) still affords one more.
 	if _, err := c.Prepare(0, false); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestParkedKeepsItsOwnID(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := []byte("worker-7")
-	if err := c.Afford(unsafe.String(&buf[0], len(buf)), 0.5); !errors.Is(err, ErrBudgetExhausted) {
+	if err := c.Afford(unsafe.String(&buf[0], len(buf)), 1); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("over-budget afford: %v", err)
 	}
 	copy(buf, "xxxxxxxx")
@@ -223,18 +223,37 @@ func TestSpendWithoutAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cell float64
+	var cell uint32
 	for i := 0; i < 100; i++ {
 		if err := c.Afford("w", cell); err != nil {
 			t.Fatalf("unbudgeted spend %d refused: %v", i, err)
 		}
-		c.Charge(&cell)
+		cell = c.Charge(cell)
 	}
 	if cell != 0 {
 		t.Fatalf("unbudgeted charge moved the cell to %v", cell)
 	}
 	if st := c.Stats(); st.SpentTotal != 0 || st.Limit != 0 {
 		t.Fatalf("accounting stats leak without accountant: %+v", st)
+	}
+}
+
+// TestCellAtMaxReportsParks pins the ledger cell's representation limit: a
+// worker whose count reached MaxReports is parked by the usual typed
+// refusal, with a budget that would still afford the report or with none,
+// and one a report below it is not.
+func TestCellAtMaxReportsParks(t *testing.T) {
+	for _, lifetime := range []float64{0, 1e12} {
+		c, err := NewController(Config{Tree: buildTree(t, 3, 4), Epsilon: 0.5, Lifetime: lifetime})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Afford("w", MaxReports-1); err != nil {
+			t.Fatalf("lifetime %v: a cell one below the cap refused: %v", lifetime, err)
+		}
+		if err := c.Afford("w", MaxReports); !errors.Is(err, ErrBudgetExhausted) || !c.Parked("w") {
+			t.Fatalf("lifetime %v: a cell at the cap: %v, parked %v", lifetime, err, c.Parked("w"))
+		}
 	}
 }
 

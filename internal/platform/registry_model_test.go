@@ -27,10 +27,9 @@ type modelWorker struct {
 	active    int
 	withdrawn bool // spare units gone; offline at its last completion
 	gone      bool // offline: no live stint
-	// spent is the ledger cell the server must report for the id, online or
-	// compacted into the departed ledger: ε added per accepted fresh report,
-	// in the order the server adds it.
-	spent float64
+	// reports is the ledger cell the server must hold for the id, online or
+	// compacted into the departed ledger: one per accepted fresh report.
+	reports uint32
 	// adopted counts the rotations in a row that re-reported it.
 	adopted int
 }
@@ -103,13 +102,13 @@ func (m *registryModel) register() {
 		m.t.Fatalf("register %s: %s", id, r.Reason)
 	}
 	slot, _ := m.s.tab.lookup(id)
-	spent := 0.0
+	reports := uint32(0)
 	if w, known := m.workers[id]; known {
-		spent = w.spent
+		reports = w.reports
 	} else {
 		m.names = append(m.names, id)
 	}
-	m.workers[id] = &modelWorker{slot: slot, epoch: m.s.epoch, capacity: 2, spent: spent + modelEps}
+	m.workers[id] = &modelWorker{slot: slot, epoch: m.s.epoch, capacity: 2, reports: reports + 1}
 	m.codes[slot] = string(code)
 	clear(code) // the request's bytes are the caller's again
 }
@@ -173,7 +172,7 @@ func (m *registryModel) release(fresh bool) {
 			m.movedUp++
 		}
 		if fresh {
-			w.spent += modelEps
+			w.reports++
 			w.epoch = m.s.epoch
 			m.codes[w.slot] = string(req.Code)
 			clear(req.Code)
@@ -190,7 +189,7 @@ func (m *registryModel) reregister() {
 	if r := m.s.Reregister(ReregisterRequest{WorkerID: id, Code: code}); !r.OK {
 		m.t.Fatalf("reregister %s: %s", id, r.Reason)
 	}
-	m.workers[id].spent += modelEps
+	m.workers[id].reports++
 	m.codes[m.workers[id].slot] = string(code)
 	clear(code)
 }
@@ -260,7 +259,7 @@ func (m *registryModel) rotate() {
 		switch {
 		case reported:
 			w.epoch = prep.Epoch
-			w.spent += modelEps
+			w.reports++
 		case w.pooled():
 			dropped++
 			if w.withdrawn = true; w.active == 0 {
@@ -305,10 +304,13 @@ func (m *registryModel) check(step int, op string) {
 	for _, id := range m.names {
 		w := m.workers[id]
 		slot, ok := tab.lookup(id)
-		// Server.Spent's reading, without its lock and second lookup.
-		if spent := m.s.departed[id]; ok && tab.at(slot).spent != w.spent || !ok && spent != w.spent {
-			m.t.Fatalf("step %d (%s): %.12q… has spent %v (table) or %v (departed), the model %v",
-				step, op, id, tab.at(slot).spent, spent, w.spent)
+		// Server.Spent's count, without its lock and second lookup.
+		if n := m.s.departed[id]; ok && tab.at(slot).reports() != w.reports || !ok && n != w.reports {
+			m.t.Fatalf("step %d (%s): %.12q… has %d reports (table) or %d (departed), the model %d",
+				step, op, id, tab.at(slot).reports(), n, w.reports)
+		}
+		if got, want := m.s.Spent(id), float64(w.reports)*modelEps; got != want {
+			m.t.Fatalf("step %d (%s): %.12q… has spent %v, the model %v", step, op, id, got, want)
 		}
 		if !ok && w.gone {
 			continue // compacted away, its spend in the departed ledger
@@ -331,6 +333,9 @@ func (m *registryModel) check(step int, op string) {
 		if w.epoch != m.s.epoch {
 			if has {
 				m.t.Fatalf("step %d (%s): the model kept a code for carried slot %d", step, op, slot)
+			}
+			if slot >= len(tab.lags) {
+				m.t.Fatalf("step %d (%s): carried slot %d lies past the %d lags", step, op, slot, len(tab.lags))
 			}
 			mustPanic(m.t, "reading a carried stint's code", func() { tab.code(slot, &buf) })
 			continue

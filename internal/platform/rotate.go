@@ -140,19 +140,20 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 		}
 	}
 	next := newSlotTable(len(carry)+len(slots), plan.Tree.Depth(), plan.Tree.Degree(), plan.Epoch)
+	next.lags = make([]int64, 0, len(carry))
 	for _, slot := range carry {
 		st := old.at(slot).state()
 		if st == stateAvailable {
 			st = stateAssignedGone // dropped with completions owed
 		}
-		next.adopt(old, slot, st, old.at(slot).lag()+plan.Epoch-old.epoch, "")
+		next.adopt(old, slot, st, old.lag(slot)+plan.Epoch-old.epoch, "")
 	}
 	// Then the rotated workers, in report order. A capacitated worker
 	// carries its remaining units (capacity − active) into the new epoch.
 	carried := next.len()
 	for i := range plan.Outcomes {
 		o := &plan.Outcomes[i]
-		if s.rot.Afford(o.Worker, old.at(slots[i]).spent) != nil {
+		if s.rot.Afford(o.Worker, old.at(slots[i]).reports()) != nil {
 			o.Parked = true
 			resp.Parked = append(resp.Parked, o.Worker)
 			leaving = append(leaving, slots[i])
@@ -190,11 +191,11 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// of the ids that left — under ids of their own, not views that would
 	// keep the old table's slab alive — and flip table and epoch together.
 	for slot := carried; slot < next.len(); slot++ {
-		s.rot.Charge(&next.at(slot).spent)
+		s.charge(next.at(slot))
 	}
 	for _, slot := range leaving {
-		if spent := old.at(slot).spent; spent > 0 {
-			s.departed[strings.Clone(old.id(slot))] = spent
+		if reports := old.at(slot).reports(); reports > 0 {
+			s.departed[strings.Clone(old.id(slot))] = reports
 		}
 	}
 	if err := s.rot.Commit(plan); err != nil {

@@ -111,10 +111,11 @@ type Server struct {
 	// codeBuf is what the table decodes a slot's code into for the core,
 	// under mu: a code read from it is valid until the next decode.
 	codeBuf []byte
-	// departed holds the lifetime spend of ids a rotation compacted out of
-	// the table (withdrawn, dropped or parked workers), reclaimed when the
-	// id registers back. It is empty without a lifetime budget.
-	departed map[string]float64
+	// departed holds the ledger cells — reports charged — of ids a rotation
+	// compacted out of the table (withdrawn, dropped or parked workers),
+	// reclaimed when the id registers back. It is empty without a lifetime
+	// budget.
+	departed map[string]uint32
 	// registered counts ids that were unknown — neither in the table nor in
 	// the departed ledger — when they registered.
 	registered int
@@ -292,7 +293,7 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		rot:         rot,
 		epoch:       first,
 		tab:         newSlotTable(0, tree.Depth(), tree.Degree(), first),
-		departed:    map[string]float64{},
+		departed:    map[string]uint32{},
 		levelCounts: make([]int, tree.Depth()+1),
 	}, nil
 }
@@ -364,19 +365,19 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	// Its ledger cell moves along — from the old slot, or from the departed
 	// ledger when a rotation compacted the old slot away.
 	var prev *record
-	spent, returning := 0.0, false
+	reports, returning := uint32(0), false
 	if old, dup := s.tab.lookup(req.WorkerID); dup {
 		prev = s.tab.at(old)
 		switch prev.state() {
 		case stateGone:
-			spent = prev.spent
+			reports = prev.reports()
 		case stateParked:
 			return refusal(parkedError(req.WorkerID))
 		default:
 			return refusal(conflictError(fmt.Sprintf("platform: worker %q already registered", req.WorkerID)))
 		}
 	} else {
-		spent, returning = s.departed[req.WorkerID]
+		reports, returning = s.departed[req.WorkerID]
 	}
 	if !s.tab.fits(len(req.WorkerID)) {
 		// 2^25−1 slots or 4 GiB of ids since the last rotation, which compacts them.
@@ -394,7 +395,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	if !s.eng.Policy().CapacityAware() {
 		capacity = 1
 	}
-	if s.rot.Afford(req.WorkerID, spent) != nil {
+	if s.rot.Afford(req.WorkerID, reports) != nil {
 		return refusal(parkedError(req.WorkerID))
 	}
 	slot := s.tab.len()
@@ -403,17 +404,17 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	}
 	// A concurrent Submit can pop the new slot as soon as Insert returns,
 	// but it reads the table under mu, which we still hold.
-	s.tab.add(req.WorkerID, spent, int32(capacity), code)
+	s.tab.add(req.WorkerID, reports, int32(capacity), code)
 	switch {
 	case prev != nil:
 		prev.setState(stateRetired)
-		prev.spent = 0
+		prev.setReports(0)
 	case returning:
 		delete(s.departed, req.WorkerID)
 	default:
 		s.registered++
 	}
-	s.rot.Charge(&s.tab.at(slot).spent)
+	s.charge(s.tab.at(slot))
 	s.rot.Observe(code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }
@@ -601,7 +602,7 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	inPool := rec.state() == stateAvailable
 	code := newCode
 	if newCode != "" {
-		if s.rot.Afford(req.WorkerID, rec.spent) != nil {
+		if s.rot.Afford(req.WorkerID, rec.reports()) != nil {
 			// The worker finished its task but cannot afford the fresh
 			// report: park it rather than re-noise past its guarantee,
 			// pulling any spare units out of the pool.
@@ -614,7 +615,7 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 			rec.setState(stateParked)
 			return refusal(parkedError(req.WorkerID))
 		}
-	} else if rec.lag() != 0 {
+	} else if s.tab.lag(slot) != 0 {
 		reason := fmt.Sprintf(
 			"platform: worker %q report is from epoch %d (serving %d); a fresh report is required",
 			req.WorkerID, s.tab.reportEpoch(slot), s.epoch)
@@ -653,7 +654,7 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	s.released++
 	if newCode != "" {
 		s.tab.setCode(slot, newCode)
-		s.rot.Charge(&rec.spent)
+		s.charge(rec)
 		s.rot.Observe(newCode)
 	}
 	return RegisterResponse{OK: true, Epoch: s.epoch}
@@ -699,16 +700,21 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 	return RegisterResponse{OK: true}
 }
 
-// Spent returns the lifetime ε the worker has consumed so far: its ledger
-// cell, or its departed-ledger entry when a rotation compacted it out of
-// the table (0 without a lifetime budget, or for an unknown id).
+// charge counts one accepted fresh report on the record's ledger cell.
+func (s *Server) charge(rec *record) { rec.setReports(s.rot.Charge(rec.reports())) }
+
+// Spent returns the lifetime ε the worker has consumed so far: ε times the
+// reports its ledger cell counts, or its departed-ledger entry when a
+// rotation compacted it out of the table (0 without a lifetime budget, or
+// for an unknown id).
 func (s *Server) Spent(workerID string) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	reports := s.departed[workerID]
 	if slot, ok := s.tab.lookup(workerID); ok {
-		return s.tab.at(slot).spent
+		reports = s.tab.at(slot).reports()
 	}
-	return s.departed[workerID]
+	return float64(reports) * s.rot.Epsilon()
 }
 
 // Stats reports the server's counters.

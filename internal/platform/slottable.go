@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"unsafe"
 
+	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/hst"
 )
 
@@ -16,32 +17,33 @@ import (
 //
 // A record holds no pointer, so a page of them is a noscan allocation: the
 // collector never marks through it and the allocator gives it no type
-// header. The id is an offset into the table's id slab, and everything but
-// the ledger cell shares one word; the table's accessors are the only
-// readers of either.
+// header. The id is an offset into the table's id slab, and everything else
+// shares one word; the table's accessors are the only readers of either.
 type record struct {
 	id uint32 // offset of the external worker id in the table's id slab
-	// word packs, from the top: lag, how many epochs the slot's report is
-	// behind the table's (28 bits: 0 for a report made or rotated under the
-	// table's epoch, raised when a rotation carries a busy stint into the
-	// next table; a lagging slot has no code — the old tree's means nothing
-	// here — until a Release brings a fresh one); the workerState (3 bits);
-	// and, on a table without a capacity column, the slot's one outstanding
-	// assignment (1 bit).
+	// word packs, from the top: the id's lifetime ε ledger cell (28 bits);
+	// the workerState (3 bits); and, on a table without a capacity column,
+	// the slot's one outstanding assignment (1 bit).
+	//
+	// The ledger cell counts the id's charged fresh reports. Every report
+	// spends the publication's one ε, so the count is exact where a float
+	// sum of ε's would round, and the id has spent reports·ε. The cell lives
+	// on the id's current slot: a re-registration or a rotation moves it
+	// along, so Σ reports over the table and the departed ledger, times ε,
+	// is the controller's total. It stops at epoch.MaxReports — 8.5 years at
+	// a report a second — where the controller parks the worker instead of
+	// letting it wrap.
 	word uint32
-	// spent is the id's lifetime ε ledger cell (see epoch.Controller.Charge).
-	// It lives on the id's current slot: a re-registration or a rotation
-	// moves it along, so Σ spent over the table and the departed ledger is
-	// the controller's total.
-	spent float64
 }
 
 const (
-	activeBit  = 1
-	stateShift = 1
-	lagShift   = 4
-	maxLag     = 1<<(32-lagShift) - 1
+	activeBit   = 1
+	stateShift  = 1
+	reportShift = 4
 )
+
+// The largest count a ledger cell may hold fits above the state bits.
+const _ uint32 = epoch.MaxReports << reportShift
 
 func (r *record) state() workerState { return workerState(r.word >> stateShift & 7) }
 
@@ -49,7 +51,12 @@ func (r *record) setState(st workerState) {
 	r.word = r.word&^(7<<stateShift) | uint32(st)<<stateShift
 }
 
-func (r *record) lag() int64 { return int64(r.word >> lagShift) }
+// reports is the id's ledger cell: the fresh reports charged to it.
+func (r *record) reports() uint32 { return r.word >> reportShift }
+
+func (r *record) setReports(n uint32) {
+	r.word = r.word&(1<<reportShift-1) | n<<reportShift
+}
 
 // units is a slot's cell in the capacity column: the declared task capacity
 // and the outstanding assignments. The engine holds the slot exactly while
@@ -60,13 +67,13 @@ type units struct{ capacity, active int32 }
 const (
 	recordBytes = int(unsafe.Sizeof(record{}))
 	unitsBytes  = int(unsafe.Sizeof(units{}))
-	// A page is 1,024 slots: 16 KiB of records, a slab of 1,024 packed codes
+	// A page is 1,024 slots: 8 KiB of records, a slab of 1,024 packed codes
 	// and, on a capacity-aware table, 8 KiB of capacity cells. A table grows a
 	// page at a time, never by copying, and holds at most one page of slack.
 	// Pages without pointers carry no allocator header at any length, so the
-	// length is chosen for the slabs: 16 KiB and 8 KiB are size classes, and
-	// so is a code slab of 1,024 × 6, 8, 10, 12, 14 or 16 bytes (one of 5, 7
-	// or 9 bytes is rounded up, to 5,376, 8,192 and 9,472 bytes).
+	// length is chosen for the slabs: 8 KiB is a size class, and so is a
+	// code slab of 1,024 × 6, 8, 10, 12, 14 or 16 bytes (one of 5, 7 or 9
+	// bytes is rounded up, to 5,376, 8,192 and 9,472 bytes).
 	pageBits = 10
 	pageLen  = 1 << pageBits
 	// The id slab is 16 KiB chunks, a size class too, filled back to back:
@@ -92,9 +99,16 @@ const (
 // only ever appended; a rotation builds the next epoch's table from 0 and
 // drops this one, which is what keeps the slot space bounded by live workers
 // plus one epoch's churn. A table therefore serves one epoch and one tree:
-// codes all have the tree's depth and degree, sit packed back to back in a
-// per-page byte slab, and a record stores its report's epoch as the lag
-// behind the table's.
+// codes all have the tree's depth and degree, and sit packed back to back in
+// a per-page byte slab.
+//
+// A slot's report is of the table's epoch, except on a stint a rotation
+// carried busy into the table: its report lags the table's by the epochs
+// since it was made, and the slot has no code — the old tree's means nothing
+// here — until a Release brings a fresh one. Only carried stints ever lag,
+// and a rotation adopts them before anything else, so the lags are a side
+// slice over slots [0, carried) rather than bits of every record; a fresh
+// code zeroes its slot's.
 //
 // A code is D digits in base c, and the slab stores it as a bit string, not
 // a byte a digit. Digits go in pairs: a pair d₁·c + d₂ is below c², so it
@@ -132,6 +146,7 @@ type slotTable struct {
 	epoch int64               // the epoch the table serves
 	slab  []*[idChunkLen]byte // the id slab's chunks
 	used  int                 // id slab bytes written
+	lags  []int64             // per carried slot: epochs its report lags the table's
 
 	degree    int       // c, the base of a code's digits
 	pairBits  int       // bits of a packed digit pair
@@ -306,10 +321,18 @@ func (t *slotTable) packed(slot int) []byte {
 	return t.codes[slot>>pageBits][off : off+t.codeLen]
 }
 
+// lag is how many epochs the slot's report is behind the table's.
+func (t *slotTable) lag(slot int) int64 {
+	if slot < len(t.lags) {
+		return t.lags[slot]
+	}
+	return 0
+}
+
 // report is the packed code of a slot whose report is of the table's epoch.
 // A carried stint has none; nothing may ask for it.
 func (t *slotTable) report(slot int) []byte {
-	if t.at(slot).lag() != 0 {
+	if t.lag(slot) != 0 {
 		panic("platform: code of a stint carried from another epoch read")
 	}
 	return t.packed(slot)
@@ -394,22 +417,24 @@ func (t *slotTable) setCode(slot int, code hst.Code) {
 		panic("platform: code length differs from the table's depth")
 	}
 	t.pack(t.packed(slot), code)
-	t.at(slot).word &^= maxLag << lagShift
+	if slot < len(t.lags) {
+		t.lags[slot] = 0
+	}
 }
 
 // reportEpoch is the epoch the slot's report was obfuscated under.
 func (t *slotTable) reportEpoch(slot int) int64 {
-	return t.epoch - t.at(slot).lag()
+	return t.epoch - t.lag(slot)
 }
 
 // bytes is the table's own allocation: record pages, packed code slabs,
-// capacity column, id slab, id index and pair table.
+// capacity column, id slab, carried lags, id index and pair table.
 func (t *slotTable) bytes() int {
 	slot := recordBytes + t.codeLen
 	if t.caps != nil {
 		slot += unitsBytes
 	}
-	return len(t.pages)*pageLen*slot + len(t.slab)*idChunkLen + 4*len(t.index) + 2*len(t.pairs)
+	return len(t.pages)*pageLen*slot + len(t.slab)*idChunkLen + 8*cap(t.lags) + 4*len(t.index) + 2*len(t.pairs)
 }
 
 // hash returns the id's first probe position and its entries' tag.
@@ -448,21 +473,22 @@ func (t *slotTable) lookup(id string) (slot int, ok bool) {
 
 // add opens a fresh stint of the id — available, nothing assigned — with its
 // ledger cell and its report under the table's epoch.
-func (t *slotTable) add(id string, spent float64, capacity int32, code hst.Code) (slot int) {
-	return t.push(id, stateAvailable, 0, spent, units{capacity: capacity}, code)
+func (t *slotTable) add(id string, reports uint32, capacity int32, code hst.Code) (slot int) {
+	return t.push(id, stateAvailable, 0, reports, units{capacity: capacity}, code)
 }
 
 // adopt appends a copy of another table's slot in state st, its report lag
-// epochs behind this table's (with code when lag is 0).
+// epochs behind this table's (with code when lag is 0). Lagging slots come
+// first.
 func (t *slotTable) adopt(old *slotTable, slot int, st workerState, lag int64, code hst.Code) int {
-	return t.push(old.id(slot), st, lag, old.at(slot).spent, old.units(slot), code)
+	return t.push(old.id(slot), st, lag, old.at(slot).reports(), old.units(slot), code)
 }
 
 // push appends a slot and points its id at it. An id the table already
 // holds keeps its one copy in the slab; the table must have room (fits).
-func (t *slotTable) push(id string, st workerState, lag int64, spent float64, u units, code hst.Code) (slot int) {
-	if lag < 0 || lag > maxLag {
-		panic("platform: a report lags the table by more epochs than a record holds")
+func (t *slotTable) push(id string, st workerState, lag int64, reports uint32, u units, code hst.Code) (slot int) {
+	if lag < 0 || lag > 0 && t.n != len(t.lags) {
+		panic("platform: a lagging report must come before every current one")
 	}
 	if 5*(t.ids+1) > 4*len(t.index) {
 		t.grow()
@@ -487,7 +513,7 @@ func (t *slotTable) push(id string, st workerState, lag int64, spent float64, u 
 		t.addColumn()
 	}
 	t.n++
-	*t.at(slot) = record{id: ref, word: uint32(lag)<<lagShift | uint32(st)<<stateShift, spent: spent}
+	*t.at(slot) = record{id: ref, word: reports<<reportShift | uint32(st)<<stateShift}
 	if t.caps != nil {
 		t.caps[slot>>pageBits][slot&(pageLen-1)] = u
 	} else {
@@ -495,6 +521,8 @@ func (t *slotTable) push(id string, st workerState, lag int64, spent float64, u 
 	}
 	if lag == 0 {
 		t.setCode(slot, code)
+	} else {
+		t.lags = append(t.lags, lag)
 	}
 	t.index[pos] = tag | uint32(slot+1)
 	return slot

@@ -9,20 +9,21 @@ import (
 	"unsafe"
 
 	"github.com/pombm/pombm/internal/engine"
+	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/rng"
 	"github.com/pombm/pombm/internal/workload"
 )
 
-// TestSlotPageSizeClasses pins what a slot costs: a 16-byte record in a
-// 1,024-record page that the allocator serves as exactly 16 KiB (a size
+// TestSlotPageSizeClasses pins what a slot costs: an 8-byte record in a
+// 1,024-record page that the allocator serves as exactly 8 KiB (a size
 // class; no pointers, so no type header), a slab of 1,024 packed codes that
 // is a size class of its own at the code lengths the cases name — 6 B on
 // the benchmark's tree — and on a capacity-aware table an 8 KiB page of
 // capacity cells. README's bytes-per-worker arithmetic rests on these.
 func TestSlotPageSizeClasses(t *testing.T) {
-	if got := unsafe.Sizeof(record{}); got != 16 {
-		t.Fatalf("record is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(record{}); got != 8 {
+		t.Fatalf("record is %d bytes, want 8", got)
 	}
 	if got := unsafe.Sizeof(units{}); got != 8 {
 		t.Fatalf("a capacity cell is %d bytes, want 8", got)
@@ -41,7 +42,7 @@ func TestSlotPageSizeClasses(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector pads allocations")
 	}
-	const recordPage, capsPage = 16 << 10, 8 << 10
+	const recordPage, capsPage = 8 << 10, 8 << 10
 	for _, capacity := range []int32{1, 4} {
 		for _, tc := range []struct{ depth, degree int }{{10, 22}, {16, 16}, {10, 255}, {20, 22}} {
 			// Room for the page pointers and an index that will not grow, and
@@ -77,7 +78,7 @@ func TestSlotPageSizeClasses(t *testing.T) {
 				t.Errorf("capacity %d, depth %d, degree %d: a page allocates %d bytes, want %d",
 					capacity, tc.depth, tc.degree, best, want)
 			}
-			perSlot := 16 + tab.codeLen
+			perSlot := 8 + tab.codeLen
 			if capacity != 1 {
 				perSlot += 8
 			}
@@ -92,22 +93,22 @@ func TestSlotPageSizeClasses(t *testing.T) {
 // engine.TestIndexFootprintAtBenchmarkDensity: Stats().RegistryBytes per
 // worker on the benchmark's tree (64×64 grid, depth 10, degree 22) after
 // in-process registrations whose ids the caller owns and names as the
-// benchmark does, "w0" to "w65535". A slot is a 16 B record and a 6 B
+// benchmark does, "w0" to "w65535". A slot is an 8 B record and a 6 B
 // packed code; an id is its bytes and a length byte in the slab (7 B with
 // the last chunk's slack at both sizes) and 4 B index entries at 67 % load
-// (6 B); a capacity-aware table adds an 8 B cell. So 35 and 43 B, under
-// ceilings of 36 and 44.
+// (6 B); a capacity-aware table adds an 8 B cell. So 27 and 35 B, under
+// ceilings of 28 and 36.
 func TestRegistryFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(record{}); got != 16 {
-		t.Fatalf("record is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(record{}); got != 8 {
+		t.Fatalf("record is %d bytes, want 8", got)
 	}
 	for _, tc := range []struct {
 		name    string
 		opts    []ServerOption
 		ceiling float64 // bytes per worker
 	}{
-		{"greedy with a lifetime budget", []ServerOption{WithLifetimeBudget(1e12)}, 36},
-		{"capacity-greedy, capacity 4", []ServerOption{WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(4)}, 44},
+		{"greedy with a lifetime budget", []ServerOption{WithLifetimeBudget(1e12)}, 28},
+		{"capacity-greedy, capacity 4", []ServerOption{WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(4)}, 36},
 	} {
 		for _, n := range []int{16384, 65536} {
 			s, err := NewServer(workload.SyntheticRegion, 64, 64, 0.6, 7, tc.opts...)
@@ -198,11 +199,11 @@ func TestCapacityColumnArrivesLate(t *testing.T) {
 	tab.addActive(pageLen, 1)
 	mustPanic(t, "a second assignment of a capacity-1 slot without a column", func() { tab.addActive(pageLen, 1) })
 	// A pair of base-3 digits packs into 4 bits: a 1-byte code.
-	if tab.caps != nil || tab.bytes() != 2*pageLen*(16+1)+idChunkLen+4*len(tab.index)+2*9 {
+	if tab.caps != nil || tab.bytes() != 2*pageLen*(8+1)+idChunkLen+4*len(tab.index)+2*9 {
 		t.Fatalf("a capacity-1 table has a column (%v) or reads %d bytes", tab.caps != nil, tab.bytes())
 	}
 	late := tab.add("late", 0, 3, "\x01\x02")
-	if tab.caps == nil || tab.bytes() != 2*pageLen*(16+1+8)+idChunkLen+4*len(tab.index)+2*9 {
+	if tab.caps == nil || tab.bytes() != 2*pageLen*(8+1+8)+idChunkLen+4*len(tab.index)+2*9 {
 		t.Fatalf("no column after a capacity-3 slot (%v), or %d bytes", tab.caps == nil, tab.bytes())
 	}
 	for slot, want := range map[int]units{0: {1, 0}, pageLen: {1, 1}, pageLen + 1: {1, 0}, late: {3, 0}} {
@@ -212,6 +213,59 @@ func TestCapacityColumnArrivesLate(t *testing.T) {
 	}
 	if tab.addActive(late, 2) != 2 || tab.addActive(pageLen, -1) != 0 {
 		t.Fatal("the column does not count assignments")
+	}
+}
+
+// setReports is the test hook on a ledger cell: it sets the count of the
+// id's current slot.
+func setReports(t *testing.T, s *Server, id string, n uint32) {
+	t.Helper()
+	slot, ok := s.tab.lookup(id)
+	if !ok {
+		t.Fatalf("%s is not in the table", id)
+	}
+	s.tab.at(slot).setReports(n)
+}
+
+// TestSaturatedLedgerCellParks pins the ledger cell's 28-bit limit: a fresh
+// report that fills the cell to epoch.MaxReports is accepted, and the next
+// one parks the worker with the typed refusal — on every path that charges
+// a report, under a budget that would still afford it — while the cell
+// stays at the cap instead of wrapping.
+func TestSaturatedLedgerCellParks(t *testing.T) {
+	for _, path := range []string{"register", "reregister", "release", "rotate"} {
+		s := newCapServer(t, WithLifetimeBudget(1e12))
+		if r := s.Register(RegisterRequest{WorkerID: "w", Code: leaf(s, 0)}); !r.OK {
+			t.Fatal(r.Reason)
+		}
+		setReports(t, s, "w", epoch.MaxReports-1)
+		if r := s.Reregister(ReregisterRequest{WorkerID: "w", Code: leaf(s, 1)}); !r.OK {
+			t.Fatalf("%s: the report that fills the cell: %s", path, r.Reason)
+		}
+		var r RegisterResponse
+		switch path {
+		case "register":
+			s.Withdraw(WithdrawRequest{WorkerID: "w"})
+			r = s.Register(RegisterRequest{WorkerID: "w", Code: leaf(s, 2)})
+		case "reregister":
+			r = s.Reregister(ReregisterRequest{WorkerID: "w", Code: leaf(s, 2)})
+		case "release":
+			if task := s.Submit(TaskRequest{Code: leaf(s, 2)}); !task.Assigned {
+				t.Fatal(task.Reason)
+			}
+			r = s.Release(ReleaseRequest{WorkerID: "w", Code: leaf(s, 2)})
+		case "rotate":
+			if rot := s.RotateNow(PrepareRotateRequest{}, nil, rotReporter(rng.New(1))); !rot.OK || len(rot.Parked) != 1 {
+				t.Fatalf("rotate: %+v", rot)
+			}
+			r = s.Reregister(ReregisterRequest{WorkerID: "w", Code: leaf(s, 2)}) // compacted away, still parked
+		}
+		if r.OK || !r.Parked || r.Err == nil || r.Err.Code != CodeParked || !s.rot.Parked("w") {
+			t.Fatalf("%s at the cap: %+v, parked %v", path, r, s.rot.Parked("w"))
+		}
+		if got, want := s.Spent("w"), float64(epoch.MaxReports)*0.6; got != want {
+			t.Fatalf("%s: the parked worker has spent %v, want %v", path, got, want)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 		// its table update (which waits on mu): the assignment wins.
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)))
 	}
-	if s.rot.Afford(req.WorkerID, rec.spent) != nil {
+	if s.rot.Afford(req.WorkerID, rec.reports()) != nil {
 		// The fresh report is unaffordable. The old report was already
 		// withdrawn from the engine above, and it is not restored: the
 		// worker is parked — out of the pool for good — instead of being
@@ -71,7 +71,7 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 		return refusal(AsError(err, s.epoch))
 	}
 	s.tab.setCode(slot, code)
-	s.rot.Charge(&rec.spent)
+	s.charge(rec)
 	s.rot.Observe(code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }

@@ -40,13 +40,13 @@ func (b *Budget) Affords(spent, eps float64) bool {
 	return spent+eps <= b.limit+1e-12
 }
 
-// Charge records one report of eps on the agent's cell. The caller has
-// checked Affords; Charge itself never refuses.
-func (b *Budget) Charge(cell *float64, eps float64) {
-	if *cell == 0 {
+// Charge records one report of eps, the agent's first when first is set; the
+// owner adds it to the agent's cell. The caller has checked Affords; Charge
+// itself never refuses.
+func (b *Budget) Charge(first bool, eps float64) {
+	if first {
 		b.agents++
 	}
-	*cell += eps
 	b.total += eps
 }
 
@@ -100,8 +100,8 @@ func (a *Accountant) Spend(agentID string, eps float64) error {
 		return fmt.Errorf("%w: agent %q spent %.4g of %.4g, requested %.4g",
 			ErrBudgetExhausted, agentID, cell, a.budget.limit, eps)
 	}
-	a.budget.Charge(&cell, eps)
-	a.spent[agentID] = cell
+	a.budget.Charge(cell == 0, eps)
+	a.spent[agentID] = cell + eps
 	return nil
 }
 

@@ -97,13 +97,13 @@ type engineBackend struct {
 	eng   *engine.Engine
 	ctrl  *epoch.Controller
 	refit bool
-	spent []float64 // sim worker → lifetime ε consumed
+	spent []uint32 // sim worker → reports charged: lifetime ε consumed is spent·ε
 }
 
 func workerName(worker int) string { return "w" + strconv.Itoa(worker) }
 
 // cell returns the worker's ledger cell.
-func (b *engineBackend) cell(worker int) *float64 {
+func (b *engineBackend) cell(worker int) *uint32 {
 	for worker >= len(b.spent) {
 		b.spent = append(b.spent, 0)
 	}
@@ -118,7 +118,7 @@ func (b *engineBackend) register(id, worker int, code hst.Code, capacity int) er
 	if err := b.eng.InsertCapEpoch(code, id, capacity, 0); err != nil {
 		return err
 	}
-	b.ctrl.Charge(cell)
+	*cell = b.ctrl.Charge(*cell)
 	b.ctrl.Observe(code)
 	return nil
 }
@@ -141,7 +141,7 @@ func (b *engineBackend) release(id, worker int, oldCode, newCode hst.Code, capLe
 	if err := b.eng.InsertCapEpoch(newCode, id, capLeft, 0); err != nil {
 		return err
 	}
-	b.ctrl.Charge(cell)
+	*cell = b.ctrl.Charge(*cell)
 	b.ctrl.Observe(newCode)
 	return nil
 }
@@ -204,7 +204,8 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 	}
 	for i := range plan.Outcomes {
 		if !plan.Outcomes[i].Parked {
-			b.ctrl.Charge(b.cell(workers[i]))
+			cell := b.cell(workers[i])
+			*cell = b.ctrl.Charge(*cell)
 		}
 	}
 	if err := b.ctrl.Commit(plan); err != nil {
