@@ -631,7 +631,7 @@ func badBody(err error) *platform.Error {
 func writeNodeJSON(w http.ResponseWriter, status int, e *platform.Error) {
 	cb := wire.Get()
 	defer wire.Put(cb)
-	cb.Append(func(dst []byte) []byte { return append(appendError(dst, e), '\n') })
+	cb.Append(func(dst []byte) []byte { return append(e.AppendJSON(dst), '\n') })
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(cb.Len()))

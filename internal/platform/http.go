@@ -257,7 +257,7 @@ func clientError(err error) *Error {
 // Register implements Backend over HTTP.
 func (c *Client) Register(req RegisterRequest) RegisterResponse {
 	var resp RegisterResponse
-	if err := c.call(KindRegister, req, &resp); err != nil {
+	if err := c.call(KindRegister, &req, &resp); err != nil {
 		e := clientError(err)
 		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -267,7 +267,7 @@ func (c *Client) Register(req RegisterRequest) RegisterResponse {
 // Reregister updates a worker's reported leaf over HTTP.
 func (c *Client) Reregister(req ReregisterRequest) RegisterResponse {
 	var resp RegisterResponse
-	if err := c.call(KindReregister, req, &resp); err != nil {
+	if err := c.call(KindReregister, &req, &resp); err != nil {
 		e := clientError(err)
 		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -277,7 +277,7 @@ func (c *Client) Reregister(req ReregisterRequest) RegisterResponse {
 // Release returns an assigned worker to the pool over HTTP.
 func (c *Client) Release(req ReleaseRequest) RegisterResponse {
 	var resp RegisterResponse
-	if err := c.call(KindRelease, req, &resp); err != nil {
+	if err := c.call(KindRelease, &req, &resp); err != nil {
 		e := clientError(err)
 		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -287,7 +287,7 @@ func (c *Client) Release(req ReleaseRequest) RegisterResponse {
 // Withdraw takes a worker offline over HTTP.
 func (c *Client) Withdraw(req WithdrawRequest) RegisterResponse {
 	var resp RegisterResponse
-	if err := c.call(KindWithdraw, req, &resp); err != nil {
+	if err := c.call(KindWithdraw, &req, &resp); err != nil {
 		e := clientError(err)
 		return RegisterResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -297,7 +297,7 @@ func (c *Client) Withdraw(req WithdrawRequest) RegisterResponse {
 // Submit implements Backend over HTTP.
 func (c *Client) Submit(req TaskRequest) TaskResponse {
 	var resp TaskResponse
-	if err := c.call(KindTask, req, &resp); err != nil {
+	if err := c.call(KindTask, &req, &resp); err != nil {
 		e := clientError(err)
 		return TaskResponse{Assigned: false, Reason: e.Message, Err: e}
 	}
@@ -307,7 +307,7 @@ func (c *Client) Submit(req TaskRequest) TaskResponse {
 // SubmitBatch submits a task batch over HTTP.
 func (c *Client) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 	var resp TaskBatchResponse
-	if err := c.call(KindTasks, req, &resp); err != nil {
+	if err := c.call(KindTasks, &req, &resp); err != nil {
 		e := clientError(err)
 		out := TaskBatchResponse{Results: make([]TaskResponse, len(req.Tasks))}
 		for i := range out.Results {
@@ -323,7 +323,7 @@ func (c *Client) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 // would protect the rotation endpoints behind its admin plane.
 func (c *Client) PrepareRotate(req PrepareRotateRequest) PrepareRotateResponse {
 	var resp PrepareRotateResponse
-	if err := c.call(kindRotatePrepare, req, &resp); err != nil {
+	if err := c.call(kindRotatePrepare, &req, &resp); err != nil {
 		e := clientError(err)
 		return PrepareRotateResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -338,7 +338,7 @@ func (c *Client) PrepareRotate(req PrepareRotateRequest) PrepareRotateResponse {
 // agents, or they will be refused as stale.
 func (c *Client) Rotate(req RotateRequest) RotateResponse {
 	var resp RotateResponse
-	if err := c.call(kindRotate, req, &resp); err != nil {
+	if err := c.call(kindRotate, &req, &resp); err != nil {
 		e := clientError(err)
 		return RotateResponse{OK: false, Reason: e.Message, Err: e}
 	}
@@ -384,7 +384,7 @@ func (c *Client) call(k Kind, in, out any) error {
 	path := kindPaths[k]
 	cb := wire.Get()
 	defer wire.Put(cb)
-	if err := cb.Encode(in); err != nil {
+	if err := encodeJSON(cb, in); err != nil {
 		return fmt.Errorf("platform: encode %s: %w", path, err)
 	}
 	var s *wire.Stream
@@ -538,7 +538,7 @@ func decodeAnswer(path string, status int, body []byte, cb *wire.Buf, out any) e
 		}
 		return fmt.Errorf("platform: %s returned %d %s: %s", path, status, http.StatusText(status), body)
 	}
-	if err := cb.UnmarshalFrom(body, out); err != nil {
+	if err := decodeJSON(cb, body, out); err != nil {
 		return fmt.Errorf("platform: decode %s: %w", path, err)
 	}
 	return nil

@@ -38,6 +38,14 @@
 // an undecodable body is answered 400 in a frame too, as is a payload with
 // no kind byte or a kind that is not one of the six; the stream stays usable.
 //
+// The bodies are what encoding/json writes of the wire types below, and a
+// body is read as encoding/json reads it. Neither end runs encoding/json on
+// the six calls' bodies, though: codec.go writes them byte for byte as it
+// does, and reads the canonical ones — the members the encoders write, in
+// any order, with any whitespace and escapes — to the same values. A body
+// outside that grammar is read by encoding/json, so it is answered, or
+// refused, exactly as it always was.
+//
 // Caps and what closes a stream. A request frame's payload is at most 1 MiB
 // (what a POSTed body may be); the server closes a stream whose header
 // announces more, before reading or allocating any of it, and one that ends

@@ -105,14 +105,14 @@ func unknownKind(buf *wire.Buf, k Kind) int {
 
 func run[Req, Resp any](s *Server, k Kind, body []byte, buf *wire.Buf, call func(*Server, Req) Resp) int {
 	var req Req
-	if err := buf.UnmarshalFrom(body, &req); err != nil {
+	if err := decodeJSON(buf, body, &req); err != nil {
 		return refuse(buf, http.StatusBadRequest, badRequestError("platform: bad request: "+err.Error()))
 	}
 	began := time.Now()
 	resp := call(s, req)
 	s.hop.kinds[k].core.Record(int64(time.Since(began)))
 	buf.Reset()
-	if err := buf.Encode(&resp); err != nil {
+	if err := encodeJSON(buf, &resp); err != nil {
 		return refuse(buf, http.StatusInternalServerError, internalError("platform: encode %s answer: %v", k, err))
 	}
 	return http.StatusOK
@@ -121,11 +121,7 @@ func run[Req, Resp any](s *Server, k Kind, body []byte, buf *wire.Buf, call func
 // refuse leaves e in buf as the answer and returns status.
 func refuse(buf *wire.Buf, status int, e *Error) int {
 	buf.Reset()
-	if err := buf.Encode(e); err != nil {
-		// An Error is two strings, an integer and a flag: it encodes.
-		buf.Reset()
-		return http.StatusInternalServerError
-	}
+	buf.Append(func(dst []byte) []byte { return append(e.AppendJSON(dst), '\n') })
 	return status
 }
 

@@ -470,8 +470,8 @@ func TestClientSharedByGoroutines(t *testing.T) {
 
 // TestFramedCycleAllocs pins what a warm submit + release cycle allocates
 // over a stream, both ends counted (the test's one process is both): the
-// decoded requests and answers — ids, codes, the boxed structs encoding/json
-// is handed — and nothing per frame for the transport. A POST per call cost
+// decoded requests and answers — ids, codes, the boxed structs the codec is
+// handed — and nothing per frame for the transport. A POST per call cost
 // 208.
 func TestFramedCycleAllocs(t *testing.T) {
 	if raceEnabled {

@@ -1,5 +1,6 @@
 // Package wire is what the serving tiers share of the wire: the pooled JSON
-// codec scratch below, and (frame.go, stream.go) the framing and both ends
+// codec scratch below, the hand codec their hot messages are written and
+// read with (json.go), and (frame.go, stream.go) the framing and both ends
 // of the upgraded connections that carry an agent's and a coordinator's
 // calls.
 //
