@@ -63,13 +63,13 @@ func run() error {
 
 		// Profilers, for digging into where a regression lives. Mutex and
 		// block sampling carry overhead: profile runs are for attribution,
-		// not for the numbers that land in a snapshot.
+		// not for the numbers that land in a report.
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		mutexProf = flag.String("mutexprofile", "", "write a mutex-contention profile to this file (enables mutex sampling)")
 		blockProf = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file (enables block sampling)")
 
 		// Scale soak lane (see soak.go): million-worker populations, churn,
-		// snapshot round trips, and rotation peak-memory accounting.
+		// and rotation peak-memory accounting.
 		soakName   = flag.String("soak", "", "run the scale soak lane with this suite (smoke-100k, soak-1m … soak-10m on the engine; platform-20k, platform-1m on platform.Server) and exit")
 		soakJSON   = flag.String("soakjson", "", "soak: write the machine-readable soak report to this file ('' = SOAK_<suite>.json)")
 		soakShards = flag.Int("shards", 0, "soak: engine shard count (0 = engine default)")

@@ -1,11 +1,11 @@
 // The soak lane loads a city-scale worker population into the engine and
 // measures what the per-request benchmarks cannot: steady-state memory per
-// worker, GC pause behaviour under churn, snapshot serialize/restore time,
-// and the peak extra memory an epoch rotation costs while the population is
-// at its largest. It follows bent's split (golang/benchmarks) between the
-// suite — what to run: population size and churn shape — and the config —
-// how to run it: seed, tree geometry, shard count — so the same suite is
-// comparable across machines and revisions.
+// worker, GC pause behaviour under churn, and the peak extra memory an
+// epoch rotation costs while the population is at its largest. It follows
+// bent's split (golang/benchmarks) between the suite — what to run:
+// population size and churn shape — and the config — how to run it: seed,
+// tree geometry, shard count — so the same suite is comparable across
+// machines and revisions.
 //
 // Churn runs on a virtual tick counter, not wall time: each tick submits a
 // fixed number of tasks (each assignment pops a worker, who then re-reports
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"github.com/pombm/pombm/internal/engine"
-	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/rng"
@@ -127,11 +126,6 @@ type soakReport struct {
 	AssignNsPerOp float64      `json:"assign_ns_per_op"`
 	GCPauses      gcPauseStats `json:"gc_pauses"`
 
-	SnapshotBytes        int64   `json:"snapshot_bytes"`
-	SnapshotWriteSeconds float64 `json:"snapshot_write_seconds"`
-	SnapshotReadSeconds  float64 `json:"snapshot_read_seconds"`
-	SnapshotWorkers      int     `json:"snapshot_workers"`
-
 	// Rotation peak memory: extra bytes of live heap the worst rotation
 	// held beyond its pre-rotation baseline, sampled concurrently, and that
 	// extra as a fraction of the population's arena bytes. The streaming
@@ -177,9 +171,8 @@ func findSoakSuite(name string) (soakSuite, error) {
 }
 
 // runSoak executes one suite end to end: load, churn, steady-state
-// measurement, snapshot round trip, rotations under a concurrent heap
-// sampler. The report goes to jsonPath ("" = SOAK_<suite>.json) and a
-// human summary to stdout.
+// measurement, rotations under a concurrent heap sampler. The report goes
+// to jsonPath ("" = SOAK_<suite>.json) and a human summary to stdout.
 func runSoak(suiteName string, gridCols, shards int, seed uint64, jsonPath string) error {
 	suite, err := findSoakSuite(suiteName)
 	if err != nil {
@@ -297,16 +290,7 @@ func runSoak(suiteName string, gridCols, shards int, seed uint64, jsonPath strin
 		return fmt.Errorf("arenas hold %.1f B/worker after churn, the suite's ceiling is %.1f", rep.ArenaBytesPerWorker, suite.ArenaCeiling)
 	}
 
-	// Phase 4: snapshot round trip through a real file. The write streams
-	// (epoch.WriteSnapshot never materialises the worker list); the read
-	// restores a full second engine, timed together as "restore".
-	if err := soakSnapshot(&rep, eng, shards); err != nil {
-		return err
-	}
-	fmt.Printf("  snapshot: %s written in %.2fs, restored %d workers in %.2fs\n",
-		mb(rep.SnapshotBytes), rep.SnapshotWriteSeconds, rep.SnapshotWorkers, rep.SnapshotReadSeconds)
-
-	// Phase 5: epoch rotations under a concurrent heap sampler. Every
+	// Phase 4: epoch rotations under a concurrent heap sampler. Every
 	// worker re-reports into the new epoch under a fresh code, replayed
 	// from (id, gen+1) — the streaming swap never sees a materialised
 	// insert slice, and the sampler catches whatever peak the build holds.
@@ -373,47 +357,6 @@ func writeSoakReport(jsonPath, suite string, rep any) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "# wrote %s\n", jsonPath)
-	return nil
-}
-
-// soakSnapshot times one snapshot round trip: stream the population to a
-// temp file, read it back, rebuild an engine, check nothing was lost. The
-// restored engine and parsed state are dropped before return so the
-// rotation phase starts from a clean baseline.
-func soakSnapshot(rep *soakReport, eng *engine.Engine, shards int) error {
-	f, err := os.CreateTemp("", "pombm-soak-*.snapshot")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name())
-	defer f.Close()
-	t0 := time.Now()
-	n, err := epoch.WriteSnapshot(f, eng)
-	if err != nil {
-		return fmt.Errorf("snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	rep.SnapshotWriteSeconds = time.Since(t0).Seconds()
-	rep.SnapshotBytes = n
-	if _, err := f.Seek(0, 0); err != nil {
-		return err
-	}
-	t0 = time.Now()
-	st, err := epoch.ReadState(f)
-	if err != nil {
-		return fmt.Errorf("snapshot read: %w", err)
-	}
-	restored, err := st.Engine(shards)
-	if err != nil {
-		return fmt.Errorf("snapshot restore: %w", err)
-	}
-	rep.SnapshotReadSeconds = time.Since(t0).Seconds()
-	rep.SnapshotWorkers = restored.Len()
-	if rep.SnapshotWorkers != eng.Len() {
-		return fmt.Errorf("snapshot lost workers: restored %d, have %d", rep.SnapshotWorkers, eng.Len())
-	}
 	return nil
 }
 

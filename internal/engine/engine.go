@@ -633,13 +633,13 @@ func (e *Engine) Occupancy() []int {
 
 // Walk visits every available (code, id) pair of the current epoch, one
 // shard at a time. The view is consistent only when writers are quiesced;
-// it exists for snapshots and monitoring, not for serving decisions.
+// it exists for audits of the population, not for serving decisions.
 func (e *Engine) Walk(fn func(code hst.Code, id int)) {
 	e.WalkCap(func(code hst.Code, id, _ int) { fn(code, id) })
 }
 
-// WalkCap is Walk carrying each worker's remaining capacity, so snapshots
-// of capacitated populations restore with their unconsumed units intact.
+// WalkCap is Walk carrying each worker's remaining capacity, so an audit
+// of a capacitated population sees its unconsumed units.
 func (e *Engine) WalkCap(fn func(code hst.Code, id, capacity int)) {
 	st := e.state.Load()
 	for i := range st.shards {

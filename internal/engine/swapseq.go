@@ -13,11 +13,12 @@ import (
 // a materialized slice, for populations too large to hold twice. It is
 // invoked twice here, one pass after the other, so seq must be replayable:
 // the same inserts every time (the platform's rotation path derives them
-// deterministically from the rotation plan; a snapshot restore replays its
-// worker list). A seq handed to a platform.Core must additionally be safe
-// to invoke from several goroutines at once — the cluster core runs one
-// filtered iteration per node concurrently; platform.Rotate's populate
-// qualifies because it only reads tables frozen under the server's mu.
+// deterministically from the rotation plan; the soak lane replays them from
+// worker ids and code generations). A seq handed to a platform.Core must
+// additionally be safe to invoke from several goroutines at once — the
+// cluster core runs one filtered iteration per node concurrently;
+// platform.Rotate's populate qualifies because it only reads tables frozen
+// under the server's mu.
 //
 // Of the two swap entries this is the one that freezes and rebuilds:
 // SwapEpoch builds the full next-epoch population beside the live one,

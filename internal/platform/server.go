@@ -197,9 +197,9 @@ func WithDefaultCapacity(n int) ServerOption {
 
 // WithTree publishes the given pre-built HST instead of deriving one from
 // the server seed. The tree must cover exactly the predefined grid
-// (cols×rows points). Deployments restoring a persisted epoch — and
-// harnesses that must share one published tree across stacks, like the
-// simulator's cross-driver comparisons — inject it here; epoch rotations
+// (cols×rows points). Harnesses that must share one published tree across
+// stacks, like the simulator's cross-driver comparisons, inject it here;
+// epoch rotations
 // still derive their fresh trees from the server seed.
 func WithTree(t *hst.Tree) ServerOption {
 	return func(c *serverConfig) { c.tree = t }
