@@ -17,6 +17,7 @@ import (
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
+	"github.com/pombm/pombm/internal/wire"
 	"github.com/pombm/pombm/internal/wiretap"
 )
 
@@ -73,14 +74,14 @@ func TestOpsEnvelopeReplayByteExact(t *testing.T) {
 		t.Fatalf("replay re-applied mutations: pool %d, want %d", got, wantLen)
 	}
 
-	// Rotate the replay cache one generation (replayCapPerGen further
+	// Rotate the replay cache one generation (wire.ReplayKeysPerGen further
 	// distinct keyed mutations) and replay again: the keys must survive in
 	// the previous generation.
 	filler := make([]OpRequest, 0, 128)
 	id := 1000
-	for n := 0; n < replayCapPerGen; n += len(filler) {
+	for n := 0; n < wire.ReplayKeysPerGen; n += len(filler) {
 		filler = filler[:0]
-		for i := 0; i < 128 && n+i < replayCapPerGen; i++ {
+		for i := 0; i < 128 && n+i < wire.ReplayKeysPerGen; i++ {
 			filler = append(filler, OpRequest{
 				Kind: OpInsert, Idem: fmt.Sprintf("fill-%d", id),
 				Code: []byte(tree.CodeOf(id % tree.NumPoints())), ID: id, Epoch: 1,

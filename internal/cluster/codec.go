@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"encoding/base64"
 	"fmt"
+	"slices"
 	"strconv"
+	"unsafe"
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
@@ -56,8 +59,7 @@ func appendOpsRequest(dst []byte, batch []*batchedOp) []byte {
 }
 
 // ackOK is the whole sub-result of an applied insert, add-capacity, consume,
-// commit or abort. The replay cache holds this one slice for every such
-// entry.
+// commit or abort. The replay cache keeps it once for every such entry.
 var ackOK = []byte(`{"ok":true}`)
 
 // appendRefusal appends `{"ok":false,"error":{…}` — a refused sub-result or
@@ -158,8 +160,44 @@ func internKind(text []byte) string {
 
 var opFields = []string{"kind", "idem", "code", "id", "capacity", "epoch", "codes", "k"}
 
+// view is b as a string, without a copy: valid while b's memory is neither
+// reused nor written, so only for a callee that does not keep it.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// bytesOf is s's memory as a slice, without a copy, for an encoder that only
+// reads it.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
+// opsReader scans request envelopes — a stream's, one frame after another —
+// into ops that copy nothing: an op's idem is a view of the envelope, its
+// code and codes views of the reader's base64 scratch. Each scan first grows
+// the scratch to hold every code the envelope could carry, so it never
+// reallocates under a view. The ops are valid until the next scan, and while
+// the envelope's bytes are neither reused nor written.
+type opsReader struct {
+	ops   []OpRequest
+	codes []byte
+}
+
+// scanOps scans one envelope (opsReader.scan), appending its sub-ops to ops.
+func scanOps(body []byte, ops []OpRequest) ([]OpRequest, error) {
+	r := opsReader{ops: ops}
+	return r.scan(body)
+}
+
+// decode consumes a base64 string into the scratch and returns its view.
+func (r *opsReader) decode(s *wire.Scanner) ([]byte, error) {
+	start := len(r.codes)
+	codes, err := s.Base64(r.codes)
+	if err != nil {
+		return nil, err
+	}
+	r.codes = codes
+	return codes[start:len(codes):len(codes)], nil
+}
+
 // scanOp consumes one sub-op object into op.
-func scanOp(s *wire.Scanner, op *OpRequest) error {
+func (r *opsReader) scanOp(s *wire.Scanner, op *OpRequest) error {
 	return s.Object(opFields, func(name string) (err error) {
 		var text []byte
 		switch name {
@@ -168,9 +206,9 @@ func scanOp(s *wire.Scanner, op *OpRequest) error {
 			op.Kind = internKind(text)
 		case "idem":
 			text, err = s.Str()
-			op.Idem = string(text)
+			op.Idem = view(text)
 		case "code":
-			op.Code, err = s.Base64(nil)
+			op.Code, err = r.decode(s)
 		case "id":
 			op.ID, err = s.Int()
 		case "capacity":
@@ -179,7 +217,7 @@ func scanOp(s *wire.Scanner, op *OpRequest) error {
 			op.Epoch, err = s.Integer()
 		case "codes":
 			err = s.Array(func() error {
-				code, err := s.Base64(nil)
+				code, err := r.decode(s)
 				op.Codes = append(op.Codes, code)
 				return err
 			})
@@ -192,17 +230,21 @@ func scanOp(s *wire.Scanner, op *OpRequest) error {
 
 var opsFields = []string{"ops"}
 
-// scanOps decodes a request envelope, appending its sub-ops to ops. It
-// reads the whole document before returning anything: an envelope is
-// refused as a whole or executed as a whole.
-func scanOps(body []byte, ops []OpRequest) ([]OpRequest, error) {
-	s := wire.Scan(body)
-	if err := s.Object(opsFields, func(string) error {
+// scan decodes a request envelope into the reader's ops. It reads the whole
+// document before returning anything: an envelope is refused as a whole or
+// executed as a whole.
+func (r *opsReader) scan(body []byte) ([]OpRequest, error) {
+	// A code decodes from a string of the envelope to ¾ of its length or less.
+	r.codes = slices.Grow(r.codes[:0], base64.StdEncoding.DecodedLen(len(body)))
+	ops, s := r.ops, wire.Scan(body)
+	err := s.Object(opsFields, func(string) error {
 		return s.Array(func() error {
 			ops = append(ops, OpRequest{})
-			return scanOp(&s, &ops[len(ops)-1])
+			return r.scanOp(&s, &ops[len(ops)-1])
 		})
-	}); err != nil {
+	})
+	r.ops = ops[:0] // a spill to the heap (a window's commits) serves the next frame too
+	if err != nil {
 		return nil, err
 	}
 	return ops, s.End()

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"math"
 	"net/http"
@@ -277,81 +275,6 @@ var _ NodeConn = (*Node)(nil)
 // the wire path is tested against.
 func LocalNode(n *Node) NodeConn { return n }
 
-// replayCache remembers the response bytes of recently applied mutations
-// by idempotency key, with two-generation rotation bounding memory: a key
-// survives at least replayCapPerGen further distinct mutations, far longer
-// than any transport retry window.
-//
-// A key is kept as a 128-bit digest, two maphash values under independent
-// seeds, so a lookup takes one key for another with probability 2⁻¹²⁸ a
-// pair of distinct keys. An answer is a uint32 handle: 0 is the one answer
-// most entries hold, the bare ack of an insert, add-capacity or consume
-// (ackOK, shared); any other value is one past the offset of the answer,
-// behind its length, in its generation's slab.
-type replayCache struct {
-	mu        sync.Mutex
-	seeds     [2]maphash.Seed
-	cur, prev replayGen
-}
-
-type replayGen struct {
-	keys    map[[2]uint64]uint32
-	answers []byte
-}
-
-const replayCapPerGen = 4096
-
-func newReplayCache() *replayCache {
-	return &replayCache{seeds: [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
-		cur: replayGen{keys: map[[2]uint64]uint32{}}}
-}
-
-func (c *replayCache) digest(key string) [2]uint64 {
-	return [2]uint64{maphash.String(c.seeds[0], key), maphash.String(c.seeds[1], key)}
-}
-
-// get returns the answer recorded under key. The bytes are never written
-// again, so the caller may read them after the cache moved on.
-func (c *replayCache) get(key string) ([]byte, bool) {
-	if key == "" {
-		return nil, false
-	}
-	d := c.digest(key)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, g := range [...]*replayGen{&c.cur, &c.prev} {
-		if h, ok := g.keys[d]; ok {
-			if h == 0 {
-				return ackOK, true
-			}
-			n, k := binary.Uvarint(g.answers[h-1:])
-			start := int(h-1) + k
-			return g.answers[start : start+int(n) : start+int(n)], true
-		}
-	}
-	return nil, false
-}
-
-// put records body, the caller's scratch, under key: as the shared ack's
-// handle or appended to the generation's slab.
-func (c *replayCache) put(key string, body []byte) {
-	if key == "" {
-		return
-	}
-	d := c.digest(key)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.cur.keys) >= replayCapPerGen || uint64(len(c.cur.answers)+len(body)) >= math.MaxUint32-binary.MaxVarintLen64 {
-		c.prev, c.cur = c.cur, replayGen{keys: map[[2]uint64]uint32{}}
-	}
-	h := uint32(0)
-	if !bytes.Equal(body, ackOK) {
-		h = uint32(len(c.cur.answers)) + 1
-		c.cur.answers = append(binary.AppendUvarint(c.cur.answers, uint64(len(body))), body...)
-	}
-	c.cur.keys[d] = h
-}
-
 // nodeError folds a node-side error into the structured taxonomy for the
 // wire: engine staleness becomes stale_epoch, an uninitialised node is a
 // conflict, anything else a bad request.
@@ -388,7 +311,7 @@ func writeBody(w http.ResponseWriter, body []byte) {
 // and the two documents. Mutating calls honour idempotency keys: one whose
 // key was already applied is answered from the replay cache byte-for-byte.
 func NodeHandler(n *Node) http.Handler {
-	cache := newReplayCache()
+	cache := wire.NewReplayCache(ackOK)
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathNodeOps, opsHandler(n, cache))
 	mux.HandleFunc(PathNodeInit, documentHandler(n, cache, func() document { return new(InitRequest) }))
@@ -402,7 +325,7 @@ func NodeHandler(n *Node) http.Handler {
 // may be — in a Content-Length body answered in one: the reference the
 // stream's answers are tested against byte for byte, and the form a recorder
 // can drive. Both are answerOps under a different framing.
-func opsHandler(n *Node, cache *replayCache) http.HandlerFunc {
+func opsHandler(n *Node, cache *wire.ReplayCache) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.Header.Get("Upgrade") == opsProtocol {
 			serveOps(w, n, cache)
@@ -422,11 +345,10 @@ func opsHandler(n *Node, cache *replayCache) http.HandlerFunc {
 		// Most envelopes carry one op; a window's commits spill to the heap.
 		var few [4]OpRequest
 		ops, err := scanOps(cb.Bytes(), few[:0])
-		// The ops own their strings and codes: the scratch is free for the
-		// answer.
-		cb.Reset()
+		// The ops' idems are views of the body, so the answer goes after it.
+		body := cb.Len()
 		cb.Append(func(env []byte) []byte { return answerOps(n, cache, ops, err, env) })
-		writeBody(w, cb.Bytes())
+		writeBody(w, cb.Bytes()[body:])
 	}
 }
 
@@ -437,7 +359,7 @@ func opsHandler(n *Node, cache *replayCache) http.HandlerFunc {
 // regrouped into another one by a retry, replays the recorded bytes instead
 // of re-applying. The envelope itself carries no idem and is never cached as
 // a whole.
-func answerOps(n *Node, cache *replayCache, ops []OpRequest, err error, dst []byte) []byte {
+func answerOps(n *Node, cache *wire.ReplayCache, ops []OpRequest, err error, dst []byte) []byte {
 	if err != nil {
 		return append(appendRefusal(dst, badBody(err)), `,"results":null}`+"\n"...)
 	}
@@ -447,13 +369,12 @@ func answerOps(n *Node, cache *replayCache, ops []OpRequest, err error, dst []by
 			dst = append(dst, ',')
 		}
 		op := &ops[i]
-		if cached, ok := cache.get(op.Idem); ok {
-			dst = append(dst, cached...)
+		start, replayed, applied := len(dst), false, false
+		if dst, replayed = cache.Append(dst, op.Idem); replayed {
 			continue
 		}
-		start, applied := len(dst), false
 		if dst, applied = execOp(n, op, dst); applied {
-			cache.put(op.Idem, dst[start:])
+			cache.Put(op.Idem, dst[start:])
 		}
 	}
 	return append(dst, "]}\n"...)
@@ -465,9 +386,10 @@ func answerOps(n *Node, cache *replayCache, ops []OpRequest, err error, dst []by
 // and abort answer a bare ack, remove its units and found, assign-subtree,
 // min-id and pop-min a worker's id, level and found, status and mine what
 // they read. applied marks a mutation that landed — what the replay cache
-// keeps; a refusal and a read are answered afresh each time.
+// keeps; a refusal and a read are answered afresh each time. The node keeps
+// none of an op's codes, so they reach it as views.
 func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
-	code := hst.Code(op.Code)
+	code := hst.Code(view(op.Code))
 	switch op.Kind {
 	case OpInsert:
 		return appendAck(dst, n.Insert(code, op.ID, op.Capacity, op.Epoch, op.Idem), op.Epoch)
@@ -504,7 +426,7 @@ func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
 	case OpMine:
 		codes := make([]hst.Code, len(op.Codes))
 		for i, c := range op.Codes {
-			codes[i] = hst.Code(c)
+			codes[i] = hst.Code(view(c))
 		}
 		wm, err := n.Mine(codes, op.K, op.Epoch)
 		if err != nil {
@@ -534,7 +456,7 @@ const maxHeader = 64 << 20
 // member it does not know is refused, as in an envelope — answers a replayed
 // key from the cache without running anything, and otherwise applies the
 // document and answers its nodeAck, recorded under the key when it applied.
-func documentHandler(n *Node, cache *replayCache, header func() document) http.HandlerFunc {
+func documentHandler(n *Node, cache *wire.ReplayCache, header func() document) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !postOnly(w, r) {
 			return
@@ -545,7 +467,7 @@ func documentHandler(n *Node, cache *replayCache, header func() document) http.H
 		doc, ack, key := header(), nodeAck{}, ""
 		if err := dec.Decode(doc); err != nil {
 			ack.Err = badBody(err)
-		} else if cached, ok := cache.get(doc.key()); ok {
+		} else if cached, ok := cache.Append(nil, doc.key()); ok {
 			// The call already applied. Read the body out, so that a client
 			// still streaming it completes its write.
 			io.Copy(io.Discard, r.Body)
@@ -562,7 +484,7 @@ func documentHandler(n *Node, cache *replayCache, header func() document) http.H
 		cb := wire.Get()
 		defer wire.Put(cb)
 		_ = cb.Encode(ack) // two booleans and strings: there is nothing encoding/json refuses
-		cache.put(key, cb.Bytes())
+		cache.Put(key, cb.Bytes())
 		writeBody(w, cb.Bytes())
 	}
 }
@@ -866,27 +788,27 @@ func (h *httpNode) Status(epoch int64) (StatusResponse, error) {
 }
 
 func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem string) error {
-	_, err := h.op(OpRequest{Kind: OpInsert, Idem: idem, Code: []byte(code), ID: id, Capacity: capacity, Epoch: epoch})
+	_, err := h.op(OpRequest{Kind: OpInsert, Idem: idem, Code: bytesOf(string(code)), ID: id, Capacity: capacity, Epoch: epoch})
 	return err
 }
 
 func (h *httpNode) AddCapacity(code hst.Code, id int, epoch int64, idem string) error {
-	_, err := h.op(OpRequest{Kind: OpAddCapacity, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
+	_, err := h.op(OpRequest{Kind: OpAddCapacity, Idem: idem, Code: bytesOf(string(code)), ID: id, Epoch: epoch})
 	return err
 }
 
 func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) error {
-	_, err := h.op(OpRequest{Kind: OpConsume, Idem: idem, Code: []byte(code), ID: id, Epoch: epoch})
+	_, err := h.op(OpRequest{Kind: OpConsume, Idem: idem, Code: bytesOf(string(code)), ID: id, Epoch: epoch})
 	return err
 }
 
 func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error) {
-	res, err := h.op(OpRequest{Kind: OpRemove, Idem: idem, Code: []byte(code), ID: id})
+	res, err := h.op(OpRequest{Kind: OpRemove, Idem: idem, Code: bytesOf(string(code)), ID: id})
 	return res.Units, res.Found, err
 }
 
 func (h *httpNode) AssignSubtree(code hst.Code, epoch int64, idem string) (int, int, bool, error) {
-	return h.assigned(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: []byte(code), Epoch: epoch})
+	return h.assigned(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: bytesOf(string(code)), Epoch: epoch})
 }
 
 func (h *httpNode) MinID(epoch int64) (int, bool, error) {
@@ -901,7 +823,7 @@ func (h *httpNode) PopMin(epoch int64, idem string) (int, int, bool, error) {
 func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMine, error) {
 	op := OpRequest{Kind: OpMine, Codes: make([][]byte, len(codes)), K: k, Epoch: epoch}
 	for i, c := range codes {
-		op.Codes[i] = []byte(c)
+		op.Codes[i] = bytesOf(string(c))
 	}
 	res, err := h.op(op)
 	if err != nil {

@@ -45,11 +45,14 @@ var opsIdleLimit = 90 * time.Second
 // serveOps answers the upgrade and then frames until the stream ends (see
 // wire.Streams.Serve). The payload of an answer frame is byte-for-byte the
 // body the same envelope POSTed would be answered with: answerOps makes
-// both.
-func serveOps(w http.ResponseWriter, n *Node, cache *replayCache) {
+// both. The stream's one opsReader scans every frame: a frame's bytes stay
+// put until it is answered, so its ops are views of them and of the reader's
+// scratch.
+func serveOps(w http.ResponseWriter, n *Node, cache *wire.ReplayCache) {
 	var few [4]OpRequest // most envelopes carry one op; a window's commits spill to the heap
+	r := opsReader{ops: few[:0]}
 	err := n.streams.Serve(w, opsProtocol, maxFrame, opsIdleLimit, func(in, out []byte) []byte {
-		ops, scanErr := scanOps(in, few[:0])
+		ops, scanErr := r.scan(in)
 		return answerOps(n, cache, ops, scanErr, out)
 	}, nil)
 	if err != nil {

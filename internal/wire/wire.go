@@ -1,8 +1,9 @@
 // Package wire is what the serving tiers share of the wire: the pooled JSON
 // codec scratch below, the hand codec their hot messages are written and
-// read with (json.go), and (frame.go, stream.go) the framing and both ends
-// of the upgraded connections that carry an agent's and a coordinator's
-// calls.
+// read with (json.go), (frame.go, stream.go) the framing and both ends of
+// the upgraded connections that carry an agent's and a coordinator's calls,
+// and (replay.go) the cache that answers a resent call by its idempotency
+// key.
 //
 // The codec scratch pools what the serving hot path would allocate. Every
 // HTTP operation used to pay a fresh json.Marshal buffer on the way out and
