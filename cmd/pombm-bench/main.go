@@ -68,11 +68,11 @@ func run() error {
 		mutexProf = flag.String("mutexprofile", "", "write a mutex-contention profile to this file (enables mutex sampling)")
 		blockProf = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file (enables block sampling)")
 
-		// Scale soak lane (see soak.go): million-worker populations, churn,
-		// and rotation peak-memory accounting.
-		soakName   = flag.String("soak", "", "run the scale soak lane with this suite (smoke-100k, soak-1m … soak-10m on the engine; platform-20k, platform-1m on platform.Server) and exit")
+		// Scale soak lane (see soak.go): million-worker populations through
+		// platform.Server, churn, and rotation peak-memory accounting.
+		soakName   = flag.String("soak", "", "run the scale soak lane through platform.Server with this suite (platform-100k, platform-1m, platform-10m) and exit")
 		soakJSON   = flag.String("soakjson", "", "soak: write the machine-readable soak report to this file ('' = SOAK_<suite>.json)")
-		soakShards = flag.Int("shards", 0, "soak: engine shard count (0 = engine default)")
+		soakShards = flag.Int("shards", 0, "soak: server shard count (0 = engine default)")
 	)
 	flag.Parse()
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -12,7 +13,8 @@ import (
 
 // TestCLI drives the built binary: a figure run prints its table, a run
 // that fails still leaves its profile behind, and the flags of the deleted
-// engine-bench lane are gone rather than silently accepted.
+// engine-bench lane and the suites of the deleted engine soak lane are gone
+// rather than silently accepted.
 func TestCLI(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "pombm-bench")
@@ -58,4 +60,69 @@ func TestCLI(t *testing.T) {
 			t.Errorf("exit %d, want 2 as an unknown flag\n%s", code, stderr)
 		}
 	})
+
+	t.Run("engine soak suites are gone", func(t *testing.T) {
+		_, stderr, code := run("-soak", "smoke-100k")
+		if code != 1 || !strings.Contains(stderr, `unknown soak suite "smoke-100k" (have platform-100k, platform-1m, platform-10m)`) {
+			t.Errorf("exit %d, want 1 naming the three platform suites\n%s", code, stderr)
+		}
+	})
+}
+
+// TestSoakGates runs the soak lane in-process on a suite small enough for
+// every push, checks that its report carries each reading a gate stands on,
+// and then lowers each of the suite's ceilings below what the run read:
+// the run must refuse with that gate's message.
+func TestSoakGates(t *testing.T) {
+	suite := soakSuite{Name: "test-2k", Workers: 2_000, Ticks: 2, AssignsPerTick: 64, MovesPerTick: 16, Rotations: 3}
+	run := func(s soakSuite) (soakReport, error) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "soak.json")
+		if err := runPlatformSoak(s, 16, 2, 1, path); err != nil {
+			return soakReport{}, err
+		}
+		var rep soakReport
+		blob, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(blob, &rep)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, nil
+	}
+	rep, err := run(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Epochs) != suite.Rotations || rep.LoadArenaBytes == 0 || rep.ArenaBytes == 0 || rep.MaxArenaBytesPerWorker == 0 ||
+		rep.GCPauses.Count == 0 || rep.RotatePeakExtraBytes == 0 || rep.RotatePeakExtraRatio == 0 {
+		t.Fatalf("report is missing a reading: %d epochs, load arenas %d B, steady arenas %d B (at most %.2f B/worker), %d GC pauses, rotation peak %d B = %.2fx",
+			len(rep.Epochs), rep.LoadArenaBytes, rep.ArenaBytes, rep.MaxArenaBytesPerWorker, rep.GCPauses.Count,
+			rep.RotatePeakExtraBytes, rep.RotatePeakExtraRatio)
+	}
+
+	// Every rotation holds its new slot table beside the old one, so the
+	// smallest epoch's ratio halved is below whatever a rerun reads.
+	lowestPeak := rep.RotatePeakExtraRatio
+	for _, e := range rep.Epochs {
+		if e.RotatePeakExtraRatio == 0 {
+			t.Fatalf("epoch %d read no rotation peak", e.Epoch)
+		}
+		lowestPeak = min(lowestPeak, e.RotatePeakExtraRatio)
+	}
+	for _, c := range []struct {
+		name  string
+		lower func(*soakSuite)
+		want  string
+	}{
+		{"arena ceiling", func(s *soakSuite) { s.ArenaCeiling = rep.MaxArenaBytesPerWorker / 2 }, "B/worker, the suite's ceiling is"},
+		{"peak ceiling", func(s *soakSuite) { s.PeakCeiling = lowestPeak / 2 }, "its arenas and registry, the suite's ceiling is"},
+	} {
+		s := suite
+		c.lower(&s)
+		if _, err := run(s); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s below the run's reading: got %v, want a refusal containing %q", c.name, err, c.want)
+		}
+	}
 }

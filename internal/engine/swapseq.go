@@ -13,12 +13,12 @@ import (
 // a materialized slice, for populations too large to hold twice. It is
 // invoked twice here, one pass after the other, so seq must be replayable:
 // the same inserts every time (the platform's rotation path derives them
-// deterministically from the rotation plan; the soak lane replays them from
-// worker ids and code generations). A seq handed to a platform.Core must
-// additionally be safe to invoke from several goroutines at once — the
-// cluster core runs one filtered iteration per node concurrently;
-// platform.Rotate's populate qualifies because it only reads tables frozen
-// under the server's mu.
+// deterministically from the rotation plan; TestSwapEpochSeqPeak replays
+// them from worker ids and code generations). A seq handed to a
+// platform.Core must additionally be safe to invoke from several goroutines
+// at once — the cluster core runs one filtered iteration per node
+// concurrently; platform.Rotate's populate qualifies because it only reads
+// tables frozen under the server's mu.
 //
 // Of the two swap entries this is the one that freezes and rebuilds:
 // SwapEpoch builds the full next-epoch population beside the live one,
@@ -27,10 +27,10 @@ import (
 // serving, then freezes serving under every old shard lock, releases the
 // old epoch's trie arenas, and builds the new population in their place —
 // peak extra memory is one shard's build-in-progress, not a second copy of
-// the population (the soak lane reports the measured ratio). The trade is
-// a serving pause for the length of the build; callers that need the old
-// epoch serving throughout (the cluster's two-phase prepare) use
-// PrepareSwapSeq + CommitSwap.
+// the population (TestSwapEpochSeqPeak holds it under 1× the arenas on
+// every push). The trade is a serving pause for the length of the build;
+// callers that need the old epoch serving throughout (the cluster's
+// two-phase prepare) use PrepareSwapSeq + CommitSwap.
 //
 // Failures every materialized swap can report — stale epoch, nil tree,
 // malformed codes, out-of-range ids or capacities — are caught in the

@@ -3,10 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/rng"
@@ -267,5 +270,72 @@ func TestEngineArenaBytes(t *testing.T) {
 	}
 	if perWorker := float64(full) / 4096; perWorker > 512 {
 		t.Fatalf("structural bytes/worker = %.0f, expected well under 512", perWorker)
+	}
+}
+
+// TestSwapEpochSeqPeak holds the streaming swap to its contract: rotating
+// 100k workers holds less extra live heap than one copy of the
+// population's arenas (it reads about 0.05×), because the old arenas are
+// released and collected before the build. It is a top-level test that
+// never calls t.Parallel, so no other test allocates inside its bracket.
+func TestSwapEpochSeqPeak(t *testing.T) {
+	const workers = 100_000
+	tree := buildTestTree(t, 2020, 64)
+	eng, err := New(tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A worker's code is a function of its id and generation, so the swap's
+	// sequence replays without a second copy of the population.
+	code := func(id, gen int) hst.Code { return tree.CodeOf((id*7919 + gen*104729) % tree.NumPoints()) }
+	for id := 0; id < workers; id++ {
+		if err := eng.Insert(code(id, 0), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arenas := eng.ArenaBytes()
+	// The live heap, read off runtime/metrics, which does not stop the
+	// world the way ReadMemStats does.
+	heap := func() int64 {
+		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		metrics.Read(s)
+		return int64(s[0].Value.Uint64())
+	}
+
+	runtime.GC()
+	base := heap()
+	stop, peakCh := make(chan struct{}), make(chan int64)
+	go func() {
+		peak := heap()
+		for {
+			select {
+			case <-stop:
+				peakCh <- max(peak, heap())
+				return
+			default:
+				peak = max(peak, heap())
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	err = eng.SwapEpochSeq(eng.Epoch()+1, tree, 0, func(yield func(EpochInsert) bool) {
+		for id := 0; id < workers; id++ {
+			if !yield(EpochInsert{Code: code(id, 1), ID: id}) {
+				return
+			}
+		}
+	})
+	close(stop)
+	extra := <-peakCh - base
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Len() != workers {
+		t.Fatalf("the swap landed %d workers, want %d", eng.Len(), workers)
+	}
+	ratio := float64(extra) / float64(arenas)
+	t.Logf("peak extra heap %d B = %.3fx the population's %d arena bytes", extra, ratio, arenas)
+	if ratio >= 1 {
+		t.Errorf("the swap held %d B extra, %.2fx the population's %d arena bytes; the contract is < 1x", extra, ratio, arenas)
 	}
 }
