@@ -605,3 +605,39 @@ func TestCoordinatorEndToEndHTTP(t *testing.T) {
 		t.Fatalf("stats pool %d, want %d", stats.AvailableWorkers, 20-assigned)
 	}
 }
+
+// TestCoordinatorPublicationAfterRotate pins that a coordinator's
+// /v1/publication carries the new epoch and tree after a rotation.
+// Its nodes are reached over HTTP, so Init and the Prepare header ship the
+// tree through its codec.
+func TestCoordinatorPublicationAfterRotate(t *testing.T) {
+	coord, err := New(Config{Region: testRegion, Cols: 8, Rows: 8, Epsilon: 0.6, Seed: 7, Nodes: httpNodes(t, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	srv := coord.Server()
+	report := func(_ string, tree *hst.Tree) (hst.Code, error) { return tree.CodeOf(3), nil }
+	for i := 0; i < 5; i++ {
+		if r := srv.Register(platform.RegisterRequest{WorkerID: "w" + strconv.Itoa(i), Code: []byte(srv.Publication().Tree.CodeOf(3))}); !r.OK {
+			t.Fatal(r.Reason)
+		}
+	}
+	fetched := func() platform.Publication {
+		t.Helper()
+		c, err := platform.NewClient(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Publication()
+	}
+	before := fetched()
+	if r := srv.RotateNow(platform.PrepareRotateRequest{Seed: 9}, nil, report); !r.OK || r.Rotated != 5 {
+		t.Fatalf("rotation: %+v", r)
+	}
+	got, served := fetched(), srv.Publication()
+	if tree := got.Tree.AppendJSON(nil); got.Epoch != 2 || !slices.Equal(tree, served.Tree.AppendJSON(nil)) || slices.Equal(tree, before.Tree.AppendJSON(nil)) {
+		t.Fatalf("GET after the rotation carries epoch %d and a tree other than the rotated one", got.Epoch)
+	}
+}

@@ -32,8 +32,8 @@ func NewGrid(region Rect, cols, rows int) (*Grid, error) {
 	if cols < 1 || rows < 1 {
 		return nil, fmt.Errorf("%w (got %dx%d)", ErrEmptyGrid, cols, rows)
 	}
-	if region.Width() <= 0 || region.Height() <= 0 {
-		return nil, fmt.Errorf("geo: grid region %v must have positive area", region)
+	if !(region.Width() > 0 && region.Height() > 0) || !Pt(region.MinX, region.MinY).IsFinite() || !Pt(region.MaxX, region.MaxY).IsFinite() {
+		return nil, fmt.Errorf("geo: grid region %v must be finite with positive area", region)
 	}
 	g := &Grid{
 		Region: region,

@@ -17,6 +17,11 @@ func TestNewGridErrors(t *testing.T) {
 	if _, err := NewGrid(Rect{0, 0, 0, 10}, 5, 5); err == nil {
 		t.Error("expected error for degenerate region")
 	}
+	for _, r := range []Rect{{0, 0, math.Inf(1), 10}, {math.Inf(-1), 0, 10, 10}, {0, math.NaN(), 10, 10}} {
+		if _, err := NewGrid(r, 5, 5); err == nil {
+			t.Errorf("expected error for non-finite region %v", r)
+		}
+	}
 }
 
 func TestGridLayout(t *testing.T) {

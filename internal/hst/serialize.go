@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/pombm/pombm/internal/geo"
+	"github.com/pombm/pombm/internal/wire"
 )
 
 // Published is the wire form of an HST: exactly the information the server
@@ -88,20 +90,118 @@ func (p *Published) Tree() (*Tree, error) {
 	return t, nil
 }
 
-// MarshalJSON serialises the tree in its published form.
-func (t *Tree) MarshalJSON() ([]byte, error) {
-	return json.Marshal(t.Publish())
+// The published tree's codec: an append encoder that writes what
+// json.Marshal(t.Publish()) writes, byte for byte, and a scanner that reads
+// the canonical bytes — what the encoder writes, in any member order, with
+// whitespace and escapes — to the tree encoding/json would. UnmarshalJSON
+// hands a document outside that grammar (a case-folded, unknown or repeated
+// key, a null, a number no int or float64 holds, trailing data) to
+// encoding/json whole, so every document is read, and refused, exactly as
+// before; FuzzTreeCodec holds both directions to encoding/json.
+
+var (
+	publishedFields = []string{"depth", "degree", "beta", "scale", "points", "codes"}
+	pointFields     = []string{"X", "Y"}
+)
+
+// AppendJSON appends the tree's published form as json.Marshal(t.Publish())
+// writes it. A tree read or built by this package holds only finite
+// numbers; a NaN or an infinity, which json.Marshal refuses, is written as
+// bytes no JSON reader takes (see wire.AppendFloat).
+func (t *Tree) AppendJSON(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, `{"depth":`...), int64(t.depth), 10)
+	dst = strconv.AppendInt(append(dst, `,"degree":`...), int64(t.degree), 10)
+	dst = wire.AppendFloat(append(dst, `,"beta":`...), t.beta)
+	dst = wire.AppendFloat(append(dst, `,"scale":`...), t.scale)
+	if t.pts == nil {
+		dst = append(dst, `,"points":null`...)
+	} else {
+		dst = append(dst, `,"points":[`...)
+		for i, p := range t.pts {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = wire.AppendFloat(append(dst, `{"X":`...), p.X)
+			dst = append(wire.AppendFloat(append(dst, `,"Y":`...), p.Y), '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"codes":[`...)
+	for i, c := range t.codes {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = wire.AppendBase64(dst, []byte(c))
+	}
+	return append(dst, "]}"...)
 }
 
-// UnmarshalJSON reconstructs a tree from its published form.
-func (t *Tree) UnmarshalJSON(data []byte) error {
+// ScanJSON consumes a published tree, as AppendJSON writes one, and
+// reconstructs it as Published.Tree does.
+func ScanJSON(s *wire.Scanner) (*Tree, error) {
 	var p Published
-	if err := json.Unmarshal(data, &p); err != nil {
+	err := s.Object(publishedFields, func(name string) (err error) {
+		switch name {
+		case "depth":
+			p.Depth, err = s.Int()
+		case "degree":
+			p.Degree, err = s.Int()
+		case "beta":
+			p.Beta, err = s.Float()
+		case "scale":
+			p.Scale, err = s.Float()
+		case "points":
+			p.Points = []geo.Point{}
+			err = s.Array(func() error {
+				var pt geo.Point
+				err := s.Object(pointFields, func(name string) (err error) {
+					if name == "X" {
+						pt.X, err = s.Float()
+					} else {
+						pt.Y, err = s.Float()
+					}
+					return err
+				})
+				p.Points = append(p.Points, pt)
+				return err
+			})
+		case "codes":
+			p.Codes = [][]byte{}
+			err = s.Array(func() error {
+				code, err := s.Base64([]byte{})
+				p.Codes = append(p.Codes, code)
+				return err
+			})
+		}
 		return err
-	}
-	nt, err := p.Tree()
+	})
 	if err != nil {
-		return err
+		return nil, err
+	}
+	return p.Tree()
+}
+
+// MarshalJSON serialises the tree in its published form.
+func (t *Tree) MarshalJSON() ([]byte, error) {
+	return t.AppendJSON(nil), nil
+}
+
+// UnmarshalJSON reconstructs a tree from its published form: through the
+// scanner when data is canonical, else through encoding/json.
+func (t *Tree) UnmarshalJSON(data []byte) error {
+	s := wire.Scan(data)
+	nt, err := ScanJSON(&s)
+	if err == nil {
+		err = s.End()
+	}
+	if err != nil {
+		var p Published
+		if err := json.Unmarshal(data, &p); err != nil {
+			return err
+		}
+		if nt, err = p.Tree(); err != nil {
+			return err
+		}
 	}
 	*t = *nt
 	return nil

@@ -1,12 +1,17 @@
 package hst
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/rng"
+	"github.com/pombm/pombm/internal/wire"
 )
 
 func TestPublishRoundTrip(t *testing.T) {
@@ -105,6 +110,148 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`not json`), &tr); err == nil {
 		t.Error("non-JSON accepted")
+	}
+}
+
+// unmarshalBefore is UnmarshalJSON as it read a tree before the codec:
+// encoding/json into the published form, then its reconstruction.
+func unmarshalBefore(doc []byte) (*Tree, error) {
+	var p Published
+	if err := json.Unmarshal(doc, &p); err != nil {
+		return nil, err
+	}
+	return p.Tree()
+}
+
+// sameTree reports whether two trees agree field for field and publish the
+// same bytes (which tells -0 from 0).
+func sameTree(a, b *Tree) bool {
+	return reflect.DeepEqual(a, b) && bytes.Equal(a.AppendJSON(nil), b.AppendJSON(nil))
+}
+
+// checkTreeScan holds the scanner to encoding/json on doc: whatever it
+// accepts, encoding/json reads to the same tree, and UnmarshalJSON — the
+// scanner, else the fallback — ends as it did before the codec. It reports
+// whether the scanner accepted doc.
+func checkTreeScan(t *testing.T, doc []byte) (accepted bool) {
+	t.Helper()
+	ref, refErr := unmarshalBefore(doc)
+	s := wire.Scan(doc)
+	if tr, err := ScanJSON(&s); err == nil && s.End() == nil {
+		if refErr != nil || !sameTree(tr, ref) {
+			t.Fatalf("scanned %q, encoding/json reads it as %v (%v)", doc, ref, refErr)
+		}
+		accepted = true
+	}
+	var got Tree
+	err := got.UnmarshalJSON(doc)
+	switch {
+	case (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()):
+		t.Fatalf("%q: UnmarshalJSON says %v, before the codec %v", doc, err, refErr)
+	case err == nil && !sameTree(&got, ref):
+		t.Fatalf("%q: UnmarshalJSON and the read before the codec differ", doc)
+	case err != nil && !reflect.DeepEqual(got, Tree{}):
+		t.Fatalf("%q: a refused document changed the tree", doc)
+	}
+	return accepted
+}
+
+// treeDoc is a canonical document of a two-point tree.
+const treeDoc = `{"depth":2,"degree":2,"beta":0.75,"scale":1,"points":[{"X":0,"Y":0},{"X":5,"Y":5}],"codes":["AAA=","AQA="]}`
+
+// FuzzTreeCodec is the published tree's codec against encoding/json, both
+// ways: the scanner reads only what encoding/json reads to the same tree,
+// and every other document ends as it did; and for arbitrary trees the
+// encoder writes json.Marshal(t.Publish())'s bytes.
+func FuzzTreeCodec(f *testing.F) {
+	src := rng.New(11)
+	built, err := Build(randomPoints(src.Derive("pts"), 12, 50), src.Derive("tree"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, doc := range []string{
+		string(built.AppendJSON(nil)),
+		treeDoc,
+		" {\n\t\"codes\" : [ \"AAA=\" , \"AQ\\u0041=\" ] , \"points\":[ {\"Y\":0 ,\"X\":0} ,{\"X\":5,\"Y\":5}],\r\"scale\":1, \"beta\":0.75,\"degree\":2,\"depth\":2 } \n",
+		// Numbers encoding/json reads, and some it refuses.
+		strings.Replace(treeDoc, `"scale":1`, `"scale":1.0`, 1),
+		strings.Replace(treeDoc, `"X":5`, `"X":1e2`, 1),
+		strings.Replace(treeDoc, `"X":0`, `"X":-0`, 1),
+		strings.Replace(treeDoc, `"Y":5`, `"Y":1E+2`, 1),
+		strings.Replace(treeDoc, `"scale":1`, `"scale":1e400`, 1),
+		strings.Replace(treeDoc, `"depth":2`, `"depth":2.0`, 1),
+		strings.Replace(treeDoc, `"beta":0.75`, `"beta":.5`, 1),
+		strings.Replace(treeDoc, `"X":5`, `"X":05`, 1),
+		strings.Replace(treeDoc, `"X":5`, `"X":+5`, 1),
+		strings.Replace(treeDoc, `"X":5`, `"X":5.`, 1),
+		// Duplicate, case-folded and unknown keys, and nulls.
+		strings.Replace(treeDoc, `"depth":2`, `"depth":2,"depth":2`, 1),
+		strings.Replace(treeDoc, `"depth":2`, `"Depth":2`, 1),
+		strings.Replace(treeDoc, `"X":5`, `"x":5`, 1),
+		strings.Replace(treeDoc, `"depth":2`, `"depth":2,"root":{}`, 1),
+		strings.Replace(treeDoc, `"scale":1`, `"scale":null`, 1),
+		strings.Replace(treeDoc, `"AQA="`, `null`, 1),
+		strings.Replace(treeDoc, `{"X":5,"Y":5}`, `null`, 1),
+		`{"depth":2,"points":null}`,
+		// Trailing data, and documents that are not trees.
+		treeDoc + " x",
+		treeDoc + "{}",
+		strings.Replace(treeDoc, `"AQA="`, `"AAA="`, 1),
+		strings.Replace(treeDoc, `"AQA="`, `"AQ="`, 1),
+		`{}`, `null`, `[]`, ``,
+	} {
+		f.Add([]byte(doc), 2, 2, math.Float64bits(0.75), math.Float64bits(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	}
+	f.Add([]byte(nil), 0, 0, math.Float64bits(math.NaN()), math.Float64bits(math.Copysign(0, -1)), []byte(nil))
+	f.Add([]byte(nil), 3, 300, math.Float64bits(1e-7), math.Float64bits(1e21), bytes.Repeat([]byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0}, 4))
+
+	f.Fuzz(func(t *testing.T, doc []byte, depth, degree int, beta, scale uint64, raw []byte) {
+		checkTreeScan(t, doc)
+
+		tr := &Tree{depth: depth, degree: degree, beta: math.Float64frombits(beta), scale: math.Float64frombits(scale)}
+		for i := 0; i+16 <= len(raw); i += 16 {
+			tr.pts = append(tr.pts, geo.Pt(math.Float64frombits(binary.LittleEndian.Uint64(raw[i:])), math.Float64frombits(binary.LittleEndian.Uint64(raw[i+8:]))))
+			tr.codes = append(tr.codes, Code(raw[i:i+int(raw[i]%5)]))
+		}
+		got := tr.AppendJSON(nil)
+		want, err := json.Marshal(tr.Publish())
+		if err != nil {
+			if _, err := json.Marshal(tr); err == nil {
+				t.Fatalf("json.Marshal refuses %+v's published form, not the tree", tr.Publish())
+			}
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encoded\n got %q\nwant %q", got, want)
+		}
+		if back, err := tr.Publish().Tree(); err == nil {
+			s := wire.Scan(got)
+			if scanned, err := ScanJSON(&s); err != nil || !sameTree(scanned, back) {
+				t.Fatalf("the scanner reads the encoder's own %q as %v (%v)", got, scanned, err)
+			}
+		}
+	})
+}
+
+// TestTreeGrammar pins which documents the scanner takes — whitespace,
+// member order and escapes aside, what the encoder writes — and that every
+// other one reaches encoding/json.
+func TestTreeGrammar(t *testing.T) {
+	for doc, accepted := range map[string]bool{
+		treeDoc:        true,
+		treeDoc + "\n": true,
+		strings.Replace(treeDoc, `"AQA="`, `"AQ\u0041="`, 1):            true,
+		strings.Replace(treeDoc, `"scale":1`, `"scale":1.0e0`, 1):       true,
+		strings.Replace(treeDoc, `"depth":2`, `"Depth":2`, 1):           false,
+		strings.Replace(treeDoc, `"depth":2`, `"depth":2,"depth":2`, 1): false,
+		strings.Replace(treeDoc, `"scale":1`, `"scale":null`, 1):        false,
+		strings.Replace(treeDoc, `"scale":1`, `"scale":1e400`, 1):       false,
+		strings.Replace(treeDoc, `"X":5`, `"X":05`, 1):                  false,
+		treeDoc + " x": false,
+	} {
+		if got := checkTreeScan(t, []byte(doc)); got != accepted {
+			t.Errorf("%s: scanner accepts it: %v, want %v", doc, got, accepted)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // directions to encoding/json. Both are built on internal/wire's codec, the
 // one the node hop's envelopes are written with.
 
-// canonical is a wire type of an agent call that has its own codec.
+// canonical is a wire type with its own codec: an agent call's or the publication's.
 type canonical interface {
 	appendJSON(dst []byte) []byte // the value, as json.Marshal writes it
 	scanJSON(doc []byte) error    // doc into a zero value, or an error

@@ -22,6 +22,7 @@ var agentTypes = []func() canonical{
 	func() canonical { return new(RegisterResponse) },
 	func() canonical { return new(TaskResponse) },
 	func() canonical { return new(TaskBatchResponse) },
+	func() canonical { return new(wirePublication) },
 }
 
 // checkAgentScan holds each scanner to encoding/json on doc: whatever a
@@ -55,9 +56,11 @@ func checkAgentScan(t *testing.T, doc []byte) (accepted int) {
 
 // FuzzAgentCodec is the agent codec's differential against encoding/json,
 // both ways: the scanners read only what encoding/json decodes to the same
-// value, and for arbitrary values of the nine types the encoders write the
+// value, and for arbitrary values of the ten types the encoders write the
 // bytes json.Marshal writes, which the scanners read back.
 func FuzzAgentCodec(f *testing.F) {
+	tree := newTestServer(f).Publication().Tree
+	pubDoc := (&wirePublication{Tree: tree, MaxX: 200, MaxY: 200, Cols: 8, Rows: 8, Epsilon: 0.6, Epoch: 1}).appendJSON(nil)
 	for _, doc := range []string{
 		`{"worker_id":"w1","code":"AAECAw==","epoch":2,"capacity":3}` + "\n",
 		` { "capacity" : 3 , "epoch" : 2 , "code" : "AAECAw==" , "worker_id" : "w1" } `,
@@ -77,6 +80,8 @@ func FuzzAgentCodec(f *testing.F) {
 		`{"assigned":false,"reason":"r","error":{"code":"no_workers","retryable":true}}`,
 		`{"results":[{"assigned":true,"worker_id":"w1"},{"assigned":false,"error":{"code":"bad_request"}}]}`,
 		`{"results":null}`,
+		string(pubDoc),
+		`{"epsilon":0.6,"tree":null,"cols":8,"min_x":1e2,"max_y":-0.5e-3,"epoch":3}`,
 		// What falls back to encoding/json: case-folded, unknown and repeated
 		// keys, numbers that are not integer literals, nulls where the
 		// encoders write none, trailing data, malformed documents.
@@ -92,6 +97,10 @@ func FuzzAgentCodec(f *testing.F) {
 		`{"worker_id":"w"} x`,
 		`{"worker_id":"w","code":"AAE"}`,
 		`{"worker_id":"w","code":[0,1,2]}`,
+		`{"Tree":{},"Epsilon":1}`,
+		`{"epsilon":1e400}`,
+		`{"epsilon":.5,"cols":1.0}`,
+		strings.Replace(string(pubDoc), `"depth":`, `"depth":1,"depth":`, 1),
 		`{"worker_id":"w",}`,
 		`{"worker_id" "w"}`,
 		`["w"]`,
@@ -124,6 +133,8 @@ func FuzzAgentCodec(f *testing.F) {
 			&TaskResponse{},
 			&TaskBatchResponse{Results: []TaskResponse{answer, {}, {Assigned: true, WorkerID: id}}},
 			&TaskBatchResponse{},
+			&wirePublication{Tree: tree, MinX: float64(epoch), MinY: -1e-7 * float64(n), MaxX: 1e21, MaxY: float64(n) / 3, Cols: n, Rows: -n, Epsilon: 0.6, Epoch: epoch},
+			&wirePublication{},
 		} {
 			want, err := json.Marshal(v)
 			if err != nil {
@@ -162,7 +173,7 @@ func marshalOf(t *testing.T, v any) []byte {
 func TestAgentGrammar(t *testing.T) {
 	for _, tc := range []struct {
 		doc      string
-		accepted int // how many of the nine scanners take it
+		accepted int // how many of the ten scanners take it
 	}{
 		{`{"task_id":"t","code":"AAEC","epoch":1}` + "\n", 1},
 		{" {\t\"epoch\" : 1 ,\r\n\"code\":\"AAEC\", \"task_id\" : \"t\\u00e9\" } ", 1},
@@ -170,7 +181,9 @@ func TestAgentGrammar(t *testing.T) {
 		{`{"worker_id":"w","code":"AAEC","capacity":2}`, 1},
 		{`{"worker_id":"w"}`, 5}, // and withdraw, and a task's answer
 		{`{"worker_id":"w","code":null}`, 3},
-		{`{}`, 9},
+		{`{}`, 10},
+		{`{"epoch":2,"cols":8,"rows":8,"epsilon":0.6,"min_x":-1e2,"max_y":1.5E+1}`, 1},
+		{`{"epsilon":06}`, 0},
 		{`{"tasks":[{"task_id":"a","code":"AAEC"},{"code":"AQ=="}]}`, 1},
 		{`{"ok":true,"error":{"code":"parked","retryable":true},"parked":true,"epoch":2}`, 1},
 		{`{"assigned":true,"worker_id":"w","epoch":2}`, 1},

@@ -51,7 +51,7 @@ func Handler(s *Server) http.Handler {
 			return
 		}
 		pub := s.Publication() // locked read: the tree and epoch rotate
-		writeJSON(w, wirePublication{
+		writeJSON(w, &wirePublication{
 			Tree:    pub.Tree,
 			MinX:    pub.Region.MinX,
 			MinY:    pub.Region.MinY,
@@ -79,7 +79,8 @@ func Handler(s *Server) http.Handler {
 }
 
 // wirePublication flattens Publication for JSON (geo.Rect has no tags and
-// the tree marshals through its Published form).
+// the tree marshals through its Published form). It has the agent codec's
+// encoder and scanner (codec.go), the tree's from hst.
 type wirePublication struct {
 	Tree    *hst.Tree `json:"tree"`
 	MinX    float64   `json:"min_x"`
@@ -90,6 +91,53 @@ type wirePublication struct {
 	Rows    int       `json:"rows"`
 	Epsilon float64   `json:"epsilon"`
 	Epoch   int64     `json:"epoch,omitempty"`
+}
+
+var publicationFields = []string{"tree", "min_x", "min_y", "max_x", "max_y", "cols", "rows", "epsilon", "epoch"}
+
+func (p *wirePublication) appendJSON(dst []byte) []byte {
+	if dst = append(dst, `{"tree":`...); p.Tree == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = p.Tree.AppendJSON(dst)
+	}
+	dst = wire.AppendFloat(append(dst, `,"min_x":`...), p.MinX)
+	dst = wire.AppendFloat(append(dst, `,"min_y":`...), p.MinY)
+	dst = wire.AppendFloat(append(dst, `,"max_x":`...), p.MaxX)
+	dst = wire.AppendFloat(append(dst, `,"max_y":`...), p.MaxY)
+	dst = strconv.AppendInt(append(dst, `,"cols":`...), int64(p.Cols), 10)
+	dst = strconv.AppendInt(append(dst, `,"rows":`...), int64(p.Rows), 10)
+	dst = wire.AppendFloat(append(dst, `,"epsilon":`...), p.Epsilon)
+	return append(wire.AppendIntField(dst, `,"epoch":`, p.Epoch), '}')
+}
+
+func (p *wirePublication) scanJSON(doc []byte) error {
+	s := wire.Scan(doc)
+	return endOf(&s, s.Object(publicationFields, func(name string) (err error) {
+		switch name {
+		case "tree":
+			if !s.Null() { // a null tree is left nil, as encoding/json leaves it
+				p.Tree, err = hst.ScanJSON(&s)
+			}
+		case "min_x":
+			p.MinX, err = s.Float()
+		case "min_y":
+			p.MinY, err = s.Float()
+		case "max_x":
+			p.MaxX, err = s.Float()
+		case "max_y":
+			p.MaxY, err = s.Float()
+		case "cols":
+			p.Cols, err = s.Int()
+		case "rows":
+			p.Rows, err = s.Int()
+		case "epsilon":
+			p.Epsilon, err = s.Float()
+		case "epoch":
+			p.Epoch, err = s.Integer()
+		}
+		return err
+	}))
 }
 
 // Client is an HTTP Backend: agents on other machines talk to the server
@@ -561,7 +609,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 	defer wire.Put(cb)
 	// Encode into pooled scratch first: a failure surfaces as a clean 500
 	// instead of a half-written 200.
-	if err := cb.Encode(v); err != nil {
+	if err := encodeJSON(cb, v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

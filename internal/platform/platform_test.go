@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -26,6 +27,12 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer(workload.SyntheticRegion, 8, 8, 0, 1); err == nil {
 		t.Error("zero epsilon accepted")
+	}
+	// The publication carries ε, and JSON has no NaN or infinity.
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewServer(workload.SyntheticRegion, 8, 8, eps, 1); err == nil {
+			t.Errorf("epsilon %v accepted", eps)
+		}
 	}
 }
 

@@ -253,8 +253,8 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		return nil, fmt.Errorf("platform: injected tree covers %d points, grid has %d",
 			tree.NumPoints(), grid.Len())
 	}
-	if eps <= 0 {
-		return nil, errors.New("platform: epsilon must be positive")
+	if !(eps > 0) || math.IsInf(eps, 1) {
+		return nil, errors.New("platform: epsilon must be positive and finite")
 	}
 	core := cfg.core
 	if core == nil {

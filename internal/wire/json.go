@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -84,6 +85,23 @@ func AppendIntField(dst []byte, key string, v int64) []byte {
 		return dst
 	}
 	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+// AppendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form (e-7, not e-07) below 1e-6
+// and from 1e21 up. encoding/json refuses a NaN or an infinity; this writes
+// one as strconv does, which no JSON reader takes.
+func AppendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // ---- scanner ----
@@ -286,6 +304,47 @@ func (s *Scanner) Integer() (int64, error) {
 		return -int64(mag), nil
 	}
 	return int64(mag), nil
+}
+
+// digits consumes a run of decimal digits and reports its length.
+func (s *Scanner) digits() int {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
+	}
+	return s.i - start
+}
+
+// Float consumes a JSON number — exactly the grammar's: an optional minus,
+// no leading zero, digits on both sides of a point, an exponent with an
+// optional sign — to the float64 encoding/json fills. One past float64's
+// range is refused, as encoding/json refuses it.
+func (s *Scanner) Float() (float64, error) {
+	s.ws()
+	start := s.i
+	if s.i < len(s.b) && s.b[s.i] == '-' {
+		s.i++
+	}
+	n := s.digits()
+	ok := n == 1 || (n > 1 && s.b[s.i-n] != '0')
+	if s.i < len(s.b) && s.b[s.i] == '.' {
+		s.i++
+		ok = s.digits() > 0 && ok
+	}
+	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
+		if s.i++; s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
+			s.i++
+		}
+		ok = s.digits() > 0 && ok
+	}
+	if !ok {
+		return 0, s.Errf("malformed number")
+	}
+	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
+	if err != nil {
+		return 0, s.Errf("number out of range")
+	}
+	return f, nil
 }
 
 // Int is Integer narrowed to the platform's int.
