@@ -170,16 +170,12 @@ func newHSTAssigner(tree *hst.Tree, workers []hst.Code, opt Options) (func(hst.C
 }
 
 // obfuscateHST maps every true location through snap + the HST mechanism.
-// The whole wave goes through the mechanism's batch sampler, drawing from
+// The whole wave goes through the mechanism's one-pass sampler, drawing from
 // src in item order — exactly the random stream the per-item loop drew, so
 // results are bit-for-bit unchanged while the per-item buffer and string
 // allocations are amortised away.
 func obfuscateHST(env *Env, mech *privacy.HSTMechanism, pts []geo.Point, src *rng.Source) []hst.Code {
-	snapped := make([]hst.Code, len(pts))
-	for i, p := range pts {
-		snapped[i] = env.SnapCode(p)
-	}
-	return mech.ObfuscateInto(nil, snapped, src)
+	return mech.ObfuscateEach(len(pts), func(i int) hst.Code { return env.SnapCode(pts[i]) }, src)
 }
 
 // obfuscateAll maps every point through obf into a leaf code; the

@@ -75,7 +75,8 @@ func (g *Grid) Len() int { return len(g.points) }
 func (g *Grid) Point(i int) Point { return g.points[i] }
 
 // Snap returns the index of the predefined point nearest to p. Locations
-// outside the region are clamped to it first, so Snap is total. It runs in
+// outside the region are clamped to it first, and a NaN coordinate reads as
+// the region's minimum on its axis, so Snap is total. It runs in
 // O(1) by exploiting the uniform layout.
 func (g *Grid) Snap(p Point) int {
 	p = g.Region.Clamp(p)

@@ -36,14 +36,15 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// Clamp returns the point in r closest to p.
+// Clamp returns the point in r closest to p. A NaN coordinate maps to r's
+// minimum on that axis, so the result is always in r.
 func (r Rect) Clamp(p Point) Point {
-	if p.X < r.MinX {
+	if !(p.X >= r.MinX) {
 		p.X = r.MinX
 	} else if p.X > r.MaxX {
 		p.X = r.MaxX
 	}
-	if p.Y < r.MinY {
+	if !(p.Y >= r.MinY) {
 		p.Y = r.MinY
 	} else if p.Y > r.MaxY {
 		p.Y = r.MaxY

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -27,6 +28,10 @@ func TestRectContainsAndClamp(t *testing.T) {
 		{Pt(11, 5), false, Pt(10, 5)},
 		{Pt(5, -3), false, Pt(5, 0)},
 		{Pt(20, 20), false, Pt(10, 10)},
+		{Pt(math.NaN(), 5), false, Pt(0, 5)},
+		{Pt(5, math.NaN()), false, Pt(5, 0)},
+		{Pt(math.NaN(), math.Inf(1)), false, Pt(0, 10)},
+		{Pt(math.Inf(-1), math.NaN()), false, Pt(0, 0)},
 	}
 	for _, tt := range tests {
 		if got := r.Contains(tt.p); got != tt.inside {

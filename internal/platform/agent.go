@@ -80,16 +80,12 @@ func (o *Obfuscator) Obfuscate(p geo.Point) hst.Code {
 }
 
 // ObfuscateBatch maps a wave of true locations to their reported leaf codes
-// through the mechanism's batch sampler, which materialises every sampled
-// code out of one shared slab: registering a fleet of workers costs a
-// constant number of allocations instead of one per worker. The draws are
-// exactly those of calling Obfuscate in order.
+// through the mechanism's one-pass sampler, which lays every code out in one
+// shared slab: registering a fleet of workers costs two allocations instead
+// of one per worker. A code kept past its wave keeps the whole wave's slab
+// alive. The draws are exactly those of calling Obfuscate in order.
 func (o *Obfuscator) ObfuscateBatch(pts []geo.Point) []hst.Code {
-	snapped := make([]hst.Code, len(pts))
-	for i, p := range pts {
-		snapped[i] = o.tree.CodeOf(o.grid.Snap(p))
-	}
-	return o.mech.ObfuscateInto(make([]hst.Code, len(pts)), snapped, o.src)
+	return o.mech.ObfuscateEach(len(pts), func(i int) hst.Code { return o.tree.CodeOf(o.grid.Snap(pts[i])) }, o.src)
 }
 
 // Worker is a crowd worker agent: it holds its true location privately and

@@ -72,28 +72,3 @@ func TestMatchLevelStats(t *testing.T) {
 		t.Errorf("mean level %v ≠ %v", ss.MeanMatchLevel, bs.MeanMatchLevel)
 	}
 }
-
-// TestObfuscateBatchMatchesLoop: the agent-side batch obfuscator must draw
-// exactly the stream of per-point Obfuscate calls.
-func TestObfuscateBatchMatchesLoop(t *testing.T) {
-	s := newTestServer(t)
-	src := rng.New(9)
-	pts := make([]geo.Point, 100)
-	for i := range pts {
-		pts[i] = geo.Pt(src.Uniform(0, 200), src.Uniform(0, 200))
-	}
-	a, err := NewObfuscator(s.Publication(), 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewObfuscator(s.Publication(), 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := a.ObfuscateBatch(pts)
-	for i, p := range pts {
-		if want := b.Obfuscate(p); got[i] != want {
-			t.Fatalf("point %d: batch %v ≠ loop %v", i, []byte(got[i]), []byte(want))
-		}
-	}
-}

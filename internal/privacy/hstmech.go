@@ -3,6 +3,7 @@ package privacy
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/rng"
@@ -125,8 +126,9 @@ func (m *HSTMechanism) ObfuscateDirect(x hst.Code, src *rng.Source) hst.Code {
 // among the c−1 non-ancestor children and then descend uniformly to a leaf.
 //
 // ObfuscateWalk performs at most one allocation — the final Code
-// materialisation — and none at all when the walk stops at level 0. For
-// batches, ObfuscateInto amortises even that allocation across the batch.
+// materialisation — and none at all when the walk stops at level 0. For a
+// wave of agents, ObfuscateEach amortises even that allocation across the
+// wave.
 func (m *HSTMechanism) ObfuscateWalk(x hst.Code, src *rng.Source) hst.Code {
 	lvl := m.walkLevel(src)
 	if lvl == 0 {
@@ -167,45 +169,29 @@ func (m *HSTMechanism) ObfuscateWalkInto(x hst.Code, src *rng.Source, scratch []
 	return hst.Code(scratch[:m.tree.Depth()])
 }
 
-// ObfuscateInto obfuscates every code of xs into dst (allocated when nil or
-// short), drawing exactly the random stream that calling ObfuscateWalk on
-// each element in order would draw — batch and loop are interchangeable,
-// result for result. All sampled codes are materialised through one shared
-// slab with a single string conversion, so the per-item allocation cost is
-// amortised to two allocations per batch.
-func (m *HSTMechanism) ObfuscateInto(dst []hst.Code, xs []hst.Code, src *rng.Source) []hst.Code {
-	if len(dst) < len(xs) {
-		dst = make([]hst.Code, len(xs))
-	}
+// ObfuscateEach obfuscates the true leaves leaf(0), …, leaf(n−1) in one
+// pass, drawing exactly the random stream that calling ObfuscateWalk on each
+// in order would draw — batch and loop are interchangeable, result for
+// result. Each true leaf is copied into its place in one n·D-byte slab, and
+// a walk that leaves home overwrites the digits below its level there. The
+// returned codes view the slab, which is never written again, so a wave
+// costs two allocations whatever its size: the slab and the result.
+func (m *HSTMechanism) ObfuscateEach(n int, leaf func(i int) hst.Code, src *rng.Source) []hst.Code {
 	d := m.tree.Depth()
-	if d == 0 {
-		// Depth-0 trees have a single leaf: every walk stops at level 0.
-		for i, x := range xs {
-			m.walkLevel(src)
-			dst[i] = x
-		}
-		return dst[:len(xs)]
-	}
-	slab := make([]byte, len(xs)*d)
-	for i, x := range xs {
-		lvl := m.walkLevel(src)
-		if lvl == 0 {
-			dst[i] = x // reported unchanged; no slab entry needed
-			continue
-		}
-		m.sampleSiblingInto(slab[i*d:(i+1)*d], x, lvl, src)
-		dst[i] = "" // sampled; resolved against the slab string below
-	}
-	// One string materialisation covers every sampled code; slices of it
-	// share the backing, so per-item cost is zero. A valid depth-d code is
-	// never the empty string, making "" a safe sentinel.
-	all := string(slab)
-	for i := range xs {
-		if dst[i] == "" {
-			dst[i] = hst.Code(all[i*d : (i+1)*d])
+	slab := make([]byte, n*d)
+	for i := range n {
+		x := leaf(i)
+		copy(slab[i*d:], x)
+		if lvl := m.walkLevel(src); lvl > 0 {
+			m.sampleSiblingInto(slab[i*d:], x, lvl, src)
 		}
 	}
-	return dst[:len(xs)]
+	all := unsafe.String(unsafe.SliceData(slab), len(slab))
+	codes := make([]hst.Code, n)
+	for i := range codes {
+		codes[i] = hst.Code(all[i*d : (i+1)*d])
+	}
+	return codes
 }
 
 // ObfuscateEnumerate is the literal Alg. 2: it materialises M(x)(·) over
