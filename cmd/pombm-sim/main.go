@@ -9,7 +9,7 @@
 //	pombm-sim -scenario all -crosscheck                  # verify vs the sequential rule
 //	pombm-sim -scenario chengdu-day -driver platform     # exercise the server wrapper
 //	pombm-sim -scenario all -driver cluster -nodes 3     # 3-backend coordinator, same bytes
-//	pombm-sim -preset capacity-heavy -crosscheck         # capacitated sequential rule
+//	pombm-sim -scenario capacity-heavy -crosscheck       # capacitated sequential rule
 //	pombm-sim -scenario all -policy batch-optimal        # override the assignment policy
 //
 // The -json report is a pure function of (scenario, seed, driver, shards):
@@ -33,7 +33,6 @@ import (
 func main() {
 	var (
 		scenario = flag.String("scenario", "", "scenario preset to run, comma-separated list, or 'all'")
-		preset   = flag.String("preset", "", "alias for -scenario")
 		list     = flag.Bool("list", false, "list scenario presets and exit")
 		seed     = flag.Uint64("seed", 1, "root random seed")
 		driver   = flag.String("driver", "engine", "system under test: engine, platform, or cluster (coordinator over in-process nodes)")
@@ -62,13 +61,6 @@ func main() {
 				name, sc.Duration, sc.Spatial, sc.BatchWindow, sc.InitialWorkers)
 		}
 		return
-	}
-	if *preset != "" && *scenario != "" && *preset != *scenario {
-		fmt.Fprintln(os.Stderr, "pombm-sim: -scenario and -preset disagree; pass one of them")
-		os.Exit(2)
-	}
-	if *scenario == "" {
-		*scenario = *preset
 	}
 	if *scenario == "" {
 		fmt.Fprintln(os.Stderr, "pombm-sim: -scenario is required (use -list to see presets)")

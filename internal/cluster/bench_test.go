@@ -18,7 +18,7 @@ import (
 // BenchmarkNodeOp prices one sequential routed op. Adjacent rows subtract to
 // a layer's cost:
 //
-//   - stream: Insert and AssignSubtree alternating through DialNodeClient
+//   - stream: insert and assign-subtree alternating through DialNodeClient
 //     against a NodeHandler over loopback — the routed path, every op a
 //     singleton envelope in a frame on the one stream a sequential caller
 //     needs; the pair keeps the pool at steady state.
@@ -33,7 +33,7 @@ import (
 //     what the stream saves.
 //   - min-id, status: the root tier's poll and the pool read, each a
 //     singleton envelope on the same stream, over a node of 2,000 workers;
-//     pop-min: the root tier's pop, alternating with the Insert that puts
+//     pop-min: the root tier's pop, alternating with the insert that puts
 //     the popped worker back into a pool otherwise empty, as stream's is —
 //     the pair to hold against stream's, the op kind the only difference.
 //     Each was a POST of its own (CHANGES.md, PR 27, has them side by side).
@@ -58,6 +58,11 @@ func BenchmarkNodeOp(b *testing.B) {
 	resps[0] = []byte(`{"ok":true,"results":[{"ok":true}]}` + "\n")
 	resps[1] = []byte(`{"ok":true,"results":[{"ok":true,"id":12345,"found":true}]}` + "\n")
 
+	codeBytes := []byte(code) // once: a conversion a call is an allocation a call
+	insert := func(idem string) OpRequest {
+		return OpRequest{Kind: OpInsert, Idem: idem, Code: codeBytes, ID: 12345, Capacity: 1, Epoch: engine.FirstEpoch}
+	}
+
 	// dial is a connection to a fresh node holding so many workers.
 	dial := func(b *testing.B, workers int) NodeConn {
 		ts := httptest.NewServer(NodeHandler(NewNode()))
@@ -69,7 +74,7 @@ func BenchmarkNodeOp(b *testing.B) {
 			b.Fatal(err)
 		}
 		for id := 0; id < workers; id++ {
-			if err := conn.Insert(tree.CodeOf(id%tree.NumPoints()), id, 1, 0, ""); err != nil {
+			if _, err := conn.Do(OpRequest{Kind: OpInsert, Code: []byte(tree.CodeOf(id % tree.NumPoints())), ID: id, Capacity: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,11 +91,11 @@ func BenchmarkNodeOp(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if i%2 == 0 {
-				if err := conn.Insert(code, 12345, 1, engine.FirstEpoch, idems[i]); err != nil {
+				if _, err := conn.Do(insert(idems[i])); err != nil {
 					b.Fatal(err)
 				}
-			} else if _, _, found, err := conn.AssignSubtree(code, engine.FirstEpoch, idems[i]); err != nil || !found {
-				b.Fatal(found, err)
+			} else if res, err := conn.Do(OpRequest{Kind: OpAssignSubtree, Idem: idems[i], Code: codeBytes, Epoch: engine.FirstEpoch}); err != nil || !res.Found {
+				b.Fatal(res, err)
 			}
 		}
 	})
@@ -100,8 +105,8 @@ func BenchmarkNodeOp(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if id, found, err := conn.MinID(engine.FirstEpoch); err != nil || !found || id != 0 {
-				b.Fatal(id, found, err)
+			if res, err := conn.Do(OpRequest{Kind: OpMinID, Epoch: engine.FirstEpoch}); err != nil || !res.Found || res.ID != 0 {
+				b.Fatal(res, err)
 			}
 		}
 	})
@@ -110,7 +115,7 @@ func BenchmarkNodeOp(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if st, err := conn.Status(engine.FirstEpoch); err != nil || st.Len != 2000 {
+			if st, err := conn.Do(OpRequest{Kind: OpStatus, Epoch: engine.FirstEpoch}); err != nil || st.Len != 2000 {
 				b.Fatal(st, err)
 			}
 		}
@@ -125,11 +130,11 @@ func BenchmarkNodeOp(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if i%2 == 0 {
-				if err := conn.Insert(code, 12345, 1, engine.FirstEpoch, idems[i]); err != nil {
+				if _, err := conn.Do(insert(idems[i])); err != nil {
 					b.Fatal(err)
 				}
-			} else if id, _, found, err := conn.PopMin(engine.FirstEpoch, idems[i]); err != nil || !found || id != 12345 {
-				b.Fatal(id, found, err)
+			} else if res, err := conn.Do(OpRequest{Kind: OpPopMin, Idem: idems[i], Epoch: engine.FirstEpoch}); err != nil || !res.Found || res.ID != 12345 {
+				b.Fatal(res, err)
 			}
 		}
 	})

@@ -116,22 +116,3 @@ func (c *Coordinator) Close() {
 		n.Close()
 	}
 }
-
-// Client is an HTTP client against a coordinator. The coordinator speaks
-// the same agent protocol as a single pombm-server, so Client is the
-// platform client under a deployment-shape-honest name; it satisfies
-// platform.API alongside platform.Client.
-type Client struct {
-	*platform.Client
-}
-
-// Dial fetches the coordinator's publication and returns a client.
-func Dial(baseURL string) (*Client, error) {
-	pc, err := platform.NewClient(baseURL)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{Client: pc}, nil
-}
-
-var _ platform.API = (*Client)(nil)

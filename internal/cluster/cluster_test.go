@@ -245,7 +245,7 @@ func TestDistributedSwapIdentity(t *testing.T) {
 		t.Fatalf("coordinator epoch %d after swap", core.Epoch())
 	}
 	for _, nd := range nodes {
-		st, err := nd.Status(0)
+		st, err := nd.Do(OpRequest{Kind: OpStatus})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestPrepareFailureAbortsClusterWide(t *testing.T) {
 		t.Fatalf("coordinator advanced to epoch %d past an aborted swap", core.Epoch())
 	}
 	for i, nd := range nodes {
-		st, serr := nd.Status(0)
+		st, serr := nd.Do(OpRequest{Kind: OpStatus})
 		if serr != nil {
 			t.Fatal(serr)
 		}
@@ -550,7 +550,8 @@ func TestRestartedCoordinatorIsNotReplayed(t *testing.T) {
 }
 
 // TestCoordinatorEndToEndHTTP drives the full stack over two real HTTP
-// hops — agent → coordinator → node — through the public Dial surface.
+// hops — agent → coordinator → node — through the agent client a single
+// pombm-server is dialed with.
 func TestCoordinatorEndToEndHTTP(t *testing.T) {
 	coord, err := New(Config{
 		Region: testRegion, Cols: 8, Rows: 8, Epsilon: 0.6, Seed: 42,
@@ -561,11 +562,11 @@ func TestCoordinatorEndToEndHTTP(t *testing.T) {
 	}
 	front := httptest.NewServer(coord.Handler())
 	defer front.Close()
-	client, err := Dial(front.URL)
+	client, err := platform.NewClient(front.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var api platform.API = client // the redesigned surface
+	var api platform.API = client
 	pub := client.Publication()
 	if pub.Tree == nil {
 		t.Fatal("coordinator published no tree")

@@ -17,7 +17,7 @@ const maxOpsPerEnvelope = 128
 // its caller lives on that caller's stack and has neither.
 type batchedOp struct {
 	op   OpRequest
-	res  opResult
+	res  OpResult
 	err  error
 	done chan struct{}
 }
@@ -69,11 +69,11 @@ var errClosed = &platform.Error{Code: platform.CodeUnavailable, Message: "cluste
 // do ships one op and blocks until its sub-result is back. An
 // envelope-level failure (transport, refused envelope) is returned to every
 // op the envelope carried; a per-op refusal is the result's own Err.
-func (b *batcher) do(op OpRequest) (opResult, error) {
+func (b *batcher) do(op OpRequest) (OpResult, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return opResult{}, errClosed
+		return OpResult{}, errClosed
 	}
 	if b.inflight == b.slots {
 		bo := &batchedOp{op: op, done: make(chan struct{})}

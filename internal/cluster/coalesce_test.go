@@ -158,7 +158,7 @@ func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	}), "prep-2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Commit(2, "commit-2"); err != nil {
+	if _, err := conn.Do(OpRequest{Kind: OpCommit, Idem: "commit-2", Epoch: 2}); err != nil {
 		t.Fatal(err)
 	}
 	_, second := postRaw(t, ts.URL+PathNodeOps, env)
@@ -348,16 +348,16 @@ func newSlotRig(t *testing.T, queued int) *slotRig {
 	if r.slots != runtime.GOMAXPROCS(0) {
 		t.Fatalf("%d slots at GOMAXPROCS %d", r.slots, runtime.GOMAXPROCS(0))
 	}
-	codeOf := func(id int) hst.Code { return tree.CodeOf(id % tree.NumPoints()) }
+	codeOf := func(id int) []byte { return []byte(tree.CodeOf(id % tree.NumPoints())) }
 	for id := 0; id < r.slots+queued+1; id++ {
-		if err := node.Insert(codeOf(id), id, id+1, 0, ""); err != nil {
+		if _, err := node.Do(OpRequest{Kind: OpInsert, Code: codeOf(id), ID: id, Capacity: id + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r.remove = func(id int) {
 		go func() {
-			units, found, err := r.conn.Remove(codeOf(id), id, fmt.Sprintf("rm-%d", id))
-			r.results <- removed{id, units, found, err}
+			res, err := r.conn.Do(OpRequest{Kind: OpRemove, Idem: fmt.Sprintf("rm-%d", id), Code: codeOf(id), ID: id})
+			r.results <- removed{id, res.Units, res.Found, err}
 		}()
 	}
 	for id := 0; id < r.slots; id++ {
@@ -514,12 +514,12 @@ func TestSequentialCallerShipsSingletons(t *testing.T) {
 	}
 	const n = 40
 	cycle := func(i int) {
-		code := tree.CodeOf(i % tree.NumPoints())
-		if err := conn.Insert(code, i, 1, 0, fmt.Sprintf("i-%d", i)); err != nil {
+		code := []byte(tree.CodeOf(i % tree.NumPoints()))
+		if _, err := conn.Do(OpRequest{Kind: OpInsert, Idem: fmt.Sprintf("i-%d", i), Code: code, ID: i, Capacity: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if id, _, found, err := conn.AssignSubtree(code, 0, fmt.Sprintf("a-%d", i)); err != nil || !found || id != i {
-			t.Fatalf("assign %d: id %d, found %v, err %v", i, id, found, err)
+		if res, err := conn.Do(OpRequest{Kind: OpAssignSubtree, Idem: fmt.Sprintf("a-%d", i), Code: code}); err != nil || !res.Found || res.ID != i {
+			t.Fatalf("assign %d: %+v, err %v", i, res, err)
 		}
 	}
 	cycle(n) // the stream and its node-side goroutine exist from here on

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"unsafe"
 
-	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
 	"github.com/pombm/pombm/internal/wire"
@@ -101,14 +100,14 @@ func appendAssigned(dst []byte, id, level int, found bool, err error, epoch int6
 }
 
 // appendStatus appends status's sub-result.
-func appendStatus(dst []byte, st StatusResponse) []byte {
+func appendStatus(dst []byte, st *OpResult) []byte {
 	dst = wire.AppendIntField(append(dst, `{"ok":true`...), `,"epoch":`, st.Epoch)
 	dst = wire.AppendIntField(dst, `,"len":`, int64(st.Len))
 	return append(wire.AppendIntField(dst, `,"units":`, int64(st.Units)), '}')
 }
 
 // appendMined appends mine's sub-result.
-func appendMined(dst []byte, wm *engine.WindowMine) []byte {
+func appendMined(dst []byte, wm *OpResult) []byte {
 	dst = wire.AppendIntField(append(dst, `{"ok":true`...), `,"epoch":`, wm.Epoch)
 	dst = wire.AppendIntField(dst, `,"pool":`, int64(wm.Pool))
 	dst = appendCandidates(dst, `,"own":[`, wm.Own)
@@ -140,7 +139,7 @@ func appendCandidates(dst []byte, key string, lists [][]hst.Candidate) []byte {
 
 // ---- scanners ----
 
-// opKinds lists the kinds execOp answers.
+// opKinds lists the kinds Node.Do answers.
 var opKinds = [...]string{
 	OpInsert, OpAddCapacity, OpRemove, OpAssignSubtree, OpConsume,
 	OpStatus, OpMinID, OpPopMin, OpMine, OpCommit, OpAbort,
@@ -148,7 +147,7 @@ var opKinds = [...]string{
 
 // internKind returns the package's constant for a known op kind, so that a
 // decoded op's Kind costs no allocation; an unknown kind is copied for
-// execOp to refuse by name.
+// Node.Do to refuse by name.
 func internKind(text []byte) string {
 	for _, kind := range opKinds {
 		if string(text) == kind {
@@ -256,7 +255,7 @@ var (
 )
 
 // scanResult consumes one sub-result object into r.
-func scanResult(s *wire.Scanner, r *opResult) error {
+func scanResult(s *wire.Scanner, r *OpResult) error {
 	return s.Object(resultFields, func(name string) (err error) {
 		switch name {
 		case "ok":

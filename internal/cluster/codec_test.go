@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
 )
@@ -77,9 +76,9 @@ func refLists(lists [][]hst.Candidate) [][]refCandidate {
 	return out
 }
 
-// result is r as the scanner leaves an opResult: no found is false, an
+// result is r as the scanner leaves an OpResult: no found is false, an
 // empty list — of lists, of candidates — is nil.
-func (r refResult) result() opResult {
+func (r refResult) result() OpResult {
 	lists := func(ref [][]refCandidate) (out [][]hst.Candidate) {
 		for _, list := range ref {
 			var cs []hst.Candidate
@@ -90,7 +89,7 @@ func (r refResult) result() opResult {
 		}
 		return out
 	}
-	return opResult{
+	return OpResult{
 		OK: r.OK, Err: r.Err, ID: r.ID, Level: r.Level, Units: r.Units, Found: r.Found != nil && *r.Found,
 		Epoch: r.Epoch, Len: r.Len, Pool: r.Pool, Own: lists(r.Own), Pads: lists(r.Pads),
 	}
@@ -278,7 +277,7 @@ func FuzzOpsCodec(f *testing.F) {
 		unassigned, _ := appendAssigned(nil, id, level, found, refused, 0)
 		no := false
 		cands := []hst.Candidate{{ID: id, Code: hst.Code(code), Level: level, Cap: id}, {ID: level, Code: hst.Code(idem)}}
-		mined := &engine.WindowMine{Epoch: epoch, Pool: level, Own: [][]hst.Candidate{cands, nil, cands[:1]}, Pads: [][]hst.Candidate{nil}}
+		mined := &OpResult{Epoch: epoch, Pool: level, Own: [][]hst.Candidate{cands, nil, cands[:1]}, Pads: [][]hst.Candidate{nil}}
 		results := []struct {
 			got  []byte
 			want refResult
@@ -289,9 +288,9 @@ func FuzzOpsCodec(f *testing.F) {
 			{appendFound(appendRefusal(nil, refused), false), refResult{Err: refused, Found: &no}},
 			{assigned, refResult{OK: true, ID: id, Level: level, Found: &found}},
 			{unassigned, refResult{Err: refused, Found: &no}},
-			{appendStatus(nil, StatusResponse{Epoch: epoch, Len: id, Units: level}), refResult{OK: true, Epoch: epoch, Len: id, Units: level}},
+			{appendStatus(nil, &OpResult{Epoch: epoch, Len: id, Units: level}), refResult{OK: true, Epoch: epoch, Len: id, Units: level}},
 			{appendMined(nil, mined), refResult{OK: true, Epoch: epoch, Pool: level, Own: refLists(mined.Own), Pads: refLists(mined.Pads)}},
-			{appendMined(nil, &engine.WindowMine{Own: [][]hst.Candidate{}}), refResult{OK: true}},
+			{appendMined(nil, &OpResult{Own: [][]hst.Candidate{}}), refResult{OK: true}},
 		}
 		env := []byte(`{"ok":true,"results":[`)
 		for i, r := range results {
@@ -398,7 +397,7 @@ func TestOpsEnvelopeGrammar(t *testing.T) {
 	if rec != want {
 		t.Fatalf("refused envelope answered\n%s\nwant\n%s", rec, want)
 	}
-	if st, err := node.Status(0); err != nil || st.Len != 0 {
+	if st, err := node.Do(OpRequest{Kind: OpStatus}); err != nil || st.Len != 0 {
 		t.Fatalf("refused envelope applied ops: %+v, %v", st, err)
 	}
 }
@@ -452,7 +451,7 @@ func TestOpsCodecAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("result scan: %v allocs, want 0", n)
 	}
-	for i, want := range []opResult{
+	for i, want := range []OpResult{
 		{OK: true}, {OK: true, Units: 2, Found: true}, {OK: true, ID: 12345, Level: 3, Found: true},
 		{OK: true, ID: 7, Found: true}, {OK: true, ID: 7, Level: 4, Found: true},
 		{OK: true, Epoch: 1, Len: 9, Units: 11}, {OK: true},

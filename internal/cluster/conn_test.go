@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,11 +21,9 @@ import (
 // its two implementations — LocalNode, the in-process reference, and the
 // HTTP connection, whose eleven op kinds exist only as /v2/node/ops sub-ops
 // in a stream's frames and whose init and prepare are the two POSTs — over
-// nodes in the same state. Every step must return the same values — a mine
-// the same WindowMine, nil lists and empty ones told apart — and, for a
-// refusal, the same typed error: the same wire code and retryability once
-// folded by nodeError, and the engine staleness sentinel on both sides of
-// the wire.
+// nodes in the same state. Every step must answer the same OpResult — a
+// mine the same lists, nil lists and empty ones told apart — and, for a
+// refusal, the same typed error (sameRefusal).
 func TestNodeConnParity(t *testing.T) {
 	tree, next := buildTree(t, 7), buildTree(t, 8)
 	ts := httptest.NewServer(NodeHandler(NewNode()))
@@ -31,160 +31,95 @@ func TestNodeConnParity(t *testing.T) {
 	tap, hc := wiretap.New(t, platform.NewTransport())
 	local, remote := LocalNode(NewNode()), DialNodeClient(ts.URL, hc)
 
-	short := tree.CodeOf(0)[:1]
-	mine := func(codes []hst.Code, epoch int64) func(c NodeConn) (string, error) {
-		return func(c NodeConn) (string, error) {
-			wm, err := c.Mine(codes, 3, epoch)
-			if err != nil {
-				return fmt.Sprint(wm), err
-			}
-			return fmt.Sprintf("%#v", *wm), nil
-		}
+	code := func(i int) []byte { return []byte(tree.CodeOf(i)) }
+	short := code(0)[:1]
+	mine := func(epoch int64, codes ...[]byte) OpRequest {
+		return OpRequest{Kind: OpMine, Codes: codes, K: 3, Epoch: epoch}
 	}
-	worker := func(id, lvl int, found bool, err error) (string, error) { return fmt.Sprint(id, lvl, found), err }
-	// wantErr is the wire code a step must be refused with ("" = success).
+	// A step is an op — one sub-op of one envelope in one frame — or, when
+	// doc is set, a document: one POST.
 	steps := []struct {
 		name    string
-		wantErr string
-		framed  bool // an op kind: one sub-op of one envelope in one frame; otherwise a document, one POST
-		run     func(c NodeConn) (string, error)
+		wantErr string // the wire code it must be refused with ("" = success)
+		op      OpRequest
+		doc     func(c NodeConn) error
 	}{
-		{"insert before init", platform.CodeConflict, true, func(c NodeConn) (string, error) {
-			return "", c.Insert(tree.CodeOf(0), 1, 2, 0, "p-1")
+		{"insert before init", platform.CodeConflict, OpRequest{Kind: OpInsert, Idem: "p-1", Code: code(0), ID: 1, Capacity: 2}, nil},
+		{"consume before init", platform.CodeConflict, OpRequest{Kind: OpConsume, Idem: "p-2", Code: code(0), ID: 1}, nil},
+		{"mine before init", platform.CodeConflict, mine(0, code(0)), nil},
+		{"pop-min before init", platform.CodeConflict, OpRequest{Kind: OpPopMin, Idem: "p-2a"}, nil},
+		{"commit before init", platform.CodeConflict, OpRequest{Kind: OpCommit, Idem: "p-2b", Epoch: 2}, nil},
+		{"init", "", OpRequest{}, func(c NodeConn) error {
+			return c.Init(InitRequest{Tree: tree, Policy: "capacity-greedy", Idem: "p-3"})
 		}},
-		{"consume before init", platform.CodeConflict, true, func(c NodeConn) (string, error) {
-			return "", c.Consume(tree.CodeOf(0), 1, 0, "p-2")
-		}},
-		{"mine before init", platform.CodeConflict, true, mine([]hst.Code{tree.CodeOf(0)}, 0)},
-		{"pop-min before init", platform.CodeConflict, true, func(c NodeConn) (string, error) { return worker(c.PopMin(0, "p-2a")) }},
-		{"commit before init", platform.CodeConflict, true, func(c NodeConn) (string, error) { return "", c.Commit(2, "p-2b") }},
-		{"init", "", false, func(c NodeConn) (string, error) {
-			return "", c.Init(InitRequest{Tree: tree, Policy: "capacity-greedy", Idem: "p-3"})
-		}},
-		{"insert capacity 2", "", true, func(c NodeConn) (string, error) {
-			return "", c.Insert(tree.CodeOf(0), 1, 2, engine.FirstEpoch, "p-4")
-		}},
-		{"insert default capacity", "", true, func(c NodeConn) (string, error) {
-			return "", c.Insert(tree.CodeOf(5), 2, 0, 0, "p-5")
-		}},
-		{"insert stale epoch pin", platform.CodeStaleEpoch, true, func(c NodeConn) (string, error) {
-			return "", c.Insert(tree.CodeOf(1), 3, 1, 99, "p-6")
-		}},
-		{"insert malformed code", platform.CodeBadRequest, true, func(c NodeConn) (string, error) {
-			return "", c.Insert(short, 3, 1, 0, "p-7")
-		}},
-		{"insert id outside int32", platform.CodeBadRequest, true, func(c NodeConn) (string, error) {
-			return "", c.Insert(tree.CodeOf(1), 1<<40, 1, 0, "p-8")
-		}},
-		{"assign-subtree pops the nearest", "", true, func(c NodeConn) (string, error) {
-			id, lvl, found, err := c.AssignSubtree(tree.CodeOf(0), engine.FirstEpoch, "p-9")
-			return fmt.Sprint(id, lvl, found), err
-		}},
-		{"assign-subtree stale epoch pin", platform.CodeStaleEpoch, true, func(c NodeConn) (string, error) {
-			id, lvl, found, err := c.AssignSubtree(tree.CodeOf(0), 99, "p-10")
-			return fmt.Sprint(id, lvl, found), err
-		}},
-		{"assign-subtree malformed code", "", true, func(c NodeConn) (string, error) {
-			id, lvl, found, err := c.AssignSubtree(short, 0, "p-11")
-			return fmt.Sprint(id, lvl, found), err
-		}},
-		{"add-capacity returns the unit", "", true, func(c NodeConn) (string, error) {
-			return "", c.AddCapacity(tree.CodeOf(0), 1, engine.FirstEpoch, "p-12")
-		}},
-		{"add-capacity stale epoch pin", platform.CodeStaleEpoch, true, func(c NodeConn) (string, error) {
-			return "", c.AddCapacity(tree.CodeOf(0), 1, 99, "p-13")
-		}},
-		{"consume a pooled unit", "", true, func(c NodeConn) (string, error) {
-			return "", c.Consume(tree.CodeOf(0), 1, engine.FirstEpoch, "p-14")
-		}},
-		{"consume an absent worker", platform.CodeBadRequest, true, func(c NodeConn) (string, error) {
-			return "", c.Consume(tree.CodeOf(0), 77, 0, "p-15")
-		}},
-		{"consume malformed code", platform.CodeBadRequest, true, func(c NodeConn) (string, error) {
-			return "", c.Consume(short, 1, 0, "p-16")
-		}},
-		{"remove reports pooled units", "", true, func(c NodeConn) (string, error) {
-			units, found, err := c.Remove(tree.CodeOf(0), 1, "p-17")
-			return fmt.Sprint(units, found), err
-		}},
-		{"remove an absent worker", "", true, func(c NodeConn) (string, error) {
-			units, found, err := c.Remove(tree.CodeOf(0), 1, "p-18")
-			return fmt.Sprint(units, found), err
-		}},
-		{"status", "", true, func(c NodeConn) (string, error) {
-			st, err := c.Status(0)
-			return fmt.Sprint(st.Epoch, st.Len, st.Units), err
-		}},
-		{"status stale epoch pin", platform.CodeStaleEpoch, true, func(c NodeConn) (string, error) {
-			st, err := c.Status(99)
-			return fmt.Sprint(st.Epoch, st.Len, st.Units), err
-		}},
-		{"min-id", "", true, func(c NodeConn) (string, error) {
-			id, found, err := c.MinID(engine.FirstEpoch)
-			return fmt.Sprint(id, found), err
-		}},
-		{"min-id stale epoch pin", platform.CodeStaleEpoch, true, func(c NodeConn) (string, error) {
-			id, found, err := c.MinID(99)
-			return fmt.Sprint(id, found), err
-		}},
-		{"mine a held leaf, an empty one and a malformed code", "", true, mine([]hst.Code{tree.CodeOf(5), tree.CodeOf(9), short}, engine.FirstEpoch)},
-		{"mine sent no codes", "", true, mine(nil, 0)},
-		{"mine stale epoch pin", platform.CodeStaleEpoch, true, mine([]hst.Code{tree.CodeOf(5)}, 99)},
-		{"pop-min", "", true, func(c NodeConn) (string, error) { return worker(c.PopMin(engine.FirstEpoch, "p-19")) }},
-		{"pop-min stale epoch pin", platform.CodeStaleEpoch, true, func(c NodeConn) (string, error) { return worker(c.PopMin(99, "p-20")) }},
-		{"pop-min an empty pool", "", true, func(c NodeConn) (string, error) { return worker(c.PopMin(0, "p-21")) }},
-		{"min-id an empty pool", "", true, func(c NodeConn) (string, error) {
-			id, found, err := c.MinID(0)
-			return fmt.Sprint(id, found), err
-		}},
-		{"mine an empty pool", "", true, mine([]hst.Code{tree.CodeOf(5), tree.CodeOf(0)}, 0)},
-		{"commit nothing staged", platform.CodeBadRequest, true, func(c NodeConn) (string, error) { return "", c.Commit(2, "p-22") }},
-		{"prepare", "", false, func(c NodeConn) (string, error) {
+		{"insert capacity 2", "", OpRequest{Kind: OpInsert, Idem: "p-4", Code: code(0), ID: 1, Capacity: 2, Epoch: engine.FirstEpoch}, nil},
+		{"insert default capacity", "", OpRequest{Kind: OpInsert, Idem: "p-5", Code: code(5), ID: 2}, nil},
+		{"insert stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpInsert, Idem: "p-6", Code: code(1), ID: 3, Capacity: 1, Epoch: 99}, nil},
+		{"insert malformed code", platform.CodeBadRequest, OpRequest{Kind: OpInsert, Idem: "p-7", Code: short, ID: 3, Capacity: 1}, nil},
+		{"insert id outside int32", platform.CodeBadRequest, OpRequest{Kind: OpInsert, Idem: "p-8", Code: code(1), ID: 1 << 40, Capacity: 1}, nil},
+		{"assign-subtree pops the nearest", "", OpRequest{Kind: OpAssignSubtree, Idem: "p-9", Code: code(0), Epoch: engine.FirstEpoch}, nil},
+		{"assign-subtree stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpAssignSubtree, Idem: "p-10", Code: code(0), Epoch: 99}, nil},
+		{"assign-subtree malformed code", "", OpRequest{Kind: OpAssignSubtree, Idem: "p-11", Code: short}, nil},
+		{"add-capacity returns the unit", "", OpRequest{Kind: OpAddCapacity, Idem: "p-12", Code: code(0), ID: 1, Epoch: engine.FirstEpoch}, nil},
+		{"add-capacity stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpAddCapacity, Idem: "p-13", Code: code(0), ID: 1, Epoch: 99}, nil},
+		{"consume a pooled unit", "", OpRequest{Kind: OpConsume, Idem: "p-14", Code: code(0), ID: 1, Epoch: engine.FirstEpoch}, nil},
+		{"consume an absent worker", platform.CodeBadRequest, OpRequest{Kind: OpConsume, Idem: "p-15", Code: code(0), ID: 77}, nil},
+		{"consume malformed code", platform.CodeBadRequest, OpRequest{Kind: OpConsume, Idem: "p-16", Code: short, ID: 1}, nil},
+		{"remove reports pooled units", "", OpRequest{Kind: OpRemove, Idem: "p-17", Code: code(0), ID: 1}, nil},
+		{"remove an absent worker", "", OpRequest{Kind: OpRemove, Idem: "p-18", Code: code(0), ID: 1}, nil},
+		{"status", "", OpRequest{Kind: OpStatus}, nil},
+		{"status stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpStatus, Epoch: 99}, nil},
+		{"min-id", "", OpRequest{Kind: OpMinID, Epoch: engine.FirstEpoch}, nil},
+		{"min-id stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpMinID, Epoch: 99}, nil},
+		{"mine a held leaf, an empty one and a malformed code", "", mine(engine.FirstEpoch, code(5), code(9), short), nil},
+		{"mine sent no codes", "", mine(0), nil},
+		{"mine stale epoch pin", platform.CodeStaleEpoch, mine(99, code(5)), nil},
+		{"an unknown kind", platform.CodeBadRequest, OpRequest{Kind: "teleport", Idem: "p-18a", Code: code(5)}, nil},
+		{"pop-min", "", OpRequest{Kind: OpPopMin, Idem: "p-19", Epoch: engine.FirstEpoch}, nil},
+		{"pop-min stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpPopMin, Idem: "p-20", Epoch: 99}, nil},
+		{"pop-min an empty pool", "", OpRequest{Kind: OpPopMin, Idem: "p-21"}, nil},
+		{"min-id an empty pool", "", OpRequest{Kind: OpMinID}, nil},
+		{"mine an empty pool", "", mine(0, code(5), code(0)), nil},
+		{"commit nothing staged", platform.CodeBadRequest, OpRequest{Kind: OpCommit, Idem: "p-22", Epoch: 2}, nil},
+		{"prepare", "", OpRequest{}, func(c NodeConn) error {
 			inserts := []engine.EpochInsert{{Code: next.CodeOf(0), ID: 3, Cap: 2}, {Code: next.CodeOf(9), ID: 4}}
-			return "", c.Prepare(2, next, 0, nextOf(inserts), "p-23")
+			return c.Prepare(2, next, 0, nextOf(inserts), "p-23")
 		}},
-		{"prepare the serving epoch", platform.CodeBadRequest, false, func(c NodeConn) (string, error) {
-			return "", c.Prepare(engine.FirstEpoch, next, 0, nextOf(nil), "p-24")
+		{"prepare the serving epoch", platform.CodeBadRequest, OpRequest{}, func(c NodeConn) error {
+			return c.Prepare(engine.FirstEpoch, next, 0, nextOf(nil), "p-24")
 		}},
-		{"abort another epoch", "", true, func(c NodeConn) (string, error) { return "", c.Abort(3, "p-25") }},
-		{"commit", "", true, func(c NodeConn) (string, error) { return "", c.Commit(2, "p-26") }},
-		{"commit again", "", true, func(c NodeConn) (string, error) { return "", c.Commit(2, "p-27") }},
-		{"prepare an empty partition", "", false, func(c NodeConn) (string, error) {
-			return "", c.Prepare(3, tree, 0, nextOf(nil), "p-28")
+		{"abort another epoch", "", OpRequest{Kind: OpAbort, Idem: "p-25", Epoch: 3}, nil},
+		{"commit", "", OpRequest{Kind: OpCommit, Idem: "p-26", Epoch: 2}, nil},
+		{"commit again", "", OpRequest{Kind: OpCommit, Idem: "p-27", Epoch: 2}, nil},
+		{"prepare an empty partition", "", OpRequest{}, func(c NodeConn) error {
+			return c.Prepare(3, tree, 0, nextOf(nil), "p-28")
 		}},
-		{"abort", "", true, func(c NodeConn) (string, error) { return "", c.Abort(3, "p-29") }},
-		{"commit the aborted epoch", platform.CodeBadRequest, true, func(c NodeConn) (string, error) { return "", c.Commit(3, "p-30") }},
-		{"status after the rotation", "", true, func(c NodeConn) (string, error) {
-			st, err := c.Status(2)
-			return fmt.Sprint(st.Epoch, st.Len, st.Units), err
-		}},
-		{"mine the new epoch", "", true, mine([]hst.Code{next.CodeOf(0)}, 2)},
+		{"abort", "", OpRequest{Kind: OpAbort, Idem: "p-29", Epoch: 3}, nil},
+		{"commit the aborted epoch", platform.CodeBadRequest, OpRequest{Kind: OpCommit, Idem: "p-30", Epoch: 3}, nil},
+		{"status after the rotation", "", OpRequest{Kind: OpStatus, Epoch: 2}, nil},
+		{"mine the new epoch", "", mine(2, []byte(next.CodeOf(0))), nil},
 	}
 	for _, step := range steps {
 		framesBefore, postsBefore := tap.Sent()
-		wantVal, wantErr := step.run(local)
-		gotVal, gotErr := step.run(remote)
-		if gotVal != wantVal {
-			t.Errorf("%s: http answered %q, local %q", step.name, gotVal, wantVal)
+		run := func(c NodeConn) (OpResult, error) {
+			if step.doc != nil {
+				return OpResult{}, step.doc(c)
+			}
+			return c.Do(step.op)
+		}
+		want, wantErr := run(local)
+		got, gotErr := run(remote)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: http answered %+v, local %+v", step.name, got, want)
 		}
 		if (wantErr == nil) != (step.wantErr == "") {
 			t.Fatalf("%s: local error %v, want code %q", step.name, wantErr, step.wantErr)
 		}
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s: http error %v, local %v", step.name, gotErr, wantErr)
+		if !sameRefusal(t, step.name, wantErr, gotErr) {
+			t.FailNow()
 		}
-		if wantErr != nil {
-			want, got := nodeError(wantErr, 0), nodeError(gotErr, 0)
-			if want.Code != step.wantErr || got.Code != want.Code || got.Retryable != want.Retryable {
-				t.Errorf("%s: http refused %s (retryable %v), local %s (retryable %v), want %s",
-					step.name, got.Code, got.Retryable, want.Code, want.Retryable, step.wantErr)
-			}
-			if stale := errors.Is(wantErr, engine.ErrStaleEpoch); errors.Is(gotErr, engine.ErrStaleEpoch) != stale {
-				t.Errorf("%s: errors.Is(ErrStaleEpoch) http %v, local %v", step.name, !stale, stale)
-			}
-			if isTransport(gotErr) {
-				t.Errorf("%s: refusal surfaced as a transport failure: %v", step.name, gotErr)
-			}
+		if wantErr != nil && nodeError(wantErr, 0).Code != step.wantErr {
+			t.Errorf("%s: refused %v, want %s", step.name, wantErr, step.wantErr)
 		}
 		// The singleton-envelope contract: a sequential caller's op is
 		// exactly one frame of one op — and no HTTP request, but for the
@@ -192,7 +127,7 @@ func TestNodeConnParity(t *testing.T) {
 		// and a document is one POST and no frame.
 		frames, posts := tap.Sent()
 		frames, posts = frames[len(framesBefore):], posts[len(postsBefore):]
-		if step.framed {
+		if step.doc == nil {
 			if len(frames) != 1 || opsIn(frames[0]) != 1 {
 				t.Errorf("%s: sent %d frames, want exactly one of one op", step.name, len(frames))
 			}
@@ -206,6 +141,137 @@ func TestNodeConnParity(t *testing.T) {
 	if got := tap.Upgrades(); got != 1 {
 		t.Errorf("the tape dialed %d streams, want 1", got)
 	}
+}
+
+// sameRefusal reports whether the HTTP connection's error got is the
+// in-process reference's want, having said why not: both nil, or the same
+// typed error once folded by nodeError — a stale refusal's message aside,
+// which gains the engine sentinel's text on its way back over the wire —
+// with the engine staleness sentinel on both sides of the wire, and never a
+// transport failure.
+func sameRefusal(t testing.TB, name string, want, got error) bool {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Errorf("%s: http error %v, local %v", name, got, want)
+		return false
+	}
+	if want == nil {
+		return true
+	}
+	w, g := *nodeError(want, 0), *nodeError(got, 0)
+	if w.Code == platform.CodeStaleEpoch {
+		w.Message = g.Message
+	}
+	ok := true
+	if g != w {
+		t.Errorf("%s: http refused %+v, local %+v", name, g, w)
+		ok = false
+	}
+	if stale := errors.Is(want, engine.ErrStaleEpoch); errors.Is(got, engine.ErrStaleEpoch) != stale {
+		t.Errorf("%s: errors.Is(ErrStaleEpoch) http %v, local %v", name, !stale, stale)
+		ok = false
+	}
+	if isTransport(got) {
+		t.Errorf("%s: refusal surfaced as a transport failure: %v", name, got)
+		ok = false
+	}
+	return ok
+}
+
+// FuzzNodeConnParity is TestNodeConnParity over a tape the fuzzer writes:
+// four bytes an op, run through LocalNode and through DialNodeClient over
+// NodeHandler against nodes that start alike, every OpResult equal and every
+// refusal the same (sameRefusal). A step's first byte picks the call — the
+// eleven kinds, an unknown one, Init, or a Prepare of the next epoch over a
+// small partition, which a commit pinned to that epoch then publishes — the
+// second its code (a leaf of either tree, one cut short or run long, none),
+// the third its id (past int32 in one case of four), and the fourth its
+// epoch pin (0, the serving epoch, a stale one, the next) and its capacity
+// or pool size. Every op carries a key of its own, as the coordinator's do.
+func FuzzNodeConnParity(f *testing.F) {
+	trees := [2]*hst.Tree{buildTree(f, 7), buildTree(f, 8)}
+	// A step's call: opKinds[i] below len(opKinds), then these.
+	const unknown, callInit, callPrepare, calls = uint8(len(opKinds)), uint8(len(opKinds) + 1), uint8(len(opKinds) + 2), uint8(len(opKinds) + 3)
+	insert, addCapacity, remove, assign, status, minID, popMin, mine, commit, abort := uint8(0), uint8(1), uint8(2), uint8(3), uint8(5), uint8(6), uint8(7), uint8(8), uint8(9), uint8(10)
+	for _, tape := range [][]byte{
+		{insert, 0, 1, 0}, // before init
+		{callInit, 0, 0, 0, insert, 0, 1, 4, assign, 0, 0, 1, status, 0, 0, 0, minID, 0, 0, 1},
+		{callInit, 0, 0, 0, insert, 8, 2, 8, addCapacity, 8, 2, 2, insert, 0, 3, 4, remove, 8, 2, 0},
+		{callInit, 0, 0, 0, insert, 0, 1, 4, mine, 0, 2, 13, popMin, 0, 0, 1, abort, 0, 0, 3, commit, 0, 0, 3},
+		{callInit, 0, 0, 0, insert, 0, 1, 4, callPrepare, 0, 0, 3, commit, 0, 0, 3, status, 0, 0, 1, assign, 4, 0, 1, mine, 4, 1, 9},
+		{callInit, 0, 0, 0, unknown, 0, 0, 0, insert, 1, 1, 4, mine, 0, 0, 0, mine, 2, 1, 8, 4, 3, 1, 1},
+	} {
+		f.Add(tape)
+	}
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		if len(tape) > 4*64 {
+			tape = tape[:4*64]
+		}
+		ts := httptest.NewServer(NodeHandler(NewNode()))
+		defer ts.Close()
+		tr := platform.NewTransport()
+		defer tr.CloseIdleConnections()
+		local, remote := LocalNode(NewNode()), DialNodeClient(ts.URL, &http.Client{Transport: tr})
+		defer remote.Close()
+		for i := 0; i+4 <= len(tape); i += 4 {
+			call, c, id, pin := tape[i]%calls, int(tape[i+1]), int(tape[i+2]), int(tape[i+3])
+			serving, _ := local.Do(OpRequest{Kind: OpStatus})
+			cur := serving.Epoch // 0 before init
+			tree := trees[c/4%2]
+			var code []byte
+			switch leaf := []byte(tree.CodeOf(c / 8 % tree.NumPoints())); c % 4 {
+			case 0:
+				code = leaf
+			case 1:
+				code = leaf[:c/8%len(leaf)]
+			case 2:
+				code = append(leaf, byte(c))
+			}
+			if id%4 == 3 {
+				id += 1 << 40
+			} else {
+				id %= 8
+			}
+			stale := cur - 1
+			if stale <= 0 {
+				stale = cur + 99
+			}
+			epoch := [4]int64{0, cur, stale, cur + 1}[pin%4]
+			idem := "f-" + strconv.Itoa(i)
+			var want, got OpResult
+			var wantErr, gotErr error
+			switch call {
+			case callInit:
+				req := InitRequest{Tree: trees[0], Policy: "capacity-greedy", Idem: idem}
+				wantErr, gotErr = local.Init(req), remote.Init(req)
+			case callPrepare:
+				staged := trees[cur%2]
+				var inserts []engine.EpochInsert
+				for w := range pin % 4 {
+					inserts = append(inserts, engine.EpochInsert{Code: staged.CodeOf((c + w) % staged.NumPoints()), ID: 100 + w, Cap: 1 + w})
+				}
+				wantErr = local.Prepare(cur+1, staged, 0, nextOf(inserts), idem)
+				gotErr = remote.Prepare(cur+1, staged, 0, nextOf(inserts), idem)
+			default:
+				op := OpRequest{Kind: "teleport", Idem: idem, Code: code, ID: id, Capacity: pin / 4 % 4, Epoch: epoch}
+				if call < unknown {
+					op.Kind = opKinds[call]
+				}
+				if op.Kind == OpMine {
+					op.Codes, op.K = [][]byte{code, []byte(tree.CodeOf(id % tree.NumPoints()))}[:id%3], pin/4%5
+				}
+				want, wantErr = local.Do(op)
+				got, gotErr = remote.Do(op)
+			}
+			name := fmt.Sprintf("step %d %v", i/4, tape[i:i+4])
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: http answered %+v, local %+v", name, got, want)
+			}
+			if !sameRefusal(t, name, wantErr, gotErr) {
+				t.FailNow()
+			}
+		}
+	})
 }
 
 // TestRemovedNodeEndpoints pins the deletion: the per-call endpoints the

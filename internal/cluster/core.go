@@ -131,11 +131,11 @@ func unavailable(nd int, err error) error {
 	}
 }
 
-// callNode is the transport-retry rule, stated once. It runs call against
-// node nd; on a transport failure (the request or its response was lost)
-// it runs call once more — call resends the same idempotency key, so a
-// mutation that did land replays from the node's cache instead of applying
-// twice. What a second transport failure becomes is the caller's choice:
+// do ships op to node nd under the transport-retry rule, stated once: on a
+// transport failure (the request or its response was lost) it ships op once
+// more — the same op, so the same idempotency key, and a mutation that did
+// land replays from the node's cache instead of applying twice. What a
+// second transport failure becomes is the caller's choice:
 //
 //   - escalate: the typed retryable unavailable refusal naming the node,
 //     for calls whose failure is reported onward — insert, add-capacity,
@@ -145,17 +145,18 @@ func unavailable(nd int, err error) error {
 //     window answers unmatched), consume (the window rolls back), undo (a
 //     lost unit panics), abort (best effort).
 //
-// Application refusals are never retried. Commit is the one call outside
-// the rule: past the point of no return it gets three attempts.
-func (c *fanCore) callNode(nd int, escalate bool, call func(NodeConn) error) error {
-	err := call(c.nodes[nd])
+// Application refusals are never retried. Prepare, which is no op, follows
+// the rule in SwapEpochSeq; commit is the one call outside it: past the
+// point of no return it gets three attempts.
+func (c *fanCore) do(nd int, escalate bool, op OpRequest) (OpResult, error) {
+	res, err := c.nodes[nd].Do(op)
 	if isTransport(err) {
-		err = call(c.nodes[nd])
+		res, err = c.nodes[nd].Do(op)
 		if escalate && isTransport(err) {
-			return unavailable(nd, err)
+			return OpResult{}, unavailable(nd, err)
 		}
 	}
-	return err
+	return res, err
 }
 
 // Identity and configuration (platform.Core).
@@ -169,17 +170,15 @@ func (c *fanCore) Windows() int64        { return c.windows.Load() }
 
 // statusAll polls every node concurrently — a status sweep is N
 // independent reads, so its latency should be the slowest node's, not the
-// sum. Unreachable nodes yield a zero StatusResponse with ok false.
-func (c *fanCore) statusAll(epoch int64) []StatusResponse {
-	out := make([]StatusResponse, len(c.nodes))
+// sum. Unreachable nodes yield the zero OpResult.
+func (c *fanCore) statusAll() []OpResult {
+	out := make([]OpResult, len(c.nodes))
 	var wg sync.WaitGroup
 	for i, nd := range c.nodes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if s, err := nd.Status(epoch); err == nil {
-				out[i] = s
-			}
+			out[i], _ = nd.Do(OpRequest{Kind: OpStatus})
 		}()
 	}
 	wg.Wait()
@@ -191,7 +190,7 @@ func (c *fanCore) Len() int {
 	c.opMu.RLock()
 	defer c.opMu.RUnlock()
 	n := 0
-	for _, s := range c.statusAll(0) {
+	for _, s := range c.statusAll() {
 		n += s.Len
 	}
 	return n
@@ -202,39 +201,22 @@ func (c *fanCore) CapacityUnits() int {
 	c.opMu.RLock()
 	defer c.opMu.RUnlock()
 	n := 0
-	for _, s := range c.statusAll(0) {
+	for _, s := range c.statusAll() {
 		n += s.Units
 	}
 	return n
 }
 
-// Routed mutations (platform.Core). Each routes by the code's shard group
-// and runs under callNode's retry rule.
+// Routed mutations (platform.Core).
 
 func (c *fanCore) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) error {
-	c.opMu.RLock()
-	defer c.opMu.RUnlock()
-	st := c.state.Load()
-	if err := st.tree.CheckCode(code); err != nil {
-		return err
-	}
-	idem := c.nextIdem()
-	return c.callNode(c.routeIdx(st, code), true, func(n NodeConn) error {
-		return n.Insert(code, id, capacity, epoch, idem)
-	})
+	_, err := c.routed(true, code, OpRequest{Kind: OpInsert, ID: id, Capacity: capacity, Epoch: epoch})
+	return err
 }
 
 func (c *fanCore) AddCapacityEpoch(code hst.Code, id int, epoch int64) error {
-	c.opMu.RLock()
-	defer c.opMu.RUnlock()
-	st := c.state.Load()
-	if err := st.tree.CheckCode(code); err != nil {
-		return err
-	}
-	idem := c.nextIdem()
-	return c.callNode(c.routeIdx(st, code), true, func(n NodeConn) error {
-		return n.AddCapacity(code, id, epoch, idem)
-	})
+	_, err := c.routed(true, code, OpRequest{Kind: OpAddCapacity, ID: id, Epoch: epoch})
+	return err
 }
 
 func (c *fanCore) Remove(code hst.Code, id int) bool {
@@ -242,22 +224,24 @@ func (c *fanCore) Remove(code hst.Code, id int) bool {
 	return ok
 }
 
+// RemoveUnits answers a failure as not found: the zero OpResult.
 func (c *fanCore) RemoveUnits(code hst.Code, id int) (units int, found bool) {
+	res, _ := c.routed(false, code, OpRequest{Kind: OpRemove, ID: id})
+	return res.Units, res.Found
+}
+
+// routed ships op, a mutation of the worker at code under a fresh
+// idempotency key, to the node owning the code's shard group, by do's retry
+// rule. A code the tree does not have is refused here.
+func (c *fanCore) routed(escalate bool, code hst.Code, op OpRequest) (OpResult, error) {
 	c.opMu.RLock()
 	defer c.opMu.RUnlock()
 	st := c.state.Load()
-	if st.tree.CheckCode(code) != nil {
-		return 0, false
+	if err := st.tree.CheckCode(code); err != nil {
+		return OpResult{}, err
 	}
-	idem := c.nextIdem()
-	err := c.callNode(c.routeIdx(st, code), false, func(n NodeConn) (err error) {
-		units, found, err = n.Remove(code, id, idem)
-		return err
-	})
-	if err != nil {
-		return 0, false
-	}
-	return units, found
+	op.Idem, op.Code = c.nextIdem(), bytesOf(string(code))
+	return c.do(c.routeIdx(st, code), escalate, op)
 }
 
 // Assign runs the greedy rule across the cluster (platform.Core).
@@ -303,12 +287,10 @@ func (c *fanCore) assignRouted(st *coreState, code hst.Code) (id, lvl int, found
 	if st.tree.CheckCode(code) != nil {
 		return engine.None, 0, false, nil
 	}
-	idem := c.nextIdem()
-	err = c.callNode(c.routeIdx(st, code), true, func(n NodeConn) (err error) {
-		id, lvl, found, err = n.AssignSubtree(code, st.epoch, idem)
-		return err
+	res, err := c.do(c.routeIdx(st, code), true, OpRequest{
+		Kind: OpAssignSubtree, Idem: c.nextIdem(), Code: bytesOf(string(code)), Epoch: st.epoch,
 	})
-	return id, lvl, found, err
+	return res.ID, res.Level, res.Found, err
 }
 
 // assignRoot resolves the greedy root tier: every remaining worker is
@@ -320,9 +302,8 @@ func (c *fanCore) assignRoot(st *coreState) (id, lvl int, found bool, err error)
 	// Poll all nodes concurrently: the election needs every answer anyway,
 	// so the round's latency is the slowest node's, not the sum.
 	type minPoll struct {
-		id    int
-		found bool
-		err   error
+		res OpResult
+		err error
 	}
 	polls := make([]minPoll, len(c.nodes))
 	var wg sync.WaitGroup
@@ -330,11 +311,7 @@ func (c *fanCore) assignRoot(st *coreState) (id, lvl int, found bool, err error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := &polls[nd]
-			p.err = c.callNode(nd, true, func(n NodeConn) (err error) {
-				p.id, p.found, err = n.MinID(st.epoch)
-				return err
-			})
+			polls[nd].res, polls[nd].err = c.do(nd, true, OpRequest{Kind: OpMinID, Epoch: st.epoch})
 		}()
 	}
 	wg.Wait()
@@ -346,19 +323,15 @@ func (c *fanCore) assignRoot(st *coreState) (id, lvl int, found bool, err error)
 			// answer.
 			return engine.None, 0, false, p.err
 		}
-		if p.found && p.id < bestID {
-			best, bestID = nd, p.id
+		if p.res.Found && p.res.ID < bestID {
+			best, bestID = nd, p.res.ID
 		}
 	}
 	if best < 0 {
 		return engine.None, 0, false, nil
 	}
-	idem := c.nextIdem()
-	err = c.callNode(best, true, func(n NodeConn) (err error) {
-		id, lvl, found, err = n.PopMin(st.epoch, idem)
-		return err
-	})
-	return id, lvl, found, err
+	res, err := c.do(best, true, OpRequest{Kind: OpPopMin, Idem: c.nextIdem(), Epoch: st.epoch})
+	return res.ID, res.Level, res.Found, err
 }
 
 // AssignBatch serves a batch (platform.Core): sequential greedy for
@@ -457,24 +430,22 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	// Scatter: each node mines the window tasks routed to it, and every
 	// node contributes its per-shard pad lists (its pool may serve tasks
 	// routed elsewhere).
-	nodeCodes := make([][]hst.Code, N)
+	ops := make([]OpRequest, N)
 	nodeTis := make([][]int, N)
 	for ti, code := range tasks {
 		nd := c.routeIdx(st, code)
-		nodeCodes[nd] = append(nodeCodes[nd], code)
+		ops[nd].Codes = append(ops[nd].Codes, bytesOf(string(code)))
 		nodeTis[nd] = append(nodeTis[nd], ti)
 	}
-	mines := make([]*engine.WindowMine, N)
+	mines := make([]OpResult, N)
 	mineErrs := make([]error, N)
 	var wg sync.WaitGroup
 	for nd := 0; nd < N; nd++ {
+		ops[nd].Kind, ops[nd].K, ops[nd].Epoch = OpMine, k, st.epoch
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mineErrs[nd] = c.callNode(nd, false, func(n NodeConn) (err error) {
-				mines[nd], err = n.Mine(nodeCodes[nd], k, st.epoch)
-				return err
-			})
+			mines[nd], mineErrs[nd] = c.do(nd, false, ops[nd])
 		}()
 	}
 	wg.Wait()
@@ -485,7 +456,7 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	pads := make([][]hst.Candidate, st.layout.Shards)
 	pool := 0
 	for nd := 0; nd < N; nd++ {
-		if mineErrs[nd] != nil || !c.validMine(st, nd, mines[nd], nodeCodes[nd], k) {
+		if mineErrs[nd] != nil || !c.validMine(st, nd, &mines[nd], &ops[nd]) {
 			// A window cannot be solved around a missing node — its pool
 			// (and its tasks' own regions) would silently vanish from the
 			// matching — nor over a report that breaks the protocol.
@@ -534,9 +505,8 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 		go func() {
 			defer cwg.Done()
 			u := &commits[j]
-			idem := c.nextIdem()
-			u.err = c.callNode(u.nd, false, func(n NodeConn) error {
-				return n.Consume(u.code, u.id, st.epoch, idem)
+			_, u.err = c.do(u.nd, false, OpRequest{
+				Kind: OpConsume, Idem: c.nextIdem(), Code: bytesOf(string(u.code)), ID: u.id, Epoch: st.epoch,
 			})
 		}()
 	}
@@ -558,9 +528,8 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 		if u.err != nil {
 			continue
 		}
-		idem := c.nextIdem()
-		if err := c.callNode(u.nd, false, func(n NodeConn) error {
-			return n.AddCapacity(u.code, u.id, st.epoch, idem)
+		if _, err := c.do(u.nd, false, OpRequest{
+			Kind: OpAddCapacity, Idem: c.nextIdem(), Code: bytesOf(string(u.code)), ID: u.id, Epoch: st.epoch,
 		}); err != nil {
 			panic(fmt.Sprintf("cluster: window rollback lost unit (worker %d): %v", u.id, err))
 		}
@@ -568,15 +537,15 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	return nil, false
 }
 
-// validMine checks node nd's answer to a Mine of codes at pool size k — the
-// one place a peer's report becomes window candidates. Everything the
-// kernel and the commit phase rely on is checked here: list shapes and
-// lengths, every id and capacity within the int32 the kernel narrows to,
-// every level one the tree has (so its distance is finite), every code a
-// leaf of the published tree in the shard whose list carries it — the
-// task's own shard, or the pad list's — which also makes a matched
-// worker's commit route back to the node that reported it.
-func (c *fanCore) validMine(st *coreState, nd int, wm *engine.WindowMine, codes []hst.Code, k int) bool {
+// validMine checks node nd's answer wm to op, a mine — the one place a
+// peer's report becomes window candidates. Everything the kernel and the
+// commit phase rely on is checked here: list shapes and lengths, every id
+// and capacity within the int32 the kernel narrows to, every level one the
+// tree has (so its distance is finite), every code a leaf of the published
+// tree in the shard whose list carries it — the task's own shard, or the
+// pad list's — which also makes a matched worker's commit route back to
+// the node that reported it.
+func (c *fanCore) validMine(st *coreState, nd int, wm *OpResult, op *OpRequest) bool {
 	validList := func(list []hst.Candidate, shard int) bool {
 		for _, cand := range list {
 			if cand.ID < 0 || cand.ID > math.MaxInt32 || cand.Cap < 1 || cand.Cap > math.MaxInt32 ||
@@ -585,13 +554,13 @@ func (c *fanCore) validMine(st *coreState, nd int, wm *engine.WindowMine, codes 
 				return false
 			}
 		}
-		return len(list) <= k
+		return len(list) <= op.K
 	}
-	if wm == nil || wm.Pool < 0 || len(wm.Own) != len(codes) || len(wm.Pads) > st.layout.Shards {
+	if wm.Pool < 0 || len(wm.Own) != len(op.Codes) || len(wm.Pads) > st.layout.Shards {
 		return false
 	}
 	for j, list := range wm.Own {
-		if !validList(list, st.layout.ShardIdx(codes[j])) {
+		if !validList(list, st.layout.ShardIdx(hst.Code(view(op.Codes[j])))) {
 			return false
 		}
 	}
@@ -651,8 +620,7 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 			}
 			// Best effort: an unreachable node's staged state is inert (it
 			// is never committed) and is dropped by its next prepare.
-			idem := c.nextIdem()
-			_ = c.callNode(nd, false, func(n NodeConn) error { return n.Abort(epoch, idem) })
+			_, _ = c.do(nd, false, OpRequest{Kind: OpAbort, Idem: c.nextIdem(), Epoch: epoch})
 		}
 	}
 	// Prepares run concurrently: each node stages an independent partition,
@@ -665,21 +633,28 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 		go func() {
 			defer pwg.Done()
 			idem := c.nextIdem()
-			prepErrs[nd] = c.callNode(nd, true, func(n NodeConn) error {
-				// One iteration per attempt, over the inserts that route
-				// here under the new layout.
+			// One iteration per attempt, over the inserts that route here
+			// under the new layout.
+			prepare := func() error {
 				next, stop := iter.Pull(func(yield func(engine.EpochInsert) bool) {
 					seq(func(in engine.EpochInsert) bool {
 						return newLayout.GroupOf(in.Code)%N != nd || yield(in)
 					})
 				})
 				defer stop()
-				return n.Prepare(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
+				return c.nodes[nd].Prepare(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
 					in, ok := next()
 					return in, ok, nil
 				}, idem)
-			})
-			prepared[nd] = prepErrs[nd] == nil
+			}
+			// do's retry rule, escalated.
+			err := prepare()
+			if isTransport(err) {
+				if err = prepare(); isTransport(err) {
+					err = unavailable(nd, err)
+				}
+			}
+			prepErrs[nd], prepared[nd] = err, err == nil
 		}()
 	}
 	pwg.Wait()
@@ -698,10 +673,10 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
-			idem := c.nextIdem()
+			op := OpRequest{Kind: OpCommit, Idem: c.nextIdem(), Epoch: epoch}
 			var err error
 			for try := 0; try < 3; try++ {
-				if err = c.nodes[nd].Commit(epoch, idem); !isTransport(err) {
+				if _, err = c.nodes[nd].Do(op); !isTransport(err) {
 					break
 				}
 			}

@@ -136,13 +136,13 @@ func FuzzNodeWire(f *testing.F) {
 				t.Fatal(err)
 			}
 			for id := 100; id < 104; id++ {
-				if err := node.Insert(tree.CodeOf(id%tree.NumPoints()), id, 2, 0, ""); err != nil {
+				if _, err := node.Do(OpRequest{Kind: OpInsert, Code: []byte(tree.CodeOf(id % tree.NumPoints())), ID: id, Capacity: 2}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		state := func() string {
-			st, err := node.Status(0)
+			st, err := node.Do(OpRequest{Kind: OpStatus})
 			return fmt.Sprint(st.Epoch, st.Len, st.Units, err)
 		}
 		stagedNow := func() *engine.PreparedSwap {
@@ -272,14 +272,14 @@ func FuzzOpsStream(f *testing.F) {
 				t.Fatal(err)
 			}
 			for id := 100; id < 104; id++ {
-				if err := node.Insert(tree.CodeOf(id%tree.NumPoints()), id, 2, 0, ""); err != nil {
+				if _, err := node.Do(OpRequest{Kind: OpInsert, Code: []byte(tree.CodeOf(id % tree.NumPoints())), ID: id, Capacity: 2}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			return node, NodeHandler(node)
 		}
 		state := func(node *Node) string {
-			st, err := node.Status(0)
+			st, err := node.Do(OpRequest{Kind: OpStatus})
 			return fmt.Sprint(st.Epoch, st.Len, st.Units, err)
 		}
 		node, handler := newNode()

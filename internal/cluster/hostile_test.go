@@ -9,27 +9,24 @@ import (
 	"github.com/pombm/pombm/internal/hst"
 )
 
-// bentMineNode answers Mine with its healthy inner node's honest report
+// bentMineNode answers a mine with its healthy inner node's honest report
 // bent by bend: a backend that speaks the protocol's shape but not its
 // contract. bend reports whether the report had what it wanted to bend.
 type bentMineNode struct {
 	NodeConn
-	bend func(wm *engine.WindowMine) bool
+	bend func(wm *OpResult) bool
 	bent bool
 }
 
-func (b *bentMineNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMine, error) {
-	wm, err := b.NodeConn.Mine(codes, k, epoch)
-	if err != nil {
-		return nil, err
-	}
-	if b.bend != nil && b.bend(wm) {
+func (b *bentMineNode) Do(op OpRequest) (OpResult, error) {
+	res, err := b.NodeConn.Do(op)
+	if err == nil && op.Kind == OpMine && b.bend != nil && b.bend(&res) {
 		b.bent = true
 	}
-	return wm, nil
+	return res, err
 }
 
-// TestHostileMineAnswersUnmatched: whatever a node reports from Mine, the
+// TestHostileMineAnswersUnmatched: whatever a node reports to a mine, the
 // coordinator must not panic and must not spend anyone's capacity on it. A
 // report that breaks the protocol is a failed mine — the window answers
 // all-None and the pool keeps every unit. Each case bends one field of an
@@ -42,8 +39,8 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 	// bend applies f to every candidate of the report's first non-empty own
 	// region or pad list (node 0 holds workers only in shards it owns, so a
 	// non-empty pad list is one the coordinator gathers).
-	bend := func(pads bool, f func(c *hst.Candidate)) func(*engine.WindowMine) bool {
-		return func(wm *engine.WindowMine) bool {
+	bend := func(pads bool, f func(c *hst.Candidate)) func(*OpResult) bool {
+		return func(wm *OpResult) bool {
 			lists := wm.Own
 			if pads {
 				lists = wm.Pads
@@ -59,8 +56,8 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			return false
 		}
 	}
-	bendOwn := func(f func(c *hst.Candidate)) func(*engine.WindowMine) bool { return bend(false, f) }
-	bendPad := func(f func(c *hst.Candidate)) func(*engine.WindowMine) bool { return bend(true, f) }
+	bendOwn := func(f func(c *hst.Candidate)) func(*OpResult) bool { return bend(false, f) }
+	bendPad := func(f func(c *hst.Candidate)) func(*OpResult) bool { return bend(true, f) }
 	// A leaf another node's shard group owns: well-formed, wrong place.
 	var foreign hst.Code
 	for i := 0; i < tree.NumPoints(); i++ {
@@ -77,7 +74,7 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		bend func(*engine.WindowMine) bool
+		bend func(*OpResult) bool
 	}{
 		{"level past the root", bendOwn(func(c *hst.Candidate) { c.Level = 2000 })},
 		{"negative level", bendOwn(func(c *hst.Candidate) { c.Level = -1 })},
@@ -93,7 +90,7 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 		{"negative id", bendPad(func(c *hst.Candidate) { c.ID = -1 })},
 		{"zero capacity", bendOwn(func(c *hst.Candidate) { c.Cap = 0 })},
 		{"capacity past int32", bendPad(func(c *hst.Candidate) { c.Cap = math.MaxInt32 + 1 })},
-		{"own region longer than k", func(wm *engine.WindowMine) bool {
+		{"own region longer than k", func(wm *OpResult) bool {
 			for j, l := range wm.Own {
 				if len(l) > 0 {
 					wm.Own[j] = overlong(l)
@@ -102,7 +99,7 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			}
 			return false
 		}},
-		{"pad list longer than k", func(wm *engine.WindowMine) bool {
+		{"pad list longer than k", func(wm *OpResult) bool {
 			for s, l := range wm.Pads {
 				if len(l) > 0 {
 					wm.Pads[s] = overlong(l)
@@ -111,19 +108,19 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			}
 			return false
 		}},
-		{"an own region missing", func(wm *engine.WindowMine) bool {
+		{"an own region missing", func(wm *OpResult) bool {
 			wm.Own = wm.Own[:len(wm.Own)-1]
 			return true
 		}},
-		{"an own region too many", func(wm *engine.WindowMine) bool {
+		{"an own region too many", func(wm *OpResult) bool {
 			wm.Own = append(wm.Own, nil)
 			return true
 		}},
-		{"more pad lists than shards", func(wm *engine.WindowMine) bool {
+		{"more pad lists than shards", func(wm *OpResult) bool {
 			wm.Pads = append(wm.Pads, wm.Pads...)
 			return true
 		}},
-		{"negative pool", func(wm *engine.WindowMine) bool {
+		{"negative pool", func(wm *OpResult) bool {
 			wm.Pool = -wm.Pool
 			return true
 		}},
@@ -196,7 +193,7 @@ func TestAddCapacityOnSaturatedWorkerRefuses(t *testing.T) {
 	if applied || !bytes.HasPrefix(out, []byte(`{"ok":false,"error":{`)) {
 		t.Fatalf("add-capacity on a saturated worker answered %s (cacheable %v), want an uncached refusal", out, applied)
 	}
-	if st, err := n.Status(0); err != nil || st.Len != 1 || st.Units != math.MaxInt32 {
+	if st, err := n.Do(OpRequest{Kind: OpStatus}); err != nil || st.Len != 1 || st.Units != math.MaxInt32 {
 		t.Fatalf("status after the refusal: %+v, %v; want one worker holding MaxInt32 units", st, err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -21,18 +22,22 @@ import (
 	"github.com/pombm/pombm/internal/wire"
 )
 
-// NodeConn is the coordinator's handle to one backend: the engine surface
-// a node exposes over /v2, plus the two-phase rotation verbs. LocalNode
-// implements it in-process (tests, the simulator, single-binary
-// deployments); DialNode implements it over HTTP against a pombm-server.
-// Close gives up what the connection holds of its node — DialNode's idle
-// streams at once, one in flight when its exchange ends — and every op
-// after it is refused, typed unavailable, without a dial.
+// NodeConn is the coordinator's handle to one backend: Do ships one op —
+// every bounded call, the eleven kinds of OpRequest — and Init and Prepare
+// are the two documents, one carrying the tree, the other a population.
+// LocalNode implements it in-process (tests, the simulator, single-binary
+// deployments) and is the reference; DialNode implements it over HTTP
+// against a pombm-server, with the same OpResult and, once folded by
+// nodeError, the same refusal. Close gives up what the connection holds of
+// its node — DialNode's idle streams at once, one in flight when its
+// exchange ends — and every op after it is refused, typed unavailable,
+// without a dial.
 //
-// The idem argument on mutating calls is the idempotency key: a transport
-// that retries after a lost response sends the same key, and the node
-// replays the recorded answer instead of applying the mutation twice.
-// In-process connections ignore it (calls cannot be duplicated).
+// An op's Idem, and the idem argument of the documents, is the idempotency
+// key of a call that mutates: a transport that retries after a lost
+// response sends the same key, and the node replays the recorded answer
+// instead of applying the mutation twice. In-process connections ignore it
+// (calls cannot be duplicated).
 //
 // Prepare takes the node's partition of the next epoch as a pull iterator:
 // next returns one insert at a time and (zero, false, nil) at end; an error
@@ -42,18 +47,8 @@ import (
 // and never again once Prepare has returned.
 type NodeConn interface {
 	Init(req InitRequest) error
-	Status(epoch int64) (StatusResponse, error)
-	Insert(code hst.Code, id, capacity int, epoch int64, idem string) error
-	AddCapacity(code hst.Code, id int, epoch int64, idem string) error
-	Remove(code hst.Code, id int, idem string) (units int, found bool, err error)
-	AssignSubtree(code hst.Code, epoch int64, idem string) (id, level int, found bool, err error)
-	MinID(epoch int64) (id int, found bool, err error)
-	PopMin(epoch int64, idem string) (id, level int, found bool, err error)
-	Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMine, error)
-	Consume(code hst.Code, id int, epoch int64, idem string) error
+	Do(op OpRequest) (OpResult, error)
 	Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error
-	Commit(epoch int64, idem string) error
-	Abort(epoch int64, idem string) error
 	Close()
 }
 
@@ -111,93 +106,78 @@ func (n *Node) Init(req InitRequest) error {
 	return nil
 }
 
-// Status reports the serving epoch and pool size. A non-zero epoch pin
-// that mismatches is reported as engine staleness.
-func (n *Node) Status(epoch int64) (StatusResponse, error) {
+// Do runs one op against the node's engine: the one place each kind's
+// meaning is written down (its wire form is the grammar at OpRequest, its
+// encoding execOp's). A refusal is the zero OpResult and the engine's own
+// error, which the wire folds with nodeError. The op's idempotency key is
+// not read here — replay is answerOps' business — and its codes are read as
+// they are, so they may be views of memory the node does not keep.
+func (n *Node) Do(op OpRequest) (OpResult, error) {
+	if op.Kind == OpAbort {
+		// Aborting an epoch that is not staged is a no-op: the abort may be a
+		// retry, or the prepare it cancels may never have arrived.
+		n.mu.Lock()
+		if n.staged != nil && n.staged.Epoch() == op.Epoch {
+			n.staged = nil
+		}
+		n.mu.Unlock()
+		return OpResult{OK: true}, nil
+	}
+	if !slices.Contains(opKinds[:], op.Kind) {
+		return OpResult{}, &platform.Error{
+			Code:    platform.CodeBadRequest,
+			Message: fmt.Sprintf("cluster: unknown op kind %q", op.Kind),
+		}
+	}
 	eng, err := n.engine()
 	if err != nil {
-		return StatusResponse{}, err
+		return OpResult{}, err
 	}
-	cur := eng.Epoch()
-	if epoch != 0 && cur != epoch {
-		return StatusResponse{}, fmt.Errorf("%w (status for epoch %d, serving %d)", engine.ErrStaleEpoch, epoch, cur)
+	code, res := hst.Code(view(op.Code)), OpResult{OK: true}
+	switch op.Kind {
+	case OpInsert:
+		err = eng.InsertCapEpoch(code, op.ID, op.Capacity, op.Epoch)
+	case OpAddCapacity:
+		err = eng.AddCapacityEpoch(code, op.ID, op.Epoch)
+	case OpConsume:
+		err = eng.ConsumeUnit(code, op.ID, op.Epoch)
+	case OpRemove:
+		res.Units, res.Found = eng.RemoveUnits(code, op.ID)
+	case OpAssignSubtree:
+		// The greedy rule's node-local tiers.
+		res.ID, res.Level, res.Found, err = eng.AssignSubtreeEpoch(code, op.Epoch)
+	case OpMinID:
+		// The root tier's poll.
+		res.ID, res.Found, err = eng.MinAvailableID(op.Epoch)
+	case OpPopMin:
+		// The root tier's commit on this node.
+		res.ID, res.Level, res.Found, err = eng.PopMinID(op.Epoch)
+	case OpStatus:
+		// A non-zero epoch pin that mismatches is engine staleness.
+		res.Epoch, res.Len, res.Units = eng.Epoch(), eng.Len(), eng.CapacityUnits()
+		if op.Epoch != 0 && res.Epoch != op.Epoch {
+			err = fmt.Errorf("%w (status for epoch %d, serving %d)", engine.ErrStaleEpoch, op.Epoch, res.Epoch)
+		}
+	case OpMine:
+		// This node's contribution to a window.
+		codes := make([]hst.Code, len(op.Codes))
+		for i, c := range op.Codes {
+			codes[i] = hst.Code(view(c))
+		}
+		var wm *engine.WindowMine
+		if wm, err = eng.MineWindowCandidates(codes, op.K, op.Epoch); err == nil {
+			res.Epoch, res.Pool, res.Own, res.Pads = wm.Epoch, wm.Pool, wm.Own, wm.Pads
+			if len(codes) == 0 {
+				res.Own = nil // the wire leaves an empty own out
+			}
+		}
+	case OpCommit:
+		err = n.commit(eng, op.Epoch)
 	}
-	return StatusResponse{Epoch: cur, Len: eng.Len(), Units: eng.CapacityUnits()}, nil
-}
-
-// Insert lands a worker (see engine.InsertCapEpoch).
-func (n *Node) Insert(code hst.Code, id, capacity int, epoch int64, _ string) error {
-	eng, err := n.engine()
 	if err != nil {
-		return err
+		return OpResult{}, err
 	}
-	return eng.InsertCapEpoch(code, id, capacity, epoch)
-}
-
-// AddCapacity returns one unit (see engine.AddCapacityEpoch).
-func (n *Node) AddCapacity(code hst.Code, id int, epoch int64, _ string) error {
-	eng, err := n.engine()
-	if err != nil {
-		return err
-	}
-	return eng.AddCapacityEpoch(code, id, epoch)
-}
-
-// Remove withdraws a worker's pooled units (see engine.RemoveUnits).
-func (n *Node) Remove(code hst.Code, id int, _ string) (int, bool, error) {
-	eng, err := n.engine()
-	if err != nil {
-		return 0, false, err
-	}
-	units, ok := eng.RemoveUnits(code, id)
-	return units, ok, nil
-}
-
-// AssignSubtree runs the greedy rule's node-local tiers (see
-// engine.AssignSubtreeEpoch).
-func (n *Node) AssignSubtree(code hst.Code, epoch int64, _ string) (int, int, bool, error) {
-	eng, err := n.engine()
-	if err != nil {
-		return engine.None, 0, false, err
-	}
-	return eng.AssignSubtreeEpoch(code, epoch)
-}
-
-// MinID answers the root-tier poll (see engine.MinAvailableID).
-func (n *Node) MinID(epoch int64) (int, bool, error) {
-	eng, err := n.engine()
-	if err != nil {
-		return engine.None, false, err
-	}
-	return eng.MinAvailableID(epoch)
-}
-
-// PopMin commits the root tier on this node (see engine.PopMinID).
-func (n *Node) PopMin(epoch int64, _ string) (int, int, bool, error) {
-	eng, err := n.engine()
-	if err != nil {
-		return engine.None, 0, false, err
-	}
-	return eng.PopMinID(epoch)
-}
-
-// Mine gathers this node's window contribution (see
-// engine.MineWindowCandidates).
-func (n *Node) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMine, error) {
-	eng, err := n.engine()
-	if err != nil {
-		return nil, err
-	}
-	return eng.MineWindowCandidates(codes, k, epoch)
-}
-
-// Consume commits one matched window unit (see engine.ConsumeUnit).
-func (n *Node) Consume(code hst.Code, id int, epoch int64, _ string) error {
-	eng, err := n.engine()
-	if err != nil {
-		return err
-	}
-	return eng.ConsumeUnit(code, id, epoch)
+	return res, nil
 }
 
 // Prepare stages this node's partition of the next epoch (phase one),
@@ -220,14 +200,10 @@ func (n *Node) Prepare(epoch int64, tree *hst.Tree, shards int, next func() (eng
 	return nil
 }
 
-// Commit publishes the staged epoch (phase two). Committing an epoch the
+// commit publishes the staged epoch (phase two). Committing an epoch the
 // engine already serves acks idempotently: the effect landed, only the
 // response was lost.
-func (n *Node) Commit(epoch int64, _ string) error {
-	eng, err := n.engine()
-	if err != nil {
-		return err
-	}
+func (n *Node) commit(eng *engine.Engine, epoch int64) error {
 	n.mu.Lock()
 	staged := n.staged
 	n.mu.Unlock()
@@ -245,18 +221,6 @@ func (n *Node) Commit(epoch int64, _ string) error {
 	}
 	n.mu.Lock()
 	if n.staged == staged {
-		n.staged = nil
-	}
-	n.mu.Unlock()
-	return nil
-}
-
-// Abort drops the staged epoch (a sibling node's prepare failed).
-// Aborting an epoch that is not staged is a no-op: the abort may be a
-// retry, or the prepare it cancels may never have arrived.
-func (n *Node) Abort(epoch int64, _ string) error {
-	n.mu.Lock()
-	if n.staged != nil && n.staged.Epoch() == epoch {
 		n.staged = nil
 	}
 	n.mu.Unlock()
@@ -380,64 +344,39 @@ func answerOps(n *Node, cache *wire.ReplayCache, ops []OpRequest, err error, dst
 	return append(dst, "]}\n"...)
 }
 
-// execOp runs one envelope sub-operation and appends its sub-result to dst.
-// It is the only place an op's response shape and error taxonomy are written
-// down (the grammar is in protocol.go): insert, add-capacity, consume, commit
-// and abort answer a bare ack, remove its units and found, assign-subtree,
-// min-id and pop-min a worker's id, level and found, status and mine what
-// they read. applied marks a mutation that landed — what the replay cache
-// keeps; a refusal and a read are answered afresh each time. The node keeps
-// none of an op's codes, so they reach it as views.
+// execOp runs one envelope sub-operation (Node.Do) and appends its
+// sub-result to dst by the kind's shape in the grammar (protocol.go): insert,
+// add-capacity, consume, commit and abort answer a bare ack, remove its units
+// and found, assign-subtree, min-id and pop-min a worker's id, level and
+// found, status and mine what they read. applied marks a mutation that
+// landed — what the replay cache keeps; a refusal and a read are answered
+// afresh each time. The node keeps none of an op's codes, so they reach it as
+// views.
 func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
-	code := hst.Code(view(op.Code))
+	res, err := n.Do(*op)
 	switch op.Kind {
-	case OpInsert:
-		return appendAck(dst, n.Insert(code, op.ID, op.Capacity, op.Epoch, op.Idem), op.Epoch)
-	case OpAddCapacity:
-		return appendAck(dst, n.AddCapacity(code, op.ID, op.Epoch, op.Idem), op.Epoch)
-	case OpConsume:
-		return appendAck(dst, n.Consume(code, op.ID, op.Epoch, op.Idem), op.Epoch)
-	case OpCommit:
-		return appendAck(dst, n.Commit(op.Epoch, op.Idem), op.Epoch)
-	case OpAbort:
-		return appendAck(dst, n.Abort(op.Epoch, op.Idem), op.Epoch)
+	case OpInsert, OpAddCapacity, OpConsume, OpCommit, OpAbort:
+		return appendAck(dst, err, op.Epoch)
 	case OpRemove:
-		units, found, err := n.Remove(code, op.ID, op.Idem)
 		if err != nil {
 			return appendFound(appendRefusal(dst, nodeError(err, 0)), false), false
 		}
-		return appendRemoved(dst, units, found), true
-	case OpAssignSubtree:
-		id, lvl, found, err := n.AssignSubtree(code, op.Epoch, op.Idem)
-		return appendAssigned(dst, id, lvl, found, err, op.Epoch)
-	case OpPopMin:
-		id, lvl, found, err := n.PopMin(op.Epoch, op.Idem)
-		return appendAssigned(dst, id, lvl, found, err, op.Epoch)
-	case OpMinID:
-		id, found, err := n.MinID(op.Epoch)
-		out, _ = appendAssigned(dst, id, 0, found, err, op.Epoch)
-		return out, false
+		return appendRemoved(dst, res.Units, res.Found), true
+	case OpAssignSubtree, OpPopMin, OpMinID:
+		out, applied = appendAssigned(dst, res.ID, res.Level, res.Found, err, op.Epoch)
+		return out, applied && op.Kind != OpMinID // min-id only reads
 	case OpStatus:
-		st, err := n.Status(op.Epoch)
 		if err != nil {
 			return appendAck(dst, err, 0)
 		}
-		return appendStatus(dst, st), false
+		return appendStatus(dst, &res), false
 	case OpMine:
-		codes := make([]hst.Code, len(op.Codes))
-		for i, c := range op.Codes {
-			codes[i] = hst.Code(view(c))
-		}
-		wm, err := n.Mine(codes, op.K, op.Epoch)
 		if err != nil {
 			return appendAck(dst, err, op.Epoch)
 		}
-		return appendMined(dst, wm), false
+		return appendMined(dst, &res), false
 	default:
-		return appendAck(dst, &platform.Error{
-			Code:    platform.CodeBadRequest,
-			Message: fmt.Sprintf("cluster: unknown op kind %q", op.Kind),
-		}, 0)
+		return appendAck(dst, err, 0)
 	}
 }
 
@@ -539,7 +478,7 @@ func (r *PrepareRequest) apply(n *Node, rest *json.Decoder) *platform.Error {
 	if err == nil {
 		if err = atEnd(rest); err != nil {
 			// A refused prepare must not be left committable.
-			n.Abort(r.Epoch, "")
+			n.Do(OpRequest{Kind: OpAbort, Epoch: r.Epoch})
 			err = badBody(err)
 		}
 	}
@@ -561,10 +500,9 @@ func writeNodeJSON(w http.ResponseWriter, status int, e *platform.Error) {
 	w.Write(cb.Bytes())
 }
 
-// httpNode is a NodeConn over the /v2 wire protocol. Every call but Init and
-// Prepare goes through ops, which ships it as an op of a /v2/node/ops
-// envelope, one frame each on a stream a slot owns; those two are one POST
-// per call.
+// httpNode is a NodeConn over the /v2 wire protocol. Do ships its op as a
+// sub-op of a /v2/node/ops envelope, one frame each on a stream a slot owns
+// (see batcher); Init and Prepare are one POST per call.
 type httpNode struct {
 	// reqs holds one request template per /v2 path — URL parsed, headers
 	// set — built once at dial; every call sends a shallow copy carrying
@@ -763,88 +701,16 @@ func (h *httpNode) Init(req InitRequest) error {
 	return h.post(PathNodeInit, cb.Reader(), int64(cb.Len()), h.timeouts.op())
 }
 
-// op ships one op and returns its sub-result, a refusal folded into err.
-func (h *httpNode) op(op OpRequest) (opResult, error) {
+// Do ships one op and returns its sub-result, a refusal folded into err.
+func (h *httpNode) Do(op OpRequest) (OpResult, error) {
 	res, err := h.ops.do(op)
 	if err == nil {
 		err = envErr(res.Err)
 	}
-	return res, err
-}
-
-// assigned ships an op whose answer is a worker: assign-subtree, min-id,
-// pop-min.
-func (h *httpNode) assigned(op OpRequest) (id, level int, found bool, err error) {
-	res, err := h.op(op)
 	if err != nil {
-		return engine.None, 0, false, err
+		return OpResult{}, err
 	}
-	return res.ID, res.Level, res.Found, nil
-}
-
-func (h *httpNode) Status(epoch int64) (StatusResponse, error) {
-	res, err := h.op(OpRequest{Kind: OpStatus, Epoch: epoch})
-	return StatusResponse{Epoch: res.Epoch, Len: res.Len, Units: res.Units}, err
-}
-
-func (h *httpNode) Insert(code hst.Code, id, capacity int, epoch int64, idem string) error {
-	_, err := h.op(OpRequest{Kind: OpInsert, Idem: idem, Code: bytesOf(string(code)), ID: id, Capacity: capacity, Epoch: epoch})
-	return err
-}
-
-func (h *httpNode) AddCapacity(code hst.Code, id int, epoch int64, idem string) error {
-	_, err := h.op(OpRequest{Kind: OpAddCapacity, Idem: idem, Code: bytesOf(string(code)), ID: id, Epoch: epoch})
-	return err
-}
-
-func (h *httpNode) Consume(code hst.Code, id int, epoch int64, idem string) error {
-	_, err := h.op(OpRequest{Kind: OpConsume, Idem: idem, Code: bytesOf(string(code)), ID: id, Epoch: epoch})
-	return err
-}
-
-func (h *httpNode) Remove(code hst.Code, id int, idem string) (int, bool, error) {
-	res, err := h.op(OpRequest{Kind: OpRemove, Idem: idem, Code: bytesOf(string(code)), ID: id})
-	return res.Units, res.Found, err
-}
-
-func (h *httpNode) AssignSubtree(code hst.Code, epoch int64, idem string) (int, int, bool, error) {
-	return h.assigned(OpRequest{Kind: OpAssignSubtree, Idem: idem, Code: bytesOf(string(code)), Epoch: epoch})
-}
-
-func (h *httpNode) MinID(epoch int64) (int, bool, error) {
-	id, _, found, err := h.assigned(OpRequest{Kind: OpMinID, Epoch: epoch})
-	return id, found, err
-}
-
-func (h *httpNode) PopMin(epoch int64, idem string) (int, int, bool, error) {
-	return h.assigned(OpRequest{Kind: OpPopMin, Idem: idem, Epoch: epoch})
-}
-
-func (h *httpNode) Mine(codes []hst.Code, k int, epoch int64) (*engine.WindowMine, error) {
-	op := OpRequest{Kind: OpMine, Codes: make([][]byte, len(codes)), K: k, Epoch: epoch}
-	for i, c := range codes {
-		op.Codes[i] = bytesOf(string(c))
-	}
-	res, err := h.op(op)
-	if err != nil {
-		return nil, err
-	}
-	wm := &engine.WindowMine{Epoch: res.Epoch, Pool: res.Pool, Own: res.Own, Pads: res.Pads}
-	// A node sent no codes leaves own out of its answer.
-	if wm.Own == nil {
-		wm.Own = make([][]hst.Candidate, len(codes))
-	}
-	return wm, nil
-}
-
-func (h *httpNode) Commit(epoch int64, idem string) error {
-	_, err := h.op(OpRequest{Kind: OpCommit, Idem: idem, Epoch: epoch})
-	return err
-}
-
-func (h *httpNode) Abort(epoch int64, idem string) error {
-	_, err := h.op(OpRequest{Kind: OpAbort, Idem: idem, Epoch: epoch})
-	return err
+	return res, nil
 }
 
 // Close closes the idle streams and has every later op refused (see
@@ -859,7 +725,7 @@ func (h *httpNode) Close() { h.ops.close() }
 // one result per op (a transport failure: the retry taxonomy callers already
 // handle, never an application refusal) — are the error; per-op outcomes are
 // the slots' own. A failed exchange closes its stream, and a transport
-// failure the node's idle streams with it, so callNode's retry dials afresh
+// failure the node's idle streams with it, so fanCore.do's retry dials afresh
 // and the replay cache answers whatever did land; there is no other way to
 // ship an op to fall back to.
 func (h *httpNode) sendOps(s *wire.Stream, batch []*batchedOp) (*wire.Stream, error) {

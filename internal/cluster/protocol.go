@@ -28,7 +28,10 @@
 // /v2/node/ops envelope (a sequential caller ships singleton envelopes) —
 // the five routed mutations (insert, add-capacity, remove, assign-subtree,
 // consume), the root tier's min-id and pop-min, a window's mine, status,
-// and the rotation's commit and abort.
+// and the rotation's commit and abort. In Go an op is one call,
+// NodeConn.Do: Node.Do is the one place each kind's meaning is written down,
+// the HTTP connection ships the OpRequest as it stands, and the node encodes
+// Node.Do's OpResult by the kind's result shape below.
 //
 // What cannot be an op is a document, and there are two: /v2/node/init and
 // /v2/node/rotate/prepare stay POSTs. Both carry the published tree, which
@@ -178,10 +181,14 @@ type OpRequest struct {
 	K        int      `json:"k,omitempty"`
 }
 
-// opResult is a sub-result as the coordinator reads it: the union of the
-// result shapes in the grammar above, so that one scanner fills it and one
-// value carries any op's answer back to its caller.
-type opResult struct {
+// OpResult is an op's answer: the union of the result shapes in the grammar
+// above, so that one scanner fills it and one value carries any kind's
+// answer back to its caller — status's epoch, len and units included. It is
+// what NodeConn.Do returns, and the same for the same op on the same state
+// whichever connection ran it: empty candidate lists are nil, as the wire
+// leaves them, and a refused op answers the zero OpResult beside its error
+// (Err is where the scanner leaves a refusal on its way to that error).
+type OpResult struct {
 	OK    bool
 	Err   *platform.Error
 	ID    int
@@ -212,13 +219,6 @@ type InitRequest struct {
 type nodeAck struct {
 	OK  bool            `json:"ok"`
 	Err *platform.Error `json:"error,omitempty"`
-}
-
-// StatusResponse reports a node's serving epoch and pool.
-type StatusResponse struct {
-	Epoch int64
-	Len   int
-	Units int
 }
 
 // PrepareRequest heads a prepare document, which stages this node's

@@ -81,7 +81,7 @@ func TestSubmitsDuringDistributedRotation(t *testing.T) {
 		t.Fatalf("epoch %d after racing swap", core.Epoch())
 	}
 	for i, nd := range nodes {
-		st, err := nd.Status(0)
+		st, err := nd.Do(OpRequest{Kind: OpStatus})
 		if err != nil {
 			t.Fatal(err)
 		}

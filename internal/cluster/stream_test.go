@@ -70,7 +70,7 @@ func (r *tappedCore) next(what string) *wiretap.Frame {
 // more frame waiting for a fate.
 func (r *tappedCore) status() (workers, units int) {
 	r.t.Helper()
-	st, err := r.node.Status(0)
+	st, err := r.node.Do(OpRequest{Kind: OpStatus})
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func (r *tappedCore) status() (workers, units int) {
 // TestTornStreamAppliesOnce cuts the connection under each kind of op that
 // mutates — the five routed ones, the root tier's pop, and the rotation's
 // commit and abort — after the node applied the request frame and before the
-// coordinator read the answer. callNode's one retry must dial a fresh
+// coordinator read the answer. do's one retry must dial a fresh
 // stream, resend the same bytes — the same idempotency key — and be answered
 // out of the replay cache with the very bytes the cut swallowed, and the
 // node's pool must show the op applied once.
 func TestTornStreamAppliesOnce(t *testing.T) {
 	r := newTappedCore(t, NodeTimeouts{})
-	code := r.tree.CodeOf(0)
+	code := []byte(r.tree.CodeOf(0))
 	next := buildTree(t, 8)
 	// prepare stages an epoch of two workers: a document, which no tap parks.
 	prepare := func(epoch int64) func() {
@@ -97,71 +97,75 @@ func TestTornStreamAppliesOnce(t *testing.T) {
 			}
 		}
 	}
-	assigned := func(id, _ int, found bool, err error) error {
-		if err == nil && (!found || id != 1) {
-			err = fmt.Errorf("assigned %d, found %v", id, found)
+	assigned := func(res OpResult) error {
+		if !res.Found || res.ID != 1 {
+			return fmt.Errorf("assigned %+v", res)
 		}
-		return err
+		return nil
 	}
 	for i, step := range []struct {
-		kind           string
 		before         func() // what the op needs in place, untapped
-		run            func(n NodeConn, idem string) error
-		workers, units int // the pool once the op has applied exactly once
+		op             OpRequest
+		check          func(OpResult) error // what its answer must be; nil: any success
+		workers, units int                  // the pool once the op has applied exactly once
 	}{
-		{OpInsert, nil, func(n NodeConn, idem string) error { return n.Insert(code, 1, 4, 0, idem) }, 1, 4},
-		{OpConsume, nil, func(n NodeConn, idem string) error { return n.Consume(code, 1, 0, idem) }, 1, 3},
-		{OpAddCapacity, nil, func(n NodeConn, idem string) error { return n.AddCapacity(code, 1, 0, idem) }, 1, 4},
-		{OpAssignSubtree, nil, func(n NodeConn, idem string) error { return assigned(n.AssignSubtree(code, 0, idem)) }, 1, 3},
-		{OpPopMin, nil, func(n NodeConn, idem string) error { return assigned(n.PopMin(0, idem)) }, 1, 2},
-		{OpRemove, nil, func(n NodeConn, idem string) error {
-			units, found, err := n.Remove(code, 1, idem)
-			if err == nil && (!found || units != 2) {
-				err = fmt.Errorf("removed %d units, found %v", units, found)
+		{nil, OpRequest{Kind: OpInsert, Code: code, ID: 1, Capacity: 4}, nil, 1, 4},
+		{nil, OpRequest{Kind: OpConsume, Code: code, ID: 1}, nil, 1, 3},
+		{nil, OpRequest{Kind: OpAddCapacity, Code: code, ID: 1}, nil, 1, 4},
+		{nil, OpRequest{Kind: OpAssignSubtree, Code: code}, assigned, 1, 3},
+		{nil, OpRequest{Kind: OpPopMin}, assigned, 1, 2},
+		{nil, OpRequest{Kind: OpRemove, Code: code, ID: 1}, func(res OpResult) error {
+			if !res.Found || res.Units != 2 {
+				return fmt.Errorf("removed %+v", res)
 			}
-			return err
+			return nil
 		}, 0, 0},
-		{OpCommit, prepare(2), func(n NodeConn, idem string) error { return n.Commit(2, idem) }, 2, 2},
-		{OpAbort, prepare(3), func(n NodeConn, idem string) error { return n.Abort(3, idem) }, 2, 2},
+		{prepare(2), OpRequest{Kind: OpCommit, Epoch: 2}, nil, 2, 2},
+		{prepare(3), OpRequest{Kind: OpAbort, Epoch: 3}, nil, 2, 2},
 	} {
 		if step.before != nil {
 			step.before()
 		}
-		idem := r.core.nextIdem()
+		step.op.Idem = r.core.nextIdem()
+		kind := step.op.Kind
 		done := r.start(func() error {
-			return r.core.callNode(0, true, func(n NodeConn) error { return step.run(n, idem) })
+			res, err := r.core.do(0, true, step.op)
+			if err == nil && step.check != nil {
+				err = step.check(res)
+			}
+			return err
 		})
-		torn := r.next(step.kind + "'s frame")
+		torn := r.next(kind + "'s frame")
 		torn.Fate <- wiretap.Cut
-		again := r.next(step.kind + "'s retry")
+		again := r.next(kind + "'s retry")
 		again.Fate <- wiretap.Forward
 		if err := <-done; err != nil {
-			t.Fatalf("%s over a torn stream: %v", step.kind, err)
+			t.Fatalf("%s over a torn stream: %v", kind, err)
 		}
-		if !bytes.Contains(torn.Payload, []byte(`"kind":"`+step.kind+`"`)) || !bytes.Equal(torn.Payload, again.Payload) {
-			t.Errorf("%s: the retry sent\n%s\nafter\n%s", step.kind, again.Payload, torn.Payload)
+		if !bytes.Contains(torn.Payload, []byte(`"kind":"`+kind+`"`)) || !bytes.Equal(torn.Payload, again.Payload) {
+			t.Errorf("%s: the retry sent\n%s\nafter\n%s", kind, again.Payload, torn.Payload)
 		}
 		swallowed, replayed := r.tap.AnswerOf(torn), r.tap.AnswerOf(again)
 		if !bytes.Contains(swallowed, []byte(`"ok":true`)) || !bytes.Equal(swallowed, replayed) {
-			t.Errorf("%s: the retry was answered\n%s\nwant the bytes the cut swallowed:\n%s", step.kind, replayed, swallowed)
+			t.Errorf("%s: the retry was answered\n%s\nwant the bytes the cut swallowed:\n%s", kind, replayed, swallowed)
 		}
 		if workers, units := r.status(); workers != step.workers || units != step.units {
 			t.Errorf("after %s the node holds %d workers and %d units, want %d and %d: applied other than once",
-				step.kind, workers, units, step.workers, step.units)
+				kind, workers, units, step.workers, step.units)
 		}
 		// A commit publishes what was staged and an abort drops it.
 		r.node.mu.Lock()
 		staged := r.node.staged
 		r.node.mu.Unlock()
 		if staged != nil {
-			t.Errorf("after %s the node still has epoch %d staged", step.kind, staged.Epoch())
+			t.Errorf("after %s the node still has epoch %d staged", kind, staged.Epoch())
 		}
 		// The first op dialed the first stream; every cut cost one more.
 		if got := r.tap.Upgrades(); got != i+2 {
-			t.Errorf("after %s: %d streams dialed, want %d", step.kind, got, i+2)
+			t.Errorf("after %s: %d streams dialed, want %d", kind, got, i+2)
 		}
 	}
-	if st, err := r.node.Status(0); err != nil || st.Epoch != 2 {
+	if st, err := r.node.Do(OpRequest{Kind: OpStatus}); err != nil || st.Epoch != 2 {
 		t.Errorf("the node serves epoch %d (err %v), want the 2 the torn commit published, not the 3 the torn abort dropped", st.Epoch, err)
 	}
 }
@@ -280,12 +284,13 @@ func TestStreamOutlivesServerTimeouts(t *testing.T) {
 	if err := conn.Init(InitRequest{Tree: tree}); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Insert(tree.CodeOf(0), 1, 1, 0, "s-1"); err != nil {
+	code := []byte(tree.CodeOf(0))
+	if _, err := conn.Do(OpRequest{Kind: OpInsert, Idem: "s-1", Code: code, ID: 1, Capacity: 1}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	if id, _, found, err := conn.AssignSubtree(tree.CodeOf(0), 0, "s-2"); err != nil || !found || id != 1 {
-		t.Fatalf("the frame after the silence: id %d, found %v, err %v", id, found, err)
+	if res, err := conn.Do(OpRequest{Kind: OpAssignSubtree, Idem: "s-2", Code: code}); err != nil || !res.Found || res.ID != 1 {
+		t.Fatalf("the frame after the silence: %+v, err %v", res, err)
 	}
 	if frames, _ := tap.Sent(); len(frames) != 2 || tap.Upgrades() != 1 {
 		t.Errorf("%d frames on %d streams, want both ops on the one stream", len(frames), tap.Upgrades())
@@ -355,7 +360,7 @@ func TestDialRefusalNamesItsCause(t *testing.T) {
 		{"a client timeout", DialNodeClient(direct.URL, &http.Client{Transport: direct.Client().Transport, Timeout: time.Minute}), "http.Client.Timeout"},
 		{"a hop that drops Upgrade", DialNodeClient(stripped.URL, stripped.Client()), "answered 200 OK"},
 	} {
-		err := tc.conn.Insert(tree.CodeOf(0), 1, 1, 0, "d-1")
+		_, err := tc.conn.Do(OpRequest{Kind: OpInsert, Idem: "d-1", Code: []byte(tree.CodeOf(0)), ID: 1, Capacity: 1})
 		if err == nil || !isTransport(err) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want a transport failure naming %q", tc.name, err, tc.want)
 		}
@@ -384,13 +389,13 @@ func TestRoutedOpAllocs(t *testing.T) {
 	for i := range idems {
 		idems[i] = fmt.Sprintf("AbCdEf%04d", i)
 	}
-	code, next := tree.CodeOf(3), 0
+	code, next := []byte(tree.CodeOf(3)), 0
 	cycle := func() {
-		if err := conn.Insert(code, 12345, 1, 0, idems[next]); err != nil {
+		if _, err := conn.Do(OpRequest{Kind: OpInsert, Idem: idems[next], Code: code, ID: 12345, Capacity: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, found, err := conn.AssignSubtree(code, 0, idems[next+1]); err != nil || !found {
-			t.Fatal(found, err)
+		if res, err := conn.Do(OpRequest{Kind: OpAssignSubtree, Idem: idems[next+1], Code: code}); err != nil || !res.Found {
+			t.Fatal(res, err)
 		}
 		next += 2
 	}
@@ -455,7 +460,7 @@ func TestCloseEndsTheStreams(t *testing.T) {
 
 	local := LocalNode(r.node)
 	local.Close()
-	if _, err := local.Status(0); err != nil {
+	if _, err := local.Do(OpRequest{Kind: OpStatus}); err != nil {
 		t.Errorf("an in-process connection after Close: %v", err)
 	}
 }

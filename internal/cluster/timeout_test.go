@@ -37,7 +37,7 @@ func TestOpDeadlineTypedError(t *testing.T) {
 	defer ts.Close()
 	conn := DialNodeTimeouts(ts.URL, NodeTimeouts{Op: 20 * time.Millisecond})
 
-	_, err := conn.Status(0)
+	_, err := conn.Do(OpRequest{Kind: OpStatus})
 	if err == nil {
 		t.Fatal("status outlived its deadline without error")
 	}
@@ -75,7 +75,7 @@ func TestPrepareDeadlineIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The slow routed op breaches its 50ms budget.
-	err := conn.Insert(tree.CodeOf(0), 1, 1, 0, "idem-ins")
+	_, err := conn.Do(OpRequest{Kind: OpInsert, Idem: "idem-ins", Code: []byte(tree.CodeOf(0)), ID: 1, Capacity: 1})
 	var pe *platform.Error
 	if !errors.As(err, &pe) || pe.Code != platform.CodeUnavailable {
 		t.Fatalf("slow insert error = %v, want typed unavailable", err)
@@ -88,10 +88,10 @@ func TestPrepareDeadlineIndependent(t *testing.T) {
 	// Commit and status are ops: they go over a connection whose op
 	// deadline the slow upgrade fits.
 	patient := DialNodeTimeouts(ts.URL, NodeTimeouts{Op: 5 * time.Second})
-	if err := patient.Commit(2, "idem-commit"); err != nil {
+	if _, err := patient.Do(OpRequest{Kind: OpCommit, Idem: "idem-commit", Epoch: 2}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := patient.Status(0)
+	st, err := patient.Do(OpRequest{Kind: OpStatus})
 	if err != nil {
 		t.Fatal(err)
 	}

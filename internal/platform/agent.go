@@ -22,9 +22,9 @@ var _ Backend = (*Server)(nil)
 
 // API is the full client surface of a pombm deployment — everything a
 // caller can do against a serving stack, whatever its shape. Client
-// implements it over HTTP against one pombm-server, cluster.Client against
-// a coordinator fronting many; code written against API is
-// deployment-shape agnostic (pombm.Dial hands one out).
+// implements it over HTTP against one pombm-server and against a
+// coordinator fronting many, which speaks the same protocol; code written
+// against API is deployment-shape agnostic (pombm.Dial hands one out).
 type API interface {
 	Backend
 	Reregister(ReregisterRequest) RegisterResponse

@@ -164,8 +164,8 @@ func TestBatchOptimalServerAvoidsGreedySteal(t *testing.T) {
 	if !strings.HasPrefix(st.Policy, "batch-optimal") {
 		t.Errorf("Policy = %q", st.Policy)
 	}
-	if st.PolicyCounters[st.Policy] != 2 {
-		t.Errorf("PolicyCounters = %v, want 2 under %q", st.PolicyCounters, st.Policy)
+	if st.AssignedTasks != 2 {
+		t.Errorf("AssignedTasks = %d, want 2 under %q", st.AssignedTasks, st.Policy)
 	}
 }
 

@@ -726,12 +726,10 @@ func (s *Server) Stats() StatsResponse {
 		mean = float64(s.levelSum) / float64(s.assigned)
 	}
 	rs := s.rot.Stats()
-	policy := s.eng.Policy().Name()
 	return StatsResponse{
 		RegisteredWorkers: s.registered,
 		AvailableWorkers:  s.eng.Len(),
-		Policy:            policy,
-		PolicyCounters:    map[string]int{policy: s.assigned},
+		Policy:            s.eng.Policy().Name(),
 		DefaultCapacity:   s.eng.DefaultCapacity(),
 		CapacityUnits:     s.eng.CapacityUnits(),
 		BatchWindows:      s.eng.Windows(),
