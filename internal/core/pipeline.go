@@ -173,7 +173,8 @@ func newHSTAssigner(tree *hst.Tree, workers []hst.Code, opt Options) (func(hst.C
 // The whole wave goes through the mechanism's one-pass sampler, drawing from
 // src in item order — exactly the random stream the per-item loop drew, so
 // results are bit-for-bit unchanged while the per-item buffer and string
-// allocations are amortised away.
+// allocations are amortised away. The snap may run on the sampler's helper
+// goroutine; it only reads env and pts.
 func obfuscateHST(env *Env, mech *privacy.HSTMechanism, pts []geo.Point, src *rng.Source) []hst.Code {
 	return mech.ObfuscateEach(len(pts), func(i int) hst.Code { return env.SnapCode(pts[i]) }, src)
 }

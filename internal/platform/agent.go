@@ -81,9 +81,12 @@ func (o *Obfuscator) Obfuscate(p geo.Point) hst.Code {
 
 // ObfuscateBatch maps a wave of true locations to their reported leaf codes
 // through the mechanism's one-pass sampler, which lays every code out in one
-// shared slab: registering a fleet of workers costs two allocations instead
-// of one per worker. A code kept past its wave keeps the whole wave's slab
-// alive. The draws are exactly those of calling Obfuscate in order.
+// shared slab: registering a fleet of workers costs three allocations (the
+// slab, the codes and the snap function), or five for a wave the sampler
+// fans out to a helper goroutine, instead of one per worker. A code kept
+// past its wave keeps the whole wave's slab alive. The draws are exactly
+// those of calling Obfuscate in order; the helper only snaps points and
+// looks up their leaves, so pts must not change during the call.
 func (o *Obfuscator) ObfuscateBatch(pts []geo.Point) []hst.Code {
 	return o.mech.ObfuscateEach(len(pts), func(i int) hst.Code { return o.tree.CodeOf(o.grid.Snap(pts[i])) }, o.src)
 }

@@ -1,7 +1,9 @@
 package platform
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/pombm/pombm/internal/geo"
@@ -55,9 +57,18 @@ func checkBatchMatchesLoop(t *testing.T, pub Publication, seed uint64, pts []geo
 	}
 }
 
+// atProcs runs fn at GOMAXPROCS procs.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
 // TestObfuscateBatchMatchesLoop: the agent-side batch obfuscator must draw
 // exactly the stream of per-point Obfuscate calls — inside the region, on
-// its edges, outside it, and for an empty wave.
+// its edges, outside it, and for an empty wave. The waves of 8,191 points
+// and more straddle the size from which a wave fans out to a helper
+// goroutine in 4,096-point chunks (12,289 ends one point into a chunk), and
+// each runs at GOMAXPROCS 1, which never fans out, and at 2.
 func TestObfuscateBatchMatchesLoop(t *testing.T) {
 	r := workload.SyntheticRegion
 	edges := []geo.Point{
@@ -66,19 +77,28 @@ func TestObfuscateBatchMatchesLoop(t *testing.T) {
 		geo.Pt(-5, 100), geo.Pt(250, -3), geo.Pt(1e9, 1e9), geo.Pt(-1e9, 300),
 	}
 	small, bench := newTestServer(t), newBenchTreeServer(t)
-	for _, tc := range []struct {
+	type wave struct {
 		name string
 		s    *Server
 		pts  []geo.Point
-	}{
+	}
+	waves := []wave{
 		{"uniform/8x8", small, uniformPoints(100, 9)},
 		{"uniform/64x64", bench, uniformPoints(2000, 9)},
 		{"edges/8x8", small, edges},
 		{"edges/64x64", bench, edges},
 		{"empty", small, nil},
-	} {
+	}
+	for _, n := range []int{8191, 8192, 8193, 12289, 1 << 18} {
+		waves = append(waves, wave{fmt.Sprintf("uniform/64x64/%d", n), bench, uniformPoints(n, uint64(n))})
+	}
+	for _, tc := range waves {
 		t.Run(tc.name, func(t *testing.T) {
-			checkBatchMatchesLoop(t, tc.s.Publication(), 33, tc.pts)
+			for _, procs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					atProcs(procs, func() { checkBatchMatchesLoop(t, tc.s.Publication(), 33, tc.pts) })
+				})
+			}
 		})
 	}
 }
@@ -112,7 +132,8 @@ func TestObfuscateNaNLocation(t *testing.T) {
 
 // FuzzObfuscateBatch feeds raw float64 bit patterns as coordinates: a wave
 // of the four points they pair into must obfuscate as the per-point loop
-// does, and neither may panic.
+// does, and neither may panic. So must those four tiled into a wave of
+// 8,196 points at GOMAXPROCS 2, which fans out to the helper goroutine.
 func FuzzObfuscateBatch(f *testing.F) {
 	r := workload.SyntheticRegion
 	sub := math.Float64frombits(0x000fffffffffffff)
@@ -127,10 +148,16 @@ func FuzzObfuscateBatch(f *testing.F) {
 		f.Add(math.Float64bits(p[0]), math.Float64bits(p[1]), math.Float64bits(p[2]), math.Float64bits(p[3]), uint64(i))
 	}
 	pub := newTestServer(f).Publication()
+	tiled := make([]geo.Point, 8196)
 	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, seed uint64) {
 		a := geo.Pt(math.Float64frombits(x0), math.Float64frombits(y0))
 		b := geo.Pt(math.Float64frombits(x1), math.Float64frombits(y1))
-		checkBatchMatchesLoop(t, pub, seed, []geo.Point{a, b, geo.Pt(a.X, b.Y), geo.Pt(b.X, a.Y)})
+		four := []geo.Point{a, b, geo.Pt(a.X, b.Y), geo.Pt(b.X, a.Y)}
+		checkBatchMatchesLoop(t, pub, seed, four)
+		for i := range tiled {
+			tiled[i] = four[i%len(four)]
+		}
+		atProcs(2, func() { checkBatchMatchesLoop(t, pub, seed, tiled) })
 	})
 }
 

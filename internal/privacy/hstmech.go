@@ -3,6 +3,7 @@ package privacy
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"unsafe"
 
 	"github.com/pombm/pombm/internal/hst"
@@ -165,31 +166,67 @@ func (m *HSTMechanism) ObfuscateWalkInto(x hst.Code, src *rng.Source, scratch []
 	if lvl == 0 {
 		return x
 	}
-	m.sampleSiblingInto(scratch, x, lvl, src)
+	copy(scratch, x)
+	m.sampleSiblingInto(scratch, lvl, src)
 	return hst.Code(scratch[:m.tree.Depth()])
 }
+
+// A wave of at least obfuscateFanOut items obfuscates on two goroutines, a
+// helper filling the true leaves obfuscateChunk items at a time ahead of the
+// caller's draws.
+const (
+	obfuscateChunk  = 4096
+	obfuscateFanOut = 2 * obfuscateChunk
+)
 
 // ObfuscateEach obfuscates the true leaves leaf(0), …, leaf(n−1) in one
 // pass, drawing exactly the random stream that calling ObfuscateWalk on each
 // in order would draw — batch and loop are interchangeable, result for
 // result. Each true leaf is copied into its place in one n·D-byte slab, and
 // a walk that leaves home overwrites the digits below its level there. The
-// returned codes view the slab, which is never written again, so a wave
-// costs two allocations whatever its size: the slab and the result.
+// returned codes view the slab, which is never written again. A wave costs
+// two allocations whatever its size, the slab and the result, and two more
+// (a helper goroutine's closure and channel) from obfuscateFanOut items at
+// GOMAXPROCS ≥ 2, where the helper copies the true leaves in and writes the
+// code headers while src is read on the caller's goroutine in item order.
+// So leaf may run on another goroutine, concurrently with the draws: it
+// must only read what nothing writes during the call, and must not panic.
 func (m *HSTMechanism) ObfuscateEach(n int, leaf func(i int) hst.Code, src *rng.Source) []hst.Code {
 	d := m.tree.Depth()
 	slab := make([]byte, n*d)
-	for i := range n {
-		x := leaf(i)
-		copy(slab[i*d:], x)
-		if lvl := m.walkLevel(src); lvl > 0 {
-			m.sampleSiblingInto(slab[i*d:], x, lvl, src)
-		}
-	}
 	all := unsafe.String(unsafe.SliceData(slab), len(slab))
 	codes := make([]hst.Code, n)
-	for i := range codes {
-		codes[i] = hst.Code(all[i*d : (i+1)*d])
+	if n < obfuscateFanOut || runtime.GOMAXPROCS(0) == 1 {
+		for i := range n {
+			copy(slab[i*d:], leaf(i))
+			if lvl := m.walkLevel(src); lvl > 0 {
+				m.sampleSiblingInto(slab[i*d:], lvl, src)
+			}
+			codes[i] = hst.Code(all[i*d : (i+1)*d])
+		}
+		return codes
+	}
+	filled := make(chan int, (n+obfuscateChunk-1)/obfuscateChunk)
+	go func() {
+		for lo := 0; lo < n; lo += obfuscateChunk {
+			hi := min(lo+obfuscateChunk, n)
+			for i := lo; i < hi; i++ {
+				copy(slab[i*d:], leaf(i))
+			}
+			filled <- hi
+		}
+		for i := range codes { // the slab's address only, never its bytes
+			codes[i] = hst.Code(all[i*d : (i+1)*d])
+		}
+		close(filled)
+	}()
+	i := 0
+	for hi := range filled {
+		for ; i < hi; i++ {
+			if lvl := m.walkLevel(src); lvl > 0 {
+				m.sampleSiblingInto(slab[i*d:], lvl, src)
+			}
+		}
 	}
 	return codes
 }
@@ -250,18 +287,19 @@ func (m *HSTMechanism) sampleSibling(x hst.Code, lvl int, src *rng.Source) hst.C
 	if d := m.tree.Depth(); d > len(buf) {
 		buf = make([]byte, d)
 	}
-	m.sampleSiblingInto(buf, x, lvl, src)
+	copy(buf, x)
+	m.sampleSiblingInto(buf, lvl, src)
 	return hst.Code(buf[:m.tree.Depth()])
 }
 
-// sampleSiblingInto writes a uniform leaf of L_lvl(x) into out[:D] without
-// allocating: the digits of x's level-lvl ancestor, then a uniform
-// non-ancestor digit, then uniform fill.
-func (m *HSTMechanism) sampleSiblingInto(out []byte, x hst.Code, lvl int, src *rng.Source) {
+// sampleSiblingInto turns the leaf x held in out[:D] into a uniform leaf of
+// L_lvl(x) in place, without allocating: the digits of x's level-lvl
+// ancestor stay, the next becomes a uniform non-ancestor digit, and the rest
+// a uniform fill.
+func (m *HSTMechanism) sampleSiblingInto(out []byte, lvl int, src *rng.Source) {
 	d, c := m.tree.Depth(), m.tree.Degree()
-	copy(out, x[:d-lvl])
 	// Uniform digit different from x's at this depth.
-	own := int(x[d-lvl])
+	own := int(out[d-lvl])
 	digit := src.Intn(c - 1)
 	if digit >= own {
 		digit++

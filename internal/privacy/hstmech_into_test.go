@@ -1,6 +1,9 @@
 package privacy
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -102,8 +105,10 @@ func TestObfuscateWalkIntoNoScratchAlias(t *testing.T) {
 
 // TestObfuscateWalkAllocs pins the hot-path allocation contract: at most
 // one allocation per ObfuscateWalk (the final Code materialisation), at
-// most one for the scratch variant, and two per wave for ObfuscateEach —
-// the slab and the result — at 256 items as at 65,536.
+// most one for the scratch variant, and for ObfuscateEach two per wave on
+// one goroutine — the slab and the result — at 256 items, one item below
+// the fan-out and 65,536 items at GOMAXPROCS 1, and fanOutAllocs per wave
+// that fans out, the same at 65,536 items as at 1,048,576.
 func TestObfuscateWalkAllocs(t *testing.T) {
 	m := intoTestMech(t, 32, 0.6)
 	tree := m.Tree()
@@ -122,9 +127,32 @@ func TestObfuscateWalkAllocs(t *testing.T) {
 	// the pin counts the sampler's own allocations.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	leaf := func(i int) hst.Code { return tree.CodeOf(i % tree.NumPoints()) }
-	for _, n := range []int{256, 65536} {
+	// testing.AllocsPerRun runs at GOMAXPROCS 1, so every wave here stays
+	// on the caller's goroutine, 65,536 items included.
+	for _, n := range []int{256, obfuscateFanOut - 1, 65536} {
 		if a := testing.AllocsPerRun(5, func() { m.ObfuscateEach(n, leaf, src) }); a != 2 {
-			t.Errorf("ObfuscateEach allocates %.1f/wave of %d, want 2", a, n)
+			t.Errorf("ObfuscateEach allocates %.1f/wave of %d at GOMAXPROCS 1, want 2", a, n)
+		}
+	}
+
+	// Counted by hand at GOMAXPROCS 2, as the least of several waves: a
+	// wave that must make a goroutine afresh, instead of reusing a dead
+	// one, allocates once more, and noise of that kind only ever adds.
+	// Each wave is collected before the next, so at most one is live.
+	const fanOutAllocs = 4 // slab, codes, the helper's closure and channel
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, n := range []int{65536, 1 << 20} {
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m.ObfuscateEach(n, leaf, src)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		if least != fanOutAllocs {
+			t.Errorf("ObfuscateEach allocates %d/wave of %d at GOMAXPROCS 2, want %d", least, n, fanOutAllocs)
 		}
 	}
 }
@@ -141,20 +169,26 @@ func BenchmarkObfuscateWalkInto(b *testing.B) {
 	}
 }
 
+// BenchmarkObfuscateEach obfuscates a wave on one goroutine (1,024 codes)
+// and a wave that fans out to the helper (262,144 codes).
 func BenchmarkObfuscateEach(b *testing.B) {
 	m := intoTestMech(b, 32, 0.6)
 	tree := m.Tree()
-	src := rng.New(2)
-	xs := make([]hst.Code, 1024)
-	for i := range xs {
-		xs[i] = tree.CodeOf(i % tree.NumPoints())
+	for _, n := range []int{1024, 1 << 18} {
+		b.Run(fmt.Sprintf("codes=%d", n), func(b *testing.B) {
+			src := rng.New(2)
+			xs := make([]hst.Code, n)
+			for i := range xs {
+				xs[i] = tree.CodeOf(i % tree.NumPoints())
+			}
+			leaf := func(i int) hst.Code { return xs[i] }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ObfuscateEach(len(xs), leaf, src)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/code")
+		})
 	}
-	leaf := func(i int) hst.Code { return xs[i] }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ObfuscateEach(len(xs), leaf, src)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/code")
 }
