@@ -502,6 +502,29 @@ func BenchmarkIndexChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexLoad is a population load: an empty engine over the index
+// rows' tree takes every worker through InsertEpoch, as a workload's set-up
+// does. Growth is the only allocation a load makes, so an item arena that
+// copies itself as it grows shows in B/op as well as in ns/op.
+func BenchmarkIndexLoad(b *testing.B) {
+	b.Run("workers=262144", func(b *testing.B) {
+		indexBenchSetup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e, err := engine.New(indexBench.tree, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for id, c := range indexBench.workers {
+				if err := e.InsertEpoch(c, id, engine.FirstEpoch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkIndexMineK8 is batch-optimal's candidate mine: the eight nearest
 // workers of a task, nothing consumed.
 func BenchmarkIndexMineK8(b *testing.B) {

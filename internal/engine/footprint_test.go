@@ -23,8 +23,10 @@ import (
 // workers is the sparse end, where the inner nodes above the reach of a
 // suffix word are most of the figure; a million is the dense one, 75 workers
 // to a real leaf, where every fake sibling of such a leaf is a bucket of its
-// own with a chunk mostly empty. Ceilings sit ~10 % above what ships (22.9,
-// 13.6, 11.9, 10.5 and 16.1 B).
+// own with a chunk mostly empty. Ceilings sit ~10 % above what the
+// contiguous item slab read (22.9, 13.6, 11.9, 10.5 and 16.1 B); on 4 KiB
+// item pages the index reads 23.8, 13.0, 11.5, 10.2 and 15.3 B, the
+// sparse end up by the page a small index leaves idle.
 func TestIndexFootprintAtBenchmarkDensity(t *testing.T) {
 	const side = 64
 	grid, err := geo.NewGrid(workload.SyntheticRegion, side, side)

@@ -81,14 +81,14 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 	// index so a stale monitoring read stays safe, while the slabs behind
 	// it become garbage.
 	old.lockAll()
-	// The old arenas' entry counts size the new ones: across a rotation
-	// the population is the same workers re-obfuscated, so per-shard sizes
-	// are stationary and the old shard's counts (plus slack for drift) let
-	// the build fill each new slab in one allocation instead of climbing
-	// the append doubling ladder, whose dead half-size slabs would
-	// themselves peak at a population's worth of garbage. A changed shard
-	// count redistributes the population, so only the per-shard average
-	// remains as a hint.
+	// The old arenas' entry counts size the new slabs (items need none: they
+	// go on pages, never copied). Across a rotation the population is the
+	// same workers re-obfuscated, so per-shard sizes are stationary and the
+	// old shard's counts (plus slack for drift) let the build fill each slab
+	// in one allocation instead of climbing the append doubling ladder,
+	// whose dead half-size slabs would themselves peak at a population's
+	// worth of garbage. A changed shard count redistributes the population,
+	// so only the per-shard average remains as a hint.
 	type arenaHint struct{ nodes, buckets, chunks int }
 	hints := make([]arenaHint, len(old.shards))
 	var total arenaHint

@@ -118,3 +118,27 @@ func thresholdTape(degree int, insert, remove byte) []byte {
 	}
 	return tape
 }
+
+// pageTape is a FuzzLeafIndexDifferential seed (depth 4) whose population
+// outgrows the first item page: n single-unit inserts cycling over the
+// degree³ leaves, then multi-unit inserts (units 2 from op byte 8 on), pops,
+// withdrawals, consumes and hand-backs at the same leaves, so the capacity
+// pages arrive beside item pages already there and the churn reaches chunks
+// on every page.
+func pageTape(degree, n int) []byte {
+	var tape []byte
+	rec := func(op byte, i int) {
+		tape = append(tape, op, byte(i%degree), byte(i/degree%degree), byte(i/degree/degree%degree), 0)
+	}
+	for i := 0; i < n; i++ {
+		rec(0, i)
+	}
+	for i := 0; i < n/4; i++ {
+		rec(8, i)                          // insert, 2 units
+		rec([...]byte{3, 2, 5, 4}[i%4], i) // pop, withdraw, consume, hand back
+	}
+	for i := 0; i < n/2; i++ {
+		rec(3, i*7) // pops drain across the pages
+	}
+	return tape
+}

@@ -51,7 +51,10 @@ import (
 // 22 B/worker where one leaf holds hundreds of workers (a leaf-depth bucket
 // cannot burst) and grew a quarter under a hotspot's drain; chunks waste
 // half a chunk a bucket and nothing under churn, because a freed chunk fits
-// any bucket. Inner nodes, buckets and chunks freed when a subtree empties,
+// any bucket. Chunks sit on fixed pages of pageLen: the item arena grows a
+// page at a time and never copies (a slab grown by a sixteenth copied
+// itself ~16 times over a load, 38 % of a bulk insert at 262k workers).
+// Inner nodes, buckets and chunks freed when a subtree empties,
 // bursts or folds go on freelists and are reused by later inserts, and the
 // descent scratch is owned by the index, so in steady state (inserts
 // balancing removals) no operation allocates.
@@ -74,20 +77,21 @@ type LeafIndex struct {
 	size   int  // live items
 	units  int  // Σ remaining capacity over live items
 
-	root    int32    // ref of the root: an inner node, or a bucket while bdepth is 0
-	nodes   []inner  // inner-node arena
-	kids    []int32  // child blocks, node ni's at kids[ni·width:]: a ref per digit
-	buckets []bucket // bucket arena
-	items   []item   // item arena, chunk c at items[c·chunkLen:]
-	next    []int32  // per chunk: the next chunk of its bucket's chain, nilIdx after the last
+	root    int32     // ref of the root: an inner node, or a bucket while bdepth is 0
+	nodes   []inner   // inner-node arena
+	kids    []int32   // child blocks, node ni's at kids[ni·width:]: a ref per digit
+	buckets []bucket  // bucket arena
+	pages   [][]chunk // item arena, pageLen chunks a page: chunk c is pages[c>>pageBits][c&(pageLen-1)]
+	next    []int32   // per chunk: the next chunk of its bucket's chain, nilIdx after the last
 
-	// caps is the capacity side slab: caps[s] is the remaining units of item
-	// slot s. It stays nil — every item reads as one unit, at zero bytes and
-	// one nil check a pop — until the first multi-unit item arrives, and from
-	// then on shadows items (same length and capacity). Capacities are
-	// all-or-nothing per deployment (a capacity-aware policy capacitates the
-	// whole population, any other clamps every insert to 1), hence a slab.
-	caps []int32
+	// caps is the capacity side arena: capOf(s) holds item slot s's
+	// remaining units less one. It stays nil — every item reads as one unit,
+	// at zero bytes and one nil check a pop — until the first multi-unit
+	// item arrives, and from then on holds a page for every item page.
+	// Capacities are all-or-nothing per deployment (a capacity-aware policy
+	// capacitates the whole population, any other clamps every insert to 1),
+	// hence whole pages.
+	caps [][][chunkLen]int32
 
 	freeNode, freeBucket, freeChunk int32 // freelist heads, linked through inner.up, bucket.head, next
 	freeNodes, freeChunks           int   // lengths of the two the ErrIndexFull preflight counts on
@@ -137,6 +141,19 @@ type item struct {
 	sfx uint32
 }
 
+// chunk is one link of a bucket's chain; item slot s is chunk s>>chunkBits.
+type chunk [chunkLen]item
+
+// chunk, item and capOf address a chunk, an item slot and the slot's
+// capacity cell with one page lookup, by shift and mask. A page is a slice,
+// not an array pointer: its bounds check is a compare, where a pointer's
+// nil check loads the page's first line — 6 % of a worker insert.
+func (x *LeafIndex) chunk(c int32) *chunk { return &x.pages[uint32(c)>>pageBits][c&(pageLen-1)] }
+func (x *LeafIndex) item(s int32) *item   { return &x.chunk(s >> chunkBits)[s&(chunkLen-1)] }
+func (x *LeafIndex) capOf(s int32) *int32 {
+	return &x.caps[uint32(s)>>(chunkBits+pageBits)][s>>chunkBits&(pageLen-1)][s&(chunkLen-1)]
+}
+
 const (
 	nilIdx   = int32(-1)
 	noItem32 = int32(math.MaxInt32)
@@ -148,7 +165,13 @@ const (
 
 	// chunkLen is the items in a bucket chunk: two cache lines, and a power
 	// of two so a bucket's head fill is a mask of its count.
-	chunkLen = 16
+	chunkBits = 4
+	chunkLen  = 1 << chunkBits
+
+	// pageLen is the chunks on a page: 4 KiB of items, 2 KiB of capacities,
+	// both allocator size classes. Larger pages idle more in a small index.
+	pageBits = 5
+	pageLen  = 1 << pageBits
 )
 
 // ErrIndexFull reports that an insert would grow an arena slab past the
@@ -238,42 +261,41 @@ func NewLeafIndexDegree(depth, degree int) *LeafIndex {
 	return x
 }
 
-// ArenaBytes returns the bytes the index's arena slabs currently reserve
-// (capacities, not lengths, since grown capacity stays resident) — the
-// index's contribution to a bytes-per-worker accounting; per-operation
-// scratch is excluded.
+// ArenaBytes returns the bytes the index's arenas currently reserve
+// (capacities, not lengths, since grown capacity stays resident; pages
+// whole) — the index's contribution to a bytes-per-worker accounting;
+// per-operation scratch and the page spines are excluded.
 func (x *LeafIndex) ArenaBytes() int64 {
 	b := int64(cap(x.nodes)) * int64(unsafe.Sizeof(inner{}))
 	b += int64(cap(x.kids)) * 4
 	b += int64(cap(x.buckets)) * int64(unsafe.Sizeof(bucket{}))
-	b += int64(cap(x.items)) * int64(unsafe.Sizeof(item{}))
+	b += int64(len(x.pages)) * pageLen * int64(unsafe.Sizeof(chunk{}))
 	b += int64(cap(x.next)) * 4
-	b += int64(cap(x.caps)) * 4
+	b += int64(len(x.caps)) * pageLen * chunkLen * 4
 	return b
 }
 
 // ArenaLens reports the entry counts of the three arenas, freelisted entries
 // included: the sizing hint a same-population bulk load passes to Reserve.
+// The item pages are the chunks over pageLen, rounded up.
 func (x *LeafIndex) ArenaLens() (nodes, buckets, chunks int) {
 	return len(x.nodes), len(x.buckets), len(x.next)
 }
 
-// Reserve pre-grows the arena slabs to capacity for at least the given
-// entry counts, so a bulk load of known size (an epoch swap replaying its
-// population) allocates each slab once instead of climbing the append
-// doubling ladder — at ten million workers that ladder's dead half-size
-// slabs are themselves a population's worth of transient garbage. Counts
-// above the int32 arena ceiling are clamped to it (inserts past the ceiling
-// still refuse with ErrIndexFull). Reserve never shrinks and cannot fail.
+// Reserve pre-grows the slabs — nodes, child blocks, buckets, chunk links
+// and the page spine — to capacity for at least the given entry counts, so
+// a bulk load of known size (an epoch swap replaying its population)
+// allocates its item pages and nothing else, instead of climbing the append
+// doubling ladder whose dead slabs are a population's worth of garbage at
+// ten million workers. Counts above the int32 arena ceiling are clamped to
+// it (inserts past the ceiling still refuse with ErrIndexFull). Reserve
+// never shrinks and cannot fail.
 func (x *LeafIndex) Reserve(nodes, buckets, chunks int) {
 	nodes = int(min(int64(nodes), MaxArenaLen/int64(x.width)))
 	chunks = int(min(int64(chunks), MaxArenaLen/chunkLen))
 	x.nodes, x.kids = reserve(x.nodes, nodes), reserve(x.kids, nodes*x.width)
 	x.buckets = reserve(x.buckets, int(min(int64(buckets), MaxArenaLen)))
-	x.next, x.items = reserve(x.next, chunks), reserve(x.items, chunks*chunkLen)
-	if x.caps != nil {
-		x.caps = reserve(x.caps, chunks*chunkLen)
-	}
+	x.next, x.pages = reserve(x.next, chunks), reserve(x.pages, (chunks+pageLen-1)>>pageBits)
 }
 
 func reserve[T any](s []T, n int) []T {
@@ -369,7 +391,7 @@ func (x *LeafIndex) InsertCap(code Code, id, capacity int) error {
 	// next digit, so only an item that differs can make a burst split it.
 	b := &x.buckets[bi]
 	burst := j < x.depth && (b.count == burstMax ||
-		b.count > burstMax && x.digit(sfx, j) != x.digit(x.items[b.head*chunkLen].sfx, j))
+		b.count > burstMax && x.digit(sfx, j) != x.digit(x.chunk(b.head)[0].sfx, j))
 	x.push(bi, it, int32(capacity))
 	if burst {
 		x.burst(bi, j)
@@ -380,7 +402,8 @@ func (x *LeafIndex) InsertCap(code Code, id, capacity int) error {
 }
 
 // push appends an item to bucket bi, opening a new head chunk when the
-// current one is full. Growth may move the slabs under a caller's pointers.
+// current one is full. Growth may move the slabs under a caller's pointers,
+// never an item page.
 func (x *LeafIndex) push(bi int32, it item, capacity int32) {
 	fill := x.buckets[bi].count & (chunkLen - 1)
 	if fill == 0 {
@@ -389,10 +412,9 @@ func (x *LeafIndex) push(bi int32, it item, capacity int32) {
 		x.buckets[bi].head = c
 	}
 	b := &x.buckets[bi]
-	s := b.head*chunkLen + fill
-	x.items[s] = it
+	x.chunk(b.head)[fill] = it
 	// Always written, so a slot can never leak its previous tenant's units.
-	x.setItemCap(s, capacity)
+	x.setItemCap(b.head<<chunkBits|fill, capacity)
 	b.count++
 	b.minID = min(b.minID, it.id)
 }
@@ -403,9 +425,9 @@ func (x *LeafIndex) push(bi int32, it item, capacity int32) {
 // nothing.
 func (x *LeafIndex) burst(bi int32, d int) {
 	b := x.buckets[bi]
-	first, split := x.digit(x.items[b.head*chunkLen].sfx, d), false
+	first, split := x.digit(x.chunk(b.head)[0].sfx, d), false
 	for c, n := b.head, b.fill(); c >= 0 && !split; c, n = x.next[c], chunkLen {
-		for _, it := range x.items[c*chunkLen : c*chunkLen+n] {
+		for _, it := range x.chunk(c)[:n] {
 			split = split || x.digit(it.sfx, d) != first
 		}
 	}
@@ -427,8 +449,9 @@ func (x *LeafIndex) burst(bi int32, d int) {
 		if c == b.head {
 			n = b.fill()
 		}
-		for s := c * chunkLen; s < c*chunkLen+n; s++ {
-			it, capacity := x.items[s], x.itemCap(s)
+		ch := x.chunk(c) // a page stays put while the children grow
+		for i, it := range ch[:n] {
+			capacity := x.itemCap(c<<chunkBits | int32(i))
 			slot := blk + x.digit(it.sfx, d)
 			if x.kids[slot] == nilIdx {
 				x.kids[slot] = bucketRef(x.allocBucket(slot))
@@ -463,8 +486,8 @@ func (x *LeafIndex) fold(ni int32) {
 		}
 		b := x.buckets[bucketRef(r)]
 		for c, fill := b.head, b.fill(); c >= 0; fill = chunkLen {
-			for s := c * chunkLen; s < c*chunkLen+fill; s++ {
-				its[n], units[n] = x.items[s], x.itemCap(s)
+			for i, it := range x.chunk(c)[:fill] {
+				its[n], units[n] = it, x.itemCap(c<<chunkBits|int32(i))
 				n++
 			}
 			c = x.next[c]
@@ -539,23 +562,23 @@ func (x *LeafIndex) freeBucketAt(bi int32) {
 	x.freeBucket = bi
 }
 
-// allocChunk takes an item chunk off the freelist or grows the item arena
-// (and the capacity slab beside it) by one.
+// allocChunk takes an item chunk off the freelist or opens the next one,
+// adding an item page (and a capacity page beside it) when the last is full.
 func (x *LeafIndex) allocChunk() int32 {
 	if c := x.freeChunk; c != nilIdx {
 		x.freeChunk = x.next[c]
 		x.freeChunks--
 		return c
 	}
+	c := int32(len(x.next))
+	if int(c)>>pageBits == len(x.pages) {
+		x.pages = append(x.pages, make([]chunk, pageLen))
+		if x.caps != nil {
+			x.caps = append(x.caps, make([][chunkLen]int32, pageLen))
+		}
+	}
 	x.next = append(x.next, nilIdx)
-	if len(x.items)+chunkLen > cap(x.items) { // a sixteenth over: append's quarter would idle on most of the index
-		x.items = reserve(x.items, len(x.items)+len(x.items)/16+chunkLen)
-	}
-	x.items = x.items[:len(x.items)+chunkLen]
-	if x.caps != nil {
-		x.caps = reserve(x.caps, cap(x.items))[:len(x.items)]
-	}
-	return int32(len(x.next) - 1)
+	return c
 }
 
 func (x *LeafIndex) freeChunkAt(c int32) {
@@ -564,29 +587,29 @@ func (x *LeafIndex) freeChunkAt(c int32) {
 	x.freeChunks++
 }
 
-// itemCap resolves an item slot's remaining capacity: 1 while the side slab
-// is unallocated.
+// itemCap resolves an item slot's remaining capacity: 1 while the side
+// arena is unallocated.
 func (x *LeafIndex) itemCap(s int32) int32 {
 	if x.caps == nil {
 		return 1
 	}
-	return x.caps[s]
+	return *x.capOf(s) + 1
 }
 
 // setItemCap records an item slot's remaining capacity, allocating the side
-// slab (capacity shared with items) the first time any item holds more than
-// one unit, every slot in it at one.
+// arena — a zeroed page, one unit a slot, for every item page — the first
+// time any item holds more than one unit.
 func (x *LeafIndex) setItemCap(s, c int32) {
 	if x.caps == nil {
 		if c <= 1 {
 			return
 		}
-		x.caps = make([]int32, len(x.items), cap(x.items))
-		for i := range x.caps {
-			x.caps[i] = 1
+		x.caps = make([][][chunkLen]int32, len(x.pages), cap(x.pages))
+		for p := range x.caps {
+			x.caps[p] = make([][chunkLen]int32, pageLen)
 		}
 	}
-	x.caps[s] = c
+	*x.capOf(s) = c - 1
 }
 
 // find walks code's exact branch down to its bucket and looks the (id, leaf)
@@ -630,8 +653,8 @@ func (x *LeafIndex) RemoveUnits(code Code, id int) (units int, ok bool) {
 // removing the item when its last unit goes.
 func (x *LeafIndex) consumeAt(path []int32, bi, s int32) {
 	x.units--
-	if c := x.itemCap(s); c > 1 {
-		x.caps[s] = c - 1
+	if x.itemCap(s) > 1 {
+		*x.capOf(s)--
 		return
 	}
 	x.removeAt(path, bi, s)
@@ -644,11 +667,12 @@ func (x *LeafIndex) consumeAt(path []int32, bi, s int32) {
 // a subtree minimum is recomputed only where the removed id was it.
 func (x *LeafIndex) removeAt(path []int32, bi, s int32) {
 	b := &x.buckets[bi]
-	id := x.items[s].id
-	last := b.head*chunkLen + b.fill() - 1
-	x.items[s] = x.items[last]
+	at := x.item(s)
+	id := at.id
+	last := b.head<<chunkBits | (b.fill() - 1)
+	*at = *x.item(last)
 	if x.caps != nil {
-		x.caps[s] = x.caps[last]
+		*x.capOf(s) = *x.capOf(last)
 	}
 	b.count--
 	x.size--
@@ -664,7 +688,7 @@ func (x *LeafIndex) removeAt(path []int32, bi, s int32) {
 	case b.minID == id:
 		m := noItem32
 		for c, n := b.head, b.fill(); c >= 0; c, n = x.next[c], chunkLen {
-			for _, it := range x.items[c*chunkLen : c*chunkLen+n] {
+			for _, it := range x.chunk(c)[:n] {
 				m = min(m, it.id)
 			}
 		}
@@ -786,12 +810,13 @@ func (x *LeafIndex) nearest(code Code, maxLevel int, dst []byte) (path []int32, 
 // over (level, id), the level read off the bit length of suffix XOR query.
 func (x *LeafIndex) scan(bi int32, code Code) (s int32, lvl int) {
 	q, force := x.pack(code)
-	b, items, next, lvls := &x.buckets[bi], x.items, x.next, &x.lvl
+	b, pages, next, lvls := &x.buckets[bi], x.pages, x.next, &x.lvl
 	best := uint64(math.MaxUint64)
 	for c, n := b.head, b.fill(); c >= 0; c, n = next[c], chunkLen {
-		for i, it := range items[c*chunkLen : c*chunkLen+n] {
+		lo := c << chunkBits // outside the loop, so the minimum compiles to conditional moves
+		for i, it := range pages[uint32(c)>>pageBits][c&(pageLen-1)][:n] {
 			if key := uint64(lvls[bits.Len32(it.sfx^q|force)])<<32 | uint64(it.id); key < best {
-				best, s = key, c*chunkLen+int32(i)
+				best, s = key, lo+int32(i)
 			}
 		}
 	}
@@ -825,9 +850,9 @@ func (x *LeafIndex) minUnder(path []int32, r int32, dst []byte) ([]int32, int32,
 func (x *LeafIndex) slotIn(bi, id int32, sfx uint32, any bool) int32 {
 	b, s := &x.buckets[bi], nilIdx
 	for c, n := b.head, b.fill(); c >= 0; c, n = x.next[c], chunkLen {
-		for i, it := range x.items[c*chunkLen : c*chunkLen+n] {
+		for i, it := range x.chunk(c)[:n] {
 			if it.id == id && (it.sfx == sfx || any && (s < 0 || it.sfx < sfx)) {
-				if s, sfx = c*chunkLen+int32(i), it.sfx; !any {
+				if s, sfx = c<<chunkBits|int32(i), it.sfx; !any {
 					return s
 				}
 			}
@@ -845,7 +870,7 @@ func (x *LeafIndex) Nearest(code Code) (id, lcaLevel int, ok bool) {
 		return 0, 0, false
 	}
 	_, _, s, lvl := x.nearest(code, x.depth, nil)
-	return int(x.items[s].id), lvl, true
+	return int(x.item(s).id), lvl, true
 }
 
 // MinID returns the smallest live item id (ok false when the index is empty):
@@ -890,7 +915,7 @@ func (x *LeafIndex) CountPrefix(prefix Code) int {
 	}
 	b, n := &x.buckets[bucketRef(r)], 0
 	for c, fill := b.head, b.fill(); c >= 0; c, fill = x.next[c], chunkLen {
-		for _, it := range x.items[c*chunkLen : c*chunkLen+fill] {
+		for _, it := range x.chunk(c)[:fill] {
 			if it.sfx&mask == want {
 				n++
 			}
@@ -927,7 +952,7 @@ func (x *LeafIndex) PopNearestWithinCode(code Code, maxLevel int, dst []byte) (i
 	if lvl > maxLevel {
 		return 0, lvl, false
 	}
-	it := x.items[s]
+	it := *x.item(s)
 	if dst != nil {
 		x.unpack(it.sfx, dst)
 	}
@@ -942,7 +967,7 @@ func (x *LeafIndex) PopMin() (int, bool) {
 		return 0, false
 	}
 	path, bi, s := x.minUnder(x.path[:0], x.root, nil)
-	id := x.items[s].id
+	id := x.item(s).id
 	x.consumeAt(path, bi, s)
 	return int(id), true
 }
@@ -970,9 +995,9 @@ func (x *LeafIndex) walk(r int32, code []byte, j int, fn func(code Code, id, cap
 	}
 	b := &x.buckets[bucketRef(r)]
 	for c, n := b.head, b.fill(); c >= 0; c, n = x.next[c], chunkLen {
-		for s := c * chunkLen; s < c*chunkLen+n; s++ {
-			x.unpack(x.items[s].sfx, code)
-			fn(Code(code), int(x.items[s].id), int(x.itemCap(s)))
+		for i, it := range x.chunk(c)[:n] {
+			x.unpack(it.sfx, code)
+			fn(Code(code), int(it.id), int(x.itemCap(c<<chunkBits|int32(i))))
 		}
 	}
 }

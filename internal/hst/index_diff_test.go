@@ -305,6 +305,104 @@ func TestLeafIndexDifferentialCapacities(t *testing.T) {
 	}
 }
 
+// TestLeafIndexDifferentialPages is a seeded tape across item-page edges.
+// Single-unit inserts fill the first page and open the second without a
+// capacity page; the first multi-unit item then brings one in beside every
+// item page; InsertCap, Remove, PopNearest, AddCap and Consume churn the
+// population past a third page; and the same ops drain it to empty, every
+// chunk back on the freelist and no page added. checkShape audits the whole
+// arena after every operation.
+func TestLeafIndexDifferentialPages(t *testing.T) {
+	const depth, degree = 6, 4
+	src := rng.New(42)
+	p := newDiffPair(depth, degree)
+	x, nextID, step := p.flat, 0, 0
+	var ids []int // live ids, in the order the tape keeps them
+	randCode := func() Code {
+		b := make([]byte, depth)
+		for i := range b {
+			b[i] = byte(src.Intn(degree))
+		}
+		return Code(b)
+	}
+	pick := func() (Code, int) {
+		id := ids[src.Intn(len(ids))]
+		return p.ref.codes[id], id
+	}
+	do := func(op int) {
+		switch {
+		case op < 4 || len(ids) == 0 && op < 8: // insert with 1–4 units (op 0 single-unit)
+			c, units := randCode(), 1
+			if op > 0 {
+				units += src.Intn(4)
+			}
+			errF, errR := x.InsertCap(c, nextID, units), p.ref.InsertCap(c, nextID, units)
+			if errF != nil || errR != nil {
+				t.Fatalf("step %d: InsertCap %v, reference %v", step, errF, errR)
+			}
+			ids = append(ids, nextID)
+			nextID++
+		case len(ids) == 0:
+			return
+		case op == 4:
+			c, id := pick()
+			if gf, gr := x.Remove(c, id), p.ref.Remove(c, id); gf != gr || !gf {
+				t.Fatalf("step %d: Remove(%d) %v ≠ %v", step, id, gf, gr)
+			}
+		case op == 5:
+			q := randCode()
+			fid, flvl, fok := x.PopNearest(q)
+			rid, rlvl, rok := p.ref.PopNearest(q)
+			if fid != rid || flvl != rlvl || fok != rok {
+				t.Fatalf("step %d: PopNearest (%d,%d,%v) ≠ (%d,%d,%v)", step, fid, flvl, fok, rid, rlvl, rok)
+			}
+		case op == 6:
+			c, id := pick()
+			if gf, gr := x.AddCap(c, id, 1) == nil, p.ref.AddCap(c, id, 1); gf != gr || !gf {
+				t.Fatalf("step %d: AddCap(%d) %v ≠ %v", step, id, gf, gr)
+			}
+		default:
+			c, id := pick()
+			if gf, gr := x.Consume(c, id), p.ref.Consume(c, id); gf != gr || !gf {
+				t.Fatalf("step %d: Consume(%d) %v ≠ %v", step, id, gf, gr)
+			}
+		}
+		live := ids[:0]
+		for _, id := range ids {
+			if _, ok := p.ref.codes[id]; ok {
+				live = append(live, id)
+			}
+		}
+		ids = live
+		p.check(t, step)
+		step++
+	}
+	for len(x.pages) < 2 {
+		do(0)
+	}
+	if x.caps != nil {
+		t.Fatalf("%d single-unit items brought capacity pages in", x.Len())
+	}
+	do(1 + src.Intn(3))
+	for x.caps == nil {
+		do(1 + src.Intn(3))
+	}
+	if len(x.caps) != 2 {
+		t.Fatalf("the first multi-unit item brought %d capacity pages beside 2 item pages", len(x.caps))
+	}
+	for len(x.pages) < 3 || len(x.next) < 3*pageLen-pageLen/2 {
+		do(src.Intn(8))
+	}
+	pages := len(x.pages)
+	for x.Len() > 0 {
+		do(4 + src.Intn(4))
+	}
+	if len(x.pages) != pages || x.freeChunks != len(x.next) {
+		t.Fatalf("drained to %d pages from %d, %d of %d chunks freelisted", len(x.pages), pages, x.freeChunks, len(x.next))
+	}
+	t.Logf("%d ops over %d chunks on %d pages", step, len(x.next), pages)
+}
+
 func TestLeafIndexDifferentialUnknownDegree(t *testing.T) {
 	// NewLeafIndex (no degree hint) must behave identically too.
 	src := rng.New(7)
@@ -464,6 +562,10 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 	// unit an item, and at five.
 	f.Add(thresholdTape(3, 0, 2))
 	f.Add(thresholdTape(3, 32, 2))
+	// Populations of three and four item pages: the chunk chains, the
+	// capacity pages and the freelist all cross page edges.
+	f.Add(pageTape(3, 800))
+	f.Add(pageTape(3, 1200))
 	const depth = 4
 	const degree = 3
 	f.Fuzz(func(t *testing.T, tape []byte) {

@@ -3,16 +3,18 @@ package hst
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"unsafe"
 )
 
 // The arena structs are the per-worker memory bill at 10M-worker scale:
 // any field added back (or padding reintroduced) is a deliberate decision,
-// not an accident. An item is its id and packed suffix (capacities live in
-// the lazily allocated caps side slab), an inner node two counters and the
+// not an accident. An item is its id and packed suffix (capacities live on
+// the lazily allocated capacity pages), an inner node two counters and the
 // slot naming it (its child block is found by its own index), a bucket the
-// same and the head of its chunk chain.
+// same and the head of its chunk chain. An item page is 4 KiB and a
+// capacity page 2 KiB, both allocator size classes: a page pays no rounding.
 func TestArenaStructSizes(t *testing.T) {
 	if got := unsafe.Sizeof(item{}); got != 8 {
 		t.Errorf("item is %d bytes, want 8", got)
@@ -22,6 +24,12 @@ func TestArenaStructSizes(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(bucket{}); got != 16 {
 		t.Errorf("bucket is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof([pageLen]chunk{}); got != 4096 {
+		t.Errorf("an item page is %d bytes, want 4096", got)
+	}
+	if got := unsafe.Sizeof([pageLen][chunkLen]int32{}); got != 2048 {
+		t.Errorf("a capacity page is %d bytes, want 2048", got)
 	}
 }
 
@@ -184,15 +192,15 @@ func TestCapacityPooling(t *testing.T) {
 	if err := x.InsertCap(multi, 8, 3); err != nil {
 		t.Fatal(err)
 	}
-	if len(x.caps) != len(x.items) || cap(x.caps) != cap(x.items) {
-		t.Fatalf("caps is %d/%d, items %d/%d: the slab must shadow the item arena",
-			len(x.caps), cap(x.caps), len(x.items), cap(x.items))
+	if len(x.caps) != len(x.pages) {
+		t.Fatalf("%d capacity pages beside %d item pages: the side arena must shadow the item arena",
+			len(x.caps), len(x.pages))
 	}
 	slab := x.caps
 	x.caps = nil
 	without := x.ArenaBytes()
 	x.caps = slab
-	if got, want := x.ArenaBytes(), without+int64(cap(slab))*4; got != want {
+	if got, want := x.ArenaBytes(), without+int64(len(slab))*pageLen*chunkLen*4; got != want {
 		t.Fatalf("ArenaBytes = %d with the slab, want %d (4 B per reserved slot, counted exactly)", got, want)
 	}
 	// Two pops decay 3 → 1: the item must still serve its last unit, then go.
@@ -232,8 +240,8 @@ func TestCapacityPooling(t *testing.T) {
 		if id == 100 {
 			x.Reserve(0, 0, 4096)
 		}
-		if len(x.caps) != len(x.items) || cap(x.caps) != cap(x.items) {
-			t.Fatalf("id %d: caps %d/%d, items %d/%d", id, len(x.caps), cap(x.caps), len(x.items), cap(x.items))
+		if len(x.caps) != len(x.pages) {
+			t.Fatalf("id %d: %d capacity pages, %d item pages", id, len(x.caps), len(x.pages))
 		}
 	}
 	x.WalkCap(func(_ Code, id, capacity int) {
@@ -242,8 +250,8 @@ func TestCapacityPooling(t *testing.T) {
 		}
 	})
 
-	// A capacity-1 index pre-sized by Reserve allocates the slab on demand
-	// with the reserved capacity, not a second doubling ladder.
+	// A capacity-1 index pre-sized by Reserve allocates capacity pages on
+	// demand for the item pages it has: Reserve sizes no item storage.
 	y := NewLeafIndexDegree(3, 2)
 	y.Reserve(0, 0, 512)
 	if y.caps != nil {
@@ -252,8 +260,8 @@ func TestCapacityPooling(t *testing.T) {
 	if err := y.InsertCap(leaf, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if cap(y.caps) != cap(y.items) {
-		t.Fatalf("first multi-unit item sized caps to %d, items reserve %d", cap(y.caps), cap(y.items))
+	if len(y.caps) != 1 || len(y.pages) != 1 {
+		t.Fatalf("first multi-unit item took %d capacity pages beside %d item pages, want 1 and 1", len(y.caps), len(y.pages))
 	}
 }
 
@@ -342,13 +350,26 @@ func TestReservePreventsRegrowth(t *testing.T) {
 	b := NewLeafIndexDegree(6, 4)
 	b.Reserve(nodes, buckets, chunks)
 	reserved := b.ArenaBytes()
-	for id := 0; id < 1000; id++ {
-		if err := b.Insert(codeAt(id), id); err != nil {
+	codes := make([]Code, 1000)
+	for id := range codes {
+		codes[id] = codeAt(id)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for id, c := range codes {
+		if err := b.Insert(c, id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := b.ArenaBytes(); got != reserved {
-		t.Fatalf("reserved slabs regrew during the load: %d -> %d bytes", reserved, got)
+	runtime.ReadMemStats(&m1)
+	// The item pages are the load's only growth: exactly the pages its
+	// chunks fill, each allocated once, and no other allocation.
+	pages := int64(len(b.pages)) * pageLen * int64(unsafe.Sizeof(chunk{}))
+	if got := b.ArenaBytes(); got != reserved+pages || len(b.pages) != (chunks+pageLen-1)/pageLen {
+		t.Fatalf("reserved slabs regrew during the load: %d -> %d bytes, %d of them on %d item pages", reserved, got, pages, len(b.pages))
+	}
+	if n := m1.Mallocs - m0.Mallocs; n != uint64(len(b.pages)) {
+		t.Fatalf("the reserved load made %d allocations, want its %d item pages", n, len(b.pages))
 	}
 	for _, id := range []int{0, 1, 499, 999} {
 		gotID, gotLvl, gotOK := b.Nearest(codeAt(id))
@@ -363,7 +384,7 @@ func TestReservePreventsRegrowth(t *testing.T) {
 	withArenaCap(t, 64)
 	c := NewLeafIndexDegree(2, 2)
 	c.Reserve(1<<20, 1<<20, 1<<20)
-	if got := c.ArenaBytes(); got > 64*(12/2+4+16+8+4/chunkLen)+64 { // nodes (32 of them), kids, buckets, items, next
+	if got := c.ArenaBytes(); got > 64*(12/2+4+16+4/chunkLen)+64 { // nodes (32 of them), kids, buckets, next
 		t.Fatalf("clamped Reserve still allocated %d bytes", got)
 	}
 	before := b.ArenaBytes()

@@ -173,7 +173,7 @@ func (x *LeafIndex) collect(r, except int32, d int, lvl int32, need, start int, 
 // turns an ascending run away at one compare an item where a descending one
 // would shift it every time.
 func (x *LeafIndex) offerBucket(out []CandidateRef, start, need int, bi, lvl int32, q, force uint32) []CandidateRef {
-	b, items, lvls := &x.buckets[bi], x.items, &x.lvl
+	b, lvls := &x.buckets[bi], &x.lvl
 	worst := uint64(math.MaxUint64) // the buffer's last key, once it is full
 	if len(out)-start >= need {
 		worst = refKey(&out[len(out)-1])
@@ -186,11 +186,11 @@ func (x *LeafIndex) offerBucket(out []CandidateRef, start, need int, bi, lvl int
 			n++
 		}
 		for n--; n >= 0; n-- {
-			lo, fill := chain[n]*chunkLen, int32(chunkLen)
+			lo, fill := chain[n]<<chunkBits, int32(chunkLen)
 			if chain[n] == b.head {
 				fill = b.fill()
 			}
-			for i, it := range items[lo : lo+fill] {
+			for i, it := range x.chunk(chain[n])[:fill] {
 				l := lvl
 				if l < 0 {
 					l = int32(lvls[bits.Len32(it.sfx^q|force)])

@@ -18,12 +18,12 @@ import (
 // to trip over still fails.
 func checkShape(t testing.TB, x *LeafIndex) {
 	t.Helper()
-	if len(x.kids) != len(x.nodes)*x.width || len(x.items) != len(x.next)*chunkLen {
-		t.Fatalf("slabs out of step: %d nodes × %d, %d child slots; %d chunks × %d, %d item slots",
-			len(x.nodes), x.width, len(x.kids), len(x.next), chunkLen, len(x.items))
+	if len(x.kids) != len(x.nodes)*x.width || len(x.pages) != (len(x.next)+pageLen-1)/pageLen {
+		t.Fatalf("arenas out of step: %d nodes × %d, %d child slots; %d chunks on %d pages of %d",
+			len(x.nodes), x.width, len(x.kids), len(x.next), len(x.pages), pageLen)
 	}
-	if x.caps != nil && (len(x.caps) != len(x.items) || cap(x.caps) != cap(x.items)) {
-		t.Fatalf("caps is %d/%d, items %d/%d", len(x.caps), cap(x.caps), len(x.items), cap(x.items))
+	if x.caps != nil && len(x.caps) != len(x.pages) {
+		t.Fatalf("%d capacity pages beside %d item pages", len(x.caps), len(x.pages))
 	}
 	const free = -1
 	nodeOwner := map[int32]int32{} // node → the slot naming it, free for the freelist
@@ -104,13 +104,13 @@ func checkShape(t testing.TB, x *LeafIndex) {
 			}
 			chunkOwner[c] = bi
 			for s := c * chunkLen; s < c*chunkLen+fill; s++ {
-				it := x.items[s]
+				it := *x.item(s)
 				copy(code, path[:d])
 				x.unpack(it.sfx, code)
 				if sfx, force := x.pack(Code(code)); sfx != it.sfx || force != 0 || string(code[:d]) != string(path[:d]) {
 					t.Fatalf("bucket %d slot %d: suffix %#x does not carry the path %v", bi, s, it.sfx, path[:d])
 				}
-				if d < x.depth && x.digit(it.sfx, d) != x.digit(x.items[b.head*chunkLen].sfx, d) {
+				if d < x.depth && x.digit(it.sfx, d) != x.digit(x.chunk(b.head)[0].sfx, d) {
 					sharesNext = false
 				}
 				items[held{Code(code), it.id}]++

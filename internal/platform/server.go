@@ -363,11 +363,13 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	// fresh slot; the old slot is retired below, once the insert succeeded,
 	// so a stale pop of the old stint still in flight sees stateRetired.
 	// Its ledger cell moves along — from the old slot, or from the departed
-	// ledger when a rotation compacted the old slot away.
+	// ledger when a rotation compacted the old slot away. The id is hashed
+	// and probed once: nothing below changes the table before the add.
 	var prev *record
 	reports, returning := uint32(0), false
-	if old, dup := s.tab.lookup(req.WorkerID); dup {
-		prev = s.tab.at(old)
+	at := s.tab.probe(req.WorkerID)
+	if at.found {
+		prev = s.tab.at(s.tab.slotOf(at))
 		switch prev.state() {
 		case stateGone:
 			reports = prev.reports()
@@ -404,7 +406,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	}
 	// A concurrent Submit can pop the new slot as soon as Insert returns,
 	// but it reads the table under mu, which we still hold.
-	s.tab.add(req.WorkerID, reports, int32(capacity), code)
+	s.tab.add(at, req.WorkerID, reports, int32(capacity), code)
 	switch {
 	case prev != nil:
 		prev.setState(stateRetired)

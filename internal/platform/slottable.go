@@ -444,17 +444,25 @@ func (t *slotTable) hash(id string) (home int, tag uint32) {
 	return int(hi), uint32(h) &^ slotMask
 }
 
+// idProbe is where a probe found an id's entry, or the empty position its
+// entry would take; it holds until the table next changes.
+type idProbe struct {
+	pos   int
+	tag   uint32
+	found bool
+}
+
 // probe walks the id's probe sequence to the position holding its entry,
 // or to the empty position where its entry would go.
-func (t *slotTable) probe(id string) (pos int, tag uint32, found bool) {
+func (t *slotTable) probe(id string) idProbe {
 	i, tag := t.hash(id)
 	for {
 		e := t.index[i]
 		if e == 0 {
-			return i, tag, false
+			return idProbe{i, tag, false}
 		}
 		if e&^slotMask == tag && t.idIs(t.at(int(e&slotMask-1)).id, id) {
-			return i, tag, true
+			return idProbe{i, tag, true}
 		}
 		if i++; i == len(t.index) {
 			i = 0
@@ -462,41 +470,46 @@ func (t *slotTable) probe(id string) (pos int, tag uint32, found bool) {
 	}
 }
 
-// lookup returns the latest slot added under the id.
-func (t *slotTable) lookup(id string) (slot int, ok bool) {
-	pos, _, found := t.probe(id)
-	if !found {
-		return 0, false
-	}
-	return int(t.index[pos]&slotMask - 1), true
+// slotOf is the latest slot added under a found id.
+func (t *slotTable) slotOf(p idProbe) int {
+	return int(t.index[p.pos]&slotMask - 1)
 }
 
-// add opens a fresh stint of the id — available, nothing assigned — with its
-// ledger cell and its report under the table's epoch.
-func (t *slotTable) add(id string, reports uint32, capacity int32, code hst.Code) (slot int) {
-	return t.push(id, stateAvailable, 0, reports, units{capacity: capacity}, code)
+// lookup returns the latest slot added under the id.
+func (t *slotTable) lookup(id string) (slot int, ok bool) {
+	if p := t.probe(id); p.found {
+		return t.slotOf(p), true
+	}
+	return 0, false
+}
+
+// add opens a fresh stint of the id, probed as p — available, nothing
+// assigned — with its ledger cell and its report under the table's epoch.
+func (t *slotTable) add(p idProbe, id string, reports uint32, capacity int32, code hst.Code) (slot int) {
+	return t.push(p, id, stateAvailable, 0, reports, units{capacity: capacity}, code)
 }
 
 // adopt appends a copy of another table's slot in state st, its report lag
 // epochs behind this table's (with code when lag is 0). Lagging slots come
 // first.
 func (t *slotTable) adopt(old *slotTable, slot int, st workerState, lag int64, code hst.Code) int {
-	return t.push(old.id(slot), st, lag, old.at(slot).reports(), old.units(slot), code)
+	id := old.id(slot)
+	return t.push(t.probe(id), id, st, lag, old.at(slot).reports(), old.units(slot), code)
 }
 
-// push appends a slot and points its id at it. An id the table already
-// holds keeps its one copy in the slab; the table must have room (fits).
-func (t *slotTable) push(id string, st workerState, lag int64, reports uint32, u units, code hst.Code) (slot int) {
+// push appends a slot and points its id, probed as p, at it. An id the table
+// already holds keeps its one copy in the slab; the table must have room.
+func (t *slotTable) push(p idProbe, id string, st workerState, lag int64, reports uint32, u units, code hst.Code) (slot int) {
 	if lag < 0 || lag > 0 && t.n != len(t.lags) {
 		panic("platform: a lagging report must come before every current one")
 	}
 	if 5*(t.ids+1) > 4*len(t.index) {
-		t.grow()
+		t.grow() // re-places every entry, p's position included
+		p = t.probe(id)
 	}
-	pos, tag, known := t.probe(id)
 	ref := uint32(0)
-	if known {
-		ref = t.at(int(t.index[pos]&slotMask - 1)).id
+	if p.found {
+		ref = t.at(t.slotOf(p)).id
 	} else {
 		ref = t.putID(id)
 		t.ids++
@@ -524,7 +537,7 @@ func (t *slotTable) push(id string, st workerState, lag int64, reports uint32, u
 	} else {
 		t.lags = append(t.lags, lag)
 	}
-	t.index[pos] = tag | uint32(slot+1)
+	t.index[p.pos] = p.tag | uint32(slot+1)
 	return slot
 }
 

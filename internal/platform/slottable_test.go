@@ -64,14 +64,14 @@ func TestSlotPageSizeClasses(t *testing.T) {
 			for page := 0; page < 4; page++ {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				tab.add("first", 0, capacity, code)
+				tab.add(tab.probe("first"), "first", 0, capacity, code)
 				runtime.ReadMemStats(&after)
 				// Another goroutine's allocation can only add to a reading.
 				if page > 0 {
 					best = min(best, after.TotalAlloc-before.TotalAlloc)
 				}
 				for tab.len()%pageLen != 0 {
-					tab.add("fill", 0, capacity, code)
+					tab.add(tab.probe("fill"), "fill", 0, capacity, code)
 				}
 			}
 			if best != want {
@@ -166,8 +166,8 @@ func FuzzCodePack(f *testing.F) {
 		if n := depth/2*bits.Len(uint(degree*degree-1)) + depth%2*bits.Len(uint(degree-1)); tab.codeLen != (n+7)/8 {
 			t.Fatalf("degree %d, depth %d: %d B codes for %d bits", degree, depth, tab.codeLen, n)
 		}
-		sa := tab.add("a", 0, 1, hst.Code(a))
-		sb := tab.add("b", 0, 1, hst.Code(b))
+		sa := tab.add(tab.probe("a"), "a", 0, 1, hst.Code(a))
+		sb := tab.add(tab.probe("b"), "b", 0, 1, hst.Code(b))
 		var buf []byte
 		for _, c := range []struct {
 			slot int
@@ -194,7 +194,8 @@ func FuzzCodePack(f *testing.F) {
 func TestCapacityColumnArrivesLate(t *testing.T) {
 	tab := newSlotTable(0, 2, 3, 1)
 	for i := 0; i < pageLen+2; i++ {
-		tab.add(fmt.Sprint("w", i), 0, 1, "\x01\x02")
+		id := fmt.Sprint("w", i)
+		tab.add(tab.probe(id), id, 0, 1, "\x01\x02")
 	}
 	tab.addActive(pageLen, 1)
 	mustPanic(t, "a second assignment of a capacity-1 slot without a column", func() { tab.addActive(pageLen, 1) })
@@ -202,7 +203,7 @@ func TestCapacityColumnArrivesLate(t *testing.T) {
 	if tab.caps != nil || tab.bytes() != 2*pageLen*(8+1)+idChunkLen+4*len(tab.index)+2*9 {
 		t.Fatalf("a capacity-1 table has a column (%v) or reads %d bytes", tab.caps != nil, tab.bytes())
 	}
-	late := tab.add("late", 0, 3, "\x01\x02")
+	late := tab.add(tab.probe("late"), "late", 0, 3, "\x01\x02")
 	if tab.caps == nil || tab.bytes() != 2*pageLen*(8+1+8)+idChunkLen+4*len(tab.index)+2*9 {
 		t.Fatalf("no column after a capacity-3 slot (%v), or %d bytes", tab.caps == nil, tab.bytes())
 	}
@@ -304,8 +305,15 @@ func newIndexModel(t *testing.T, sizeFor int) *indexModel {
 	return &indexModel{t: t, tab: newSlotTable(sizeFor, 0, 1, 1), model: map[string]int{}}
 }
 
+// add goes the way Register does: one probe answers whether the id is
+// known and, passed on, where its entry goes — also when the add grows the
+// index under it.
 func (m *indexModel) add(id string) {
-	slot := m.tab.add(id, 0, 1, "")
+	p := m.tab.probe(id)
+	if _, known := m.model[id]; p.found != known {
+		m.t.Fatalf("probe(%q) found %v; the map says %v", id, p.found, known)
+	}
+	slot := m.tab.add(p, id, 0, 1, "")
 	if slot != m.tab.len()-1 {
 		m.t.Fatalf("add(%q) returned slot %d with %d slots in use", id, slot, m.tab.len())
 	}
