@@ -175,8 +175,8 @@ func BenchmarkOptimal64(b *testing.B) {
 }
 
 // Assignment throughput benchmarks: the paper's O(D·n) scan, the O(D)
-// trie behind one global lock (the old server path), and the sharded
-// concurrent engine, each assigning benchTasks random tasks over a pool of
+// trie behind one global lock (the old server path), and the concurrent
+// engine, each assigning benchTasks random tasks over a pool of
 // benchWorkers random workers split across 1/4/8 goroutines. The reported
 // tasks/sec metric is the headline number; ns/op counts one full batch
 // (refill excluded via timer control).

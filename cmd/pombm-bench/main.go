@@ -70,9 +70,8 @@ func run() error {
 
 		// Scale soak lane (see soak.go): million-worker populations through
 		// platform.Server, churn, and rotation peak-memory accounting.
-		soakName   = flag.String("soak", "", "run the scale soak lane through platform.Server with this suite (platform-100k, platform-1m, platform-10m) and exit")
-		soakJSON   = flag.String("soakjson", "", "soak: write the machine-readable soak report to this file ('' = SOAK_<suite>.json)")
-		soakShards = flag.Int("shards", 0, "soak: server shard count (0 = engine default)")
+		soakName = flag.String("soak", "", "run the scale soak lane through platform.Server with this suite (platform-100k, platform-1m, platform-10m) and exit")
+		soakJSON = flag.String("soakjson", "", "soak: write the machine-readable soak report to this file ('' = SOAK_<suite>.json)")
 	)
 	flag.Parse()
 
@@ -94,7 +93,7 @@ func run() error {
 	defer stopProfiles()
 
 	if *soakName != "" {
-		return runSoak(*soakName, *grid, *soakShards, *seed, *soakJSON)
+		return runSoak(*soakName, *grid, *seed, *soakJSON)
 	}
 	if *file != "" {
 		return runOnFile(*file, *grid, *seed, *repeat, core.Options{Epsilon: *eps})

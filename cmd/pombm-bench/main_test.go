@@ -78,7 +78,7 @@ func TestSoakGates(t *testing.T) {
 	run := func(s soakSuite) (soakReport, error) {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "soak.json")
-		if err := runPlatformSoak(s, 16, 2, 1, path); err != nil {
+		if err := runPlatformSoak(s, 16, 1, path); err != nil {
 			return soakReport{}, err
 		}
 		var rep soakReport

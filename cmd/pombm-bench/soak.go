@@ -75,17 +75,15 @@ var soakSuites = []soakSuite{
 type soakConfig struct {
 	Seed       uint64 `json:"seed"`
 	GridCols   int    `json:"grid_cols"`
-	Shards     int    `json:"shards"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	GitSHA     string `json:"git_sha"`
 }
 
-func newSoakConfig(seed uint64, gridCols, shards int) soakConfig {
+func newSoakConfig(seed uint64, gridCols int) soakConfig {
 	return soakConfig{
 		Seed:       seed,
 		GridCols:   gridCols,
-		Shards:     shards,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		GitSHA:     gitSHA(),
@@ -154,7 +152,7 @@ type soakReport struct {
 	// Steady state after the last rotation, with the held workers back:
 	// steady_heap_bytes is the whole process's live heap, driver tables
 	// (worker names, generations) included, and arena_bytes the core's
-	// structural cost (trie slabs across all shards).
+	// structural cost (its index's trie slabs).
 	// max_arena_bytes_per_worker is the largest reading of the run, the one
 	// the suite's ceiling gates.
 	SteadyHeapBytes        int64   `json:"steady_heap_bytes"`
@@ -205,12 +203,12 @@ func findSoakSuite(name string) (soakSuite, error) {
 
 // runSoak executes one suite end to end. The report goes to jsonPath
 // ("" = SOAK_<suite>.json) and a human summary to stdout.
-func runSoak(suiteName string, gridCols, shards int, seed uint64, jsonPath string) error {
+func runSoak(suiteName string, gridCols int, seed uint64, jsonPath string) error {
 	suite, err := findSoakSuite(suiteName)
 	if err != nil {
 		return err
 	}
-	return runPlatformSoak(suite, gridCols, shards, seed, jsonPath)
+	return runPlatformSoak(suite, gridCols, seed, jsonPath)
 }
 
 // registryBytesBound is the most a table of n slots may allocate here: 32 B
@@ -327,11 +325,11 @@ func (p *platformSoak) rotate(e *soakEpoch) error {
 	return nil
 }
 
-func runPlatformSoak(suite soakSuite, gridCols, shards int, seed uint64, jsonPath string) error {
+func runPlatformSoak(suite soakSuite, gridCols int, seed uint64, jsonPath string) error {
 	// A lifetime budget nobody exhausts: the ledger and its departed side
 	// are on the path, parking is not.
 	srv, err := platform.NewServer(workload.SyntheticRegion, gridCols, gridCols, 0.6, seed,
-		platform.WithShards(shards), platform.WithLifetimeBudget(1e12))
+		platform.WithLifetimeBudget(1e12))
 	if err != nil {
 		return err
 	}
@@ -340,9 +338,9 @@ func runPlatformSoak(suite soakSuite, gridCols, shards int, seed uint64, jsonPat
 		return fmt.Errorf("core %T does not report its arena bytes", srv.Core())
 	}
 	pub := srv.Publication()
-	rep := soakReport{Suite: suite, Config: newSoakConfig(seed, gridCols, srv.Core().Shards())}
-	fmt.Printf("soak %s: %d workers through platform.Server over N=%d D=%d c=%d, %d shards, %d rotations, GOMAXPROCS=%d\n",
-		suite.Name, suite.Workers, pub.Tree.NumPoints(), pub.Tree.Depth(), pub.Tree.Degree(), rep.Config.Shards, suite.Rotations, rep.Config.GOMAXPROCS)
+	rep := soakReport{Suite: suite, Config: newSoakConfig(seed, gridCols)}
+	fmt.Printf("soak %s: %d workers through platform.Server over N=%d D=%d c=%d, %d rotations, GOMAXPROCS=%d\n",
+		suite.Name, suite.Workers, pub.Tree.NumPoints(), pub.Tree.Depth(), pub.Tree.Degree(), suite.Rotations, rep.Config.GOMAXPROCS)
 
 	p := &platformSoak{srv: srv, codes: &codeGen{tree: pub.Tree, seed: seed}, epoch: pub.Epoch}
 	// readArenas is one reading of the core's arenas. The core must hold

@@ -4,7 +4,7 @@
 // also drives a fleet of simulated workers and tasks against itself.
 //
 // Beside the /v1 agent API it exposes the /v2 node API, so the same binary
-// serves standalone or as a backend a pombm-coord shards the engine across.
+// serves standalone or as a backend a pombm-coord cuts the workers across.
 //
 // Usage:
 //
@@ -37,7 +37,6 @@ func main() {
 		side     = flag.Float64("side", 200, "side of the square service region")
 		eps      = flag.Float64("eps", 0.6, "privacy budget ε")
 		seed     = flag.Uint64("seed", 2020, "server random seed")
-		shards   = flag.Int("shards", 0, "assignment engine shard count (0 = engine default)")
 		lifetime = flag.Float64("lifetime", 0, "per-worker lifetime ε budget; every fresh report spends ε and exhausted workers are parked (0 = unlimited)")
 		policy   = flag.String("policy", "greedy", "assignment policy: greedy, capacity-greedy, or batch-optimal[:k=<n>]")
 		capacity = flag.Int("capacity", 0, "default per-worker task capacity (0 = 1); above 1 needs a capacity-aware -policy")
@@ -51,7 +50,7 @@ func main() {
 		os.Exit(1)
 	}
 	opts := []platform.ServerOption{
-		platform.WithShards(*shards), platform.WithLifetimeBudget(*lifetime), platform.WithPolicy(pol),
+		platform.WithLifetimeBudget(*lifetime), platform.WithPolicy(pol),
 	}
 	if *capacity != 0 {
 		opts = append(opts, platform.WithDefaultCapacity(*capacity))
@@ -67,8 +66,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pombm-server:", err)
 		os.Exit(1)
 	}
-	log.Printf("serving on %s (grid %dx%d, ε=%g, tree depth %d, %d engine shards, policy %s)",
-		ln.Addr(), *grid, *grid, *eps, srv.Publication().Tree.Depth(), srv.Core().Shards(), pol.Name())
+	log.Printf("serving on %s (grid %dx%d, ε=%g, tree depth %d, policy %s)",
+		ln.Addr(), *grid, *grid, *eps, srv.Publication().Tree.Depth(), pol.Name())
 
 	if *demo > 0 {
 		go runDemo(ln.Addr().String(), *demo, *seed)

@@ -36,7 +36,7 @@ func main() {
 		list     = flag.Bool("list", false, "list scenario presets and exit")
 		seed     = flag.Uint64("seed", 1, "root random seed")
 		driver   = flag.String("driver", "engine", "system under test: engine, platform, or cluster (coordinator over in-process nodes)")
-		shards   = flag.Int("shards", 0, "engine shard count (0 = engine default)")
+		shards   = flag.Int("shards", 0, "shard count of the cluster driver's cut, reported by every driver (0 = 8)")
 		nodes    = flag.Int("nodes", 0, "cluster driver backend count (0 = 3)")
 		duration = flag.Float64("duration", 0, "override the preset's simulated duration (seconds)")
 		policy   = flag.String("policy", "", "override the preset's assignment policy (greedy, capacity-greedy, batch-optimal[:k=<n>]); a non-capacity-aware override resets the preset's worker capacity to 1")

@@ -13,8 +13,8 @@ import (
 )
 
 // Config describes a coordinator deployment: the published infrastructure
-// (identical knobs to platform.NewServer) plus the backend set the engine
-// is sharded across.
+// (identical knobs to platform.NewServer) plus the backend set the workers
+// are cut across.
 type Config struct {
 	// Region, Cols, Rows, Epsilon, Seed are the published infrastructure,
 	// exactly as a single pombm-server would build it: same grid, same
@@ -25,12 +25,11 @@ type Config struct {
 	Epsilon float64
 	Seed    uint64
 
-	// Nodes are the backends the engine shards across. Required.
+	// Nodes are the backends the workers are cut across. Required.
 	Nodes []NodeConn
 
-	// Shards is the per-node shard-count request (0 = engine default).
-	// Every node is initialised with the same value — shard indices are
-	// global across the cluster.
+	// Shards is the shard count of the cut (see LayoutFor; 0 selects
+	// DefaultShards): a code's shard group decides its node.
 	Shards int
 
 	// Policy is the assignment policy spec by name (see

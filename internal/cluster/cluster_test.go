@@ -144,18 +144,23 @@ func runTape(t *testing.T, core platform.Core, eng *engine.Engine, tree *hst.Tre
 
 // TestScatterGatherBatchOptimalIdentity pins the tentpole acceptance
 // criterion at the core level: the coordinator's scatter-gather window
-// solve, over three real-HTTP backends, is bit-identical to the
-// single-process batch-optimal policy on the same operation tape.
+// solve, over real-HTTP and in-process backends, is bit-identical to the
+// single-process batch-optimal policy on the same operation tape. Seed 7's
+// real leaves share their first digit, so one node holds every worker; seed
+// 9's split over two nodes, so windows merge pad lists across nodes.
 func TestScatterGatherBatchOptimalIdentity(t *testing.T) {
-	tree := buildTree(t, 7)
 	for _, tc := range []struct {
 		name  string
+		seed  uint64
 		nodes []NodeConn
 	}{
-		{"http-3", httpNodes(t, 3)},
-		{"local-2", localNodes(2)},
+		{"http-3", 7, httpNodes(t, 3)},
+		{"local-2", 7, localNodes(2)},
+		{"seed-9/http-3", 9, httpNodes(t, 3)},
+		{"seed-9/local-3", 9, localNodes(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			tree := buildTree(t, tc.seed)
 			pol, err := engine.PolicyByName("batch-optimal:k=4")
 			if err != nil {
 				t.Fatal(err)
@@ -175,42 +180,53 @@ func TestScatterGatherBatchOptimalIdentity(t *testing.T) {
 }
 
 // TestGreedyFanoutIdentity pins the routed + root-tier greedy path across
-// nodes against the single-process rule.
+// nodes against the single-process rule, in process and over HTTP, on the
+// seed-9 tree whose real leaves split over two nodes.
 func TestGreedyFanoutIdentity(t *testing.T) {
 	tree := buildTree(t, 9)
-	pol, err := engine.PolicyByName("greedy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := newFanCore(localNodes(3), tree, 0, pol, "greedy", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refPol, _ := engine.PolicyByName("greedy")
-	eng, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(refPol))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnd := rand.New(rand.NewSource(3))
-	leaves := tree.NumPoints()
-	for i := 0; i < 200; i++ {
-		if err := core.InsertCapEpoch(tree.CodeOf(rnd.Intn(leaves)), i, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rnd = rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		if err := eng.InsertEpoch(tree.CodeOf(rnd.Intn(leaves)), i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 260; i++ { // drains past empty: the unmatched tail must agree too
-		code := tree.CodeOf(rnd.Intn(leaves))
-		gid, glvl, gok := core.Assign(code)
-		wid, wlvl, wok := eng.Assign(code)
-		if gid != wid || glvl != wlvl || gok != wok {
-			t.Fatalf("assign %d: cluster (%d,%d,%v) engine (%d,%d,%v)", i, gid, glvl, gok, wid, wlvl, wok)
-		}
+	for _, tc := range []struct {
+		name  string
+		nodes []NodeConn
+	}{
+		{"local-3", localNodes(3)},
+		{"http-3", httpNodes(t, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol, err := engine.PolicyByName("greedy")
+			if err != nil {
+				t.Fatal(err)
+			}
+			core, err := newFanCore(tc.nodes, tree, 0, pol, "greedy", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refPol, _ := engine.PolicyByName("greedy")
+			eng, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(refPol))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rnd := rand.New(rand.NewSource(3))
+			leaves := tree.NumPoints()
+			for i := 0; i < 200; i++ {
+				if err := core.InsertCapEpoch(tree.CodeOf(rnd.Intn(leaves)), i, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rnd = rand.New(rand.NewSource(3))
+			for i := 0; i < 200; i++ {
+				if err := eng.InsertEpoch(tree.CodeOf(rnd.Intn(leaves)), i, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 260; i++ { // drains past empty: the unmatched tail must agree too
+				code := tree.CodeOf(rnd.Intn(leaves))
+				gid, glvl, gok := core.Assign(code)
+				wid, wlvl, wok := eng.Assign(code)
+				if gid != wid || glvl != wlvl || gok != wok {
+					t.Fatalf("assign %d: cluster (%d,%d,%v) engine (%d,%d,%v)", i, gid, glvl, gok, wid, wlvl, wok)
+				}
+			}
+		})
 	}
 }
 
@@ -320,7 +336,7 @@ type failPrepareNode struct {
 	prepares int
 }
 
-func (f *failPrepareNode) Prepare(int64, *hst.Tree, int, func() (engine.EpochInsert, bool, error), string) error {
+func (f *failPrepareNode) Prepare(int64, *hst.Tree, func() (engine.EpochInsert, bool, error), string) error {
 	f.prepares++
 	return errors.New("rigged: prepare refused")
 }
@@ -399,7 +415,7 @@ func TestSubmitWithBackendDown(t *testing.T) {
 	}
 	srv := coord.Server()
 	tree := srv.Publication().Tree
-	layout := engine.LayoutFor(tree, srv.Core().Shards())
+	layout := LayoutFor(tree, 0)
 	// The tree's population needn't spread across all three nodes; pick the
 	// dead and live nodes from groups that actually hold leaves.
 	codeOn := map[int]hst.Code{}

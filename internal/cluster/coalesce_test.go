@@ -152,7 +152,7 @@ func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	// two successes replay (pool unchanged by them), the refused op
 	// re-executes — a cached error would replay the refusal — and now
 	// lands.
-	if err := conn.Prepare(2, tree, 0, nextOf([]engine.EpochInsert{
+	if err := conn.Prepare(2, tree, nextOf([]engine.EpochInsert{
 		{Code: tree.CodeOf(0), ID: 1, Cap: 1},
 		{Code: tree.CodeOf(2), ID: 3, Cap: 1},
 	}), "prep-2"); err != nil {

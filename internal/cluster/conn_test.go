@@ -83,16 +83,16 @@ func TestNodeConnParity(t *testing.T) {
 		{"commit nothing staged", platform.CodeBadRequest, OpRequest{Kind: OpCommit, Idem: "p-22", Epoch: 2}, nil},
 		{"prepare", "", OpRequest{}, func(c NodeConn) error {
 			inserts := []engine.EpochInsert{{Code: next.CodeOf(0), ID: 3, Cap: 2}, {Code: next.CodeOf(9), ID: 4}}
-			return c.Prepare(2, next, 0, nextOf(inserts), "p-23")
+			return c.Prepare(2, next, nextOf(inserts), "p-23")
 		}},
 		{"prepare the serving epoch", platform.CodeBadRequest, OpRequest{}, func(c NodeConn) error {
-			return c.Prepare(engine.FirstEpoch, next, 0, nextOf(nil), "p-24")
+			return c.Prepare(engine.FirstEpoch, next, nextOf(nil), "p-24")
 		}},
 		{"abort another epoch", "", OpRequest{Kind: OpAbort, Idem: "p-25", Epoch: 3}, nil},
 		{"commit", "", OpRequest{Kind: OpCommit, Idem: "p-26", Epoch: 2}, nil},
 		{"commit again", "", OpRequest{Kind: OpCommit, Idem: "p-27", Epoch: 2}, nil},
 		{"prepare an empty partition", "", OpRequest{}, func(c NodeConn) error {
-			return c.Prepare(3, tree, 0, nextOf(nil), "p-28")
+			return c.Prepare(3, tree, nextOf(nil), "p-28")
 		}},
 		{"abort", "", OpRequest{Kind: OpAbort, Idem: "p-29", Epoch: 3}, nil},
 		{"commit the aborted epoch", platform.CodeBadRequest, OpRequest{Kind: OpCommit, Idem: "p-30", Epoch: 3}, nil},
@@ -250,8 +250,8 @@ func FuzzNodeConnParity(f *testing.F) {
 				for w := range pin % 4 {
 					inserts = append(inserts, engine.EpochInsert{Code: staged.CodeOf((c + w) % staged.NumPoints()), ID: 100 + w, Cap: 1 + w})
 				}
-				wantErr = local.Prepare(cur+1, staged, 0, nextOf(inserts), idem)
-				gotErr = remote.Prepare(cur+1, staged, 0, nextOf(inserts), idem)
+				wantErr = local.Prepare(cur+1, staged, nextOf(inserts), idem)
+				gotErr = remote.Prepare(cur+1, staged, nextOf(inserts), idem)
 			default:
 				op := OpRequest{Kind: "teleport", Idem: idem, Code: code, ID: id, Capacity: pin / 4 % 4, Epoch: epoch}
 				if call < unknown {

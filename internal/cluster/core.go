@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/base64"
 	"errors"
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,18 +26,17 @@ import (
 //
 // Concurrency: routed single-worker operations (insert, remove, assign's
 // node-local tiers) run under a shared read lock — they are independent
-// exactly when their codes route to different nodes, mirroring the
-// engine's shard independence. Anything whose answer spans nodes — the
-// greedy root tier's min-of-mins, a batch-optimal window, the two-phase
-// epoch swap — takes the lock exclusively, making it atomic with respect
-// to every other coordinator-driven mutation. Every node mutation flows
+// exactly when their codes route to different nodes. Anything whose answer
+// spans nodes — the greedy root tier's min-of-mins, a batch-optimal window,
+// the two-phase epoch swap — takes the lock exclusively, making it atomic
+// with respect to every other coordinator-driven mutation. Every node mutation flows
 // through this core, so exclusivity here is global mutual exclusion.
 type fanCore struct {
 	nodes      []NodeConn
 	policy     engine.Policy
 	policySpec string
 	defaultCap int
-	shardsCfg  int // requested shard count, passed to every node
+	shardsCfg  int // requested shard count of the cut
 
 	state atomic.Pointer[coreState]
 	opMu  sync.RWMutex
@@ -48,12 +49,12 @@ type fanCore struct {
 }
 
 // coreState is the epoch-scoped identity of the cluster: published tree,
-// shard layout (shared by every node), and epoch id. Swapped with one
+// the cut of its codes over the nodes, and epoch id. Swapped with one
 // pointer store at rotation commit, which also makes it the token the
 // window kernel's warm potentials are pinned to.
 type coreState struct {
 	tree   *hst.Tree
-	layout engine.Layout
+	layout Layout
 	epoch  int64
 }
 
@@ -84,11 +85,10 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Poli
 	rand.Read(raw[:])
 	base64.RawURLEncoding.Encode(text[:], raw[:])
 	copy(c.idemNonce[:], text[:])
-	c.state.Store(&coreState{tree: tree, layout: engine.LayoutFor(tree, shards), epoch: engine.FirstEpoch})
+	c.state.Store(&coreState{tree: tree, layout: LayoutFor(tree, shards), epoch: engine.FirstEpoch})
 	for i, n := range nodes {
 		if err := n.Init(InitRequest{
-			Tree: tree, Shards: shards, Policy: policySpec, DefaultCapacity: defaultCap,
-			Idem: c.nextIdem(),
+			Tree: tree, Policy: policySpec, DefaultCapacity: defaultCap, Idem: c.nextIdem(),
 		}); err != nil {
 			return nil, fmt.Errorf("cluster: init node %d: %w", i, err)
 		}
@@ -111,11 +111,6 @@ func (c *fanCore) nextIdem() string {
 // routeIdx returns the node owning a code's shard group.
 func (c *fanCore) routeIdx(st *coreState, code hst.Code) int {
 	return st.layout.GroupOf(code) % len(c.nodes)
-}
-
-// ownerIdx returns the node owning a shard index.
-func (c *fanCore) ownerIdx(st *coreState, shard int) int {
-	return st.layout.GroupOfShard(shard) % len(c.nodes)
 }
 
 func isTransport(err error) bool {
@@ -163,7 +158,6 @@ func (c *fanCore) do(nd int, escalate bool, op OpRequest) (OpResult, error) {
 
 func (c *fanCore) Tree() *hst.Tree       { return c.state.Load().tree }
 func (c *fanCore) Epoch() int64          { return c.state.Load().epoch }
-func (c *fanCore) Shards() int           { return c.state.Load().layout.Shards }
 func (c *fanCore) Policy() engine.Policy { return c.policy }
 func (c *fanCore) DefaultCapacity() int  { return c.defaultCap }
 func (c *fanCore) Windows() int64        { return c.windows.Load() }
@@ -254,10 +248,10 @@ func (c *fanCore) Assign(code hst.Code) (int, int, bool) {
 // extension platform.Server's Submit uses for typed refusals.
 //
 // Tier structure: the routed node resolves everything below the root tier
-// atomically (own-shard fast path, locked re-check, sibling sub-shards).
-// Only when no worker shares the task's top branch there does the root
-// tier run — a min-of-mins across every node, taken under the exclusive
-// lock so the elect-then-pop pair cannot be split by another assignment.
+// in one pop, since the cut keeps every worker that shares the task's first
+// digit there. Only when there is none does the root tier run — a
+// min-of-mins across every node, taken under the exclusive lock so the
+// elect-then-pop pair cannot be split by another assignment.
 func (c *fanCore) AssignErr(code hst.Code) (int, int, bool, error) {
 	c.opMu.RLock()
 	st := c.state.Load()
@@ -369,19 +363,18 @@ func (c *fanCore) AssignBatch(codes []hst.Code) ([]int, []int) {
 
 // windowSolver is what the coordinator needs of a window-solving policy
 // (engine.BatchOptimal): the per-task pool every node mines with, and the
-// policy's own pad-and-solve kernel to hand the mined lists to.
+// policy's own solve kernel to hand each task's k nearest to.
 type windowSolver interface {
 	TopK() int
-	SolveMined(state any, l engine.Layout, codes []hst.Code, own, pads [][]hst.Candidate) []hst.Candidate
+	SolveMined(state any, lists [][]hst.Candidate) []hst.Candidate
 }
 
 // solveWindow serves one batch-optimal window over the cluster. The window
-// rule lives in the engine (the policy's pad-and-solve kernel); what is
-// here is what is distributed: scatter the mining, gather and check what
-// the nodes report, commit the kernel's matches at their owning nodes. It
-// holds opMu exclusively, which is what the single-process all-shard-locks
-// hold is to one engine: the window is atomic against every other
-// mutation.
+// rule lives in the engine (the policy's solve kernel); what is here is
+// what is distributed: scatter the mining, gather and check what the nodes
+// report, merge each task's k nearest, commit the kernel's matches at their
+// owning nodes. It holds opMu exclusively, which is what the engine's lock
+// is to one engine: the window is atomic against every other mutation.
 func (c *fanCore) solveWindow(solver windowSolver, codes []hst.Code, ids, lvls []int) {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
@@ -428,8 +421,8 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	N, k := len(c.nodes), solver.TopK()
 
 	// Scatter: each node mines the window tasks routed to it, and every
-	// node contributes its per-shard pad lists (its pool may serve tasks
-	// routed elsewhere).
+	// node contributes its pad list (its pool may serve tasks routed
+	// elsewhere).
 	ops := make([]OpRequest, N)
 	nodeTis := make([][]int, N)
 	for ti, code := range tasks {
@@ -450,10 +443,10 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	}
 	wg.Wait()
 
-	// Gather: per-task own-shard regions from the routed node, global
-	// per-shard pad lists from each shard's owner.
+	// Gather: each task's nearest from its home node, one pad list a node.
+	home := make([]int, len(tasks))
 	own := make([][]hst.Candidate, len(tasks))
-	pads := make([][]hst.Candidate, st.layout.Shards)
+	pads := make([][]hst.Candidate, N)
 	pool := 0
 	for nd := 0; nd < N; nd++ {
 		if mineErrs[nd] != nil || !c.validMine(st, nd, &mines[nd], &ops[nd]) {
@@ -465,19 +458,18 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 		}
 		pool += mines[nd].Pool
 		for j, ti := range nodeTis[nd] {
-			own[ti] = mines[nd].Own[j]
+			home[ti], own[ti] = nd, mines[nd].Own[j]
 		}
-		for s, list := range mines[nd].Pads {
-			if c.ownerIdx(st, s) == nd {
-				pads[s] = list
-			}
-		}
+		pads[nd] = mines[nd].Pads[0]
 	}
 	if pool == 0 {
 		return nil, true
 	}
+	for ti := range own {
+		own[ti] = nearestK(own[ti], home[ti], pads, k)
+	}
 
-	matched = solver.SolveMined(st, st.layout, tasks, own, pads)
+	matched = solver.SolveMined(st, own)
 
 	// Commit matched units at their owning nodes. The commits of one
 	// window are independent decrements (each targets the matched worker at
@@ -539,43 +531,56 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 
 // validMine checks node nd's answer wm to op, a mine — the one place a
 // peer's report becomes window candidates. Everything the kernel and the
-// commit phase rely on is checked here: list shapes and lengths, every id
-// and capacity within the int32 the kernel narrows to, every level one the
-// tree has (so its distance is finite), every code a leaf of the published
-// tree in the shard whose list carries it — the task's own shard, or the
-// pad list's — which also makes a matched worker's commit route back to
-// the node that reported it.
+// commit phase rely on is checked here: list shapes and lengths (one list a
+// task, one pad list), every id and capacity within the int32 the kernel
+// narrows to, every level one the tree has (so its distance is finite),
+// every code a leaf of the published tree that the cut routes to nd —
+// which also makes a matched worker's commit route back to the node that
+// reported it.
 func (c *fanCore) validMine(st *coreState, nd int, wm *OpResult, op *OpRequest) bool {
-	validList := func(list []hst.Candidate, shard int) bool {
+	validList := func(list []hst.Candidate) bool {
 		for _, cand := range list {
 			if cand.ID < 0 || cand.ID > math.MaxInt32 || cand.Cap < 1 || cand.Cap > math.MaxInt32 ||
 				cand.Level < 0 || cand.Level > st.layout.Depth ||
-				st.tree.CheckCode(cand.Code) != nil || st.layout.ShardIdx(cand.Code) != shard {
+				st.tree.CheckCode(cand.Code) != nil || c.routeIdx(st, cand.Code) != nd {
 				return false
 			}
 		}
 		return len(list) <= op.K
 	}
-	if wm.Pool < 0 || len(wm.Own) != len(op.Codes) || len(wm.Pads) > st.layout.Shards {
+	if wm.Pool < 0 || len(wm.Own) != len(op.Codes) || len(wm.Pads) != 1 || !validList(wm.Pads[0]) {
 		return false
 	}
-	for j, list := range wm.Own {
-		if !validList(list, st.layout.ShardIdx(hst.Code(view(op.Codes[j])))) {
-			return false
-		}
-	}
-	for s, list := range wm.Pads {
-		// Lists for shards another node owns are never gathered.
-		if c.ownerIdx(st, s) == nd && !validList(list, s) {
+	for _, list := range wm.Own {
+		if !validList(list) {
 			return false
 		}
 	}
 	return true
 }
 
+// nearestK merges a task's k nearest on its home node with every other
+// node's pad list into the task's k nearest cluster-wide, in (level, id)
+// order: exactly what NearestKRef answers on one index. The cut keeps every
+// worker that shares the task's first digit on the home node, so a worker
+// anywhere else sits at the root level, and a node's k smallest ids are all
+// it can contribute.
+func nearestK(own []hst.Candidate, home int, pads [][]hst.Candidate, k int) []hst.Candidate {
+	out := slices.Clone(own)
+	for nd, pad := range pads {
+		if nd != home {
+			out = append(out, pad...)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b hst.Candidate) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.ID, b.ID))
+	})
+	return out[:min(k, len(out))]
+}
+
 // SwapEpochSeq rotates the cluster (platform.Core): a distributed
 // two-phase commit. Phase one stages every node's partition of the new
-// population under the new tree's layout; any failure aborts all prepared
+// population under the new tree's cut; any failure aborts all prepared
 // nodes and the old epoch keeps serving everywhere. Phase two commits each
 // node — past the point of no return, a node that cannot commit after
 // preparing is a panic, exactly as a failed single-process swap commit
@@ -598,7 +603,7 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 	if shards <= 0 {
 		shards = c.shardsCfg
 	}
-	newLayout := engine.LayoutFor(tree, shards)
+	newLayout := LayoutFor(tree, shards)
 	N := len(c.nodes)
 	var verr error
 	seq(func(in engine.EpochInsert) bool {
@@ -642,7 +647,7 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 					})
 				})
 				defer stop()
-				return c.nodes[nd].Prepare(epoch, tree, shards, func() (engine.EpochInsert, bool, error) {
+				return c.nodes[nd].Prepare(epoch, tree, func() (engine.EpochInsert, bool, error) {
 					in, ok := next()
 					return in, ok, nil
 				}, idem)

@@ -35,10 +35,9 @@ func (b *bentMineNode) Do(op OpRequest) (OpResult, error) {
 func TestHostileMineAnswersUnmatched(t *testing.T) {
 	const k = 4
 	tree := buildTree(t, 7)
-	layout := engine.LayoutFor(tree, 0)
+	layout := LayoutFor(tree, 0)
 	// bend applies f to every candidate of the report's first non-empty own
-	// region or pad list (node 0 holds workers only in shards it owns, so a
-	// non-empty pad list is one the coordinator gathers).
+	// region or of its pad list.
 	bend := func(pads bool, f func(c *hst.Candidate)) func(*OpResult) bool {
 		return func(wm *OpResult) bool {
 			lists := wm.Own
@@ -116,7 +115,7 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			wm.Own = append(wm.Own, nil)
 			return true
 		}},
-		{"more pad lists than shards", func(wm *OpResult) bool {
+		{"more than one pad list", func(wm *OpResult) bool {
 			wm.Pads = append(wm.Pads, wm.Pads...)
 			return true
 		}},

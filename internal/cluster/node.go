@@ -48,7 +48,7 @@ import (
 type NodeConn interface {
 	Init(req InitRequest) error
 	Do(op OpRequest) (OpResult, error)
-	Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error
+	Prepare(epoch int64, tree *hst.Tree, next func() (engine.EpochInsert, bool, error), idem string) error
 	Close()
 }
 
@@ -95,7 +95,7 @@ func (n *Node) Init(req InitRequest) error {
 	if req.DefaultCapacity != 0 {
 		opts = append(opts, engine.WithDefaultCapacity(req.DefaultCapacity))
 	}
-	eng, err := engine.NewWithOptions(req.Tree, req.Shards, opts...)
+	eng, err := engine.NewWithOptions(req.Tree, 0, opts...)
 	if err != nil {
 		return err
 	}
@@ -166,7 +166,7 @@ func (n *Node) Do(op OpRequest) (OpResult, error) {
 		}
 		var wm *engine.WindowMine
 		if wm, err = eng.MineWindowCandidates(codes, op.K, op.Epoch); err == nil {
-			res.Epoch, res.Pool, res.Own, res.Pads = wm.Epoch, wm.Pool, wm.Own, wm.Pads
+			res.Epoch, res.Pool, res.Own, res.Pads = wm.Epoch, wm.Pool, wm.Own, [][]hst.Candidate{wm.Pad}
 			if len(codes) == 0 {
 				res.Own = nil // the wire leaves an empty own out
 			}
@@ -185,12 +185,12 @@ func (n *Node) Do(op OpRequest) (OpResult, error) {
 // population this node ever holds. A later Prepare for a different epoch
 // replaces the staged state (staging holds no locks, so dropping it is a
 // free abort).
-func (n *Node) Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), _ string) error {
+func (n *Node) Prepare(epoch int64, tree *hst.Tree, next func() (engine.EpochInsert, bool, error), _ string) error {
 	eng, err := n.engine()
 	if err != nil {
 		return err
 	}
-	staged, err := eng.PrepareSwapSeq(epoch, tree, shards, next)
+	staged, err := eng.PrepareSwapSeq(epoch, tree, next)
 	if err != nil {
 		return err
 	}
@@ -458,7 +458,7 @@ func (r *PrepareRequest) apply(n *Node, rest *json.Decoder) *platform.Error {
 	// One value, reused: a fresh one a Decode is an allocation a worker.
 	var v WireInsert
 	count := 0
-	err := n.Prepare(r.Epoch, r.Tree, r.Shards, func() (engine.EpochInsert, bool, error) {
+	err := n.Prepare(r.Epoch, r.Tree, func() (engine.EpochInsert, bool, error) {
 		v = WireInsert{}
 		err := rest.Decode(&v)
 		if err == io.EOF {
@@ -764,14 +764,14 @@ func (h *httpNode) sendOps(s *wire.Stream, batch []*batchedOp) (*wire.Stream, er
 // time, and their count — the partition is never materialized as wire
 // structs or an encoded document on this side. Runs under the prepare
 // deadline, not the op deadline.
-func (h *httpNode) Prepare(epoch int64, tree *hst.Tree, shards int, next func() (engine.EpochInsert, bool, error), idem string) error {
+func (h *httpNode) Prepare(epoch int64, tree *hst.Tree, next func() (engine.EpochInsert, bool, error), idem string) error {
 	pr, pw := io.Pipe()
 	encoded := make(chan struct{})
 	go func() {
 		defer close(encoded)
 		bw := bufio.NewWriterSize(pw, 1<<16)
 		enc := json.NewEncoder(bw)
-		err := enc.Encode(PrepareRequest{Idem: idem, Epoch: epoch, Shards: shards, Tree: tree})
+		err := enc.Encode(PrepareRequest{Idem: idem, Epoch: epoch, Tree: tree})
 		var v WireInsert // one value behind one pointer: Encode boxes a fresh one a worker
 		count := 0
 		for err == nil {

@@ -1,12 +1,12 @@
-// Package cluster shards the assignment engine across pombm-server
-// backends behind one coordinator, without changing a single answer.
+// Package cluster cuts the assignment engine's workers across
+// pombm-server backends behind one coordinator, without changing a single
+// answer.
 //
-// The decomposition leans on the engine's own sharding invariant: every
-// worker sharing a task's top HST branch lives in one shard, and a shard —
-// together, under sub-sharding, with its whole sibling group — can be
+// The cut (Layout) keys a code on its first digit: every worker sharing a
+// task's top HST branch lands in the task's shard group, and a group is
 // pinned to one node. The coordinator routes every code-addressed
 // operation (Register, Reregister, Release, Withdraw, Submit) to the node
-// owning the code's shard group; only the greedy rule's root tier (a
+// owning the code's group; only the greedy rule's root tier (a
 // min-of-mins) and the batch-optimal window solve (a scatter-gather
 // matching over per-node candidate mines) need more than one node, and
 // both recompose the single-process decision exactly. Epoch rotation is a
@@ -142,8 +142,9 @@ const (
 //	          {"ok":true,"id":int,"level":int,"found":bool} assign-subtree, pop-min; min-id
 //	                                                        has no level
 //	          {"ok":true,"epoch":int,"len":int,"units":int} status
-//	          {"ok":true,"epoch":int,"pool":int,"own":[[candidate,…],…],"pads":[[candidate,…],…]}
-//	                                                        mine: a list a code, a list a shard
+//	          {"ok":true,"epoch":int,"pool":int,"own":[[candidate,…],…],"pads":[[candidate,…]]}
+//	                                                        mine: a list a code, and the node's
+//	                                                        one pad list
 //	          {"ok":false,"error":error}                    a refused op; remove, assign-subtree,
 //	                                                        min-id and pop-min add "found":false
 //	candidate [id,base64,level,cap]                         hst.Candidate: four elements, in order
@@ -199,17 +200,15 @@ type OpResult struct {
 	Len   int
 	Pool  int
 	Own   [][]hst.Candidate
-	Pads  [][]hst.Candidate
+	Pads  [][]hst.Candidate // a mine's: one list, the node's k smallest ids
 }
 
-// InitRequest (re)builds a node's engine: the shared tree, the shared
-// shard count, and the shared policy spec and default capacity. Every node
-// of a cluster is initialised identically — same layout, same capacity
-// clamping — which is what makes shard indices global and routing exact.
-// It is the whole of an init document.
+// InitRequest (re)builds a node's engine: the shared tree, and the shared
+// policy spec and default capacity. Every node of a cluster is initialised
+// identically — same tree, same capacity clamping — so a worker answers the
+// same wherever the cut routes it. It is the whole of an init document.
 type InitRequest struct {
 	Tree            *hst.Tree `json:"tree"`
-	Shards          int       `json:"shards,omitempty"`
 	Policy          string    `json:"policy,omitempty"`
 	DefaultCapacity int       `json:"default_capacity,omitempty"`
 	Idem            string    `json:"idem,omitempty"`
@@ -226,10 +225,9 @@ type nodeAck struct {
 // node builds and validates the staged state off to the side while the old
 // epoch keeps serving. The partition follows the header value by value.
 type PrepareRequest struct {
-	Idem   string    `json:"idem,omitempty"`
-	Epoch  int64     `json:"epoch"`
-	Shards int       `json:"shards,omitempty"`
-	Tree   *hst.Tree `json:"tree"`
+	Idem  string    `json:"idem,omitempty"`
+	Epoch int64     `json:"epoch"`
+	Tree  *hst.Tree `json:"tree"`
 }
 
 // WireInsert is a value of a prepare document after its header:

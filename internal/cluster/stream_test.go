@@ -92,7 +92,7 @@ func TestTornStreamAppliesOnce(t *testing.T) {
 	prepare := func(epoch int64) func() {
 		return func() {
 			inserts := []engine.EpochInsert{{Code: next.CodeOf(0), ID: 7, Cap: 1}, {Code: next.CodeOf(1), ID: 8, Cap: 1}}
-			if err := r.conn.Prepare(epoch, next, 0, nextOf(inserts), r.core.nextIdem()); err != nil {
+			if err := r.conn.Prepare(epoch, next, nextOf(inserts), r.core.nextIdem()); err != nil {
 				t.Fatal(err)
 			}
 		}

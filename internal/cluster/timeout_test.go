@@ -82,7 +82,7 @@ func TestPrepareDeadlineIndependent(t *testing.T) {
 	}
 	// The equally slow prepare fits comfortably in the prepare budget.
 	inserts := []engine.EpochInsert{{Code: next.CodeOf(0), ID: 3, Cap: 1}}
-	if err := conn.Prepare(2, next, 0, nextOf(inserts), "idem-prep"); err != nil {
+	if err := conn.Prepare(2, next, nextOf(inserts), "idem-prep"); err != nil {
 		t.Fatalf("prepare under its own deadline: %v", err)
 	}
 	// Commit and status are ops: they go over a connection whose op

@@ -1,8 +1,6 @@
 package engine_test
 
 import (
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,19 +11,15 @@ import (
 	"github.com/pombm/pombm/internal/rng"
 )
 
-// TestRoutedBatchDifferentialOpTape is the routed batch path's acceptance
-// test: with the size gate forced open so every batch routes, random
+// TestRoutedBatchDifferentialOpTape is the greedy batch path's acceptance
+// test (named for the shard-routed path the batch once took): random
 // operation tapes — batches of assigns, inserts, withdraws, epoch
 // rotations — served through AssignBatch must match, decision for
 // decision, a mirror engine fed the same tape one Assign at a time. The
 // mirror's one-by-one path is itself pinned to the paper's scanning rule
-// by TestGreedyDifferentialOpTape, so this transitively pins the routed
-// path (speculative pops, rollback-and-replay resolution, sub-shard
-// tiers) to sequential semantics.
+// by TestGreedyDifferentialOpTape, so this transitively pins the batch's
+// one hold to sequential semantics. The shard counts only seed the tapes.
 func TestRoutedBatchDifferentialOpTape(t *testing.T) {
-	defer engine.SetBatchRouteThreshold(1)()
-	// 33 and 1000 land past any grid-16 tree's degree, driving the
-	// sub-sharded layout and its two-tier resolution through the tape.
 	for _, shards := range []int{2, 5, 33, 1000} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			tree := buildTree(t, 16, 60+seed)
@@ -115,11 +109,9 @@ func TestRoutedBatchDifferentialOpTape(t *testing.T) {
 }
 
 // TestRoutedBatchCapacityDifferential runs the same batch-vs-sequential
-// tape under the capacitated greedy rule: speculative pops consume single
-// units, so the resolution rollback must return units (not whole slots)
-// and replays must re-consume them exactly as the sequential path would.
+// tape under the capacitated greedy rule: a batch's pops consume single
+// units, exactly as the sequential path would.
 func TestRoutedBatchCapacityDifferential(t *testing.T) {
-	defer engine.SetBatchRouteThreshold(1)()
 	for _, shards := range []int{5, 33} {
 		tree := buildTree(t, 16, 70)
 		mk := func() *engine.Engine {
@@ -186,15 +178,13 @@ func TestRoutedBatchCapacityDifferential(t *testing.T) {
 	}
 }
 
-// TestRoutedBatchChurnRace drives the routed batch path (batches well past
-// the route gate) against concurrent inserts, withdrawals, and epoch
-// rotations, for the race detector and the resolution pass's internal
-// invariant checks. Rotations republish the same tree so every code stays
-// valid while the epoch pointer — and with it the reroute machinery —
-// churns underneath in-flight batches.
+// TestRoutedBatchChurnRace drives greedy batches against concurrent
+// inserts, withdrawals, and epoch rotations, for the race detector.
+// Rotations republish the same tree so every code stays valid while the
+// epoch pointer churns between in-flight batches.
 func TestRoutedBatchChurnRace(t *testing.T) {
 	tree := buildTree(t, 16, 80)
-	eng, err := engine.New(tree, 33) // sub-sharded: both resolution tiers live
+	eng, err := engine.New(tree, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +269,9 @@ func TestRoutedBatchChurnRace(t *testing.T) {
 		epoch := int64(engine.FirstEpoch)
 		for i := 0; i < 12; i++ {
 			// The WalkCap view races the churn, which is exactly the point:
-			// the rotation republishes some recent population and in-flight
-			// batches must reroute cleanly. The ledger reconciles afterwards
-			// through failed Removes and fresh Inserts.
+			// the rotation republishes some recent population between
+			// in-flight batches. The ledger reconciles afterwards through
+			// failed Removes and fresh Inserts.
 			var inserts []engine.EpochInsert
 			eng.WalkCap(func(code hst.Code, id, capacity int) {
 				inserts = append(inserts, engine.EpochInsert{Code: code, ID: id, Cap: capacity})
@@ -298,68 +288,7 @@ func TestRoutedBatchChurnRace(t *testing.T) {
 	if bad.Load() > 0 {
 		t.Fatalf("%d unexpected operation failures", bad.Load())
 	}
-	occ := 0
-	for _, o := range eng.Occupancy() {
-		occ += o
-	}
-	if occ != eng.Len() {
-		t.Errorf("Σ Occupancy %d ≠ Len %d after churn", occ, eng.Len())
-	}
-}
-
-// TestRoutedBatchScalabilitySmoke is the multi-core throughput check: on a
-// machine with at least four cores, eight concurrent batch streams must
-// move at least twice the throughput of one. It only runs on the stress
-// lane (POMBM_STRESS) — on fewer cores, or a loaded runner, the ratio is
-// noise, so it skips rather than flake.
-func TestRoutedBatchScalabilitySmoke(t *testing.T) {
-	if os.Getenv("POMBM_STRESS") == "" {
-		t.Skip("set POMBM_STRESS to run the scalability smoke")
-	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("NumCPU = %d, scaling measurement needs ≥ 4 cores", runtime.NumCPU())
-	}
-	tree := buildTree(t, 32, 90)
-	const nWorkers = 1 << 15
-	const batchSize = 256
-	run := func(goroutines int) time.Duration {
-		src := rng.New(7)
-		codes := make([]hst.Code, nWorkers)
-		for i := range codes {
-			codes[i] = randCode(tree, src)
-		}
-		e := newTestEngine(t, tree, codes, 2*tree.Degree())
-		perG := nWorkers / goroutines / batchSize
-		var wg sync.WaitGroup
-		start := time.Now()
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				s := rng.New(uint64(g))
-				batch := make([]hst.Code, batchSize)
-				for b := 0; b < perG; b++ {
-					for i := range batch {
-						batch[i] = codes[s.Intn(nWorkers)]
-					}
-					e.AssignBatch(batch)
-				}
-			}(g)
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-	best := func(goroutines int) time.Duration {
-		d := run(goroutines)
-		if d2 := run(goroutines); d2 < d {
-			d = d2
-		}
-		return d
-	}
-	t1, t8 := best(1), best(8)
-	speedup := float64(t1) / float64(t8)
-	t.Logf("1 goroutine %v, 8 goroutines %v, speedup %.2fx", t1, t8, speedup)
-	if speedup < 2 {
-		t.Errorf("8 batch streams sped up only %.2fx over 1, want ≥ 2x", speedup)
+	if u, n := eng.CapacityUnits(), eng.Len(); u != n {
+		t.Errorf("CapacityUnits %d ≠ Len %d for capacity-1 workers after churn", u, n)
 	}
 }

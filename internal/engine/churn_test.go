@@ -59,7 +59,7 @@ func randCode(tree *hst.Tree, src *rng.Source) hst.Code {
 // (re-Insert by the assigner), departure (Remove) and re-registration at a
 // fresh code across goroutines, asserting under -race that no task is ever
 // matched to a departed, offline, or already-assigned worker, and that the
-// engine's shard accounting survives the churn intact.
+// engine's index accounting survives the churn intact.
 func TestConcurrentChurn(t *testing.T) {
 	grid, err := geo.NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(200, 200)), 16, 16)
 	if err != nil {
@@ -177,7 +177,7 @@ func TestConcurrentChurn(t *testing.T) {
 		t.Fatal("no assignments happened; the interleaving test exercised nothing")
 	}
 
-	// Quiesced: shard accounting must agree with the ledger exactly.
+	// Quiesced: the index's accounting must agree with the ledger exactly.
 	want := map[int]bool{}
 	for id := 0; id < nWorkers; id++ {
 		if led.state[id] == lAvailable {
@@ -187,16 +187,12 @@ func TestConcurrentChurn(t *testing.T) {
 	if n := eng.Len(); n != len(want) {
 		t.Errorf("engine.Len() = %d, ledger has %d available", n, len(want))
 	}
-	occ := 0
-	for _, o := range eng.Occupancy() {
-		occ += o
-	}
-	if occ != len(want) {
-		t.Errorf("Σ Occupancy = %d, ledger has %d available", occ, len(want))
+	if u := eng.CapacityUnits(); u != len(want) {
+		t.Errorf("engine.CapacityUnits() = %d, ledger has %d available capacity-1 workers", u, len(want))
 	}
 
 	// Drain through Assign: every pop walks the trie's count/minID
-	// bookkeeping, so a corrupted shard surfaces as a wrong or missing id.
+	// bookkeeping, so a corrupted index surfaces as a wrong or missing id.
 	drainSrc := rng.New(21).Derive("drain")
 	got := map[int]bool{}
 	for {
@@ -225,9 +221,9 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurnAcrossShardCounts re-runs a smaller churn at shard
-// counts around the degree clamp, including the single-shard degenerate
-// case where every operation contends on one lock.
+// TestConcurrentChurnAcrossShardCounts re-runs a smaller churn once per
+// shard count a caller may pass. New ignores the count — the engine is one
+// index under one lock — so every run must serve alike.
 func TestConcurrentChurnAcrossShardCounts(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		shards := shards
@@ -290,12 +286,8 @@ func TestConcurrentChurnAcrossShardCounts(t *testing.T) {
 			if bad.Load() > 0 {
 				t.Fatalf("%d unexpected insert failures", bad.Load())
 			}
-			occ := 0
-			for _, o := range eng.Occupancy() {
-				occ += o
-			}
-			if occ != eng.Len() {
-				t.Errorf("Σ Occupancy %d != Len %d", occ, eng.Len())
+			if u, n := eng.CapacityUnits(), eng.Len(); u != n {
+				t.Errorf("CapacityUnits %d != Len %d for capacity-1 workers", u, n)
 			}
 		})
 	}
@@ -303,13 +295,13 @@ func TestConcurrentChurnAcrossShardCounts(t *testing.T) {
 
 // TestLongBatchYieldsBetweenWindows races long batch-optimal batches with
 // every writer the engine has. A 700-task batch is three windows back to
-// back, each under its own all-shards lock session, so InsertCapEpoch,
+// back, each under its own hold of the engine's lock, so InsertCapEpoch,
 // AddCapacityEpoch, RemoveUnits and an epoch swap all land between the
 // windows of a batch in flight. Against a per-worker ledger it asserts, under
 // -race, that no unit of capacity is handed out twice, that no answer names
 // a worker whose removal had returned before the batch began, that the
 // quiesced engine holds exactly the units the ledger says, and that the
-// yield is real: some mutation held its shard lock while a batch had its
+// yield is real: some mutation held the lock while a batch had its
 // first window behind it and its last still ahead.
 //
 // Worker ids are renumbered by the swap (id = w + nWorkers in the second
@@ -422,8 +414,8 @@ func TestLongBatchYieldsBetweenWindows(t *testing.T) {
 				default:
 					locked = false
 				}
-				// A window is counted under every shard lock, so at the moment
-				// this mutation held its shard lock the count was exact — no
+				// A window is counted under the engine's lock, so at the moment
+				// this mutation held the lock the count was exact — no
 				// window in progress — and lay between the two readings. Every
 				// batch is three windows: if no multiple of three lies between
 				// the readings, some batch then had its first window behind it

@@ -58,20 +58,11 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Shards() < 1 {
-		t.Errorf("Shards = %d", e.Shards())
-	}
-	d := tree.Degree()
-	// Counts beyond the degree sub-shard by second digit: the engine rounds
-	// to a full degree×sub grid, capped at degree² (two digits of routing).
-	if e, _ := engine.New(tree, 10_000); e.Shards() != d*d {
-		t.Errorf("Shards = %d for an oversized request, want the degree² grid %d", e.Shards(), d*d)
-	}
-	if e, _ := engine.New(tree, d+1); e.Shards() != d {
-		t.Errorf("Shards = %d for degree+1, want round-down to %d", e.Shards(), d)
-	}
-	if e, _ := engine.New(tree, 3*d); e.Shards() != 3*d {
-		t.Errorf("Shards = %d, want the requested 3×degree grid %d", e.Shards(), 3*d)
+	// The shard count is ignored: any count serves the same one index.
+	for _, shards := range []int{-1, 1, tree.Degree() + 1, 10_000} {
+		if e2, err := engine.New(tree, shards); err != nil || e2.Epoch() != e.Epoch() {
+			t.Errorf("New(tree, %d) = %v, %v", shards, e2, err)
+		}
 	}
 }
 
@@ -93,13 +84,6 @@ func TestInsertRemoveLen(t *testing.T) {
 	}
 	if e.Len() != 2 {
 		t.Errorf("Len = %d", e.Len())
-	}
-	total := 0
-	for _, n := range e.Occupancy() {
-		total += n
-	}
-	if total != 2 {
-		t.Errorf("Occupancy sums to %d", total)
 	}
 	if !e.Remove(c0, 0) {
 		t.Error("Remove existing failed")
@@ -231,8 +215,7 @@ func TestAssignBatchMatchesSequential(t *testing.T) {
 
 func TestSinglePointTree(t *testing.T) {
 	// One predefined point: hst.Build clamps depth to 1 with a single
-	// branch, so the shard count clamps to the degree and every item sits
-	// on the query leaf (level 0).
+	// branch, so every item sits on the query leaf (level 0).
 	tree, err := hst.Build([]geo.Point{geo.Pt(1, 1)}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
@@ -240,9 +223,6 @@ func TestSinglePointTree(t *testing.T) {
 	e, err := engine.New(tree, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.Shards() != tree.Degree() {
-		t.Fatalf("Shards = %d, want clamp to degree %d", e.Shards(), tree.Degree())
 	}
 	code := tree.CodeOf(0)
 	for i := 0; i < 3; i++ {
@@ -327,5 +307,33 @@ func TestConcurrentAssignNoDoubleAssignment(t *testing.T) {
 	}
 	if e.Len() != 0 {
 		t.Errorf("Len = %d after draining", e.Len())
+	}
+}
+
+// TestShardStatsAccounting: the one row of counters must add up to the
+// serving traffic — every successful pop is one assign — and no task ever
+// falls back.
+func TestShardStatsAccounting(t *testing.T) {
+	tree := buildTree(t, 8, 6)
+	e, err := engine.New(tree, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(27)
+	const n = 120
+	for i := 0; i < n; i++ {
+		if err := e.Insert(randCode(tree, src), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assigned := 0
+	for i := 0; i < n+20; i++ {
+		if _, _, ok := e.Assign(randCode(tree, src)); ok {
+			assigned++
+		}
+	}
+	stats := e.ShardStats()
+	if len(stats) != 1 || stats[0].Assigns != int64(assigned) || stats[0].Fallbacks != 0 {
+		t.Fatalf("ShardStats = %+v, served %d", stats, assigned)
 	}
 }

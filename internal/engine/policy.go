@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,9 +11,9 @@ import (
 )
 
 // Policy is the pluggable assignment rule: it decides which available
-// worker serves each task, against the engine's sharded trie state. The
-// decision methods are unexported — implementations need the engine's
-// shard-locking internals, so policies live in this package and callers
+// worker serves each task, against the engine's index. The decision
+// methods are unexported — implementations need the engine's locking
+// internals, so policies live in this package and callers
 // select one with Greedy, CapacityGreedy, BatchOptimal, or PolicyByName.
 type Policy interface {
 	// Name identifies the policy in stats, reports, and flags.
@@ -75,17 +74,6 @@ func (p *greedyPolicy) assignWindow(e *Engine, codes []hst.Code) ([]int, []int) 
 // batch-optimal policy when no explicit k is configured.
 const DefaultBatchTopK = 8
 
-// parallelMineMin is the window size below which candidate mining stays
-// sequential: fanning goroutines across shards only pays once a window
-// carries enough probes to amortise the spawn cost. Measured crossover on
-// a multi-core host: at 8 shards the fan-out overhead (~2 µs of spawns and
-// a wait) is repaid somewhere between 8 and 32 probes, so 16 keeps the
-// mid-size windows that used to serialise on the parallel path without
-// ever paying fan-out on windows too small to amortise it. Mining also
-// never fans out under GOMAXPROCS=1 — goroutines without a second core are
-// pure scheduling overhead.
-const parallelMineMin = 16
-
 // batchOptimalPolicy serves each batch window as one restricted bipartite
 // matching: every task mines its top-k nearest candidates from the trie
 // (non-destructively, by arena ref — no code string ever materialises),
@@ -96,7 +84,7 @@ const parallelMineMin = 16
 // candidate), so only batch submissions pay the solve.
 //
 // The hot path is arena-backed end to end: all window scratch — candidate
-// regions, pad lists, the dedup table, the solver — lives in a pooled
+// regions, the dedup table, the solver — lives in a pooled
 // windowScratch that reaches its high-water mark after a few windows and
 // then serves steady state at single-digit allocations per window, and no
 // per-candidate or per-worker lookup on it goes through a hash map (the
@@ -108,12 +96,12 @@ const parallelMineMin = 16
 // state token the caller solves under, so a window for another epoch (or
 // another engine) always starts cold.
 //
-// The window rule itself — how short tasks are padded, which candidates
-// share a solver column, what an arc costs, what warm state carries over —
-// is stated once, in padWindow and buildAndSolve. The in-process path mines
-// into the scratch by arena ref and commits by ref; a cluster coordinator
-// loads lists its nodes mined through SolveMined and commits remotely.
-// Neither restates the rule.
+// The window rule itself — which candidates share a solver column, what an
+// arc costs, what warm state carries over — is stated once, in
+// buildAndSolve. The in-process path mines each task's k nearest into the
+// scratch by arena ref and commits by ref; a cluster coordinator merges the
+// lists its nodes mined into the same k nearest, loads them through
+// SolveMined and commits remotely. Neither restates the rule.
 type batchOptimalPolicy struct {
 	k    int
 	pool sync.Pool // *windowScratch
@@ -126,8 +114,8 @@ type batchOptimalPolicy struct {
 	// depend on its seed potentials, and scratch-resident warmth would make
 	// results depend on pool checkout order. warmMu guards the slab for the
 	// shared-policy case (one policy serving several engines); within one
-	// engine every access is already ordered by the windows' all-shards lock
-	// sessions. warmState pins the potentials to the state they were learned
+	// engine every access is already ordered by the engine's lock.
+	// warmState pins the potentials to the state they were learned
 	// under — an opaque token compared by identity (the engine passes its
 	// *epochState, a coordinator its own per-epoch state) — and any other
 	// state drops every page and starts cold.
@@ -168,32 +156,23 @@ func (p *batchOptimalPolicy) assignWindow(e *Engine, codes []hst.Code) ([]int, [
 		ids[i] = None
 	}
 	// A batch longer than BatchWindowSize is its windows back to back, each
-	// under its own all-shards lock session — exactly the outcome of
+	// under its own hold of the engine's lock — exactly the outcome of
 	// submitting the chunks as separate batches, and what a cluster
 	// coordinator does with the same batch. An empty batch is one (empty)
 	// window.
 	for lo := 0; lo == 0 || lo < len(codes); lo += BatchWindowSize {
 		hi := min(lo+BatchWindowSize, len(codes))
-		for !p.solveWindow(e, e.state.Load(), codes[lo:hi], ids[lo:hi], lvls[lo:hi]) {
-		}
+		p.solveWindow(e, codes[lo:hi], ids[lo:hi], lvls[lo:hi])
 	}
 	return ids, lvls
 }
 
 // refKey identifies one candidate across a window: the same worker mined
-// by several tasks (or padded in from a foreign shard) must collapse to
-// one solver column so its capacity is respected window-wide.
+// by several tasks must collapse to one solver column so its capacity is
+// respected window-wide.
 type refKey struct {
-	shard int32
-	node  int32
-	id    int32
-}
-
-// shardWorker is a deduplicated candidate: the shard owning it plus its
-// arena ref.
-type shardWorker struct {
-	shard int32
-	ref   hst.CandidateRef
+	node int32
+	id   int32
 }
 
 // windowScratch is the reusable arena behind one window solve. It lives in
@@ -202,35 +181,23 @@ type shardWorker struct {
 // reused without being cleared. Nothing in it carries meaning from one
 // window to the next: the warm-start seam is the policy's warm slab.
 type windowScratch struct {
-	valid      []int32            // positions of well-formed tasks in the window
-	taskShard  []int32            // own shard per valid task
-	shardOff   []int32            // per-shard offsets into shardTasks (len S+1)
-	shardTasks []int32            // valid-task positions grouped by own shard
-	cands      []hst.CandidateRef // per-task candidate regions, k slots each
-	candSh     []int32            // source shard per candidate slot
-	candCol    []int32            // solver column per candidate slot (set by buildAndSolve)
-	candCnt    []int32            // live candidates per task
-	padBuf     []hst.CandidateRef // per-shard smallest-k pad lists, k slots each
-	padLen     []int32            // live pads per shard (-1 = not yet built)
-	padHeads   []int32            // per-task pad merge cursors
-	dedup      dedupTable         // candidate → solver worker column
-	workers    []shardWorker      // unique candidates, first-seen order
-	arcLvl     []int32            // LCA level per solver arc
-	solver     *flow.Bipartite
-	wg         sync.WaitGroup
+	valid   []int32            // positions of well-formed tasks in the window
+	cands   []hst.CandidateRef // per-task candidate regions, k slots each
+	candCol []int32            // solver column per candidate slot (set by buildAndSolve)
+	candCnt []int32            // live candidates per task
+	dedup   dedupTable         // candidate → solver worker column
+	workers []hst.CandidateRef // unique candidates, first-seen order
+	arcLvl  []int32            // LCA level per solver arc
+	solver  *flow.Bipartite
 }
 
 // sizeFor grows the slabs the window kernel reads — per-task candidate
-// regions and per-shard pad lists — to a window of nt tasks over S shards
-// at pool k. Whoever loads the window (mineWindow, SolveMined) fills them.
-func (ws *windowScratch) sizeFor(nt, S, k int) {
-	ws.taskShard = growI32(ws.taskShard, nt)
+// regions — to a window of nt tasks at pool k. Whoever loads the window
+// (mineWindow, SolveMined) fills them.
+func (ws *windowScratch) sizeFor(nt, k int) {
 	ws.cands = growRef(ws.cands, nt*k)
-	ws.candSh = growI32(ws.candSh, nt*k)
 	ws.candCol = growI32(ws.candCol, nt*k)
 	ws.candCnt = growI32(ws.candCnt, nt)
-	ws.padBuf = growRef(ws.padBuf, S*k)
-	ws.padLen = growI32(ws.padLen, S)
 }
 
 func growI32(s []int32, n int) []int32 {
@@ -247,37 +214,29 @@ func growRef(s []hst.CandidateRef, n int) []hst.CandidateRef {
 	return s[:n]
 }
 
-// solveWindow serves one window under every shard lock (a window is a
-// global decision; per-shard locking cannot express it). It reports false
-// when an epoch swap won the lock race, in which case the caller retries
-// against the new state. The body is a straight-line composition of the
-// stage methods below.
-func (p *batchOptimalPolicy) solveWindow(e *Engine, st *epochState, codes []hst.Code, ids, lvls []int) bool {
-	st.lockAll()
-	defer st.unlockAll()
-	if e.state.Load() != st {
-		return false
-	}
-	// Counted inside the lock session: whoever holds a shard lock reads a
-	// count of whole windows, none in progress.
-	e.windows.n.Add(1)
+// solveWindow serves one window under one hold of the engine's lock (a
+// window is a global decision: it mines, solves and commits against one
+// pool). The body is a straight-line composition of the stage methods
+// below.
+func (p *batchOptimalPolicy) solveWindow(e *Engine, codes []hst.Code, ids, lvls []int) {
+	st := e.locked()
+	defer e.mu.Unlock()
+	// Counted inside the hold: whoever holds the lock reads a count of
+	// whole windows, none in progress.
+	e.windows.Add(1)
 
 	ws := p.pool.Get().(*windowScratch)
 	defer p.pool.Put(ws)
 	if p.mineWindow(ws, st, codes, ids, lvls) == 0 {
-		return true
+		return
 	}
-	p.padWindow(ws, st.layout, codes, st.smallestK)
 	p.buildAndSolve(ws, st)
 	p.commitWindow(ws, st, ids, lvls)
-	return true
 }
 
-// mineWindow admits the window's well-formed tasks, groups them by their
-// own shard, and mines each task's own-shard top-k candidates (one batch
-// per shard, fanned across goroutines for large windows). It returns the
-// number of tasks needing a solve — 0 when the window or the pool is
-// empty. Caller holds every shard lock.
+// mineWindow admits the window's well-formed tasks and mines each one's k
+// nearest candidates by arena ref. It returns the number of tasks needing
+// a solve — 0 when the window or the pool is empty. Caller holds the lock.
 func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes []hst.Code, ids, lvls []int) int {
 	// Valid tasks only; malformed codes answer None without touching state.
 	ws.valid = ws.valid[:0]
@@ -287,170 +246,16 @@ func (p *batchOptimalPolicy) mineWindow(ws *windowScratch, st *epochState, codes
 			ws.valid = append(ws.valid, int32(i))
 		}
 	}
-	pool := 0
-	for i := range st.shards {
-		pool += st.shards[i].index.Len()
-	}
-	nt, S := len(ws.valid), len(st.shards)
-	if nt == 0 || pool == 0 {
+	nt, k := len(ws.valid), p.k
+	if nt == 0 || st.index.Len() == 0 {
 		return 0
 	}
-	k := p.k
-	ws.sizeFor(nt, S, k)
-	for s := range ws.padLen {
-		ws.padLen[s] = -1 // unbuilt: padWindow fills lists on first need
-	}
-
-	// Group tasks by their own shard (every worker sharing the task's top
-	// branch lives there), so each shard's probes run as one batch.
-	ws.shardOff = growI32(ws.shardOff, S+1)
-	ws.shardTasks = growI32(ws.shardTasks, nt)
-	for i := range ws.shardOff {
-		ws.shardOff[i] = 0
-	}
+	ws.sizeFor(nt, k)
 	for ti, i := range ws.valid {
-		s := int32(st.layout.ShardIdx(codes[i]))
-		ws.taskShard[ti] = s
-		ws.shardOff[s+1]++
-	}
-	homes := 0 // shards at least one task is homed on
-	for s := 0; s < S; s++ {
-		if ws.shardOff[s+1] > 0 {
-			homes++
-		}
-		ws.shardOff[s+1] += ws.shardOff[s]
-	}
-	fill := ws.shardOff // reuse as cursors; restore below
-	for ti := range ws.taskShard {
-		s := ws.taskShard[ti]
-		ws.shardTasks[fill[s]] = int32(ti)
-		fill[s]++
-	}
-	for s := S; s > 0; s-- {
-		ws.shardOff[s] = ws.shardOff[s-1]
-	}
-	ws.shardOff[0] = 0
-
-	// Mine each task's own-shard top-k, one batch per shard. The probes
-	// are independent across shards — each touches only its shard's index
-	// (whose scratch buffers make NearestKRef exclusive per shard), and
-	// every shard lock is already held — so large windows fan out across
-	// goroutines, one per shard with tasks. A window homed on a single
-	// shard (a tree whose top level never splits homes every task on shard
-	// 0) has nothing to overlap: it mines inline instead of parking the
-	// caller behind one goroutine doing all the work.
-	mineShard := func(s int) {
-		for _, ti := range ws.shardTasks[ws.shardOff[s]:ws.shardOff[s+1]] {
-			code := codes[ws.valid[ti]]
-			region := ws.cands[int(ti)*k : int(ti)*k : (int(ti)+1)*k]
-			got := st.shards[s].index.NearestKRef(code, k, region)
-			ws.candCnt[ti] = int32(len(got))
-			for j := range got {
-				ws.candSh[int(ti)*k+j] = int32(s)
-			}
-		}
-	}
-	if nt >= parallelMineMin && homes > 1 && runtime.GOMAXPROCS(0) > 1 {
-		for s := 0; s < S; s++ {
-			if ws.shardOff[s] == ws.shardOff[s+1] {
-				continue
-			}
-			ws.wg.Add(1)
-			go func(s int) {
-				defer ws.wg.Done()
-				mineShard(s)
-			}(s)
-		}
-		ws.wg.Wait()
-	} else {
-		for s := 0; s < S; s++ {
-			mineShard(s)
-		}
+		region := ws.cands[ti*k : ti*k : (ti+1)*k]
+		ws.candCnt[ti] = int32(len(st.index.NearestKRef(codes[i], k, region)))
 	}
 	return nt
-}
-
-// smallestK is the in-process pad source: shard s's smallest-k list, stamped
-// at the root level, read off the live trie.
-func (st *epochState) smallestK(s, k int, out []hst.CandidateRef) []hst.CandidateRef {
-	return st.shards[s].index.SmallestKRef(k, st.layout.Depth, out)
-}
-
-// padWindow tops up tasks whose own shard mined fewer than k candidates
-// with cross-shard pads. It is the first stage of the window kernel and
-// reads only the scratch and the shard geometry: pad lists still unbuilt
-// (padLen < 0) are pulled from lazyPad on first need, which the in-process
-// path points at the live tries — so it runs under every shard lock — and
-// a coordinator never needs, having loaded every list its nodes mined.
-func (p *batchOptimalPolicy) padWindow(ws *windowScratch, l Layout, codes []hst.Code,
-	lazyPad func(s, k int, out []hst.CandidateRef) []hst.CandidateRef) {
-	nt, S, k := len(ws.valid), l.Shards, p.k
-
-	// Pad tasks whose own shard ran short with the smallest-id workers
-	// from the other shards. Under plain sharding every foreign worker sits
-	// at the maximal LCA level and they are all equidistant; under
-	// sub-sharding the sibling sub-shards of the task's top branch are one
-	// level closer (depth−1: they hold exactly the workers sharing the
-	// task's first digit), so the merge ranks pads by (level, id), sibling
-	// groups first, and restamps their level. Instead of snapshotting whole
-	// shards, each foreign shard contributes a keep-k list (a task needs at
-	// most k pads even if one shard supplies them all), built at most once
-	// per window and merge-scanned per task — no padded rows ever
-	// materialise.
-	if S > 1 {
-		ws.padHeads = growI32(ws.padHeads, S)
-		for ti := 0; ti < nt; ti++ {
-			need := k - int(ws.candCnt[ti])
-			if need <= 0 {
-				continue
-			}
-			own := ws.taskShard[ti]
-			q0 := -1
-			if l.Sub > 1 {
-				q0 = int(codes[ws.valid[ti]][0])
-			}
-			padLvl := func(s int) int32 {
-				if q0 >= 0 && s%l.Degree == q0 {
-					return int32(l.Depth - 1)
-				}
-				return int32(l.Depth)
-			}
-			for s := 0; s < S; s++ {
-				ws.padHeads[s] = 0
-				if ws.padLen[s] < 0 && int32(s) != own {
-					region := ws.padBuf[s*k : s*k : (s+1)*k]
-					ws.padLen[s] = int32(len(lazyPad(s, k, region)))
-				}
-			}
-			region := ws.cands[int(ti)*k : int(ti)*k+int(ws.candCnt[ti]) : (int(ti)+1)*k]
-			for ; need > 0; need-- {
-				best := -1
-				for s := 0; s < S; s++ {
-					if int32(s) == own || ws.padHeads[s] >= ws.padLen[s] {
-						continue
-					}
-					if best < 0 {
-						best = s
-						continue
-					}
-					ls, lb := padLvl(s), padLvl(best)
-					if ls < lb || (ls == lb &&
-						ws.padBuf[s*k+int(ws.padHeads[s])].ID < ws.padBuf[best*k+int(ws.padHeads[best])].ID) {
-						best = s
-					}
-				}
-				if best < 0 {
-					break
-				}
-				c := ws.padBuf[best*k+int(ws.padHeads[best])]
-				c.Level = padLvl(best)
-				ws.candSh[int(ti)*k+len(region)] = int32(best)
-				region = append(region, c)
-				ws.padHeads[best]++
-			}
-			ws.candCnt[ti] = int32(len(region))
-		}
-	}
 }
 
 // buildAndSolve is the rest of the window kernel: it deduplicates
@@ -469,10 +274,9 @@ func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, state any) {
 	for ti := 0; ti < nt; ti++ {
 		for j := 0; j < int(ws.candCnt[ti]); j++ {
 			c := ws.cands[ti*k+j]
-			key := refKey{shard: ws.candSh[ti*k+j], node: c.Node, id: c.ID}
-			col, fresh := ws.dedup.column(key, int32(len(ws.workers)))
+			col, fresh := ws.dedup.column(refKey{node: c.Node, id: c.ID}, int32(len(ws.workers)))
 			if fresh {
-				ws.workers = append(ws.workers, shardWorker{shard: key.shard, ref: c})
+				ws.workers = append(ws.workers, c)
 			}
 			ws.candCol[ti*k+j] = col // the arc pass below reads it back
 		}
@@ -484,8 +288,8 @@ func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, state any) {
 		p.warm.drop()
 		p.warmState = state
 	}
-	for w, sw := range ws.workers {
-		sol.SetWorker(w, int(sw.ref.Cap), p.warm.get(sw.ref.ID))
+	for w, c := range ws.workers {
+		sol.SetWorker(w, int(c.Cap), p.warm.get(c.ID))
 	}
 	p.warmMu.Unlock()
 	for ti := 0; ti < nt; ti++ {
@@ -504,28 +308,28 @@ func (p *batchOptimalPolicy) buildAndSolve(ws *windowScratch, state any) {
 	sol.Run()
 	p.warmMu.Lock()
 	if p.warmState == state {
-		for w, sw := range ws.workers {
-			p.warm.set(sw.ref.ID, sol.WorkerPot(w))
+		for w, c := range ws.workers {
+			p.warm.set(c.ID, sol.WorkerPot(w))
 		}
 	}
 	p.warmMu.Unlock()
 }
 
 // SolveMined is the window kernel's entry for a cluster coordinator, whose
-// candidates were mined on other processes: it runs pad, dedup, build,
-// solve and bank-potentials over code-addressed lists and returns each
-// task's matched worker — its id and leaf code for the remote commit and
-// the LCA level of the match, ID None for an unmatched task. codes are the
-// window's well-formed tasks in order, own[i] task i's own-shard nearest-k
-// list, pads[s] shard s's smallest-k list (len(pads) == l.Shards). Lists
-// must already be validated: at most TopK entries each, ids and capacities
-// within int32, levels within [0, l.Depth]. state is the warm-start token
-// (see warmState). Together with TopK — the pool every node mines with —
-// it is all a coordinator needs of the policy.
-func (p *batchOptimalPolicy) SolveMined(state any, l Layout, codes []hst.Code, own, pads [][]hst.Candidate) []hst.Candidate {
+// candidates were mined on other processes: it runs dedup, build, solve
+// and bank-potentials over code-addressed lists and returns each task's
+// matched worker — its id and leaf code for the remote commit and the LCA
+// level of the match, ID None for an unmatched task. lists[i] is the i-th
+// well-formed task's k nearest candidates cluster-wide, in (level, id)
+// order, exactly what NearestKRef answers on one index. Lists must already
+// be validated: at most TopK entries each, ids and capacities within
+// int32, levels the tree has. state is the warm-start token (see
+// warmState). Together with TopK — the pool every node mines with — it is
+// all a coordinator needs of the policy.
+func (p *batchOptimalPolicy) SolveMined(state any, lists [][]hst.Candidate) []hst.Candidate {
 	ws := p.pool.Get().(*windowScratch)
 	defer p.pool.Put(ws)
-	nt, S, k := len(codes), l.Shards, p.k
+	nt, k := len(lists), p.k
 
 	// A worker is one (leaf, id) pair however many lists carry it; its
 	// position in the table of distinct workers stands in for the arena
@@ -533,41 +337,29 @@ func (p *batchOptimalPolicy) SolveMined(state any, l Layout, codes []hst.Code, o
 	// the in-process one.
 	var table []hst.Candidate
 	seen := map[hst.Candidate]int32{}
-	ref := func(c hst.Candidate) hst.CandidateRef {
-		key := hst.Candidate{ID: c.ID, Code: c.Code}
-		n, ok := seen[key]
-		if !ok {
-			n = int32(len(table))
-			seen[key] = n
-			table = append(table, c)
-		}
-		return hst.CandidateRef{ID: int32(c.ID), Node: n, Level: int32(c.Level), Cap: int32(c.Cap)}
-	}
 	ws.valid = ws.valid[:0]
-	ws.sizeFor(nt, S, k)
-	for ti, code := range codes {
-		s := int32(l.ShardIdx(code))
+	ws.sizeFor(nt, k)
+	for ti, list := range lists {
 		ws.valid = append(ws.valid, int32(ti))
-		ws.taskShard[ti] = s
-		ws.candCnt[ti] = int32(len(own[ti]))
-		for j, c := range own[ti] {
-			ws.cands[ti*k+j], ws.candSh[ti*k+j] = ref(c), s
+		ws.candCnt[ti] = int32(len(list))
+		for j, c := range list {
+			key := hst.Candidate{ID: c.ID, Code: c.Code}
+			n, ok := seen[key]
+			if !ok {
+				n = int32(len(table))
+				seen[key] = n
+				table = append(table, c)
+			}
+			ws.cands[ti*k+j] = hst.CandidateRef{ID: int32(c.ID), Node: n, Level: int32(c.Level), Cap: int32(c.Cap)}
 		}
 	}
-	for s := range ws.padLen {
-		ws.padLen[s] = int32(len(pads[s]))
-		for h, c := range pads[s] {
-			ws.padBuf[s*k+h] = ref(c)
-		}
-	}
-	p.padWindow(ws, l, codes, nil)
 	p.buildAndSolve(ws, state)
 
 	matched := make([]hst.Candidate, nt)
 	for ti := range matched {
 		matched[ti].ID = None
 		if a := ws.solver.MatchedArc(ti); a >= 0 {
-			matched[ti] = table[ws.workers[ws.solver.MatchedWorker(ti)].ref.Node]
+			matched[ti] = table[ws.workers[ws.solver.MatchedWorker(ti)].Node]
 			matched[ti].Level = int(ws.arcLvl[a])
 		}
 	}
@@ -575,9 +367,8 @@ func (p *batchOptimalPolicy) SolveMined(state any, l Layout, codes []hst.Code, o
 }
 
 // commitWindow consumes one capacity unit per matched arc and stamps the
-// window's answers. Caller holds every shard lock and has held them since
-// the mine that produced these refs, so a missing candidate is a bug, not
-// a race.
+// window's answers. Caller holds the lock and has held it since the mine
+// that produced these refs, so a missing candidate is a bug, not a race.
 func (p *batchOptimalPolicy) commitWindow(ws *windowScratch, st *epochState, ids, lvls []int) {
 	sol := ws.solver
 	for ti, i := range ws.valid {
@@ -585,14 +376,14 @@ func (p *batchOptimalPolicy) commitWindow(ws *windowScratch, st *epochState, ids
 		if a < 0 {
 			continue
 		}
-		sw := ws.workers[sol.MatchedWorker(ti)]
-		if !st.shards[sw.shard].index.ConsumeRef(sw.ref) {
-			// Unreachable: the candidate was mined under the same locks
-			// the commit holds. Surfacing beats silently double-booking.
-			panic(fmt.Sprintf("engine: batch-optimal commit lost candidate %d", sw.ref.ID))
+		c := ws.workers[sol.MatchedWorker(ti)]
+		if !st.index.ConsumeRef(c) {
+			// Unreachable: the candidate was mined under the same hold
+			// the commit runs in. Surfacing beats silently double-booking.
+			panic(fmt.Sprintf("engine: batch-optimal commit lost candidate %d", c.ID))
 		}
-		st.shards[sw.shard].assigns++
-		ids[i], lvls[i] = int(sw.ref.ID), int(ws.arcLvl[a])
+		st.assigns++
+		ids[i], lvls[i] = int(c.ID), int(ws.arcLvl[a])
 	}
 }
 

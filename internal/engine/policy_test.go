@@ -302,19 +302,15 @@ func TestBatchOptimalAvoidsGreedySteal(t *testing.T) {
 	}
 }
 
-// TestBatchOptimalPadsAcrossShards: tasks whose own shard is empty must
-// still be served, from the cross-shard pad pool, smallest ids first.
+// TestBatchOptimalPadsAcrossShards: tasks whose top branch holds no worker
+// must still be served, at the root level, smallest ids first.
 func TestBatchOptimalPadsAcrossShards(t *testing.T) {
 	tree := buildTree(t, 16, 16)
 	e, err := engine.NewWithOptions(tree, 8, engine.WithPolicy(engine.BatchOptimal(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All workers in top branch 1; all tasks in top branch 0 (different
-	// shard as long as the engine kept ≥ 2 shards).
-	if e.Shards() < 2 {
-		t.Skip("tree degree clamped the engine to one shard")
-	}
+	// All workers in top branch 1; all tasks in top branch 0.
 	wcode := []byte(tree.CodeOf(0))
 	wcode[0] = 1
 	for id := 0; id < 4; id++ {

@@ -96,10 +96,9 @@ func (t *dedupTable) column(key refKey, next int32) (col int32, fresh bool) {
 	}
 }
 
-// hash mixes the three fields into 32 well-spread bits (Fibonacci hashing
+// hash mixes the two fields into 32 well-spread bits (Fibonacci hashing
 // of the packed key; the table masks the low bits off the product's top).
 func (k refKey) hash() uint32 {
-	h := uint64(uint32(k.node))<<32 | uint64(uint32(k.id))
-	h = (h ^ uint64(uint32(k.shard))<<17) * 0x9E3779B97F4A7C15
+	h := (uint64(uint32(k.node))<<32 | uint64(uint32(k.id))) * 0x9E3779B97F4A7C15
 	return uint32(h >> 32)
 }

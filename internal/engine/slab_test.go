@@ -37,7 +37,7 @@ func dedupWindow(t *testing.T, tb *dedupTable, keys []refKey) {
 
 func TestDedupTable(t *testing.T) {
 	var tb dedupTable
-	a := refKey{shard: 1, node: 2, id: 3}
+	a := refKey{node: 2, id: 3}
 	tb.reset(4)
 	if col, fresh := tb.column(a, 0); col != 0 || !fresh {
 		t.Fatalf("first sight = (%d,%v)", col, fresh)
@@ -46,7 +46,7 @@ func TestDedupTable(t *testing.T) {
 		t.Fatalf("second sight = (%d,%v), want the recorded column", col, fresh)
 	}
 	// Every field is part of the identity.
-	for i, k := range []refKey{{2, 2, 3}, {1, 3, 3}, {1, 2, 4}} {
+	for i, k := range []refKey{{3, 3}, {2, 4}} {
 		if col, fresh := tb.column(k, int32(i+1)); col != int32(i+1) || !fresh {
 			t.Fatalf("%+v collapsed into another key's column %d", k, col)
 		}
@@ -61,7 +61,7 @@ func TestDedupTable(t *testing.T) {
 	// window must all resolve through the probe chain, wrap-around included.
 	var clash []refKey
 	for id := int32(0); len(clash) < 8; id++ {
-		if k := (refKey{shard: 0, node: 40, id: id}); k.hash()&15 == 13 {
+		if k := (refKey{node: 40, id: id}); k.hash()&15 == 13 {
 			clash = append(clash, k)
 		}
 	}
@@ -78,7 +78,7 @@ func TestDedupTableDifferential(t *testing.T) {
 	window := func(n, space int) []refKey {
 		keys := make([]refKey, n)
 		for i := range keys {
-			keys[i] = refKey{shard: int32(src.Intn(8)), node: int32(src.Intn(space)), id: int32(src.Intn(space))}
+			keys[i] = refKey{node: int32(src.Intn(8 * space)), id: int32(src.Intn(space))}
 		}
 		return keys
 	}
@@ -125,7 +125,7 @@ func FuzzDedupTable(f *testing.F) {
 			tape = tape[2:]
 			keys := make([]refKey, 0, n)
 			for ; n > 0 && len(tape) >= 3; n-- {
-				keys = append(keys, refKey{shard: int32(tape[0]) % 4, node: int32(tape[1]) % space, id: int32(tape[2]) % space})
+				keys = append(keys, refKey{node: (int32(tape[0])%4<<8 | int32(tape[1])) % space, id: int32(tape[2]) % space})
 				tape = tape[3:]
 			}
 			dedupWindow(t, &tb, keys)
@@ -173,16 +173,13 @@ func TestWarmSlab(t *testing.T) {
 }
 
 // loadWindow fills a scratch the way a miner would: task ti's candidates
-// are lists[ti], all from shard 0.
+// are lists[ti].
 func loadWindow(p *batchOptimalPolicy, ws *windowScratch, lists [][]hst.CandidateRef) {
 	ws.valid = ws.valid[:0]
-	ws.sizeFor(len(lists), 1, p.k)
+	ws.sizeFor(len(lists), p.k)
 	for ti, l := range lists {
 		ws.valid = append(ws.valid, int32(ti))
 		ws.candCnt[ti] = int32(copy(ws.cands[ti*p.k:(ti+1)*p.k], l))
-		for j := range l {
-			ws.candSh[ti*p.k+j] = 0
-		}
 	}
 }
 
@@ -211,12 +208,12 @@ func TestWarmPotentialsPerState(t *testing.T) {
 	p.buildAndSolve(ws, stateA)
 	moved := false
 	banked := map[int32]float64{}
-	for w, sw := range ws.workers {
+	for w, c := range ws.workers {
 		pot := ws.solver.WorkerPot(w)
-		banked[sw.ref.ID] = pot
+		banked[c.ID] = pot
 		moved = moved || pot != 0
-		if got := p.warm.get(sw.ref.ID); got != pot {
-			t.Fatalf("worker %d banked %v, solver closed at %v", sw.ref.ID, got, pot)
+		if got := p.warm.get(c.ID); got != pot {
+			t.Fatalf("worker %d banked %v, solver closed at %v", c.ID, got, pot)
 		}
 	}
 	if len(banked) != len(ids) || !moved {

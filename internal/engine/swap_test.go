@@ -235,18 +235,14 @@ func TestConcurrentSwapBarrier(t *testing.T) {
 		t.Errorf("observed epoch %d beyond the last rotation %d", got, FirstEpoch+rotations)
 	}
 	// Quiesced: the index holds only codes valid for the final tree, and
-	// occupancy bookkeeping is intact.
+	// its bookkeeping is intact.
 	final := eng.Tree()
 	eng.Walk(func(code hst.Code, id int) {
 		if err := final.CheckCode(code); err != nil {
 			t.Errorf("worker %d holds a cross-epoch code: %v", id, err)
 		}
 	})
-	occ := 0
-	for _, o := range eng.Occupancy() {
-		occ += o
-	}
-	if occ != eng.Len() {
-		t.Errorf("Σ Occupancy %d != Len %d after swaps", occ, eng.Len())
+	if u, n := eng.CapacityUnits(), eng.Len(); u != n {
+		t.Errorf("CapacityUnits %d != Len %d for capacity-1 workers after swaps", u, n)
 	}
 }

@@ -24,28 +24,23 @@ import (
 // SwapEpoch builds the full next-epoch population beside the live one,
 // doubling peak memory exactly when a deployment is largest. SwapEpochSeq
 // instead validates every insert in a first pass while the old epoch keeps
-// serving, then freezes serving under every old shard lock, releases the
-// old epoch's trie arenas, and builds the new population in their place —
-// peak extra memory is one shard's build-in-progress, not a second copy of
-// the population (TestSwapEpochSeqPeak holds it under 1× the arenas on
-// every push). The trade is a serving pause for the length of the build;
-// callers that need the old epoch serving throughout (the cluster's
-// two-phase prepare) use PrepareSwapSeq + CommitSwap.
+// serving, then freezes serving under the engine's lock, releases the old
+// epoch's trie arenas, and builds the new population in their place —
+// peak extra memory is the build in progress, not a second copy of the
+// population (TestSwapEpochSeqPeak holds it under 1× the arenas on every
+// push). The trade is a serving pause for the length of the build; callers
+// that need the old epoch serving throughout (the cluster's two-phase
+// prepare) use PrepareSwapSeq + CommitSwap. The shard count is ignored, as
+// New's is.
 //
 // Failures every materialized swap can report — stale epoch, nil tree,
 // malformed codes, out-of-range ids or capacities — are caught in the
 // validation pass and returned with the old epoch untouched, and so is a
-// population no shard's index could hold (hst.ErrIndexFull): the pass counts
-// the run shard by shard and asks the index whether that many items fit
-// whatever their codes. A second-pass insert failure is therefore a bug with
-// the old population torn down: it panics rather than serve half an epoch.
-//
-// Readers racing the swap (Len, Occupancy, Walk — monitoring surfaces
-// documented as needing quiesced writers) that loaded the old state before
-// the freeze may observe it empty afterwards; mutators re-check the state
-// pointer under their shard lock and retry on the new epoch, exactly as
-// with SwapEpoch.
-func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(EpochInsert) bool)) error {
+// population the index could not hold (hst.ErrIndexFull): the pass counts
+// the inserts and asks the index whether that many items fit whatever their
+// codes. A second-pass insert failure is therefore a bug with the old
+// population torn down: it panics rather than serve half an epoch.
+func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, _ int, seq func(yield func(EpochInsert) bool)) error {
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
 	if tree == nil {
@@ -55,51 +50,35 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 	if epoch <= old.epoch {
 		return fmt.Errorf("engine: swap to epoch %d, already serving %d", epoch, old.epoch)
 	}
-	if shards <= 0 {
-		shards = len(old.shards)
-	}
 	var verr error
-	layout := LayoutFor(tree, shards)
-	run := make([]int, layout.Shards)
+	n := 0
 	seq(func(in EpochInsert) bool {
 		if verr = checkEpochInsert(tree, in, e.effCap(in.Cap)); verr == nil {
-			run[layout.ShardIdx(in.Code)]++
+			n++
 		}
 		return verr == nil
 	})
 	if verr != nil {
 		return verr
 	}
-	probe := hst.NewLeafIndexDegree(layout.Depth, layout.Degree)
-	for i, n := range run {
-		if err := probe.Fits(n); err != nil {
-			return fmt.Errorf("engine: swap to epoch %d, shard %d: %w", epoch, i, err)
-		}
+	if err := hst.NewLeafIndexDegree(tree.Depth(), tree.Degree()).Fits(n); err != nil {
+		return fmt.Errorf("engine: swap to epoch %d: %w", epoch, err)
 	}
 	// Freeze the old epoch and return its arenas to the allocator before
-	// the new population grows: each old shard keeps a well-formed (empty)
-	// index so a stale monitoring read stays safe, while the slabs behind
-	// it become garbage.
-	old.lockAll()
-	// The old arenas' entry counts size the new slabs (items need none: they
+	// the new population grows. Every reader of the index loads the state
+	// under the lock, so none sees the old state again once the new one is
+	// stored below.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	// The old arena's entry counts size the new slabs (items need none: they
 	// go on pages, never copied). Across a rotation the population is the
-	// same workers re-obfuscated, so per-shard sizes are stationary and the
-	// old shard's counts (plus slack for drift) let the build fill each slab
-	// in one allocation instead of climbing the append doubling ladder,
-	// whose dead half-size slabs would themselves peak at a population's
-	// worth of garbage. A changed shard count redistributes the population,
-	// so only the per-shard average remains as a hint.
-	type arenaHint struct{ nodes, buckets, chunks int }
-	hints := make([]arenaHint, len(old.shards))
-	var total arenaHint
-	for i := range old.shards {
-		n, b, c := old.shards[i].index.ArenaLens()
-		hints[i] = arenaHint{n, b, c}
-		total.nodes += n
-		total.buckets += b
-		total.chunks += c
-		old.shards[i].index = hst.NewLeafIndexDegree(old.layout.Depth, old.layout.Degree)
-	}
+	// same workers re-obfuscated, so the sizes are stationary and the old
+	// counts (plus slack for drift) let the build fill each slab in one
+	// allocation instead of climbing the append doubling ladder, whose dead
+	// half-size slabs would themselves peak at a population's worth of
+	// garbage.
+	nodes, buckets, chunks := old.index.ArenaLens()
+	old.index = nil
 	// Collect the released arenas before the build starts. Without this the
 	// pacer is free to let the old population sit as garbage while the new
 	// one allocates beside it — exactly the doubled peak this path exists
@@ -107,23 +86,16 @@ func (e *Engine) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(
 	// includes the old population, so the collection is cheap relative to
 	// the build it precedes.
 	runtime.GC()
-	st := newEpochState(epoch, tree, shards)
+	st := newEpochState(epoch, tree)
 	slack := func(n int) int { return n + n/8 }
-	for i := range st.shards {
-		h := arenaHint{total.nodes / len(st.shards), total.buckets / len(st.shards), total.chunks / len(st.shards)}
-		if len(st.shards) == len(old.shards) {
-			h = hints[i]
-		}
-		st.shards[i].index.Reserve(slack(h.nodes), slack(h.buckets), slack(h.chunks))
-	}
+	st.index.Reserve(slack(nodes), slack(buckets), slack(chunks))
 	seq(func(in EpochInsert) bool {
-		if err := st.shardOf(in.Code).index.InsertCap(in.Code, in.ID, e.effCap(in.Cap)); err != nil {
+		if err := st.index.InsertCap(in.Code, in.ID, e.effCap(in.Cap)); err != nil {
 			panic(fmt.Sprintf("engine: swap epoch %d insert %d failed after validation: %v", epoch, in.ID, err))
 		}
 		return true
 	})
 	e.state.Store(st)
-	old.unlockAll()
 	return nil
 }
 
@@ -144,18 +116,10 @@ func checkEpochInsert(tree *hst.Tree, in EpochInsert, capacity int) error {
 }
 
 // ArenaBytes returns the bytes the serving epoch's trie arenas currently
-// reserve across all shards — the engine's structural contribution to a
-// bytes-per-worker accounting (slot tables, scratch, and allocator overhead
-// excluded). Taken shard by shard under each shard lock; like every
-// monitoring surface it is exact only with writers quiesced.
+// reserve — the engine's structural contribution to a bytes-per-worker
+// accounting (slot tables, scratch, and allocator overhead excluded).
 func (e *Engine) ArenaBytes() int64 {
-	st := e.state.Load()
-	var b int64
-	for i := range st.shards {
-		s := &st.shards[i]
-		s.mu.Lock()
-		b += s.index.ArenaBytes()
-		s.mu.Unlock()
-	}
-	return b
+	st := e.locked()
+	defer e.mu.Unlock()
+	return st.index.ArenaBytes()
 }

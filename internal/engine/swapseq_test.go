@@ -213,7 +213,7 @@ func TestPrepareSwapSeq(t *testing.T) {
 
 	// Decode-error abort.
 	i := 0
-	_, err = eng.PrepareSwapSeq(2, tree2, 0, func() (EpochInsert, bool, error) {
+	_, err = eng.PrepareSwapSeq(2, tree2, func() (EpochInsert, bool, error) {
 		if i >= 20 {
 			return EpochInsert{}, false, fmt.Errorf("wire decode failed")
 		}
@@ -230,7 +230,7 @@ func TestPrepareSwapSeq(t *testing.T) {
 
 	// Full stream, then commit.
 	i = 0
-	p, err := eng.PrepareSwapSeq(2, tree2, 0, func() (EpochInsert, bool, error) {
+	p, err := eng.PrepareSwapSeq(2, tree2, func() (EpochInsert, bool, error) {
 		if i >= len(inserts) {
 			return EpochInsert{}, false, nil
 		}

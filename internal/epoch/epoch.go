@@ -21,7 +21,7 @@
 //     (engine.SwapEpoch), charges every rotated worker's report (Charge)
 //     and the controller advances its epoch counter.
 //
-// The controller is deliberately engine-agnostic: the sharded engine and
+// The controller is deliberately engine-agnostic: the engine and
 // the platform server both drive it, applying the plan's outcomes to their
 // own id spaces (engine ids, platform slots). The same split holds for the
 // lifetime-ε ledger: each worker's running spend is a cell in its owner's

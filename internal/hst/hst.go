@@ -155,8 +155,9 @@ func (t *Tree) TotalLeaves() float64 {
 	return math.Pow(float64(t.degree), float64(t.depth))
 }
 
-// validCode reports whether c is a well-formed leaf code for this tree.
-func (t *Tree) validCode(c Code) bool {
+// ValidCode reports whether c is a well-formed leaf code for this tree:
+// CheckCode without the error, for a loop that only skips what is malformed.
+func (t *Tree) ValidCode(c Code) bool {
 	if len(c) != t.depth {
 		return false
 	}
@@ -170,7 +171,7 @@ func (t *Tree) validCode(c Code) bool {
 
 // CheckCode returns an error when c is not a well-formed leaf code.
 func (t *Tree) CheckCode(c Code) error {
-	if !t.validCode(c) {
+	if !t.ValidCode(c) {
 		return fmt.Errorf("hst: invalid leaf code %q for tree with D=%d c=%d", string(c), t.depth, t.degree)
 	}
 	return nil

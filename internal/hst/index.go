@@ -67,8 +67,8 @@ import (
 // Units counts remaining capacity.
 //
 // Like its map-based predecessor, LeafIndex is not safe for concurrent use;
-// callers serialise access (the sharded engine drives one index per shard
-// under that shard's lock, which also makes the shared scratch safe).
+// callers serialise access (the engine drives its index under its one lock,
+// which also makes the shared scratch safe).
 type LeafIndex struct {
 	depth  int
 	width  int  // child-block width: the tree degree, 256 when unknown
@@ -316,9 +316,10 @@ func (x *LeafIndex) Units() int { return x.units }
 // no item: it packs as 0 and sets, in force, the lowest bit of its field, so
 // that (suffix XOR query) | force never reads as agreeing that deep.
 func (x *LeafIndex) pack(code Code) (sfx, force uint32) {
-	for j := x.bdepth; j < x.depth; j++ {
-		sfx, force = sfx<<x.bits, force<<x.bits
-		if d := int(code[j]); d < x.width {
+	b, w := x.bits, x.width
+	for _, d := range []byte(code[x.bdepth:x.depth]) {
+		sfx, force = sfx<<b, force<<b
+		if int(d) < w {
 			sfx |= uint32(d)
 		} else if force == 0 {
 			force = 1
@@ -874,7 +875,7 @@ func (x *LeafIndex) Nearest(code Code) (id, lcaLevel int, ok bool) {
 }
 
 // MinID returns the smallest live item id (ok false when the index is empty):
-// what the engine breaks cross-shard ties with, as Alg. 4's scan does.
+// what a cluster's root tier breaks ties with, as Alg. 4's scan does.
 func (x *LeafIndex) MinID() (int, bool) {
 	if x.size == 0 {
 		return 0, false
@@ -933,17 +934,16 @@ func (x *LeafIndex) PopNearest(code Code) (id, lcaLevel int, ok bool) {
 
 // PopNearestWithin is PopNearest restricted to candidates whose LCA with
 // the query sits at level ≤ maxLevel: when even the nearest item is farther,
-// nothing is removed and ok is false (lcaLevel still reports its level). The
-// sharded engine uses it to detect when a query must search across shards.
+// nothing is removed and ok is false (lcaLevel still reports its level). A
+// cluster node uses it to leave the root tier to its coordinator.
 func (x *LeafIndex) PopNearestWithin(code Code, maxLevel int) (id, lcaLevel int, ok bool) {
 	return x.PopNearestWithinCode(code, maxLevel, nil)
 }
 
 // PopNearestWithinCode is PopNearestWithin that additionally writes the
-// popped item's leaf code into dst[:depth]. The batch engine's speculative
-// shard-parallel path records it as an undo token: the (code, id) pair is
-// what AddCap/InsertCap need to put the consumed unit back when a fallback
-// pass rewinds a shard. dst is written only on a successful pop.
+// popped item's leaf code into dst[:depth]: with the id, what AddCap and
+// InsertCap need to put the consumed unit back. dst is written only on a
+// successful pop.
 func (x *LeafIndex) PopNearestWithinCode(code Code, maxLevel int, dst []byte) (id, lcaLevel int, ok bool) {
 	if x.size == 0 || len(code) != x.depth || (dst != nil && len(dst) < x.depth) {
 		return 0, 0, false

@@ -52,9 +52,9 @@ func (x *LeafIndex) NearestKRef(code Code, k int, out []CandidateRef) []Candidat
 
 // SmallestKRef appends to out the (up to) k smallest-id items of the whole
 // index, stamped with the given LCA level (ties between equal ids break by
-// leaf code). The engine's batch policy uses it to pad a task's candidate
-// pool from foreign shards, where every worker sits at the maximal level
-// and only the id order matters.
+// leaf code). A cluster node mines it as its pad list: to a task homed on
+// another node every worker here sits at the maximal level, and only the id
+// order matters.
 func (x *LeafIndex) SmallestKRef(k, level int, out []CandidateRef) []CandidateRef {
 	if x.size == 0 || k <= 0 {
 		return out
@@ -84,7 +84,7 @@ func (x *LeafIndex) slotOfRef(ref CandidateRef) (bi, s int32, ok bool) {
 // fold buckets, which a ref follows, but an insert can burst or reuse them;
 // a stale or foreign ref returns false or lands on whatever item of that id
 // and suffix the bucket now holds, so callers own that exclusion — the
-// engine holds every shard lock from mine to commit.
+// engine holds its lock from mine to commit.
 func (x *LeafIndex) ConsumeRef(ref CandidateRef) bool {
 	bi, s, ok := x.slotOfRef(ref)
 	if !ok {

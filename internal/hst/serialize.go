@@ -78,7 +78,7 @@ func (p *Published) Tree() (*Tree, error) {
 	}
 	for i, raw := range p.Codes {
 		c := Code(raw)
-		if !t.validCode(c) {
+		if !t.ValidCode(c) {
 			return nil, fmt.Errorf("hst: published code %d malformed", i)
 		}
 		if prev, dup := t.byCode[c]; dup {

@@ -28,7 +28,7 @@ func stressScale(base int) int {
 // assignment event hands out a worker that is not currently held) and that
 // the counters are consistent once the storm settles.
 func TestServerConcurrentStress(t *testing.T) {
-	s, err := NewServer(workload.SyntheticRegion, 8, 8, 0.6, 42, WithShards(4))
+	s, err := NewServer(workload.SyntheticRegion, 8, 8, 0.6, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

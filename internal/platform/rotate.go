@@ -18,7 +18,7 @@ import (
 //     workers for client-side re-obfuscation.
 //  2. Rotate commits: each listed fresh report is checked against its
 //     worker's lifetime budget (exhausted workers are parked), the next
-//     epoch's slot table is built from 0, the engine's shard set is
+//     epoch's slot table is built from 0, the engine's index is
 //     swapped atomically, and table and epoch flip together. Available
 //     workers without a fresh report are dropped (their old codes are
 //     meaningless under the new tree; they may register back later). Busy
@@ -125,7 +125,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 				continue // rotates or parks below, in report order
 			}
 			// No usable report: dropped. Its engine entry vanishes with the
-			// old shard set and the stint closes like a withdrawal, so the
+			// old index and the stint closes like a withdrawal, so the
 			// worker may register back later with a fresh spend. A
 			// capacitated one still owes completions: it finishes them
 			// offline and goes fully gone at its last Release.

@@ -30,7 +30,7 @@ func TestConcurrentRotateEpochConsistency(t *testing.T) {
 	const eps = 0.6
 	// Roomy lifetime so parking stays rare but possible under stress.
 	s, err := NewServer(workload.SyntheticRegion, 16, 16, eps, 42,
-		WithShards(4), WithLifetimeBudget(60*eps))
+		WithLifetimeBudget(60*eps))
 	if err != nil {
 		t.Fatal(err)
 	}

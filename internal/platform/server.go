@@ -16,14 +16,12 @@ import (
 
 // Server is the untrusted crowdsourcing platform. It sees only obfuscated
 // leaf codes and assigns each arriving task to the tree-nearest available
-// worker (Alg. 4). It is a thin transport wrapper over the sharded
-// concurrent assignment engine (internal/engine): the engine holds the
-// availability state and answers each task in O(D) with shard-local
-// locking, while the server only maps external worker ids to engine slots
-// and keeps counters.
+// worker (Alg. 4). It is a thin transport wrapper over the concurrent
+// assignment engine (internal/engine): the engine holds the availability
+// state and answers each task in O(D) under its one lock, while the server
+// only maps external worker ids to engine slots and keeps counters.
 //
-// Server is safe for concurrent use; Submit calls on disjoint top-level
-// HST branches do not contend.
+// Server is safe for concurrent use.
 // Core is the assignment state a Server fronts: exactly the engine surface
 // the serving layer drives. *engine.Engine satisfies it (the single-node
 // deployment), and a cluster coordinator core fans the same calls out
@@ -34,7 +32,6 @@ type Core interface {
 	// Identity of the serving epoch.
 	Tree() *hst.Tree
 	Epoch() int64
-	Shards() int
 	// Fixed configuration.
 	Policy() engine.Policy
 	DefaultCapacity() int
@@ -57,8 +54,10 @@ type Core interface {
 	// a sequence instead of a slice so a 10M-worker rotation never holds a
 	// second copy of it. seq must be replayable and safe to invoke from
 	// several goroutines at once (the cluster core runs one filtered
-	// iteration per node). The unnamed func type, not iter.Seq, is what
-	// lets a struct embedding *engine.Engine satisfy Core.
+	// iteration per node). shards names the cut a cluster core rotates
+	// under (≤ 0 keeps its own); an engine ignores it. The unnamed func
+	// type, not iter.Seq, is what lets a struct embedding *engine.Engine
+	// satisfy Core.
 	SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error
 }
 
@@ -169,17 +168,11 @@ func stintOver(st workerState) bool {
 type ServerOption func(*serverConfig)
 
 type serverConfig struct {
-	shards     int
 	lifetime   float64
 	policy     engine.Policy
 	defaultCap int
 	tree       *hst.Tree
 	core       Core
-}
-
-// WithShards sets the assignment engine's shard count (0 = engine default).
-func WithShards(n int) ServerOption {
-	return func(c *serverConfig) { c.shards = n }
 }
 
 // WithPolicy selects the assignment policy the server's engine runs (nil
@@ -207,8 +200,7 @@ func WithTree(t *hst.Tree) ServerOption {
 
 // WithCore serves from the given assignment core instead of constructing
 // an in-process engine. The core's tree becomes the publication (it must
-// cover the server grid); WithShards, WithPolicy, and WithDefaultCapacity
-// are ignored — those knobs were fixed when the core was built. The
+// cover the server grid); WithPolicy and WithDefaultCapacity are ignored — those knobs were fixed when the core was built. The
 // cluster coordinator uses this to put the whole serving layer (slot
 // tables, budget accounting, rotation planning) in front of a fanned-out
 // node set.
@@ -265,7 +257,7 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		if cfg.defaultCap != 0 {
 			engOpts = append(engOpts, engine.WithDefaultCapacity(cfg.defaultCap))
 		}
-		core, err = engine.NewWithOptions(tree, cfg.shards, engOpts...)
+		core, err = engine.NewWithOptions(tree, 0, engOpts...)
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,7 @@ import (
 // Driver selects which layer of the stack the simulator exercises.
 type Driver string
 
-// The available drivers. All sit on the same sharded engine, so a
+// The available drivers. All sit on the same engine, so a
 // scenario produces the same assignments under any of them; the platform
 // driver additionally covers the server's slot bookkeeping and wire
 // types, and the cluster driver the coordinator's fan-out (routing,
@@ -35,7 +35,7 @@ const (
 // re-report at a fresh code under the same id), mirroring the platform's
 // Release. An epoch rotation hands every available worker a fresh
 // registration id too: its re-obfuscated report is a new stint in the new
-// epoch's shard set.
+// epoch's index.
 //
 // Both drivers make identical assignment decisions: the engine ties
 // towards the smallest id, regIDs and platform slots are allocated in the
@@ -88,7 +88,7 @@ type rotateResult struct {
 	newID  []int // fresh registration id; -1 when parked
 }
 
-// engineBackend drives the sharded engine directly, with an epoch
+// engineBackend drives the engine directly, with an epoch
 // controller owning rotation bookkeeping and the budget charge rule — the
 // same controller the platform server embeds, so both drivers park the same
 // workers at the same spends. The ledger cells live here, indexed by the

@@ -1,5 +1,5 @@
 // Package sim is a deterministic, seed-driven event simulator for the
-// online assignment stack. It drives the sharded engine (or the platform
+// online assignment stack. It drives the engine (or the platform
 // server wrapped around it) through temporal scenarios the static
 // batch pipelines cannot express: Poisson and bursty task arrivals, worker
 // churn (arrive, serve, go offline, come back with a freshly obfuscated
@@ -37,7 +37,7 @@ type Config struct {
 	Scenario   Scenario
 	Seed       uint64
 	Driver     Driver // DriverEngine when empty
-	Shards     int    // engine shard count; 0 = engine default
+	Shards     int    // shard count of the cluster driver's cut; 0 = cluster.DefaultShards
 	Nodes      int    // cluster driver backend count; 0 = 3
 	CrossCheck bool   // verify every assignment against the sequential rule
 }
@@ -169,10 +169,9 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		return nil, nil, err
 	}
 	var be backend
-	var shards int
 	switch cfg.Driver {
 	case DriverEngine:
-		eng, err := engine.NewWithOptions(tree, cfg.Shards,
+		eng, err := engine.NewWithOptions(tree, 0,
 			engine.WithPolicy(pol), engine.WithDefaultCapacity(capacity))
 		if err != nil {
 			return nil, nil, err
@@ -186,21 +185,21 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		be, shards = &engineBackend{eng: eng, ctrl: ctrl, refit: sc.RotateRefit}, eng.Shards()
+		be = &engineBackend{eng: eng, ctrl: ctrl, refit: sc.RotateRefit}
 	case DriverPlatform:
 		srv, err := platform.NewServer(sc.region(), sc.GridCols, sc.GridCols, sc.Epsilon, cfg.Seed,
-			platform.WithShards(cfg.Shards), platform.WithLifetimeBudget(sc.LifetimeEps),
+			platform.WithLifetimeBudget(sc.LifetimeEps),
 			platform.WithPolicy(pol), platform.WithDefaultCapacity(capacity),
 			platform.WithTree(tree))
 		if err != nil {
 			return nil, nil, err
 		}
-		be, shards = newPlatformBackend(srv, sc.RotateRefit), srv.Core().Shards()
+		be = newPlatformBackend(srv, sc.RotateRefit)
 	case DriverCluster:
 		// The coordinator's server is a platform.Server over a fanned-out
 		// core, so the platform backend drives it verbatim: identical slot,
 		// budget, and rotation bookkeeping, with every engine operation
-		// sharded across in-process nodes.
+		// routed to in-process nodes by the cut.
 		nNodes := cfg.Nodes
 		if nNodes == 0 {
 			nNodes = 3
@@ -219,7 +218,7 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		be, shards = newPlatformBackend(coord.Server(), sc.RotateRefit), coord.Server().Core().Shards()
+		be = newPlatformBackend(coord.Server(), sc.RotateRefit)
 	default:
 		return nil, nil, fmt.Errorf("sim: unknown driver %q", cfg.Driver)
 	}
@@ -261,7 +260,9 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 	s.loop()
 	wall := time.Since(start).Seconds()
 
-	report := s.report(cfg, shards)
+	// Every driver reports the cluster cut's shard count, so that reports
+	// differ by their driver tag alone.
+	report := s.report(cfg, cluster.LayoutFor(tree, cfg.Shards).Shards)
 	stats := &RunStats{WallSeconds: wall}
 	if wall > 0 {
 		stats.EventsPerSec = float64(s.events) / wall

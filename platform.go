@@ -29,7 +29,7 @@ type (
 	// matching on Reason.
 	Error = platform.Error
 	// ClusterConfig describes a coordinator deployment: the published
-	// infrastructure plus the backends the engine is sharded across.
+	// infrastructure plus the backends the workers are cut across.
 	ClusterConfig = cluster.Config
 	// Coordinator is the multi-node serving tier: the full serving stack
 	// over backends, answering byte-identically to a single server.
@@ -95,12 +95,8 @@ const (
 	KindTasks      = platform.KindTasks
 )
 
-// ServerOption customises server construction (e.g. WithShards).
+// ServerOption customises server construction (e.g. WithLifetimeBudget).
 type ServerOption = platform.ServerOption
-
-// WithShards sets the server's assignment-engine shard count (0 = engine
-// default).
-func WithShards(n int) ServerOption { return platform.WithShards(n) }
 
 // WithLifetimeBudget enforces a per-worker lifetime ε budget under
 // sequential composition: every fresh report spends the publication's ε,
@@ -169,8 +165,8 @@ func Dial(baseURL string) (API, error) {
 	return platform.NewClient(baseURL)
 }
 
-// NewCluster builds the coordinator tier: the full serving stack sharded
-// across the configured backends (see DialNode / pombm-coord).
+// NewCluster builds the coordinator tier: the full serving stack with its
+// workers cut across the configured backends (see DialNode / pombm-coord).
 func NewCluster(cfg ClusterConfig) (*Coordinator, error) {
 	return cluster.New(cfg)
 }

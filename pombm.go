@@ -134,16 +134,16 @@ type (
 	HSTGreedyScan = match.HSTGreedyScan
 	// HSTGreedyTrie is Alg. 4 answered in O(D) per task.
 	HSTGreedyTrie = match.HSTGreedyTrie
-	// AssignmentEngine is the sharded, concurrency-safe assignment engine
-	// itself: per-branch shard locking, atomic Assign, and a batched API.
+	// AssignmentEngine is the concurrency-safe assignment engine itself: one
+	// index under one lock, atomic Assign, and a batched API.
 	AssignmentEngine = engine.Engine
 )
 
-// NewAssignmentEngine returns an empty sharded assignment engine over a
-// published HST (shards ≤ 0 selects the default). Insert workers, then
-// Assign or AssignBatch tasks from any number of goroutines.
-func NewAssignmentEngine(tree *HST, shards int) (*AssignmentEngine, error) {
-	return engine.New(tree, shards)
+// NewAssignmentEngine returns an empty assignment engine over a published
+// HST. Insert workers, then Assign or AssignBatch tasks from any number of
+// goroutines.
+func NewAssignmentEngine(tree *HST) (*AssignmentEngine, error) {
+	return engine.New(tree, 0)
 }
 
 // NoWorker is returned by matchers when no worker can be assigned.
