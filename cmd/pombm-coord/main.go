@@ -35,7 +35,6 @@ func main() {
 		side     = flag.Float64("side", 200, "side of the square service region")
 		eps      = flag.Float64("eps", 0.6, "privacy budget ε")
 		seed     = flag.Uint64("seed", 2020, "coordinator random seed")
-		shards   = flag.Int("shards", 0, "shard count of the cut that routes codes to backends (0 = 8)")
 		lifetime = flag.Float64("lifetime", 0, "per-worker lifetime ε budget (0 = unlimited)")
 		policy   = flag.String("policy", "greedy", "assignment policy: greedy, capacity-greedy, or batch-optimal[:k=<n>]")
 		capacity = flag.Int("capacity", 0, "default per-worker task capacity (0 = 1); above 1 needs a capacity-aware -policy")
@@ -61,7 +60,7 @@ func main() {
 	coord, err := cluster.New(cluster.Config{
 		Region: region, Cols: *grid, Rows: *grid,
 		Epsilon: *eps, Seed: *seed,
-		Nodes: nodes, Shards: *shards,
+		Nodes:  nodes,
 		Policy: *policy, DefaultCapacity: *capacity,
 		Lifetime: *lifetime,
 	})
@@ -76,9 +75,8 @@ func main() {
 	}
 	srv := coord.Server()
 	tree := srv.Publication().Tree
-	log.Printf("coordinating %d backends on %s (grid %dx%d, ε=%g, tree depth %d, a cut of %d shards, policy %s)",
-		len(nodes), ln.Addr(), *grid, *grid, *eps,
-		tree.Depth(), cluster.LayoutFor(tree, *shards).Shards, srv.Core().Policy().Name())
+	log.Printf("coordinating %d backends on %s (grid %dx%d, ε=%g, tree depth %d, policy %s)",
+		len(nodes), ln.Addr(), *grid, *grid, *eps, tree.Depth(), srv.Core().Policy().Name())
 	// A peer that trickles its header or sits on a keep-alive connection
 	// cannot pin it; the idle limit stays above the 90 s an agent's transport
 	// keeps an idle connection, so the client closes first.

@@ -12,7 +12,7 @@
 //	pombm-sim -scenario capacity-heavy -crosscheck       # capacitated sequential rule
 //	pombm-sim -scenario all -policy batch-optimal        # override the assignment policy
 //
-// The -json report is a pure function of (scenario, seed, driver, shards):
+// The -json report is a pure function of (scenario, seed, driver):
 // two runs with the same flags emit byte-identical output. Wall-clock
 // throughput goes to stderr only, so it never perturbs the report.
 // With -crosscheck, any violation of the sequential nearest-worker rule
@@ -36,7 +36,6 @@ func main() {
 		list     = flag.Bool("list", false, "list scenario presets and exit")
 		seed     = flag.Uint64("seed", 1, "root random seed")
 		driver   = flag.String("driver", "engine", "system under test: engine, platform, or cluster (coordinator over in-process nodes)")
-		shards   = flag.Int("shards", 0, "shard count of the cluster driver's cut, reported by every driver (0 = 8)")
 		nodes    = flag.Int("nodes", 0, "cluster driver backend count (0 = 3)")
 		duration = flag.Float64("duration", 0, "override the preset's simulated duration (seconds)")
 		policy   = flag.String("policy", "", "override the preset's assignment policy (greedy, capacity-greedy, batch-optimal[:k=<n>]); a non-capacity-aware override resets the preset's worker capacity to 1")
@@ -95,7 +94,6 @@ func main() {
 			Scenario:   sc,
 			Seed:       *seed,
 			Driver:     sim.Driver(*driver),
-			Shards:     *shards,
 			Nodes:      *nodes,
 			CrossCheck: *check,
 		})
@@ -150,8 +148,8 @@ func marshalReports(reports []*sim.Report) ([]byte, error) {
 }
 
 func printSummary(r *sim.Report) {
-	fmt.Printf("scenario %s  seed %d  driver %s  shards %d  (grid %d², D=%d, c=%d, ε=%g)\n",
-		r.Scenario, r.Seed, r.Driver, r.Shards, r.GridCols, r.Depth, r.Degree, r.Epsilon)
+	fmt.Printf("scenario %s  seed %d  driver %s  (grid %d², D=%d, c=%d, ε=%g)\n",
+		r.Scenario, r.Seed, r.Driver, r.GridCols, r.Depth, r.Degree, r.Epsilon)
 	if r.Policy != "" || r.Capacity > 1 {
 		capacity := r.Capacity
 		if capacity == 0 {

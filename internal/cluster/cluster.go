@@ -28,10 +28,6 @@ type Config struct {
 	// Nodes are the backends the workers are cut across. Required.
 	Nodes []NodeConn
 
-	// Shards is the shard count of the cut (see LayoutFor; 0 selects
-	// DefaultShards): a code's shard group decides its node.
-	Shards int
-
 	// Policy is the assignment policy spec by name (see
 	// engine.PolicyNames); "" is greedy.
 	Policy string
@@ -84,7 +80,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	core, err := newFanCore(cfg.Nodes, tree, cfg.Shards, pol, cfg.Policy, cfg.DefaultCapacity)
+	core, err := newFanCore(cfg.Nodes, tree, pol, cfg.Policy, cfg.DefaultCapacity)
 	if err != nil {
 		return nil, err
 	}

@@ -165,7 +165,7 @@ func TestScatterGatherBatchOptimalIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(tc.nodes, tree, 0, pol, "batch-optimal:k=4", 1)
+			core, err := newFanCore(tc.nodes, tree, pol, "batch-optimal:k=4", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func TestGreedyFanoutIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(tc.nodes, tree, 0, pol, "greedy", 1)
+			core, err := newFanCore(tc.nodes, tree, pol, "greedy", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestDistributedSwapIdentity(t *testing.T) {
 	next := buildTree(t, 8)
 	pol, _ := engine.PolicyByName("greedy")
 	nodes := httpNodes(t, 3)
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
+	core, err := newFanCore(nodes, tree, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestPrepareFailureAbortsClusterWide(t *testing.T) {
 	pol, _ := engine.PolicyByName("greedy")
 	bad := &failPrepareNode{NodeConn: LocalNode(NewNode())}
 	nodes := []NodeConn{LocalNode(NewNode()), bad, LocalNode(NewNode())}
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
+	core, err := newFanCore(nodes, tree, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,13 +415,12 @@ func TestSubmitWithBackendDown(t *testing.T) {
 	}
 	srv := coord.Server()
 	tree := srv.Publication().Tree
-	layout := LayoutFor(tree, 0)
 	// The tree's population needn't spread across all three nodes; pick the
-	// dead and live nodes from groups that actually hold leaves.
+	// dead and live nodes from those that actually hold leaves.
 	codeOn := map[int]hst.Code{}
 	for i := 0; i < tree.NumPoints(); i++ {
 		c := tree.CodeOf(i)
-		nd := layout.GroupOf(c) % 3
+		nd := route(c, 3)
 		if _, ok := codeOn[nd]; !ok {
 			codeOn[nd] = c
 		}
@@ -524,7 +523,7 @@ func TestRestartedCoordinatorIsNotReplayed(t *testing.T) {
 	tree := buildTree(t, 7)
 	nodes := httpNodes(t, 3)
 	pol, _ := engine.PolicyByName("greedy")
-	first, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
+	first, err := newFanCore(nodes, tree, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +536,7 @@ func TestRestartedCoordinatorIsNotReplayed(t *testing.T) {
 		t.Fatalf("first incarnation's pool %d, want 3", got)
 	}
 
-	second, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
+	second, err := newFanCore(nodes, tree, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

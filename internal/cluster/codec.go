@@ -110,29 +110,31 @@ func appendStatus(dst []byte, st *OpResult) []byte {
 func appendMined(dst []byte, wm *OpResult) []byte {
 	dst = wire.AppendIntField(append(dst, `{"ok":true`...), `,"epoch":`, wm.Epoch)
 	dst = wire.AppendIntField(dst, `,"pool":`, int64(wm.Pool))
-	dst = appendCandidates(dst, `,"own":[`, wm.Own)
-	return append(appendCandidates(dst, `,"pads":[`, wm.Pads), '}')
-}
-
-// appendCandidates appends key — `,"name":[` — and lists, each an array of
-// [id,code,level,cap] arrays, unless there are none.
-func appendCandidates(dst []byte, key string, lists [][]hst.Candidate) []byte {
-	if len(lists) == 0 {
-		return dst
-	}
-	for _, list := range lists {
-		dst = append(append(dst, key...), '[')
-		key = ","
-		for i, c := range list {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(append(dst, '['), int64(c.ID), 10)
-			dst = wire.AppendBase64(append(dst, ','), []byte(c.Code))
-			dst = strconv.AppendInt(append(dst, ','), int64(c.Level), 10)
-			dst = append(strconv.AppendInt(append(dst, ','), int64(c.Cap), 10), ']')
+	if len(wm.Own) > 0 {
+		key := `,"own":[`
+		for _, list := range wm.Own {
+			dst = appendCandidates(append(dst, key...), list)
+			key = ","
 		}
 		dst = append(dst, ']')
+	}
+	if len(wm.Pad) > 0 {
+		dst = appendCandidates(append(dst, `,"pad":`...), wm.Pad)
+	}
+	return append(dst, '}')
+}
+
+// appendCandidates appends list as an array of [id,code,level,cap] arrays.
+func appendCandidates(dst []byte, list []hst.Candidate) []byte {
+	dst = append(dst, '[')
+	for i, c := range list {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(append(dst, '['), int64(c.ID), 10)
+		dst = wire.AppendBase64(append(dst, ','), []byte(c.Code))
+		dst = strconv.AppendInt(append(dst, ','), int64(c.Level), 10)
+		dst = append(strconv.AppendInt(append(dst, ','), int64(c.Cap), 10), ']')
 	}
 	return append(dst, ']')
 }
@@ -250,7 +252,7 @@ func (r *opsReader) scan(body []byte) ([]OpRequest, error) {
 }
 
 var (
-	resultFields   = []string{"ok", "error", "id", "level", "units", "found", "epoch", "len", "pool", "own", "pads"}
+	resultFields   = []string{"ok", "error", "id", "level", "units", "found", "epoch", "len", "pool", "own", "pad"}
 	responseFields = []string{"ok", "error", "results"}
 )
 
@@ -278,47 +280,54 @@ func scanResult(s *wire.Scanner, r *OpResult) error {
 		case "pool":
 			r.Pool, err = s.Int()
 		case "own":
-			r.Own, err = scanCandidates(s)
-		case "pads":
-			r.Pads, err = scanCandidates(s)
+			r.Own, err = scanCandidateLists(s)
+		case "pad":
+			r.Pad, err = scanCandidates(s, new([]byte))
 		}
 		return err
 	})
 }
 
-// scanCandidates consumes the lists of a mine answer's own or pads: an
-// array of arrays of [id,code,level,cap] arrays. An empty list is left nil.
-func scanCandidates(s *wire.Scanner) (lists [][]hst.Candidate, err error) {
-	var code []byte // decoding scratch: a candidate keeps a copy
+// scanCandidateLists consumes a mine answer's own: an array of candidate
+// lists, one a code.
+func scanCandidateLists(s *wire.Scanner) (lists [][]hst.Candidate, err error) {
+	var code []byte // decoding scratch, shared list to list
 	err = s.Array(func() error {
-		var list []hst.Candidate
-		err := s.Array(func() error {
-			var c hst.Candidate
-			at := 0
-			err := s.Array(func() (err error) {
-				switch at++; at {
-				case 1:
-					c.ID, err = s.Int()
-				case 2:
-					code, err = s.Base64(code[:0])
-					c.Code = hst.Code(code)
-				case 3:
-					c.Level, err = s.Int()
-				case 4:
-					c.Cap, err = s.Int()
-				}
-				return err
-			})
-			if err == nil && at != 4 {
-				err = s.Errf("a candidate of %d elements, want 4", at)
-			}
-			list = append(list, c)
-			return err
-		})
+		list, err := scanCandidates(s, &code)
 		lists = append(lists, list)
 		return err
 	})
 	return lists, err
+}
+
+// scanCandidates consumes one candidate list, a mine answer's pad or one of
+// its own lists: an array of [id,code,level,cap] arrays. code is decoding
+// scratch; a candidate keeps a copy. An empty list is left nil.
+func scanCandidates(s *wire.Scanner, code *[]byte) (list []hst.Candidate, err error) {
+	err = s.Array(func() error {
+		var c hst.Candidate
+		at := 0
+		err := s.Array(func() (err error) {
+			switch at++; at {
+			case 1:
+				c.ID, err = s.Int()
+			case 2:
+				*code, err = s.Base64((*code)[:0])
+				c.Code = hst.Code(*code)
+			case 3:
+				c.Level, err = s.Int()
+			case 4:
+				c.Cap, err = s.Int()
+			}
+			return err
+		})
+		if err == nil && at != 4 {
+			err = s.Errf("a candidate of %d elements, want 4", at)
+		}
+		list = append(list, c)
+		return err
+	})
+	return list, err
 }
 
 // scanOpsResponse decodes a node's answer to the envelope that carried

@@ -42,7 +42,7 @@ type refResult struct {
 	Found *bool            `json:"found,omitempty"`
 	Pool  int              `json:"pool,omitempty"`
 	Own   [][]refCandidate `json:"own,omitempty"`
-	Pads  [][]refCandidate `json:"pads,omitempty"`
+	Pad   []refCandidate   `json:"pad,omitempty"`
 }
 
 // refCandidate is hst.Candidate as the array [id,code,level,cap].
@@ -65,13 +65,18 @@ func (c *refCandidate) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+func refList(list []hst.Candidate) []refCandidate {
+	out := make([]refCandidate, len(list)) // an empty list is [], never null
+	for i, c := range list {
+		out[i] = refCandidate(c)
+	}
+	return out
+}
+
 func refLists(lists [][]hst.Candidate) [][]refCandidate {
 	out := make([][]refCandidate, len(lists))
 	for i, list := range lists {
-		out[i] = make([]refCandidate, len(list)) // an empty list is [], never null
-		for j, c := range list {
-			out[i][j] = refCandidate(c)
-		}
+		out[i] = refList(list)
 	}
 	return out
 }
@@ -79,19 +84,21 @@ func refLists(lists [][]hst.Candidate) [][]refCandidate {
 // result is r as the scanner leaves an OpResult: no found is false, an
 // empty list — of lists, of candidates — is nil.
 func (r refResult) result() OpResult {
+	list := func(ref []refCandidate) (out []hst.Candidate) {
+		for _, c := range ref {
+			out = append(out, hst.Candidate(c))
+		}
+		return out
+	}
 	lists := func(ref [][]refCandidate) (out [][]hst.Candidate) {
-		for _, list := range ref {
-			var cs []hst.Candidate
-			for _, c := range list {
-				cs = append(cs, hst.Candidate(c))
-			}
-			out = append(out, cs)
+		for _, l := range ref {
+			out = append(out, list(l))
 		}
 		return out
 	}
 	return OpResult{
 		OK: r.OK, Err: r.Err, ID: r.ID, Level: r.Level, Units: r.Units, Found: r.Found != nil && *r.Found,
-		Epoch: r.Epoch, Len: r.Len, Pool: r.Pool, Own: lists(r.Own), Pads: lists(r.Pads),
+		Epoch: r.Epoch, Len: r.Len, Pool: r.Pool, Own: lists(r.Own), Pad: list(r.Pad),
 	}
 }
 
@@ -222,8 +229,10 @@ func FuzzOpsCodec(f *testing.F) {
 		`{"ops":[{"kind":"mine","codes":["AAEC",]}]}`,
 		`{"ops":[{"kind":"mine","k":1.5},{"kind":"mine","K":1}]}`,
 		`{"ok":true,"results":[{"ok":true,"epoch":2,"len":7,"units":9},{"ok":true,"epoch":1},{"ok":true,"id":3,"found":true},{"ok":true,"found":false}]}`,
-		`{"ok":true,"results":[{"ok":true,"epoch":1,"pool":5,"own":[[[7,"AAEC",2,1],[9,"AAED",0,3]],[]],"pads":[[],[[7,"AAEC",5,1]]]}]}`,
-		` { "results" : [ { "pads" : [ [ [ 7 , "AAEC" , 5 , 1 ] ] ] , "own" : [ ] , "ok" : true } ] } `,
+		`{"ok":true,"results":[{"ok":true,"epoch":1,"pool":5,"own":[[[7,"AAEC",2,1],[9,"AAED",0,3]],[]],"pad":[[7,"AAEC",5,1]]}]}`,
+		` { "results" : [ { "pad" : [ [ 7 , "AAEC" , 5 , 1 ] ] , "own" : [ ] , "ok" : true } ] } `,
+		`{"ok":true,"results":[{"ok":true,"pads":[[[7,"AAEC",5,1]]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"pad":[[[7,"AAEC",5,1]]]}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":null}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":[null]}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":[[null]]}]}`,
@@ -232,7 +241,7 @@ func FuzzOpsCodec(f *testing.F) {
 		`{"ok":true,"results":[{"ok":true,"own":[[[7,"AAE",2,1]]]}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":[[["7","AAEC",2,1]]]}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":[[[7,"AAEC",2.0,1]]]}]}`,
-		`{"ok":true,"results":[{"ok":true,"pads":[],"pads":[]}]}`,
+		`{"ok":true,"results":[{"ok":true,"pad":[],"pad":[]}]}`,
 		`{"ok":true,"results":[{"ok":true,"Pool":1}]}`,
 	} {
 		f.Add([]byte(body), "insert", "idem", []byte{0, 1, 2}, 5, 2, int64(1), true)
@@ -277,7 +286,7 @@ func FuzzOpsCodec(f *testing.F) {
 		unassigned, _ := appendAssigned(nil, id, level, found, refused, 0)
 		no := false
 		cands := []hst.Candidate{{ID: id, Code: hst.Code(code), Level: level, Cap: id}, {ID: level, Code: hst.Code(idem)}}
-		mined := &OpResult{Epoch: epoch, Pool: level, Own: [][]hst.Candidate{cands, nil, cands[:1]}, Pads: [][]hst.Candidate{nil}}
+		mined := &OpResult{Epoch: epoch, Pool: level, Own: [][]hst.Candidate{cands, nil, cands[:1]}, Pad: cands[1:]}
 		results := []struct {
 			got  []byte
 			want refResult
@@ -289,7 +298,7 @@ func FuzzOpsCodec(f *testing.F) {
 			{assigned, refResult{OK: true, ID: id, Level: level, Found: &found}},
 			{unassigned, refResult{Err: refused, Found: &no}},
 			{appendStatus(nil, &OpResult{Epoch: epoch, Len: id, Units: level}), refResult{OK: true, Epoch: epoch, Len: id, Units: level}},
-			{appendMined(nil, mined), refResult{OK: true, Epoch: epoch, Pool: level, Own: refLists(mined.Own), Pads: refLists(mined.Pads)}},
+			{appendMined(nil, mined), refResult{OK: true, Epoch: epoch, Pool: level, Own: refLists(mined.Own), Pad: refList(mined.Pad)}},
 			{appendMined(nil, &OpResult{Own: [][]hst.Candidate{}}), refResult{OK: true}},
 		}
 		env := []byte(`{"ok":true,"results":[`)

@@ -36,7 +36,6 @@ type fanCore struct {
 	policy     engine.Policy
 	policySpec string
 	defaultCap int
-	shardsCfg  int // requested shard count of the cut
 
 	state atomic.Pointer[coreState]
 	opMu  sync.RWMutex
@@ -48,14 +47,13 @@ type fanCore struct {
 	idemSeq   atomic.Int64
 }
 
-// coreState is the epoch-scoped identity of the cluster: published tree,
-// the cut of its codes over the nodes, and epoch id. Swapped with one
-// pointer store at rotation commit, which also makes it the token the
-// window kernel's warm potentials are pinned to.
+// coreState is the epoch-scoped identity of the cluster: published tree
+// and epoch id. Swapped with one pointer store at rotation commit, which
+// also makes it the token the window kernel's warm potentials are pinned
+// to.
 type coreState struct {
-	tree   *hst.Tree
-	layout Layout
-	epoch  int64
+	tree  *hst.Tree
+	epoch int64
 }
 
 // errTransport is wrapped into transport failures by httpNode so the core
@@ -64,7 +62,7 @@ var errTransport = errors.New("cluster: node transport failed")
 
 // newFanCore builds the core and initialises every node with the shared
 // configuration.
-func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Policy, policySpec string, defaultCap int) (*fanCore, error) {
+func newFanCore(nodes []NodeConn, tree *hst.Tree, policy engine.Policy, policySpec string, defaultCap int) (*fanCore, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: no nodes")
 	}
@@ -76,7 +74,6 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Poli
 		policy:     policy,
 		policySpec: policySpec,
 		defaultCap: defaultCap,
-		shardsCfg:  shards,
 	}
 	// Six base64url characters of the system's randomness (crypto/rand.Read
 	// does not fail).
@@ -85,7 +82,7 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, shards int, policy engine.Poli
 	rand.Read(raw[:])
 	base64.RawURLEncoding.Encode(text[:], raw[:])
 	copy(c.idemNonce[:], text[:])
-	c.state.Store(&coreState{tree: tree, layout: LayoutFor(tree, shards), epoch: engine.FirstEpoch})
+	c.state.Store(&coreState{tree: tree, epoch: engine.FirstEpoch})
 	for i, n := range nodes {
 		if err := n.Init(InitRequest{
 			Tree: tree, Policy: policySpec, DefaultCapacity: defaultCap, Idem: c.nextIdem(),
@@ -108,9 +105,18 @@ func (c *fanCore) nextIdem() string {
 	return string(strconv.AppendInt(append(buf[:0], c.idemNonce[:]...), c.idemSeq.Add(1), 36))
 }
 
-// routeIdx returns the node owning a code's shard group.
-func (c *fanCore) routeIdx(st *coreState, code hst.Code) int {
-	return st.layout.GroupOf(code) % len(c.nodes)
+// route is the cut: the node of n that owns code is its first digit mod n.
+// Every worker that shares a task's first digit is on the task's node, so
+// a node settles every LCA below the root by itself, and only the root
+// tier spans nodes. A published tree has depth ≥ 1, so every code has a
+// first digit.
+func route(code hst.Code, n int) int {
+	return int(code[0]) % n
+}
+
+// routeIdx returns the node owning a code.
+func (c *fanCore) routeIdx(code hst.Code) int {
+	return route(code, len(c.nodes))
 }
 
 func isTransport(err error) bool {
@@ -225,8 +231,8 @@ func (c *fanCore) RemoveUnits(code hst.Code, id int) (units int, found bool) {
 }
 
 // routed ships op, a mutation of the worker at code under a fresh
-// idempotency key, to the node owning the code's shard group, by do's retry
-// rule. A code the tree does not have is refused here.
+// idempotency key, to the node owning the code, by do's retry rule. A code
+// the tree does not have is refused here.
 func (c *fanCore) routed(escalate bool, code hst.Code, op OpRequest) (OpResult, error) {
 	c.opMu.RLock()
 	defer c.opMu.RUnlock()
@@ -235,7 +241,7 @@ func (c *fanCore) routed(escalate bool, code hst.Code, op OpRequest) (OpResult, 
 		return OpResult{}, err
 	}
 	op.Idem, op.Code = c.nextIdem(), bytesOf(string(code))
-	return c.do(c.routeIdx(st, code), escalate, op)
+	return c.do(c.routeIdx(code), escalate, op)
 }
 
 // Assign runs the greedy rule across the cluster (platform.Core).
@@ -281,7 +287,7 @@ func (c *fanCore) assignRouted(st *coreState, code hst.Code) (id, lvl int, found
 	if st.tree.CheckCode(code) != nil {
 		return engine.None, 0, false, nil
 	}
-	res, err := c.do(c.routeIdx(st, code), true, OpRequest{
+	res, err := c.do(c.routeIdx(code), true, OpRequest{
 		Kind: OpAssignSubtree, Idem: c.nextIdem(), Code: bytesOf(string(code)), Epoch: st.epoch,
 	})
 	return res.ID, res.Level, res.Found, err
@@ -426,7 +432,7 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	ops := make([]OpRequest, N)
 	nodeTis := make([][]int, N)
 	for ti, code := range tasks {
-		nd := c.routeIdx(st, code)
+		nd := c.routeIdx(code)
 		ops[nd].Codes = append(ops[nd].Codes, bytesOf(string(code)))
 		nodeTis[nd] = append(nodeTis[nd], ti)
 	}
@@ -460,7 +466,7 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 		for j, ti := range nodeTis[nd] {
 			home[ti], own[ti] = nd, mines[nd].Own[j]
 		}
-		pads[nd] = mines[nd].Pads[0]
+		pads[nd] = mines[nd].Pad
 	}
 	if pool == 0 {
 		return nil, true
@@ -488,7 +494,7 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	var commits []commitRec
 	for _, m := range matched {
 		if m.ID != engine.None {
-			commits = append(commits, commitRec{code: m.Code, id: m.ID, nd: c.routeIdx(st, m.Code)})
+			commits = append(commits, commitRec{code: m.Code, id: m.ID, nd: c.routeIdx(m.Code)})
 		}
 	}
 	var cwg sync.WaitGroup
@@ -532,23 +538,22 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 // validMine checks node nd's answer wm to op, a mine — the one place a
 // peer's report becomes window candidates. Everything the kernel and the
 // commit phase rely on is checked here: list shapes and lengths (one list a
-// task, one pad list), every id and capacity within the int32 the kernel
-// narrows to, every level one the tree has (so its distance is finite),
-// every code a leaf of the published tree that the cut routes to nd —
-// which also makes a matched worker's commit route back to the node that
-// reported it.
+// task), every id and capacity within the int32 the kernel narrows to,
+// every level one the tree has (so its distance is finite), every code a
+// leaf of the published tree that the cut routes to nd — which also makes
+// a matched worker's commit route back to the node that reported it.
 func (c *fanCore) validMine(st *coreState, nd int, wm *OpResult, op *OpRequest) bool {
 	validList := func(list []hst.Candidate) bool {
 		for _, cand := range list {
 			if cand.ID < 0 || cand.ID > math.MaxInt32 || cand.Cap < 1 || cand.Cap > math.MaxInt32 ||
-				cand.Level < 0 || cand.Level > st.layout.Depth ||
-				st.tree.CheckCode(cand.Code) != nil || c.routeIdx(st, cand.Code) != nd {
+				cand.Level < 0 || cand.Level > st.tree.Depth() ||
+				st.tree.CheckCode(cand.Code) != nil || c.routeIdx(cand.Code) != nd {
 				return false
 			}
 		}
 		return len(list) <= op.K
 	}
-	if wm.Pool < 0 || len(wm.Own) != len(op.Codes) || len(wm.Pads) != 1 || !validList(wm.Pads[0]) {
+	if wm.Pool < 0 || len(wm.Own) != len(op.Codes) || !validList(wm.Pad) {
 		return false
 	}
 	for _, list := range wm.Own {
@@ -580,7 +585,7 @@ func nearestK(own []hst.Candidate, home int, pads [][]hst.Candidate, k int) []hs
 
 // SwapEpochSeq rotates the cluster (platform.Core): a distributed
 // two-phase commit. Phase one stages every node's partition of the new
-// population under the new tree's cut; any failure aborts all prepared
+// population under the cut (route); any failure aborts all prepared
 // nodes and the old epoch keeps serving everywhere. Phase two commits each
 // node — past the point of no return, a node that cannot commit after
 // preparing is a panic, exactly as a failed single-process swap commit
@@ -589,8 +594,9 @@ func nearestK(own []hst.Candidate, home int, pads [][]hst.Candidate, k int) []hs
 // seq is run once here to validate and then once per node, concurrently,
 // each node's prepare pulling its own filtered iteration — the coordinator
 // never holds a copy of the population, whole or partitioned. A transport
-// retry runs a node's iteration again, so seq must be replayable.
-func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error {
+// retry runs a node's iteration again, so seq must be replayable. The
+// shard count is ignored, as by every core.
+func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, _ int, seq func(yield func(engine.EpochInsert) bool)) error {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()
 	if tree == nil {
@@ -600,10 +606,6 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 	if epoch <= st.epoch {
 		return fmt.Errorf("cluster: swap to epoch %d, already serving %d", epoch, st.epoch)
 	}
-	if shards <= 0 {
-		shards = c.shardsCfg
-	}
-	newLayout := LayoutFor(tree, shards)
 	N := len(c.nodes)
 	var verr error
 	seq(func(in engine.EpochInsert) bool {
@@ -638,12 +640,11 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 		go func() {
 			defer pwg.Done()
 			idem := c.nextIdem()
-			// One iteration per attempt, over the inserts that route here
-			// under the new layout.
+			// One iteration per attempt, over the inserts that route here.
 			prepare := func() error {
 				next, stop := iter.Pull(func(yield func(engine.EpochInsert) bool) {
 					seq(func(in engine.EpochInsert) bool {
-						return newLayout.GroupOf(in.Code)%N != nd || yield(in)
+						return route(in.Code, N) != nd || yield(in)
 					})
 				})
 				defer stop()
@@ -696,7 +697,7 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func
 			panic(fmt.Sprintf("cluster: commit epoch %d on node %d failed after prepare: %v", epoch, nd, commitErrs[nd]))
 		}
 	}
-	c.state.Store(&coreState{tree: tree, layout: newLayout, epoch: epoch})
+	c.state.Store(&coreState{tree: tree, epoch: epoch})
 	return nil
 }
 

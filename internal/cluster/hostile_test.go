@@ -35,14 +35,13 @@ func (b *bentMineNode) Do(op OpRequest) (OpResult, error) {
 func TestHostileMineAnswersUnmatched(t *testing.T) {
 	const k = 4
 	tree := buildTree(t, 7)
-	layout := LayoutFor(tree, 0)
 	// bend applies f to every candidate of the report's first non-empty own
 	// region or of its pad list.
-	bend := func(pads bool, f func(c *hst.Candidate)) func(*OpResult) bool {
+	bend := func(pad bool, f func(c *hst.Candidate)) func(*OpResult) bool {
 		return func(wm *OpResult) bool {
 			lists := wm.Own
-			if pads {
-				lists = wm.Pads
+			if pad {
+				lists = [][]hst.Candidate{wm.Pad}
 			}
 			for _, l := range lists {
 				for i := range l {
@@ -57,10 +56,10 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 	}
 	bendOwn := func(f func(c *hst.Candidate)) func(*OpResult) bool { return bend(false, f) }
 	bendPad := func(f func(c *hst.Candidate)) func(*OpResult) bool { return bend(true, f) }
-	// A leaf another node's shard group owns: well-formed, wrong place.
+	// A leaf the other node owns: well-formed, wrong place.
 	var foreign hst.Code
 	for i := 0; i < tree.NumPoints(); i++ {
-		if c := tree.CodeOf(i); layout.GroupOf(c)%2 == 1 {
+		if c := tree.CodeOf(i); route(c, 2) == 1 {
 			foreign = c
 			break
 		}
@@ -99,11 +98,9 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			return false
 		}},
 		{"pad list longer than k", func(wm *OpResult) bool {
-			for s, l := range wm.Pads {
-				if len(l) > 0 {
-					wm.Pads[s] = overlong(l)
-					return true
-				}
+			if len(wm.Pad) > 0 {
+				wm.Pad = overlong(wm.Pad)
+				return true
 			}
 			return false
 		}},
@@ -113,10 +110,6 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 		}},
 		{"an own region too many", func(wm *OpResult) bool {
 			wm.Own = append(wm.Own, nil)
-			return true
-		}},
-		{"more than one pad list", func(wm *OpResult) bool {
-			wm.Pads = append(wm.Pads, wm.Pads...)
 			return true
 		}},
 		{"negative pool", func(wm *OpResult) bool {
@@ -132,7 +125,7 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 				t.Fatal(err)
 			}
 			bad := &bentMineNode{NodeConn: LocalNode(NewNode()), bend: tc.bend}
-			core, err := newFanCore([]NodeConn{bad, LocalNode(NewNode())}, tree, 0, pol, "batch-optimal:k=4", 1)
+			core, err := newFanCore([]NodeConn{bad, LocalNode(NewNode())}, tree, pol, "batch-optimal:k=4", 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -166,7 +166,7 @@ func (n *Node) Do(op OpRequest) (OpResult, error) {
 		}
 		var wm *engine.WindowMine
 		if wm, err = eng.MineWindowCandidates(codes, op.K, op.Epoch); err == nil {
-			res.Epoch, res.Pool, res.Own, res.Pads = wm.Epoch, wm.Pool, wm.Own, [][]hst.Candidate{wm.Pad}
+			res.Epoch, res.Pool, res.Own, res.Pad = wm.Epoch, wm.Pool, wm.Own, wm.Pad
 			if len(codes) == 0 {
 				res.Own = nil // the wire leaves an empty own out
 			}

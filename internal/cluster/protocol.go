@@ -2,11 +2,11 @@
 // pombm-server backends behind one coordinator, without changing a single
 // answer.
 //
-// The cut (Layout) keys a code on its first digit: every worker sharing a
-// task's top HST branch lands in the task's shard group, and a group is
-// pinned to one node. The coordinator routes every code-addressed
-// operation (Register, Reregister, Release, Withdraw, Submit) to the node
-// owning the code's group; only the greedy rule's root tier (a
+// The cut (route) keys a code on its first digit: a code's node is its
+// first digit mod the node count, so every worker sharing a task's top HST
+// branch is on the task's node. The coordinator routes every
+// code-addressed operation (Register, Reregister, Release, Withdraw,
+// Submit) to the node owning the code; only the greedy rule's root tier (a
 // min-of-mins) and the batch-optimal window solve (a scatter-gather
 // matching over per-node candidate mines) need more than one node, and
 // both recompose the single-process decision exactly. Epoch rotation is a
@@ -142,9 +142,9 @@ const (
 //	          {"ok":true,"id":int,"level":int,"found":bool} assign-subtree, pop-min; min-id
 //	                                                        has no level
 //	          {"ok":true,"epoch":int,"len":int,"units":int} status
-//	          {"ok":true,"epoch":int,"pool":int,"own":[[candidate,…],…],"pads":[[candidate,…]]}
+//	          {"ok":true,"epoch":int,"pool":int,"own":[[candidate,…],…],"pad":[candidate,…]}
 //	                                                        mine: a list a code, and the node's
-//	                                                        one pad list
+//	                                                        pad list
 //	          {"ok":false,"error":error}                    a refused op; remove, assign-subtree,
 //	                                                        min-id and pop-min add "found":false
 //	candidate [id,base64,level,cap]                         hst.Candidate: four elements, in order
@@ -200,7 +200,7 @@ type OpResult struct {
 	Len   int
 	Pool  int
 	Own   [][]hst.Candidate
-	Pads  [][]hst.Candidate // a mine's: one list, the node's k smallest ids
+	Pad   []hst.Candidate // a mine's: the node's k smallest ids
 }
 
 // InitRequest (re)builds a node's engine: the shared tree, and the shared

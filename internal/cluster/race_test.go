@@ -18,7 +18,7 @@ func TestSubmitsDuringDistributedRotation(t *testing.T) {
 	next := buildTree(t, 8)
 	pol, _ := engine.PolicyByName("greedy")
 	nodes := localNodes(3)
-	core, err := newFanCore(nodes, tree, 0, pol, "greedy", 1)
+	core, err := newFanCore(nodes, tree, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func newTappedCore(t *testing.T, to NodeTimeouts) *tappedCore {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.core, err = newFanCore([]NodeConn{r.conn}, r.tree, 0, pol, "capacity-greedy", 1); err != nil {
+	if r.core, err = newFanCore([]NodeConn{r.conn}, r.tree, pol, "capacity-greedy", 1); err != nil {
 		t.Fatal(err)
 	}
 	r.arrived = r.tap.Park()
@@ -317,7 +317,7 @@ func TestIdleStreamIsReaped(t *testing.T) {
 	defer ts.Close()
 	tap, hc := wiretap.New(t, platform.NewTransport())
 	pol, _ := engine.PolicyByName("greedy")
-	core, err := newFanCore([]NodeConn{DialNodeClient(ts.URL, hc)}, tree, 0, pol, "greedy", 1)
+	core, err := newFanCore([]NodeConn{DialNodeClient(ts.URL, hc)}, tree, pol, "greedy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,8 @@ func WithDefaultCapacity(n int) Option {
 
 // New returns an engine for the published tree, serving FirstEpoch under
 // the Greedy policy. The shard count is ignored: the engine is one index,
-// and a cut of the population is a cluster coordinator's (cluster.Layout).
+// and a cut of the population is a cluster coordinator's (a code's first
+// digit decides its node).
 func New(tree *hst.Tree, shards int) (*Engine, error) {
 	return NewWithOptions(tree, shards)
 }

@@ -786,22 +786,18 @@ func (x *LeafIndex) descend(code Code) (path []int32, r int32) {
 // inner node with no child for the next digit, every item below is at that
 // node's level, the minimum possible, and it follows the subtree minimum
 // down — unless the level is past maxLevel, when it stops there. path is the
-// inner nodes above the item's bucket; a non-nil dst receives the digits of
-// the item's code above bdepth.
-func (x *LeafIndex) nearest(code Code, maxLevel int, dst []byte) (path []int32, bi, s int32, lvl int) {
+// inner nodes above the item's bucket.
+func (x *LeafIndex) nearest(code Code, maxLevel int) (path []int32, bi, s int32, lvl int) {
 	path, r := x.descend(code)
 	matched := len(path)
 	if r == nilIdx {
 		matched--
 		if lvl = x.depth - matched; lvl <= maxLevel {
-			path, bi, s = x.minUnder(path[:matched], path[matched], dst)
+			path, bi, s = x.minUnder(path[:matched], path[matched])
 		}
 	} else {
 		bi = bucketRef(r)
 		s, lvl = x.scan(bi, code)
-	}
-	if dst != nil && lvl <= maxLevel {
-		copy(dst, code[:min(matched, x.bdepth)])
 	}
 	return path, bi, s, lvl
 }
@@ -828,15 +824,12 @@ func (x *LeafIndex) scan(bi int32, code Code) (s int32, lvl int) {
 // holding r's subtree minimum, and returns the bucket and the slot of the
 // minimum in it. A live subtree always contains its own minID: at each node
 // it takes the first child, in digit order, that carries it.
-func (x *LeafIndex) minUnder(path []int32, r int32, dst []byte) ([]int32, int32, int32) {
+func (x *LeafIndex) minUnder(path []int32, r int32) ([]int32, int32, int32) {
 	target := x.minOf(r)
 	for r >= 0 {
 		path = append(path, r)
-		for d, c := range x.block(r) {
+		for _, c := range x.block(r) {
 			if c != nilIdx && x.minOf(c) == target {
-				if dst != nil && len(path) <= x.bdepth {
-					dst[len(path)-1] = byte(d)
-				}
 				r = c
 				break
 			}
@@ -870,7 +863,7 @@ func (x *LeafIndex) Nearest(code Code) (id, lcaLevel int, ok bool) {
 	if x.size == 0 || len(code) != x.depth {
 		return 0, 0, false
 	}
-	_, _, s, lvl := x.nearest(code, x.depth, nil)
+	_, _, s, lvl := x.nearest(code, x.depth)
 	return int(x.item(s).id), lvl, true
 }
 
@@ -937,27 +930,16 @@ func (x *LeafIndex) PopNearest(code Code) (id, lcaLevel int, ok bool) {
 // nothing is removed and ok is false (lcaLevel still reports its level). A
 // cluster node uses it to leave the root tier to its coordinator.
 func (x *LeafIndex) PopNearestWithin(code Code, maxLevel int) (id, lcaLevel int, ok bool) {
-	return x.PopNearestWithinCode(code, maxLevel, nil)
-}
-
-// PopNearestWithinCode is PopNearestWithin that additionally writes the
-// popped item's leaf code into dst[:depth]: with the id, what AddCap and
-// InsertCap need to put the consumed unit back. dst is written only on a
-// successful pop.
-func (x *LeafIndex) PopNearestWithinCode(code Code, maxLevel int, dst []byte) (id, lcaLevel int, ok bool) {
-	if x.size == 0 || len(code) != x.depth || (dst != nil && len(dst) < x.depth) {
+	if x.size == 0 || len(code) != x.depth {
 		return 0, 0, false
 	}
-	path, bi, s, lvl := x.nearest(code, maxLevel, dst)
+	path, bi, s, lvl := x.nearest(code, maxLevel)
 	if lvl > maxLevel {
 		return 0, lvl, false
 	}
-	it := *x.item(s)
-	if dst != nil {
-		x.unpack(it.sfx, dst)
-	}
+	id = int(x.item(s).id)
 	x.consumeAt(path, bi, s)
-	return int(it.id), lvl, true
+	return id, lvl, true
 }
 
 // PopMin atomically removes and returns the smallest live item id. ok is
@@ -966,7 +948,7 @@ func (x *LeafIndex) PopMin() (int, bool) {
 	if x.size == 0 {
 		return 0, false
 	}
-	path, bi, s := x.minUnder(x.path[:0], x.root, nil)
+	path, bi, s := x.minUnder(x.path[:0], x.root)
 	id := x.item(s).id
 	x.consumeAt(path, bi, s)
 	return int(id), true

@@ -54,10 +54,10 @@ type Core interface {
 	// a sequence instead of a slice so a 10M-worker rotation never holds a
 	// second copy of it. seq must be replayable and safe to invoke from
 	// several goroutines at once (the cluster core runs one filtered
-	// iteration per node). shards names the cut a cluster core rotates
-	// under (≤ 0 keeps its own); an engine ignores it. The unnamed func
-	// type, not iter.Seq, is what lets a struct embedding *engine.Engine
-	// satisfy Core.
+	// iteration per node). Every core ignores shards, which stays until
+	// ROADMAP's re-baseline half 1 (c) because the benchmark's tracing
+	// core pins this signature. The unnamed func type, not iter.Seq, is
+	// what lets a struct embedding *engine.Engine satisfy Core.
 	SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error
 }
 

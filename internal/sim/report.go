@@ -7,7 +7,7 @@ import (
 )
 
 // Report is the machine-readable outcome of one run. Every field is a pure
-// function of (scenario, seed, driver, shards) — marshalling it twice for
+// function of (scenario, seed, driver) — marshalling it twice for
 // the same inputs yields byte-identical JSON, which the CI smoke lane
 // relies on. Wall-clock figures are deliberately excluded from the JSON
 // (they vary run to run); RunStats carries them separately.
@@ -15,7 +15,6 @@ type Report struct {
 	Scenario string `json:"scenario"`
 	Seed     uint64 `json:"seed"`
 	Driver   string `json:"driver"`
-	Shards   int    `json:"shards"`
 	// Policy is the resolved assignment-policy name, Capacity the
 	// per-worker task capacity, and CapacitySkew the deterministic
 	// capacity-mix modulus; omitted for the historical defaults (greedy,

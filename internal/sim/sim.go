@@ -10,7 +10,7 @@
 // insertion sequence); every stochastic choice is drawn from an rng.Source
 // derived from the run seed, and the loop is single-threaded, so a run —
 // including its metrics report — is a bit-for-bit pure function of
-// (scenario, seed, driver, shards). An optional cross-check mode replays
+// (scenario, seed, driver). An optional cross-check mode replays
 // every assignment against the sequential brute-force rule of Alg. 4 and
 // counts divergences (zero expected: the engine's tie-breaking makes a
 // sequentially driven engine identical to the scanning matcher).
@@ -37,7 +37,6 @@ type Config struct {
 	Scenario   Scenario
 	Seed       uint64
 	Driver     Driver // DriverEngine when empty
-	Shards     int    // shard count of the cluster driver's cut; 0 = cluster.DefaultShards
 	Nodes      int    // cluster driver backend count; 0 = 3
 	CrossCheck bool   // verify every assignment against the sequential rule
 }
@@ -211,7 +210,7 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		coord, err := cluster.New(cluster.Config{
 			Region: sc.region(), Cols: sc.GridCols, Rows: sc.GridCols,
 			Epsilon: sc.Epsilon, Seed: cfg.Seed,
-			Nodes: nodes, Shards: cfg.Shards,
+			Nodes:  nodes,
 			Policy: sc.Policy, DefaultCapacity: capacity,
 			Lifetime: sc.LifetimeEps, Tree: tree,
 		})
@@ -260,9 +259,7 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 	s.loop()
 	wall := time.Since(start).Seconds()
 
-	// Every driver reports the cluster cut's shard count, so that reports
-	// differ by their driver tag alone.
-	report := s.report(cfg, cluster.LayoutFor(tree, cfg.Shards).Shards)
+	report := s.report(cfg)
 	stats := &RunStats{WallSeconds: wall}
 	if wall > 0 {
 		stats.EventsPerSec = float64(s.events) / wall
@@ -730,12 +727,11 @@ func (s *sim) closeBooks() {
 	}
 }
 
-func (s *sim) report(cfg Config, shards int) *Report {
+func (s *sim) report(cfg Config) *Report {
 	r := &Report{
 		Scenario:     s.sc.Name,
 		Seed:         cfg.Seed,
 		Driver:       string(cfg.Driver),
-		Shards:       shards,
 		GridCols:     s.sc.GridCols,
 		Capacity:     s.sc.Capacity,
 		CapacitySkew: s.sc.CapacitySkew,
