@@ -3,6 +3,8 @@ package hst
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/rng"
@@ -17,15 +19,16 @@ import (
 // distortion). A ball takes whatever of its cluster earlier balls left, so a
 // point's child at level i is the first pivot in permutation order within
 // β·2^i of it — whichever cluster it sits in. The builder computes that
-// first pivot once per point and level and then assembles the cluster tree
-// top-down by grouping each cluster's points on it. For planar input the
-// first pivots come from sweeping the pivots over a bucket grid of the
-// still-unassigned points, O(N·D) grid work plus an O(N log N) hull for the
-// diameter; for an arbitrary metric from one pivot-ordered sweep that
-// evaluates each ordered pair once, O(N²) distance calls in total. The tree
-// is, bit for bit, the one the cluster-by-cluster carve yields (the tests
-// keep that carve as the differential reference): the distance predicate is
-// literally dist(p, pivot)·scale ≤ β·2^i.
+// first pivot once per point and level and then writes the leaf codes
+// top-down by grouping each cluster's points on it; Root builds the cluster
+// tree from the codes only when asked. For planar input the first pivots
+// come from sweeping the pivots over a bucket grid of the still-unassigned
+// points, a level on each core, O(N·D) grid work plus at most an
+// O(N log N) hull for the diameter; for an arbitrary metric from one
+// pivot-ordered sweep that evaluates each ordered pair once, O(N²) distance
+// calls in total. The tree is, bit for bit, the one the cluster-by-cluster
+// carve yields (the tests keep that carve as the differential reference):
+// every ball test decides as the literal dist(p, pivot)·scale ≤ β·2^i does.
 //
 // When the minimum pairwise distance is ≤ 1 the metric is scaled up so
 // that level-0 balls isolate single points (the paper implicitly assumes
@@ -58,11 +61,10 @@ func BuildWithParams(points []geo.Point, beta float64, perm []int) (*Tree, error
 		return nil, err
 	}
 	g := bucketGrid{pts: points}
-	scale, maxDist, err := g.scaleFor()
+	scale, depth, err := g.scaleFor()
 	if err != nil {
 		return nil, err
 	}
-	depth := depthFor(scale, maxDist)
 	return assemble(points, beta, scale, perm, depth, g.firstPivots(perm, beta, scale, depth))
 }
 
@@ -151,67 +153,75 @@ func depthFor(scale, maxDist float64) int {
 	return 1
 }
 
-// newSigma allocates the first-pivot table: sigma[level][p] is the rank in
-// perm of the first pivot within β·2^level of point p.
+// newSigma allocates the first-pivot table, one slab of depth·n ranks:
+// sigma[level][p] is the rank in perm of the first pivot within β·2^level
+// of point p.
 func newSigma(depth, n int) [][]int32 {
+	slab := make([]int32, depth*n)
 	sigma := make([][]int32, depth)
 	for level := range sigma {
-		sigma[level] = make([]int32, n)
+		sigma[level] = slab[level*n : (level+1)*n : (level+1)*n]
 	}
 	return sigma
 }
 
-// assemble builds the cluster tree from the first-pivot table and finishes
-// the Tree. Level by level it orders the points by (cluster, pivot rank,
-// index) with two stable counting sorts and cuts that order into children:
-// children in ascending pivot rank, Points in ascending index, clusters in
-// the order their parents were cut — what carving cluster by cluster yields.
+// assemble writes the leaf codes straight from the first-pivot table and
+// finishes the Tree. Level by level it orders the points by (cluster, pivot
+// rank, index) with two stable counting sorts; each run of one (cluster,
+// rank) is a child, numbered in ascending rank within its cluster — what
+// carving cluster by cluster yields — and every point of it gets that
+// digit. Clusters come in code order, so each level's pivots, appended in
+// that order, are all Root needs to rebuild the cluster tree.
 func assemble(points []geo.Point, beta, scale float64, perm []int, depth int, sigma [][]int32) (*Tree, error) {
 	n := len(points)
-	root := &Node{Level: depth, Pivot: -1, Points: make([]int, n)}
-	for i := range root.Points {
-		root.Points[i] = i
+	all, byRank, order := make([]int, n), make([]int, n), make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	current := []*Node{root}
-	cluster := make([]int32, n) // index in current of the cluster holding each point
-	byRank := make([]int, n)
+	cluster := make([]int32, n) // index in code order of the cluster holding each point
 	counts := make([]int32, n+1)
+	slab := make([]byte, n*depth)
+	pivots := make([]int32, 0, 2*n)
+	clusters, degree := 1, 1
 	for level := depth - 1; level >= 0; level-- {
-		sig := sigma[level]
-		order := make([]int, n) // becomes the children's Points, back to back
-		countingSort(byRank, root.Points, sig, counts)
-		countingSort(order, byRank, cluster, counts[:len(current)+1])
-
-		groups := 0
-		for i, p := range order {
-			if i == 0 || cluster[p] != cluster[order[i-1]] || sig[p] != sig[order[i-1]] {
+		sig, col := sigma[level], depth-1-level
+		countingSort(byRank, all, sig, counts)
+		countingSort(order, byRank, cluster, counts[:clusters+1])
+		groups, digit := 0, 0
+		prevC, prevS := int32(-1), int32(-1)
+		for _, p := range order {
+			if c, s := cluster[p], sig[p]; c != prevC || s != prevS {
+				digit++
+				if c != prevC {
+					digit = 0
+				}
+				prevC, prevS = c, s
 				groups++
+				degree = max(degree, digit+1)
+				pivots = append(pivots, int32(perm[s]))
 			}
+			cluster[p] = int32(groups - 1)
+			slab[p*depth+col] = byte(digit)
 		}
-		nodes := make([]Node, groups)
-		next := make([]*Node, groups)
-		for i, g, first := 0, 0, 0; i < n; g++ {
-			p := order[i]
-			j := i + 1
-			for j < n && cluster[order[j]] == cluster[p] && sig[order[j]] == sig[p] {
-				j++
-			}
-			nodes[g] = Node{Level: level, Pivot: perm[sig[p]], Points: order[i:j:j]}
-			next[g] = &nodes[g]
-			if j == n || cluster[order[j]] != cluster[p] {
-				current[cluster[p]].Children = next[first : g+1 : g+1]
-				first = g + 1
-			}
-			for _, q := range order[i:j] {
-				cluster[q] = int32(g)
-			}
-			i = j
-		}
-		current = next
+		clusters = groups
 	}
-
-	t := &Tree{pts: points, beta: beta, scale: scale, perm: perm, root: root, depth: depth}
-	if err := t.finish(current); err != nil {
+	if clusters != n { // report the first leaf, in code order, that holds more than one point
+		clear(counts)
+		for _, c := range cluster {
+			counts[c]++
+		}
+		for _, size := range counts {
+			if size > 1 {
+				return nil, fmt.Errorf("hst: level-0 cluster holds %d points; metric scaling failed", size)
+			}
+		}
+	}
+	if degree > 255 {
+		return nil, fmt.Errorf("%w (got %d)", ErrDegreeOverflow, degree)
+	}
+	t := &Tree{pts: points, beta: beta, scale: scale, perm: perm, depth: depth, degree: degree,
+		clusters: &clusterTree{pivots: pivots}}
+	if err := t.finish(string(slab)); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -232,53 +242,70 @@ func countingSort(dst, src []int, key []int32, counts []int32) {
 	}
 }
 
-// finish validates the leaves, computes the branching factor, and assigns
-// leaf codes by walking root-to-leaf paths.
-func (t *Tree) finish(leaves []*Node) error {
-	for _, leaf := range leaves {
-		if len(leaf.Points) != 1 {
-			return fmt.Errorf("hst: level-0 cluster holds %d points; metric scaling failed", len(leaf.Points))
-		}
-	}
-	degree := 1
-	var maxDegree func(*Node)
-	maxDegree = func(n *Node) {
-		degree = max(degree, len(n.Children))
-		for _, ch := range n.Children {
-			maxDegree(ch)
-		}
-	}
-	maxDegree(t.root)
-	if degree > 255 {
-		return fmt.Errorf("%w (got %d)", ErrDegreeOverflow, degree)
-	}
-	t.degree = degree
-
+// finish lays the leaf codes over one slab of n·D digits, point i's at
+// [i·D, (i+1)·D), and indexes them; it refuses two points with one code.
+func (t *Tree) finish(slab string) error {
 	t.codes = make([]Code, len(t.pts))
 	t.byCode = make(map[Code]int, len(t.pts))
-	path := make([]byte, 0, t.depth)
-	var assign func(*Node) error
-	assign = func(n *Node) error {
-		if n.Level == 0 {
-			code := Code(path)
-			p := n.Points[0]
-			t.codes[p] = code
-			if prev, dup := t.byCode[code]; dup {
-				return fmt.Errorf("hst: points %d and %d share leaf code", prev, p)
-			}
-			t.byCode[code] = p
-			return nil
+	for i := range t.codes {
+		c := Code(slab[i*t.depth : (i+1)*t.depth])
+		t.codes[i] = c
+		if t.byCode[c] = i; len(t.byCode) <= i {
+			return fmt.Errorf("hst: leaf codes %d and %d collide", slices.Index(t.codes, c), i)
 		}
-		for j, ch := range n.Children {
-			path = append(path, byte(j))
-			if err := assign(ch); err != nil {
-				return err
-			}
-			path = path[:len(path)-1]
-		}
-		return nil
 	}
-	return assign(t.root)
+	return nil
+}
+
+// clusterTree is what a built tree keeps of its cluster structure: each
+// level's cluster pivots, top-down and in code order, until Root asks for
+// the Node tree.
+type clusterTree struct {
+	once   sync.Once
+	pivots []int32
+	root   *Node
+}
+
+// carve rebuilds the cluster tree from the codes and the pivots: assemble's
+// grouping again, on each level's digit in place of the pivot rank (within
+// a cluster both order the children alike).
+func (t *Tree) carve(pivots []int32) *Node {
+	n := len(t.pts)
+	root := &Node{Level: t.depth, Pivot: -1, Points: make([]int, n)}
+	for i := range root.Points {
+		root.Points[i] = i
+	}
+	current := []*Node{root}
+	cluster, digit := make([]int32, n), make([]int32, n)
+	byDigit, counts := make([]int, n), make([]int32, max(n, t.degree)+1)
+	for level := t.depth - 1; level >= 0; level-- {
+		for p, c := range t.codes {
+			digit[p] = int32(c[t.depth-1-level])
+		}
+		order := make([]int, n) // becomes the children's Points, back to back
+		countingSort(byDigit, root.Points, digit, counts[:t.degree+1])
+		countingSort(order, byDigit, cluster, counts[:len(current)+1])
+		var next []*Node
+		for i, first := 0, 0; i < n; {
+			p := order[i]
+			j := i + 1
+			for j < n && cluster[order[j]] == cluster[p] && digit[order[j]] == digit[p] {
+				j++
+			}
+			next = append(next, &Node{Level: level, Pivot: int(pivots[0]), Points: order[i:j:j]})
+			pivots = pivots[1:]
+			if j == n || cluster[order[j]] != cluster[p] {
+				current[cluster[p]].Children = next[first:len(next):len(next)]
+				first = len(next)
+			}
+			for _, q := range order[i:j] {
+				cluster[q] = int32(len(next) - 1)
+			}
+			i = j
+		}
+		current = next
+	}
+	return root
 }
 
 // metricScaleFor returns the factor by which distances must be multiplied

@@ -1,11 +1,13 @@
 package hst
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/pombm/pombm/internal/geo"
@@ -81,8 +83,60 @@ func refBuildMetric(points []geo.Point, rawDist func(a, b int) float64, beta flo
 		current = next
 	}
 
-	t := &Tree{pts: points, beta: beta, scale: scale, perm: perm, root: root, depth: depth}
-	if err := t.finish(current); err != nil {
+	return refFinish(&Tree{pts: points, beta: beta, scale: scale, perm: perm, depth: depth}, root, current)
+}
+
+// refFinish finishes the reference carve's tree from its Node tree alone,
+// independently of the builder's code slab: it validates the leaves, takes
+// the branching factor over the cluster tree, and assigns leaf codes by
+// walking root-to-leaf paths. The tree keeps root as its cluster structure.
+func refFinish(t *Tree, root *Node, leaves []*Node) (*Tree, error) {
+	for _, leaf := range leaves {
+		if len(leaf.Points) != 1 {
+			return nil, fmt.Errorf("hst: level-0 cluster holds %d points; metric scaling failed", len(leaf.Points))
+		}
+	}
+	degree := 1
+	var maxDegree func(*Node)
+	maxDegree = func(n *Node) {
+		degree = max(degree, len(n.Children))
+		for _, ch := range n.Children {
+			maxDegree(ch)
+		}
+	}
+	maxDegree(root)
+	if degree > 255 {
+		return nil, fmt.Errorf("%w (got %d)", ErrDegreeOverflow, degree)
+	}
+	t.degree = degree
+	t.clusters = &clusterTree{root: root}
+	t.clusters.once.Do(func() {})
+
+	t.codes = make([]Code, len(t.pts))
+	t.byCode = make(map[Code]int, len(t.pts))
+	path := make([]byte, 0, t.depth)
+	var assign func(*Node) error
+	assign = func(n *Node) error {
+		if n.Level == 0 {
+			code := Code(path)
+			p := n.Points[0]
+			t.codes[p] = code
+			if prev, dup := t.byCode[code]; dup {
+				return fmt.Errorf("hst: points %d and %d share leaf code", prev, p)
+			}
+			t.byCode[code] = p
+			return nil
+		}
+		for j, ch := range n.Children {
+			path = append(path, byte(j))
+			if err := assign(ch); err != nil {
+				return err
+			}
+			path = path[:len(path)-1]
+		}
+		return nil
+	}
+	if err := assign(root); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -216,6 +270,49 @@ func TestBuildDifferentialPlanar(t *testing.T) {
 	}
 }
 
+// TestBuildSweepIdentity holds the builder to the reference carve at
+// GOMAXPROCS 1 and 2 where deciding a ball test on the squared distance
+// alone would change the tree, so the sweep must defer to the literal
+// predicate: grids at extents 1e-90 and 1e90 whose rescaled or power-of-two
+// balls end within rounding of a neighbour (the 1e90 grid's cells are
+// 2^299/5 wide, so cells (3, 4) apart sit on the level-299 boundary), a
+// grid at 1e-161, whose squared radii are subnormal and too coarse to
+// decide, grids at 1e-200 and 1e200, whose squares leave the normal range,
+// and two points 1e-12 apart, whose level-1 ball at β = 1 ends on the
+// second point.
+func TestBuildSweepIdentity(t *testing.T) {
+	square := func(side float64, k int) []geo.Point {
+		return gridPoints(geo.NewRect(geo.Pt(0, 0), geo.Pt(side, side)), k, k)
+	}
+	cases := []struct {
+		name string
+		pts  []geo.Point
+	}{
+		{"grid-1e-90", square(1.294e-90, 8)},
+		{"grid-1e90", square(8*(math.Ldexp(1, 299)/5), 8)},
+		{"grid-1e-161", square(1.031e-161, 8)},
+		{"grid-1e-200", square(1e-200, 5)},
+		{"grid-1e200", square(1e200, 5)},
+		{"two-1e-12-apart", []geo.Point{geo.Pt(1, 1), geo.Pt(1.0000000000012979, 1)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				perm, beta := drawParams(len(tc.pts), rng.New(seed))
+				for _, b := range []float64{beta, 0.5, 1} {
+					want, wantErr := refBuildPlanar(tc.pts, b, perm)
+					for _, procs := range []int{1, 2} {
+						prev := runtime.GOMAXPROCS(procs)
+						got, gotErr := BuildWithParams(tc.pts, b, perm)
+						runtime.GOMAXPROCS(prev)
+						sameBuild(t, got, gotErr, want, wantErr)
+					}
+				}
+			}
+		})
+	}
+}
+
 func roadMetric(t testing.TB, cols, rows int) *roadnet.Metric {
 	t.Helper()
 	g, err := roadnet.Manhattan(workload.SyntheticRegion, cols, rows, 0.4, 0.1, rng.New(21))
@@ -252,6 +349,21 @@ func TestBuildDifferentialMetric(t *testing.T) {
 	want, wantErr := refBuildMetric(points, small, beta, perm)
 	if gotErr != nil || got.Scale() == 1 {
 		t.Fatalf("err %v, scale %v: want a rescaled tree", gotErr, got.Scale())
+	}
+	sameBuild(t, got, gotErr, want, wantErr)
+	// 300 points all 2 apart: below the root every ball holds its own point
+	// alone, and both builders refuse the 300 children.
+	uniform := func(a, b int) float64 {
+		if a == b {
+			return 0
+		}
+		return 2
+	}
+	perm, _ = drawParams(300, rng.New(5))
+	got, gotErr = BuildMetricWithParams(make([]geo.Point, 300), uniform, 0.75, perm)
+	want, wantErr = refBuildMetric(make([]geo.Point, 300), uniform, 0.75, perm)
+	if !errors.Is(gotErr, ErrDegreeOverflow) {
+		t.Fatalf("uniform metric: err %v, want ErrDegreeOverflow", gotErr)
 	}
 	sameBuild(t, got, gotErr, want, wantErr)
 }
@@ -334,6 +446,26 @@ func TestBuildGoldenPublication(t *testing.T) {
 	const want = "75b1764dc6dd0d58e564d161bae9abd1d65fa66198766deba248e4fa961262b9"
 	if got := fmt.Sprintf("%x", sha256.Sum256(wire)); got != want {
 		t.Errorf("published tree digest = %s, want %s (D=%d c=%d)", got, want, tree.Depth(), tree.Degree())
+	}
+}
+
+// TestBuildGoldenDOT pins the cluster tree Root builds on demand from the
+// codes and the kept pivots, through the 32×32 tree's WriteDOT output.
+func TestBuildGoldenDOT(t *testing.T) {
+	tree, err := Build(gridPoints(workload.SyntheticRegion, 32, 32), rng.New(7).Derive("server-hst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dot bytes.Buffer
+	if err := tree.WriteDOT(&dot); err != nil {
+		t.Fatal(err)
+	}
+	const want = "8ea5a673c065a870ac9a4e3721735fa22daf34b1da2432c51ca47ebc21f56d0a"
+	if got := fmt.Sprintf("%x", sha256.Sum256(dot.Bytes())); got != want {
+		t.Errorf("DOT digest = %s, want %s (%d bytes)", got, want, dot.Len())
+	}
+	if st := tree.Stats(); st.RealNodes != 5240 {
+		t.Errorf("RealNodes = %d, want 5240", st.RealNodes)
 	}
 }
 

@@ -2,6 +2,7 @@ package hst
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/pombm/pombm/internal/geo"
@@ -109,6 +110,31 @@ func TestBuildPaperExample1(t *testing.T) {
 	}
 	if got := root.Children[1].Points; len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("second root child = %v, want [2 3]", got)
+	}
+}
+
+// TestRootConcurrent: the first callers of Root may race; the cluster tree
+// is built once, and every caller gets that one tree.
+func TestRootConcurrent(t *testing.T) {
+	src := rng.New(19)
+	tr, err := Build(randomPoints(src.Derive("pts"), 200, 300), src.Derive("tree"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := make([]*Node, 4)
+	var wg sync.WaitGroup
+	for i := range roots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			roots[i] = tr.Root()
+		}()
+	}
+	wg.Wait()
+	for i, root := range roots {
+		if root == nil || root != roots[0] {
+			t.Fatalf("caller %d got root %p, caller 0 %p", i, root, roots[0])
+		}
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // inspection (used by cmd/hstdump). It errors when the tree was
 // reconstructed from a published view and has no cluster structure.
 func (t *Tree) WriteDOT(w io.Writer) error {
-	if t.root == nil {
+	root := t.Root()
+	if root == nil {
 		return fmt.Errorf("hst: no cluster structure to render (reconstructed tree)")
 	}
 	if _, err := fmt.Fprintln(w, "digraph hst {"); err != nil {
@@ -35,7 +36,7 @@ func (t *Tree) WriteDOT(w io.Writer) error {
 		}
 		return my
 	}
-	emit(t.root)
+	emit(root)
 	_, err := fmt.Fprintln(w, "}")
 	return err
 }
@@ -77,16 +78,8 @@ func (t *Tree) Stats() Stats {
 		Scale:       t.scale,
 		TotalLeaves: t.TotalLeaves(),
 	}
-	if t.root != nil {
-		var count func(*Node) int
-		count = func(n *Node) int {
-			c := 1
-			for _, ch := range n.Children {
-				c += count(ch)
-			}
-			return c
-		}
-		s.RealNodes = count(t.root)
+	if t.clusters != nil { // one pivot per cluster below the root
+		s.RealNodes = len(t.clusters.pivots) + 1
 	}
 	return s
 }

@@ -38,9 +38,10 @@ import (
 // Codes are comparable and usable as map keys.
 type Code string
 
-// Node is a cluster node of the real (pre-completion) HST. It is retained
-// for inspection, DOT export, and tests; the mechanism and matcher work on
-// codes instead.
+// Node is a cluster node of the real (pre-completion) HST, for inspection,
+// DOT export and tests; the mechanism and matcher work on codes instead. A
+// built tree keeps only its clusters' pivots and builds the Node tree from
+// them and the codes on the first call to Root.
 type Node struct {
 	Level    int     // leaves are level 0, the root is level D
 	Pivot    int     // index of the permutation point whose ball carved this cluster; -1 for the root
@@ -55,11 +56,12 @@ type Tree struct {
 	beta   float64
 	scale  float64
 	perm   []int
-	root   *Node // nil when reconstructed from a Published view
 	depth  int
 	degree int
 	codes  []Code
 	byCode map[Code]int
+	// clusters is nil when the tree was reconstructed from a Published view.
+	clusters *clusterTree
 }
 
 // Validation errors returned by Build.
@@ -98,9 +100,17 @@ func (t *Tree) Scale() float64 { return t.scale }
 // indexes in carving priority order); nil for reconstructed trees.
 func (t *Tree) Perm() []int { return t.perm }
 
-// Root returns the real cluster tree, or nil when the tree was
+// Root returns the real cluster tree, built on first call from the leaf
+// codes and the pivots the builder kept, or nil when the tree was
 // reconstructed from its published form.
-func (t *Tree) Root() *Node { return t.root }
+func (t *Tree) Root() *Node {
+	c := t.clusters
+	if c == nil {
+		return nil
+	}
+	c.once.Do(func() { c.root = t.carve(c.pivots) })
+	return c.root
+}
 
 // CodeOf returns the leaf code of predefined point i.
 func (t *Tree) CodeOf(i int) Code { return t.codes[i] }

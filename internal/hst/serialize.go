@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/wire"
@@ -67,25 +68,21 @@ func (p *Published) Tree() (*Tree, error) {
 			return nil, fmt.Errorf("hst: published point %d is not finite", i)
 		}
 	}
-	t := &Tree{
-		pts:    p.Points,
-		beta:   p.Beta,
-		scale:  p.Scale,
-		depth:  p.Depth,
-		degree: p.Degree,
-		codes:  make([]Code, len(p.Codes)),
-		byCode: make(map[Code]int, len(p.Codes)),
+	t := &Tree{pts: p.Points, beta: p.Beta, scale: p.Scale, depth: p.Depth, degree: p.Degree}
+	size := 0
+	for _, raw := range p.Codes {
+		size += len(raw)
 	}
+	var slab strings.Builder
+	slab.Grow(size) // the bytes the document holds, whatever depth it claims
 	for i, raw := range p.Codes {
-		c := Code(raw)
-		if !t.ValidCode(c) {
+		if !t.ValidCode(Code(raw)) {
 			return nil, fmt.Errorf("hst: published code %d malformed", i)
 		}
-		if prev, dup := t.byCode[c]; dup {
-			return nil, fmt.Errorf("hst: published codes %d and %d collide", prev, i)
-		}
-		t.codes[i] = c
-		t.byCode[c] = i
+		slab.Write(raw)
+	}
+	if err := t.finish(slab.String()); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/rng"
 	"github.com/pombm/pombm/internal/wire"
+	"github.com/pombm/pombm/internal/workload"
 )
 
 func TestPublishRoundTrip(t *testing.T) {
@@ -53,6 +54,27 @@ func TestPublishRoundTrip(t *testing.T) {
 	}
 	if back.Root() != nil {
 		t.Error("reconstructed tree should not expose cluster structure")
+	}
+}
+
+// TestPublishedTreeAllocs pins the decode every agent, node Init and
+// rotation prepare pays: a 64×64 publication's 4,096 codes land in one
+// slab through the builder's finish, not in one string each; what is left
+// is mostly the code index's map tables.
+func TestPublishedTreeAllocs(t *testing.T) {
+	tree, err := Build(gridPoints(workload.SyntheticRegion, 64, 64), rng.New(7).Derive("server-hst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := tree.Publish()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := pub.Tree(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Published.Tree: %.0f allocs", allocs)
+	if allocs > 32 {
+		t.Errorf("Published.Tree allocates %.0f times, want ≤ 32", allocs)
 	}
 }
 
