@@ -544,6 +544,56 @@ func BenchmarkIndexMineK8(b *testing.B) {
 	}
 }
 
+// BenchmarkServerReleaseMove is the served operation batch-window makes
+// most: an in-process platform.Server under batch-optimal(8) over the index
+// rows' tree, 16,384 workers of capacity 4, each op a Release that hands a
+// task's unit back with a fresh code — the task's own, as batch-window's
+// workers reappear where their task was — so the worker's pooled units move
+// to the new leaf, mostly within their bucket (the worker was the task's
+// tree-nearest). With the timer stopped, a SubmitBatch of 64 tasks takes
+// out the units the next 64 releases hand back.
+func BenchmarkServerReleaseMove(b *testing.B) {
+	indexBenchSetup(b)
+	srv, err := platform.NewServer(workload.SyntheticRegion, 64, 64, workload.DefaultEpsilon, 7,
+		platform.WithTree(indexBench.tree), platform.WithPolicy(engine.BatchOptimal(8)), platform.WithDefaultCapacity(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id, c := range indexBench.workers[:16384] {
+		if r := srv.Register(platform.RegisterRequest{WorkerID: fmt.Sprintf("w%d", id), Code: []byte(c)}); !r.OK {
+			b.Fatal(r.Reason)
+		}
+	}
+	tasks := make([][]byte, len(indexBench.tasks))
+	for i, c := range indexBench.tasks {
+		tasks[i] = []byte(c)
+	}
+	batch := platform.TaskBatchRequest{Tasks: make([]platform.TaskRequest, 64)}
+	var out []platform.ReleaseRequest // one Release owed a worker a task took out
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(out) == 0 {
+			b.StopTimer()
+			for k := range batch.Tasks {
+				batch.Tasks[k].Code = tasks[(next+k)%len(tasks)]
+			}
+			for k, r := range srv.SubmitBatch(batch).Results {
+				if r.Assigned {
+					out = append(out, platform.ReleaseRequest{WorkerID: r.WorkerID, Code: tasks[(next+k)%len(tasks)]})
+				}
+			}
+			next += len(batch.Tasks)
+			b.StartTimer()
+		}
+		if r := srv.Release(out[len(out)-1]); !r.OK {
+			b.Fatal(r.Reason)
+		}
+		out = out[:len(out)-1]
+	}
+}
+
 func BenchmarkTBFPipeline(b *testing.B) {
 	env, err := pombm.NewEnv(workload.SyntheticRegion, 32, 32, 1)
 	if err != nil {

@@ -230,6 +230,21 @@ func (c *fanCore) RemoveUnits(code hst.Code, id int) (units int, found bool) {
 	return res.Units, res.Found
 }
 
+// RelocateEpoch moves a worker as two routed ops — a remove at from (when
+// from is non-empty), then an insert of the units it answered plus extra at
+// to — since the two codes may route to different nodes. A refused insert
+// puts the removed units back at from; if that is refused too there is
+// nothing left to try.
+func (c *fanCore) RelocateEpoch(from, to hst.Code, id, extra int, epoch int64) (pooled int, err error) {
+	if from != "" {
+		pooled, _ = c.RemoveUnits(from, id)
+	}
+	if err = c.InsertCapEpoch(to, id, pooled+extra, epoch); err != nil && pooled > 0 {
+		_ = c.InsertCapEpoch(from, id, pooled, epoch)
+	}
+	return pooled, err
+}
+
 // routed ships op, a mutation of the worker at code under a fresh
 // idempotency key, to the node owning the code, by do's retry rule. A code
 // the tree does not have is refused here.

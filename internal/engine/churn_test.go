@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -296,8 +297,9 @@ func TestConcurrentChurnAcrossShardCounts(t *testing.T) {
 // TestLongBatchYieldsBetweenWindows races long batch-optimal batches with
 // every writer the engine has. A 700-task batch is three windows back to
 // back, each under its own hold of the engine's lock, so InsertCapEpoch,
-// AddCapacityEpoch, RemoveUnits and an epoch swap all land between the
-// windows of a batch in flight. Against a per-worker ledger it asserts, under
+// RelocateEpoch (a unit handed back at a fresh leaf or the same one, or a
+// bare move), RemoveUnits and an epoch swap all land between the windows of
+// a batch in flight. Against a per-worker ledger it asserts, under
 // -race, that no unit of capacity is handed out twice, that no answer names
 // a worker whose removal had returned before the batch began, that the
 // quiesced engine holds exactly the units the ledger says, and that the
@@ -405,11 +407,19 @@ func TestLongBatchYieldsBetweenWindows(t *testing.T) {
 					if units, ok := eng.RemoveUnits(w.code, id); ok {
 						w.live, w.taken, w.lastRem = false, w.taken+units, clock.Add(1)
 					}
-				case w.out > 0:
-					if err := eng.AddCapacityEpoch(w.code, id, epoch); err != nil {
-						fail("return a unit of worker %d: %v", id, err)
-					} else {
-						w.granted, w.out = w.granted+1, w.out-1
+				case w.out > 0 || src.Intn(2) == 0:
+					// A fresh report, a quarter of the time at the same leaf:
+					// the pooled units move with the unit handed back, when one
+					// is out; a bare move of a worker with every unit out finds
+					// nothing to move.
+					to, extra := randCode(tree, src), min(w.out, 1)
+					if src.Intn(4) == 0 {
+						to = w.code
+					}
+					if _, err := eng.RelocateEpoch(w.code, to, id, extra, epoch); err == nil {
+						w.code, w.granted, w.out = to, w.granted+extra, w.out-extra
+					} else if extra > 0 || !errors.Is(err, hst.ErrNoItem) {
+						fail("relocate worker %d (+%d): %v", id, extra, err)
 					}
 				default:
 					locked = false

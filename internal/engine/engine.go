@@ -423,7 +423,7 @@ func (e *Engine) Remove(code hst.Code, id int) bool {
 }
 
 // RemoveUnits is Remove reporting the capacity units the worker still had
-// pooled. Callers relocating a live worker (a Release re-reporting a fresh
+// pooled. Callers relocating a live worker (a Reregister reporting a fresh
 // leaf) must size the re-insert from this ground truth, not from their own
 // accounting: a concurrent Assign may have consumed a unit whose pop has
 // not been recorded yet, and re-inserting it would let the worker serve
@@ -436,6 +436,33 @@ func (e *Engine) RemoveUnits(code hst.Code, id int) (units int, ok bool) {
 	units, ok = st.index.RemoveUnits(code, id)
 	e.mu.Unlock()
 	return units, ok
+}
+
+// RelocateEpoch moves worker id's pooled units from code from to code to —
+// a fresh report — and adds extra units (the task just completed), under
+// one hold of the lock. It answers how many units the worker still had
+// pooled at from: the ground truth RemoveUnits documents, since a concurrent
+// Assign may have taken a unit its caller has not recorded. An empty from,
+// or one that no longer holds id (an Assign took its last unit), puts extra
+// units at to, or refuses with hst.ErrNoItem when extra is 0. Under a policy
+// that is not capacity-aware the worker holds one unit wherever it lands, as
+// InsertCapEpoch clamps. A refusal — a stale epoch, a malformed to, a full
+// arena, units past the index's int32 range — changes nothing.
+func (e *Engine) RelocateEpoch(from, to hst.Code, id, extra int, epoch int64) (pooled int, err error) {
+	st, err := e.lock("relocate", to, epoch)
+	if err != nil {
+		return 0, err
+	}
+	add := extra
+	if !e.policy.CapacityAware() {
+		add = 0
+	}
+	pooled, err = st.index.MoveCap(from, to, id, add)
+	if err == hst.ErrNoItem && extra > 0 {
+		pooled, err = 0, st.index.InsertCap(to, id, e.effCap(extra))
+	}
+	e.mu.Unlock()
+	return pooled, err
 }
 
 // Len returns the number of available workers in the current epoch.

@@ -1,8 +1,10 @@
 package engine_test
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,14 +18,16 @@ import (
 
 // This file checks the nearest rule under concurrency. n goroutines drive a
 // core — an engine, or a coordinator over three in-process nodes — with
-// inserts, assignments, unit returns and removals; a recorder logs each
-// op's start, end and answer off one monotonic counter; and an offline
-// checker decides every assignment without search:
+// inserts, assignments, unit returns, relocations (a return at a fresh leaf)
+// and removals; a recorder logs each op's start, end and answer off one
+// monotonic counter; and an offline checker decides every assignment
+// without search:
 //
 //   - a worker is definitely available throughout an assignment's interval
 //     [s, e] when the units put in by adds that completed before s exceed
-//     the units taken by every other take that started before e — no
-//     linearisation can have emptied it inside the interval;
+//     the units taken by every other take that started before e, and no
+//     relocation of it overlaps [s, e] — no linearisation can have emptied
+//     it inside the interval, or moved it;
 //   - no such worker may sit below the answer's LCA level, or at that level
 //     with a smaller id, and an assignment that found nobody had none;
 //   - a worker is never assigned more units than could have reached the
@@ -31,7 +35,7 @@ import (
 //     between returns.
 //
 // Rotations are not driven here, and no batch is: each op is one of the
-// four single-worker calls every core answers alike.
+// five single-worker calls every core answers alike.
 
 // histCore is the core surface the drivers call: *engine.Engine and a
 // coordinator's platform.Core both have it.
@@ -40,6 +44,7 @@ type histCore interface {
 	InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) error
 	AddCapacityEpoch(code hst.Code, id int, epoch int64) error
 	RemoveUnits(code hst.Code, id int) (units int, ok bool)
+	RelocateEpoch(from, to hst.Code, id, extra int, epoch int64) (pooled int, err error)
 }
 
 type histKind uint8
@@ -49,11 +54,13 @@ const (
 	histReturn
 	histRemove
 	histAssign
+	histRelocate
 )
 
 // histOp is one recorded call: its interval on the recorder's clock, the
 // worker it names (an assignment: the one it answered, or engine.None) and
-// the units it put in or took out of the pool.
+// the units it put in or took out of the pool (a relocation: the one it
+// returned).
 type histOp struct {
 	kind       histKind
 	start, end int64
@@ -61,23 +68,36 @@ type histOp struct {
 	units      int
 	task       hst.Code // an assignment's task
 	level      int      // an assignment's answered level
+	to         hst.Code // the leaf a relocation left its worker at
 }
 
-// histShape is one run's workload: goroutines × workers each owns, the
-// capacity an insert asks for, and ops per goroutine.
+// histShape is one run's workload: goroutines × workers each owns (owned
+// at fixed leaves, movers relocated), the capacity an insert asks for, and
+// ops per goroutine.
 type histShape struct {
-	goroutines, owned, capacity, steps int
+	goroutines, owned, movers, capacity, steps int
 }
+
+func (sh histShape) workers() int { return sh.goroutines * (sh.owned + sh.movers) }
 
 // runHistory drives core with shape's workload from seed and returns every
-// goroutine's log. Workers sit at fixed leaves (codes[id]); goroutine g owns
-// the ids g·owned … (g+1)·owned−1, which only it inserts and removes, and
-// returns a unit of any worker it was assigned. Each call yields once
-// between its start tick and the call, so the goroutines' intervals overlap
-// even on one core.
+// goroutine's log. Goroutine g owns the ids g·owned … (g+1)·owned−1, which
+// sit at fixed leaves (codes[id]) and which only it inserts and removes, and
+// returns a unit of any worker it was assigned. Movers — the movers ids
+// from goroutines·owned + g·movers on — start at codes[id] once and never
+// leave; a goroutine returns a mover's unit in place or, half the time,
+// relocates the mover to a fresh leaf with it, as a platform Release with a
+// fresh code does. A mover's returns and relocations are serialised, as the
+// platform's lock serialises a worker's, so its leaf is one at a time. Each
+// call yields once between its start tick and the call, so the goroutines'
+// intervals overlap even on one core.
 func runHistory(core histCore, tree *hst.Tree, codes []hst.Code, sh histShape, seed uint64) [][]histOp {
 	var clock atomic.Int64
 	logs := make([][]histOp, sh.goroutines)
+	movers := make([]struct {
+		sync.Mutex
+		at hst.Code
+	}, sh.workers())
 	var wg sync.WaitGroup
 	for g := range logs {
 		wg.Add(1)
@@ -102,6 +122,10 @@ func runHistory(core histCore, tree *hst.Tree, codes []hst.Code, sh histShape, s
 			for id := first; id < first+sh.owned; id++ {
 				insert(id)
 			}
+			for id := sh.goroutines*sh.owned + g*sh.movers; id < sh.goroutines*sh.owned+(g+1)*sh.movers; id++ {
+				movers[id].at = codes[id]
+				insert(id)
+			}
 			var held []int // workers this goroutine was assigned and has not returned
 			for step := 0; step < sh.steps; step++ {
 				switch r := src.Intn(10); {
@@ -123,11 +147,31 @@ func runHistory(core histCore, tree *hst.Tree, codes []hst.Code, sh histShape, s
 					j := src.Intn(len(held))
 					id := held[j]
 					held = append(held[:j], held[j+1:]...)
-					record(histOp{kind: histReturn, worker: id}, func(op *histOp) {
-						if core.AddCapacityEpoch(codes[id], id, 0) == nil {
-							op.units = 1
-						}
-					})
+					if id < sh.goroutines*sh.owned {
+						record(histOp{kind: histReturn, worker: id}, func(op *histOp) {
+							if core.AddCapacityEpoch(codes[id], id, 0) == nil {
+								op.units = 1
+							}
+						})
+						break
+					}
+					m := &movers[id]
+					m.Lock()
+					if src.Intn(2) == 0 {
+						record(histOp{kind: histReturn, worker: id}, func(op *histOp) {
+							if core.AddCapacityEpoch(m.at, id, 0) == nil {
+								op.units = 1
+							}
+						})
+					} else {
+						to := tree.CodeOf(src.Intn(tree.NumPoints()))
+						record(histOp{kind: histRelocate, worker: id, to: m.at}, func(op *histOp) {
+							if _, err := core.RelocateEpoch(m.at, to, id, 1, 0); err == nil {
+								op.units, op.to, m.at = 1, to, to
+							}
+						})
+					}
+					m.Unlock()
 				case r < 8:
 					id := first + src.Intn(sh.owned)
 					record(histOp{kind: histRemove, worker: id}, func(op *histOp) {
@@ -146,17 +190,39 @@ func runHistory(core histCore, tree *hst.Tree, codes []hst.Code, sh histShape, s
 // checkHistory returns the first few violations of the rules above in logs.
 func checkHistory(tree *hst.Tree, codes []hst.Code, logs [][]histOp) []string {
 	perWorker := make([][]histOp, len(codes)) // adds and takes, by worker
+	relocs := make([][]histOp, len(codes))    // by worker, in order
 	var assigns []histOp
 	for _, log := range logs {
 		for _, op := range log {
-			if op.kind == histAssign {
+			switch op.kind {
+			case histAssign:
 				assigns = append(assigns, op)
+			case histRelocate:
+				relocs[op.worker] = append(relocs[op.worker], op)
 			}
 			if op.worker != engine.None {
 				perWorker[op.worker] = append(perWorker[op.worker], op)
 			}
 		}
 	}
+	for _, rs := range relocs {
+		slices.SortFunc(rs, func(a, b histOp) int { return cmp.Compare(a.start, b.start) })
+	}
+	// leaves returns the leaves worker w can have sat at during [s, e] — the
+	// one at s last — and whether it sat at that one throughout.
+	leaves := func(w int, s, e int64) (at []hst.Code, still bool) {
+		cur := codes[w]
+		for _, r := range relocs[w] {
+			switch {
+			case r.end < s:
+				cur = r.to
+			case r.start < e:
+				at = append(at, r.to)
+			}
+		}
+		return append(at, cur), len(at) == 0
+	}
+	adds := func(k histKind) bool { return k == histInsert || k == histReturn || k == histRelocate }
 	var bad []string
 	report := func(format string, args ...any) {
 		if len(bad) < 8 {
@@ -165,15 +231,17 @@ func checkHistory(tree *hst.Tree, codes []hst.Code, logs [][]histOp) []string {
 	}
 	for _, a := range assigns {
 		if a.worker != engine.None {
-			if lvl := tree.LCALevel(codes[a.worker], a.task); lvl != a.level {
-				report("assignment [%d,%d] answered worker %d at level %d, which sits at level %d", a.start, a.end, a.worker, a.level, lvl)
+			at, _ := leaves(a.worker, a.start, a.end)
+			if !slices.ContainsFunc(at, func(c hst.Code) bool { return tree.LCALevel(c, a.task) == a.level }) {
+				report("assignment [%d,%d] answered worker %d at level %d, which sits at level %d", a.start, a.end, a.worker, a.level,
+					tree.LCALevel(at[len(at)-1], a.task))
 			}
 			// Units that certainly left before this one, and units that can
 			// have arrived before it ended.
 			taken, arrived := 1, 0
 			for _, op := range perWorker[a.worker] {
 				switch {
-				case op.kind == histInsert || op.kind == histReturn:
+				case adds(op.kind):
 					if op.start < a.end {
 						arrived += op.units
 					}
@@ -193,7 +261,7 @@ func checkHistory(tree *hst.Tree, codes []hst.Code, logs [][]histOp) []string {
 			surely := 0
 			for _, op := range ops {
 				switch {
-				case op.kind == histInsert || op.kind == histReturn:
+				case adds(op.kind):
 					if op.end < a.start {
 						surely += op.units
 					}
@@ -201,10 +269,11 @@ func checkHistory(tree *hst.Tree, codes []hst.Code, logs [][]histOp) []string {
 					surely -= op.units
 				}
 			}
-			if surely < 1 {
+			at, still := leaves(w, a.start, a.end)
+			if surely < 1 || !still {
 				continue
 			}
-			lvl := tree.LCALevel(codes[w], a.task)
+			lvl := tree.LCALevel(at[0], a.task)
 			switch {
 			case a.worker == engine.None:
 				report("assignment [%d,%d] found no worker, but worker %d (level %d) was available throughout", a.start, a.end, w, lvl)
@@ -236,14 +305,14 @@ func historyTree(t *testing.T) *hst.Tree {
 // historyCodes places shape's workers on random real leaves.
 func historyCodes(tree *hst.Tree, sh histShape, seed uint64) []hst.Code {
 	src := rng.New(seed).Derive("leaves")
-	codes := make([]hst.Code, sh.goroutines*sh.owned)
+	codes := make([]hst.Code, sh.workers())
 	for i := range codes {
 		codes[i] = tree.CodeOf(src.Intn(tree.NumPoints()))
 	}
 	return codes
 }
 
-var historyShape = histShape{goroutines: 4, owned: 12, steps: 300}
+var historyShape = histShape{goroutines: 4, owned: 12, movers: 12, steps: 300}
 
 func checkRuns(t *testing.T, tree *hst.Tree, sh histShape, core func(t *testing.T, codes []hst.Code) histCore) {
 	for _, seed := range []uint64{1, 2, 3} {
@@ -251,6 +320,17 @@ func checkRuns(t *testing.T, tree *hst.Tree, sh histShape, core func(t *testing.
 		logs := runHistory(core(t, codes), tree, codes, sh, seed)
 		for _, v := range checkHistory(tree, codes, logs) {
 			t.Errorf("seed %d: %s", seed, v)
+		}
+		moved := 0
+		for _, log := range logs {
+			for _, op := range log {
+				if op.kind == histRelocate && op.units > 0 {
+					moved++
+				}
+			}
+		}
+		if moved < 10 {
+			t.Errorf("seed %d: %d relocations went through: the run checks too few", seed, moved)
 		}
 	}
 }

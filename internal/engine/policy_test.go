@@ -228,6 +228,60 @@ func TestAddCapacityRoundTrip(t *testing.T) {
 	}
 }
 
+// RelocateEpoch moves a worker's pooled units to a fresh leaf with the unit
+// handed back; a worker with nothing pooled gets that unit at the fresh
+// leaf, a bare move of nothing refuses, and a refusal changes nothing.
+// Under greedy a moved worker keeps one unit.
+func TestRelocateEpoch(t *testing.T) {
+	tree := buildTree(t, 8, 14)
+	e, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(engine.CapacityGreedy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := tree.CodeOf(9), tree.CodeOf(40)
+	if err := e.InsertCapEpoch(c0, 2, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	books := func(what string, n, units int) {
+		t.Helper()
+		if e.Len() != n || e.CapacityUnits() != units {
+			t.Fatalf("%s: Len=%d Units=%d, want %d and %d", what, e.Len(), e.CapacityUnits(), n, units)
+		}
+	}
+	if pooled, err := e.RelocateEpoch(c0, c1, 2, 1, engine.FirstEpoch); err != nil || pooled != 3 {
+		t.Fatalf("move = (%d, %v), want 3 pooled", pooled, err)
+	}
+	books("after the move", 1, 4)
+	if id, lvl, ok := e.Assign(c1); !ok || id != 2 || lvl != 0 {
+		t.Fatalf("assign at the fresh leaf = (%d,%d,%v)", id, lvl, ok)
+	}
+	for what, call := range map[string]func() (int, error){
+		"a bare move of nothing": func() (int, error) { return e.RelocateEpoch(c0, c1, 2, 0, 0) },
+		"a stale epoch":          func() (int, error) { return e.RelocateEpoch(c1, c0, 2, 1, engine.FirstEpoch+1) },
+		"a malformed code":       func() (int, error) { return e.RelocateEpoch(c1, hst.Code("x"), 2, 1, 0) },
+	} {
+		if _, err := call(); err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+		books(what, 1, 3)
+	}
+	if pooled, err := e.RelocateEpoch("", c0, 5, 1, 0); err != nil || pooled != 0 {
+		t.Fatalf("a worker with nothing pooled = (%d, %v)", pooled, err)
+	}
+	books("a unit handed back at a fresh leaf", 2, 4)
+
+	g, err := engine.New(tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Insert(c0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if pooled, err := g.RelocateEpoch(c0, c1, 1, 1, 0); err != nil || pooled != 1 || g.CapacityUnits() != 1 {
+		t.Fatalf("greedy move = (%d, %v), %d units, want one", pooled, err, g.CapacityUnits())
+	}
+}
+
 // A worker already at the index's 2³¹−1 unit ceiling is saturated, not
 // gone: returning a unit to it must refuse and change nothing. Reading the
 // index's refusal as "item consumed away" re-inserted the id beside itself

@@ -199,11 +199,31 @@ func (c *Controller) Afford(worker string, reports uint32) error {
 func (c *Controller) Charge(reports uint32) uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.charge(reports)
+}
+
+func (c *Controller) charge(reports uint32) uint32 {
 	if c.budget == nil {
 		return reports
 	}
 	c.budget.Charge(reports == 0, c.eps)
 	return reports + 1
+}
+
+// Accept is Charge for one accepted fresh report at code that also records
+// the report for refit history, under one hold of the controller's lock:
+// what a registration, an update or a release with a fresh code books once
+// the engine took the report. Only real leaves count towards the history —
+// obfuscated codes frequently land on fake leaves, which say nothing about
+// where demand concentrates. Recording obfuscated output is post-processing
+// and spends no budget.
+func (c *Controller) Accept(reports uint32, code hst.Code) uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p, ok := c.tree.PointOf(code); ok {
+		c.hist[p]++
+	}
+	return c.charge(reports)
 }
 
 // Parked reports whether the worker has been parked (lifetime budget
@@ -213,18 +233,6 @@ func (c *Controller) Parked(worker string) bool {
 	defer c.mu.Unlock()
 	_, ok := c.parked[worker]
 	return ok
-}
-
-// Observe records one accepted report for refit history. Only real leaves
-// count — obfuscated codes frequently land on fake leaves, which say
-// nothing about where demand concentrates. Observing obfuscated output is
-// post-processing and spends no budget.
-func (c *Controller) Observe(code hst.Code) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.tree.PointOf(code); ok {
-		c.hist[p]++
-	}
 }
 
 // Prepare stages the next epoch: a fresh tree over the same predefined

@@ -305,17 +305,17 @@ func TestRefitUsesObservedHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Observe a heavily skewed report history: every report at point 17.
+	// Accept a heavily skewed report history: every report at point 17.
 	hot := tree.CodeOf(17)
 	for i := 0; i < 50; i++ {
-		c.Observe(hot)
+		c.Accept(0, hot)
 	}
 	// Fake-leaf observations must not count.
 	src := rng.New(8)
 	for i := 0; i < 50; i++ {
 		code := randCode(tree, src)
 		if _, ok := tree.PointOf(code); !ok {
-			c.Observe(code)
+			c.Accept(0, code)
 		}
 	}
 	staged, err := c.Prepare(0, true)
@@ -345,7 +345,7 @@ func TestRefitUsesObservedHistory(t *testing.T) {
 
 // TestRefitOrdersTiesByPointIndex pins the whole carving order under refit,
 // ties included: counts descending, equal counts — the unobserved points
-// among them — by ascending point index. A later Observe does not reach a
+// among them — by ascending point index. A later Accept does not reach a
 // tree already staged: Prepare works on a copy of the histogram.
 func TestRefitOrdersTiesByPointIndex(t *testing.T) {
 	tree := buildTree(t, 5, 4)
@@ -355,14 +355,14 @@ func TestRefitOrdersTiesByPointIndex(t *testing.T) {
 	}
 	for point, reports := range map[int]int{9: 3, 2: 3, 14: 5, 6: 1, 11: 1, 0: 1} {
 		for i := 0; i < reports; i++ {
-			c.Observe(tree.CodeOf(point))
+			c.Accept(0, tree.CodeOf(point))
 		}
 	}
 	staged, err := c.Prepare(0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Observe(tree.CodeOf(15))
+	c.Accept(0, tree.CodeOf(15))
 	want := []int{14, 2, 9, 0, 6, 11, 1, 3, 4, 5, 7, 8, 10, 12, 13, 15}
 	if got := staged.Tree.Perm(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("refit carving order %v, want %v", got, want)

@@ -142,3 +142,29 @@ func pageTape(degree, n int) []byte {
 	}
 	return tape
 }
+
+// moveTape is a FuzzLeafIndexDifferential seed (depth 4) of moves: burstMax
+// inserts fill the root bucket to the brim and their oldest items move about
+// it in place; one insert more bursts it, and moves then run between the
+// children — near (the last digit redrawn) and far (the first) — with 0–4
+// extra units, down through the folds that withdrawals set off.
+func moveTape(degree int) []byte {
+	var tape []byte
+	rec := func(op byte, i int) {
+		tape = append(tape, op, byte(i%degree), byte(i/degree%degree), byte(i/degree/degree%degree), byte(i/degree/degree/degree%degree))
+	}
+	for i := 0; i < burstMax; i++ {
+		rec(0, i)
+	}
+	for i := 0; i < 2*degree; i++ {
+		rec(2|byte(1+i%5)<<3, i*5) // move the oldest, +0..4 units
+	}
+	rec(0, burstMax)
+	for i := 0; i < burstMax; i++ {
+		rec(2|byte(1+i%5)<<3, i*7)
+		if i%3 == 0 {
+			rec(2, 0) // withdraw the oldest
+		}
+	}
+	return tape
+}

@@ -62,9 +62,9 @@ import (
 // Items carry a remaining capacity (Insert seeds 1, InsertCap more): the
 // pop operations consume one unit and remove the item only when its last
 // unit goes, so a multi-capacity worker keeps answering nearest-queries
-// until exhausted. Remove always takes the whole item (a withdrawal), and
-// AddCap/Consume adjust a live item's units in place. Len counts items;
-// Units counts remaining capacity.
+// until exhausted. Remove always takes the whole item (a withdrawal),
+// AddCap/Consume adjust a live item's units in place, and MoveCap carries
+// them to a fresh leaf. Len counts items; Units counts remaining capacity.
 //
 // Like its map-based predecessor, LeafIndex is not safe for concurrent use;
 // callers serialise access (the engine drives its index under its one lock,
@@ -353,19 +353,14 @@ func (x *LeafIndex) InsertCap(code Code, id, capacity int) error {
 	if capacity < 1 || capacity > math.MaxInt32 {
 		return fmt.Errorf("hst: item capacity %d outside [1, MaxInt32]", capacity)
 	}
-	if len(code) != x.depth {
-		return fmt.Errorf("hst: code length %d, index depth %d", len(code), x.depth)
-	}
 	if id < 0 || id > math.MaxInt32 {
 		return fmt.Errorf("hst: item id %d outside [0, MaxInt32]", id)
 	}
 	// Validate before mutating anything: a child block is indexed by digit
 	// and counts are bumped while descending. Arena overflow is checked up
 	// front for the same reason.
-	for j := 0; j < x.depth; j++ {
-		if int(code[j]) >= x.width {
-			return fmt.Errorf("hst: digit %d at position %d exceeds index degree %d", code[j], j, x.width)
-		}
+	if err := x.checkCode(code); err != nil {
+		return err
 	}
 	if err := x.roomFor(); err != nil {
 		return err
@@ -399,6 +394,20 @@ func (x *LeafIndex) InsertCap(code Code, id, capacity int) error {
 	}
 	x.size++
 	x.units += capacity
+	return nil
+}
+
+// checkCode errs unless code is a full-depth code whose every digit is below
+// the index's degree.
+func (x *LeafIndex) checkCode(code Code) error {
+	if len(code) != x.depth {
+		return fmt.Errorf("hst: code length %d, index depth %d", len(code), x.depth)
+	}
+	for j := 0; j < x.depth; j++ {
+		if int(code[j]) >= x.width {
+			return fmt.Errorf("hst: digit %d at position %d exceeds index degree %d", code[j], j, x.width)
+		}
+	}
 	return nil
 }
 
@@ -751,6 +760,47 @@ func (x *LeafIndex) AddCap(code Code, id, delta int) error {
 	x.setItemCap(s, int32(sum))
 	x.units += delta
 	return nil
+}
+
+// MoveCap moves the live item id from leaf code from to leaf code to and
+// gives it extra (≥ 0) more capacity units, answering the units it carried
+// before: RemoveUnits then InsertCap of units+extra, in one call. It is
+// all-or-nothing — ErrNoItem (not live at from), ErrUnitsOverflow (past
+// InsertCap's int32 range), a malformed to and ErrIndexFull are all decided
+// before anything mutates, and leave the item where it was. When to descends
+// into the item's own bucket and the item may stay there (the bucket is
+// within burstMax, or to keeps the digit its items share at the bucket's
+// depth), the item's suffix and units are rewritten in its slot: the id,
+// counts and minima do not change, and nothing bursts or folds.
+func (x *LeafIndex) MoveCap(from, to Code, id, extra int) (units int, err error) {
+	if extra < 0 {
+		return 0, fmt.Errorf("hst: capacity delta must be non-negative, got %d", extra)
+	}
+	if err := x.checkCode(to); err != nil {
+		return 0, err
+	}
+	path, bi, s, ok := x.find(from, id)
+	if !ok {
+		return 0, ErrNoItem
+	}
+	units = int(x.itemCap(s))
+	if int64(units)+int64(extra) > math.MaxInt32 {
+		return 0, ErrUnitsOverflow
+	}
+	sfx, _ := x.pack(to)
+	at, j := x.item(s), len(path)
+	if to[:j] == from[:j] && (j == x.depth || x.buckets[bi].count <= burstMax || x.digit(sfx, j) == x.digit(at.sfx, j)) {
+		at.sfx = sfx
+		x.setItemCap(s, int32(units+extra))
+		x.units += extra
+		return units, nil
+	}
+	if err := x.roomFor(); err != nil {
+		return 0, err
+	}
+	x.units -= units
+	x.removeAt(path, bi, s)
+	return units, x.InsertCap(to, id, units+extra) // checked above: cannot fail
 }
 
 // Consume takes one capacity unit from the item id at the given leaf code,

@@ -1,6 +1,7 @@
 package hst
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pombm/pombm/internal/rng"
@@ -105,6 +106,41 @@ func (r *capRef) Remove(code Code, id int) bool {
 	return ok
 }
 
+// MoveCap is RemoveUnits then InsertCap of the units plus extra, refused —
+// nothing moved — where the flat index refuses: a missing item, or a sum past
+// the int32 range.
+func (r *capRef) MoveCap(from, to Code, id, extra int) (int, bool) {
+	if !r.has(from, id) || int64(r.units[id])+int64(extra) > math.MaxInt32 {
+		return 0, false
+	}
+	u, _ := r.RemoveUnits(from, id)
+	if err := r.InsertCap(to, id, u+extra); err != nil {
+		panic(err)
+	}
+	return u, true
+}
+
+// move drives MoveCap on both sides and compares the answers.
+func (p *diffPair) move(t *testing.T, step int, from, to Code, id, extra int) bool {
+	t.Helper()
+	uf, errF := p.flat.MoveCap(from, to, id, extra)
+	ur, gr := p.ref.MoveCap(from, to, id, extra)
+	if uf != ur || (errF == nil) != gr {
+		t.Fatalf("step %d: MoveCap(%d,+%d) (%d,%v) ≠ (%d,%v)", step, id, extra, uf, errF, ur, gr)
+	}
+	return gr
+}
+
+// nearby is code with its digits from a random position on drawn afresh: a
+// move that often stays in the item's bucket, and sometimes on its leaf.
+func nearby(src *rng.Source, code Code, degree int) Code {
+	b := []byte(code)
+	for j := src.Intn(len(b) + 1); j < len(b); j++ {
+		b[j] = byte(src.Intn(degree))
+	}
+	return Code(b)
+}
+
 // diffPair couples a flat index with the map reference.
 type diffPair struct {
 	flat *LeafIndex
@@ -132,7 +168,7 @@ func (p *diffPair) check(t *testing.T, step int) {
 }
 
 // driveDifferential runs a randomized Insert/Remove/PopNearest/PopMin/
-// Nearest/CountPrefix tape over both implementations. maxCap 1 is the
+// MoveCap/Nearest/CountPrefix tape over both implementations. maxCap 1 is the
 // capacity-1 tape (the capacity slab must never appear); above 1, inserts
 // carry 1..maxCap units and the tape adds AddCap, Consume, RemoveUnits and
 // mid-tape Reserve calls, so freed slots are reused by tenants of every
@@ -143,9 +179,9 @@ func driveDifferential(t *testing.T, depth, degree int, steps int, seed uint64, 
 	p := newDiffPair(depth, degree)
 	live := map[int]Code{}
 	nextID := 0
-	ops := 10
+	ops := 11
 	if maxCap > 1 {
-		ops = 15
+		ops = 16
 	}
 	randCode := func() Code {
 		b := make([]byte, depth)
@@ -214,6 +250,12 @@ func driveDifferential(t *testing.T, depth, degree int, steps int, seed uint64, 
 			}
 			if fok && !p.ref.has(live[fid], fid) {
 				delete(live, fid)
+			}
+		case op == ops-1: // a fresh report: move a live (or missing) item, near or far
+			c, id := anyLive()
+			to := nearby(src, c, degree)
+			if p.move(t, step, c, to, id, src.Intn(maxCap)) {
+				live[id] = to
 			}
 		case op == 10: // hand units back to a live (or missing) item
 			c, id := anyLive()
@@ -522,7 +564,8 @@ func TestLeafIndexArenaReuse(t *testing.T) {
 // reference with an identical operation tape decoded from fuzz input and
 // requires identical answers everywhere. Inserts carry 1–5 units (the op
 // byte's high bits), so the tape crosses the capacity slab's allocation,
-// its regrowth under Reserve, and slot reuse by tenants of other capacities.
+// its regrowth under Reserve, and slot reuse by tenants of other capacities;
+// a withdrawal op with high bits set is a move (MoveCap) instead.
 func FuzzLeafIndexDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{255, 0, 255, 0, 1, 2, 250, 9, 9, 9})
@@ -566,6 +609,8 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 	// capacity pages and the freelist all cross page edges.
 	f.Add(pageTape(3, 800))
 	f.Add(pageTape(3, 1200))
+	// Moves in a root bucket at burstMax, past it and back under foldMin.
+	f.Add(moveTape(3))
 	const depth = 4
 	const degree = 3
 	f.Fuzz(func(t *testing.T, tape []byte) {
@@ -607,12 +652,21 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 					liveIDs = append(liveIDs, nextID)
 				}
 				nextID++
-			case 2: // remove the oldest live item
+			case 2: // remove the oldest live item, or (high bits set) move it to the tape's code
 				victim, ok := oldest()
 				if !ok {
 					continue
 				}
 				c := ref.codes[victim]
+				if op>>3 != 0 {
+					extra := int(op>>3-1) % 5
+					uf, errF := flat.MoveCap(c, code, victim, extra)
+					ur, gr := ref.MoveCap(c, code, victim, extra)
+					if uf != ur || errF != nil || !gr {
+						t.Fatalf("MoveCap(%d,+%d) (%d,%v) ≠ (%d,%v)", victim, extra, uf, errF, ur, gr)
+					}
+					break
+				}
 				uf, gf := flat.RemoveUnits(c, victim)
 				ur, gr := ref.RemoveUnits(c, victim)
 				if uf != ur || gf != gr || !gf {

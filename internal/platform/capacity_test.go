@@ -1,11 +1,15 @@
 package platform
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/rng"
 	"github.com/pombm/pombm/internal/workload"
 )
 
@@ -261,6 +265,118 @@ func TestReleaseMoveDoesNotResurrectInFlightPop(t *testing.T) {
 	if got := s.Core().CapacityUnits(); got != 2 {
 		t.Fatalf("engine pools %d units after the racy move, want 2 (in-flight pop resurrected)", got)
 	}
+}
+
+// TestReleaseMoveRacesSubmitAndWithdraw races capacity-4 workers' Releases
+// with a fresh code — each one engine call that moves the pooled units —
+// against Submits and Withdraws (each withdrawn worker registers back once
+// its last task is in). No answer may name a worker holding all its units
+// already, and once the storm settles the engine must pool exactly what
+// the slot table says: Σ (capacity − active) over the available slots.
+func TestReleaseMoveRacesSubmitAndWithdraw(t *testing.T) {
+	const workers, capacity = 24, 4
+	s := newCapServer(t, WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(capacity))
+	name := func(i int) string { return fmt.Sprintf("w%d", i) }
+	for i := 0; i < workers; i++ {
+		if r := s.Register(RegisterRequest{WorkerID: name(i), Code: leaf(s, i)}); !r.OK {
+			t.Fatal(r.Reason)
+		}
+	}
+	var (
+		mu          sync.Mutex
+		outstanding = map[string]int{} // tasks answered and not yet handed to Release
+		moves       int
+	)
+	held := make(chan string, workers*capacity)
+	release := func(w string, src *rng.Source) {
+		mu.Lock()
+		outstanding[w]--
+		mu.Unlock()
+		r := s.Release(ReleaseRequest{WorkerID: w, Code: leaf(s, src.Intn(64))})
+		if !r.OK && !strings.Contains(r.Reason, "withdrawn") {
+			t.Errorf("release %s: %s", w, r.Reason)
+		}
+		mu.Lock()
+		if r.OK {
+			moves++
+		}
+		mu.Unlock()
+	}
+	rounds := stressScale(1500)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() { // submitter
+			defer wg.Done()
+			src := rng.New(uint64(100 + g))
+			for i := 0; i < rounds; i++ {
+				resp := s.Submit(TaskRequest{Code: leaf(s, src.Intn(64))})
+				if !resp.Assigned {
+					continue
+				}
+				mu.Lock()
+				if outstanding[resp.WorkerID]++; outstanding[resp.WorkerID] > capacity {
+					t.Errorf("worker %s answered with %d tasks out, capacity %d", resp.WorkerID, outstanding[resp.WorkerID], capacity)
+				}
+				mu.Unlock()
+				held <- resp.WorkerID
+			}
+		}()
+		go func() { // releaser: hands tasks back until the submitters stop
+			defer wg.Done()
+			src := rng.New(uint64(200 + g))
+			for i := 0; i < rounds/2; i++ {
+				select {
+				case w := <-held:
+					release(w, src)
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // withdrawer: takes a worker offline, and back once it can
+		defer wg.Done()
+		src := rng.New(300)
+		var gone []string
+		for i := 0; i < rounds/8; i++ {
+			w := name(src.Intn(workers))
+			if r := s.Withdraw(WithdrawRequest{WorkerID: w}); r.OK {
+				gone = append(gone, w)
+			}
+			back := gone[:0]
+			for _, w := range gone {
+				if r := s.Register(RegisterRequest{WorkerID: w, Code: leaf(s, src.Intn(64))}); !r.OK {
+					back = append(back, w) // a task still out: registers later
+				}
+			}
+			gone = back
+			runtime.Gosched()
+		}
+	}()
+	wg.Wait()
+	src := rng.New(400)
+	for len(held) > 0 {
+		release(<-held, src)
+	}
+	if moves == 0 {
+		t.Fatal("no release went through: the race exercised nothing")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	want, avail := 0, 0
+	for slot := 0; slot < s.tab.len(); slot++ {
+		if s.tab.at(slot).state() == stateAvailable {
+			u := s.tab.units(slot)
+			want += int(u.capacity - u.active)
+			avail++
+		}
+	}
+	if got, n := s.eng.CapacityUnits(), s.eng.Len(); got != want || n != avail {
+		t.Fatalf("engine pools %d units over %d workers, the slot table %d over %d", got, n, want, avail)
+	}
+	t.Logf("%d releases went through, %d units pooled over %d workers", moves, want, avail)
 }
 
 // TestReregisterMovesPooledUnits is the regression test for Reregister

@@ -299,7 +299,7 @@ func TestPopNeverCrossesRotation(t *testing.T) {
 	}
 }
 
-// flakyCore refuses the next insert once.
+// flakyCore refuses the next insert — or relocation — once.
 type flakyCore struct {
 	*engine.Engine
 	failNext bool
@@ -313,6 +313,14 @@ func (c *flakyCore) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64)
 		return errFlaky
 	}
 	return c.Engine.InsertCapEpoch(code, id, capacity, epoch)
+}
+
+func (c *flakyCore) RelocateEpoch(from, to hst.Code, id, extra int, epoch int64) (int, error) {
+	if c.failNext {
+		c.failNext = false
+		return 0, errFlaky
+	}
+	return c.Engine.RelocateEpoch(from, to, id, extra, epoch)
 }
 
 // TestRefusedInsertBurnsNoBudget is the regression test for charging ε

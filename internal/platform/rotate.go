@@ -191,7 +191,8 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// of the ids that left — under ids of their own, not views that would
 	// keep the old table's slab alive — and flip table and epoch together.
 	for slot := carried; slot < next.len(); slot++ {
-		s.charge(next.at(slot))
+		rec := next.at(slot)
+		rec.setReports(s.rot.Charge(rec.reports()))
 	}
 	for _, slot := range leaving {
 		if reports := old.at(slot).reports(); reports > 0 {

@@ -50,6 +50,7 @@ type Core interface {
 	AddCapacityEpoch(code hst.Code, id int, epoch int64) error
 	Remove(code hst.Code, id int) bool
 	RemoveUnits(code hst.Code, id int) (units int, ok bool)
+	RelocateEpoch(from, to hst.Code, id, extra int, epoch int64) (pooled int, err error)
 	// SwapEpochSeq rotates to the next epoch's population, handed over as
 	// a sequence instead of a slice so a 10M-worker rotation never holds a
 	// second copy of it. seq must be replayable and safe to invoke from
@@ -408,8 +409,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	default:
 		s.registered++
 	}
-	s.charge(s.tab.at(slot))
-	s.rot.Observe(code)
+	s.accept(s.tab.at(slot), code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }
 
@@ -619,37 +619,31 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	}
 	// Hand the completed unit back. Same code: one unit rejoins in place
 	// (re-inserting the slot when this was its last active task). New code:
-	// the worker moves wholesale, spare units included — sized by what the
-	// engine actually still pooled, not by capacity−active: a concurrent
-	// Submit may have popped a unit it has not recorded under mu yet, and
-	// re-deriving the count here would resurrect that unit and let the
-	// worker serve beyond its capacity. A refused engine call leaves the
+	// the worker moves wholesale in one engine call, spare units included —
+	// the engine moves what it actually still pools, not capacity−active: a
+	// concurrent Submit may have popped a unit it has not recorded under mu
+	// yet, and re-deriving the count here would resurrect that unit and let
+	// the worker serve beyond its capacity. A refused engine call leaves the
 	// worker as it was and the budget uncharged, so the client can retry.
+	var err error
 	if inPool && (newCode == "" || s.tab.codeIs(slot, newCode)) {
-		if err := s.eng.AddCapacityEpoch(code, slot, s.epoch); err != nil {
-			return refusal(AsError(err, s.epoch))
-		}
+		err = s.eng.AddCapacityEpoch(code, slot, s.epoch)
 	} else {
-		pooled := 0
+		var from hst.Code
 		if inPool {
-			pooled, _ = s.eng.RemoveUnits(s.tab.code(slot, &s.codeBuf), slot)
+			from = s.tab.code(slot, &s.codeBuf)
 		}
-		if err := s.eng.InsertCapEpoch(code, slot, pooled+1, s.epoch); err != nil {
-			if pooled > 0 {
-				// Put the spare units back where they were; if the engine
-				// refuses this too there is nothing left to try.
-				_ = s.eng.InsertCapEpoch(s.tab.code(slot, &s.codeBuf), slot, pooled, s.epoch)
-			}
-			return refusal(AsError(err, s.epoch))
-		}
+		_, err = s.eng.RelocateEpoch(from, code, slot, 1, s.epoch)
+	}
+	if err != nil {
+		return refusal(AsError(err, s.epoch))
 	}
 	s.tab.addActive(slot, -1)
 	rec.setState(stateAvailable)
 	s.released++
 	if newCode != "" {
 		s.tab.setCode(slot, newCode)
-		s.charge(rec)
-		s.rot.Observe(newCode)
+		s.accept(rec, newCode)
 	}
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }
@@ -694,8 +688,10 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 	return RegisterResponse{OK: true}
 }
 
-// charge counts one accepted fresh report on the record's ledger cell.
-func (s *Server) charge(rec *record) { rec.setReports(s.rot.Charge(rec.reports())) }
+// accept books one accepted fresh report at code on the record's ledger cell.
+func (s *Server) accept(rec *record, code hst.Code) {
+	rec.setReports(s.rot.Accept(rec.reports(), code))
+}
 
 // Spent returns the lifetime ε the worker has consumed so far: ε times the
 // reports its ledger cell counts, or its departed-ledger entry when a

@@ -71,7 +71,6 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 		return refusal(AsError(err, s.epoch))
 	}
 	s.tab.setCode(slot, code)
-	s.charge(rec)
-	s.rot.Observe(code)
+	s.accept(rec, code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }

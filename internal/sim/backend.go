@@ -54,10 +54,10 @@ type backend interface {
 	// register brings a fresh stint online with the given capacity units.
 	register(id, worker int, code hst.Code, capacity int) error
 	// release records a completed task whose unit returns to the pool at a
-	// freshly obfuscated code (a fresh report, so a fresh spend). capLeft
-	// is the stint's remaining units after this completion — a capacitated
-	// worker with spare units in the pool moves wholesale to the new code.
-	release(id, worker int, oldCode, newCode hst.Code, capLeft int) error
+	// freshly obfuscated code (a fresh report, so a fresh spend). A
+	// capacitated worker with spare units pooled at oldCode moves wholesale
+	// to the new code.
+	release(id, worker int, oldCode, newCode hst.Code) error
 	// finish records a completed task whose unit does not return: the
 	// worker withdrew (or was parked/dropped) while the task was running.
 	finish(id, worker int)
@@ -118,31 +118,27 @@ func (b *engineBackend) register(id, worker int, code hst.Code, capacity int) er
 	if err := b.eng.InsertCapEpoch(code, id, capacity, 0); err != nil {
 		return err
 	}
-	*cell = b.ctrl.Charge(*cell)
-	b.ctrl.Observe(code)
+	*cell = b.ctrl.Accept(*cell, code)
 	return nil
 }
 
 // release re-reports at a freshly obfuscated code — a fresh spend, then the
 // completed unit (and any spare units, moved wholesale from the old code)
-// re-enters at the new leaf, mirroring the platform's Release-with-code
-// path. A refused spend pulls the spare units out of the pool: the worker
-// is being parked, exactly as the platform does server-side.
-func (b *engineBackend) release(id, worker int, oldCode, newCode hst.Code, capLeft int) error {
+// re-enters at the new leaf in one engine call, mirroring the platform's
+// Release-with-code path. A refused spend pulls the spare units out of the
+// pool: the worker is being parked, exactly as the platform does
+// server-side. A stint's id is its own, so nothing is pooled under it at
+// oldCode once its last unit went out.
+func (b *engineBackend) release(id, worker int, oldCode, newCode hst.Code) error {
 	cell := b.cell(worker)
-	err := b.ctrl.Afford(workerName(worker), *cell)
-	if capLeft > 1 {
-		// The stint still had capLeft−1 units pooled at the old code.
+	if err := b.ctrl.Afford(workerName(worker), *cell); err != nil {
 		b.eng.Remove(oldCode, id)
-	}
-	if err != nil {
 		return err
 	}
-	if err := b.eng.InsertCapEpoch(newCode, id, capLeft, 0); err != nil {
+	if _, err := b.eng.RelocateEpoch(oldCode, newCode, id, 1, 0); err != nil {
 		return err
 	}
-	*cell = b.ctrl.Charge(*cell)
-	b.ctrl.Observe(newCode)
+	*cell = b.ctrl.Accept(*cell, newCode)
 	return nil
 }
 
@@ -262,9 +258,9 @@ func (b *platformBackend) register(id, worker int, code hst.Code, capacity int) 
 }
 
 // release hands the completed unit back through the server's Release; the
-// server owns the move-spare-units bookkeeping, so oldCode and capLeft are
-// the engine driver's concern only.
-func (b *platformBackend) release(id, worker int, _, newCode hst.Code, _ int) error {
+// server owns the move-spare-units bookkeeping, so oldCode is the engine
+// driver's concern only.
+func (b *platformBackend) release(id, worker int, _, newCode hst.Code) error {
 	resp := b.srv.Release(platform.ReleaseRequest{WorkerID: workerName(worker), Code: []byte(newCode), Epoch: b.epoch})
 	if !resp.OK {
 		return budgetErr("release", resp)

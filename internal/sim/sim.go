@@ -511,7 +511,7 @@ func (s *sim) taskComplete(w, ti int) {
 	snapped := s.tree.CodeOf(s.grid.Snap(wk.loc))
 	code := s.mech.ObfuscateWalk(snapped, s.obfSrc)
 	capLeft := s.capOf(w) - wk.active
-	if err := s.backend.release(wk.regID, w, oldCode, code, capLeft); err != nil {
+	if err := s.backend.release(wk.regID, w, oldCode, code); err != nil {
 		if errors.Is(err, epoch.ErrBudgetExhausted) {
 			// The post-task re-report is unaffordable: the worker is parked
 			// instead of re-entering the pool, its spare units withdrawn.
