@@ -291,7 +291,7 @@ func startProfiles(cpu, mutex, block string) (stop func(), err error) {
 	if mutex != "" {
 		// Sample roughly one in five contended mutex events: cheap enough
 		// to leave on for a whole bench run, dense enough to rank the
-		// engine's shard locks.
+		// engine's and the server's locks.
 		runtime.SetMutexProfileFraction(5)
 		stops = append(stops, dump("mutex", mutex))
 	}

@@ -4,8 +4,8 @@
 // served rotation holds while the population is at its largest. It follows
 // bent's split (golang/benchmarks) between the suite — what to run:
 // population size and churn shape — and the config — how to run it: seed,
-// tree geometry, shard count — so the same suite is comparable across
-// machines and revisions.
+// tree geometry and the machine it ran on — so the same suite is comparable
+// across machines and revisions.
 //
 // A suite loads a population, then runs many short epochs: assignments with
 // fresh-code releases, departures, arrivals of returning and of never-seen

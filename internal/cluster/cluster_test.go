@@ -98,10 +98,10 @@ func runTape(t *testing.T, core platform.Core, eng *engine.Engine, tree *hst.Tre
 		for i := 0; i < 15 && len(live) > 0; i++ {
 			j := rnd.Intn(len(live))
 			w := live[j]
-			got := core.Remove(w.code, w.id)
-			want := eng.Remove(w.code, w.id)
-			if got != want {
-				t.Fatalf("round %d: remove %d: cluster %v engine %v", round, w.id, got, want)
+			gotU, got := core.RemoveUnits(w.code, w.id)
+			wantU, want := eng.RemoveUnits(w.code, w.id)
+			if gotU != wantU || got != want {
+				t.Fatalf("round %d: remove %d: cluster (%d, %v) engine (%d, %v)", round, w.id, gotU, got, wantU, want)
 			}
 			live = append(live[:j], live[j+1:]...)
 		}

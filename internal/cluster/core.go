@@ -219,11 +219,6 @@ func (c *fanCore) AddCapacityEpoch(code hst.Code, id int, epoch int64) error {
 	return err
 }
 
-func (c *fanCore) Remove(code hst.Code, id int) bool {
-	_, ok := c.RemoveUnits(code, id)
-	return ok
-}
-
 // RemoveUnits answers a failure as not found: the zero OpResult.
 func (c *fanCore) RemoveUnits(code hst.Code, id int) (units int, found bool) {
 	res, _ := c.routed(false, code, OpRequest{Kind: OpRemove, ID: id})

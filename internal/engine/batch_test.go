@@ -161,7 +161,7 @@ func TestRoutedBatchCapacityDifferential(t *testing.T) {
 				for id, n := range outstanding {
 					if n > 0 {
 						for _, e := range []*engine.Engine{eb, es} {
-							if err := e.AddCapacity(codes[id], id); err != nil {
+							if err := e.AddCapacityEpoch(codes[id], id, 0); err != nil {
 								t.Fatal(err)
 							}
 						}

@@ -379,19 +379,13 @@ func (e *Engine) InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) er
 	return err
 }
 
-// AddCapacity returns one capacity unit to the worker id at the given code
-// in the current epoch: the inverse of a single pop. A slot still in the
-// pool gains a unit in place; a fully consumed (hence removed) slot is
-// re-inserted with one unit; a slot already at the index's 2³¹−1 unit
-// ceiling refuses with hst.ErrUnitsOverflow and nothing changes. The serving
-// layer uses it to undo stale pops and to return a capacitated worker's unit
-// when a task completes.
-func (e *Engine) AddCapacity(code hst.Code, id int) error {
-	return e.AddCapacityEpoch(code, id, 0)
-}
-
-// AddCapacityEpoch is AddCapacity pinned to an epoch (0 accepts whatever is
-// being served).
+// AddCapacityEpoch returns one capacity unit to the worker id at the given
+// code in the given epoch (0 accepts whatever is being served): the inverse
+// of a single pop. A slot still in the pool gains a unit in place; a fully
+// consumed (hence removed) slot is re-inserted with one unit; a slot already
+// at the index's 2³¹−1 unit ceiling refuses with hst.ErrUnitsOverflow and
+// nothing changes. The serving layer uses it to undo stale pops and to
+// return a capacitated worker's unit when a task completes.
 func (e *Engine) AddCapacityEpoch(code hst.Code, id int, epoch int64) error {
 	st, err := e.lock("capacity return", code, epoch)
 	if err != nil {

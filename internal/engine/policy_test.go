@@ -211,13 +211,13 @@ func TestAddCapacityRoundTrip(t *testing.T) {
 	if e.Len() != 0 {
 		t.Fatal("slot not drained")
 	}
-	if err := e.AddCapacity(c, 2); err != nil {
+	if err := e.AddCapacityEpoch(c, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if e.Len() != 1 || e.CapacityUnits() != 1 {
 		t.Fatalf("Len=%d Units=%d after first return", e.Len(), e.CapacityUnits())
 	}
-	if err := e.AddCapacity(c, 2); err != nil {
+	if err := e.AddCapacityEpoch(c, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if e.Len() != 1 || e.CapacityUnits() != 2 {

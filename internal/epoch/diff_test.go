@@ -1,7 +1,6 @@
 package epoch
 
 import (
-	"strconv"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
@@ -13,7 +12,7 @@ import (
 // swaps: after any number of rotations, an engine that lived through them
 // must be assignment-for-assignment identical to an engine built fresh
 // from the same post-rotation worker set — a rotation leaves no residue
-// (no stale shard state, no leaked ids, no tie-break drift).
+// (no stale index state, no leaked ids, no tie-break drift).
 
 // driveRotationDifferential churns an engine through random
 // insert/remove/assign ops interleaved with rotations driven by a
@@ -111,7 +110,8 @@ func driveRotationDifferential(t *testing.T, seed uint64, rotations, opsPerEpoch
 
 		// Rotate: every live worker re-reports under the staged tree with
 		// a fresh id, exactly as the serving layers do.
-		if _, err := ctrl.Prepare(0, false); err != nil {
+		staged, err := ctrl.Prepare(0, false)
+		if err != nil {
 			t.Fatal(err)
 		}
 		order := make([]int, 0, len(live))
@@ -124,43 +124,30 @@ func driveRotationDifferential(t *testing.T, seed uint64, rotations, opsPerEpoch
 				order[j], order[j-1] = order[j-1], order[j]
 			}
 		}
-		names := make([]string, len(order))
-		for i, id := range order {
-			names[i] = workerNameFor(id)
-		}
-		var planTree *hst.Tree
-		plan, err := ctrl.PlanRotation(nil, names, func(_ string, tr *hst.Tree) (hst.Code, error) {
-			planTree = tr
-			return randCode(tr, src), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(order) > 0 && planTree == nil {
-			t.Fatal("reporter never called")
-		}
 		newLive := map[int]hst.Code{}
-		inserts := make([]engine.EpochInsert, 0, len(plan.Outcomes))
-		for i := range plan.Outcomes {
+		inserts := make([]engine.EpochInsert, 0, len(order))
+		for range order {
 			id := nextID
 			nextID++
-			newLive[id] = plan.Outcomes[i].Code
-			inserts = append(inserts, engine.EpochInsert{Code: plan.Outcomes[i].Code, ID: id})
+			code := randCode(staged.Tree, src)
+			newLive[id] = code
+			inserts = append(inserts, engine.EpochInsert{Code: code, ID: id})
 		}
-		if err := eng.SwapEpoch(plan.Epoch, plan.Tree, 0, inserts); err != nil {
+		if err := eng.SwapEpoch(staged.Epoch, staged.Tree, 0, inserts); err != nil {
 			t.Fatal(err)
 		}
-		if err := ctrl.Commit(plan); err != nil {
+		if err := ctrl.Commit(staged, len(inserts)); err != nil {
 			t.Fatal(err)
 		}
-		tree = plan.Tree
+		if st := ctrl.Stats(); st.Epoch != staged.Epoch || st.Rotations != round+1 {
+			t.Fatalf("round %d: controller at %+v after commit", round, st)
+		}
+		tree = staged.Tree
 		live = newLive
 
 		compare(round)
 	}
 }
-
-func workerNameFor(id int) string { return "w" + strconv.Itoa(id) }
 
 func TestRotatedEngineMatchesFreshBuild(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
@@ -168,16 +155,16 @@ func TestRotatedEngineMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestRotationDifferentialAcrossShardCounts repeats a smaller differential
-// at shard counts around the degree clamp: the swap must preserve the
-// sequential contract regardless of shard layout on either side.
-func TestRotationDifferentialAcrossShardCounts(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		shards := shards
+// TestRotationDifferentialAcrossSeeds repeats a smaller differential on
+// three seeds, each drawing both trees and both populations: a swapped
+// engine must answer a drain tape exactly as one built fresh from the
+// post-swap population.
+func TestRotationDifferentialAcrossSeeds(t *testing.T) {
+	for _, k := range []int{1, 2, 8} {
 		t.Run("", func(t *testing.T) {
-			src := rng.New(uint64(40 + shards))
-			tree := buildTree(t, uint64(50+shards), 8)
-			eng, err := engine.New(tree, shards)
+			src := rng.New(uint64(40 + k))
+			tree := buildTree(t, uint64(50+k), 8)
+			eng, err := engine.New(tree, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +175,7 @@ func TestRotationDifferentialAcrossShardCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tree2 := buildTree(t, uint64(60+shards), 8)
+			tree2 := buildTree(t, uint64(60+k), 8)
 			inserts := make([]engine.EpochInsert, 0, len(live))
 			newLive := map[int]hst.Code{}
 			for id := 0; id < 100; id++ {
@@ -199,8 +186,7 @@ func TestRotationDifferentialAcrossShardCounts(t *testing.T) {
 			if err := eng.SwapEpoch(2, tree2, 0, inserts); err != nil {
 				t.Fatal(err)
 			}
-			// Fresh engine at a different shard count must still agree.
-			fresh, err := engine.New(tree2, 3)
+			fresh, err := engine.New(tree2, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,8 +200,8 @@ func TestRotationDifferentialAcrossShardCounts(t *testing.T) {
 				idR, lvlR, okR := eng.Assign(q)
 				idF, lvlF, okF := fresh.Assign(q)
 				if idR != idF || lvlR != lvlF || okR != okF {
-					t.Fatalf("shards=%d: rotated (%d,%d,%v) ≠ fresh (%d,%d,%v)",
-						shards, idR, lvlR, okR, idF, lvlF, okF)
+					t.Fatalf("seed %d: rotated (%d,%d,%v) ≠ fresh (%d,%d,%v)",
+						40+k, idR, lvlR, okR, idF, lvlF, okF)
 				}
 				if !okR {
 					break

@@ -6,24 +6,24 @@
 // fixed ε — but an online platform composes: every fresh report of (a
 // perturbation of) the same location spends budget, and a tree served
 // forever leaks structure about the population that built it. A rotation
-// closes both gaps. It proceeds in three phases:
+// closes both gaps. It proceeds in two phases:
 //
 //  1. Prepare: build the next epoch's tree in the background (optionally
 //     reseeded, optionally refit from the report history observed during
 //     the serving epoch) while the current epoch keeps serving.
-//  2. Plan: collect a fresh obfuscated report from every available worker
-//     under the staged tree — reports are drawn client-side; the
-//     controller only sees the resulting codes — and check each against
-//     the worker's lifetime budget (Afford). Workers whose budget cannot
-//     afford another report are parked: permanently retired from serving
-//     rather than silently re-noised past their guarantee.
-//  3. Commit: the serving layer swaps its engine to the planned population
-//     (engine.SwapEpoch), charges every rotated worker's report (Charge)
-//     and the controller advances its epoch counter.
+//  2. Commit: by now the owner has collected a fresh obfuscated report from
+//     every available worker under the staged tree — reports are drawn
+//     client-side; the owner only sees the resulting codes — checked each
+//     against the worker's lifetime budget (Afford), swapped its engine to
+//     the surviving population (engine.SwapEpoch) and charged every
+//     rotated worker's report (Charge). Workers whose budget cannot afford
+//     another report are parked: permanently retired from serving rather
+//     than silently re-noised past their guarantee. Commit advances the
+//     controller's epoch counter and counts the rotated workers.
 //
 // The controller is deliberately engine-agnostic: the engine and
-// the platform server both drive it, applying the plan's outcomes to their
-// own id spaces (engine ids, platform slots). The same split holds for the
+// the platform server both drive it, applying a rotation to their own id
+// spaces (engine ids, platform slots). The same split holds for the
 // lifetime-ε ledger: each worker's running spend is a cell in its owner's
 // worker table (a platform slot record, the simulator's dense array) that
 // counts its charged reports, and the controller keeps the one charge rule
@@ -52,8 +52,8 @@ import (
 // match budget refusals without importing privacy directly.
 var ErrBudgetExhausted = privacy.ErrBudgetExhausted
 
-// ErrNotStaged is returned by PlanRotation and Commit when no rotation has
-// been prepared (or a previous one was already committed).
+// ErrNotStaged is returned by Commit when no rotation has been prepared (or
+// a previous one was already committed).
 var ErrNotStaged = errors.New("epoch: no rotation staged")
 
 // FirstEpoch is the epoch id of the initial publication; the controller's
@@ -135,13 +135,6 @@ func NewController(cfg Config) (*Controller, error) {
 		c.budget = budget
 	}
 	return c, nil
-}
-
-// Epoch returns the id of the serving epoch.
-func (c *Controller) Epoch() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
 }
 
 // Tree returns the serving epoch's tree.
@@ -306,104 +299,27 @@ func (c *Controller) StagedRotation() *Staged {
 	return c.staged
 }
 
-// ReportFunc produces one worker's fresh obfuscated report under the
-// staged tree. It runs client-side — the serving layer never sees true
-// locations — and its error means the worker could not re-report (it is
-// then parked from serving this epoch's swap, though not budget-parked).
-type ReportFunc func(worker string, tree *hst.Tree) (hst.Code, error)
-
-// Outcome is one worker's fate in a rotation plan, in input order.
-type Outcome struct {
-	Worker string
-	// Code is the fresh report (valid for the plan's tree).
-	Code hst.Code
-	// Parked is set by the owner of the worker's budget cell when Afford
-	// refused the fresh report: the worker must leave the serving pool
-	// instead of being re-noised past its guarantee.
-	Parked bool
-}
-
-// Plan is a rotation awaiting commit: the staged epoch and tree plus the
-// per-worker outcomes, aligned with the workers given to PlanRotation.
-type Plan struct {
-	Epoch    int64
-	Tree     *hst.Tree
-	Outcomes []Outcome
-}
-
-// PlanRotation collects fresh reports for the listed workers (in the given
-// order — the order is the deterministic contract the serving layer's id
-// allocation relies on) under the staged tree. staged must be the staging
-// the caller observed (nil selects whatever is currently staged); if a
-// concurrent re-Prepare replaced it, the plan is refused — reports drawn
-// against one tree are never committed under another. A report error from
-// the client aborts the plan.
-//
-// Budgets are the caller's next step, because the caller owns the cells:
-// Afford for each outcome (marking the refused ones Parked), the engine
-// swap, then Charge for each survivor and Commit.
-//
-// Reports are collected without holding the controller's lock — ReportFunc
-// is arbitrary client-side code and must be free to call back into the
-// controller, and serving-path budget checks must not stall behind a
-// population's re-obfuscation.
-func (c *Controller) PlanRotation(staged *Staged, workers []string, report ReportFunc) (*Plan, error) {
-	c.mu.Lock()
-	if staged == nil {
-		staged = c.staged
-	} else if c.staged != staged {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("epoch: rotation restaged while planning")
-	}
-	c.mu.Unlock()
-	if staged == nil {
-		return nil, ErrNotStaged
-	}
-	p := &Plan{
-		Epoch:    staged.Epoch,
-		Tree:     staged.Tree,
-		Outcomes: make([]Outcome, len(workers)),
-	}
-	for i, w := range workers {
-		code, err := report(w, p.Tree)
-		if err != nil {
-			return nil, fmt.Errorf("epoch: report for %q: %w", w, err)
-		}
-		if err := p.Tree.CheckCode(code); err != nil {
-			return nil, fmt.Errorf("epoch: report for %q: %w", w, err)
-		}
-		p.Outcomes[i] = Outcome{Worker: w, Code: code}
-	}
-	if c.StagedRotation() != staged {
-		return nil, fmt.Errorf("epoch: rotation restaged while planning %d", staged.Epoch)
-	}
-	return p, nil
-}
-
-// Commit advances the controller to the planned epoch. The serving layer
-// calls it after (not before) its engine swap succeeded, so a failed swap
-// leaves the controller still serving — and still able to re-plan — the
-// old epoch. The refit history resets: each epoch refits from what the
-// previous one observed.
-func (c *Controller) Commit(p *Plan) error {
+// Commit advances the controller to the staged epoch, counting rotated
+// workers re-obfuscated into it. The serving layer calls it after (not
+// before) its engine swap succeeded and it charged each rotated worker's
+// report, so a failed swap leaves the controller still serving — and still
+// able to rotate to — the old epoch. The refit history resets: each epoch
+// refits from what the previous one observed.
+func (c *Controller) Commit(staged *Staged, rotated int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.staged == nil {
 		return ErrNotStaged
 	}
-	if p.Epoch != c.staged.Epoch {
-		return fmt.Errorf("epoch: commit of %d, staged is %d", p.Epoch, c.staged.Epoch)
+	if staged.Epoch != c.staged.Epoch {
+		return fmt.Errorf("epoch: commit of %d, staged is %d", staged.Epoch, c.staged.Epoch)
 	}
-	c.epoch = p.Epoch
-	c.tree = p.Tree
+	c.epoch = staged.Epoch
+	c.tree = staged.Tree
 	c.staged = nil
 	c.rotations++
-	for i := range p.Outcomes {
-		if !p.Outcomes[i].Parked {
-			c.rotated++
-		}
-	}
-	c.hist = make([]int, p.Tree.NumPoints())
+	c.rotated += rotated
+	c.hist = make([]int, staged.Tree.NumPoints())
 	return nil
 }
 

@@ -32,20 +32,6 @@ func randCode(tree *hst.Tree, src *rng.Source) hst.Code {
 	return hst.Code(b)
 }
 
-// echoReporter returns a deterministic fresh code per worker: the tree's
-// real leaf indexed by a hash of the name — a stand-in for client-side
-// re-obfuscation in tests that do not care about the distribution.
-func echoReporter(tree *hst.Tree, worker string) hst.Code {
-	h := 0
-	for _, c := range worker {
-		h = h*31 + int(c)
-	}
-	if h < 0 {
-		h = -h
-	}
-	return tree.CodeOf(h % tree.NumPoints())
-}
-
 func TestControllerValidation(t *testing.T) {
 	tree := buildTree(t, 1, 4)
 	if _, err := NewController(Config{Tree: nil, Epsilon: 1}); err == nil {
@@ -68,18 +54,15 @@ func TestControllerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Epoch() != FirstEpoch || c.Tree() != tree {
-		t.Fatalf("fresh controller: epoch %d", c.Epoch())
+	if st := c.Stats(); st.Epoch != FirstEpoch || c.Tree() != tree {
+		t.Fatalf("fresh controller: epoch %d", st.Epoch)
 	}
 	if c.Epsilon() != 0.5 {
 		t.Fatal("epsilon not wired")
 	}
 
-	// Plan and commit require a staged rotation.
-	if _, err := c.PlanRotation(nil, nil, nil); !errors.Is(err, ErrNotStaged) {
-		t.Fatalf("plan without prepare: %v", err)
-	}
-	if err := c.Commit(&Plan{Epoch: 2}); !errors.Is(err, ErrNotStaged) {
+	// Commit requires a staged rotation.
+	if err := c.Commit(&Staged{Epoch: 2, Tree: tree}, 0); !errors.Is(err, ErrNotStaged) {
 		t.Fatalf("commit without prepare: %v", err)
 	}
 
@@ -99,38 +82,36 @@ func TestControllerLifecycle(t *testing.T) {
 	}
 
 	// Two spends per worker fit in the lifetime budget; the third parks.
-	// The cells are the caller's: budget walks a plan the way a serving
-	// layer does (Afford, swap, Charge).
+	// The cells are the caller's: rotate walks the workers the way a
+	// serving layer does (Afford, swap, Charge) and reports who parked and
+	// how many rotated, for Commit.
 	workers := []string{"a", "b"}
 	cells := make([]uint32, len(workers))
-	budget := func(p *Plan) {
-		for i := range p.Outcomes {
-			if c.Afford(workers[i], cells[i]) != nil {
-				p.Outcomes[i].Parked = true
+	rotate := func() (parked []bool, rotated int) {
+		parked = make([]bool, len(workers))
+		for i, w := range workers {
+			if c.Afford(w, cells[i]) != nil {
+				parked[i] = true
 				continue
 			}
 			cells[i] = c.Charge(cells[i])
+			rotated++
 		}
+		return parked, rotated
 	}
 	if err := c.Afford("a", cells[0]); err != nil {
 		t.Fatal(err)
 	}
 	cells[0] = c.Charge(cells[0])
-	plan, err := c.PlanRotation(nil, workers, func(w string, tr *hst.Tree) (hst.Code, error) {
-		return echoReporter(tr, w), nil
-	})
-	if err != nil {
+	parked, rotated := rotate()
+	if parked[0] || parked[1] || rotated != 2 {
+		t.Fatalf("parked = %v, rotated %d", parked, rotated)
+	}
+	if err := c.Commit(staged, rotated); err != nil {
 		t.Fatal(err)
 	}
-	budget(plan)
-	if len(plan.Outcomes) != 2 || plan.Outcomes[0].Parked || plan.Outcomes[1].Parked {
-		t.Fatalf("outcomes = %+v", plan.Outcomes)
-	}
-	if err := c.Commit(plan); err != nil {
-		t.Fatal(err)
-	}
-	if c.Epoch() != 2 || c.Tree() != plan.Tree {
-		t.Fatalf("post-commit epoch %d", c.Epoch())
+	if st := c.Stats(); st.Epoch != 2 || c.Tree() != staged.Tree {
+		t.Fatalf("post-commit epoch %d", st.Epoch)
 	}
 	if c.StagedRotation() != nil {
 		t.Fatal("staged rotation survives commit")
@@ -138,18 +119,13 @@ func TestControllerLifecycle(t *testing.T) {
 
 	// "a" has spent 1.0 of 1.0 (two reports): the next rotation parks it;
 	// "b" (0.5, one report) still affords one more.
-	if _, err := c.Prepare(0, false); err != nil {
-		t.Fatal(err)
-	}
-	plan, err = c.PlanRotation(nil, workers, func(w string, tr *hst.Tree) (hst.Code, error) {
-		return echoReporter(tr, w), nil
-	})
+	staged, err = c.Prepare(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget(plan)
-	if !plan.Outcomes[0].Parked || plan.Outcomes[1].Parked {
-		t.Fatalf("outcomes = %+v", plan.Outcomes)
+	parked, rotated = rotate()
+	if !parked[0] || parked[1] || rotated != 1 {
+		t.Fatalf("parked = %v, rotated %d", parked, rotated)
 	}
 	if !c.Parked("a") || c.Parked("b") {
 		t.Fatal("parked bookkeeping wrong")
@@ -158,7 +134,7 @@ func TestControllerLifecycle(t *testing.T) {
 	if err := c.Afford("a", 0); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("spend on parked worker: %v", err)
 	}
-	if err := c.Commit(plan); err != nil {
+	if err := c.Commit(staged, rotated); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,14 +142,14 @@ func TestControllerLifecycle(t *testing.T) {
 	if st.Epoch != 3 || st.Rotations != 2 || st.Parked != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Budget conservation: 1.0 (a) + 1.0 (b: plan1 + plan2) = 2.0.
+	// Budget conservation: 1.0 (a) + 1.0 (b: rotations 1 and 2) = 2.0.
 	if st.SpentTotal != 2.0 {
 		t.Fatalf("SpentTotal = %v, want 2", st.SpentTotal)
 	}
 	if st.Limit != 1.0 || st.Agents != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.Rotated != 3 { // 2 in plan1 + 1 in plan2
+	if st.Rotated != 3 { // 2 in rotation 1 + 1 in rotation 2
 		t.Fatalf("Rotated = %d, want 3", st.Rotated)
 	}
 }
@@ -196,24 +172,41 @@ func TestParkedKeepsItsOwnID(t *testing.T) {
 	}
 }
 
-func TestPlanRotationRejectsBadReports(t *testing.T) {
+// TestCommitRefusals pins Commit's two refusals — nothing staged, before
+// any Prepare and again after a commit cleared the staging, and a staged
+// epoch that differs — and that a refused commit leaves the controller
+// serving what it served.
+func TestCommitRefusals(t *testing.T) {
 	tree := buildTree(t, 2, 8)
 	c, err := NewController(Config{Tree: tree, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Prepare(0, false); err != nil {
+	if err := c.Commit(&Staged{Epoch: 2, Tree: tree}, 1); !errors.Is(err, ErrNotStaged) {
+		t.Fatalf("commit with nothing staged: %v", err)
+	}
+	staged, err := c.Prepare(0, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PlanRotation(nil, []string{"w"}, func(string, *hst.Tree) (hst.Code, error) {
-		return "", fmt.Errorf("client offline")
-	}); err == nil {
-		t.Error("reporter error swallowed")
+	if err := c.Commit(&Staged{Epoch: staged.Epoch + 1, Tree: staged.Tree}, 1); err == nil || errors.Is(err, ErrNotStaged) {
+		t.Fatalf("commit of a mismatched epoch: %v", err)
 	}
-	if _, err := c.PlanRotation(nil, []string{"w"}, func(string, *hst.Tree) (hst.Code, error) {
-		return hst.Code("not a code"), nil
-	}); err == nil {
-		t.Error("malformed report accepted")
+	if st := c.Stats(); st.Epoch != FirstEpoch || st.Rotations != 0 || st.Rotated != 0 ||
+		c.Tree() != tree || c.StagedRotation() != staged {
+		t.Fatalf("a refused commit moved the controller: %+v", st)
+	}
+	if err := c.Commit(staged, 4); err != nil {
+		t.Fatal(err)
+	}
+	if c.StagedRotation() != nil {
+		t.Fatal("commit left the rotation staged")
+	}
+	if err := c.Commit(staged, 4); !errors.Is(err, ErrNotStaged) {
+		t.Fatalf("second commit of one staging: %v", err)
+	}
+	if st := c.Stats(); st.Epoch != staged.Epoch || st.Rotations != 1 || st.Rotated != 4 || c.Tree() != staged.Tree {
+		t.Fatalf("after one commit: %+v", st)
 	}
 }
 
@@ -327,11 +320,7 @@ func TestRefitUsesObservedHistory(t *testing.T) {
 		t.Fatalf("refit perm starts %v, want point 17 first", perm[:3])
 	}
 	// Commit resets the history: the next refit orders by index only.
-	plan, err := c.PlanRotation(nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(plan); err != nil {
+	if err := c.Commit(staged, 0); err != nil {
 		t.Fatal(err)
 	}
 	staged, err = c.Prepare(0, true)
@@ -389,16 +378,12 @@ func TestPrepareReplacesStaged(t *testing.T) {
 	if c.StagedRotation() != s2 {
 		t.Fatal("re-prepare did not replace the staged rotation")
 	}
-	// Committing a plan from the replaced staging is refused only when the
-	// epochs disagree; both stage epoch 2 here, so commit goes through.
-	plan, err := c.PlanRotation(nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(&Plan{Epoch: plan.Epoch + 5}); err == nil {
+	// Committing the replaced staging is refused only when the epochs
+	// disagree; both stage epoch 2 here, so commit goes through.
+	if err := c.Commit(&Staged{Epoch: s1.Epoch + 5, Tree: s1.Tree}, 0); err == nil {
 		t.Error("commit of mismatched epoch accepted")
 	}
-	if err := c.Commit(plan); err != nil {
+	if err := c.Commit(s1, 0); err != nil {
 		t.Fatal(err)
 	}
 }

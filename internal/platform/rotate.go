@@ -96,16 +96,12 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 		codes = append(codes, code)
 	}
 
-	// Planning against the staging read above: if a concurrent
-	// PrepareRotate replaced it, the plan is refused rather than committing
-	// reports validated against one tree under another.
-	k := 0
-	plan, err := s.rot.PlanRotation(staged, names, func(string, *hst.Tree) (hst.Code, error) {
-		k++
-		return codes[k-1], nil
-	})
-	if err != nil {
-		return RotateResponse{OK: false, Reason: err.Error(), Err: conflictError(err.Error())}
+	// Reports were validated against the staging read above: if a
+	// concurrent PrepareRotate replaced it, the rotation is refused rather
+	// than committing them under another tree.
+	if s.rot.StagedRotation() != staged {
+		reason := fmt.Sprintf("platform: rotation to epoch %d restaged while committing", staged.Epoch)
+		return RotateResponse{OK: false, Reason: reason, Err: conflictError(reason)}
 	}
 
 	// Build the next epoch's table beside the serving one, which stays
@@ -139,27 +135,25 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			leaving = append(leaving, slot)
 		}
 	}
-	next := newSlotTable(len(carry)+len(slots), plan.Tree.Depth(), plan.Tree.Degree(), plan.Epoch)
+	next := newSlotTable(len(carry)+len(slots), staged.Tree.Depth(), staged.Tree.Degree(), staged.Epoch)
 	next.lags = make([]int64, 0, len(carry))
 	for _, slot := range carry {
 		st := old.at(slot).state()
 		if st == stateAvailable {
 			st = stateAssignedGone // dropped with completions owed
 		}
-		next.adopt(old, slot, st, old.lag(slot)+plan.Epoch-old.epoch, "")
+		next.adopt(old, slot, st, old.lag(slot)+staged.Epoch-old.epoch, "")
 	}
 	// Then the rotated workers, in report order. A capacitated worker
 	// carries its remaining units (capacity − active) into the new epoch.
 	carried := next.len()
-	for i := range plan.Outcomes {
-		o := &plan.Outcomes[i]
-		if s.rot.Afford(o.Worker, old.at(slots[i]).reports()) != nil {
-			o.Parked = true
-			resp.Parked = append(resp.Parked, o.Worker)
+	for i, name := range names {
+		if s.rot.Afford(name, old.at(slots[i]).reports()) != nil {
+			resp.Parked = append(resp.Parked, name)
 			leaving = append(leaving, slots[i])
 			continue
 		}
-		next.adopt(old, slots[i], stateAvailable, 0, o.Code)
+		next.adopt(old, slots[i], stateAvailable, 0, codes[i])
 	}
 	resp.Rotated = next.len() - carried
 
@@ -180,7 +174,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			}
 		}
 	}
-	if err := s.eng.SwapEpochSeq(plan.Epoch, plan.Tree, 0, populate); err != nil {
+	if err := s.eng.SwapEpochSeq(staged.Epoch, staged.Tree, 0, populate); err != nil {
 		// A cluster core aborts the distributed prepare on every node before
 		// reporting failure, so the old epoch keeps serving intact — and no
 		// report has been charged.
@@ -199,16 +193,16 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			s.departed[strings.Clone(old.id(slot))] = reports
 		}
 	}
-	if err := s.rot.Commit(plan); err != nil {
+	if err := s.rot.Commit(staged, resp.Rotated); err != nil {
 		// Unreachable: the staged rotation is checked above and mu
 		// serialises commits. Surface it rather than serving half-rotated.
 		panic(fmt.Sprintf("platform: rotation commit: %v", err))
 	}
 	s.dropped += len(resp.Dropped)
 	s.tab = next
-	s.epoch = plan.Epoch
-	s.pub.Tree = plan.Tree
-	s.pub.Epoch = plan.Epoch
+	s.epoch = staged.Epoch
+	s.pub.Tree = staged.Tree
+	s.pub.Epoch = staged.Epoch
 	resp.OK = true
 	return resp
 }

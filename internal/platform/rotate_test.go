@@ -150,6 +150,47 @@ func TestRotateDropsUnreportedAndSkipsUnknown(t *testing.T) {
 	}
 }
 
+// TestRotateNowDropsAFailedReport pins RotateNow's report errors: the
+// callback runs once per listed worker, in order, and the one worker whose
+// report fails is dropped as if it had not re-reported while every other
+// worker rotates.
+func TestRotateNowDropsAFailedReport(t *testing.T) {
+	s := newTestServer(t)
+	registerN(t, s, 6)
+	report := rotReporter(rng.New(5))
+	var asked []string
+	resp := s.RotateNow(PrepareRotateRequest{}, nil, func(w string, tree *hst.Tree) (hst.Code, error) {
+		asked = append(asked, w)
+		if w == "w3" {
+			return "", fmt.Errorf("client %s offline", w)
+		}
+		return report(w, tree)
+	})
+	if !resp.OK {
+		t.Fatal(resp.Reason)
+	}
+	if want := "[w0 w1 w2 w3 w4 w5]"; fmt.Sprint(asked) != want {
+		t.Fatalf("reports asked of %v, want %s", asked, want)
+	}
+	if resp.Epoch != 2 || resp.Rotated != 5 || resp.Skipped != 0 || len(resp.Parked) != 0 ||
+		fmt.Sprint(resp.Dropped) != "[w3]" {
+		t.Fatalf("rotate response %+v", resp)
+	}
+	if st := s.Stats(); st.Epoch != 2 || st.RotatedWorkers != 5 || st.AvailableWorkers != 5 || st.DroppedWorkers != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+	if rel := s.Release(ReleaseRequest{WorkerID: "w3"}); rel.OK || !strings.Contains(rel.Reason, "not registered") {
+		t.Fatalf("release of the dropped worker: %+v", rel)
+	}
+	o, err := NewObfuscator(s.Publication(), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg := s.Register(RegisterRequest{WorkerID: "w3", Code: []byte(o.Obfuscate(geo.Pt(5, 5))), Epoch: 2}); !reg.OK {
+		t.Fatalf("dropped worker cannot re-register: %s", reg.Reason)
+	}
+}
+
 func TestRotateWithoutPrepareRefused(t *testing.T) {
 	s := newTestServer(t)
 	if resp := s.Rotate(RotateRequest{}); resp.OK || !strings.Contains(resp.Reason, "no rotation staged") {

@@ -48,7 +48,6 @@ type Core interface {
 	AssignBatch(codes []hst.Code) (ids, lcaLevels []int)
 	InsertCapEpoch(code hst.Code, id, capacity int, epoch int64) error
 	AddCapacityEpoch(code hst.Code, id int, epoch int64) error
-	Remove(code hst.Code, id int) bool
 	RemoveUnits(code hst.Code, id int) (units int, ok bool)
 	RelocateEpoch(from, to hst.Code, id, extra int, epoch int64) (pooled int, err error)
 	// SwapEpochSeq rotates to the next epoch's population, handed over as
@@ -56,8 +55,8 @@ type Core interface {
 	// second copy of it. seq must be replayable and safe to invoke from
 	// several goroutines at once (the cluster core runs one filtered
 	// iteration per node). Every core ignores shards, which stays until
-	// ROADMAP's re-baseline half 1 (c) because the benchmark's tracing
-	// core pins this signature. The unnamed func type, not iter.Seq, is
+	// ROADMAP item 2 (a) because the benchmark's tracing core pins this
+	// signature. The unnamed func type, not iter.Seq, is
 	// what lets a struct embedding *engine.Engine satisfy Core.
 	SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error
 }
@@ -601,7 +600,7 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 			// report: park it rather than re-noise past its guarantee,
 			// pulling any spare units out of the pool.
 			if inPool {
-				s.eng.Remove(s.tab.code(slot, &s.codeBuf), slot)
+				s.eng.RemoveUnits(s.tab.code(slot, &s.codeBuf), slot)
 			}
 			if s.tab.units(slot).active > 0 {
 				s.tab.addActive(slot, -1)
@@ -673,11 +672,11 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 		// The worker observed itself available and is told it is offline,
 		// so the withdrawal must win every race: when a concurrent Submit
 		// popped the worker but has not recorded the assignment yet
-		// (eng.Remove fails), marking the stint over makes that pop stale
-		// and the Submit retries another worker. A capacitated worker with
-		// outstanding tasks keeps serving them (its spare units leave the
-		// pool now) and goes fully offline at its last Release.
-		s.eng.Remove(s.tab.code(slot, &s.codeBuf), slot)
+		// (eng.RemoveUnits fails), marking the stint over makes that pop
+		// stale and the Submit retries another worker. A capacitated worker
+		// with outstanding tasks keeps serving them (its spare units leave
+		// the pool now) and goes fully offline at its last Release.
+		s.eng.RemoveUnits(s.tab.code(slot, &s.codeBuf), slot)
 		if s.tab.units(slot).active > 0 {
 			rec.setState(stateAssignedGone)
 		} else {

@@ -163,48 +163,37 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(workers))
-	for i, w := range workers {
-		names[i] = workerName(w)
-	}
-	idx := 0
-	plan, err := b.ctrl.PlanRotation(staged, names, func(_ string, tree *hst.Tree) (hst.Code, error) {
-		code := report(workers[idx], tree)
-		idx++
-		return code, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	res := &rotateResult{
-		epoch:  plan.Epoch,
-		tree:   plan.Tree,
+		epoch:  staged.Epoch,
+		tree:   staged.Tree,
 		codes:  make([]hst.Code, len(workers)),
 		parked: make([]bool, len(workers)),
 		newID:  make([]int, len(workers)),
 	}
+	// Every report is drawn before any budget check: the rng contract the
+	// goldens pin.
+	for i, w := range workers {
+		res.codes[i] = report(w, staged.Tree)
+	}
 	inserts := make([]engine.EpochInsert, 0, len(workers))
-	for i := range plan.Outcomes {
-		o := &plan.Outcomes[i]
-		if b.ctrl.Afford(o.Worker, *b.cell(workers[i])) != nil {
-			o.Parked = true
-			res.parked[i], res.newID[i] = true, -1
+	for i, w := range workers {
+		if b.ctrl.Afford(workerName(w), *b.cell(w)) != nil {
+			res.parked[i], res.newID[i], res.codes[i] = true, -1, ""
 			continue
 		}
-		id := alloc(workers[i])
-		res.codes[i], res.newID[i] = o.Code, id
-		inserts = append(inserts, engine.EpochInsert{Code: o.Code, ID: id, Cap: capLeft[i]})
+		res.newID[i] = alloc(w)
+		inserts = append(inserts, engine.EpochInsert{Code: res.codes[i], ID: res.newID[i], Cap: capLeft[i]})
 	}
-	if err := b.eng.SwapEpoch(plan.Epoch, plan.Tree, 0, inserts); err != nil {
+	if err := b.eng.SwapEpoch(staged.Epoch, staged.Tree, 0, inserts); err != nil {
 		return nil, err
 	}
-	for i := range plan.Outcomes {
-		if !plan.Outcomes[i].Parked {
-			cell := b.cell(workers[i])
+	for i, w := range workers {
+		if !res.parked[i] {
+			cell := b.cell(w)
 			*cell = b.ctrl.Charge(*cell)
 		}
 	}
-	if err := b.ctrl.Commit(plan); err != nil {
+	if err := b.ctrl.Commit(staged, len(inserts)); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -330,7 +319,7 @@ func (b *platformBackend) rotate(workers []int, _ []int, report func(int, *hst.T
 		newID:  make([]int, len(workers)),
 	}
 	// RotateNow invokes the callback once per listed worker, in order —
-	// the same rng contract the engine driver's plan follows.
+	// the same rng contract the engine driver follows.
 	idx := 0
 	resp := b.srv.RotateNow(platform.PrepareRotateRequest{Refit: b.refit}, names, func(_ string, tree *hst.Tree) (hst.Code, error) {
 		res.codes[idx] = report(workers[idx], tree)
