@@ -18,7 +18,7 @@ import (
 // BenchmarkNodeOp prices one sequential routed op. Adjacent rows subtract to
 // a layer's cost:
 //
-//   - stream: insert and assign-subtree alternating through DialNodeClient
+//   - stream: insert and pop alternating through DialNodeClient
 //     against a NodeHandler over loopback — the routed path, every op a
 //     singleton envelope in a frame on the one stream a sequential caller
 //     needs; the pair keeps the pool at steady state.
@@ -31,12 +31,10 @@ import (
 //     a handler that discards the body — what an HTTP transaction charges,
 //     which every op paid before the stream. post-floor − stream-floor is
 //     what the stream saves.
-//   - min-id, status: the root tier's poll and the pool read, each a
-//     singleton envelope on the same stream, over a node of 2,000 workers;
-//     pop-min: the root tier's pop, alternating with the insert that puts
-//     the popped worker back into a pool otherwise empty, as stream's is —
-//     the pair to hold against stream's, the op kind the only difference.
-//     Each was a POST of its own (CHANGES.md, PR 27, has them side by side).
+//   - peek, status: a greedy election's poll and the pool read, each a
+//     singleton envelope on the same stream, over a node of 2,000 workers.
+//     Status was a POST of its own, as was peek's forerunner min-id
+//     (CHANGES.md, PR 27, has them side by side).
 func BenchmarkNodeOp(b *testing.B) {
 	tree := buildTree(b, 7)
 	code := tree.CodeOf(3)
@@ -45,7 +43,7 @@ func BenchmarkNodeOp(b *testing.B) {
 	var reqs, resps [2][]byte
 	for i, op := range []OpRequest{
 		{Kind: OpInsert, Idem: "AbCdEf1a2b", Code: []byte(code), ID: 12345, Capacity: 1, Epoch: engine.FirstEpoch},
-		{Kind: OpAssignSubtree, Idem: "AbCdEf1a2b", Code: []byte(code), Epoch: engine.FirstEpoch},
+		{Kind: OpPop, Idem: "AbCdEf1a2b", Code: []byte(code), Level: tree.Depth() - 1, Epoch: engine.FirstEpoch},
 	} {
 		body, err := json.Marshal(struct {
 			Ops []OpRequest `json:"ops"`
@@ -94,18 +92,18 @@ func BenchmarkNodeOp(b *testing.B) {
 				if _, err := conn.Do(insert(idems[i])); err != nil {
 					b.Fatal(err)
 				}
-			} else if res, err := conn.Do(OpRequest{Kind: OpAssignSubtree, Idem: idems[i], Code: codeBytes, Epoch: engine.FirstEpoch}); err != nil || !res.Found {
+			} else if res, err := conn.Do(OpRequest{Kind: OpPop, Idem: idems[i], Code: codeBytes, Level: tree.Depth() - 1, Epoch: engine.FirstEpoch}); err != nil || !res.Found {
 				b.Fatal(res, err)
 			}
 		}
 	})
 
-	b.Run("min-id", func(b *testing.B) {
+	b.Run("peek", func(b *testing.B) {
 		conn := dial(b, 2000)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res, err := conn.Do(OpRequest{Kind: OpMinID, Epoch: engine.FirstEpoch}); err != nil || !res.Found || res.ID != 0 {
+			if res, err := conn.Do(OpRequest{Kind: OpPeek, Code: codeBytes, Epoch: engine.FirstEpoch}); err != nil || !res.Found || res.ID != 3 || res.Level != 0 {
 				b.Fatal(res, err)
 			}
 		}
@@ -120,25 +118,6 @@ func BenchmarkNodeOp(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pop-min", func(b *testing.B) {
-		conn := dial(b, 0)
-		idems := make([]string, b.N)
-		for i := range idems {
-			idems[i] = "AbCdEf" + strconv.FormatInt(int64(i), 36)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%2 == 0 {
-				if _, err := conn.Do(insert(idems[i])); err != nil {
-					b.Fatal(err)
-				}
-			} else if res, err := conn.Do(OpRequest{Kind: OpPopMin, Idem: idems[i], Epoch: engine.FirstEpoch}); err != nil || !res.Found || res.ID != 12345 {
-				b.Fatal(res, err)
-			}
-		}
-	})
-
 	b.Run("stream-floor", func(b *testing.B) {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			conn, brw, err := http.NewResponseController(w).Hijack()

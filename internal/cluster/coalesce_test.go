@@ -54,7 +54,7 @@ func TestOpsEnvelopeReplayByteExact(t *testing.T) {
 	env, err := json.Marshal(OpsRequest{Ops: []OpRequest{
 		{Kind: OpInsert, Idem: "e-1", Code: []byte(tree.CodeOf(0)), ID: 1, Epoch: 1},
 		{Kind: OpInsert, Idem: "e-2", Code: []byte(tree.CodeOf(1)), ID: 2, Epoch: 1},
-		{Kind: OpAssignSubtree, Idem: "e-3", Code: []byte(tree.CodeOf(0)), Epoch: 1},
+		{Kind: OpPop, Idem: "e-3", Code: []byte(tree.CodeOf(0)), Level: tree.Depth() - 1, Epoch: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -518,7 +518,7 @@ func TestSequentialCallerShipsSingletons(t *testing.T) {
 		if _, err := conn.Do(OpRequest{Kind: OpInsert, Idem: fmt.Sprintf("i-%d", i), Code: code, ID: i, Capacity: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := conn.Do(OpRequest{Kind: OpAssignSubtree, Idem: fmt.Sprintf("a-%d", i), Code: code}); err != nil || !res.Found || res.ID != i {
+		if res, err := conn.Do(OpRequest{Kind: OpPop, Idem: fmt.Sprintf("a-%d", i), Code: code, Level: tree.Depth() - 1}); err != nil || !res.Found || res.ID != i {
 			t.Fatalf("assign %d: %+v, err %v", i, res, err)
 		}
 	}

@@ -32,6 +32,7 @@ func appendOp(dst []byte, op *OpRequest) []byte {
 	}
 	dst = wire.AppendIntField(dst, `,"id":`, int64(op.ID))
 	dst = wire.AppendIntField(dst, `,"capacity":`, int64(op.Capacity))
+	dst = wire.AppendIntField(dst, `,"level":`, int64(op.Level))
 	dst = wire.AppendIntField(dst, `,"epoch":`, op.Epoch)
 	if len(op.Codes) > 0 {
 		sep := `,"codes":[`
@@ -77,8 +78,8 @@ func appendAck(dst []byte, err error, epoch int64) (out []byte, applied bool) {
 	return append(dst, ackOK...), true
 }
 
-// appendFound appends the `,"found":b}` that closes a remove,
-// assign-subtree, min-id or pop-min sub-result, refused ones included.
+// appendFound appends the `,"found":b}` that closes a remove, pop or peek
+// sub-result, refused ones included.
 func appendFound(dst []byte, found bool) []byte {
 	return append(strconv.AppendBool(append(dst, `,"found":`...), found), '}')
 }
@@ -89,8 +90,7 @@ func appendRemoved(dst []byte, units int, found bool) []byte {
 }
 
 // appendAssigned appends the sub-result of a kind that answers a worker —
-// assign-subtree, pop-min, and min-id, which has no level — or err's
-// refusal. applied false marks the refusal.
+// pop and peek — or err's refusal. applied false marks the refusal.
 func appendAssigned(dst []byte, id, level int, found bool, err error, epoch int64) (out []byte, applied bool) {
 	if err != nil {
 		return appendFound(appendRefusal(dst, nodeError(err, epoch)), false), false
@@ -118,9 +118,6 @@ func appendMined(dst []byte, wm *OpResult) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	if len(wm.Pad) > 0 {
-		dst = appendCandidates(append(dst, `,"pad":`...), wm.Pad)
-	}
 	return append(dst, '}')
 }
 
@@ -143,8 +140,8 @@ func appendCandidates(dst []byte, list []hst.Candidate) []byte {
 
 // opKinds lists the kinds Node.Do answers.
 var opKinds = [...]string{
-	OpInsert, OpAddCapacity, OpRemove, OpAssignSubtree, OpConsume,
-	OpStatus, OpMinID, OpPopMin, OpMine, OpCommit, OpAbort,
+	OpInsert, OpAddCapacity, OpRemove, OpPop, OpConsume,
+	OpStatus, OpPeek, OpMine, OpCommit, OpAbort,
 }
 
 // internKind returns the package's constant for a known op kind, so that a
@@ -159,7 +156,7 @@ func internKind(text []byte) string {
 	return string(text)
 }
 
-var opFields = []string{"kind", "idem", "code", "id", "capacity", "epoch", "codes", "k"}
+var opFields = []string{"kind", "idem", "code", "id", "capacity", "level", "epoch", "codes", "k"}
 
 // view is b as a string, without a copy: valid while b's memory is neither
 // reused nor written, so only for a callee that does not keep it.
@@ -214,6 +211,8 @@ func (r *opsReader) scanOp(s *wire.Scanner, op *OpRequest) error {
 			op.ID, err = s.Int()
 		case "capacity":
 			op.Capacity, err = s.Int()
+		case "level":
+			op.Level, err = s.Int()
 		case "epoch":
 			op.Epoch, err = s.Integer()
 		case "codes":
@@ -252,7 +251,7 @@ func (r *opsReader) scan(body []byte) ([]OpRequest, error) {
 }
 
 var (
-	resultFields   = []string{"ok", "error", "id", "level", "units", "found", "epoch", "len", "pool", "own", "pad"}
+	resultFields   = []string{"ok", "error", "id", "level", "units", "found", "epoch", "len", "pool", "own"}
 	responseFields = []string{"ok", "error", "results"}
 )
 
@@ -281,8 +280,6 @@ func scanResult(s *wire.Scanner, r *OpResult) error {
 			r.Pool, err = s.Int()
 		case "own":
 			r.Own, err = scanCandidateLists(s)
-		case "pad":
-			r.Pad, err = scanCandidates(s, new([]byte))
 		}
 		return err
 	})
@@ -300,8 +297,8 @@ func scanCandidateLists(s *wire.Scanner) (lists [][]hst.Candidate, err error) {
 	return lists, err
 }
 
-// scanCandidates consumes one candidate list, a mine answer's pad or one of
-// its own lists: an array of [id,code,level,cap] arrays. code is decoding
+// scanCandidates consumes one candidate list, one of a mine answer's own
+// lists: an array of [id,code,level,cap] arrays. code is decoding
 // scratch; a candidate keeps a copy. An empty list is left nil.
 func scanCandidates(s *wire.Scanner, code *[]byte) (list []hst.Candidate, err error) {
 	err = s.Array(func() error {

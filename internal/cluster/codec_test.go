@@ -42,7 +42,6 @@ type refResult struct {
 	Found *bool            `json:"found,omitempty"`
 	Pool  int              `json:"pool,omitempty"`
 	Own   [][]refCandidate `json:"own,omitempty"`
-	Pad   []refCandidate   `json:"pad,omitempty"`
 }
 
 // refCandidate is hst.Candidate as the array [id,code,level,cap].
@@ -98,7 +97,7 @@ func (r refResult) result() OpResult {
 	}
 	return OpResult{
 		OK: r.OK, Err: r.Err, ID: r.ID, Level: r.Level, Units: r.Units, Found: r.Found != nil && *r.Found,
-		Epoch: r.Epoch, Len: r.Len, Pool: r.Pool, Own: lists(r.Own), Pad: list(r.Pad),
+		Epoch: r.Epoch, Len: r.Len, Pool: r.Pool, Own: lists(r.Own),
 	}
 }
 
@@ -218,7 +217,7 @@ func FuzzOpsCodec(f *testing.F) {
 		`{"ok":true,"results":[{"ok":true,"id":` + maxInt64 + `0}]}`,
 		// A seed a new kind, both directions, then what the scanner refuses
 		// of their members as of the five's.
-		`{"ops":[{"kind":"status"},{"kind":"status","epoch":3},{"kind":"min-id","epoch":1},{"kind":"pop-min","idem":"k","epoch":1}]}`,
+		`{"ops":[{"kind":"status"},{"kind":"status","epoch":3},{"kind":"peek","code":"AAEC","epoch":1},{"kind":"pop","idem":"k","code":"AAEC","level":2,"epoch":1}]}`,
 		`{"ops":[{"kind":"commit","idem":"k","epoch":2},{"kind":"abort","idem":"k","epoch":2}]}`,
 		`{"ops":[{"kind":"mine","codes":["AAEC","","AQ=="],"k":8,"epoch":1},{"kind":"mine","codes":[],"k":1},{"kind":"mine","k":-3}]}`,
 		` { "ops" : [ { "k" : 2 , "codes" : [ "AAEC" , "AQ==" ] , "kind" : "mine" } ] } `,
@@ -229,10 +228,10 @@ func FuzzOpsCodec(f *testing.F) {
 		`{"ops":[{"kind":"mine","codes":["AAEC",]}]}`,
 		`{"ops":[{"kind":"mine","k":1.5},{"kind":"mine","K":1}]}`,
 		`{"ok":true,"results":[{"ok":true,"epoch":2,"len":7,"units":9},{"ok":true,"epoch":1},{"ok":true,"id":3,"found":true},{"ok":true,"found":false}]}`,
-		`{"ok":true,"results":[{"ok":true,"epoch":1,"pool":5,"own":[[[7,"AAEC",2,1],[9,"AAED",0,3]],[]],"pad":[[7,"AAEC",5,1]]}]}`,
-		` { "results" : [ { "pad" : [ [ 7 , "AAEC" , 5 , 1 ] ] , "own" : [ ] , "ok" : true } ] } `,
-		`{"ok":true,"results":[{"ok":true,"pads":[[[7,"AAEC",5,1]]]}]}`,
-		`{"ok":true,"results":[{"ok":true,"pad":[[[7,"AAEC",5,1]]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"epoch":1,"pool":5,"own":[[[7,"AAEC",2,1],[9,"AAED",0,3]],[]]}]}`,
+		` { "results" : [ { "own" : [ [ [ 7 , "AAEC" , 5 , 1 ] ] ] , "level" : 3 , "ok" : true } ] } `,
+		`{"ok":true,"results":[{"ok":true,"pad":[[7,"AAEC",5,1]]}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[[7,"AAEC",5,1]]}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":null}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":[null]}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":[[null]]}]}`,
@@ -241,14 +240,16 @@ func FuzzOpsCodec(f *testing.F) {
 		`{"ok":true,"results":[{"ok":true,"own":[[[7,"AAE",2,1]]]}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":[[["7","AAEC",2,1]]]}]}`,
 		`{"ok":true,"results":[{"ok":true,"own":[[[7,"AAEC",2.0,1]]]}]}`,
-		`{"ok":true,"results":[{"ok":true,"pad":[],"pad":[]}]}`,
+		`{"ok":true,"results":[{"ok":true,"own":[],"own":[]}]}`,
 		`{"ok":true,"results":[{"ok":true,"Pool":1}]}`,
+		`{"ops":[{"kind":"pop","level":-1},{"kind":"pop","level":1.5},{"kind":"pop","Level":1}]}`,
+		`{"ops":[{"kind":"pop","level":3,"level":3}]}`,
 	} {
 		f.Add([]byte(body), "insert", "idem", []byte{0, 1, 2}, 5, 2, int64(1), true)
 	}
 	f.Add([]byte(nil), "a\"b\\c<d>&e\x7f\u2028\u2029\xff\x00\n", "\t\b\f\r\x1f \u00e9 \xf0\x9f", []byte{}, math.MaxInt, math.MinInt, int64(math.MinInt64), false)
 	f.Add([]byte(nil), "", "", []byte(nil), 0, 0, int64(0), false)
-	f.Add([]byte(nil), OpAssignSubtree, "AbCdEf1z", bytes.Repeat([]byte{255}, 7), -1, 0, int64(math.MaxInt64), true)
+	f.Add([]byte(nil), OpPop, "AbCdEf1z", bytes.Repeat([]byte{255}, 7), -1, 0, int64(math.MaxInt64), true)
 
 	f.Fuzz(func(t *testing.T, body []byte, kind, idem string, code []byte, id, level int, epoch int64, found bool) {
 		checkRequestScan(t, body)
@@ -259,9 +260,9 @@ func FuzzOpsCodec(f *testing.F) {
 		// no null, and no caller a nil code.
 		some := append([]byte{}, code...)
 		ops := []OpRequest{
-			{Kind: kind, Idem: idem, Code: code, ID: id, Capacity: level, Epoch: epoch},
+			{Kind: kind, Idem: idem, Code: code, ID: id, Capacity: level, Level: id, Epoch: epoch},
 			{Kind: idem, Code: code, Epoch: int64(id)},
-			{Kind: kind, Idem: kind, ID: level},
+			{Kind: kind, Idem: kind, ID: level, Level: level},
 			{Kind: OpMine, Codes: [][]byte{some, {}, some}, K: level, Epoch: epoch},
 			{Kind: kind, Idem: idem, Codes: [][]byte{some}, K: id},
 		}
@@ -286,7 +287,7 @@ func FuzzOpsCodec(f *testing.F) {
 		unassigned, _ := appendAssigned(nil, id, level, found, refused, 0)
 		no := false
 		cands := []hst.Candidate{{ID: id, Code: hst.Code(code), Level: level, Cap: id}, {ID: level, Code: hst.Code(idem)}}
-		mined := &OpResult{Epoch: epoch, Pool: level, Own: [][]hst.Candidate{cands, nil, cands[:1]}, Pad: cands[1:]}
+		mined := &OpResult{Epoch: epoch, Pool: level, Own: [][]hst.Candidate{cands, nil, cands[:1], cands[1:]}}
 		results := []struct {
 			got  []byte
 			want refResult
@@ -298,7 +299,7 @@ func FuzzOpsCodec(f *testing.F) {
 			{assigned, refResult{OK: true, ID: id, Level: level, Found: &found}},
 			{unassigned, refResult{Err: refused, Found: &no}},
 			{appendStatus(nil, &OpResult{Epoch: epoch, Len: id, Units: level}), refResult{OK: true, Epoch: epoch, Len: id, Units: level}},
-			{appendMined(nil, mined), refResult{OK: true, Epoch: epoch, Pool: level, Own: refLists(mined.Own), Pad: refList(mined.Pad)}},
+			{appendMined(nil, mined), refResult{OK: true, Epoch: epoch, Pool: level, Own: refLists(mined.Own)}},
 			{appendMined(nil, &OpResult{Own: [][]hst.Candidate{}}), refResult{OK: true}},
 		}
 		env := []byte(`{"ok":true,"results":[`)
@@ -360,10 +361,13 @@ func TestOpsEnvelopeGrammar(t *testing.T) {
 		{`{"ops" []}`, `expected ':'`},
 		{`{"ops":[{"id":0 "kind":"remove"}]}`, `expected ','`},
 		{`{"ops":[{"kind":"remove"}]} {}`, "data after the envelope"},
-		// The six kinds that were POSTs of their own, and what they added to
-		// an op: codes and k.
-		{`{"ops":[{"kind":"status"},{"kind":"status","epoch":2},{"kind":"min-id","epoch":1}]}`, ""},
-		{`{"ops":[{"kind":"pop-min","idem":"p","epoch":1},{"kind":"commit","idem":"c","epoch":2},{"kind":"abort","idem":"a","epoch":2}]}`, ""},
+		// The kinds beyond the five code-addressed mutations, and what they
+		// add to an op: a pop's level, a mine's codes and k.
+		{`{"ops":[{"kind":"status"},{"kind":"status","epoch":2},{"kind":"peek","code":"AAEC","epoch":1}]}`, ""},
+		{`{"ops":[{"kind":"pop","idem":"p","code":"AAEC","level":3,"epoch":1},{"kind":"commit","idem":"c","epoch":2},{"kind":"abort","idem":"a","epoch":2}]}`, ""},
+		{`{"ops":[{"kind":"pop","level":null}]}`, "expected an integer"},
+		{`{"ops":[{"kind":"pop","level":1,"level":2}]}`, `duplicate field "level"`},
+		{`{"ops":[{"kind":"pop","Level":1}]}`, `unknown field "Level"`},
 		{`{"ops":[{"kind":"mine","codes":["AAEC","","AQ=="],"k":8,"epoch":1}]}`, ""},
 		{" {\"ops\":[ { \"k\" : 8 , \"codes\" : [ \"AAEC\" , \"AQ==\" ] , \"kind\" : \"mine\" } ] }", ""},
 		{`{"ops":[{"kind":"mine","codes":[]},{"kind":"mine"}]}`, ""},
@@ -409,6 +413,15 @@ func TestOpsEnvelopeGrammar(t *testing.T) {
 	if st, err := node.Do(OpRequest{Kind: OpStatus}); err != nil || st.Len != 0 {
 		t.Fatalf("refused envelope applied ops: %+v, %v", st, err)
 	}
+
+	// A kind the node does not know — min-id is one that is gone — scans, and
+	// is refused as that op's own bad_request beside the ops around it.
+	body = `{"ops":[{"kind":"min-id","epoch":1},{"kind":"status"}]}`
+	want = `{"ok":true,"results":[{"ok":false,"error":{"code":"bad_request","message":"cluster: unknown op kind \"min-id\""}},` +
+		`{"ok":true,"epoch":1}]}` + "\n"
+	if rec = postRecorded(NodeHandler(node), PathNodeOps, body); rec != want {
+		t.Fatalf("an envelope with a gone kind answered\n%s\nwant\n%s", rec, want)
+	}
 }
 
 func errOf(_ []OpRequest, err error) error { return err }
@@ -430,9 +443,9 @@ func TestOpsCodecAllocs(t *testing.T) {
 	batch := batchOf(
 		OpRequest{Kind: OpInsert, Idem: "AbCdEf1", Code: code, ID: 12345, Capacity: 2, Epoch: 1},
 		OpRequest{Kind: OpRemove, Idem: "AbCdEf2", Code: code, ID: 12345},
-		OpRequest{Kind: OpAssignSubtree, Idem: "AbCdEf3", Code: code, Epoch: 1},
-		OpRequest{Kind: OpMinID, Epoch: 1},
-		OpRequest{Kind: OpPopMin, Idem: "AbCdEf4", Epoch: 1},
+		OpRequest{Kind: OpPop, Idem: "AbCdEf3", Code: code, Level: 6, Epoch: 1},
+		OpRequest{Kind: OpPeek, Code: code, Epoch: 1},
+		OpRequest{Kind: OpPop, Idem: "AbCdEf4", Code: code, Level: 7, Epoch: 1},
 		OpRequest{Kind: OpStatus},
 		OpRequest{Kind: OpCommit, Idem: "AbCdEf5", Epoch: 2},
 	)
@@ -452,7 +465,7 @@ func TestOpsCodecAllocs(t *testing.T) {
 	}
 
 	resp := []byte(`{"ok":true,"results":[{"ok":true},{"ok":true,"units":2,"found":true},{"ok":true,"id":12345,"level":3,"found":true},` +
-		`{"ok":true,"id":7,"found":true},{"ok":true,"id":7,"level":4,"found":true},{"ok":true,"epoch":1,"len":9,"units":11},{"ok":true}]}` + "\n")
+		`{"ok":true,"id":7,"level":4,"found":true},{"ok":true,"id":7,"level":4,"found":true},{"ok":true,"epoch":1,"len":9,"units":11},{"ok":true}]}` + "\n")
 	if n := testing.AllocsPerRun(100, func() {
 		if refusal, err := scanOpsResponse(resp, batch); refusal != nil || err != nil {
 			t.Fatal(refusal, err)
@@ -462,7 +475,7 @@ func TestOpsCodecAllocs(t *testing.T) {
 	}
 	for i, want := range []OpResult{
 		{OK: true}, {OK: true, Units: 2, Found: true}, {OK: true, ID: 12345, Level: 3, Found: true},
-		{OK: true, ID: 7, Found: true}, {OK: true, ID: 7, Level: 4, Found: true},
+		{OK: true, ID: 7, Level: 4, Found: true}, {OK: true, ID: 7, Level: 4, Found: true},
 		{OK: true, Epoch: 1, Len: 9, Units: 11}, {OK: true},
 	} {
 		if got := batch[i].res; !reflect.DeepEqual(got, want) {
@@ -483,6 +496,7 @@ func TestOpsResponseShape(t *testing.T) {
 		bad     bool
 	}{
 		{`{"ok":true,"results":[{"ok":true},{"ok":true,"found":false}]}` + "\n", 2, "", false},
+		{`{"ok":true,"results":[{"ok":true,"epoch":1,"pool":1,"own":[[]],"pad":[]}]}`, 1, "", true}, // a member that is gone
 		{`{"ok":true,"results":[]}`, 0, "", false},
 		{`{"ok":false,"error":{"code":"bad_request","message":"m"},"results":null}`, 2, "bad_request", false},
 		{`{"ok":true,"results":[{"ok":true}]}`, 2, "", true},

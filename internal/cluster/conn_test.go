@@ -19,7 +19,7 @@ import (
 
 // TestNodeConnParity drives one tape of every call a NodeConn has through
 // its two implementations — LocalNode, the in-process reference, and the
-// HTTP connection, whose eleven op kinds exist only as /v2/node/ops sub-ops
+// HTTP connection, whose ten op kinds exist only as /v2/node/ops sub-ops
 // in a stream's frames and whose init and prepare are the two POSTs — over
 // nodes in the same state. Every step must answer the same OpResult — a
 // mine the same lists, nil lists and empty ones told apart — and, for a
@@ -47,7 +47,8 @@ func TestNodeConnParity(t *testing.T) {
 		{"insert before init", platform.CodeConflict, OpRequest{Kind: OpInsert, Idem: "p-1", Code: code(0), ID: 1, Capacity: 2}, nil},
 		{"consume before init", platform.CodeConflict, OpRequest{Kind: OpConsume, Idem: "p-2", Code: code(0), ID: 1}, nil},
 		{"mine before init", platform.CodeConflict, mine(0, code(0)), nil},
-		{"pop-min before init", platform.CodeConflict, OpRequest{Kind: OpPopMin, Idem: "p-2a"}, nil},
+		{"pop before init", platform.CodeConflict, OpRequest{Kind: OpPop, Idem: "p-2a", Code: code(0), Level: 1}, nil},
+		{"peek before init", platform.CodeConflict, OpRequest{Kind: OpPeek, Code: code(0)}, nil},
 		{"commit before init", platform.CodeConflict, OpRequest{Kind: OpCommit, Idem: "p-2b", Epoch: 2}, nil},
 		{"init", "", OpRequest{}, func(c NodeConn) error {
 			return c.Init(InitRequest{Tree: tree, Policy: "capacity-greedy", Idem: "p-3"})
@@ -57,9 +58,10 @@ func TestNodeConnParity(t *testing.T) {
 		{"insert stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpInsert, Idem: "p-6", Code: code(1), ID: 3, Capacity: 1, Epoch: 99}, nil},
 		{"insert malformed code", platform.CodeBadRequest, OpRequest{Kind: OpInsert, Idem: "p-7", Code: short, ID: 3, Capacity: 1}, nil},
 		{"insert id outside int32", platform.CodeBadRequest, OpRequest{Kind: OpInsert, Idem: "p-8", Code: code(1), ID: 1 << 40, Capacity: 1}, nil},
-		{"assign-subtree pops the nearest", "", OpRequest{Kind: OpAssignSubtree, Idem: "p-9", Code: code(0), Epoch: engine.FirstEpoch}, nil},
-		{"assign-subtree stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpAssignSubtree, Idem: "p-10", Code: code(0), Epoch: 99}, nil},
-		{"assign-subtree malformed code", "", OpRequest{Kind: OpAssignSubtree, Idem: "p-11", Code: short}, nil},
+		{"pop pops the nearest", "", OpRequest{Kind: OpPop, Idem: "p-9", Code: code(0), Level: tree.Depth() - 1, Epoch: engine.FirstEpoch}, nil},
+		{"pop stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpPop, Idem: "p-10", Code: code(0), Level: tree.Depth(), Epoch: 99}, nil},
+		{"pop malformed code", "", OpRequest{Kind: OpPop, Idem: "p-11", Code: short, Level: tree.Depth()}, nil},
+		{"pop with none within its level", "", OpRequest{Kind: OpPop, Idem: "p-11a", Code: code(9)}, nil},
 		{"add-capacity returns the unit", "", OpRequest{Kind: OpAddCapacity, Idem: "p-12", Code: code(0), ID: 1, Epoch: engine.FirstEpoch}, nil},
 		{"add-capacity stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpAddCapacity, Idem: "p-13", Code: code(0), ID: 1, Epoch: 99}, nil},
 		{"consume a pooled unit", "", OpRequest{Kind: OpConsume, Idem: "p-14", Code: code(0), ID: 1, Epoch: engine.FirstEpoch}, nil},
@@ -69,16 +71,17 @@ func TestNodeConnParity(t *testing.T) {
 		{"remove an absent worker", "", OpRequest{Kind: OpRemove, Idem: "p-18", Code: code(0), ID: 1}, nil},
 		{"status", "", OpRequest{Kind: OpStatus}, nil},
 		{"status stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpStatus, Epoch: 99}, nil},
-		{"min-id", "", OpRequest{Kind: OpMinID, Epoch: engine.FirstEpoch}, nil},
-		{"min-id stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpMinID, Epoch: 99}, nil},
+		{"peek", "", OpRequest{Kind: OpPeek, Code: code(9), Epoch: engine.FirstEpoch}, nil},
+		{"peek stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpPeek, Code: code(9), Epoch: 99}, nil},
+		{"peek malformed code", "", OpRequest{Kind: OpPeek, Code: short}, nil},
 		{"mine a held leaf, an empty one and a malformed code", "", mine(engine.FirstEpoch, code(5), code(9), short), nil},
 		{"mine sent no codes", "", mine(0), nil},
 		{"mine stale epoch pin", platform.CodeStaleEpoch, mine(99, code(5)), nil},
 		{"an unknown kind", platform.CodeBadRequest, OpRequest{Kind: "teleport", Idem: "p-18a", Code: code(5)}, nil},
-		{"pop-min", "", OpRequest{Kind: OpPopMin, Idem: "p-19", Epoch: engine.FirstEpoch}, nil},
-		{"pop-min stale epoch pin", platform.CodeStaleEpoch, OpRequest{Kind: OpPopMin, Idem: "p-20", Epoch: 99}, nil},
-		{"pop-min an empty pool", "", OpRequest{Kind: OpPopMin, Idem: "p-21"}, nil},
-		{"min-id an empty pool", "", OpRequest{Kind: OpMinID}, nil},
+		{"a kind that is gone", platform.CodeBadRequest, OpRequest{Kind: "min-id"}, nil},
+		{"pop at the peeked level", "", OpRequest{Kind: OpPop, Idem: "p-19", Code: code(9), Level: tree.Depth(), Epoch: engine.FirstEpoch}, nil},
+		{"pop an empty pool", "", OpRequest{Kind: OpPop, Idem: "p-21", Code: code(9), Level: tree.Depth()}, nil},
+		{"peek an empty pool", "", OpRequest{Kind: OpPeek, Code: code(9)}, nil},
 		{"mine an empty pool", "", mine(0, code(5), code(0)), nil},
 		{"commit nothing staged", platform.CodeBadRequest, OpRequest{Kind: OpCommit, Idem: "p-22", Epoch: 2}, nil},
 		{"prepare", "", OpRequest{}, func(c NodeConn) error {
@@ -182,23 +185,24 @@ func sameRefusal(t testing.TB, name string, want, got error) bool {
 // four bytes an op, run through LocalNode and through DialNodeClient over
 // NodeHandler against nodes that start alike, every OpResult equal and every
 // refusal the same (sameRefusal). A step's first byte picks the call — the
-// eleven kinds, an unknown one, Init, or a Prepare of the next epoch over a
+// ten kinds, an unknown one, Init, or a Prepare of the next epoch over a
 // small partition, which a commit pinned to that epoch then publishes — the
 // second its code (a leaf of either tree, one cut short or run long, none),
 // the third its id (past int32 in one case of four), and the fourth its
-// epoch pin (0, the serving epoch, a stale one, the next) and its capacity
-// or pool size. Every op carries a key of its own, as the coordinator's do.
+// epoch pin (0, the serving epoch, a stale one, the next) and its capacity,
+// pool size or pop level. Every op carries a key of its own, as the
+// coordinator's do.
 func FuzzNodeConnParity(f *testing.F) {
 	trees := [2]*hst.Tree{buildTree(f, 7), buildTree(f, 8)}
 	// A step's call: opKinds[i] below len(opKinds), then these.
 	const unknown, callInit, callPrepare, calls = uint8(len(opKinds)), uint8(len(opKinds) + 1), uint8(len(opKinds) + 2), uint8(len(opKinds) + 3)
-	insert, addCapacity, remove, assign, status, minID, popMin, mine, commit, abort := uint8(0), uint8(1), uint8(2), uint8(3), uint8(5), uint8(6), uint8(7), uint8(8), uint8(9), uint8(10)
+	insert, addCapacity, remove, pop, status, peek, mine, commit, abort := uint8(0), uint8(1), uint8(2), uint8(3), uint8(5), uint8(6), uint8(7), uint8(8), uint8(9)
 	for _, tape := range [][]byte{
 		{insert, 0, 1, 0}, // before init
-		{callInit, 0, 0, 0, insert, 0, 1, 4, assign, 0, 0, 1, status, 0, 0, 0, minID, 0, 0, 1},
+		{callInit, 0, 0, 0, insert, 0, 1, 4, pop, 0, 0, 1, status, 0, 0, 0, peek, 8, 0, 1},
 		{callInit, 0, 0, 0, insert, 8, 2, 8, addCapacity, 8, 2, 2, insert, 0, 3, 4, remove, 8, 2, 0},
-		{callInit, 0, 0, 0, insert, 0, 1, 4, mine, 0, 2, 13, popMin, 0, 0, 1, abort, 0, 0, 3, commit, 0, 0, 3},
-		{callInit, 0, 0, 0, insert, 0, 1, 4, callPrepare, 0, 0, 3, commit, 0, 0, 3, status, 0, 0, 1, assign, 4, 0, 1, mine, 4, 1, 9},
+		{callInit, 0, 0, 0, insert, 0, 1, 4, mine, 0, 2, 13, peek, 8, 0, 1, pop, 8, 0, 41, abort, 0, 0, 3, commit, 0, 0, 3},
+		{callInit, 0, 0, 0, insert, 0, 1, 4, callPrepare, 0, 0, 3, commit, 0, 0, 3, status, 0, 0, 1, pop, 4, 0, 1, mine, 4, 1, 9},
 		{callInit, 0, 0, 0, unknown, 0, 0, 0, insert, 1, 1, 4, mine, 0, 0, 0, mine, 2, 1, 8, 4, 3, 1, 1},
 	} {
 		f.Add(tape)
@@ -254,6 +258,9 @@ func FuzzNodeConnParity(f *testing.F) {
 				gotErr = remote.Prepare(cur+1, staged, nextOf(inserts), idem)
 			default:
 				op := OpRequest{Kind: "teleport", Idem: idem, Code: code, ID: id, Capacity: pin / 4 % 4, Epoch: epoch}
+				if call == pop {
+					op.Level = pin / 4
+				}
 				if call < unknown {
 					op.Kind = opKinds[call]
 				}

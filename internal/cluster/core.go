@@ -25,11 +25,11 @@ import (
 // what pins the cluster bit-identical to the single-node deployment.
 //
 // Concurrency: routed single-worker operations (insert, remove, assign's
-// node-local tiers) run under a shared read lock — they are independent
-// exactly when their codes route to different nodes. Anything whose answer
-// spans nodes — the greedy root tier's min-of-mins, a batch-optimal window,
-// the two-phase epoch swap — takes the lock exclusively, making it atomic
-// with respect to every other coordinator-driven mutation. Every node mutation flows
+// fast path) run under a shared read lock — they are independent exactly
+// when their codes route to different nodes. Anything whose answer spans
+// nodes — a greedy election, a batch-optimal window, the two-phase epoch
+// swap — takes the lock exclusively, making it atomic with respect to every
+// other coordinator-driven mutation. Every node mutation flows
 // through this core, so exclusivity here is global mutual exclusion.
 type fanCore struct {
 	nodes      []NodeConn
@@ -106,10 +106,11 @@ func (c *fanCore) nextIdem() string {
 }
 
 // route is the cut: the node of n that owns code is its first digit mod n.
-// Every worker that shares a task's first digit is on the task's node, so
-// a node settles every LCA below the root by itself, and only the root
-// tier spans nodes. A published tree has depth ≥ 1, so every code has a
-// first digit.
+// Every worker that shares a task's first digit — whose LCA with the task
+// sits below the root — is on the task's node, which is the one other thing
+// the coordinator knows of the cut: AssignErr's fast path pops within
+// depth − 1. A published tree has depth ≥ 1, so every code has a first
+// digit.
 func route(code hst.Code, n int) int {
 	return int(code[0]) % n
 }
@@ -140,7 +141,7 @@ func unavailable(nd int, err error) error {
 //
 //   - escalate: the typed retryable unavailable refusal naming the node,
 //     for calls whose failure is reported onward — insert, add-capacity,
-//     assign-subtree, min-id, pop-min, prepare.
+//     pop, peek, prepare.
 //   - otherwise the raw failure, for calls whose every error the caller
 //     folds into its own outcome — remove (answers not-found), mine (the
 //     window answers unmatched), consume (the window rolls back), undo (a
@@ -263,84 +264,70 @@ func (c *fanCore) Assign(code hst.Code) (int, int, bool) {
 // AssignErr is Assign surfacing backend failures, the assignErrer
 // extension platform.Server's Submit uses for typed refusals.
 //
-// Tier structure: the routed node resolves everything below the root tier
-// in one pop, since the cut keeps every worker that shares the task's first
-// digit there. Only when there is none does the root tier run — a
-// min-of-mins across every node, taken under the exclusive lock so the
-// elect-then-pop pair cannot be split by another assignment.
+// The fast path is one pop at the task's node, within the level below which
+// the cut keeps every worker there (route): a worker it finds is the
+// cluster's nearest. When it finds none, the task is elected (elect) under
+// the exclusive lock, so the election and its pop cannot be split by another
+// assignment.
 func (c *fanCore) AssignErr(code hst.Code) (int, int, bool, error) {
 	c.opMu.RLock()
 	st := c.state.Load()
-	id, lvl, ok, err := c.assignRouted(st, code)
-	c.opMu.RUnlock()
-	if err != nil || ok {
-		return id, lvl, ok, err
-	}
 	if st.tree.CheckCode(code) != nil {
-		return engine.None, 0, false, nil
-	}
-
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	st = c.state.Load()
-	// Re-run the routed tiers under exclusivity: a worker may have landed
-	// on the task's branch between the read-locked miss and here.
-	id, lvl, ok, err = c.assignRouted(st, code)
-	if err != nil || ok {
-		return id, lvl, ok, err
-	}
-	return c.assignRoot(st)
-}
-
-// assignRouted runs the node-local tiers at the routed node.
-func (c *fanCore) assignRouted(st *coreState, code hst.Code) (id, lvl int, found bool, err error) {
-	if st.tree.CheckCode(code) != nil {
+		c.opMu.RUnlock()
 		return engine.None, 0, false, nil
 	}
 	res, err := c.do(c.routeIdx(code), true, OpRequest{
-		Kind: OpAssignSubtree, Idem: c.nextIdem(), Code: bytesOf(string(code)), Epoch: st.epoch,
+		Kind: OpPop, Idem: c.nextIdem(), Code: bytesOf(string(code)), Level: st.tree.Depth() - 1, Epoch: st.epoch,
 	})
-	return res.ID, res.Level, res.Found, err
+	c.opMu.RUnlock()
+	if err != nil || res.Found {
+		return res.ID, res.Level, res.Found, err
+	}
+	c.opMu.Lock()
+	defer c.opMu.Unlock()
+	return c.elect(c.state.Load(), code)
 }
 
-// assignRoot resolves the greedy root tier: every remaining worker is
-// equidistant from the task, so only the global minimum id matters —
-// min-of-mins across nodes, then a pop at the elected node. Caller holds
-// opMu exclusively, so no coordinator-driven mutation can slip between
-// the election and the pop.
-func (c *fanCore) assignRoot(st *coreState) (id, lvl int, found bool, err error) {
-	// Poll all nodes concurrently: the election needs every answer anyway,
-	// so the round's latency is the slowest node's, not the sum.
-	type minPoll struct {
-		res OpResult
-		err error
-	}
-	polls := make([]minPoll, len(c.nodes))
+// elect gives a task the worker one engine would: every node peeks its
+// nearest, the smallest (level, id) across nodes wins, and it is popped at
+// its node within its level. Caller holds opMu exclusively, so no
+// coordinator-driven mutation can slip between the peeks and the pop.
+func (c *fanCore) elect(st *coreState, code hst.Code) (id, lvl int, found bool, err error) {
+	// Peek on all nodes concurrently: the election needs every answer, so
+	// the round's latency is the slowest node's, not the sum.
+	peeks := make([]OpResult, len(c.nodes))
+	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
 	for nd := range c.nodes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			polls[nd].res, polls[nd].err = c.do(nd, true, OpRequest{Kind: OpMinID, Epoch: st.epoch})
+			peeks[nd], errs[nd] = c.do(nd, true, OpRequest{Kind: OpPeek, Code: bytesOf(string(code)), Epoch: st.epoch})
 		}()
 	}
 	wg.Wait()
-	best, bestID := -1, int(^uint(0)>>1)
-	for nd, p := range polls {
-		if p.err != nil {
-			// That includes an unreachable node: it may hold the true
-			// minimum, and electing around it would silently change the
-			// answer.
-			return engine.None, 0, false, p.err
-		}
-		if p.res.Found && p.res.ID < bestID {
-			best, bestID = nd, p.res.ID
+	best := -1
+	for nd, p := range peeks {
+		switch {
+		case errs[nd] != nil:
+			// That includes an unreachable node: it may hold the nearest
+			// worker, and electing around it would silently change the answer.
+			return engine.None, 0, false, errs[nd]
+		case !p.Found:
+		case p.Level < 0 || p.Level > st.tree.Depth() || p.ID < 0:
+			// A peer's answer steers the election: one the tree cannot have
+			// is the node failing, never a candidate.
+			return engine.None, 0, false, unavailable(nd, fmt.Errorf("peek answered worker %d at level %d", p.ID, p.Level))
+		case best < 0 || cmp.Or(cmp.Compare(p.Level, peeks[best].Level), cmp.Compare(p.ID, peeks[best].ID)) < 0:
+			best = nd
 		}
 	}
 	if best < 0 {
 		return engine.None, 0, false, nil
 	}
-	res, err := c.do(best, true, OpRequest{Kind: OpPopMin, Idem: c.nextIdem(), Epoch: st.epoch})
+	res, err := c.do(best, true, OpRequest{
+		Kind: OpPop, Idem: c.nextIdem(), Code: bytesOf(string(code)), Level: peeks[best].Level, Epoch: st.epoch,
+	})
 	return res.ID, res.Level, res.Found, err
 }
 
@@ -436,53 +423,42 @@ func (c *fanCore) solveWindow(solver windowSolver, codes []hst.Code, ids, lvls [
 func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hst.Code) (matched []hst.Candidate, done bool) {
 	N, k := len(c.nodes), solver.TopK()
 
-	// Scatter: each node mines the window tasks routed to it, and every
-	// node contributes its pad list (its pool may serve tasks routed
-	// elsewhere).
-	ops := make([]OpRequest, N)
-	nodeTis := make([][]int, N)
+	// Scatter: every node mines every task — a task's nearest may live on
+	// any node.
+	op := OpRequest{Kind: OpMine, Codes: make([][]byte, len(tasks)), K: k, Epoch: st.epoch}
 	for ti, code := range tasks {
-		nd := c.routeIdx(code)
-		ops[nd].Codes = append(ops[nd].Codes, bytesOf(string(code)))
-		nodeTis[nd] = append(nodeTis[nd], ti)
+		op.Codes[ti] = bytesOf(string(code))
 	}
 	mines := make([]OpResult, N)
 	mineErrs := make([]error, N)
 	var wg sync.WaitGroup
 	for nd := 0; nd < N; nd++ {
-		ops[nd].Kind, ops[nd].K, ops[nd].Epoch = OpMine, k, st.epoch
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mines[nd], mineErrs[nd] = c.do(nd, false, ops[nd])
+			mines[nd], mineErrs[nd] = c.do(nd, false, op)
 		}()
 	}
 	wg.Wait()
 
-	// Gather: each task's nearest from its home node, one pad list a node.
-	home := make([]int, len(tasks))
-	own := make([][]hst.Candidate, len(tasks))
-	pads := make([][]hst.Candidate, N)
+	// Gather: each task's k nearest cluster-wide.
 	pool := 0
 	for nd := 0; nd < N; nd++ {
-		if mineErrs[nd] != nil || !c.validMine(st, nd, &mines[nd], &ops[nd]) {
+		if mineErrs[nd] != nil || !c.validMine(st, nd, &mines[nd], &op) {
 			// A window cannot be solved around a missing node — its pool
-			// (and its tasks' own regions) would silently vanish from the
-			// matching — nor over a report that breaks the protocol.
-			// Answer the whole window unmatched instead.
+			// would silently vanish from the matching — nor over a report
+			// that breaks the protocol. Answer the whole window unmatched
+			// instead.
 			return nil, true
 		}
 		pool += mines[nd].Pool
-		for j, ti := range nodeTis[nd] {
-			home[ti], own[ti] = nd, mines[nd].Own[j]
-		}
-		pads[nd] = mines[nd].Pad
 	}
 	if pool == 0 {
 		return nil, true
 	}
+	own := make([][]hst.Candidate, len(tasks))
 	for ti := range own {
-		own[ti] = nearestK(own[ti], home[ti], pads, k)
+		own[ti] = nearestK(mines, ti, k)
 	}
 
 	matched = solver.SolveMined(st, own)
@@ -548,12 +524,16 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 // validMine checks node nd's answer wm to op, a mine — the one place a
 // peer's report becomes window candidates. Everything the kernel and the
 // commit phase rely on is checked here: list shapes and lengths (one list a
-// task), every id and capacity within the int32 the kernel narrows to,
-// every level one the tree has (so its distance is finite), every code a
-// leaf of the published tree that the cut routes to nd — which also makes
-// a matched worker's commit route back to the node that reported it.
+// task, at most k long), every id and capacity within the int32 the kernel
+// narrows to, every level one the tree has (so its distance is finite),
+// every code a leaf of the published tree that the cut routes to nd — which
+// also makes a matched worker's commit route back to the node that reported
+// it.
 func (c *fanCore) validMine(st *coreState, nd int, wm *OpResult, op *OpRequest) bool {
-	validList := func(list []hst.Candidate) bool {
+	if wm.Pool < 0 || len(wm.Own) != len(op.Codes) {
+		return false
+	}
+	for _, list := range wm.Own {
 		for _, cand := range list {
 			if cand.ID < 0 || cand.ID > math.MaxInt32 || cand.Cap < 1 || cand.Cap > math.MaxInt32 ||
 				cand.Level < 0 || cand.Level > st.tree.Depth() ||
@@ -561,31 +541,21 @@ func (c *fanCore) validMine(st *coreState, nd int, wm *OpResult, op *OpRequest) 
 				return false
 			}
 		}
-		return len(list) <= op.K
-	}
-	if wm.Pool < 0 || len(wm.Own) != len(op.Codes) || !validList(wm.Pad) {
-		return false
-	}
-	for _, list := range wm.Own {
-		if !validList(list) {
+		if len(list) > op.K {
 			return false
 		}
 	}
 	return true
 }
 
-// nearestK merges a task's k nearest on its home node with every other
-// node's pad list into the task's k nearest cluster-wide, in (level, id)
-// order: exactly what NearestKRef answers on one index. The cut keeps every
-// worker that shares the task's first digit on the home node, so a worker
-// anywhere else sits at the root level, and a node's k smallest ids are all
-// it can contribute.
-func nearestK(own []hst.Candidate, home int, pads [][]hst.Candidate, k int) []hst.Candidate {
-	out := slices.Clone(own)
-	for nd, pad := range pads {
-		if nd != home {
-			out = append(out, pad...)
-		}
+// nearestK merges task ti's k nearest on every node into its k nearest
+// cluster-wide, in (level, id) order: exactly what NearestKRef answers on
+// one index, since each node answers its own k smallest (level, id) at true
+// levels.
+func nearestK(mines []OpResult, ti, k int) []hst.Candidate {
+	var out []hst.Candidate
+	for _, m := range mines {
+		out = append(out, m.Own[ti]...)
 	}
 	slices.SortStableFunc(out, func(a, b hst.Candidate) int {
 		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.ID, b.ID))

@@ -23,7 +23,7 @@ import (
 )
 
 // FuzzNodeWire throws arbitrary bytes at the decoders that make up a node's
-// whole surface — the /v2/node/ops envelope, all eleven kinds of it, and the
+// whole surface — the /v2/node/ops envelope, all ten kinds of it, and the
 // two documents, init and the streamed prepare. Whatever arrives, the node
 // must not panic, must answer a JSON object carrying ok or error, must leave
 // its serving state alone when it refuses and when every op of the envelope
@@ -70,7 +70,7 @@ func FuzzNodeWire(f *testing.F) {
 		{ops, true, `{"ops":[{"kind":"insert","code":` + code(0) + `,"id":4294967296}]}`},
 		{ops, true, `{"ops":[{"kind":"insert","code":` + code(1) + `,"id":7,"capacity":-5}]}`},
 		{ops, true, `{"ops":[{"kind":"insert","code":` + code(1) + `,"id":7,"capacity":4294967296}]}`},
-		{ops, true, `{"ops":[{"kind":"assign-subtree","code":""},{"kind":"remove","code":"","id":100}]}`}, // empty code
+		{ops, true, `{"ops":[{"kind":"pop","code":"","level":1},{"kind":"peek","code":""},{"kind":"remove","code":"","id":100}]}`}, // empty code
 		{ops, true, `{"ops":[{"kind":"consume","idem":"c","code":` + code(0) + `,"id":100,"epoch":1},` +
 			`{"kind":"add-capacity","code":` + code(0) + `,"id":100,"epoch":9}]}`},
 		{prep, false, staged},
@@ -114,10 +114,10 @@ func FuzzNodeWire(f *testing.F) {
 		{ops, true, " {\n\t\"ops\" : [ { \"id\" : 5 , \"\\u0063ode\" : " + code(0) + " , \"kind\" : \"ins\\u0065rt\" } ] }\r\n"},
 		{ops, true, `{"ops":[{"kind":"insert","code":` + code(0) + `,"id":5.0},{"kind":"remove","code":` + code(0) + `,"id":1e2}]}`},
 		// The other kinds that were endpoints of their own.
-		{ops, true, `{"ops":[{"kind":"status"},{"kind":"status","epoch":9},{"kind":"min-id"},{"kind":"min-id","epoch":9}]}`},
-		{ops, true, `{"ops":[{"kind":"pop-min","idem":"m","epoch":1},{"kind":"pop-min","idem":"m","epoch":1},{"kind":"pop-min","epoch":9}]}`},
+		{ops, true, `{"ops":[{"kind":"status"},{"kind":"status","epoch":9},{"kind":"peek","code":` + code(0) + `},{"kind":"peek","code":` + code(0) + `,"epoch":9}]}`},
+		{ops, true, `{"ops":[{"kind":"pop","idem":"m","code":` + code(2) + `,"level":9,"epoch":1},{"kind":"pop","idem":"m","code":` + code(2) + `,"level":9,"epoch":1},{"kind":"pop","code":` + code(2) + `,"level":9,"epoch":9}]}`},
 		{ops, true, `{"ops":[{"kind":"commit","idem":"c","epoch":2},{"kind":"abort","idem":"b","epoch":2},{"kind":"commit","epoch":1}]}`},
-		{ops, false, `{"ops":[{"kind":"status"},{"kind":"min-id"},{"kind":"pop-min"},{"kind":"commit","epoch":2},{"kind":"abort","epoch":2}]}`},
+		{ops, false, `{"ops":[{"kind":"status"},{"kind":"peek","code":` + code(0) + `},{"kind":"pop","code":` + code(0) + `},{"kind":"commit","epoch":2},{"kind":"abort","epoch":2}]}`},
 		{initDoc, false, `{"tree":` + string(treeJSON) + `,"policy":"capacity-greedy","idem":"i"}`},
 		{initDoc, true, `{"tree":` + string(treeJSON) + `,"shards":3,"default_capacity":2}` + "\n"},
 		{initDoc, true, `{"tree":null}`},
@@ -125,6 +125,9 @@ func FuzzNodeWire(f *testing.F) {
 		{initDoc, true, `{"tree":` + string(treeJSON) + `,"extra":1}`},
 		{initDoc, true, `{"tree":` + string(treeJSON) + `}{"end":0}`}, // a value after the header
 		{initDoc, true, `{"tree":` + string(treeJSON)},                // cut
+		// Kinds that are gone, and a pop's level out of every range.
+		{ops, true, `{"ops":[{"kind":"min-id"},{"kind":"pop-min","idem":"m"},{"kind":"assign-subtree","code":` + code(0) + `}]}`},
+		{ops, true, `{"ops":[{"kind":"pop","idem":"l","code":` + code(0) + `,"level":-1},{"kind":"pop","code":` + code(0) + `,"level":` + maxInt + `}]}`},
 	} {
 		f.Add(seed.endpoint, seed.inited, []byte(seed.body))
 	}
@@ -212,7 +215,7 @@ func FuzzNodeWire(f *testing.F) {
 			scanned, _ := scanOps(body, nil)
 			reads := true
 			for _, op := range scanned {
-				reads = reads && (op.Kind == OpMine || op.Kind == OpStatus || op.Kind == OpMinID)
+				reads = reads && (op.Kind == OpMine || op.Kind == OpStatus || op.Kind == OpPeek)
 			}
 			if !applied || reads {
 				if after := state(); after != before {
@@ -239,7 +242,7 @@ func FuzzOpsStream(f *testing.F) {
 		return wire.AppendFrame(nil, func(dst []byte) []byte { return append(dst, envelope...) })
 	}
 	insert := frame(`{"ops":[{"kind":"insert","idem":"s-1","code":` + code(0) + `,"id":5,"capacity":2}]}` + "\n")
-	mixed := frame(`{"ops":[{"kind":"assign-subtree","idem":"s-2","code":` + code(0) + `},` +
+	mixed := frame(`{"ops":[{"kind":"pop","idem":"s-2","code":` + code(0) + `,"level":1},` +
 		`{"kind":"remove","idem":"s-3","code":` + code(1) + `,"id":101},{"kind":"consume","code":` + code(0) + `,"id":9,"epoch":7}]}`)
 	for _, seed := range []struct {
 		stream []byte
@@ -254,11 +257,10 @@ func FuzzOpsStream(f *testing.F) {
 		{slices.Concat(insert, []byte("garbage")), 0},                           // a valid frame followed by garbage
 		{slices.Concat(insert, insert, mixed, frame(`{"ops":null}`), mixed), 7}, // replays, a refused envelope
 		{slices.Concat(mixed, []byte{0xff, 0xff, 0xff, 0xff}, insert), 1},
-		// The kinds that were endpoints of their own: the root tier's poll and
-		// pop with the pop replayed, a mine of a routed code and of none, and
-		// a commit and an abort with nothing staged.
-		{slices.Concat(frame(`{"ops":[{"kind":"status"},{"kind":"min-id","epoch":1},{"kind":"pop-min","idem":"s-4","epoch":1}]}`),
-			frame(`{"ops":[{"kind":"pop-min","idem":"s-4","epoch":1},{"kind":"status","epoch":1},{"kind":"min-id","epoch":9}]}`)), 0},
+		// An election's peek and pop with the pop replayed, a mine of two
+		// codes and of none, and a commit and an abort with nothing staged.
+		{slices.Concat(frame(`{"ops":[{"kind":"status"},{"kind":"peek","code":`+code(2)+`,"epoch":1},{"kind":"pop","idem":"s-4","code":`+code(2)+`,"level":9,"epoch":1}]}`),
+			frame(`{"ops":[{"kind":"pop","idem":"s-4","code":`+code(2)+`,"level":9,"epoch":1},{"kind":"status","epoch":1},{"kind":"peek","code":`+code(2)+`,"epoch":9}]}`)), 0},
 		{slices.Concat(insert, frame(`{"ops":[{"kind":"mine","codes":[`+code(0)+`,`+code(1)+`],"k":3,"epoch":1},{"kind":"mine","k":2}]}`)), 5},
 		{frame(`{"ops":[{"kind":"commit","idem":"s-5","epoch":2},{"kind":"abort","idem":"s-6","epoch":2},{"kind":"commit","idem":"s-7","epoch":1}]}`), 0},
 	} {

@@ -2,25 +2,29 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/platform"
 )
 
-// bentMineNode answers a mine with its healthy inner node's honest report
-// bent by bend: a backend that speaks the protocol's shape but not its
-// contract. bend reports whether the report had what it wanted to bend.
-type bentMineNode struct {
+// bentNode answers an op of one kind with its healthy inner node's honest
+// answer bent by bend: a backend that speaks the protocol's shape but not
+// its contract. bend reports whether the answer had what it wanted to bend.
+type bentNode struct {
 	NodeConn
-	bend func(wm *OpResult) bool
+	kind string
+	bend func(res *OpResult) bool
 	bent bool
 }
 
-func (b *bentMineNode) Do(op OpRequest) (OpResult, error) {
+func (b *bentNode) Do(op OpRequest) (OpResult, error) {
 	res, err := b.NodeConn.Do(op)
-	if err == nil && op.Kind == OpMine && b.bend != nil && b.bend(&res) {
+	if err == nil && op.Kind == b.kind && b.bend != nil && b.bend(&res) {
 		b.bent = true
 	}
 	return res, err
@@ -35,15 +39,11 @@ func (b *bentMineNode) Do(op OpRequest) (OpResult, error) {
 func TestHostileMineAnswersUnmatched(t *testing.T) {
 	const k = 4
 	tree := buildTree(t, 7)
-	// bend applies f to every candidate of the report's first non-empty own
-	// region or of its pad list.
-	bend := func(pad bool, f func(c *hst.Candidate)) func(*OpResult) bool {
+	// bendOwn applies f to every candidate of the report's first non-empty
+	// own region.
+	bendOwn := func(f func(c *hst.Candidate)) func(*OpResult) bool {
 		return func(wm *OpResult) bool {
-			lists := wm.Own
-			if pad {
-				lists = [][]hst.Candidate{wm.Pad}
-			}
-			for _, l := range lists {
+			for _, l := range wm.Own {
 				for i := range l {
 					f(&l[i])
 				}
@@ -54,16 +54,9 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			return false
 		}
 	}
-	bendOwn := func(f func(c *hst.Candidate)) func(*OpResult) bool { return bend(false, f) }
-	bendPad := func(f func(c *hst.Candidate)) func(*OpResult) bool { return bend(true, f) }
-	// A leaf the other node owns: well-formed, wrong place.
-	var foreign hst.Code
-	for i := 0; i < tree.NumPoints(); i++ {
-		if c := tree.CodeOf(i); route(c, 2) == 1 {
-			foreign = c
-			break
-		}
-	}
+	// A code the other node owns: well-formed, wrong place. Every leaf of
+	// the seed-7 tree has first digit 0, so it is leaf 0's under digit 1.
+	foreign := hst.Code(append([]byte{1}, tree.CodeOf(0)[1:]...))
 	overlong := func(l []hst.Candidate) []hst.Candidate {
 		for len(l) <= k {
 			l = append(l, l[0])
@@ -76,31 +69,21 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 	}{
 		{"level past the root", bendOwn(func(c *hst.Candidate) { c.Level = 2000 })},
 		{"negative level", bendOwn(func(c *hst.Candidate) { c.Level = -1 })},
-		{"pad level past the root", bendPad(func(c *hst.Candidate) { c.Level = 2000 })},
 		{"empty code", bendOwn(func(c *hst.Candidate) { c.Code = "" })},
-		{"empty pad code", bendPad(func(c *hst.Candidate) { c.Code = "" })},
 		{"short code", bendOwn(func(c *hst.Candidate) { c.Code = c.Code[:1] })},
 		{"over-long code", bendOwn(func(c *hst.Candidate) { c.Code += c.Code })},
 		{"digit past the degree", bendOwn(func(c *hst.Candidate) { c.Code = hst.Code([]byte{255}) + c.Code[1:] })},
 		{"code another node owns", bendOwn(func(c *hst.Candidate) { c.Code = foreign })},
-		{"pad code another node owns", bendPad(func(c *hst.Candidate) { c.Code = foreign })},
 		{"id past int32", bendOwn(func(c *hst.Candidate) { c.ID += math.MaxInt32 + 1 })},
-		{"negative id", bendPad(func(c *hst.Candidate) { c.ID = -1 })},
+		{"negative id", bendOwn(func(c *hst.Candidate) { c.ID = -1 })},
 		{"zero capacity", bendOwn(func(c *hst.Candidate) { c.Cap = 0 })},
-		{"capacity past int32", bendPad(func(c *hst.Candidate) { c.Cap = math.MaxInt32 + 1 })},
+		{"capacity past int32", bendOwn(func(c *hst.Candidate) { c.Cap = math.MaxInt32 + 1 })},
 		{"own region longer than k", func(wm *OpResult) bool {
 			for j, l := range wm.Own {
 				if len(l) > 0 {
 					wm.Own[j] = overlong(l)
 					return true
 				}
-			}
-			return false
-		}},
-		{"pad list longer than k", func(wm *OpResult) bool {
-			if len(wm.Pad) > 0 {
-				wm.Pad = overlong(wm.Pad)
-				return true
 			}
 			return false
 		}},
@@ -124,13 +107,13 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bad := &bentMineNode{NodeConn: LocalNode(NewNode()), bend: tc.bend}
+			bad := &bentNode{NodeConn: LocalNode(NewNode()), kind: OpMine, bend: tc.bend}
 			core, err := newFanCore([]NodeConn{bad, LocalNode(NewNode())}, tree, pol, "batch-optimal:k=4", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// One capacity-2 worker on every other leaf: short own regions,
-			// so pads are in play, and multi-unit columns.
+			// so other nodes' candidates are in play, and multi-unit columns.
 			for i := 0; i < tree.NumPoints(); i += 2 {
 				if err := core.InsertCapEpoch(tree.CodeOf(i), i, 2, 0); err != nil {
 					t.Fatal(err)
@@ -162,6 +145,69 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			}
 			if core.CapacityUnits() != units || core.Len() != pool {
 				t.Errorf("pool moved: units %d → %d, workers %d → %d", units, core.CapacityUnits(), pool, core.Len())
+			}
+		})
+	}
+}
+
+// TestHostilePeekIsRefused: a peek's level and id steer a greedy election,
+// so a found peek whose level the tree cannot have, or whose id is negative,
+// is the node failing — the typed retryable unavailable refusal naming it,
+// as for an unreachable node — and is never elected: no pool loses a unit.
+// The task routes to node 1, which holds nobody, so its fast pop finds no
+// one and the election runs; node 0 holds the one worker and bends its peek.
+func TestHostilePeekIsRefused(t *testing.T) {
+	tree := buildTree(t, 7)
+	// Every leaf of the seed-7 tree has first digit 0; the task's code is
+	// leaf 0's under first digit 1, which the tree has but no point.
+	home := tree.CodeOf(0)
+	task := hst.Code(append([]byte{1}, home[1:]...))
+	for _, tc := range []struct {
+		name string
+		bend func(*OpResult)
+	}{
+		{"level -1", func(r *OpResult) { r.Level = -1 }},
+		{"level past the depth", func(r *OpResult) { r.Level = tree.Depth() + 1 }},
+		{"id -1", func(r *OpResult) { r.ID = -1 }},
+		{"honest (control)", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := &bentNode{NodeConn: LocalNode(NewNode()), kind: OpPeek, bend: func(r *OpResult) bool {
+				if tc.bend != nil && r.Found {
+					tc.bend(r)
+				}
+				return r.Found
+			}}
+			pol, err := engine.PolicyByName("capacity-greedy")
+			if err != nil {
+				t.Fatal(err)
+			}
+			core, err := newFanCore([]NodeConn{bad, LocalNode(NewNode())}, tree, pol, "capacity-greedy", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.InsertCapEpoch(home, 4, 2, 0); err != nil {
+				t.Fatal(err)
+			}
+			id, lvl, ok, err := core.AssignErr(task)
+			if !bad.bent {
+				t.Fatal("the election never peeked the node that holds the worker")
+			}
+			if tc.bend == nil {
+				if err != nil || !ok || id != 4 || lvl != tree.Depth() {
+					t.Fatalf("control assigned (%d, %d, %v, %v), want worker 4 at the root level", id, lvl, ok, err)
+				}
+				return
+			}
+			var pe *platform.Error
+			if !errors.As(err, &pe) || pe.Code != platform.CodeUnavailable || !pe.Retryable || !strings.Contains(pe.Message, "node 0") {
+				t.Fatalf("a bent peek answered (%d, %d, %v, %v), want the retryable unavailable refusal naming node 0", id, lvl, ok, err)
+			}
+			if ok {
+				t.Errorf("worker %d assigned over a bent peek", id)
+			}
+			if core.CapacityUnits() != 2 || core.Len() != 1 {
+				t.Errorf("pool moved: %d units over %d workers, want 2 over 1", core.CapacityUnits(), core.Len())
 			}
 		})
 	}

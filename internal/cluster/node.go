@@ -23,7 +23,7 @@ import (
 )
 
 // NodeConn is the coordinator's handle to one backend: Do ships one op —
-// every bounded call, the eleven kinds of OpRequest — and Init and Prepare
+// every bounded call, the ten kinds of OpRequest — and Init and Prepare
 // are the two documents, one carrying the tree, the other a population.
 // LocalNode implements it in-process (tests, the simulator, single-binary
 // deployments) and is the reference; DialNode implements it over HTTP
@@ -143,15 +143,10 @@ func (n *Node) Do(op OpRequest) (OpResult, error) {
 		err = eng.ConsumeUnit(code, op.ID, op.Epoch)
 	case OpRemove:
 		res.Units, res.Found = eng.RemoveUnits(code, op.ID)
-	case OpAssignSubtree:
-		// The greedy rule's node-local tiers.
-		res.ID, res.Level, res.Found, err = eng.AssignSubtreeEpoch(code, op.Epoch)
-	case OpMinID:
-		// The root tier's poll.
-		res.ID, res.Found, err = eng.MinAvailableID(op.Epoch)
-	case OpPopMin:
-		// The root tier's commit on this node.
-		res.ID, res.Level, res.Found, err = eng.PopMinID(op.Epoch)
+	case OpPop:
+		res.ID, res.Level, res.Found, err = eng.PopWithinEpoch(code, op.Level, op.Epoch)
+	case OpPeek:
+		res.ID, res.Level, res.Found, err = eng.NearestEpoch(code, op.Epoch)
 	case OpStatus:
 		// A non-zero epoch pin that mismatches is engine staleness.
 		res.Epoch, res.Len, res.Units = eng.Epoch(), eng.Len(), eng.CapacityUnits()
@@ -166,7 +161,7 @@ func (n *Node) Do(op OpRequest) (OpResult, error) {
 		}
 		var wm *engine.WindowMine
 		if wm, err = eng.MineWindowCandidates(codes, op.K, op.Epoch); err == nil {
-			res.Epoch, res.Pool, res.Own, res.Pad = wm.Epoch, wm.Pool, wm.Own, wm.Pad
+			res.Epoch, res.Pool, res.Own = wm.Epoch, wm.Pool, wm.Own
 			if len(codes) == 0 {
 				res.Own = nil // the wire leaves an empty own out
 			}
@@ -347,8 +342,8 @@ func answerOps(n *Node, cache *wire.ReplayCache, ops []OpRequest, err error, dst
 // execOp runs one envelope sub-operation (Node.Do) and appends its
 // sub-result to dst by the kind's shape in the grammar (protocol.go): insert,
 // add-capacity, consume, commit and abort answer a bare ack, remove its units
-// and found, assign-subtree, min-id and pop-min a worker's id, level and
-// found, status and mine what they read. applied marks a mutation that
+// and found, pop and peek a worker's id, level and found, status and mine
+// what they read. applied marks a mutation that
 // landed — what the replay cache keeps; a refusal and a read are answered
 // afresh each time. The node keeps none of an op's codes, so they reach it as
 // views.
@@ -362,9 +357,9 @@ func execOp(n *Node, op *OpRequest, dst []byte) (out []byte, applied bool) {
 			return appendFound(appendRefusal(dst, nodeError(err, 0)), false), false
 		}
 		return appendRemoved(dst, res.Units, res.Found), true
-	case OpAssignSubtree, OpPopMin, OpMinID:
+	case OpPop, OpPeek:
 		out, applied = appendAssigned(dst, res.ID, res.Level, res.Found, err, op.Epoch)
-		return out, applied && op.Kind != OpMinID // min-id only reads
+		return out, applied && op.Kind == OpPop // peek only reads
 	case OpStatus:
 		if err != nil {
 			return appendAck(dst, err, 0)
@@ -546,8 +541,8 @@ func newHTTPNode(baseURL string, hc *http.Client, to NodeTimeouts) *httpNode {
 // minutes at 10M workers — under a flat 30s budget large rotations time
 // out forever. Zero fields take the defaults.
 type NodeTimeouts struct {
-	// Op bounds every routed call: insert, remove, assign, status, mine,
-	// consume, commit, abort, init.
+	// Op bounds every op — insert, remove, pop, peek, status, mine,
+	// consume, commit, abort — and init.
 	Op time.Duration
 	// Prepare bounds the rotation prepare, whose body and staging time
 	// scale with the population partition.

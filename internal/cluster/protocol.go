@@ -2,14 +2,15 @@
 // pombm-server backends behind one coordinator, without changing a single
 // answer.
 //
-// The cut (route) keys a code on its first digit: a code's node is its
-// first digit mod the node count, so every worker sharing a task's top HST
-// branch is on the task's node. The coordinator routes every
-// code-addressed operation (Register, Reregister, Release, Withdraw,
-// Submit) to the node owning the code; only the greedy rule's root tier (a
-// min-of-mins) and the batch-optimal window solve (a scatter-gather
-// matching over per-node candidate mines) need more than one node, and
-// both recompose the single-process decision exactly. Epoch rotation is a
+// The cut (route) names the node that owns a code, and the coordinator
+// routes every code-addressed operation (Register, Reregister, Release,
+// Withdraw, Submit) there. A node answers from its own workers at their
+// true levels, so the coordinator rebuilds the single-process decision
+// exactly from what its nodes report: a task is popped at its own node when
+// a worker there is near enough that no other node can hold a nearer one,
+// and otherwise every node reports its nearest and the smallest (level, id)
+// is popped where it lives; a batch-optimal window keeps each task's k
+// smallest (level, id) over every node's mine. Epoch rotation is a
 // distributed two-phase commit: every node stages the new epoch's
 // partition, pulled one insert at a time off a streamed prepare body
 // (engine.PrepareSwapSeq — neither side ever holds the partition as a
@@ -24,11 +25,11 @@
 // instead of ad-hoc status strings. A node mounts three endpoints, and each
 // call has exactly one wire path.
 //
-// Every bounded call is an op: one of eleven kinds, a sub-op of the
+// Every bounded call is an op: one of ten kinds, a sub-op of the
 // /v2/node/ops envelope (a sequential caller ships singleton envelopes) —
-// the five routed mutations (insert, add-capacity, remove, assign-subtree,
-// consume), the root tier's min-id and pop-min, a window's mine, status,
-// and the rotation's commit and abort. In Go an op is one call,
+// the five code-addressed mutations (insert, add-capacity, remove, pop,
+// consume), the greedy election's peek, a window's mine, status, and the
+// rotation's commit and abort. In Go an op is one call,
 // NodeConn.Do: Node.Do is the one place each kind's meaning is written down,
 // the HTTP connection ships the OpRequest as it stands, and the node encodes
 // Node.Do's OpResult by the kind's result shape below.
@@ -88,9 +89,9 @@ const (
 	PathNodePrepare = "/v2/node/rotate/prepare"
 )
 
-// Paths three of the op kinds had while each call was a POST of its own.
-// Nothing is mounted on them; the repository benchmark names them as span
-// labels.
+// Paths three op kinds had while each call was a POST of its own; the
+// min-id and pop-min kinds are gone too. Nothing is mounted on them: they
+// are only the repository benchmark's span labels.
 const (
 	PathNodeMinID  = "/v2/node/min-id"
 	PathNodePopMin = "/v2/node/pop-min"
@@ -100,30 +101,30 @@ const (
 // Op kinds carried by the /v2/node/ops envelope: the only wire form of
 // every coordinator → node call but the two documents.
 const (
-	OpInsert        = "insert"
-	OpAddCapacity   = "add-capacity"
-	OpRemove        = "remove"
-	OpAssignSubtree = "assign-subtree"
-	OpConsume       = "consume"
-	OpStatus        = "status"
-	OpMinID         = "min-id"
-	OpPopMin        = "pop-min"
-	OpMine          = "mine"
-	OpCommit        = "commit"
-	OpAbort         = "abort"
+	OpInsert      = "insert"
+	OpAddCapacity = "add-capacity"
+	OpRemove      = "remove"
+	OpPop         = "pop"
+	OpConsume     = "consume"
+	OpStatus      = "status"
+	OpPeek        = "peek"
+	OpMine        = "mine"
+	OpCommit      = "commit"
+	OpAbort       = "abort"
 )
 
 // OpRequest is one sub-operation of an ops envelope: the union of what the
-// eleven kinds need (insert: code, id, capacity, epoch — capacity ≤ 0
-// selects the node engine's default; add-capacity and consume: code, id,
-// epoch; remove: code, id; assign-subtree: code, epoch; status, min-id,
-// pop-min, commit and abort: epoch — a pin for the first three, zero for
-// none; mine: the window tasks routed to the node as codes, the pool size
-// k, epoch), discriminated by Kind, with its own idempotency key on the
-// kinds that mutate. Replay semantics are per-op — the node caches each
-// mutation's sub-result under its own key, so a duplicated envelope, or the
-// same op regrouped into a different one, replays byte-for-byte; status,
-// min-id and mine only read and are answered afresh.
+// ten kinds need (insert: code, id, capacity, epoch — capacity ≤ 0 selects
+// the node engine's default; add-capacity and consume: code, id, epoch;
+// remove: code, id; pop: code, level, epoch — the nearest worker whose LCA
+// with the code sits at level ≤ level; peek: code, epoch — the nearest
+// worker at any level, left in place; mine: the window's tasks as codes,
+// the pool size k, epoch; status, commit and abort: epoch — a pin for
+// status, zero for none), discriminated by Kind, with its own idempotency
+// key on the kinds that mutate. Replay semantics are per-op — the node
+// caches each mutation's sub-result under its own key, so a duplicated
+// envelope, or the same op regrouped into a different one, replays
+// byte-for-byte; status, peek and mine only read and are answered afresh.
 //
 // The envelope has no idempotency key of its own (the sub-ops are the
 // replay unit, and a retried envelope regroups however the retry timing
@@ -132,21 +133,21 @@ const (
 // frame and in a POST body —
 //
 //	request   {"ops":[op,…]}
-//	op        {"kind":string,"idem":string,"code":base64,"id":int,"capacity":int,"epoch":int,
-//	           "codes":[base64,…],"k":int}
+//	op        {"kind":string,"idem":string,"code":base64,"id":int,"capacity":int,"level":int,
+//	           "epoch":int,"codes":[base64,…],"k":int}
 //	response  {"ok":true,"results":[result,…]}              one per op, in order
 //	          {"ok":false,"error":error,"results":null}     refused whole, nothing applied
 //	result    {"ok":true}                                   insert, add-capacity, consume,
 //	                                                        commit, abort
 //	          {"ok":true,"units":int,"found":bool}          remove
-//	          {"ok":true,"id":int,"level":int,"found":bool} assign-subtree, pop-min; min-id
-//	                                                        has no level
+//	          {"ok":true,"id":int,"level":int,"found":bool} pop, peek: the worker and its
+//	                                                        LCA level with the code
 //	          {"ok":true,"epoch":int,"len":int,"units":int} status
-//	          {"ok":true,"epoch":int,"pool":int,"own":[[candidate,…],…],"pad":[candidate,…]}
-//	                                                        mine: a list a code, and the node's
-//	                                                        pad list
-//	          {"ok":false,"error":error}                    a refused op; remove, assign-subtree,
-//	                                                        min-id and pop-min add "found":false
+//	          {"ok":true,"epoch":int,"pool":int,"own":[[candidate,…],…]}
+//	                                                        mine: a list a code, each the
+//	                                                        code's k nearest here
+//	          {"ok":false,"error":error}                    a refused op; remove, pop and
+//	                                                        peek add "found":false
 //	candidate [id,base64,level,cap]                         hst.Candidate: four elements, in order
 //	error     {"code":string,"message":string,"epoch":int,"retryable":bool}
 //
@@ -177,6 +178,7 @@ type OpRequest struct {
 	Code     []byte   `json:"code,omitempty"`
 	ID       int      `json:"id,omitempty"`
 	Capacity int      `json:"capacity,omitempty"`
+	Level    int      `json:"level,omitempty"`
 	Epoch    int64    `json:"epoch,omitempty"`
 	Codes    [][]byte `json:"codes,omitempty"`
 	K        int      `json:"k,omitempty"`
@@ -200,7 +202,6 @@ type OpResult struct {
 	Len   int
 	Pool  int
 	Own   [][]hst.Candidate
-	Pad   []hst.Candidate // a mine's: the node's k smallest ids
 }
 
 // InitRequest (re)builds a node's engine: the shared tree, and the shared

@@ -26,8 +26,8 @@ const (
 	// the stream before any of it is buffered.
 	maxFrame = 1 << 20
 	// maxMineAnswer bounds instead the answer to an envelope that carries a
-	// mine, the one frame whose size a deployment sets: about 70 B ×
-	// (codes + 1) × k — 144 KB for a full window at the default k = 8,
+	// mine, the one frame whose size a deployment sets: about 70 B × codes
+	// × k — 144 KB for a full window at the default k = 8,
 	// past maxFrame near k = 58, and -policy batch-optimal:k=<n> has no
 	// ceiling. A longer answer is a transport failure, and the window answers
 	// unmatched.

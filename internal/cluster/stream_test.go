@@ -78,15 +78,15 @@ func (r *tappedCore) status() (workers, units int) {
 }
 
 // TestTornStreamAppliesOnce cuts the connection under each kind of op that
-// mutates — the five routed ones, the root tier's pop, and the rotation's
-// commit and abort — after the node applied the request frame and before the
+// mutates — the five code-addressed ones, a pop from another leaf as an
+// election's, and the rotation's commit and abort — after the node applied the request frame and before the
 // coordinator read the answer. do's one retry must dial a fresh
 // stream, resend the same bytes — the same idempotency key — and be answered
 // out of the replay cache with the very bytes the cut swallowed, and the
 // node's pool must show the op applied once.
 func TestTornStreamAppliesOnce(t *testing.T) {
 	r := newTappedCore(t, NodeTimeouts{})
-	code := []byte(r.tree.CodeOf(0))
+	code, other := []byte(r.tree.CodeOf(0)), []byte(r.tree.CodeOf(5))
 	next := buildTree(t, 8)
 	// prepare stages an epoch of two workers: a document, which no tap parks.
 	prepare := func(epoch int64) func() {
@@ -112,8 +112,8 @@ func TestTornStreamAppliesOnce(t *testing.T) {
 		{nil, OpRequest{Kind: OpInsert, Code: code, ID: 1, Capacity: 4}, nil, 1, 4},
 		{nil, OpRequest{Kind: OpConsume, Code: code, ID: 1}, nil, 1, 3},
 		{nil, OpRequest{Kind: OpAddCapacity, Code: code, ID: 1}, nil, 1, 4},
-		{nil, OpRequest{Kind: OpAssignSubtree, Code: code}, assigned, 1, 3},
-		{nil, OpRequest{Kind: OpPopMin}, assigned, 1, 2},
+		{nil, OpRequest{Kind: OpPop, Code: code, Level: r.tree.Depth() - 1}, assigned, 1, 3},
+		{nil, OpRequest{Kind: OpPop, Code: other, Level: r.tree.Depth()}, assigned, 1, 2},
 		{nil, OpRequest{Kind: OpRemove, Code: code, ID: 1}, func(res OpResult) error {
 			if !res.Found || res.Units != 2 {
 				return fmt.Errorf("removed %+v", res)
@@ -289,7 +289,7 @@ func TestStreamOutlivesServerTimeouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	if res, err := conn.Do(OpRequest{Kind: OpAssignSubtree, Idem: "s-2", Code: code}); err != nil || !res.Found || res.ID != 1 {
+	if res, err := conn.Do(OpRequest{Kind: OpPop, Idem: "s-2", Code: code, Level: tree.Depth() - 1}); err != nil || !res.Found || res.ID != 1 {
 		t.Fatalf("the frame after the silence: %+v, err %v", res, err)
 	}
 	if frames, _ := tap.Sent(); len(frames) != 2 || tap.Upgrades() != 1 {
@@ -394,7 +394,7 @@ func TestRoutedOpAllocs(t *testing.T) {
 		if _, err := conn.Do(OpRequest{Kind: OpInsert, Idem: idems[next], Code: code, ID: 12345, Capacity: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := conn.Do(OpRequest{Kind: OpAssignSubtree, Idem: idems[next+1], Code: code}); err != nil || !res.Found {
+		if res, err := conn.Do(OpRequest{Kind: OpPop, Idem: idems[next+1], Code: code, Level: tree.Depth() - 1}); err != nil || !res.Found {
 			t.Fatal(res, err)
 		}
 		next += 2

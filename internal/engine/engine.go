@@ -17,8 +17,8 @@
 // among the workers available at that instant.
 //
 // A cluster node (internal/cluster) runs the same engine over the workers a
-// coordinator routes to it, and answers the tiers the coordinator's cut
-// leaves to one node (cluster.go).
+// coordinator routes to it, and answers the coordinator's pops, peeks and
+// mines from those workers alone, at their true levels (cluster.go).
 //
 // # Epochs
 //
@@ -163,8 +163,7 @@ func WithDefaultCapacity(n int) Option {
 
 // New returns an engine for the published tree, serving FirstEpoch under
 // the Greedy policy. The shard count is ignored: the engine is one index,
-// and a cut of the population is a cluster coordinator's (a code's first
-// digit decides its node).
+// and a cut of the population is a cluster coordinator's.
 func New(tree *hst.Tree, shards int) (*Engine, error) {
 	return NewWithOptions(tree, shards)
 }

@@ -917,15 +917,6 @@ func (x *LeafIndex) Nearest(code Code) (id, lcaLevel int, ok bool) {
 	return int(x.item(s).id), lvl, true
 }
 
-// MinID returns the smallest live item id (ok false when the index is empty):
-// what a cluster's root tier breaks ties with, as Alg. 4's scan does.
-func (x *LeafIndex) MinID() (int, bool) {
-	if x.size == 0 {
-		return 0, false
-	}
-	return int(x.minOf(x.root)), true
-}
-
 // CountPrefix returns the number of live items whose code starts with the
 // given prefix — the occupancy of the complete-tree node it identifies.
 func (x *LeafIndex) CountPrefix(prefix Code) int {
@@ -978,7 +969,7 @@ func (x *LeafIndex) PopNearest(code Code) (id, lcaLevel int, ok bool) {
 // PopNearestWithin is PopNearest restricted to candidates whose LCA with
 // the query sits at level ≤ maxLevel: when even the nearest item is farther,
 // nothing is removed and ok is false (lcaLevel still reports its level). A
-// cluster node uses it to leave the root tier to its coordinator.
+// cluster node pops with it at the level its coordinator allows.
 func (x *LeafIndex) PopNearestWithin(code Code, maxLevel int) (id, lcaLevel int, ok bool) {
 	if x.size == 0 || len(code) != x.depth {
 		return 0, 0, false
@@ -990,18 +981,6 @@ func (x *LeafIndex) PopNearestWithin(code Code, maxLevel int) (id, lcaLevel int,
 	id = int(x.item(s).id)
 	x.consumeAt(path, bi, s)
 	return id, lvl, true
-}
-
-// PopMin atomically removes and returns the smallest live item id. ok is
-// false when the index is empty.
-func (x *LeafIndex) PopMin() (int, bool) {
-	if x.size == 0 {
-		return 0, false
-	}
-	path, bi, s := x.minUnder(x.path[:0], x.root)
-	id := x.item(s).id
-	x.consumeAt(path, bi, s)
-	return int(id), true
 }
 
 // Walk visits every indexed item (code, id). Order is unspecified.

@@ -59,14 +59,6 @@ func (r *capRef) PopNearestWithin(code Code, maxLevel int) (int, int, bool) {
 	return id, lvl, true
 }
 
-func (r *capRef) PopMin() (int, bool) {
-	id, ok := r.MinID()
-	if ok {
-		r.take(id)
-	}
-	return id, ok
-}
-
 func (r *capRef) has(code Code, id int) bool {
 	c, ok := r.codes[id]
 	return ok && c == code
@@ -141,14 +133,18 @@ func nearby(src *rng.Source, code Code, degree int) Code {
 	return Code(b)
 }
 
-// diffPair couples a flat index with the map reference.
+// diffPair couples a flat index with the map reference. src draws the codes
+// check probes with.
 type diffPair struct {
-	flat *LeafIndex
-	ref  *capRef
+	flat          *LeafIndex
+	ref           *capRef
+	depth, degree int
+	src           *rng.Source
 }
 
 func newDiffPair(depth, degree int) *diffPair {
-	return &diffPair{flat: NewLeafIndexDegree(depth, degree), ref: newCapRef(depth)}
+	return &diffPair{flat: NewLeafIndexDegree(depth, degree), ref: newCapRef(depth),
+		depth: depth, degree: degree, src: rng.New(uint64(depth*64 + degree))}
 }
 
 func (p *diffPair) check(t *testing.T, step int) {
@@ -159,15 +155,21 @@ func (p *diffPair) check(t *testing.T, step int) {
 	if p.flat.Units() != p.ref.total {
 		t.Fatalf("step %d: Units %d ≠ %d", step, p.flat.Units(), p.ref.total)
 	}
-	fm, fok := p.flat.MinID()
-	rm, rok := p.ref.MinID()
-	if fok != rok || (fok && fm != rm) {
-		t.Fatalf("step %d: MinID (%d,%v) ≠ (%d,%v)", step, fm, fok, rm, rok)
+	// Nearest on a random code: where the code's branch runs out, the answer
+	// is read off the subtree minima.
+	q := make([]byte, p.depth)
+	for i := range q {
+		q[i] = byte(p.src.Intn(p.degree))
+	}
+	fid, flvl, fok := p.flat.Nearest(Code(q))
+	rid, rlvl, rok := p.ref.Nearest(Code(q))
+	if fid != rid || flvl != rlvl || fok != rok {
+		t.Fatalf("step %d: Nearest(%v) = (%d,%d,%v) ≠ (%d,%d,%v)", step, q, fid, flvl, fok, rid, rlvl, rok)
 	}
 	checkShape(t, p.flat)
 }
 
-// driveDifferential runs a randomized Insert/Remove/PopNearest/PopMin/
+// driveDifferential runs a randomized Insert/Remove/PopNearest/
 // MoveCap/Nearest/CountPrefix tape over both implementations. maxCap 1 is the
 // capacity-1 tape (the capacity slab must never appear); above 1, inserts
 // carry 1..maxCap units and the tape adds AddCap, Consume, RemoveUnits and
@@ -242,11 +244,13 @@ func driveDifferential(t *testing.T, depth, degree int, steps int, seed uint64, 
 			if fok && !p.ref.has(live[fid], fid) {
 				delete(live, fid)
 			}
-		case op < 9: // pop the global minimum
-			fid, fok := p.flat.PopMin()
-			rid, rok := p.ref.PopMin()
-			if fid != rid || fok != rok {
-				t.Fatalf("step %d: PopMin (%d,%v) ≠ (%d,%v)", step, fid, fok, rid, rok)
+		case op < 9: // pop the nearest at any level: often a subtree minimum
+			q := randCode()
+			fid, flvl, fok := p.flat.PopNearestWithin(q, depth)
+			rid, rlvl, rok := p.ref.PopNearestWithin(q, depth)
+			if fid != rid || flvl != rlvl || fok != rok {
+				t.Fatalf("step %d: PopNearestWithin(%v,%d) = (%d,%d,%v) ≠ (%d,%d,%v)",
+					step, []byte(q), depth, fid, flvl, fok, rid, rlvl, rok)
 			}
 			if fok && !p.ref.has(live[fid], fid) {
 				delete(live, fid)
@@ -696,11 +700,12 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 				if gf, gr := flat.Consume(code, id), ref.Consume(code, id); gf != gr {
 					t.Fatalf("Consume(%d) %v ≠ %v", id, gf, gr)
 				}
-			case 6: // pop the global minimum
-				fid, fok := flat.PopMin()
-				rid, rok := ref.PopMin()
-				if fid != rid || fok != rok {
-					t.Fatalf("PopMin (%d,%v) ≠ (%d,%v)", fid, fok, rid, rok)
+			case 6: // pop the nearest within a level the high bits take off the depth
+				lvl := depth - int(op>>3)%(depth+1)
+				fid, flvl, fok := flat.PopNearestWithin(code, lvl)
+				rid, rlvl, rok := ref.PopNearestWithin(code, lvl)
+				if fid != rid || flvl != rlvl || fok != rok {
+					t.Fatalf("PopNearestWithin(%d) (%d,%d,%v) ≠ (%d,%d,%v)", lvl, fid, flvl, fok, rid, rlvl, rok)
 				}
 			case 7: // regrow the slabs mid-tape
 				n, k, i := flat.ArenaLens()

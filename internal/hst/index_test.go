@@ -196,24 +196,31 @@ func TestLeafIndexPopNearestWithin(t *testing.T) {
 	}
 }
 
-func TestLeafIndexMinIDAndPopMin(t *testing.T) {
+// From a leaf under no item's first digit every item sits at the root level:
+// Nearest answers the smallest id there, a pop within one level less takes
+// nothing, and pops within the depth drain the index in id order.
+func TestLeafIndexRootLevelPopsInIDOrder(t *testing.T) {
 	x := NewLeafIndex(2)
-	if _, ok := x.MinID(); ok {
-		t.Error("MinID on empty index returned ok")
+	q := mkCode(2, 0)
+	if _, _, ok := x.Nearest(q); ok {
+		t.Error("Nearest on empty index returned ok")
 	}
-	if _, ok := x.PopMin(); ok {
-		t.Error("PopMin on empty index returned ok")
+	if _, _, ok := x.PopNearestWithin(q, 2); ok {
+		t.Error("PopNearestWithin on empty index returned ok")
 	}
 	x.Insert(mkCode(1, 1), 9)
 	x.Insert(mkCode(0, 0), 4)
 	x.Insert(mkCode(0, 1), 6)
-	if id, ok := x.MinID(); !ok || id != 4 {
-		t.Errorf("MinID = (%d,%v), want 4", id, ok)
+	if id, lvl, ok := x.Nearest(q); !ok || id != 4 || lvl != 2 {
+		t.Errorf("Nearest = (%d,%d,%v), want (4,2,true)", id, lvl, ok)
+	}
+	if _, lvl, ok := x.PopNearestWithin(q, 1); ok || lvl != 2 || x.Len() != 3 {
+		t.Errorf("PopNearestWithin(q, 1) = (_,%d,%v) with %d left, want a refusal at level 2 and 3 left", lvl, ok, x.Len())
 	}
 	for _, want := range []int{4, 6, 9} {
-		id, ok := x.PopMin()
-		if !ok || id != want {
-			t.Fatalf("PopMin = (%d,%v), want %d", id, ok, want)
+		id, lvl, ok := x.PopNearestWithin(q, 2)
+		if !ok || id != want || lvl != 2 {
+			t.Fatalf("PopNearestWithin(q, 2) = (%d,%d,%v), want (%d,2,true)", id, lvl, ok, want)
 		}
 	}
 	if x.Len() != 0 {

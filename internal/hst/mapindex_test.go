@@ -151,14 +151,6 @@ func (x *mapLeafIndex) Nearest(code Code) (id, lcaLevel int, ok bool) {
 	return n.minID, x.depth - j, true
 }
 
-// MinID returns the smallest live item id. ok is false when empty.
-func (x *mapLeafIndex) MinID() (int, bool) {
-	if x.size == 0 {
-		return 0, false
-	}
-	return x.root.minID, true
-}
-
 // CountPrefix returns the number of live items whose code starts with the
 // given prefix.
 func (x *mapLeafIndex) CountPrefix(prefix Code) int {
@@ -207,16 +199,6 @@ func (x *mapLeafIndex) PopNearestWithin(code Code, maxLevel int) (id, lcaLevel i
 		return 0, lvl, false
 	}
 	return x.popMinFrom(path), lvl, true
-}
-
-// PopMin atomically removes and returns the smallest live item id.
-func (x *mapLeafIndex) PopMin() (int, bool) {
-	if x.size == 0 {
-		return 0, false
-	}
-	path := make([]*trieNode, 0, x.depth+1)
-	path = append(path, x.root)
-	return x.popMinFrom(path), true
 }
 
 // popMinFrom removes the minID item under the last node of path (a

@@ -50,18 +50,6 @@ func (x *LeafIndex) NearestKRef(code Code, k int, out []CandidateRef) []Candidat
 	return out
 }
 
-// SmallestKRef appends to out the (up to) k smallest-id items of the whole
-// index, stamped with the given LCA level (ties between equal ids break by
-// leaf code). A cluster node mines it as its pad list: to a task homed on
-// another node every worker here sits at the maximal level, and only the id
-// order matters.
-func (x *LeafIndex) SmallestKRef(k, level int, out []CandidateRef) []CandidateRef {
-	if x.size == 0 || k <= 0 {
-		return out
-	}
-	return x.collect(x.root, nilIdx, 0, int32(level), k, len(out), out)
-}
-
 // slotOfRef finds a mined ref's item: its bucket — the one the ref names, or
 // the one the folds since the mine merged that into — and its slot there.
 // ok is false when no live item carries the ref's id and suffix.

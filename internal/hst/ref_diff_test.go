@@ -7,11 +7,11 @@ import (
 	"github.com/pombm/pombm/internal/rng"
 )
 
-// The ref enumerators (NearestKRef, SmallestKRef) are the production
-// candidate miner and the only enumerators the index has, so they are
-// refereed directly: against a brute-force reference rebuilt from WalkCap
-// on every query — each live item's LCA level with the query, sorted by
-// (level, id, leaf code), truncated to k. Ids are unique on these tapes, as
+// The ref enumerator (NearestKRef) is the production candidate miner and
+// the only enumerator the index has, so it is refereed directly: against a
+// brute-force reference rebuilt from WalkCap on every query — each live
+// item's LCA level with the query, sorted by (level, id, leaf code),
+// truncated to k. Ids are unique on these tapes, as
 // in every engine population; TestDuplicateIDsMineInLeafOrder holds the
 // third key.
 
@@ -105,10 +105,12 @@ func refTape(t *testing.T, layout uint8, tape []byte) {
 			x.PopNearest(code)
 		default: // mine
 			k := 1 + arg%9
-			checkRefs(t, "NearestKRef", x.NearestKRef(code, k, nil),
-				bruteItems(x, func(c Code) int { return lcaLevel(code, c, l.depth) }), k)
-			checkRefs(t, "SmallestKRef", x.SmallestKRef(k, l.depth, nil),
-				bruteItems(x, func(Code) int { return l.depth }), k)
+			near := bruteItems(x, func(c Code) int { return lcaLevel(code, c, l.depth) })
+			checkRefs(t, "NearestKRef", x.NearestKRef(code, k, nil), near, k)
+			id, lvl, ok := x.Nearest(code)
+			if ok != (len(near) > 0) || ok && (id != near[0].id || lvl != near[0].level) {
+				t.Fatalf("Nearest = (%d,%d,%v), reference %+v", id, lvl, ok, near[:min(1, len(near))])
+			}
 		}
 	}
 }

@@ -475,11 +475,19 @@ func TestDuplicateIDsMineInLeafOrder(t *testing.T) {
 	}
 	checkShape(t, x)
 	want := []Code{mk(0, 5, 5, 4), mk(0, 5, 5, 5), mk(5, 5, 5, 1), mk(5, 5, 5, 1), mk(5, 5, 5, 5)}
+	// From a leaf under first digit 3 every twin sits at the root level, past
+	// the items that share the 3, and id 7 is the root level's smallest.
+	q, near := mk(3, 3, 3, 3), 0
+	for _, c := range fan(burstMax + 1) {
+		if c[0] == 3 {
+			near++
+		}
+	}
 	for k := 1; k <= len(want)+1; k++ {
-		refs := x.SmallestKRef(k, 4, nil)
+		refs := x.NearestKRef(q, near+k, nil)[near:]
 		for i, r := range refs[:min(k, len(want))] {
 			c, ok := x.ResolveRef(r)
-			if !ok || r.ID != 7 || c.Code != want[i] || r.Cap != 2 {
+			if !ok || r.ID != 7 || c.Code != want[i] || r.Cap != 2 || r.Level != 4 {
 				t.Fatalf("k=%d: ref %d = %+v at %v (%v), want id 7 at %v", k, i, r, []byte(c.Code), ok, []byte(want[i]))
 			}
 		}
