@@ -309,14 +309,24 @@ func (p *platformSoak) rotate(e *soakEpoch) error {
 		reports[i] = platform.WorkerReport{WorkerID: p.names[id], Code: p.freshCode(id)}
 	}
 	runtime.GC()
-	base := heapObjectBytes()
+	var base, end runtime.MemStats
+	runtime.ReadMemStats(&base)
 	stop, peakCh := make(chan struct{}), make(chan uint64, 1)
 	go sampleHeapPeak(stop, peakCh)
 	t0 := time.Now()
 	resp := p.srv.Rotate(platform.RotateRequest{Epoch: prep.Epoch, Reports: reports})
 	e.RotateSeconds = time.Since(t0).Seconds()
 	close(stop)
-	e.RotatePeakExtraBytes = max(int64(<-peakCh)-int64(base), 0)
+	peak := <-peakCh
+	runtime.ReadMemStats(&end)
+	if live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}; end.NumGC == base.NumGC+1 {
+		// One collection ran inside the commit (the swap's own) and nothing is
+		// freed between two, so the heap it began on was base plus all the
+		// commit allocated less what the heap gained since, however short.
+		metrics.Read(live)
+		peak = max(peak, base.HeapAlloc+end.TotalAlloc-base.TotalAlloc-end.HeapAlloc+live[0].Value.Uint64())
+	}
+	e.RotatePeakExtraBytes = max(int64(max(peak, end.HeapAlloc))-int64(base.HeapAlloc), 0)
 	if !resp.OK || resp.Rotated != len(p.idle) || len(resp.Dropped) != 0 || len(resp.Parked) != 0 || resp.Skipped != 0 {
 		return fmt.Errorf("rotation to epoch %d: ok=%v rotated=%d of %d dropped=%d parked=%d skipped=%d %s",
 			prep.Epoch, resp.OK, resp.Rotated, len(p.idle), len(resp.Dropped), len(resp.Parked), resp.Skipped, resp.Reason)
@@ -559,23 +569,13 @@ func heapObjectBytes() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// readGCPauses snapshots the runtime's cumulative GC pause histogram,
-// preferring the modern metric name with the pre-1.22 one as fallback.
+// readGCPauses snapshots the runtime's cumulative GC pause histogram.
 // Counts are copied: metrics.Read may reuse histogram storage.
 func readGCPauses() *metrics.Float64Histogram {
-	for _, name := range []string{"/sched/pauses/total/gc:seconds", "/gc/pauses:seconds"} {
-		s := []metrics.Sample{{Name: name}}
-		metrics.Read(s)
-		if s[0].Value.Kind() == metrics.KindFloat64Histogram {
-			h := s[0].Value.Float64Histogram()
-			cp := &metrics.Float64Histogram{
-				Counts:  append([]uint64(nil), h.Counts...),
-				Buckets: append([]float64(nil), h.Buckets...),
-			}
-			return cp
-		}
-	}
-	return nil
+	s := []metrics.Sample{{Name: "/sched/pauses/total/gc:seconds"}}
+	metrics.Read(s)
+	h := s[0].Value.Float64Histogram()
+	return &metrics.Float64Histogram{Counts: append([]uint64(nil), h.Counts...), Buckets: append([]float64(nil), h.Buckets...)}
 }
 
 // gcPauseDelta summarises the pauses that happened between two cumulative

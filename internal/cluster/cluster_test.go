@@ -230,6 +230,44 @@ func TestGreedyFanoutIdentity(t *testing.T) {
 	}
 }
 
+// TestBareMoveRefuses: a move of nothing — a worker whose last unit an
+// assignment took, or no from at all, with no unit handed back — refuses
+// with hst.ErrNoItem on the cluster as on one engine, and puts no unit
+// anywhere. A Reregister that races the pop of a worker's last unit makes
+// exactly this call; an insert of 0 units would take the default capacity.
+func TestBareMoveRefuses(t *testing.T) {
+	tree := buildTree(t, 9)
+	pol, err := engine.PolicyByName("capacity-greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := newFanCore(localNodes(3), tree, pol, "capacity-greedy", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(pol), engine.WithDefaultCapacity(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := tree.CodeOf(3), tree.CodeOf(50)
+	for _, c := range []platform.Core{core, eng} {
+		if err := c.InsertCapEpoch(from, 2, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if id, _, ok := c.Assign(from); !ok || id != 2 {
+			t.Fatalf("%T: assign = (%d, %v), want worker 2", c, id, ok)
+		}
+		for _, at := range []hst.Code{from, ""} {
+			if pooled, err := c.RelocateEpoch(at, to, 2, 0, 0); pooled != 0 || err != hst.ErrNoItem {
+				t.Errorf("%T: a bare move from %q = (%d, %v), want hst.ErrNoItem", c, at, pooled, err)
+			}
+		}
+		if c.Len() != 0 || c.CapacityUnits() != 0 {
+			t.Errorf("%T: the pool holds %d units over %d workers after bare moves", c, c.CapacityUnits(), c.Len())
+		}
+	}
+}
+
 // TestDistributedSwapIdentity pins the two-phase rotation: the same swap
 // (new tree, new population) lands the same post-rotation answers as a
 // single-process SwapEpoch, and the epoch is advanced on every node.

@@ -228,12 +228,16 @@ func (c *fanCore) RemoveUnits(code hst.Code, id int) (units int, found bool) {
 
 // RelocateEpoch moves a worker as two routed ops — a remove at from (when
 // from is non-empty), then an insert of the units it answered plus extra at
-// to — since the two codes may route to different nodes. A refused insert
-// puts the removed units back at from; if that is refused too there is
-// nothing left to try.
+// to — since the two codes may route to different nodes. A move of nothing
+// refuses with hst.ErrNoItem, as on one engine. A refused insert puts the
+// removed units back at from; if that is refused too there is nothing left
+// to try.
 func (c *fanCore) RelocateEpoch(from, to hst.Code, id, extra int, epoch int64) (pooled int, err error) {
 	if from != "" {
 		pooled, _ = c.RemoveUnits(from, id)
+	}
+	if pooled+extra == 0 {
+		return 0, hst.ErrNoItem
 	}
 	if err = c.InsertCapEpoch(to, id, pooled+extra, epoch); err != nil && pooled > 0 {
 		_ = c.InsertCapEpoch(from, id, pooled, epoch)
@@ -276,10 +280,14 @@ func (c *fanCore) AssignErr(code hst.Code) (int, int, bool, error) {
 		c.opMu.RUnlock()
 		return engine.None, 0, false, nil
 	}
-	res, err := c.do(c.routeIdx(code), true, OpRequest{
-		Kind: OpPop, Idem: c.nextIdem(), Code: bytesOf(string(code)), Level: st.tree.Depth() - 1, Epoch: st.epoch,
+	nd, within := c.routeIdx(code), st.tree.Depth()-1
+	res, err := c.do(nd, true, OpRequest{
+		Kind: OpPop, Idem: c.nextIdem(), Code: bytesOf(string(code)), Level: within, Epoch: st.epoch,
 	})
 	c.opMu.RUnlock()
+	if err == nil && res.Found && (res.Level < 0 || res.Level > within || res.ID < 0) {
+		return engine.None, 0, false, unavailable(nd, fmt.Errorf("pop within level %d answered worker %d at level %d", within, res.ID, res.Level))
+	}
 	if err != nil || res.Found {
 		return res.ID, res.Level, res.Found, err
 	}
@@ -325,9 +333,14 @@ func (c *fanCore) elect(st *coreState, code hst.Code) (id, lvl int, found bool, 
 	if best < 0 {
 		return engine.None, 0, false, nil
 	}
+	want := peeks[best]
 	res, err := c.do(best, true, OpRequest{
-		Kind: OpPop, Idem: c.nextIdem(), Code: bytesOf(string(code)), Level: peeks[best].Level, Epoch: st.epoch,
+		Kind: OpPop, Idem: c.nextIdem(), Code: bytesOf(string(code)), Level: want.Level, Epoch: st.epoch,
 	})
+	if err == nil && res.Found && (res.ID != want.ID || res.Level != want.Level) {
+		return engine.None, 0, false, unavailable(best, fmt.Errorf("pop of peeked worker %d at level %d answered worker %d at level %d",
+			want.ID, want.Level, res.ID, res.Level))
+	}
 	return res.ID, res.Level, res.Found, err
 }
 
@@ -444,7 +457,7 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	// Gather: each task's k nearest cluster-wide.
 	pool := 0
 	for nd := 0; nd < N; nd++ {
-		if mineErrs[nd] != nil || !c.validMine(st, nd, &mines[nd], &op) {
+		if mineErrs[nd] != nil || !c.validMine(st, nd, &mines[nd], tasks, k) {
 			// A window cannot be solved around a missing node — its pool
 			// would silently vanish from the matching — nor over a report
 			// that breaks the protocol. Answer the whole window unmatched
@@ -521,27 +534,27 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	return nil, false
 }
 
-// validMine checks node nd's answer wm to op, a mine — the one place a
-// peer's report becomes window candidates. Everything the kernel and the
-// commit phase rely on is checked here: list shapes and lengths (one list a
-// task, at most k long), every id and capacity within the int32 the kernel
-// narrows to, every level one the tree has (so its distance is finite),
-// every code a leaf of the published tree that the cut routes to nd — which
-// also makes a matched worker's commit route back to the node that reported
-// it.
-func (c *fanCore) validMine(st *coreState, nd int, wm *OpResult, op *OpRequest) bool {
-	if wm.Pool < 0 || len(wm.Own) != len(op.Codes) {
+// validMine checks node nd's answer wm to a mine of tasks, k a task — the
+// one place a peer's report becomes window candidates. Everything the
+// kernel and the commit phase rely on is checked here: list shapes and
+// lengths (one list a task, at most k long), every id and capacity within
+// the int32 the kernel narrows to, every code a leaf of the published tree
+// that the cut routes to nd — which also makes a matched worker's commit
+// route back to the node that reported it — and every level the code's
+// true LCA level with its task, which steers the merge and the solve.
+func (c *fanCore) validMine(st *coreState, nd int, wm *OpResult, tasks []hst.Code, k int) bool {
+	if wm.Pool < 0 || len(wm.Own) != len(tasks) {
 		return false
 	}
-	for _, list := range wm.Own {
+	for ti, list := range wm.Own {
 		for _, cand := range list {
 			if cand.ID < 0 || cand.ID > math.MaxInt32 || cand.Cap < 1 || cand.Cap > math.MaxInt32 ||
-				cand.Level < 0 || cand.Level > st.tree.Depth() ||
-				st.tree.CheckCode(cand.Code) != nil || c.routeIdx(cand.Code) != nd {
+				st.tree.CheckCode(cand.Code) != nil || c.routeIdx(cand.Code) != nd ||
+				cand.Level != st.tree.LCALevel(tasks[ti], cand.Code) {
 				return false
 			}
 		}
-		if len(list) > op.K {
+		if len(list) > k {
 			return false
 		}
 	}

@@ -99,6 +99,16 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 			wm.Pool = -wm.Pool
 			return true
 		}},
+		{"level 0 for every candidate", func(wm *OpResult) bool {
+			lied := false
+			for _, l := range wm.Own {
+				for i := range l {
+					lied = lied || l[i].Level != 0
+					l[i].Level = 0
+				}
+			}
+			return lied
+		}},
 		{"honest (control)", nil},
 	}
 	for _, tc := range cases {
@@ -151,28 +161,42 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 }
 
 // TestHostilePeekIsRefused: a peek's level and id steer a greedy election,
-// so a found peek whose level the tree cannot have, or whose id is negative,
-// is the node failing — the typed retryable unavailable refusal naming it,
-// as for an unreachable node — and is never elected: no pool loses a unit.
-// The task routes to node 1, which holds nobody, so its fast pop finds no
-// one and the election runs; node 0 holds the one worker and bends its peek.
+// and a pop's answer is what the platform books, so a found peek whose level
+// the tree cannot have or whose id is negative, a fast-path pop outside
+// [0, depth − 1] or with a negative id, and an elected pop that answers
+// anyone but the peeked worker at the peeked level are the node failing —
+// the typed retryable unavailable refusal naming it, as for an unreachable
+// node — and never an assignment. Node 0 holds the one worker and bends its
+// answers. The task under first digit 1 routes to node 1, which holds
+// nobody, so its fast pop finds no one and the election runs; the task at
+// the worker's own leaf is found by node 0's fast pop.
 func TestHostilePeekIsRefused(t *testing.T) {
 	tree := buildTree(t, 7)
-	// Every leaf of the seed-7 tree has first digit 0; the task's code is
-	// leaf 0's under first digit 1, which the tree has but no point.
+	// Every leaf of the seed-7 tree has first digit 0; the elected task's
+	// code is leaf 0's under first digit 1, which the tree has but no point.
 	home := tree.CodeOf(0)
-	task := hst.Code(append([]byte{1}, home[1:]...))
+	elected := hst.Code(append([]byte{1}, home[1:]...))
 	for _, tc := range []struct {
-		name string
-		bend func(*OpResult)
+		name  string
+		kind  string
+		task  hst.Code
+		bend  func(*OpResult)
+		units int // the pool's units after a bent answer: a bent pop took one
 	}{
-		{"level -1", func(r *OpResult) { r.Level = -1 }},
-		{"level past the depth", func(r *OpResult) { r.Level = tree.Depth() + 1 }},
-		{"id -1", func(r *OpResult) { r.ID = -1 }},
-		{"honest (control)", nil},
+		{"level -1", OpPeek, elected, func(r *OpResult) { r.Level = -1 }, 2},
+		{"level past the depth", OpPeek, elected, func(r *OpResult) { r.Level = tree.Depth() + 1 }, 2},
+		{"id -1", OpPeek, elected, func(r *OpResult) { r.ID = -1 }, 2},
+		{"elected pop of another id", OpPop, elected, func(r *OpResult) { r.ID = 5 }, 1},
+		{"elected pop at another level", OpPop, elected, func(r *OpResult) { r.Level = 0 }, 1},
+		{"elected pop of id -7 at level 99", OpPop, elected, func(r *OpResult) { r.ID, r.Level = -7, 99 }, 1},
+		{"fast pop at the root level", OpPop, home, func(r *OpResult) { r.Level = tree.Depth() }, 1},
+		{"fast pop at level -1", OpPop, home, func(r *OpResult) { r.Level = -1 }, 1},
+		{"fast pop of id -7 at level 99", OpPop, home, func(r *OpResult) { r.ID, r.Level = -7, 99 }, 1},
+		{"honest (control)", OpPeek, elected, nil, 1},
+		{"honest fast pop (control)", OpPop, home, nil, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := &bentNode{NodeConn: LocalNode(NewNode()), kind: OpPeek, bend: func(r *OpResult) bool {
+			bad := &bentNode{NodeConn: LocalNode(NewNode()), kind: tc.kind, bend: func(r *OpResult) bool {
 				if tc.bend != nil && r.Found {
 					tc.bend(r)
 				}
@@ -189,25 +213,25 @@ func TestHostilePeekIsRefused(t *testing.T) {
 			if err := core.InsertCapEpoch(home, 4, 2, 0); err != nil {
 				t.Fatal(err)
 			}
-			id, lvl, ok, err := core.AssignErr(task)
+			id, lvl, ok, err := core.AssignErr(tc.task)
 			if !bad.bent {
-				t.Fatal("the election never peeked the node that holds the worker")
+				t.Fatalf("node 0 was never asked a %s that found the worker", tc.kind)
 			}
 			if tc.bend == nil {
-				if err != nil || !ok || id != 4 || lvl != tree.Depth() {
-					t.Fatalf("control assigned (%d, %d, %v, %v), want worker 4 at the root level", id, lvl, ok, err)
+				if want := tree.LCALevel(tc.task, home); err != nil || !ok || id != 4 || lvl != want {
+					t.Fatalf("control assigned (%d, %d, %v, %v), want worker 4 at level %d", id, lvl, ok, err, want)
 				}
 				return
 			}
 			var pe *platform.Error
 			if !errors.As(err, &pe) || pe.Code != platform.CodeUnavailable || !pe.Retryable || !strings.Contains(pe.Message, "node 0") {
-				t.Fatalf("a bent peek answered (%d, %d, %v, %v), want the retryable unavailable refusal naming node 0", id, lvl, ok, err)
+				t.Fatalf("a bent %s answered (%d, %d, %v, %v), want the retryable unavailable refusal naming node 0", tc.kind, id, lvl, ok, err)
 			}
-			if ok {
-				t.Errorf("worker %d assigned over a bent peek", id)
+			if ok || id != engine.None {
+				t.Errorf("worker %d assigned over a bent %s", id, tc.kind)
 			}
-			if core.CapacityUnits() != 2 || core.Len() != 1 {
-				t.Errorf("pool moved: %d units over %d workers, want 2 over 1", core.CapacityUnits(), core.Len())
+			if core.CapacityUnits() != tc.units || core.Len() != 1 {
+				t.Errorf("pool: %d units over %d workers, want %d over 1", core.CapacityUnits(), core.Len(), tc.units)
 			}
 		})
 	}

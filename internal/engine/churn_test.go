@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
@@ -332,6 +333,10 @@ func TestLongBatchYieldsBetweenWindows(t *testing.T) {
 		nMutators   = 4
 	)
 	batchesPerSubmitter := stressN(8)
+	// A mutation lands between two windows only if it wins the lock there,
+	// which a loaded machine may not let it do within the fixed batches:
+	// past them, the submitters go on until one has, for at most yieldWait.
+	const yieldWait = 30 * time.Second
 	// One P runs a mutator only when a submitter is descheduled, which need
 	// not happen inside a batch: the gap between two windows is there, but
 	// it takes a second P to be running something that can use it.
@@ -444,7 +449,8 @@ func TestLongBatchYieldsBetweenWindows(t *testing.T) {
 			defer submitters.Done()
 			src := rng.New(13).DeriveN("submitter", g)
 			tasks := make([]hst.Code, batchLen)
-			for b := 0; b < batchesPerSubmitter; b++ {
+			deadline := time.Now().Add(yieldWait)
+			for b := 0; b < batchesPerSubmitter || yields.Load() == 0 && time.Now().Before(deadline); b++ {
 				if g == 0 && b == batchesPerSubmitter/2 {
 					close(halfway)
 				}

@@ -416,11 +416,10 @@ func (e *Engine) Remove(code hst.Code, id int) bool {
 }
 
 // RemoveUnits is Remove reporting the capacity units the worker still had
-// pooled. Callers relocating a live worker (a Reregister reporting a fresh
-// leaf) must size the re-insert from this ground truth, not from their own
-// accounting: a concurrent Assign may have consumed a unit whose pop has
-// not been recorded yet, and re-inserting it would let the worker serve
-// beyond its capacity.
+// pooled: the ground truth, not its caller's accounting, since a concurrent
+// Assign may have consumed a unit whose pop has not been recorded yet. A
+// caller moving a live worker to a fresh leaf calls RelocateEpoch, which
+// moves exactly these units under one hold of the lock.
 func (e *Engine) RemoveUnits(code hst.Code, id int) (units int, ok bool) {
 	st, err := e.lock("remove", code, 0)
 	if err != nil {

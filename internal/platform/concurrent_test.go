@@ -42,18 +42,33 @@ func TestServerConcurrentStress(t *testing.T) {
 		rereGoroutines  = 2
 		statsGoroutines = 2
 	)
+	// One more worker and task than the storm's: the first assignment.
 	var (
-		nWorkers = regGoroutines * workersPerGor
-		nTasks   = taskGoroutines * tasksPerGor
+		nWorkers = regGoroutines*workersPerGor + 1
+		nTasks   = taskGoroutines*tasksPerGor + 1
 	)
 
 	// Phase 1: registrations, submissions, reregistrations, and stats reads
 	// all at once. Tasks may outpace registrations, so rejections are
-	// legitimate; what must never happen is a double assignment.
+	// legitimate; what must never happen is a double assignment. One
+	// assignment is made before the storm, so phase 2 always holds a worker
+	// to release twice even when every storm task outran the registrations.
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	held := map[string]bool{} // workers currently holding an assignment
 	assignments := 0
+	o, err := NewObfuscator(s.Publication(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (Worker{ID: "w-first", Loc: geo.Pt(100, 100)}).Register(s, o); err != nil {
+		t.Fatal(err)
+	}
+	if wid, ok, err := (Task{ID: "t-first", Loc: geo.Pt(100, 100)}).Submit(s, o); err != nil || !ok || wid != "w-first" {
+		t.Fatalf("first task = (%q, %v, %v), want w-first", wid, ok, err)
+	}
+	held["w-first"] = true
+	assignments++
 
 	record := func(t *testing.T, wid string) {
 		mu.Lock()
@@ -184,7 +199,7 @@ func TestServerConcurrentStress(t *testing.T) {
 	for wid := range held {
 		heldIDs = append(heldIDs, wid)
 	}
-	o, err := NewObfuscator(s.Publication(), 77)
+	o, err = NewObfuscator(s.Publication(), 77)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -434,32 +434,30 @@ func (s *Server) Submit(req TaskRequest) TaskResponse {
 	slot, lvl, ok, aerr := coreAssign(s.eng, code)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A pop whose stint was closed while in flight (the worker withdrew or
-	// was parked, its slot superseded) is stale: that assignment was never
-	// confirmed to anyone, so retry. Pops under mu cannot go stale again —
-	// stint transitions all happen under mu.
+	return s.settle(code, slot, lvl, ok, aerr)
+}
+
+// settle answers one task from its pop (slot at LCA level lvl when ok, or
+// the core's failure aerr), under mu. A pop whose stint was closed while in
+// flight (the worker withdrew or was parked, its slot superseded) is stale:
+// that assignment was never confirmed to anyone, so it is retried. Pops
+// under mu cannot go stale again — stint transitions all happen under mu. A
+// confirmed pop's slot is stateAvailable and leaves the pool only when the
+// pop consumed its last capacity unit.
+func (s *Server) settle(code hst.Code, slot, lvl int, ok bool, aerr error) TaskResponse {
 	for ok && stintOver(s.tab.at(slot).state()) {
 		slot, lvl, ok, aerr = coreAssign(s.eng, code)
 	}
-	if aerr != nil {
+	if aerr != nil || !ok {
 		// A backend failure is not "no workers": report it as such so the
 		// client can retry rather than give up on the task.
 		s.rejected++
 		e := AsError(aerr, s.epoch)
+		if e == nil {
+			e = noWorkersError()
+		}
 		return TaskResponse{Assigned: false, Reason: e.Message, Err: e}
 	}
-	if !ok {
-		s.rejected++
-		e := noWorkersError()
-		return TaskResponse{Assigned: false, Reason: e.Message, Err: e}
-	}
-	return s.recordAssignment(slot, lvl)
-}
-
-// recordAssignment books one confirmed pop. The caller's retry loop
-// guarantees the stint is live; a popped slot is stateAvailable and leaves
-// the pool only when this pop consumed its last capacity unit.
-func (s *Server) recordAssignment(slot, lvl int) TaskResponse {
 	if s.tab.addActive(slot, 1) >= s.tab.units(slot).capacity {
 		s.tab.at(slot).setState(stateAssigned)
 	}
@@ -508,30 +506,7 @@ func (s *Server) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 	defer s.mu.Unlock()
 	s.rejected += stale
 	for k, slot := range slots {
-		i := valid[k]
-		lvl := lvls[k]
-		// Stale pops (see Submit) are retried; under mu no retry can go
-		// stale again.
-		var aerr error
-		for slot != engine.None && stintOver(s.tab.at(slot).state()) {
-			var ok bool
-			if slot, lvl, ok, aerr = coreAssign(s.eng, codes[k]); !ok {
-				slot = engine.None
-			}
-		}
-		if aerr != nil {
-			s.rejected++
-			e := AsError(aerr, s.epoch)
-			out.Results[i] = TaskResponse{Assigned: false, Reason: e.Message, Err: e}
-			continue
-		}
-		if slot == engine.None {
-			s.rejected++
-			e := noWorkersError()
-			out.Results[i] = TaskResponse{Assigned: false, Reason: e.Message, Err: e}
-			continue
-		}
-		out.Results[i] = s.recordAssignment(slot, lvl)
+		out.Results[valid[k]] = s.settle(codes[k], slot, lvls[k], slot != engine.None, nil)
 	}
 	return out
 }
@@ -590,60 +565,65 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 		}
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q has withdrawn", req.WorkerID)))
 	}
-	// Spare units live in the engine, under a report of this epoch: a slot
-	// in the pool always has a code to read.
-	inPool := rec.state() == stateAvailable
-	code := newCode
 	if newCode != "" {
-		if s.rot.Afford(req.WorkerID, rec.reports()) != nil {
-			// The worker finished its task but cannot afford the fresh
-			// report: park it rather than re-noise past its guarantee,
-			// pulling any spare units out of the pool.
-			if inPool {
-				s.eng.RemoveUnits(s.tab.code(slot, &s.codeBuf), slot)
-			}
-			if s.tab.units(slot).active > 0 {
-				s.tab.addActive(slot, -1)
-			}
-			rec.setState(stateParked)
-			return refusal(parkedError(req.WorkerID))
-		}
-	} else if s.tab.lag(slot) != 0 {
+		return s.move(slot, rec, req.WorkerID, newCode, 1)
+	}
+	if s.tab.lag(slot) != 0 {
 		reason := fmt.Sprintf(
 			"platform: worker %q report is from epoch %d (serving %d); a fresh report is required",
 			req.WorkerID, s.tab.reportEpoch(slot), s.epoch)
 		return refusal(&Error{Code: CodeStaleEpoch, Message: reason, Epoch: s.epoch, Retryable: true})
-	} else {
-		code = s.tab.code(slot, &s.codeBuf)
 	}
-	// Hand the completed unit back. Same code: one unit rejoins in place
-	// (re-inserting the slot when this was its last active task). New code:
-	// the worker moves wholesale in one engine call, spare units included —
-	// the engine moves what it actually still pools, not capacity−active: a
-	// concurrent Submit may have popped a unit it has not recorded under mu
-	// yet, and re-deriving the count here would resurrect that unit and let
-	// the worker serve beyond its capacity. A refused engine call leaves the
-	// worker as it was and the budget uncharged, so the client can retry.
-	var err error
-	if inPool && (newCode == "" || s.tab.codeIs(slot, newCode)) {
-		err = s.eng.AddCapacityEpoch(code, slot, s.epoch)
-	} else {
-		var from hst.Code
-		if inPool {
-			from = s.tab.code(slot, &s.codeBuf)
-		}
-		_, err = s.eng.RelocateEpoch(from, code, slot, 1, s.epoch)
-	}
-	if err != nil {
+	// Hand the completed unit back at the reported leaf: in place while the
+	// slot still pools units, by re-insert once its last one was taken. A
+	// refused engine call leaves the worker as it was, so the client can retry.
+	if err := s.eng.AddCapacityEpoch(s.tab.code(slot, &s.codeBuf), slot, s.epoch); err != nil {
 		return refusal(AsError(err, s.epoch))
 	}
 	s.tab.addActive(slot, -1)
 	rec.setState(stateAvailable)
 	s.released++
-	if newCode != "" {
-		s.tab.setCode(slot, newCode)
-		s.accept(rec, newCode)
+	return RegisterResponse{OK: true, Epoch: s.epoch}
+}
+
+// move carries out a fresh report at code for the worker holding slot,
+// handing back extra completed tasks with it: 1 for a Release with a code,
+// 0 for a Reregister. The worker moves wholesale in one engine call, which
+// moves the units the engine still pools, not capacity−active: a concurrent
+// Submit may have popped a unit it has not booked under mu yet, and
+// counting it again would let the worker serve beyond its capacity. A
+// worker that cannot afford the report is parked — its pooled units pulled,
+// the extra tasks closed — rather than re-noised past its guarantee. A
+// refused engine call leaves the worker as it was and the budget
+// uncharged, so the client can retry. The caller holds mu and checked code.
+func (s *Server) move(slot int, rec *record, workerID string, code hst.Code, extra int) RegisterResponse {
+	var from hst.Code
+	if rec.state() == stateAvailable {
+		from = s.tab.code(slot, &s.codeBuf)
 	}
+	if s.rot.Afford(workerID, rec.reports()) != nil {
+		if from != "" {
+			s.eng.RemoveUnits(from, slot)
+		}
+		s.tab.addActive(slot, -int32(extra))
+		rec.setState(stateParked)
+		return refusal(parkedError(workerID))
+	}
+	_, err := s.eng.RelocateEpoch(from, code, slot, extra, s.epoch)
+	if err == hst.ErrNoItem {
+		// A concurrent Submit popped the worker's last unit between its
+		// engine pop and its table update (which waits on mu): the
+		// assignment wins.
+		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", workerID)))
+	}
+	if err != nil {
+		return refusal(AsError(err, s.epoch))
+	}
+	s.tab.addActive(slot, -int32(extra))
+	s.released += extra
+	rec.setState(stateAvailable)
+	s.tab.setCode(slot, code)
+	s.accept(rec, code)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }
 

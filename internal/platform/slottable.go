@@ -395,22 +395,6 @@ func (t *slotTable) code(slot int, buf *[]byte) hst.Code {
 	return codeView(dst)
 }
 
-// codeIs reports whether the slot holds code. It packs code beside the
-// slot's packed bytes and compares the two; nothing is decoded.
-func (t *slotTable) codeIs(slot int, code hst.Code) bool {
-	if len(code) != t.depth {
-		return false
-	}
-	var buf [32]byte
-	b := buf[:]
-	if t.codeLen > len(b) {
-		b = make([]byte, t.codeLen)
-	}
-	b = b[:t.codeLen]
-	t.pack(b, code)
-	return string(b) == string(t.report(slot))
-}
-
 // setCode stores a report made under the table's epoch in the slot.
 func (t *slotTable) setCode(slot int, code hst.Code) {
 	if len(code) != t.depth {

@@ -48,29 +48,5 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 	case stateAssigned:
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)))
 	}
-	old := s.tab.code(slot, &s.codeBuf)
-	pooled, ok := s.eng.RemoveUnits(old, slot)
-	if !ok {
-		// A concurrent Submit popped the worker between its engine pop and
-		// its table update (which waits on mu): the assignment wins.
-		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", req.WorkerID)))
-	}
-	if s.rot.Afford(req.WorkerID, rec.reports()) != nil {
-		// The fresh report is unaffordable. The old report was already
-		// withdrawn from the engine above, and it is not restored: the
-		// worker is parked — out of the pool for good — instead of being
-		// re-noised past its guarantee.
-		rec.setState(stateParked)
-		return refusal(parkedError(req.WorkerID))
-	}
-	if err := s.eng.InsertCapEpoch(code, slot, pooled, s.epoch); err != nil {
-		// The engine refused the fresh report: restore the old one so the
-		// worker is not lost from the pool. Nothing was charged, so the
-		// client can retry.
-		_ = s.eng.InsertCapEpoch(old, slot, pooled, s.epoch)
-		return refusal(AsError(err, s.epoch))
-	}
-	s.tab.setCode(slot, code)
-	s.accept(rec, code)
-	return RegisterResponse{OK: true, Epoch: s.epoch}
+	return s.move(slot, rec, req.WorkerID, code, 0)
 }
