@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/base64"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -265,6 +266,68 @@ func TestBareMoveRefuses(t *testing.T) {
 		if c.Len() != 0 || c.CapacityUnits() != 0 {
 			t.Errorf("%T: the pool holds %d units over %d workers after bare moves", c, c.CapacityUnits(), c.Len())
 		}
+	}
+}
+
+// failRemoveNode wraps a healthy node with an OpRemove that always fails
+// by transport: the request or its answer is lost, on every attempt.
+type failRemoveNode struct {
+	NodeConn
+	removes int
+}
+
+func (f *failRemoveNode) Do(op OpRequest) (OpResult, error) {
+	if op.Kind == OpRemove {
+		f.removes++
+		return OpResult{}, fmt.Errorf("%w: rigged: remove lost", errTransport)
+	}
+	return f.NodeConn.Do(op)
+}
+
+// TestLostRemoveAbortsMove: a move whose remove at from is lost to the
+// transport must not go on to insert at to — the worker would then be
+// pooled at both leaves, with more units than its capacity. It answers the
+// typed retryable unavailable naming the node, and the pool is as it was:
+// the same length and units, the worker still at from.
+func TestLostRemoveAbortsMove(t *testing.T) {
+	tree := buildTree(t, 9)
+	pol, err := engine.PolicyByName("capacity-greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := localNodes(3)
+	bad := make([]*failRemoveNode, len(nodes))
+	for i := range nodes {
+		bad[i] = &failRemoveNode{NodeConn: nodes[i]}
+		nodes[i] = bad[i]
+	}
+	core, err := newFanCore(nodes, tree, pol, "capacity-greedy", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := tree.CodeOf(3), tree.CodeOf(50)
+	if err := core.InsertCapEpoch(from, 2, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := core.RelocateEpoch(from, to, 2, 1, 0)
+	var perr *platform.Error
+	if !errors.As(err, &perr) || perr.Code != platform.CodeUnavailable || !perr.Retryable ||
+		!strings.Contains(perr.Message, fmt.Sprintf("node %d", route(from, len(nodes)))) {
+		t.Fatalf("a move whose remove was lost = (%d, %v), want the typed retryable unavailable naming the node", pooled, err)
+	}
+	if n := bad[route(from, len(nodes))].removes; n != 2 {
+		t.Fatalf("the lost remove was sent %d times, want 2 (once, then once more under the same key)", n)
+	}
+	if core.Len() != 1 || core.CapacityUnits() != 3 {
+		t.Fatalf("after the aborted move the pool holds %d units over %d workers, want 3 over 1", core.CapacityUnits(), core.Len())
+	}
+	for unit := 0; unit < 3; unit++ {
+		if id, lvl, ok := core.Assign(from); !ok || id != 2 || lvl != 0 {
+			t.Fatalf("unit %d: assign at from = (%d, %d, %v), want worker 2 at level 0", unit, id, lvl, ok)
+		}
+	}
+	if id, _, ok := core.Assign(to); ok {
+		t.Fatalf("worker %d pooled after the worker's 3 units were taken", id)
 	}
 }
 

@@ -140,10 +140,10 @@ func unavailable(nd int, err error) error {
 // second transport failure becomes is the caller's choice:
 //
 //   - escalate: the typed retryable unavailable refusal naming the node,
-//     for calls whose failure is reported onward — insert, add-capacity,
-//     pop, peek, prepare.
+//     for calls whose failure is reported onward — insert, add-capacity, a
+//     move's remove, pop, peek, prepare.
 //   - otherwise the raw failure, for calls whose every error the caller
-//     folds into its own outcome — remove (answers not-found), mine (the
+//     folds into its own outcome — RemoveUnits (answers not-found), mine (the
 //     window answers unmatched), consume (the window rolls back), undo (a
 //     lost unit panics), abort (best effort).
 //
@@ -228,13 +228,19 @@ func (c *fanCore) RemoveUnits(code hst.Code, id int) (units int, found bool) {
 
 // RelocateEpoch moves a worker as two routed ops — a remove at from (when
 // from is non-empty), then an insert of the units it answered plus extra at
-// to — since the two codes may route to different nodes. A move of nothing
-// refuses with hst.ErrNoItem, as on one engine. A refused insert puts the
-// removed units back at from; if that is refused too there is nothing left
-// to try.
+// to — since the two codes may route to different nodes. A remove that
+// fails aborts the move with its error: one lost to the transport may have
+// left the units at from, and inserting at to as well would pool the worker
+// twice. A move of nothing refuses with hst.ErrNoItem, as on one engine. A
+// refused insert puts the removed units back at from; if that is refused
+// too there is nothing left to try.
 func (c *fanCore) RelocateEpoch(from, to hst.Code, id, extra int, epoch int64) (pooled int, err error) {
 	if from != "" {
-		pooled, _ = c.RemoveUnits(from, id)
+		res, err := c.routed(true, from, OpRequest{Kind: OpRemove, ID: id})
+		if err != nil {
+			return 0, err
+		}
+		pooled = res.Units
 	}
 	if pooled+extra == 0 {
 		return 0, hst.ErrNoItem

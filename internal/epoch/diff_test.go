@@ -27,7 +27,7 @@ func driveRotationDifferential(t *testing.T, seed uint64, rotations, opsPerEpoch
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := NewController(Config{Tree: tree, Seed: seed, Epsilon: 0.6})
+	ctrl, err := NewController(Config{Tree: tree, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func driveRotationDifferential(t *testing.T, seed uint64, rotations, opsPerEpoch
 
 		// Rotate: every live worker re-reports under the staged tree with
 		// a fresh id, exactly as the serving layers do.
-		staged, err := ctrl.Prepare(0, false)
+		staged, err := ctrl.Prepare(0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,36 +9,35 @@
 // closes both gaps. It proceeds in two phases:
 //
 //  1. Prepare: build the next epoch's tree in the background (optionally
-//     reseeded, optionally refit from the report history observed during
-//     the serving epoch) while the current epoch keeps serving.
+//     reseeded, optionally refit from a report histogram the owner counts)
+//     while the current epoch keeps serving.
 //  2. Commit: by now the owner has collected a fresh obfuscated report from
 //     every available worker under the staged tree — reports are drawn
-//     client-side; the owner only sees the resulting codes — checked each
-//     against the worker's lifetime budget (Afford), swapped its engine to
-//     the surviving population (engine.SwapEpoch) and charged every
-//     rotated worker's report (Charge). Workers whose budget cannot afford
-//     another report are parked: permanently retired from serving rather
-//     than silently re-noised past their guarantee. Commit advances the
-//     controller's epoch counter and counts the rotated workers.
+//     client-side; the owner only sees the resulting codes — swapped its
+//     engine to the workers whose budget affords the report and charged
+//     each of them. Commit advances the controller's epoch counter and
+//     counts the rotated workers.
 //
-// The controller is deliberately engine-agnostic: the engine and
-// the platform server both drive it, applying a rotation to their own id
-// spaces (engine ids, platform slots). The same split holds for the
-// lifetime-ε ledger: each worker's running spend is a cell in its owner's
-// worker table (a platform slot record, the simulator's dense array) that
-// counts its charged reports, and the controller keeps the one charge rule
-// and the totals. What the controller owns is the invariant pair the tests
-// assert — epoch consistency (no assignment pairs codes from different
-// epochs; the engine swap plus the serving layer's rotation gate enforce
-// it) and budget conservation (the total equals ε times the sum of the
-// cells, and no worker ever exceeds its lifetime ε).
+// The controller is deliberately engine-agnostic: the engine and the
+// platform server both drive it, applying a rotation to their own id spaces
+// (engine ids, platform slots). The lifetime-ε ledger is not the
+// controller's at all. Every report spends the one ε, so a worker's ledger
+// is a count of its charged reports, kept in its owner's worker table (a
+// platform slot record, the simulator's dense array) under the owner's
+// lock, and the charge rule is arithmetic on it: ReportLimit. The owner
+// keeps the totals beside the counts — Σ ε over the charges, the ids
+// charged, the ids parked — so budget conservation (the total is ε times
+// the sum of the counts, and no count passes the limit) is the owner's
+// invariant, and epoch consistency (no assignment pairs codes from
+// different epochs; the engine swap plus the serving layer's rotation gate
+// enforce it) the one the controller serves.
 package epoch
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/pombm/pombm/internal/engine"
@@ -60,6 +59,35 @@ var ErrNotStaged = errors.New("epoch: no rotation staged")
 // epoch ids are the engine's.
 const FirstEpoch = engine.FirstEpoch
 
+// MaxReports is the most reports a worker's ledger count holds: 2^28−1,
+// 8.5 years at one a second, so an owner may pack a count into 28 bits. A
+// worker whose count is there is refused as if its budget had run out; a
+// count never wraps.
+const MaxReports = 1<<28 - 1
+
+// ReportLimit is the lifetime-ε charge rule, closed-form: a worker that has
+// had count fresh reports charged affords one more exactly when
+// count < ReportLimit(eps, lifetime), and one refused by that is parked.
+// Every report spends the one eps, so the limit is ⌊(lifetime + 1e-12)/eps⌋
+// — the count whose spend count·eps still fits the lifetime, within the
+// 1e-12 that keeps an exact multiple (0.1 × 10 against 1.0) affordable —
+// capped at MaxReports; with no lifetime budget (0) it is MaxReports alone.
+// A lifetime below eps would refuse every report and is an error.
+func ReportLimit(eps, lifetime float64) (uint32, error) {
+	switch {
+	case !(eps > 0):
+		return 0, fmt.Errorf("epoch: epsilon %v must be positive", eps)
+	case !(lifetime >= 0):
+		return 0, fmt.Errorf("epoch: lifetime budget %v must be non-negative", lifetime)
+	case lifetime == 0:
+		return MaxReports, nil
+	case lifetime < eps:
+		return 0, fmt.Errorf("epoch: lifetime budget %v below per-report ε %v; every report would be refused",
+			lifetime, eps)
+	}
+	return uint32(min(math.Floor((lifetime+1e-12)/eps), MaxReports)), nil
+}
+
 // Config configures a Controller.
 type Config struct {
 	// Tree is the initial (epoch-1) publication, already built by the
@@ -68,33 +96,19 @@ type Config struct {
 	// Seed roots the derivation of per-epoch construction randomness when
 	// a rotation is prepared without an explicit reseed.
 	Seed uint64
-	// Epsilon is the per-report privacy spend (the publication's ε).
-	Epsilon float64
-	// Lifetime is the per-worker lifetime ε budget; every fresh report
-	// spends Epsilon against it. 0 disables budget accounting — reports
-	// are free and no worker is ever parked.
-	Lifetime float64
 }
 
-// Controller tracks the serving epoch, stages the next one, and accounts
-// every fresh report against per-worker lifetime budgets. It is safe for
-// concurrent use; one rotation is staged at a time.
+// Controller tracks the serving epoch and stages the next one. It is safe
+// for concurrent use; one rotation is staged at a time.
 type Controller struct {
 	seed uint64
-	eps  float64
 
 	mu        sync.Mutex
-	budget    *privacy.Budget // nil when accounting is disabled
 	epoch     int64
 	tree      *hst.Tree
 	staged    *Staged
-	parked    map[string]struct{}
 	rotations int
 	rotated   int // workers successfully re-obfuscated across all rotations
-	// hist counts the serving epoch's observed reports per predefined point
-	// (indexed by Tree.PointOf), for refit. It is as long as the tree has
-	// points, so observing allocates nothing however many workers report.
-	hist []int
 }
 
 // Staged is a prepared (not yet committed) rotation: the next epoch id and
@@ -109,32 +123,7 @@ func NewController(cfg Config) (*Controller, error) {
 	if cfg.Tree == nil {
 		return nil, errors.New("epoch: nil tree")
 	}
-	if cfg.Epsilon <= 0 {
-		return nil, fmt.Errorf("epoch: epsilon %v must be positive", cfg.Epsilon)
-	}
-	if cfg.Lifetime < 0 {
-		return nil, fmt.Errorf("epoch: lifetime budget %v must be non-negative", cfg.Lifetime)
-	}
-	c := &Controller{
-		seed:   cfg.Seed,
-		eps:    cfg.Epsilon,
-		epoch:  FirstEpoch,
-		tree:   cfg.Tree,
-		parked: map[string]struct{}{},
-		hist:   make([]int, cfg.Tree.NumPoints()),
-	}
-	if cfg.Lifetime > 0 {
-		budget, err := privacy.NewBudget(cfg.Lifetime)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Lifetime < cfg.Epsilon {
-			return nil, fmt.Errorf("epoch: lifetime budget %v below per-report ε %v; every report would be refused",
-				cfg.Lifetime, cfg.Epsilon)
-		}
-		c.budget = budget
-	}
-	return c, nil
+	return &Controller{seed: cfg.Seed, epoch: FirstEpoch, tree: cfg.Tree}, nil
 }
 
 // Tree returns the serving epoch's tree.
@@ -144,107 +133,23 @@ func (c *Controller) Tree() *hst.Tree {
 	return c.tree
 }
 
-// Epsilon returns the per-report spend.
-func (c *Controller) Epsilon() float64 { return c.eps }
-
-// MaxReports is the most reports a worker's ledger cell counts: 2^28−1,
-// 8.5 years at one a second, so an owner may pack a cell into 28 bits. A
-// worker whose cell is there is parked as if its budget had run out; a cell
-// never wraps.
-const MaxReports = 1<<28 - 1
-
-// Afford checks one fresh report for the worker against its lifetime
-// budget, given how many reports the worker has had charged so far (the
-// caller owns that cell). Every report spends the one ε, so a count is the
-// exact ledger: the worker has spent reports·ε. On exhaustion, or at
-// MaxReports, the worker is parked and the returned error wraps
-// ErrBudgetExhausted; an already-parked worker is refused the same way. The
-// parked set keeps its own copy of the id: a caller's may be a view of
-// storage it later drops.
-// Nothing is charged: the caller runs whatever can still refuse the report
-// (an engine insert, a swap) and calls Charge once it was accepted, so a
-// refused report never burns budget. With accounting disabled only the
-// parked check and the cap apply.
-func (c *Controller) Afford(worker string, reports uint32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, gone := c.parked[worker]; gone {
-		return fmt.Errorf("%w: worker %q is parked", ErrBudgetExhausted, worker)
-	}
-	var err error
-	switch spent := float64(reports) * c.eps; {
-	case reports >= MaxReports:
-		err = fmt.Errorf("%w: worker %q made %d reports, the most a ledger cell counts",
-			ErrBudgetExhausted, worker, reports)
-	case c.budget != nil && !c.budget.Affords(spent, c.eps):
-		err = fmt.Errorf("%w: worker %q spent %.4g of %.4g, requested %.4g",
-			ErrBudgetExhausted, worker, spent, c.budget.Limit(), c.eps)
-	default:
-		return nil
-	}
-	c.parked[strings.Clone(worker)] = struct{}{}
-	return err
-}
-
-// Charge counts one accepted fresh report on a worker that had made
-// reports, returning the cell's new count (reports itself with accounting
-// disabled). The caller's lock must cover the cell.
-func (c *Controller) Charge(reports uint32) uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.charge(reports)
-}
-
-func (c *Controller) charge(reports uint32) uint32 {
-	if c.budget == nil {
-		return reports
-	}
-	c.budget.Charge(reports == 0, c.eps)
-	return reports + 1
-}
-
-// Accept is Charge for one accepted fresh report at code that also records
-// the report for refit history, under one hold of the controller's lock:
-// what a registration, an update or a release with a fresh code books once
-// the engine took the report. Only real leaves count towards the history —
-// obfuscated codes frequently land on fake leaves, which say nothing about
-// where demand concentrates. Recording obfuscated output is post-processing
-// and spends no budget.
-func (c *Controller) Accept(reports uint32, code hst.Code) uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.tree.PointOf(code); ok {
-		c.hist[p]++
-	}
-	return c.charge(reports)
-}
-
-// Parked reports whether the worker has been parked (lifetime budget
-// exhausted).
-func (c *Controller) Parked(worker string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.parked[worker]
-	return ok
-}
-
 // Prepare stages the next epoch: a fresh tree over the same predefined
 // points, built in the background while the current epoch keeps serving.
 // seed 0 derives the construction randomness from the controller's root
-// seed and the next epoch id; a non-zero seed reseeds explicitly. With
-// refit, the carving permutation is ordered by the report density observed
-// during the serving epoch (hottest points first, so ball carving tightens
-// clusters where demand actually concentrates) instead of drawn uniformly.
-// Re-preparing replaces a previously staged rotation.
-func (c *Controller) Prepare(seed uint64, refit bool) (*Staged, error) {
+// seed and the next epoch id; a non-zero seed reseeds explicitly. A non-nil
+// hist refits: it counts reports per predefined point (as Tree.PointOf
+// indexes them), and the carving permutation is ordered by it (hottest
+// points first, so ball carving tightens clusters where demand actually
+// concentrates) instead of drawn uniformly. Re-preparing replaces a
+// previously staged rotation.
+func (c *Controller) Prepare(seed uint64, hist []int) (*Staged, error) {
 	c.mu.Lock()
 	next := c.epoch + 1
 	points := c.tree.Points()
-	var histCopy []int
-	if refit {
-		histCopy = append(histCopy, c.hist...)
-	}
 	c.mu.Unlock()
+	if hist != nil && len(hist) != len(points) {
+		return nil, fmt.Errorf("epoch: refit histogram of %d points, the tree has %d", len(hist), len(points))
+	}
 
 	// Tree construction happens outside the lock: it is milliseconds of
 	// work (hst.Build is near-linear), but the serving epoch must not
@@ -255,8 +160,8 @@ func (c *Controller) Prepare(seed uint64, refit bool) (*Staged, error) {
 	src := rng.New(seed)
 	var tree *hst.Tree
 	var err error
-	if refit {
-		tree, err = buildRefit(points, histCopy, src)
+	if hist != nil {
+		tree, err = buildRefit(points, hist, src)
 	} else {
 		tree, err = hst.Build(points, src)
 	}
@@ -274,9 +179,9 @@ func (c *Controller) Prepare(seed uint64, refit bool) (*Staged, error) {
 }
 
 // buildRefit builds the tree with the carving permutation ordered by
-// observed report counts (descending, ties towards the lower point index —
-// deterministic), so historically hot points become early pivots. β is
-// still drawn from the construction randomness.
+// report counts (descending, ties towards the lower point index —
+// deterministic), so hot points become early pivots. β is still drawn from
+// the construction randomness.
 func buildRefit(points []geo.Point, hist []int, src *rng.Source) (*hst.Tree, error) {
 	perm := make([]int, len(points))
 	for i := range perm {
@@ -303,8 +208,7 @@ func (c *Controller) StagedRotation() *Staged {
 // workers re-obfuscated into it. The serving layer calls it after (not
 // before) its engine swap succeeded and it charged each rotated worker's
 // report, so a failed swap leaves the controller still serving — and still
-// able to rotate to — the old epoch. The refit history resets: each epoch
-// refits from what the previous one observed.
+// able to rotate to — the old epoch.
 func (c *Controller) Commit(staged *Staged, rotated int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -319,7 +223,6 @@ func (c *Controller) Commit(staged *Staged, rotated int) error {
 	c.staged = nil
 	c.rotations++
 	c.rotated += rotated
-	c.hist = make([]int, staged.Tree.NumPoints())
 	return nil
 }
 
@@ -328,27 +231,11 @@ type Stats struct {
 	Epoch     int64
 	Rotations int
 	Rotated   int // successful re-obfuscations across all rotations
-	Parked    int
-	// Budget accounting; zero values when accounting is disabled.
-	Limit      float64
-	SpentTotal float64
-	Agents     int
 }
 
 // Stats returns the controller's counters.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{
-		Epoch:     c.epoch,
-		Rotations: c.rotations,
-		Rotated:   c.rotated,
-		Parked:    len(c.parked),
-	}
-	if c.budget != nil {
-		st.Limit = c.budget.Limit()
-		st.SpentTotal = c.budget.Total()
-		st.Agents = c.budget.Agents()
-	}
-	return st
+	return Stats{Epoch: c.epoch, Rotations: c.rotations, Rotated: c.rotated}
 }

@@ -3,8 +3,8 @@ package epoch
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
-	"unsafe"
 
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
@@ -33,32 +33,28 @@ func randCode(tree *hst.Tree, src *rng.Source) hst.Code {
 }
 
 func TestControllerValidation(t *testing.T) {
-	tree := buildTree(t, 1, 4)
-	if _, err := NewController(Config{Tree: nil, Epsilon: 1}); err == nil {
+	if _, err := NewController(Config{Tree: nil}); err == nil {
 		t.Error("nil tree accepted")
 	}
-	if _, err := NewController(Config{Tree: tree, Epsilon: 0}); err == nil {
-		t.Error("zero epsilon accepted")
-	}
-	if _, err := NewController(Config{Tree: tree, Epsilon: 1, Lifetime: 0.5}); err == nil {
-		t.Error("lifetime below per-report ε accepted")
-	}
-	if _, err := NewController(Config{Tree: tree, Epsilon: 1, Lifetime: -1}); err == nil {
-		t.Error("negative lifetime accepted")
+	for _, bad := range []struct{ eps, lifetime float64 }{
+		{0, 0}, {-1, 1}, {math.NaN(), 1}, // ε must be positive
+		{1, -1}, {1, math.NaN()}, // the lifetime non-negative
+		{1, 0.5}, // and at least one report
+	} {
+		if _, err := ReportLimit(bad.eps, bad.lifetime); err == nil {
+			t.Errorf("ReportLimit(%v, %v) accepted", bad.eps, bad.lifetime)
+		}
 	}
 }
 
 func TestControllerLifecycle(t *testing.T) {
 	tree := buildTree(t, 1, 8)
-	c, err := NewController(Config{Tree: tree, Seed: 7, Epsilon: 0.5, Lifetime: 1.0})
+	c, err := NewController(Config{Tree: tree, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Epoch != FirstEpoch || c.Tree() != tree {
 		t.Fatalf("fresh controller: epoch %d", st.Epoch)
-	}
-	if c.Epsilon() != 0.5 {
-		t.Fatal("epsilon not wired")
 	}
 
 	// Commit requires a staged rotation.
@@ -66,7 +62,7 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatalf("commit without prepare: %v", err)
 	}
 
-	staged, err := c.Prepare(0, false)
+	staged, err := c.Prepare(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,34 +76,7 @@ func TestControllerLifecycle(t *testing.T) {
 	if staged.Tree.NumPoints() != tree.NumPoints() {
 		t.Fatalf("staged tree has %d points, want %d", staged.Tree.NumPoints(), tree.NumPoints())
 	}
-
-	// Two spends per worker fit in the lifetime budget; the third parks.
-	// The cells are the caller's: rotate walks the workers the way a
-	// serving layer does (Afford, swap, Charge) and reports who parked and
-	// how many rotated, for Commit.
-	workers := []string{"a", "b"}
-	cells := make([]uint32, len(workers))
-	rotate := func() (parked []bool, rotated int) {
-		parked = make([]bool, len(workers))
-		for i, w := range workers {
-			if c.Afford(w, cells[i]) != nil {
-				parked[i] = true
-				continue
-			}
-			cells[i] = c.Charge(cells[i])
-			rotated++
-		}
-		return parked, rotated
-	}
-	if err := c.Afford("a", cells[0]); err != nil {
-		t.Fatal(err)
-	}
-	cells[0] = c.Charge(cells[0])
-	parked, rotated := rotate()
-	if parked[0] || parked[1] || rotated != 2 {
-		t.Fatalf("parked = %v, rotated %d", parked, rotated)
-	}
-	if err := c.Commit(staged, rotated); err != nil {
+	if err := c.Commit(staged, 2); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Epoch != 2 || c.Tree() != staged.Tree {
@@ -117,58 +86,15 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatal("staged rotation survives commit")
 	}
 
-	// "a" has spent 1.0 of 1.0 (two reports): the next rotation parks it;
-	// "b" (0.5, one report) still affords one more.
-	staged, err = c.Prepare(0, false)
+	staged, err = c.Prepare(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked, rotated = rotate()
-	if !parked[0] || parked[1] || rotated != 1 {
-		t.Fatalf("parked = %v, rotated %d", parked, rotated)
-	}
-	if !c.Parked("a") || c.Parked("b") {
-		t.Fatal("parked bookkeeping wrong")
-	}
-	// Parked is terminal: even a spend that would otherwise fit is refused.
-	if err := c.Afford("a", 0); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("spend on parked worker: %v", err)
-	}
-	if err := c.Commit(staged, rotated); err != nil {
+	if err := c.Commit(staged, 1); err != nil {
 		t.Fatal(err)
 	}
-
-	st := c.Stats()
-	if st.Epoch != 3 || st.Rotations != 2 || st.Parked != 1 {
+	if st := c.Stats(); st != (Stats{Epoch: 3, Rotations: 2, Rotated: 3}) {
 		t.Fatalf("stats = %+v", st)
-	}
-	// Budget conservation: 1.0 (a) + 1.0 (b: rotations 1 and 2) = 2.0.
-	if st.SpentTotal != 2.0 {
-		t.Fatalf("SpentTotal = %v, want 2", st.SpentTotal)
-	}
-	if st.Limit != 1.0 || st.Agents != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Rotated != 3 { // 2 in rotation 1 + 1 in rotation 2
-		t.Fatalf("Rotated = %d, want 3", st.Rotated)
-	}
-}
-
-// TestParkedKeepsItsOwnID pins that the parked set copies the id it parks:
-// a caller may pass a view of storage it later overwrites or drops (the
-// platform's id slab).
-func TestParkedKeepsItsOwnID(t *testing.T) {
-	c, err := NewController(Config{Tree: buildTree(t, 1, 4), Epsilon: 0.5, Lifetime: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := []byte("worker-7")
-	if err := c.Afford(unsafe.String(&buf[0], len(buf)), 1); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("over-budget afford: %v", err)
-	}
-	copy(buf, "xxxxxxxx")
-	if !c.Parked("worker-7") || c.Parked("xxxxxxxx") {
-		t.Fatal("the parked set reads the caller's bytes, not its own copy")
 	}
 }
 
@@ -178,14 +104,14 @@ func TestParkedKeepsItsOwnID(t *testing.T) {
 // serving what it served.
 func TestCommitRefusals(t *testing.T) {
 	tree := buildTree(t, 2, 8)
-	c, err := NewController(Config{Tree: tree, Epsilon: 0.5})
+	c, err := NewController(Config{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Commit(&Staged{Epoch: 2, Tree: tree}, 1); !errors.Is(err, ErrNotStaged) {
 		t.Fatalf("commit with nothing staged: %v", err)
 	}
-	staged, err := c.Prepare(0, false)
+	staged, err := c.Prepare(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,42 +136,78 @@ func TestCommitRefusals(t *testing.T) {
 	}
 }
 
-func TestSpendWithoutAccounting(t *testing.T) {
-	tree := buildTree(t, 3, 4)
-	c, err := NewController(Config{Tree: tree, Epsilon: 0.5}) // Lifetime 0
-	if err != nil {
-		t.Fatal(err)
+// budgetAffords is the charge rule ReportLimit replaced, verbatim: a
+// worker that had count reports of eps charged affords one more when its
+// float spend plus eps fits the lifetime within 1e-12 (always, with no
+// budget), and its count is below MaxReports.
+func budgetAffords(count uint32, eps, lifetime float64) bool {
+	spent := float64(count) * eps
+	return count < MaxReports && (lifetime == 0 || spent+eps <= lifetime+1e-12)
+}
+
+// TestReportLimitAgreesWithBudgetRule holds the closed form to the float
+// rule it replaced at every count up to and past its boundary, on a grid of
+// (ε, lifetime) with exact multiples (0.1 of 1.0, and epoch-rotate's 0.6 of
+// 3.0), ε = 1/3, lifetimes a hair either side of a multiple, seeded random
+// pairs, and lifetimes that reach the MaxReports cap or are no budget at
+// all — where only the counts around the cap are walked.
+func TestReportLimitAgreesWithBudgetRule(t *testing.T) {
+	type pair struct{ eps, lifetime float64 }
+	grid := []pair{
+		{0.1, 1.0}, {0.6, 3.0}, {0.6, 1.2}, {1.0 / 3, 1.0}, {1.0 / 3, 2.0}, {0.5, 0.5},
+		{0.25, 1.0}, {0.7, 2.1}, {0.3, 0.9}, {0.01, 1.0}, {1e-3, 1.0}, {1.5, 100},
+		{0.1, 1.0 - 1e-9}, {0.1, 1.0 + 1e-9}, {0.1, 1.0 - 1e-13}, {0.6, 3.0 - 1e-12},
+		{0.6, 1e12}, {1e-6, 1e3}, {0.6, 0}, {1.0 / 3, 0}, {0.6, math.Inf(1)},
 	}
-	var cell uint32
-	for i := 0; i < 100; i++ {
-		if err := c.Afford("w", cell); err != nil {
-			t.Fatalf("unbudgeted spend %d refused: %v", i, err)
+	src := rng.New(11)
+	for i := 0; i < 300; i++ {
+		eps := 0.001 + src.Float64()
+		k := float64(1 + src.Intn(2000))
+		lifetime := k * eps
+		switch i % 3 {
+		case 1:
+			lifetime *= 1 + (src.Float64()-0.5)*1e-9
+		case 2:
+			lifetime = max(eps, lifetime+src.Float64()*eps)
 		}
-		cell = c.Charge(cell)
+		grid = append(grid, pair{eps, lifetime})
 	}
-	if cell != 0 {
-		t.Fatalf("unbudgeted charge moved the cell to %v", cell)
-	}
-	if st := c.Stats(); st.SpentTotal != 0 || st.Limit != 0 {
-		t.Fatalf("accounting stats leak without accountant: %+v", st)
+	for _, p := range grid {
+		limit, err := ReportLimit(p.eps, p.lifetime)
+		if err != nil {
+			t.Fatalf("ReportLimit(%v, %v): %v", p.eps, p.lifetime, err)
+		}
+		walk := func(from, to uint32) {
+			for count := from; count <= to; count++ {
+				if got, want := count < limit, budgetAffords(count, p.eps, p.lifetime); got != want {
+					t.Fatalf("ε %v, lifetime %v, %d reports: closed form affords %v, the float rule %v (limit %d)",
+						p.eps, p.lifetime, count, got, want, limit)
+				}
+			}
+		}
+		if limit < 1<<20 {
+			walk(0, limit+1)
+			continue
+		}
+		if limit != MaxReports {
+			t.Fatalf("ε %v, lifetime %v: limit %d is neither small nor the cap", p.eps, p.lifetime, limit)
+		}
+		walk(0, 1000)
+		walk(MaxReports-1000, MaxReports+1)
 	}
 }
 
-// TestCellAtMaxReportsParks pins the ledger cell's representation limit: a
-// worker whose count reached MaxReports is parked by the usual typed
-// refusal, with a budget that would still afford the report or with none,
-// and one a report below it is not.
+// TestCellAtMaxReportsParks pins the ledger count's representation limit:
+// with a budget that would still afford the report, or with none, a worker
+// at MaxReports is refused and one a report below it is not.
 func TestCellAtMaxReportsParks(t *testing.T) {
 	for _, lifetime := range []float64{0, 1e12} {
-		c, err := NewController(Config{Tree: buildTree(t, 3, 4), Epsilon: 0.5, Lifetime: lifetime})
+		limit, err := ReportLimit(0.5, lifetime)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Afford("w", MaxReports-1); err != nil {
-			t.Fatalf("lifetime %v: a cell one below the cap refused: %v", lifetime, err)
-		}
-		if err := c.Afford("w", MaxReports); !errors.Is(err, ErrBudgetExhausted) || !c.Parked("w") {
-			t.Fatalf("lifetime %v: a cell at the cap: %v, parked %v", lifetime, err, c.Parked("w"))
+		if !(MaxReports-1 < limit) || MaxReports < limit {
+			t.Fatalf("lifetime %v: limit %d, want the cap %d", lifetime, limit, MaxReports)
 		}
 	}
 }
@@ -253,17 +215,17 @@ func TestCellAtMaxReportsParks(t *testing.T) {
 func TestPrepareDeterministicAndReseedable(t *testing.T) {
 	tree := buildTree(t, 4, 8)
 	mk := func() *Controller {
-		c, err := NewController(Config{Tree: tree, Seed: 42, Epsilon: 0.5})
+		c, err := NewController(Config{Tree: tree, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	s1, err := mk().Prepare(0, false)
+	s1, err := mk().Prepare(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := mk().Prepare(0, false)
+	s2, err := mk().Prepare(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +236,7 @@ func TestPrepareDeterministicAndReseedable(t *testing.T) {
 		}
 	}
 	// An explicit reseed changes the construction.
-	s3, err := mk().Prepare(999, false)
+	s3, err := mk().Prepare(999, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,24 +256,14 @@ func TestPrepareDeterministicAndReseedable(t *testing.T) {
 
 func TestRefitUsesObservedHistory(t *testing.T) {
 	tree := buildTree(t, 5, 8)
-	c, err := NewController(Config{Tree: tree, Seed: 1, Epsilon: 0.5})
+	c, err := NewController(Config{Tree: tree, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Accept a heavily skewed report history: every report at point 17.
-	hot := tree.CodeOf(17)
-	for i := 0; i < 50; i++ {
-		c.Accept(0, hot)
-	}
-	// Fake-leaf observations must not count.
-	src := rng.New(8)
-	for i := 0; i < 50; i++ {
-		code := randCode(tree, src)
-		if _, ok := tree.PointOf(code); !ok {
-			c.Accept(0, code)
-		}
-	}
-	staged, err := c.Prepare(0, true)
+	// A heavily skewed histogram: every report at point 17.
+	hist := make([]int, tree.NumPoints())
+	hist[17] = 50
+	staged, err := c.Prepare(0, hist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,39 +271,39 @@ func TestRefitUsesObservedHistory(t *testing.T) {
 	if perm := staged.Tree.Perm(); len(perm) == 0 || perm[0] != 17 {
 		t.Fatalf("refit perm starts %v, want point 17 first", perm[:3])
 	}
-	// Commit resets the history: the next refit orders by index only.
-	if err := c.Commit(staged, 0); err != nil {
-		t.Fatal(err)
-	}
-	staged, err = c.Prepare(0, true)
+	// An empty histogram orders by index only.
+	staged, err = c.Prepare(0, make([]int, tree.NumPoints()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if perm := staged.Tree.Perm(); perm[0] != 0 {
-		t.Fatalf("post-commit refit perm starts %d, want 0 (history not reset)", perm[0])
+		t.Fatalf("refit perm from no reports starts %d, want 0", perm[0])
+	}
+	// A histogram of another point set is refused.
+	if _, err := c.Prepare(0, hist[1:]); err == nil {
+		t.Fatal("a histogram one point short was accepted")
 	}
 }
 
 // TestRefitOrdersTiesByPointIndex pins the whole carving order under refit,
 // ties included: counts descending, equal counts — the unobserved points
-// among them — by ascending point index. A later Accept does not reach a
-// tree already staged: Prepare works on a copy of the histogram.
+// among them — by ascending point index. The caller's histogram is read
+// once: a later change to it does not reach a tree already staged.
 func TestRefitOrdersTiesByPointIndex(t *testing.T) {
 	tree := buildTree(t, 5, 4)
-	c, err := NewController(Config{Tree: tree, Seed: 1, Epsilon: 0.5})
+	c, err := NewController(Config{Tree: tree, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := make([]int, tree.NumPoints())
 	for point, reports := range map[int]int{9: 3, 2: 3, 14: 5, 6: 1, 11: 1, 0: 1} {
-		for i := 0; i < reports; i++ {
-			c.Accept(0, tree.CodeOf(point))
-		}
+		hist[point] = reports
 	}
-	staged, err := c.Prepare(0, true)
+	staged, err := c.Prepare(0, hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Accept(0, tree.CodeOf(15))
+	hist[15] = 9
 	want := []int{14, 2, 9, 0, 6, 11, 1, 3, 4, 5, 7, 8, 10, 12, 13, 15}
 	if got := staged.Tree.Perm(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("refit carving order %v, want %v", got, want)
@@ -360,15 +312,15 @@ func TestRefitOrdersTiesByPointIndex(t *testing.T) {
 
 func TestPrepareReplacesStaged(t *testing.T) {
 	tree := buildTree(t, 6, 4)
-	c, err := NewController(Config{Tree: tree, Seed: 1, Epsilon: 0.5})
+	c, err := NewController(Config{Tree: tree, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := c.Prepare(1, false)
+	s1, err := c.Prepare(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.Prepare(2, false)
+	s2, err := c.Prepare(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

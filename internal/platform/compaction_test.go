@@ -299,7 +299,7 @@ func TestPopNeverCrossesRotation(t *testing.T) {
 	}
 }
 
-// flakyCore refuses the next insert — or relocation — once.
+// flakyCore refuses the next insert, relocation or swap once.
 type flakyCore struct {
 	*engine.Engine
 	failNext bool
@@ -321,6 +321,14 @@ func (c *flakyCore) RelocateEpoch(from, to hst.Code, id, extra int, epoch int64)
 		return 0, errFlaky
 	}
 	return c.Engine.RelocateEpoch(from, to, id, extra, epoch)
+}
+
+func (c *flakyCore) SwapEpochSeq(epoch int64, tree *hst.Tree, shards int, seq func(yield func(engine.EpochInsert) bool)) error {
+	if c.failNext {
+		c.failNext = false
+		return errFlaky
+	}
+	return c.Engine.SwapEpochSeq(epoch, tree, shards, seq)
 }
 
 // TestRefusedInsertBurnsNoBudget is the regression test for charging ε

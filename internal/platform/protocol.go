@@ -250,8 +250,8 @@ type StatsResponse struct {
 // PrepareRotateRequest stages the next epoch: a fresh HST built in the
 // background while the current epoch keeps serving. Seed 0 derives the
 // construction randomness deterministically from the server seed and the
-// next epoch id; Refit orders the carving permutation by the report
-// density observed during the serving epoch.
+// next epoch id; Refit orders the carving permutation by the live
+// workers' latest reports of the serving epoch.
 type PrepareRotateRequest struct {
 	Seed  uint64 `json:"seed,omitempty"`
 	Refit bool   `json:"refit,omitempty"`

@@ -404,11 +404,11 @@ func TestRegistryMatchesCodeModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := NewServer(workload.SyntheticRegion, 8, 8, 0.6, 42, WithCore(eng))
+			s, err := NewServer(workload.SyntheticRegion, 8, 8, modelEps, 42, WithCore(eng), WithLifetimeBudget(1e9))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.rot, err = epoch.NewController(epoch.Config{Tree: tc.next, Seed: 42, Epsilon: modelEps, Lifetime: 1e9}); err != nil {
+			if s.rot, err = epoch.NewController(epoch.Config{Tree: tc.next, Seed: 42}); err != nil {
 				t.Fatal(err)
 			}
 			m := &registryModel{t: t, s: s, eng: eng, src: rng.New(17),

@@ -43,13 +43,41 @@ import (
 
 // PrepareRotate stages epoch N+1 while N keeps serving. The staged tree is
 // returned for clients to re-obfuscate under; re-preparing replaces a
-// previously staged rotation.
+// previously staged rotation. A refit counts its histogram under mu, then
+// builds the tree without it.
 func (s *Server) PrepareRotate(req PrepareRotateRequest) PrepareRotateResponse {
-	staged, err := s.rot.Prepare(req.Seed, req.Refit)
+	var hist []int
+	if req.Refit {
+		s.mu.Lock()
+		hist = s.refitHistogram()
+		s.mu.Unlock()
+	}
+	staged, err := s.rot.Prepare(req.Seed, hist)
 	if err != nil {
 		return PrepareRotateResponse{OK: false, Reason: err.Error(), Err: conflictError(err.Error())}
 	}
 	return PrepareRotateResponse{OK: true, Epoch: staged.Epoch, Tree: staged.Tree}
+}
+
+// refitHistogram counts what a refit orders the next tree's carving by: the
+// live population's latest reports. Each live stint — available, or busy
+// with a task and due back — counts one report at the predefined point of
+// its latest code, when that code is of the serving epoch (a stint carried
+// busy into it has none until it releases) and sits on a real leaf. A
+// stint counts once however often it re-reported, and a withdrawn, parked
+// or superseded one not at all. The simulator's engine driver keeps the
+// same count, so the drivers refit alike. The caller holds mu.
+func (s *Server) refitHistogram() []int {
+	hist := make([]int, s.pub.Tree.NumPoints())
+	for slot := 0; slot < s.tab.len(); slot++ {
+		if st := s.tab.at(slot).state(); st != stateAvailable && st != stateAssigned || s.tab.lag(slot) != 0 {
+			continue
+		}
+		if p, ok := s.pub.Tree.PointOf(s.tab.code(slot, &s.codeBuf)); ok {
+			hist[p]++
+		}
+	}
+	return hist
 }
 
 // Rotate commits a staged rotation with the fresh reports collected from
@@ -148,7 +176,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// carries its remaining units (capacity − active) into the new epoch.
 	carried := next.len()
 	for i, name := range names {
-		if s.rot.Afford(name, old.at(slots[i]).reports()) != nil {
+		if old.at(slots[i]).reports() >= s.maxReports {
 			resp.Parked = append(resp.Parked, name)
 			leaving = append(leaving, slots[i])
 			continue
@@ -184,13 +212,18 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// The swap is live: charge the accepted reports, keep the ledger cells
 	// of the ids that left — under ids of their own, not views that would
 	// keep the old table's slab alive — and flip table and epoch together.
+	// An id that leaves at its limit can never report again, so it leaves
+	// parked: counted now unless it parked in the table.
 	for slot := carried; slot < next.len(); slot++ {
-		rec := next.at(slot)
-		rec.setReports(s.rot.Charge(rec.reports()))
+		s.charge(next.at(slot))
 	}
 	for _, slot := range leaving {
-		if reports := old.at(slot).reports(); reports > 0 {
-			s.departed[strings.Clone(old.id(slot))] = reports
+		rec := old.at(slot)
+		if rec.reports() >= s.maxReports && rec.state() != stateParked {
+			s.parked++
+		}
+		if rec.reports() > 0 {
+			s.departed[strings.Clone(old.id(slot))] = rec.reports()
 		}
 	}
 	if err := s.rot.Commit(staged, resp.Rotated); err != nil {

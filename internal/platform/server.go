@@ -83,9 +83,8 @@ func coreAssign(c Core, code hst.Code) (id, lcaLevel int, ok bool, err error) {
 
 type Server struct {
 	eng Core
-	// rot owns epoch rotation and the lifetime-budget charge rule. It has
-	// its own lock; the server calls into it under mu where slot-table
-	// consistency matters.
+	// rot owns epoch rotation: the serving tree and the staged one. It has
+	// its own lock, and no serving call but Rotate takes it.
 	rot *epoch.Controller
 
 	// gate is the rotation gate. A rotation renumbers every slot, and the
@@ -112,9 +111,21 @@ type Server struct {
 	codeBuf []byte
 	// departed holds the ledger cells — reports charged — of ids a rotation
 	// compacted out of the table (withdrawn, dropped or parked workers),
-	// reclaimed when the id registers back. It is empty without a lifetime
-	// budget.
+	// reclaimed when the id registers back. An id whose cell is at
+	// maxReports can never report again: it is parked. It is empty without
+	// a lifetime budget.
 	departed map[string]uint32
+	// The lifetime-ε ledger beside the cells (see charge): lifetime is the
+	// budget (0: none, and nothing is charged), maxReports the charge rule,
+	// epoch.ReportLimit of the configuration. spent sums ε over every charge
+	// in charge order, agents counts the ids charged at least once and
+	// parked the ids parked — refused a report, or compacted out of the
+	// table at their limit.
+	lifetime   float64
+	maxReports uint32
+	spent      float64
+	agents     int
+	parked     int
 	// registered counts ids that were unknown — neither in the table nor in
 	// the departed ledger — when they registered.
 	registered int
@@ -262,12 +273,11 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 			return nil, err
 		}
 	}
-	rot, err := epoch.NewController(epoch.Config{
-		Tree:     tree,
-		Seed:     seed,
-		Epsilon:  eps,
-		Lifetime: cfg.lifetime,
-	})
+	maxReports, err := epoch.ReportLimit(eps, cfg.lifetime)
+	if err != nil {
+		return nil, err
+	}
+	rot, err := epoch.NewController(epoch.Config{Tree: tree, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -286,6 +296,8 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		epoch:       first,
 		tab:         newSlotTable(0, tree.Depth(), tree.Degree(), first),
 		departed:    map[string]uint32{},
+		lifetime:    cfg.lifetime,
+		maxReports:  maxReports,
 		levelCounts: make([]int, tree.Depth()+1),
 	}, nil
 }
@@ -320,10 +332,10 @@ func refusal(e *Error) RegisterResponse {
 }
 
 // unknownWorker answers an operation on an id the table does not hold. A
-// parked id that a rotation has since compacted away is still parked (the
-// controller remembers); anything else is not registered.
+// parked id that a rotation has since compacted away is still parked (its
+// departed cell is at the limit); anything else is not registered.
 func (s *Server) unknownWorker(workerID string) RegisterResponse {
-	if s.rot.Parked(workerID) {
+	if s.departed[workerID] >= s.maxReports {
 		return refusal(parkedError(workerID))
 	}
 	return refusal(badRequestError(fmt.Sprintf("platform: worker %q not registered", workerID)))
@@ -389,7 +401,13 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	if !s.eng.Policy().CapacityAware() {
 		capacity = 1
 	}
-	if s.rot.Afford(req.WorkerID, reports) != nil {
+	if reports >= s.maxReports {
+		if prev != nil {
+			// A withdrawn stint still in the table parks now; a departed id
+			// at its limit was parked when a rotation compacted it.
+			prev.setState(stateParked)
+			s.parked++
+		}
 		return refusal(parkedError(req.WorkerID))
 	}
 	slot := s.tab.len()
@@ -408,7 +426,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	default:
 		s.registered++
 	}
-	s.accept(s.tab.at(slot), code)
+	s.charge(s.tab.at(slot))
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }
 
@@ -601,12 +619,13 @@ func (s *Server) move(slot int, rec *record, workerID string, code hst.Code, ext
 	if rec.state() == stateAvailable {
 		from = s.tab.code(slot, &s.codeBuf)
 	}
-	if s.rot.Afford(workerID, rec.reports()) != nil {
+	if rec.reports() >= s.maxReports {
 		if from != "" {
 			s.eng.RemoveUnits(from, slot)
 		}
 		s.tab.addActive(slot, -int32(extra))
 		rec.setState(stateParked)
+		s.parked++
 		return refusal(parkedError(workerID))
 	}
 	_, err := s.eng.RelocateEpoch(from, code, slot, extra, s.epoch)
@@ -623,7 +642,7 @@ func (s *Server) move(slot int, rec *record, workerID string, code hst.Code, ext
 	s.released += extra
 	rec.setState(stateAvailable)
 	s.tab.setCode(slot, code)
-	s.accept(rec, code)
+	s.charge(rec)
 	return RegisterResponse{OK: true, Epoch: s.epoch}
 }
 
@@ -667,9 +686,19 @@ func (s *Server) Withdraw(req WithdrawRequest) RegisterResponse {
 	return RegisterResponse{OK: true}
 }
 
-// accept books one accepted fresh report at code on the record's ledger cell.
-func (s *Server) accept(rec *record, code hst.Code) {
-	rec.setReports(s.rot.Accept(rec.reports(), code))
+// charge books one accepted fresh report on the record's ledger cell, under
+// mu, once whatever could refuse the report has accepted it — so a refused
+// report charges nothing. The caller checked the cell is below maxReports.
+// Without a lifetime budget nothing is counted.
+func (s *Server) charge(rec *record) {
+	if s.lifetime == 0 {
+		return
+	}
+	if rec.reports() == 0 {
+		s.agents++
+	}
+	s.spent += s.pub.Epsilon
+	rec.setReports(rec.reports() + 1)
 }
 
 // Spent returns the lifetime ε the worker has consumed so far: ε times the
@@ -683,7 +712,7 @@ func (s *Server) Spent(workerID string) float64 {
 	if slot, ok := s.tab.lookup(workerID); ok {
 		reports = s.tab.at(slot).reports()
 	}
-	return float64(reports) * s.rot.Epsilon()
+	return float64(reports) * s.pub.Epsilon
 }
 
 // Stats reports the server's counters.
@@ -711,11 +740,11 @@ func (s *Server) Stats() StatsResponse {
 		Epoch:             s.epoch,
 		Rotations:         rs.Rotations,
 		RotatedWorkers:    rs.Rotated,
-		ParkedWorkers:     rs.Parked,
+		ParkedWorkers:     s.parked,
 		DroppedWorkers:    s.dropped,
-		BudgetLimit:       rs.Limit,
-		BudgetSpentTotal:  rs.SpentTotal,
-		BudgetedAgents:    rs.Agents,
+		BudgetLimit:       s.lifetime,
+		BudgetSpentTotal:  s.spent,
+		BudgetedAgents:    s.agents,
 		SlotTableLen:      s.tab.len(),
 		RegistryBytes:     s.tab.bytes(),
 		DepartedLedgerIDs: len(s.departed),

@@ -30,9 +30,9 @@ type record struct {
 	// sum of ε's would round, and the id has spent reports·ε. The cell lives
 	// on the id's current slot: a re-registration or a rotation moves it
 	// along, so Σ reports over the table and the departed ledger, times ε,
-	// is the controller's total. It stops at epoch.MaxReports — 8.5 years at
-	// a report a second — where the controller parks the worker instead of
-	// letting it wrap.
+	// is the server's spent total. It stops at epoch.MaxReports — 8.5 years
+	// at a report a second — where the charge rule parks the worker instead
+	// of letting it wrap.
 	word uint32
 }
 

@@ -258,8 +258,12 @@ func TestSaturatedLedgerCellParks(t *testing.T) {
 			}
 			r = s.Reregister(ReregisterRequest{WorkerID: "w", Code: leaf(s, 2)}) // compacted away, still parked
 		}
-		if r.OK || !r.Parked || r.Err == nil || r.Err.Code != CodeParked || !s.rot.Parked("w") {
-			t.Fatalf("%s at the cap: %+v, parked %v", path, r, s.rot.Parked("w"))
+		if r.OK || !r.Parked || r.Err == nil || r.Err.Code != CodeParked {
+			t.Fatalf("%s at the cap: %+v", path, r)
+		}
+		// The server answers the id parked from now on, and counts it once.
+		if w := s.Withdraw(WithdrawRequest{WorkerID: "w"}); w.OK || !w.Parked || s.Stats().ParkedWorkers != 1 {
+			t.Fatalf("%s: after the refusal a withdrawal answers %+v, %d parked", path, w, s.Stats().ParkedWorkers)
 		}
 		if got, want := s.Spent("w"), float64(epoch.MaxReports)*0.6; got != want {
 			t.Fatalf("%s: the parked worker has spent %v, want %v", path, got, want)

@@ -88,7 +88,7 @@ func TestAccountantTotalConservation(t *testing.T) {
 			t.Fatalf("spend %d: unexpected error %v", i, err)
 		}
 	}
-	if got := a.budget.Total(); got != ledger {
+	if got := a.total; got != ledger {
 		t.Errorf("budget total = %v, ledger says %v", got, ledger)
 	}
 	if got := a.Agents(); got != 3 {

@@ -88,37 +88,64 @@ type rotateResult struct {
 	newID  []int // fresh registration id; -1 when parked
 }
 
-// engineBackend drives the engine directly, with an epoch
-// controller owning rotation bookkeeping and the budget charge rule — the
-// same controller the platform server embeds, so both drivers park the same
-// workers at the same spends. The ledger cells live here, indexed by the
-// stable sim-worker number.
+// engineBackend drives the engine directly, with an epoch controller
+// owning rotation bookkeeping — the same controller the platform server
+// embeds. The ledger is kept here as the server keeps it: a count of
+// charged reports per stable sim worker, checked against the one charge
+// rule (epoch.ReportLimit), and the same totals, so both drivers park the
+// same workers at the same spends. With refit on, latest holds each live
+// stint's latest report of the serving epoch, which is the server's refit
+// histogram (Server.refitHistogram) counted from the stint ids' side.
 type engineBackend struct {
-	eng   *engine.Engine
-	ctrl  *epoch.Controller
-	refit bool
-	spent []uint32 // sim worker → reports charged: lifetime ε consumed is spent·ε
+	eng        *engine.Engine
+	ctrl       *epoch.Controller
+	eps        float64
+	lifetime   float64 // 0: no budget, nothing charged
+	maxReports uint32
+	cells      []uint32 // sim worker → reports charged: lifetime ε consumed is cells·eps
+	spent      float64  // Σ eps over every charge, in charge order
+	refit      bool
+	latest     map[int]hst.Code // live stint id → its latest current-epoch code
 }
 
 func workerName(worker int) string { return "w" + strconv.Itoa(worker) }
 
 // cell returns the worker's ledger cell.
 func (b *engineBackend) cell(worker int) *uint32 {
-	for worker >= len(b.spent) {
-		b.spent = append(b.spent, 0)
+	for worker >= len(b.cells) {
+		b.cells = append(b.cells, 0)
 	}
-	return &b.spent[worker]
+	return &b.cells[worker]
+}
+
+// afford refuses a report the worker's cell cannot pay for.
+func (b *engineBackend) afford(worker int) error {
+	if *b.cell(worker) >= b.maxReports {
+		return fmt.Errorf("%w: worker %d", epoch.ErrBudgetExhausted, worker)
+	}
+	return nil
+}
+
+// accept charges an accepted report of stint id at code, as the server's
+// charge does, and keeps it as the stint's latest for refit.
+func (b *engineBackend) accept(id, worker int, code hst.Code) {
+	if b.refit {
+		b.latest[id] = code
+	}
+	if b.lifetime > 0 {
+		b.spent += b.eps
+		*b.cell(worker)++
+	}
 }
 
 func (b *engineBackend) register(id, worker int, code hst.Code, capacity int) error {
-	cell := b.cell(worker)
-	if err := b.ctrl.Afford(workerName(worker), *cell); err != nil {
+	if err := b.afford(worker); err != nil {
 		return err
 	}
 	if err := b.eng.InsertCapEpoch(code, id, capacity, 0); err != nil {
 		return err
 	}
-	*cell = b.ctrl.Accept(*cell, code)
+	b.accept(id, worker, code)
 	return nil
 }
 
@@ -130,21 +157,24 @@ func (b *engineBackend) register(id, worker int, code hst.Code, capacity int) er
 // server-side. A stint's id is its own, so nothing is pooled under it at
 // oldCode once its last unit went out.
 func (b *engineBackend) release(id, worker int, oldCode, newCode hst.Code) error {
-	cell := b.cell(worker)
-	if err := b.ctrl.Afford(workerName(worker), *cell); err != nil {
+	if err := b.afford(worker); err != nil {
 		b.eng.Remove(oldCode, id)
+		delete(b.latest, id)
 		return err
 	}
 	if _, err := b.eng.RelocateEpoch(oldCode, newCode, id, 1, 0); err != nil {
 		return err
 	}
-	*cell = b.ctrl.Accept(*cell, newCode)
+	b.accept(id, worker, newCode)
 	return nil
 }
 
 func (b *engineBackend) finish(int, int) {} // nothing pooled to update
 
-func (b *engineBackend) withdraw(id int, code hst.Code) bool { return b.eng.Remove(code, id) }
+func (b *engineBackend) withdraw(id int, code hst.Code) bool {
+	delete(b.latest, id)
+	return b.eng.Remove(code, id)
+}
 
 func (b *engineBackend) assign(code hst.Code) (int, bool) {
 	id, _, ok := b.eng.Assign(code)
@@ -159,7 +189,17 @@ func (b *engineBackend) assignBatch(codes []hst.Code) []int {
 func (b *engineBackend) poolSize() int { return b.eng.Len() }
 
 func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *hst.Tree) hst.Code, alloc func(int) int) (*rotateResult, error) {
-	staged, err := b.ctrl.Prepare(0, b.refit)
+	var hist []int
+	if b.refit {
+		tree := b.eng.Tree()
+		hist = make([]int, tree.NumPoints())
+		for _, code := range b.latest {
+			if p, ok := tree.PointOf(code); ok {
+				hist[p]++
+			}
+		}
+	}
+	staged, err := b.ctrl.Prepare(0, hist)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +217,7 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 	}
 	inserts := make([]engine.EpochInsert, 0, len(workers))
 	for i, w := range workers {
-		if b.ctrl.Afford(workerName(w), *b.cell(w)) != nil {
+		if b.afford(w) != nil {
 			res.parked[i], res.newID[i], res.codes[i] = true, -1, ""
 			continue
 		}
@@ -187,10 +227,12 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 	if err := b.eng.SwapEpoch(staged.Epoch, staged.Tree, 0, inserts); err != nil {
 		return nil, err
 	}
+	if b.refit {
+		b.latest = map[int]hst.Code{}
+	}
 	for i, w := range workers {
 		if !res.parked[i] {
-			cell := b.cell(w)
-			*cell = b.ctrl.Charge(*cell)
+			b.accept(res.newID[i], w, res.codes[i])
 		}
 	}
 	if err := b.ctrl.Commit(staged, len(inserts)); err != nil {
@@ -200,8 +242,7 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 }
 
 func (b *engineBackend) epochInfo() (int64, float64, float64) {
-	st := b.ctrl.Stats()
-	return st.Epoch, st.SpentTotal, st.Limit
+	return b.ctrl.Stats().Epoch, b.spent, b.lifetime
 }
 
 // platformBackend maps stable sim workers to external WorkerIDs and

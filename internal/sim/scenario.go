@@ -53,7 +53,7 @@ type Scenario struct {
 	// period: a fresh tree is published and every available worker
 	// re-reports under it (spending budget when LifetimeEps is set;
 	// exhausted workers are parked). RotateRefit orders each new tree's
-	// carving permutation by the report density observed during the
+	// carving permutation by the live workers' latest reports in the
 	// outgoing epoch. LifetimeEps > 0 enforces a per-worker lifetime ε
 	// budget on every fresh report, rotation or not.
 	RotateEvery float64 `json:"rotate_every,omitempty"`
@@ -265,7 +265,7 @@ var presets = map[string]Scenario{
 		Spatial:           SpatialUniform,
 	},
 	// epoch-rotate: the long-horizon regime — the tree is republished every
-	// 300 s (refit from the observed report history) and every available
+	// 300 s (refit from the live workers' latest reports) and every available
 	// worker re-noises under it, with a lifetime budget of 5 reports
 	// (ε=0.6 each); long-lived workers exhaust their budget and are parked.
 	"epoch-rotate": {

@@ -175,16 +175,16 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		ctrl, err := epoch.NewController(epoch.Config{
-			Tree:     tree,
-			Seed:     cfg.Seed,
-			Epsilon:  sc.Epsilon,
-			Lifetime: sc.LifetimeEps,
-		})
+		maxReports, err := epoch.ReportLimit(sc.Epsilon, sc.LifetimeEps)
 		if err != nil {
 			return nil, nil, err
 		}
-		be = &engineBackend{eng: eng, ctrl: ctrl, refit: sc.RotateRefit}
+		ctrl, err := epoch.NewController(epoch.Config{Tree: tree, Seed: cfg.Seed})
+		if err != nil {
+			return nil, nil, err
+		}
+		be = &engineBackend{eng: eng, ctrl: ctrl, eps: sc.Epsilon, lifetime: sc.LifetimeEps,
+			maxReports: maxReports, refit: sc.RotateRefit, latest: map[int]hst.Code{}}
 	case DriverPlatform:
 		srv, err := platform.NewServer(sc.region(), sc.GridCols, sc.GridCols, sc.Epsilon, cfg.Seed,
 			platform.WithLifetimeBudget(sc.LifetimeEps),
