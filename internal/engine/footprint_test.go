@@ -26,7 +26,9 @@ import (
 // own with a chunk mostly empty. Ceilings sit ~10 % above what the
 // contiguous item slab read (22.9, 13.6, 11.9, 10.5 and 16.1 B); on 4 KiB
 // item pages the index reads 23.8, 13.0, 11.5, 10.2 and 15.3 B, the
-// sparse end up by the page a small index leaves idle.
+// sparse end up by the page a small index leaves idle. The capacity-4 row
+// is batch-window's population: its capacity slab is a byte an item slot,
+// a 512 B side page beside each 4 KiB item page: 12.7 B against 11.5 B.
 func TestIndexFootprintAtBenchmarkDensity(t *testing.T) {
 	const side = 64
 	grid, err := geo.NewGrid(workload.SyntheticRegion, side, side)
@@ -39,9 +41,9 @@ func TestIndexFootprintAtBenchmarkDensity(t *testing.T) {
 	}
 	pub := platform.Publication{Tree: tree, Region: workload.SyntheticRegion, Cols: side, Rows: side, Epsilon: workload.DefaultEpsilon, Epoch: engine.FirstEpoch}
 	for _, tc := range []struct {
-		workers int
-		ceiling float64 // bytes per worker
-	}{{1000, 25}, {16384, 15}, {65536, 13}, {262144, 11.6}, {1048576, 17.7}} {
+		workers, capacity int
+		ceiling           float64 // bytes per worker
+	}{{1000, 1, 25}, {16384, 1, 15}, {65536, 1, 13}, {65536, 4, 14}, {262144, 1, 11.6}, {1048576, 1, 17.7}} {
 		ob, err := platform.NewObfuscator(pub, 11)
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +53,7 @@ func TestIndexFootprintAtBenchmarkDensity(t *testing.T) {
 		for i := range pts {
 			pts[i] = uniform(src)
 		}
-		eng, err := engine.New(tree, 0)
+		eng, err := engine.NewWithOptions(tree, 0, engine.WithPolicy(engine.CapacityGreedy()), engine.WithDefaultCapacity(tc.capacity))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,9 +63,9 @@ func TestIndexFootprintAtBenchmarkDensity(t *testing.T) {
 			}
 		}
 		got := float64(eng.ArenaBytes()) / float64(eng.Len())
-		t.Logf("%d workers: %.1f index bytes per worker", tc.workers, got)
+		t.Logf("%d workers of capacity %d: %.2f index bytes per worker", tc.workers, tc.capacity, got)
 		if got > tc.ceiling {
-			t.Errorf("%d workers: index holds %.1f B/worker, ceiling %.1f", tc.workers, got, tc.ceiling)
+			t.Errorf("%d workers of capacity %d: index holds %.1f B/worker, ceiling %.1f", tc.workers, tc.capacity, got, tc.ceiling)
 		}
 	}
 }

@@ -84,14 +84,14 @@ type LeafIndex struct {
 	pages   [][]chunk // item arena, pageLen chunks a page: chunk c is pages[c>>pageBits][c&(pageLen-1)]
 	next    []int32   // per chunk: the next chunk of its bucket's chain, nilIdx after the last
 
-	// caps is the capacity side arena: capOf(s) holds item slot s's
-	// remaining units less one. It stays nil — every item reads as one unit,
-	// at zero bytes and one nil check a pop — until the first multi-unit
-	// item arrives, and from then on holds a page for every item page.
-	// Capacities are all-or-nothing per deployment (a capacity-aware policy
-	// capacitates the whole population, any other clamps every insert to 1),
-	// hence whole pages.
-	caps [][][chunkLen]int32
+	// caps is the capacity side arena: cell s holds item slot s's remaining
+	// units less one, 1 B a cell up to 256 units. It stays off — every item
+	// reads as one unit, at zero bytes and one check a pop — until the first
+	// multi-unit item arrives, and from then on holds a page for every item
+	// page. Capacities are all-or-nothing per deployment (a capacity-aware
+	// policy capacitates the whole population, any other clamps every insert
+	// to 1), hence whole pages.
+	caps Cells
 
 	freeNode, freeBucket, freeChunk int32 // freelist heads, linked through inner.up, bucket.head, next
 	freeNodes, freeChunks           int   // lengths of the two the ErrIndexFull preflight counts on
@@ -144,15 +144,12 @@ type item struct {
 // chunk is one link of a bucket's chain; item slot s is chunk s>>chunkBits.
 type chunk [chunkLen]item
 
-// chunk, item and capOf address a chunk, an item slot and the slot's
-// capacity cell with one page lookup, by shift and mask. A page is a slice,
-// not an array pointer: its bounds check is a compare, where a pointer's
-// nil check loads the page's first line — 6 % of a worker insert.
+// chunk and item address a chunk and an item slot with one page lookup, by
+// shift and mask. A page is a slice, not an array pointer: its bounds check
+// is a compare, where a pointer's nil check loads the page's first line — 6 %
+// of a worker insert.
 func (x *LeafIndex) chunk(c int32) *chunk { return &x.pages[uint32(c)>>pageBits][c&(pageLen-1)] }
 func (x *LeafIndex) item(s int32) *item   { return &x.chunk(s >> chunkBits)[s&(chunkLen-1)] }
-func (x *LeafIndex) capOf(s int32) *int32 {
-	return &x.caps[uint32(s)>>(chunkBits+pageBits)][s>>chunkBits&(pageLen-1)][s&(chunkLen-1)]
-}
 
 const (
 	nilIdx   = int32(-1)
@@ -168,8 +165,8 @@ const (
 	chunkBits = 4
 	chunkLen  = 1 << chunkBits
 
-	// pageLen is the chunks on a page: 4 KiB of items, 2 KiB of capacities,
-	// both allocator size classes. Larger pages idle more in a small index.
+	// pageLen is the chunks on a page: 4 KiB of items, 512 B to 2 KiB of
+	// capacities, all size classes. Larger pages idle more in a small index.
 	pageBits = 5
 	pageLen  = 1 << pageBits
 )
@@ -271,7 +268,7 @@ func (x *LeafIndex) ArenaBytes() int64 {
 	b += int64(cap(x.buckets)) * int64(unsafe.Sizeof(bucket{}))
 	b += int64(len(x.pages)) * pageLen * int64(unsafe.Sizeof(chunk{}))
 	b += int64(cap(x.next)) * 4
-	b += int64(len(x.caps)) * pageLen * chunkLen * 4
+	b += x.caps.Bytes()
 	return b
 }
 
@@ -583,8 +580,8 @@ func (x *LeafIndex) allocChunk() int32 {
 	c := int32(len(x.next))
 	if int(c)>>pageBits == len(x.pages) {
 		x.pages = append(x.pages, make([]chunk, pageLen))
-		if x.caps != nil {
-			x.caps = append(x.caps, make([][chunkLen]int32, pageLen))
+		if x.caps.On() {
+			x.caps.AddPage()
 		}
 	}
 	x.next = append(x.next, nilIdx)
@@ -600,26 +597,23 @@ func (x *LeafIndex) freeChunkAt(c int32) {
 // itemCap resolves an item slot's remaining capacity: 1 while the side
 // arena is unallocated.
 func (x *LeafIndex) itemCap(s int32) int32 {
-	if x.caps == nil {
+	if !x.caps.On() {
 		return 1
 	}
-	return *x.capOf(s) + 1
+	return x.caps.Get(int(s)) + 1
 }
 
-// setItemCap records an item slot's remaining capacity, allocating the side
-// arena — a zeroed page, one unit a slot, for every item page — the first
-// time any item holds more than one unit.
+// setItemCap records an item slot's remaining capacity, turning the side
+// arena on — a zeroed page, one unit a slot, for every item page — the
+// first time any item holds more than one unit.
 func (x *LeafIndex) setItemCap(s, c int32) {
-	if x.caps == nil {
+	if !x.caps.On() {
 		if c <= 1 {
 			return
 		}
-		x.caps = make([][][chunkLen]int32, len(x.pages), cap(x.pages))
-		for p := range x.caps {
-			x.caps[p] = make([][chunkLen]int32, pageLen)
-		}
+		x.caps = NewCells(chunkBits+pageBits, len(x.pages))
 	}
-	*x.capOf(s) = c - 1
+	x.caps.Set(int(s), c-1)
 }
 
 // find walks code's exact branch down to its bucket and looks the (id, leaf)
@@ -664,7 +658,7 @@ func (x *LeafIndex) RemoveUnits(code Code, id int) (units int, ok bool) {
 func (x *LeafIndex) consumeAt(path []int32, bi, s int32) {
 	x.units--
 	if x.itemCap(s) > 1 {
-		*x.capOf(s)--
+		x.caps.Set(int(s), x.caps.Get(int(s))-1)
 		return
 	}
 	x.removeAt(path, bi, s)
@@ -681,8 +675,8 @@ func (x *LeafIndex) removeAt(path []int32, bi, s int32) {
 	id := at.id
 	last := b.head<<chunkBits | (b.fill() - 1)
 	*at = *x.item(last)
-	if x.caps != nil {
-		*x.capOf(s) = *x.capOf(last)
+	if x.caps.On() {
+		x.caps.Set(int(s), x.caps.Get(int(last)))
 	}
 	b.count--
 	x.size--

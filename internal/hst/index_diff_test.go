@@ -317,7 +317,7 @@ func driveDifferential(t *testing.T, depth, degree int, steps int, seed uint64, 
 			t.Fatalf("Walk: item %d is %v ≠ %v", id, gotF[id], h)
 		}
 	}
-	if maxCap == 1 && p.flat.caps != nil {
+	if maxCap == 1 && p.flat.caps.On() {
 		t.Fatal("a capacity-1 tape allocated the capacity slab")
 	}
 }
@@ -426,15 +426,15 @@ func TestLeafIndexDifferentialPages(t *testing.T) {
 	for len(x.pages) < 2 {
 		do(0)
 	}
-	if x.caps != nil {
+	if x.caps.On() {
 		t.Fatalf("%d single-unit items brought capacity pages in", x.Len())
 	}
 	do(1 + src.Intn(3))
-	for x.caps == nil {
+	for !x.caps.On() {
 		do(1 + src.Intn(3))
 	}
-	if len(x.caps) != 2 {
-		t.Fatalf("the first multi-unit item brought %d capacity pages beside 2 item pages", len(x.caps))
+	if len(x.caps.pages) != 2 {
+		t.Fatalf("the first multi-unit item brought %d capacity pages beside 2 item pages", len(x.caps.pages))
 	}
 	for len(x.pages) < 3 || len(x.next) < 3*pageLen-pageLen/2 {
 		do(src.Intn(8))
@@ -564,12 +564,18 @@ func TestLeafIndexArenaReuse(t *testing.T) {
 	}
 }
 
+// wideUnits are the insert capacities beside a capacity cell's width
+// edges: a cell holds units − 1, in 1 B up to 256 units and 2 B up to 65,536.
+var wideUnits = [...]int{255, 256, 257, 65535, 65536, 65537, 1 << 24}
+
 // FuzzLeafIndexDifferential drives the flat trie and the capacitated map
 // reference with an identical operation tape decoded from fuzz input and
 // requires identical answers everywhere. Inserts carry 1–5 units (the op
-// byte's high bits), so the tape crosses the capacity slab's allocation,
-// its regrowth under Reserve, and slot reuse by tenants of other capacities;
-// a withdrawal op with high bits set is a move (MoveCap) instead.
+// byte's high bits), or from high bits 25 up a count beside a capacity
+// cell's width edge (wideUnits), so the tape crosses the capacity slab's
+// allocation, its widening, its regrowth under Reserve, and slot reuse by
+// tenants of other capacities; a withdrawal op with high bits set is a move
+// (MoveCap) instead.
 func FuzzLeafIndexDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{255, 0, 255, 0, 1, 2, 250, 9, 9, 9})
@@ -615,6 +621,20 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 	f.Add(pageTape(3, 1200))
 	// Moves in a root bucket at burstMax, past it and back under foldMin.
 	f.Add(moveTape(3))
+	// Capacities straddling the 1-byte cell's edge: 256 units, a pop to 255,
+	// hand-backs to 257 (the slab widens to 2 B), a 255-unit insert, a
+	// consume, a move, a withdrawal.
+	f.Add([]byte{
+		208, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 0, 1, 0, 0, 4, 0, 0, 0, 0,
+		4, 0, 0, 0, 0, 4, 0, 0, 0, 0, 3, 0, 1, 0, 0, 200, 1, 1, 1, 1,
+		5, 1, 1, 1, 1, 10, 2, 2, 2, 2, 2, 0, 0, 0, 0,
+	})
+	// And the 2-byte cell's: 65,536 and 65,535 units, a hand-back to 65,537
+	// (4 B), a pop, a move, a 65,537-unit insert, a Reserve, a withdrawal.
+	f.Add([]byte{
+		232, 2, 0, 1, 0, 224, 2, 0, 1, 1, 4, 0, 0, 0, 0, 3, 2, 0, 1, 0,
+		10, 0, 2, 0, 0, 240, 1, 2, 1, 2, 15, 0, 0, 0, 0, 2, 0, 0, 0, 0,
+	})
 	const depth = 4
 	const degree = 3
 	f.Fuzz(func(t *testing.T, tape []byte) {
@@ -645,8 +665,11 @@ func FuzzLeafIndexDifferential(f *testing.F) {
 			op := tape[pos]
 			code := readCode(pos + 1)
 			switch op % 8 {
-			case 0, 1: // insert with 1–5 units
+			case 0, 1: // insert with 1–5 units, or a count at a cell width's edge
 				units := 1 + int(op>>3)%5
+				if h := int(op >> 3); h >= 25 {
+					units = wideUnits[h-25]
+				}
 				errF := flat.InsertCap(code, nextID, units)
 				errR := ref.InsertCap(code, nextID, units)
 				if (errF == nil) != (errR == nil) {

@@ -176,33 +176,41 @@ func TestArenaCapDefaultIsInt32Range(t *testing.T) {
 
 // Capacities live in a side slab parallel to the item arena: capacity-1
 // populations never allocate it (and report the ArenaBytes they always
-// did), it appears with the first multi-unit item at exactly 4 bytes per
-// reserved item slot, a 3 → 1 decay keeps serving the last unit, and a
-// freed slot can never leak units to the slot's next tenant.
+// did), it appears with the first multi-unit item at exactly 1 byte per
+// reserved item slot while no item holds more than 256 units, and 2 or 4
+// bytes once one has held more than 256 or 65,536, never back; a 3 → 1
+// decay keeps serving the last unit, and a freed slot can never leak units
+// to the slot's next tenant.
 func TestCapacityPooling(t *testing.T) {
 	x := NewLeafIndexDegree(3, 2)
 	leaf := Code([]byte{1, 0, 1})
 	if err := x.Insert(leaf, 7); err != nil {
 		t.Fatal(err)
 	}
-	if x.caps != nil {
-		t.Fatalf("capacity-1 insert allocated the capacity slab: %v", x.caps)
+	if x.caps.On() {
+		t.Fatalf("capacity-1 insert allocated the capacity slab: %d pages", len(x.caps.pages))
+	}
+	// slab checks the side arena's bytes, counted exactly: width bytes a
+	// reserved item slot.
+	slab := func(width int) {
+		t.Helper()
+		if len(x.caps.pages) != len(x.pages) {
+			t.Fatalf("%d capacity pages beside %d item pages: the side arena must shadow the item arena",
+				len(x.caps.pages), len(x.pages))
+		}
+		caps := x.caps
+		x.caps = Cells{}
+		without := x.ArenaBytes()
+		x.caps = caps
+		if got, want := x.ArenaBytes(), without+int64(len(x.pages))*pageLen*chunkLen*int64(width); got != want || x.caps.Width() != width {
+			t.Fatalf("ArenaBytes = %d with the slab of %d B cells, want %d (%d B per reserved slot)", got, x.caps.Width(), want, width)
+		}
 	}
 	multi := Code([]byte{0, 1, 0})
 	if err := x.InsertCap(multi, 8, 3); err != nil {
 		t.Fatal(err)
 	}
-	if len(x.caps) != len(x.pages) {
-		t.Fatalf("%d capacity pages beside %d item pages: the side arena must shadow the item arena",
-			len(x.caps), len(x.pages))
-	}
-	slab := x.caps
-	x.caps = nil
-	without := x.ArenaBytes()
-	x.caps = slab
-	if got, want := x.ArenaBytes(), without+int64(len(slab))*pageLen*chunkLen*4; got != want {
-		t.Fatalf("ArenaBytes = %d with the slab, want %d (4 B per reserved slot, counted exactly)", got, want)
-	}
+	slab(1)
 	// Two pops decay 3 → 1: the item must still serve its last unit, then go.
 	for i := 0; i < 2; i++ {
 		if !x.Consume(multi, 8) {
@@ -233,20 +241,39 @@ func TestCapacityPooling(t *testing.T) {
 		t.Fatalf("tenant of a freed 5-unit slot carries %d units (ok=%v), want 1", units, ok)
 	}
 	// Growth keeps the slab in lockstep, through append doubling and Reserve.
+	code := func(id int) Code { return Code([]byte{byte(id & 1), byte(id >> 1 & 1), byte(id >> 2 & 1)}) }
 	for id := 10; id < 200; id++ {
-		if err := x.InsertCap(Code([]byte{byte(id & 1), byte(id >> 1 & 1), byte(id >> 2 & 1)}), id, 1+id%5); err != nil {
+		if err := x.InsertCap(code(id), id, 1+id%5); err != nil {
 			t.Fatal(err)
 		}
 		if id == 100 {
 			x.Reserve(0, 0, 4096)
 		}
-		if len(x.caps) != len(x.pages) {
-			t.Fatalf("id %d: %d capacity pages, %d item pages", id, len(x.caps), len(x.pages))
+		if len(x.caps.pages) != len(x.pages) {
+			t.Fatalf("id %d: %d capacity pages, %d item pages", id, len(x.caps.pages), len(x.pages))
 		}
 	}
+	slab(1)
+	// 256 units fit a byte cell, 257 widen the slab to 2 B, 65,537 to 4 B;
+	// every count reads back across each copy, and a removal narrows nothing.
+	for _, step := range []struct{ id, units, width int }{{10, 256, 1}, {11, 257, 2}, {12, 65536, 2}, {13, 65537, 4}} {
+		if err := x.AddCap(code(step.id), step.id, step.units-(1+step.id%5)); err != nil {
+			t.Fatal(err)
+		}
+		slab(step.width)
+	}
+	if units, ok := x.RemoveUnits(code(13), 13); !ok || units != 65537 {
+		t.Fatalf("removed units=%d ok=%v, want 65537/true", units, ok)
+	}
+	slab(4)
+	wide := map[int]int{10: 256, 11: 257, 12: 65536}
 	x.WalkCap(func(_ Code, id, capacity int) {
-		if id >= 10 && capacity != 1+id%5 {
-			t.Fatalf("item %d walks with %d units, want %d", id, capacity, 1+id%5)
+		want, ok := wide[id]
+		if !ok {
+			want = 1 + id%5
+		}
+		if id >= 10 && capacity != want {
+			t.Fatalf("item %d walks with %d units, want %d", id, capacity, want)
 		}
 	})
 
@@ -254,14 +281,14 @@ func TestCapacityPooling(t *testing.T) {
 	// demand for the item pages it has: Reserve sizes no item storage.
 	y := NewLeafIndexDegree(3, 2)
 	y.Reserve(0, 0, 512)
-	if y.caps != nil {
+	if y.caps.On() {
 		t.Fatal("Reserve allocated the capacity slab on a capacity-1 index")
 	}
 	if err := y.InsertCap(leaf, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(y.caps) != 1 || len(y.pages) != 1 {
-		t.Fatalf("first multi-unit item took %d capacity pages beside %d item pages, want 1 and 1", len(y.caps), len(y.pages))
+	if len(y.caps.pages) != 1 || len(y.pages) != 1 {
+		t.Fatalf("first multi-unit item took %d capacity pages beside %d item pages, want 1 and 1", len(y.caps.pages), len(y.pages))
 	}
 }
 

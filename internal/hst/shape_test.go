@@ -22,8 +22,8 @@ func checkShape(t testing.TB, x *LeafIndex) {
 		t.Fatalf("arenas out of step: %d nodes × %d, %d child slots; %d chunks on %d pages of %d",
 			len(x.nodes), x.width, len(x.kids), len(x.next), len(x.pages), pageLen)
 	}
-	if x.caps != nil && len(x.caps) != len(x.pages) {
-		t.Fatalf("%d capacity pages beside %d item pages", len(x.caps), len(x.pages))
+	if x.caps.On() && len(x.caps.pages) != len(x.pages) {
+		t.Fatalf("%d capacity pages beside %d item pages", len(x.caps.pages), len(x.pages))
 	}
 	const free = -1
 	nodeOwner := map[int32]int32{} // node → the slot naming it, free for the freelist

@@ -237,6 +237,69 @@ func TestRegisterOutOfRangeCapacitySpendsNoBudget(t *testing.T) {
 	}
 }
 
+// TestCapacityCellsWiden pins the capacity column's width on a served
+// table: capacity-4 workers keep it at a byte a cell, one capacity-300
+// registration widens it to 2 B — a page of 2,048 cells grows by 2 KiB and
+// nothing else moves — and a rotation's next table, built narrow, widens
+// to the same 2 B as it adopts the counts. Every slot's units, CapacityUnits
+// and RegistryBytes read exactly on both sides of each step.
+func TestCapacityCellsWiden(t *testing.T) {
+	s := newCapServer(t, WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(4))
+	want := map[string]units{}
+	for i := range 10 {
+		id := fmt.Sprint("w", i)
+		if r := s.Register(RegisterRequest{WorkerID: id, Code: leaf(s, i)}); !r.OK {
+			t.Fatal(r.Reason)
+		}
+		want[id] = units{capacity: 4}
+	}
+	for i := range 6 {
+		r := s.Submit(TaskRequest{Code: leaf(s, i%3)})
+		if !r.Assigned {
+			t.Fatal(r.Reason)
+		}
+		u := want[r.WorkerID]
+		u.active++
+		want[r.WorkerID] = u
+	}
+	check := func(step string, width int) {
+		t.Helper()
+		pooled := 0
+		for slot := 0; slot < s.tab.len(); slot++ {
+			id := s.tab.id(slot)
+			if got := s.tab.units(slot); got != want[id] {
+				t.Fatalf("%s: %s holds %+v, want %+v", step, id, got, want[id])
+			}
+			pooled += int(want[id].capacity - want[id].active)
+		}
+		if w := s.tab.caps.Width(); w != width {
+			t.Fatalf("%s: %d B capacity cells, want %d", step, w, width)
+		}
+		if got := s.tab.caps.Bytes(); got != int64(len(s.tab.pages)*2*pageLen*width) {
+			t.Fatalf("%s: the column holds %d B beside %d slot pages", step, got, len(s.tab.pages))
+		}
+		if st := s.Stats(); st.CapacityUnits != pooled || st.RegistryBytes != s.tab.bytes() {
+			t.Fatalf("%s: %d units pooled, want %d; registry %d B, table %d B", step, st.CapacityUnits, pooled, st.RegistryBytes, s.tab.bytes())
+		}
+	}
+	check("capacity 4", 1)
+	narrow := s.Stats().RegistryBytes
+	if r := s.Register(RegisterRequest{WorkerID: "big", Code: leaf(s, 20), Capacity: 300}); !r.OK {
+		t.Fatal(r.Reason)
+	}
+	want["big"] = units{capacity: 300}
+	check("capacity 300", 2)
+	if got := s.Stats().RegistryBytes; got != narrow+2*pageLen {
+		t.Fatalf("widening the column read %d registry bytes after %d, want 2 KiB more", got, narrow)
+	}
+	if r := s.RotateNow(PrepareRotateRequest{Seed: 3}, nil, func(_ string, tree *hst.Tree) (hst.Code, error) {
+		return tree.CodeOf(7), nil
+	}); !r.OK || r.Rotated != len(want) {
+		t.Fatalf("rotate: %+v", r)
+	}
+	check("rotated", 2)
+}
+
 // TestReleaseMoveDoesNotResurrectInFlightPop pins the Release/Submit race:
 // a concurrent Submit's engine pop that has not yet been recorded under
 // the server lock must not be re-created when a Release moves the worker's

@@ -67,13 +67,21 @@ func (s *Server) PrepareRotate(req PrepareRotateRequest) PrepareRotateResponse {
 // stint counts once however often it re-reported, and a withdrawn, parked
 // or superseded one not at all. The simulator's engine driver keeps the
 // same count, so the drivers refit alike. The caller holds mu.
+// Packed codes are equal exactly when codes are, so a report is looked up
+// as it sits in the slab, among the real leaves' codes packed once a call.
 func (s *Server) refitHistogram() []int {
-	hist := make([]int, s.pub.Tree.NumPoints())
-	for slot := 0; slot < s.tab.len(); slot++ {
-		if st := s.tab.at(slot).state(); st != stateAvailable && st != stateAssigned || s.tab.lag(slot) != 0 {
+	t, tree := s.tab, s.pub.Tree
+	hist := make([]int, tree.NumPoints())
+	points, buf := make(map[string]int32, len(hist)), make([]byte, t.codeLen)
+	for p := range hist {
+		t.pack(buf, tree.CodeOf(p))
+		points[string(buf)] = int32(p)
+	}
+	for slot := 0; slot < t.n; slot++ {
+		if st := t.at(slot).state(); st != stateAvailable && st != stateAssigned || t.lag(slot) != 0 {
 			continue
 		}
-		if p, ok := s.pub.Tree.PointOf(s.tab.code(slot, &s.codeBuf)); ok {
+		if p, ok := points[string(t.packed(slot))]; ok {
 			hist[p]++
 		}
 	}

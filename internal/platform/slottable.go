@@ -58,18 +58,18 @@ func (r *record) setReports(n uint32) {
 	r.word = r.word&(1<<reportShift-1) | n<<reportShift
 }
 
-// units is a slot's cell in the capacity column: the declared task capacity
-// and the outstanding assignments. The engine holds the slot exactly while
-// active < capacity (with capacity−active remaining units), so a pop maps to
-// active++ and a completed task hands one unit back.
+// units is a slot's two cells in the capacity column: the declared task
+// capacity and the outstanding assignments. The engine holds the slot
+// exactly while active < capacity (with capacity−active remaining units), so
+// a pop maps to active++ and a completed task hands one unit back.
 type units struct{ capacity, active int32 }
 
 const (
 	recordBytes = int(unsafe.Sizeof(record{}))
-	unitsBytes  = int(unsafe.Sizeof(units{}))
 	// A page is 1,024 slots: 8 KiB of records, a slab of 1,024 packed codes
-	// and, on a capacity-aware table, 8 KiB of capacity cells. A table grows a
-	// page at a time, never by copying, and holds at most one page of slack.
+	// and, on a capacity-aware table, 2,048 capacity cells — 2, 4 or 8 KiB by
+	// their width. A table grows a page at a time, never by copying, and
+	// holds at most one page of slack.
 	// Pages without pointers carry no allocator header at any length, so the
 	// length is chosen for the slabs: 8 KiB is a size class, and so is a
 	// code slab of 1,024 × 6, 8, 10, 12, 14 or 16 bytes (one of 5, 7 or 9
@@ -125,7 +125,8 @@ const (
 // The capacity column is all or nothing, as the engine index's capacity
 // slab is: a table has none — capacity 1, the one assignment a bit of the
 // record — until the first slot of another capacity arrives, and from then
-// on a cell for every slot.
+// on two hst.Cells a slot, capacity and active: 2 B a slot while no count
+// passes 255. A rotation's next table widens only as far as it must.
 //
 // The index is an open-addressing table (linear probing) of tagged slot+1
 // values, 0 for empty. It stores no keys: a probe whose tag matches
@@ -140,7 +141,7 @@ const (
 type slotTable struct {
 	pages []*[pageLen]record
 	codes [][]byte            // per page: pageLen packed codes of codeLen bytes each
-	caps  []*[pageLen]units   // per page, on a capacity-aware table; else nil
+	caps  hst.Cells           // 2·slot: capacity, 2·slot+1: active; on a capacity-aware table
 	n     int                 // slots in use
 	depth int                 // digits in a code: the depth of the epoch's tree
 	epoch int64               // the epoch the table serves
@@ -271,8 +272,8 @@ func (t *slotTable) putID(id string) uint32 {
 
 // units returns the slot's capacity and outstanding assignments.
 func (t *slotTable) units(slot int) units {
-	if t.caps != nil {
-		return t.caps[slot>>pageBits][slot&(pageLen-1)]
+	if t.caps.On() {
+		return units{capacity: t.caps.Get(2 * slot), active: t.caps.Get(2*slot + 1)}
 	}
 	return units{capacity: 1, active: int32(t.at(slot).word & activeBit)}
 }
@@ -280,10 +281,10 @@ func (t *slotTable) units(slot int) units {
 // addActive moves the slot's outstanding assignments by delta and returns
 // the new count.
 func (t *slotTable) addActive(slot int, delta int32) int32 {
-	if t.caps != nil {
-		c := &t.caps[slot>>pageBits][slot&(pageLen-1)]
-		c.active += delta
-		return c.active
+	if t.caps.On() {
+		active := t.caps.Get(2*slot+1) + delta
+		t.caps.Set(2*slot+1, active)
+		return active
 	}
 	rec := t.at(slot)
 	active := int32(rec.word&activeBit) + delta
@@ -297,13 +298,11 @@ func (t *slotTable) addActive(slot int, delta int32) int32 {
 // addColumn gives the table its capacity column, carrying every capacity-1
 // slot's assignment bit into its cell.
 func (t *slotTable) addColumn() {
-	t.caps = make([]*[pageLen]units, len(t.pages))
-	for p := range t.caps {
-		t.caps[p] = new([pageLen]units)
-	}
+	t.caps = hst.NewCells(pageBits+1, len(t.pages))
 	for slot := 0; slot < t.n; slot++ {
 		rec := t.at(slot)
-		t.caps[slot>>pageBits][slot&(pageLen-1)] = units{capacity: 1, active: int32(rec.word & activeBit)}
+		t.caps.Set(2*slot, 1)
+		t.caps.Set(2*slot+1, int32(rec.word&activeBit))
 		rec.word &^= activeBit
 	}
 }
@@ -414,11 +413,8 @@ func (t *slotTable) reportEpoch(slot int) int64 {
 // bytes is the table's own allocation: record pages, packed code slabs,
 // capacity column, id slab, carried lags, id index and pair table.
 func (t *slotTable) bytes() int {
-	slot := recordBytes + t.codeLen
-	if t.caps != nil {
-		slot += unitsBytes
-	}
-	return len(t.pages)*pageLen*slot + len(t.slab)*idChunkLen + 8*cap(t.lags) + 4*len(t.index) + 2*len(t.pairs)
+	return len(t.pages)*pageLen*(recordBytes+t.codeLen) + int(t.caps.Bytes()) +
+		len(t.slab)*idChunkLen + 8*cap(t.lags) + 4*len(t.index) + 2*len(t.pairs)
 }
 
 // hash returns the id's first probe position and its entries' tag.
@@ -502,17 +498,18 @@ func (t *slotTable) push(p idProbe, id string, st workerState, lag int64, report
 	if slot>>pageBits == len(t.pages) {
 		t.pages = append(t.pages, new([pageLen]record))
 		t.codes = append(t.codes, make([]byte, pageLen*t.codeLen))
-		if t.caps != nil {
-			t.caps = append(t.caps, new([pageLen]units))
+		if t.caps.On() {
+			t.caps.AddPage()
 		}
 	}
-	if u.capacity != 1 && t.caps == nil {
+	if u.capacity != 1 && !t.caps.On() {
 		t.addColumn()
 	}
 	t.n++
 	*t.at(slot) = record{id: ref, word: reports<<reportShift | uint32(st)<<stateShift}
-	if t.caps != nil {
-		t.caps[slot>>pageBits][slot&(pageLen-1)] = u
+	if t.caps.On() {
+		t.caps.Set(2*slot, u.capacity)
+		t.caps.Set(2*slot+1, u.active)
 	} else {
 		t.addActive(slot, u.active)
 	}

@@ -19,14 +19,12 @@ import (
 // 1,024-record page that the allocator serves as exactly 8 KiB (a size
 // class; no pointers, so no type header), a slab of 1,024 packed codes that
 // is a size class of its own at the code lengths the cases name — 6 B on
-// the benchmark's tree — and on a capacity-aware table an 8 KiB page of
-// capacity cells. README's bytes-per-worker arithmetic rests on these.
+// the benchmark's tree — and on a capacity-aware table whose counts fit a
+// byte a 2 KiB page of capacity cells, two a slot. README's
+// bytes-per-worker arithmetic rests on these.
 func TestSlotPageSizeClasses(t *testing.T) {
 	if got := unsafe.Sizeof(record{}); got != 8 {
 		t.Fatalf("record is %d bytes, want 8", got)
-	}
-	if got := unsafe.Sizeof(units{}); got != 8 {
-		t.Fatalf("a capacity cell is %d bytes, want 8", got)
 	}
 	for _, tc := range []struct{ depth, degree, codeLen int }{
 		{10, 22, 6}, // the benchmark's tree: five 9-bit pairs
@@ -42,18 +40,19 @@ func TestSlotPageSizeClasses(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector pads allocations")
 	}
-	const recordPage, capsPage = 8 << 10, 8 << 10
+	const recordPage, capsPage = 8 << 10, 2 << 10
 	for _, capacity := range []int32{1, 4} {
 		for _, tc := range []struct{ depth, degree int }{{10, 22}, {16, 16}, {10, 255}, {20, 22}} {
 			// Room for the page pointers and an index that will not grow, and
 			// two ids added over and over: the first add of a page after the
 			// first (which also takes the id chunk) then allocates the page
-			// and nothing else.
+			// and nothing else — on the last page, at least, once the column's
+			// page list has doubled to room for four.
 			tab := newSlotTable(4*pageLen, tc.depth, tc.degree, 1)
 			tab.pages = make([]*[pageLen]record, 0, 4)
 			tab.codes = make([][]byte, 0, 4)
 			if capacity != 1 {
-				tab.caps = make([]*[pageLen]units, 0, 4) // the column from the first slot on
+				tab.caps = hst.NewCells(pageBits+1, 0) // the column from the first slot on
 			}
 			code := hst.Code(make([]byte, tc.depth))
 			want := uint64(recordPage + pageLen*tab.codeLen)
@@ -80,7 +79,7 @@ func TestSlotPageSizeClasses(t *testing.T) {
 			}
 			perSlot := 8 + tab.codeLen
 			if capacity != 1 {
-				perSlot += 8
+				perSlot += 2
 			}
 			if got := tab.bytes(); got != 4*pageLen*perSlot+idChunkLen+4*len(tab.index)+2*tc.degree*tc.degree {
 				t.Errorf("capacity %d, depth %d, degree %d: bytes() = %d", capacity, tc.depth, tc.degree, got)
@@ -96,8 +95,8 @@ func TestSlotPageSizeClasses(t *testing.T) {
 // benchmark does, "w0" to "w65535". A slot is an 8 B record and a 6 B
 // packed code; an id is its bytes and a length byte in the slab (7 B with
 // the last chunk's slack at both sizes) and 4 B index entries at 67 % load
-// (6 B); a capacity-aware table adds an 8 B cell. So 27 and 35 B, under
-// ceilings of 28 and 36.
+// (6 B); a capacity-aware table adds 2 B of cells, a byte each for
+// capacity and active. So 27 and 29 B, under ceilings of 28 and 30.
 func TestRegistryFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(record{}); got != 8 {
 		t.Fatalf("record is %d bytes, want 8", got)
@@ -108,7 +107,7 @@ func TestRegistryFootprint(t *testing.T) {
 		ceiling float64 // bytes per worker
 	}{
 		{"greedy with a lifetime budget", []ServerOption{WithLifetimeBudget(1e12)}, 28},
-		{"capacity-greedy, capacity 4", []ServerOption{WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(4)}, 36},
+		{"capacity-greedy, capacity 4", []ServerOption{WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(4)}, 30},
 	} {
 		for _, n := range []int{16384, 65536} {
 			s, err := NewServer(workload.SyntheticRegion, 64, 64, 0.6, 7, tc.opts...)
@@ -197,12 +196,12 @@ func TestCapacityColumnArrivesLate(t *testing.T) {
 	tab.addActive(pageLen, 1)
 	mustPanic(t, "a second assignment of a capacity-1 slot without a column", func() { tab.addActive(pageLen, 1) })
 	// A pair of base-3 digits packs into 4 bits: a 1-byte code.
-	if tab.caps != nil || tab.bytes() != 2*pageLen*(8+1)+idChunkLen+4*len(tab.index)+2*9 {
-		t.Fatalf("a capacity-1 table has a column (%v) or reads %d bytes", tab.caps != nil, tab.bytes())
+	if tab.caps.On() || tab.bytes() != 2*pageLen*(8+1)+idChunkLen+4*len(tab.index)+2*9 {
+		t.Fatalf("a capacity-1 table has a column (%v) or reads %d bytes", tab.caps.On(), tab.bytes())
 	}
 	late := tab.add(tab.probe("late"), "late", 0, 3, "\x01\x02")
-	if tab.caps == nil || tab.bytes() != 2*pageLen*(8+1+8)+idChunkLen+4*len(tab.index)+2*9 {
-		t.Fatalf("no column after a capacity-3 slot (%v), or %d bytes", tab.caps == nil, tab.bytes())
+	if !tab.caps.On() || tab.bytes() != 2*pageLen*(8+1+2)+idChunkLen+4*len(tab.index)+2*9 {
+		t.Fatalf("no column after a capacity-3 slot (%v), or %d bytes", !tab.caps.On(), tab.bytes())
 	}
 	for slot, want := range map[int]units{0: {1, 0}, pageLen: {1, 1}, pageLen + 1: {1, 0}, late: {3, 0}} {
 		if got := tab.units(slot); got != want || tab.at(slot).word&activeBit != 0 {
