@@ -1,6 +1,7 @@
 package pombm_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -115,8 +116,8 @@ func TestFacadeAccountant(t *testing.T) {
 	if err := acct.Spend("a", 0.7); err != nil {
 		t.Fatal(err)
 	}
-	if err := acct.Spend("a", 0.7); err == nil {
-		t.Error("over-budget accepted")
+	if err := acct.Spend("a", 0.7); !errors.Is(err, pombm.ErrBudgetExhausted) {
+		t.Errorf("over-budget spend: %v does not match pombm.ErrBudgetExhausted", err)
 	}
 }
 

@@ -261,8 +261,8 @@ type EpochInsert struct {
 // as New's is.
 //
 // Workers of the old epoch that are not in inserts are dropped: their old
-// codes are meaningless under the new tree, and it is the rotation
-// controller's job to have re-obfuscated (or parked) them.
+// codes are meaningless under the new tree, and it is the rotating
+// caller's job to have re-obfuscated (or parked) them.
 //
 // Of the two swap entries this is the one that builds beside: it is
 // PrepareSwapSeq over the slice followed by CommitSwap, so peak memory is

@@ -1,4 +1,4 @@
-package epoch
+package engine_test
 
 import (
 	"testing"
@@ -15,19 +15,15 @@ import (
 // (no stale index state, no leaked ids, no tie-break drift).
 
 // driveRotationDifferential churns an engine through random
-// insert/remove/assign ops interleaved with rotations driven by a
-// Controller; after every rotation (and at the end) it rebuilds a fresh
-// engine from the live population and replays an identical assignment tape
-// on both, comparing every answer.
+// insert/remove/assign ops interleaved with rotations to the trees a
+// deployment rotates to (hst.BuildEpoch); after every rotation (and at the
+// end) it rebuilds a fresh engine from the live population and replays an
+// identical assignment tape on both, comparing every answer.
 func driveRotationDifferential(t *testing.T, seed uint64, rotations, opsPerEpoch int) {
 	t.Helper()
 	src := rng.New(seed)
-	tree := buildTree(t, seed, 8)
+	tree := buildTree(t, 8, seed)
 	eng, err := engine.New(tree, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := NewController(Config{Tree: tree, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +104,10 @@ func driveRotationDifferential(t *testing.T, seed uint64, rotations, opsPerEpoch
 	for round := 0; round < rotations; round++ {
 		churn()
 
-		// Rotate: every live worker re-reports under the staged tree with
-		// a fresh id, exactly as the serving layers do.
-		staged, err := ctrl.Prepare(0, nil)
+		// Rotate: every live worker re-reports under the next tree with a
+		// fresh id, exactly as the serving layers do.
+		epoch := eng.Epoch() + 1
+		next, err := hst.BuildEpoch(tree.Points(), seed, epoch, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,20 +126,17 @@ func driveRotationDifferential(t *testing.T, seed uint64, rotations, opsPerEpoch
 		for range order {
 			id := nextID
 			nextID++
-			code := randCode(staged.Tree, src)
+			code := randCode(next, src)
 			newLive[id] = code
 			inserts = append(inserts, engine.EpochInsert{Code: code, ID: id})
 		}
-		if err := eng.SwapEpoch(staged.Epoch, staged.Tree, 0, inserts); err != nil {
+		if err := eng.SwapEpoch(epoch, next, 0, inserts); err != nil {
 			t.Fatal(err)
 		}
-		if err := ctrl.Commit(staged, len(inserts)); err != nil {
-			t.Fatal(err)
+		if got := eng.Epoch(); got != engine.FirstEpoch+int64(round)+1 || eng.Tree() != next {
+			t.Fatalf("round %d: engine at epoch %d after the swap", round, got)
 		}
-		if st := ctrl.Stats(); st.Epoch != staged.Epoch || st.Rotations != round+1 {
-			t.Fatalf("round %d: controller at %+v after commit", round, st)
-		}
-		tree = staged.Tree
+		tree = next
 		live = newLive
 
 		compare(round)
@@ -163,7 +157,7 @@ func TestRotationDifferentialAcrossSeeds(t *testing.T) {
 	for _, k := range []int{1, 2, 8} {
 		t.Run("", func(t *testing.T) {
 			src := rng.New(uint64(40 + k))
-			tree := buildTree(t, uint64(50+k), 8)
+			tree := buildTree(t, 8, uint64(50+k))
 			eng, err := engine.New(tree, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -175,7 +169,7 @@ func TestRotationDifferentialAcrossSeeds(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tree2 := buildTree(t, uint64(60+k), 8)
+			tree2 := buildTree(t, 8, uint64(60+k))
 			inserts := make([]engine.EpochInsert, 0, len(live))
 			newLive := map[int]hst.Code{}
 			for id := 0; id < 100; id++ {

@@ -38,6 +38,38 @@ func Build(points []geo.Point, src *rng.Source) (*Tree, error) {
 	return BuildWithParams(points, beta, perm)
 }
 
+// BuildEpoch builds the tree an epoch rotation publishes as epoch next over
+// the same points, so every rotating driver builds it alike. reseed 0
+// derives the construction randomness from the deployment's root seed and
+// next; a non-zero reseed seeds it explicitly. A non-nil hist refits: it
+// counts reports per point (as Tree.PointOf indexes them), and the carving
+// permutation is ordered by it — counts descending, ties towards the lower
+// point index — so hot points become early pivots and ball carving
+// tightens clusters where demand concentrates; β is still drawn.
+func BuildEpoch(points []geo.Point, root uint64, next int64, reseed uint64, hist []int) (*Tree, error) {
+	if hist != nil && len(hist) != len(points) {
+		return nil, fmt.Errorf("hst: refit histogram of %d points, the tree has %d", len(hist), len(points))
+	}
+	if reseed == 0 {
+		reseed = rng.New(root).DeriveN("epoch-tree", int(next)).Seed()
+	}
+	src := rng.New(reseed)
+	if hist == nil {
+		return Build(points, src)
+	}
+	perm := make([]int, len(points))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(a, b int) int {
+		if hist[a] != hist[b] {
+			return hist[b] - hist[a]
+		}
+		return a - b
+	})
+	return BuildWithParams(points, src.Derive("hst-beta").Uniform(0.5, 1.0), perm)
+}
+
 // drawParams draws the pivot permutation and β the seeded builders use.
 func drawParams(n int, src *rng.Source) (perm []int, beta float64) {
 	perm = make([]int, n)

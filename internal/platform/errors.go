@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/pombm/pombm/internal/engine"
+	"github.com/pombm/pombm/internal/privacy"
 )
 
 // The structured error taxonomy of the versioned wire protocol. Every
@@ -50,8 +51,9 @@ var (
 	// epoch.
 	ErrStaleEpoch = errors.New("platform: stale epoch")
 	// ErrBudgetExhausted reports a worker whose lifetime ε budget cannot
-	// afford another fresh report.
-	ErrBudgetExhausted = errors.New("platform: lifetime budget exhausted")
+	// afford another fresh report. It is privacy's sentinel, so a refusal
+	// from an accountant and one from a server match alike.
+	ErrBudgetExhausted = privacy.ErrBudgetExhausted
 	// ErrParked reports a worker terminally parked. A parked worker's
 	// budget is by definition exhausted, so a parked Error also matches
 	// ErrBudgetExhausted.

@@ -11,7 +11,6 @@ import (
 	"unsafe"
 
 	"github.com/pombm/pombm/internal/engine"
-	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/rng"
@@ -108,7 +107,7 @@ func (m *registryModel) register() {
 	} else {
 		m.names = append(m.names, id)
 	}
-	m.workers[id] = &modelWorker{slot: slot, epoch: m.s.epoch, capacity: 2, reports: reports + 1}
+	m.workers[id] = &modelWorker{slot: slot, epoch: m.s.pub.Epoch, capacity: 2, reports: reports + 1}
 	m.codes[slot] = string(code)
 	clear(code) // the request's bytes are the caller's again
 }
@@ -123,7 +122,7 @@ func (m *registryModel) submit() {
 		return
 	}
 	w := m.workers[resp.WorkerID]
-	if !w.pooled() || resp.Epoch != m.s.epoch {
+	if !w.pooled() || resp.Epoch != m.s.pub.Epoch {
 		m.t.Fatalf("task assigned to %s (%+v), epoch %d", resp.WorkerID, w, resp.Epoch)
 	}
 	w.active++
@@ -154,9 +153,9 @@ func (m *registryModel) release(fresh bool) {
 			w.gone = true
 			delete(m.codes, w.slot)
 		}
-	case !fresh && w.epoch != m.s.epoch:
+	case !fresh && w.epoch != m.s.pub.Epoch:
 		want := fmt.Sprintf("platform: worker %q report is from epoch %d (serving %d); a fresh report is required",
-			id, w.epoch, m.s.epoch)
+			id, w.epoch, m.s.pub.Epoch)
 		if r.OK || r.Reason != want {
 			m.t.Fatalf("same-code release of carried %s: %+v, want refusal %q", id, r, want)
 		}
@@ -173,7 +172,7 @@ func (m *registryModel) release(fresh bool) {
 		}
 		if fresh {
 			w.reports++
-			w.epoch = m.s.epoch
+			w.epoch = m.s.pub.Epoch
 			m.codes[w.slot] = string(req.Code)
 			clear(req.Code)
 		}
@@ -212,9 +211,14 @@ func (m *registryModel) withdraw() {
 // rotate re-reports about two pooled workers in three; the rest are dropped,
 // and every busy stint is carried.
 func (m *registryModel) rotate() {
-	prep := m.s.PrepareRotate(PrepareRotateRequest{Seed: m.src.Uint64() | 1})
-	if !prep.OK {
-		m.t.Fatal(prep.Reason)
+	// The seed is drawn even when a staged tree is committed as it is, so
+	// the tape stays the same.
+	seed := m.src.Uint64() | 1
+	prep := PrepareRotateResponse{OK: true, Epoch: m.s.pub.Epoch + 1, Tree: m.s.staged}
+	if prep.Tree == nil {
+		if prep = m.s.PrepareRotate(PrepareRotateRequest{Seed: seed}); !prep.OK {
+			m.t.Fatal(prep.Reason)
+		}
 	}
 	var reports []WorkerReport
 	for _, id := range m.names {
@@ -295,9 +299,9 @@ func mustPanic(t *testing.T, what string, f func()) {
 func (m *registryModel) check(step int, op string) {
 	m.t.Helper()
 	tab := m.s.tab
-	if tab.depth != m.s.pub.Tree.Depth() || tab.epoch != m.s.epoch {
+	if tab.depth != m.s.pub.Tree.Depth() || tab.epoch != m.s.pub.Epoch {
 		m.t.Fatalf("step %d (%s): table of depth %d, epoch %d under a tree of depth %d, epoch %d",
-			step, op, tab.depth, tab.epoch, m.s.pub.Tree.Depth(), m.s.epoch)
+			step, op, tab.depth, tab.epoch, m.s.pub.Tree.Depth(), m.s.pub.Epoch)
 	}
 	bySlot := map[int]*modelWorker{}
 	var buf []byte
@@ -330,7 +334,7 @@ func (m *registryModel) check(step int, op string) {
 				step, op, id, slot, tab.reportEpoch(slot), w.slot, w.epoch)
 		}
 		want, has := m.codes[slot]
-		if w.epoch != m.s.epoch {
+		if w.epoch != m.s.pub.Epoch {
 			if has {
 				m.t.Fatalf("step %d (%s): the model kept a code for carried slot %d", step, op, slot)
 			}
@@ -385,8 +389,9 @@ func modelTree(t *testing.T, side float64, seed uint64) *hst.Tree {
 // strings, with every request's bytes wiped once the call returned. A
 // server's rotations keep the tree's depth — it follows from the predefined
 // points, which never change — so to rotate into a deeper and into a
-// shallower tree the test hands the server a controller over another point
-// set first; the second rotation then carries stints a second epoch.
+// shallower tree the test stages a tree over another point set first, which
+// the first rotation commits; the second rotation then carries stints a
+// second epoch.
 func TestRegistryMatchesCodeModel(t *testing.T) {
 	small, large := modelTree(t, 20, 5), modelTree(t, 200, 6)
 	if small.Depth() >= large.Depth() {
@@ -408,9 +413,7 @@ func TestRegistryMatchesCodeModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.rot, err = epoch.NewController(epoch.Config{Tree: tc.next, Seed: 42}); err != nil {
-				t.Fatal(err)
-			}
+			s.staged = tc.next
 			m := &registryModel{t: t, s: s, eng: eng, src: rng.New(17),
 				workers: map[string]*modelWorker{}, codes: map[int]string{}}
 			// Two pages of workers up front, so the serving table and the ones
@@ -449,11 +452,11 @@ func TestRegistryMatchesCodeModel(t *testing.T) {
 				ops[op]++
 				m.check(step, op)
 				for _, w := range m.workers {
-					carriedTwice = carriedTwice || (!w.gone && m.s.epoch-w.epoch == 2)
+					carriedTwice = carriedTwice || (!w.gone && m.s.pub.Epoch-w.epoch == 2)
 				}
 			}
-			if got := s.pub.Tree.Depth(); got != tc.next.Depth() || s.epoch != 4 {
-				t.Fatalf("serving depth %d at epoch %d, want %d at 4", got, s.epoch, tc.next.Depth())
+			if got := s.pub.Tree.Depth(); got != tc.next.Depth() || s.pub.Epoch != 4 {
+				t.Fatalf("serving depth %d at epoch %d, want %d at 4", got, s.pub.Epoch, tc.next.Depth())
 			}
 			if !carriedTwice || rotatedPages < 2 || !m.straddled || len(s.departed) == 0 {
 				t.Fatalf("the tape carried no stint across two rotations (%v), no rotation built a second page (%d), "+

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/pombm/pombm/internal/engine"
+	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
 )
 
@@ -43,20 +44,44 @@ import (
 
 // PrepareRotate stages epoch N+1 while N keeps serving. The staged tree is
 // returned for clients to re-obfuscate under; re-preparing replaces a
-// previously staged rotation. A refit counts its histogram under mu, then
-// builds the tree without it.
+// previously staged rotation. The tree is hst.BuildEpoch's, reseeded by
+// req.Seed when that is non-zero. It is built outside mu from the epoch and
+// refit histogram that one hold of mu read, and staged only if no commit
+// has moved the epoch since.
 func (s *Server) PrepareRotate(req PrepareRotateRequest) PrepareRotateResponse {
-	var hist []int
-	if req.Refit {
-		s.mu.Lock()
-		hist = s.refitHistogram()
-		s.mu.Unlock()
+	next, points, hist := s.rotationInputs(req.Refit)
+	tree, err := hst.BuildEpoch(points, s.seed, next, req.Seed, hist)
+	if err == nil {
+		err = s.stage(next, tree)
 	}
-	staged, err := s.rot.Prepare(req.Seed, hist)
 	if err != nil {
-		return PrepareRotateResponse{OK: false, Reason: err.Error(), Err: conflictError(err.Error())}
+		reason := fmt.Sprintf("platform: prepare %d: %v", next, err)
+		return PrepareRotateResponse{OK: false, Reason: reason, Err: conflictError(reason)}
 	}
-	return PrepareRotateResponse{OK: true, Epoch: staged.Epoch, Tree: staged.Tree}
+	return PrepareRotateResponse{OK: true, Epoch: next, Tree: tree}
+}
+
+// rotationInputs reads, in one hold of mu, what the next epoch's tree is
+// built from: its epoch id, the points and, for a refit, the histogram.
+func (s *Server) rotationInputs(refit bool) (next int64, points []geo.Point, hist []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if refit {
+		hist = s.refitHistogram()
+	}
+	return s.pub.Epoch + 1, s.pub.Tree.Points(), hist
+}
+
+// stage stages tree as epoch next, unless a commit has moved the serving
+// epoch since next was read.
+func (s *Server) stage(next int64, tree *hst.Tree) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pub.Epoch+1 != next {
+		return fmt.Errorf("rotation to epoch %d committed while preparing", s.pub.Epoch)
+	}
+	s.staged = tree
+	return nil
 }
 
 // refitHistogram counts what a refit orders the next tree's carving by: the
@@ -99,13 +124,13 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	defer s.gate.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	staged := s.rot.StagedRotation()
-	if staged == nil {
+	tree, epoch := s.staged, s.pub.Epoch+1
+	if tree == nil {
 		reason := "platform: no rotation staged; call PrepareRotate first"
 		return RotateResponse{OK: false, Reason: reason, Err: conflictError(reason)}
 	}
-	if req.Epoch != 0 && req.Epoch != staged.Epoch {
-		reason := fmt.Sprintf("platform: rotation commit for epoch %d, staged is %d", req.Epoch, staged.Epoch)
+	if req.Epoch != 0 && req.Epoch != epoch {
+		reason := fmt.Sprintf("platform: rotation commit for epoch %d, staged is %d", req.Epoch, epoch)
 		return RotateResponse{OK: false, Reason: reason, Err: conflictError(reason)}
 	}
 
@@ -113,7 +138,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 	// slot. Only currently-available workers rotate, first report per
 	// worker wins (reported marks the slots already taken).
 	old := s.tab
-	resp := RotateResponse{Epoch: staged.Epoch}
+	resp := RotateResponse{Epoch: epoch}
 	reported := make([]bool, old.len())
 	slots := make([]int, 0, len(req.Reports))
 	names := make([]string, 0, len(req.Reports))
@@ -122,7 +147,7 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 		slot, known := old.lookup(r.WorkerID)
 		code := codeView(r.Code) // copied into the next table below
 		if !known || reported[slot] || old.at(slot).state() != stateAvailable ||
-			staged.Tree.CheckCode(code) != nil {
+			tree.CheckCode(code) != nil {
 			resp.Skipped++
 			continue
 		}
@@ -130,14 +155,6 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 		slots = append(slots, slot)
 		names = append(names, r.WorkerID)
 		codes = append(codes, code)
-	}
-
-	// Reports were validated against the staging read above: if a
-	// concurrent PrepareRotate replaced it, the rotation is refused rather
-	// than committing them under another tree.
-	if s.rot.StagedRotation() != staged {
-		reason := fmt.Sprintf("platform: rotation to epoch %d restaged while committing", staged.Epoch)
-		return RotateResponse{OK: false, Reason: reason, Err: conflictError(reason)}
 	}
 
 	// Build the next epoch's table beside the serving one, which stays
@@ -171,14 +188,14 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			leaving = append(leaving, slot)
 		}
 	}
-	next := newSlotTable(len(carry)+len(slots), staged.Tree.Depth(), staged.Tree.Degree(), staged.Epoch)
+	next := newSlotTable(len(carry)+len(slots), tree.Depth(), tree.Degree(), epoch)
 	next.lags = make([]int64, 0, len(carry))
 	for _, slot := range carry {
 		st := old.at(slot).state()
 		if st == stateAvailable {
 			st = stateAssignedGone // dropped with completions owed
 		}
-		next.adopt(old, slot, st, old.lag(slot)+staged.Epoch-old.epoch, "")
+		next.adopt(old, slot, st, old.lag(slot)+epoch-old.epoch, "")
 	}
 	// Then the rotated workers, in report order. A capacitated worker
 	// carries its remaining units (capacity − active) into the new epoch.
@@ -210,11 +227,11 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			}
 		}
 	}
-	if err := s.eng.SwapEpochSeq(staged.Epoch, staged.Tree, 0, populate); err != nil {
+	if err := s.eng.SwapEpochSeq(epoch, tree, 0, populate); err != nil {
 		// A cluster core aborts the distributed prepare on every node before
 		// reporting failure, so the old epoch keeps serving intact — and no
 		// report has been charged.
-		return RotateResponse{OK: false, Reason: err.Error(), Err: AsError(err, s.epoch)}
+		return RotateResponse{OK: false, Reason: err.Error(), Err: AsError(err, s.pub.Epoch)}
 	}
 
 	// The swap is live: charge the accepted reports, keep the ledger cells
@@ -234,16 +251,11 @@ func (s *Server) Rotate(req RotateRequest) RotateResponse {
 			s.departed[strings.Clone(old.id(slot))] = rec.reports()
 		}
 	}
-	if err := s.rot.Commit(staged, resp.Rotated); err != nil {
-		// Unreachable: the staged rotation is checked above and mu
-		// serialises commits. Surface it rather than serving half-rotated.
-		panic(fmt.Sprintf("platform: rotation commit: %v", err))
-	}
+	s.rotations++
+	s.rotated += resp.Rotated
 	s.dropped += len(resp.Dropped)
-	s.tab = next
-	s.epoch = staged.Epoch
-	s.pub.Tree = staged.Tree
-	s.pub.Epoch = staged.Epoch
+	s.tab, s.staged = next, nil
+	s.pub.Tree, s.pub.Epoch = tree, epoch
 	resp.OK = true
 	return resp
 }

@@ -7,9 +7,9 @@ import (
 	"sync"
 
 	"github.com/pombm/pombm/internal/engine"
-	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/privacy"
 	"github.com/pombm/pombm/internal/rng"
 	"github.com/pombm/pombm/internal/wire"
 )
@@ -83,29 +83,31 @@ func coreAssign(c Core, code hst.Code) (id, lcaLevel int, ok bool, err error) {
 
 type Server struct {
 	eng Core
-	// rot owns epoch rotation: the serving tree and the staged one. It has
-	// its own lock, and no serving call but Rotate takes it.
-	rot *epoch.Controller
+	// seed roots the derivation of each rotated epoch's tree (hst.BuildEpoch).
+	seed uint64
 
 	// gate is the rotation gate. A rotation renumbers every slot, and the
 	// core's Assign returns a bare slot number with no epoch, so a pop must
 	// never be interpreted against another epoch's table: Submit and
 	// SubmitBatch hold the gate for reading across pop + bookkeeping,
 	// Rotate holds it for writing across the engine swap + table flip.
-	// Lock order: gate, then mu. Fields written only by Rotate (epoch, pub,
-	// tab) may be read under either.
+	// Lock order: gate, then mu. Fields written only by Rotate (pub, tab)
+	// may be read under either.
 	gate sync.RWMutex
 
 	// mu guards the slot table, counters, and the publication (whose tree
-	// and epoch change at rotation). The engine is the source of truth for
-	// availability: a slot is registered in the engine exactly when the
-	// worker is available. Every engine mutation except Submit's atomic pop
-	// happens under mu, so slot-table reads after a pop are always
-	// consistent.
-	mu    sync.Mutex
-	pub   Publication
-	epoch int64 // serving epoch; mirrors rot
-	tab   *slotTable
+	// and epoch change at rotation) with the rotation it stages. The engine
+	// is the source of truth for availability: a slot is registered in the
+	// engine exactly when the worker is available. Every engine mutation
+	// except Submit's atomic pop happens under mu, so slot-table reads after
+	// a pop are always consistent.
+	mu  sync.Mutex
+	pub Publication
+	// staged is the prepared rotation's tree, to serve as epoch pub.Epoch+1;
+	// nil when none is staged. A commit moves the epoch and drops it, so a
+	// staging never outlives the epoch it was prepared against.
+	staged *hst.Tree
+	tab    *slotTable
 	// codeBuf is what the table decodes a slot's code into for the core,
 	// under mu: a code read from it is valid until the next decode.
 	codeBuf []byte
@@ -117,7 +119,7 @@ type Server struct {
 	departed map[string]uint32
 	// The lifetime-ε ledger beside the cells (see charge): lifetime is the
 	// budget (0: none, and nothing is charged), maxReports the charge rule,
-	// epoch.ReportLimit of the configuration. spent sums ε over every charge
+	// privacy.ReportLimit of the configuration. spent sums ε over every charge
 	// in charge order, agents counts the ids charged at least once and
 	// parked the ids parked — refused a report, or compacted out of the
 	// table at their limit.
@@ -134,6 +136,8 @@ type Server struct {
 	released   int
 	withdrawn  int
 	dropped    int // available workers dropped at a rotation for lack of a fresh report
+	rotations  int // committed rotations
+	rotated    int // fresh reports those rotations accepted
 	// levelCounts[l] counts assignments whose match LCA sat at level l;
 	// levelSum is Σ levels for the running mean. Both are fed by Submit and
 	// SubmitBatch alike. The histogram grows if a rotated tree is deeper.
@@ -273,11 +277,7 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 			return nil, err
 		}
 	}
-	maxReports, err := epoch.ReportLimit(eps, cfg.lifetime)
-	if err != nil {
-		return nil, err
-	}
-	rot, err := epoch.NewController(epoch.Config{Tree: tree, Seed: seed})
+	maxReports, err := privacy.ReportLimit(eps, cfg.lifetime)
 	if err != nil {
 		return nil, err
 	}
@@ -292,8 +292,7 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 			Epoch:   first,
 		},
 		eng:         core,
-		rot:         rot,
-		epoch:       first,
+		seed:        seed,
 		tab:         newSlotTable(0, tree.Depth(), tree.Degree(), first),
 		departed:    map[string]uint32{},
 		lifetime:    cfg.lifetime,
@@ -357,8 +356,8 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 	code := codeView(req.Code) // the table copies it once everything accepted it
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.Epoch != 0 && req.Epoch != s.epoch {
-		return refusal(staleEpochError(req.Epoch, s.epoch))
+	if req.Epoch != 0 && req.Epoch != s.pub.Epoch {
+		return refusal(staleEpochError(req.Epoch, s.pub.Epoch))
 	}
 	if err := s.pub.Tree.CheckCode(code); err != nil {
 		return refusal(badRequestError(err.Error()))
@@ -411,8 +410,8 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 		return refusal(parkedError(req.WorkerID))
 	}
 	slot := s.tab.len()
-	if err := s.eng.InsertCapEpoch(code, slot, capacity, s.epoch); err != nil {
-		return refusal(AsError(err, s.epoch))
+	if err := s.eng.InsertCapEpoch(code, slot, capacity, s.pub.Epoch); err != nil {
+		return refusal(AsError(err, s.pub.Epoch))
 	}
 	// A concurrent Submit can pop the new slot as soon as Insert returns,
 	// but it reads the table under mu, which we still hold.
@@ -427,7 +426,7 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 		s.registered++
 	}
 	s.charge(s.tab.at(slot))
-	return RegisterResponse{OK: true, Epoch: s.epoch}
+	return RegisterResponse{OK: true, Epoch: s.pub.Epoch}
 }
 
 // Submit assigns an arriving task to the tree-nearest available worker.
@@ -442,11 +441,11 @@ func (s *Server) Submit(req TaskRequest) TaskResponse {
 	if err := s.pub.Tree.CheckCode(code); err != nil {
 		return TaskResponse{Assigned: false, Reason: err.Error(), Err: badRequestError(err.Error())}
 	}
-	if req.Epoch != 0 && req.Epoch != s.epoch {
+	if req.Epoch != 0 && req.Epoch != s.pub.Epoch {
 		s.mu.Lock()
 		s.rejected++
 		s.mu.Unlock()
-		e := staleEpochError(req.Epoch, s.epoch)
+		e := staleEpochError(req.Epoch, s.pub.Epoch)
 		return TaskResponse{Assigned: false, Reason: e.Message, Err: e}
 	}
 	slot, lvl, ok, aerr := coreAssign(s.eng, code)
@@ -470,7 +469,7 @@ func (s *Server) settle(code hst.Code, slot, lvl int, ok bool, aerr error) TaskR
 		// A backend failure is not "no workers": report it as such so the
 		// client can retry rather than give up on the task.
 		s.rejected++
-		e := AsError(aerr, s.epoch)
+		e := AsError(aerr, s.pub.Epoch)
 		if e == nil {
 			e = noWorkersError()
 		}
@@ -510,8 +509,8 @@ func (s *Server) SubmitBatch(req TaskBatchRequest) TaskBatchResponse {
 			out.Results[i] = TaskResponse{Assigned: false, Reason: err.Error(), Err: badRequestError(err.Error())}
 			continue
 		}
-		if t.Epoch != 0 && t.Epoch != s.epoch {
-			e := staleEpochError(t.Epoch, s.epoch)
+		if t.Epoch != 0 && t.Epoch != s.pub.Epoch {
+			e := staleEpochError(t.Epoch, s.pub.Epoch)
 			out.Results[i] = TaskResponse{Assigned: false, Reason: e.Message, Err: e}
 			stale++
 			continue
@@ -545,8 +544,8 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(req.Code) > 0 {
-		if req.Epoch != 0 && req.Epoch != s.epoch {
-			return refusal(staleEpochError(req.Epoch, s.epoch))
+		if req.Epoch != 0 && req.Epoch != s.pub.Epoch {
+			return refusal(staleEpochError(req.Epoch, s.pub.Epoch))
 		}
 		newCode = codeView(req.Code)
 		if err := s.pub.Tree.CheckCode(newCode); err != nil {
@@ -589,19 +588,19 @@ func (s *Server) Release(req ReleaseRequest) RegisterResponse {
 	if s.tab.lag(slot) != 0 {
 		reason := fmt.Sprintf(
 			"platform: worker %q report is from epoch %d (serving %d); a fresh report is required",
-			req.WorkerID, s.tab.reportEpoch(slot), s.epoch)
-		return refusal(&Error{Code: CodeStaleEpoch, Message: reason, Epoch: s.epoch, Retryable: true})
+			req.WorkerID, s.tab.reportEpoch(slot), s.pub.Epoch)
+		return refusal(&Error{Code: CodeStaleEpoch, Message: reason, Epoch: s.pub.Epoch, Retryable: true})
 	}
 	// Hand the completed unit back at the reported leaf: in place while the
 	// slot still pools units, by re-insert once its last one was taken. A
 	// refused engine call leaves the worker as it was, so the client can retry.
-	if err := s.eng.AddCapacityEpoch(s.tab.code(slot, &s.codeBuf), slot, s.epoch); err != nil {
-		return refusal(AsError(err, s.epoch))
+	if err := s.eng.AddCapacityEpoch(s.tab.code(slot, &s.codeBuf), slot, s.pub.Epoch); err != nil {
+		return refusal(AsError(err, s.pub.Epoch))
 	}
 	s.tab.addActive(slot, -1)
 	rec.setState(stateAvailable)
 	s.released++
-	return RegisterResponse{OK: true, Epoch: s.epoch}
+	return RegisterResponse{OK: true, Epoch: s.pub.Epoch}
 }
 
 // move carries out a fresh report at code for the worker holding slot,
@@ -628,7 +627,7 @@ func (s *Server) move(slot int, rec *record, workerID string, code hst.Code, ext
 		s.parked++
 		return refusal(parkedError(workerID))
 	}
-	_, err := s.eng.RelocateEpoch(from, code, slot, extra, s.epoch)
+	_, err := s.eng.RelocateEpoch(from, code, slot, extra, s.pub.Epoch)
 	if err == hst.ErrNoItem {
 		// A concurrent Submit popped the worker's last unit between its
 		// engine pop and its table update (which waits on mu): the
@@ -636,14 +635,14 @@ func (s *Server) move(slot int, rec *record, workerID string, code hst.Code, ext
 		return refusal(conflictError(fmt.Sprintf("platform: worker %q already assigned", workerID)))
 	}
 	if err != nil {
-		return refusal(AsError(err, s.epoch))
+		return refusal(AsError(err, s.pub.Epoch))
 	}
 	s.tab.addActive(slot, -int32(extra))
 	s.released += extra
 	rec.setState(stateAvailable)
 	s.tab.setCode(slot, code)
 	s.charge(rec)
-	return RegisterResponse{OK: true, Epoch: s.epoch}
+	return RegisterResponse{OK: true, Epoch: s.pub.Epoch}
 }
 
 // Withdraw takes a worker offline. An available worker leaves the pool
@@ -723,7 +722,6 @@ func (s *Server) Stats() StatsResponse {
 	if s.assigned > 0 {
 		mean = float64(s.levelSum) / float64(s.assigned)
 	}
-	rs := s.rot.Stats()
 	return StatsResponse{
 		RegisteredWorkers: s.registered,
 		AvailableWorkers:  s.eng.Len(),
@@ -737,9 +735,9 @@ func (s *Server) Stats() StatsResponse {
 		WithdrawnWorkers:  s.withdrawn,
 		MatchLevelCounts:  append([]int(nil), s.levelCounts...),
 		MeanMatchLevel:    mean,
-		Epoch:             s.epoch,
-		Rotations:         rs.Rotations,
-		RotatedWorkers:    rs.Rotated,
+		Epoch:             s.pub.Epoch,
+		Rotations:         s.rotations,
+		RotatedWorkers:    s.rotated,
 		ParkedWorkers:     s.parked,
 		DroppedWorkers:    s.dropped,
 		BudgetLimit:       s.lifetime,

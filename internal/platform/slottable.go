@@ -6,8 +6,8 @@ import (
 	"math/bits"
 	"unsafe"
 
-	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/privacy"
 )
 
 // record is what the server keeps about one slot — one registration stint of
@@ -30,7 +30,7 @@ type record struct {
 	// sum of ε's would round, and the id has spent reports·ε. The cell lives
 	// on the id's current slot: a re-registration or a rotation moves it
 	// along, so Σ reports over the table and the departed ledger, times ε,
-	// is the server's spent total. It stops at epoch.MaxReports — 8.5 years
+	// is the server's spent total. It stops at privacy.MaxReports — 8.5 years
 	// at a report a second — where the charge rule parks the worker instead
 	// of letting it wrap.
 	word uint32
@@ -43,7 +43,7 @@ const (
 )
 
 // The largest count a ledger cell may hold fits above the state bits.
-const _ uint32 = epoch.MaxReports << reportShift
+const _ uint32 = privacy.MaxReports << reportShift
 
 func (r *record) state() workerState { return workerState(r.word >> stateShift & 7) }
 

@@ -9,8 +9,8 @@ import (
 	"unsafe"
 
 	"github.com/pombm/pombm/internal/engine"
-	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/hst"
+	"github.com/pombm/pombm/internal/privacy"
 	"github.com/pombm/pombm/internal/rng"
 	"github.com/pombm/pombm/internal/workload"
 )
@@ -225,7 +225,7 @@ func setReports(t *testing.T, s *Server, id string, n uint32) {
 }
 
 // TestSaturatedLedgerCellParks pins the ledger cell's 28-bit limit: a fresh
-// report that fills the cell to epoch.MaxReports is accepted, and the next
+// report that fills the cell to privacy.MaxReports is accepted, and the next
 // one parks the worker with the typed refusal — on every path that charges
 // a report, under a budget that would still afford it — while the cell
 // stays at the cap instead of wrapping.
@@ -235,7 +235,7 @@ func TestSaturatedLedgerCellParks(t *testing.T) {
 		if r := s.Register(RegisterRequest{WorkerID: "w", Code: leaf(s, 0)}); !r.OK {
 			t.Fatal(r.Reason)
 		}
-		setReports(t, s, "w", epoch.MaxReports-1)
+		setReports(t, s, "w", privacy.MaxReports-1)
 		if r := s.Reregister(ReregisterRequest{WorkerID: "w", Code: leaf(s, 1)}); !r.OK {
 			t.Fatalf("%s: the report that fills the cell: %s", path, r.Reason)
 		}
@@ -264,7 +264,7 @@ func TestSaturatedLedgerCellParks(t *testing.T) {
 		if w := s.Withdraw(WithdrawRequest{WorkerID: "w"}); w.OK || !w.Parked || s.Stats().ParkedWorkers != 1 {
 			t.Fatalf("%s: after the refusal a withdrawal answers %+v, %d parked", path, w, s.Stats().ParkedWorkers)
 		}
-		if got, want := s.Spent("w"), float64(epoch.MaxReports)*0.6; got != want {
+		if got, want := s.Spent("w"), float64(privacy.MaxReports)*0.6; got != want {
 			t.Fatalf("%s: the parked worker has spent %v, want %v", path, got, want)
 		}
 	}

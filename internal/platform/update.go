@@ -29,8 +29,8 @@ func (s *Server) Reregister(req ReregisterRequest) RegisterResponse {
 	code := codeView(req.Code)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.Epoch != 0 && req.Epoch != s.epoch {
-		return refusal(staleEpochError(req.Epoch, s.epoch))
+	if req.Epoch != 0 && req.Epoch != s.pub.Epoch {
+		return refusal(staleEpochError(req.Epoch, s.pub.Epoch))
 	}
 	if err := s.pub.Tree.CheckCode(code); err != nil {
 		return refusal(badRequestError(err.Error()))

@@ -3,6 +3,7 @@ package privacy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -10,6 +11,38 @@ import (
 // past its lifetime budget. Serving layers match it to park the agent
 // instead of silently re-noising.
 var ErrBudgetExhausted = errors.New("privacy: lifetime budget exhausted")
+
+// MaxReports is the most reports a worker's ledger count holds: 2^28−1,
+// 8.5 years at one a second, so an owner may pack a count into 28 bits. A
+// worker whose count is there is refused as if its budget had run out; a
+// count never wraps.
+const MaxReports = 1<<28 - 1
+
+// ReportLimit is the lifetime-ε charge rule of an owner that keeps each
+// worker's ledger as a count of charged reports (a platform slot record,
+// the simulator's dense array), closed-form: a worker that has had count
+// fresh reports charged affords one more exactly when
+// count < ReportLimit(eps, lifetime), and one refused by that is parked.
+// Every report spends the one eps, so the limit is ⌊(lifetime + 1e-12)/eps⌋
+// — the count whose spend count·eps still fits the lifetime, within the
+// 1e-12 that keeps an exact multiple (0.1 × 10 against 1.0) affordable, as
+// Spend's — capped at MaxReports; with no lifetime budget (0) it is
+// MaxReports alone. A lifetime below eps would refuse every report and is
+// an error.
+func ReportLimit(eps, lifetime float64) (uint32, error) {
+	switch {
+	case !(eps > 0):
+		return 0, fmt.Errorf("%w (got %v)", ErrBadEpsilon, eps)
+	case !(lifetime >= 0):
+		return 0, fmt.Errorf("privacy: lifetime budget %v must be non-negative", lifetime)
+	case lifetime == 0:
+		return MaxReports, nil
+	case lifetime < eps:
+		return 0, fmt.Errorf("privacy: lifetime budget %v below per-report ε %v; every report would be refused",
+			lifetime, eps)
+	}
+	return uint32(min(math.Floor((lifetime+1e-12)/eps), MaxReports)), nil
+}
 
 // Accountant tracks cumulative Geo-Indistinguishability budget per agent
 // under sequential composition: each report of (a perturbation of) the same

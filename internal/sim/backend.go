@@ -6,9 +6,9 @@ import (
 	"strconv"
 
 	"github.com/pombm/pombm/internal/engine"
-	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
+	"github.com/pombm/pombm/internal/privacy"
 )
 
 // Driver selects which layer of the stack the simulator exercises.
@@ -47,7 +47,7 @@ const (
 // same ε for the same workers in the same operation order, so the same
 // workers park at the same instants.
 //
-// register and release return an error wrapping epoch.ErrBudgetExhausted
+// register and release return an error wrapping privacy.ErrBudgetExhausted
 // when the worker's lifetime budget cannot afford the fresh report; the
 // simulator then parks the worker.
 type backend interface {
@@ -88,17 +88,17 @@ type rotateResult struct {
 	newID  []int // fresh registration id; -1 when parked
 }
 
-// engineBackend drives the engine directly, with an epoch controller
-// owning rotation bookkeeping — the same controller the platform server
-// embeds. The ledger is kept here as the server keeps it: a count of
-// charged reports per stable sim worker, checked against the one charge
-// rule (epoch.ReportLimit), and the same totals, so both drivers park the
-// same workers at the same spends. With refit on, latest holds each live
+// engineBackend drives the engine directly, rotating to the tree the
+// platform server rotates to (hst.BuildEpoch of the run seed and the
+// engine's next epoch). The ledger is kept here as the server keeps it: a
+// count of charged reports per stable sim worker, checked against the one
+// charge rule (privacy.ReportLimit), and the same totals, so both drivers
+// park the same workers at the same spends. With refit on, latest holds each live
 // stint's latest report of the serving epoch, which is the server's refit
 // histogram (Server.refitHistogram) counted from the stint ids' side.
 type engineBackend struct {
 	eng        *engine.Engine
-	ctrl       *epoch.Controller
+	seed       uint64 // the run seed, which roots every rotated tree
 	eps        float64
 	lifetime   float64 // 0: no budget, nothing charged
 	maxReports uint32
@@ -121,7 +121,7 @@ func (b *engineBackend) cell(worker int) *uint32 {
 // afford refuses a report the worker's cell cannot pay for.
 func (b *engineBackend) afford(worker int) error {
 	if *b.cell(worker) >= b.maxReports {
-		return fmt.Errorf("%w: worker %d", epoch.ErrBudgetExhausted, worker)
+		return fmt.Errorf("%w: worker %d", privacy.ErrBudgetExhausted, worker)
 	}
 	return nil
 }
@@ -199,13 +199,14 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 			}
 		}
 	}
-	staged, err := b.ctrl.Prepare(0, hist)
+	epoch := b.eng.Epoch() + 1
+	tree, err := hst.BuildEpoch(b.eng.Tree().Points(), b.seed, epoch, 0, hist)
 	if err != nil {
 		return nil, err
 	}
 	res := &rotateResult{
-		epoch:  staged.Epoch,
-		tree:   staged.Tree,
+		epoch:  epoch,
+		tree:   tree,
 		codes:  make([]hst.Code, len(workers)),
 		parked: make([]bool, len(workers)),
 		newID:  make([]int, len(workers)),
@@ -213,7 +214,7 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 	// Every report is drawn before any budget check: the rng contract the
 	// goldens pin.
 	for i, w := range workers {
-		res.codes[i] = report(w, staged.Tree)
+		res.codes[i] = report(w, tree)
 	}
 	inserts := make([]engine.EpochInsert, 0, len(workers))
 	for i, w := range workers {
@@ -224,7 +225,7 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 		res.newID[i] = alloc(w)
 		inserts = append(inserts, engine.EpochInsert{Code: res.codes[i], ID: res.newID[i], Cap: capLeft[i]})
 	}
-	if err := b.eng.SwapEpoch(staged.Epoch, staged.Tree, 0, inserts); err != nil {
+	if err := b.eng.SwapEpoch(epoch, tree, 0, inserts); err != nil {
 		return nil, err
 	}
 	if b.refit {
@@ -235,14 +236,11 @@ func (b *engineBackend) rotate(workers []int, capLeft []int, report func(int, *h
 			b.accept(res.newID[i], w, res.codes[i])
 		}
 	}
-	if err := b.ctrl.Commit(staged, len(inserts)); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
 func (b *engineBackend) epochInfo() (int64, float64, float64) {
-	return b.ctrl.Stats().Epoch, b.spent, b.lifetime
+	return b.eng.Epoch(), b.spent, b.lifetime
 }
 
 // platformBackend maps stable sim workers to external WorkerIDs and
@@ -270,7 +268,7 @@ func newPlatformBackend(srv *platform.Server, refit bool) *platformBackend {
 // handles; any other refusal is a hard failure.
 func budgetErr(op string, resp platform.RegisterResponse) error {
 	if resp.Parked {
-		return fmt.Errorf("sim: platform %s: %w", op, epoch.ErrBudgetExhausted)
+		return fmt.Errorf("sim: platform %s: %w", op, privacy.ErrBudgetExhausted)
 	}
 	return fmt.Errorf("sim: platform %s: %s", op, resp.Reason)
 }

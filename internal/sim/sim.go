@@ -23,7 +23,6 @@ import (
 
 	"github.com/pombm/pombm/internal/cluster"
 	"github.com/pombm/pombm/internal/engine"
-	"github.com/pombm/pombm/internal/epoch"
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
@@ -161,8 +160,8 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 	// One tree serves both drivers: built from the run seed and injected
 	// into the platform server, so a scenario's assignment decisions — and
 	// its report bytes, driver tag aside — coincide across the stack.
-	// Rotated epochs coincide too: both drivers' rotation controllers
-	// derive staged trees from the same (seed, epoch) stream.
+	// Rotated epochs coincide too: both drivers build each staged tree with
+	// hst.BuildEpoch from the same (seed, epoch) stream.
 	tree, err := hst.Build(grid.Points(), root.Derive("sim-hst"))
 	if err != nil {
 		return nil, nil, err
@@ -175,15 +174,11 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		maxReports, err := epoch.ReportLimit(sc.Epsilon, sc.LifetimeEps)
+		maxReports, err := privacy.ReportLimit(sc.Epsilon, sc.LifetimeEps)
 		if err != nil {
 			return nil, nil, err
 		}
-		ctrl, err := epoch.NewController(epoch.Config{Tree: tree, Seed: cfg.Seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		be = &engineBackend{eng: eng, ctrl: ctrl, eps: sc.Epsilon, lifetime: sc.LifetimeEps,
+		be = &engineBackend{eng: eng, seed: cfg.Seed, eps: sc.Epsilon, lifetime: sc.LifetimeEps,
 			maxReports: maxReports, refit: sc.RotateRefit, latest: map[int]hst.Code{}}
 	case DriverPlatform:
 		srv, err := platform.NewServer(sc.region(), sc.GridCols, sc.GridCols, sc.Epsilon, cfg.Seed,
@@ -365,7 +360,7 @@ func (s *sim) registerWorker(w int) bool {
 	regID := len(s.regOwner)
 	s.regOwner = append(s.regOwner, w)
 	if err := s.backend.register(regID, w, wk.code, s.capOf(w)); err != nil {
-		if errors.Is(err, epoch.ErrBudgetExhausted) {
+		if errors.Is(err, privacy.ErrBudgetExhausted) {
 			// The registration id was never seen by the backend: drop it so
 			// sim regIDs stay aligned with platform slot numbers.
 			s.regOwner = s.regOwner[:len(s.regOwner)-1]
@@ -512,7 +507,7 @@ func (s *sim) taskComplete(w, ti int) {
 	code := s.mech.ObfuscateWalk(snapped, s.obfSrc)
 	capLeft := s.capOf(w) - wk.active
 	if err := s.backend.release(wk.regID, w, oldCode, code); err != nil {
-		if errors.Is(err, epoch.ErrBudgetExhausted) {
+		if errors.Is(err, privacy.ErrBudgetExhausted) {
 			// The post-task re-report is unaffordable: the worker is parked
 			// instead of re-entering the pool, its spare units withdrawn.
 			if s.check != nil {

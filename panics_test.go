@@ -20,7 +20,6 @@ import (
 var panicAllowlist = map[string]string{
 	"internal/cluster/core.go (*fanCore).solveWindowOnce":   "peer-reachable, open: fault item step 1 — window rollback lost a unit when its node refused the return",
 	"internal/cluster/core.go (*fanCore).SwapEpochSeq":      "peer-reachable, open: fault item step 1 — commit failed on a node after every node prepared",
-	"internal/platform/rotate.go (*Server).Rotate":          "bug-only — the controller refused a commit the checks above it and mu make valid",
 	"internal/platform/slottable.go (*slotTable).addActive": "bug-only — a capacity-1 slot's assignment count left 0–1",
 	"internal/platform/slottable.go (*slotTable).report":    "bug-only — the code of a stint carried from another epoch was read",
 	"internal/platform/slottable.go (*slotTable).setCode":   "bug-only — a code of another length than the table's depth was stored",
