@@ -48,7 +48,6 @@ func run() error {
 		reps   = flag.Int("reps", 5, "repetitions per sweep point (paper: 10)")
 		scale  = flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)")
 		grid   = flag.Int("grid", 64, "predefined grid columns (N = grid²)")
-		trie   = flag.Bool("trie", false, "use the O(D) trie matcher instead of the paper's scan")
 		quick  = flag.Bool("quick", false, "shorthand for -scale 0.1 -reps 2 -grid 16")
 		out    = flag.String("out", "", "directory for CSV output (optional)")
 		format = flag.String("format", "text", "stdout format: text, csv, or markdown")
@@ -106,7 +105,7 @@ func run() error {
 		return nil
 	}
 
-	cfg := experiments.Config{Seed: *seed, Reps: *reps, Scale: *scale, GridCols: *grid, UseTrie: *trie}
+	cfg := experiments.Config{Seed: *seed, Reps: *reps, Scale: *scale, GridCols: *grid}
 	if *quick {
 		cfg.Scale, cfg.Reps, cfg.GridCols = 0.1, 2, 16
 	}

@@ -49,14 +49,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pombm-server:", err)
 		os.Exit(1)
 	}
-	opts := []platform.ServerOption{
-		platform.WithLifetimeBudget(*lifetime), platform.WithPolicy(pol),
-	}
-	if *capacity != 0 {
-		opts = append(opts, platform.WithDefaultCapacity(*capacity))
-	}
 	region := geo.NewRect(geo.Pt(0, 0), geo.Pt(*side, *side))
-	srv, err := platform.NewServer(region, *grid, *grid, *eps, *seed, opts...)
+	srv, err := platform.NewServer(region, *grid, *grid, *eps, *seed,
+		platform.WithLifetimeBudget(*lifetime), platform.WithPolicy(pol), platform.WithDefaultCapacity(*capacity))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pombm-server:", err)
 		os.Exit(1)

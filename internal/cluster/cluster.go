@@ -9,7 +9,6 @@ import (
 	"github.com/pombm/pombm/internal/geo"
 	"github.com/pombm/pombm/internal/hst"
 	"github.com/pombm/pombm/internal/platform"
-	"github.com/pombm/pombm/internal/rng"
 )
 
 // Config describes a coordinator deployment: the published infrastructure
@@ -69,10 +68,7 @@ func New(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		// Same derivation as platform.NewServer: identical region, grid and
-		// seed publish an identical tree whatever the deployment shape.
-		tree, err = hst.Build(grid.Points(), rng.New(cfg.Seed).Derive("server-hst"))
-		if err != nil {
+		if tree, err = platform.PublishedTree(grid, cfg.Seed); err != nil {
 			return nil, err
 		}
 	}
@@ -80,7 +76,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	core, err := newFanCore(cfg.Nodes, tree, pol, cfg.Policy, cfg.DefaultCapacity)
+	core, err := newFanCore(cfg.Nodes, tree, pol, cfg.DefaultCapacity)
 	if err != nil {
 		return nil, err
 	}

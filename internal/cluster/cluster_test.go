@@ -70,7 +70,9 @@ func localNodes(n int) []NodeConn {
 
 // runTape drives the same randomised operation tape — inserts, removals,
 // batch assignments spanning multiple windows — through a core and a
-// reference engine, and fails on the first diverging answer.
+// reference engine, and fails on the first diverging answer. Six rounds
+// draw their batch size; the last four sit on the window bounds: an empty
+// batch, one full window, one task past it, and two full windows.
 func runTape(t *testing.T, core platform.Core, eng *engine.Engine, tree *hst.Tree, seed int64) {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
@@ -80,7 +82,8 @@ func runTape(t *testing.T, core platform.Core, eng *engine.Engine, tree *hst.Tre
 		id   int
 		code hst.Code
 	}{}
-	for round := 0; round < 6; round++ {
+	edges := []int{0, engine.BatchWindowSize, engine.BatchWindowSize + 1, 2 * engine.BatchWindowSize}
+	for round := 0; round < 6+len(edges); round++ {
 		for i := 0; i < 120; i++ {
 			code := tree.CodeOf(rnd.Intn(leaves))
 			id := nextID
@@ -107,6 +110,9 @@ func runTape(t *testing.T, core platform.Core, eng *engine.Engine, tree *hst.Tre
 			live = append(live[:j], live[j+1:]...)
 		}
 		n := 40 + rnd.Intn(engine.BatchWindowSize+40) // some rounds span two windows
+		if round >= 6 {
+			n = edges[round-6]
+		}
 		codes := make([]hst.Code, n)
 		for i := range codes {
 			codes[i] = tree.CodeOf(rnd.Intn(leaves))
@@ -166,7 +172,7 @@ func TestScatterGatherBatchOptimalIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(tc.nodes, tree, pol, "batch-optimal:k=4", 1)
+			core, err := newFanCore(tc.nodes, tree, pol, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +203,7 @@ func TestGreedyFanoutIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(tc.nodes, tree, pol, "greedy", 1)
+			core, err := newFanCore(tc.nodes, tree, pol, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +248,7 @@ func TestBareMoveRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := newFanCore(localNodes(3), tree, pol, "capacity-greedy", 4)
+	core, err := newFanCore(localNodes(3), tree, pol, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +307,7 @@ func TestLostRemoveAbortsMove(t *testing.T) {
 		bad[i] = &failRemoveNode{NodeConn: nodes[i]}
 		nodes[i] = bad[i]
 	}
-	core, err := newFanCore(nodes, tree, pol, "capacity-greedy", 4)
+	core, err := newFanCore(nodes, tree, pol, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +345,7 @@ func TestDistributedSwapIdentity(t *testing.T) {
 	next := buildTree(t, 8)
 	pol, _ := engine.PolicyByName("greedy")
 	nodes := httpNodes(t, 3)
-	core, err := newFanCore(nodes, tree, pol, "greedy", 1)
+	core, err := newFanCore(nodes, tree, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +457,7 @@ func TestPrepareFailureAbortsClusterWide(t *testing.T) {
 	pol, _ := engine.PolicyByName("greedy")
 	bad := &failPrepareNode{NodeConn: LocalNode(NewNode())}
 	nodes := []NodeConn{LocalNode(NewNode()), bad, LocalNode(NewNode())}
-	core, err := newFanCore(nodes, tree, pol, "greedy", 1)
+	core, err := newFanCore(nodes, tree, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,7 +630,7 @@ func TestRestartedCoordinatorIsNotReplayed(t *testing.T) {
 	tree := buildTree(t, 7)
 	nodes := httpNodes(t, 3)
 	pol, _ := engine.PolicyByName("greedy")
-	first, err := newFanCore(nodes, tree, pol, "greedy", 1)
+	first, err := newFanCore(nodes, tree, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +643,7 @@ func TestRestartedCoordinatorIsNotReplayed(t *testing.T) {
 		t.Fatalf("first incarnation's pool %d, want 3", got)
 	}
 
-	second, err := newFanCore(nodes, tree, pol, "greedy", 1)
+	second, err := newFanCore(nodes, tree, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func TestCoalescedMatchesPerOpTape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore(tc.nodes, tree, pol, "batch-optimal:k=4", 1)
+			core, err := newFanCore(tc.nodes, tree, pol, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestCoalescedMatchesPerOpTape(t *testing.T) {
 func TestCoalescerConcurrentOps(t *testing.T) {
 	tree := buildTree(t, 11)
 	pol, _ := engine.PolicyByName("greedy")
-	core, err := newFanCore(httpNodes(t, 2), tree, pol, "greedy", 1)
+	core, err := newFanCore(httpNodes(t, 2), tree, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestWindowCommitsInFewEnvelopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := newFanCore(nodes, tree, pol, "batch-optimal:k=4", 1)
+	core, err := newFanCore(nodes, tree, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,6 @@ import (
 type fanCore struct {
 	nodes      []NodeConn
 	policy     engine.Policy
-	policySpec string
 	defaultCap int
 
 	state atomic.Pointer[coreState]
@@ -61,20 +60,16 @@ type coreState struct {
 var errTransport = errors.New("cluster: node transport failed")
 
 // newFanCore builds the core and initialises every node with the shared
-// configuration.
-func newFanCore(nodes []NodeConn, tree *hst.Tree, policy engine.Policy, policySpec string, defaultCap int) (*fanCore, error) {
+// configuration: the policy by its name, which PolicyByName reads back as
+// the same policy.
+func newFanCore(nodes []NodeConn, tree *hst.Tree, policy engine.Policy, defaultCap int) (*fanCore, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: no nodes")
 	}
 	if defaultCap == 0 {
 		defaultCap = 1
 	}
-	c := &fanCore{
-		nodes:      nodes,
-		policy:     policy,
-		policySpec: policySpec,
-		defaultCap: defaultCap,
-	}
+	c := &fanCore{nodes: nodes, policy: policy, defaultCap: defaultCap}
 	// Six base64url characters of the system's randomness (crypto/rand.Read
 	// does not fail).
 	var raw [6]byte
@@ -85,7 +80,7 @@ func newFanCore(nodes []NodeConn, tree *hst.Tree, policy engine.Policy, policySp
 	c.state.Store(&coreState{tree: tree, epoch: engine.FirstEpoch})
 	for i, n := range nodes {
 		if err := n.Init(InitRequest{
-			Tree: tree, Policy: policySpec, DefaultCapacity: defaultCap, Idem: c.nextIdem(),
+			Tree: tree, Policy: policy.Name(), DefaultCapacity: defaultCap, Idem: c.nextIdem(),
 		}); err != nil {
 			return nil, fmt.Errorf("cluster: init node %d: %w", i, err)
 		}
@@ -133,11 +128,12 @@ func unavailable(nd int, err error) error {
 	}
 }
 
-// do ships op to node nd under the transport-retry rule, stated once: on a
-// transport failure (the request or its response was lost) it ships op once
-// more — the same op, so the same idempotency key, and a mutation that did
-// land replays from the node's cache instead of applying twice. What a
-// second transport failure becomes is the caller's choice:
+// retry runs call, a request to node nd, under the transport-retry rule,
+// stated once: on a transport failure (the request or its response was
+// lost) it runs call once more — the same request, so the same idempotency
+// key, and a mutation that did land replays from the node's cache instead
+// of applying twice. What a second transport failure becomes is the
+// caller's choice:
 //
 //   - escalate: the typed retryable unavailable refusal naming the node,
 //     for calls whose failure is reported onward — insert, add-capacity, a
@@ -147,18 +143,40 @@ func unavailable(nd int, err error) error {
 //     window answers unmatched), consume (the window rolls back), undo (a
 //     lost unit panics), abort (best effort).
 //
-// Application refusals are never retried. Prepare, which is no op, follows
-// the rule in SwapEpochSeq; commit is the one call outside it: past the
-// point of no return it gets three attempts.
-func (c *fanCore) do(nd int, escalate bool, op OpRequest) (OpResult, error) {
-	res, err := c.nodes[nd].Do(op)
+// Application refusals are never retried. Commit is the one call outside
+// the rule: past the point of no return it gets three attempts.
+func retry(nd int, escalate bool, call func() error) error {
+	err := call()
 	if isTransport(err) {
-		res, err = c.nodes[nd].Do(op)
-		if escalate && isTransport(err) {
-			return OpResult{}, unavailable(nd, err)
+		if err = call(); escalate && isTransport(err) {
+			err = unavailable(nd, err)
 		}
 	}
+	return err
+}
+
+// do ships op to node nd under retry's rule.
+func (c *fanCore) do(nd int, escalate bool, op OpRequest) (res OpResult, err error) {
+	err = retry(nd, escalate, func() error {
+		res, err = c.nodes[nd].Do(op)
+		return err
+	})
 	return res, err
+}
+
+// fan runs call(i) for every i in [0, n) concurrently and returns once all
+// have: a round over the nodes, or over a window's commits, takes as long
+// as its slowest call, not the sum.
+func fan(n int, call func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			call(i)
+		}()
+	}
+	wg.Wait()
 }
 
 // Identity and configuration (platform.Core).
@@ -169,20 +187,11 @@ func (c *fanCore) Policy() engine.Policy { return c.policy }
 func (c *fanCore) DefaultCapacity() int  { return c.defaultCap }
 func (c *fanCore) Windows() int64        { return c.windows.Load() }
 
-// statusAll polls every node concurrently — a status sweep is N
-// independent reads, so its latency should be the slowest node's, not the
-// sum. Unreachable nodes yield the zero OpResult.
+// statusAll polls every node concurrently. Unreachable nodes yield the
+// zero OpResult.
 func (c *fanCore) statusAll() []OpResult {
 	out := make([]OpResult, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, nd := range c.nodes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i], _ = nd.Do(OpRequest{Kind: OpStatus})
-		}()
-	}
-	wg.Wait()
+	fan(len(c.nodes), func(nd int) { out[nd], _ = c.nodes[nd].Do(OpRequest{Kind: OpStatus}) })
 	return out
 }
 
@@ -307,19 +316,11 @@ func (c *fanCore) AssignErr(code hst.Code) (int, int, bool, error) {
 // its node within its level. Caller holds opMu exclusively, so no
 // coordinator-driven mutation can slip between the peeks and the pop.
 func (c *fanCore) elect(st *coreState, code hst.Code) (id, lvl int, found bool, err error) {
-	// Peek on all nodes concurrently: the election needs every answer, so
-	// the round's latency is the slowest node's, not the sum.
 	peeks := make([]OpResult, len(c.nodes))
 	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for nd := range c.nodes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			peeks[nd], errs[nd] = c.do(nd, true, OpRequest{Kind: OpPeek, Code: bytesOf(string(code)), Epoch: st.epoch})
-		}()
-	}
-	wg.Wait()
+	fan(len(c.nodes), func(nd int) {
+		peeks[nd], errs[nd] = c.do(nd, true, OpRequest{Kind: OpPeek, Code: bytesOf(string(code)), Epoch: st.epoch})
+	})
 	best := -1
 	for nd, p := range peeks {
 		switch {
@@ -370,15 +371,8 @@ func (c *fanCore) AssignBatch(codes []hst.Code) ([]int, []int) {
 		}
 		return ids, lvls
 	}
-	// Chunk exactly as the single-process policy does; an empty batch is
-	// still one (empty) window — the counter must agree with the engine's.
-	if len(codes) == 0 {
-		c.solveWindow(solver, codes, ids, lvls)
-		return ids, lvls
-	}
-	for start := 0; start < len(codes); start += engine.BatchWindowSize {
-		end := min(start+engine.BatchWindowSize, len(codes))
-		c.solveWindow(solver, codes[start:end], ids[start:end], lvls[start:end])
+	for lo, hi := range engine.BatchWindows(len(codes)) {
+		c.solveWindow(solver, codes[lo:hi], ids[lo:hi], lvls[lo:hi])
 	}
 	return ids, lvls
 }
@@ -450,15 +444,7 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 	}
 	mines := make([]OpResult, N)
 	mineErrs := make([]error, N)
-	var wg sync.WaitGroup
-	for nd := 0; nd < N; nd++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mines[nd], mineErrs[nd] = c.do(nd, false, op)
-		}()
-	}
-	wg.Wait()
+	fan(N, func(nd int) { mines[nd], mineErrs[nd] = c.do(nd, false, op) })
 
 	// Gather: each task's k nearest cluster-wide.
 	pool := 0
@@ -502,18 +488,12 @@ func (c *fanCore) solveWindowOnce(solver windowSolver, st *coreState, tasks []hs
 			commits = append(commits, commitRec{code: m.Code, id: m.ID, nd: c.routeIdx(m.Code)})
 		}
 	}
-	var cwg sync.WaitGroup
-	for j := range commits {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			u := &commits[j]
-			_, u.err = c.do(u.nd, false, OpRequest{
-				Kind: OpConsume, Idem: c.nextIdem(), Code: bytesOf(string(u.code)), ID: u.id, Epoch: st.epoch,
-			})
-		}()
-	}
-	cwg.Wait()
+	fan(len(commits), func(j int) {
+		u := &commits[j]
+		_, u.err = c.do(u.nd, false, OpRequest{
+			Kind: OpConsume, Idem: c.nextIdem(), Code: bytesOf(string(u.code)), ID: u.id, Epoch: st.epoch,
+		})
+	})
 	failed := false
 	for j := range commits {
 		if commits[j].err != nil {
@@ -633,36 +613,23 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, _ int, seq func(yiel
 	// so the phase's wall clock is the largest partition's staging time,
 	// not the population's.
 	prepErrs := make([]error, N)
-	var pwg sync.WaitGroup
-	for nd := 0; nd < N; nd++ {
-		pwg.Add(1)
-		go func() {
-			defer pwg.Done()
-			idem := c.nextIdem()
-			// One iteration per attempt, over the inserts that route here.
-			prepare := func() error {
-				next, stop := iter.Pull(func(yield func(engine.EpochInsert) bool) {
-					seq(func(in engine.EpochInsert) bool {
-						return route(in.Code, N) != nd || yield(in)
-					})
+	fan(N, func(nd int) {
+		idem := c.nextIdem()
+		// One iteration per attempt, over the inserts that route here.
+		err := retry(nd, true, func() error {
+			next, stop := iter.Pull(func(yield func(engine.EpochInsert) bool) {
+				seq(func(in engine.EpochInsert) bool {
+					return route(in.Code, N) != nd || yield(in)
 				})
-				defer stop()
-				return c.nodes[nd].Prepare(epoch, tree, func() (engine.EpochInsert, bool, error) {
-					in, ok := next()
-					return in, ok, nil
-				}, idem)
-			}
-			// do's retry rule, escalated.
-			err := prepare()
-			if isTransport(err) {
-				if err = prepare(); isTransport(err) {
-					err = unavailable(nd, err)
-				}
-			}
-			prepErrs[nd], prepared[nd] = err, err == nil
-		}()
-	}
-	pwg.Wait()
+			})
+			defer stop()
+			return c.nodes[nd].Prepare(epoch, tree, func() (engine.EpochInsert, bool, error) {
+				in, ok := next()
+				return in, ok, nil
+			}, idem)
+		})
+		prepErrs[nd], prepared[nd] = err, err == nil
+	})
 	for nd := 0; nd < N; nd++ {
 		if prepErrs[nd] != nil {
 			abortAll()
@@ -673,22 +640,14 @@ func (c *fanCore) SwapEpochSeq(epoch int64, tree *hst.Tree, _ int, seq func(yiel
 	// Phase two: commit everywhere, concurrently. Commits are idempotent (a
 	// node already serving the epoch acks), so transport retries are safe.
 	commitErrs := make([]error, N)
-	var cwg sync.WaitGroup
-	for nd := 0; nd < N; nd++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			op := OpRequest{Kind: OpCommit, Idem: c.nextIdem(), Epoch: epoch}
-			var err error
-			for try := 0; try < 3; try++ {
-				if _, err = c.nodes[nd].Do(op); !isTransport(err) {
-					break
-				}
+	fan(N, func(nd int) {
+		op := OpRequest{Kind: OpCommit, Idem: c.nextIdem(), Epoch: epoch}
+		for try := 0; try < 3; try++ {
+			if _, commitErrs[nd] = c.nodes[nd].Do(op); !isTransport(commitErrs[nd]) {
+				break
 			}
-			commitErrs[nd] = err
-		}()
-	}
-	cwg.Wait()
+		}
+	})
 	for nd := 0; nd < N; nd++ {
 		if commitErrs[nd] != nil {
 			// Some nodes now serve the new epoch and this one cannot:

@@ -102,7 +102,7 @@ func TestElectionIgnoresTheCut(t *testing.T) {
 		src := rng.New(uint64(700 + trial))
 		n := 1 + trial%4
 		t.Run(fmt.Sprintf("trial=%d/nodes=%d", trial, n), func(t *testing.T) {
-			core, err := newFanCore(localNodes(n), tree, pol, "capacity-greedy", 1)
+			core, err := newFanCore(localNodes(n), tree, pol, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestFastPathStopsAboveTheRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := newFanCore(localNodes(2), tree, pol, "greedy", 1)
+	core, err := newFanCore(localNodes(2), tree, pol, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestHostileMineAnswersUnmatched(t *testing.T) {
 				t.Fatal(err)
 			}
 			bad := &bentNode{NodeConn: LocalNode(NewNode()), kind: OpMine, bend: tc.bend}
-			core, err := newFanCore([]NodeConn{bad, LocalNode(NewNode())}, tree, pol, "batch-optimal:k=4", 1)
+			core, err := newFanCore([]NodeConn{bad, LocalNode(NewNode())}, tree, pol, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestHostilePeekIsRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			core, err := newFanCore([]NodeConn{bad, LocalNode(NewNode())}, tree, pol, "capacity-greedy", 1)
+			core, err := newFanCore([]NodeConn{bad, LocalNode(NewNode())}, tree, pol, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

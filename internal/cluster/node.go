@@ -91,11 +91,7 @@ func (n *Node) Init(req InitRequest) error {
 	if err != nil {
 		return err
 	}
-	opts := []engine.Option{engine.WithPolicy(pol)}
-	if req.DefaultCapacity != 0 {
-		opts = append(opts, engine.WithDefaultCapacity(req.DefaultCapacity))
-	}
-	eng, err := engine.NewWithOptions(req.Tree, 0, opts...)
+	eng, err := engine.NewWithOptions(req.Tree, 0, engine.WithPolicy(pol), engine.WithDefaultCapacity(req.DefaultCapacity))
 	if err != nil {
 		return err
 	}

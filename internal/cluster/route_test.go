@@ -30,7 +30,7 @@ func TestRoute(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("nodes=%d", n), func(t *testing.T) {
 			nodes := localNodes(n)
-			core, err := newFanCore(nodes, tree, pol, "greedy", 1)
+			core, err := newFanCore(nodes, tree, pol, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

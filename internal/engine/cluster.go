@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"github.com/pombm/pombm/internal/hst"
 )
@@ -26,9 +27,22 @@ import (
 // size solves as a single matching, a longer one as consecutive windows of
 // this size, each its own restricted matching under its own lock hold.
 // Larger windows buy a wider matching scope at quadratically growing solve
-// cost. Exported so a cluster coordinator chunks exactly as the
-// single-process policy does.
+// cost.
 const BatchWindowSize = 256
+
+// BatchWindows yields the windows a window-solving policy serves a batch of
+// n tasks as: consecutive [lo, hi) ranges of at most BatchWindowSize tasks,
+// and one empty window for an empty batch. The in-process policy and a
+// cluster coordinator both chunk through it, so their Windows counts agree.
+func BatchWindows(n int) iter.Seq2[int, int] {
+	return func(yield func(lo, hi int) bool) {
+		for lo := 0; lo == 0 || lo < n; lo += BatchWindowSize {
+			if !yield(lo, min(lo+BatchWindowSize, n)) {
+				return
+			}
+		}
+	}
+}
 
 // PopWithinEpoch pops the nearest worker to a task code — smallest LCA
 // level, then smallest id — when its LCA with the task sits at level ≤

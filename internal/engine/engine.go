@@ -31,9 +31,10 @@
 // current epoch keeps serving, then publishes the new pointer under the
 // engine's lock, so each operation lands entirely in one epoch or the
 // other, never straddling both. An Assign that popped from the old state
-// just before the swap returns a stamp from the old epoch, which the
+// just before the swap answers a worker of the old epoch, which the
 // serving layer detects (the worker's slot was superseded) and retries —
-// the same staleness rule that governs withdraw races.
+// the same staleness rule that governs withdraw races. A pop pinned to an
+// epoch (PopWithinEpoch) is refused with ErrStaleEpoch instead.
 //
 // Epoch swapping is pure server-side post-processing of already-obfuscated
 // reports, so the privacy guarantee (Theorem 1) is untouched.
@@ -42,6 +43,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -155,10 +157,14 @@ func WithPolicy(p Policy) Option {
 }
 
 // WithDefaultCapacity sets the capacity an Insert without an explicit
-// capacity receives (default 1). Values above 1 require a capacity-aware
-// policy.
+// capacity receives: 0 keeps the default of 1, a negative count is refused,
+// and values above 1 require a capacity-aware policy.
 func WithDefaultCapacity(n int) Option {
-	return func(c *engineConfig) { c.defaultCap = n }
+	return func(c *engineConfig) {
+		if n != 0 {
+			c.defaultCap = n
+		}
+	}
 }
 
 // New returns an engine for the published tree, serving FirstEpoch under
@@ -228,17 +234,25 @@ func (e *Engine) ShardStats() []ShardStat {
 	return []ShardStat{{Assigns: st.assigns}}
 }
 
-// effCap resolves an insert's effective capacity: non-positive selects the
-// engine default, and any value is clamped to 1 unless the policy is
+// EffectiveCapacity is the capacity a worker slot receives under policy p
+// with default capacity def when requested is asked for: non-positive
+// selects def, and any value is clamped to 1 unless the policy is
 // capacity-aware — the greedy contract is that every slot serves one task.
-func (e *Engine) effCap(capacity int) int {
-	if !e.policy.CapacityAware() {
+// Every insert resolves its capacity here, and a serving layer that keeps
+// its own count of a slot's units resolves it here too.
+func EffectiveCapacity(p Policy, def, requested int) int {
+	if !p.CapacityAware() {
 		return 1
 	}
-	if capacity <= 0 {
-		return e.defaultCap
+	if requested <= 0 {
+		return def
 	}
-	return capacity
+	return requested
+}
+
+// effCap is EffectiveCapacity under the engine's policy and default.
+func (e *Engine) effCap(capacity int) int {
+	return EffectiveCapacity(e.policy, e.defaultCap, capacity)
 }
 
 // EpochInsert seeds one worker of a new epoch's population for SwapEpoch.
@@ -487,39 +501,15 @@ func (e *Engine) WalkCap(fn func(code hst.Code, id, capacity int)) {
 	st.index.WalkCap(fn)
 }
 
-// Assign atomically finds, consumes, and returns an available worker for a
-// task's obfuscated leaf code according to the engine's policy, together
-// with the LCA level of the match. Under the default Greedy policy this is
-// the tree-nearest available worker. ok is false when the code is malformed
-// or no worker is available.
+// Assign atomically finds, consumes, and returns the tree-nearest available
+// worker for a task's obfuscated leaf code — smallest LCA level, then
+// smallest id — together with the LCA level of the match. It is
+// PopWithinEpoch at any level of the serving epoch, under every policy (a
+// window-solving policy's choice for one task is its nearest candidate). ok
+// is false when the code is malformed or no worker is available.
 func (e *Engine) Assign(code hst.Code) (id, lcaLevel int, ok bool) {
-	id, lcaLevel, _, ok = e.AssignEpoch(code)
+	id, lcaLevel, ok, _ = e.PopWithinEpoch(code, math.MaxInt, 0)
 	return id, lcaLevel, ok
-}
-
-// AssignEpoch is Assign stamped with the epoch that served the pop. A
-// caller that tagged the task's code with the epoch it was obfuscated
-// under compares the stamp and treats a mismatch as stale — the engine
-// rotated between the task's obfuscation and its assignment.
-func (e *Engine) AssignEpoch(code hst.Code) (id, lcaLevel int, epoch int64, ok bool) {
-	return e.policy.assignOne(e, code)
-}
-
-// greedyAssignOne is the Greedy policy's one-task path: pop the
-// tree-nearest available worker.
-func (e *Engine) greedyAssignOne(code hst.Code) (id, lcaLevel int, epoch int64, ok bool) {
-	st, err := e.lock("assign", code, 0)
-	if err != nil {
-		return None, 0, st.epoch, false
-	}
-	id, lcaLevel, ok = st.index.PopNearest(code)
-	if ok {
-		st.assigns++
-	} else {
-		id = None
-	}
-	e.mu.Unlock()
-	return id, lcaLevel, st.epoch, ok
 }
 
 // AssignBatch assigns a batch of task codes through the engine's policy.

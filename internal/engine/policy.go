@@ -11,12 +11,15 @@ import (
 )
 
 // Policy is the pluggable assignment rule: it decides which available
-// worker serves each task, against the engine's index. The decision
-// methods are unexported — implementations need the engine's locking
-// internals, so policies live in this package and callers
-// select one with Greedy, CapacityGreedy, BatchOptimal, or PolicyByName.
+// workers serve a batch's tasks, against the engine's index, and whether a
+// worker carries more than one capacity unit. A task served alone always
+// pops its tree-nearest worker (Engine.Assign). The batch method is
+// unexported — implementations need the engine's locking internals, so
+// policies live in this package and callers select one with Greedy,
+// CapacityGreedy, BatchOptimal, or PolicyByName.
 type Policy interface {
-	// Name identifies the policy in stats, reports, and flags.
+	// Name identifies the policy in stats, reports, and flags, and
+	// PolicyByName reads it back as the same policy.
 	Name() string
 	// CapacityAware reports whether worker capacities above one are
 	// honoured. The engine clamps every insert to capacity 1 otherwise, so
@@ -24,7 +27,6 @@ type Policy interface {
 	// worker pool.
 	CapacityAware() bool
 
-	assignOne(e *Engine, code hst.Code) (id, lcaLevel int, epoch int64, ok bool)
 	assignWindow(e *Engine, codes []hst.Code) (ids, lcaLevels []int)
 }
 
@@ -61,10 +63,6 @@ func (p *greedyPolicy) Name() string {
 }
 
 func (p *greedyPolicy) CapacityAware() bool { return p.capacity }
-
-func (p *greedyPolicy) assignOne(e *Engine, code hst.Code) (int, int, int64, bool) {
-	return e.greedyAssignOne(code)
-}
 
 func (p *greedyPolicy) assignWindow(e *Engine, codes []hst.Code) ([]int, []int) {
 	return e.greedyAssignWindow(codes)
@@ -145,23 +143,15 @@ func (p *batchOptimalPolicy) CapacityAware() bool { return true }
 
 func (p *batchOptimalPolicy) TopK() int { return p.k }
 
-func (p *batchOptimalPolicy) assignOne(e *Engine, code hst.Code) (int, int, int64, bool) {
-	return e.greedyAssignOne(code)
-}
-
 func (p *batchOptimalPolicy) assignWindow(e *Engine, codes []hst.Code) ([]int, []int) {
 	ids := make([]int, len(codes))
 	lvls := make([]int, len(codes))
 	for i := range ids {
 		ids[i] = None
 	}
-	// A batch longer than BatchWindowSize is its windows back to back, each
-	// under its own hold of the engine's lock — exactly the outcome of
-	// submitting the chunks as separate batches, and what a cluster
-	// coordinator does with the same batch. An empty batch is one (empty)
-	// window.
-	for lo := 0; lo == 0 || lo < len(codes); lo += BatchWindowSize {
-		hi := min(lo+BatchWindowSize, len(codes))
+	// Each window under its own hold of the engine's lock: exactly the
+	// outcome of submitting the windows as separate batches.
+	for lo, hi := range BatchWindows(len(codes)) {
 		p.solveWindow(e, codes[lo:hi], ids[lo:hi], lvls[lo:hi])
 	}
 	return ids, lvls

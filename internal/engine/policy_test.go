@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/pombm/pombm/internal/engine"
@@ -178,8 +179,11 @@ func TestDefaultCapacityNeedsCapacityAwarePolicy(t *testing.T) {
 	if _, err := engine.NewWithOptions(tree, 0, engine.WithDefaultCapacity(2)); err == nil {
 		t.Error("default capacity 2 accepted under greedy")
 	}
-	if _, err := engine.NewWithOptions(tree, 0, engine.WithDefaultCapacity(0)); err == nil {
-		t.Error("zero default capacity accepted")
+	if e, err := engine.NewWithOptions(tree, 0, engine.WithDefaultCapacity(0)); err != nil || e.DefaultCapacity() != 1 {
+		t.Errorf("zero default capacity: %v, want the default of 1", err)
+	}
+	if _, err := engine.NewWithOptions(tree, 0, engine.WithDefaultCapacity(-1)); err == nil {
+		t.Error("negative default capacity accepted")
 	}
 	e, err := engine.NewWithOptions(tree, 0,
 		engine.WithPolicy(engine.CapacityGreedy()), engine.WithDefaultCapacity(4))
@@ -459,6 +463,45 @@ func TestPolicyByName(t *testing.T) {
 	for _, bad := range []string{"optimal", "batch-optimal:k=0", "batch-optimal:k=x"} {
 		if _, err := engine.PolicyByName(bad); err == nil {
 			t.Errorf("PolicyByName(%q) accepted", bad)
+		}
+	}
+	// A policy's Name is a spec for the same policy: a cluster node is
+	// initialised with its coordinator's policy by name.
+	for _, spec := range engine.PolicyNames() {
+		spec = strings.ReplaceAll(spec, "<n>", "16")
+		p, err := engine.PolicyByName(spec)
+		if err != nil {
+			t.Fatalf("PolicyByName(%q): %v", spec, err)
+		}
+		q, err := engine.PolicyByName(p.Name())
+		if err != nil {
+			t.Fatalf("PolicyByName(%q): %v", p.Name(), err)
+		}
+		if q.Name() != p.Name() || q.CapacityAware() != p.CapacityAware() {
+			t.Errorf("%q round-trips as %q (capacity-aware %v, want %v)", p.Name(), q.Name(), q.CapacityAware(), p.CapacityAware())
+		}
+	}
+}
+
+// TestEffectiveCapacity is the capacity rule every insert and the server's
+// registration books resolve through.
+func TestEffectiveCapacity(t *testing.T) {
+	for _, c := range []struct {
+		p              engine.Policy
+		def, req, want int
+	}{
+		{engine.Greedy(), 1, 0, 1},
+		{engine.Greedy(), 1, 5, 1},
+		{engine.Greedy(), 1, -3, 1},
+		{engine.CapacityGreedy(), 1, 0, 1},
+		{engine.CapacityGreedy(), 4, 0, 4},
+		{engine.CapacityGreedy(), 4, -1, 4},
+		{engine.CapacityGreedy(), 4, 2, 2},
+		{engine.BatchOptimal(0), 3, 0, 3},
+		{engine.BatchOptimal(0), 3, 1 << 31, 1 << 31},
+	} {
+		if got := engine.EffectiveCapacity(c.p, c.def, c.req); got != c.want {
+			t.Errorf("EffectiveCapacity(%s, default %d, requested %d) = %d, want %d", c.p.Name(), c.def, c.req, got, c.want)
 		}
 	}
 }

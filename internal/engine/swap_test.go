@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,15 +64,23 @@ func TestSwapEpochBasics(t *testing.T) {
 	if eng.Len() != len(inserts) {
 		t.Fatalf("Len = %d after swap, want %d", eng.Len(), len(inserts))
 	}
-	// Every assignment now pops a new-epoch worker, stamped epoch 2.
+	// Every pop pinned to the epoch read just before it finds a new-epoch
+	// worker, and a pop pinned to the rotated-away epoch is refused.
+	if _, _, _, err := eng.PopWithinEpoch(randCode(tree2, src), tree2.Depth(), FirstEpoch); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("pop pinned to epoch %d after the swap: %v, want ErrStaleEpoch", FirstEpoch, err)
+	}
 	got := map[int]bool{}
 	for {
-		id, _, ep, ok := eng.AssignEpoch(randCode(tree2, src))
+		ep := eng.Epoch()
+		id, _, ok, err := eng.PopWithinEpoch(randCode(tree2, src), tree2.Depth(), ep)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}
 		if ep != 2 {
-			t.Fatalf("pop stamped epoch %d, want 2", ep)
+			t.Fatalf("pop pinned to epoch %d, want 2", ep)
 		}
 		if id < 100 {
 			t.Fatalf("pop returned old-epoch worker %d", id)
@@ -201,15 +210,26 @@ func TestConcurrentSwapBarrier(t *testing.T) {
 				// places it fine — both acceptable; never a panic or a
 				// cross-tree code in the index.
 				_ = eng.InsertEpoch(randCode(tree, src), id, 0)
-				if _, _, ep, ok := eng.AssignEpoch(randCode(eng.Tree(), src)); ok {
+				// A pop pinned to the epoch read just before it finds a
+				// worker of that epoch's population — a mutator's id, or one
+				// the swap to that epoch seeded — or is refused as stale.
+				ep := eng.Epoch()
+				popped, _, ok, err := eng.PopWithinEpoch(randCode(eng.Tree(), src), math.MaxInt, ep)
+				switch {
+				case err != nil:
+					if !errors.Is(err, ErrStaleEpoch) || eng.Epoch() == ep {
+						t.Errorf("pop pinned to epoch %d: %v", ep, err)
+					}
+				case ok:
+					seeded := int(1000 + (ep-FirstEpoch-1)*100)
+					if popped >= nWorkers && (ep == FirstEpoch || popped < seeded || popped >= seeded+32) {
+						t.Errorf("pop pinned to epoch %d found worker %d of another epoch", ep, popped)
+					}
 					for {
 						prev := maxSeen.Load()
 						if ep <= prev || maxSeen.CompareAndSwap(prev, ep) {
 							break
 						}
-					}
-					if ep < FirstEpoch {
-						t.Errorf("pop stamped invalid epoch %d", ep)
 					}
 				}
 			}

@@ -49,9 +49,6 @@ type Config struct {
 	// coarser grids floor TBF's total distance at the snapping error, finer
 	// ones deepen the tree without improving the matching.
 	GridCols int
-	// UseTrie switches TBF/Lap-HG to the O(D) trie matcher. The default
-	// (false) follows the paper's complexity analysis.
-	UseTrie bool
 }
 
 func (c Config) validate() error {

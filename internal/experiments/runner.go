@@ -157,7 +157,7 @@ func (r *Runner) distancePoint(alg core.Algorithm, spec instanceSpec, eps float6
 	if err != nil {
 		return distAgg{}, err
 	}
-	opt := core.Options{Epsilon: eps, UseTrie: r.cfg.UseTrie}
+	opt := core.Options{Epsilon: eps}
 	var agg distAgg
 	var dist stats.Accumulator
 	for rep := 0; rep < r.cfg.Reps; rep++ {
@@ -199,7 +199,7 @@ func (r *Runner) sizePoint(alg core.Algorithm, spec instanceSpec, eps float64, r
 	if err != nil {
 		return sizeAgg{}, err
 	}
-	opt := core.Options{Epsilon: eps, UseTrie: r.cfg.UseTrie}
+	opt := core.Options{Epsilon: eps}
 	var agg sizeAgg
 	var size stats.Accumulator
 	for rep := 0; rep < r.cfg.Reps; rep++ {

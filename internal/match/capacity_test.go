@@ -45,6 +45,12 @@ func TestHSTGreedyCapacitatedValidation(t *testing.T) {
 	if _, err := NewHSTGreedyCapacitated(tr, ws, []int{-1}); err == nil {
 		t.Error("negative capacity accepted")
 	}
+	if _, err := NewHSTGreedyCapacitated(tr, ws, []int{math.MaxInt32 + 1}); err == nil {
+		t.Error("capacity past MaxInt32 accepted")
+	}
+	if g, err := NewHSTGreedyCapacitated(tr, ws, []int{math.MaxInt32}); err != nil || g.Remaining() != math.MaxInt32 {
+		t.Errorf("capacity MaxInt32: %v", err)
+	}
 	// Zero-capacity workers are simply never used.
 	g, err := NewHSTGreedyCapacitated(tr, ws, []int{0})
 	if err != nil {

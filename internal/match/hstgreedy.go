@@ -54,9 +54,8 @@ func (g *HSTGreedyScan) Assign(t hst.Code) int {
 
 // HSTGreedyTrie implements the same assignment rule through the leaf-code
 // trie, answering each task in O(D) instead of O(D·n). Within an LCA level
-// ties are broken arbitrarily — exactly the freedom Alg. 4 grants — so its
-// totals match HSTGreedyScan's in tree distance though not necessarily in
-// chosen worker ids.
+// ties break towards the lowest worker index, as in HSTGreedyScan, so the
+// two answer the same worker id for every task.
 type HSTGreedyTrie struct {
 	tree      *hst.Tree
 	index     *hst.LeafIndex

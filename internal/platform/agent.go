@@ -39,14 +39,13 @@ type API interface {
 // Obfuscator is the client-side privacy stack: it snaps a true location to
 // the published grid and obfuscates the leaf with the HST mechanism, all on
 // the agent's device. Only the resulting code travels to the server. It is
-// not safe for concurrent use (it owns a random source and a reusable digit
-// scratch); build one per goroutine.
+// not safe for concurrent use (it owns a random source); build one per
+// goroutine.
 type Obfuscator struct {
-	grid    *geo.Grid
-	tree    *hst.Tree
-	mech    *privacy.HSTMechanism
-	src     *rng.Source
-	scratch []byte
+	grid *geo.Grid
+	tree *hst.Tree
+	mech *privacy.HSTMechanism
+	src  *rng.Source
 }
 
 // NewObfuscator builds the client-side stack from a publication. The seed
@@ -64,19 +63,13 @@ func NewObfuscator(pub Publication, seed uint64) (*Obfuscator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	return &Obfuscator{
-		grid:    grid,
-		tree:    pub.Tree,
-		mech:    mech,
-		src:     rng.New(seed),
-		scratch: make([]byte, pub.Tree.Depth()),
-	}, nil
+	return &Obfuscator{grid: grid, tree: pub.Tree, mech: mech, src: rng.New(seed)}, nil
 }
 
 // Obfuscate maps a true location to the leaf code reported to the server.
 // It allocates at most the returned code itself.
 func (o *Obfuscator) Obfuscate(p geo.Point) hst.Code {
-	return o.mech.ObfuscateWalkInto(o.tree.CodeOf(o.grid.Snap(p)), o.src, o.scratch)
+	return o.mech.ObfuscateWalk(o.tree.CodeOf(o.grid.Snap(p)), o.src)
 }
 
 // ObfuscateBatch maps a wave of true locations to their reported leaf codes

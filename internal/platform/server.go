@@ -251,8 +251,7 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		// publishes what the core serves.
 		tree = cfg.core.Tree()
 	} else if tree == nil {
-		tree, err = hst.Build(grid.Points(), rng.New(seed).Derive("server-hst"))
-		if err != nil {
+		if tree, err = PublishedTree(grid, seed); err != nil {
 			return nil, err
 		}
 	}
@@ -265,14 +264,7 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 	}
 	core := cfg.core
 	if core == nil {
-		var engOpts []engine.Option
-		if cfg.policy != nil {
-			engOpts = append(engOpts, engine.WithPolicy(cfg.policy))
-		}
-		if cfg.defaultCap != 0 {
-			engOpts = append(engOpts, engine.WithDefaultCapacity(cfg.defaultCap))
-		}
-		core, err = engine.NewWithOptions(tree, 0, engOpts...)
+		core, err = engine.NewWithOptions(tree, 0, engine.WithPolicy(cfg.policy), engine.WithDefaultCapacity(cfg.defaultCap))
 		if err != nil {
 			return nil, err
 		}
@@ -299,6 +291,13 @@ func NewServer(region geo.Rect, cols, rows int, eps float64, seed uint64, opts .
 		maxReports:  maxReports,
 		levelCounts: make([]int, tree.Depth()+1),
 	}, nil
+}
+
+// PublishedTree derives the HST a deployment over grid with the given seed
+// publishes at its first epoch, so a single server and a cluster coordinator
+// built from the same region, grid and seed publish the same tree.
+func PublishedTree(grid *geo.Grid, seed uint64) (*hst.Tree, error) {
+	return hst.Build(grid.Points(), rng.New(seed).Derive("server-hst"))
 }
 
 // Publication returns the public infrastructure of the serving epoch.
@@ -388,18 +387,12 @@ func (s *Server) Register(req RegisterRequest) RegisterResponse {
 		// 2^25−1 slots or 4 GiB of ids since the last rotation, which compacts them.
 		return refusal(unavailableError(errors.New("platform: the registry is full until the next rotation")))
 	}
-	// Resolve the slot's capacity exactly as the engine will: the server's
-	// accounting (active vs capacity) must agree with the engine's units.
+	// The server's accounting (active vs capacity) must agree with the
+	// engine's units, so the slot's capacity is the engine's rule.
 	if req.Capacity < 0 || req.Capacity > math.MaxInt32 {
 		return refusal(badRequestError(fmt.Sprintf("platform: capacity %d out of range", req.Capacity)))
 	}
-	capacity := req.Capacity
-	if capacity == 0 {
-		capacity = s.eng.DefaultCapacity()
-	}
-	if !s.eng.Policy().CapacityAware() {
-		capacity = 1
-	}
+	capacity := engine.EffectiveCapacity(s.eng.Policy(), s.eng.DefaultCapacity(), req.Capacity)
 	if reports >= s.maxReports {
 		if prev != nil {
 			// A withdrawn stint still in the table parks now; a departed id

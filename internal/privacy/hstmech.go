@@ -155,22 +155,6 @@ func (m *HSTMechanism) walkLevel(src *rng.Source) int {
 // realistic HSTs are far shallower (D ≈ 10 for a 64×64 grid).
 const walkStackDepth = 64
 
-// ObfuscateWalkInto is ObfuscateWalk drawing the same distribution from the
-// same random stream, but writing the sampled digits through the
-// caller-owned scratch buffer (len ≥ D) instead of a fresh one. It
-// allocates only the final Code materialisation — nothing when the walk
-// stops at level 0 — so a caller obfuscating a wave of agents reuses one
-// scratch per goroutine. The returned Code never aliases scratch.
-func (m *HSTMechanism) ObfuscateWalkInto(x hst.Code, src *rng.Source, scratch []byte) hst.Code {
-	lvl := m.walkLevel(src)
-	if lvl == 0 {
-		return x
-	}
-	copy(scratch, x)
-	m.sampleSiblingInto(scratch, lvl, src)
-	return hst.Code(scratch[:m.tree.Depth()])
-}
-
 // A wave of at least obfuscateFanOut items obfuscates on two goroutines, a
 // helper filling the true leaves obfuscateChunk items at a time ahead of the
 // caller's draws.

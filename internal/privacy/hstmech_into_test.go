@@ -33,7 +33,9 @@ func intoTestMech(t testing.TB, cols int, eps float64) *HSTMechanism {
 // exactly the random stream of the per-item walk sampler and produce
 // identical codes — batch and loop are interchangeable result for result,
 // which is what keeps the evaluation pipelines bit-for-bit reproducible
-// across the batch migration.
+// across the batch migration. The loop's codes are compared after every
+// later walk has run, so a walk's code must be its own, never a view of the
+// sampler's digit buffer.
 func TestObfuscateEachMatchesWalkLoop(t *testing.T) {
 	m := intoTestMech(t, 16, 0.6)
 	tree := m.Tree()
@@ -65,47 +67,11 @@ func TestObfuscateEachMatchesWalkLoop(t *testing.T) {
 	if got := m.ObfuscateEach(0, nil, batchSrc); len(got) != 0 {
 		t.Errorf("an empty wave returned %d codes", len(got))
 	}
-
-	// And the scratch variant draws the same stream too.
-	intoSrc := rng.New(1234)
-	scratch := make([]byte, tree.Depth())
-	for i, x := range xs {
-		if z := m.ObfuscateWalkInto(x, intoSrc, scratch); z != want[i] {
-			t.Fatalf("item %d: Into %v ≠ loop %v", i, []byte(z), []byte(want[i]))
-		}
-	}
-}
-
-// TestObfuscateWalkIntoNoScratchAlias: the returned code must be detached
-// from the scratch buffer — later reuse of scratch must not mutate it.
-func TestObfuscateWalkIntoNoScratchAlias(t *testing.T) {
-	m := intoTestMech(t, 16, 0.2) // strict ε: walks move often
-	tree := m.Tree()
-	src := rng.New(3)
-	scratch := make([]byte, tree.Depth())
-	x := tree.CodeOf(7)
-	var z hst.Code
-	for i := 0; i < 200; i++ {
-		z = m.ObfuscateWalkInto(x, src, scratch)
-		if z != x {
-			break
-		}
-	}
-	if z == x {
-		t.Skip("walk never left the true leaf in 200 draws")
-	}
-	snapshot := string(z)
-	for i := range scratch {
-		scratch[i] = 0xFF
-	}
-	if string(z) != snapshot {
-		t.Fatal("returned code aliases the scratch buffer")
-	}
 }
 
 // TestObfuscateWalkAllocs pins the hot-path allocation contract: at most
-// one allocation per ObfuscateWalk (the final Code materialisation), at
-// most one for the scratch variant, and for ObfuscateEach two per wave on
+// one allocation per ObfuscateWalk (the final Code materialisation), and
+// for ObfuscateEach two per wave on
 // one goroutine — the slab and the result — at 256 items, one item below
 // the fan-out and 65,536 items at GOMAXPROCS 1, and fanOutAllocs per wave
 // that fans out, the same at 65,536 items as at 1,048,576.
@@ -117,10 +83,6 @@ func TestObfuscateWalkAllocs(t *testing.T) {
 
 	if a := testing.AllocsPerRun(1000, func() { m.ObfuscateWalk(x, src) }); a > 1 {
 		t.Errorf("ObfuscateWalk allocates %.1f/op, want ≤ 1", a)
-	}
-	scratch := make([]byte, tree.Depth())
-	if a := testing.AllocsPerRun(1000, func() { m.ObfuscateWalkInto(x, src, scratch) }); a > 1 {
-		t.Errorf("ObfuscateWalkInto allocates %.1f/op, want ≤ 1", a)
 	}
 
 	// A collection the large waves trigger may allocate in the runtime;
@@ -154,18 +116,6 @@ func TestObfuscateWalkAllocs(t *testing.T) {
 		if least != fanOutAllocs {
 			t.Errorf("ObfuscateEach allocates %d/wave of %d at GOMAXPROCS 2, want %d", least, n, fanOutAllocs)
 		}
-	}
-}
-
-func BenchmarkObfuscateWalkInto(b *testing.B) {
-	m := intoTestMech(b, 32, 0.6)
-	src := rng.New(2)
-	x := m.Tree().CodeOf(100)
-	scratch := make([]byte, m.Tree().Depth())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ObfuscateWalkInto(x, src, scratch)
 	}
 }
 
