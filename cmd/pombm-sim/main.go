@@ -6,8 +6,7 @@
 //	pombm-sim -list
 //	pombm-sim -scenario churn-heavy -seed 1
 //	pombm-sim -scenario churn-heavy -seed 1 -json        # canonical report on stdout
-//	pombm-sim -scenario all -crosscheck                  # verify vs the sequential rule
-//	pombm-sim -scenario chengdu-day -driver platform     # exercise the server wrapper
+//	pombm-sim -scenario all -crosscheck                  # verify vs the reference
 //	pombm-sim -scenario all -driver cluster -nodes 3     # 3-backend coordinator, same bytes
 //	pombm-sim -scenario capacity-heavy -crosscheck       # capacitated sequential rule
 //	pombm-sim -scenario all -policy batch-optimal        # override the assignment policy
@@ -15,8 +14,9 @@
 // The -json report is a pure function of (scenario, seed, driver):
 // two runs with the same flags emit byte-identical output. Wall-clock
 // throughput goes to stderr only, so it never perturbs the report.
-// With -crosscheck, any violation of the sequential nearest-worker rule
-// makes the process exit non-zero.
+// With -crosscheck, any decision that breaks the reference — the
+// sequential nearest-worker rule, or a window-solving policy's per-window
+// reference matching — makes the process exit non-zero.
 package main
 
 import (
@@ -35,11 +35,11 @@ func main() {
 		scenario = flag.String("scenario", "", "scenario preset to run, comma-separated list, or 'all'")
 		list     = flag.Bool("list", false, "list scenario presets and exit")
 		seed     = flag.Uint64("seed", 1, "root random seed")
-		driver   = flag.String("driver", "engine", "system under test: engine, platform, or cluster (coordinator over in-process nodes)")
+		driver   = flag.String("driver", "platform", "system under test: platform (one in-process server) or cluster (coordinator over in-process nodes)")
 		nodes    = flag.Int("nodes", 0, "cluster driver backend count (0 = 3)")
 		duration = flag.Float64("duration", 0, "override the preset's simulated duration (seconds)")
 		policy   = flag.String("policy", "", "override the preset's assignment policy (greedy, capacity-greedy, batch-optimal[:k=<n>]); a non-capacity-aware override resets the preset's worker capacity to 1")
-		check    = flag.Bool("crosscheck", false, "verify every assignment against the sequential brute-force rule (feasibility-only under window-solving policies); violations exit non-zero")
+		check    = flag.Bool("crosscheck", false, "verify every assignment against the sequential brute-force rule, and each batch window of a window-solving policy against a reference min-cost matching of its tasks' k nearest; violations exit non-zero")
 		asJSON   = flag.Bool("json", false, "emit the canonical deterministic JSON report on stdout")
 	)
 	flag.Parse()
@@ -130,7 +130,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pombm-sim: %d cross-check violations\n", violations)
 			os.Exit(1)
 		}
-		fmt.Fprintln(os.Stderr, "# cross-check: all assignments match the sequential rule")
+		fmt.Fprintln(os.Stderr, "# cross-check: all assignments match the sequential rule, and batch-optimal windows their reference matching")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this run")
 
 // TestReportsGolden drives the built binary over every preset with
-// -crosscheck, for each driver under the presets' own policies and under
+// -crosscheck, for both drivers under the presets' own policies and under
 // each policy override, and compares the sha256 of each canonical -json
 // report to testdata/golden.txt. It is the byte-identity check a change to
 // the engine, the platform or the cluster has to pass; `go test
@@ -28,7 +28,7 @@ func TestReportsGolden(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 	var table strings.Builder
-	for _, driver := range []string{"engine", "platform", "cluster"} {
+	for _, driver := range []string{"platform", "cluster"} {
 		for _, policy := range []string{"preset", "greedy", "capacity-greedy", "batch-optimal"} {
 			args := []string{"-scenario", "all", "-json", "-crosscheck", "-driver", driver}
 			if policy != "preset" {

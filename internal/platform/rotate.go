@@ -90,8 +90,7 @@ func (s *Server) stage(next int64, tree *hst.Tree) error {
 // its latest code, when that code is of the serving epoch (a stint carried
 // busy into it has none until it releases) and sits on a real leaf. A
 // stint counts once however often it re-reported, and a withdrawn, parked
-// or superseded one not at all. The simulator's engine driver keeps the
-// same count, so the drivers refit alike. The caller holds mu.
+// or superseded one not at all. The caller holds mu.
 // Packed codes are equal exactly when codes are, so a report is looked up
 // as it sits in the slab, among the real leaves' codes packed once a call.
 func (s *Server) refitHistogram() []int {

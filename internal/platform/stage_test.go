@@ -32,8 +32,7 @@ func rotationOf(t *testing.T, s *Server) rotationState {
 
 // TestRotateLifecycle walks two rotations through PrepareRotate, Rotate
 // and RotateNow: what each stages, serves and counts, and that the server
-// derives the next tree as hst.BuildEpoch of its seed and the next epoch,
-// the function the simulator's engine driver calls too.
+// derives the next tree as hst.BuildEpoch of its seed and the next epoch.
 func TestRotateLifecycle(t *testing.T) {
 	s := newTestServer(t)
 	registerN(t, s, 3)

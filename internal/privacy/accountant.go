@@ -19,10 +19,10 @@ var ErrBudgetExhausted = errors.New("privacy: lifetime budget exhausted")
 const MaxReports = 1<<28 - 1
 
 // ReportLimit is the lifetime-ε charge rule of an owner that keeps each
-// worker's ledger as a count of charged reports (a platform slot record,
-// the simulator's dense array), closed-form: a worker that has had count
-// fresh reports charged affords one more exactly when
-// count < ReportLimit(eps, lifetime), and one refused by that is parked.
+// worker's ledger as a count of charged reports (a platform slot record),
+// closed-form: a worker that has had count fresh reports charged affords
+// one more exactly when count < ReportLimit(eps, lifetime), and one refused
+// by that is parked.
 // Every report spends the one eps, so the limit is ⌊(lifetime + 1e-12)/eps⌋
 // — the count whose spend count·eps still fits the lifetime, within the
 // 1e-12 that keeps an exact multiple (0.1 × 10 against 1.0) affordable, as

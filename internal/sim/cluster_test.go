@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestClusterDriverMatchesEngine is the multi-node determinism contract:
+// TestClusterDriverMatchesPlatform is the multi-node determinism contract:
 // every preset, run through a 3-backend coordinator, produces zero
 // crosscheck violations and a byte-identical canonical report to the
-// engine driver (driver tag aside). epoch-rotate runs long enough to
-// cross a rotation boundary, so at least one distributed two-phase
-// rotation is inside the pinned bytes.
-func TestClusterDriverMatchesEngine(t *testing.T) {
+// single-process platform driver (driver tag aside). epoch-rotate runs
+// long enough to cross a rotation boundary, so at least one distributed
+// two-phase rotation is inside the pinned bytes.
+func TestClusterDriverMatchesPlatform(t *testing.T) {
 	for _, name := range Scenarios() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -20,7 +20,7 @@ func TestClusterDriverMatchesEngine(t *testing.T) {
 				duration = 660 // two rotations (RotateEvery 300)
 			}
 			sc := shortPreset(t, name, duration)
-			ref, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: DriverEngine})
+			ref, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: DriverPlatform})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,17 +52,18 @@ func TestClusterDriverMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(b1, b2) {
-				t.Errorf("cluster report diverged from engine driver:\n%s\n---\n%s", b1, b2)
+				t.Errorf("cluster report diverged from platform driver:\n%s\n---\n%s", b1, b2)
 			}
 		})
 	}
 }
 
 // TestClusterDriverNodeCounts pins the answer against the backend count:
-// sharding across 1, 2, 3, or 5 nodes must not change a single byte.
+// sharding across 1, 2, 3, or 5 nodes must not change a single byte of the
+// single-process report.
 func TestClusterDriverNodeCounts(t *testing.T) {
 	sc := shortPreset(t, "batch-heavy", 180)
-	ref, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: DriverEngine})
+	ref, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: DriverPlatform})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestClusterDriverNodeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nodes := range []int{1, 2, 5} {
+	for _, nodes := range []int{1, 2, 3, 5} {
 		got, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: DriverCluster, Nodes: nodes})
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +82,7 @@ func TestClusterDriverNodeCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bref, bgot) {
-			t.Errorf("%d nodes: report diverged from engine driver", nodes)
+			t.Errorf("%d nodes: report diverged from platform driver", nodes)
 		}
 	}
 }

@@ -93,10 +93,11 @@ type WorkerMetrics struct {
 	Utilisation    float64 `json:"utilisation"` // Σ busy time / Σ online time
 }
 
-// CrossCheckReport is present when the run verified every assignment
-// against the sequential brute-force rule. PoolConsistent is false when
-// the backend's final available count disagrees with the reference pool —
-// a leak in engine accounting.
+// CrossCheckReport is present when the run verified every decision against
+// the reference: the sequential brute-force rule, or a batch window's
+// reference matching. PoolConsistent is false when the server's final
+// available count disagrees with the reference pool — a leak in its
+// accounting.
 type CrossCheckReport struct {
 	Checked        int      `json:"checked"`
 	Violations     int      `json:"violations"`

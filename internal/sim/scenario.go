@@ -315,8 +315,8 @@ var presets = map[string]Scenario{
 	// is a 10 s batched window solved cost-optimally with k=16 candidate
 	// pools over a capacity-skewed courier mix (capacities cycle 1..4), and
 	// the tree rotates mid-run so warm-started windows cross an epoch swap.
-	// The acceptance preset for the optimized batch path: zero feasibility
-	// violations and bit-identical reports on both drivers.
+	// The acceptance preset for the optimized batch path: zero window
+	// cross-check violations and bit-identical reports on both drivers.
 	"batch-heavy": {
 		Name:              "batch-heavy",
 		Duration:          600,

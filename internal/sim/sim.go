@@ -1,6 +1,6 @@
 // Package sim is a deterministic, seed-driven event simulator for the
-// online assignment stack. It drives the engine (or the platform
-// server wrapped around it) through temporal scenarios the static
+// online assignment stack. It drives a platform server (alone, or in front
+// of a coordinator's in-process nodes) through temporal scenarios the static
 // batch pipelines cannot express: Poisson and bursty task arrivals, worker
 // churn (arrive, serve, go offline, come back with a freshly obfuscated
 // code), task deadlines with expiry, and time-sliced batch assignment
@@ -10,10 +10,10 @@
 // insertion sequence); every stochastic choice is drawn from an rng.Source
 // derived from the run seed, and the loop is single-threaded, so a run —
 // including its metrics report — is a bit-for-bit pure function of
-// (scenario, seed, driver). An optional cross-check mode replays
-// every assignment against the sequential brute-force rule of Alg. 4 and
-// counts divergences (zero expected: the engine's tie-breaking makes a
-// sequentially driven engine identical to the scanning matcher).
+// (scenario, seed, driver). An optional cross-check mode holds every
+// decision to one independent reference and counts divergences (zero
+// expected): the sequential brute-force rule of Alg. 4, and under a
+// window-solving policy a fresh min-cost matching per batch window.
 package sim
 
 import (
@@ -35,9 +35,9 @@ import (
 type Config struct {
 	Scenario   Scenario
 	Seed       uint64
-	Driver     Driver // DriverEngine when empty
+	Driver     Driver // DriverPlatform when empty
 	Nodes      int    // cluster driver backend count; 0 = 3
-	CrossCheck bool   // verify every assignment against the sequential rule
+	CrossCheck bool   // verify every decision against the reference (crossCheck)
 }
 
 type workerState uint8
@@ -85,7 +85,7 @@ type simTask struct {
 // sim is one run's mutable state.
 type sim struct {
 	sc      Scenario
-	backend backend
+	backend *platformBackend
 	tree    *hst.Tree
 	grid    *geo.Grid
 	mech    *privacy.HSTMechanism
@@ -138,7 +138,7 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		return nil, nil, err
 	}
 	if cfg.Driver == "" {
-		cfg.Driver = DriverEngine
+		cfg.Driver = DriverPlatform
 	}
 	sc := cfg.Scenario
 	root := rng.New(cfg.Seed)
@@ -158,40 +158,27 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 	}
 
 	// One tree serves both drivers: built from the run seed and injected
-	// into the platform server, so a scenario's assignment decisions — and
-	// its report bytes, driver tag aside — coincide across the stack.
-	// Rotated epochs coincide too: both drivers build each staged tree with
-	// hst.BuildEpoch from the same (seed, epoch) stream.
+	// into the server, so a scenario's assignment decisions — and its
+	// report bytes, driver tag aside — coincide across the stack. Rotated
+	// epochs coincide too: each staged tree comes from hst.BuildEpoch over
+	// the same (seed, epoch) stream.
 	tree, err := hst.Build(grid.Points(), root.Derive("sim-hst"))
 	if err != nil {
 		return nil, nil, err
 	}
-	var be backend
+	var srv *platform.Server
 	switch cfg.Driver {
-	case DriverEngine:
-		eng, err := engine.NewWithOptions(tree, 0,
-			engine.WithPolicy(pol), engine.WithDefaultCapacity(capacity))
-		if err != nil {
-			return nil, nil, err
-		}
-		maxReports, err := privacy.ReportLimit(sc.Epsilon, sc.LifetimeEps)
-		if err != nil {
-			return nil, nil, err
-		}
-		be = &engineBackend{eng: eng, seed: cfg.Seed, eps: sc.Epsilon, lifetime: sc.LifetimeEps,
-			maxReports: maxReports, refit: sc.RotateRefit, latest: map[int]hst.Code{}}
 	case DriverPlatform:
-		srv, err := platform.NewServer(sc.region(), sc.GridCols, sc.GridCols, sc.Epsilon, cfg.Seed,
+		srv, err = platform.NewServer(sc.region(), sc.GridCols, sc.GridCols, sc.Epsilon, cfg.Seed,
 			platform.WithLifetimeBudget(sc.LifetimeEps),
 			platform.WithPolicy(pol), platform.WithDefaultCapacity(capacity),
 			platform.WithTree(tree))
 		if err != nil {
 			return nil, nil, err
 		}
-		be = newPlatformBackend(srv, sc.RotateRefit)
 	case DriverCluster:
 		// The coordinator's server is a platform.Server over a fanned-out
-		// core, so the platform backend drives it verbatim: identical slot,
+		// core, so the same backend drives it verbatim: identical slot,
 		// budget, and rotation bookkeeping, with every engine operation
 		// routed to in-process nodes by the cut.
 		nNodes := cfg.Nodes
@@ -212,7 +199,7 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		be = newPlatformBackend(coord.Server(), sc.RotateRefit)
+		srv = coord.Server()
 	default:
 		return nil, nil, fmt.Errorf("sim: unknown driver %q", cfg.Driver)
 	}
@@ -223,7 +210,7 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 
 	s := &sim{
 		sc:           sc,
-		backend:      be,
+		backend:      &platformBackend{srv: srv, refit: sc.RotateRefit, epoch: srv.Publication().Epoch, curRegOf: map[int]int{}},
 		tree:         tree,
 		grid:         grid,
 		mech:         mech,
@@ -239,11 +226,11 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 	}
 	s.sampleWorker, s.sampleTask = sc.samplers()
 	if cfg.CrossCheck {
-		// The greedy policies follow the (capacitated) sequential rule and
-		// are checked strictly; window-solving policies diverge from it by
-		// design, so only feasibility and pool consistency are asserted.
-		strict := pol.Name() == engine.Greedy().Name() || pol.Name() == engine.CapacityGreedy().Name()
-		s.check = newCrossCheck(tree, strict)
+		topK := 0 // the sequential rule
+		if w, ok := pol.(interface{ TopK() int }); ok {
+			topK = w.TopK()
+		}
+		s.check = newCrossCheck(tree, topK)
 	}
 
 	if err := s.schedule(root); err != nil {
@@ -426,7 +413,7 @@ func (s *sim) workerDepart(w int) {
 		return // already left (e.g. completed its last task while leaving)
 	}
 	if wk.active == 0 {
-		if !s.backend.withdraw(wk.regID, wk.code) {
+		if !s.backend.withdraw(w) {
 			panic(fmt.Sprintf("sim: withdraw of available worker %d (reg %d) failed", w, wk.regID))
 		}
 		if s.check != nil {
@@ -436,10 +423,10 @@ func (s *sim) workerDepart(w int) {
 		return
 	}
 	wk.leaving = true
-	// The withdrawal pulls any spare pooled units out immediately (for a
-	// fully busy worker there is nothing pooled, and the engine driver's
-	// removal is a no-op — both drivers converge on the same pool).
-	s.backend.withdraw(wk.regID, wk.code)
+	// The withdrawal pulls any spare pooled units out immediately (a fully
+	// busy worker has none: the server only marks its stint over, and its
+	// completions come back through finish).
+	s.backend.withdraw(w)
 	if s.check != nil {
 		s.check.withdraw(wk.regID)
 	}
@@ -496,17 +483,16 @@ func (s *sim) taskComplete(w, ti int) {
 	}
 	wk.loc = s.tasks[ti].loc
 	if wk.parked || wk.leaving {
-		s.backend.finish(wk.regID, w)
+		s.backend.finish(w)
 		if wk.leaving && wk.active == 0 {
 			s.goOffline(w)
 		}
 		return
 	}
-	oldCode := wk.code
 	snapped := s.tree.CodeOf(s.grid.Snap(wk.loc))
 	code := s.mech.ObfuscateWalk(snapped, s.obfSrc)
 	capLeft := s.capOf(w) - wk.active
-	if err := s.backend.release(wk.regID, w, oldCode, code); err != nil {
+	if err := s.backend.release(w, code); err != nil {
 		if errors.Is(err, privacy.ErrBudgetExhausted) {
 			// The post-task re-report is unaffordable: the worker is parked
 			// instead of re-entering the pool, its spare units withdrawn.
@@ -539,10 +525,10 @@ func (s *sim) batchTick() {
 			codes[i] = s.obfuscateTask(ti)
 		}
 		ids := s.backend.assignBatch(codes)
+		if s.check != nil {
+			s.check.observeBatch(codes, ids)
+		}
 		for i, id := range ids {
-			if s.check != nil {
-				s.check.observe(codes[i], id, id != engine.None)
-			}
 			if id != engine.None {
 				s.completeAssignment(s.pending[i], codes[i], id)
 			}
@@ -571,7 +557,7 @@ func (s *sim) rotate() {
 		}
 	}
 	var newMech *privacy.HSTMechanism
-	res, err := s.backend.rotate(order, capLeft,
+	res, err := s.backend.rotate(order,
 		func(w int, tree *hst.Tree) hst.Code {
 			if newMech == nil || newMech.Tree() != tree {
 				m, err := privacy.NewHSTMechanism(tree, s.sc.Epsilon)
@@ -653,11 +639,11 @@ func (s *sim) drainPending() {
 			continue
 		}
 		code := s.obfuscateTask(ti)
-		id, ok := s.backend.assign(code)
+		id := s.backend.assign(code)
 		if s.check != nil {
-			s.check.observe(code, id, ok)
+			s.check.observe(code, id)
 		}
-		if !ok {
+		if id == engine.None {
 			return
 		}
 		s.pending = s.pending[1:]
@@ -795,14 +781,14 @@ func (s *sim) report(cfg Config) *Report {
 	}
 
 	if s.sc.RotateEvery > 0 || s.sc.LifetimeEps > 0 {
-		finalEpoch, spent, limit := s.backend.epochInfo()
+		st := s.backend.srv.Stats() // zero budget totals without a lifetime budget
 		r.Epochs = &EpochMetrics{
 			Rotations:      s.rotations,
-			FinalEpoch:     finalEpoch,
+			FinalEpoch:     st.Epoch,
 			RotatedReports: s.rotatedRep,
 			ParkedWorkers:  s.parkedCount,
-			BudgetLimit:    limit,
-			BudgetSpent:    spent,
+			BudgetLimit:    st.BudgetLimit,
+			BudgetSpent:    st.BudgetSpentTotal,
 		}
 	}
 
@@ -810,7 +796,7 @@ func (s *sim) report(cfg Config) *Report {
 		r.Check = &CrossCheckReport{
 			Checked:        s.check.checked,
 			Violations:     s.check.nViolations,
-			PoolConsistent: s.backend.poolSize() == len(s.check.avail),
+			PoolConsistent: s.backend.srv.Stats().AvailableWorkers == len(s.check.avail),
 			Samples:        s.check.samples,
 		}
 	}

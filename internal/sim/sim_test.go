@@ -111,7 +111,7 @@ func TestValidateRejectsBadScenarios(t *testing.T) {
 // TestRunDeterministic is the determinism contract: same (scenario, seed,
 // driver) → byte-identical canonical JSON.
 func TestRunDeterministic(t *testing.T) {
-	for _, driver := range []Driver{DriverEngine, DriverPlatform} {
+	for _, driver := range []Driver{DriverPlatform, DriverCluster} {
 		sc := shortPreset(t, "churn-heavy", 120)
 		cfg := Config{Scenario: sc, Seed: 1, Driver: driver, CrossCheck: true}
 		r1, _, err := Run(cfg)
@@ -153,8 +153,8 @@ func TestSeedChangesOutcome(t *testing.T) {
 	}
 }
 
-// TestCrossCheckAllPresets is the acceptance criterion: zero
-// nearest-worker violations across every preset, on the engine driver.
+// TestCrossCheckAllPresets is the acceptance criterion: zero cross-check
+// violations across every preset, on the default (platform) driver.
 func TestCrossCheckAllPresets(t *testing.T) {
 	for _, name := range Scenarios() {
 		name := name
@@ -184,7 +184,7 @@ func TestCrossCheckAllPresets(t *testing.T) {
 }
 
 // TestCrossCheckPlatformDriver runs the churn-heavy preset through the
-// platform server: same engine underneath, plus slot bookkeeping on top.
+// platform server named explicitly: its slot bookkeeping over one engine.
 func TestCrossCheckPlatformDriver(t *testing.T) {
 	sc := shortPreset(t, "churn-heavy", 180)
 	r, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: DriverPlatform, CrossCheck: true})
@@ -284,12 +284,13 @@ func TestBatchWindowMode(t *testing.T) {
 }
 
 // TestEpochRotatePreset runs the epoch-rotate preset far enough to cross
-// two rotations on both drivers, cross-checked: rotation must leave the
+// two rotations on both drivers — one server and a coordinator's
+// distributed rotation — cross-checked: rotation must leave the
 // sequential nearest-worker contract intact, actually rotate and park, and
 // conserve budget — the accountant total equals ε times every fresh report
 // (registrations, post-task re-reports, rotation re-obfuscations).
 func TestEpochRotatePreset(t *testing.T) {
-	for _, driver := range []Driver{DriverEngine, DriverPlatform} {
+	for _, driver := range []Driver{DriverPlatform, DriverCluster} {
 		driver := driver
 		t.Run(string(driver), func(t *testing.T) {
 			sc := shortPreset(t, "epoch-rotate", 660) // rotations at 300 and 600
@@ -387,12 +388,12 @@ func TestLifetimeBudgetWithoutRotation(t *testing.T) {
 
 // TestCapacityHeavyPreset is the policy layer's acceptance test: the
 // capacitated sequential rule survives the full churn + rotation gauntlet
-// with zero cross-check violations, and the engine and platform drivers
+// with zero cross-check violations, and the platform and cluster drivers
 // produce bit-identical assignment outcomes.
 func TestCapacityHeavyPreset(t *testing.T) {
 	sc := shortPreset(t, "capacity-heavy", 300) // crosses the rotation at 240
 	var blobs [][]byte
-	for _, driver := range []Driver{DriverEngine, DriverPlatform} {
+	for _, driver := range []Driver{DriverPlatform, DriverCluster} {
 		r, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: driver, CrossCheck: true})
 		if err != nil {
 			t.Fatal(err)
@@ -433,20 +434,22 @@ func TestCapacityHeavyPreset(t *testing.T) {
 }
 
 // TestBatchOptimalScenario runs the windowed chengdu-day preset under the
-// batch-optimal policy with the feasibility cross-check: every assignment
+// batch-optimal policy with the strict window cross-check: every window
+// must match only its tasks' reference candidates, leave as many tasks
+// unmatched and cost as much as the reference matching, every assignment
 // must consume a genuinely available unit and the pool must stay
-// consistent, even though the decisions deviate from the sequential rule.
+// consistent.
 func TestBatchOptimalScenario(t *testing.T) {
 	sc := shortPreset(t, "chengdu-day", 200)
 	sc.Policy = "batch-optimal"
 	sc.Capacity = 2
-	for _, driver := range []Driver{DriverEngine, DriverPlatform} {
+	for _, driver := range []Driver{DriverPlatform, DriverCluster} {
 		r, _, err := Run(Config{Scenario: sc, Seed: 9, Driver: driver, CrossCheck: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Check.Violations != 0 {
-			t.Errorf("%s: feasibility violations: %v", driver, r.Check.Samples)
+			t.Errorf("%s: window violations: %v", driver, r.Check.Samples)
 		}
 		if !r.Check.PoolConsistent {
 			t.Errorf("%s: pool diverged", driver)
@@ -462,7 +465,9 @@ func TestBatchOptimalScenario(t *testing.T) {
 
 func TestUnknownDriverRejected(t *testing.T) {
 	sc := shortPreset(t, "steady", 60)
-	if _, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: "carrier-pigeon"}); err == nil {
-		t.Error("unknown driver accepted")
+	for _, driver := range []Driver{"carrier-pigeon", "engine"} {
+		if _, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: driver}); err == nil {
+			t.Errorf("unknown driver %q accepted", driver)
+		}
 	}
 }
