@@ -13,19 +13,24 @@ import (
 
 // crossCheck is the independent reference every driver is held to: it
 // mirrors the available pool — worker codes and remaining capacity units —
-// in a plain map and re-derives every decision from it without touching
-// the engine's index or window kernel.
+// in a plain map keyed by worker index and re-derives every decision from
+// it without touching the engine's index or window kernel.
 //
 // A task served alone, and every task of a batch under a sequential policy,
 // is checked against the capacitated sequential rule of Alg. 4: the minimal
-// LCA level among workers with remaining capacity, ties to the smallest
-// registration id — match.HSTGreedyScan's order, generalised so a worker
+// LCA level among workers with remaining capacity, ties to the stint that
+// registered first — match.HSTGreedyScan's order, generalised so a worker
 // leaves the pool only when its last unit is consumed.
+//
+// That tie order is the server's slot order, and the mirror keeps it as a
+// rank given to each stint when it registers: a new worker, a returning
+// one, or a rotation re-report, in report order. A release keeps the rank,
+// also after the stint's last pooled unit was consumed.
 //
 // A batch under a window-solving policy (topK > 0) is checked window by
 // window, the windows cut by engine.BatchWindows: before a window consumes
 // anything, the reference gives each task its topK nearest mirrored workers
-// in (LCA level, id) order and solves one min-cost maximum-cardinality
+// in (LCA level, rank) order and solves one min-cost maximum-cardinality
 // matching over them (checkWindow). The answers must match only candidates,
 // leave as many tasks unmatched and cost the same Σ LevelDist.
 //
@@ -34,7 +39,9 @@ import (
 type crossCheck struct {
 	tree        *hst.Tree
 	topK        int               // window-solving policy's candidate pool; 0 for a sequential policy
-	avail       map[int]refWorker // registration id → reported code + units
+	avail       map[int]refWorker // worker index → reported code, units and rank
+	rank        map[int]int       // worker index → its current stint's rank
+	nextRank    int
 	checked     int
 	nViolations int
 	samples     []string // first few violation descriptions
@@ -44,103 +51,111 @@ type crossCheck struct {
 type refWorker struct {
 	code hst.Code
 	cap  int
+	rank int
 }
 
 // maxSamples bounds the retained violation details.
 const maxSamples = 5
 
 func newCrossCheck(tree *hst.Tree, topK int) *crossCheck {
-	return &crossCheck{tree: tree, topK: topK, avail: map[int]refWorker{}}
+	return &crossCheck{tree: tree, topK: topK, avail: map[int]refWorker{}, rank: map[int]int{}}
 }
 
-// register mirrors a fresh report: a worker enters (or re-enters) the pool
-// at the given code with the given remaining capacity. Releases re-use it
-// to overwrite the entry with the post-completion code and units.
-func (c *crossCheck) register(id int, code hst.Code, capacity int) {
-	c.avail[id] = refWorker{code: code, cap: capacity}
+// register mirrors a new stint: worker w enters the pool at code with the
+// given capacity and ranks after every stint before it.
+func (c *crossCheck) register(w int, code hst.Code, capacity int) {
+	c.rank[w] = c.nextRank
+	c.nextRank++
+	c.release(w, code, capacity)
 }
 
-func (c *crossCheck) withdraw(id int) { delete(c.avail, id) }
+// release mirrors a re-report within the stint: worker w's entry moves to
+// code with the given remaining units and keeps its rank.
+func (c *crossCheck) release(w int, code hst.Code, capacity int) {
+	c.avail[w] = refWorker{code: code, cap: capacity, rank: c.rank[w]}
+}
+
+func (c *crossCheck) withdraw(w int) { delete(c.avail, w) }
 
 // retree swaps the reference to a rotated epoch's tree. The caller must
 // have replaced (or withdrawn) every mirrored worker first: codes from the
 // old epoch are meaningless under the new tree.
 func (c *crossCheck) retree(tree *hst.Tree) { c.tree = tree }
 
-// observe verifies one decision against the sequential rule (id is
-// engine.None when the task went unmatched) and consumes it.
-func (c *crossCheck) observe(taskCode hst.Code, gotID int) {
-	if gotID == engine.None {
+// observe verifies one decision against the sequential rule (got is the
+// served worker, engine.None when the task went unmatched) and consumes it.
+func (c *crossCheck) observe(taskCode hst.Code, got int) {
+	if got == engine.None {
 		// Under the sequential rule an assignment fails only on an empty pool.
 		if len(c.avail) > 0 {
 			c.fail(fmt.Sprintf("task %q unassigned with %d workers available", taskCode, len(c.avail)))
 		}
-	} else if w, present := c.avail[gotID]; present {
-		bestLvl, bestID := c.tree.Depth()+1, -1
-		for id, rw := range c.avail {
+	} else if gw, present := c.avail[got]; present {
+		bestLvl, bestRank, bestW := c.tree.Depth()+1, 0, -1
+		for w, rw := range c.avail {
 			lvl := c.tree.LCALevel(taskCode, rw.code)
-			if lvl < bestLvl || (lvl == bestLvl && id < bestID) {
-				bestLvl, bestID = lvl, id
+			if lvl < bestLvl || (lvl == bestLvl && rw.rank < bestRank) {
+				bestLvl, bestRank, bestW = lvl, rw.rank, w
 			}
 		}
-		if got := c.tree.LCALevel(taskCode, w.code); got != bestLvl {
-			c.fail(fmt.Sprintf("task %q matched at level %d, nearest available is level %d", taskCode, got, bestLvl))
-		} else if gotID != bestID {
-			c.fail(fmt.Sprintf("task %q matched worker %d, sequential rule picks %d", taskCode, gotID, bestID))
+		if lvl := c.tree.LCALevel(taskCode, gw.code); lvl != bestLvl {
+			c.fail(fmt.Sprintf("task %q matched at level %d, nearest available is level %d", taskCode, lvl, bestLvl))
+		} else if got != bestW {
+			c.fail(fmt.Sprintf("task %q matched worker %d, sequential rule picks %d", taskCode, got, bestW))
 		}
 	}
-	c.consume(taskCode, gotID)
+	c.consume(taskCode, got)
 }
 
-// observeBatch verifies one batch's answers, ids[i] the worker served
+// observeBatch verifies one batch's answers, ws[i] the worker served
 // codes[i], and consumes them.
-func (c *crossCheck) observeBatch(codes []hst.Code, ids []int) {
+func (c *crossCheck) observeBatch(codes []hst.Code, ws []int) {
 	if c.topK == 0 {
-		for i, id := range ids {
-			c.observe(codes[i], id)
+		for i, w := range ws {
+			c.observe(codes[i], w)
 		}
 		return
 	}
 	for lo, hi := range engine.BatchWindows(len(codes)) {
-		c.checkWindow(codes[lo:hi], ids[lo:hi])
+		c.checkWindow(codes[lo:hi], ws[lo:hi])
 		for i := lo; i < hi; i++ {
-			c.consume(codes[i], ids[i])
+			c.consume(codes[i], ws[i])
 		}
 	}
 }
 
 // consume counts one decision and takes its unit from the mirror, which
 // catches a worker served while gone or past its capacity.
-func (c *crossCheck) consume(taskCode hst.Code, gotID int) {
+func (c *crossCheck) consume(taskCode hst.Code, got int) {
 	c.checked++
-	if gotID == engine.None {
+	if got == engine.None {
 		return
 	}
-	w, present := c.avail[gotID]
+	rw, present := c.avail[got]
 	if !present {
-		c.fail(fmt.Sprintf("task %q assigned to worker %d, which is not available", taskCode, gotID))
+		c.fail(fmt.Sprintf("task %q assigned to worker %d, which is not available", taskCode, got))
 		return
 	}
-	w.cap--
-	if w.cap <= 0 {
-		delete(c.avail, gotID)
+	rw.cap--
+	if rw.cap <= 0 {
+		delete(c.avail, got)
 	} else {
-		c.avail[gotID] = w
+		c.avail[got] = rw
 	}
 }
 
-// candidate is one reference pairing: a mirrored worker and its LCA level
-// with the task.
-type candidate struct{ id, lvl int }
+// candidate is one reference pairing: a mirrored worker, its LCA level
+// with the task and its stint's rank.
+type candidate struct{ id, lvl, rank int }
 
-// nearest returns the task's topK nearest mirrored workers in (level, id)
+// nearest returns the task's topK nearest mirrored workers in (level, rank)
 // order, by a plain scan of the mirror.
 func (c *crossCheck) nearest(taskCode hst.Code) []candidate {
 	all := make([]candidate, 0, len(c.avail))
-	for id, rw := range c.avail {
-		all = append(all, candidate{id: id, lvl: c.tree.LCALevel(taskCode, rw.code)})
+	for w, rw := range c.avail {
+		all = append(all, candidate{id: w, lvl: c.tree.LCALevel(taskCode, rw.code), rank: rw.rank})
 	}
-	slices.SortFunc(all, func(a, b candidate) int { return cmp.Or(a.lvl-b.lvl, a.id-b.id) })
+	slices.SortFunc(all, func(a, b candidate) int { return cmp.Or(a.lvl-b.lvl, a.rank-b.rank) })
 	return all[:min(len(all), c.topK)]
 }
 

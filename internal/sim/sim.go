@@ -14,11 +14,18 @@
 // decision to one independent reference and counts divergences (zero
 // expected): the sequential brute-force rule of Alg. 4, and under a
 // window-solving policy a fresh min-cost matching per batch window.
+//
+// Each event handler calls the platform.Server under test directly. A
+// worker's index is its only id: worker i registers, releases and
+// withdraws as "w<i>" across all its online stints, so the server's
+// withdraw → same-id re-registration path is exercised, and a served
+// WorkerID decodes straight back to the index.
 package sim
 
 import (
-	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/pombm/pombm/internal/cluster"
@@ -40,6 +47,20 @@ type Config struct {
 	CrossCheck bool   // verify every decision against the reference (crossCheck)
 }
 
+// Driver selects which layer of the stack the simulator exercises.
+type Driver string
+
+// The available drivers. Both serve through a platform.Server, so a
+// scenario produces the same assignments under either; the cluster driver
+// adds the coordinator's fan-out (routing, scatter-gather windows,
+// distributed rotation) across in-process nodes.
+const (
+	DriverPlatform Driver = "platform" // platform.Server (in-process, no HTTP)
+	DriverCluster  Driver = "cluster"  // cluster.Coordinator over in-process nodes
+)
+
+func workerName(worker int) string { return "w" + strconv.Itoa(worker) }
+
 type workerState uint8
 
 const (
@@ -55,11 +76,10 @@ const (
 type simWorker struct {
 	loc     geo.Point
 	state   workerState
-	active  int  // outstanding assignments
-	leaving bool // stop taking work; go offline at the last completion
-	parked  bool // lifetime ε budget exhausted; offline for good
-	regID   int  // current registration id; fresh per online stint
-	code    hst.Code
+	active  int      // outstanding assignments
+	leaving bool     // stop taking work; go offline at the last completion
+	parked  bool     // lifetime ε budget exhausted; offline for good
+	code    hst.Code // last accepted report; "" until the first registration
 
 	onlineSince float64
 	busySince   float64 // start of the current active ≥ 1 stretch
@@ -84,23 +104,23 @@ type simTask struct {
 
 // sim is one run's mutable state.
 type sim struct {
-	sc      Scenario
-	backend *platformBackend
-	tree    *hst.Tree
-	grid    *geo.Grid
-	mech    *privacy.HSTMechanism
-	check   *crossCheck
-	policy  engine.Policy
-	cap     int // per-worker capacity units (≥ 1)
+	sc     Scenario
+	srv    *platform.Server
+	epoch  int64 // serving epoch; reports and tasks are tagged with it
+	tree   *hst.Tree
+	grid   *geo.Grid
+	mech   *privacy.HSTMechanism
+	check  *crossCheck
+	policy engine.Policy
+	cap    int // per-worker capacity units (≥ 1)
 
 	heap eventHeap
 	seq  int64
 	now  float64
 
-	workers  []simWorker
-	tasks    []simTask
-	pending  []int // task indexes awaiting assignment, arrival order
-	regOwner []int // registration id → worker index
+	workers []simWorker
+	tasks   []simTask
+	pending []int // task indexes awaiting assignment, arrival order
 
 	// Derived randomness, one stream per concern so adding draws to one
 	// cannot reseed another.
@@ -140,6 +160,9 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 	if cfg.Driver == "" {
 		cfg.Driver = DriverPlatform
 	}
+	if cfg.Nodes < 0 {
+		return nil, nil, fmt.Errorf("sim: negative node count %d", cfg.Nodes)
+	}
 	sc := cfg.Scenario
 	root := rng.New(cfg.Seed)
 
@@ -178,7 +201,7 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 		}
 	case DriverCluster:
 		// The coordinator's server is a platform.Server over a fanned-out
-		// core, so the same backend drives it verbatim: identical slot,
+		// core, so the same handlers drive it verbatim: identical slot,
 		// budget, and rotation bookkeeping, with every engine operation
 		// routed to in-process nodes by the cut.
 		nNodes := cfg.Nodes
@@ -210,7 +233,8 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 
 	s := &sim{
 		sc:           sc,
-		backend:      &platformBackend{srv: srv, refit: sc.RotateRefit, epoch: srv.Publication().Epoch, curRegOf: map[int]int{}},
+		srv:          srv,
+		epoch:        srv.Publication().Epoch,
 		tree:         tree,
 		grid:         grid,
 		mech:         mech,
@@ -280,7 +304,7 @@ func (s *sim) schedule(root *rng.Source) error {
 // newWorker creates a fresh worker arriving at time t.
 func (s *sim) newWorker(t float64) {
 	s.push(event{at: t, kind: evWorkerArrive, worker: len(s.workers)})
-	s.workers = append(s.workers, simWorker{regID: -1})
+	s.workers = append(s.workers, simWorker{})
 }
 
 func (s *sim) push(e event) {
@@ -336,35 +360,32 @@ func (s *sim) capOf(w int) int {
 	return c
 }
 
-// registerWorker brings worker w online at its current true location under
-// a fresh registration id, a freshly obfuscated code, and a full capacity.
-// It reports false — and parks the worker — when the lifetime budget cannot
+// registerWorker starts a new online stint for worker w: a freshly
+// obfuscated code of its current true location and a full capacity. It
+// reports false — and parks the worker — when the lifetime budget cannot
 // afford the fresh report.
 func (s *sim) registerWorker(w int) bool {
 	wk := &s.workers[w]
-	snapped := s.tree.CodeOf(s.grid.Snap(wk.loc))
-	wk.code = s.mech.ObfuscateWalk(snapped, s.obfSrc)
-	regID := len(s.regOwner)
-	s.regOwner = append(s.regOwner, w)
-	if err := s.backend.register(regID, w, wk.code, s.capOf(w)); err != nil {
-		if errors.Is(err, privacy.ErrBudgetExhausted) {
-			// The registration id was never seen by the backend: drop it so
-			// sim regIDs stay aligned with platform slot numbers.
-			s.regOwner = s.regOwner[:len(s.regOwner)-1]
-			s.parkWorker(w)
-			return false
-		}
+	code := s.mech.ObfuscateWalk(s.tree.CodeOf(s.grid.Snap(wk.loc)), s.obfSrc)
+	resp := s.srv.Register(platform.RegisterRequest{
+		WorkerID: workerName(w), Code: []byte(code), Epoch: s.epoch, Capacity: s.capOf(w),
+	})
+	switch {
+	case resp.Parked:
+		s.parkWorker(w)
+		return false
+	case !resp.OK:
 		// Codes come from the mechanism over the same tree; any other
-		// failure is a bug worth surfacing loudly rather than skewing
+		// refusal is a bug worth surfacing loudly rather than skewing
 		// metrics.
-		panic(fmt.Sprintf("sim: register worker %d: %v", w, err))
+		panic(fmt.Sprintf("sim: register worker %d: %s", w, resp.Reason))
 	}
-	wk.regID = regID
+	wk.code = code
 	wk.state = wAvailable
 	wk.active = 0
 	s.registrations++
 	if s.check != nil {
-		s.check.register(wk.regID, wk.code, s.capOf(w))
+		s.check.register(w, code, s.capOf(w))
 	}
 	return true
 }
@@ -389,7 +410,7 @@ func (s *sim) workerArrive(w int) {
 	wk.loc = s.sampleWorker(s.workerLocSrc)
 	wk.leaving = false
 	wk.onlineSince = s.now
-	if wk.regID == -1 {
+	if wk.code == "" { // a refused first registration parks for good
 		s.freshArrivals++
 	} else {
 		s.returns++
@@ -412,24 +433,21 @@ func (s *sim) workerDepart(w int) {
 	if wk.state == wOffline {
 		return // already left (e.g. completed its last task while leaving)
 	}
+	// The withdrawal pulls any pooled units out immediately. A fully busy
+	// worker has none: the server only marks its stint over, and its
+	// completions are acknowledged in taskComplete.
+	ok := s.srv.Withdraw(platform.WithdrawRequest{WorkerID: workerName(w)}).OK
+	if s.check != nil {
+		s.check.withdraw(w)
+	}
 	if wk.active == 0 {
-		if !s.backend.withdraw(w) {
-			panic(fmt.Sprintf("sim: withdraw of available worker %d (reg %d) failed", w, wk.regID))
-		}
-		if s.check != nil {
-			s.check.withdraw(wk.regID)
+		if !ok {
+			panic(fmt.Sprintf("sim: withdraw of available worker %d failed", w))
 		}
 		s.goOffline(w)
 		return
 	}
 	wk.leaving = true
-	// The withdrawal pulls any spare pooled units out immediately (a fully
-	// busy worker has none: the server only marks its stint over, and its
-	// completions come back through finish).
-	s.backend.withdraw(w)
-	if s.check != nil {
-		s.check.withdraw(wk.regID)
-	}
 	wk.state = wBusy
 }
 
@@ -470,11 +488,12 @@ func (s *sim) taskExpire(ti int) {
 
 // taskComplete hands one capacity unit back: the worker has travelled to
 // the task, so its true location is now the task's, and the unit re-enters
-// the pool through the release path — a re-report at a freshly obfuscated
-// code under the same stint id, moving any spare pooled units along with
-// it. A leaving (or parked, or rotation-dropped) worker's units do not
-// return: each completion is acknowledged through the backend's finish
-// path, and the worker goes fully offline at its last one.
+// the pool through Release — a re-report at a freshly obfuscated code
+// within the same stint, moving any spare pooled units along with it. A
+// leaving (or parked) worker's units do not return: each completion is
+// acknowledged by a code-less Release, which the server answers by
+// counting the task done and refusing the pool re-entry, and the worker
+// goes fully offline at its last one.
 func (s *sim) taskComplete(w, ti int) {
 	wk := &s.workers[w]
 	wk.active--
@@ -483,31 +502,32 @@ func (s *sim) taskComplete(w, ti int) {
 	}
 	wk.loc = s.tasks[ti].loc
 	if wk.parked || wk.leaving {
-		s.backend.finish(w)
+		if s.srv.Release(platform.ReleaseRequest{WorkerID: workerName(w)}).OK {
+			panic(fmt.Sprintf("sim: finishing worker %d re-entered the pool", w))
+		}
 		if wk.leaving && wk.active == 0 {
 			s.goOffline(w)
 		}
 		return
 	}
-	snapped := s.tree.CodeOf(s.grid.Snap(wk.loc))
-	code := s.mech.ObfuscateWalk(snapped, s.obfSrc)
-	capLeft := s.capOf(w) - wk.active
-	if err := s.backend.release(w, code); err != nil {
-		if errors.Is(err, privacy.ErrBudgetExhausted) {
-			// The post-task re-report is unaffordable: the worker is parked
-			// instead of re-entering the pool, its spare units withdrawn.
-			if s.check != nil {
-				s.check.withdraw(wk.regID)
-			}
-			s.parkWorker(w)
-			return
+	code := s.mech.ObfuscateWalk(s.tree.CodeOf(s.grid.Snap(wk.loc)), s.obfSrc)
+	resp := s.srv.Release(platform.ReleaseRequest{WorkerID: workerName(w), Code: []byte(code), Epoch: s.epoch})
+	switch {
+	case resp.Parked:
+		// The post-task re-report is unaffordable: the worker is parked
+		// instead of re-entering the pool, its spare units withdrawn.
+		if s.check != nil {
+			s.check.withdraw(w)
 		}
-		panic(fmt.Sprintf("sim: release worker %d: %v", w, err))
+		s.parkWorker(w)
+		return
+	case !resp.OK:
+		panic(fmt.Sprintf("sim: release worker %d: %s", w, resp.Reason))
 	}
 	wk.code = code
 	s.registrations++
 	if s.check != nil {
-		s.check.register(wk.regID, wk.code, capLeft)
+		s.check.release(w, code, s.capOf(w)-wk.active)
 	}
 	wk.state = wAvailable
 	if s.sc.BatchWindow == 0 {
@@ -521,16 +541,21 @@ func (s *sim) batchTick() {
 	s.compactPending() // drop expired tasks in place before batching
 	if len(s.pending) > 0 {
 		codes := make([]hst.Code, len(s.pending))
+		req := platform.TaskBatchRequest{Tasks: make([]platform.TaskRequest, len(s.pending))}
 		for i, ti := range s.pending {
 			codes[i] = s.obfuscateTask(ti)
+			req.Tasks[i] = platform.TaskRequest{Code: []byte(codes[i]), Epoch: s.epoch}
 		}
-		ids := s.backend.assignBatch(codes)
+		ws := make([]int, len(codes))
+		for i, r := range s.srv.SubmitBatch(req).Results {
+			ws[i] = s.decode(r)
+		}
 		if s.check != nil {
-			s.check.observeBatch(codes, ids)
+			s.check.observeBatch(codes, ws)
 		}
-		for i, id := range ids {
-			if id != engine.None {
-				s.completeAssignment(s.pending[i], codes[i], id)
+		for i, w := range ws {
+			if w != engine.None {
+				s.completeAssignment(s.pending[i], codes[i], w)
 			}
 		}
 		s.compactPending() // drop the just-assigned
@@ -540,78 +565,82 @@ func (s *sim) batchTick() {
 	}
 }
 
-// rotate swaps the serving epoch: the backend publishes a fresh tree and
-// every available worker re-reports under it with a freshly obfuscated
-// code (and a fresh registration id — a new stint in the new epoch), with
-// each re-report spending lifetime budget; exhausted workers are parked.
-// Busy workers keep serving their assignment and re-report under the new
-// tree at completion. Pending tasks re-obfuscate lazily: their old-epoch
-// codes are meaningless under the new tree.
+// rotate swaps the serving epoch: the server publishes a fresh tree and
+// every available worker re-reports under it with a freshly obfuscated code
+// (a new stint in the new epoch's index), with each re-report spending
+// lifetime budget; exhausted workers are parked. Busy workers keep serving
+// their assignment and re-report under the new tree at completion. Pending
+// tasks re-obfuscate lazily: their old-epoch codes are meaningless under
+// the new tree.
 func (s *sim) rotate() {
 	var order []int
-	var capLeft []int
+	var names []string
 	for i := range s.workers {
 		if s.workers[i].state == wAvailable {
 			order = append(order, i)
-			capLeft = append(capLeft, s.capOf(i)-s.workers[i].active)
+			names = append(names, workerName(i))
 		}
 	}
-	var newMech *privacy.HSTMechanism
-	res, err := s.backend.rotate(order,
-		func(w int, tree *hst.Tree) hst.Code {
-			if newMech == nil || newMech.Tree() != tree {
-				m, err := privacy.NewHSTMechanism(tree, s.sc.Epsilon)
-				if err != nil {
-					panic(fmt.Sprintf("sim: rotate mechanism: %v", err))
-				}
-				newMech = m
-			}
-			wk := &s.workers[w]
-			return newMech.ObfuscateWalk(tree.CodeOf(s.grid.Snap(wk.loc)), s.obfSrc)
-		},
-		func(w int) int {
-			id := len(s.regOwner)
-			s.regOwner = append(s.regOwner, w)
-			return id
-		})
-	if err != nil {
-		panic(fmt.Sprintf("sim: rotate: %v", err))
+	// RotateNow calls report once per listed worker, in order: the rng
+	// contract.
+	codes := make([]hst.Code, 0, len(order))
+	resp := s.srv.RotateNow(platform.PrepareRotateRequest{Refit: s.sc.RotateRefit}, names, func(_ string, tree *hst.Tree) (hst.Code, error) {
+		s.useTree(tree)
+		wk := &s.workers[order[len(codes)]]
+		codes = append(codes, s.mech.ObfuscateWalk(tree.CodeOf(s.grid.Snap(wk.loc)), s.obfSrc))
+		return codes[len(codes)-1], nil
+	})
+	if !resp.OK {
+		panic(fmt.Sprintf("sim: rotate: %s", resp.Reason))
+	}
+	if len(resp.Dropped) > 0 || resp.Skipped > 0 {
+		// The simulator lists exactly the available population; the server
+		// dropping or skipping any of it means the two disagree about who
+		// is online — a bookkeeping bug, not a scenario outcome.
+		panic("sim: rotate dropped or skipped listed workers")
+	}
+	pub := s.srv.Publication()
+	s.useTree(pub.Tree) // an empty pool reported nothing under it
+	s.epoch = pub.Epoch
+	parked := make(map[string]bool, len(resp.Parked))
+	for _, name := range resp.Parked {
+		parked[name] = true
 	}
 	for i, w := range order {
-		wk := &s.workers[w]
-		if s.check != nil {
-			s.check.withdraw(wk.regID)
-		}
-		if res.parked[i] {
+		if parked[names[i]] {
+			if s.check != nil {
+				s.check.withdraw(w)
+			}
 			s.parkWorker(w)
 			continue
 		}
-		wk.regID = res.newID[i]
-		wk.code = res.codes[i]
+		wk := &s.workers[w]
+		wk.code = codes[i]
 		s.rotatedRep++
 		if s.check != nil {
-			s.check.register(wk.regID, wk.code, capLeft[i])
+			s.check.register(w, wk.code, s.capOf(w)-wk.active)
 		}
 	}
-	s.tree = res.tree
-	if newMech == nil || newMech.Tree() != res.tree {
-		// No available worker reported (empty pool): build the new epoch's
-		// mechanism now for future reports and tasks.
-		m, err := privacy.NewHSTMechanism(res.tree, s.sc.Epsilon)
-		if err != nil {
-			panic(fmt.Sprintf("sim: rotate mechanism: %v", err))
-		}
-		newMech = m
-	}
-	s.mech = newMech
 	if s.check != nil {
-		s.check.retree(res.tree)
+		s.check.retree(pub.Tree)
 	}
 	for _, ti := range s.pending {
 		s.tasks[ti].code = "" // re-draw under the new tree at the next attempt
 	}
 	s.rotations++
 	s.drainPending()
+}
+
+// useTree makes tree the one reports and tasks are obfuscated under.
+func (s *sim) useTree(tree *hst.Tree) {
+	if tree == s.tree {
+		return
+	}
+	mech, err := privacy.NewHSTMechanism(tree, s.sc.Epsilon)
+	if err != nil {
+		panic(fmt.Sprintf("sim: rotate mechanism: %v", err))
+	}
+	s.tree, s.mech = tree, mech
 }
 
 // obfuscateTask draws the task's reported code. Each task reports once; in
@@ -639,25 +668,37 @@ func (s *sim) drainPending() {
 			continue
 		}
 		code := s.obfuscateTask(ti)
-		id := s.backend.assign(code)
+		w := s.decode(s.srv.Submit(platform.TaskRequest{Code: []byte(code), Epoch: s.epoch}))
 		if s.check != nil {
-			s.check.observe(code, id)
+			s.check.observe(code, w)
 		}
-		if id == engine.None {
+		if w == engine.None {
 			return
 		}
 		s.pending = s.pending[1:]
-		s.completeAssignment(ti, code, id)
+		s.completeAssignment(ti, code, w)
 	}
 }
 
-// completeAssignment records the match and schedules the completion. The
-// worker leaves the pool only when the assignment consumed its last
-// capacity unit.
-func (s *sim) completeAssignment(ti int, taskCode hst.Code, regID int) {
+// decode maps a served answer back to its worker's index, and anything
+// else — an unassigned task, an id workerName does not write, a worker
+// never registered — to engine.None, so the cross-check reports the answer
+// instead of blaming a worker that exists.
+func (s *sim) decode(resp platform.TaskResponse) int {
+	w, err := strconv.Atoi(strings.TrimPrefix(resp.WorkerID, "w"))
+	if !resp.Assigned || err != nil || w < 0 || w >= len(s.workers) ||
+		workerName(w) != resp.WorkerID || s.workers[w].code == "" {
+		return engine.None
+	}
+	return w
+}
+
+// completeAssignment records the match of task ti to worker w and schedules
+// the completion. The worker leaves the pool only when the assignment
+// consumed its last capacity unit.
+func (s *sim) completeAssignment(ti int, taskCode hst.Code, w int) {
 	t := &s.tasks[ti]
 	t.status = tAssigned
-	w := s.regOwner[regID]
 	wk := &s.workers[w]
 	if wk.active == 0 {
 		wk.busySince = s.now
@@ -781,7 +822,7 @@ func (s *sim) report(cfg Config) *Report {
 	}
 
 	if s.sc.RotateEvery > 0 || s.sc.LifetimeEps > 0 {
-		st := s.backend.srv.Stats() // zero budget totals without a lifetime budget
+		st := s.srv.Stats() // zero budget totals without a lifetime budget
 		r.Epochs = &EpochMetrics{
 			Rotations:      s.rotations,
 			FinalEpoch:     st.Epoch,
@@ -796,7 +837,7 @@ func (s *sim) report(cfg Config) *Report {
 		r.Check = &CrossCheckReport{
 			Checked:        s.check.checked,
 			Violations:     s.check.nViolations,
-			PoolConsistent: s.backend.srv.Stats().AvailableWorkers == len(s.check.avail),
+			PoolConsistent: s.srv.Stats().AvailableWorkers == len(s.check.avail),
 			Samples:        s.check.samples,
 		}
 	}

@@ -171,7 +171,7 @@ func TestCrossCheckAllPresets(t *testing.T) {
 				t.Errorf("%d violations of %d checked: %v", r.Check.Violations, r.Check.Checked, r.Check.Samples)
 			}
 			if !r.Check.PoolConsistent {
-				t.Error("backend pool size diverged from the sequential reference")
+				t.Error("server pool size diverged from the sequential reference")
 			}
 			if r.Check.Checked == 0 {
 				t.Error("crosscheck observed no assignment attempts")
@@ -183,19 +183,25 @@ func TestCrossCheckAllPresets(t *testing.T) {
 	}
 }
 
-// TestCrossCheckPlatformDriver runs the churn-heavy preset through the
-// platform server named explicitly: its slot bookkeeping over one engine.
+// TestCrossCheckPlatformDriver runs churn-heavy, the preset heaviest in
+// departures and returns (so in stints, and in ties between them), on the
+// platform driver at seeds no other test runs.
 func TestCrossCheckPlatformDriver(t *testing.T) {
 	sc := shortPreset(t, "churn-heavy", 180)
-	r, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: DriverPlatform, CrossCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Check.Violations != 0 {
-		t.Errorf("%d violations: %v", r.Check.Violations, r.Check.Samples)
-	}
-	if !r.Check.PoolConsistent {
-		t.Error("platform pool size diverged from the sequential reference")
+	for _, seed := range []uint64{2, 3, 4} {
+		r, _, err := Run(Config{Scenario: sc, Seed: seed, Driver: DriverPlatform, CrossCheck: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Check.Violations != 0 {
+			t.Errorf("seed %d: %d violations: %v", seed, r.Check.Violations, r.Check.Samples)
+		}
+		if !r.Check.PoolConsistent {
+			t.Errorf("seed %d: platform pool size diverged from the sequential reference", seed)
+		}
+		if r.Check.Checked == 0 {
+			t.Errorf("seed %d: crosscheck observed no assignment attempts", seed)
+		}
 	}
 }
 
@@ -468,6 +474,15 @@ func TestUnknownDriverRejected(t *testing.T) {
 	for _, driver := range []Driver{"carrier-pigeon", "engine"} {
 		if _, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: driver}); err == nil {
 			t.Errorf("unknown driver %q accepted", driver)
+		}
+	}
+}
+
+func TestNegativeNodesRejected(t *testing.T) {
+	sc := shortPreset(t, "steady", 60)
+	for _, driver := range []Driver{"", DriverPlatform, DriverCluster} {
+		if _, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: driver, Nodes: -1}); err == nil {
+			t.Errorf("driver %q accepted Nodes = -1", driver)
 		}
 	}
 }
