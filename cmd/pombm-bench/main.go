@@ -79,6 +79,11 @@ func run() error {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *format != "text" && *format != "csv" && *format != "markdown" {
+		fmt.Fprintf(os.Stderr, "pombm-bench: unknown -format %q (text, csv or markdown)\n", *format)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *procs > 0 {
 		runtime.GOMAXPROCS(*procs)
 	}

@@ -12,7 +12,8 @@ import (
 )
 
 // TestCLI drives the built binary: a figure run prints its table, a run
-// that fails still leaves its profile behind, and the flags of the deleted
+// that fails still leaves its profile behind, an unknown -format is refused
+// rather than printed as text, and the flags of the deleted
 // engine-bench lane and the suites of the deleted engine soak lane are gone
 // rather than silently accepted.
 func TestCLI(t *testing.T) {
@@ -51,6 +52,13 @@ func TestCLI(t *testing.T) {
 		}
 		if fi, err := os.Stat(filepath.Join(dir, "m.pprof")); err != nil || fi.Size() == 0 {
 			t.Errorf("mutex profile of the failing run missing or empty: %v", err)
+		}
+	})
+
+	t.Run("unknown format is refused", func(t *testing.T) {
+		stdout, stderr, code := run("-exp", "table1", "-quick", "-format", "bogus")
+		if code != 2 || stdout != "" || !strings.Contains(stderr, `pombm-bench: unknown -format "bogus"`) {
+			t.Errorf("exit %d, want 2 naming the format and no table\n%s%s", code, stdout, stderr)
 		}
 	})
 

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -63,6 +64,11 @@ func main() {
 	}
 	if *scenario == "" {
 		fmt.Fprintln(os.Stderr, "pombm-sim: -scenario is required (use -list to see presets)")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if !(*duration >= 0) || math.IsInf(*duration, 1) {
+		fmt.Fprintf(os.Stderr, "pombm-sim: -duration must be a finite number of seconds >= 0 (0 keeps the preset's), got %v\n", *duration)
 		flag.Usage()
 		os.Exit(2)
 	}

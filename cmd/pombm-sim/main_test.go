@@ -15,6 +15,25 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this run")
 
+// TestBadDurationIsRefused: a -duration that is negative or not finite is
+// refused with a message and exit 2, as a missing -scenario is, instead of
+// running the preset's own duration.
+func TestBadDurationIsRefused(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "pombm-sim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, d := range []string{"-5", "NaN", "+Inf"} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, "-scenario", "steady", "-duration", d)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "pombm-sim: -duration must be") {
+			t.Errorf("-duration %s: exit %d, want 2 with a message and no report\n%s%s", d, code, stdout.String(), stderr.String())
+		}
+	}
+}
+
 // TestReportsGolden drives the built binary over every preset with
 // -crosscheck, for both drivers under the presets' own policies and under
 // each policy override, and compares the sha256 of each canonical -json

@@ -4,9 +4,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strconv"
@@ -567,33 +565,28 @@ func TestSubmitWithBackendDown(t *testing.T) {
 }
 
 // TestIdempotentReplay pins the /v2 idempotency contract on singleton
-// envelopes, the form a sequential caller's mutations take: re-POSTing a
-// mutation with the same key returns byte-identical bytes and applies the
-// mutation once; error responses are never cached.
+// envelopes, the form a sequential caller's mutations take: re-sending a
+// mutation with the same key, on a stream of its own, returns byte-identical
+// bytes and applies the mutation once; error responses are never cached.
 func TestIdempotentReplay(t *testing.T) {
 	tree := buildTree(t, 7)
 	node := NewNode()
-	ts := httptest.NewServer(NodeHandler(node))
+	handler := NodeHandler(node)
+	ts := httptest.NewServer(handler)
 	defer ts.Close()
 	conn := DialNode(ts.URL)
 	if err := conn.Init(InitRequest{Tree: tree, Idem: "init-1"}); err != nil {
 		t.Fatal(err)
 	}
 
-	post := func(body string) (int, string) {
+	post := func(body string) string {
 		t.Helper()
-		resp, err := http.Post(ts.URL+PathNodeOps, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(raw)
+		return string(frameOps(t, handler, []byte(body)))
 	}
 	code := tree.CodeOf(0)
 	body := `{"ops":[{"kind":"insert","idem":"k1","code":"` + base64.StdEncoding.EncodeToString([]byte(code)) + `","id":5,"epoch":1}]}`
-	_, first := post(body)
-	_, second := post(body)
+	first := post(body)
+	second := post(body)
 	if first != second {
 		t.Fatalf("replay differs:\n%s\n---\n%s", first, second)
 	}
@@ -608,11 +601,11 @@ func TestIdempotentReplay(t *testing.T) {
 	// A refused mutation (stale epoch pin) is never cached: the keyed retry
 	// re-executes and is refused again, not replayed as a success.
 	bad := `{"ops":[{"kind":"insert","idem":"k2","code":"` + base64.StdEncoding.EncodeToString([]byte(code)) + `","id":6,"epoch":99}]}`
-	status, dup := post(bad)
-	if status != http.StatusOK || !strings.Contains(dup, "stale_epoch") {
-		t.Fatalf("stale insert did not surface a stale_epoch error: %d %s", status, dup)
+	dup := post(bad)
+	if !strings.Contains(dup, "stale_epoch") {
+		t.Fatalf("stale insert did not surface a stale_epoch error: %s", dup)
 	}
-	_, dup2 := post(bad)
+	dup2 := post(bad)
 	if !strings.Contains(dup2, "stale_epoch") {
 		t.Fatal("failed mutation was replayed from cache as a success")
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
@@ -21,30 +20,16 @@ import (
 	"github.com/pombm/pombm/internal/wiretap"
 )
 
-// postRaw POSTs a prebuilt body and returns the status and response bytes.
-func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out.Bytes()
-}
-
 // TestOpsEnvelopeReplayByteExact pins the envelope replay contract: a
-// duplicated /v2/node/ops request replays every sub-op byte-exactly from
-// the per-op cache without re-applying a single mutation — and keeps doing
-// so after a cache generation rotation (the keys survive in the previous
-// generation).
+// duplicated /v2/node/ops frame, on a stream of its own, replays every
+// sub-op byte-exactly from the per-op cache without re-applying a single
+// mutation — and keeps doing so after a cache generation rotation (the keys
+// survive in the previous generation).
 func TestOpsEnvelopeReplayByteExact(t *testing.T) {
 	tree := buildTree(t, 7)
 	node := NewNode()
-	ts := httptest.NewServer(NodeHandler(node))
+	handler := NodeHandler(node)
+	ts := httptest.NewServer(handler)
 	defer ts.Close()
 	conn := DialNode(ts.URL)
 	if err := conn.Init(InitRequest{Tree: tree, Idem: "init-1"}); err != nil {
@@ -59,14 +44,14 @@ func TestOpsEnvelopeReplayByteExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, first := postRaw(t, ts.URL+PathNodeOps, env)
-	if status != http.StatusOK || !strings.Contains(string(first), `"ok":true`) {
-		t.Fatalf("envelope refused: %d %s", status, first)
+	first := frameOps(t, handler, env)
+	if !strings.HasPrefix(string(first), `{"ok":true`) {
+		t.Fatalf("envelope refused: %s", first)
 	}
 	eng, _ := node.engine()
 	wantLen := eng.Len()
 
-	_, second := postRaw(t, ts.URL+PathNodeOps, env)
+	second := frameOps(t, handler, env)
 	if !bytes.Equal(first, second) {
 		t.Fatalf("envelope replay differs:\n%s\n---\n%s", first, second)
 	}
@@ -92,12 +77,12 @@ func TestOpsEnvelopeReplayByteExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if status, _ := postRaw(t, ts.URL+PathNodeOps, fenv); status != http.StatusOK {
-			t.Fatalf("filler envelope refused: %d", status)
+		if answer := frameOps(t, handler, fenv); !bytes.HasPrefix(answer, []byte(`{"ok":true`)) {
+			t.Fatalf("filler envelope refused: %s", answer)
 		}
 	}
 	wantLen = eng.Len()
-	_, third := postRaw(t, ts.URL+PathNodeOps, env)
+	third := frameOps(t, handler, env)
 	if !bytes.Equal(first, third) {
 		t.Fatalf("replay after generation rotation differs:\n%s\n---\n%s", first, third)
 	}
@@ -113,7 +98,8 @@ func TestOpsEnvelopeReplayByteExact(t *testing.T) {
 func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	tree := buildTree(t, 7)
 	node := NewNode()
-	ts := httptest.NewServer(NodeHandler(node))
+	handler := NodeHandler(node)
+	ts := httptest.NewServer(handler)
 	defer ts.Close()
 	conn := DialNode(ts.URL)
 	if err := conn.Init(InitRequest{Tree: tree, Idem: "init-1"}); err != nil {
@@ -130,7 +116,7 @@ func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, first := postRaw(t, ts.URL+PathNodeOps, env)
+	first := frameOps(t, handler, env)
 	var resp OpsResponse
 	if err := json.Unmarshal(first, &resp); err != nil {
 		t.Fatal(err)
@@ -161,7 +147,7 @@ func TestOpsEnvelopeMixedOutcomesCachePerOp(t *testing.T) {
 	if _, err := conn.Do(OpRequest{Kind: OpCommit, Idem: "commit-2", Epoch: 2}); err != nil {
 		t.Fatal(err)
 	}
-	_, second := postRaw(t, ts.URL+PathNodeOps, env)
+	second := frameOps(t, handler, env)
 	if err := json.Unmarshal(second, &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -177,12 +177,6 @@ type opsReader struct {
 	codes []byte
 }
 
-// scanOps scans one envelope (opsReader.scan), appending its sub-ops to ops.
-func scanOps(body []byte, ops []OpRequest) ([]OpRequest, error) {
-	r := opsReader{ops: ops}
-	return r.scan(body)
-}
-
 // decode consumes a base64 string into the scratch and returns its view.
 func (r *opsReader) decode(s *wire.Scanner) ([]byte, error) {
 	start := len(r.codes)

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
@@ -118,20 +116,20 @@ func marshal(t *testing.T, v any) []byte {
 	return b
 }
 
-// checkRequestScan: whatever scanOps accepts, encoding/json decodes to the
+// checkRequestScan: whatever opsReader.scan accepts, encoding/json decodes to the
 // same ops.
 func checkRequestScan(t *testing.T, body []byte) (accepted bool) {
 	t.Helper()
-	ops, err := scanOps(body, nil)
+	ops, err := new(opsReader).scan(body)
 	if err != nil {
 		return false
 	}
 	var ref OpsRequest
 	if err := json.Unmarshal(body, &ref); err != nil {
-		t.Fatalf("scanOps accepted %q, encoding/json refuses it: %v", body, err)
+		t.Fatalf("opsReader.scan accepted %q, encoding/json refuses it: %v", body, err)
 	}
 	if len(ops) != len(ref.Ops) {
-		t.Fatalf("scanOps read %d ops of %q, encoding/json %d", len(ops), body, len(ref.Ops))
+		t.Fatalf("opsReader.scan read %d ops of %q, encoding/json %d", len(ops), body, len(ref.Ops))
 	}
 	for i, op := range ops {
 		want := ref.Ops[i]
@@ -275,7 +273,7 @@ func FuzzOpsCodec(f *testing.F) {
 			t.Fatalf("request envelope\n got %q\nwant %q", got, want.Bytes())
 		}
 		if !checkRequestScan(t, got) {
-			t.Fatalf("scanOps refuses the encoder's own envelope %q", got)
+			t.Fatalf("opsReader.scan refuses the encoder's own envelope %q", got)
 		}
 
 		// Result encoders ≡ json.Marshal of the struct each shape had, for
@@ -384,7 +382,7 @@ func TestOpsEnvelopeGrammar(t *testing.T) {
 		{`[{"kind":"remove"}]`, `expected '{'`},
 		{``, `expected '{'`},
 	} {
-		ops, err := scanOps([]byte(tc.body), nil)
+		ops, err := new(opsReader).scan([]byte(tc.body))
 		switch {
 		case tc.refuse == "" && err != nil:
 			t.Errorf("%q refused: %v", tc.body, err)
@@ -396,19 +394,20 @@ func TestOpsEnvelopeGrammar(t *testing.T) {
 		checkRequestScan(t, []byte(tc.body))
 	}
 
-	// Through the handler: a refused envelope applies none of its ops, the
+	// Through the stream: a refused envelope applies none of its ops, the
 	// well-formed ones before the fault included.
 	tree := buildTree(t, 7)
 	node := NewNode()
 	if err := node.Init(InitRequest{Tree: tree}); err != nil {
 		t.Fatal(err)
 	}
+	handler := NodeHandler(node)
 	code := string(marshal(t, []byte(tree.CodeOf(0))))
 	body := `{"ops":[{"kind":"insert","idem":"g-1","code":` + code + `,"id":1},{"kind":"insert","code":` + code + `,"id":2,"extra":0}]}`
-	rec := postRecorded(NodeHandler(node), PathNodeOps, body)
-	want := string(marshal(t, OpsResponse{Err: badBody(errOf(scanOps([]byte(body), nil)))})) + "\n"
-	if rec != want {
-		t.Fatalf("refused envelope answered\n%s\nwant\n%s", rec, want)
+	_, scanErr := new(opsReader).scan([]byte(body))
+	want := string(marshal(t, OpsResponse{Err: badBody(scanErr)})) + "\n"
+	if got := string(frameOps(t, handler, []byte(body))); got != want {
+		t.Fatalf("refused envelope answered\n%s\nwant\n%s", got, want)
 	}
 	if st, err := node.Do(OpRequest{Kind: OpStatus}); err != nil || st.Len != 0 {
 		t.Fatalf("refused envelope applied ops: %+v, %v", st, err)
@@ -419,19 +418,9 @@ func TestOpsEnvelopeGrammar(t *testing.T) {
 	body = `{"ops":[{"kind":"min-id","epoch":1},{"kind":"status"}]}`
 	want = `{"ok":true,"results":[{"ok":false,"error":{"code":"bad_request","message":"cluster: unknown op kind \"min-id\""}},` +
 		`{"ok":true,"epoch":1}]}` + "\n"
-	if rec = postRecorded(NodeHandler(node), PathNodeOps, body); rec != want {
-		t.Fatalf("an envelope with a gone kind answered\n%s\nwant\n%s", rec, want)
+	if got := string(frameOps(t, handler, []byte(body))); got != want {
+		t.Fatalf("an envelope with a gone kind answered\n%s\nwant\n%s", got, want)
 	}
-}
-
-func errOf(_ []OpRequest, err error) error { return err }
-
-// postRecorded POSTs body to a handler in-process and returns the answer's
-// bytes.
-func postRecorded(h http.Handler, path, body string) string {
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-	return rec.Body.String()
 }
 
 // TestOpsCodecAllocs pins the codec's allocations: encoding a request,

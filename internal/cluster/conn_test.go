@@ -303,11 +303,18 @@ func TestRemovedNodeEndpoints(t *testing.T) {
 }
 
 // TestNodeEndpointRefusals: what the three endpoints refuse before any
-// decoder runs — another method, and an envelope POSTed past the frame cap —
-// is answered with the HTTP status and the typed error as its whole body,
-// which is what the client folds a non-200 answer into.
+// decoder runs — another method, and a POST to /v2/node/ops that does not
+// ask for the stream — is answered with the HTTP status and the typed error
+// as its whole body, which is what the client folds a non-200 answer into.
+// The refused envelope, a well-formed insert, leaves the node as it was.
 func TestNodeEndpointRefusals(t *testing.T) {
-	ts := httptest.NewServer(NodeHandler(NewNode()))
+	tree := buildTree(t, 7)
+	node := NewNode()
+	if err := node.Init(InitRequest{Tree: tree}); err != nil {
+		t.Fatal(err)
+	}
+	handler := NodeHandler(node)
+	ts := httptest.NewServer(handler)
 	defer ts.Close()
 	refusal := func(resp *http.Response, err error) (int, platform.Error) {
 		t.Helper()
@@ -327,10 +334,13 @@ func TestNodeEndpointRefusals(t *testing.T) {
 			t.Errorf("GET %s answered %d %+v, want 405 %s naming the path", path, status, pe, platform.CodeMethodNotAllowed)
 		}
 	}
-	long := `{"ops":[` + strings.Repeat(" ", maxFrame) + `]}`
-	status, pe := refusal(http.Post(ts.URL+PathNodeOps, "application/json", strings.NewReader(long)))
-	if status != http.StatusBadRequest || pe.Code != platform.CodeBadRequest {
-		t.Errorf("an envelope of %d bytes POSTed answered %d %+v, want 400 %s", len(long), status, pe, platform.CodeBadRequest)
+	insert := `{"ops":[{"kind":"insert","idem":"r-1","code":` + string(marshal(t, []byte(tree.CodeOf(0)))) + `,"id":1}]}`
+	status, pe := refusal(http.Post(ts.URL+PathNodeOps, "application/json", strings.NewReader(insert)))
+	if status != http.StatusBadRequest || pe.Code != platform.CodeBadRequest || !strings.Contains(pe.Message, opsProtocol) {
+		t.Errorf("an envelope POSTed without the upgrade answered %d %+v, want 400 %s naming %s", status, pe, platform.CodeBadRequest, opsProtocol)
+	}
+	if got, want := string(frameOps(t, handler, []byte(`{"ops":[{"kind":"status"}]}`))), `{"ok":true,"results":[{"ok":true,"epoch":1}]}`+"\n"; got != want {
+		t.Errorf("after the refused POST a status op answered %s, want the empty pool %s", got, want)
 	}
 	// The init document is read through the same refusal taxonomy on the
 	// client's side: a 405 comes back typed, not as a transport failure.

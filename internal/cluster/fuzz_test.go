@@ -22,9 +22,38 @@ import (
 	"github.com/pombm/pombm/internal/wiretap"
 )
 
+// opsUpgrade is the request that opens a /v2/node/ops stream.
+func opsUpgrade() *http.Request {
+	upgrade := httptest.NewRequest(http.MethodPost, PathNodeOps, nil)
+	upgrade.Header.Set("Connection", "Upgrade")
+	upgrade.Header.Set("Upgrade", opsProtocol)
+	return upgrade
+}
+
+// frameOps sends envelope to a node's handler as the one frame of an
+// upgraded /v2/node/ops connection, in-process, and returns the payload of
+// the answer frame.
+func frameOps(t testing.TB, handler http.Handler, envelope []byte) []byte {
+	t.Helper()
+	stream := wire.AppendFrame(nil, func(dst []byte) []byte { return append(dst, envelope...) })
+	conn := &wiretap.ScriptedConn{Script: bytes.NewReader(stream)}
+	handler.ServeHTTP(wiretap.Hijackable{ResponseWriter: httptest.NewRecorder(), Conn: conn}, opsUpgrade())
+	answer, ok := bytes.CutPrefix(conn.Wrote.Bytes(), []byte(wire.SwitchingProtocols(opsProtocol)))
+	if !ok {
+		t.Fatalf("the node's answer does not open with the 101: %q", conn.Wrote.Bytes())
+	}
+	payload, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(answer)), nil, maxMineAnswer)
+	if err != nil {
+		t.Fatalf("an envelope of %d bytes answered no frame: %v", len(envelope), err)
+	}
+	return payload
+}
+
 // FuzzNodeWire throws arbitrary bytes at the decoders that make up a node's
-// whole surface — the /v2/node/ops envelope, all ten kinds of it, and the
-// two documents, init and the streamed prepare. Whatever arrives, the node
+// whole surface — the /v2/node/ops envelope, all ten kinds of it, each sent
+// as a stream's one frame, and the two documents, init and the streamed
+// prepare. (A frame past the cap is FuzzOpsStream's: it ends the stream
+// unanswered.) Whatever arrives, the node
 // must not panic, must answer a JSON object carrying ok or error, must leave
 // its serving state alone when it refuses and when every op of the envelope
 // only reads (a mine sizes its own answer by k, and still only reads), and
@@ -156,22 +185,30 @@ func FuzzNodeWire(f *testing.F) {
 		before := state()
 
 		path := paths[int(endpoint)%len(paths)]
+		if path == PathNodeOps && len(body) > maxFrame {
+			return
+		}
 		handler := NodeHandler(node)
 		post := func() (raw []byte, accepted bool, results []json.RawMessage) {
-			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if path == PathNodeOps {
+				raw = frameOps(t, handler, body)
+			} else {
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				raw = rec.Body.Bytes()
+			}
 			var resp struct {
 				OK      *bool             `json:"ok"`
 				Err     json.RawMessage   `json:"error"`
 				Results []json.RawMessage `json:"results"`
 			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("%s answered %d with a non-object body %q: %v", path, rec.Code, rec.Body.Bytes(), err)
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatalf("%s answered a non-object body %q: %v", path, raw, err)
 			}
 			if resp.OK == nil && resp.Err == nil {
-				t.Fatalf("%s answer carries neither ok nor error: %s", path, rec.Body.Bytes())
+				t.Fatalf("%s answer carries neither ok nor error: %s", path, raw)
 			}
-			return rec.Body.Bytes(), resp.OK != nil && *resp.OK, resp.Results
+			return raw, resp.OK != nil && *resp.OK, resp.Results
 		}
 		raw, accepted, results := post()
 
@@ -212,7 +249,7 @@ func FuzzNodeWire(f *testing.F) {
 				t.Fatalf("refused envelope carries results: %s", raw)
 			}
 			// An op that answers ok may still have moved nothing: the reads.
-			scanned, _ := scanOps(body, nil)
+			scanned, _ := new(opsReader).scan(body)
 			reads := true
 			for _, op := range scanned {
 				reads = reads && (op.Kind == OpMine || op.Kind == OpStatus || op.Kind == OpPeek)
@@ -229,10 +266,11 @@ func FuzzNodeWire(f *testing.F) {
 // FuzzOpsStream sends arbitrary bytes after the 101, in reads of arbitrary
 // size. The node must not panic; must not allocate past what the frame cap
 // and its input allow; must answer exactly the frames that arrived whole
-// before the first that broke the framing, each with byte-for-byte the body
-// a twin node answers the same envelope POSTed — the framing differential,
-// which is what keeping the one-shot POST buys — and must end in the twin's
-// state: nothing but a well-framed, well-formed envelope moves it.
+// before the first that broke the framing, each with byte-for-byte what
+// answerOps, called directly on a twin node, answers the same envelope — the
+// framing differential: the stream adds nothing to an answer and loses
+// nothing of it — and must end in the twin's state: nothing but a
+// well-framed, well-formed envelope moves it.
 func FuzzOpsStream(f *testing.F) {
 	tree := buildTree(f, 7)
 	code := func(i int) string {
@@ -268,7 +306,7 @@ func FuzzOpsStream(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, stream []byte, chunk uint16) {
-		newNode := func() (*Node, http.Handler) {
+		newNode := func() *Node {
 			node := NewNode()
 			if err := node.Init(InitRequest{Tree: tree, Policy: "capacity-greedy"}); err != nil {
 				t.Fatal(err)
@@ -278,22 +316,19 @@ func FuzzOpsStream(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			return node, NodeHandler(node)
+			return node
 		}
 		state := func(node *Node) string {
 			st, err := node.Do(OpRequest{Kind: OpStatus})
 			return fmt.Sprint(st.Epoch, st.Len, st.Units, err)
 		}
-		node, handler := newNode()
-		twin, twinHandler := newNode()
+		node, twin := newNode(), newNode()
+		twinCache := wire.NewReplayCache(ackOK)
 
 		conn := &wiretap.ScriptedConn{Script: bytes.NewReader(stream), Chunk: int(chunk)}
-		upgrade := httptest.NewRequest(http.MethodPost, PathNodeOps, nil)
-		upgrade.Header.Set("Connection", "Upgrade")
-		upgrade.Header.Set("Upgrade", opsProtocol)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		handler.ServeHTTP(wiretap.Hijackable{ResponseWriter: httptest.NewRecorder(), Conn: conn}, upgrade)
+		NodeHandler(node).ServeHTTP(wiretap.Hijackable{ResponseWriter: httptest.NewRecorder(), Conn: conn}, opsUpgrade())
 		runtime.ReadMemStats(&after)
 		// One frame's buffer and its growth, and what decoding and answering
 		// the input's own ops costs.
@@ -313,18 +348,18 @@ func FuzzOpsStream(f *testing.F) {
 			}
 			envelope := rest[wire.FrameHeader : wire.FrameHeader+size]
 			rest = rest[wire.FrameHeader+size:]
-			posted := httptest.NewRecorder()
-			twinHandler.ServeHTTP(posted, httptest.NewRequest(http.MethodPost, PathNodeOps, bytes.NewReader(envelope)))
+			ops, scanErr := new(opsReader).scan(envelope)
+			want := answerOps(twin, twinCache, ops, scanErr, nil)
 			answer, err := wire.ReadFrame(got, nil, maxFrame)
-			if err != nil || !bytes.Equal(answer, posted.Body.Bytes()) {
-				t.Fatalf("envelope %q answered over a frame (err %v):\n%s\nPOSTed to the twin:\n%s", envelope, err, answer, posted.Body.Bytes())
+			if err != nil || !bytes.Equal(answer, want) {
+				t.Fatalf("envelope %q answered over a frame (err %v):\n%s\nanswerOps on the twin:\n%s", envelope, err, answer, want)
 			}
 		}
 		if extra, err := wire.ReadFrame(got, nil, maxFrame); err != io.EOF {
 			t.Fatalf("the node answered a frame that never arrived whole: %q (err %v)", extra, err)
 		}
 		if a, b := state(node), state(twin); a != b {
-			t.Fatalf("the stream left the node at %s, the same envelopes POSTed leave the twin at %s", a, b)
+			t.Fatalf("the stream left the node at %s, the same envelopes answered directly leave the twin at %s", a, b)
 		}
 	})
 }

@@ -262,49 +262,16 @@ func writeBody(w http.ResponseWriter, body []byte) {
 	w.Write(body)
 }
 
-// NodeHandler exposes a Node over the /v2 wire protocol: the ops envelope
-// and the two documents. Mutating calls honour idempotency keys: one whose
+// NodeHandler exposes a Node over the /v2 wire protocol: the ops stream and
+// the two documents. Mutating calls honour idempotency keys: one whose
 // key was already applied is answered from the replay cache byte-for-byte.
 func NodeHandler(n *Node) http.Handler {
 	cache := wire.NewReplayCache(ackOK)
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathNodeOps, opsHandler(n, cache))
+	mux.HandleFunc(PathNodeOps, serveOps(n, cache))
 	mux.HandleFunc(PathNodeInit, documentHandler(n, cache, func() document { return new(InitRequest) }))
 	mux.HandleFunc(PathNodePrepare, documentHandler(n, cache, func() document { return new(PrepareRequest) }))
 	return mux
-}
-
-// opsHandler serves /v2/node/ops in its two framings. A POST that asks to
-// upgrade to opsProtocol becomes a frame stream (serveOps): the path every
-// coordinator takes. Any other POST is one envelope — no longer than a frame
-// may be — in a Content-Length body answered in one: the reference the
-// stream's answers are tested against byte for byte, and the form a recorder
-// can drive. Both are answerOps under a different framing.
-func opsHandler(n *Node, cache *wire.ReplayCache) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.Header.Get("Upgrade") == opsProtocol {
-			serveOps(w, n, cache)
-			return
-		}
-		if !postOnly(w, r) {
-			return
-		}
-		cb := wire.Get()
-		defer wire.Put(cb)
-		if err := cb.ReadRequest(w, r, maxFrame); err != nil {
-			writeNodeJSON(w, http.StatusBadRequest, &platform.Error{
-				Code: platform.CodeBadRequest, Message: "cluster: read body: " + err.Error(),
-			})
-			return
-		}
-		// Most envelopes carry one op; a window's commits spill to the heap.
-		var few [4]OpRequest
-		ops, err := scanOps(cb.Bytes(), few[:0])
-		// The ops' idems are views of the body, so the answer goes after it.
-		body := cb.Len()
-		cb.Append(func(env []byte) []byte { return answerOps(n, cache, ops, err, env) })
-		writeBody(w, cb.Bytes()[body:])
-	}
 }
 
 // answerOps appends the answer to one scanned envelope to dst: the refusal

@@ -46,11 +46,11 @@
 // them — so a body cut between two values is refused by its count. The
 // header carries the call's idempotency key; both answer a nodeAck.
 //
-// /v2/node/ops answers two framings of one executor (answerOps). The one a
-// coordinator uses is a stream: POST /v2/node/ops with "Connection: Upgrade"
-// and "Upgrade: pombm-ops/1" is answered 101 Switching Protocols, and from
-// then on the connection carries frames in both directions (internal/wire
-// owns the framing and both ends, shared with the agents' /v1/stream) —
+// /v2/node/ops has one framing, a stream: POST /v2/node/ops with
+// "Connection: Upgrade" and "Upgrade: pombm-ops/1" is answered 101 Switching
+// Protocols, and from then on the connection carries frames in both
+// directions (internal/wire owns the framing and both ends, shared with the
+// agents' /v1/stream) —
 //
 //	frame     length envelope      length: 4 bytes, big-endian, the envelope's size
 //
@@ -68,11 +68,9 @@
 // exchange fails or outlives the op deadline, a transport failure taking
 // the node's idle streams with it, and dials again on the next op. A torn
 // stream is safe to resume for the reason a lost response is: the retry
-// carries the same idempotency keys. The other framing is the one-shot
-// POST: one envelope in a Content-Length body, answered in one, byte for
-// byte what the same envelope is answered in a frame — the reference the
-// stream is fuzzed against (FuzzOpsStream) and the form a recorder drives.
-// No coordinator sends it: there is no fallback from a refused upgrade.
+// carries the same idempotency keys. A POST without the upgrade is refused
+// 400 bad_request, naming the protocol: there is no fallback from a refused
+// upgrade, and FuzzOpsStream holds the stream to answerOps called directly.
 package cluster
 
 import (
@@ -129,8 +127,8 @@ const (
 // The envelope has no idempotency key of its own (the sub-ops are the
 // replay unit, and a retried envelope regroups however the retry timing
 // falls) and no Go type: both directions are written and read by the codec
-// in codec.go, never by encoding/json, against this grammar, the same in a
-// frame and in a POST body —
+// in codec.go, never by encoding/json, against this grammar, one envelope a
+// frame —
 //
 //	request   {"ops":[op,…]}
 //	op        {"kind":string,"idem":string,"code":base64,"id":int,"capacity":int,"level":int,

@@ -42,23 +42,33 @@ const (
 // shorten it; a stream reads it once, when it starts.
 var opsIdleLimit = 90 * time.Second
 
-// serveOps answers the upgrade and then frames until the stream ends (see
-// wire.Streams.Serve). The payload of an answer frame is byte-for-byte the
-// body the same envelope POSTed would be answered with: answerOps makes
-// both. The stream's one opsReader scans every frame: a frame's bytes stay
-// put until it is answered, so its ops are views of them and of the reader's
-// scratch.
-func serveOps(w http.ResponseWriter, n *Node, cache *wire.ReplayCache) {
-	var few [4]OpRequest // most envelopes carry one op; a window's commits spill to the heap
-	r := opsReader{ops: few[:0]}
-	err := n.streams.Serve(w, opsProtocol, maxFrame, opsIdleLimit, func(in, out []byte) []byte {
-		ops, scanErr := r.scan(in)
-		return answerOps(n, cache, ops, scanErr, out)
-	}, nil)
-	if err != nil {
-		writeNodeJSON(w, http.StatusInternalServerError, &platform.Error{
-			Code: platform.CodeInternal, Message: "cluster: " + PathNodeOps + " upgrade: " + err.Error(),
-		})
+// serveOps serves /v2/node/ops: a POST that asks to upgrade to opsProtocol
+// is answered 101 and then framed until the stream ends (see
+// wire.Streams.Serve); any other POST is refused, as there is no other
+// framing. answerOps answers each frame. The stream's one opsReader scans
+// every frame: a frame's bytes stay put until it is answered, so its ops are
+// views of them and of the reader's scratch.
+func serveOps(n *Node, cache *wire.ReplayCache) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !postOnly(w, r) {
+			return
+		}
+		if r.Header.Get("Upgrade") != opsProtocol {
+			writeNodeJSON(w, http.StatusBadRequest, &platform.Error{Code: platform.CodeBadRequest,
+				Message: fmt.Sprintf("cluster: bad request: %s serves only an upgrade to %s", PathNodeOps, opsProtocol)})
+			return
+		}
+		var few [4]OpRequest // most envelopes carry one op; a window's commits spill to the heap
+		rd := opsReader{ops: few[:0]}
+		err := n.streams.Serve(w, opsProtocol, maxFrame, opsIdleLimit, func(in, out []byte) []byte {
+			ops, scanErr := rd.scan(in)
+			return answerOps(n, cache, ops, scanErr, out)
+		}, nil)
+		if err != nil {
+			writeNodeJSON(w, http.StatusInternalServerError, &platform.Error{
+				Code: platform.CodeInternal, Message: "cluster: " + PathNodeOps + " upgrade: " + err.Error(),
+			})
+		}
 	}
 }
 

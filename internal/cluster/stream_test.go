@@ -339,7 +339,8 @@ func TestIdleStreamIsReaped(t *testing.T) {
 }
 
 // TestDialRefusalNamesItsCause: a client or a hop that cannot carry a stream
-// fails the routed op as a transport failure that says what to fix.
+// fails the routed op as a transport failure that says what to fix — a hop
+// that drops Upgrade leaves a POST the node refuses 400.
 func TestDialRefusalNamesItsCause(t *testing.T) {
 	tree := buildTree(t, 7)
 	node := NodeHandler(NewNode())
@@ -358,7 +359,7 @@ func TestDialRefusalNamesItsCause(t *testing.T) {
 		want string
 	}{
 		{"a client timeout", DialNodeClient(direct.URL, &http.Client{Transport: direct.Client().Transport, Timeout: time.Minute}), "http.Client.Timeout"},
-		{"a hop that drops Upgrade", DialNodeClient(stripped.URL, stripped.Client()), "answered 200 OK"},
+		{"a hop that drops Upgrade", DialNodeClient(stripped.URL, stripped.Client()), "answered 400 Bad Request"},
 	} {
 		_, err := tc.conn.Do(OpRequest{Kind: OpInsert, Idem: "d-1", Code: []byte(tree.CodeOf(0)), ID: 1, Capacity: 1})
 		if err == nil || !isTransport(err) || !strings.Contains(err.Error(), tc.want) {

@@ -333,9 +333,11 @@ func TestReleaseMoveDoesNotResurrectInFlightPop(t *testing.T) {
 // TestReleaseMoveRacesSubmitAndWithdraw races capacity-4 workers' Releases
 // with a fresh code — each one engine call that moves the pooled units —
 // against Submits and Withdraws (each withdrawn worker registers back once
-// its last task is in). No answer may name a worker holding all its units
-// already, and once the storm settles the engine must pool exactly what
-// the slot table says: Σ (capacity − active) over the available slots.
+// its last task is in). Only the even-indexed half is ever withdrawn: were
+// every worker offline while holding its units, no move could land. No
+// answer may name a worker holding all its units already, and once the
+// storm settles the engine must pool exactly what the slot table says:
+// Σ (capacity − active) over the available slots.
 func TestReleaseMoveRacesSubmitAndWithdraw(t *testing.T) {
 	const workers, capacity = 24, 4
 	s := newCapServer(t, WithPolicy(engine.CapacityGreedy()), WithDefaultCapacity(capacity))
@@ -404,7 +406,7 @@ func TestReleaseMoveRacesSubmitAndWithdraw(t *testing.T) {
 		src := rng.New(300)
 		var gone []string
 		for i := 0; i < rounds/8; i++ {
-			w := name(src.Intn(workers))
+			w := name(2 * src.Intn(workers/2))
 			if r := s.Withdraw(WithdrawRequest{WorkerID: w}); r.OK {
 				gone = append(gone, w)
 			}

@@ -21,10 +21,12 @@ import (
 	"github.com/pombm/pombm/internal/wire"
 )
 
-// Wire-path body bounds: requests are small control messages, responses can
-// carry a publication or a batch result.
+// Wire-path body bounds: requests are small control messages but for a
+// rotation's commit, a report a worker (about 60 B: room for a million);
+// responses can carry a publication or a batch result.
 const (
 	maxRequestBytes  = 1 << 20
+	maxRotateBytes   = 64 << 20
 	maxResponseBytes = 64 << 20
 )
 
@@ -156,13 +158,10 @@ func (p *wirePublication) scanJSON(doc []byte) error {
 // stream was cut — closes that stream and every parked one and answers the
 // typed retryable unavailable, exactly as a POST whose connection died
 // does. It is never sent again: /v1 calls carry no idempotency key, and the
-// server may have applied it. Retrying is the caller's decision.
-//
-// A Client whose upgrade request is answered with anything but a 101 it can
-// write to — a proxy on the way dropped the hop-by-hop Upgrade header, HTTP
-// has a Timeout (which wraps every response body), the server predates
-// /v1/stream — makes every call a POST from then on: the POST endpoints
-// answer the same bytes, and are the only path that works there.
+// server may have applied it. Retrying is the caller's decision. A call whose
+// upgrade is refused — a proxy on the way dropped the hop-by-hop Upgrade
+// header, HTTP has a Timeout (which wraps every response body), the server
+// predates /v1/stream — answers the same unavailable, naming the cause.
 //
 // Set BaseURL and HTTP before the first call; the zero value of everything
 // else is ready. A Client is safe for concurrent use. Close it when done
@@ -178,7 +177,6 @@ type Client struct {
 
 	mu      sync.Mutex
 	upgrade *http.Request // the /v1/stream upgrade, built by the first call
-	onPOST  bool          // the upgrade was refused: POST from now on
 	parked  []parkedStream
 	// exchange times the framed calls by kind, write → read; allocated with
 	// the first stream.
@@ -426,8 +424,8 @@ func (c *Client) get(path string, out any) error {
 }
 
 // call makes one call of kind k: as a frame on a stream when k is an agent
-// call and this Client has streams, as a POST otherwise. Either way in is
-// encoded once and sent once.
+// call, as a POST when it is a rotation. Either way in is encoded once and
+// sent once.
 func (c *Client) call(k Kind, in, out any) error {
 	path := kindPaths[k]
 	cb := wire.Get()
@@ -435,15 +433,12 @@ func (c *Client) call(k Kind, in, out any) error {
 	if err := encodeJSON(cb, in); err != nil {
 		return fmt.Errorf("platform: encode %s: %w", path, err)
 	}
-	var s *wire.Stream
-	if k <= KindTasks {
-		var err error
-		if s, err = c.stream(); err != nil {
-			return fmt.Errorf("platform: dial %s for %s: %w", PathStream, path, err)
-		}
-	}
-	if s == nil {
+	if k > KindTasks {
 		return c.post(path, cb, out)
+	}
+	s, err := c.stream()
+	if err != nil {
+		return fmt.Errorf("platform: dial %s for %s: %w", PathStream, path, err)
 	}
 	began := time.Now()
 	answer, err := s.Exchange(exchangeLimit, maxResponseBytes, func(dst []byte) []byte {
@@ -469,15 +464,11 @@ func (c *Client) call(k Kind, in, out any) error {
 	return err
 }
 
-// stream returns the stream the next call goes out on — the most recently
-// parked, else a new one — or nil when this Client calls by POST.
+// stream returns the stream the next call goes out on: the most recently
+// parked, else a new one.
 func (c *Client) stream() (*wire.Stream, error) {
 	now := time.Now()
 	c.mu.Lock()
-	if c.onPOST {
-		c.mu.Unlock()
-		return nil, nil
-	}
 	var stale []parkedStream
 	if last := len(c.parked) - 1; last >= 0 {
 		if p := c.parked[last]; now.Sub(p.at) < parkLimit {
@@ -505,10 +496,6 @@ func (c *Client) stream() (*wire.Stream, error) {
 	s, err := wire.Dial(c.HTTP, upgrade, exchangeLimit)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if errors.Is(err, wire.ErrRefused) {
-		c.onPOST = true
-		return nil, nil
-	}
 	if err == nil && c.exchange == nil {
 		c.exchange = new([numKinds]obs.Hist)
 	}
@@ -660,9 +647,9 @@ func checkContentType(r *http.Request) *Error {
 }
 
 // readBody is the HTTP half of a POSTed call: method, media type and size
-// are checked and the body read into pooled scratch the caller Puts back.
-// nil means the request was refused, and answered.
-func readBody(w http.ResponseWriter, r *http.Request) *wire.Buf {
+// (at most limit bytes) are checked and the body read into pooled scratch
+// the caller Puts back. nil means the request was refused, and answered.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) *wire.Buf {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, &Error{
@@ -676,11 +663,11 @@ func readBody(w http.ResponseWriter, r *http.Request) *wire.Buf {
 		return nil
 	}
 	cb := wire.Get()
-	if err := cb.ReadRequest(w, r, maxRequestBytes); err != nil {
+	if err := cb.ReadRequest(w, r, limit); err != nil {
 		wire.Put(cb)
 		if errors.Is(err, wire.ErrTooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge,
-				badRequestError(fmt.Sprintf("platform: bad request: the body is longer than %d bytes", maxRequestBytes)))
+				badRequestError(fmt.Sprintf("platform: bad request: the body is longer than %d bytes", limit)))
 		} else {
 			writeError(w, http.StatusBadRequest, badRequestError("platform: bad request: "+err.Error()))
 		}

@@ -49,8 +49,9 @@ func BenchmarkLoopbackSubmit(b *testing.B) {
 //
 //   - stream: through a Client whose calls are frames on /v1/stream — what an
 //     agent pays.
-//   - post: the same calls through a Client whose upgrade was refused, each a
-//     POST to its path. post − stream is what the stream saves.
+//   - post: the same calls, each a POST to its path through the Client's POST
+//     half — what curl or any client without the upgrade is served. post −
+//     stream is what the stream saves.
 //   - stream-floor: a submit's and a release's request bytes as frames over an
 //     upgraded connection to a loop that discards each and answers the
 //     matching answer's bytes. stream − stream-floor is this package above
@@ -75,7 +76,7 @@ func BenchmarkAgentOp(b *testing.B) {
 		}
 		return s, []byte(o.Obfuscate(geo.Pt(100, 100)))
 	}
-	cycle := func(b *testing.B, client *Client, code []byte) {
+	cycle := func(b *testing.B, client API, code []byte) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		var held string
@@ -103,11 +104,11 @@ func BenchmarkAgentOp(b *testing.B) {
 	})
 	b.Run("post", func(b *testing.B) {
 		s, code := load(b)
-		ts := httptest.NewServer(withoutUpgrade(Handler(s)))
+		ts := httptest.NewServer(Handler(s))
 		defer ts.Close()
 		tr := NewTransport()
 		defer tr.CloseIdleConnections()
-		cycle(b, &Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: tr}}, code)
+		cycle(b, poster{&Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: tr}}, b}, code)
 	})
 
 	// Same-size stand-ins for the two calls and their answers; the floors

@@ -15,9 +15,9 @@
 // /v1/withdraw, /v1/task, /v1/tasks, and for operators /v1/rotate/prepare
 // and /v1/rotate. A well-formed request is answered 200, refusals included
 // (they ride inside the response, typed as Error); a request that is not —
-// wrong method or media type, a body that does not decode, one longer than
-// 1 MiB — is answered an error status whose body is an Error, and past the
-// size cap the connection is closed with the answer rather than drained.
+// wrong method or media type, a body that does not decode, one past 1 MiB
+// (64 MiB for /v1/rotate) — is answered an error status whose body is an
+// Error, and past the size cap the connection is closed, not drained.
 // /v1/publication and /v1/stats are GETs. That is the public, curl-able API
 // and the reference for what follows.
 //
@@ -68,13 +68,13 @@
 // to ask again is the caller's decision, exactly as after a POST whose
 // connection died.
 //
-// When a Client stays on POST. The upgrade is a hop-by-hop request: a
+// When the upgrade is refused. The upgrade is a hop-by-hop request: a
 // forward proxy (NewTransport honours HTTP_PROXY) strips it, an http.Client
 // with a Timeout wraps the 101's body so it cannot be written to, an older
-// server answers 404. A Client whose upgrade is answered with anything but a
-// 101 it can write to makes every later call a POST for as long as it lives;
-// one whose upgrade is not answered at all reports unavailable and asks
-// again on the next call. There is no setting for any of this.
+// server answers 404. Client has no other framing for the six calls: each
+// is answered the typed retryable unavailable naming the cause, and the next
+// asks again. A caller that cannot upgrade POSTs to the paths above; there
+// is no setting for any of this.
 package platform
 
 import (

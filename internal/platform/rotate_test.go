@@ -3,6 +3,7 @@ package platform
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -374,6 +375,48 @@ func TestRotateOverHTTP(t *testing.T) {
 	task := client.Submit(TaskRequest{TaskID: "t", Code: []byte(o.Obfuscate(geo.Pt(3, 3))), Epoch: 2})
 	if !task.Assigned || task.Epoch != 2 {
 		t.Fatalf("post-rotation task: %+v", task)
+	}
+}
+
+// TestRotateOverHTTPCommitsALargePopulation: a commit carries a report a
+// worker, so its body outgrows the 1 MiB an agent call may be long. 40,000
+// reports at grid 64 are about 2.2 MB, and must rotate every worker; a body
+// past the commit's own bound is still refused 413, typed.
+func TestRotateOverHTTPCommitsALargePopulation(t *testing.T) {
+	const workers = 40000
+	s, err := NewServer(workload.SyntheticRegion, 64, 64, 0.6, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := s.Publication().Tree
+	for i := 0; i < workers; i++ {
+		if resp := s.Register(RegisterRequest{WorkerID: fmt.Sprint("worker-", i), Code: []byte(tree.CodeOf(i % tree.NumPoints()))}); !resp.OK {
+			t.Fatal(resp.Reason)
+		}
+	}
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+	client, err := NewClient(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := client.PrepareRotate(PrepareRotateRequest{Seed: 77})
+	if !prep.OK {
+		t.Fatalf("prepare over HTTP: %+v", prep)
+	}
+	reports := make([]WorkerReport, workers)
+	for i := range reports {
+		reports[i] = WorkerReport{WorkerID: fmt.Sprint("worker-", i), Code: []byte(prep.Tree.CodeOf(i % prep.Tree.NumPoints()))}
+	}
+	if resp := client.Rotate(RotateRequest{Epoch: prep.Epoch, Reports: reports}); !resp.OK || resp.Rotated != workers {
+		t.Fatalf("rotate of %d reports over HTTP: ok %v, rotated %d, reason %q", workers, resp.OK, resp.Rotated, resp.Reason)
+	}
+	req := httptest.NewRequest(http.MethodPost, PathRotate, strings.NewReader(`{"reports":[]}`))
+	req.ContentLength = maxRotateBytes + 1
+	rec := httptest.NewRecorder()
+	Handler(s).ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), `"code":"`+CodeBadRequest+`"`) {
+		t.Errorf("a commit of %d bytes answered %d %s, want 413 and a typed %s", req.ContentLength, rec.Code, rec.Body, CodeBadRequest)
 	}
 }
 

@@ -127,9 +127,13 @@ func refuse(buf *wire.Buf, status int, e *Error) int {
 
 // postHandler answers call k POSTed to its path.
 func postHandler(s *Server, k Kind) http.HandlerFunc {
+	limit := int64(maxRequestBytes)
+	if k == kindRotate {
+		limit = maxRotateBytes
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		began := time.Now()
-		cb := readBody(w, r)
+		cb := readBody(w, r, limit)
 		if cb == nil {
 			return
 		}

@@ -362,30 +362,22 @@ func agentTape(s *Server, api API) []any {
 	return out
 }
 
-// TestRefusedUpgradeStaysOnPOST: a Client whose upgrade is answered with
+// TestRefusedUpgradeIsUnavailable: a Client whose upgrade is answered with
 // anything but a 101 it can write to — a 400 from a hop that drops Upgrade,
-// a 101 its own http.Client.Timeout wrapped — asks once, then makes every
-// call a POST, and is answered exactly what a Client with streams is.
-func TestRefusedUpgradeStaysOnPOST(t *testing.T) {
-	framed := newTestServer(t)
-	fs := httptest.NewServer(Handler(framed))
-	defer fs.Close()
+// a 101 its own http.Client.Timeout wrapped — has no other framing: every
+// agent call answers the typed retryable unavailable naming the cause, and
+// the server is left as it started, asked for streams and answering no call.
+func TestRefusedUpgradeIsUnavailable(t *testing.T) {
 	tr := NewTransport()
 	defer tr.CloseIdleConnections()
-	fc := &Client{BaseURL: fs.URL, HTTP: &http.Client{Transport: tr}}
-	defer fc.Close()
-	want := agentTape(framed, fc)
-	if snap := framed.AgentSnapshot(); snap.Posts != 0 || snap.Frames != int64(len(want)) {
-		t.Fatalf("the framed twin answered %d frames and %d posts for %d calls", snap.Frames, snap.Posts, len(want))
-	}
-
 	for _, tc := range []struct {
 		name   string
 		wrap   func(http.Handler) http.Handler
 		client *http.Client
+		cause  string
 	}{
-		{"a 400", withoutUpgrade, &http.Client{Transport: tr}},
-		{"a client timeout", func(h http.Handler) http.Handler { return h }, &http.Client{Transport: tr, Timeout: time.Minute}},
+		{"a 400", withoutUpgrade, &http.Client{Transport: tr}, "answered 400 Bad Request"},
+		{"a client timeout", func(h http.Handler) http.Handler { return h }, &http.Client{Transport: tr, Timeout: time.Minute}, "http.Client.Timeout"},
 	} {
 		s := newTestServer(t)
 		var upgrades atomic.Int64
@@ -395,24 +387,36 @@ func TestRefusedUpgradeStaysOnPOST(t *testing.T) {
 			}
 			tc.wrap(Handler(s)).ServeHTTP(w, r)
 		}))
-		pc := &Client{BaseURL: ts.URL, HTTP: tc.client}
-		got := agentTape(s, pc)
-		if !reflect.DeepEqual(got, want) {
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%s: call %d answered over POST\n%+v\nover a frame\n%+v", tc.name, i, got[i], want[i])
+		c := &Client{BaseURL: ts.URL, HTTP: tc.client}
+		answers := agentTape(s, c)
+		for i, a := range answers {
+			var errs []*Error
+			switch a := a.(type) {
+			case RegisterResponse:
+				errs = append(errs, a.Err)
+			case TaskResponse:
+				errs = append(errs, a.Err)
+			case TaskBatchResponse:
+				for _, r := range a.Results {
+					errs = append(errs, r.Err)
+				}
+			default:
+				t.Fatalf("%s: call %d answered a %T", tc.name, i, a)
+			}
+			for _, e := range errs {
+				if e == nil || e.Code != CodeUnavailable || !e.Retryable || !strings.Contains(e.Message, tc.cause) {
+					t.Errorf("%s: call %d answered %+v, want a retryable %s naming %q", tc.name, i, a, CodeUnavailable, tc.cause)
 				}
 			}
 		}
-		if a, b := s.Stats(), framed.Stats(); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: the POSTed tape left the server at\n%+v\nthe framed one at\n%+v", tc.name, a, b)
+		if a, b := s.Stats(), newTestServer(t).Stats(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: the refused calls left the server at\n%+v\na fresh one is at\n%+v", tc.name, a, b)
 		}
-		snap := s.AgentSnapshot()
-		if !pc.onPOST || upgrades.Load() != 1 || snap.Posts != int64(len(want)) || snap.Frames != 0 {
-			t.Errorf("%s: on POST %v after %d upgrade requests, %d posts and %d frames answered; want one request and %d posts",
-				tc.name, pc.onPOST, upgrades.Load(), snap.Posts, snap.Frames, len(want))
+		if snap := s.AgentSnapshot(); upgrades.Load() != int64(len(answers)) || snap.Posts != 0 || snap.Frames != 0 {
+			t.Errorf("%s: %d upgrade requests for %d calls, %d posts and %d frames answered; want one a call and none answered",
+				tc.name, upgrades.Load(), len(answers), snap.Posts, snap.Frames)
 		}
-		s.CloseStreams() // the stream a timeout client's refused 101 opened, if it has not ended yet
+		s.CloseStreams() // the streams a timeout client's refused 101s opened, if they have not ended yet
 		ts.Close()
 	}
 }

@@ -127,12 +127,6 @@ func (s *Streams) Close() {
 
 // ---- calling end ----
 
-// ErrRefused marks an upgrade that was answered, but not with a 101 whose
-// body can be written to: the peer or the hop cannot carry a stream, and
-// asking again will be answered the same. A failure to reach the peer at
-// all is not one.
-var ErrRefused = errors.New("upgrade refused")
-
 // ErrDeadline marks a dial or an exchange that outlived its bound.
 var ErrDeadline = errors.New("deadline exceeded")
 
@@ -177,14 +171,14 @@ func Dial(hc *http.Client, upgrade *http.Request, d time.Duration) (*Stream, err
 		// on goes back to the keep-alive pool.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
-		return nil, fmt.Errorf("%w: the %s upgrade was answered %s: the hop must be HTTP/1.1 and pass Upgrade, as for a WebSocket",
-			ErrRefused, upgrade.Header.Get("Upgrade"), resp.Status)
+		return nil, fmt.Errorf("upgrade refused: the %s upgrade was answered %s: the hop must be HTTP/1.1 and pass Upgrade, as for a WebSocket",
+			upgrade.Header.Get("Upgrade"), resp.Status)
 	}
 	rwc, ok := resp.Body.(io.ReadWriteCloser)
 	if !ok {
 		resp.Body.Close()
-		return nil, fmt.Errorf("%w: the 101's body (%T) cannot be written to: http.Client.Timeout must be zero and no RoundTripper may wrap response bodies",
-			ErrRefused, resp.Body)
+		return nil, fmt.Errorf("upgrade refused: the 101's body (%T) cannot be written to: http.Client.Timeout must be zero and no RoundTripper may wrap response bodies",
+			resp.Body)
 	}
 	s := &Stream{rwc: rwc, br: bufio.NewReader(rwc)}
 	s.watchdog = time.AfterFunc(d, s.Close)

@@ -2,10 +2,10 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,14 +151,15 @@ func servingGoroutines() int {
 }
 
 // TestDialRefusal tells the two ways an upgrade fails apart: answered with
-// something else is ErrRefused, not answered at all is not.
+// something else is a refusal that names the answer, not answered at all is
+// the failure to reach the peer.
 func TestDialRefusal(t *testing.T) {
 	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	if _, err := dialEcho(t, plain); !errors.Is(err, ErrRefused) {
-		t.Errorf("an upgrade answered 200: %v, want ErrRefused", err)
+	if _, err := dialEcho(t, plain); err == nil || !strings.Contains(err.Error(), "upgrade refused: the "+testProtocol+" upgrade was answered 200 OK") {
+		t.Errorf("an upgrade answered 200: %v, want a refusal naming the 200", err)
 	}
 	plain.Close()
-	if _, err := dialEcho(t, plain); err == nil || errors.Is(err, ErrRefused) {
-		t.Errorf("an upgrade nobody answered: %v, want an error that is not ErrRefused", err)
+	if _, err := dialEcho(t, plain); err == nil || strings.Contains(err.Error(), "upgrade refused") {
+		t.Errorf("an upgrade nobody answered: %v, want a failure to reach the peer, not a refusal", err)
 	}
 }
