@@ -4,7 +4,7 @@ package pombm_test
 // the corresponding experiment end-to-end at reduced scale through the same
 // harness as cmd/pombm-bench and reports the headline series value as a
 // custom metric, so `go test -bench=.` regenerates every panel's pipeline.
-// Full-scale series for EXPERIMENTS.md come from cmd/pombm-bench.
+// Full-scale series come from cmd/pombm-bench.
 //
 // Micro-benchmarks for the performance-critical primitives (HST build,
 // mechanism samplers, matcher implementations, the offline optimum) follow

@@ -1,7 +1,7 @@
 // pombm-bench reproduces the paper's tables and figures from the command
 // line. Each experiment id names one panel (fig6a..fig6l, fig7a..fig7l,
 // fig8a..fig8h, table1) or an ablation (abl-walk, abl-index, abl-grid,
-// abl-cr, abl-em); see EXPERIMENTS.md for the index.
+// abl-cr, abl-em, abl-chain, abl-road); -list prints them all.
 //
 // Usage:
 //
@@ -10,7 +10,7 @@
 //	pombm-bench -exp all -scale 0.2 -reps 3 -out results/
 //	pombm-bench -exp fig7b -scale 0.05        # scalability sweep, reduced
 //	pombm-bench -instance day.csv -eps 0.6    # your own workload file
-//	pombm-bench -procs 4 -repeat 3 -exp fig7a # pinned, repeated for stable numbers
+//	GOMAXPROCS=4 pombm-bench -repeat 3 -exp fig7a # pinned, repeated for stable numbers
 package main
 
 import (
@@ -55,9 +55,8 @@ func run() error {
 		eps    = flag.Float64("eps", 0.6, "privacy budget for -instance runs")
 		svg    = flag.Bool("svg", false, "also write an SVG chart per experiment into -out")
 
-		// Benchmark hygiene: pin the scheduler and repeat runs so numbers
-		// are comparable across machines and PRs.
-		procs  = flag.Int("procs", 0, "pin GOMAXPROCS to this value (0 = runtime default)")
+		// Benchmark hygiene: repeat runs so numbers are comparable across
+		// machines and PRs (GOMAXPROCS=N pins the scheduler of any Go binary).
 		repeat = flag.Int("repeat", 1, "repeat each run this many times, reporting per-run wall time and the best")
 
 		// Profilers, for digging into where a regression lives. Mutex and
@@ -74,21 +73,30 @@ func run() error {
 	)
 	flag.Parse()
 
-	if *soakName == "" && *file == "" && !*list && *exp == "" {
-		fmt.Fprintln(os.Stderr, "pombm-bench: -exp is required (use -list to see ids)")
+	// A usage refusal exits 2 before anything starts, so no input is
+	// silently ignored.
+	refuse := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "pombm-bench: "+format+"\n", args...)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *format != "text" && *format != "csv" && *format != "markdown" {
-		fmt.Fprintf(os.Stderr, "pombm-bench: unknown -format %q (text, csv or markdown)\n", *format)
-		flag.Usage()
-		os.Exit(2)
+	modes := 0
+	for _, set := range []bool{*soakName != "", *file != "", *list, *exp != ""} {
+		if set {
+			modes++
+		}
 	}
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
-	}
-	if *repeat < 1 {
-		*repeat = 1
+	switch {
+	case modes == 0:
+		refuse("-exp is required (use -list to see ids)")
+	case modes > 1:
+		refuse("-soak, -instance, -list and -exp each pick what runs: give one of them")
+	case *format != "text" && *format != "csv" && *format != "markdown":
+		refuse("unknown -format %q (text, csv or markdown)", *format)
+	case *repeat < 1:
+		refuse("-repeat must be ≥ 1 (got %d)", *repeat)
+	case *svg && *out == "":
+		refuse("-svg writes its charts into -out: give -out too")
 	}
 	stopProfiles, err := startProfiles(*cpuProf, *mutexProf, *blockProf)
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 
 // TestCLI drives the built binary: a figure run prints its table, a run
 // that fails still leaves its profile behind, an unknown -format is refused
-// rather than printed as text, and the flags of the deleted
-// engine-bench lane and the suites of the deleted engine soak lane are gone
-// rather than silently accepted.
+// rather than printed as text, so is input the run would ignore (a -repeat
+// below 1, -svg without -out, two modes at once), and the flags of the deleted
+// engine-bench lane, -procs, and the suites of the deleted engine soak lane
+// are gone rather than silently accepted.
 func TestCLI(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "pombm-bench")
@@ -61,6 +62,26 @@ func TestCLI(t *testing.T) {
 			t.Errorf("exit %d, want 2 naming the format and no table\n%s%s", code, stdout, stderr)
 		}
 	})
+
+	// Input the run would otherwise ignore is refused before anything runs.
+	for _, c := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative repeat", []string{"-exp", "table1", "-quick", "-repeat", "-3"}, "pombm-bench: -repeat must be ≥ 1 (got -3)"},
+		{"svg without out", []string{"-exp", "table1", "-quick", "-svg"}, "pombm-bench: -svg writes its charts into -out"},
+		{"soak beside exp", []string{"-soak", "platform-100k", "-exp", "table1"}, "pombm-bench: -soak, -instance, -list and -exp each pick what runs"},
+		{"instance beside exp", []string{"-instance", "x.csv", "-exp", "table1"}, "pombm-bench: -soak, -instance, -list and -exp each pick what runs"},
+		{"procs is gone", []string{"-procs", "2", "-exp", "table1", "-quick"}, "flag provided but not defined: -procs"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stdout, stderr, code := run(c.args...)
+			if code != 2 || stdout != "" || !strings.Contains(stderr, c.want) {
+				t.Errorf("%v: exit %d, want 2 with %q and nothing run\n%s%s", c.args, code, c.want, stdout, stderr)
+			}
+		})
+	}
 
 	t.Run("enginebench is gone", func(t *testing.T) {
 		_, stderr, code := run("-enginebench")

@@ -60,45 +60,35 @@ func (r *Result) MeanLatency() time.Duration {
 func Run(alg Algorithm, env *Env, inst *workload.Instance, opt Options, src *rng.Source) (*Result, error) {
 	switch alg {
 	case AlgTBF:
-		return RunTBF(env, inst, opt, src)
+		return runTBF(env, inst, opt, src)
 	case AlgLapGR:
-		return RunLapGR(env, inst, opt, src)
+		return runLapGR(env, inst, opt, src)
 	case AlgLapHG:
-		return RunLapHG(env, inst, opt, src)
+		return runLapHG(env, inst, opt, src)
 	default:
 		return nil, fmt.Errorf("core: unknown distance-objective algorithm %q", alg)
 	}
 }
 
-// RunTBF is the paper's framework: snap → HST mechanism (random walk) →
-// HST-Greedy on obfuscated leaves.
-func RunTBF(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (*Result, error) {
+// runTBF is the paper's framework: snap → HST mechanism (random walk) →
+// HST-Greedy on obfuscated leaves. The whole wave goes through the
+// mechanism's one-pass sampler, drawing from src in item order — exactly the
+// random stream the per-item loop drew, so results are bit-for-bit unchanged
+// while the per-item buffer and string allocations are amortised away. The
+// snap may run on the sampler's helper goroutine; it only reads env and pts.
+func runTBF(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (*Result, error) {
 	mech, err := privacy.NewHSTMechanism(env.Tree, opt.Epsilon)
 	if err != nil {
 		return nil, err
 	}
-	// Client side: every worker and task obfuscates its own snapped leaf.
-	workerCodes := obfuscateHST(env, mech, inst.Workers, src.Derive("workers"))
-	taskCodes := obfuscateHST(env, mech, inst.Tasks, src.Derive("tasks"))
-
-	res := &Result{Algorithm: AlgTBF}
-	assign, err := newHSTAssigner(env.Tree, workerCodes, opt)
-	if err != nil {
-		return nil, err
-	}
-	for i := range inst.Tasks {
-		start := time.Now()
-		w := assign(taskCodes[i])
-		res.AssignTime += time.Since(start)
-		score(res, inst, i, w)
-	}
-	res.MemoryBytes = env.RetainedBytes() + codesBytes(workerCodes) + codesBytes(taskCodes) + boolsBytes(len(workerCodes))
-	return res, nil
+	return runHST(AlgTBF, env, inst, opt, src, func(pts []geo.Point, s *rng.Source) []hst.Code {
+		return mech.ObfuscateEach(len(pts), func(i int) hst.Code { return env.SnapCode(pts[i]) }, s)
+	})
 }
 
-// RunLapGR obfuscates both sides with planar Laplace and matches greedily
+// runLapGR obfuscates both sides with planar Laplace and matches greedily
 // in the Euclidean plane.
-func RunLapGR(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (*Result, error) {
+func runLapGR(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (*Result, error) {
 	lap, err := privacy.NewPlanarLaplace(opt.Epsilon)
 	if err != nil {
 		return nil, err
@@ -126,25 +116,44 @@ func RunLapGR(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (
 	return res, nil
 }
 
-// RunLapHG obfuscates with planar Laplace, snaps the noisy locations onto
+// runLapHG obfuscates with planar Laplace, snaps the noisy locations onto
 // the published HST (post-processing, so ε-Geo-I is preserved) and runs
-// HST-Greedy, the Meyerson-style tree matcher.
-func RunLapHG(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (*Result, error) {
+// HST-Greedy, the Meyerson-style tree matcher. Items draw sequentially from
+// src, preserving the exact random stream the harness has always produced.
+func runLapHG(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (*Result, error) {
 	lap, err := privacy.NewPlanarLaplace(opt.Epsilon)
 	if err != nil {
 		return nil, err
 	}
-	obf := func(p geo.Point, s *rng.Source) hst.Code {
-		return env.SnapCode(lap.ObfuscatePoint(p, s))
-	}
-	workerCodes := obfuscateAll(inst.Workers, src.Derive("workers"), obf)
-	taskCodes := obfuscateAll(inst.Tasks, src.Derive("tasks"), obf)
+	return runHST(AlgLapHG, env, inst, opt, src, func(pts []geo.Point, s *rng.Source) []hst.Code {
+		codes := make([]hst.Code, len(pts))
+		for i, p := range pts {
+			codes[i] = env.SnapCode(lap.ObfuscatePoint(p, s))
+		}
+		return codes
+	})
+}
 
-	res := &Result{Algorithm: AlgLapHG}
-	assign, err := newHSTAssigner(env.Tree, workerCodes, opt)
-	if err != nil {
-		return nil, err
+// runHST is the tree pipeline runTBF and runLapHG share: every worker and
+// then every task obfuscates its own location into a leaf code (client
+// side), and HST-Greedy — the paper's O(n) scan, or the trie when
+// opt.UseTrie — assigns the tasks in arrival order.
+func runHST(alg Algorithm, env *Env, inst *workload.Instance, opt Options, src *rng.Source,
+	obfuscate func([]geo.Point, *rng.Source) []hst.Code) (*Result, error) {
+	workerCodes := obfuscate(inst.Workers, src.Derive("workers"))
+	taskCodes := obfuscate(inst.Tasks, src.Derive("tasks"))
+
+	var assign func(hst.Code) int
+	if opt.UseTrie {
+		g, err := match.NewHSTGreedyTrie(env.Tree, workerCodes)
+		if err != nil {
+			return nil, err
+		}
+		assign = g.Assign
+	} else {
+		assign = match.NewHSTGreedyScan(env.Tree, workerCodes).Assign
 	}
+	res := &Result{Algorithm: alg}
 	for i := range inst.Tasks {
 		start := time.Now()
 		w := assign(taskCodes[i])
@@ -153,42 +162,6 @@ func RunLapHG(env *Env, inst *workload.Instance, opt Options, src *rng.Source) (
 	}
 	res.MemoryBytes = env.RetainedBytes() + codesBytes(workerCodes) + codesBytes(taskCodes) + boolsBytes(len(workerCodes))
 	return res, nil
-}
-
-// newHSTAssigner returns the configured HST-Greedy implementation as a
-// plain assign function.
-func newHSTAssigner(tree *hst.Tree, workers []hst.Code, opt Options) (func(hst.Code) int, error) {
-	if opt.UseTrie {
-		g, err := match.NewHSTGreedyTrie(tree, workers)
-		if err != nil {
-			return nil, err
-		}
-		return g.Assign, nil
-	}
-	g := match.NewHSTGreedyScan(tree, workers)
-	return g.Assign, nil
-}
-
-// obfuscateHST maps every true location through snap + the HST mechanism.
-// The whole wave goes through the mechanism's one-pass sampler, drawing from
-// src in item order — exactly the random stream the per-item loop drew, so
-// results are bit-for-bit unchanged while the per-item buffer and string
-// allocations are amortised away. The snap may run on the sampler's helper
-// goroutine; it only reads env and pts.
-func obfuscateHST(env *Env, mech *privacy.HSTMechanism, pts []geo.Point, src *rng.Source) []hst.Code {
-	return mech.ObfuscateEach(len(pts), func(i int) hst.Code { return env.SnapCode(pts[i]) }, src)
-}
-
-// obfuscateAll maps every point through obf into a leaf code; the
-// non-tree pipelines (planar Laplace + snap) use it. Items draw
-// sequentially from src, preserving the exact random stream the harness
-// has always produced.
-func obfuscateAll(pts []geo.Point, src *rng.Source, obf func(geo.Point, *rng.Source) hst.Code) []hst.Code {
-	codes := make([]hst.Code, len(pts))
-	for i, p := range pts {
-		codes[i] = obf(p, src)
-	}
-	return codes
 }
 
 // score accumulates the true-distance objective for task i matched to w.

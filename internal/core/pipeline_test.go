@@ -118,11 +118,11 @@ func TestMoreTasksThanWorkers(t *testing.T) {
 func TestTBFDeterministicGivenSeed(t *testing.T) {
 	env := testEnv(t, 8)
 	inst := testInstance(t, 50, 80, 7)
-	a, err := RunTBF(env, inst, Options{Epsilon: 0.6}, rng.New(9))
+	a, err := runTBF(env, inst, Options{Epsilon: 0.6}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTBF(env, inst, Options{Epsilon: 0.6}, rng.New(9))
+	b, err := runTBF(env, inst, Options{Epsilon: 0.6}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +163,15 @@ func TestShapeTBFBeatsBaselinesAtSmallEpsilon(t *testing.T) {
 	for rep := 0; rep < reps; rep++ {
 		inst := testInstance(t, 400, 700, uint64(100+rep))
 		seed := rng.New(uint64(200 + rep))
-		a, err := RunTBF(env, inst, opt, seed.Derive("tbf"))
+		a, err := runTBF(env, inst, opt, seed.Derive("tbf"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunLapGR(env, inst, opt, seed.Derive("gr"))
+		b, err := runLapGR(env, inst, opt, seed.Derive("gr"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := RunLapHG(env, inst, opt, seed.Derive("hg"))
+		c, err := runLapHG(env, inst, opt, seed.Derive("hg"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,18 +33,18 @@ type SizeResult struct {
 func RunSize(alg Algorithm, env *Env, inst *workload.Instance, reaches []float64, opt Options, src *rng.Source) (*SizeResult, error) {
 	switch alg {
 	case AlgTBF:
-		return RunTBFSize(env, inst, reaches, opt, src)
+		return runTBFSize(env, inst, reaches, opt, src)
 	case AlgProb:
-		return RunProbSize(env, inst, reaches, opt, src)
+		return runProbSize(env, inst, reaches, opt, src)
 	default:
 		return nil, fmt.Errorf("core: unknown size-objective algorithm %q", alg)
 	}
 }
 
-// RunTBFSize is the paper's tree-based matcher under the size objective:
+// runTBFSize is the paper's tree-based matcher under the size objective:
 // obfuscate through the HST mechanism, then assign each task to the
 // tree-nearest worker that looks reachable on the reported data.
-func RunTBFSize(env *Env, inst *workload.Instance, reaches []float64, opt Options, src *rng.Source) (*SizeResult, error) {
+func runTBFSize(env *Env, inst *workload.Instance, reaches []float64, opt Options, src *rng.Source) (*SizeResult, error) {
 	if len(reaches) != len(inst.Workers) {
 		return nil, fmt.Errorf("core: %d reaches for %d workers", len(reaches), len(inst.Workers))
 	}
@@ -82,9 +82,9 @@ func RunTBFSize(env *Env, inst *workload.Instance, reaches []float64, opt Option
 	return res, nil
 }
 
-// RunProbSize is the Prob baseline: planar Laplace on both sides, then
+// runProbSize is the Prob baseline: planar Laplace on both sides, then
 // posterior-probability assignment.
-func RunProbSize(env *Env, inst *workload.Instance, reaches []float64, opt Options, src *rng.Source) (*SizeResult, error) {
+func runProbSize(env *Env, inst *workload.Instance, reaches []float64, opt Options, src *rng.Source) (*SizeResult, error) {
 	if len(reaches) != len(inst.Workers) {
 		return nil, fmt.Errorf("core: %d reaches for %d workers", len(reaches), len(inst.Workers))
 	}

@@ -64,11 +64,11 @@ func TestShapeTBFSizeBeatsProb(t *testing.T) {
 		inst := testInstance(t, 300, 600, uint64(300+rep))
 		reaches := workload.Reaches(len(inst.Workers), 10, 20, rng.New(uint64(400+rep)))
 		seed := rng.New(uint64(500 + rep))
-		a, err := RunTBFSize(env, inst, reaches, Options{Epsilon: 0.2}, seed.Derive("tbf"))
+		a, err := runTBFSize(env, inst, reaches, Options{Epsilon: 0.2}, seed.Derive("tbf"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunProbSize(env, inst, reaches, Options{Epsilon: 0.2}, seed.Derive("prob"))
+		b, err := runProbSize(env, inst, reaches, Options{Epsilon: 0.2}, seed.Derive("prob"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Sec. IV): the Fig. 6/7 distance-objective sweeps, the Fig. 8
-// matching-size case study, Table I's mechanism distribution, and the
-// ablations DESIGN.md adds. Each experiment is addressed by id ("fig6a",
-// "fig8c", "table1", "abl-index", ...), runs a parameter sweep with
-// repetitions in the random-order model, and yields a Figure: labelled
-// series ready for text, CSV, or bench reporting.
+// matching-size case study, Table I's mechanism distribution, and seven
+// ablations of the reproduction's design choices. Each experiment is
+// addressed by id ("fig6a", "fig8c", "table1", "abl-index", ...), runs a
+// parameter sweep with repetitions in the random-order model, and yields a
+// Figure: labelled series ready for text, CSV, or bench reporting.
 package experiments
 
 import (

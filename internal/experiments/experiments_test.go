@@ -35,7 +35,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	// Every panel of Fig. 6 (a–l), Fig. 7 (a–l), Fig. 8 (a–h), Table I,
-	// and the five ablations must be registered.
+	// and the seven ablations must be registered.
 	want := []string{"table1",
 		"abl-walk", "abl-index", "abl-grid", "abl-cr", "abl-em", "abl-chain", "abl-road"}
 	for _, ch := range "abcdefghijkl" {
@@ -155,15 +155,15 @@ func TestMeasurementCacheShared(t *testing.T) {
 	if _, err := r.Run("fig6a"); err != nil {
 		t.Fatal(err)
 	}
-	n := len(r.distCache)
+	n := len(r.cache)
 	if n == 0 {
 		t.Fatal("no cache entries after fig6a")
 	}
 	if _, err := r.Run("fig6e"); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.distCache) != n {
-		t.Errorf("fig6e added %d cache entries; sweeps not shared", len(r.distCache)-n)
+	if len(r.cache) != n {
+		t.Errorf("fig6e added %d cache entries; sweeps not shared", len(r.cache)-n)
 	}
 }
 

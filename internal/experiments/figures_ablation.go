@@ -47,11 +47,11 @@ func runAblChain(r *Runner) (*Figure, error) {
 	}
 	for _, eps := range workload.Epsilons {
 		fig.X = append(fig.X, fmt.Sprint(eps))
-		agg, err := r.distancePoint(core.AlgTBF, spec, eps)
+		agg, err := r.distancePoint(core.AlgTBF, sweepPoint{spec, eps})
 		if err != nil {
 			return nil, err
 		}
-		greedy.Values = append(greedy.Values, agg.distance)
+		greedy.Values = append(greedy.Values, agg.value)
 
 		mech, err := privacy.NewHSTMechanism(env.Tree, eps)
 		if err != nil {
@@ -178,7 +178,7 @@ func runAblIndex(r *Runner) (*Figure, error) {
 		}
 		for _, useTrie := range []bool{false, true} {
 			opt := core.Options{Epsilon: workload.DefaultEpsilon, UseTrie: useTrie}
-			res, err := core.RunTBF(env, inst, opt, r.root.DeriveN("abl-index", n))
+			res, err := core.Run(core.AlgTBF, env, inst, opt, r.root.DeriveN("abl-index", n))
 			if err != nil {
 				return nil, err
 			}
@@ -249,7 +249,7 @@ func runAblGrid(r *Runner) (*Figure, error) {
 			return nil, err
 		}
 		build.Values = append(build.Values, time.Since(start).Seconds())
-		res, err := core.RunTBF(env, inst, core.Options{Epsilon: workload.DefaultEpsilon}, r.root.DeriveN("abl-grid-run", c))
+		res, err := core.Run(core.AlgTBF, env, inst, core.Options{Epsilon: workload.DefaultEpsilon}, r.root.DeriveN("abl-grid-run", c))
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +295,7 @@ func runAblCR(r *Runner) (*Figure, error) {
 			if opt == 0 {
 				continue
 			}
-			res, err := core.RunTBF(env, inst, core.Options{Epsilon: 0.6}, r.root.DeriveN("abl-cr-tbf", k*100+rep))
+			res, err := core.Run(core.AlgTBF, env, inst, core.Options{Epsilon: 0.6}, r.root.DeriveN("abl-cr-tbf", k*100+rep))
 			if err != nil {
 				return nil, err
 			}
@@ -336,11 +336,11 @@ func runAblEM(r *Runner) (*Figure, error) {
 	}
 	for _, eps := range workload.Epsilons {
 		fig.X = append(fig.X, fmt.Sprint(eps))
-		agg, err := r.distancePoint(core.AlgTBF, spec, eps)
+		agg, err := r.distancePoint(core.AlgTBF, sweepPoint{spec, eps})
 		if err != nil {
 			return nil, err
 		}
-		tbf.Values = append(tbf.Values, agg.distance)
+		tbf.Values = append(tbf.Values, agg.value)
 
 		mech, err := privacy.NewGridExponential(eps, env.Grid.Points())
 		if err != nil {

@@ -15,153 +15,93 @@ var distAlgs = []core.Algorithm{core.AlgLapGR, core.AlgLapHG, core.AlgTBF}
 // sizeAlgs are the compared algorithms of Fig. 8.
 var sizeAlgs = []core.Algorithm{core.AlgProb, core.AlgTBF}
 
-// distSweep is one x axis of the distance-objective evaluation.
-type distSweep struct {
+// axis is one x axis of the evaluation: its label, and per value the x
+// label it prints and the sweep point it sets.
+type axis struct {
 	xlabel string
 	xs     []string
-	specs  []instanceSpec
-	eps    []float64
+	points []sweepPoint
 }
 
-// the four Table II sweeps plus the ε, scalability and real-data sweeps.
-func sweepTasks(c Config) distSweep {
-	s := distSweep{xlabel: "|T|"}
-	for _, nt := range workload.SyntheticTaskCounts {
-		s.xs = append(s.xs, fmt.Sprint(nt))
-		s.specs = append(s.specs, instanceSpec{
-			numTasks: c.scaled(nt), numWorkers: c.scaled(workload.DefaultNumWorkers),
-			mu: workload.DefaultMu, sigma: workload.DefaultSigma,
-		})
-		s.eps = append(s.eps, workload.DefaultEpsilon)
-	}
-	return s
+// sweepPoint is what one x value sets: the instance to draw and ε.
+type sweepPoint struct {
+	spec instanceSpec
+	eps  float64
 }
 
-func sweepWorkers(c Config) distSweep {
-	s := distSweep{xlabel: "|W|"}
-	for _, nw := range workload.SyntheticWorkerCounts {
-		s.xs = append(s.xs, fmt.Sprint(nw))
-		s.specs = append(s.specs, instanceSpec{
-			numTasks: c.scaled(workload.DefaultNumTasks), numWorkers: c.scaled(nw),
-			mu: workload.DefaultMu, sigma: workload.DefaultSigma,
-		})
-		s.eps = append(s.eps, workload.DefaultEpsilon)
-	}
-	return s
-}
-
-func sweepMu(c Config) distSweep {
-	s := distSweep{xlabel: "µ"}
-	for _, mu := range workload.SyntheticMus {
-		s.xs = append(s.xs, fmt.Sprint(mu))
-		s.specs = append(s.specs, instanceSpec{
-			numTasks: c.scaled(workload.DefaultNumTasks), numWorkers: c.scaled(workload.DefaultNumWorkers),
-			mu: mu, sigma: workload.DefaultSigma,
-		})
-		s.eps = append(s.eps, workload.DefaultEpsilon)
-	}
-	return s
-}
-
-func sweepSigma(c Config) distSweep {
-	s := distSweep{xlabel: "σ"}
-	for _, sigma := range workload.SyntheticSigmas {
-		s.xs = append(s.xs, fmt.Sprint(sigma))
-		s.specs = append(s.specs, instanceSpec{
-			numTasks: c.scaled(workload.DefaultNumTasks), numWorkers: c.scaled(workload.DefaultNumWorkers),
-			mu: workload.DefaultMu, sigma: sigma,
-		})
-		s.eps = append(s.eps, workload.DefaultEpsilon)
-	}
-	return s
-}
-
-func sweepEps(c Config) distSweep {
-	s := distSweep{xlabel: "ε"}
-	for _, eps := range workload.Epsilons {
-		s.xs = append(s.xs, fmt.Sprint(eps))
-		s.specs = append(s.specs, instanceSpec{
+// sweep builds an axis: each value starts from the Table II defaults (or,
+// on the real data, the Chengdu default |W|) at the default ε, and set
+// moves the one instanceSpec field or ε the axis sweeps.
+func sweep[T int | float64](c Config, xlabel string, chengdu bool, values []T, set func(*sweepPoint, T)) axis {
+	a := axis{xlabel: xlabel}
+	for _, v := range values {
+		p := sweepPoint{spec: instanceSpec{
 			numTasks: c.scaled(workload.DefaultNumTasks), numWorkers: c.scaled(workload.DefaultNumWorkers),
 			mu: workload.DefaultMu, sigma: workload.DefaultSigma,
-		})
-		s.eps = append(s.eps, eps)
-	}
-	return s
-}
-
-func sweepScalability(c Config) distSweep {
-	s := distSweep{xlabel: "|T|=|W|"}
-	for _, n := range workload.ScalabilitySizes {
-		s.xs = append(s.xs, fmt.Sprint(n))
-		s.specs = append(s.specs, instanceSpec{
-			numTasks: c.scaled(n), numWorkers: c.scaled(n),
-			mu: workload.DefaultMu, sigma: workload.DefaultSigma,
-		})
-		s.eps = append(s.eps, workload.DefaultEpsilon)
-	}
-	return s
-}
-
-func sweepRealWorkers(c Config) distSweep {
-	s := distSweep{xlabel: "|W|"}
-	for _, nw := range workload.RealWorkerCounts {
-		s.xs = append(s.xs, fmt.Sprint(nw))
-		s.specs = append(s.specs, instanceSpec{numWorkers: c.scaled(nw), real: true})
-		s.eps = append(s.eps, workload.DefaultEpsilon)
-	}
-	return s
-}
-
-func sweepRealEps(c Config) distSweep {
-	s := distSweep{xlabel: "ε"}
-	for _, eps := range workload.Epsilons {
-		s.xs = append(s.xs, fmt.Sprint(eps))
-		s.specs = append(s.specs, instanceSpec{numWorkers: c.scaled(workload.DefaultRealNumWorkers), real: true})
-		s.eps = append(s.eps, eps)
-	}
-	return s
-}
-
-// runDistFigure materialises one Fig. 6/7 panel.
-func runDistFigure(r *Runner, id, title string, metric metricKind, mkSweep func(Config) distSweep) (*Figure, error) {
-	sweep := mkSweep(r.cfg)
-	fig := &Figure{ID: id, Title: title, XLabel: sweep.xlabel, YLabel: metric.label(), X: sweep.xs}
-	for _, alg := range distAlgs {
-		series := Series{Label: string(alg)}
-		for i := range sweep.specs {
-			agg, err := r.distancePoint(alg, sweep.specs[i], sweep.eps[i])
-			if err != nil {
-				return nil, err
-			}
-			series.Values = append(series.Values, agg.metric(metric))
-			if metric == metricDistance {
-				series.Spread = append(series.Spread, agg.distanceStd)
-			}
+		}, eps: workload.DefaultEpsilon}
+		if chengdu {
+			p.spec = instanceSpec{numWorkers: c.scaled(workload.DefaultRealNumWorkers), real: true}
 		}
-		fig.Series = append(fig.Series, series)
+		set(&p, v)
+		a.xs = append(a.xs, fmt.Sprint(v))
+		a.points = append(a.points, p)
 	}
-	return fig, nil
+	return a
 }
 
-// runSizeFigure materialises one Fig. 8 panel.
-func runSizeFigure(r *Runner, id, title string, metric metricKind, mkSweep func(Config) distSweep, reach [2]float64) (*Figure, error) {
-	sweep := mkSweep(r.cfg)
-	fig := &Figure{ID: id, Title: title, XLabel: sweep.xlabel, YLabel: metric.label(), X: sweep.xs}
-	for _, alg := range sizeAlgs {
+// The four Table II sweeps plus the ε, scalability and real-data sweeps.
+var (
+	sweepTasks = func(c Config) axis {
+		return sweep(c, "|T|", false, workload.SyntheticTaskCounts, func(p *sweepPoint, n int) { p.spec.numTasks = c.scaled(n) })
+	}
+	sweepWorkers = func(c Config) axis {
+		return sweep(c, "|W|", false, workload.SyntheticWorkerCounts, func(p *sweepPoint, n int) { p.spec.numWorkers = c.scaled(n) })
+	}
+	sweepMu = func(c Config) axis {
+		return sweep(c, "µ", false, workload.SyntheticMus, func(p *sweepPoint, mu float64) { p.spec.mu = mu })
+	}
+	sweepSigma = func(c Config) axis {
+		return sweep(c, "σ", false, workload.SyntheticSigmas, func(p *sweepPoint, sigma float64) { p.spec.sigma = sigma })
+	}
+	sweepEps = func(c Config) axis {
+		return sweep(c, "ε", false, workload.Epsilons, func(p *sweepPoint, eps float64) { p.eps = eps })
+	}
+	sweepScalability = func(c Config) axis {
+		return sweep(c, "|T|=|W|", false, workload.ScalabilitySizes, func(p *sweepPoint, n int) {
+			p.spec.numTasks, p.spec.numWorkers = c.scaled(n), c.scaled(n)
+		})
+	}
+	sweepRealWorkers = func(c Config) axis {
+		return sweep(c, "|W|", true, workload.RealWorkerCounts, func(p *sweepPoint, n int) { p.spec.numWorkers = c.scaled(n) })
+	}
+	sweepRealEps = func(c Config) axis {
+		return sweep(c, "ε", true, workload.Epsilons, func(p *sweepPoint, eps float64) { p.eps = eps })
+	}
+)
+
+// panel is one Fig. 6–8 panel: a metric over one axis.
+type panel struct {
+	id, title string
+	metric    metricKind
+	axis      func(Config) axis
+}
+
+// run materialises the panel: per algorithm, the metric of each sweep
+// point's measurement, with the sample std dev beside the headline metrics
+// (distance and matching size).
+func (p panel) run(r *Runner, algs []core.Algorithm, measure func(core.Algorithm, sweepPoint) (pointAgg, error)) (*Figure, error) {
+	ax := p.axis(r.cfg)
+	fig := &Figure{ID: p.id, Title: p.title, XLabel: ax.xlabel, YLabel: p.metric.label(), X: ax.xs}
+	for _, alg := range algs {
 		series := Series{Label: string(alg)}
-		for i := range sweep.specs {
-			agg, err := r.sizePoint(alg, sweep.specs[i], sweep.eps[i], reach)
+		for _, pt := range ax.points {
+			agg, err := measure(alg, pt)
 			if err != nil {
 				return nil, err
 			}
-			switch metric {
-			case metricSize:
-				series.Values = append(series.Values, agg.size)
-				series.Spread = append(series.Spread, agg.sizeStd)
-			case metricTime:
-				series.Values = append(series.Values, agg.seconds)
-			default:
-				return nil, fmt.Errorf("experiments: size figures support size/time, not %v", metric)
+			series.Values = append(series.Values, agg.metric(p.metric))
+			if p.metric == metricDistance || p.metric == metricSize {
+				series.Spread = append(series.Spread, agg.std)
 			}
 		}
 		fig.Series = append(fig.Series, series)
@@ -170,11 +110,6 @@ func runSizeFigure(r *Runner, id, title string, metric metricKind, mkSweep func(
 }
 
 func init() {
-	type panel struct {
-		id, title string
-		metric    metricKind
-		sweep     func(Config) distSweep
-	}
 	panels := []panel{
 		// Fig. 6: Table II sweeps × {distance, time, memory}.
 		{"fig6a", "Total Distance of Varying |T| (synthetic)", metricDistance, sweepTasks},
@@ -204,31 +139,29 @@ func init() {
 		{"fig7l", "Memory of Varying ε (real)", metricMemory, sweepRealEps},
 	}
 	for _, p := range panels {
-		p := p
 		register(p.id, p.title, func(r *Runner) (*Figure, error) {
-			return runDistFigure(r, p.id, p.title, p.metric, p.sweep)
+			return p.run(r, distAlgs, r.distancePoint)
 		})
 	}
 
 	sizePanels := []struct {
-		id, title string
-		metric    metricKind
-		sweep     func(Config) distSweep
-		reach     [2]float64
+		panel
+		reach [2]float64
 	}{
-		{"fig8a", "Matching Size of Varying |W| (synthetic)", metricSize, sweepWorkers, workload.SyntheticReach},
-		{"fig8b", "Matching Size of Varying ε (synthetic)", metricSize, sweepEps, workload.SyntheticReach},
-		{"fig8c", "Matching Size of Varying |W| (real)", metricSize, sweepRealWorkers, workload.RealReach},
-		{"fig8d", "Matching Size of Varying ε (real)", metricSize, sweepRealEps, workload.RealReach},
-		{"fig8e", "Running Time of Varying |W| (synthetic, size)", metricTime, sweepWorkers, workload.SyntheticReach},
-		{"fig8f", "Running Time of Varying ε (synthetic, size)", metricTime, sweepEps, workload.SyntheticReach},
-		{"fig8g", "Running Time of Varying |W| (real, size)", metricTime, sweepRealWorkers, workload.RealReach},
-		{"fig8h", "Running Time of Varying ε (real, size)", metricTime, sweepRealEps, workload.RealReach},
+		{panel{"fig8a", "Matching Size of Varying |W| (synthetic)", metricSize, sweepWorkers}, workload.SyntheticReach},
+		{panel{"fig8b", "Matching Size of Varying ε (synthetic)", metricSize, sweepEps}, workload.SyntheticReach},
+		{panel{"fig8c", "Matching Size of Varying |W| (real)", metricSize, sweepRealWorkers}, workload.RealReach},
+		{panel{"fig8d", "Matching Size of Varying ε (real)", metricSize, sweepRealEps}, workload.RealReach},
+		{panel{"fig8e", "Running Time of Varying |W| (synthetic, size)", metricTime, sweepWorkers}, workload.SyntheticReach},
+		{panel{"fig8f", "Running Time of Varying ε (synthetic, size)", metricTime, sweepEps}, workload.SyntheticReach},
+		{panel{"fig8g", "Running Time of Varying |W| (real, size)", metricTime, sweepRealWorkers}, workload.RealReach},
+		{panel{"fig8h", "Running Time of Varying ε (real, size)", metricTime, sweepRealEps}, workload.RealReach},
 	}
 	for _, p := range sizePanels {
-		p := p
 		register(p.id, p.title, func(r *Runner) (*Figure, error) {
-			return runSizeFigure(r, p.id, p.title, p.metric, p.sweep, p.reach)
+			return p.run(r, sizeAlgs, func(alg core.Algorithm, pt sweepPoint) (pointAgg, error) {
+				return r.sizePoint(alg, pt, p.reach)
+			})
 		})
 	}
 

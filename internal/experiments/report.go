@@ -73,8 +73,8 @@ func writeCSVValue(b *strings.Builder, v float64) {
 	}
 }
 
-// Markdown formats a figure as a GitHub-flavoured markdown table, used when
-// generating EXPERIMENTS.md.
+// Markdown formats a figure as a GitHub-flavoured markdown table
+// (pombm-bench -format markdown).
 func (f *Figure) Markdown() string {
 	var b strings.Builder
 	b.WriteString("| " + f.XLabel)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/pombm/pombm/internal/core"
 	"github.com/pombm/pombm/internal/rng"
@@ -16,9 +17,8 @@ type Runner struct {
 	cfg  Config
 	root *rng.Source
 
-	env       *core.Env // shared: synthetic and Chengdu use the same region
-	distCache map[string]distAgg
-	sizeCache map[string]sizeAgg
+	env   *core.Env // shared: synthetic and Chengdu use the same region
+	cache map[string]pointAgg
 }
 
 // NewRunner returns a Runner for the config.
@@ -27,10 +27,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	return &Runner{
-		cfg:       cfg,
-		root:      rng.New(cfg.Seed),
-		distCache: map[string]distAgg{},
-		sizeCache: map[string]sizeAgg{},
+		cfg:   cfg,
+		root:  rng.New(cfg.Seed),
+		cache: map[string]pointAgg{},
 	}, nil
 }
 
@@ -103,15 +102,15 @@ func (r *Runner) instance(spec instanceSpec, rep int) (*workload.Instance, error
 	return in, nil
 }
 
-// distAgg aggregates the three Fig. 6/7 metrics over repetitions.
-type distAgg struct {
-	distance    float64 // mean total true distance
-	distanceStd float64 // sample std dev of the total distance
-	seconds     float64 // mean total assignment time
-	megabytes   float64 // mean retained MB
+// pointAgg aggregates one sweep point over repetitions.
+type pointAgg struct {
+	value     float64 // mean headline value: total true distance, or matching size
+	std       float64 // sample std dev of the headline value
+	seconds   float64 // mean total assignment time
+	megabytes float64 // mean retained MB
 }
 
-// distance-objective metrics, one per figure row.
+// metrics of the evaluation, one per figure row.
 type metricKind int
 
 const (
@@ -135,90 +134,75 @@ func (m metricKind) label() string {
 	return "?"
 }
 
-func (a distAgg) metric(m metricKind) float64 {
+func (a pointAgg) metric(m metricKind) float64 {
 	switch m {
-	case metricDistance:
-		return a.distance
 	case metricTime:
 		return a.seconds
 	case metricMemory:
 		return a.megabytes
 	}
-	return 0
+	return a.value
 }
 
-// distancePoint measures one (algorithm, spec, ε) sweep point, cached.
-func (r *Runner) distancePoint(alg core.Algorithm, spec instanceSpec, eps float64) (distAgg, error) {
-	key := fmt.Sprintf("%s|%s|eps%g", alg, spec.key(), eps)
-	if agg, ok := r.distCache[key]; ok {
+// point measures one sweep point, cached under key: Reps repetitions, each
+// run on its own draw of the spec's instance. run returns a repetition's
+// headline value, assignment time and retained bytes.
+func (r *Runner) point(key string, spec instanceSpec,
+	run func(env *core.Env, inst *workload.Instance, rep int) (float64, time.Duration, uint64, error)) (pointAgg, error) {
+	if agg, ok := r.cache[key]; ok {
 		return agg, nil
 	}
 	env, err := r.environment()
 	if err != nil {
-		return distAgg{}, err
+		return pointAgg{}, err
 	}
-	opt := core.Options{Epsilon: eps}
-	var agg distAgg
-	var dist stats.Accumulator
+	var agg pointAgg
+	var value stats.Accumulator
 	for rep := 0; rep < r.cfg.Reps; rep++ {
 		inst, err := r.instance(spec, rep)
 		if err != nil {
-			return distAgg{}, err
+			return pointAgg{}, err
 		}
-		res, err := core.Run(alg, env, inst, opt, r.root.DeriveN("run-"+key, rep))
+		v, d, retained, err := run(env, inst, rep)
 		if err != nil {
-			return distAgg{}, err
+			return pointAgg{}, err
 		}
-		dist.Add(res.TotalDistance)
-		agg.seconds += res.AssignTime.Seconds()
-		agg.megabytes += float64(res.MemoryBytes) / 1e6
+		value.Add(v)
+		agg.seconds += d.Seconds()
+		agg.megabytes += float64(retained) / 1e6
 	}
 	n := float64(r.cfg.Reps)
-	agg.distance = dist.Mean()
-	agg.distanceStd = dist.Std()
+	agg.value = value.Mean()
+	agg.std = value.Std()
 	agg.seconds /= n
 	agg.megabytes /= n
-	r.distCache[key] = agg
+	r.cache[key] = agg
 	return agg, nil
 }
 
-// sizeAgg aggregates the Fig. 8 metrics.
-type sizeAgg struct {
-	size    float64
-	sizeStd float64
-	seconds float64
+// distancePoint measures one (algorithm, spec, ε) point of the Fig. 6/7
+// distance objective.
+func (r *Runner) distancePoint(alg core.Algorithm, p sweepPoint) (pointAgg, error) {
+	key := fmt.Sprintf("%s|%s|eps%g", alg, p.spec.key(), p.eps)
+	return r.point(key, p.spec, func(env *core.Env, inst *workload.Instance, rep int) (float64, time.Duration, uint64, error) {
+		res, err := core.Run(alg, env, inst, core.Options{Epsilon: p.eps}, r.root.DeriveN("run-"+key, rep))
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		return res.TotalDistance, res.AssignTime, res.MemoryBytes, nil
+	})
 }
 
-// sizePoint measures one case-study sweep point, cached.
-func (r *Runner) sizePoint(alg core.Algorithm, spec instanceSpec, eps float64, reach [2]float64) (sizeAgg, error) {
-	key := fmt.Sprintf("size|%s|%s|eps%g|reach%v", alg, spec.key(), eps, reach)
-	if agg, ok := r.sizeCache[key]; ok {
-		return agg, nil
-	}
-	env, err := r.environment()
-	if err != nil {
-		return sizeAgg{}, err
-	}
-	opt := core.Options{Epsilon: eps}
-	var agg sizeAgg
-	var size stats.Accumulator
-	for rep := 0; rep < r.cfg.Reps; rep++ {
-		inst, err := r.instance(spec, rep)
+// sizePoint measures one point of the Fig. 8 case study, each worker's
+// reachable radius drawn from the reach range.
+func (r *Runner) sizePoint(alg core.Algorithm, p sweepPoint, reach [2]float64) (pointAgg, error) {
+	key := fmt.Sprintf("size|%s|%s|eps%g|reach%v", alg, p.spec.key(), p.eps, reach)
+	return r.point(key, p.spec, func(env *core.Env, inst *workload.Instance, rep int) (float64, time.Duration, uint64, error) {
+		reaches := workload.Reaches(len(inst.Workers), reach[0], reach[1], r.root.DeriveN("reach-"+key, rep))
+		res, err := core.RunSize(alg, env, inst, reaches, core.Options{Epsilon: p.eps}, r.root.DeriveN("run-"+key, rep))
 		if err != nil {
-			return sizeAgg{}, err
+			return 0, 0, 0, err
 		}
-		reaches := workload.Reaches(len(inst.Workers), reach[0], reach[1],
-			r.root.DeriveN("reach-"+key, rep))
-		res, err := core.RunSize(alg, env, inst, reaches, opt, r.root.DeriveN("run-"+key, rep))
-		if err != nil {
-			return sizeAgg{}, err
-		}
-		size.Add(float64(res.MatchingSize))
-		agg.seconds += res.AssignTime.Seconds()
-	}
-	agg.size = size.Mean()
-	agg.sizeStd = size.Std()
-	agg.seconds /= float64(r.cfg.Reps)
-	r.sizeCache[key] = agg
-	return agg, nil
+		return float64(res.MatchingSize), res.AssignTime, res.MemoryBytes, nil
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"github.com/pombm/pombm/internal/geo"
@@ -103,6 +104,24 @@ func TestObfuscateWalkAllocs(t *testing.T) {
 	// Each wave is collected before the next, so at most one is live.
 	const fanOutAllocs = 4 // slab, codes, the helper's closure and channel
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// The goroutine descriptor is the runtime's allocation, not the
+	// sampler's, and it is made only when neither the helper's P nor the
+	// scheduler holds a dead goroutine: a few hundred goroutines, all live
+	// at once and then joined, leave dead ones on every free list.
+	var started, done sync.WaitGroup
+	release := make(chan struct{})
+	for range 512 {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			started.Done()
+			<-release
+			done.Done()
+		}()
+	}
+	started.Wait()
+	close(release)
+	done.Wait()
 	for _, n := range []int{65536, 1 << 20} {
 		least := uint64(math.MaxUint64)
 		for range 5 {

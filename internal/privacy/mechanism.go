@@ -6,21 +6,7 @@
 // provides an exact Geo-Indistinguishability verifier used by the tests.
 package privacy
 
-import (
-	"errors"
-
-	"github.com/pombm/pombm/internal/geo"
-	"github.com/pombm/pombm/internal/rng"
-)
-
-// PointMechanism obfuscates locations in the plane. Implementations must be
-// safe for concurrent use when each call receives its own rng.Source.
-type PointMechanism interface {
-	// ObfuscatePoint maps a true location to a reported location.
-	ObfuscatePoint(p geo.Point, src *rng.Source) geo.Point
-	// Epsilon returns the privacy budget the mechanism was built with.
-	Epsilon() float64
-}
+import "errors"
 
 // ErrBadEpsilon is returned when a non-positive privacy budget is supplied.
 var ErrBadEpsilon = errors.New("privacy: epsilon must be positive")

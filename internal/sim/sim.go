@@ -43,7 +43,7 @@ type Config struct {
 	Scenario   Scenario
 	Seed       uint64
 	Driver     Driver // DriverPlatform when empty
-	Nodes      int    // cluster driver backend count; 0 = 3
+	Nodes      int    // cluster driver backend count; 0 = 3, and 0 under any other driver
 	CrossCheck bool   // verify every decision against the reference (crossCheck)
 }
 
@@ -162,6 +162,9 @@ func Run(cfg Config) (*Report, *RunStats, error) {
 	}
 	if cfg.Nodes < 0 {
 		return nil, nil, fmt.Errorf("sim: negative node count %d", cfg.Nodes)
+	}
+	if cfg.Nodes != 0 && cfg.Driver != DriverCluster {
+		return nil, nil, fmt.Errorf("sim: a node count (%d) needs the cluster driver, not %q", cfg.Nodes, cfg.Driver)
 	}
 	sc := cfg.Scenario
 	root := rng.New(cfg.Seed)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -483,6 +484,18 @@ func TestNegativeNodesRejected(t *testing.T) {
 	for _, driver := range []Driver{"", DriverPlatform, DriverCluster} {
 		if _, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: driver, Nodes: -1}); err == nil {
 			t.Errorf("driver %q accepted Nodes = -1", driver)
+		}
+	}
+}
+
+// TestNodesNeedTheClusterDriver: a node count means nothing to the platform
+// driver, so Run refuses it rather than ignore it.
+func TestNodesNeedTheClusterDriver(t *testing.T) {
+	sc := shortPreset(t, "steady", 60)
+	for _, driver := range []Driver{"", DriverPlatform} {
+		_, _, err := Run(Config{Scenario: sc, Seed: 1, Driver: driver, Nodes: 5})
+		if err == nil || !strings.Contains(err.Error(), "needs the cluster driver") {
+			t.Errorf("driver %q with Nodes = 5: got %v, want a refusal naming the cluster driver", driver, err)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package workload
 
 // Parameter sweeps from Tables II and III. Bold (default) entries are not
 // recoverable from the paper text, so defaults are the middle value of each
-// sweep, as documented in DESIGN.md §3.
+// sweep.
 
 // Table II — synthetic data.
 var (

@@ -3,10 +3,10 @@
 // synthetic stand-in for the Didi Chuxing Chengdu dataset of Table III.
 //
 // The real dataset (7M GAIA trip records, November 2016) is proprietary;
-// per DESIGN.md the Chengdu generator reproduces its relevant structure —
-// a fixed city-wide hotspot mixture sampled over 30 days with 4245–5034
-// peak-hour task origins per day in a 10 km × 10 km region — from a fixed
-// seed, so "days" are stable across runs like a real dataset would be.
+// the Chengdu generator reproduces its relevant structure — a fixed
+// city-wide hotspot mixture sampled over 30 days with 4245–5034 peak-hour
+// task origins per day in a 10 km × 10 km region — from a fixed seed, so
+// "days" are stable across runs like a real dataset would be.
 package workload
 
 import (

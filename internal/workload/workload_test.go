@@ -229,6 +229,6 @@ func TestParamTablesMatchPaper(t *testing.T) {
 		t.Error("Table III worker counts wrong")
 	}
 	if DefaultNumTasks != 3000 || DefaultNumWorkers != 5000 || DefaultMu != 100 || DefaultSigma != 20 {
-		t.Error("defaults drifted from DESIGN.md")
+		t.Error("defaults drifted from the middle of each sweep")
 	}
 }

@@ -175,6 +175,7 @@ var (
 	qualID   = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 	goRun    = regexp.MustCompile(`go run \./cmd/([\w-]+)([^|;&#` + "`" + `]*)`)
 	flagArg  = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w.-]*)`)
+	mdFile   = regexp.MustCompile(`^[\w./-]+\.md$`)
 )
 
 // readmeFlags lists, per binary, every -flag README passes to it: on a line
@@ -210,8 +211,9 @@ func readmeFlags(readme string, spans [][]string, bins map[string]map[string]boo
 // TestReadmeNamesResolve keeps README from naming what the tree no longer
 // has: every backticked pkg.Ident (or pkg.Type.Member) outside fenced code
 // must be a declaration, a member, a method (README's pkg.Method shorthand)
-// or a test of that package, and every -flag README hands a binary must be
-// one the binary defines.
+// or a test of that package, every -flag README hands a binary must be one
+// the binary defines, and every backticked *.md name must be a file of the
+// repository (its path from the root).
 func TestReadmeNamesResolve(t *testing.T) {
 	src, err := os.ReadFile("README.md")
 	if err != nil {
@@ -231,6 +233,14 @@ func TestReadmeNamesResolve(t *testing.T) {
 			idents++
 			if !names.resolve(pkg, a, b) {
 				t.Errorf("README names `%s`, which package %s does not declare", q[0], pkg)
+			}
+		}
+	}
+
+	for _, m := range spans {
+		if mdFile.MatchString(m[1]) {
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("README names `%s`, which is not a file of the repository", m[1])
 			}
 		}
 	}
