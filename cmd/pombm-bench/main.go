@@ -1,16 +1,19 @@
 // pombm-bench reproduces the paper's tables and figures from the command
-// line. Each experiment id names one panel (fig6a..fig6l, fig7a..fig7l,
-// fig8a..fig8h, table1) or an ablation (abl-walk, abl-index, abl-grid,
-// abl-cr, abl-em, abl-chain, abl-road); -list prints them all.
+// line, and carries the tools around them. Each experiment id names one
+// panel (fig6a..fig6l, fig7a..fig7l, fig8a..fig8h, table1) or an ablation
+// (abl-walk, abl-index, abl-grid, abl-cr, abl-em, abl-chain, abl-road); the
+// list mode prints them all.
 //
-// Usage:
+// Usage (each mode's -h lists its flags):
 //
-//	pombm-bench -list
-//	pombm-bench -exp fig7a
-//	pombm-bench -exp all -scale 0.2 -reps 3 -out results/
-//	pombm-bench -exp fig7b -scale 0.05        # scalability sweep, reduced
-//	pombm-bench -instance day.csv -eps 0.6    # your own workload file
-//	GOMAXPROCS=4 pombm-bench -repeat 3 -exp fig7a # pinned, repeated for stable numbers
+//	pombm-bench list
+//	pombm-bench fig fig7a
+//	pombm-bench fig all -scale 0.2 -reps 3 -out results/ # a CSV and an SVG per figure
+//	GOMAXPROCS=4 pombm-bench fig fig7a -repeat 3         # pinned, repeated for stable numbers
+//	pombm-bench gen -tasks 3000 -workers 5000 -out day.csv
+//	pombm-bench instance -eps 0.6 day.csv                # your own workload file
+//	pombm-bench soak platform-100k -soakjson soak.json
+//	pombm-bench tree -grid 8 -dot tree.dot
 package main
 
 import (
@@ -25,227 +28,158 @@ import (
 	"strings"
 	"time"
 
-	"github.com/pombm/pombm/internal/core"
+	"github.com/pombm/pombm/internal/cli"
 	"github.com/pombm/pombm/internal/experiments"
-	"github.com/pombm/pombm/internal/rng"
-	"github.com/pombm/pombm/internal/workload"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fatal(err)
-	}
+	cli.Main("pombm-bench",
+		cli.Mode{Name: "list", Summary: "list the experiment ids and their titles", Flags: listMode},
+		cli.Mode{Name: "fig", Args: "ID... | all", Summary: "run experiments and print their tables", Flags: figMode},
+		cli.Mode{Name: "instance", Args: "FILE", Summary: "run the distance pipelines on a workload CSV file", Flags: instanceMode},
+		cli.Mode{Name: "soak", Args: "SUITE", Summary: "run a scale soak suite through platform.Server (platform-100k, platform-1m, platform-10m)", Flags: soakMode},
+		cli.Mode{Name: "gen", Summary: "write a synthetic or Chengdu workload as CSV", Flags: genMode},
+		cli.Mode{Name: "tree", Summary: "build an HST over a point grid and report its structure", Flags: treeMode},
+	)
 }
 
-// run is main's body. It returns its error instead of exiting so that the
-// deferred stopProfiles also writes the profiles of a run that fails — the
-// run one most wants attributed.
-func run() error {
-	var (
-		exp    = flag.String("exp", "", "experiment id to run, or 'all'")
-		list   = flag.Bool("list", false, "list experiment ids and exit")
-		seed   = flag.Uint64("seed", 2020, "root random seed")
-		reps   = flag.Int("reps", 5, "repetitions per sweep point (paper: 10)")
-		scale  = flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)")
-		grid   = flag.Int("grid", 64, "predefined grid columns (N = grid²)")
-		quick  = flag.Bool("quick", false, "shorthand for -scale 0.1 -reps 2 -grid 16")
-		out    = flag.String("out", "", "directory for CSV output (optional)")
-		format = flag.String("format", "text", "stdout format: text, csv, or markdown")
-		file   = flag.String("instance", "", "run the distance pipelines on a workload CSV file instead of a registered experiment")
-		eps    = flag.Float64("eps", 0.6, "privacy budget for -instance runs")
-		svg    = flag.Bool("svg", false, "also write an SVG chart per experiment into -out")
-
-		// Benchmark hygiene: repeat runs so numbers are comparable across
-		// machines and PRs (GOMAXPROCS=N pins the scheduler of any Go binary).
-		repeat = flag.Int("repeat", 1, "repeat each run this many times, reporting per-run wall time and the best")
-
-		// Profilers, for digging into where a regression lives. Mutex and
-		// block sampling carry overhead: profile runs are for attribution,
-		// not for the numbers that land in a report.
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		mutexProf = flag.String("mutexprofile", "", "write a mutex-contention profile to this file (enables mutex sampling)")
-		blockProf = flag.String("blockprofile", "", "write a goroutine-blocking profile to this file (enables block sampling)")
-
-		// Scale soak lane (see soak.go): million-worker populations through
-		// platform.Server, churn, and rotation peak-memory accounting.
-		soakName = flag.String("soak", "", "run the scale soak lane through platform.Server with this suite (platform-100k, platform-1m, platform-10m) and exit")
-		soakJSON = flag.String("soakjson", "", "soak: write the machine-readable soak report to this file ('' = SOAK_<suite>.json)")
-	)
-	flag.Parse()
-
-	// A usage refusal exits 2 before anything starts, so no input is
-	// silently ignored.
-	refuse := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "pombm-bench: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
-	}
-	modes := 0
-	for _, set := range []bool{*soakName != "", *file != "", *list, *exp != ""} {
-		if set {
-			modes++
-		}
-	}
-	switch {
-	case modes == 0:
-		refuse("-exp is required (use -list to see ids)")
-	case modes > 1:
-		refuse("-soak, -instance, -list and -exp each pick what runs: give one of them")
-	case *format != "text" && *format != "csv" && *format != "markdown":
-		refuse("unknown -format %q (text, csv or markdown)", *format)
-	case *repeat < 1:
-		refuse("-repeat must be ≥ 1 (got %d)", *repeat)
-	case *svg && *out == "":
-		refuse("-svg writes its charts into -out: give -out too")
-	}
-	stopProfiles, err := startProfiles(*cpuProf, *mutexProf, *blockProf)
-	if err != nil {
-		return err
-	}
-	defer stopProfiles()
-
-	if *soakName != "" {
-		return runSoak(*soakName, *grid, *seed, *soakJSON)
-	}
-	if *file != "" {
-		return runOnFile(*file, *grid, *seed, *repeat, core.Options{Epsilon: *eps})
-	}
-	if *list {
+func listMode(*flag.FlagSet) func([]string) error {
+	return func([]string) error {
 		for _, id := range experiments.IDs() {
 			title, _ := experiments.Title(id)
 			fmt.Printf("%-10s %s\n", id, title)
 		}
 		return nil
 	}
+}
 
-	cfg := experiments.Config{Seed: *seed, Reps: *reps, Scale: *scale, GridCols: *grid}
-	if *quick {
-		cfg.Scale, cfg.Reps, cfg.GridCols = 0.1, 2, 16
-	}
-	runner, err := experiments.NewRunner(cfg)
-	if err != nil {
-		return err
-	}
+// measured holds the flags of a mode whose runs are measured: the
+// profilers, and -repeat where the mode repeats its runs.
+type measured struct {
+	repeat            int
+	cpu, mutex, block string
+}
 
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = experiments.IDs()
+func measure(fs *flag.FlagSet, repeats bool) *measured {
+	m := &measured{repeat: 1}
+	if repeats {
+		fs.IntVar(&m.repeat, "repeat", 1, "repeat each run this many times, reporting per-run wall time and the best")
 	}
-	for _, id := range ids {
-		start := time.Now()
-		fig, err := runner.Run(id)
+	fs.StringVar(&m.cpu, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&m.mutex, "mutexprofile", "", "write a mutex-contention profile to this file (enables mutex sampling)")
+	fs.StringVar(&m.block, "blockprofile", "", "write a goroutine-blocking profile to this file (enables block sampling)")
+	return m
+}
+
+func figMode(fs *flag.FlagSet) func([]string) error {
+	var (
+		seed   = fs.Uint64("seed", 2020, "root random seed")
+		reps   = fs.Int("reps", 5, "repetitions per sweep point (paper: 10)")
+		scale  = fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)")
+		grid   = fs.Int("grid", 64, "predefined grid columns (N = grid²)")
+		quick  = fs.Bool("quick", false, "-scale 0.1 -reps 2 -grid 16, for whichever of them is not given")
+		out    = fs.String("out", "", "directory to write each figure's CSV and SVG into (optional)")
+		format = fs.String("format", "text", "stdout format: text, csv, or markdown")
+		m      = measure(fs, true)
+	)
+	return func(ids []string) error {
+		switch {
+		case len(ids) == 0:
+			return cli.Usagef("name the experiment ids, or all (the list mode prints them)")
+		case *format != "text" && *format != "csv" && *format != "markdown":
+			return cli.Usagef("unknown -format %q (text, csv or markdown)", *format)
+		}
+		if len(ids) == 1 && ids[0] == "all" {
+			ids = experiments.IDs()
+		}
+		if *quick {
+			given := map[string]bool{}
+			fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+			for name, v := range map[string]string{"scale": "0.1", "reps": "2", "grid": "16"} {
+				if !given[name] {
+					fs.Set(name, v)
+				}
+			}
+		}
+		stop, err := m.start()
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return err
 		}
-		// Extra repeats re-run the same experiment for timing stability; the
-		// figure from the first run is the one reported and written out.
-		best := time.Since(start)
-		for r := 1; r < *repeat; r++ {
-			t0 := time.Now()
-			if _, err := runner.Run(id); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
+		defer stop()
+		runner, err := experiments.NewRunner(experiments.Config{Seed: *seed, Reps: *reps, Scale: *scale, GridCols: *grid})
+		if err != nil {
+			return err
 		}
-		if *repeat > 1 {
-			fmt.Fprintf(os.Stderr, "# %s best of %d runs: %v\n", id, *repeat, best.Round(time.Millisecond))
-		}
-		switch *format {
-		case "csv":
-			fmt.Print(fig.CSV())
-		case "markdown":
-			fmt.Printf("### %s — %s\n\n%s\n", fig.ID, fig.Title, fig.Markdown())
-		default:
-			fmt.Println(fig.Render())
-		}
-		fmt.Fprintf(os.Stderr, "# %s finished in %v\n", id, time.Since(start).Round(time.Millisecond))
 		if *out != "" {
-			if err := writeCSV(*out, fig); err != nil {
+			if err := os.MkdirAll(*out, 0o755); err != nil {
 				return err
 			}
-			if *svg {
-				path := filepath.Join(*out, fig.ID+".svg")
-				if err := os.WriteFile(path, []byte(fig.SVG()), 0o644); err != nil {
+		}
+		for _, id := range ids {
+			start := time.Now()
+			fig, err := runner.Run(id)
+			if err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+			// Extra repeats re-run the same experiment for timing stability;
+			// the figure from the first run is the one reported and written.
+			best := time.Since(start)
+			for r := 1; r < m.repeat; r++ {
+				t0 := time.Now()
+				if _, err := runner.Run(id); err != nil {
+					return fmt.Errorf("%s: %w", id, err)
+				}
+				best = min(best, time.Since(t0))
+			}
+			if m.repeat > 1 {
+				fmt.Fprintf(os.Stderr, "# %s best of %d runs: %v\n", id, m.repeat, best.Round(time.Millisecond))
+			}
+			switch *format {
+			case "csv":
+				fmt.Print(fig.CSV())
+			case "markdown":
+				fmt.Printf("### %s — %s\n\n%s\n", fig.ID, fig.Title, fig.Markdown())
+			default:
+				fmt.Println(fig.Render())
+			}
+			fmt.Fprintf(os.Stderr, "# %s finished in %v\n", id, time.Since(start).Round(time.Millisecond))
+			if *out == "" {
+				continue
+			}
+			for _, f := range [][2]string{{".csv", fig.CSV()}, {".svg", fig.SVG()}} {
+				path := filepath.Join(*out, fig.ID+f[0])
+				if err := os.WriteFile(path, []byte(f[1]), 0o644); err != nil {
 					return err
 				}
 				fmt.Fprintf(os.Stderr, "# wrote %s\n", path)
 			}
 		}
+		return nil
 	}
-	return nil
 }
 
-func writeCSV(dir string, fig interface {
-	CSV() string
-}) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, ok := fig.(*experiments.Figure)
-	if !ok {
-		return fmt.Errorf("pombm-bench: unexpected figure type")
-	}
-	path := filepath.Join(dir, f.ID+".csv")
-	if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "# wrote %s\n", path)
-	return nil
-}
-
-// runOnFile runs TBF and the baselines on a user-supplied workload,
-// keeping the fastest of repeat runs per algorithm for stable numbers.
-func runOnFile(path string, gridCols int, seed uint64, repeat int, opt core.Options) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	inst, err := workload.ReadCSV(f)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("instance: %d workers, %d tasks, region %v\n",
-		len(inst.Workers), len(inst.Tasks), inst.Region)
-	env, err := core.NewEnv(inst.Region, gridCols, gridCols, rng.New(seed))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("published HST: N=%d, D=%d, c=%d; ε=%g\n\n",
-		env.Tree.NumPoints(), env.Tree.Depth(), env.Tree.Degree(), opt.Epsilon)
-	fmt.Printf("%-8s %16s %10s %14s %12s %12s %12s\n",
-		"alg", "total distance", "matched", "assign time", "ns/op", "tasks/sec", "memory (MB)")
-	for _, alg := range []core.Algorithm{core.AlgLapGR, core.AlgLapHG, core.AlgTBF} {
-		var res *core.Result
-		for r := 0; r < repeat; r++ {
-			rr, err := core.Run(alg, env, inst, opt, rng.New(seed).Derive(string(alg)))
-			if err != nil {
-				return err
-			}
-			if res == nil || rr.AssignTime < res.AssignTime {
-				res = rr
-			}
+func soakMode(fs *flag.FlagSet) func([]string) error {
+	var (
+		seed     = fs.Uint64("seed", 2020, "root random seed")
+		grid     = fs.Int("grid", 64, "predefined grid columns (N = grid²)")
+		soakJSON = fs.String("soakjson", "", "write the machine-readable soak report to this file ('' = SOAK_<suite>.json)")
+		m        = measure(fs, false)
+	)
+	return func(args []string) error {
+		if len(args) != 1 {
+			return cli.Usagef("soak takes one suite name")
 		}
-		// AssignTime accumulates over every submitted task (failed assigns
-		// included), so per-op figures divide by submissions, not matches.
-		nsPerOp, tasksPerSec := throughput(len(inst.Tasks), res.AssignTime)
-		fmt.Printf("%-8s %16.1f %10d %14s %12.0f %12.0f %12.2f\n",
-			res.Algorithm, res.TotalDistance, res.Matched,
-			res.AssignTime.Round(time.Microsecond), nsPerOp, tasksPerSec,
-			float64(res.MemoryBytes)/1e6)
+		suite, err := findSoakSuite(args[0])
+		if err != nil {
+			return err
+		}
+		stop, err := m.start()
+		if err != nil {
+			return err
+		}
+		defer stop()
+		return runPlatformSoak(suite, *grid, *seed, *soakJSON)
 	}
-	return nil
-}
-
-// throughput converts (tasks, total assignment time) into ns/op and
-// tasks/sec; zero-safe.
-func throughput(tasks int, d time.Duration) (nsPerOp, tasksPerSec float64) {
-	if tasks == 0 || d <= 0 {
-		return 0, 0
-	}
-	return float64(d.Nanoseconds()) / float64(tasks), float64(tasks) / d.Seconds()
 }
 
 // gitSHA resolves the current revision: the VCS stamp baked into the
@@ -264,14 +198,19 @@ func gitSHA() string {
 	return "unknown"
 }
 
-// startProfiles turns on the requested runtime profilers and returns a
-// stop func that writes every profile out; call it once, after the
-// measured work. Mutex and block sampling are enabled only when their
-// output file is requested, so plain benchmark runs stay overhead-free.
-func startProfiles(cpu, mutex, block string) (stop func(), err error) {
+// start refuses a -repeat below 1 and turns on the requested profilers.
+// The caller defers stop, which writes every profile out, so a run that
+// fails still writes its profiles — the run one most wants attributed.
+// Mutex and block sampling carry overhead, so they are enabled only when
+// their output file is requested: profile runs are for attribution, not
+// for the numbers that land in a report.
+func (m *measured) start() (stop func(), err error) {
+	if m.repeat < 1 {
+		return nil, cli.Usagef("-repeat must be ≥ 1 (got %d)", m.repeat)
+	}
 	var stops []func()
-	if cpu != "" {
-		f, err := os.Create(cpu)
+	if m.cpu != "" {
+		f, err := os.Create(m.cpu)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +221,7 @@ func startProfiles(cpu, mutex, block string) (stop func(), err error) {
 		stops = append(stops, func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Fprintf(os.Stderr, "# wrote %s\n", cpu)
+			fmt.Fprintf(os.Stderr, "# wrote %s\n", m.cpu)
 		})
 	}
 	dump := func(profile, path string) func() {
@@ -300,27 +239,22 @@ func startProfiles(cpu, mutex, block string) (stop func(), err error) {
 			fmt.Fprintf(os.Stderr, "# wrote %s\n", path)
 		}
 	}
-	if mutex != "" {
+	if m.mutex != "" {
 		// Sample roughly one in five contended mutex events: cheap enough
 		// to leave on for a whole bench run, dense enough to rank the
 		// engine's and the server's locks.
 		runtime.SetMutexProfileFraction(5)
-		stops = append(stops, dump("mutex", mutex))
+		stops = append(stops, dump("mutex", m.mutex))
 	}
-	if block != "" {
+	if m.block != "" {
 		// One sample per ~µs of blocking: catches lock convoys and
 		// channel waits without drowning the run in samples.
 		runtime.SetBlockProfileRate(1000)
-		stops = append(stops, dump("block", block))
+		stops = append(stops, dump("block", m.block))
 	}
 	return func() {
 		for _, s := range stops {
 			s()
 		}
 	}, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pombm-bench:", strings.TrimSpace(err.Error()))
-	os.Exit(1)
 }

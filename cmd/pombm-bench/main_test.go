@@ -12,11 +12,13 @@ import (
 )
 
 // TestCLI drives the built binary: a figure run prints its table, a run
-// that fails still leaves its profile behind, an unknown -format is refused
-// rather than printed as text, so is input the run would ignore (a -repeat
-// below 1, -svg without -out, two modes at once), and the flags of the deleted
-// engine-bench lane, -procs, and the suites of the deleted engine soak lane
-// are gone rather than silently accepted.
+// that fails still leaves its profile behind, "--" ends the flags, an
+// unknown -format and a -repeat below 1 are refused rather than run,
+// -quick fills in only the flags not given, gen writes a workload that
+// instance runs, a flag of another mode and an argument to list are
+// refused, and the flags of the deleted engine-bench lane, -procs, -svg and
+// the suites of the deleted engine soak lane are gone rather than silently
+// accepted.
 func TestCLI(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "pombm-bench")
@@ -37,7 +39,7 @@ func TestCLI(t *testing.T) {
 	}
 
 	t.Run("figure", func(t *testing.T) {
-		stdout, stderr, code := run("-exp", "table1", "-quick")
+		stdout, stderr, code := run("fig", "table1", "-quick")
 		if code != 0 {
 			t.Fatalf("exit %d\n%s", code, stderr)
 		}
@@ -46,8 +48,15 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
+	t.Run("a double dash ends the flags", func(t *testing.T) {
+		_, stderr, code := run("fig", "-quick", "--", "-format")
+		if code != 1 || !strings.Contains(stderr, "pombm-bench: -format:") {
+			t.Errorf("exit %d, want 1 with -format run as an experiment id\n%s", code, stderr)
+		}
+	})
+
 	t.Run("failing run keeps its profile", func(t *testing.T) {
-		_, stderr, code := run("-exp", "nosuch", "-mutexprofile", "m.pprof")
+		_, stderr, code := run("fig", "nosuch", "-mutexprofile", "m.pprof")
 		if code != 1 || !strings.Contains(stderr, "pombm-bench: nosuch:") {
 			t.Fatalf("exit %d, want 1 with a pombm-bench: message\n%s", code, stderr)
 		}
@@ -56,10 +65,37 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
-	t.Run("unknown format is refused", func(t *testing.T) {
-		stdout, stderr, code := run("-exp", "table1", "-quick", "-format", "bogus")
-		if code != 2 || stdout != "" || !strings.Contains(stderr, `pombm-bench: unknown -format "bogus"`) {
-			t.Errorf("exit %d, want 2 naming the format and no table\n%s%s", code, stdout, stderr)
+	t.Run("quick keeps explicit flags", func(t *testing.T) {
+		csv := func(args ...string) string {
+			t.Helper()
+			stdout, stderr, code := run(append([]string{"fig", "fig6a", "-format", "csv"}, args...)...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d\n%s", args, code, stderr)
+			}
+			return stdout
+		}
+		quick, given := csv("-quick", "-grid", "8"), csv("-scale", "0.1", "-reps", "2", "-grid", "8")
+		if quick != given {
+			t.Errorf("-quick -grid 8 is not -scale 0.1 -reps 2 -grid 8:\n%s\nwant\n%s", quick, given)
+		}
+		if quick == csv("-quick") {
+			t.Errorf("-quick -grid 8 printed the grid-16 figure")
+		}
+	})
+
+	t.Run("gen then instance", func(t *testing.T) {
+		if _, stderr, code := run("gen", "-tasks", "200", "-workers", "300", "-out", "inst.csv"); code != 0 {
+			t.Fatalf("gen: exit %d\n%s", code, stderr)
+		}
+		stdout, stderr, code := run("instance", "-grid", "8", "inst.csv")
+		if code != 0 {
+			t.Fatalf("instance: exit %d\n%s", code, stderr)
+		}
+		for _, want := range []string{"workers: 300\n", "tasks:   200\n", "region:  ", "hottest task cell: ", "worker centroid: ", "task centroid:   ",
+			"\nLap-GR ", "\nLap-HG ", "\nTBF "} {
+			if !strings.Contains(stdout, want) {
+				t.Errorf("instance output lacks %q:\n%s", want, stdout)
+			}
 		}
 	})
 
@@ -69,29 +105,33 @@ func TestCLI(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"negative repeat", []string{"-exp", "table1", "-quick", "-repeat", "-3"}, "pombm-bench: -repeat must be ≥ 1 (got -3)"},
-		{"svg without out", []string{"-exp", "table1", "-quick", "-svg"}, "pombm-bench: -svg writes its charts into -out"},
-		{"soak beside exp", []string{"-soak", "platform-100k", "-exp", "table1"}, "pombm-bench: -soak, -instance, -list and -exp each pick what runs"},
-		{"instance beside exp", []string{"-instance", "x.csv", "-exp", "table1"}, "pombm-bench: -soak, -instance, -list and -exp each pick what runs"},
-		{"procs is gone", []string{"-procs", "2", "-exp", "table1", "-quick"}, "flag provided but not defined: -procs"},
+		{"unknown format is refused", []string{"fig", "table1", "-quick", "-format", "bogus"}, `pombm-bench: unknown -format "bogus"`},
+		{"negative repeat", []string{"fig", "table1", "-quick", "-repeat", "-3"}, "pombm-bench: -repeat must be ≥ 1 (got -3)"},
+		{"svg without out", []string{"fig", "table1", "-quick", "-svg"}, "flag provided but not defined: -svg"},
+		{"soak beside exp", []string{"soak", "platform-100k", "-quick"}, "flag provided but not defined: -quick"},
+		{"instance beside exp", []string{"instance", "inst.csv", "-format", "csv"}, "flag provided but not defined: -format"},
+		{"procs is gone", []string{"fig", "table1", "-quick", "-procs", "2"}, "flag provided but not defined: -procs"},
+		{"list takes no arguments", []string{"list", "table1"}, `pombm-bench: list takes no arguments, got ["table1"]`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			stdout, stderr, code := run(c.args...)
-			if code != 2 || stdout != "" || !strings.Contains(stderr, c.want) {
-				t.Errorf("%v: exit %d, want 2 with %q and nothing run\n%s%s", c.args, code, c.want, stdout, stderr)
+			if code != 2 || stdout != "" || !strings.Contains(stderr, c.want) || !strings.Contains(stderr, "usage: pombm-bench "+c.args[0]) {
+				t.Errorf("%v: exit %d, want 2 with %q, the mode's usage and nothing run\n%s%s", c.args, code, c.want, stdout, stderr)
 			}
 		})
 	}
 
 	t.Run("enginebench is gone", func(t *testing.T) {
-		_, stderr, code := run("-enginebench")
-		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
-			t.Errorf("exit %d, want 2 as an unknown flag\n%s", code, stderr)
+		for _, mode := range []string{"list", "fig", "instance", "soak", "gen", "tree"} {
+			_, stderr, code := run(mode, "-enginebench")
+			if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+				t.Errorf("%s: exit %d, want 2 as an unknown flag\n%s", mode, code, stderr)
+			}
 		}
 	})
 
 	t.Run("engine soak suites are gone", func(t *testing.T) {
-		_, stderr, code := run("-soak", "smoke-100k")
+		_, stderr, code := run("soak", "smoke-100k")
 		if code != 1 || !strings.Contains(stderr, `unknown soak suite "smoke-100k" (have platform-100k, platform-1m, platform-10m)`) {
 			t.Errorf("exit %d, want 1 naming the three platform suites\n%s", code, stderr)
 		}

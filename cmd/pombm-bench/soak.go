@@ -201,16 +201,6 @@ func findSoakSuite(name string) (soakSuite, error) {
 	return soakSuite{}, fmt.Errorf("unknown soak suite %q (have %s)", name, strings.Join(names, ", "))
 }
 
-// runSoak executes one suite end to end. The report goes to jsonPath
-// ("" = SOAK_<suite>.json) and a human summary to stdout.
-func runSoak(suiteName string, gridCols int, seed uint64, jsonPath string) error {
-	suite, err := findSoakSuite(suiteName)
-	if err != nil {
-		return err
-	}
-	return runPlatformSoak(suite, gridCols, seed, jsonPath)
-}
-
 // registryBytesBound is the most a table of n slots may allocate here: 32 B
 // a slot — the 8 B record, the packed code (the lane's rotated trees all
 // have depth 10 and degree 14–29, so 5, 6 or 7 B: a digit pair takes 8 bits
@@ -335,6 +325,8 @@ func (p *platformSoak) rotate(e *soakEpoch) error {
 	return nil
 }
 
+// runPlatformSoak executes one suite end to end. The report goes to jsonPath
+// ("" = SOAK_<suite>.json) and a human summary to stdout.
 func runPlatformSoak(suite soakSuite, gridCols int, seed uint64, jsonPath string) error {
 	// A lifetime budget nobody exhausts: the ledger and its departed side
 	// are on the path, parking is not.

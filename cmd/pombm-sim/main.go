@@ -1,15 +1,13 @@
 // pombm-sim runs the deterministic event-driven churn simulator
 // (internal/sim) against the assignment stack.
 //
-// Usage:
+// Usage (each mode's -h lists its flags):
 //
-//	pombm-sim -list
-//	pombm-sim -scenario churn-heavy -seed 1
-//	pombm-sim -scenario churn-heavy -seed 1 -json        # canonical report on stdout
-//	pombm-sim -scenario all -crosscheck                  # verify vs the reference
-//	pombm-sim -scenario all -driver cluster -nodes 3     # 3-backend coordinator, same bytes
-//	pombm-sim -scenario capacity-heavy -crosscheck       # capacitated sequential rule
-//	pombm-sim -scenario all -policy batch-optimal        # override the assignment policy
+//	pombm-sim list
+//	pombm-sim run -scenario churn-heavy -seed 1 -json        # canonical report on stdout
+//	pombm-sim run -scenario all -crosscheck                  # verify vs the reference
+//	pombm-sim run -scenario all -driver cluster -nodes 3     # 3-backend coordinator, same bytes
+//	pombm-sim run -scenario all -policy batch-optimal        # override the assignment policy
 //
 // The -json report is a pure function of (scenario, seed, driver):
 // two runs with the same flags emit byte-identical output. Wall-clock
@@ -20,6 +18,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -27,116 +26,117 @@ import (
 	"os"
 	"strings"
 
+	"github.com/pombm/pombm/internal/cli"
 	"github.com/pombm/pombm/internal/engine"
 	"github.com/pombm/pombm/internal/sim"
 )
 
 func main() {
-	var (
-		scenario = flag.String("scenario", "", "scenario preset to run, comma-separated list, or 'all'")
-		list     = flag.Bool("list", false, "list scenario presets and exit")
-		seed     = flag.Uint64("seed", 1, "root random seed")
-		driver   = flag.String("driver", "platform", "system under test: platform (one in-process server) or cluster (coordinator over in-process nodes)")
-		nodes    = flag.Int("nodes", 0, "cluster driver backend count (0 = 3)")
-		duration = flag.Float64("duration", 0, "override the preset's simulated duration (seconds)")
-		policy   = flag.String("policy", "", "override the preset's assignment policy (greedy, capacity-greedy, batch-optimal[:k=<n>]); a non-capacity-aware override resets the preset's worker capacity to 1")
-		check    = flag.Bool("crosscheck", false, "verify every assignment against the sequential brute-force rule, and each batch window of a window-solving policy against a reference min-cost matching of its tasks' k nearest; violations exit non-zero")
-		asJSON   = flag.Bool("json", false, "emit the canonical deterministic JSON report on stdout")
+	cli.Main("pombm-sim",
+		cli.Mode{Name: "list", Summary: "list the scenario presets", Flags: listMode},
+		cli.Mode{Name: "run", Summary: "run scenarios through the simulator", Flags: runMode},
 	)
-	flag.Parse()
+}
 
-	var policyOverride engine.Policy
-	if *policy != "" {
-		p, err := engine.PolicyByName(*policy)
-		if err != nil {
-			fatal(err)
-		}
-		policyOverride = p
-	}
-
-	if *list {
+func listMode(*flag.FlagSet) func([]string) error {
+	return func([]string) error {
 		for _, name := range sim.Scenarios() {
 			sc, _ := sim.Preset(name)
 			fmt.Printf("%-12s %4.0fs  %-8s batch=%gs  %d workers up front\n",
 				name, sc.Duration, sc.Spatial, sc.BatchWindow, sc.InitialWorkers)
 		}
-		return
+		return nil
 	}
-	if *scenario == "" {
-		fmt.Fprintln(os.Stderr, "pombm-sim: -scenario is required (use -list to see presets)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if !(*duration >= 0) || math.IsInf(*duration, 1) {
-		fmt.Fprintf(os.Stderr, "pombm-sim: -duration must be a finite number of seconds >= 0 (0 keeps the preset's), got %v\n", *duration)
-		flag.Usage()
-		os.Exit(2)
-	}
+}
 
-	names := strings.Split(*scenario, ",")
-	if *scenario == "all" {
-		names = sim.Scenarios()
-	}
-	violations := 0
-	var reports []*sim.Report
-	for _, name := range names {
-		sc, err := sim.Preset(name)
+func runMode(fs *flag.FlagSet) func([]string) error {
+	var (
+		scenario = fs.String("scenario", "", "scenario preset to run, comma-separated list, or 'all'")
+		seed     = fs.Uint64("seed", 1, "root random seed")
+		driver   = fs.String("driver", "platform", "system under test: platform (one in-process server) or cluster (coordinator over in-process nodes)")
+		nodes    = fs.Int("nodes", 0, "cluster driver backend count (0 = 3)")
+		duration = fs.Float64("duration", 0, "override the preset's simulated duration (seconds)")
+		policy   = fs.String("policy", "", "override the preset's assignment policy (greedy, capacity-greedy, batch-optimal[:k=<n>]); a non-capacity-aware override resets the preset's worker capacity to 1")
+		check    = fs.Bool("crosscheck", false, "verify every assignment against the sequential brute-force rule, and each batch window of a window-solving policy against a reference min-cost matching of its tasks' k nearest; violations exit non-zero")
+		asJSON   = fs.Bool("json", false, "emit the canonical deterministic JSON report on stdout")
+	)
+	return func([]string) error {
+		switch {
+		case *scenario == "":
+			return cli.Usagef("-scenario is required (the list mode prints the presets)")
+		case !(*duration >= 0) || math.IsInf(*duration, 1):
+			return cli.Usagef("-duration must be a finite number of seconds >= 0 (0 keeps the preset's), got %v", *duration)
+		}
+		override, err := engine.PolicyByName(*policy)
 		if err != nil {
-			fatal(err)
+			return cli.Usagef("%v", err)
 		}
-		if *duration > 0 {
-			sc = sc.WithDuration(*duration)
+
+		names := strings.Split(*scenario, ",")
+		if *scenario == "all" {
+			names = sim.Scenarios()
 		}
-		if policyOverride != nil {
-			sc.Policy = *policy
-			if !policyOverride.CapacityAware() {
-				// Capacities above 1 (and any skew mix) need a
-				// capacity-aware policy.
-				sc.Capacity = 0
-				sc.CapacitySkew = 0
+		violations := 0
+		var reports []*sim.Report
+		for _, name := range names {
+			sc, err := sim.Preset(name)
+			if err != nil {
+				return err
 			}
-		}
-		report, stats, err := sim.Run(sim.Config{
-			Scenario:   sc,
-			Seed:       *seed,
-			Driver:     sim.Driver(*driver),
-			Nodes:      *nodes,
-			CrossCheck: *check,
-		})
-		if err != nil {
-			fatal(err)
+			if *duration > 0 {
+				sc = sc.WithDuration(*duration)
+			}
+			if *policy != "" {
+				sc.Policy = *policy
+				if !override.CapacityAware() {
+					// Capacities above 1 (and any skew mix) need a
+					// capacity-aware policy.
+					sc.Capacity = 0
+					sc.CapacitySkew = 0
+				}
+			}
+			report, stats, err := sim.Run(sim.Config{
+				Scenario:   sc,
+				Seed:       *seed,
+				Driver:     sim.Driver(*driver),
+				Nodes:      *nodes,
+				CrossCheck: *check,
+			})
+			if err != nil {
+				return err
+			}
+			if *asJSON {
+				reports = append(reports, report)
+			} else {
+				printSummary(report)
+			}
+			fmt.Fprintf(os.Stderr, "# %s: %d events in %.3fs wall (%.0f events/sec)\n",
+				name, report.Events, stats.WallSeconds, stats.EventsPerSec)
+			if report.Check != nil {
+				violations += report.Check.Violations
+				if !report.Check.PoolConsistent {
+					violations++
+					fmt.Fprintf(os.Stderr, "# %s: POOL INCONSISTENT with sequential reference\n", name)
+				}
+			}
 		}
 		if *asJSON {
-			reports = append(reports, report)
-		} else {
-			printSummary(report)
-		}
-		fmt.Fprintf(os.Stderr, "# %s: %d events in %.3fs wall (%.0f events/sec)\n",
-			name, report.Events, stats.WallSeconds, stats.EventsPerSec)
-		if report.Check != nil {
-			violations += report.Check.Violations
-			if !report.Check.PoolConsistent {
-				violations++
-				fmt.Fprintf(os.Stderr, "# %s: POOL INCONSISTENT with sequential reference\n", name)
+			// One scenario emits its report object; several emit a JSON
+			// array, so the output is always a single valid document. Both
+			// forms are byte-deterministic for fixed flags.
+			blob, err := marshalReports(reports)
+			if err != nil {
+				return err
 			}
+			os.Stdout.Write(blob)
 		}
-	}
-	if *asJSON {
-		// One scenario emits its report object; several emit a JSON array,
-		// so the output is always a single valid document. Both forms are
-		// byte-deterministic for fixed flags.
-		blob, err := marshalReports(reports)
-		if err != nil {
-			fatal(err)
+		if *check {
+			if violations > 0 {
+				return fmt.Errorf("%d cross-check violations", violations)
+			}
+			fmt.Fprintln(os.Stderr, "# cross-check: all assignments match the sequential rule, and batch-optimal windows their reference matching")
 		}
-		os.Stdout.Write(blob)
-	}
-	if *check {
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "pombm-sim: %d cross-check violations\n", violations)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "# cross-check: all assignments match the sequential rule, and batch-optimal windows their reference matching")
+		return nil
 	}
 }
 
@@ -157,15 +157,7 @@ func printSummary(r *sim.Report) {
 	fmt.Printf("scenario %s  seed %d  driver %s  (grid %d², D=%d, c=%d, ε=%g)\n",
 		r.Scenario, r.Seed, r.Driver, r.GridCols, r.Depth, r.Degree, r.Epsilon)
 	if r.Policy != "" || r.Capacity > 1 {
-		capacity := r.Capacity
-		if capacity == 0 {
-			capacity = 1
-		}
-		policy := r.Policy
-		if policy == "" {
-			policy = "greedy"
-		}
-		fmt.Printf("  policy   %s, worker capacity %d\n", policy, capacity)
+		fmt.Printf("  policy   %s, worker capacity %d\n", cmp.Or(r.Policy, "greedy"), max(r.Capacity, 1))
 	}
 	fmt.Printf("  tasks    %d arrived, %d assigned (%.1f%%), %d expired, %d pending at end, mean wait %.2fs\n",
 		r.Tasks.Arrived, r.Tasks.Assigned, 100*r.Tasks.AssignmentRate, r.Tasks.Expired, r.Tasks.PendingAtEnd, r.Tasks.MeanWait)
@@ -182,9 +174,4 @@ func printSummary(r *sim.Report) {
 		fmt.Printf("  check    %d assignments verified, %d violations, pool consistent: %v\n",
 			r.Check.Checked, r.Check.Violations, r.Check.PoolConsistent)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pombm-sim:", err)
-	os.Exit(1)
 }

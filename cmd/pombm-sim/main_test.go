@@ -16,8 +16,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from this run")
 
 // TestBadDurationIsRefused: a -duration that is negative or not finite is
-// refused with a message and exit 2, as a missing -scenario is, instead of
-// running the preset's own duration.
+// refused with a message, run's usage and exit 2, as a missing -scenario
+// is, instead of running the preset's own duration.
 func TestBadDurationIsRefused(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "pombm-sim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -25,10 +25,11 @@ func TestBadDurationIsRefused(t *testing.T) {
 	}
 	for _, d := range []string{"-5", "NaN", "+Inf"} {
 		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, "-scenario", "steady", "-duration", d)
+		cmd := exec.Command(bin, "run", "-scenario", "steady", "-duration", d)
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		cmd.Run()
-		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "pombm-sim: -duration must be") {
+		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "pombm-sim: -duration must be") ||
+			!strings.Contains(stderr.String(), "usage: pombm-sim run") {
 			t.Errorf("-duration %s: exit %d, want 2 with a message and no report\n%s%s", d, code, stdout.String(), stderr.String())
 		}
 	}
@@ -49,7 +50,7 @@ func TestReportsGolden(t *testing.T) {
 	var table strings.Builder
 	for _, driver := range []string{"platform", "cluster"} {
 		for _, policy := range []string{"preset", "greedy", "capacity-greedy", "batch-optimal"} {
-			args := []string{"-scenario", "all", "-json", "-crosscheck", "-driver", driver}
+			args := []string{"run", "-scenario", "all", "-json", "-crosscheck", "-driver", driver}
 			if policy != "preset" {
 				args = append(args, "-policy", policy)
 			}

@@ -83,7 +83,7 @@ func NewAccountant(limit float64) (*Accountant, error) {
 }
 
 // ReadInstanceCSV parses a workload from "kind,x,y" CSV (tasks in arrival
-// order), as produced by WriteInstanceCSV and cmd/pombm-gen.
+// order), as produced by WriteInstanceCSV and pombm-bench gen.
 func ReadInstanceCSV(r io.Reader) (*Instance, error) {
 	return workload.ReadCSV(r)
 }

@@ -74,7 +74,7 @@ func writeCSVValue(b *strings.Builder, v float64) {
 }
 
 // Markdown formats a figure as a GitHub-flavoured markdown table
-// (pombm-bench -format markdown).
+// (pombm-bench fig -format markdown).
 func (f *Figure) Markdown() string {
 	var b strings.Builder
 	b.WriteString("| " + f.XLabel)

@@ -7,7 +7,7 @@ import (
 )
 
 // WriteDOT renders the real cluster tree in Graphviz DOT format for
-// inspection (used by cmd/hstdump). It errors when the tree was
+// inspection (used by pombm-bench tree). It errors when the tree was
 // reconstructed from a published view and has no cluster structure.
 func (t *Tree) WriteDOT(w io.Writer) error {
 	root := t.Root()

@@ -16,8 +16,8 @@ import (
 //	task,100.0,99.5
 //
 // Tasks appear in arrival order. This lets deployments bring their own
-// data to the pipelines and the bench harness (cmd/pombm-gen converts the
-// built-in generators to files and back).
+// data to the pipelines and the bench harness (pombm-bench gen writes the
+// built-in generators to files, and pombm-bench instance runs a file).
 
 // WriteCSV serialises the instance.
 func (in *Instance) WriteCSV(w io.Writer) error {

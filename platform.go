@@ -157,8 +157,8 @@ var (
 	ErrUnavailable = platform.ErrUnavailable
 )
 
-// Dial connects to any pombm deployment — a pombm-server or a pombm-coord
-// — and returns the deployment-shape-agnostic client surface. Both speak
+// Dial connects to any pombm deployment — a pombm-server in serve or coord
+// mode — and returns the deployment-shape-agnostic client surface. Both speak
 // the same /v1 agent protocol, so the caller cannot (and need not) tell
 // which it reached.
 func Dial(baseURL string) (API, error) {
@@ -166,7 +166,7 @@ func Dial(baseURL string) (API, error) {
 }
 
 // NewCluster builds the coordinator tier: the full serving stack with its
-// workers cut across the configured backends (see DialNode / pombm-coord).
+// workers cut across the configured backends (see DialNode / pombm-server coord).
 func NewCluster(cfg ClusterConfig) (*Coordinator, error) {
 	return cluster.New(cfg)
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,13 +15,12 @@ import (
 // moduleNames is what README may name in the module: for every non-main
 // package (keyed by package name) its top-level declarations, the members of
 // each type, every method name, and the Test/Benchmark/Fuzz functions of its
-// _test.go files; for every binary under cmd/ the flags it defines.
+// _test.go files.
 type moduleNames struct {
 	decls   map[string]map[string]bool // pkg → top-level names
 	members map[string]map[string]bool // pkg → "Type.Field", "Type.Method"
 	methods map[string]map[string]bool // pkg → method names of any type
 	tests   map[string]map[string]bool // pkg → Test*/Benchmark*/Fuzz*
-	flags   map[string]map[string]bool // binary → flag names
 }
 
 func add(m map[string]map[string]bool, k, v string) {
@@ -41,7 +39,6 @@ func loadModuleNames(t *testing.T) *moduleNames {
 		members: map[string]map[string]bool{},
 		methods: map[string]map[string]bool{},
 		tests:   map[string]map[string]bool{},
-		flags:   map[string]map[string]bool{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -63,9 +60,6 @@ func loadModuleNames(t *testing.T) *moduleNames {
 		}
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
 		if pkg == "main" {
-			if dir := filepath.Dir(path); filepath.Dir(dir) == "cmd" {
-				n.addFlags(filepath.Base(dir), f)
-			}
 			return nil
 		}
 		n.addDecls(pkg, f, strings.HasSuffix(path, "_test.go"))
@@ -130,37 +124,6 @@ func (n *moduleNames) addDecls(pkg string, f *ast.File, test bool) {
 	}
 }
 
-// addFlags records the flags a binary defines: flag.Kind("name", …) and
-// flag.KindVar(&v, "name", …).
-func (n *moduleNames) addFlags(bin string, f *ast.File) {
-	ast.Inspect(f, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
-			return true
-		}
-		arg := 0
-		if strings.HasSuffix(sel.Sel.Name, "Var") {
-			arg = 1
-		}
-		if len(call.Args) <= arg {
-			return true
-		}
-		if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			if name, err := strconv.Unquote(lit.Value); err == nil {
-				add(n.flags, bin, name)
-			}
-		}
-		return true
-	})
-}
-
 // resolve reports whether pkg.a (b == "") or pkg.a.b names something.
 func (n *moduleNames) resolve(pkg, a, b string) bool {
 	if b != "" {
@@ -178,10 +141,21 @@ var (
 	mdFile   = regexp.MustCompile(`^[\w./-]+\.md$`)
 )
 
-// readmeFlags lists, per binary, every -flag README passes to it: on a line
-// (with its backslash continuations) that runs go run ./cmd/<bin>, and in a
-// code span that starts with the binary's name.
-func readmeFlags(readme string, spans [][]string, bins map[string]map[string]bool) (refs [][3]string) {
+// A readmeRun is one mode README runs, and one -flag it hands that mode
+// ("" for a run that passes none).
+type readmeRun struct{ bin, mode, flag, text string }
+
+// readmeRuns lists every run README makes of a binary: on a line (with its
+// backslash continuations) that runs go run ./cmd/<bin>, and in a code span
+// that starts with the binary's name and goes on.
+func readmeRuns(readme string, spans [][]string, bins map[string]map[string]map[string]bool) (runs []readmeRun) {
+	add := func(bin, rest, text string) {
+		mode, args, _ := strings.Cut(strings.TrimSpace(rest), " ")
+		runs = append(runs, readmeRun{bin, mode, "", text})
+		for _, f := range flagArg.FindAllStringSubmatch(args, -1) {
+			runs = append(runs, readmeRun{bin, mode, f[1], text})
+		}
+	}
 	lines := strings.Split(readme, "\n")
 	for i := 0; i < len(lines); i++ {
 		logical := lines[i]
@@ -190,29 +164,24 @@ func readmeFlags(readme string, spans [][]string, bins map[string]map[string]boo
 			logical = strings.TrimSuffix(strings.TrimSpace(logical), `\`) + " " + lines[i]
 		}
 		for _, m := range goRun.FindAllStringSubmatch(logical, -1) {
-			for _, f := range flagArg.FindAllStringSubmatch(m[2], -1) {
-				refs = append(refs, [3]string{m[1], f[1], strings.TrimSpace(m[0])})
-			}
+			add(m[1], m[2], strings.TrimSpace(m[0]))
 		}
 	}
 	for _, m := range spans {
 		span := strings.Join(strings.Fields(m[1]), " ")
-		bin, rest, _ := strings.Cut(span, " ")
-		if bins[bin] == nil {
-			continue
-		}
-		for _, f := range flagArg.FindAllStringSubmatch(rest, -1) {
-			refs = append(refs, [3]string{bin, f[1], span})
+		if bin, rest, ok := strings.Cut(span, " "); ok && bins[bin] != nil {
+			add(bin, rest, span)
 		}
 	}
-	return refs
+	return runs
 }
 
 // TestReadmeNamesResolve keeps README from naming what the tree no longer
 // has: every backticked pkg.Ident (or pkg.Type.Member) outside fenced code
 // must be a declaration, a member, a method (README's pkg.Method shorthand)
-// or a test of that package, every -flag README hands a binary must be one
-// the binary defines, and every backticked *.md name must be a file of the
+// or a test of that package, every run of a binary must name one of its
+// modes and hand it only flags that mode defines (as the built binary's
+// usage lists them), and every backticked *.md name must be a file of the
 // repository (its path from the root).
 func TestReadmeNamesResolve(t *testing.T) {
 	src, err := os.ReadFile("README.md")
@@ -245,16 +214,24 @@ func TestReadmeNamesResolve(t *testing.T) {
 		}
 	}
 
+	bins := cliBinaries(t, t.TempDir())
 	flags := 0
-	for _, r := range readmeFlags(readme, spans, names.flags) {
-		flags++
-		if r[1] == "h" || r[1] == "help" {
-			continue
+	for _, r := range readmeRuns(readme, spans, bins) {
+		if r.flag != "" {
+			flags++
 		}
-		if names.flags[r[0]] == nil {
-			t.Errorf("README runs %s, which is not a binary under cmd/: %q", r[0], r[2])
-		} else if !names.flags[r[0]][r[1]] {
-			t.Errorf("README passes -%s to %s, which defines no such flag: %q", r[1], r[0], r[2])
+		switch modes := bins[r.bin]; {
+		case modes == nil:
+			if r.flag == "" {
+				t.Errorf("README runs %s, which is not a binary under cmd/: %q", r.bin, r.text)
+			}
+		case modes[r.mode] == nil:
+			if r.flag == "" {
+				t.Errorf("README runs %s with %q, which is not one of its modes: %q", r.bin, r.mode, r.text)
+			}
+		case r.flag == "" || r.flag == "h" || r.flag == "help":
+		case !modes[r.mode][r.flag]:
+			t.Errorf("README passes -%s to %s %s, which defines no such flag: %q", r.flag, r.bin, r.mode, r.text)
 		}
 	}
 	if idents == 0 || flags == 0 {
